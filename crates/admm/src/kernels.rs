@@ -1,16 +1,14 @@
 //! Shared per-element kernel bodies and problem data of the ADMM updates.
 //!
-//! Both the single-case driver ([`crate::solver::AdmmSolver`]) and the
-//! batched multi-scenario engine ([`crate::scenario::ScenarioScheduler`])
-//! launch these functions — the single driver over one network's buffers,
-//! the scheduler over slot-major buffers spanning `L × n` elements. Every
+//! The scenario fleet ([`crate::scenario::ScenarioScheduler`]) launches
+//! these functions over slot-major buffers spanning `L × n` elements. Every
 //! constraint index stored in [`ProblemData`] is *scenario-local*; the
-//! element functions take the owning slot's `base` offset (`0` for a single
-//! solve, `slot · m` inside a batch) at call time. Keeping the data
-//! scenario-local is what lets scenarios that share loads/outages share one
-//! `Arc`'d copy of it regardless of which slot they run in, and keeping the
-//! arithmetic in one place is what makes a K=1 batch bitwise identical to a
-//! plain [`crate::solver::AdmmSolver::solve`].
+//! element functions take the owning slot's `base` offset (`slot · m`) at
+//! call time. Keeping the data scenario-local is what lets scenarios that
+//! share loads/outages share one `Arc`'d copy of it regardless of which slot
+//! they run in, and keeping the arithmetic in one place is what lets the
+//! `#[cfg(test)]` oracle (one network, `base = 0`, plain `Vec`s) pin the
+//! fleet bitwise.
 
 use crate::branch_problem::{BranchProblem, ConsensusTerm};
 use crate::layout::{BusSlot, ConstraintKind, Layout};
@@ -304,7 +302,7 @@ impl AlmSettings {
 
 /// Generator update: closed form (6) for the box-constrained quadratic.
 /// `base` is the owning slot's offset into the constraint-major buffers
-/// (`0` for a single solve, `slot · m` inside a batch).
+/// (`slot · m`).
 #[inline]
 pub(crate) fn generator_element(
     d: &GenData,

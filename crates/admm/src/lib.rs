@@ -23,15 +23,16 @@
 //! No host–device transfers occur during the solve; the transfer counters of
 //! [`gridsim_batch`] verify this.
 //!
-//! Beyond the paper's per-case solver, the [`scenario`] module provides the
-//! multi-device execution engine: [`scenario::ScenarioProblem`] holds the
+//! The two-level loop is implemented once, in the [`scenario`] module, as a
+//! multi-device fleet: [`scenario::ScenarioProblem`] holds the
 //! `Arc`-deduplicated read-only problem data of a scenario set, and
 //! [`scenario::ScenarioScheduler`] shards the scenarios across a
 //! [`gridsim_batch::DevicePool`] with streaming admission (converged
-//! scenarios hand their buffer slot to the next pending one).
-//! [`scenario::ScenarioBatch`] — the K-scenarios-on-one-device special case —
-//! remains the convenience front end used by the `scenario_throughput`
-//! experiment.
+//! scenarios hand their buffer slot to the next pending one). The other
+//! entry points are thin front ends over it: [`scenario::ScenarioBatch`] is
+//! K scenarios on one device, [`AdmmSolver`] is one network on one device
+//! (the paper's per-case solver), and [`track_horizon`] chains
+//! [`AdmmSolver`] warm starts across periods.
 
 pub mod branch_problem;
 pub(crate) mod kernels;
@@ -49,3 +50,6 @@ pub use scenario::{
 };
 pub use solver::{AdmmResult, AdmmSolver, AdmmStatus, WarmState};
 pub use tracking::{track_horizon, PeriodResult, TrackingConfig};
+
+#[cfg(test)]
+mod oracle;

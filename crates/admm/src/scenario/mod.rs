@@ -17,26 +17,27 @@
 //!   [`gridsim_batch::DevicePool`] and streams pending scenarios into slots
 //!   as earlier ones converge (**where and when**),
 //! * [`ScenarioBatch`] — the K-scenarios-on-one-device, everything-admitted
-//!   special case of the scheduler, kept as the convenience front end.
+//!   special case of the scheduler, kept as the convenience front end
+//!   ([`AdmmSolver`](crate::solver::AdmmSolver) is the same thing at K=1).
 //!
-//! Three properties make this a fleet solver rather than `K` loops:
+//! This is the crate's only implementation of Algorithm 1's two-level loop.
+//! Three properties make it a fleet solver rather than `K` loops:
 //!
-//! * **one launch per algorithmic step per device** — the generator/bus/z/
-//!   multiplier `launch_map`s and the TRON `launch_blocks` branch solves
-//!   cover every active slot at once, so per-launch overhead is amortized
-//!   and the parallel backend sees `L×` more elements to fan out across the
-//!   worker pool,
+//! * **one launch per algorithmic step per device** — the segmented
+//!   generator/bus/z/multiplier map launches and the segmented TRON block
+//!   launch cover every active slot at once, so per-launch overhead is
+//!   amortized and the parallel backend sees `L×` more elements to fan out
+//!   across the worker pool,
 //! * **per-scenario convergence masks and streaming admission** — each
 //!   scenario carries its own inner/outer counters, penalty `β`, and
 //!   termination status; converged scenarios stop consuming kernel work and
 //!   (under a lane cap) hand their slot to the next pending scenario, so a
 //!   busy device never shrinks below full occupancy,
-//! * **bitwise-identical arithmetic** — the per-element update bodies are
-//!   shared with [`AdmmSolver`](crate::solver::AdmmSolver) through
-//!   `crate::kernels`, and every scenario's iterates depend only on its
-//!   own buffer segment, so results are bit-for-bit independent of the
-//!   device count, lane count, and admission order — and a K=1 batch
-//!   reproduces a plain solve exactly on every launch backend.
+//! * **bitwise-identical arithmetic** — every scenario's iterates depend
+//!   only on its own buffer segment, so results are bit-for-bit independent
+//!   of the device count, lane count, and admission order, and a K=1 run
+//!   reproduces the plain-`Vec` transcription of Algorithm 1 (the crate's
+//!   `#[cfg(test)]` oracle) exactly on every launch backend.
 //!
 //! Warm starts: [`ScenarioBatch::solve_warm`] seeds every scenario from one
 //! shared [`WarmState`] (e.g. the solved nominal case) with optional
@@ -237,29 +238,26 @@ mod tests {
     }
 
     #[test]
-    fn k1_batch_reproduces_single_solver_bitwise() {
+    fn k1_batch_reproduces_oracle_bitwise() {
         let net = cases::case9().compile().unwrap();
         // Bitwise identity holds at every iterate, so a bounded budget keeps
-        // this unit test cheap; the converged-profile K=1 identity is covered
-        // by the property suite.
+        // this unit test cheap.
         let params = AdmmParams {
             max_outer: 3,
             max_inner: 60,
             ..AdmmParams::default()
         };
-        let single = AdmmSolver::new(params.clone()).solve(&net);
+        let want = crate::oracle::solve(&net, &params, None, None);
         let batch = ScenarioBatch::new(params).run(FleetRequest::over(std::slice::from_ref(&net)));
         assert_eq!(batch.results.len(), 1);
         let r = &batch.results[0];
-        assert_eq!(r.inner_iterations, single.inner_iterations);
-        assert_eq!(r.outer_iterations, single.outer_iterations);
-        assert_eq!(r.status, single.status);
-        assert_eq!(r.solution.pg, single.solution.pg);
-        assert_eq!(r.solution.qg, single.solution.qg);
-        assert_eq!(r.solution.vm, single.solution.vm);
-        assert_eq!(r.solution.va, single.solution.va);
-        assert_eq!(r.z_inf.to_bits(), single.z_inf.to_bits());
-        assert_eq!(r.warm_state, single.warm_state);
+        assert_eq!(r.inner_iterations, want.inner_iterations);
+        assert_eq!(r.outer_iterations, want.outer_iterations);
+        assert_eq!(r.status, want.status);
+        assert_eq!(r.solution, want.solution);
+        assert_eq!(r.z_inf.to_bits(), want.z_inf.to_bits());
+        assert_eq!(r.warm_state, want.warm_state);
+        assert_eq!(batch.ticks, want.inner_iterations);
     }
 
     #[test]

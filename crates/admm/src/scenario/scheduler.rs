@@ -81,15 +81,15 @@ struct SlotState {
 }
 
 /// Host-side initial state of one scenario segment.
-struct SegmentHost {
-    gens: Vec<GenState>,
-    branches: Vec<BranchState>,
-    buses: Vec<BusState>,
-    u: Vec<f64>,
-    v: Vec<f64>,
-    z: Vec<f64>,
-    y: Vec<f64>,
-    lam: Vec<f64>,
+pub(crate) struct SegmentHost {
+    pub(crate) gens: Vec<GenState>,
+    pub(crate) branches: Vec<BranchState>,
+    pub(crate) buses: Vec<BusState>,
+    pub(crate) u: Vec<f64>,
+    pub(crate) v: Vec<f64>,
+    pub(crate) z: Vec<f64>,
+    pub(crate) y: Vec<f64>,
+    pub(crate) lam: Vec<f64>,
 }
 
 /// Precomputed element-index → owning-slot lookup tables, one per buffer
@@ -233,8 +233,10 @@ impl ScenarioScheduler {
     }
 
     /// Drive the engine over `nets` on `pool`, with lookups against the
-    /// frozen view when present. Commits nothing.
-    fn execute(
+    /// frozen view when present. Commits nothing. Every ADMM solve in the
+    /// crate — fleet, batch, and the K=1 [`crate::solver::AdmmSolver`] —
+    /// comes through here.
+    pub(crate) fn execute(
         &self,
         pool: &DevicePool,
         nets: &[Network],
@@ -244,11 +246,10 @@ impl ScenarioScheduler {
     ) -> ScenarioBatchResult {
         let start_time = Instant::now();
         // The step loop performs one inner iteration per round before it
-        // checks the caps, so zero-iteration budgets (which the single
-        // solver answers with an immediate return) cannot be honored here.
+        // checks the caps, so zero-iteration budgets cannot be honored.
         assert!(
             self.params.max_inner >= 1 && self.params.max_outer >= 1,
-            "ScenarioScheduler needs max_inner >= 1 and max_outer >= 1"
+            "AdmmParams needs max_inner >= 1 and max_outer >= 1"
         );
         let problem = ScenarioProblem::build(nets, &self.params, pg_bounds);
         let fleet = AdmmFleet {
@@ -321,8 +322,7 @@ struct AdmmShard {
 
 impl AdmmFleet<'_> {
     /// Fresh per-slot control state. When the whole run is seeded from a
-    /// shared warm state, new slots resume its β schedule — mirroring what
-    /// `AdmmSolver::solve_warm` does for a single scenario.
+    /// shared warm state, new slots resume its β schedule.
     fn fresh_ctl(&self) -> ScenCtl {
         let mut ctl = ScenCtl::fresh(self.params);
         if let Some(w) = self.warm {
@@ -532,9 +532,10 @@ impl LaneSolver for AdmmFleet<'_> {
     }
 }
 
-/// Host-side initial state of one scenario, bitwise identical to the state
-/// the single driver's init kernels would produce for it.
-fn init_segment(
+/// Host-side initial state of one scenario: cold start (midpoints of
+/// bounds, zero angles, flows from the initial voltages — Section IV-B) or
+/// the given warm state, with `u`/`v` scattered from the component states.
+pub(crate) fn init_segment(
     net: &Network,
     data: &ScenarioData,
     problem: &ScenarioProblem,
@@ -758,8 +759,7 @@ fn tick(
     }
     // z and multiplier updates.
     {
-        // Device-side copy of the active segments (free, like the single
-        // driver's z_prev copy).
+        // Device-side copy of the active segments (not a billed launch).
         let z = st.z.as_slice();
         let zp = st.z_prev.as_mut_slice();
         for (s, &a) in active.iter().enumerate() {

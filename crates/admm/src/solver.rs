@@ -1,24 +1,22 @@
-//! The two-level ADMM driver (Algorithm 1 of the paper).
+//! The single-network front end of the ADMM solver and the result types
+//! every ADMM path shares.
 //!
-//! All per-iteration work is expressed as kernels on the simulated batch
-//! device: generator, bus, z and multiplier updates map one thread per
-//! element; branch subproblems map one thread block per branch and are solved
-//! by the batch TRON solver. Residual norms are device-side reductions, so no
-//! host–device transfer happens inside the solve.
-//!
-//! The per-element arithmetic lives in `crate::kernels` and is shared with
-//! the batched multi-scenario driver ([`crate::scenario::ScenarioBatch`]),
-//! which runs the same updates over scenario-major buffers.
+//! The two-level loop of the paper's Algorithm 1 lives in exactly one place:
+//! the engine-backed scenario fleet ([`crate::scenario::ScenarioScheduler`]),
+//! which runs every per-iteration step as a batch kernel over slot-major
+//! device buffers and computes the residual norms as device-side reductions,
+//! so no host–device transfer happens inside the solve. [`AdmmSolver`] is
+//! that fleet at K=1 on one device: it builds nothing of its own and
+//! converts the single [`ScenarioResult`](crate::scenario::ScenarioResult)
+//! field for field into an [`AdmmResult`].
 
-use crate::kernels::{self, AlmSettings, BranchState, BusState, GenState, ProblemData};
-use crate::layout::{BusSlot, Layout};
 use crate::params::AdmmParams;
+use crate::scenario::ScenarioScheduler;
 use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_batch::{Device, DeviceBuffer};
+use gridsim_batch::{Device, DevicePool};
 use gridsim_grid::network::Network;
-use gridsim_tron::TronSolver;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Termination status of an ADMM solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -79,19 +77,6 @@ pub struct AdmmResult {
     pub warm_state: WarmState,
 }
 
-struct DeviceState {
-    gens: DeviceBuffer<GenState>,
-    branches: DeviceBuffer<BranchState>,
-    buses: DeviceBuffer<BusState>,
-    u: DeviceBuffer<f64>,
-    v: DeviceBuffer<f64>,
-    z: DeviceBuffer<f64>,
-    z_prev: DeviceBuffer<f64>,
-    y: DeviceBuffer<f64>,
-    lam: DeviceBuffer<f64>,
-    rho: DeviceBuffer<f64>,
-}
-
 /// The component-based two-level ADMM solver.
 #[derive(Debug, Clone)]
 pub struct AdmmSolver {
@@ -119,294 +104,64 @@ impl AdmmSolver {
     }
 
     /// Solve from a cold start (Section IV-B).
+    ///
+    /// Panics unless `params.max_inner >= 1 && params.max_outer >= 1`: the
+    /// loop runs one inner iteration before it checks the caps, so a
+    /// zero-iteration budget cannot be honored.
     pub fn solve(&self, net: &Network) -> AdmmResult {
-        self.solve_inner(net, None, None)
+        self.solve_one(net, None, None)
     }
 
     /// Solve warm-started from a previous period's state, optionally with
-    /// ramp-limited generator bounds (Section IV-C).
+    /// ramp-limited generator bounds (Section IV-C). Same budget contract as
+    /// [`AdmmSolver::solve`].
     pub fn solve_warm(
         &self,
         net: &Network,
         warm: &WarmState,
         pg_bounds: Option<(Vec<f64>, Vec<f64>)>,
     ) -> AdmmResult {
-        self.solve_inner(net, Some(warm), pg_bounds)
+        self.solve_one(net, Some(warm), pg_bounds)
     }
 
-    fn solve_inner(
+    /// One K=1 fleet run on a single-device pool over `self.device` (which
+    /// shares the device's statistics stream).
+    fn solve_one(
         &self,
         net: &Network,
         warm: Option<&WarmState>,
         pg_bounds: Option<(Vec<f64>, Vec<f64>)>,
     ) -> AdmmResult {
-        let start_time = Instant::now();
-        let params = &self.params;
-        let layout = Layout::build(net, params);
-        let data = ProblemData::build(net, &layout, params, pg_bounds.as_ref());
-        let vplan = kernels::v_plan(&layout);
-        let mut st = self.init_state(net, &layout, &data, &vplan, warm);
-        let tron = TronSolver::new(params.tron.clone());
-
-        let mut beta = warm.map_or(params.beta_init, |w| w.beta);
-        let mut total_inner = 0usize;
-        let mut outer_done = 0usize;
-        let mut z_inf_prev = f64::INFINITY;
-        let mut z_inf = f64::INFINITY;
-        let mut primres = f64::INFINITY;
-        let mut status = AdmmStatus::MaxOuterIterations;
-
-        for outer in 0..params.max_outer {
-            outer_done = outer + 1;
-            for _inner in 0..params.max_inner {
-                total_inner += 1;
-                // x block: generators and branches (lines 3 of Algorithm 1).
-                self.generator_update(&mut st, &data);
-                self.branch_update(&mut st, &data, &tron, params);
-                self.scatter_u(&mut st, &data);
-                // x̄ block: buses (line 4).
-                self.bus_update(&mut st, &data);
-                self.scatter_v(&mut st, &vplan);
-                // z and multiplier updates (lines 5-6).
-                st.z_prev.as_mut_slice().copy_from_slice(st.z.as_slice());
-                self.z_update(&mut st, beta);
-                self.y_update(&mut st);
-                // Residuals.
-                primres = self.device.reduce_max("primal_residual", &st.z, {
-                    let u = st.u.as_slice();
-                    let v = st.v.as_slice();
-                    move |k, zk| (u[k] - v[k] + zk).abs()
-                });
-                let dualres = self.device.reduce_max("dual_residual", &st.z, {
-                    let zp = st.z_prev.as_slice();
-                    let rho = st.rho.as_slice();
-                    move |k, zk| (rho[k] * (zk - zp[k])).abs()
-                });
-                if primres <= params.eps_inner && dualres <= params.eps_inner {
-                    break;
-                }
-            }
-            // Outer-level update (line 8) and termination (line 9).
-            z_inf = self.device.reduce_max("z_norm", &st.z, |_, zk| zk.abs());
-            if z_inf <= params.eps_outer {
-                status = AdmmStatus::Converged;
-                break;
-            }
-            self.lambda_update(&mut st, beta, params.lambda_bound);
-            if z_inf > params.z_decrease_factor * z_inf_prev {
-                beta *= params.beta_factor;
-            }
-            z_inf_prev = z_inf;
-        }
-
-        let (solution, warm_state) = self.extract(net, &st, beta);
-        let quality = SolutionQuality::evaluate(net, &solution);
-        AdmmResult {
-            objective: solution.objective(net),
-            quality,
-            solution,
-            status,
-            inner_iterations: total_inner,
-            outer_iterations: outer_done,
-            z_inf,
-            primal_residual: primres,
-            solve_time: start_time.elapsed(),
-            warm_state,
-        }
-    }
-
-    // -- state initialization ------------------------------------------------
-
-    fn init_state(
-        &self,
-        net: &Network,
-        layout: &Layout,
-        data: &ProblemData,
-        vplan: &[(usize, BusSlot)],
-        warm: Option<&WarmState>,
-    ) -> DeviceState {
-        let stats = self.device.stats().clone();
-        let m = layout.num_constraints();
-
-        let (gen_host, branch_host, bus_host, y_host, lam_host, z_host) = match warm {
-            Some(w) => {
-                let (gens, branches, buses) = kernels::warm_states(net, w);
-                (
-                    gens,
-                    branches,
-                    buses,
-                    w.y.clone(),
-                    w.lam.clone(),
-                    w.z.clone(),
-                )
-            }
-            None => {
-                // Cold start: midpoints of bounds, zero angles, flows from
-                // the initial voltages (Section IV-B).
-                let gens: Vec<GenState> = data.gens.iter().map(kernels::cold_gen_state).collect();
-                let branches: Vec<BranchState> = data
-                    .branches
-                    .iter()
-                    .map(kernels::cold_branch_state)
-                    .collect();
-                let buses: Vec<BusState> = (0..net.nbus)
-                    .map(|b| {
-                        kernels::cold_bus_state(
-                            net.vmin[b],
-                            net.vmax[b],
-                            layout.bus_plans[b].num_copies,
-                        )
-                    })
-                    .collect();
-                (
-                    gens,
-                    branches,
-                    buses,
-                    vec![0.0; m],
-                    vec![0.0; m],
-                    vec![0.0; m],
-                )
-            }
-        };
-
-        let mut st = DeviceState {
-            gens: DeviceBuffer::from_host(stats.clone(), &gen_host),
-            branches: DeviceBuffer::from_host(stats.clone(), &branch_host),
-            buses: DeviceBuffer::from_host(stats.clone(), &bus_host),
-            u: DeviceBuffer::zeroed(stats.clone(), m),
-            v: DeviceBuffer::zeroed(stats.clone(), m),
-            z: DeviceBuffer::from_host(stats.clone(), &z_host),
-            z_prev: DeviceBuffer::zeroed(stats.clone(), m),
-            y: DeviceBuffer::from_host(stats.clone(), &y_host),
-            lam: DeviceBuffer::from_host(stats.clone(), &lam_host),
-            rho: DeviceBuffer::from_host(stats, &layout.rho_vector()),
-        };
-        // Populate u from the component states and, for a cold start, seed
-        // the bus copies with the consistent component values so the first
-        // iteration starts from agreement.
-        self.scatter_u(&mut st, data);
-        if warm.is_none() {
-            let buses_data = &data.buses;
-            let u = st.u.as_slice();
-            self.device
-                .launch_map("bus_copy_seed", &mut st.buses, move |b, bus| {
-                    kernels::seed_bus_copies(&buses_data[b], u, bus);
-                });
-        }
-        self.scatter_v(&mut st, vplan);
-        st
-    }
-
-    // -- kernels ---------------------------------------------------------------
-
-    fn generator_update(&self, st: &mut DeviceState, data: &ProblemData) {
-        let gens_data = &data.gens;
-        let v = st.v.as_slice();
-        let z = st.z.as_slice();
-        let y = st.y.as_slice();
-        let rho = st.rho.as_slice();
-        self.device
-            .launch_map("generator_update", &mut st.gens, move |g, state| {
-                kernels::generator_element(&gens_data[g], 0, v, z, y, rho, state);
-            });
-    }
-
-    fn branch_update(
-        &self,
-        st: &mut DeviceState,
-        data: &ProblemData,
-        tron: &TronSolver,
-        params: &AdmmParams,
-    ) {
-        let branches_data = &data.branches;
-        let v = st.v.as_slice();
-        let z = st.z.as_slice();
-        let y = st.y.as_slice();
-        let rho = st.rho.as_slice();
-        let alm = AlmSettings::from_params(params);
-        self.device
-            .launch_blocks("branch_tron", &mut st.branches, move |l, state| {
-                kernels::branch_element(&branches_data[l], 0, v, z, y, rho, tron, &alm, state);
-            });
-    }
-
-    fn scatter_u(&self, st: &mut DeviceState, data: &ProblemData) {
-        let ngen = data.gens.len();
-        let gens = st.gens.as_slice();
-        let branches = st.branches.as_slice();
-        self.device
-            .launch_map("u_scatter", &mut st.u, move |k, uk| {
-                *uk = kernels::u_element(k, ngen, gens, branches);
-            });
-    }
-
-    fn bus_update(&self, st: &mut DeviceState, data: &ProblemData) {
-        let buses_data = &data.buses;
-        let u = st.u.as_slice();
-        let z = st.z.as_slice();
-        let y = st.y.as_slice();
-        let rho = st.rho.as_slice();
-        self.device
-            .launch_map("bus_update", &mut st.buses, move |b, state| {
-                kernels::bus_element(&buses_data[b], 0, u, z, y, rho, state);
-            });
-    }
-
-    fn scatter_v(&self, st: &mut DeviceState, plan: &[(usize, BusSlot)]) {
-        let buses = st.buses.as_slice();
-        self.device
-            .launch_map("v_scatter", &mut st.v, move |k, vk| {
-                let (bus, slot) = plan[k];
-                *vk = kernels::v_element(&buses[bus], slot);
-            });
-    }
-
-    fn z_update(&self, st: &mut DeviceState, beta: f64) {
-        let u = st.u.as_slice();
-        let v = st.v.as_slice();
-        let y = st.y.as_slice();
-        let lam = st.lam.as_slice();
-        let rho = st.rho.as_slice();
-        self.device.launch_map("z_update", &mut st.z, move |k, zk| {
-            *zk = kernels::z_element(k, u, v, y, lam, rho, beta);
-        });
-    }
-
-    fn y_update(&self, st: &mut DeviceState) {
-        let u = st.u.as_slice();
-        let v = st.v.as_slice();
-        let z = st.z.as_slice();
-        let rho = st.rho.as_slice();
-        self.device.launch_map("y_update", &mut st.y, move |k, yk| {
-            kernels::y_element(k, u, v, z, rho, yk);
-        });
-    }
-
-    fn lambda_update(&self, st: &mut DeviceState, beta: f64, bound: f64) {
-        let z = st.z.as_slice();
-        self.device
-            .launch_map("lambda_update", &mut st.lam, move |k, lk| {
-                kernels::lambda_element(z[k], beta, bound, lk);
-            });
-    }
-
-    // -- solution extraction -------------------------------------------------
-
-    fn extract(&self, net: &Network, st: &DeviceState, beta: f64) -> (OpfSolution, WarmState) {
-        let gens = st.gens.to_host();
-        let branches = st.branches.to_host();
-        let buses = st.buses.to_host();
-        let (solution, warm) = kernels::extract_segment(
-            &gens,
-            &branches,
-            &buses,
-            &st.y.to_host(),
-            &st.lam.to_host(),
-            &st.z.to_host(),
-            beta,
+        let scheduler = ScenarioScheduler::with_pool(
+            self.params.clone(),
+            DevicePool::single(self.device.clone()),
         );
-        let _ = net;
-        (solution, warm)
+        let pg_bounds = pg_bounds.map(|b| [b]);
+        let run = scheduler.execute(
+            &scheduler.pool,
+            std::slice::from_ref(net),
+            warm,
+            pg_bounds.as_ref().map(|b| &b[..]),
+            None,
+        );
+        let solve_time = run.solve_time;
+        let r = run
+            .results
+            .into_iter()
+            .next()
+            .expect("a one-scenario run yields one result");
+        AdmmResult {
+            solution: r.solution,
+            objective: r.objective,
+            quality: r.quality,
+            status: r.status,
+            inner_iterations: r.inner_iterations,
+            outer_iterations: r.outer_iterations,
+            z_inf: r.z_inf,
+            primal_residual: r.primal_residual,
+            solve_time,
+            warm_state: r.warm_state,
+        }
     }
 }
 
@@ -420,6 +175,7 @@ impl WarmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{self, OracleResult};
     use gridsim_grid::cases;
 
     fn solve_case(case: gridsim_grid::Case, params: AdmmParams) -> (Network, AdmmResult) {
@@ -480,29 +236,157 @@ mod tests {
     #[test]
     fn no_transfers_during_iterations() {
         let net = cases::two_bus().compile().unwrap();
+        // Transfers happen only at setup (one upload per slot-major buffer)
+        // and extraction (one read per result-bearing buffer), never per
+        // iteration: doubling the iteration budget runs more kernel rounds
+        // and moves exactly the same number of buffers.
+        let run = |max_inner: usize| {
+            let params = AdmmParams {
+                max_outer: 2,
+                max_inner,
+                ..AdmmParams::default()
+            };
+            let solver = AdmmSolver::new(params);
+            let before = solver.device.stats().snapshot();
+            let _ = solver.solve(&net);
+            let delta = solver.device.stats().snapshot().since(&before);
+            assert_eq!(delta.host_to_device_transfers, 9, "h2d at {max_inner}");
+            assert_eq!(delta.device_to_host_transfers, 6, "d2h at {max_inner}");
+            delta.kernels["z_update"].launches
+        };
+        let short = run(20);
+        let long = run(40);
+        assert!(short >= 20);
+        assert!(long > short, "budget doubling ran no extra iterations");
+    }
+
+    #[test]
+    #[should_panic(expected = "AdmmParams needs max_inner >= 1 and max_outer >= 1")]
+    fn zero_iteration_budget_panics() {
+        let net = cases::two_bus().compile().unwrap();
         let params = AdmmParams {
-            max_outer: 2,
-            max_inner: 20,
+            max_outer: 0,
             ..AdmmParams::default()
         };
-        let solver = AdmmSolver::new(params);
-        let before = solver.device.stats().snapshot();
-        let _ = solver.solve(&net);
-        let delta = solver.device.stats().snapshot().since(&before);
-        // Transfers happen only at setup (host -> device) and extraction
-        // (device -> host), never per iteration: with 40+ inner iterations the
-        // transfer count stays equal to the fixed setup/teardown count.
-        assert!(
-            delta.host_to_device_transfers <= 12,
-            "h2d {}",
-            delta.host_to_device_transfers
+        let _ = AdmmSolver::new(params).solve(&net);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Solve through [`AdmmSolver`] on every launch backend and require the
+    /// result to equal the plain-`Vec` oracle bit for bit. Returns the
+    /// oracle's result so callers can assert which exit the case took.
+    fn assert_matches_oracle(
+        net: &Network,
+        params: &AdmmParams,
+        warm: Option<&WarmState>,
+        pg_bounds: Option<(Vec<f64>, Vec<f64>)>,
+    ) -> OracleResult {
+        let want = oracle::solve(net, params, warm, pg_bounds.as_ref());
+        for device in [
+            Device::sequential(),
+            Device::parallel(),
+            Device::vectorized(),
+        ] {
+            let label = format!("{} on {}", net.name, device.backend());
+            let solver = AdmmSolver::with_device(params.clone(), device);
+            let got = match warm {
+                None => solver.solve(net),
+                Some(w) => solver.solve_warm(net, w, pg_bounds.clone()),
+            };
+            assert_eq!(bits(&got.solution.pg), bits(&want.solution.pg), "{label}");
+            assert_eq!(bits(&got.solution.qg), bits(&want.solution.qg), "{label}");
+            assert_eq!(bits(&got.solution.vm), bits(&want.solution.vm), "{label}");
+            assert_eq!(bits(&got.solution.va), bits(&want.solution.va), "{label}");
+            assert_eq!(got.warm_state, want.warm_state, "{label}");
+            assert_eq!(got.status, want.status, "{label}");
+            assert_eq!(got.inner_iterations, want.inner_iterations, "{label}");
+            assert_eq!(got.outer_iterations, want.outer_iterations, "{label}");
+            assert_eq!(got.z_inf.to_bits(), want.z_inf.to_bits(), "{label}");
+            assert_eq!(
+                got.primal_residual.to_bits(),
+                want.primal_residual.to_bits(),
+                "{label}"
+            );
+        }
+        want
+    }
+
+    /// Bitwise identity holds at every iterate, so a bounded budget keeps
+    /// the oracle comparisons cheap in the debug profile.
+    fn short_budget() -> AdmmParams {
+        AdmmParams {
+            max_outer: 3,
+            max_inner: 60,
+            ..AdmmParams::default()
+        }
+    }
+
+    #[test]
+    fn cold_start_matches_oracle_on_embedded_cases() {
+        let two_bus = cases::two_bus().compile().unwrap();
+        let converged = assert_matches_oracle(&two_bus, &AdmmParams::test_profile(), None, None);
+        assert_eq!(converged.status, AdmmStatus::Converged);
+        for case in [cases::case5(), cases::case9()] {
+            let net = case.compile().unwrap();
+            assert_matches_oracle(&net, &short_budget(), None, None);
+        }
+    }
+
+    #[test]
+    fn inner_cap_hit_matches_oracle() {
+        let net = cases::case9().compile().unwrap();
+        let params = AdmmParams {
+            max_outer: 4,
+            max_inner: 5,
+            ..AdmmParams::default()
+        };
+        let want = assert_matches_oracle(&net, &params, None, None);
+        // Every outer iteration ran into the inner cap.
+        assert_eq!(want.inner_iterations, 4 * 5);
+        assert_eq!(want.outer_iterations, 4);
+    }
+
+    #[test]
+    fn max_outer_exit_matches_oracle() {
+        let net = cases::two_bus().compile().unwrap();
+        let params = AdmmParams {
+            max_outer: 2,
+            ..AdmmParams::test_profile()
+        };
+        let want = assert_matches_oracle(&net, &params, None, None);
+        // The inner loops converged on their own; the outer cap ended it.
+        assert_eq!(want.status, AdmmStatus::MaxOuterIterations);
+        assert_eq!(want.outer_iterations, 2);
+        assert!(want.inner_iterations < 2 * params.max_inner);
+    }
+
+    #[test]
+    fn warm_restart_matches_oracle_with_and_without_ramp_bounds() {
+        let base = cases::case9();
+        let nominal = base.compile().unwrap();
+        let params = short_budget();
+        let cold = oracle::solve(&nominal, &params, None, None);
+        let bumped = base.scale_load(1.02).compile().unwrap();
+        let free = assert_matches_oracle(&bumped, &params, Some(&cold.warm_state), None);
+        let bounds = gridsim_acopf::start::ramp_limited_bounds(
+            &bumped,
+            cold.warm_state.previous_pg(),
+            0.001,
         );
-        assert!(
-            delta.device_to_host_transfers <= 8,
-            "d2h {}",
-            delta.device_to_host_transfers
+        let ramped = assert_matches_oracle(
+            &bumped,
+            &params,
+            Some(&cold.warm_state),
+            Some(bounds.clone()),
         );
-        assert!(delta.kernels["z_update"].launches >= 20);
+        // The ramp limit binds: the two warm solves are different problems.
+        assert_ne!(free.solution.pg, ramped.solution.pg);
+        for (g, pg) in ramped.solution.pg.iter().enumerate() {
+            assert!(*pg >= bounds.0[g] && *pg <= bounds.1[g]);
+        }
     }
 
     #[test]

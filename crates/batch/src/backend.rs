@@ -10,9 +10,9 @@
 //!
 //! # The dispatch trait
 //!
-//! [`LaunchBackend`] carries the five launch/reduce geometries the solvers
-//! use (whole-buffer map, zip, segmented map, whole-buffer reductions,
-//! segmented reduction) plus stats billing. [`Device`](crate::Device)
+//! [`LaunchBackend`] carries the three launch/reduce geometries the solvers
+//! use (whole-buffer map, segmented map, segmented max-reduction) plus
+//! stats billing. [`Device`](crate::Device)
 //! holds an [`AnyBackend`] — a closed enum over the implementors — so the
 //! kernel layer in `kernel.rs` contains **no** backend matching at all:
 //! every launch and reduction goes through trait dispatch. The trait's
@@ -25,12 +25,11 @@
 //! Every backend MUST produce bitwise-identical buffers and reduction
 //! values to [`SequentialBackend`] for the same launch sequence:
 //!
-//! * map/zip/segmented launches touch disjoint elements, so any schedule
+//! * map and segmented launches touch disjoint elements, so any schedule
 //!   that applies the closure exactly once per (active) element conforms;
 //! * reductions may *evaluate* per-element scores in any order but MUST
 //!   *combine* them in index order, because floating-point `max` is
-//!   scheduling-sensitive through NaN and signed-zero handling and
-//!   addition is non-associative;
+//!   scheduling-sensitive through NaN and signed-zero handling;
 //! * inactive segments of a masked launch must not be touched at all
 //!   (convergence masking relies on converged scenarios' state freezing).
 //!
@@ -43,7 +42,7 @@
 //! A new backend is a plug-in, not a rewrite:
 //!
 //! 1. define a unit struct and implement [`LaunchBackend`] for it (the
-//!    reductions must fold in index order — see the contract above);
+//!    reduction must fold in index order — see the contract above);
 //! 2. add an [`AnyBackend`] variant delegating to it, a constructor on
 //!    [`Device`](crate::Device), and an [`ExecutionMode`] variant;
 //! 3. run it through [`crate::conformance::assert_backend_conformance`]
@@ -169,13 +168,6 @@ pub trait LaunchBackend {
         T: Send,
         F: Fn(usize, &mut T) + Sync;
 
-    /// Apply `f` exactly once to every index of two equal-length slices.
-    fn launch_zip<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
-    where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut A, &mut B) + Sync;
-
     /// Apply `f` to every element of the segments whose mask entry is
     /// `true`; elements of inactive segments must not be touched. `buf`
     /// holds `active.len()` segments of `seg_len` elements; `f` receives
@@ -191,25 +183,11 @@ pub trait LaunchBackend {
         T: Send,
         F: Fn(usize, &mut T) + Sync;
 
-    /// Fold per-element scores with `f64::max` from `NEG_INFINITY` in
-    /// index order (empty slice → `NEG_INFINITY`; the device maps that to
-    /// `0.0`). Scores may be *evaluated* in any order.
-    fn reduce_max<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync;
-
-    /// Sum per-element scores in index order (non-associativity makes the
-    /// order part of the bitwise contract).
-    fn reduce_sum<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync;
-
     /// Per-segment max-reduction: one value per segment, `f64::NAN` for
     /// inactive segments (whose elements are not even visited), and the
     /// empty-max convention `NEG_INFINITY → 0.0` applied per segment.
-    /// Each segment folds in index order.
+    /// Each segment folds with `f64::max` in index order; scores may be
+    /// *evaluated* in any order.
     fn reduce_max_segments<T, F>(
         &self,
         buf: &[T],
@@ -274,17 +252,6 @@ impl LaunchBackend for SequentialBackend {
         }
     }
 
-    fn launch_zip<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
-    where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut A, &mut B) + Sync,
-    {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
-        }
-    }
-
     fn launch_segments<T, F>(
         &self,
         buf: &mut [T],
@@ -304,25 +271,6 @@ impl LaunchBackend for SequentialBackend {
                 f(s * seg_len + j, x);
             }
         }
-    }
-
-    fn reduce_max<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        buf.iter()
-            .enumerate()
-            .map(|(i, x)| f(i, x))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    fn reduce_sum<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        buf.iter().enumerate().map(|(i, x)| f(i, x)).sum()
     }
 
     fn reduce_max_segments<T, F>(
@@ -368,18 +316,6 @@ impl LaunchBackend for ParallelBackend {
         it.enumerate().for_each(|(i, x)| f(i, x));
     }
 
-    fn launch_zip<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
-    where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut A, &mut B) + Sync,
-    {
-        a.par_iter_mut()
-            .zip(b.par_iter_mut())
-            .enumerate()
-            .for_each(|(i, (x, y))| f(i, x, y));
-    }
-
     fn launch_segments<T, F>(
         &self,
         buf: &mut [T],
@@ -412,38 +348,6 @@ impl LaunchBackend for ParallelBackend {
                 }
             });
         }
-    }
-
-    fn reduce_max<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        // Evaluate scores in parallel, combine in index order: reduction
-        // order must not depend on thread scheduling, or Parallel and
-        // Sequential runs of the same solve diverge bitwise (max is
-        // scheduling-sensitive through NaN and signed-zero handling).
-        buf.par_iter()
-            .enumerate()
-            .map(|(i, x)| f(i, x))
-            .collect::<Vec<f64>>()
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    fn reduce_sum<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        // Same contract: parallel evaluation, index-ordered summation
-        // (floating-point addition is non-associative).
-        buf.par_iter()
-            .enumerate()
-            .map(|(i, x)| f(i, x))
-            .collect::<Vec<f64>>()
-            .iter()
-            .sum()
     }
 
     fn reduce_max_segments<T, F>(
@@ -485,8 +389,8 @@ pub const VECTOR_CHUNK: usize = 64;
 ///   order — trivially bitwise identical;
 /// * reductions score one chunk at a time into a stack buffer (the
 ///   vectorizable part) and then fold that buffer *in index order* into
-///   the accumulator, so the sequence of `max`/`+` operations is exactly
-///   the sequential backend's — bitwise identical by construction;
+///   the accumulator, so the sequence of `max` operations is exactly the
+///   sequential backend's — bitwise identical by construction;
 /// * segmented launches hoist the convergence mask out of the element
 ///   loop entirely: inactive segments are skipped at segment granularity
 ///   and the per-element loop body carries **no** mask branch (compare
@@ -522,17 +426,16 @@ where
     }
 }
 
-/// Chunk-scored, index-order-folded reduction core: scores land in a
+/// Chunk-scored, index-order-folded max-reduction core: scores land in a
 /// stack buffer (vectorizable), the fold consumes them in index order
-/// (bitwise identical to the sequential fold). `combine` is `f64::max`
-/// or addition; `init` the matching identity.
-fn fold_chunked<T, F, C>(buf: &[T], init: f64, f: &F, combine: C) -> f64
+/// (bitwise identical to the sequential fold). `base` is the global index
+/// of `buf[0]`.
+fn max_chunked<T, F>(buf: &[T], base: usize, f: &F) -> f64
 where
     F: Fn(usize, &T) -> f64,
-    C: Fn(f64, f64) -> f64,
 {
-    let mut acc = init;
-    let mut offset = 0;
+    let mut acc = f64::NEG_INFINITY;
+    let mut offset = base;
     let mut scores = [0.0f64; VECTOR_CHUNK];
     let mut chunks = buf.chunks_exact(VECTOR_CHUNK);
     for chunk in &mut chunks {
@@ -540,12 +443,12 @@ where
             scores[j] = f(offset + j, x);
         }
         for &s in &scores {
-            acc = combine(acc, s);
+            acc = acc.max(s);
         }
         offset += VECTOR_CHUNK;
     }
     for (j, x) in chunks.remainder().iter().enumerate() {
-        acc = combine(acc, f(offset + j, x));
+        acc = acc.max(f(offset + j, x));
     }
     acc
 }
@@ -561,31 +464,6 @@ impl LaunchBackend for VectorizedBackend {
         F: Fn(usize, &mut T) + Sync,
     {
         map_chunked(buf, 0, &f);
-    }
-
-    fn launch_zip<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
-    where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut A, &mut B) + Sync,
-    {
-        let mut offset = 0;
-        let mut ca = a.chunks_exact_mut(VECTOR_CHUNK);
-        let mut cb = b.chunks_exact_mut(VECTOR_CHUNK);
-        for (chunk_a, chunk_b) in (&mut ca).zip(&mut cb) {
-            for (j, (x, y)) in chunk_a.iter_mut().zip(chunk_b.iter_mut()).enumerate() {
-                f(offset + j, x, y);
-            }
-            offset += VECTOR_CHUNK;
-        }
-        for (j, (x, y)) in ca
-            .into_remainder()
-            .iter_mut()
-            .zip(cb.into_remainder().iter_mut())
-            .enumerate()
-        {
-            f(offset + j, x, y);
-        }
     }
 
     fn launch_segments<T, F>(
@@ -610,26 +488,6 @@ impl LaunchBackend for VectorizedBackend {
         }
     }
 
-    fn reduce_max<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        fold_chunked(buf, f64::NEG_INFINITY, &f, f64::max)
-    }
-
-    fn reduce_sum<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        // -0.0 is `Iterator::sum`'s fold identity (it preserves the sign
-        // of an all-negative-zero stream), and the reference backend sums
-        // through `Iterator::sum` — matching it keeps the empty and
-        // signed-zero cases bitwise identical.
-        fold_chunked(buf, -0.0, &f, |a, b| a + b)
-    }
-
     fn reduce_max_segments<T, F>(
         &self,
         buf: &[T],
@@ -647,12 +505,7 @@ impl LaunchBackend for VectorizedBackend {
                     return f64::NAN;
                 }
                 let base = s * seg_len;
-                let m = fold_chunked(
-                    &buf[base..base + seg_len],
-                    f64::NEG_INFINITY,
-                    &|j, x| f(base + j, x),
-                    f64::max,
-                );
+                let m = max_chunked(&buf[base..base + seg_len], base, &f);
                 if m == f64::NEG_INFINITY {
                     0.0
                 } else {
@@ -714,15 +567,6 @@ impl LaunchBackend for AnyBackend {
         dispatch!(self, b => b.launch(buf, min_len, f))
     }
 
-    fn launch_zip<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
-    where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut A, &mut B) + Sync,
-    {
-        dispatch!(self, back => back.launch_zip(a, b, f))
-    }
-
     fn launch_segments<T, F>(
         &self,
         buf: &mut [T],
@@ -735,22 +579,6 @@ impl LaunchBackend for AnyBackend {
         F: Fn(usize, &mut T) + Sync,
     {
         dispatch!(self, b => b.launch_segments(buf, seg_len, active, min_len, f))
-    }
-
-    fn reduce_max<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        dispatch!(self, b => b.reduce_max(buf, f))
-    }
-
-    fn reduce_sum<T, F>(&self, buf: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        dispatch!(self, b => b.reduce_sum(buf, f))
     }
 
     fn reduce_max_segments<T, F>(
@@ -839,27 +667,5 @@ mod tests {
         assert_eq!(AnyBackend::from_mode(Parallel).mode(), Parallel);
         assert_eq!(AnyBackend::from_mode(Vectorized).mode(), Vectorized);
         assert_ne!(AnyBackend::from_mode(Auto).mode(), Auto);
-    }
-
-    /// The chunked fold applies `max`/`+` in exactly the sequential order,
-    /// including on chunk-boundary-hostile lengths.
-    #[test]
-    fn chunked_folds_match_sequential_bitwise() {
-        for n in [0, 1, VECTOR_CHUNK - 1, VECTOR_CHUNK, VECTOR_CHUNK + 1, 1000] {
-            let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e-3).collect();
-            let score = |i: usize, x: &f64| x * 1.000_001 + i as f64 * 1e-9;
-            let seq = SequentialBackend;
-            let vec = VectorizedBackend;
-            assert_eq!(
-                seq.reduce_sum(&data, score).to_bits(),
-                vec.reduce_sum(&data, score).to_bits(),
-                "sum at n={n}"
-            );
-            assert_eq!(
-                seq.reduce_max(&data, score).to_bits(),
-                vec.reduce_max(&data, score).to_bits(),
-                "max at n={n}"
-            );
-        }
     }
 }

@@ -4,9 +4,9 @@
 //! across the kernel, solver, and scheduler test suites, each pinning one
 //! backend pair to one geometry. This module hoists them into one harness
 //! parameterized over [`LaunchBackend`] implementors, so a new backend is
-//! held to the *entire* contract — every launch geometry, every reduction,
-//! masked and unmasked, on chunk-boundary-hostile sizes — before it may be
-//! selected by [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
+//! held to the *entire* contract — every launch geometry and the segmented
+//! reduction, masked and unmasked, on chunk-boundary-hostile sizes — before
+//! it may be selected by [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
 //!
 //! Two entry points:
 //!
@@ -110,13 +110,6 @@ fn score(i: usize, x: &f64) -> f64 {
     }
 }
 
-/// Sum-reduction score: NaN-free on purpose (a NaN absorbs the whole sum
-/// and would *mask* combine-order violations); mixed magnitudes make the
-/// non-associativity of addition visible instead.
-fn sum_score(i: usize, x: &f64) -> f64 {
-    x * 1.000_001 + (i % 13) as f64 * 1e-9
-}
-
 /// Assert that `backend` is bitwise identical to [`SequentialBackend`] on
 /// every launch geometry and reduction of the [`LaunchBackend`] contract.
 /// Panics with the offending geometry and element on divergence.
@@ -140,40 +133,6 @@ pub fn assert_backend_conformance<B: LaunchBackend>(backend: &B) {
                 &format!("{label}: launch n={n} min_len={min_len}"),
             );
         }
-
-        // Zip over two buffers.
-        let (mut ga, mut gb) = (data(n, 2), data(n, 3));
-        let (mut wa, mut wb) = (ga.clone(), gb.clone());
-        let zip = |i: usize, x: &mut f64, y: &mut f64| {
-            let t = *x;
-            *x = *y * 1.25 + i as f64 * 1e-9;
-            *y = (t + *y).sin();
-        };
-        backend.launch_zip(&mut ga, &mut gb, zip);
-        reference.launch_zip(&mut wa, &mut wb, zip);
-        assert_bits_eq(&ga, &wa, &format!("{label}: zip a n={n}"));
-        assert_bits_eq(&gb, &wb, &format!("{label}: zip b n={n}"));
-
-        // Whole-buffer reductions (raw folds; NEG_INFINITY for empty).
-        let buf = data(n, 4);
-        let (gmax, wmax) = (
-            backend.reduce_max(&buf, score),
-            reference.reduce_max(&buf, score),
-        );
-        assert_eq!(
-            gmax.to_bits(),
-            wmax.to_bits(),
-            "{label}: reduce_max n={n} ({gmax} vs {wmax})"
-        );
-        let (gsum, wsum) = (
-            backend.reduce_sum(&buf, sum_score),
-            reference.reduce_sum(&buf, sum_score),
-        );
-        assert_eq!(
-            gsum.to_bits(),
-            wsum.to_bits(),
-            "{label}: reduce_sum n={n} ({gsum} vs {wsum})"
-        );
     }
 
     for (seg_len, active) in segment_cases() {
@@ -230,12 +189,13 @@ pub fn assert_backend_conformance<B: LaunchBackend>(backend: &B) {
     // Determinism with itself: a second identical run reproduces the
     // first bit for bit (no hidden scheduling dependence).
     let buf = data(10_000, 7);
-    let first = backend.reduce_sum(&buf, sum_score);
-    let second = backend.reduce_sum(&buf, sum_score);
-    assert_eq!(
-        first.to_bits(),
-        second.to_bits(),
-        "{label}: reduce_sum is not self-deterministic"
+    let active = [true; 4];
+    let first = backend.reduce_max_segments(&buf, 2500, &active, score);
+    let second = backend.reduce_max_segments(&buf, 2500, &active, score);
+    assert_bits_eq(
+        &first,
+        &second,
+        &format!("{label}: reduce_max_segments is not self-deterministic"),
     );
 }
 
@@ -263,13 +223,6 @@ pub fn assert_device_conformance(device: &Device) {
             &format!("{label}: device maps n={n}"),
         );
 
-        let gmax = device.reduce_max("conf_max", &got, score);
-        let wmax = reference.reduce_max("conf_max", &want, score);
-        assert_eq!(gmax.to_bits(), wmax.to_bits(), "{label}: device max n={n}");
-        let gsum = device.reduce_sum("conf_sum", &got, sum_score);
-        let wsum = reference.reduce_sum("conf_sum", &want, sum_score);
-        assert_eq!(gsum.to_bits(), wsum.to_bits(), "{label}: device sum n={n}");
-
         let dg = device.stats().snapshot().since(&before.0);
         let dw = reference.stats().snapshot().since(&before.1);
         assert_eq!(
@@ -277,7 +230,7 @@ pub fn assert_device_conformance(device: &Device) {
             0,
             "{label}: kernels must not transfer"
         );
-        for name in ["conf_map", "conf_blocks", "conf_max", "conf_sum"] {
+        for name in ["conf_map", "conf_blocks"] {
             assert_eq!(
                 dg.kernels[name].launches, dw.kernels[name].launches,
                 "{label}: {name} launch count n={n}"
@@ -367,28 +320,21 @@ mod tests {
         assert_device_conformance(&Device::auto());
     }
 
-    /// A deliberately broken backend (out-of-order sum) must be rejected —
-    /// the harness has teeth.
+    /// A deliberately broken backend (the segmented reduction scores with
+    /// segment-local instead of global indices) must be rejected — the
+    /// harness has teeth.
     #[test]
-    #[should_panic(expected = "reduce_sum")]
-    fn reversed_fold_fails_conformance() {
+    #[should_panic(expected = "reduce_max_segments")]
+    fn local_index_reduction_fails_conformance() {
         use crate::backend::{ExecutionMode, LaunchBackend};
 
-        struct ReversedSum;
-        impl LaunchBackend for ReversedSum {
+        struct LocalIndexReduce;
+        impl LaunchBackend for LocalIndexReduce {
             fn mode(&self) -> ExecutionMode {
                 ExecutionMode::Sequential
             }
             fn launch<T: Send, F: Fn(usize, &mut T) + Sync>(&self, buf: &mut [T], m: usize, f: F) {
                 SequentialBackend.launch(buf, m, f)
-            }
-            fn launch_zip<A: Send, B: Send, F: Fn(usize, &mut A, &mut B) + Sync>(
-                &self,
-                a: &mut [A],
-                b: &mut [B],
-                f: F,
-            ) {
-                SequentialBackend.launch_zip(a, b, f)
             }
             fn launch_segments<T: Send, F: Fn(usize, &mut T) + Sync>(
                 &self,
@@ -400,13 +346,6 @@ mod tests {
             ) {
                 SequentialBackend.launch_segments(buf, s, a, m, f)
             }
-            fn reduce_max<T: Sync, F: Fn(usize, &T) -> f64 + Sync>(&self, buf: &[T], f: F) -> f64 {
-                SequentialBackend.reduce_max(buf, f)
-            }
-            fn reduce_sum<T: Sync, F: Fn(usize, &T) -> f64 + Sync>(&self, buf: &[T], f: F) -> f64 {
-                // Violates the contract: folds in reverse index order.
-                (0..buf.len()).rev().map(|i| f(i, &buf[i])).sum()
-            }
             fn reduce_max_segments<T: Sync, F: Fn(usize, &T) -> f64 + Sync>(
                 &self,
                 buf: &[T],
@@ -414,9 +353,10 @@ mod tests {
                 a: &[bool],
                 f: F,
             ) -> Vec<f64> {
-                SequentialBackend.reduce_max_segments(buf, s, a, f)
+                // Violates the contract: `f` must see the global index.
+                SequentialBackend.reduce_max_segments(buf, s, a, |i, x| f(i % s, x))
             }
         }
-        assert_backend_conformance(&ReversedSum);
+        assert_backend_conformance(&LocalIndexReduce);
     }
 }

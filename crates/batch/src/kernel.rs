@@ -1,7 +1,7 @@
 //! Kernel launch APIs.
 //!
 //! A *kernel* is a named unit of device work. Two launch geometries cover
-//! everything the ADMM solver needs:
+//! everything the solvers need:
 //!
 //! * [`Device::launch_map`] — one thread per element; used for the
 //!   closed-form generator / bus / z / multiplier updates, which the paper
@@ -10,15 +10,16 @@
 //!   array; used for the batch TRON branch solves, where each block owns one
 //!   branch subproblem.
 //!
-//! Reductions ([`Device::reduce_max`], [`Device::reduce_sum`]) cover the
-//! residual-norm computations that decide convergence without copying data
-//! back to the host.
+//! Both have a segmented, masked form ([`Device::launch_map_segments`],
+//! [`Device::launch_blocks_segments`]) spanning many scenarios in one launch;
+//! the ADMM fleet launches only those. The per-segment reduction
+//! ([`Device::reduce_max_segments`]) covers the residual-norm computations
+//! that decide convergence without copying data back to the host.
 //!
 //! Every method here is backend-agnostic: the iteration scheme lives behind
 //! the [`LaunchBackend`] trait the device resolved at
 //! construction, and this layer only owns the buffer bookkeeping — length
-//! assertions, live-element accounting for masked launches, and the
-//! empty-reduction convention (`max` over nothing is `0.0`).
+//! assertions and live-element accounting for masked launches.
 
 use crate::backend::LaunchBackend;
 use crate::buffer::DeviceBuffer;
@@ -64,28 +65,6 @@ impl Device {
         F: Fn(usize, &mut T) + Sync,
     {
         self.launch_impl(name, states, 1, f);
-    }
-
-    /// Launch a kernel over two equally-sized buffers, one thread per index.
-    /// Used when an update writes one array while reading another that is
-    /// updated elsewhere in the same iteration (e.g. multiplier update reads
-    /// residuals and writes `y`).
-    pub fn launch_zip<A, B, F>(
-        &self,
-        name: &str,
-        a: &mut DeviceBuffer<A>,
-        b: &mut DeviceBuffer<B>,
-        f: F,
-    ) where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut A, &mut B) + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "launch_zip requires equal lengths");
-        let start = Instant::now();
-        let n = a.len() as u64;
-        self.exec.launch_zip(a.as_mut_slice(), b.as_mut_slice(), f);
-        self.exec.bill(&self.stats, name, n, start);
     }
 
     /// Launch a kernel over a scenario-major buffer holding `active.len()`
@@ -158,10 +137,12 @@ impl Device {
 
     /// Per-segment max-reduction over a scenario-major buffer: returns one
     /// value per segment, `f64::NAN` for segments whose mask entry is
-    /// `false` (their elements are not even visited). Each segment is folded
-    /// in index order, so the result is bitwise identical across every
-    /// conforming backend and equal to [`Self::reduce_max`] run on the
-    /// segment alone.
+    /// `false` (their elements are not even visited). No host transfer is
+    /// recorded: the result is a handful of scalars produced on the device,
+    /// mirroring a `cub::DeviceSegmentedReduce` call. Backends may evaluate
+    /// scores in any order but fold each segment in index order (the
+    /// determinism contract in [`crate::backend`]), so the result is bitwise
+    /// identical across every conforming backend.
     pub fn reduce_max_segments<T, F>(
         &self,
         name: &str,
@@ -186,39 +167,6 @@ impl Device {
             .reduce_max_segments(buf.as_slice(), seg_len, active, f);
         let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
         self.exec.bill(&self.stats, name, live, start);
-        result
-    }
-
-    /// Device-side max-reduction of a per-element score. No host transfer is
-    /// recorded: the reduction result is a scalar produced on the device,
-    /// mirroring a `cub::DeviceReduce` call. Backends may evaluate scores in
-    /// any order but combine them in index order (the determinism contract
-    /// in [`crate::backend`]); an empty buffer reduces to `0.0`.
-    pub fn reduce_max<T, F>(&self, name: &str, buf: &DeviceBuffer<T>, f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        let start = Instant::now();
-        let result = self.exec.reduce_max(buf.as_slice(), f);
-        self.exec.bill(&self.stats, name, buf.len() as u64, start);
-        if result == f64::NEG_INFINITY {
-            0.0
-        } else {
-            result
-        }
-    }
-
-    /// Device-side sum-reduction of a per-element score. Same determinism
-    /// contract as [`Self::reduce_max`]: index-ordered summation.
-    pub fn reduce_sum<T, F>(&self, name: &str, buf: &DeviceBuffer<T>, f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        let start = Instant::now();
-        let result = self.exec.reduce_sum(buf.as_slice(), f);
-        self.exec.bill(&self.stats, name, buf.len() as u64, start);
         result
     }
 }
@@ -268,71 +216,6 @@ mod tests {
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[0], results[2]);
-    }
-
-    #[test]
-    fn launch_zip_updates_both_buffers() {
-        for dev in devices() {
-            let stats = Arc::clone(dev.stats());
-            let mut a = DeviceBuffer::from_host(stats.clone(), &vec![1.0f64; 100]);
-            let mut b = DeviceBuffer::from_host(stats, &vec![2.0f64; 100]);
-            dev.launch_zip("swap_add", &mut a, &mut b, |_, x, y| {
-                let t = *x;
-                *x = *y;
-                *y += t;
-            });
-            assert!(a.as_slice().iter().all(|&x| x == 2.0));
-            assert!(b.as_slice().iter().all(|&y| y == 3.0));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn launch_zip_length_mismatch_panics() {
-        let dev = Device::sequential();
-        let stats = Arc::clone(dev.stats());
-        let mut a = DeviceBuffer::from_host(stats.clone(), &[1.0f64; 3]);
-        let mut b = DeviceBuffer::from_host(stats, &[1.0f64; 4]);
-        dev.launch_zip("bad", &mut a, &mut b, |_, _, _| {});
-    }
-
-    #[test]
-    fn reductions_match_reference() {
-        for dev in devices() {
-            let host: Vec<f64> = (0..777).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
-            let buf = DeviceBuffer::from_host(Arc::clone(dev.stats()), &host);
-            let max = dev.reduce_max("max_abs", &buf, |_, x| x.abs());
-            let sum = dev.reduce_sum("sum", &buf, |_, x| *x);
-            let expect_max = host.iter().map(|x| x.abs()).fold(0.0f64, f64::max);
-            let expect_sum: f64 = host.iter().sum();
-            assert_eq!(max, expect_max);
-            assert!((sum - expect_sum).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn reductions_are_bitwise_deterministic_across_backends() {
-        // Large enough that the parallel backend genuinely fans out across
-        // threads and the vectorized backend runs many full chunks; the
-        // reductions must still agree with the sequential backend
-        // bit-for-bit, and with themselves across repeated runs.
-        let host: Vec<f64> = (0..50_000)
-            .map(|i| (i as f64 * 0.37).sin() * 1e-3)
-            .collect();
-        let seq = Device::sequential();
-        let buf_seq = DeviceBuffer::from_host(Arc::clone(seq.stats()), &host);
-        let score = |_: usize, x: &f64| x * 1.000_001 + 0.5;
-        let sum_seq = seq.reduce_sum("sum", &buf_seq, score);
-        let max_seq = seq.reduce_max("max", &buf_seq, |_, x| x.abs());
-        for dev in [Device::parallel(), Device::vectorized()] {
-            let buf = DeviceBuffer::from_host(Arc::clone(dev.stats()), &host);
-            let sum = dev.reduce_sum("sum", &buf, score);
-            assert_eq!(sum.to_bits(), sum_seq.to_bits());
-            let again = dev.reduce_sum("sum", &buf, score);
-            assert_eq!(sum.to_bits(), again.to_bits());
-            let max = dev.reduce_max("max", &buf, |_, x| x.abs());
-            assert_eq!(max.to_bits(), max_seq.to_bits());
-        }
     }
 
     #[test]
@@ -408,15 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_on_empty_buffer_is_zero() {
-        for dev in devices() {
-            let buf: DeviceBuffer<f64> = DeviceBuffer::zeroed(Arc::clone(dev.stats()), 0);
-            assert_eq!(dev.reduce_max("m", &buf, |_, x| *x), 0.0);
-            assert_eq!(dev.reduce_sum("s", &buf, |_, x| *x), 0.0);
-        }
-    }
-
-    #[test]
     fn no_transfers_recorded_during_kernels() {
         let dev = Device::new(DeviceConfig::default());
         let stats = Arc::clone(dev.stats());
@@ -424,7 +298,7 @@ mod tests {
         let before = stats.snapshot();
         for _ in 0..10 {
             dev.launch_map("inc", &mut buf, |_, x| *x += 1.0);
-            let _ = dev.reduce_max("norm", &buf, |_, x| *x);
+            let _ = dev.reduce_max_segments("norm", &buf, 128, &[true], |_, x| *x);
         }
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.total_transfers(), 0, "kernels must not transfer");

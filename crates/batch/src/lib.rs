@@ -22,9 +22,10 @@
 //!   are explicit and *counted*, so the paper's "no transfers during the
 //!   solve" claim becomes a checkable property (see the `transfer_audit`
 //!   experiment binary),
-//! * kernel-launch APIs (`launch_map`, `launch_blocks`, segmented/masked
-//!   variants, reductions) that record per-kernel launch counts, block
-//!   counts and elapsed time in [`DeviceStats`],
+//! * kernel-launch APIs (`launch_map`, `launch_blocks`, their
+//!   segmented/masked variants, and the per-segment max-reduction) that
+//!   record per-kernel launch counts, block counts and elapsed time in
+//!   [`DeviceStats`],
 //! * [`conformance`] — the executable determinism contract: every backend
 //!   must be bitwise identical to [`SequentialBackend`] on every launch
 //!   geometry before [`ExecutionMode::Auto`] may select it.

@@ -30,22 +30,35 @@ impl Scale {
     }
 
     /// Parse the `--scale` argument out of `std::env::args`, defaulting to
-    /// [`Scale::Small`].
+    /// [`Scale::Small`] when the flag is absent. A `--scale` with a missing
+    /// or unrecognized value exits with status 2 and names the accepted
+    /// values rather than silently running the wrong experiment size.
     pub fn from_args() -> Scale {
         let args: Vec<String> = std::env::args().collect();
+        Scale::from_arg_list(&args).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Scale::from_args`] over an explicit argument list: the first
+    /// `--scale <v>` or `--scale=<v>` decides.
+    pub fn from_arg_list(args: &[String]) -> Result<Scale, String> {
+        const ACCEPTED: &str = "expected small, medium, paper or full";
         for (i, a) in args.iter().enumerate() {
-            if a == "--scale" {
-                if let Some(v) = args.get(i + 1).and_then(|s| Scale::parse(s)) {
-                    return v;
-                }
-            }
-            if let Some(rest) = a.strip_prefix("--scale=") {
-                if let Some(v) = Scale::parse(rest) {
-                    return v;
-                }
-            }
+            let value = if a == "--scale" {
+                args.get(i + 1).map(String::as_str)
+            } else if let Some(rest) = a.strip_prefix("--scale=") {
+                Some(rest)
+            } else {
+                continue;
+            };
+            return match value {
+                Some(v) => Scale::parse(v).ok_or_else(|| format!("--scale {v}: {ACCEPTED}")),
+                None => Err(format!("--scale needs a value: {ACCEPTED}")),
+            };
         }
-        Scale::Small
+        Ok(Scale::Small)
     }
 }
 
@@ -178,6 +191,33 @@ mod tests {
         assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
         assert_eq!(Scale::parse("full"), Some(Scale::Paper));
         assert_eq!(Scale::parse("huge"), None);
+    }
+
+    #[test]
+    fn scale_flag_parsing_does_not_guess() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Scale::from_arg_list(&args)
+        };
+        // Flag absent: the documented default.
+        assert_eq!(parse(&["table1"]), Ok(Scale::Small));
+        assert_eq!(parse(&["table1", "--k", "4"]), Ok(Scale::Small));
+        // Both spellings, any position.
+        assert_eq!(parse(&["table1", "--scale", "medium"]), Ok(Scale::Medium));
+        assert_eq!(
+            parse(&["table1", "--scale=FULL", "--k", "4"]),
+            Ok(Scale::Paper)
+        );
+        // Present but unusable: an error naming the accepted values.
+        for bad in [
+            &["table1", "--scale", "huge"][..],
+            &["table1", "--scale=huge"],
+            &["table1", "--scale="],
+            &["table1", "--scale"],
+        ] {
+            let msg = parse(bad).unwrap_err();
+            assert!(msg.contains("small, medium, paper or full"), "{msg}");
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! accretion into one parameter object: the scenarios to solve, an optional
 //! case id (the solution-store group key), an optional store binding, and an
 //! optional execution-mode override. Each solver family exposes a single
-//! `run(request)` that consumes it; the old signatures survive one release
-//! as `#[deprecated]` shims delegating here.
+//! `run(request)` that consumes it.
 //!
 //! ## Store bindings
 //!

@@ -23,7 +23,6 @@
 
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod dense;
 pub mod ldl;
 pub mod ordering;
@@ -32,7 +31,6 @@ pub mod symbolic;
 
 pub use coo::Coo;
 pub use csc::Csc;
-pub use csr::Csr;
 pub use ldl::{LdlFactor, LdlOptions};
 pub use ordering::Ordering;
 pub use refactor::LdlSymbolic;

@@ -336,29 +336,6 @@ proptest! {
             prop_assert_eq!(r.z_inf.to_bits(), b.z_inf.to_bits());
         }
     }
-
-    /// A K=1 scenario batch reproduces `AdmmSolver::solve` exactly — same
-    /// iteration counts, same status, bit-identical solution.
-    #[test]
-    fn k1_scenario_batch_equals_single_solver(
-        mult in 0.9f64..1.1,
-        max_outer in 1usize..3,
-    ) {
-        let net = gridsim_grid::cases::case9().scale_load(mult).compile().unwrap();
-        let params = AdmmParams { max_outer, max_inner: 40, ..AdmmParams::default() };
-        let single = AdmmSolver::new(params.clone()).solve(&net);
-        let batch = ScenarioBatch::new(params).run(FleetRequest::over(std::slice::from_ref(&net)));
-        prop_assert_eq!(batch.results.len(), 1);
-        let r = &batch.results[0];
-        prop_assert_eq!(r.inner_iterations, single.inner_iterations);
-        prop_assert_eq!(r.outer_iterations, single.outer_iterations);
-        prop_assert_eq!(r.status, single.status);
-        prop_assert_eq!(&r.solution.pg, &single.solution.pg);
-        prop_assert_eq!(&r.solution.qg, &single.solution.qg);
-        prop_assert_eq!(&r.solution.vm, &single.solution.vm);
-        prop_assert_eq!(&r.solution.va, &single.solution.va);
-        prop_assert_eq!(r.z_inf.to_bits(), single.z_inf.to_bits());
-    }
 }
 
 #[test]
