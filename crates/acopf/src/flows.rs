@@ -14,6 +14,14 @@
 //! one place; both the interior-point baseline (constraint Jacobian/Hessian)
 //! and the ADMM branch subproblem (objective gradient/Hessian of
 //! formulation (4)) are built on these routines.
+//!
+//! The only transcendental work is `sin_cos(θ)`, and it depends on the
+//! evaluation point alone — not on which flow, nor on whether a value, a
+//! gradient or a Hessian is wanted. [`FlowPoint`] computes it once;
+//! [`BranchFlow::value_at`], [`BranchFlow::gradient_at`] and
+//! [`BranchFlow::hessian_at`] hold the formulas, and the four-argument
+//! [`BranchFlow::value`], [`BranchFlow::gradient`] and
+//! [`BranchFlow::hessian`] are those same formulas at a freshly built point.
 
 use gridsim_grid::branch::BranchAdmittance;
 use serde::{Deserialize, Serialize};
@@ -51,6 +59,31 @@ pub struct BranchFlow {
     pub b: f64,
 }
 
+/// One evaluation point of a branch's flows: the end voltage magnitudes and
+/// the sine and cosine of the angle difference `θ = θ_i − θ_j`, computed
+/// once and shared by every value, gradient and Hessian taken at the point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlowPoint {
+    /// From-side voltage magnitude.
+    pub vi: f64,
+    /// To-side voltage magnitude.
+    pub vj: f64,
+    /// `sin θ`.
+    pub sin: f64,
+    /// `cos θ`.
+    pub cos: f64,
+}
+
+impl FlowPoint {
+    /// The point at voltage magnitudes `vi, vj` and angles `ti, tj`.
+    #[inline]
+    pub fn new(vi: f64, vj: f64, ti: f64, tj: f64) -> FlowPoint {
+        let theta = ti - tj;
+        let (sin, cos) = theta.sin_cos();
+        FlowPoint { vi, vj, sin, cos }
+    }
+}
+
 /// Gradient of a branch flow with respect to `(v_i, v_j, θ_i, θ_j)`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FlowGrad {
@@ -58,6 +91,15 @@ pub struct FlowGrad {
     pub dvj: f64,
     pub dti: f64,
     pub dtj: f64,
+}
+
+impl FlowGrad {
+    /// View the gradient as an array in the variable order
+    /// `(v_i, v_j, θ_i, θ_j)`.
+    #[inline]
+    pub fn to_array(&self) -> [f64; 4] {
+        [self.dvi, self.dvj, self.dti, self.dtj]
+    }
 }
 
 /// Symmetric Hessian of a branch flow with respect to
@@ -79,6 +121,7 @@ pub struct FlowHess {
 impl FlowHess {
     /// View the Hessian as a dense 4×4 row-major array in the variable order
     /// `(v_i, v_j, θ_i, θ_j)`.
+    #[inline]
     pub fn to_dense(&self) -> [[f64; 4]; 4] {
         [
             [self.vivi, self.vivj, self.viti, self.vitj],
@@ -130,19 +173,17 @@ impl BranchFlow {
         ]
     }
 
-    /// Flow value at voltage magnitudes `vi, vj` and angles `ti, tj`.
+    /// Flow value at `p`.
     #[inline]
-    pub fn value(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> f64 {
-        let theta = ti - tj;
-        let (s, c) = theta.sin_cos();
+    pub fn value_at(&self, p: &FlowPoint) -> f64 {
+        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
         self.alpha_from * vi * vi + self.alpha_to * vj * vj + vi * vj * (self.a * c + self.b * s)
     }
 
-    /// Gradient with respect to `(v_i, v_j, θ_i, θ_j)`.
+    /// Gradient with respect to `(v_i, v_j, θ_i, θ_j)` at `p`.
     #[inline]
-    pub fn gradient(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> FlowGrad {
-        let theta = ti - tj;
-        let (s, c) = theta.sin_cos();
+    pub fn gradient_at(&self, p: &FlowPoint) -> FlowGrad {
+        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
         let phi = self.a * c + self.b * s;
         let dphi = -self.a * s + self.b * c;
         FlowGrad {
@@ -153,11 +194,10 @@ impl BranchFlow {
         }
     }
 
-    /// Hessian with respect to `(v_i, v_j, θ_i, θ_j)`.
+    /// Hessian with respect to `(v_i, v_j, θ_i, θ_j)` at `p`.
     #[inline]
-    pub fn hessian(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> FlowHess {
-        let theta = ti - tj;
-        let (s, c) = theta.sin_cos();
+    pub fn hessian_at(&self, p: &FlowPoint) -> FlowHess {
+        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
         let phi = self.a * c + self.b * s;
         let dphi = -self.a * s + self.b * c;
         FlowHess {
@@ -173,17 +213,30 @@ impl BranchFlow {
             tjtj: -vi * vj * phi,
         }
     }
+
+    /// Flow value at voltage magnitudes `vi, vj` and angles `ti, tj`.
+    #[inline]
+    pub fn value(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> f64 {
+        self.value_at(&FlowPoint::new(vi, vj, ti, tj))
+    }
+
+    /// Gradient with respect to `(v_i, v_j, θ_i, θ_j)`.
+    #[inline]
+    pub fn gradient(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> FlowGrad {
+        self.gradient_at(&FlowPoint::new(vi, vj, ti, tj))
+    }
+
+    /// Hessian with respect to `(v_i, v_j, θ_i, θ_j)`.
+    #[inline]
+    pub fn hessian(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> FlowHess {
+        self.hessian_at(&FlowPoint::new(vi, vj, ti, tj))
+    }
 }
 
 /// Compute all four flow values of a branch at once.
 pub fn branch_flows(y: &BranchAdmittance, vi: f64, vj: f64, ti: f64, tj: f64) -> [f64; 4] {
-    let flows = BranchFlow::all_from_admittance(y);
-    [
-        flows[0].value(vi, vj, ti, tj),
-        flows[1].value(vi, vj, ti, tj),
-        flows[2].value(vi, vj, ti, tj),
-        flows[3].value(vi, vj, ti, tj),
-    ]
+    let p = FlowPoint::new(vi, vj, ti, tj);
+    BranchFlow::all_from_admittance(y).map(|f| f.value_at(&p))
 }
 
 #[cfg(test)]

@@ -14,9 +14,8 @@ use crate::branch_problem::{BranchProblem, ConsensusTerm};
 use crate::layout::{BusSlot, ConstraintKind, Layout};
 use crate::params::AdmmParams;
 use crate::solver::WarmState;
-use gridsim_acopf::flows::branch_flows;
+use gridsim_acopf::flows::{branch_flows, BranchFlow, FlowPoint};
 use gridsim_acopf::solution::OpfSolution;
-use gridsim_grid::branch::BranchAdmittance;
 use gridsim_grid::network::Network;
 use gridsim_sparse::dense::solve2;
 use gridsim_tron::TronSolver;
@@ -39,7 +38,9 @@ pub(crate) struct GenData {
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BranchData {
-    pub(crate) y: BranchAdmittance,
+    /// The four flow functions `[p_ij, q_ij, p_ji, q_ji]` of the branch
+    /// admittance, derived here so a block solve only copies them.
+    pub(crate) flows: [BranchFlow; 4],
     pub(crate) limit_sq: f64,
     pub(crate) k_base: usize,
     pub(crate) vmin_i: f64,
@@ -111,7 +112,7 @@ impl ProblemData {
                 let f = net.br_from[l];
                 let t = net.br_to[l];
                 BranchData {
-                    y: net.br_y[l],
+                    flows: BranchFlow::all_from_admittance(&net.br_y[l]),
                     limit_sq: net.rate_limit_sq(l, params.line_limit_margin),
                     k_base: layout.branch_base(l),
                     vmin_i: net.vmin[f],
@@ -220,7 +221,8 @@ pub(crate) fn cold_gen_state(d: &GenData) -> GenState {
 pub(crate) fn cold_branch_state(bd: &BranchData) -> BranchState {
     let vi = 0.5 * (bd.vmin_i + bd.vmax_i);
     let vj = 0.5 * (bd.vmin_j + bd.vmax_j);
-    let flows = branch_flows(&bd.y, vi, vj, 0.0, 0.0);
+    let point = FlowPoint::new(vi, vj, 0.0, 0.0);
+    let flows = bd.flows.map(|f| f.value_at(&point));
     let mut x = [vi, vj, 0.0, 0.0, 0.0, 0.0];
     if bd.limit_sq.is_finite() {
         x[4] = (-(flows[0] * flows[0] + flows[1] * flows[1])).clamp(-bd.limit_sq, 0.0);
@@ -322,22 +324,22 @@ pub(crate) fn generator_element(
     state.qg = qg.clamp(d.qmin, d.qmax);
 }
 
-/// Branch update: one TRON block solve, wrapped in the inner
-/// augmented-Lagrangian loop on the line-limit slack equalities. `base` as
-/// in [`generator_element`].
+/// The subproblem (4) of one branch at the current consensus data: targets
+/// `v − z`, multipliers and penalties of its eight constraints, and the ALM
+/// state carried in `state`. `base` as in [`generator_element`].
+#[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn branch_element(
+pub(crate) fn branch_subproblem(
     d: &BranchData,
     base: usize,
     v: &[f64],
     z: &[f64],
     y: &[f64],
     rho: &[f64],
-    tron: &TronSolver,
     alm: &AlmSettings,
-    state: &mut BranchState,
-) {
-    let mut problem = BranchProblem::new(&d.y, d.vmin_i, d.vmax_i, d.vmin_j, d.vmax_j);
+    state: &BranchState,
+) -> BranchProblem {
+    let mut problem = BranchProblem::new(d.flows, d.vmin_i, d.vmax_i, d.vmin_j, d.vmax_j);
     problem.limit_sq = d.limit_sq;
     let term = |k: usize| ConsensusTerm {
         target: v[k] - z[k],
@@ -354,6 +356,25 @@ pub(crate) fn branch_element(
     } else {
         alm.alm_rho_init
     };
+    problem
+}
+
+/// Branch update: one TRON block solve, in place on `state.x`, wrapped in
+/// the inner augmented-Lagrangian loop on the line-limit slack equalities.
+/// Allocates nothing. `base` as in [`generator_element`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn branch_element(
+    d: &BranchData,
+    base: usize,
+    v: &[f64],
+    z: &[f64],
+    y: &[f64],
+    rho: &[f64],
+    tron: &TronSolver,
+    alm: &AlmSettings,
+    state: &mut BranchState,
+) {
+    let mut problem = branch_subproblem(d, base, v, z, y, rho, alm, state);
     // Inner augmented-Lagrangian loop on the line-limit slack equalities; a
     // single TRON solve when there is no limit.
     let mut prev_viol = f64::INFINITY;
@@ -363,19 +384,14 @@ pub(crate) fn branch_element(
         1
     };
     for _ in 0..rounds {
-        let result = tron.solve(&problem, &state.x);
-        state.x = [
-            result.x[0],
-            result.x[1],
-            result.x[2],
-            result.x[3],
-            result.x[4],
-            result.x[5],
-        ];
+        tron.solve_in_place(&problem, &mut state.x);
+        // One flow evaluation per round feeds both the slack residuals and
+        // the consensus scatter (`state.flows` always matches `state.x`).
+        state.flows = problem.flow_values(&state.x);
         if !problem.has_limit() {
             break;
         }
-        let res = problem.slack_residuals(&state.x);
+        let res = problem.slack_residuals(&state.flows, &state.x);
         let viol = res[0].abs().max(res[1].abs());
         if viol < alm.alm_tol {
             break;
@@ -389,7 +405,6 @@ pub(crate) fn branch_element(
     }
     state.alm_lambda = problem.alm_lambda;
     state.alm_rho = problem.alm_rho;
-    state.flows = problem.flow_values(&state.x);
 }
 
 /// x-side value of constraint `k_local` (scenario-local index) given the

@@ -62,7 +62,12 @@ impl DeviceStats {
     /// Record a kernel launch over `blocks` thread blocks taking `elapsed`.
     pub fn record_launch(&self, name: &str, blocks: u64, elapsed: Duration) {
         let mut map = self.kernels.lock();
-        let entry = map.entry(name.to_string()).or_default();
+        // Look up by `&str` first: the key `String` is allocated only the
+        // first time a kernel name is seen, not once per launch.
+        let entry = match map.get_mut(name) {
+            Some(entry) => entry,
+            None => map.entry(name.to_string()).or_default(),
+        };
         entry.launches += 1;
         entry.blocks += blocks;
         entry.elapsed += elapsed;

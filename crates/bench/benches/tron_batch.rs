@@ -1,8 +1,10 @@
 //! Batch TRON scaling: solve time of a batch of small bound-constrained
 //! problems as the batch size grows (the ExaTron scaling argument — the
-//! per-problem size is constant, only the number of thread blocks grows).
+//! per-problem size is constant, only the number of thread blocks grows),
+//! and the cost of one real branch block with no ADMM loop around it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gridsim_admm::{AdmmParams, AdmmSolver, BranchProblem};
 use gridsim_batch::Device;
 use gridsim_tron::{solve_batch_from_host, QuadraticBox, TronSolver};
 
@@ -44,5 +46,46 @@ fn bench_tron_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tron_batch);
+/// In-place TRON solves of a real branch subproblem of `case9` (branch 0
+/// with its rating removed, so both shapes occur), with the consensus
+/// targets, multipliers and ALM state the network holds `inner` ADMM
+/// iterations into a cold solve. One sample is [`BLOCK_REPS`] solves from
+/// the same start — a single ~3 µs solve is too short to time — so the
+/// printed time ÷ 1000 is the per-block cost to set against the `perf`
+/// driver's `tron.us_per_block`.
+fn bench_branch_block(c: &mut Criterion) {
+    const BLOCK_REPS: usize = 1000;
+    let mut case = gridsim_grid::case9();
+    case.branches[0].rate_a = 0.0;
+    let net = case.compile().expect("case9 compiles");
+    let solver = TronSolver::new(AdmmParams::default().tron);
+    let mut group = c.benchmark_group("branch_block");
+    for inner in [3usize, 30] {
+        let params = AdmmParams {
+            max_outer: 1,
+            max_inner: inner,
+            ..AdmmParams::default()
+        };
+        let warm = AdmmSolver::with_device(params.clone(), Device::sequential())
+            .solve(&net)
+            .warm_state;
+        let blocks = BranchProblem::blocks_from_warm_state(&net, &params, &warm);
+        for (shape, l) in [("unlimited", 0), ("limited", 1)] {
+            let (problem, x0) = &blocks[l];
+            assert_eq!(problem.has_limit(), shape == "limited");
+            group.bench_function(format!("{shape}/inner{inner}/x{BLOCK_REPS}"), |b| {
+                b.iter(|| {
+                    for _ in 0..BLOCK_REPS {
+                        let mut x = std::hint::black_box(*x0);
+                        let summary = solver.solve_in_place(problem, &mut x);
+                        std::hint::black_box((x, summary));
+                    }
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_tron_batch, bench_branch_block);
 criterion_main!(benches);

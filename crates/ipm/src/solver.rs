@@ -45,6 +45,9 @@ const KAPPA_SIGMA: f64 = 1e10;
 const MAX_HALVINGS: usize = 60;
 /// Positivity floor for warm-started bound multipliers.
 const Z_WARM_MIN: f64 = 1e-10;
+/// Each bound of a fixed variable moves outward by this times `max(1, |l|)`
+/// (Ipopt's `bound_relax_factor`).
+const FIXED_VARIABLE_RELAX: f64 = 1e-8;
 
 /// Options for the interior-point solver.
 #[derive(Debug, Clone)]
@@ -487,6 +490,17 @@ impl IpmSolver {
         let mut upper = ux.clone();
         lower.extend(std::iter::repeat_n(0.0, m_ineq));
         upper.extend(std::iter::repeat_n(f64::INFINITY, m_ineq));
+        // A fixed variable (`l == u`, e.g. the `[0, 0]` dispatch box of an
+        // outaged generator) leaves the barrier no interior to start from.
+        // Relax it the way Ipopt's default `fixed_variable_treatment =
+        // relax_bounds` does; variables with a proper interval are untouched.
+        for (l, u) in lower.iter_mut().zip(&mut upper) {
+            if *u - *l <= 0.0 {
+                let relax = FIXED_VARIABLE_RELAX * l.abs().max(1.0);
+                *l -= relax;
+                *u += relax;
+            }
+        }
 
         // --- initial point ---
         let x_start = opts
@@ -1138,11 +1152,8 @@ fn push_into_interior(v: &mut [f64], lower: &[f64], upper: &[f64], push: f64) {
         match (l.is_finite(), u.is_finite()) {
             (true, true) => {
                 let width = u - l;
-                let margin = (push * width.max(1.0)).min(0.49 * width.max(1e-12));
+                let margin = (push * width.max(1.0)).min(0.49 * width);
                 v[i] = v[i].clamp(l + margin, u - margin);
-                if width <= 0.0 {
-                    v[i] = l;
-                }
             }
             (true, false) => {
                 let margin = push * l.abs().max(1.0);

@@ -5,7 +5,7 @@
 //! limits) and economically sensible.
 
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_grid::cases;
+use gridsim_grid::{cases, ScenarioSet};
 use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver};
 
 fn solve_case(case: gridsim_grid::Case) -> (gridsim_grid::Network, gridsim_ipm::SolveReport) {
@@ -113,6 +113,25 @@ fn case9_warm_start_converges_quickly_after_small_load_change() {
     // require it does not blow up).
     assert!(warm.iterations <= cold_report.iterations * 2 + 10);
     drop(net);
+}
+
+#[test]
+fn generator_outage_with_collapsed_bounds_solves_to_optimality() {
+    // An outaged unit's dispatch box is collapsed to [0, 0]: a fixed
+    // variable, whose bounds have no interior for the barrier to start in.
+    let set = ScenarioSet::generator_outages(cases::case9(), 1);
+    let outaged = set.scenarios[0].gen_outage.expect("a generator outage");
+    let (net, report) = solve_case(set.cases().remove(0));
+    assert_eq!(net.pmin[outaged], net.pmax[outaged]);
+    assert!(report.is_optimal(), "status {:?}", report.status);
+    let sol = AcopfNlp::new(&net).to_solution(&report.x);
+    assert!(sol.pg[outaged].abs() <= 1e-6, "pg {}", sol.pg[outaged]);
+    let quality = SolutionQuality::evaluate(&net, &sol);
+    assert!(
+        quality.max_violation() < 1e-5,
+        "violation {}",
+        quality.max_violation()
+    );
 }
 
 #[test]

@@ -2,8 +2,11 @@
 //!
 //! These cover the tiny systems that appear inside the component subproblems:
 //! the 2×2 Schur complements of the bus updates and the ≤ 8×8 dense Hessians
-//! of the branch subproblems. They are deliberately allocation-free where
-//! possible so they can run inside a simulated GPU thread block.
+//! of the branch subproblems. [`SmallMatrix`] stores its entries inline and
+//! the vector helpers work on caller-provided slices, so everything here
+//! except [`SmallMatrix::cholesky_solve`] (which returns a `Vec`) runs
+//! without touching the heap, the way a GPU thread block works out of
+//! registers and shared memory.
 
 /// Solve a 2x2 linear system `A x = b`. Returns `None` when `A` is singular.
 #[inline]
@@ -18,23 +21,38 @@ pub fn solve2(a: [[f64; 2]; 2], b: [f64; 2]) -> Option<[f64; 2]> {
     ])
 }
 
-/// Dense symmetric matrix stored as a full row-major `n x n` array, sized at
-/// runtime but intended for very small `n`.
+/// Largest dimension a [`SmallMatrix`] can hold.
+pub const MAX_DIM: usize = 8;
+
+/// Dense symmetric matrix of runtime dimension `n ≤` [`MAX_DIM`], stored
+/// inline in a fixed-capacity row-major array with row stride [`MAX_DIM`]:
+/// creating, cloning and dropping one never allocates, and entry `(i, j)`
+/// sits at a fixed offset whatever `n` is. Entries outside the leading
+/// `n × n` block stay zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SmallMatrix {
-    /// Dimension.
-    pub n: usize,
-    /// Row-major entries.
-    pub data: Vec<f64>,
+    n: usize,
+    data: [f64; MAX_DIM * MAX_DIM],
 }
 
 impl SmallMatrix {
-    /// Zero matrix of dimension `n`.
+    /// Zero matrix of dimension `n`. Panics when `n` exceeds [`MAX_DIM`].
+    #[inline]
     pub fn zeros(n: usize) -> Self {
+        assert!(
+            n <= MAX_DIM,
+            "SmallMatrix holds at most {MAX_DIM}x{MAX_DIM} entries, asked for dimension {n}"
+        );
         SmallMatrix {
             n,
-            data: vec![0.0; n * n],
+            data: [0.0; MAX_DIM * MAX_DIM],
         }
+    }
+
+    /// Reset every entry to zero.
+    #[inline]
+    pub fn set_zero(&mut self) {
+        self.data = [0.0; MAX_DIM * MAX_DIM];
     }
 
     /// Identity matrix of dimension `n`.
@@ -47,11 +65,14 @@ impl SmallMatrix {
     }
 
     /// Matrix-vector product `y = A x`.
+    #[inline]
     pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(y.len(), self.n);
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.n..(i + 1) * self.n];
+        // The trip counts come from the slices, not from `self.n`, so a
+        // caller whose vectors have a compile-time length gets both loops
+        // unrolled; `zip` stops each row after its `x.len()` real entries.
+        for (yi, row) in y.iter_mut().zip(self.data.chunks_exact(MAX_DIM)) {
             *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
     }
@@ -110,14 +131,16 @@ impl std::ops::Index<(usize, usize)> for SmallMatrix {
     type Output = f64;
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        &self.data[i * self.n + j]
+        debug_assert!(i < self.n && j < self.n);
+        &self.data[i * MAX_DIM + j]
     }
 }
 
 impl std::ops::IndexMut<(usize, usize)> for SmallMatrix {
     #[inline]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        &mut self.data[i * self.n + j]
+        debug_assert!(i < self.n && j < self.n);
+        &mut self.data[i * MAX_DIM + j]
     }
 }
 
@@ -203,6 +226,12 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &a, &mut y);
         assert_eq!(y, vec![7.0, -7.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8x8")]
+    fn dimension_above_capacity_panics() {
+        let _ = SmallMatrix::zeros(MAX_DIM + 1);
     }
 
     #[test]

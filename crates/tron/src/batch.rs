@@ -5,10 +5,12 @@
 //! problem, entirely in device memory. This module reproduces that execution
 //! structure on the [`gridsim_batch::Device`]: the batch of per-problem
 //! states lives in a [`DeviceBuffer`] and a single `launch_blocks` call runs
-//! TRON on every element.
+//! TRON on every element, in place on the element's `x` — the kernel body
+//! allocates nothing, and the only per-problem heap data is the `Vec` that
+//! carries each iterate across the host boundary.
 
 use crate::problem::BoundProblem;
-use crate::tron::{TronResult, TronSolver, TronStatus};
+use crate::tron::{TronSolver, TronStatus, TronSummary};
 use gridsim_batch::{Device, DeviceBuffer};
 
 /// Aggregate outcome of a batch solve.
@@ -27,7 +29,7 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    fn from_results(results: &[TronResult]) -> BatchOutcome {
+    fn from_summaries(summaries: impl Iterator<Item = TronSummary>) -> BatchOutcome {
         let mut out = BatchOutcome {
             converged: 0,
             max_iter: 0,
@@ -35,7 +37,7 @@ impl BatchOutcome {
             total_iterations: 0,
             worst_pg_norm: 0.0,
         };
-        for r in results {
+        for r in summaries {
             match r.status {
                 TronStatus::Converged => out.converged += 1,
                 TronStatus::MaxIter => out.max_iter += 1,
@@ -54,8 +56,8 @@ impl BatchOutcome {
 pub struct BlockState {
     /// On input the starting point, on output the solution.
     pub x: Vec<f64>,
-    /// Filled with the solve result.
-    pub result: Option<TronResult>,
+    /// Filled with the solve summary.
+    pub result: Option<TronSummary>,
 }
 
 /// Solve a batch of problems, one per simulated thread block.
@@ -78,17 +80,14 @@ where
         "one state per problem required"
     );
     device.launch_blocks("tron_batch", states, |block_id, state| {
-        let problem = &problems[block_id];
-        let result = solver.solve(problem, &state.x);
-        state.x = result.x.clone();
-        state.result = Some(result);
+        state.result = Some(solver.solve_in_place(&problems[block_id], &mut state.x));
     });
-    let results: Vec<TronResult> = states
-        .as_slice()
-        .iter()
-        .map(|s| s.result.clone().expect("kernel fills every result"))
-        .collect();
-    BatchOutcome::from_results(&results)
+    BatchOutcome::from_summaries(
+        states
+            .as_slice()
+            .iter()
+            .map(|s| s.result.expect("kernel fills every result")),
+    )
 }
 
 /// Convenience helper: build device states from host starting points, solve,

@@ -5,14 +5,14 @@
 //! region. TRON uses it both to guarantee global convergence and to predict
 //! the active set for the subsequent conjugate-gradient subspace phase.
 
-use crate::problem::BoundProblem;
+use crate::problem::{BoundProblem, MAX_DIM};
 use gridsim_sparse::dense::SmallMatrix;
 
 /// Result of the Cauchy search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CauchyPoint {
-    /// Step `s = x_c - x`.
-    pub step: Vec<f64>,
+    /// Step `s = x_c - x` in the first `dim` entries (the rest stay zero).
+    pub step: [f64; MAX_DIM],
     /// The step length `t` along the projected gradient path.
     pub t: f64,
     /// Model reduction `q(s)` (negative when the model decreased).
@@ -20,6 +20,7 @@ pub struct CauchyPoint {
 }
 
 /// Quadratic model value `q(s) = g's + 0.5 s'Hs`.
+#[inline]
 pub fn model_value(g: &[f64], h: &SmallMatrix, s: &[f64], scratch: &mut [f64]) -> f64 {
     h.mul_vec(s, scratch);
     let mut v = 0.0;
@@ -30,8 +31,9 @@ pub fn model_value(g: &[f64], h: &SmallMatrix, s: &[f64], scratch: &mut [f64]) -
 }
 
 /// Compute the Cauchy point at `x` with gradient `g`, Hessian `h`, and trust
-/// radius `delta` using backtracking (and one extrapolation attempt) on the
-/// sufficient-decrease condition `q(s(t)) <= mu0 * g's(t)`.
+/// radius `delta` using backtracking on the sufficient-decrease condition
+/// `q(s(t)) <= mu0 * g's(t)`. Every trial step lives on the stack.
+#[inline]
 pub fn cauchy_point<P: BoundProblem>(
     problem: &P,
     x: &[f64],
@@ -40,54 +42,48 @@ pub fn cauchy_point<P: BoundProblem>(
     delta: f64,
 ) -> CauchyPoint {
     let n = problem.dim();
+    let (x, g) = (&x[..n], &g[..n]);
     let mu0 = 1e-2;
     let gnorm = g.iter().map(|v| v * v).sum::<f64>().sqrt();
     let mut t = if gnorm > 0.0 { delta / gnorm } else { 1.0 };
-    let mut scratch = vec![0.0; n];
-    let mut best: Option<CauchyPoint> = None;
+    let mut scratch = [0.0; MAX_DIM];
+    let mut step = [0.0; MAX_DIM];
 
-    // Projected step for a given t, truncated to the trust region.
-    let projected_step = |t: f64| -> Vec<f64> {
-        let mut s = vec![0.0; n];
+    for _ in 0..40 {
+        // Projected step for this t, truncated to the trust region.
+        let s = &mut step[..n];
         let mut norm2 = 0.0;
         for i in 0..n {
             let xi = (x[i] - t * g[i]).clamp(problem.lower(i), problem.upper(i));
             s[i] = xi - x[i];
             norm2 += s[i] * s[i];
         }
-        // Scale back into the trust region if necessary.
         let norm = norm2.sqrt();
         if norm > delta && norm > 0.0 {
             let scale = delta / norm;
-            for si in &mut s {
+            for si in s.iter_mut() {
                 *si *= scale;
             }
         }
-        s
-    };
-
-    for _ in 0..40 {
-        let s = projected_step(t);
-        let gs: f64 = g.iter().zip(&s).map(|(a, b)| a * b).sum();
-        let q = model_value(g, h, &s, &mut scratch);
+        let gs: f64 = g.iter().zip(&*s).map(|(a, b)| a * b).sum();
+        let q = model_value(g, h, s, &mut scratch[..n]);
         if q <= mu0 * gs && gs <= 0.0 {
-            best = Some(CauchyPoint {
-                step: s,
+            return CauchyPoint {
+                step,
                 t,
                 model_value: q,
-            });
-            break;
+            };
         }
         t *= 0.5;
         if t < 1e-16 {
             break;
         }
     }
-    best.unwrap_or_else(|| CauchyPoint {
-        step: vec![0.0; n],
+    CauchyPoint {
+        step: [0.0; MAX_DIM],
         t: 0.0,
         model_value: 0.0,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -100,9 +96,8 @@ mod tests {
         let qp = QuadraticBox::diagonal(&[1.0, 2.0, 4.0], &[1.0, 1.0, 1.0], &[-5.0; 3], &[5.0; 3]);
         let x = vec![2.0, 2.0, 2.0];
         let mut g = vec![0.0; 3];
-        qp.gradient(&x, &mut g);
         let mut h = SmallMatrix::zeros(3);
-        qp.hessian(&x, &mut h);
+        qp.derivatives(&x, &mut g, &mut h);
         let cp = cauchy_point(&qp, &x, &g, &h, 1.0);
         assert!(
             cp.model_value < 0.0,
@@ -110,7 +105,7 @@ mod tests {
             cp.model_value
         );
         // Step within trust region.
-        let norm: f64 = cp.step.iter().map(|s| s * s).sum::<f64>().sqrt();
+        let norm: f64 = cp.step[..3].iter().map(|s| s * s).sum::<f64>().sqrt();
         assert!(norm <= 1.0 + 1e-12);
     }
 
@@ -120,9 +115,8 @@ mod tests {
         let qp = QuadraticBox::diagonal(&[1.0], &[-100.0], &[-0.1], &[5.0]);
         let x = vec![0.0];
         let mut g = vec![0.0; 1];
-        qp.gradient(&x, &mut g);
         let mut h = SmallMatrix::zeros(1);
-        qp.hessian(&x, &mut h);
+        qp.derivatives(&x, &mut g, &mut h);
         let cp = cauchy_point(&qp, &x, &g, &h, 10.0);
         assert!(x[0] + cp.step[0] >= -0.1 - 1e-12);
         assert!(cp.model_value < 0.0);
@@ -134,9 +128,9 @@ mod tests {
         let x = vec![0.0, 0.0];
         let g = vec![0.0, 0.0];
         let mut h = SmallMatrix::zeros(2);
-        qp.hessian(&x, &mut h);
+        qp.derivatives(&x, &mut [0.0; 2], &mut h);
         let cp = cauchy_point(&qp, &x, &g, &h, 1.0);
-        assert!(cp.step.iter().all(|&s| s.abs() < 1e-12));
+        assert!(cp.step[..2].iter().all(|&s| s.abs() < 1e-12));
     }
 
     #[test]
@@ -163,9 +157,8 @@ mod tests {
         qp.q[(1, 1)] = -4.0;
         let x = vec![0.5, 0.5];
         let mut g = vec![0.0; 2];
-        qp.gradient(&x, &mut g);
         let mut h = SmallMatrix::zeros(2);
-        qp.hessian(&x, &mut h);
+        qp.derivatives(&x, &mut g, &mut h);
         let cp = cauchy_point(&qp, &x, &g, &h, 0.5);
         assert!(cp.model_value <= 0.0);
     }

@@ -12,7 +12,8 @@
 //! boundary. A Jacobi (diagonal absolute value) preconditioner is used, which
 //! is what the ExaTron kernel uses for the tiny branch Hessians.
 
-use gridsim_sparse::dense::SmallMatrix;
+use crate::problem::MAX_DIM;
+use gridsim_sparse::dense::{axpy, dot, norm2 as norm, SmallMatrix};
 
 /// Outcome of the truncated CG solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,23 +29,26 @@ pub enum CgStatus {
 }
 
 /// Result of the truncated CG solve.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CgResult {
-    /// The computed step (zero on fixed variables).
-    pub step: Vec<f64>,
+    /// The computed step in the first `rhs.len()` entries (zero on fixed
+    /// variables and beyond).
+    pub step: [f64; MAX_DIM],
     /// Termination status.
     pub status: CgStatus,
     /// Iterations used.
     pub iterations: usize,
 }
 
-/// Solve the trust-region subproblem on the free variables.
+/// Solve the trust-region subproblem on the free variables. All CG vectors
+/// live on the stack.
 ///
 /// * `rhs` — the negative gradient of the model at the current point
 ///   (i.e. we solve `H d ≈ rhs` subject to the trust region),
 /// * `free` — mask of free variables,
 /// * `delta` — trust-region radius,
 /// * `tol` — relative residual tolerance.
+#[inline]
 pub fn steihaug_cg(
     h: &SmallMatrix,
     rhs: &[f64],
@@ -54,79 +58,89 @@ pub fn steihaug_cg(
     max_iter: usize,
 ) -> CgResult {
     let n = rhs.len();
-    let mut d = vec![0.0; n];
+    let free = &free[..n];
+    let mut step = [0.0; MAX_DIM];
     // Residual r = rhs - H d = rhs initially (restricted to free variables).
-    let mut r: Vec<f64> = (0..n).map(|i| if free[i] { rhs[i] } else { 0.0 }).collect();
-    let r0_norm = norm(&r);
+    let mut r = [0.0; MAX_DIM];
+    let r = &mut r[..n];
+    for i in 0..n {
+        r[i] = if free[i] { rhs[i] } else { 0.0 };
+    }
+    let r0_norm = norm(r);
     if r0_norm == 0.0 {
         return CgResult {
-            step: d,
+            step,
             status: CgStatus::Converged,
             iterations: 0,
         };
     }
     // Jacobi preconditioner from |diag(H)| restricted to free variables.
-    let precond: Vec<f64> = (0..n)
-        .map(|i| {
-            let hii = h[(i, i)].abs();
-            if free[i] && hii > 1e-12 {
-                1.0 / hii
-            } else if free[i] {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let mut precond = [0.0; MAX_DIM];
+    let precond = &mut precond[..n];
+    for i in 0..n {
+        let hii = h[(i, i)].abs();
+        precond[i] = if free[i] && hii > 1e-12 {
+            1.0 / hii
+        } else if free[i] {
+            1.0
+        } else {
+            0.0
+        };
+    }
 
-    let mut z: Vec<f64> = r.iter().zip(&precond).map(|(a, b)| a * b).collect();
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut hp = vec![0.0; n];
+    let (mut z, mut p, mut hp) = ([0.0; MAX_DIM], [0.0; MAX_DIM], [0.0; MAX_DIM]);
+    let (z, p, hp) = (&mut z[..n], &mut p[..n], &mut hp[..n]);
+    for i in 0..n {
+        z[i] = r[i] * precond[i];
+    }
+    p.copy_from_slice(z);
+    let mut rz = dot(r, z);
 
     for k in 0..max_iter {
         // hp = H p restricted to free variables.
-        h.mul_vec(&p, &mut hp);
+        h.mul_vec(p, hp);
         for i in 0..n {
             if !free[i] {
                 hp[i] = 0.0;
             }
         }
-        let php = dot(&p, &hp);
+        let php = dot(p, hp);
         if php <= 0.0 {
             // Negative curvature: go to the trust-region boundary along p.
-            let tau = boundary_step(&d, &p, delta);
-            axpy(tau, &p, &mut d);
+            let tau = boundary_step(&step[..n], p, delta);
+            axpy(tau, p, &mut step[..n]);
             return CgResult {
-                step: d,
+                step,
                 status: CgStatus::NegativeCurvature,
                 iterations: k + 1,
             };
         }
         let alpha = rz / php;
         // Would the step leave the trust region?
-        let mut d_next = d.clone();
-        axpy(alpha, &p, &mut d_next);
-        if norm(&d_next) >= delta {
-            let tau = boundary_step(&d, &p, delta);
-            axpy(tau, &p, &mut d);
+        let mut d_next = step;
+        axpy(alpha, p, &mut d_next[..n]);
+        if norm(&d_next[..n]) >= delta {
+            let tau = boundary_step(&step[..n], p, delta);
+            axpy(tau, p, &mut step[..n]);
             return CgResult {
-                step: d,
+                step,
                 status: CgStatus::Boundary,
                 iterations: k + 1,
             };
         }
-        d = d_next;
-        axpy(-alpha, &hp, &mut r);
-        if norm(&r) <= tol * r0_norm {
+        step = d_next;
+        axpy(-alpha, hp, r);
+        if norm(r) <= tol * r0_norm {
             return CgResult {
-                step: d,
+                step,
                 status: CgStatus::Converged,
                 iterations: k + 1,
             };
         }
-        z = r.iter().zip(&precond).map(|(a, b)| a * b).collect();
-        let rz_new = dot(&r, &z);
+        for i in 0..n {
+            z[i] = r[i] * precond[i];
+        }
+        let rz_new = dot(r, z);
         let beta = rz_new / rz;
         rz = rz_new;
         for i in 0..n {
@@ -134,13 +148,14 @@ pub fn steihaug_cg(
         }
     }
     CgResult {
-        step: d,
+        step,
         status: CgStatus::MaxIter,
         iterations: max_iter,
     }
 }
 
 /// Positive root `tau` of `||d + tau p|| = delta`.
+#[inline]
 fn boundary_step(d: &[f64], p: &[f64], delta: f64) -> f64 {
     let dd = dot(d, d);
     let dp = dot(d, p);
@@ -150,20 +165,6 @@ fn boundary_step(d: &[f64], p: &[f64], delta: f64) -> f64 {
     }
     let disc = (dp * dp + pp * (delta * delta - dd)).max(0.0);
     (-dp + disc.sqrt()) / pp
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +191,7 @@ mod tests {
         assert_eq!(res.status, CgStatus::Converged);
         // H d = rhs
         let mut hd = vec![0.0; 3];
-        h.mul_vec(&res.step, &mut hd);
+        h.mul_vec(&res.step[..3], &mut hd);
         for i in 0..3 {
             assert!((hd[i] - rhs[i]).abs() < 1e-8, "{} vs {}", hd[i], rhs[i]);
         }
@@ -203,7 +204,7 @@ mod tests {
         let free = vec![true; 3];
         let delta = 0.5;
         let res = steihaug_cg(&h, &rhs, &free, delta, 1e-12, 50);
-        let n = norm(&res.step);
+        let n = norm(&res.step[..3]);
         assert!(n <= delta + 1e-10, "step norm {n} exceeds {delta}");
         assert!(matches!(
             res.status,
@@ -230,13 +231,14 @@ mod tests {
         let delta = 2.0;
         let res = steihaug_cg(&h, &rhs, &free, delta, 1e-10, 50);
         assert_eq!(res.status, CgStatus::NegativeCurvature);
-        assert!((norm(&res.step) - delta).abs() < 1e-10);
+        let step = &res.step[..2];
+        assert!((norm(step) - delta).abs() < 1e-10);
         // The step should still decrease the model r'd + 0.5 d'Hd... with
         // negative curvature the decrease is guaranteed along the gradient
         // direction followed to the boundary.
         let mut hd = vec![0.0; 2];
-        h.mul_vec(&res.step, &mut hd);
-        let q = -dot(&rhs, &res.step) + 0.5 * dot(&res.step, &hd);
+        h.mul_vec(step, &mut hd);
+        let q = -dot(&rhs, step) + 0.5 * dot(step, &hd);
         assert!(q < 0.0, "model value {q}");
     }
 

@@ -10,13 +10,19 @@
 //! thread block running TRON. This crate provides:
 //!
 //! * [`problem::BoundProblem`] — the dense, small problem interface
-//!   (objective, gradient, Hessian, bounds),
+//!   (objective, fused gradient + Hessian, bounds; at most
+//!   [`problem::MAX_DIM`] variables),
 //! * [`cauchy`] — projected-gradient Cauchy point computation,
 //! * [`cg`] — Steihaug–Toint preconditioned conjugate gradients on the free
 //!   subspace with negative-curvature handling,
 //! * [`tron`] — the trust-region driver,
 //! * [`batch`] — a batch front-end that solves one problem per simulated
 //!   thread block on a [`gridsim_batch::Device`].
+//!
+//! Like the thread block it stands in for, one solve
+//! ([`TronSolver::solve_in_place`]) is stack-resident: every iterate,
+//! gradient, Hessian, Cauchy trial and CG vector is a fixed-size array, and
+//! nothing between entry and return touches the heap.
 
 pub mod batch;
 pub mod cauchy;
@@ -25,5 +31,5 @@ pub mod problem;
 pub mod tron;
 
 pub use batch::{solve_batch, solve_batch_from_host, BatchOutcome, BlockState};
-pub use problem::{BoundProblem, QuadraticBox};
-pub use tron::{TronOptions, TronResult, TronSolver, TronStatus};
+pub use problem::{BoundProblem, QuadraticBox, MAX_DIM};
+pub use tron::{TronOptions, TronResult, TronSolver, TronStatus, TronSummary};

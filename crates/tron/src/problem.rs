@@ -1,15 +1,19 @@
 //! Problem interface for small dense bound-constrained problems.
 
 use gridsim_sparse::dense::SmallMatrix;
+pub use gridsim_sparse::dense::MAX_DIM;
 
 /// A small, dense, twice-differentiable problem with simple bounds:
-/// `min f(x)  s.t.  l <= x <= u`.
+/// `min f(x)  s.t.  l <= x <= u`, with at most [`MAX_DIM`] variables.
 ///
-/// Implementations must be cheap to evaluate — one instance is solved per
-/// simulated GPU thread block, so all scratch space is provided by the caller
-/// and no allocation should happen inside the evaluation callbacks.
+/// One instance is solved per simulated GPU thread block, and
+/// [`TronSolver::solve_in_place`](crate::TronSolver::solve_in_place) keeps
+/// its whole working set on the stack, so the evaluation callbacks must not
+/// allocate either: they read `x` and write into the caller's `g` and `h`.
+/// Mark `dim` `#[inline]` and return a constant from it where the dimension
+/// is fixed — the solver's loops then unroll for that dimension.
 pub trait BoundProblem {
-    /// Number of variables.
+    /// Number of variables (at most [`MAX_DIM`]).
     fn dim(&self) -> usize;
 
     /// Lower bound of variable `i`.
@@ -21,12 +25,11 @@ pub trait BoundProblem {
     /// Objective value at `x`.
     fn objective(&self, x: &[f64]) -> f64;
 
-    /// Gradient at `x`, written into `g`.
-    fn gradient(&self, x: &[f64], g: &mut [f64]);
-
-    /// Dense Hessian at `x`, written into `h` (which has dimension
-    /// [`Self::dim`]).
-    fn hessian(&self, x: &[f64], h: &mut SmallMatrix);
+    /// Gradient and dense Hessian at `x`, written into `g` and `h` (both of
+    /// dimension [`Self::dim`]). TRON only ever needs the two together at
+    /// the same point, so one call lets an implementation share every
+    /// intermediate between them.
+    fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix);
 
     /// Project a point onto the bound box in place.
     fn project(&self, x: &mut [f64]) {
@@ -101,22 +104,19 @@ impl BoundProblem for QuadraticBox {
     }
 
     fn objective(&self, x: &[f64]) -> f64 {
-        let n = self.dim();
-        let mut qx = vec![0.0; n];
-        self.q.mul_vec(x, &mut qx);
-        0.5 * x.iter().zip(&qx).map(|(a, b)| a * b).sum::<f64>()
+        let mut qx = [0.0; MAX_DIM];
+        let qx = &mut qx[..self.dim()];
+        self.q.mul_vec(x, qx);
+        0.5 * x.iter().zip(&*qx).map(|(a, b)| a * b).sum::<f64>()
             - self.c.iter().zip(x).map(|(a, b)| a * b).sum::<f64>()
     }
 
-    fn gradient(&self, x: &[f64], g: &mut [f64]) {
+    fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
         self.q.mul_vec(x, g);
         for (gi, ci) in g.iter_mut().zip(&self.c) {
             *gi -= ci;
         }
-    }
-
-    fn hessian(&self, _x: &[f64], h: &mut SmallMatrix) {
-        h.data.copy_from_slice(&self.q.data);
+        h.clone_from(&self.q);
     }
 }
 
@@ -130,7 +130,7 @@ mod tests {
             QuadraticBox::diagonal(&[2.0, 4.0, 1.0], &[1.0, -2.0, 0.5], &[-10.0; 3], &[10.0; 3]);
         let x = vec![0.3, -0.7, 1.2];
         let mut g = vec![0.0; 3];
-        qp.gradient(&x, &mut g);
+        qp.derivatives(&x, &mut g, &mut SmallMatrix::zeros(3));
         let h = 1e-6;
         for i in 0..3 {
             let mut xp = x.clone();
@@ -156,7 +156,7 @@ mod tests {
         // Unconstrained minimizer x = Q^{-1} c = (1, -1), interior.
         let x = vec![1.0, -1.0];
         let mut g = vec![0.0; 2];
-        qp.gradient(&x, &mut g);
+        qp.derivatives(&x, &mut g, &mut SmallMatrix::zeros(2));
         assert!(qp.projected_gradient_norm(&x, &g) < 1e-12);
     }
 
@@ -166,7 +166,7 @@ mod tests {
         let qp = QuadraticBox::diagonal(&[1.0], &[5.0], &[-1.0], &[1.0]);
         let x = vec![1.0];
         let mut g = vec![0.0; 1];
-        qp.gradient(&x, &mut g);
+        qp.derivatives(&x, &mut g, &mut SmallMatrix::zeros(1));
         // g = x - c = -4, pointing outward; projection keeps x at the bound.
         assert!(qp.projected_gradient_norm(&x, &g) < 1e-12);
     }

@@ -13,7 +13,7 @@
 
 use crate::cauchy::{cauchy_point, model_value};
 use crate::cg::steihaug_cg;
-use crate::problem::BoundProblem;
+use crate::problem::{BoundProblem, MAX_DIM};
 use gridsim_sparse::dense::SmallMatrix;
 
 /// Options for the TRON solver.
@@ -54,7 +54,21 @@ pub enum TronStatus {
     SmallStep,
 }
 
-/// Result of a TRON solve.
+/// What [`TronSolver::solve_in_place`] reports about a solve; the solution
+/// itself is left in the caller's `x`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TronSummary {
+    /// Objective value at the final iterate.
+    pub objective: f64,
+    /// Final projected-gradient infinity norm.
+    pub pg_norm: f64,
+    /// Number of outer iterations performed.
+    pub iterations: usize,
+    /// Termination status.
+    pub status: TronStatus,
+}
+
+/// Result of [`TronSolver::solve`]: the final iterate plus its summary.
 #[derive(Debug, Clone)]
 pub struct TronResult {
     /// The final iterate.
@@ -69,8 +83,12 @@ pub struct TronResult {
     pub status: TronStatus,
 }
 
-/// The TRON solver. Holds reusable workspace so repeated solves (tens of
-/// thousands per ADMM iteration) do not allocate.
+/// The TRON solver: options only. A solve keeps its whole working set —
+/// gradient, Hessian, Cauchy and CG vectors, every trial step — in
+/// fixed-size arrays on the stack (problems have at most [`MAX_DIM`]
+/// variables), the way an ExaTron thread block works out of registers and
+/// shared memory, so the tens of thousands of block solves per ADMM
+/// iteration never touch the heap.
 #[derive(Debug, Clone)]
 pub struct TronSolver {
     opts: TronOptions,
@@ -94,78 +112,94 @@ impl TronSolver {
     }
 
     /// Minimize `problem` starting from `x0` (projected onto the bounds).
+    /// Allocating convenience over [`Self::solve_in_place`] for callers that
+    /// want the iterate returned by value.
     pub fn solve<P: BoundProblem>(&self, problem: &P, x0: &[f64]) -> TronResult {
-        let n = problem.dim();
-        assert_eq!(x0.len(), n);
         let mut x = x0.to_vec();
-        problem.project(&mut x);
+        let summary = self.solve_in_place(problem, &mut x);
+        TronResult {
+            x,
+            objective: summary.objective,
+            pg_norm: summary.pg_norm,
+            iterations: summary.iterations,
+            status: summary.status,
+        }
+    }
 
-        let mut g = vec![0.0; n];
+    /// Minimize `problem` starting from `x` (projected onto the bounds),
+    /// leaving the final iterate in `x`. Performs no heap allocation.
+    ///
+    /// Panics when `problem.dim()` exceeds [`MAX_DIM`] or differs from
+    /// `x.len()`.
+    #[inline]
+    pub fn solve_in_place<P: BoundProblem>(&self, problem: &P, x: &mut [f64]) -> TronSummary {
+        let n = problem.dim();
+        assert!(
+            n <= MAX_DIM,
+            "TRON solves problems of at most {MAX_DIM} variables, got dim() = {n}"
+        );
+        assert_eq!(x.len(), n);
+        problem.project(x);
+
+        let (mut g, mut scratch) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
+        let (g, scratch) = (&mut g[..n], &mut scratch[..n]);
         let mut h = SmallMatrix::zeros(n);
-        let mut scratch = vec![0.0; n];
-        let mut f = problem.objective(&x);
-        problem.gradient(&x, &mut g);
-        problem.hessian(&x, &mut h);
+        let mut f = problem.objective(x);
+        problem.derivatives(x, g, &mut h);
 
         let gnorm0 = g.iter().map(|v| v * v).sum::<f64>().sqrt();
         let mut delta = self.opts.initial_delta.unwrap_or_else(|| gnorm0.max(1.0));
-        let mut pg_norm = problem.projected_gradient_norm(&x, &g);
+        let mut pg_norm = problem.projected_gradient_norm(x, g);
+        let summary = |f: f64, pg_norm: f64, iterations: usize, status: TronStatus| TronSummary {
+            objective: f,
+            pg_norm,
+            iterations,
+            status,
+        };
 
         for iter in 0..self.opts.max_iter {
             if pg_norm <= self.opts.gtol {
-                return TronResult {
-                    x,
-                    objective: f,
-                    pg_norm,
-                    iterations: iter,
-                    status: TronStatus::Converged,
-                };
+                return summary(f, pg_norm, iter, TronStatus::Converged);
             }
             if delta < 1e-14 {
-                return TronResult {
-                    x,
-                    objective: f,
-                    pg_norm,
-                    iterations: iter,
-                    status: TronStatus::SmallStep,
-                };
+                return summary(f, pg_norm, iter, TronStatus::SmallStep);
             }
 
             // --- Cauchy point ---
-            let cp = cauchy_point(problem, &x, &g, &h, delta);
-            let mut step = cp.step.clone();
+            let cp = cauchy_point(problem, x, g, &h, delta);
+            let mut step = cp.step;
 
             // --- subspace refinement over free variables at x + step ---
             // model gradient at the Cauchy point: g + H s
-            h.mul_vec(&step, &mut scratch);
-            let mut rhs = vec![0.0; n];
-            let mut free = vec![false; n];
+            h.mul_vec(&step[..n], scratch);
+            let (mut rhs, mut free) = ([0.0; MAX_DIM], [false; MAX_DIM]);
+            let (rhs, free) = (&mut rhs[..n], &mut free[..n]);
             for i in 0..n {
                 let xi = x[i] + step[i];
                 free[i] = xi > problem.lower(i) + 1e-12 && xi < problem.upper(i) - 1e-12;
                 rhs[i] = -(g[i] + scratch[i]);
             }
-            let remaining = (delta * delta - step.iter().map(|s| s * s).sum::<f64>())
+            let remaining = (delta * delta - step[..n].iter().map(|s| s * s).sum::<f64>())
                 .max(0.0)
                 .sqrt();
             if remaining > 1e-14 && free.iter().any(|&fr| fr) {
-                let cg = steihaug_cg(&h, &rhs, &free, remaining, 1e-8, self.opts.max_cg_iter);
+                let cg = steihaug_cg(&h, rhs, free, remaining, 1e-8, self.opts.max_cg_iter);
                 // Projected line search on the refinement direction: scale the
                 // CG step back until x + step stays feasible and the model
                 // does not increase relative to the Cauchy point.
                 let mut alpha = 1.0f64;
                 let base_model = cp.model_value;
                 for _ in 0..20 {
-                    let mut trial = step.clone();
-                    for (ti, si) in trial.iter_mut().zip(&cg.step) {
+                    let mut trial = step;
+                    for (ti, si) in trial[..n].iter_mut().zip(&cg.step[..n]) {
                         *ti += alpha * si;
                     }
                     // Project the trial step onto the box.
-                    for (i, ti) in trial.iter_mut().enumerate() {
+                    for (i, ti) in trial[..n].iter_mut().enumerate() {
                         let xi = (x[i] + *ti).clamp(problem.lower(i), problem.upper(i));
                         *ti = xi - x[i];
                     }
-                    let q = model_value(&g, &h, &trial, &mut scratch);
+                    let q = model_value(g, &h, &trial[..n], scratch);
                     if q <= base_model + 1e-16 {
                         step = trial;
                         break;
@@ -175,13 +209,15 @@ impl TronSolver {
             }
 
             // --- acceptance test ---
-            let pred = -model_value(&g, &h, &step, &mut scratch);
-            let mut x_trial = x.clone();
+            let step = &step[..n];
+            let pred = -model_value(g, &h, step, scratch);
+            let mut x_trial = [0.0; MAX_DIM];
+            let x_trial = &mut x_trial[..n];
             for i in 0..n {
-                x_trial[i] += step[i];
+                x_trial[i] = x[i] + step[i];
             }
-            problem.project(&mut x_trial);
-            let f_trial = problem.objective(&x_trial);
+            problem.project(x_trial);
+            let f_trial = problem.objective(x_trial);
             let ared = f - f_trial;
             let step_norm = step.iter().map(|s| s * s).sum::<f64>().sqrt();
             let rho = if pred > 0.0 {
@@ -191,11 +227,10 @@ impl TronSolver {
             };
 
             if rho > self.opts.eta && ared > -1e-12 {
-                x = x_trial;
+                x.copy_from_slice(x_trial);
                 f = f_trial;
-                problem.gradient(&x, &mut g);
-                problem.hessian(&x, &mut h);
-                pg_norm = problem.projected_gradient_norm(&x, &g);
+                problem.derivatives(x, g, &mut h);
+                pg_norm = problem.projected_gradient_norm(x, g);
             }
 
             // Trust-region radius update.
@@ -206,17 +241,12 @@ impl TronSolver {
             }
         }
 
-        TronResult {
-            x,
-            objective: f,
-            pg_norm,
-            iterations: self.opts.max_iter,
-            status: if pg_norm <= self.opts.gtol {
-                TronStatus::Converged
-            } else {
-                TronStatus::MaxIter
-            },
-        }
+        let status = if pg_norm <= self.opts.gtol {
+            TronStatus::Converged
+        } else {
+            TronStatus::MaxIter
+        };
+        summary(f, pg_norm, self.opts.max_iter, status)
     }
 }
 
@@ -303,13 +333,10 @@ mod tests {
             let (a, b) = (x[0], x[1]);
             (1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2)
         }
-        fn gradient(&self, x: &[f64], g: &mut [f64]) {
+        fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
             let (a, b) = (x[0], x[1]);
             g[0] = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a);
             g[1] = 200.0 * (b - a * a);
-        }
-        fn hessian(&self, x: &[f64], h: &mut SmallMatrix) {
-            let (a, b) = (x[0], x[1]);
             h[(0, 0)] = 2.0 - 400.0 * (b - a * a) + 800.0 * a * a;
             h[(0, 1)] = -400.0 * a;
             h[(1, 0)] = -400.0 * a;
@@ -349,11 +376,8 @@ mod tests {
             fn objective(&self, x: &[f64]) -> f64 {
                 RosenbrockBox.objective(x)
             }
-            fn gradient(&self, x: &[f64], g: &mut [f64]) {
-                RosenbrockBox.gradient(x, g)
-            }
-            fn hessian(&self, x: &[f64], h: &mut SmallMatrix) {
-                RosenbrockBox.hessian(x, h)
+            fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
+                RosenbrockBox.derivatives(x, g, h)
             }
         }
         let solver = TronSolver::new(TronOptions {

@@ -304,13 +304,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of ordinary bytes up to the next quote or
+                    // backslash. Both are ASCII, so neither can sit inside a
+                    // multi-byte sequence, and validating run by run keeps
+                    // the parse linear in the document size.
+                    let bytes = self.bytes;
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&bytes[start..self.pos]).map_err(|e| {
+                        self.pos = start + e.valid_up_to();
+                        self.error("invalid UTF-8 in string")
+                    })?;
+                    out.push_str(run);
                 }
             }
         }
@@ -406,6 +413,42 @@ mod tests {
         let d = std::time::Duration::new(7, 123_456_789);
         let back: std::time::Duration = from_str(&to_string(&d).unwrap()).unwrap();
         assert_eq!(d, back);
+    }
+
+    #[test]
+    fn multi_byte_code_points_roundtrip() {
+        // 2-, 3- and 4-byte sequences, next to escapes and to each other.
+        let s = String::from("é ρ̃ \"→\" 日本\\ 🦀🦀 ascii");
+        let json = to_string(&s).unwrap();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(s, back);
+        let map: Value = from_str("{\"ключ\": [\"值\", \"𝛌\"]}").unwrap();
+        assert_eq!(
+            map,
+            Value::Map(vec![(
+                "ключ".into(),
+                Value::Seq(vec![Value::Str("值".into()), Value::Str("𝛌".into())])
+            )])
+        );
+    }
+
+    #[test]
+    fn malformed_utf8_in_a_string_is_an_error_not_a_panic() {
+        let parse = |bytes: &[u8]| Parser { bytes, pos: 0 }.parse_string();
+        // Sanity: the same helper accepts a well-formed 3-byte sequence.
+        assert_eq!(parse(b"\"\xe2\x86\x92\"").unwrap(), "→");
+        // A 4-byte sequence cut off by the end of input.
+        let err = parse(b"\"ok \xf0\x9f\xa6").unwrap_err();
+        assert!(err.message.contains("invalid UTF-8 in string at byte 4"));
+        // A 3-byte lead followed by a non-continuation byte.
+        assert!(parse(b"\"\xe2\x28\xa1\"").is_err());
+        // A lone continuation byte, and a multi-byte sequence split by the
+        // closing quote.
+        assert!(parse(b"\"a\x80b\"").is_err());
+        assert!(parse(b"\"\xc3\"").is_err());
+        // Valid text that simply never closes.
+        let err = parse("\"日本".as_bytes()).unwrap_err();
+        assert!(err.message.contains("unterminated string"));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use gridsim_engine::FleetRequest;
 use gridsim_grid::branch::Branch;
 use gridsim_grid::matpower;
 use gridsim_grid::synthetic::SyntheticSpec;
+use gridsim_sparse::dense::SmallMatrix;
 use gridsim_sparse::{Coo, LdlFactor, LdlOptions, LdlSymbolic, Ordering};
 use gridsim_tron::{BoundProblem, QuadraticBox, TronOptions, TronSolver};
 use proptest::prelude::*;
@@ -189,7 +190,7 @@ proptest! {
         }
         // First-order optimality holds.
         let mut g = vec![0.0; 4];
-        qp.gradient(&res.x, &mut g);
+        qp.derivatives(&res.x, &mut g, &mut SmallMatrix::zeros(4));
         prop_assert!(qp.projected_gradient_norm(&res.x, &g) < 1e-6);
     }
 
