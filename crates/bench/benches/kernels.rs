@@ -5,7 +5,8 @@
 //! TRON solves. This benchmark times a full cold-start solve on each launch
 //! backend (the parallel one's thread-block scheduling stands in for the
 //! GPU speed-up) — the per-kernel breakdown is printed by the
-//! `transfer_audit` binary and, per backend, by the `backend_sweep` one.
+//! `transfer_audit` binary and recorded, per backend, by a traced `perf`
+//! run (`batch.kernel.*_s`, `batch.vectorized_vs_sequential`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridsim_admm::{AdmmParams, AdmmSolver};

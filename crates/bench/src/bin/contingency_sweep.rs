@@ -27,7 +27,7 @@
 use gridsim_admm::scenario::ScenarioScheduler;
 use gridsim_admm::{AdmmParams, AdmmStatus};
 use gridsim_batch::DevicePool;
-use gridsim_bench::{arg_value, TextTable};
+use gridsim_bench::{arg_parsed, arg_value, TextTable};
 use gridsim_engine::{Engine, FleetRequest};
 use gridsim_grid::network::{Case, Network};
 use gridsim_grid::ContingencySpec;
@@ -110,9 +110,7 @@ fn main() {
         eprintln!("unknown --case '{case_name}' (two_bus, case5, case9, case14, case30_synthetic)");
         std::process::exit(2);
     };
-    let k_target: usize = arg_value("--k")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
+    let k_target: usize = arg_parsed("--k").unwrap_or(1000);
     let tier = match arg_value("--tier").as_deref() {
         None | Some("admm") => FullTier::Admm,
         Some("ipm") => FullTier::Ipm,
@@ -121,28 +119,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let levels: usize = arg_value("--levels")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let lo: f64 = arg_value("--lo")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.95);
-    let hi: f64 = arg_value("--hi")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.45);
-    let sigma: f64 = arg_value("--sigma")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.02);
-    let seed: u64 = arg_value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
-    let benign: f64 = arg_value("--benign")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(gridsim_screen::DEFAULT_BENIGN_THRESHOLD);
-    let violating: f64 = arg_value("--violating")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(gridsim_screen::DEFAULT_VIOLATING_THRESHOLD);
-    let pool = match arg_value("--devices").and_then(|v| v.parse().ok()) {
+    let levels: usize = arg_parsed("--levels").unwrap_or(5);
+    let lo: f64 = arg_parsed("--lo").unwrap_or(0.95);
+    let hi: f64 = arg_parsed("--hi").unwrap_or(1.45);
+    let sigma: f64 = arg_parsed("--sigma").unwrap_or(0.02);
+    let seed: u64 = arg_parsed("--seed").unwrap_or(7);
+    let benign: f64 = arg_parsed("--benign").unwrap_or(gridsim_screen::DEFAULT_BENIGN_THRESHOLD);
+    let violating: f64 =
+        arg_parsed("--violating").unwrap_or(gridsim_screen::DEFAULT_VIOLATING_THRESHOLD);
+    let pool = match arg_parsed("--devices") {
         Some(n) => DevicePool::auto(n),
         None => DevicePool::from_env(),
     };

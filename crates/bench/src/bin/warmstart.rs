@@ -17,22 +17,17 @@
 //! 30 times per case).
 
 use gridsim_bench::experiments::{run_tracking_comparison, to_json, TrackingRow};
-use gridsim_bench::{arg_value, BenchCase, Scale, TextTable};
+use gridsim_bench::{arg_parsed, BenchCase, Scale, TextTable};
 use gridsim_grid::load_profile::LoadProfile;
 
 fn main() {
     let scale = Scale::from_args();
     let embedded = std::env::args().any(|a| a == "--embedded");
-    let periods: usize = arg_value("--periods")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
-    let case_limit: usize =
-        arg_value("--cases")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(match scale {
-                Scale::Small => 2,
-                _ => 6,
-            });
+    let periods: usize = arg_parsed("--periods").unwrap_or(30);
+    let case_limit: usize = arg_parsed("--cases").unwrap_or(match scale {
+        Scale::Small => 2,
+        _ => 6,
+    });
     // 30 one-minute periods with up to 5 % load drift, as in Section IV-C.
     let profile = LoadProfile::paper_window(0, periods, 0.05);
     println!(

@@ -3,6 +3,7 @@
 use gridsim_admm::AdmmParams;
 use gridsim_grid::network::Case;
 use gridsim_grid::synthetic::TableICase;
+use std::str::FromStr;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,37 +46,62 @@ impl Scale {
     /// `--scale <v>` or `--scale=<v>` decides.
     pub fn from_arg_list(args: &[String]) -> Result<Scale, String> {
         const ACCEPTED: &str = "expected small, medium, paper or full";
-        for (i, a) in args.iter().enumerate() {
-            let value = if a == "--scale" {
-                args.get(i + 1).map(String::as_str)
-            } else if let Some(rest) = a.strip_prefix("--scale=") {
-                Some(rest)
-            } else {
-                continue;
-            };
-            return match value {
-                Some(v) => Scale::parse(v).ok_or_else(|| format!("--scale {v}: {ACCEPTED}")),
-                None => Err(format!("--scale needs a value: {ACCEPTED}")),
-            };
+        match find_flag(args, "--scale") {
+            None => Ok(Scale::Small),
+            Some(None) => Err(format!("--scale needs a value: {ACCEPTED}")),
+            Some(Some(v)) => Scale::parse(v).ok_or_else(|| format!("--scale {v}: {ACCEPTED}")),
         }
-        Ok(Scale::Small)
     }
+}
+
+/// First `name <v>` or `name=<v>` in `args`: `None` when the flag is absent,
+/// `Some(None)` when it is the last argument and has no value.
+fn find_flag<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
+    args.iter().enumerate().find_map(|(i, a)| {
+        if a == name {
+            Some(args.get(i + 1).map(String::as_str))
+        } else {
+            a.strip_prefix(name)?.strip_prefix('=').map(Some)
+        }
+    })
 }
 
 /// Value of a `--name value` or `--name=value` command-line argument, shared
 /// by the experiment binaries (the `--scale` flag has its own parser in
-/// [`Scale::from_args`]).
+/// [`Scale::from_args`], numeric flags go through [`arg_parsed`]).
 pub fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(rest) = a.strip_prefix(&format!("{name}=")) {
-            return Some(rest.to_string());
-        }
+    find_flag(&args, name).flatten().map(str::to_string)
+}
+
+/// A numeric `--name <v>` / `--name=<v>` flag out of `std::env::args`:
+/// `None` when the flag is absent (the caller's default applies). A flag
+/// that is present with a missing or unparsable value exits with status 2
+/// and names the flag and the expected type — a typo must not silently run
+/// the default experiment.
+pub fn arg_parsed<T: FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    arg_parsed_from(&args, name).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
+}
+
+/// [`arg_parsed`] over an explicit argument list.
+pub fn arg_parsed_from<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let expected = match std::any::type_name::<T>() {
+        "usize" | "u64" => "an unsigned integer",
+        "f64" => "a number",
+        other => other,
+    };
+    match find_flag(args, name) {
+        None => Ok(None),
+        Some(None) => Err(format!("{name} needs a value: expected {expected}")),
+        Some(Some(v)) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{name} {v}: expected {expected}")),
     }
-    None
 }
 
 /// One evaluation case together with the ADMM parameters the paper's Table I
@@ -218,6 +244,43 @@ mod tests {
             let msg = parse(bad).unwrap_err();
             assert!(msg.contains("small, medium, paper or full"), "{msg}");
         }
+    }
+
+    #[test]
+    fn numeric_flag_parsing_does_not_guess() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            arg_parsed_from::<usize>(&args, "--k")
+        };
+        // Flag absent: the caller's default applies.
+        assert_eq!(parse(&["sweep"]), Ok(None));
+        assert_eq!(parse(&["sweep", "--kk", "4", "--levels", "3"]), Ok(None));
+        // Both spellings, any position.
+        assert_eq!(parse(&["sweep", "--k", "1000"]), Ok(Some(1000)));
+        assert_eq!(parse(&["sweep", "--k=7", "--levels", "3"]), Ok(Some(7)));
+        // Present but unusable: an error naming the flag and the type.
+        for bad in [
+            &["sweep", "--k", "abc"][..],
+            &["sweep", "--k=-1"],
+            &["sweep", "--k="],
+            &["sweep", "--k", "--levels", "3"],
+            &["sweep", "--k"],
+        ] {
+            let msg = parse(bad).unwrap_err();
+            assert!(msg.starts_with("--k"), "{msg}");
+            assert!(msg.contains("expected an unsigned integer"), "{msg}");
+        }
+        assert_eq!(
+            parse(&["sweep", "--k", "abc"]).unwrap_err(),
+            "--k abc: expected an unsigned integer"
+        );
+        // Floats share the helper and name their own type.
+        let args = ["sweep".to_string(), "--lo=0.9x".to_string()];
+        assert_eq!(
+            arg_parsed_from::<f64>(&args, "--lo").unwrap_err(),
+            "--lo 0.9x: expected a number"
+        );
+        assert_eq!(arg_parsed_from::<f64>(&args[..1], "--lo"), Ok(None));
     }
 
     #[test]

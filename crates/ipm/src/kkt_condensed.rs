@@ -179,8 +179,9 @@ pub struct KktCache {
 }
 
 /// Scalar-vs-supernodal replay timing on the last condensed system a
-/// [`KktCache`] factorized — the measured delta the `kkt_condensed` bench
-/// records for the supernodal refactorization.
+/// [`KktCache`] factorized — the measured delta `perf`'s
+/// `sparse.refactor_ms` / `sparse.refactor_scalar_ms` probes record for the
+/// supernodal refactorization.
 #[derive(Debug, Clone)]
 pub struct RefactorMicrobench {
     /// Dimension of the condensed system.

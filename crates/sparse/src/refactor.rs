@@ -33,8 +33,9 @@
 //!   exact column order of the scalar replay so the result is **bitwise
 //!   identical** to it ([`LdlSymbolic::refactor_supernodal`], and the replay
 //!   [`LdlSymbolic::refactor_on`] launches per thread block). The scalar
-//!   path is kept callable so the `kkt_condensed` bench can record the
-//!   supernodal speedup at asserted-bitwise-equal factors.
+//!   path is kept callable so `perf`'s `sparse.refactor_scalar_ms` probe
+//!   (through `KktCache::refactor_microbench` in `gridsim-ipm`) can record
+//!   the supernodal speedup at asserted-bitwise-equal factors.
 //!
 //! The error-column reported on a [`SparseError::Breakdown`] may differ
 //! between the level-parallel and sequential schedules when several columns
@@ -562,8 +563,9 @@ impl LdlSymbolic {
     /// rank-`w` updates per supernode (`replay_row_supernodal`).
     /// Bitwise identical to [`Self::refactor`] and to a fresh
     /// [`LdlFactor::factorize_with`]; faster on patterns with non-trivial
-    /// supernodes (the `kkt_condensed` bench records the delta). The scalar
-    /// [`Self::refactor`] stays callable as the measured baseline.
+    /// supernodes (`perf` records the delta as `sparse.refactor_ms` vs
+    /// `sparse.refactor_scalar_ms`). The scalar [`Self::refactor`] stays
+    /// callable as the measured baseline.
     pub fn refactor_supernodal(
         &self,
         values: &[f64],

@@ -1,15 +1,16 @@
 //! Integration tests for the condensed-space KKT strategy of the
 //! interior-point baseline: agreement with the full augmented-KKT path on
 //! real ACOPF cases, symbolic-reuse accounting (one analysis per NLP, one
-//! per tracking horizon), and the release-gated full-vs-condensed
-//! comparison the bench records.
+//! per tracking horizon), the scalar-vs-supernodal refactorization
+//! micro-benchmark `perf` trusts for `sparse.refactor_scalar_ms`, and the
+//! release-gated full-vs-condensed comparison on the reference cases.
 
 use gridadmm::prelude::*;
 use gridsim_acopf::start::ramp_limited_bounds;
-use gridsim_bench::run_kkt_comparison;
+use gridsim_acopf::violations::relative_gap;
 use gridsim_grid::cases;
 use gridsim_grid::load_profile::LoadProfile;
-use gridsim_ipm::{KktCache, KktStrategy};
+use gridsim_ipm::Nlp;
 
 fn solver(strategy: KktStrategy) -> IpmSolver {
     IpmSolver::new(IpmOptions {
@@ -22,13 +23,16 @@ fn solver(strategy: KktStrategy) -> IpmSolver {
 
 /// The condensed step is an exact block elimination, so both strategies must
 /// find the same optimum on a real ACOPF, and the condensed path must pay
-/// O(1) symbolic analyses while refactorizing every Newton step.
+/// O(1) symbolic analyses while refactorizing every Newton step. The
+/// refactorization micro-benchmark behind `perf`'s `sparse.refactor_*`
+/// probes must run on that production matrix and agree bit for bit.
 #[test]
 fn condensed_agrees_with_full_on_case9() {
     let net = cases::case9().compile().unwrap();
     let nlp = AcopfNlp::new(&net);
     let full = solver(KktStrategy::Full).solve(&nlp);
-    let condensed = solver(KktStrategy::Condensed).solve(&nlp);
+    let mut cache = KktCache::new();
+    let condensed = solver(KktStrategy::Condensed).solve_with_cache(&nlp, &mut cache);
     assert!(full.is_optimal(), "full status {:?}", full.status);
     assert!(
         condensed.is_optimal(),
@@ -58,6 +62,13 @@ fn condensed_agrees_with_full_on_case9() {
         condensed.factorizations
     );
     assert!(condensed.factorizations > condensed.symbolic_analyses);
+    let micro = cache
+        .refactor_microbench(2)
+        .expect("condensed solve factorized at least once");
+    assert!(micro.bitwise_identical, "supernodal replay diverged");
+    assert!(micro.dim < nlp.num_vars() + 2 * nlp.num_ineq() + nlp.num_eq());
+    assert!((1..=micro.dim).contains(&micro.supernodes));
+    assert!(micro.max_supernode_width >= 1);
 }
 
 #[test]
@@ -173,10 +184,11 @@ fn scaled_registry_cases_converge_under_condensed() {
     }
 }
 
-/// Release guard for the recorded full-vs-condensed comparison (the
-/// `kkt_condensed` bench binary records the same rows): both strategies
-/// converge to the same objective and the counter contrast holds. Expensive
-/// in debug, so gated like the other full-tolerance sweeps.
+/// Release guard for the full-vs-condensed comparison on the reference
+/// cases (`perf`'s `ipm_fleet` probes record the same counters as `ipm.*` /
+/// `sparse.*` metrics): both strategies converge to the same objective and
+/// the counter contrast holds. Expensive in debug, so gated like the other
+/// full-tolerance sweeps.
 #[test]
 fn kkt_comparison_rows_hold_on_reference_cases() {
     if cfg!(debug_assertions) && std::env::var("GRIDADMM_FULL_TESTS").is_err() {
@@ -187,49 +199,53 @@ fn kkt_comparison_rows_hold_on_reference_cases() {
     // the filter line-search globalization plus the synthetic-generator
     // electrical-consistency fix cured that, so optimality is now asserted on
     // every reference case.
-    for (name, case, expect_optimal) in [
-        ("case9", cases::case9(), true),
-        ("case14", cases::case14(), true),
-        ("case30_like", cases::case30_like(), true),
+    for (name, case) in [
+        ("case9", cases::case9()),
+        ("case14", cases::case14()),
+        ("case30_like", cases::case30_like()),
     ] {
-        let row = run_kkt_comparison(name, &case);
+        let net = case.compile().unwrap();
+        let nlp = AcopfNlp::new(&net);
+        let full = solver(KktStrategy::Full).solve(&nlp);
+        let mut cache = KktCache::new();
+        let condensed = solver(KktStrategy::Condensed).solve_with_cache(&nlp, &mut cache);
+        let micro = cache
+            .refactor_microbench(20)
+            .expect("condensed solve factorized at least once");
+        let full_dim = nlp.num_vars() + 2 * nlp.num_ineq() + nlp.num_eq();
         eprintln!(
-            "{name}: full {}x{} {:.3}s / {} fact; condensed {}x{} {:.3}s / {} fact, {} symbolic; \
-             {} supernodes (max width {}), supernodal replay {:.2}x vs scalar",
-            row.full_dim,
-            row.full_dim,
-            row.full_time_s,
-            row.full_factorizations,
-            row.condensed_dim,
-            row.condensed_dim,
-            row.condensed_time_s,
-            row.condensed_factorizations,
-            row.condensed_symbolic_analyses,
-            row.condensed_supernodes,
-            row.condensed_max_supernode_width,
-            row.refactor_speedup,
+            "{name}: full {full_dim}x{full_dim} {:.3}s / {} fact; condensed {}x{} {:.3}s / {} fact, \
+             {} symbolic; {} supernodes (max width {}), supernodal replay {:.2}x vs scalar",
+            full.solve_time.as_secs_f64(),
+            full.factorizations,
+            micro.dim,
+            micro.dim,
+            condensed.solve_time.as_secs_f64(),
+            condensed.factorizations,
+            condensed.symbolic_analyses,
+            micro.supernodes,
+            micro.max_supernode_width,
+            micro.speedup(),
         );
         // The supernodal replay's speedup is only meaningful at bit-identical
         // factors; the micro-benchmark verifies that on the production matrix.
         assert!(
-            row.refactor_bitwise_identical,
+            micro.bitwise_identical,
             "{name}: supernodal replay diverged from scalar"
         );
-        if expect_optimal {
-            assert!(row.both_optimal, "{name}: a strategy failed");
-            assert!(
-                row.objective_rel_gap < 1e-5,
-                "{name}: objective gap {}",
-                row.objective_rel_gap
-            );
-        }
-        assert!(row.condensed_dim < row.full_dim, "{name}: no condensation");
-        assert_eq!(row.full_symbolic_analyses, row.full_factorizations);
         assert!(
-            row.condensed_symbolic_analyses <= 2,
-            "{name}: {} symbolic analyses",
-            row.condensed_symbolic_analyses
+            full.is_optimal() && condensed.is_optimal(),
+            "{name}: a strategy failed"
         );
-        assert!(row.condensed_factorizations > row.condensed_symbolic_analyses);
+        let gap = relative_gap(condensed.objective, full.objective);
+        assert!(gap < 1e-5, "{name}: objective gap {gap}");
+        assert!(micro.dim < full_dim, "{name}: no condensation");
+        assert_eq!(full.symbolic_analyses, full.factorizations);
+        assert!(
+            condensed.symbolic_analyses <= 2,
+            "{name}: {} symbolic analyses",
+            condensed.symbolic_analyses
+        );
+        assert!(condensed.factorizations > condensed.symbolic_analyses);
     }
 }

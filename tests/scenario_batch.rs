@@ -261,28 +261,47 @@ fn pegase1354_scaled100_store_admission_holds_the_pin() {
 /// tolerance band so scheduler noise on a loaded single-core machine cannot
 /// flake the suite — on this container the batch measures ~3 % faster, and
 /// the gap widens with cores since one batched launch fans `K×` more
-/// elements across the thread pool. The `scenario_throughput` bench bin
-/// records the exact comparison. Timing assertions are meaningless in
-/// unoptimized builds, so this only runs in release (`cargo test --release`).
+/// elements across the thread pool. `perf`'s `sweep` workload records the
+/// launch and block counts (`batch.launches`, `batch.blocks`) run over run.
+/// Timing assertions are meaningless in unoptimized builds, so this only
+/// runs in release (`cargo test --release`).
 #[cfg(not(debug_assertions))]
 #[test]
 fn k8_batch_beats_sequential_solves_wall_clock() {
-    use gridsim_bench::run_scenario_throughput;
     let case = TableICase::Pegase1354.scaled(300);
-    let set = mixed_set(&case, 8);
+    let nets = mixed_set(&case, 8).networks().unwrap();
     // Bounded budget: measures time per fixed work, converged or not.
     let params = AdmmParams {
         max_outer: 2,
         max_inner: 120,
         ..AdmmParams::default()
     };
-    let row = run_scenario_throughput(&case.name, &set, &params);
-    assert!(row.bitwise_identical, "batch diverged from single solves");
-    assert!(
-        row.batch_time_s < 1.10 * row.sequential_time_s,
-        "K=8 batch ({:.3}s) regressed past sequential ({:.3}s)",
-        row.batch_time_s,
-        row.sequential_time_s
+    // Both sides run the same auto-resolved backend with identical
+    // parameters, so the comparison isolates batching alone; each driver owns
+    // a fresh device, so its statistics snapshot is that side's launch count.
+    let batcher = ScenarioBatch::new(params.clone());
+    let batch = batcher.run(FleetRequest::over(&nets));
+    let batch_launches = batcher.device.stats().snapshot().total_launches();
+
+    let solver = AdmmSolver::new(params);
+    let mut sequential_time = std::time::Duration::ZERO;
+    for (net, batched) in nets.iter().zip(&batch.results) {
+        let single = solver.solve(net);
+        sequential_time += single.solve_time;
+        assert!(
+            single.solution == batched.solution,
+            "batch diverged from single solves"
+        );
+    }
+    let sequential_launches = solver.device.stats().snapshot().total_launches();
+
+    let (batch_s, sequential_s) = (
+        batch.solve_time.as_secs_f64(),
+        sequential_time.as_secs_f64(),
     );
-    assert!(row.batch_launches * 4 < row.sequential_launches);
+    assert!(
+        batch_s < 1.10 * sequential_s,
+        "K=8 batch ({batch_s:.3}s) regressed past sequential ({sequential_s:.3}s)"
+    );
+    assert!(batch_launches * 4 < sequential_launches);
 }

@@ -245,19 +245,33 @@ fn warm_started_scheduling_matches_batch() {
 
 /// Every pinned backend takes the same scheduler paths and produces the
 /// same bits under sharding (CI's matrix also sweeps the env-resolved
-/// backend over this suite, so the combinations stay covered).
+/// backend over this suite, so the combinations stay covered). Identical
+/// numerics mean identical work: every backend bills the same kernels the
+/// same launches and blocks — only time may differ.
 #[test]
 fn all_backends_agree_through_the_scheduler() {
     let params = short_params();
     let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
-    let seq = ScenarioScheduler::with_pool(params.clone(), DevicePool::sequential(2))
-        .with_lanes(1)
-        .run(FleetRequest::over(&nets));
+    let run = |pool: DevicePool| {
+        let scheduler = ScenarioScheduler::with_pool(params.clone(), pool).with_lanes(1);
+        let result = scheduler.run(FleetRequest::over(&nets));
+        (result, scheduler.pool.combined_snapshot().kernels)
+    };
+    let (seq, seq_kernels) = run(DevicePool::sequential(2));
+    assert!(!seq_kernels.is_empty());
     for pool in [DevicePool::parallel(2), DevicePool::vectorized(2)] {
-        let got = ScenarioScheduler::with_pool(params.clone(), pool)
-            .with_lanes(1)
-            .run(FleetRequest::over(&nets));
+        let backend = pool.backend();
+        let (got, kernels) = run(pool);
         assert_bitwise(&got, &seq);
+        assert_eq!(kernels.len(), seq_kernels.len(), "{backend}");
+        for (name, k) in &kernels {
+            let s = seq_kernels
+                .get(name)
+                .unwrap_or_else(|| panic!("{backend}: unknown kernel {name}"));
+            assert!(k.launches > 0, "{backend}: {name}");
+            assert_eq!(k.launches, s.launches, "{backend}: {name} launches");
+            assert_eq!(k.blocks, s.blocks, "{backend}: {name} blocks");
+        }
     }
     // And the single-device sequential batch agrees too.
     let batch =

@@ -296,47 +296,56 @@ fn warm_started_ipm_matches_cold_solutions() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn warm_store_sweep_sheds_ipm_iterations() {
-    use gridsim_bench::run_warm_store;
-    let row = run_warm_store(
-        "case14",
-        &cases::case14(),
-        &AdmmParams::test_profile(),
-        60,
-        60,
-        0.02,
-        7,
-        2,
-        Some(1),
+    let sweep = |seed| {
+        ScenarioSet::perturbed_loads(cases::case14(), 60, 0.02, seed)
+            .networks()
+            .unwrap()
+    };
+    let (prime_nets, eval_nets) = (sweep(7), sweep(8));
+    assert_eq!(prime_nets.len() + eval_nets.len(), 120, ">= 100");
+    let solver = IpmFleetSolver::with_engine(
+        condensed_options(),
+        Engine::with_pool(DevicePool::parallel(2)).with_lanes(1),
     );
-    assert_eq!(row.prime_scenarios + row.eval_scenarios, 120, ">= 100");
-    assert!(row.ipm_all_optimal, "a sweep solve failed");
-    assert_eq!(row.ipm_store_inserts, 60, "a priming solve failed");
-    assert_eq!(row.ipm_store_hits + row.ipm_store_misses, 60);
+    let cold = solver.run(FleetRequest::over(&eval_nets));
+    let mut store: SolutionStore<IpmWarmStart> = SolutionStore::new();
+    let primed = solver.run(
+        FleetRequest::over(&prime_nets)
+            .case("case14")
+            .store(&mut store),
+    );
+    let warm = solver.run(
+        FleetRequest::over(&eval_nets)
+            .case("case14")
+            .store(&mut store),
+    );
     assert!(
-        row.ipm_hit_rate > 0.5,
+        cold.all_optimal() && primed.all_optimal() && warm.all_optimal(),
+        "a sweep solve failed"
+    );
+    assert_eq!(primed.store.inserts, 60, "a priming solve failed");
+    assert_eq!(warm.store.hits + warm.store.misses, 60);
+    assert!(
+        warm.store.hit_rate() > 0.5,
         "hit rate {} too low at sigma 2% with 60 stored neighbors",
-        row.ipm_hit_rate
+        warm.store.hit_rate()
     );
+    let (cold_iters, warm_iters) = (cold.total_iterations(), warm.total_iterations());
     assert!(
-        row.ipm_warm_iterations < row.ipm_cold_iterations,
-        "store-seeded sweep did not shed iterations: warm {} vs cold {}",
-        row.ipm_warm_iterations,
-        row.ipm_cold_iterations
+        warm_iters < cold_iters,
+        "store-seeded sweep did not shed iterations: warm {warm_iters} vs cold {cold_iters}"
     );
-    assert!(
-        row.ipm_max_objective_gap < 1e-5,
-        "warm solutions diverged from cold: gap {}",
-        row.ipm_max_objective_gap
-    );
+    for (w, c) in warm.results.iter().zip(&cold.results) {
+        let gap = gridsim_acopf::violations::relative_gap(w.report.objective, c.report.objective);
+        assert!(gap < 1e-5, "{}: warm diverged from cold: gap {gap}", w.name);
+    }
     eprintln!(
-        "warm store sweep: {} hits / {} lookups, {} -> {} interior-point \
+        "warm store sweep: {} hits / {} lookups, {cold_iters} -> {warm_iters} interior-point \
          iterations ({:.1}% drop), {:.3}s -> {:.3}s",
-        row.ipm_store_hits,
-        row.ipm_store_hits + row.ipm_store_misses,
-        row.ipm_cold_iterations,
-        row.ipm_warm_iterations,
-        row.ipm_iteration_drop * 100.0,
-        row.ipm_cold_time_s,
-        row.ipm_warm_time_s,
+        warm.store.hits,
+        warm.store.hits + warm.store.misses,
+        100.0 * (1.0 - warm_iters as f64 / cold_iters as f64),
+        cold.solve_time.as_secs_f64(),
+        warm.solve_time.as_secs_f64(),
     );
 }
