@@ -31,7 +31,7 @@
 //! agree to solver tolerance. Both are asserted in `tests/ipm_fleet.rs`.
 
 use crate::acopf_nlp::AcopfNlp;
-use crate::kkt_condensed::KktCache;
+use crate::kkt_condensed::{KktCache, SymbolicStats};
 use crate::report::SolveReport;
 use crate::solver::{IpmOptions, IpmSolver};
 use gridsim_acopf::solution::OpfSolution;
@@ -41,7 +41,9 @@ use gridsim_engine::{Engine, FleetRequest, LaneSolver, StoreAccess};
 use gridsim_grid::fingerprint::ScenarioFingerprint;
 use gridsim_grid::network::Network;
 use gridsim_store::{StoreRunStats, StoreView};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The interior-point payload a [`gridsim_store::SolutionStore`] keeps per solved
@@ -117,6 +119,12 @@ pub struct FleetReport {
     /// seeded from it (misses), and converged solves committed back
     /// (inserts). All zero for a store-less request.
     pub store: StoreRunStats,
+    /// The frozen condensed system of every lane at the end of the run
+    /// ([`KktCache::symbolic_stats`]), lanes ordered by the scenario that
+    /// opened them. Empty under
+    /// [`KktStrategy::Full`](crate::KktStrategy::Full), which freezes
+    /// nothing.
+    pub lane_symbolic: Vec<SymbolicStats>,
 }
 
 impl FleetReport {
@@ -295,6 +303,7 @@ impl IpmFleetSolver {
                 hits: AtomicUsize::new(0),
                 misses: AtomicUsize::new(0),
             }),
+            lane_symbolic: Mutex::default(),
         };
         let run = engine.run(&fleet, nets.len());
         let store = fleet
@@ -311,6 +320,12 @@ impl IpmFleetSolver {
             ticks: run.ticks,
             lanes: engine.total_lanes(nets.len()),
             store,
+            lane_symbolic: fleet
+                .lane_symbolic
+                .into_inner()
+                .expect("no lane panicked while recording its stats")
+                .into_values()
+                .collect(),
         }
     }
 }
@@ -332,11 +347,17 @@ struct IpmFleet<'a> {
     options: &'a IpmOptions,
     nets: &'a [Network],
     store: Option<StoreBinding<'a>>,
+    /// Each lane's latest [`KktCache::symbolic_stats`], keyed by the
+    /// scenario that opened the lane (shards finish in any order; the key
+    /// makes the report's list independent of it).
+    lane_symbolic: Mutex<BTreeMap<usize, SymbolicStats>>,
 }
 
 /// One lane: its symbolic-analysis cache, its warm-start carry, and the
 /// scenario currently admitted or just finished.
 struct IpmLane {
+    /// The scenario the lane opened with: its identity within the run.
+    opened_by: usize,
     cache: KktCache,
     warm_x: Option<Vec<f64>>,
     warm_lambda: Option<Vec<f64>>,
@@ -352,6 +373,7 @@ struct IpmLane {
 impl IpmLane {
     fn open(scenario: usize) -> IpmLane {
         IpmLane {
+            opened_by: scenario,
             cache: KktCache::new(),
             warm_x: None,
             warm_lambda: None,
@@ -404,6 +426,12 @@ impl LaneSolver for IpmFleet<'_> {
                 device: shard.device.clone(),
             };
             let report = solver.solve_with_cache(&nlp, &mut lane.cache);
+            if let Some(stats) = lane.cache.symbolic_stats() {
+                self.lane_symbolic
+                    .lock()
+                    .expect("no lane panicked while recording its stats")
+                    .insert(lane.opened_by, stats);
+            }
             lane.warm_x = Some(report.x.clone());
             lane.warm_lambda = Some(
                 report
@@ -499,8 +527,12 @@ mod tests {
         assert_eq!(fleet.results.len(), 4);
         assert!(fleet.all_optimal(), "a scenario failed to converge");
         assert_eq!(fleet.lanes, 2);
-        // 2 lanes for 4 scenarios: two symbolic analyses, not four.
+        // 2 lanes for 4 scenarios: two symbolic analyses, not four — and
+        // both lanes froze the same condensed system.
         assert_eq!(fleet.symbolic_analyses(), fleet.lanes);
+        assert_eq!(fleet.lane_symbolic.len(), fleet.lanes);
+        assert_eq!(fleet.lane_symbolic[0], fleet.lane_symbolic[1]);
+        assert!(fleet.lane_symbolic[0].lnz > 0 && fleet.lane_symbolic[0].levels > 1);
         assert!(fleet.factorizations() > fleet.symbolic_analyses());
         // Input-order results: the ramp's objectives rise with load.
         let objs: Vec<f64> = fleet.results.iter().map(|r| r.report.objective).collect();
@@ -551,8 +583,10 @@ mod tests {
         )
         .run(FleetRequest::over(&nets));
         assert!(fleet.all_optimal());
-        // The full path pays a symbolic analysis per factorization.
+        // The full path pays a symbolic analysis per factorization and
+        // freezes nothing.
         assert_eq!(fleet.symbolic_analyses(), fleet.factorizations());
+        assert!(fleet.lane_symbolic.is_empty());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! barrier terms, and each barrier subproblem is solved with Newton steps on
 //! the primal–dual KKT system. The augmented (quasi-definite) KKT matrix is
 //! factorized with the sparse LDLᵀ of [`gridsim_sparse`] using a
-//! reverse Cuthill–McKee ordering, inertia is corrected by primal/dual
+//! reverse Cuthill–McKee ordering (the condensed system of
+//! [`kkt_condensed`] uses approximate minimum degree instead: its analysis
+//! is frozen and replayed, so fill is what it pays for every step),
+//! inertia is corrected by primal/dual
 //! regularization, steps are safeguarded by the fraction-to-boundary rule and
 //! an ℓ1-merit backtracking line search, and the barrier parameter decreases
 //! monotonically (Fiacco–McCormick).
@@ -44,7 +47,7 @@ pub mod solver;
 
 pub use acopf_nlp::AcopfNlp;
 pub use fleet::{FleetReport, FleetScenarioResult, IpmFleetSolver, IpmWarmStart};
-pub use kkt_condensed::{KktCache, KktStrategy, RefactorMicrobench};
+pub use kkt_condensed::{KktCache, KktStrategy, RefactorMicrobench, SymbolicStats};
 pub use nlp::Nlp;
 pub use report::{IpmStatus, IterationRecord, SolveReport};
 pub use solver::{IpmOptions, IpmSolver};

@@ -12,12 +12,14 @@ use gridsim_sparse::Coo;
 /// ```
 ///
 /// Jacobians and the Hessian of the Lagrangian are returned as triplet
-/// matrices; duplicate entries are summed. The Hessian must contain the
-/// *lower or upper or full* symmetric pattern consistently — the solver
-/// symmetrizes by summing `H` and `Hᵀ` off-diagonal contributions is NOT
-/// done, so implementers should return the full symmetric matrix or the
-/// upper triangle plus diagonal (the KKT assembly keeps only the upper
-/// triangle of the symmetric system).
+/// matrices; duplicate entries are summed. The Hessian must be returned
+/// with **both triangles**: every off-diagonal coordinate `(i, j)` comes
+/// with its transpose `(j, i)`. The KKT assemblies place the triplets as
+/// given and the factorization's ordering then decides which triangle it
+/// reads, so a one-triangle Hessian would silently lose the entries the
+/// permutation moved across the diagonal. The solver checks this once per
+/// solve, on a unit-multiplier probe of the pattern, and ends with [`IpmStatus::NumericalError`](crate::IpmStatus::NumericalError)
+/// before iteration 0 when it does not hold.
 pub trait Nlp {
     /// Number of decision variables.
     fn num_vars(&self) -> usize;
@@ -58,7 +60,7 @@ pub trait Nlp {
 
     /// Hessian of the Lagrangian
     /// `obj_factor * ∇²f + Σ λ_E ∇²c_E + Σ λ_I ∇²c_I`
-    /// as a symmetric triplet matrix (both triangles or the full matrix).
+    /// as a symmetric triplet matrix with both triangles present.
     fn lagrangian_hessian(
         &self,
         x: &[f64],
@@ -66,6 +68,20 @@ pub trait Nlp {
         lambda_eq: &[f64],
         lambda_ineq: &[f64],
     ) -> Coo;
+}
+
+/// True when every off-diagonal coordinate of `hess` has its transpose
+/// among the triplets — the pattern half of the [`Nlp`] Hessian contract.
+pub(crate) fn hessian_has_both_triangles(hess: &Coo) -> bool {
+    let mut off_diagonal: Vec<(usize, usize)> = (0..hess.nnz())
+        .map(|t| (hess.rows[t], hess.cols[t]))
+        .filter(|(r, c)| r != c)
+        .collect();
+    off_diagonal.sort_unstable();
+    off_diagonal.dedup();
+    off_diagonal
+        .iter()
+        .all(|&(r, c)| off_diagonal.binary_search(&(c, r)).is_ok())
 }
 
 #[cfg(test)]

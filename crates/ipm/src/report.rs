@@ -10,7 +10,9 @@ pub enum IpmStatus {
     /// Iteration limit reached; the returned point is the best iterate.
     MaxIterations,
     /// The linear algebra failed irrecoverably (singular KKT even after the
-    /// maximum regularization).
+    /// maximum regularization), or — with `iterations == 0` — the model's
+    /// Hessian came as one triangle instead of both (see
+    /// [`Nlp`](crate::Nlp)), which no Newton system can be trusted on.
     NumericalError,
     /// The feasibility-restoration phase could not produce a filter-acceptable
     /// point: the iterate is stuck at a (possibly locally infeasible)

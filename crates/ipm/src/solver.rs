@@ -23,7 +23,7 @@
 
 use crate::kkt::{assemble_kkt, KktDims};
 use crate::kkt_condensed::{KktCache, KktStrategy};
-use crate::nlp::Nlp;
+use crate::nlp::{hessian_has_both_triangles, Nlp};
 use crate::report::{IpmStatus, IterationRecord, SolveReport};
 use gridsim_batch::Device;
 use gridsim_sparse::{Coo, LdlFactor, LdlOptions, Ordering};
@@ -588,15 +588,18 @@ impl IpmSolver {
         let theta_max = 1e4 * theta0.max(1.0);
         let mut filter = Filter::new(theta_max);
 
-        // Probe the model pattern once with unit multipliers so the
-        // condensed structure covers every coordinate the callbacks can emit
-        // (they prune value-zero triplets, and cold starts carry λ = 0);
+        // Probe the model's Hessian pattern once with unit multipliers (the
+        // callbacks prune value-zero triplets, and cold starts carry λ = 0).
+        // Both strategies check the `Nlp` contract on it: a Hessian given as
+        // one triangle would lose whichever entries the ordering moves
+        // across the diagonal, so such a solve ends here, before iteration
+        // 0. The condensed strategy also freezes its structure from the
+        // probe, so it covers every coordinate the callbacks can emit;
         // growth later in the solve still rebuilds the union as a fallback.
-        if opts.kkt_strategy == KktStrategy::Condensed {
-            let x0 = &v[..nx];
-            let ones_eq = vec![1.0; m_eq];
-            let ones_ineq = vec![1.0; m_ineq];
-            let probe_hess = nlp.lagrangian_hessian(x0, s_f, &ones_eq, &ones_ineq);
+        let x0 = &v[..nx];
+        let probe_hess = nlp.lagrangian_hessian(x0, s_f, &vec![1.0; m_eq], &vec![1.0; m_ineq]);
+        let hessian_ok = hessian_has_both_triangles(&probe_hess);
+        if hessian_ok && opts.kkt_strategy == KktStrategy::Condensed {
             let probe_jac_eq = nlp.eq_jacobian(x0);
             let probe_jac_ineq = nlp.ineq_jacobian(x0);
             cache.ensure_structure(&dims, &probe_hess, &probe_jac_eq, &probe_jac_ineq);
@@ -608,7 +611,11 @@ impl IpmSolver {
         let mut symbolic_full = 0usize;
         let mut ordering: Option<Ordering> = None;
         let mut delta_w_last = 0.0f64;
-        let mut status = IpmStatus::MaxIterations;
+        let (mut status, max_iter) = if hessian_ok {
+            (IpmStatus::MaxIterations, opts.max_iter)
+        } else {
+            (IpmStatus::NumericalError, 0)
+        };
         let mut iterations = 0usize;
         let mut kkt_error = f64::INFINITY;
         let mut primal_inf = f64::INFINITY;
@@ -618,7 +625,7 @@ impl IpmSolver {
         let mut watchdog_steps = 0usize;
         let mut restorations = 0usize;
 
-        'outer: for iter in 0..opts.max_iter {
+        'outer: for iter in 0..max_iter {
             iterations = iter;
             let x = &v[..nx];
 

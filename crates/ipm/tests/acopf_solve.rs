@@ -6,7 +6,8 @@
 
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_grid::{cases, ScenarioSet};
-use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver};
+use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, KktStrategy, Nlp};
+use gridsim_sparse::Coo;
 
 fn solve_case(case: gridsim_grid::Case) -> (gridsim_grid::Network, gridsim_ipm::SolveReport) {
     let net = case.compile().unwrap();
@@ -158,4 +159,75 @@ fn tighter_line_limits_increase_cost() {
         tight_report.objective,
         base_report.objective
     );
+}
+
+/// An `AcopfNlp` whose Hessian callback keeps only `row <= col`: what the
+/// `Nlp` documentation used to allow.
+struct UpperTriangleHessian<'a>(AcopfNlp<'a>);
+
+impl Nlp for UpperTriangleHessian<'_> {
+    fn num_vars(&self) -> usize {
+        self.0.num_vars()
+    }
+    fn num_eq(&self) -> usize {
+        self.0.num_eq()
+    }
+    fn num_ineq(&self) -> usize {
+        self.0.num_ineq()
+    }
+    fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
+        self.0.bounds()
+    }
+    fn initial_point(&self) -> Vec<f64> {
+        self.0.initial_point()
+    }
+    fn objective(&self, x: &[f64]) -> f64 {
+        self.0.objective(x)
+    }
+    fn objective_grad(&self, x: &[f64], grad: &mut [f64]) {
+        self.0.objective_grad(x, grad)
+    }
+    fn eq_constraints(&self, x: &[f64], c: &mut [f64]) {
+        self.0.eq_constraints(x, c)
+    }
+    fn ineq_constraints(&self, x: &[f64], c: &mut [f64]) {
+        self.0.ineq_constraints(x, c)
+    }
+    fn eq_jacobian(&self, x: &[f64]) -> Coo {
+        self.0.eq_jacobian(x)
+    }
+    fn ineq_jacobian(&self, x: &[f64]) -> Coo {
+        self.0.ineq_jacobian(x)
+    }
+    fn lagrangian_hessian(&self, x: &[f64], obj: f64, l_eq: &[f64], l_ineq: &[f64]) -> Coo {
+        let full = self.0.lagrangian_hessian(x, obj, l_eq, l_ineq);
+        let mut upper = Coo::new(full.nrows, full.ncols);
+        for t in (0..full.nnz()).filter(|&t| full.rows[t] <= full.cols[t]) {
+            upper.push(full.rows[t], full.cols[t], full.vals[t]);
+        }
+        upper
+    }
+}
+
+/// A one-triangle Hessian used to solve the wrong Newton systems without a
+/// word — whichever half-entries the ordering moved below the diagonal were
+/// dropped — and still report `Optimal` after 73 (full) / 84 (condensed)
+/// iterations instead of 12. It is a typed failure before iteration 0 now,
+/// under both strategies.
+#[test]
+fn one_triangle_hessian_is_rejected_before_the_first_iteration() {
+    let net = cases::case9().compile().unwrap();
+    for strategy in [KktStrategy::Full, KktStrategy::Condensed] {
+        let solver = IpmSolver::new(IpmOptions {
+            kkt_strategy: strategy,
+            ..Default::default()
+        });
+        let honest = solver.solve(&AcopfNlp::new(&net));
+        assert!(honest.is_optimal() && honest.iterations > 0, "{strategy:?}");
+        let report = solver.solve(&UpperTriangleHessian(AcopfNlp::new(&net)));
+        assert_eq!(report.status, IpmStatus::NumericalError, "{strategy:?}");
+        assert_eq!(report.iterations, 0, "{strategy:?}");
+        assert_eq!(report.factorizations, 0, "{strategy:?}");
+        assert!(report.log.is_empty(), "{strategy:?}");
+    }
 }

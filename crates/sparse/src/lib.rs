@@ -10,7 +10,9 @@
 //!
 //! * triplet ([`coo::Coo`]) and compressed-sparse-column ([`csc::Csc`])
 //!   matrix formats,
-//! * a fill-reducing ordering ([`ordering`], reverse Cuthill–McKee),
+//! * symmetric orderings ([`ordering`]: approximate minimum degree with an
+//!   elimination-tree postorder to reduce fill, reverse Cuthill–McKee to
+//!   reduce bandwidth),
 //! * symbolic analysis (elimination tree and column counts, [`symbolic`]),
 //! * an up-looking sparse LDLᵀ factorization with dynamic regularization and
 //!   inertia reporting for quasi-definite KKT systems ([`ldl`]),

@@ -8,10 +8,14 @@
 //! order) and running *numeric-only refactorizations* against it. This module
 //! implements that split for the up-looking LDLᵀ of [`crate::ldl`]:
 //!
-//! * [`LdlSymbolic::analyze`] runs once per problem: it fixes the
-//!   fill-reducing ordering, the permuted upper-triangular pattern, the
+//! * [`LdlSymbolic::analyze`] runs once per problem: it fixes the ordering
+//!   ([`LdlSymbolic::analyze_amd`] for the fill-reducing one, the analysis
+//!   to freeze when it is replayed many times; [`LdlSymbolic::analyze_rcm`]
+//!   for the bandwidth one), the permuted upper-triangular pattern, the
 //!   elimination tree, the full row pattern of `L`, the replay order of every
-//!   row's sparse dot products, and an elimination-tree *level schedule*;
+//!   row's sparse dot products together with the slot of `L` each replay
+//!   step writes (`rp_slot` — a constant of the pattern, so no replay
+//!   searches a column for it), and an elimination-tree *level schedule*;
 //! * [`LdlSymbolic::refactor`] replays the numeric factorization over the
 //!   frozen pattern — no graph walks, no allocation proportional to symbolic
 //!   work — and is **bitwise identical** to a fresh
@@ -20,18 +24,29 @@
 //!   column updates fanned out through [`gridsim_batch::Device::launch_blocks`],
 //!   one elimination-tree level at a time. Rows on the same level own
 //!   disjoint subtrees, hence disjoint reads and writes, so the parallel
-//!   backend produces the same bits as the sequential one;
+//!   backend produces the same bits as the sequential one. Everything a
+//!   launch needs besides the values — one device buffer of row tasks per
+//!   level, each task's staging for its row of `L`, and the `y` scratch of
+//!   the blocks in flight — lives in a workspace the analysis builds on the
+//!   first call and owns from then on; a level's results are read in place
+//!   and committed as `lvalues[rp_slot[k]] = staged[k]`, so a steady-state
+//!   refactorization allocates the returned factor's two value vectors and
+//!   nothing else;
 //! * the analysis additionally groups columns of the frozen `L` into
 //!   **supernodes** (maximal runs of consecutive columns whose patterns
 //!   below the diagonal block are identical — the structure dense BLAS3
 //!   factorization kernels exploit, cf. Świrydowicz et al. §III) and
-//!   rewrites every row's replay list into *segments*. A segment covering a
-//!   `w`-column supernode is replayed as a small dense triangular solve on
-//!   the diagonal block followed by a rank-`w` update of the shared
-//!   subdiagonal pattern: one pattern lookup and one `y` load/store per
-//!   target row instead of `w`, with the per-row accumulation kept in the
-//!   exact column order of the scalar replay so the result is **bitwise
-//!   identical** to it ([`LdlSymbolic::refactor_supernodal`], and the replay
+//!   rewrites every row's replay list into *segments*, each with its count
+//!   of shared rows ahead of the target row (`seg_t`). Detection only looks
+//!   at *consecutive* columns: it is the elimination-tree postorder of
+//!   [`Ordering::amd`] that makes the columns of a tree chain consecutive.
+//!   A segment covering a `w`-column supernode is replayed as a small dense
+//!   triangular solve on the diagonal block followed by a rank-`w` update
+//!   of the shared subdiagonal pattern: one pattern lookup and one `y`
+//!   load/store per target row instead of `w`, with the per-row
+//!   accumulation kept in the exact column order of the scalar replay so
+//!   the result is **bitwise identical** to it
+//!   ([`LdlSymbolic::refactor_supernodal`], and the replay
 //!   [`LdlSymbolic::refactor_on`] launches per thread block). The scalar
 //!   path is kept callable so `perf`'s `sparse.refactor_scalar_ms` probe
 //!   (through `KktCache::refactor_microbench` in `gridsim-ipm`) can record
@@ -86,6 +101,10 @@ pub struct LdlSymbolic {
     /// computing row `j`).
     rp_ptr: Vec<usize>,
     rp_idx: Vec<usize>,
+    /// `rp_slot[k]` is the slot of `L` replay step `k` writes: the entry of
+    /// row `j` in column `rp_idx[k]`, which sits right after that column's
+    /// rows `< j`. A constant of the pattern, so no replay searches for it.
+    rp_slot: Vec<usize>,
     /// Elimination-tree level schedule: rows in
     /// `level_idx[level_ptr[l]..level_ptr[l+1]]` depend only on rows of
     /// levels `< l` and touch pairwise-disjoint columns of `L`.
@@ -106,21 +125,60 @@ pub struct LdlSymbolic {
     seg_ptr: Vec<usize>,
     seg_col: Vec<usize>,
     seg_len: Vec<usize>,
+    /// `seg_t[s]`: how many of the supernode's shared below-block rows
+    /// precede the segment's target row (the rank-`w` update's row count).
+    seg_t: Vec<usize>,
+    /// Reused storage of [`Self::refactor_on`], built on its first call.
+    workspace: WorkspaceCell,
 }
 
-/// One row's pending output inside a level-parallel launch: the pivot, the
-/// regularization/breakdown flags, and the `L` entries to commit (slot,
-/// value). Rows of one level write disjoint slots, so the commits can be
-/// applied in any order; they are applied in ascending row order for
-/// determinism of the breakdown report.
-#[derive(Debug, Clone, Default)]
+/// One row's slot in a level launch: the row index and, after the launch,
+/// its raw pivot and the values of its `L` entries in replay order
+/// (`staged[k]` belongs in slot `rp_slot[rp_ptr[j] + k]`). Rows of one level
+/// write disjoint slots; the commit runs in ascending row order so the
+/// breakdown report is schedule-independent.
+#[derive(Debug, Clone)]
 struct RowTask {
     j: usize,
-    dj: f64,
     raw_pivot: f64,
-    regularized: bool,
-    breakdown: bool,
-    writes: Vec<(usize, f64)>,
+    staged: Vec<f64>,
+}
+
+/// The numeric half of a factor while a replay fills it.
+struct Numeric {
+    lvalues: Vec<f64>,
+    d: Vec<f64>,
+    num_regularized: usize,
+}
+
+/// Everything [`LdlSymbolic::refactor_on`] would otherwise allocate per
+/// call, per level or per row: one device buffer of row tasks per
+/// elimination-tree level (each task's `staged` sized to its reach), and
+/// `y` scratch vectors for the blocks in flight. Every replay returns its
+/// scratch all-zero and overwrites its task, so nothing carries over from
+/// one refactorization to the next — not even from one that broke down.
+#[derive(Debug)]
+struct Workspace {
+    levels: Vec<DeviceBuffer<RowTask>>,
+    /// A block takes the first scratch it can lock; with more blocks in
+    /// flight than entries, the surplus ones wait on the last.
+    scratch: Vec<Mutex<Vec<f64>>>,
+}
+
+/// Scratch vectors a workspace keeps: the number of blocks that can replay
+/// without waiting for one.
+const SCRATCH_SLOTS: usize = 16;
+
+/// The lazily built workspace of one [`LdlSymbolic`]. A clone of the
+/// analysis starts without one (it is storage, not state) and builds its
+/// own on first use, so clones never contend.
+#[derive(Debug, Default)]
+struct WorkspaceCell(Mutex<Option<Workspace>>);
+
+impl Clone for WorkspaceCell {
+    fn clone(&self) -> Self {
+        WorkspaceCell::default()
+    }
 }
 
 impl LdlSymbolic {
@@ -208,9 +266,12 @@ impl LdlSymbolic {
         let lcolptr = sym.lcolptr.clone();
         let mut lrowind = vec![0usize; total];
         let mut lnz_used = vec![0usize; n];
+        let mut rp_slot = Vec::with_capacity(total);
         for j in 0..n {
             for &i in &rp_idx[rp_ptr[j]..rp_ptr[j + 1]] {
-                lrowind[lcolptr[i] + lnz_used[i]] = j;
+                let slot = lcolptr[i] + lnz_used[i];
+                lrowind[slot] = j;
+                rp_slot.push(slot);
                 lnz_used[i] += 1;
             }
         }
@@ -279,6 +340,7 @@ impl LdlSymbolic {
         let mut seg_ptr = vec![0usize; n + 1];
         let mut seg_col = Vec::new();
         let mut seg_len = Vec::new();
+        let mut seg_t = Vec::new();
         for j in 0..n {
             let reach = &rp_idx[rp_ptr[j]..rp_ptr[j + 1]];
             let mut k = 0usize;
@@ -291,6 +353,10 @@ impl LdlSymbolic {
                 }
                 seg_col.push(start);
                 seg_len.push(w);
+                // Column `start` holds, before row j: the rows of its own
+                // supernode below it (those < j), then the shared rows < j.
+                let lead = s_end.min(j) - start - 1;
+                seg_t.push(rp_slot[rp_ptr[j] + k] - lcolptr[start] - lead);
                 k += w;
             }
             seg_ptr[j + 1] = seg_col.len();
@@ -309,6 +375,7 @@ impl LdlSymbolic {
             lrowind: Arc::new(lrowind),
             rp_ptr,
             rp_idx,
+            rp_slot,
             level_ptr,
             level_idx,
             sn_end_of_col,
@@ -317,12 +384,22 @@ impl LdlSymbolic {
             seg_ptr,
             seg_col,
             seg_len,
+            seg_t,
+            workspace: WorkspaceCell::default(),
         })
     }
 
     /// Analyze with a reverse Cuthill–McKee ordering computed from `a`.
     pub fn analyze_rcm(a: &Csc) -> Result<LdlSymbolic, SparseError> {
         let ordering = Ordering::rcm(a);
+        Self::analyze(a, ordering)
+    }
+
+    /// Analyze with the fill-reducing ordering [`Ordering::amd`] computed
+    /// from `a` — the analysis to freeze when it will be replayed many
+    /// times.
+    pub fn analyze_amd(a: &Csc) -> Result<LdlSymbolic, SparseError> {
+        let ordering = Ordering::amd(a);
         Self::analyze(a, ordering)
     }
 
@@ -379,30 +456,79 @@ impl LdlSymbolic {
         &self.parent
     }
 
-    fn permuted_signs(&self, opts: &LdlOptions) -> Result<Vec<i8>, SparseError> {
-        if opts.expected_signs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if opts.expected_signs.len() != self.n {
+    /// Validate the value slice and the expected-sign vector against the
+    /// analyzed dimension (the checks every refactorization entry shares).
+    fn check_inputs(&self, values: &[f64], opts: &LdlOptions) -> Result<(), SparseError> {
+        self.check_values_len(values)?;
+        if !opts.expected_signs.is_empty() && opts.expected_signs.len() != self.n {
             return Err(SparseError::Shape(format!(
                 "expected_signs has length {}, expected {}",
                 opts.expected_signs.len(),
                 self.n
             )));
         }
-        Ok(self
-            .ordering
-            .perm
-            .iter()
-            .map(|&old| opts.expected_signs[old])
-            .collect())
+        Ok(())
+    }
+
+    /// Commit row `j` of a replay: its staged `L` values go to their
+    /// precomputed slots and its raw pivot `dj` is regularized exactly as the
+    /// fresh factorization does (`expected_signs` is in original order, so it
+    /// is read through the permutation). Fails on a pivot that stays zero.
+    fn commit_row(
+        &self,
+        j: usize,
+        dj: f64,
+        staged: &[f64],
+        opts: &LdlOptions,
+        factor: &mut Numeric,
+    ) -> Result<(), SparseError> {
+        let steps = self.rp_ptr[j]..self.rp_ptr[j + 1];
+        for (&slot, &v) in self.rp_slot[steps].iter().zip(staged) {
+            factor.lvalues[slot] = v;
+        }
+        let expected = match opts.expected_signs.is_empty() {
+            true => 0,
+            false => opts.expected_signs[self.ordering.perm[j]],
+        };
+        let dj_reg = crate::ldl::regularize_pivot(dj, expected, opts);
+        if dj_reg == 0.0 {
+            return Err(SparseError::Breakdown {
+                column: j,
+                pivot: dj,
+            });
+        }
+        factor.num_regularized += usize::from(dj_reg != dj);
+        factor.d[j] = dj_reg;
+        Ok(())
+    }
+
+    fn zeroed_numeric(&self) -> Numeric {
+        Numeric {
+            lvalues: vec![0.0; self.lrowind.len()],
+            d: vec![0.0; self.n],
+            num_regularized: 0,
+        }
+    }
+
+    fn assemble_factor(&self, numeric: Numeric) -> LdlFactor {
+        LdlFactor::from_parts(
+            self.n,
+            Arc::clone(&self.lcolptr),
+            Arc::clone(&self.lrowind),
+            numeric.lvalues,
+            numeric.d,
+            Arc::clone(&self.ordering),
+            numeric.num_regularized,
+        )
     }
 
     /// Replay the numeric factorization of row `j` against the frozen
     /// pattern. Reads `lvalues`/`d` only at positions owned by strictly
-    /// earlier rows; emits this row's `L` entries into `writes` and returns
-    /// the raw (pre-regularization) pivot. The arithmetic sequence is
-    /// identical to [`LdlFactor::factorize_with`]'s inner loop.
+    /// earlier rows; writes this row's `L` values into `out` in replay order
+    /// (`out[k]` is the entry of column `rp_idx[rp_ptr[j] + k]`) and returns
+    /// the raw (pre-regularization) pivot. `y` must come in all-zero and is
+    /// left all-zero. The arithmetic sequence is identical to
+    /// [`LdlFactor::factorize_with`]'s inner loop.
     fn replay_row(
         &self,
         j: usize,
@@ -410,28 +536,27 @@ impl LdlSymbolic {
         lvalues: &[f64],
         d: &[f64],
         y: &mut [f64],
-        writes: &mut Vec<(usize, f64)>,
+        out: &mut [f64],
     ) -> f64 {
         for p in self.au_colptr[j]..self.au_colptr[j + 1] {
             y[self.au_rowind[p]] += values[self.aval_map[p]];
         }
         let mut dj = y[j];
         y[j] = 0.0;
-        for &i in &self.rp_idx[self.rp_ptr[j]..self.rp_ptr[j + 1]] {
+        let steps = self.rp_ptr[j]..self.rp_ptr[j + 1];
+        for (k, lji_out) in steps.zip(out) {
+            let i = self.rp_idx[k];
             let yi = y[i];
             y[i] = 0.0;
-            let p_start = self.lcolptr[i];
-            let p_stop = self.lcolptr[i + 1];
             // Entries of column i below row j: the fresh factorization has
-            // appended exactly the rows < j at this point, which is a prefix
-            // of the frozen (ascending) row list.
-            let p_end = p_start + self.lrowind[p_start..p_stop].partition_point(|&r| r < j);
-            for p in p_start..p_end {
+            // appended exactly the rows < j at this point, a prefix of the
+            // frozen (ascending) row list that ends at this step's slot.
+            for p in self.lcolptr[i]..self.rp_slot[k] {
                 y[self.lrowind[p]] -= lvalues[p] * yi;
             }
             let lji = yi / d[i];
             dj -= lji * yi;
-            writes.push((p_end, lji));
+            *lji_out = lji;
         }
         dj
     }
@@ -453,7 +578,7 @@ impl LdlSymbolic {
         lvalues: &[f64],
         d: &[f64],
         y: &mut [f64],
-        writes: &mut Vec<(usize, f64)>,
+        out: &mut [f64],
     ) -> f64 {
         for p in self.au_colptr[j]..self.au_colptr[j + 1] {
             y[self.au_rowind[p]] += values[self.aval_map[p]];
@@ -463,25 +588,20 @@ impl LdlSymbolic {
         let lcolptr: &[usize] = &self.lcolptr;
         let lrowind: &[usize] = &self.lrowind;
         let mut yc = [0.0f64; SUPERNODE_MAX_WIDTH];
+        let mut out = out.iter_mut();
         for s in self.seg_ptr[j]..self.seg_ptr[j + 1] {
             let c = self.seg_col[s];
             let w = self.seg_len[s];
             let s_end = self.sn_end_of_col[c];
             // Shared below-block rows of this supernode that precede row j:
             // the row set is identical for every column of the supernode, so
-            // one partition_point (on the segment's first column) serves all
-            // `w` columns — the scalar replay pays one per column.
-            let t = if j >= s_end {
-                let com0 = lcolptr[c] + (s_end - 1 - c);
-                lrowind[com0..lcolptr[c + 1]].partition_point(|&r| r < j)
-            } else {
-                0
-            };
+            // one count serves all `w` columns.
+            let t = self.seg_t[s];
             // Phase 1: per-column intra-supernode updates, pivot contribution
-            // and the L write — in scalar column order, so a later segment
+            // and the L value — in scalar column order, so a later segment
             // column's `y` sees the earlier columns' updates exactly as the
             // scalar replay computes them.
-            for (q, yq) in yc[..w].iter_mut().enumerate() {
+            for ((q, yq), lji_out) in yc[..w].iter_mut().enumerate().zip(&mut out) {
                 let i = c + q;
                 let yi = y[i];
                 y[i] = 0.0;
@@ -493,7 +613,7 @@ impl LdlSymbolic {
                 }
                 let lji = yi / d[i];
                 dj -= lji * yi;
-                writes.push((p_start + lead + t, lji));
+                *lji_out = lji;
             }
             // Phase 2: dense rank-`w` update of the shared rows. One pattern
             // lookup and one `y[r]` load/store per target row for the whole
@@ -515,47 +635,39 @@ impl LdlSymbolic {
         dj
     }
 
+    /// The host refactorization both public entries share: rows in
+    /// ascending order, each replayed into `staged` and committed before the
+    /// next row reads it.
+    fn refactor_host(
+        &self,
+        values: &[f64],
+        opts: &LdlOptions,
+        supernodal: bool,
+    ) -> Result<LdlFactor, SparseError> {
+        self.check_inputs(values, opts)?;
+        let mut factor = self.zeroed_numeric();
+        let mut y = vec![0.0f64; self.n];
+        // Row j reaches at most the j columns before it.
+        let mut staged = vec![0.0f64; self.n];
+        for j in 0..self.n {
+            let out = &mut staged[..self.rp_ptr[j + 1] - self.rp_ptr[j]];
+            let (lvalues, d) = (&factor.lvalues, &factor.d);
+            let dj = if supernodal {
+                self.replay_row_supernodal(j, values, lvalues, d, &mut y, out)
+            } else {
+                self.replay_row(j, values, lvalues, d, &mut y, out)
+            };
+            self.commit_row(j, dj, out, opts, &mut factor)?;
+        }
+        Ok(self.assemble_factor(factor))
+    }
+
     /// Numeric-only refactorization from a value slice aligned with the
     /// analyzed pattern (entry `k` of `values` is the value of the analyzed
     /// matrix's `k`-th stored entry). Bitwise identical to a fresh
     /// [`LdlFactor::factorize_with`] with the same ordering and options.
     pub fn refactor(&self, values: &[f64], opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
-        self.check_values_len(values)?;
-        let signs = self.permuted_signs(opts)?;
-        let n = self.n;
-        let mut lvalues = vec![0.0f64; self.lrowind.len()];
-        let mut d = vec![0.0f64; n];
-        let mut y = vec![0.0f64; n];
-        let mut writes = Vec::new();
-        let mut num_regularized = 0usize;
-        for j in 0..n {
-            writes.clear();
-            let dj = self.replay_row(j, values, &lvalues, &d, &mut y, &mut writes);
-            for &(slot, v) in &writes {
-                lvalues[slot] = v;
-            }
-            let expected = signs.get(j).copied().unwrap_or(0);
-            let dj_reg = crate::ldl::regularize_pivot(dj, expected, opts);
-            if dj_reg != dj {
-                num_regularized += 1;
-            }
-            if dj_reg == 0.0 {
-                return Err(SparseError::Breakdown {
-                    column: j,
-                    pivot: dj,
-                });
-            }
-            d[j] = dj_reg;
-        }
-        Ok(LdlFactor::from_parts(
-            n,
-            Arc::clone(&self.lcolptr),
-            Arc::clone(&self.lrowind),
-            lvalues,
-            d,
-            Arc::clone(&self.ordering),
-            num_regularized,
-        ))
+        self.refactor_host(values, opts, false)
     }
 
     /// Supernodal numeric refactorization on the host: the same frozen
@@ -571,42 +683,31 @@ impl LdlSymbolic {
         values: &[f64],
         opts: &LdlOptions,
     ) -> Result<LdlFactor, SparseError> {
-        self.check_values_len(values)?;
-        let signs = self.permuted_signs(opts)?;
-        let n = self.n;
-        let mut lvalues = vec![0.0f64; self.lrowind.len()];
-        let mut d = vec![0.0f64; n];
-        let mut y = vec![0.0f64; n];
-        let mut writes = Vec::new();
-        let mut num_regularized = 0usize;
-        for j in 0..n {
-            writes.clear();
-            let dj = self.replay_row_supernodal(j, values, &lvalues, &d, &mut y, &mut writes);
-            for &(slot, v) in &writes {
-                lvalues[slot] = v;
-            }
-            let expected = signs.get(j).copied().unwrap_or(0);
-            let dj_reg = crate::ldl::regularize_pivot(dj, expected, opts);
-            if dj_reg != dj {
-                num_regularized += 1;
-            }
-            if dj_reg == 0.0 {
-                return Err(SparseError::Breakdown {
-                    column: j,
-                    pivot: dj,
-                });
-            }
-            d[j] = dj_reg;
+        self.refactor_host(values, opts, true)
+    }
+
+    /// Build the level-launch workspace: the row tasks of every level are
+    /// uploaded once (the only transfer a refactorization ever bills).
+    fn build_workspace(&self, device: &Device) -> Workspace {
+        let levels = self
+            .level_ptr
+            .windows(2)
+            .map(|l| {
+                let tasks: Vec<RowTask> = self.level_idx[l[0]..l[1]]
+                    .iter()
+                    .map(|&j| RowTask {
+                        j,
+                        raw_pivot: 0.0,
+                        staged: vec![0.0; self.rp_ptr[j + 1] - self.rp_ptr[j]],
+                    })
+                    .collect();
+                DeviceBuffer::from_host(Arc::clone(device.stats()), &tasks)
+            })
+            .collect();
+        Workspace {
+            levels,
+            scratch: (0..SCRATCH_SLOTS).map(|_| Mutex::default()).collect(),
         }
-        Ok(LdlFactor::from_parts(
-            n,
-            Arc::clone(&self.lcolptr),
-            Arc::clone(&self.lrowind),
-            lvalues,
-            d,
-            Arc::clone(&self.ordering),
-            num_regularized,
-        ))
     }
 
     /// Numeric-only refactorization with the per-row column updates launched
@@ -619,88 +720,50 @@ impl LdlSymbolic {
     /// own disjoint subtrees, so their reads all resolve to earlier levels
     /// and their writes never alias, and the supernodal replay itself is
     /// bitwise identical to the scalar one.
+    ///
+    /// The row tasks, their staged values and the `y` scratch live in a
+    /// workspace this analysis builds on the first call and reuses
+    /// afterwards: a steady-state call allocates the returned factor's two
+    /// value vectors and nothing else. Concurrent calls on one analysis
+    /// serialize on that workspace.
     pub fn refactor_on(
         &self,
         device: &Device,
         values: &[f64],
         opts: &LdlOptions,
     ) -> Result<LdlFactor, SparseError> {
-        self.check_values_len(values)?;
-        let signs = self.permuted_signs(opts)?;
+        self.check_inputs(values, opts)?;
         let n = self.n;
-        let mut lvalues = vec![0.0f64; self.lrowind.len()];
-        let mut d = vec![0.0f64; n];
-        let mut num_regularized = 0usize;
-        // Scratch vectors are recycled through a pool so a wide level does
-        // not allocate O(n) per row beyond its actual concurrency. Every
-        // replay consumes the entries it scatters, returning the vector to
-        // the pool all-zero.
-        let scratch: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
-        for l in 0..self.num_levels() {
-            let rows = &self.level_idx[self.level_ptr[l]..self.level_ptr[l + 1]];
-            let tasks: Vec<RowTask> = rows
-                .iter()
-                .map(|&j| RowTask {
-                    j,
-                    writes: Vec::with_capacity(self.rp_ptr[j + 1] - self.rp_ptr[j]),
-                    ..RowTask::default()
-                })
-                .collect();
-            let mut buf = DeviceBuffer::from_host(Arc::clone(device.stats()), &tasks);
-            {
-                let lvalues_ref: &[f64] = &lvalues;
-                let d_ref: &[f64] = &d;
-                device.launch_blocks("ldl_refactor_level", &mut buf, |_, task: &mut RowTask| {
-                    // Drop the pool guard before the O(n) zero-fill so
-                    // first-time allocations of concurrent workers don't
-                    // serialize on the lock.
-                    let popped = scratch.lock().pop();
-                    let mut y = popped.unwrap_or_else(|| vec![0.0f64; self.n]);
-                    let dj = self.replay_row_supernodal(
-                        task.j,
-                        values,
-                        lvalues_ref,
-                        d_ref,
-                        &mut y,
-                        &mut task.writes,
-                    );
-                    scratch.lock().push(y);
-                    task.raw_pivot = dj;
-                    let expected = signs.get(task.j).copied().unwrap_or(0);
-                    let dj_reg = crate::ldl::regularize_pivot(dj, expected, opts);
-                    task.regularized = dj_reg != dj;
-                    task.breakdown = dj_reg == 0.0;
-                    task.dj = dj_reg;
-                });
-            }
+        let mut factor = self.zeroed_numeric();
+        let mut guard = self.workspace.0.lock();
+        let Workspace { levels, scratch } =
+            guard.get_or_insert_with(|| self.build_workspace(device));
+        let scratch: &[Mutex<Vec<f64>>] = scratch;
+        for level in levels {
+            let (lvalues, d) = (&factor.lvalues, &factor.d);
+            device.launch_blocks("ldl_refactor_level", level, |_, task: &mut RowTask| {
+                let mut y = scratch
+                    .iter()
+                    .find_map(Mutex::try_lock)
+                    .unwrap_or_else(|| scratch[scratch.len() - 1].lock());
+                y.resize(n, 0.0);
+                task.raw_pivot = self.replay_row_supernodal(
+                    task.j,
+                    values,
+                    lvalues,
+                    d,
+                    &mut y,
+                    &mut task.staged,
+                );
+            });
             // Commit the level in ascending row order (the level schedule
             // stores rows ascending), so regularization counts and the
             // breakdown column are schedule-independent.
-            for task in buf.to_host() {
-                if task.breakdown {
-                    return Err(SparseError::Breakdown {
-                        column: task.j,
-                        pivot: task.raw_pivot,
-                    });
-                }
-                for (slot, v) in task.writes {
-                    lvalues[slot] = v;
-                }
-                d[task.j] = task.dj;
-                if task.regularized {
-                    num_regularized += 1;
-                }
+            for task in level.as_slice() {
+                self.commit_row(task.j, task.raw_pivot, &task.staged, opts, &mut factor)?;
             }
         }
-        Ok(LdlFactor::from_parts(
-            n,
-            Arc::clone(&self.lcolptr),
-            Arc::clone(&self.lrowind),
-            lvalues,
-            d,
-            Arc::clone(&self.ordering),
-            num_regularized,
-        ))
+        Ok(self.assemble_factor(factor))
     }
 
     /// Refactorize from a whole matrix, validating that its pattern matches

@@ -52,7 +52,7 @@ pub mod prelude {
     };
     pub use gridsim_ipm::{
         AcopfNlp, FleetReport, IpmFleetSolver, IpmOptions, IpmSolver, IpmWarmStart, KktCache,
-        KktStrategy,
+        KktStrategy, SymbolicStats,
     };
     pub use gridsim_screen::{
         Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig, FunnelReport,

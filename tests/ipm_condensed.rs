@@ -69,6 +69,20 @@ fn condensed_agrees_with_full_on_case9() {
     assert!(micro.dim < nlp.num_vars() + 2 * nlp.num_ineq() + nlp.num_eq());
     assert!((1..=micro.dim).contains(&micro.supernodes));
     assert!(micro.max_supernode_width >= 1);
+    // The cache describes the system it froze, and the micro-benchmark ran
+    // on that system.
+    let stats = cache.symbolic_stats().expect("a condensed solve analyzed");
+    assert_eq!(stats.dim, nlp.num_vars() + nlp.num_eq());
+    assert_eq!(
+        (stats.dim, stats.supernodes, stats.max_supernode_width),
+        (micro.dim, micro.supernodes, micro.max_supernode_width)
+    );
+    assert!(
+        stats.lnz >= (stats.nnz - stats.dim) / 2,
+        "L holds at least A's lower triangle"
+    );
+    assert!((1..=stats.dim).contains(&stats.levels));
+    assert!(KktCache::new().symbolic_stats().is_none());
 }
 
 #[test]
