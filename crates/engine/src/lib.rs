@@ -151,11 +151,6 @@ impl Engine {
         &self.pool
     }
 
-    /// The configured lane cap, if any.
-    pub fn lanes_per_device(&self) -> Option<usize> {
-        self.lanes_per_device
-    }
-
     /// Total lanes this engine opens for a run over `num_scenarios`
     /// scenarios ([`plan::total_lanes`] over this engine's configuration).
     pub fn total_lanes(&self, num_scenarios: usize) -> usize {

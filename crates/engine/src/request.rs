@@ -76,7 +76,8 @@ pub struct FleetRequest<'a, P> {
     pub store: StoreAccess<'a, P>,
     /// Execution-mode override for this run: the fleet's devices are
     /// rebuilt on this backend (same device count and lane policy). `None`
-    /// keeps the fleet's configured pool.
+    /// keeps the fleet's configured pool. The IPM family launches nothing
+    /// and ignores it.
     pub mode: Option<ExecutionMode>,
 }
 

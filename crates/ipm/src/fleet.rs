@@ -36,7 +36,7 @@ use crate::report::SolveReport;
 use crate::solver::{IpmOptions, IpmSolver};
 use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_batch::{Device, DeviceConfig, DevicePool};
+use gridsim_batch::Device;
 use gridsim_engine::{Engine, FleetRequest, LaneSolver, StoreAccess};
 use gridsim_grid::fingerprint::ScenarioFingerprint;
 use gridsim_grid::network::Network;
@@ -238,30 +238,19 @@ impl IpmFleetSolver {
     /// bitwise. A [`StoreAccess::Snapshot`] binding does the lookup side
     /// only: nothing is committed, the caller owns the write side.
     ///
-    /// A [`FleetRequest::mode`] override rebuilds this fleet's devices on
-    /// the requested backend (same device count and lane cap) for this run.
+    /// A [`FleetRequest::mode`] override is ignored: an IPM lane runs on
+    /// the host and only bills its factorizations to its device's statistics
+    /// stream, so the launch backend changes neither a result nor its cost.
     pub fn run(&self, request: FleetRequest<'_, IpmWarmStart>) -> FleetReport {
         let nets = request.nets;
         assert!(!nets.is_empty(), "need at least one scenario");
-        let engine = match request.mode {
-            Some(mode) => {
-                let pool = DevicePool::new(self.engine.pool().len(), DeviceConfig::with_mode(mode));
-                let mut e = Engine::with_pool(pool);
-                if let Some(lanes) = self.engine.lanes_per_device() {
-                    e = e.with_lanes(lanes);
-                }
-                e
-            }
-            None => self.engine.clone(),
-        };
         let case_id = request.store_case_id();
         match request.store {
-            StoreAccess::None => self.execute(&engine, nets, None),
+            StoreAccess::None => self.execute(nets, None),
             StoreAccess::Snapshot(view) => {
                 let fps: Vec<ScenarioFingerprint> =
                     nets.iter().map(ScenarioFingerprint::of_network).collect();
                 self.execute(
-                    &engine,
                     nets,
                     Some((case_id.expect("store_case_id checked"), view, &fps)),
                 )
@@ -271,7 +260,7 @@ impl IpmFleetSolver {
                 let fps: Vec<ScenarioFingerprint> =
                     nets.iter().map(ScenarioFingerprint::of_network).collect();
                 let view = store.view();
-                let mut report = self.execute(&engine, nets, Some((case_id, &view, &fps)));
+                let mut report = self.execute(nets, Some((case_id, &view, &fps)));
                 // Commit converged solves back in input order: deterministic
                 // store contents regardless of which device solved what when.
                 for (fp, r) in fps.iter().zip(&report.results) {
@@ -289,7 +278,6 @@ impl IpmFleetSolver {
     /// frozen view when present. Commits nothing.
     fn execute(
         &self,
-        engine: &Engine,
         nets: &[Network],
         binding: Option<(&str, &StoreView<IpmWarmStart>, &[ScenarioFingerprint])>,
     ) -> FleetReport {
@@ -305,7 +293,7 @@ impl IpmFleetSolver {
             }),
             lane_symbolic: Mutex::default(),
         };
-        let run = engine.run(&fleet, nets.len());
+        let run = self.engine.run(&fleet, nets.len());
         let store = fleet
             .store
             .as_ref()
@@ -318,7 +306,7 @@ impl IpmFleetSolver {
             results: run.outputs,
             solve_time: run.solve_time,
             ticks: run.ticks,
-            lanes: engine.total_lanes(nets.len()),
+            lanes: self.engine.total_lanes(nets.len()),
             store,
             lane_symbolic: fleet
                 .lane_symbolic

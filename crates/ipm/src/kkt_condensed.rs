@@ -40,20 +40,23 @@
 //! the system is quasi-definite, so any symmetric permutation factorizes
 //! without pivoting and the ordering is free to minimise fill) — and every
 //! Newton step runs a numeric-only
-//! [`gridsim_sparse::LdlSymbolic::refactor_on`] whose per-row column
-//! updates fan out through [`gridsim_batch::Device::launch_blocks`] from a
-//! workspace the analysis owns. [`KktCache::symbolic_stats`] reports what
-//! was frozen. Warm-started re-solves of the
-//! same network (rolling-horizon tracking) reuse the same cache across
-//! periods, so a whole trajectory costs one symbolic analysis. If an
-//! iteration ever produces a coordinate outside the frozen pattern (the
-//! model callbacks prune numerically-zero triplets, so the pattern can grow
-//! when a multiplier leaves zero), the cache rebuilds the union pattern and
-//! counts another analysis — correctness never depends on the probe being
-//! complete.
+//! [`gridsim_sparse::LdlSymbolic::refactor_supernodal`] on the host, as the
+//! paper's interior-point baseline does. Each refactorization is billed to
+//! the solver's [`gridsim_batch::DeviceStats`] stream as one launch of the
+//! kernel `ldl_refactor_level` (blocks = rows, elapsed = the replay alone),
+//! so a traced run still splits an IPM iteration into its factorization and
+//! the model evaluation, assembly and triangular solves around it.
+//! [`KktCache::symbolic_stats`] reports what was frozen. Warm-started
+//! re-solves of the same network (rolling-horizon tracking) reuse the same
+//! cache across periods, so a whole trajectory costs one symbolic analysis.
+//! If an iteration ever produces a coordinate outside the frozen pattern
+//! (the model callbacks prune numerically-zero triplets, so the pattern can
+//! grow when a multiplier leaves zero), the cache rebuilds the union pattern
+//! and counts another analysis — correctness never depends on the probe
+//! being complete.
 
 use crate::kkt::KktDims;
-use gridsim_batch::Device;
+use gridsim_batch::DeviceStats;
 use gridsim_sparse::{Coo, Csc, LdlFactor, LdlOptions, LdlSymbolic, SparseError};
 
 /// Which linear-algebra path each Newton step takes.
@@ -66,22 +69,8 @@ pub enum KktStrategy {
     Full,
     /// Eliminate the slack and inequality-dual blocks to the condensed
     /// quasi-definite system and solve it with frozen-pattern numeric
-    /// refactorization on the batch device.
+    /// refactorization.
     Condensed,
-}
-
-/// Outcome of one condensed factorize-and-solve attempt.
-#[derive(Debug, Clone)]
-pub struct CondensedStep {
-    /// Newton step in the full layout `[Δx; Δs; Δλ_E; Δλ_I]` (identical to
-    /// the full-KKT solution layout).
-    pub step: Vec<f64>,
-    /// Inertia `(positive, negative, zero)` of the condensed matrix. The
-    /// expected inertia is `(nx, m_eq, 0)`; the eliminated blocks contribute
-    /// a fixed `(m_ineq, m_ineq)` on top of it in the full system.
-    pub inertia: (usize, usize, usize),
-    /// Pivots the regularized LDLᵀ had to bump.
-    pub num_regularized: usize,
 }
 
 /// A factorized condensed system whose triangular solve has not run yet, so
@@ -195,7 +184,8 @@ pub struct SymbolicStats {
     pub nnz: usize,
     /// Strictly-lower-triangular nonzeros of the frozen `L`.
     pub lnz: usize,
-    /// Elimination-tree levels (launches per refactorization).
+    /// Elimination-tree height: the longest chain of rows a
+    /// refactorization must replay one after another.
     pub levels: usize,
     /// Supernodes the frozen `L` partitions into.
     pub supernodes: usize,
@@ -364,11 +354,13 @@ impl KktCache {
 
     /// Factorize the condensed system for the given iteration data. The
     /// triangular solve is deferred to [`CondensedFactor::solve`] so an
-    /// inertia rejection costs only the (numeric-only) refactorization.
+    /// inertia rejection costs only the (numeric-only) refactorization,
+    /// which `stats` is billed for as one `ldl_refactor_level` launch over
+    /// `nx + m_eq` blocks, whether or not it breaks down.
     #[allow(clippy::too_many_arguments)]
     pub fn factorize_condensed(
         &mut self,
-        device: &Device,
+        stats: &DeviceStats,
         dims: &KktDims,
         hess: &Coo,
         sigma: &[f64],
@@ -416,11 +408,13 @@ impl KktCache {
         };
         let s = self.structure.as_mut().expect("structure ensured above");
 
-        // Numeric-only refactorization over the frozen pattern, with the
-        // per-row updates fanned out through the batch device.
+        // Numeric-only refactorization over the frozen pattern.
         s.opts.pivot_tol = pivot_tol;
         s.opts.pivot_reg = pivot_reg;
-        let factor = s.ldl.refactor_on(device, &vals, &s.opts)?;
+        let start = std::time::Instant::now();
+        let factor = s.ldl.refactor_supernodal(&vals, &s.opts);
+        stats.record_launch("ldl_refactor_level", s.ncond as u64, start.elapsed());
+        let factor = factor?;
         self.numeric_refactorizations += 1;
         self.last_numeric = Some(vals);
         let inertia = factor.inertia();
@@ -433,35 +427,6 @@ impl KktCache {
             delta_cc,
             inertia,
             num_regularized,
-        })
-    }
-
-    /// One-shot convenience: factorize the condensed system and solve for
-    /// the full-layout Newton step. `rhs` is the full augmented right-hand
-    /// side `[b_x; b_s; b_E; b_I]` exactly as assembled for the full-KKT
-    /// path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_condensed(
-        &mut self,
-        device: &Device,
-        dims: &KktDims,
-        hess: &Coo,
-        sigma: &[f64],
-        jac_eq: &Coo,
-        jac_ineq: &Coo,
-        delta_w: f64,
-        delta_c: f64,
-        rhs: &[f64],
-        pivot_tol: f64,
-        pivot_reg: f64,
-    ) -> Result<CondensedStep, SparseError> {
-        let factor = self.factorize_condensed(
-            device, dims, hess, sigma, jac_eq, jac_ineq, delta_w, delta_c, pivot_tol, pivot_reg,
-        )?;
-        Ok(CondensedStep {
-            step: factor.solve(jac_ineq, rhs),
-            inertia: factor.inertia,
-            num_regularized: factor.num_regularized,
         })
     }
 
@@ -519,9 +484,7 @@ impl KktCache {
     /// Time the scalar vs supernodal numeric replay on the most recently
     /// factorized condensed system, `repeats` refactorizations each, and
     /// verify the two produce bit-identical factors. Returns `None` before
-    /// the first factorization. Host-side timing by design: it isolates the
-    /// replay kernels from the launch fan-out so the recorded delta is the
-    /// supernodal grouping itself.
+    /// the first factorization.
     pub fn refactor_microbench(&self, repeats: usize) -> Option<RefactorMicrobench> {
         let s = self.structure.as_ref()?;
         let vals = self.last_numeric.as_ref()?;
@@ -628,7 +591,7 @@ fn group_by_row(a: &Coo, nrows: usize) -> Vec<Vec<(usize, f64)>> {
 mod tests {
     use super::*;
     use crate::kkt::assemble_kkt;
-    use gridsim_sparse::LdlFactor;
+    use gridsim_batch::Device;
 
     /// A small slacked problem: nx = 3, one equality, two inequalities.
     fn small_dims() -> KktDims {
@@ -659,6 +622,38 @@ mod tests {
         (hess, sigma, jac_eq, jac_ineq)
     }
 
+    /// Factorize with the solver's pivot thresholds and solve for the
+    /// full-layout Newton step.
+    #[allow(clippy::too_many_arguments)]
+    fn newton_step(
+        cache: &mut KktCache,
+        dims: &KktDims,
+        hess: &Coo,
+        sigma: &[f64],
+        jac_eq: &Coo,
+        jac_ineq: &Coo,
+        delta_w: f64,
+        delta_c: f64,
+        rhs: &[f64],
+    ) -> (CondensedFactor, Vec<f64>) {
+        let factor = cache
+            .factorize_condensed(
+                &DeviceStats::default(),
+                dims,
+                hess,
+                sigma,
+                jac_eq,
+                jac_ineq,
+                delta_w,
+                delta_c,
+                1e-13,
+                1e-9,
+            )
+            .unwrap();
+        let step = factor.solve(jac_ineq, rhs);
+        (factor, step)
+    }
+
     #[test]
     fn condensed_step_matches_full_kkt_solve() {
         let dims = small_dims();
@@ -675,23 +670,11 @@ mod tests {
         let full = LdlFactor::factorize_rcm(&kkt, &opts).unwrap().solve(&rhs);
 
         let mut cache = KktCache::new();
-        let cond = cache
-            .solve_condensed(
-                &Device::parallel(),
-                &dims,
-                &hess,
-                &sigma,
-                &jac_eq,
-                &jac_ineq,
-                delta_w,
-                delta_c,
-                &rhs,
-                1e-13,
-                1e-9,
-            )
-            .unwrap();
+        let (cond, step) = newton_step(
+            &mut cache, &dims, &hess, &sigma, &jac_eq, &jac_ineq, delta_w, delta_c, &rhs,
+        );
         let scale = full.iter().map(|v| v.abs()).fold(1.0, f64::max);
-        for (a, b) in full.iter().zip(&cond.step) {
+        for (a, b) in full.iter().zip(&step) {
             assert!(
                 (a - b).abs() < 1e-9 * scale,
                 "full {a} vs condensed {b} (scale {scale})"
@@ -704,59 +687,17 @@ mod tests {
         assert_eq!(cache.numeric_refactorizations(), 1);
     }
 
-    /// The condensed path is bitwise identical across every launch
-    /// backend: the device-side product assembly and level-scheduled
-    /// refactorization must not depend on the iteration scheme.
-    #[test]
-    fn condensed_step_is_bitwise_identical_across_backends() {
-        let dims = small_dims();
-        let (hess, sigma, jac_eq, jac_ineq) = small_problem();
-        let rhs: Vec<f64> = (0..dims.dim()).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut cache = KktCache::new();
-        let reference = cache
-            .solve_condensed(
-                &Device::sequential(),
-                &dims,
-                &hess,
-                &sigma,
-                &jac_eq,
-                &jac_ineq,
-                1e-6,
-                1e-8,
-                &rhs,
-                1e-13,
-                1e-9,
-            )
-            .unwrap();
-        for dev in [Device::parallel(), Device::vectorized()] {
-            let mut cache = KktCache::new();
-            let cond = cache
-                .solve_condensed(
-                    &dev, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 1e-6, 1e-8, &rhs, 1e-13, 1e-9,
-                )
-                .unwrap();
-            for (a, b) in reference.step.iter().zip(&cond.step) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{} diverged", dev.backend());
-            }
-            assert_eq!(cond.inertia, reference.inertia);
-        }
-    }
-
     #[test]
     fn repeated_solves_reuse_one_symbolic_analysis() {
         let dims = small_dims();
         let (hess, sigma, jac_eq, jac_ineq) = small_problem();
         let mut cache = KktCache::new();
-        let device = Device::sequential();
         let rhs = vec![1.0; dims.dim()];
         for k in 0..5 {
             let delta_w = 1e-8 * (k as f64 + 1.0);
-            cache
-                .solve_condensed(
-                    &device, &dims, &hess, &sigma, &jac_eq, &jac_ineq, delta_w, 1e-8, &rhs, 1e-13,
-                    1e-9,
-                )
-                .unwrap();
+            newton_step(
+                &mut cache, &dims, &hess, &sigma, &jac_eq, &jac_ineq, delta_w, 1e-8, &rhs,
+            );
         }
         assert_eq!(cache.symbolic_analyses(), 1);
         assert_eq!(cache.numeric_refactorizations(), 5);
@@ -767,7 +708,6 @@ mod tests {
         let dims = small_dims();
         let (hess, sigma, jac_eq, jac_ineq) = small_problem();
         let mut cache = KktCache::new();
-        let device = Device::sequential();
         let rhs = vec![1.0; dims.dim()];
         // Seed the structure from a pruned Hessian (as a cold start with zero
         // multipliers would produce).
@@ -775,11 +715,9 @@ mod tests {
         pruned.push(0, 0, 4.0);
         pruned.push(1, 1, 3.0);
         pruned.push(2, 2, 5.0);
-        cache
-            .solve_condensed(
-                &device, &dims, &pruned, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs, 1e-13, 1e-9,
-            )
-            .unwrap();
+        newton_step(
+            &mut cache, &dims, &pruned, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
+        );
         assert_eq!(cache.symbolic_analyses(), 1);
         // A Hessian coupling no inequality row shares — (0,2)/(2,0) — grows
         // the pattern: one rebuild. (The (0,1) coupling of the standard
@@ -787,18 +725,14 @@ mod tests {
         let mut hess = hess;
         hess.push(0, 2, 0.25);
         hess.push(2, 0, 0.25);
-        cache
-            .solve_condensed(
-                &device, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs, 1e-13, 1e-9,
-            )
-            .unwrap();
+        newton_step(
+            &mut cache, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
+        );
         assert_eq!(cache.symbolic_analyses(), 2);
         // And the union pattern keeps covering the pruned shape afterwards.
-        cache
-            .solve_condensed(
-                &device, &dims, &pruned, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs, 1e-13, 1e-9,
-            )
-            .unwrap();
+        newton_step(
+            &mut cache, &dims, &pruned, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
+        );
         assert_eq!(cache.symbolic_analyses(), 2);
     }
 
@@ -833,39 +767,28 @@ mod tests {
         };
         let full = LdlFactor::factorize_rcm(&kkt, &opts).unwrap().solve(&rhs);
         let mut cache = KktCache::new();
-        let cond = cache
-            .solve_condensed(
-                &Device::sequential(),
-                &dims,
-                &hess,
-                &sigma,
-                &jac_eq,
-                &jac_ineq,
-                0.0,
-                1e-8,
-                &rhs,
-                1e-13,
-                1e-9,
-            )
-            .unwrap();
-        for (a, b) in full.iter().zip(&cond.step) {
+        let (_, step) = newton_step(
+            &mut cache, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
+        );
+        for (a, b) in full.iter().zip(&step) {
             assert!((a - b).abs() < 1e-9, "full {a} vs condensed {b}");
         }
     }
 
     /// A zero pivot with regularization off breaks the factorization down
-    /// mid-way through the reused level workspace. The failure must leave no
-    /// trace: counters and the retained values stay as they were, and the
-    /// next good system factorizes to the bits a fresh cache produces.
+    /// mid-replay. The failure must leave no trace: counters and the retained
+    /// values stay as they were, and the next good system factorizes to the
+    /// bits a fresh cache produces. The broken replay is billed like any
+    /// other.
     #[test]
     fn breakdown_leaves_no_trace_in_the_cache() {
         let dims = small_dims();
         let (hess, sigma, jac_eq, jac_ineq) = small_problem();
-        let device = Device::sequential();
+        let stats = DeviceStats::default();
         let good = |cache: &mut KktCache| {
             cache
                 .factorize_condensed(
-                    &device, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 1e-6, 1e-8, 1e-13, 1e-9,
+                    &stats, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 1e-6, 1e-8, 1e-13, 1e-9,
                 )
                 .unwrap()
         };
@@ -881,7 +804,7 @@ mod tests {
             z
         };
         let broke = cache.factorize_condensed(
-            &device,
+            &stats,
             &dims,
             &zeroed(&hess),
             &vec![0.0; sigma.len()],
@@ -905,6 +828,7 @@ mod tests {
         assert_eq!(factor_bits(&after.factor), factor_bits(&before.factor));
         assert_eq!(factor_bits(&after.factor), factor_bits(&fresh.factor));
         assert_eq!(cache.numeric_refactorizations(), 2);
+        assert_eq!(stats.snapshot().total_launches(), 4);
     }
 
     /// A cache holding `net`'s condensed ACOPF structure, probed with unit
@@ -955,32 +879,68 @@ mod tests {
         }
     }
 
-    /// The bitwise contract on the real thing: the condensed values of the
-    /// last Newton step of a `case14` solve, under the production (AMD)
-    /// analysis — fresh factorization ≡ scalar replay ≡ supernodal replay ≡
-    /// the level launch on every backend.
+    /// The bitwise contract on the real thing: the condensed system of a
+    /// `case14` solve at its optimum, under the production (AMD) analysis —
+    /// fresh factorization ≡ scalar replay ≡ supernodal replay ≡ the factor
+    /// `factorize_condensed` itself returned.
     #[test]
-    fn case14_condensed_values_refactor_bitwise_on_every_backend() {
+    fn case14_condensed_factor_is_bitwise_fresh_scalar_and_supernodal() {
+        use crate::nlp::Nlp;
         let net = gridsim_grid::cases::case14().compile().unwrap();
+        let nlp = crate::AcopfNlp::new(&net);
         let mut cache = KktCache::new();
         let report = crate::IpmSolver::new(crate::IpmOptions {
             kkt_strategy: KktStrategy::Condensed,
             ..Default::default()
         })
-        .solve_with_cache(&crate::AcopfNlp::new(&net), &mut cache);
+        .solve_with_cache(&nlp, &mut cache);
         assert!(report.is_optimal(), "{:?}", report.status);
+        let analyses = cache.symbolic_analyses();
+
+        // One more Newton system at the optimum, through the production
+        // entry: the model's matrices at `x*` under the reported
+        // multipliers, the bound multipliers as the barrier diagonal.
+        let dims = KktDims {
+            nx: nlp.num_vars(),
+            ns: nlp.num_ineq(),
+            m_eq: nlp.num_eq(),
+            m_ineq: nlp.num_ineq(),
+        };
+        let sigma: Vec<f64> = report
+            .zl
+            .iter()
+            .zip(&report.zu)
+            .map(|(l, u)| l + u)
+            .collect();
+        let produced = cache
+            .factorize_condensed(
+                &DeviceStats::default(),
+                &dims,
+                &nlp.lagrangian_hessian(&report.x, 1.0, &report.lambda_eq, &report.lambda_ineq),
+                &sigma,
+                &nlp.eq_jacobian(&report.x),
+                &nlp.ineq_jacobian(&report.x),
+                0.0,
+                1e-8,
+                1e-13,
+                1e-9,
+            )
+            .unwrap();
+        assert_eq!(cache.symbolic_analyses(), analyses, "the solve's structure");
+        assert_eq!(produced.inertia, (dims.nx, dims.m_eq, 0));
+
         let s = cache.structure.as_ref().unwrap();
-        let values = cache.last_numeric.clone().unwrap();
         let (colptr, rowind) = s.ldl.pattern();
         let matrix = Csc {
             nrows: s.ncond,
             ncols: s.ncond,
             colptr: colptr.to_vec(),
             rowind: rowind.to_vec(),
-            values,
+            values: cache.last_numeric.clone().unwrap(),
         };
         let fresh = LdlFactor::factorize_with(&matrix, s.ldl.ordering().clone(), &s.opts).unwrap();
         let want = factor_bits(&fresh);
+        assert_eq!(factor_bits(&produced.factor), want);
         assert_eq!(
             factor_bits(&s.ldl.refactor(&matrix.values, &s.opts).unwrap()),
             want
@@ -989,14 +949,30 @@ mod tests {
             factor_bits(&s.ldl.refactor_supernodal(&matrix.values, &s.opts).unwrap()),
             want
         );
-        for dev in [
-            Device::sequential(),
-            Device::vectorized(),
-            Device::parallel(),
-        ] {
-            let on = s.ldl.refactor_on(&dev, &matrix.values, &s.opts).unwrap();
-            assert_eq!(factor_bits(&on), want, "{}", dev.backend());
-        }
+    }
+
+    /// What a traced run reads: every numeric refactorization of a
+    /// condensed solve is one `ldl_refactor_level` launch over the condensed
+    /// dimension on the solver's stats stream, and nothing else is billed.
+    #[test]
+    fn condensed_solve_bills_one_launch_per_factorization() {
+        let net = gridsim_grid::cases::case9().compile().unwrap();
+        let solver = crate::IpmSolver::new(crate::IpmOptions {
+            kkt_strategy: KktStrategy::Condensed,
+            ..Default::default()
+        })
+        .with_device(Device::sequential());
+        let mut cache = KktCache::new();
+        let report = solver.solve_with_cache(&crate::AcopfNlp::new(&net), &mut cache);
+        assert!(report.is_optimal(), "{:?}", report.status);
+        let snapshot = solver.device.stats().snapshot();
+        let billed = &snapshot.kernels["ldl_refactor_level"];
+        let dim = cache.symbolic_stats().unwrap().dim as u64;
+        assert_eq!(billed.launches, report.factorizations as u64);
+        assert_eq!(billed.blocks, billed.launches * dim);
+        assert!(billed.elapsed > std::time::Duration::ZERO);
+        assert_eq!(snapshot.total_launches(), billed.launches);
+        assert_eq!(snapshot.total_transfers(), 0);
     }
 
     /// The solver does not care which ordering sits under its Newton
@@ -1077,24 +1053,12 @@ mod tests {
         };
         let full = LdlFactor::factorize_rcm(&kkt, &opts).unwrap().solve(&rhs);
         let mut cache = KktCache::new();
-        let cond = cache
-            .solve_condensed(
-                &Device::parallel(),
-                &dims,
-                &hess,
-                &sigma,
-                &jac_eq,
-                &jac_ineq,
-                0.0,
-                1e-8,
-                &rhs,
-                1e-13,
-                1e-9,
-            )
-            .unwrap();
+        let (cond, step) = newton_step(
+            &mut cache, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
+        );
         // nx×nx positive definite system.
         assert_eq!(cond.inertia, (2, 0, 0));
-        for (a, b) in full.iter().zip(&cond.step) {
+        for (a, b) in full.iter().zip(&step) {
             assert!((a - b).abs() < 1e-9, "full {a} vs condensed {b}");
         }
     }

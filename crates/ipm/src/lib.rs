@@ -22,9 +22,8 @@
 //! the baseline behaviour the paper's Table II and Figure 1 contrast against.
 //! The [`kkt_condensed`] module is the counterpoint: a condensed-space step
 //! (slack and inequality-dual blocks eliminated in closed form) whose frozen
-//! sparsity pattern is analyzed once per NLP and numerically refactorized on
-//! the batch device every iteration, selected through
-//! [`kkt_condensed::KktStrategy`].
+//! sparsity pattern is analyzed once per NLP and numerically refactorized
+//! every iteration, selected through [`kkt_condensed::KktStrategy`].
 //!
 //! Modules:
 //!

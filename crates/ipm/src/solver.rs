@@ -92,8 +92,7 @@ pub struct IpmOptions {
     pub initial_bound_multipliers: Option<(Vec<f64>, Vec<f64>)>,
     /// Which KKT path each Newton step uses: the full augmented system
     /// (fresh symbolic analysis per factorization) or the condensed-space
-    /// system with frozen-pattern numeric refactorization on the batch
-    /// device.
+    /// system with frozen-pattern numeric refactorization.
     pub kkt_strategy: KktStrategy,
 }
 
@@ -434,8 +433,10 @@ struct AcceptedStep {
 pub struct IpmSolver {
     /// Options used by [`IpmSolver::solve`].
     pub options: IpmOptions,
-    /// Batch device the condensed strategy refactorizes on (the per-row
-    /// column updates of the numeric LDLᵀ fan out as thread blocks).
+    /// Batch device whose statistics stream the condensed strategy bills
+    /// its numeric refactorizations to (one `ldl_refactor_level` launch
+    /// each). The refactorization itself runs on the host: the device's
+    /// backend changes neither a result nor its cost.
     pub device: Device,
 }
 
@@ -448,7 +449,9 @@ impl IpmSolver {
         }
     }
 
-    /// Replace the batch device used by the condensed KKT strategy.
+    /// Replace the device the condensed KKT strategy bills to — a fleet
+    /// lane passes its shard's device so the work shows up on that device's
+    /// stream.
     pub fn with_device(mut self, device: Device) -> Self {
         self.device = device;
         self
@@ -795,7 +798,7 @@ impl IpmSolver {
                     }
                     KktStrategy::Condensed => cache
                         .factorize_condensed(
-                            &self.device,
+                            self.device.stats(),
                             &dims,
                             &hess,
                             &sigma,

@@ -4,9 +4,11 @@
 //! drives the real binary with SIGKILL).
 
 use gridsim_serve::{
-    CaseName, JobManifest, JobSpec, ScenarioSpec, ScenarioState, ServeDaemon, SolverFamily,
+    run_chunk, CaseName, FrozenStores, JobManifest, JobSpec, ScenarioSpec, ScenarioState,
+    ServeDaemon, SolverFamily,
 };
-use serde::Value;
+use gridsim_store::SolutionStore;
+use serde::{Deserialize, Value};
 use std::path::PathBuf;
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -91,6 +93,34 @@ fn drains_jobs_and_reports_status() {
         ))
         .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+}
+
+/// An IPM chunk solves on the condensed strategy like every other fleet
+/// caller: a scenario's Newton steps replay one frozen analysis instead of
+/// analysing the full KKT matrix afresh per factorization.
+#[test]
+fn ipm_chunk_reuses_its_symbolic_analysis() {
+    let spec = JobSpec::new(
+        "ipm-chunk",
+        CaseName::Case9,
+        ScenarioSpec::load_ramp(3, 0.98, 1.02),
+        SolverFamily::Ipm,
+    );
+    let nets = spec.networks().unwrap();
+    let stores = FrozenStores::freeze(&SolutionStore::new(), &SolutionStore::new());
+    let outcome = run_chunk(&spec, &nets, &[0, 1, 2], &stores);
+    assert_eq!(outcome.scenarios.len(), 3);
+    for s in &outcome.scenarios {
+        assert!(s.converged, "scenario {}", s.index);
+        let r = gridsim_ipm::FleetScenarioResult::from_value(&s.result).unwrap();
+        assert!(
+            r.report.symbolic_analyses < r.report.factorizations,
+            "scenario {}: {} analyses for {} factorizations",
+            s.index,
+            r.report.symbolic_analyses,
+            r.report.factorizations
+        );
+    }
 }
 
 #[test]

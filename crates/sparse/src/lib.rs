@@ -17,11 +17,13 @@
 //! * an up-looking sparse LDLᵀ factorization with dynamic regularization and
 //!   inertia reporting for quasi-definite KKT systems ([`ldl`]),
 //! * a symbolic-reuse layer ([`refactor`]): analyze a pattern once, then run
-//!   numeric-only refactorizations — optionally fanned out over a
-//!   [`gridsim_batch::Device`] by elimination-tree level — that are bitwise
+//!   numeric-only supernodal refactorizations on the host that are bitwise
 //!   identical to fresh factorizations (the Świrydowicz-et-al. fixed-pattern
 //!   speedup the interior-point baseline exploits),
 //! * and small dense kernels ([`dense`]) shared with the batch TRON solver.
+//!
+//! The crate is a leaf: it depends on nothing, not even the batch device
+//! the ADMM kernels launch on — the interior-point baseline is host code.
 
 pub mod coo;
 pub mod csc;

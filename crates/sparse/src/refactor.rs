@@ -3,35 +3,20 @@
 //! Interior-point methods factorize a KKT matrix whose *pattern* never
 //! changes — only the values do (barrier terms, Hessian entries,
 //! regularization). Świrydowicz et al. (arXiv:2306.14337) show that the
-//! device-resident speedup of GPU linear solvers in this setting comes from
-//! freezing the symbolic analysis (elimination tree, fill pattern, pivot
-//! order) and running *numeric-only refactorizations* against it. This module
-//! implements that split for the up-looking LDLᵀ of [`crate::ldl`]:
+//! speedup of linear solvers in this setting comes from freezing the
+//! symbolic analysis (elimination tree, fill pattern, pivot order) and
+//! running *numeric-only refactorizations* against it. This module
+//! implements that split for the up-looking LDLᵀ of [`crate::ldl`], on the
+//! host — where the paper keeps its interior-point baseline:
 //!
 //! * [`LdlSymbolic::analyze`] runs once per problem: it fixes the ordering
 //!   ([`LdlSymbolic::analyze_amd`] for the fill-reducing one, the analysis
 //!   to freeze when it is replayed many times; [`LdlSymbolic::analyze_rcm`]
 //!   for the bandwidth one), the permuted upper-triangular pattern, the
-//!   elimination tree, the full row pattern of `L`, the replay order of every
-//!   row's sparse dot products together with the slot of `L` each replay
-//!   step writes (`rp_slot` — a constant of the pattern, so no replay
-//!   searches a column for it), and an elimination-tree *level schedule*;
-//! * [`LdlSymbolic::refactor`] replays the numeric factorization over the
-//!   frozen pattern — no graph walks, no allocation proportional to symbolic
-//!   work — and is **bitwise identical** to a fresh
-//!   [`LdlFactor::factorize_with`] of the same matrix (a tested invariant);
-//! * [`LdlSymbolic::refactor_on`] runs the same replay with the per-row
-//!   column updates fanned out through [`gridsim_batch::Device::launch_blocks`],
-//!   one elimination-tree level at a time. Rows on the same level own
-//!   disjoint subtrees, hence disjoint reads and writes, so the parallel
-//!   backend produces the same bits as the sequential one. Everything a
-//!   launch needs besides the values — one device buffer of row tasks per
-//!   level, each task's staging for its row of `L`, and the `y` scratch of
-//!   the blocks in flight — lives in a workspace the analysis builds on the
-//!   first call and owns from then on; a level's results are read in place
-//!   and committed as `lvalues[rp_slot[k]] = staged[k]`, so a steady-state
-//!   refactorization allocates the returned factor's two value vectors and
-//!   nothing else;
+//!   elimination tree and its height, the full row pattern of `L`, and the
+//!   replay order of every row's sparse dot products together with the slot
+//!   of `L` each replay step writes (`rp_slot` — a constant of the pattern,
+//!   so no replay searches a column for it);
 //! * the analysis additionally groups columns of the frozen `L` into
 //!   **supernodes** (maximal runs of consecutive columns whose patterns
 //!   below the diagonal block are identical — the structure dense BLAS3
@@ -39,32 +24,37 @@
 //!   rewrites every row's replay list into *segments*, each with its count
 //!   of shared rows ahead of the target row (`seg_t`). Detection only looks
 //!   at *consecutive* columns: it is the elimination-tree postorder of
-//!   [`Ordering::amd`] that makes the columns of a tree chain consecutive.
-//!   A segment covering a `w`-column supernode is replayed as a small dense
-//!   triangular solve on the diagonal block followed by a rank-`w` update
-//!   of the shared subdiagonal pattern: one pattern lookup and one `y`
-//!   load/store per target row instead of `w`, with the per-row
-//!   accumulation kept in the exact column order of the scalar replay so
-//!   the result is **bitwise identical** to it
-//!   ([`LdlSymbolic::refactor_supernodal`], and the replay
-//!   [`LdlSymbolic::refactor_on`] launches per thread block). The scalar
-//!   path is kept callable so `perf`'s `sparse.refactor_scalar_ms` probe
-//!   (through `KktCache::refactor_microbench` in `gridsim-ipm`) can record
-//!   the supernodal speedup at asserted-bitwise-equal factors.
+//!   [`Ordering::amd`] that makes the columns of a tree chain consecutive;
+//! * [`LdlSymbolic::refactor_supernodal`] — the production replay, the one
+//!   the IPM's condensed-KKT cache runs every Newton step and
+//!   [`LdlSymbolic::refactor_matrix`] goes through — walks rows in ascending
+//!   order over the frozen pattern: no graph walks, four allocations per
+//!   call whatever the dimension (the factor's two value vectors, the `y`
+//!   accumulator and one staging row), none per row. A segment covering a
+//!   `w`-column supernode is replayed as a small dense triangular solve on
+//!   the diagonal block followed by a rank-`w` update of the shared
+//!   subdiagonal pattern: one pattern lookup and one `y` load/store per
+//!   target row instead of `w`, with the per-row accumulation kept in the
+//!   exact column order of a fresh [`LdlFactor::factorize_with`] of the same
+//!   matrix, so the result is **bitwise identical** to it (a tested
+//!   invariant);
+//! * [`LdlSymbolic::refactor`] is the same replay one column at a time: the
+//!   oracle the supernodal grouping is pinned to bit for bit, and the second
+//!   subject of `perf`'s `sparse.refactor_scalar_ms` probe (through
+//!   `KktCache::refactor_microbench` in `gridsim-ipm`).
 //!
-//! The error-column reported on a [`SparseError::Breakdown`] may differ
-//! between the level-parallel and sequential schedules when several columns
-//! break down (the parallel schedule reports the lowest-indexed breakdown of
-//! the *first level* that fails); with a nonzero `pivot_reg` breakdown cannot
-//! occur at all.
+//! Rows on one elimination-tree level own disjoint subtrees, so a level
+//! could be fanned out over workers. The replay stays one host loop because
+//! that fan-out measured slower on every launch backend at both sizes on
+//! record (877- and 5 937-dim condensed systems: a level holds 4–60 rows of
+//! ~14 entries, less work than a worker-pool wake-up); the analysis keeps
+//! the schedule's length, [`LdlSymbolic::num_levels`], as a figure only.
 
 use crate::csc::Csc;
 use crate::ldl::{LdlFactor, LdlOptions};
 use crate::ordering::Ordering;
 use crate::symbolic::Symbolic;
 use crate::SparseError;
-use gridsim_batch::{Device, DeviceBuffer};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Upper bound on supernode width. Wider runs of identical-pattern columns
@@ -105,11 +95,9 @@ pub struct LdlSymbolic {
     /// row `j` in column `rp_idx[k]`, which sits right after that column's
     /// rows `< j`. A constant of the pattern, so no replay searches for it.
     rp_slot: Vec<usize>,
-    /// Elimination-tree level schedule: rows in
-    /// `level_idx[level_ptr[l]..level_ptr[l+1]]` depend only on rows of
-    /// levels `< l` and touch pairwise-disjoint columns of `L`.
-    level_ptr: Vec<usize>,
-    level_idx: Vec<usize>,
+    /// Height of the elimination tree: the longest chain of rows that must
+    /// be replayed one after another.
+    num_levels: usize,
     /// Supernode partition of the frozen `L`: `sn_end_of_col[c]` is the
     /// exclusive end column of the supernode containing column `c` (maximal
     /// run of consecutive columns whose patterns below the shared diagonal
@@ -128,20 +116,6 @@ pub struct LdlSymbolic {
     /// `seg_t[s]`: how many of the supernode's shared below-block rows
     /// precede the segment's target row (the rank-`w` update's row count).
     seg_t: Vec<usize>,
-    /// Reused storage of [`Self::refactor_on`], built on its first call.
-    workspace: WorkspaceCell,
-}
-
-/// One row's slot in a level launch: the row index and, after the launch,
-/// its raw pivot and the values of its `L` entries in replay order
-/// (`staged[k]` belongs in slot `rp_slot[rp_ptr[j] + k]`). Rows of one level
-/// write disjoint slots; the commit runs in ascending row order so the
-/// breakdown report is schedule-independent.
-#[derive(Debug, Clone)]
-struct RowTask {
-    j: usize,
-    raw_pivot: f64,
-    staged: Vec<f64>,
 }
 
 /// The numeric half of a factor while a replay fills it.
@@ -149,36 +123,6 @@ struct Numeric {
     lvalues: Vec<f64>,
     d: Vec<f64>,
     num_regularized: usize,
-}
-
-/// Everything [`LdlSymbolic::refactor_on`] would otherwise allocate per
-/// call, per level or per row: one device buffer of row tasks per
-/// elimination-tree level (each task's `staged` sized to its reach), and
-/// `y` scratch vectors for the blocks in flight. Every replay returns its
-/// scratch all-zero and overwrites its task, so nothing carries over from
-/// one refactorization to the next — not even from one that broke down.
-#[derive(Debug)]
-struct Workspace {
-    levels: Vec<DeviceBuffer<RowTask>>,
-    /// A block takes the first scratch it can lock; with more blocks in
-    /// flight than entries, the surplus ones wait on the last.
-    scratch: Vec<Mutex<Vec<f64>>>,
-}
-
-/// Scratch vectors a workspace keeps: the number of blocks that can replay
-/// without waiting for one.
-const SCRATCH_SLOTS: usize = 16;
-
-/// The lazily built workspace of one [`LdlSymbolic`]. A clone of the
-/// analysis starts without one (it is storage, not state) and builds its
-/// own on first use, so clones never contend.
-#[derive(Debug, Default)]
-struct WorkspaceCell(Mutex<Option<Workspace>>);
-
-impl Clone for WorkspaceCell {
-    fn clone(&self) -> Self {
-        WorkspaceCell::default()
-    }
 }
 
 impl LdlSymbolic {
@@ -285,20 +229,7 @@ impl LdlSymbolic {
                 level[p] = level[p].max(level[i] + 1);
             }
         }
-        let depth = level.iter().copied().max().map_or(0, |d| d + 1);
-        let mut level_ptr = vec![0usize; depth + 1];
-        for &l in &level {
-            level_ptr[l + 1] += 1;
-        }
-        for l in 0..depth {
-            level_ptr[l + 1] += level_ptr[l];
-        }
-        let mut next = level_ptr.clone();
-        let mut level_idx = vec![0usize; n];
-        for (j, &l) in level.iter().enumerate() {
-            level_idx[next[l]] = j;
-            next[l] += 1;
-        }
+        let num_levels = level.iter().copied().max().map_or(0, |d| d + 1);
 
         // Supernode partition: columns c and c+1 merge when column c's
         // pattern is exactly {c+1} ∪ pattern(c+1) — first subdiagonal entry
@@ -376,8 +307,7 @@ impl LdlSymbolic {
             rp_ptr,
             rp_idx,
             rp_slot,
-            level_ptr,
-            level_idx,
+            num_levels,
             sn_end_of_col,
             num_supernodes,
             max_supernode_width,
@@ -385,7 +315,6 @@ impl LdlSymbolic {
             seg_col,
             seg_len,
             seg_t,
-            workspace: WorkspaceCell::default(),
         })
     }
 
@@ -409,7 +338,7 @@ impl LdlSymbolic {
     }
 
     /// Number of entries the analyzed pattern stores (the length `values`
-    /// slices passed to [`Self::refactor`] must have).
+    /// slices passed to [`Self::refactor_supernodal`] must have).
     pub fn nnz(&self) -> usize {
         self.a_rowind.len()
     }
@@ -419,9 +348,10 @@ impl LdlSymbolic {
         self.lrowind.len()
     }
 
-    /// Number of elimination-tree levels in the parallel schedule.
+    /// Height of the elimination tree: rows on one level own disjoint
+    /// subtrees, so this is the length of the replay's critical path.
     pub fn num_levels(&self) -> usize {
-        self.level_ptr.len() - 1
+        self.num_levels
     }
 
     /// Number of supernodes the frozen `L` pattern partitions into. Equal to
@@ -500,26 +430,6 @@ impl LdlSymbolic {
         factor.num_regularized += usize::from(dj_reg != dj);
         factor.d[j] = dj_reg;
         Ok(())
-    }
-
-    fn zeroed_numeric(&self) -> Numeric {
-        Numeric {
-            lvalues: vec![0.0; self.lrowind.len()],
-            d: vec![0.0; self.n],
-            num_regularized: 0,
-        }
-    }
-
-    fn assemble_factor(&self, numeric: Numeric) -> LdlFactor {
-        LdlFactor::from_parts(
-            self.n,
-            Arc::clone(&self.lcolptr),
-            Arc::clone(&self.lrowind),
-            numeric.lvalues,
-            numeric.d,
-            Arc::clone(&self.ordering),
-            numeric.num_regularized,
-        )
     }
 
     /// Replay the numeric factorization of row `j` against the frozen
@@ -645,7 +555,11 @@ impl LdlSymbolic {
         supernodal: bool,
     ) -> Result<LdlFactor, SparseError> {
         self.check_inputs(values, opts)?;
-        let mut factor = self.zeroed_numeric();
+        let mut factor = Numeric {
+            lvalues: vec![0.0; self.lrowind.len()],
+            d: vec![0.0; self.n],
+            num_regularized: 0,
+        };
         let mut y = vec![0.0f64; self.n];
         // Row j reaches at most the j columns before it.
         let mut staged = vec![0.0f64; self.n];
@@ -659,25 +573,35 @@ impl LdlSymbolic {
             };
             self.commit_row(j, dj, out, opts, &mut factor)?;
         }
-        Ok(self.assemble_factor(factor))
+        Ok(LdlFactor::from_parts(
+            self.n,
+            Arc::clone(&self.lcolptr),
+            Arc::clone(&self.lrowind),
+            factor.lvalues,
+            factor.d,
+            Arc::clone(&self.ordering),
+            factor.num_regularized,
+        ))
     }
 
     /// Numeric-only refactorization from a value slice aligned with the
     /// analyzed pattern (entry `k` of `values` is the value of the analyzed
-    /// matrix's `k`-th stored entry). Bitwise identical to a fresh
-    /// [`LdlFactor::factorize_with`] with the same ordering and options.
+    /// matrix's `k`-th stored entry), one column at a time. Bitwise identical
+    /// to a fresh [`LdlFactor::factorize_with`] with the same ordering and
+    /// options: the oracle [`Self::refactor_supernodal`] is pinned to, and
+    /// the baseline `perf` times it against (`sparse.refactor_scalar_ms`).
     pub fn refactor(&self, values: &[f64], opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
         self.refactor_host(values, opts, false)
     }
 
-    /// Supernodal numeric refactorization on the host: the same frozen
-    /// pattern as [`Self::refactor`], replayed segment-wise with dense
-    /// rank-`w` updates per supernode (`replay_row_supernodal`).
-    /// Bitwise identical to [`Self::refactor`] and to a fresh
-    /// [`LdlFactor::factorize_with`]; faster on patterns with non-trivial
-    /// supernodes (`perf` records the delta as `sparse.refactor_ms` vs
-    /// `sparse.refactor_scalar_ms`). The scalar [`Self::refactor`] stays
-    /// callable as the measured baseline.
+    /// The production refactorization: the same frozen pattern and `values`
+    /// layout as [`Self::refactor`], replayed segment-wise with dense
+    /// rank-`w` updates per supernode (`replay_row_supernodal`). Bitwise
+    /// identical to [`Self::refactor`] and to a fresh
+    /// [`LdlFactor::factorize_with`]; faster where supernodes are wide
+    /// (1.1–1.2× on a 5 937-dim condensed KKT system, level at 877-dim).
+    /// Allocates the factor's two value vectors, the `y` accumulator and one
+    /// staging row — a constant four allocations, none per row.
     pub fn refactor_supernodal(
         &self,
         values: &[f64],
@@ -686,102 +610,11 @@ impl LdlSymbolic {
         self.refactor_host(values, opts, true)
     }
 
-    /// Build the level-launch workspace: the row tasks of every level are
-    /// uploaded once (the only transfer a refactorization ever bills).
-    fn build_workspace(&self, device: &Device) -> Workspace {
-        let levels = self
-            .level_ptr
-            .windows(2)
-            .map(|l| {
-                let tasks: Vec<RowTask> = self.level_idx[l[0]..l[1]]
-                    .iter()
-                    .map(|&j| RowTask {
-                        j,
-                        raw_pivot: 0.0,
-                        staged: vec![0.0; self.rp_ptr[j + 1] - self.rp_ptr[j]],
-                    })
-                    .collect();
-                DeviceBuffer::from_host(Arc::clone(device.stats()), &tasks)
-            })
-            .collect();
-        Workspace {
-            levels,
-            scratch: (0..SCRATCH_SLOTS).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    /// Numeric-only refactorization with the per-row column updates launched
-    /// through [`Device::launch_blocks`], one elimination-tree level per
-    /// launch ("one thread block per row" — the same geometry as the batch
-    /// TRON solves). Each block runs the supernodal segmented replay, so the
-    /// production path (the IPM's condensed-KKT cache refactorizes through
-    /// here every Newton step) gets the dense rank-`w` updates. Bitwise
-    /// identical to [`Self::refactor`] on every backend: rows of one level
-    /// own disjoint subtrees, so their reads all resolve to earlier levels
-    /// and their writes never alias, and the supernodal replay itself is
-    /// bitwise identical to the scalar one.
-    ///
-    /// The row tasks, their staged values and the `y` scratch live in a
-    /// workspace this analysis builds on the first call and reuses
-    /// afterwards: a steady-state call allocates the returned factor's two
-    /// value vectors and nothing else. Concurrent calls on one analysis
-    /// serialize on that workspace.
-    pub fn refactor_on(
-        &self,
-        device: &Device,
-        values: &[f64],
-        opts: &LdlOptions,
-    ) -> Result<LdlFactor, SparseError> {
-        self.check_inputs(values, opts)?;
-        let n = self.n;
-        let mut factor = self.zeroed_numeric();
-        let mut guard = self.workspace.0.lock();
-        let Workspace { levels, scratch } =
-            guard.get_or_insert_with(|| self.build_workspace(device));
-        let scratch: &[Mutex<Vec<f64>>] = scratch;
-        for level in levels {
-            let (lvalues, d) = (&factor.lvalues, &factor.d);
-            device.launch_blocks("ldl_refactor_level", level, |_, task: &mut RowTask| {
-                let mut y = scratch
-                    .iter()
-                    .find_map(Mutex::try_lock)
-                    .unwrap_or_else(|| scratch[scratch.len() - 1].lock());
-                y.resize(n, 0.0);
-                task.raw_pivot = self.replay_row_supernodal(
-                    task.j,
-                    values,
-                    lvalues,
-                    d,
-                    &mut y,
-                    &mut task.staged,
-                );
-            });
-            // Commit the level in ascending row order (the level schedule
-            // stores rows ascending), so regularization counts and the
-            // breakdown column are schedule-independent.
-            for task in level.as_slice() {
-                self.commit_row(task.j, task.raw_pivot, &task.staged, opts, &mut factor)?;
-            }
-        }
-        Ok(self.assemble_factor(factor))
-    }
-
-    /// Refactorize from a whole matrix, validating that its pattern matches
-    /// the analyzed one exactly.
+    /// [`Self::refactor_supernodal`] from a whole matrix, validating that its
+    /// pattern matches the analyzed one exactly.
     pub fn refactor_matrix(&self, a: &Csc, opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
         self.check_same_pattern(a)?;
-        self.refactor(&a.values, opts)
-    }
-
-    /// Device-launched variant of [`Self::refactor_matrix`].
-    pub fn refactor_matrix_on(
-        &self,
-        device: &Device,
-        a: &Csc,
-        opts: &LdlOptions,
-    ) -> Result<LdlFactor, SparseError> {
-        self.check_same_pattern(a)?;
-        self.refactor_on(device, &a.values, opts)
+        self.refactor_supernodal(&a.values, opts)
     }
 
     fn check_values_len(&self, values: &[f64]) -> Result<(), SparseError> {
@@ -879,22 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn device_refactor_matches_host_on_every_backend() {
-        let a = kkt_example(2.0);
-        let opts = kkt_opts();
-        let sym = LdlSymbolic::analyze_rcm(&a).unwrap();
-        let reference = sym.refactor_matrix(&a, &opts).unwrap();
-        for dev in [
-            Device::parallel(),
-            Device::sequential(),
-            Device::vectorized(),
-        ] {
-            let f = sym.refactor_matrix_on(&dev, &a, &opts).unwrap();
-            assert_eq!(factor_bits(&reference), factor_bits(&f));
-        }
-    }
-
-    #[test]
     fn regularized_pivots_are_replayed_identically() {
         // Wrong-signed (2,2) pivot given the expected signs: the fresh path
         // regularizes it, and the replay must do exactly the same.
@@ -912,38 +729,10 @@ mod tests {
         let sym = LdlSymbolic::analyze_rcm(&a).unwrap();
         let fresh = LdlFactor::factorize_with(&a, sym.ordering().clone(), &opts).unwrap();
         let re = sym.refactor_matrix(&a, &opts).unwrap();
-        let dev = sym
-            .refactor_matrix_on(&Device::parallel(), &a, &opts)
-            .unwrap();
+        let scalar = sym.refactor(&a.values, &opts).unwrap();
         assert!(fresh.num_regularized > 0);
         assert_eq!(factor_bits(&fresh), factor_bits(&re));
-        assert_eq!(factor_bits(&fresh), factor_bits(&dev));
-    }
-
-    #[test]
-    fn level_schedule_covers_every_row_once() {
-        let a = kkt_example(1.0);
-        let sym = LdlSymbolic::analyze_rcm(&a).unwrap();
-        let mut seen = vec![false; sym.dim()];
-        for l in 0..sym.num_levels() {
-            for &j in &sym.level_idx[sym.level_ptr[l]..sym.level_ptr[l + 1]] {
-                assert!(!seen[j], "row {j} scheduled twice");
-                seen[j] = true;
-                // Every dependency of row j resolves to an earlier level.
-                for &i in &sym.rp_idx[sym.rp_ptr[j]..sym.rp_ptr[j + 1]] {
-                    let li = (0..sym.num_levels())
-                        .find(|&lv| {
-                            sym.level_idx[sym.level_ptr[lv]..sym.level_ptr[lv + 1]].contains(&i)
-                        })
-                        .unwrap();
-                    assert!(
-                        li < l,
-                        "row {j} (level {l}) depends on row {i} (level {li})"
-                    );
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
+        assert_eq!(factor_bits(&fresh), factor_bits(&scalar));
     }
 
     #[test]
@@ -952,8 +741,8 @@ mod tests {
             let a = kkt_example(scale);
             let opts = kkt_opts();
             let sym = LdlSymbolic::analyze_rcm(&a).unwrap();
-            let scalar = sym.refactor_matrix(&a, &opts).unwrap();
-            let sn = sym.refactor_supernodal(&a.values, &opts).unwrap();
+            let scalar = sym.refactor(&a.values, &opts).unwrap();
+            let sn = sym.refactor_matrix(&a, &opts).unwrap();
             assert_eq!(factor_bits(&scalar), factor_bits(&sn));
         }
     }
@@ -982,20 +771,13 @@ mod tests {
         let sym = LdlSymbolic::analyze(&a, identity.clone()).unwrap();
         assert_eq!(sym.num_supernodes(), 1, "dense L should be one supernode");
         assert_eq!(sym.max_supernode_width(), n);
+        assert_eq!(sym.num_levels(), n, "a dense etree is one chain");
         let opts = LdlOptions::default();
         let fresh = LdlFactor::factorize_with(&a, identity, &opts).unwrap();
         let scalar = sym.refactor(&a.values, &opts).unwrap();
         let sn = sym.refactor_supernodal(&a.values, &opts).unwrap();
         assert_eq!(factor_bits(&fresh), factor_bits(&scalar));
         assert_eq!(factor_bits(&fresh), factor_bits(&sn));
-        for dev in [
-            Device::parallel(),
-            Device::sequential(),
-            Device::vectorized(),
-        ] {
-            let f = sym.refactor_matrix_on(&dev, &a, &opts).unwrap();
-            assert_eq!(factor_bits(&fresh), factor_bits(&f));
-        }
     }
 
     #[test]

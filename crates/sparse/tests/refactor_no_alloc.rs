@@ -1,13 +1,12 @@
-//! A steady-state `refactor_on` allocates the returned factor's two value
-//! vectors and nothing else: row tasks, staged values and `y` scratch come
-//! from the workspace the first call built.
+//! A steady-state `refactor_supernodal` makes a constant number of
+//! allocations — the factor's two value vectors, the `y` accumulator and one
+//! staging row — whatever the dimension: nothing is allocated per row, per
+//! supernode or per elimination-tree level.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
-//! its other threads meanwhile is not charged to it — and the sequential
-//! device runs every block on the calling thread.
+//! its other threads meanwhile is not charged to it.
 
-use gridsim_batch::Device;
 use gridsim_sparse::{Coo, LdlOptions, LdlSymbolic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,18 +60,18 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// 5-point stencil on a `side × side` grid, diagonally dominant: many
-/// levels, many rows per level, real fill.
-fn grid_laplacian(side: usize) -> gridsim_sparse::Csc {
-    let n = side * side;
+/// 5-point stencil on a `rows × cols` grid, diagonally dominant: a deep
+/// elimination tree, wide supernodes, real fill.
+fn grid_laplacian(rows: usize, cols: usize) -> gridsim_sparse::Csc {
+    let n = rows * cols;
     let mut coo = Coo::new(n, n);
-    for r in 0..side {
-        for c in 0..side {
-            let i = r * side + c;
+    for r in 0..rows {
+        for c in 0..cols {
+            let i = r * cols + c;
             coo.push(i, i, 4.5);
             for j in [
-                (c + 1 < side).then_some(i + 1),
-                (r + 1 < side).then_some(i + side),
+                (c + 1 < cols).then_some(i + 1),
+                (r + 1 < rows).then_some(i + cols),
             ]
             .into_iter()
             .flatten()
@@ -86,26 +85,31 @@ fn grid_laplacian(side: usize) -> gridsim_sparse::Csc {
 }
 
 #[test]
-fn steady_state_refactor_on_allocates_only_the_factor() {
+fn steady_state_refactor_allocates_the_same_at_any_dimension() {
     // The counter is live: a boxed value is seen.
     let (_, n) = counted(|| std::hint::black_box(Box::new(1u64)));
     assert!(n >= 1, "counting allocator is not installed");
 
-    let a = grid_laplacian(12);
-    let sym = LdlSymbolic::analyze_amd(&a).unwrap();
-    assert!(sym.num_levels() > 4 && sym.lnz() > a.nnz());
-    let opts = LdlOptions {
-        expected_signs: vec![1; a.ncols],
-        ..Default::default()
+    let per_call = |rows: usize, cols: usize| {
+        let a = grid_laplacian(rows, cols);
+        let sym = LdlSymbolic::analyze_amd(&a).unwrap();
+        let lower_nnz = (a.nnz() - a.ncols) / 2;
+        assert!(sym.num_levels() > 4 && sym.lnz() > lower_nnz, "real fill");
+        assert!(sym.num_supernodes() < sym.dim(), "segments do group");
+        let opts = LdlOptions {
+            expected_signs: vec![1; a.ncols],
+            ..Default::default()
+        };
+        let (first, n_first) = counted(|| sym.refactor_supernodal(&a.values, &opts).unwrap());
+        for round in 0..3 {
+            let (again, n) = counted(|| sym.refactor_supernodal(&a.values, &opts).unwrap());
+            assert_eq!(n, n_first, "round {round}: nothing is built lazily");
+            assert_eq!(again.l_values(), first.l_values());
+            assert_eq!(again.d_values(), first.d_values());
+        }
+        n_first
     };
-    let device = Device::sequential();
-
-    let (first, built) = counted(|| sym.refactor_on(&device, &a.values, &opts).unwrap());
-    assert!(built > 2, "the first call builds the workspace");
-    for round in 0..3 {
-        let (again, n) = counted(|| sym.refactor_on(&device, &a.values, &opts).unwrap());
-        assert_eq!(n, 2, "round {round}: the factor's L and D vectors only");
-        assert_eq!(again.l_values(), first.l_values());
-        assert_eq!(again.d_values(), first.d_values());
-    }
+    let (small, large) = (per_call(5, 10), per_call(20, 25));
+    assert_eq!(small, 4, "L values, D values, y, one staging row");
+    assert_eq!(large, small, "dim 500 allocates what dim 50 does");
 }

@@ -6,7 +6,6 @@
 
 use gridadmm::prelude::*;
 use gridsim_acopf::flows::{BranchFlow, FlowKind};
-use gridsim_batch::Device;
 use gridsim_engine::FleetRequest;
 use gridsim_grid::branch::Branch;
 use gridsim_grid::matpower;
@@ -98,12 +97,10 @@ proptest! {
     /// Numeric-only refactorization over a frozen symbolic analysis is
     /// bitwise identical to a fresh factorization, on random quasi-definite
     /// KKT matrices [H Jᵀ; J −δI] — including matrices whose indefinite `H`
-    /// forces regularized pivots — under both orderings (RCM and AMD), on
-    /// every backend of the batch device, and for both the scalar replay and
-    /// the supernodal segmented replay (host `refactor_supernodal` and the
-    /// device path, which launches the supernodal replay per row). The
-    /// device path reuses one workspace per analysis across all of it,
-    /// including across a refactorization that broke down.
+    /// forces regularized pivots — under both orderings (RCM and AMD), for
+    /// both the scalar replay and the supernodal segmented replay (the
+    /// production path, also behind `refactor_matrix`), and again after a
+    /// refactorization over the same analysis broke down.
     #[test]
     fn ldl_refactorization_is_bitwise_identical_to_fresh(seed in 0u64..300) {
         use rand::rngs::SmallRng;
@@ -149,23 +146,19 @@ proptest! {
         let mut signs = vec![1i8; nx];
         signs.extend(std::iter::repeat_n(-1i8, m));
         let opts = LdlOptions { expected_signs: signs, ..Default::default() };
-        let devices = [Device::parallel(), Device::sequential(), Device::vectorized()];
         // AMD sees the pattern of A + Aᵀ, not the triangle it was given.
         let amd = Ordering::amd(&a);
         prop_assert_eq!(&Ordering::amd(&a.upper_triangle()), &amd);
         for ordering in [Ordering::rcm(&a), amd] {
             let sym = LdlSymbolic::analyze(&a, ordering.clone()).unwrap();
-            // The third round comes after every device's workspace use saw a
-            // breakdown (all-zero values, regularization off).
+            // The third round comes after both replays saw a breakdown
+            // (all-zero values, regularization off).
             for values in [&a, &a2, &a] {
                 let fresh = LdlFactor::factorize_with(values, ordering.clone(), &opts).unwrap();
-                let replay = sym.refactor_matrix(values, &opts).unwrap();
+                let scalar = sym.refactor(&values.values, &opts).unwrap();
                 let supernodal = sym.refactor_supernodal(&values.values, &opts).unwrap();
-                let on_devices: Vec<LdlFactor> = devices
-                    .iter()
-                    .map(|dev| sym.refactor_matrix_on(dev, values, &opts).unwrap())
-                    .collect();
-                for other in [&replay, &supernodal].into_iter().chain(&on_devices) {
+                let matrix = sym.refactor_matrix(values, &opts).unwrap();
+                for other in [&scalar, &supernodal, &matrix] {
                     prop_assert_eq!(fresh.num_regularized, other.num_regularized);
                     for (x, y) in fresh.l_values().iter().zip(other.l_values()) {
                         prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -177,15 +170,17 @@ proptest! {
                 // Solves agree bitwise too (same factor, same triangular sweeps).
                 let b: Vec<f64> = (0..n).map(|i| ((i * 11 + seed as usize) % 17) as f64 - 8.0).collect();
                 let xf = fresh.solve(&b);
-                let xr = on_devices[0].solve(&b);
+                let xr = matrix.solve(&b);
                 for (x, y) in xf.iter().zip(&xr) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
                 }
                 if std::ptr::eq(values, &a2) {
                     let zeros = vec![0.0; a.nnz()];
                     let no_reg = LdlOptions { pivot_reg: 0.0, ..opts.clone() };
-                    for dev in &devices {
-                        let broke = sym.refactor_on(dev, &zeros, &no_reg);
+                    for broke in [
+                        sym.refactor(&zeros, &no_reg),
+                        sym.refactor_supernodal(&zeros, &no_reg),
+                    ] {
                         let is_breakdown = matches!(
                             broke,
                             Err(gridsim_sparse::SparseError::Breakdown { .. })
