@@ -50,17 +50,24 @@ fn bench_tron_batch(c: &mut Criterion) {
 /// with its rating removed, so both shapes occur), with the consensus
 /// targets, multipliers and ALM state the network holds `inner` ADMM
 /// iterations into a cold solve. One sample is [`BLOCK_REPS`] solves from
-/// the same start — a single ~3 µs solve is too short to time — so the
+/// the same start — a single ~2 µs solve is too short to time — so the
 /// printed time ÷ 1000 is the per-block cost to set against the `perf`
 /// driver's `tron.us_per_block`.
+///
+/// Blocks 0 and 1 are not the whole story: 300 iterations into a solve of
+/// the unmodified `case9`, one or two of the nine blocks sit within rounding
+/// of their minimiser, so `all_blocks/inner300` times every block of that
+/// state once per sample — the shape of a `branch_tron` launch; its time ÷ 9
+/// is the per-block cost.
 fn bench_branch_block(c: &mut Criterion) {
     const BLOCK_REPS: usize = 1000;
-    let mut case = gridsim_grid::case9();
-    case.branches[0].rate_a = 0.0;
-    let net = case.compile().expect("case9 compiles");
+    let case9 = gridsim_grid::case9();
+    let mut both_shapes = case9.clone();
+    both_shapes.branches[0].rate_a = 0.0;
     let solver = TronSolver::new(AdmmParams::default().tron);
     let mut group = c.benchmark_group("branch_block");
-    for inner in [3usize, 30] {
+    let blocks_at = |case: &gridsim_grid::Case, inner: usize| {
+        let net = case.compile().expect("case9 compiles");
         let params = AdmmParams {
             max_outer: 1,
             max_inner: inner,
@@ -69,7 +76,10 @@ fn bench_branch_block(c: &mut Criterion) {
         let warm = AdmmSolver::with_device(params.clone(), Device::sequential())
             .solve(&net)
             .warm_state;
-        let blocks = BranchProblem::blocks_from_warm_state(&net, &params, &warm);
+        BranchProblem::blocks_from_warm_state(&net, &params, &warm)
+    };
+    for inner in [3usize, 30] {
+        let blocks = blocks_at(&both_shapes, inner);
         for (shape, l) in [("unlimited", 0), ("limited", 1)] {
             let (problem, x0) = &blocks[l];
             assert_eq!(problem.has_limit(), shape == "limited");
@@ -84,6 +94,16 @@ fn bench_branch_block(c: &mut Criterion) {
             });
         }
     }
+    let blocks = blocks_at(&case9, 300);
+    group.bench_function("all_blocks/inner300", |b| {
+        b.iter(|| {
+            for (problem, x0) in &blocks {
+                let mut x = std::hint::black_box(*x0);
+                let summary = solver.solve_in_place(problem, &mut x);
+                std::hint::black_box((x, summary));
+            }
+        });
+    });
     group.finish();
 }
 

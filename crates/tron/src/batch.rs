@@ -24,6 +24,8 @@ pub struct BatchOutcome {
     pub small_step: usize,
     /// Total TRON iterations across the batch.
     pub total_iterations: usize,
+    /// Total rejected trust-region steps across the batch.
+    pub total_rejected: usize,
     /// Maximum projected-gradient norm across the batch.
     pub worst_pg_norm: f64,
 }
@@ -35,6 +37,7 @@ impl BatchOutcome {
             max_iter: 0,
             small_step: 0,
             total_iterations: 0,
+            total_rejected: 0,
             worst_pg_norm: 0.0,
         };
         for r in summaries {
@@ -44,6 +47,7 @@ impl BatchOutcome {
                 TronStatus::SmallStep => out.small_step += 1,
             }
             out.total_iterations += r.iterations;
+            out.total_rejected += r.rejected;
             out.worst_pg_norm = out.worst_pg_norm.max(r.pg_norm);
         }
         out

@@ -9,7 +9,10 @@
 //!    conjugate gradients (with negative-curvature handling), projecting the
 //!    trial point back onto the bounds;
 //! 4. accept or reject the step based on the ratio of actual to predicted
-//!    reduction, and update the trust-region radius.
+//!    reduction, and update the trust-region radius — except when both
+//!    reductions are below the resolution of the objective (`FTOL`), where
+//!    the ratio is rounding noise and the step is accepted on the model's
+//!    word.
 
 use crate::cauchy::{cauchy_point, model_value};
 use crate::cg::steihaug_cg;
@@ -43,6 +46,21 @@ impl Default for TronOptions {
     }
 }
 
+/// Resolution of the objective, relative to `max(1, |f|)`. When the actual
+/// and the predicted reduction of a step are both at most
+/// `FTOL * max(1, |f|)`, their ratio carries no information and the step is
+/// accepted as a good one.
+///
+/// The constant has two sides. It must sit above the rounding band of the
+/// objectives solved here: the branch objective is a cancellation-dominated
+/// sum (`|f|` ~1e-4 from terms of size 1–1e3) whose sampled `|ared|` noise
+/// reaches ≈ 1e-14 on `case9` and ≈ 1e-12 on the Pegase stand-ins; at `1e-12`
+/// some solves cycle to `max_iter`, and ADMM results are bit-identical for
+/// any value from `1e-11` to `1e-4`. And it is a hard bound on harm: `|ared|`
+/// is part of the test, so a step accepted under it raises `f` by at most
+/// `FTOL * max(1, |f|)`.
+const FTOL: f64 = 1e-10;
+
 /// Termination status of a TRON solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TronStatus {
@@ -50,7 +68,9 @@ pub enum TronStatus {
     Converged,
     /// Iteration limit reached.
     MaxIter,
-    /// Trust region collapsed (no further progress possible).
+    /// Trust region collapsed: step after step was rejected on a reduction
+    /// the objective can resolve, so the model is wrong here, not merely
+    /// indistinguishable from rounding.
     SmallStep,
 }
 
@@ -64,6 +84,8 @@ pub struct TronSummary {
     pub pg_norm: f64,
     /// Number of outer iterations performed.
     pub iterations: usize,
+    /// How many of those iterations rejected their step.
+    pub rejected: usize,
     /// Termination status.
     pub status: TronStatus,
 }
@@ -150,19 +172,22 @@ impl TronSolver {
         let gnorm0 = g.iter().map(|v| v * v).sum::<f64>().sqrt();
         let mut delta = self.opts.initial_delta.unwrap_or_else(|| gnorm0.max(1.0));
         let mut pg_norm = problem.projected_gradient_norm(x, g);
-        let summary = |f: f64, pg_norm: f64, iterations: usize, status: TronStatus| TronSummary {
-            objective: f,
-            pg_norm,
-            iterations,
-            status,
-        };
+        let mut rejected = 0;
+        let summary =
+            |f: f64, pg_norm: f64, iterations: usize, rejected: usize, status| TronSummary {
+                objective: f,
+                pg_norm,
+                iterations,
+                rejected,
+                status,
+            };
 
         for iter in 0..self.opts.max_iter {
             if pg_norm <= self.opts.gtol {
-                return summary(f, pg_norm, iter, TronStatus::Converged);
+                return summary(f, pg_norm, iter, rejected, TronStatus::Converged);
             }
             if delta < 1e-14 {
-                return summary(f, pg_norm, iter, TronStatus::SmallStep);
+                return summary(f, pg_norm, iter, rejected, TronStatus::SmallStep);
             }
 
             // --- Cauchy point ---
@@ -220,22 +245,30 @@ impl TronSolver {
             let f_trial = problem.objective(x_trial);
             let ared = f - f_trial;
             let step_norm = step.iter().map(|s| s * s).sum::<f64>().sqrt();
-            let rho = if pred > 0.0 {
+            let noise = FTOL * f.abs().max(1.0);
+            let rho = if ared.abs() <= noise && pred <= noise {
+                // Below the objective's resolution: take the model's word.
+                1.0
+            } else if pred > 0.0 {
                 ared / pred
             } else {
                 ared.signum()
             };
 
-            if rho > self.opts.eta && ared > -1e-12 {
+            if rho > self.opts.eta {
                 x.copy_from_slice(x_trial);
                 f = f_trial;
                 problem.derivatives(x, g, &mut h);
                 pg_norm = problem.projected_gradient_norm(x, g);
+            } else {
+                rejected += 1;
             }
 
-            // Trust-region radius update.
+            // Trust-region radius update. A failed step shrinks the region
+            // relative to itself (Lin & Moré), so that a rejected interior
+            // step is not recomputed unchanged.
             if rho < 0.25 {
-                delta = 0.25 * step_norm.max(delta * 0.25);
+                delta = 0.25 * step_norm.min(delta);
             } else if rho > 0.75 && step_norm > 0.9 * delta {
                 delta = (2.0 * delta).min(1e6);
             }
@@ -246,7 +279,7 @@ impl TronSolver {
         } else {
             TronStatus::MaxIter
         };
-        summary(f, pg_norm, self.opts.max_iter, status)
+        summary(f, pg_norm, self.opts.max_iter, rejected, status)
     }
 }
 
@@ -424,5 +457,105 @@ mod tests {
         // The x[1] variable must be at a bound (negative curvature pushes it
         // outward).
         assert!((res.x[1].abs() - 1.0).abs() < 1e-6);
+    }
+
+    /// One variable on `[-1e6, 1e6]` with caller-supplied `f` and
+    /// `(f', f'')`, recording every point the objective is evaluated at.
+    struct Scalar<F, D> {
+        f: F,
+        d: D,
+        evals: std::cell::RefCell<Vec<f64>>,
+    }
+
+    impl<F: Fn(f64) -> f64, D: Fn(f64) -> (f64, f64)> Scalar<F, D> {
+        fn new(f: F, d: D) -> Self {
+            let evals = Default::default();
+            Scalar { f, d, evals }
+        }
+    }
+
+    impl<F: Fn(f64) -> f64, D: Fn(f64) -> (f64, f64)> BoundProblem for Scalar<F, D> {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn lower(&self, _i: usize) -> f64 {
+            -1e6
+        }
+        fn upper(&self, _i: usize) -> f64 {
+            1e6
+        }
+        fn objective(&self, x: &[f64]) -> f64 {
+            self.evals.borrow_mut().push(x[0]);
+            (self.f)(x[0])
+        }
+        fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
+            (g[0], h[(0, 0)]) = (self.d)(x[0]);
+        }
+    }
+
+    #[test]
+    fn cancellation_dominated_objective_converges_on_the_models_word() {
+        // `q` is 5e-17 at the start and the ulp of 1e3 is 1e-13: the
+        // objective is 0.0 everywhere near the minimiser, so every step has
+        // `ared == 0` against a positive `pred`.
+        let p = Scalar::new(
+            |x| (1e3 + 50.0 * (x - 1.0) * (x - 1.0)) - 1e3,
+            |x| (100.0 * (x - 1.0), 100.0),
+        );
+        let mut x = [1.0 + 1e-9];
+        let solver = TronSolver::default();
+        assert!(100.0 * (x[0] - 1.0) > solver.options().gtol);
+        let res = solver.solve_in_place(&p, &mut x);
+        assert_eq!(res.status, TronStatus::Converged, "{res:?}");
+        assert!(res.iterations <= 3 && res.rejected == 0, "{res:?}");
+        assert!((x[0] - 1.0).abs() < 1e-12, "x = {}", x[0]);
+    }
+
+    #[test]
+    fn a_step_that_raises_the_objective_by_more_than_ftol_is_rejected() {
+        // The derivatives lie: they promise a reduction of 5e-13 from a step
+        // of 1e-6, the objective rises by `slope * 1e-6` instead.
+        let one_step = |slope: f64| {
+            let p = Scalar::new(|x| slope * x.abs(), |_| (-1e-6, 1.0));
+            let solver = TronSolver::new(TronOptions {
+                max_iter: 1,
+                ..Default::default()
+            });
+            let mut x = [0.0];
+            (solver.solve_in_place(&p, &mut x).rejected, x[0])
+        };
+        // A rise of 1e-9 is above FTOL * max(1, |f|) = 1e-10.
+        assert_eq!(one_step(1e-3), (1, 0.0));
+        // A rise of 1e-11 is below it, and is all the harm the rule can do.
+        let (rejected, x) = one_step(1e-5);
+        assert_eq!(rejected, 0);
+        assert!((x - 1e-6).abs() < 1e-12, "x = {x}");
+    }
+
+    #[test]
+    fn rejected_interior_step_shrinks_the_region_below_itself() {
+        // Newton on sqrt(1 + x²) from x = 2 overshoots to x = -8: a step of
+        // 10, far inside Δ = 1000, that raises f.
+        let p = Scalar::new(
+            |x| (1.0 + x * x).sqrt(),
+            |x| (x / (1.0 + x * x).sqrt(), (1.0 + x * x).powf(-1.5)),
+        );
+        let solver = TronSolver::new(TronOptions {
+            initial_delta: Some(1000.0),
+            ..Default::default()
+        });
+        let mut x = [2.0];
+        let res = solver.solve_in_place(&p, &mut x);
+        assert_eq!(res.status, TronStatus::Converged, "{res:?}");
+        assert!(res.rejected >= 1, "{res:?}");
+        let evals = p.evals.borrow();
+        let (first, second) = ((evals[1] - 2.0).abs(), (evals[2] - 2.0).abs());
+        assert!((first - 10.0).abs() < 1e-9, "first trial {}", evals[1]);
+        assert!(
+            second <= 0.25 * first,
+            "trials {} then {}",
+            evals[1],
+            evals[2]
+        );
     }
 }
