@@ -50,7 +50,7 @@ fn bench_tron_batch(c: &mut Criterion) {
 /// with its rating removed, so both shapes occur), with the consensus
 /// targets, multipliers and ALM state the network holds `inner` ADMM
 /// iterations into a cold solve. One sample is [`BLOCK_REPS`] solves from
-/// the same start — a single ~2 µs solve is too short to time — so the
+/// the same start — a single ~1–2 µs solve is too short to time — so the
 /// printed time ÷ 1000 is the per-block cost to set against the `perf`
 /// driver's `tron.us_per_block`.
 ///

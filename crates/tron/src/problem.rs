@@ -40,12 +40,15 @@ pub trait BoundProblem {
 
     /// Infinity norm of the projected gradient
     /// `|| P[x - g] - x ||_inf`, the first-order optimality measure for bound
-    /// constraints.
+    /// constraints. A NaN entry makes the norm NaN (`f64::max` would drop it
+    /// and let a NaN gradient read as converged).
     fn projected_gradient_norm(&self, x: &[f64], g: &[f64]) -> f64 {
         let mut norm: f64 = 0.0;
         for i in 0..self.dim() {
-            let step = (x[i] - g[i]).clamp(self.lower(i), self.upper(i)) - x[i];
-            norm = norm.max(step.abs());
+            let step = ((x[i] - g[i]).clamp(self.lower(i), self.upper(i)) - x[i]).abs();
+            if step > norm || step.is_nan() {
+                norm = step;
+            }
         }
         norm
     }

@@ -4,12 +4,16 @@
 //!
 //! 1. evaluate the gradient and Hessian, check the projected-gradient
 //!    optimality measure;
-//! 2. compute the Cauchy point along the projected-gradient path;
+//! 2. compute the Cauchy point along the projected-gradient path, searching
+//!    down from the model's own step length `gᵀg / gᵀHg` capped at the
+//!    trust-region boundary (on the branch blocks the first trial is
+//!    accepted);
 //! 3. refine within the subspace of free variables using Steihaug–Toint
 //!    conjugate gradients (with negative-curvature handling), projecting the
 //!    trial point back onto the bounds;
 //! 4. accept or reject the step based on the ratio of actual to predicted
-//!    reduction, and update the trust-region radius — except when both
+//!    reduction (`pred` is the model value the search computed for the step
+//!    taken), and update the trust-region radius — except when both
 //!    reductions are below the resolution of the objective (`FTOL`), where
 //!    the ratio is rounding noise and the step is accepted on the model's
 //!    word.
@@ -192,7 +196,7 @@ impl TronSolver {
 
             // --- Cauchy point ---
             let cp = cauchy_point(problem, x, g, &h, delta);
-            let mut step = cp.step;
+            let (mut step, mut q_step) = (cp.step, cp.model_value);
 
             // --- subspace refinement over free variables at x + step ---
             // model gradient at the Cauchy point: g + H s
@@ -213,7 +217,6 @@ impl TronSolver {
                 // CG step back until x + step stays feasible and the model
                 // does not increase relative to the Cauchy point.
                 let mut alpha = 1.0f64;
-                let base_model = cp.model_value;
                 for _ in 0..20 {
                     let mut trial = step;
                     for (ti, si) in trial[..n].iter_mut().zip(&cg.step[..n]) {
@@ -225,8 +228,8 @@ impl TronSolver {
                         *ti = xi - x[i];
                     }
                     let q = model_value(g, &h, &trial[..n], scratch);
-                    if q <= base_model + 1e-16 {
-                        step = trial;
+                    if q <= cp.model_value + 1e-16 {
+                        (step, q_step) = (trial, q);
                         break;
                     }
                     alpha *= 0.5;
@@ -235,7 +238,7 @@ impl TronSolver {
 
             // --- acceptance test ---
             let step = &step[..n];
-            let pred = -model_value(g, &h, step, scratch);
+            let pred = -q_step;
             let mut x_trial = [0.0; MAX_DIM];
             let x_trial = &mut x_trial[..n];
             for i in 0..n {
@@ -530,6 +533,37 @@ mod tests {
         let (rejected, x) = one_step(1e-5);
         assert_eq!(rejected, 0);
         assert!((x - 1e-6).abs() < 1e-12, "x = {x}");
+    }
+
+    #[test]
+    fn a_nan_gradient_never_reads_as_converged() {
+        struct NanGradient;
+        impl BoundProblem for NanGradient {
+            fn dim(&self) -> usize {
+                2
+            }
+            fn lower(&self, _i: usize) -> f64 {
+                -1.0
+            }
+            fn upper(&self, _i: usize) -> f64 {
+                1.0
+            }
+            fn objective(&self, _x: &[f64]) -> f64 {
+                f64::NAN
+            }
+            fn derivatives(&self, _x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
+                g.copy_from_slice(&[f64::NAN, 0.0]);
+                h[(0, 0)] = 1.0;
+                h[(1, 1)] = 1.0;
+            }
+        }
+        let solver = TronSolver::new(TronOptions {
+            max_iter: 5,
+            ..Default::default()
+        });
+        let res = solver.solve_in_place(&NanGradient, &mut [0.0, 0.0]);
+        assert_ne!(res.status, TronStatus::Converged, "{res:?}");
+        assert!(res.pg_norm.is_nan(), "{res:?}");
     }
 
     #[test]

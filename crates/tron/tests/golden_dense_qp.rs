@@ -1,11 +1,16 @@
 //! Golden results of the TRON driver on a seeded batch of dense 6-variable
 //! box QPs.
 //!
-//! The expected rows were captured on the `Vec`-based driver (the commit
-//! before the solve became stack-resident) and must never be regenerated
-//! from the code under test: they pin the rewrite to the same bits. The
-//! problems need only `+ − × ÷ √`, so the constants do not depend on the
-//! host's libm.
+//! The expected rows are those of the commit that starts the Cauchy search
+//! at the model's own step length `gᵀg / gᵀHg`, a declared change to TRON's
+//! arithmetic: against the rows captured on the `Vec`-based driver before
+//! it, all 24 statuses and every on-bound entry are unchanged, interior
+//! entries moved by a few ulps, and the convex wide-box problems 6, 12 and
+//! 18 take 1 iteration instead of 3 (CHANGES.md has the per-row diff). They
+//! must never be regenerated from the code under test by a change that does
+//! not declare, in the same way, that it changes TRON's arithmetic: they pin
+//! every other rewrite to the same bits. The problems need only
+//! `+ − × ÷ √`, so the constants do not depend on the host's libm.
 
 use gridsim_sparse::dense::SmallMatrix;
 use gridsim_tron::{QuadraticBox, TronOptions, TronSolver};
@@ -74,28 +79,28 @@ fn problem(k: usize, rng: &mut Rng) -> (QuadraticBox, Vec<f64>, TronOptions) {
 
 /// `iterations status x[0..6] as hex bits`, one row per problem.
 const EXPECTED: [&str; PROBLEMS] = [
-    "1 Converged 4006bc2d1a703b2a bfd6c7d925dcfabc 3fe267081e55bd24 bfe26d785da238dc bfd4ee333a16a068 bfd93dd67bd5bcb0",
+    "1 Converged 4006bc2d1a703b2e bfd6c7d925dcfab8 3fe267081e55bd24 bfe26d785da238dc bfd4ee333a16a067 bfd93dd67bd5bcb0",
     "9 Converged c014000000000000 4014000000000000 c014000000000000 4014000000000000 c014000000000000 c014000000000000",
     "3 Converged c014000000000000 c014000000000000 c014000000000000 4014000000000000 4014000000000000 4014000000000000",
-    "4 Converged 3f66ff85e5fa6190 bf669259bbb1331c bfb166eed26637ca bf9a89c3978b858c 3f76d0fdfd6c0920 bf637e7f0b9ca070",
+    "4 Converged 3f66ff85e5fa6180 bf669259bbb13316 bfb166eed26637c8 bf9a89c3978b8584 3f76d0fdfd6c0920 bf637e7f0b9ca068",
     "2 MaxIter 4014000000000000 4014000000000000 c014000000000000 c014000000000000 c014000000000000 c014000000000000",
     "9 Converged c014000000000000 c014000000000000 c014000000000000 c014000000000000 c014000000000000 c014000000000000",
-    "3 Converged bfaec61b2dd35208 3fdf91467cd63270 bfda3e9c0f2e73e8 bfcbed8c30911ea8 3fe3253499428cab bfee72ff805a36be",
+    "1 Converged bfaec61b2dd35280 3fdf91467cd63260 bfda3e9c0f2e7400 bfcbed8c30911eb0 3fe3253499428ca8 bfee72ff805a36be",
     "5 Converged bfc999999999999a 3fc999999999999a bf984d65eb734f78 3fc999999999999a 3fc999999999999a 3fc999999999999a",
     "3 Converged 4014000000000000 c014000000000000 c014000000000000 c014000000000000 4014000000000000 c014000000000000",
     "2 MaxIter 3ff65e6f2d0f8205 c003d033f8be8249 3ff3a9e019ea45bd c013c69e97497d27 40124e211b5c84f9 c013a7554b4ec298",
     "3 Converged 4014000000000000 4012848b7f82895c 4014000000000000 c014000000000000 4014000000000000 c014000000000000",
     "5 Converged bfc999999999999a 3fc999999999999a 3fc999999999999a 3fc999999999999a bfc999999999999a bfc999999999999a",
-    "3 Converged 3fec27b694fea848 c00b13b9c414f89c 3fe68d8f8d6fad50 3feb2dfdfb59f380 bff1b629b853e590 3ff414c7e2cc69f8",
+    "1 Converged 3fec27b694fea848 c00b13b9c414f89e 3fe68d8f8d6fad48 3feb2dfdfb59f388 bff1b629b853e58e 3ff414c7e2cc69f8",
     "8 Converged 4014000000000000 4014000000000000 c014000000000000 c014000000000000 c014000000000000 4014000000000000",
     "2 Converged c014000000000000 c014000000000000 c014000000000000 4014000000000000 c014000000000000 c014000000000000",
-    "4 Converged 3f9a6740d6c960f0 3f6c02e6551c7fb8 3f878a611f430a1c bf5ae5ea3ceb5060 3f8243daa26a6748 bf750f7cee6c119c",
+    "4 Converged 3f9a6740d6c96100 3f6c02e6551c7fc0 3f878a611f430a1b bf5ae5ea3ceb5040 3f8243daa26a674c bf750f7cee6c1198",
     "2 Converged c014000000000000 4014000000000000 4014000000000000 4014000000000000 c014000000000000 4014000000000000",
     "12 Converged 4014000000000000 c014000000000000 4014000000000000 bff9eb367501558c 4014000000000000 c014000000000000",
-    "3 Converged 3fd74a046b9ca070 bfcb5d5c31be8440 3fc0fbfc509c66b8 3fe56ccafce30a10 bfd130fbd2716e64 3fe4f2e45ffc6364",
+    "1 Converged 3fd74a046b9ca070 bfcb5d5c31be8460 3fc0fbfc509c66a0 3fe56ccafce30a10 bfd130fbd2716e60 3fe4f2e45ffc6358",
     "2 MaxIter bfc738475536f41a 3fc999999999999a 3fc3c1726d254780 bfb21104a5ab40ae bfb7486720369c7f bf8650ab78eb23f0",
     "2 Converged 4014000000000000 4014000000000000 4014000000000000 4014000000000000 c014000000000000 4014000000000000",
-    "8 Converged bf73b633f4122200 3f7b95c292ab5400 bf70ee2d8c49ad00 bfaddd8013960280 3fa64b78fcad8060 3f75bf87bda49c00",
+    "8 Converged bf73b633f4122200 3f7b95c292ab5400 bf70ee2d8c49ad00 bfaddd8013960200 3fa64b78fcad8060 3f75bf87bda49d00",
     "2 Converged c014000000000000 4014000000000000 c014000000000000 4014000000000000 c014000000000000 4014000000000000",
     "6 Converged 3fc999999999999a 3fc999999999999a bfc999999999999a bfc999999999999a 3fc999999999999a 3fc999999999999a",
 ];
