@@ -29,10 +29,9 @@
 //! [`scenario::ScenarioScheduler`] shards the scenarios across a
 //! [`gridsim_batch::DevicePool`] with streaming admission (converged
 //! scenarios hand their buffer slot to the next pending one). The other
-//! entry points are thin front ends over it: [`scenario::ScenarioBatch`] is
-//! K scenarios on one device, [`AdmmSolver`] is one network on one device
-//! (the paper's per-case solver), and [`track_horizon`] chains
-//! [`AdmmSolver`] warm starts across periods.
+//! entry points are thin front ends over it: [`AdmmSolver`] is one network
+//! on one device (the paper's per-case solver), and [`track_horizon`]
+//! chains [`AdmmSolver`] warm starts across periods.
 
 pub mod branch_problem;
 pub(crate) mod kernels;
@@ -45,9 +44,7 @@ pub mod tracking;
 pub use branch_problem::BranchProblem;
 pub use layout::{ConstraintKind, Layout};
 pub use params::AdmmParams;
-pub use scenario::{
-    ScenarioBatch, ScenarioBatchResult, ScenarioProblem, ScenarioResult, ScenarioScheduler,
-};
+pub use scenario::{ScenarioBatchResult, ScenarioProblem, ScenarioResult, ScenarioScheduler};
 pub use solver::{AdmmResult, AdmmSolver, AdmmStatus, WarmState};
 pub use tracking::{track_horizon, PeriodResult, TrackingConfig};
 

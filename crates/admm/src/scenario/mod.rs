@@ -15,10 +15,9 @@
 //!   [`LaneSolver`](gridsim_engine::LaneSolver) on the solver-agnostic
 //!   [`gridsim_engine::Engine`], which shards scenarios across a
 //!   [`gridsim_batch::DevicePool`] and streams pending scenarios into slots
-//!   as earlier ones converge (**where and when**),
-//! * [`ScenarioBatch`] — the K-scenarios-on-one-device, everything-admitted
-//!   special case of the scheduler, kept as the convenience front end
-//!   ([`AdmmSolver`](crate::solver::AdmmSolver) is the same thing at K=1).
+//!   as earlier ones converge (**where and when**). It is the fleet's only
+//!   front end; [`AdmmSolver`](crate::solver::AdmmSolver) is its
+//!   one-network, one-device case.
 //!
 //! This is the crate's only implementation of Algorithm 1's two-level loop.
 //! Three properties make it a fleet solver rather than `K` loops:
@@ -39,12 +38,13 @@
 //!   reproduces the plain-`Vec` transcription of Algorithm 1 (the crate's
 //!   `#[cfg(test)]` oracle) exactly on every launch backend.
 //!
-//! Warm starts: [`ScenarioBatch::solve_warm`] seeds every scenario from one
-//! shared [`WarmState`] (e.g. the solved nominal case) with optional
-//! per-scenario ramp-limited generator bounds; [`ScenarioBatch::solve_chained`]
-//! instead threads the warm state from scenario `k−1` into scenario `k`
-//! (ramp-limited), trading batch width for warm-start depth — the right mode
-//! for ordered scenario sweeps such as monotone load ramps.
+//! Warm starts: [`ScenarioScheduler::solve_warm`] seeds every scenario from
+//! one shared [`WarmState`] (e.g. the solved nominal case) with optional
+//! per-scenario ramp-limited generator bounds;
+//! [`ScenarioScheduler::solve_chained`] instead threads the warm state from
+//! scenario `k−1` into scenario `k` (ramp-limited), trading batch width for
+//! warm-start depth — the right mode for ordered scenario sweeps such as
+//! monotone load ramps.
 
 pub mod problem;
 pub mod scheduler;
@@ -52,16 +52,11 @@ pub mod scheduler;
 pub use problem::ScenarioProblem;
 pub use scheduler::ScenarioScheduler;
 
-use crate::params::AdmmParams;
 use crate::solver::{AdmmStatus, WarmState};
 use gridsim_acopf::solution::OpfSolution;
-use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_batch::{Device, DevicePool};
-use gridsim_engine::FleetRequest;
-use gridsim_grid::network::Network;
 use gridsim_store::StoreRunStats;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Result of one scenario inside a batched solve. Field-for-field the
 /// scenario-local counterpart of [`crate::solver::AdmmResult`].
@@ -102,9 +97,9 @@ pub struct ScenarioBatchResult {
     /// per-scenario inner iteration count, not the sum; with streaming
     /// admission it also covers the refilled scenarios' rounds, and for a
     /// sharded multi-device run it is the longest device's count (shards
-    /// run concurrently). [`ScenarioBatch::solve_chained`] runs its
-    /// scenarios as consecutive K=1 batches instead, so there `ticks` is
-    /// the sum over the chain (every tick still launches one kernel round).
+    /// run concurrently). [`ScenarioScheduler::solve_chained`] runs its
+    /// scenarios as consecutive K=1 fleets instead, so there `ticks` is the
+    /// sum over the chain (every tick still launches one kernel round).
     pub ticks: usize,
     /// Solution-store traffic for this run: admissions seeded from a stored
     /// neighbor (hits), admissions that consulted the store and found no
@@ -136,99 +131,22 @@ impl ScenarioBatchResult {
     }
 }
 
-/// The batched multi-scenario driver: the K-scenarios-on-one-device,
-/// everything-admitted-at-once special case of [`ScenarioScheduler`].
-#[derive(Debug, Clone)]
-pub struct ScenarioBatch {
-    /// Algorithm parameters (shared by every scenario).
-    pub params: AdmmParams,
-    /// Batch device executing the kernels.
-    pub device: Device,
-}
-
-impl ScenarioBatch {
-    /// Create a batched driver on an auto-resolved device
-    /// (`GRIDSIM_BACKEND` override → worker count; backends are bitwise
-    /// interchangeable, so the choice affects speed only).
-    pub fn new(params: AdmmParams) -> Self {
-        ScenarioBatch {
-            params,
-            device: Device::default(),
-        }
-    }
-
-    /// Create a batched driver on a specific device.
-    pub fn with_device(params: AdmmParams, device: Device) -> Self {
-        ScenarioBatch { params, device }
-    }
-
-    /// The equivalent scheduler: this driver's device as a single-device
-    /// pool, no lane cap.
-    fn scheduler(&self) -> ScenarioScheduler {
-        ScenarioScheduler::with_pool(self.params.clone(), DevicePool::single(self.device.clone()))
-    }
-
-    /// Solve one [`FleetRequest`] — see [`ScenarioScheduler::run`] for the
-    /// store and execution-mode semantics.
-    ///
-    /// Every network must share the dimensions and topology of the first
-    /// (same buses, generators and branch endpoints); loads, admittances,
-    /// shunts and generator data may differ. Panics otherwise.
-    pub fn run(&self, request: FleetRequest<'_, WarmState>) -> ScenarioBatchResult {
-        self.scheduler().run(request)
-    }
-
-    /// Solve all scenarios warm-started from one shared [`WarmState`] (e.g.
-    /// the solved nominal case), optionally with per-scenario ramp-limited
-    /// generator bounds (`pg_bounds[s]` applies to scenario `s`).
-    pub fn solve_warm(
-        &self,
-        nets: &[Network],
-        warm: &WarmState,
-        pg_bounds: Option<&[(Vec<f64>, Vec<f64>)]>,
-    ) -> ScenarioBatchResult {
-        self.scheduler().solve_warm(nets, warm, pg_bounds)
-    }
-
-    /// Solve the scenarios in order, seeding scenario `k` from scenario
-    /// `k−1`'s warm state with ramp-limited generator bounds (`base` seeds
-    /// scenario 0). This trades the batch width of [`ScenarioBatch::run`]
-    /// for warm-start depth — each solve is a K=1 batch — and fits ordered
-    /// sweeps such as monotone load ramps, where adjacent scenarios are
-    /// nearly identical.
-    pub fn solve_chained(
-        &self,
-        nets: &[Network],
-        base: &WarmState,
-        ramp_fraction: f64,
-    ) -> ScenarioBatchResult {
-        let start = Instant::now();
-        let scheduler = self.scheduler();
-        let mut results = Vec::with_capacity(nets.len());
-        let mut ticks = 0usize;
-        let mut prev = base.clone();
-        for net in nets {
-            let bounds = ramp_limited_bounds(net, prev.previous_pg(), ramp_fraction);
-            let one = scheduler.solve_warm(std::slice::from_ref(net), &prev, Some(&[bounds][..]));
-            ticks += one.ticks;
-            let r = one.results.into_iter().next().expect("one scenario");
-            prev = r.warm_state.clone();
-            results.push(r);
-        }
-        ScenarioBatchResult {
-            results,
-            solve_time: start.elapsed(),
-            ticks,
-            store: StoreRunStats::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::AdmmParams;
     use crate::solver::AdmmSolver;
+    use gridsim_acopf::start::ramp_limited_bounds;
+    use gridsim_batch::{Device, DevicePool};
+    use gridsim_engine::FleetRequest;
     use gridsim_grid::cases;
+    use gridsim_grid::network::Network;
+
+    /// All scenarios on one auto-resolved device, whatever `GRIDSIM_DEVICES`
+    /// says: the tests read that device's stats and assert `ticks`.
+    fn single_device(params: AdmmParams) -> ScenarioScheduler {
+        ScenarioScheduler::with_pool(params, DevicePool::single(Device::default()))
+    }
 
     fn nets_for(case: &gridsim_grid::Case, mults: &[f64]) -> Vec<Network> {
         mults
@@ -248,7 +166,7 @@ mod tests {
             ..AdmmParams::default()
         };
         let want = crate::oracle::solve(&net, &params, None, None);
-        let batch = ScenarioBatch::new(params).run(FleetRequest::over(std::slice::from_ref(&net)));
+        let batch = single_device(params).run(FleetRequest::over(std::slice::from_ref(&net)));
         assert_eq!(batch.results.len(), 1);
         let r = &batch.results[0];
         assert_eq!(r.inner_iterations, want.inner_iterations);
@@ -265,7 +183,7 @@ mod tests {
         let base = cases::case9();
         let nets = nets_for(&base, &[0.98, 1.0, 1.03]);
         let params = AdmmParams::test_profile();
-        let batch = ScenarioBatch::new(params.clone()).run(FleetRequest::over(&nets));
+        let batch = single_device(params.clone()).run(FleetRequest::over(&nets));
         let solver = AdmmSolver::new(params);
         for (r, net) in batch.results.iter().zip(&nets) {
             let single = solver.solve(net);
@@ -289,10 +207,10 @@ mod tests {
         let base = cases::case9();
         // A spread of loads so convergence times differ across scenarios.
         let nets = nets_for(&base, &[1.0, 1.05, 0.95]);
-        let batcher = ScenarioBatch::new(AdmmParams::test_profile());
-        let before = batcher.device.stats().snapshot();
+        let batcher = single_device(AdmmParams::test_profile());
+        let before = batcher.pool.device(0).stats().snapshot();
         let result = batcher.run(FleetRequest::over(&nets));
-        let delta = batcher.device.stats().snapshot().since(&before);
+        let delta = batcher.pool.device(0).stats().snapshot().since(&before);
         // Masked launches record only the active elements: the branch-TRON
         // block count equals the sum of per-scenario inner iterations times
         // branches, strictly less than ticks × K × nbranch.
@@ -319,10 +237,10 @@ mod tests {
             max_inner: 30,
             ..AdmmParams::default()
         };
-        let batcher = ScenarioBatch::new(params);
-        let before = batcher.device.stats().snapshot();
+        let batcher = single_device(params);
+        let before = batcher.pool.device(0).stats().snapshot();
         let result = batcher.run(FleetRequest::over(&nets));
-        let delta = batcher.device.stats().snapshot().since(&before);
+        let delta = batcher.pool.device(0).stats().snapshot().since(&before);
         // Uploads happen once at setup (9 slot-major buffers) and reads once
         // per finished scenario (6 result-bearing buffers) — never per
         // iteration, even over dozens of ticks.
@@ -341,7 +259,7 @@ mod tests {
         let nominal = base.compile().unwrap();
         let cold = AdmmSolver::new(AdmmParams::test_profile()).solve(&nominal);
         let nets = nets_for(&base, &[1.005, 1.01, 1.015]);
-        let batcher = ScenarioBatch::new(AdmmParams::test_profile());
+        let batcher = single_device(AdmmParams::test_profile());
         let warm = batcher.solve_warm(&nets, &cold.warm_state, None);
         let coldb = batcher.run(FleetRequest::over(&nets));
         for (w, c) in warm.results.iter().zip(&coldb.results) {
@@ -363,11 +281,8 @@ mod tests {
         let cold = AdmmSolver::new(AdmmParams::test_profile()).solve(&nominal);
         let nets = nets_for(&base, &[1.005, 1.01]);
         let ramp = 0.02;
-        let chained = ScenarioBatch::new(AdmmParams::test_profile()).solve_chained(
-            &nets,
-            &cold.warm_state,
-            ramp,
-        );
+        let chained =
+            single_device(AdmmParams::test_profile()).solve_chained(&nets, &cold.warm_state, ramp);
         assert_eq!(chained.results.len(), 2);
         let mut prev_pg = cold.warm_state.previous_pg().to_vec();
         for (r, net) in chained.results.iter().zip(&nets) {
@@ -387,6 +302,6 @@ mod tests {
         let mut case_b = cases::case9();
         case_b.branches.swap(0, 3);
         let b = case_b.compile().unwrap();
-        let _ = ScenarioBatch::new(AdmmParams::default()).run(FleetRequest::over(&[a, b]));
+        let _ = single_device(AdmmParams::default()).run(FleetRequest::over(&[a, b]));
     }
 }

@@ -18,16 +18,16 @@
 //!
 //! Because every scenario's iterates depend only on its own buffer segment
 //! and control state, the per-scenario results are **bitwise identical**
-//! for *any* device count, lane count, and admission order — and equal to
-//! a [`super::ScenarioBatch`] solve of the same scenarios, which is itself
-//! the K-scenarios-on-one-device, all-admitted-at-once special case of this
-//! scheduler. The property suite asserts exactly that.
+//! for *any* device count, lane count, and admission order — in particular
+//! equal to the K-scenarios-on-one-device, all-admitted-at-once run of the
+//! same scenarios. The property suite asserts exactly that.
 
 use super::problem::{ScenarioData, ScenarioProblem};
 use super::{ScenarioBatchResult, ScenarioResult};
 use crate::kernels::{self, AlmSettings, BranchState, BusState, GenState};
 use crate::params::AdmmParams;
 use crate::solver::{AdmmStatus, WarmState};
+use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_batch::{Device, DeviceBuffer, DeviceConfig, DevicePool};
 use gridsim_engine::{Engine, FleetRequest, LaneSolver, StoreAccess};
@@ -232,10 +232,42 @@ impl ScenarioScheduler {
         self.execute(&self.pool, nets, Some(warm), pg_bounds, None)
     }
 
+    /// Solve the scenarios in order, seeding scenario `k` from scenario
+    /// `k−1`'s warm state with ramp-limited generator bounds (`base` seeds
+    /// scenario 0). This trades the batch width of [`Self::run`] for
+    /// warm-start depth — each solve is a K=1 fleet — and fits ordered
+    /// sweeps such as monotone load ramps, where adjacent scenarios are
+    /// nearly identical.
+    pub fn solve_chained(
+        &self,
+        nets: &[Network],
+        base: &WarmState,
+        ramp_fraction: f64,
+    ) -> ScenarioBatchResult {
+        let start = Instant::now();
+        let mut results = Vec::with_capacity(nets.len());
+        let mut ticks = 0usize;
+        let mut prev = base.clone();
+        for net in nets {
+            let bounds = ramp_limited_bounds(net, prev.previous_pg(), ramp_fraction);
+            let one = self.solve_warm(std::slice::from_ref(net), &prev, Some(&[bounds][..]));
+            ticks += one.ticks;
+            let r = one.results.into_iter().next().expect("one scenario");
+            prev = r.warm_state.clone();
+            results.push(r);
+        }
+        ScenarioBatchResult {
+            results,
+            solve_time: start.elapsed(),
+            ticks,
+            store: StoreRunStats::default(),
+        }
+    }
+
     /// Drive the engine over `nets` on `pool`, with lookups against the
     /// frozen view when present. Commits nothing. Every ADMM solve in the
-    /// crate — fleet, batch, and the K=1 [`crate::solver::AdmmSolver`] —
-    /// comes through here.
+    /// crate — the fleet and the K=1 [`crate::solver::AdmmSolver`] — comes
+    /// through here.
     pub(crate) fn execute(
         &self,
         pool: &DevicePool,

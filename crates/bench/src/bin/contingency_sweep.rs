@@ -31,7 +31,7 @@ use gridsim_bench::{arg_parsed, arg_value, TextTable};
 use gridsim_engine::{Engine, FleetRequest};
 use gridsim_grid::network::{Case, Network};
 use gridsim_grid::ContingencySpec;
-use gridsim_ipm::{IpmFleetSolver, IpmOptions, KktStrategy};
+use gridsim_ipm::{IpmFleetSolver, IpmOptions};
 use gridsim_screen::{
     constraint_margin, Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig,
 };
@@ -79,11 +79,8 @@ fn run_flat(tier: FullTier, case_id: &str, nets: &[Network], pool: &DevicePool) 
             }
         }
         FullTier::Ipm => {
-            let opts = IpmOptions {
-                kkt_strategy: KktStrategy::Condensed,
-                ..Default::default()
-            };
-            let solver = IpmFleetSolver::with_engine(opts, Engine::with_pool(pool.clone()));
+            let solver =
+                IpmFleetSolver::with_engine(IpmOptions::default(), Engine::with_pool(pool.clone()));
             let t0 = Instant::now();
             let report = solver.run(FleetRequest::over(nets).case(case_id));
             let time = t0.elapsed();

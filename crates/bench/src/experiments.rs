@@ -7,7 +7,7 @@ use gridsim_acopf::violations::{relative_gap, SolutionQuality};
 use gridsim_admm::{AdmmParams, AdmmSolver};
 use gridsim_grid::load_profile::LoadProfile;
 use gridsim_grid::network::Case;
-use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, KktCache, KktStrategy};
+use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, KktCache};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -82,7 +82,7 @@ pub struct TrackingRow {
     /// same period (Figure 3).
     pub relative_gap: f64,
     /// Cumulative symbolic analyses the baseline has performed up to and
-    /// including this period. The condensed strategy shares one frozen
+    /// including this period. The condensed KKT shares one frozen
     /// pattern across the whole horizon, so this stays flat after period 0
     /// even though every period keeps paying `ipm_factorizations` numeric
     /// refactorizations.
@@ -94,7 +94,7 @@ pub struct TrackingRow {
 
 /// Run the 30-period tracking experiment on a case with both solvers,
 /// warm-starting each from its own previous period (Section IV-C). The
-/// interior-point baseline runs the condensed-space KKT strategy with a
+/// interior-point baseline runs its condensed-space KKT with a
 /// horizon-wide [`KktCache`]: the pattern of every period's condensed system
 /// is identical, so the whole reference trajectory costs one symbolic
 /// analysis and every Newton step is a numeric-only refactorization.
@@ -140,7 +140,6 @@ pub fn run_tracking_comparison(
             tol: 1e-6,
             max_iter: 300,
             initial_point: ipm_prev.as_ref().map(|(x, _)| x.clone()),
-            kkt_strategy: KktStrategy::Condensed,
             ..Default::default()
         })
         .solve_with_cache(&nlp, &mut kkt_cache);

@@ -13,8 +13,8 @@
 //! * **one [`KktCache`] per lane** — every scenario of a set shares the
 //!   base network's topology, so the condensed-KKT pattern of each lane's
 //!   admission stream is identical and the lane's whole stream costs **one
-//!   symbolic analysis** ([`crate::KktStrategy::Condensed`]). Fleet-wide, symbolic
-//!   analyses scale with the *lane count*, not the scenario count —
+//!   symbolic analysis**. Fleet-wide, symbolic analyses scale with the
+//!   *lane count*, not the scenario count —
 //!   [`FleetReport::symbolic_analyses`] vs [`FleetReport::lanes`] is the
 //!   tested invariant (a scenario whose constraint *structure* differs,
 //!   e.g. an outage lifting a line limit, costs its lane one extra
@@ -121,17 +121,14 @@ pub struct FleetReport {
     pub store: StoreRunStats,
     /// The frozen condensed system of every lane at the end of the run
     /// ([`KktCache::symbolic_stats`]), lanes ordered by the scenario that
-    /// opened them. Empty under
-    /// [`KktStrategy::Full`](crate::KktStrategy::Full), which freezes
-    /// nothing.
+    /// opened them.
     pub lane_symbolic: Vec<SymbolicStats>,
 }
 
 impl FleetReport {
     /// Symbolic analyses across the fleet (each solve bills the analyses it
-    /// triggered, so the sum is the fleet total). Under
-    /// [`KktStrategy::Condensed`](crate::KktStrategy::Condensed) with
-    /// structurally identical scenarios this equals [`FleetReport::lanes`].
+    /// triggered, so the sum is the fleet total). With structurally
+    /// identical scenarios this equals [`FleetReport::lanes`].
     pub fn symbolic_analyses(&self) -> usize {
         self.results
             .iter()
@@ -196,9 +193,7 @@ impl FleetReport {
 pub struct IpmFleetSolver {
     /// Options applied to every scenario solve. Per-lane warm starts
     /// override `initial_point`/`initial_multipliers` from the second
-    /// admission of each lane onward; set
-    /// [`KktStrategy::Condensed`](crate::KktStrategy::Condensed) to get the
-    /// one-symbolic-analysis-per-lane economics.
+    /// admission of each lane onward.
     pub options: IpmOptions,
     /// The execution engine (device pool + lane policy).
     pub engine: Engine,
@@ -492,18 +487,10 @@ impl LaneSolver for IpmFleet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kkt_condensed::KktStrategy;
     use gridsim_batch::DevicePool;
     use gridsim_grid::cases;
     use gridsim_grid::scenario::ScenarioSet;
     use gridsim_store::SolutionStore;
-
-    fn condensed() -> IpmOptions {
-        IpmOptions {
-            kkt_strategy: KktStrategy::Condensed,
-            ..Default::default()
-        }
-    }
 
     #[test]
     fn fleet_solves_a_load_ramp_and_pays_one_analysis_per_lane() {
@@ -511,7 +498,8 @@ mod tests {
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(2)).with_lanes(1);
-        let fleet = IpmFleetSolver::with_engine(condensed(), engine).run(FleetRequest::over(&nets));
+        let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine)
+            .run(FleetRequest::over(&nets));
         assert_eq!(fleet.results.len(), 4);
         assert!(fleet.all_optimal(), "a scenario failed to converge");
         assert_eq!(fleet.lanes, 2);
@@ -546,7 +534,8 @@ mod tests {
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
-        let fleet = IpmFleetSolver::with_engine(condensed(), engine).run(FleetRequest::over(&nets));
+        let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine)
+            .run(FleetRequest::over(&nets));
         assert!(fleet.all_optimal());
         // The second scenario rides the first one's primal/dual point and
         // the lane's frozen pattern: no new analysis, no more iterations
@@ -561,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn full_strategy_fleet_still_solves() {
+    fn default_options_fleet_pays_one_analysis_per_lane() {
         let nets = ScenarioSet::load_ramp(cases::case9(), 2, 0.99, 1.01)
             .networks()
             .unwrap();
@@ -571,16 +560,18 @@ mod tests {
         )
         .run(FleetRequest::over(&nets));
         assert!(fleet.all_optimal());
-        // The full path pays a symbolic analysis per factorization and
-        // freezes nothing.
-        assert_eq!(fleet.symbolic_analyses(), fleet.factorizations());
-        assert!(fleet.lane_symbolic.is_empty());
+        // No lane cap: both scenarios open a lane, and each lane freezes
+        // its condensed system once.
+        assert_eq!(fleet.lanes, 2);
+        assert_eq!(fleet.symbolic_analyses(), fleet.lanes);
+        assert_eq!(fleet.lane_symbolic.len(), fleet.lanes);
+        assert!(fleet.factorizations() > fleet.symbolic_analyses());
     }
 
     #[test]
     #[should_panic(expected = "at least one scenario")]
     fn empty_fleet_is_rejected() {
-        let _ = IpmFleetSolver::new(condensed()).run(FleetRequest::over(&[]));
+        let _ = IpmFleetSolver::new(IpmOptions::default()).run(FleetRequest::over(&[]));
     }
 
     #[test]
@@ -589,7 +580,7 @@ mod tests {
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
-        let solver = IpmFleetSolver::with_engine(condensed(), engine);
+        let solver = IpmFleetSolver::with_engine(IpmOptions::default(), engine);
         let plain = solver.run(FleetRequest::over(&nets));
         let mut store = SolutionStore::new();
         let stored = solver.run(FleetRequest::over(&nets).case("case9").store(&mut store));
@@ -612,7 +603,7 @@ mod tests {
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
-        let solver = IpmFleetSolver::with_engine(condensed(), engine);
+        let solver = IpmFleetSolver::with_engine(IpmOptions::default(), engine);
         let mut store = SolutionStore::new();
         let cold = solver.run(FleetRequest::over(&nets).case("case9").store(&mut store));
         let warm = solver.run(FleetRequest::over(&nets).case("case9").store(&mut store));
@@ -644,7 +635,7 @@ mod tests {
         let far = base.scale_load(1.06).compile().unwrap();
         let near = base.scale_load(1.001).compile().unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
-        let solver = IpmFleetSolver::with_engine(condensed(), engine);
+        let solver = IpmFleetSolver::with_engine(IpmOptions::default(), engine);
         let mut store = SolutionStore::new();
         // Prime the store with the near scenario's solution.
         let prime = solver.run(

@@ -10,9 +10,10 @@
 //! where `v = [x; s]` stacks the decision variables and the inequality
 //! slacks, `W` is the Hessian of the Lagrangian (zero on the slack block),
 //! `Σ` is the diagonal barrier term, and `J = [J_E 0; J_I I]` is the
-//! Jacobian of the slacked constraints. The factorization of this matrix is
-//! the dominant cost of the baseline — the very cost the paper's
-//! decomposition avoids.
+//! Jacobian of the slacked constraints. The solver never factorizes this
+//! matrix: [`crate::kkt_condensed`] eliminates its slack and
+//! inequality-dual blocks first. It is the reference the condensed Newton
+//! step is tested against.
 
 use gridsim_sparse::{Coo, Csc};
 

@@ -7,29 +7,26 @@
 //! The method follows the standard barrier scheme: inequality constraints are
 //! slacked into equalities, variable bounds are handled with logarithmic
 //! barrier terms, and each barrier subproblem is solved with Newton steps on
-//! the primal–dual KKT system. The augmented (quasi-definite) KKT matrix is
-//! factorized with the sparse LDLᵀ of [`gridsim_sparse`] using a
-//! reverse Cuthill–McKee ordering (the condensed system of
-//! [`kkt_condensed`] uses approximate minimum degree instead: its analysis
-//! is frozen and replayed, so fill is what it pays for every step),
-//! inertia is corrected by primal/dual
-//! regularization, steps are safeguarded by the fraction-to-boundary rule and
-//! an ℓ1-merit backtracking line search, and the barrier parameter decreases
-//! monotonically (Fiacco–McCormick).
+//! the primal–dual KKT system in condensed space (Shin et al.,
+//! arXiv:2307.16830): the slack and inequality-dual blocks are eliminated in
+//! closed form, and the remaining quasi-definite system is factorized with
+//! the sparse LDLᵀ of [`gridsim_sparse`] under an approximate-minimum-degree
+//! ordering. Its sparsity pattern is analyzed once per NLP and numerically
+//! refactorized every iteration, so fill is what every step pays for.
+//! Inertia is corrected by primal/dual regularization, steps are safeguarded
+//! by the fraction-to-boundary rule and a filter line search, and the
+//! barrier parameter decreases monotonically (Fiacco–McCormick).
 //!
 //! The cost anatomy — one sparse symmetric indefinite factorization per
-//! Newton iteration, growing super-linearly with network size — is exactly
-//! the baseline behaviour the paper's Table II and Figure 1 contrast against.
-//! The [`kkt_condensed`] module is the counterpoint: a condensed-space step
-//! (slack and inequality-dual blocks eliminated in closed form) whose frozen
-//! sparsity pattern is analyzed once per NLP and numerically refactorized
-//! every iteration, selected through [`kkt_condensed::KktStrategy`].
+//! Newton iteration, growing super-linearly with network size — is the
+//! baseline behaviour the paper's Table II and Figure 1 contrast against.
 //!
 //! Modules:
 //!
 //! * [`nlp`] — the problem interface ([`nlp::Nlp`]),
 //! * [`acopf_nlp`] — the full polar ACOPF formulation (1) as an NLP,
-//! * [`kkt`] — assembly of the augmented KKT system,
+//! * [`kkt`] — the slacked problem's dimensions and the full augmented KKT
+//!   system, the reference the condensed step is tested against,
 //! * [`kkt_condensed`] — the condensed-space step with symbolic reuse,
 //! * [`solver`] — the interior-point iteration,
 //! * [`fleet`] — the scenario fleet driver on the execution engine (one

@@ -73,10 +73,10 @@ pub struct SolveReport {
     /// refactorizations) — the quantity that dominates Ipopt's run time on
     /// ACOPF.
     pub factorizations: usize,
-    /// Symbolic analyses performed during this solve. The full-KKT strategy
-    /// pays one per factorization; the condensed strategy analyzes the
-    /// frozen pattern once per NLP (plus rare structural-growth rebuilds)
-    /// and runs numeric-only refactorizations afterwards.
+    /// Symbolic analyses performed during this solve: the frozen condensed
+    /// pattern is analyzed once per NLP (plus rare structural-growth
+    /// rebuilds), and none at all when a reused [`crate::KktCache`] already
+    /// holds it; every factorization after that is numeric-only.
     pub symbolic_analyses: usize,
     /// Trial steps rejected by the (φ, θ) filter line search (each rejection
     /// halves the step length or triggers a second-order correction).

@@ -6,7 +6,7 @@
 
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_grid::{cases, ScenarioSet};
-use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, KktStrategy, Nlp};
+use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, Nlp};
 use gridsim_sparse::Coo;
 
 fn solve_case(case: gridsim_grid::Case) -> (gridsim_grid::Network, gridsim_ipm::SolveReport) {
@@ -211,23 +211,43 @@ impl Nlp for UpperTriangleHessian<'_> {
 
 /// A one-triangle Hessian used to solve the wrong Newton systems without a
 /// word — whichever half-entries the ordering moved below the diagonal were
-/// dropped — and still report `Optimal` after 73 (full) / 84 (condensed)
-/// iterations instead of 12. It is a typed failure before iteration 0 now,
-/// under both strategies.
+/// dropped — and still report `Optimal` after 84 iterations instead of 12.
+/// It is a typed failure before iteration 0 now. The honest solve reaches
+/// `case9`'s pinned objective (see `tests/ipm_condensed.rs`).
 #[test]
 fn one_triangle_hessian_is_rejected_before_the_first_iteration() {
     let net = cases::case9().compile().unwrap();
-    for strategy in [KktStrategy::Full, KktStrategy::Condensed] {
-        let solver = IpmSolver::new(IpmOptions {
-            kkt_strategy: strategy,
-            ..Default::default()
-        });
-        let honest = solver.solve(&AcopfNlp::new(&net));
-        assert!(honest.is_optimal() && honest.iterations > 0, "{strategy:?}");
-        let report = solver.solve(&UpperTriangleHessian(AcopfNlp::new(&net)));
-        assert_eq!(report.status, IpmStatus::NumericalError, "{strategy:?}");
-        assert_eq!(report.iterations, 0, "{strategy:?}");
-        assert_eq!(report.factorizations, 0, "{strategy:?}");
-        assert!(report.log.is_empty(), "{strategy:?}");
-    }
+    let solver = IpmSolver::default();
+    let honest = solver.solve(&AcopfNlp::new(&net));
+    assert!(honest.is_optimal() && honest.iterations > 0);
+    assert!(
+        (honest.objective - 5_297.406_739_9).abs() < 1e-5 * 5_297.406_739_9,
+        "objective {}",
+        honest.objective
+    );
+    let report = solver.solve(&UpperTriangleHessian(AcopfNlp::new(&net)));
+    assert_eq!(report.status, IpmStatus::NumericalError);
+    assert_eq!(report.iterations, 0);
+    assert_eq!(report.factorizations, 0);
+    assert!(report.log.is_empty());
+}
+
+/// A NaN load set after `compile()` used to panic inside the solve (a
+/// `clamp` with NaN bounds, after a watchdog step carried the NaN into the
+/// iterate), which takes down every fleet lane and daemon chunk with it.
+/// The NaN residual now ends the solve as a numerical error before any
+/// factorization.
+#[test]
+fn nan_load_is_a_numerical_error_not_a_panic() {
+    let mut net = cases::case9().compile().unwrap();
+    net.pd[4] = f64::NAN;
+    let report = IpmSolver::default().solve(&AcopfNlp::new(&net));
+    assert_eq!(report.status, IpmStatus::NumericalError);
+    assert!(
+        !report.kkt_error.is_finite(),
+        "kkt_error {}",
+        report.kkt_error
+    );
+    assert_eq!(report.iterations, 0);
+    assert_eq!(report.factorizations, 0);
 }

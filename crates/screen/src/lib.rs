@@ -46,7 +46,7 @@ use gridsim_admm::{AdmmParams, WarmState};
 use gridsim_batch::DevicePool;
 use gridsim_engine::{Engine, FleetRequest};
 use gridsim_grid::network::Network;
-use gridsim_ipm::{AcopfNlp, FleetReport, IpmFleetSolver, IpmOptions, IpmWarmStart, KktStrategy};
+use gridsim_ipm::{AcopfNlp, FleetReport, IpmFleetSolver, IpmOptions, IpmWarmStart};
 use gridsim_store::{ScenarioFingerprint, SolutionStore};
 use std::time::Duration;
 
@@ -95,10 +95,7 @@ impl Default for FunnelConfig {
         FunnelConfig {
             screening: AdmmParams::screening_profile(),
             full: AdmmParams::default(),
-            ipm: IpmOptions {
-                kkt_strategy: KktStrategy::Condensed,
-                ..Default::default()
-            },
+            ipm: IpmOptions::default(),
             tier: FullTier::Admm,
             benign_threshold: DEFAULT_BENIGN_THRESHOLD,
             violating_threshold: DEFAULT_VIOLATING_THRESHOLD,

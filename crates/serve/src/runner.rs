@@ -15,7 +15,7 @@ use gridsim_admm::{AdmmParams, AdmmStatus, WarmState};
 use gridsim_batch::{Device, DevicePool};
 use gridsim_engine::{Engine, FleetRequest};
 use gridsim_grid::network::Network;
-use gridsim_ipm::{IpmFleetSolver, IpmOptions, IpmWarmStart, KktStrategy};
+use gridsim_ipm::{IpmFleetSolver, IpmOptions, IpmWarmStart};
 use gridsim_screen::{Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig};
 use gridsim_store::{ScenarioFingerprint, SolutionStore, StoreRunStats, StoreView};
 use serde::{Deserialize, Serialize, Value};
@@ -181,10 +181,7 @@ pub fn run_chunk(
         }
         SolverFamily::Ipm => {
             let solver = IpmFleetSolver::with_engine(
-                IpmOptions {
-                    kkt_strategy: KktStrategy::Condensed,
-                    ..Default::default()
-                },
+                IpmOptions::default(),
                 Engine::with_pool(DevicePool::single(Device::default())),
             );
             let report = solver.run(

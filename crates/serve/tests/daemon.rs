@@ -95,9 +95,9 @@ fn drains_jobs_and_reports_status() {
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
 }
 
-/// An IPM chunk solves on the condensed strategy like every other fleet
+/// An IPM chunk reuses its lane's symbolic analysis like every other fleet
 /// caller: a scenario's Newton steps replay one frozen analysis instead of
-/// analysing the full KKT matrix afresh per factorization.
+/// analysing afresh per factorization.
 #[test]
 fn ipm_chunk_reuses_its_symbolic_analysis() {
     let spec = JobSpec::new(

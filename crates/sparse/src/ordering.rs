@@ -14,9 +14,10 @@
 //! * [`Ordering::rcm`] — reverse Cuthill–McKee. A *bandwidth* reducer: very
 //!   cheap and good at clustering entries near the diagonal, but the
 //!   envelope it produces fills in completely and its elimination tree is
-//!   close to a chain. It stays as the ordering of the full-space IPM path
-//!   (`KktStrategy::Full`, the reference the condensed path is tested
-//!   against), of [`crate::LdlFactor::factorize_rcm`], and of the `perf`
+//!   close to a chain. No solver path uses it. It stays as the ordering of
+//!   [`crate::LdlFactor::factorize_rcm`], which factorizes the full
+//!   augmented KKT system that the condensed Newton step of `gridsim-ipm`
+//!   is tested against, of the tests' ordering oracle, and of the `perf`
 //!   probes that describe the augmented KKT matrix.
 //!
 //! Both are deterministic functions of the pattern of `A + Aᵀ` without its

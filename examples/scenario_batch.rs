@@ -1,14 +1,14 @@
 //! Multi-scenario batching: solve a fleet of load/contingency scenarios of
-//! one network through a single batched ADMM driver, then compare against
-//! solving them one at a time.
+//! one network through one batched ADMM scheduler on a single device, then
+//! compare against solving them one at a time.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example scenario_batch
 //! ```
 
-use gridsim_admm::{AdmmParams, AdmmSolver, ScenarioBatch, ScenarioScheduler};
-use gridsim_batch::DevicePool;
+use gridsim_admm::{AdmmParams, AdmmSolver, ScenarioScheduler};
+use gridsim_batch::{Device, DevicePool};
 use gridsim_engine::FleetRequest;
 use gridsim_grid::cases;
 use gridsim_grid::scenario::ScenarioSet;
@@ -32,7 +32,8 @@ fn main() {
 
     // 2. Solve the whole fleet in one batched run: every kernel launch spans
     //    all still-active scenarios, and converged scenarios are masked out.
-    let batcher = ScenarioBatch::new(AdmmParams::default());
+    let batcher =
+        ScenarioScheduler::with_pool(AdmmParams::default(), DevicePool::single(Device::default()));
     let batch = batcher.run(FleetRequest::over(&nets));
     println!(
         "\nbatched solve: {} ticks for {} total inner iterations, {:.2} ms",
@@ -69,7 +70,7 @@ fn main() {
     println!(
         "\nsequential solves: {seq_ms:.2} ms total; batched results bitwise identical: {identical}"
     );
-    let batch_launches = batcher.device.stats().snapshot().total_launches();
+    let batch_launches = batcher.pool.device(0).stats().snapshot().total_launches();
     let seq_launches = solver.device.stats().snapshot().total_launches();
     println!(
         "kernel launches: {batch_launches} batched vs {seq_launches} sequential ({:.1}x amortization)",

@@ -4,14 +4,13 @@
 //! limits.
 //!
 //! Both solver families track the horizon: the paper's ADMM (whose warm
-//! starts are the headline result) and the interior-point reference under
-//! `KktStrategy::Condensed` with a **horizon-wide `KktCache`** — every
-//! period re-solves the same network structure, so the whole reference
-//! trajectory costs O(1) symbolic analyses (the unit-multiplier probe,
-//! plus at most a rare growth rebuild when an iterate reveals a pattern
-//! coordinate the probe pruned) and each Newton step is a numeric-only
-//! refactorization. The full-KKT path would instead pay one analysis per
-//! factorization — 140 for this horizon.
+//! starts are the headline result) and the condensed-KKT interior-point
+//! reference with a **horizon-wide `KktCache`** — every period re-solves
+//! the same network structure, so the whole reference trajectory costs
+//! O(1) symbolic analyses (the unit-multiplier probe, plus at most a rare
+//! growth rebuild when an iterate reveals a pattern coordinate the probe
+//! pruned) and each Newton step is a numeric-only refactorization. A fresh
+//! analysis per factorization would cost 109 for this horizon.
 //!
 //! ```text
 //! cargo run --release --example warm_start_tracking
@@ -83,7 +82,6 @@ fn main() {
             None => AcopfNlp::new(&net_t),
         };
         let report = IpmSolver::new(IpmOptions {
-            kkt_strategy: KktStrategy::Condensed,
             initial_point: prev.as_ref().map(|(x, _)| x.clone()),
             ..Default::default()
         })
@@ -100,8 +98,8 @@ fn main() {
         prev = Some((report.x, pg));
     }
     println!(
-        "symbolic analyses over {} periods: {} (the full-KKT path would pay \
-         one per factorization, i.e. {}); numeric refactorizations: {}",
+        "symbolic analyses over {} periods: {} (one per factorization would \
+         be {}); numeric refactorizations: {}",
         profile.len(),
         cache.symbolic_analyses(),
         cache.numeric_refactorizations(),
@@ -119,19 +117,12 @@ fn main() {
     let mut stats = StoreRunStats::default();
     let mut stored_iterations = 0usize;
     let mut cold_iterations = 0usize;
-    let fleet = IpmFleetSolver::new(IpmOptions {
-        kkt_strategy: KktStrategy::Condensed,
-        ..Default::default()
-    });
+    let fleet = IpmFleetSolver::new(IpmOptions::default());
     println!("\nIPM through the solution store (threaded across the horizon):");
     println!("period  store     iterations  cold iters");
     for (t, &mult) in profile.multipliers.iter().enumerate() {
         let net_t = case.scale_load(mult).compile().expect("case compiles");
-        let cold = IpmSolver::new(IpmOptions {
-            kkt_strategy: KktStrategy::Condensed,
-            ..Default::default()
-        })
-        .solve(&AcopfNlp::new(&net_t));
+        let cold = IpmSolver::default().solve(&AcopfNlp::new(&net_t));
         cold_iterations += cold.iterations;
         let report = fleet.run(
             FleetRequest::over(std::slice::from_ref(&net_t))

@@ -41,8 +41,8 @@ pub use gridsim_tron as tron;
 pub mod prelude {
     pub use gridsim_acopf::{OpfSolution, SolutionQuality};
     pub use gridsim_admm::{
-        AdmmParams, AdmmResult, AdmmSolver, ScenarioBatch, ScenarioBatchResult, ScenarioProblem,
-        ScenarioResult, ScenarioScheduler, TrackingConfig, WarmState,
+        AdmmParams, AdmmResult, AdmmSolver, ScenarioBatchResult, ScenarioProblem, ScenarioResult,
+        ScenarioScheduler, TrackingConfig, WarmState,
     };
     pub use gridsim_batch::{Device, DevicePool, ExecutionMode};
     pub use gridsim_engine::{Engine, LaneSolver};
@@ -52,7 +52,7 @@ pub mod prelude {
     };
     pub use gridsim_ipm::{
         AcopfNlp, FleetReport, IpmFleetSolver, IpmOptions, IpmSolver, IpmWarmStart, KktCache,
-        KktStrategy, SymbolicStats,
+        SymbolicStats,
     };
     pub use gridsim_screen::{
         Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig, FunnelReport,

@@ -12,6 +12,11 @@ use gridsim_admm::{track_horizon, TrackingConfig};
 use gridsim_engine::FleetRequest;
 use gridsim_grid::{cases, matpower};
 
+/// The everything-admitted fleet on one device.
+fn one_device(params: AdmmParams, device: Device) -> ScenarioScheduler {
+    ScenarioScheduler::with_pool(params, DevicePool::single(device))
+}
+
 /// `examples/quickstart.rs`: ADMM solve vs IPM baseline on the 9-bus case.
 #[test]
 fn quickstart_core_path() {
@@ -96,7 +101,6 @@ fn warm_start_tracking_core_path() {
             None => AcopfNlp::new(&net_t),
         };
         let report = IpmSolver::new(IpmOptions {
-            kkt_strategy: KktStrategy::Condensed,
             initial_point: prev.as_ref().map(|(x, _)| x.clone()),
             ..Default::default()
         })
@@ -125,18 +129,12 @@ fn warm_start_tracking_core_path() {
     let mut stats = StoreRunStats::default();
     let mut stored_iterations = 0usize;
     let mut cold_iterations = 0usize;
-    let fleet = IpmFleetSolver::new(IpmOptions {
-        kkt_strategy: KktStrategy::Condensed,
-        ..Default::default()
-    });
+    let fleet = IpmFleetSolver::new(IpmOptions::default());
     for &mult in &profile.multipliers {
         let net_t = case.scale_load(mult).compile().unwrap();
-        cold_iterations += IpmSolver::new(IpmOptions {
-            kkt_strategy: KktStrategy::Condensed,
-            ..Default::default()
-        })
-        .solve(&AcopfNlp::new(&net_t))
-        .iterations;
+        cold_iterations += IpmSolver::default()
+            .solve(&AcopfNlp::new(&net_t))
+            .iterations;
         let report = fleet.run(
             FleetRequest::over(std::slice::from_ref(&net_t))
                 .case(&case.name)
@@ -186,7 +184,7 @@ fn scenario_batch_core_path() {
     set.extend(ScenarioSet::branch_outages(base, 1));
     let nets = set.networks().expect("scenario cases compile");
     assert_eq!(nets.len(), 3);
-    let batcher = ScenarioBatch::new(AdmmParams::test_profile());
+    let batcher = one_device(AdmmParams::test_profile(), Device::default());
     let batch = batcher.run(FleetRequest::over(&nets));
     assert!(batch.all_converged(), "worst {}", batch.worst_violation());
     let single = AdmmSolver::new(AdmmParams::test_profile()).solve(&nets[0]);

@@ -18,13 +18,6 @@ use gridadmm::prelude::*;
 use gridsim_engine::{plan, FleetRequest};
 use proptest::prelude::*;
 
-fn condensed_options() -> IpmOptions {
-    IpmOptions {
-        kkt_strategy: KktStrategy::Condensed,
-        ..Default::default()
-    }
-}
-
 /// The fleet built from the environment honors the device count and the
 /// resolved launch backend the CI matrix sets, and its report invariants
 /// hold under that pool.
@@ -34,7 +27,7 @@ fn env_engine_fleet_honors_gridsim_devices() {
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(1);
-    let solver = IpmFleetSolver::new(condensed_options());
+    let solver = IpmFleetSolver::new(IpmOptions::default());
     assert_eq!(
         solver.engine.pool().len(),
         expected,
@@ -60,10 +53,10 @@ fn env_engine_fleet_honors_gridsim_devices() {
 #[test]
 fn k1_fleet_equals_single_solve() {
     let net = gridsim_grid::cases::case14().compile().unwrap();
-    let single = IpmSolver::new(condensed_options()).solve(&AcopfNlp::new(&net));
+    let single = IpmSolver::default().solve(&AcopfNlp::new(&net));
     for devices in [1, 3] {
         let engine = Engine::with_pool(DevicePool::parallel(devices));
-        let fleet = IpmFleetSolver::with_engine(condensed_options(), engine)
+        let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine)
             .run(FleetRequest::over(std::slice::from_ref(&net)));
         assert_eq!(fleet.results.len(), 1);
         let r = &fleet.results[0].report;
@@ -92,7 +85,7 @@ fn symbolic_analyses_equal_planned_lanes_across_configs() {
                 engine = engine.with_lanes(l);
             }
             let planned = plan::total_lanes(nets.len(), devices, lanes);
-            let fleet = IpmFleetSolver::with_engine(condensed_options(), engine)
+            let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine)
                 .run(FleetRequest::over(&nets));
             assert!(fleet.all_optimal(), "devices={devices} lanes={lanes:?}");
             assert_eq!(fleet.lanes, planned);
@@ -121,7 +114,7 @@ proptest! {
         let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, sigma, seed);
         let nets = set.networks().unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
-        let fleet = IpmFleetSolver::with_engine(condensed_options(), engine).run(FleetRequest::over(&nets));
+        let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine).run(FleetRequest::over(&nets));
         prop_assert_eq!(fleet.results.len(), k);
         prop_assert_eq!(fleet.lanes, 1);
 
@@ -131,10 +124,12 @@ proptest! {
         let mut warm_z: Option<(Vec<f64>, Vec<f64>)> = None;
         for (i, net) in nets.iter().enumerate() {
             let nlp = AcopfNlp::new(net);
-            let mut options = condensed_options();
-            options.initial_point = warm_x.take();
-            options.initial_multipliers = warm_lambda.take();
-            options.initial_bound_multipliers = warm_z.take();
+            let options = IpmOptions {
+                initial_point: warm_x.take(),
+                initial_multipliers: warm_lambda.take(),
+                initial_bound_multipliers: warm_z.take(),
+                ..Default::default()
+            };
             let reference = IpmSolver::new(options).solve_with_cache(&nlp, &mut cache);
 
             let r = &fleet.results[i].report;
@@ -182,14 +177,14 @@ proptest! {
         let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, 0.02, seed);
         let nets = set.networks().unwrap();
         let reference = IpmFleetSolver::with_engine(
-            condensed_options(),
+            IpmOptions::default(),
             Engine::with_pool(DevicePool::parallel(1)).with_lanes(1),
         )
         .run(FleetRequest::over(&nets));
         prop_assert!(reference.all_optimal());
 
         let engine = Engine::with_pool(DevicePool::parallel(devices)).with_lanes(lanes);
-        let fleet = IpmFleetSolver::with_engine(condensed_options(), engine).run(FleetRequest::over(&nets));
+        let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine).run(FleetRequest::over(&nets));
         prop_assert!(fleet.all_optimal(), "devices={} lanes={}", devices, lanes);
         prop_assert_eq!(fleet.lanes, plan::total_lanes(k, devices, Some(lanes)));
         prop_assert_eq!(fleet.symbolic_analyses(), fleet.lanes);
@@ -220,7 +215,7 @@ fn registry_small_fleet_pays_one_analysis_per_lane() {
     let nets = set.networks().unwrap();
     let engine = Engine::with_pool(DevicePool::parallel(2)).with_lanes(1);
     let fleet =
-        IpmFleetSolver::with_engine(condensed_options(), engine).run(FleetRequest::over(&nets));
+        IpmFleetSolver::with_engine(IpmOptions::default(), engine).run(FleetRequest::over(&nets));
     assert_eq!(fleet.results.len(), 3);
     assert_eq!(fleet.lanes, 2);
     assert_eq!(

@@ -277,6 +277,11 @@ proptest! {
     }
 }
 
+/// The everything-admitted fleet on one device.
+fn one_device(params: AdmmParams, device: Device) -> ScenarioScheduler {
+    ScenarioScheduler::with_pool(params, DevicePool::single(device))
+}
+
 proptest! {
     // Few cases: each one runs full ADMM solves. The iteration caps keep a
     // case cheap; bitwise identity holds converged or not.
@@ -295,9 +300,9 @@ proptest! {
         let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, sigma, seed);
         let nets = set.networks().unwrap();
         let params = AdmmParams { max_outer: 2, max_inner: 25, ..AdmmParams::default() };
-        let seq = ScenarioBatch::with_device(params.clone(), Device::sequential()).run(FleetRequest::over(&nets));
+        let seq = one_device(params.clone(), Device::sequential()).run(FleetRequest::over(&nets));
         for dev in [Device::parallel(), Device::vectorized()] {
-            let got = ScenarioBatch::with_device(params.clone(), dev).run(FleetRequest::over(&nets));
+            let got = one_device(params.clone(), dev).run(FleetRequest::over(&nets));
             prop_assert_eq!(got.ticks, seq.ticks);
             for (a, b) in got.results.iter().zip(&seq.results) {
                 prop_assert_eq!(a.inner_iterations, b.inner_iterations);
@@ -311,7 +316,7 @@ proptest! {
     }
 
     /// Sharded + streamed execution through the `ScenarioScheduler` is
-    /// bitwise identical to the single-device `ScenarioBatch` for arbitrary
+    /// bitwise identical to the single-device all-admitted run for arbitrary
     /// device counts, lane caps, and admission orders, on every backend.
     /// (Admission order is varied by rotating the input list: the scheduler
     /// admits in input order, so a rotation is a different admission order;
@@ -329,7 +334,7 @@ proptest! {
         let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, 0.03, seed);
         let nets = set.networks().unwrap();
         let params = AdmmParams { max_outer: 2, max_inner: 25, ..AdmmParams::default() };
-        let reference = ScenarioBatch::new(params.clone()).run(FleetRequest::over(&nets));
+        let reference = one_device(params.clone(), Device::default()).run(FleetRequest::over(&nets));
 
         let mut rotated = nets.clone();
         rotated.rotate_left(rotate % k);

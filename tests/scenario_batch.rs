@@ -8,6 +8,11 @@ use gridsim_batch::Device;
 use gridsim_engine::FleetRequest;
 use gridsim_grid::cases;
 
+/// The everything-admitted fleet on one device.
+fn one_device(params: AdmmParams, device: Device) -> ScenarioScheduler {
+    ScenarioScheduler::with_pool(params, DevicePool::single(device))
+}
+
 /// A mixed scenario set exercising all three scenario families.
 fn mixed_set(base: &Case, k: usize) -> ScenarioSet {
     let mut set = ScenarioSet::load_ramp(base.clone(), k.div_ceil(2), 0.97, 1.03);
@@ -33,10 +38,9 @@ fn batch_is_bitwise_identical_across_backends() {
         max_inner: 40,
         ..AdmmParams::test_profile()
     };
-    let seq = ScenarioBatch::with_device(params.clone(), Device::sequential())
-        .run(FleetRequest::over(&nets));
+    let seq = one_device(params.clone(), Device::sequential()).run(FleetRequest::over(&nets));
     for dev in [Device::parallel(), Device::vectorized()] {
-        let got = ScenarioBatch::with_device(params.clone(), dev).run(FleetRequest::over(&nets));
+        let got = one_device(params.clone(), dev).run(FleetRequest::over(&nets));
         assert_eq!(got.ticks, seq.ticks);
         for (a, b) in got.results.iter().zip(&seq.results) {
             assert_eq!(a.status, b.status);
@@ -57,7 +61,8 @@ fn outaged_branch_carries_no_flow() {
     let base = cases::case9();
     let set = ScenarioSet::branch_outages(base.clone(), 2);
     let nets = set.networks().unwrap();
-    let batch = ScenarioBatch::new(AdmmParams::test_profile()).run(FleetRequest::over(&nets));
+    let batch =
+        one_device(AdmmParams::test_profile(), Device::default()).run(FleetRequest::over(&nets));
     for ((r, scen), net) in batch.results.iter().zip(&set.scenarios).zip(&nets) {
         assert!(
             r.quality.max_violation() < 5e-2,
@@ -83,10 +88,10 @@ fn outaged_branch_carries_no_flow() {
 fn batch_statuses_and_masking_are_reported_per_scenario() {
     let base = cases::case9();
     let nets = mixed_set(&base, 3).networks().unwrap();
-    let batcher = ScenarioBatch::new(AdmmParams::test_profile());
-    let before = batcher.device.stats().snapshot();
+    let batcher = one_device(AdmmParams::test_profile(), Device::default());
+    let before = batcher.pool.device(0).stats().snapshot();
     let batch = batcher.run(FleetRequest::over(&nets));
-    let delta = batcher.device.stats().snapshot().since(&before);
+    let delta = batcher.pool.device(0).stats().snapshot().since(&before);
     // Ticks equal the slowest scenario; per-scenario counts differ, and the
     // masked launches only bill active scenarios for kernel work.
     assert_eq!(
@@ -120,7 +125,7 @@ fn chained_warm_start_beats_cold_batch_on_a_load_ramp() {
     let cold_nominal = AdmmSolver::new(params.clone()).solve(&nominal);
     let set = ScenarioSet::load_ramp(base, 3, 1.002, 1.008);
     let nets = set.networks().unwrap();
-    let batcher = ScenarioBatch::new(params);
+    let batcher = one_device(params, Device::default());
     let chained = batcher.solve_chained(&nets, &cold_nominal.warm_state, 0.05);
     let cold = batcher.run(FleetRequest::over(&nets));
     assert!(
@@ -279,9 +284,9 @@ fn k8_batch_beats_sequential_solves_wall_clock() {
     // Both sides run the same auto-resolved backend with identical
     // parameters, so the comparison isolates batching alone; each driver owns
     // a fresh device, so its statistics snapshot is that side's launch count.
-    let batcher = ScenarioBatch::new(params.clone());
+    let batcher = one_device(params.clone(), Device::default());
     let batch = batcher.run(FleetRequest::over(&nets));
-    let batch_launches = batcher.device.stats().snapshot().total_launches();
+    let batch_launches = batcher.pool.device(0).stats().snapshot().total_launches();
 
     let solver = AdmmSolver::new(params);
     let mut sequential_time = std::time::Duration::ZERO;

@@ -25,6 +25,11 @@ fn mixed_set(base: &Case, k: usize) -> ScenarioSet {
     set
 }
 
+/// The everything-admitted fleet on one device.
+fn one_device(params: AdmmParams, device: Device) -> ScenarioScheduler {
+    ScenarioScheduler::with_pool(params, DevicePool::single(device))
+}
+
 fn short_params() -> AdmmParams {
     AdmmParams {
         max_outer: 2,
@@ -64,7 +69,7 @@ fn env_pool_matches_single_device_batch_bitwise() {
     );
     let nets = mixed_set(&cases::case9(), 5).networks().unwrap();
     let sched = scheduler.run(FleetRequest::over(&nets));
-    let batch = ScenarioBatch::new(params).run(FleetRequest::over(&nets));
+    let batch = one_device(params, Device::default()).run(FleetRequest::over(&nets));
     assert_bitwise(&sched, &batch);
 }
 
@@ -85,8 +90,7 @@ fn env_pool_backend_matches_resolution_bitwise() {
     assert_ne!(scheduler.pool.backend(), ExecutionMode::Auto);
     let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
     let sched = scheduler.run(FleetRequest::over(&nets));
-    let batch =
-        ScenarioBatch::with_device(params, Device::sequential()).run(FleetRequest::over(&nets));
+    let batch = one_device(params, Device::sequential()).run(FleetRequest::over(&nets));
     assert_bitwise(&sched, &batch);
 }
 
@@ -96,7 +100,7 @@ fn env_pool_backend_matches_resolution_bitwise() {
 fn all_shard_and_lane_configs_are_bitwise_identical() {
     let params = short_params();
     let nets = mixed_set(&cases::case9(), 5).networks().unwrap();
-    let reference = ScenarioBatch::new(params.clone()).run(FleetRequest::over(&nets));
+    let reference = one_device(params.clone(), Device::default()).run(FleetRequest::over(&nets));
     for devices in 1..=4 {
         for lanes in [Some(1), Some(2), None] {
             let mut scheduler =
@@ -133,7 +137,7 @@ fn streaming_admission_bills_the_same_kernel_work() {
     assert_eq!(delta.kernels["branch_tron"].blocks, expected);
     // With 2 lanes for 5 scenarios the device must run more ticks than the
     // widest batch (it streams 3 refills through the same slots)...
-    let batch = ScenarioBatch::new(params).run(FleetRequest::over(&nets));
+    let batch = one_device(params, Device::default()).run(FleetRequest::over(&nets));
     assert!(sched.ticks > batch.ticks, "streaming must reuse slots");
     // ...but never idles below full occupancy while work is pending: the
     // billed block count per tick stays near 2 lanes' worth.
@@ -236,8 +240,11 @@ fn warm_started_scheduling_matches_batch() {
         .iter()
         .map(|n| gridsim_acopf::start::ramp_limited_bounds(n, cold.warm_state.previous_pg(), 0.1))
         .collect();
-    let batch =
-        ScenarioBatch::new(params.clone()).solve_warm(&nets, &cold.warm_state, Some(&bounds));
+    let batch = one_device(params.clone(), Device::default()).solve_warm(
+        &nets,
+        &cold.warm_state,
+        Some(&bounds),
+    );
     let scheduler = ScenarioScheduler::with_pool(params, DevicePool::parallel(2)).with_lanes(1);
     let sched = scheduler.solve_warm(&nets, &cold.warm_state, Some(&bounds));
     assert_bitwise(&sched, &batch);
@@ -274,8 +281,7 @@ fn all_backends_agree_through_the_scheduler() {
         }
     }
     // And the single-device sequential batch agrees too.
-    let batch =
-        ScenarioBatch::with_device(params, Device::sequential()).run(FleetRequest::over(&nets));
+    let batch = one_device(params, Device::sequential()).run(FleetRequest::over(&nets));
     assert_bitwise(&seq, &batch);
 }
 

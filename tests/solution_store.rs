@@ -11,13 +11,6 @@ use gridsim_engine::FleetRequest;
 use gridsim_grid::cases;
 use proptest::prelude::*;
 
-fn condensed_options() -> IpmOptions {
-    IpmOptions {
-        kkt_strategy: KktStrategy::Condensed,
-        ..Default::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -146,7 +139,7 @@ fn empty_store_runs_match_plain_runs_bitwise() {
     assert_eq!(store.len(), converged);
 
     // Interior-point fleet.
-    let solver = IpmFleetSolver::new(condensed_options());
+    let solver = IpmFleetSolver::new(IpmOptions::default());
     let plain = solver.run(FleetRequest::over(&nets));
     let mut store: SolutionStore<IpmWarmStart> = SolutionStore::new();
     let stored = solver.run(FleetRequest::over(&nets).case("case9").store(&mut store));
@@ -256,7 +249,7 @@ fn warm_started_ipm_matches_cold_solutions() {
         .networks()
         .unwrap();
     let solver = IpmFleetSolver::with_engine(
-        condensed_options(),
+        IpmOptions::default(),
         Engine::with_pool(DevicePool::parallel(2)).with_lanes(1),
     );
     let cold = solver.run(FleetRequest::over(&eval_nets));
@@ -304,7 +297,7 @@ fn warm_store_sweep_sheds_ipm_iterations() {
     let (prime_nets, eval_nets) = (sweep(7), sweep(8));
     assert_eq!(prime_nets.len() + eval_nets.len(), 120, ">= 100");
     let solver = IpmFleetSolver::with_engine(
-        condensed_options(),
+        IpmOptions::default(),
         Engine::with_pool(DevicePool::parallel(2)).with_lanes(1),
     );
     let cold = solver.run(FleetRequest::over(&eval_nets));
