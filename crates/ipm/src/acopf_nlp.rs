@@ -12,9 +12,15 @@
 //! Equality constraints: real and reactive power balance at every bus plus
 //! the reference-angle anchor. Inequality constraints: squared apparent-power
 //! line limits at both ends of every rated branch.
+//!
+//! Every derivative structure is a function of the network alone: each
+//! branch declares its full 4×4 Hessian block and its 4 × 4 equality and
+//! 2 × 4 inequality Jacobian entries whatever their values, and each branch
+//! is evaluated at one [`FlowPoint`], so one `sin_cos` serves its values,
+//! gradients and Hessians.
 
 use crate::nlp::Nlp;
-use gridsim_acopf::flows::{BranchFlow, FlowGrad, FlowKind};
+use gridsim_acopf::flows::{BranchFlow, FlowPoint};
 use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::start::cold_start;
 use gridsim_grid::network::Network;
@@ -27,6 +33,9 @@ pub struct AcopfNlp<'a> {
     /// Branches with a finite thermal rating (only these get limit
     /// constraints).
     limited: Vec<usize>,
+    /// Per branch, its position `k` in `limited` (its limit rows are `2k`
+    /// and `2k + 1`), `None` for an unrated branch.
+    limit_index: Vec<Option<usize>>,
     /// Optional override of the generator real-power bounds (used by the
     /// warm-start tracking experiment to impose ramp limits).
     pg_bounds: Option<(Vec<f64>, Vec<f64>)>,
@@ -37,12 +46,17 @@ pub struct AcopfNlp<'a> {
 impl<'a> AcopfNlp<'a> {
     /// Build the NLP for a network.
     pub fn new(net: &'a Network) -> Self {
-        let limited = (0..net.nbranch)
+        let limited: Vec<usize> = (0..net.nbranch)
             .filter(|&l| net.rate_a[l].is_finite())
             .collect();
+        let mut limit_index = vec![None; net.nbranch];
+        for (k, &l) in limited.iter().enumerate() {
+            limit_index[l] = Some(k);
+        }
         AcopfNlp {
             net,
             limited,
+            limit_index,
             pg_bounds: None,
             start: None,
         }
@@ -103,16 +117,18 @@ impl<'a> AcopfNlp<'a> {
         ]
     }
 
+    /// Branch `l`'s flow evaluation point at `x`.
     #[inline]
-    fn branch_state(&self, x: &[f64], l: usize) -> (f64, f64, f64, f64) {
-        let f = self.net.br_from[l];
-        let t = self.net.br_to[l];
-        (
-            x[self.vm_idx(f)],
-            x[self.vm_idx(t)],
-            x[self.va_idx(f)],
-            x[self.va_idx(t)],
-        )
+    fn branch_point(&self, x: &[f64], l: usize) -> FlowPoint {
+        let [vi, vj, ti, tj] = self.branch_var_indices(l).map(|i| x[i]);
+        FlowPoint::new(vi, vj, ti, tj)
+    }
+
+    /// Whether bus `b` carries a shunt, and so a `vm_b` term in its balance
+    /// rows.
+    #[inline]
+    fn has_shunt(&self, b: usize) -> bool {
+        self.net.gs[b] != 0.0 || self.net.bs[b] != 0.0
     }
 
     /// Convert a raw solver vector into an [`OpfSolution`].
@@ -138,9 +154,32 @@ impl<'a> AcopfNlp<'a> {
         }
         x
     }
+}
 
-    fn flow_grad(grad: &FlowGrad) -> [f64; 4] {
-        [grad.dvi, grad.dvj, grad.dti, grad.dtj]
+/// Writes values one after another into a slice aligned with a declared
+/// structure.
+struct Writer<'v> {
+    slots: std::slice::IterMut<'v, f64>,
+}
+
+impl<'v> Writer<'v> {
+    fn new(vals: &'v mut [f64]) -> Self {
+        Writer {
+            slots: vals.iter_mut(),
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, v: f64) {
+        *self.slots.next().expect("one value per declared triplet") = v;
+    }
+
+    /// Every declared triplet was written.
+    fn finish(mut self) {
+        assert!(
+            self.slots.next().is_none(),
+            "a declared triplet went unwritten"
+        );
     }
 }
 
@@ -219,14 +258,11 @@ impl Nlp for AcopfNlp<'_> {
         }
         // Subtract branch flows leaving each bus.
         for l in 0..n.nbranch {
-            let (vi, vj, ti, tj) = self.branch_state(x, l);
-            let y = &n.br_y[l];
+            let p = self.branch_point(x, l);
+            let [pij, qij, pji, qji] =
+                BranchFlow::all_from_admittance(&n.br_y[l]).map(|flow| flow.value_at(&p));
             let f = n.br_from[l];
             let t = n.br_to[l];
-            let pij = BranchFlow::from_admittance(y, FlowKind::Pij).value(vi, vj, ti, tj);
-            let qij = BranchFlow::from_admittance(y, FlowKind::Qij).value(vi, vj, ti, tj);
-            let pji = BranchFlow::from_admittance(y, FlowKind::Pji).value(vi, vj, ti, tj);
-            let qji = BranchFlow::from_admittance(y, FlowKind::Qji).value(vi, vj, ti, tj);
             c[f] -= pij;
             c[n.nbus + f] -= qij;
             c[t] -= pji;
@@ -239,115 +275,156 @@ impl Nlp for AcopfNlp<'_> {
     fn ineq_constraints(&self, x: &[f64], c: &mut [f64]) {
         let n = self.net;
         for (k, &l) in self.limited.iter().enumerate() {
-            let (vi, vj, ti, tj) = self.branch_state(x, l);
-            let y = &n.br_y[l];
+            let p = self.branch_point(x, l);
+            let [pij, qij, pji, qji] =
+                BranchFlow::all_from_admittance(&n.br_y[l]).map(|flow| flow.value_at(&p));
             let limit = n.rate_a[l] * n.rate_a[l];
-            let pij = BranchFlow::from_admittance(y, FlowKind::Pij).value(vi, vj, ti, tj);
-            let qij = BranchFlow::from_admittance(y, FlowKind::Qij).value(vi, vj, ti, tj);
-            let pji = BranchFlow::from_admittance(y, FlowKind::Pji).value(vi, vj, ti, tj);
-            let qji = BranchFlow::from_admittance(y, FlowKind::Qji).value(vi, vj, ti, tj);
             c[2 * k] = pij * pij + qij * qij - limit;
             c[2 * k + 1] = pji * pji + qji * qji - limit;
         }
     }
 
-    fn eq_jacobian(&self, x: &[f64]) -> Coo {
+    /// Shunt terms (buses with a shunt), generator injections, the 4 × 4
+    /// flow block of every branch, the reference angle.
+    fn eq_jacobian_structure(&self) -> Coo {
         let n = self.net;
         let mut jac = Coo::with_capacity(
             self.num_eq(),
             self.num_vars(),
-            16 * n.nbranch + 4 * n.ngen + 2 * n.nbus + 1,
+            16 * n.nbranch + 2 * n.ngen + 2 * n.nbus + 1,
         );
-        // Shunt terms.
+        for b in 0..n.nbus {
+            if n.gs[b] != 0.0 {
+                jac.push(b, self.vm_idx(b), 0.0);
+            }
+            if n.bs[b] != 0.0 {
+                jac.push(n.nbus + b, self.vm_idx(b), 0.0);
+            }
+        }
+        for g in 0..n.ngen {
+            let b = n.gen_bus[g];
+            jac.push(b, self.pg_idx(g), 0.0);
+            jac.push(n.nbus + b, self.qg_idx(g), 0.0);
+        }
+        for l in 0..n.nbranch {
+            let idx = self.branch_var_indices(l);
+            let (f, t) = (n.br_from[l], n.br_to[l]);
+            for row in [f, n.nbus + f, t, n.nbus + t] {
+                for col in idx {
+                    jac.push(row, col, 0.0);
+                }
+            }
+        }
+        jac.push(2 * n.nbus, self.va_idx(n.ref_bus), 0.0);
+        jac
+    }
+
+    fn eq_jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
+        let n = self.net;
+        let mut out = Writer::new(vals);
         for b in 0..n.nbus {
             let vm = x[self.vm_idx(b)];
             if n.gs[b] != 0.0 {
-                jac.push(b, self.vm_idx(b), -2.0 * n.gs[b] * vm);
+                out.put(-2.0 * n.gs[b] * vm);
             }
             if n.bs[b] != 0.0 {
-                jac.push(n.nbus + b, self.vm_idx(b), 2.0 * n.bs[b] * vm);
+                out.put(2.0 * n.bs[b] * vm);
             }
         }
-        // Generator injections.
-        for g in 0..n.ngen {
-            let b = n.gen_bus[g];
-            jac.push(b, self.pg_idx(g), 1.0);
-            jac.push(n.nbus + b, self.qg_idx(g), 1.0);
+        for _ in 0..n.ngen {
+            out.put(1.0);
+            out.put(1.0);
         }
-        // Branch flows.
+        // A flow enters its balance row with a minus sign.
         for l in 0..n.nbranch {
-            let (vi, vj, ti, tj) = self.branch_state(x, l);
-            let y = &n.br_y[l];
-            let idx = self.branch_var_indices(l);
-            let f = n.br_from[l];
-            let t = n.br_to[l];
-            let rows = [f, n.nbus + f, t, n.nbus + t];
-            for (kind, row) in FlowKind::all().into_iter().zip(rows) {
-                let grad = BranchFlow::from_admittance(y, kind).gradient(vi, vj, ti, tj);
-                let g4 = Self::flow_grad(&grad);
-                for (col, val) in idx.iter().zip(g4) {
-                    if val != 0.0 {
-                        jac.push(row, *col, -val);
-                    }
+            let p = self.branch_point(x, l);
+            for flow in BranchFlow::all_from_admittance(&n.br_y[l]) {
+                for v in flow.gradient_at(&p).to_array() {
+                    out.put(-v);
                 }
             }
         }
-        // Reference angle.
-        jac.push(2 * n.nbus, self.va_idx(n.ref_bus), 1.0);
-        jac
+        out.put(1.0);
+        out.finish();
     }
 
-    fn ineq_jacobian(&self, x: &[f64]) -> Coo {
-        let n = self.net;
+    /// The 2 × 4 block of every rated branch: its from-side row, then its
+    /// to-side row.
+    fn ineq_jacobian_structure(&self) -> Coo {
         let mut jac = Coo::with_capacity(self.num_ineq(), self.num_vars(), 8 * self.limited.len());
         for (k, &l) in self.limited.iter().enumerate() {
-            let (vi, vj, ti, tj) = self.branch_state(x, l);
-            let y = &n.br_y[l];
             let idx = self.branch_var_indices(l);
-            for (row_offset, kinds) in [
-                (0usize, (FlowKind::Pij, FlowKind::Qij)),
-                (1usize, (FlowKind::Pji, FlowKind::Qji)),
-            ] {
-                let fp = BranchFlow::from_admittance(y, kinds.0);
-                let fq = BranchFlow::from_admittance(y, kinds.1);
-                let p = fp.value(vi, vj, ti, tj);
-                let q = fq.value(vi, vj, ti, tj);
-                let gp = Self::flow_grad(&fp.gradient(vi, vj, ti, tj));
-                let gq = Self::flow_grad(&fq.gradient(vi, vj, ti, tj));
-                for c4 in 0..4 {
-                    let val = 2.0 * p * gp[c4] + 2.0 * q * gq[c4];
-                    if val != 0.0 {
-                        jac.push(2 * k + row_offset, idx[c4], val);
-                    }
+            for row in [2 * k, 2 * k + 1] {
+                for col in idx {
+                    jac.push(row, col, 0.0);
                 }
             }
         }
         jac
     }
 
-    fn lagrangian_hessian(
+    fn ineq_jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
+        let n = self.net;
+        let mut out = Writer::new(vals);
+        for &l in &self.limited {
+            let p = self.branch_point(x, l);
+            let [pij, qij, pji, qji] = BranchFlow::all_from_admittance(&n.br_y[l]);
+            for (fp, fq) in [(pij, qij), (pji, qji)] {
+                let (pv, qv) = (fp.value_at(&p), fq.value_at(&p));
+                let gp = fp.gradient_at(&p).to_array();
+                let gq = fq.gradient_at(&p).to_array();
+                for c4 in 0..4 {
+                    out.put(2.0 * pv * gp[c4] + 2.0 * qv * gq[c4]);
+                }
+            }
+        }
+        out.finish();
+    }
+
+    /// Quadratic-cost diagonals, shunt diagonals, and the full 4×4 block
+    /// (both triangles) of every branch.
+    fn hessian_structure(&self) -> Coo {
+        let n = self.net;
+        let nv = self.num_vars();
+        let mut hess = Coo::with_capacity(nv, nv, 16 * n.nbranch + n.ngen + n.nbus);
+        for g in 0..n.ngen {
+            if n.cost_c2[g] != 0.0 {
+                hess.push(self.pg_idx(g), self.pg_idx(g), 0.0);
+            }
+        }
+        for b in (0..n.nbus).filter(|&b| self.has_shunt(b)) {
+            hess.push(self.vm_idx(b), self.vm_idx(b), 0.0);
+        }
+        for l in 0..n.nbranch {
+            let idx = self.branch_var_indices(l);
+            for r in idx {
+                for c in idx {
+                    hess.push(r, c, 0.0);
+                }
+            }
+        }
+        hess
+    }
+
+    fn hessian_values(
         &self,
         x: &[f64],
         obj_factor: f64,
         lambda_eq: &[f64],
         lambda_ineq: &[f64],
-    ) -> Coo {
+        vals: &mut [f64],
+    ) {
         let n = self.net;
-        let nv = self.num_vars();
-        let mut hess = Coo::with_capacity(nv, nv, 32 * n.nbranch + n.ngen + n.nbus);
+        let mut out = Writer::new(vals);
 
         // Objective: quadratic generation cost.
         for g in 0..n.ngen {
             if n.cost_c2[g] != 0.0 {
-                hess.push(
-                    self.pg_idx(g),
-                    self.pg_idx(g),
-                    2.0 * obj_factor * n.cost_c2[g],
-                );
+                out.put(2.0 * obj_factor * n.cost_c2[g]);
             }
         }
         // Shunt second derivatives in the balance constraints.
-        for b in 0..n.nbus {
+        for b in (0..n.nbus).filter(|&b| self.has_shunt(b)) {
             let mut v = 0.0;
             if n.gs[b] != 0.0 {
                 v += lambda_eq[b] * (-2.0 * n.gs[b]);
@@ -355,19 +432,17 @@ impl Nlp for AcopfNlp<'_> {
             if n.bs[b] != 0.0 {
                 v += lambda_eq[n.nbus + b] * (2.0 * n.bs[b]);
             }
-            if v != 0.0 {
-                hess.push(self.vm_idx(b), self.vm_idx(b), v);
-            }
+            out.put(v);
         }
         // Branch flow second derivatives.
         for l in 0..n.nbranch {
-            let (vi, vj, ti, tj) = self.branch_state(x, l);
-            let y = &n.br_y[l];
-            let idx = self.branch_var_indices(l);
+            let p = self.branch_point(x, l);
+            let flows = BranchFlow::all_from_admittance(&n.br_y[l]);
             let f = n.br_from[l];
             let t = n.br_to[l];
             // Balance-constraint multipliers: the flow enters with a minus
-            // sign in the constraint.
+            // sign in the constraint. A zero weight adds nothing to the
+            // block, so its flow's Hessian is skipped.
             let eq_weights = [
                 -lambda_eq[f],
                 -lambda_eq[n.nbus + f],
@@ -375,12 +450,11 @@ impl Nlp for AcopfNlp<'_> {
                 -lambda_eq[n.nbus + t],
             ];
             let mut block = [[0.0f64; 4]; 4];
-            let flows = BranchFlow::all_from_admittance(y);
-            for (kf, w) in flows.iter().zip(eq_weights) {
+            for (flow, w) in flows.iter().zip(eq_weights) {
                 if w == 0.0 {
                     continue;
                 }
-                let h = kf.hessian(vi, vj, ti, tj).to_dense();
+                let h = flow.hessian_at(&p).to_dense();
                 for r in 0..4 {
                     for c in 0..4 {
                         block[r][c] += w * h[r][c];
@@ -388,43 +462,34 @@ impl Nlp for AcopfNlp<'_> {
                 }
             }
             // Line-limit constraint contributions.
-            if let Some(k) = self.limited.iter().position(|&b| b == l) {
-                for (row_offset, kinds) in [
-                    (0usize, (FlowKind::Pij, FlowKind::Qij)),
-                    (1usize, (FlowKind::Pji, FlowKind::Qji)),
-                ] {
-                    let sigma = lambda_ineq[2 * k + row_offset];
+            if let Some(k) = self.limit_index[l] {
+                let [pij, qij, pji, qji] = flows;
+                for (row, (fp, fq)) in [(2 * k, (pij, qij)), (2 * k + 1, (pji, qji))] {
+                    let sigma = lambda_ineq[row];
                     if sigma == 0.0 {
                         continue;
                     }
-                    let fp = BranchFlow::from_admittance(y, kinds.0);
-                    let fq = BranchFlow::from_admittance(y, kinds.1);
-                    let p = fp.value(vi, vj, ti, tj);
-                    let q = fq.value(vi, vj, ti, tj);
-                    let gp = Self::flow_grad(&fp.gradient(vi, vj, ti, tj));
-                    let gq = Self::flow_grad(&fq.gradient(vi, vj, ti, tj));
-                    let hp = fp.hessian(vi, vj, ti, tj).to_dense();
-                    let hq = fq.hessian(vi, vj, ti, tj).to_dense();
+                    let (pv, qv) = (fp.value_at(&p), fq.value_at(&p));
+                    let gp = fp.gradient_at(&p).to_array();
+                    let gq = fq.gradient_at(&p).to_array();
+                    let hp = fp.hessian_at(&p).to_dense();
+                    let hq = fq.hessian_at(&p).to_dense();
                     for r in 0..4 {
                         for c in 0..4 {
                             block[r][c] += sigma
                                 * (2.0 * gp[r] * gp[c]
-                                    + 2.0 * p * hp[r][c]
+                                    + 2.0 * pv * hp[r][c]
                                     + 2.0 * gq[r] * gq[c]
-                                    + 2.0 * q * hq[r][c]);
+                                    + 2.0 * qv * hq[r][c]);
                         }
                     }
                 }
             }
-            for r in 0..4 {
-                for c in 0..4 {
-                    if block[r][c] != 0.0 {
-                        hess.push(idx[r], idx[c], block[r][c]);
-                    }
-                }
+            for v in block.into_iter().flatten() {
+                out.put(v);
             }
         }
-        hess
+        out.finish();
     }
 }
 
@@ -561,10 +626,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lagrangian_hessian_matches_finite_difference() {
-        let net = cases::case9().compile().unwrap();
-        let nlp = AcopfNlp::new(&net);
+    /// The Hessian of the Lagrangian against finite differences of its
+    /// gradient, at multipliers that differ on every row, so each rated
+    /// branch's block must pick up its own two limit rows.
+    fn assert_hessian_matches_finite_difference(net: &Network) {
+        let nlp = AcopfNlp::new(net);
         let x = sample_x(&nlp);
         let nv = nlp.num_vars();
         // Arbitrary but fixed multipliers.
@@ -621,6 +687,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lagrangian_hessian_matches_finite_difference() {
+        assert_hessian_matches_finite_difference(&cases::case9().compile().unwrap());
+        // Unrated branches in between: limit row `2k` belongs to the `k`-th
+        // rated branch, not to branch `k`.
+        let mut case = cases::case9();
+        for l in [0, 3, 7] {
+            case.branches[l].rate_a = 0.0;
+        }
+        let net = case.compile().unwrap();
+        assert_eq!(AcopfNlp::new(&net).num_ineq(), 12);
+        assert_hessian_matches_finite_difference(&net);
+    }
+
+    /// Every declared triplet is written on every call — a buffer poisoned
+    /// with NaN comes back finite — including the ones that are zero at the
+    /// point: at the flat start with zero multipliers nearly the whole
+    /// Hessian is.
+    #[test]
+    fn values_write_every_declared_triplet() {
+        let net = cases::case14().compile().unwrap();
+        let nlp = AcopfNlp::new(&net);
+        let x = nlp.initial_point();
+        let (lam_eq, lam_ineq) = (vec![0.0; nlp.num_eq()], vec![0.0; nlp.num_ineq()]);
+        let mut hess = nlp.hessian_structure();
+        let mut jac_eq = nlp.eq_jacobian_structure();
+        let mut jac_ineq = nlp.ineq_jacobian_structure();
+        for coo in [&mut hess, &mut jac_eq, &mut jac_ineq] {
+            coo.vals.fill(f64::NAN);
+        }
+        nlp.hessian_values(&x, 1.0, &lam_eq, &lam_ineq, &mut hess.vals);
+        nlp.eq_jacobian_values(&x, &mut jac_eq.vals);
+        nlp.ineq_jacobian_values(&x, &mut jac_ineq.vals);
+        for coo in [&hess, &jac_eq, &jac_ineq] {
+            assert!(coo.vals.iter().all(|v| v.is_finite()));
+        }
+        assert_eq!(hess.nnz(), 16 * net.nbranch + net.ngen + 1);
+        let zeros = hess.vals.iter().filter(|&&v| v == 0.0).count();
+        assert_eq!(zeros, 16 * net.nbranch + 1, "all but the cost diagonals");
     }
 
     #[test]

@@ -33,29 +33,35 @@
 //! reference, not a solver path.
 //!
 //! The second half of the module is the *symbolic reuse* the condensed shape
-//! unlocks: the condensed matrix has a fixed sparsity pattern across
-//! interior-point iterations (only values change with the barrier, the
-//! multipliers, and the inertia regularization δ_w), so [`KktCache`]
-//! analyzes the pattern once per NLP — probing the model callbacks with unit
-//! multipliers to harvest the full structural pattern, and ordering it with
-//! approximate minimum degree ([`gridsim_sparse::LdlSymbolic::analyze_amd`]:
-//! the system is quasi-definite, so any symmetric permutation factorizes
-//! without pivoting and the ordering is free to minimise fill) — and every
-//! Newton step runs a numeric-only
-//! [`gridsim_sparse::LdlSymbolic::refactor_supernodal`] on the host, as the
-//! paper's interior-point baseline does. Each refactorization is billed to
-//! the solver's [`gridsim_batch::DeviceStats`] stream as one launch of the
-//! kernel `ldl_refactor_level` (blocks = rows, elapsed = the replay alone),
-//! so a traced run still splits an IPM iteration into its factorization and
-//! the model evaluation, assembly and triangular solves around it.
-//! [`KktCache::symbolic_stats`] reports what was frozen. Warm-started
-//! re-solves of the same network (rolling-horizon tracking) reuse the same
-//! cache across periods, so a whole trajectory costs one symbolic analysis.
-//! If an iteration ever produces a coordinate outside the frozen pattern
-//! (the model callbacks prune numerically-zero triplets, so the pattern can
-//! grow when a multiplier leaves zero), the cache rebuilds the union pattern
-//! and counts another analysis — correctness never depends on the probe
-//! being complete.
+//! unlocks. An [`Nlp`](crate::Nlp) declares the coordinates of its Jacobians
+//! and Hessian once, independent of the iterate, so the condensed matrix has
+//! one sparsity pattern for the whole solve: only values change with the
+//! barrier, the multipliers and the inertia regularization δ_w.
+//! [`KktCache::ensure_structure`] takes the declared structure once per
+//! solve, freezes the pattern it implies (the Hessian, both `J_E` blocks,
+//! every variable pair sharing an inequality row, the diagonal), orders it
+//! with approximate minimum degree
+//! ([`gridsim_sparse::LdlSymbolic::analyze_amd`]: the system is
+//! quasi-definite, so any symmetric permutation factorizes without pivoting
+//! and the ordering is free to minimise fill), and records where every
+//! declared triplet lands in it. Every Newton step then writes the model's
+//! values through those recorded slots into a reused buffer — no search, no
+//! per-row grouping, no allocation that grows with the model — and runs a
+//! numeric-only [`gridsim_sparse::LdlSymbolic::refactor_supernodal`] on the
+//! host, as the paper's interior-point baseline does. Each refactorization
+//! is billed to the solver's [`gridsim_batch::DeviceStats`] stream as one
+//! launch of the kernel `ldl_refactor_level` (blocks = rows, elapsed = the
+//! replay alone), so a traced run still splits an IPM iteration into its
+//! factorization and the model evaluation, assembly and triangular solves
+//! around it. [`KktCache::symbolic_stats`] reports what was frozen.
+//!
+//! Warm-started re-solves of the same network (rolling-horizon tracking)
+//! reuse the same cache across periods, so a whole trajectory costs one
+//! symbolic analysis: each solve's declared structure is checked against
+//! the frozen pattern and only located in it. A structure the pattern does
+//! not cover — a fleet lane moving to a scenario with other derivative
+//! coordinates — rebuilds the union of both patterns once and counts
+//! another analysis.
 
 use crate::kkt::KktDims;
 use gridsim_batch::DeviceStats;
@@ -93,7 +99,8 @@ pub struct CondensedFactor {
 impl CondensedFactor {
     /// Solve for the full-layout Newton step `[Δx; Δs; Δλ_E; Δλ_I]`. `rhs`
     /// is the full augmented right-hand side `[b_x; b_s; b_E; b_I]` and
-    /// `jac_ineq` must be the matrix the factorization was assembled from.
+    /// `jac_ineq` is the declared inequality-Jacobian structure holding the
+    /// values the factorization was assembled from.
     pub fn solve(&self, jac_ineq: &Coo, rhs: &[f64]) -> Vec<f64> {
         let dims = &self.dims;
         assert_eq!(rhs.len(), dims.dim(), "rhs must cover the full system");
@@ -155,6 +162,115 @@ struct CondensedStructure {
     /// signs (`+1` on the variable block, `−1` on the equality-dual block)
     /// never change, and the pivot thresholds are overwritten per call.
     opts: LdlOptions,
+    /// Where the current NLP's declared triplets land in the pattern.
+    slots: SlotMap,
+}
+
+/// The inequality Jacobian's triplets grouped by row, duplicates of a
+/// coordinate merged into one *entry* and entries sorted by column within
+/// their row: the layout `J_Iᵀ C J_I` is formed in. Duplicates must be
+/// combined *before* the quadratic products — the full augmented system
+/// sums them linearly during CSC conversion, and `(v₁+v₂)²` is not
+/// `v₁² + v₁v₂ + v₂²`.
+#[derive(Debug, Clone)]
+struct IneqRows {
+    /// Per triplet, its entry.
+    entry: Vec<usize>,
+    /// Entries of row `r`: `row_ptr[r]..row_ptr[r + 1]`.
+    row_ptr: Vec<usize>,
+    /// Column of every entry.
+    cols: Vec<usize>,
+}
+
+impl IneqRows {
+    fn group(jac_ineq: &Coo, m_ineq: usize) -> IneqRows {
+        let nnz = jac_ineq.nnz();
+        let mut order: Vec<usize> = (0..nnz).collect();
+        order.sort_by_key(|&t| (jac_ineq.rows[t], jac_ineq.cols[t]));
+        let mut grouped = IneqRows {
+            entry: vec![0; nnz],
+            row_ptr: vec![0; m_ineq + 1],
+            cols: Vec::with_capacity(nnz),
+        };
+        let mut last = None;
+        for t in order {
+            let coordinate = (jac_ineq.rows[t], jac_ineq.cols[t]);
+            if last != Some(coordinate) {
+                grouped.cols.push(coordinate.1);
+                grouped.row_ptr[coordinate.0 + 1] += 1;
+                last = Some(coordinate);
+            }
+            grouped.entry[t] = grouped.cols.len() - 1;
+        }
+        for r in 0..m_ineq {
+            grouped.row_ptr[r + 1] += grouped.row_ptr[r];
+        }
+        grouped
+    }
+
+    /// The columns of row `r`'s entries, ascending.
+    fn row(&self, r: usize) -> &[usize] {
+        &self.cols[self.row_ptr[r]..self.row_ptr[r + 1]]
+    }
+}
+
+/// Where each declared triplet of one NLP's derivatives lands in the frozen
+/// pattern, so that assembling the condensed matrix is one pass over the
+/// values in declaration order.
+#[derive(Debug, Clone)]
+struct SlotMap {
+    /// One slot per Hessian triplet.
+    hess: Vec<usize>,
+    /// Two slots per equality-Jacobian triplet `(r, c)`: `(nx + r, c)`, then
+    /// `(c, nx + r)`.
+    jac_eq: Vec<usize>,
+    ineq: IneqRows,
+    /// The slots `J_Iᵀ C J_I` adds into, in assembly order: per row, per
+    /// entry `p`, the diagonal `(p, p)`, then `(p, q)` and `(q, p)` for every
+    /// later entry `q` of the row.
+    ineq_pairs: Vec<usize>,
+}
+
+impl SlotMap {
+    /// Locate every declared triplet in the pattern; `None` when one falls
+    /// outside it.
+    fn locate(
+        ldl: &LdlSymbolic,
+        dims: &KktDims,
+        hess: &Coo,
+        jac_eq: &Coo,
+        jac_ineq: &Coo,
+    ) -> Option<SlotMap> {
+        let (colptr, rowind) = ldl.pattern();
+        let at = |row: usize, col: usize| slot(colptr, rowind, row, col);
+        let hess_slots = (0..hess.nnz())
+            .map(|t| at(hess.rows[t], hess.cols[t]))
+            .collect::<Option<Vec<usize>>>()?;
+        let mut jac_eq_slots = Vec::with_capacity(2 * jac_eq.nnz());
+        for t in 0..jac_eq.nnz() {
+            let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
+            jac_eq_slots.push(at(r, c)?);
+            jac_eq_slots.push(at(c, r)?);
+        }
+        let ineq = IneqRows::group(jac_ineq, dims.m_ineq);
+        let mut ineq_pairs = Vec::new();
+        for r in 0..dims.m_ineq {
+            let cols = ineq.row(r);
+            for (p, &cp) in cols.iter().enumerate() {
+                ineq_pairs.push(at(cp, cp)?);
+                for &cq in &cols[p + 1..] {
+                    ineq_pairs.push(at(cp, cq)?);
+                    ineq_pairs.push(at(cq, cp)?);
+                }
+            }
+        }
+        Some(SlotMap {
+            hess: hess_slots,
+            jac_eq: jac_eq_slots,
+            ineq,
+            ineq_pairs,
+        })
+    }
 }
 
 /// Reusable condensed-KKT state: survives across Newton iterations of one
@@ -165,12 +281,17 @@ pub struct KktCache {
     structure: Option<CondensedStructure>,
     symbolic_analyses: usize,
     numeric_refactorizations: usize,
+    /// The buffer the next Newton step assembles its values into.
+    values: Vec<f64>,
+    /// The inequality Jacobian's merged entry values of the step being
+    /// assembled.
+    ineq_values: Vec<f64>,
     /// The value slice of the most recent successful numeric
     /// refactorization (its options are the structure's), retained so
     /// [`Self::refactor_microbench`] can time the scalar-vs-supernodal
-    /// replay on a genuine production matrix (the assembled values are
-    /// owned here anyway once the factorization is done, so retention
-    /// costs no copy).
+    /// replay on a genuine production matrix. It trades places with
+    /// `values` after every successful refactorization, so retention costs
+    /// neither a copy nor an allocation.
     last_numeric: Option<Vec<f64>>,
 }
 
@@ -230,7 +351,8 @@ impl KktCache {
 
     /// Symbolic analyses performed through this cache so far. One per NLP —
     /// or per *family* of NLPs sharing a structure, when the cache is reused
-    /// across tracking periods — plus one per structural growth event.
+    /// across tracking periods — plus one per declared structure the frozen
+    /// pattern did not cover.
     pub fn symbolic_analyses(&self) -> usize {
         self.symbolic_analyses
     }
@@ -253,31 +375,46 @@ impl KktCache {
         })
     }
 
-    /// Make sure the frozen structure covers the given (probe) matrices.
-    /// Call once per solve with unit multipliers so value-pruned triplets
-    /// are all present; a no-op when the cached pattern already covers them.
+    /// Take an NLP's declared derivative structure — the triplet coordinates
+    /// of its Hessian and both Jacobians, from
+    /// [`Nlp::hessian_structure`](crate::Nlp::hessian_structure) and the
+    /// Jacobian counterparts; values are ignored — and record where each
+    /// triplet lands in the frozen pattern. Call once per solve, before the
+    /// first [`Self::factorize_condensed`]. The pattern is reused when it
+    /// covers the structure; otherwise it is rebuilt as the union of the old
+    /// pattern (same dimensions only) and the structure's, at the cost of one
+    /// symbolic analysis.
     pub fn ensure_structure(&mut self, dims: &KktDims, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) {
-        if let Some(s) = &self.structure {
-            if s.dims == *dims && s.covers(hess, jac_eq, jac_ineq) {
+        self.ensure_structure_with(dims, hess, jac_eq, jac_ineq, LdlSymbolic::analyze_amd);
+    }
+
+    /// [`Self::ensure_structure`] with the analysis as a parameter, so the
+    /// tests can freeze the same pattern under RCM — what every cache did
+    /// before the fill-reducing ordering — as the oracle that the solver's
+    /// iterates do not depend on the ordering.
+    fn ensure_structure_with(
+        &mut self,
+        dims: &KktDims,
+        hess: &Coo,
+        jac_eq: &Coo,
+        jac_ineq: &Coo,
+        analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
+    ) {
+        assert_eq!(dims.ns, dims.m_ineq, "one slack per inequality");
+        if let Some(s) = self.structure.as_mut().filter(|s| s.dims == *dims) {
+            if let Some(slots) = SlotMap::locate(&s.ldl, dims, hess, jac_eq, jac_ineq) {
+                s.slots = slots;
                 return;
             }
         }
-        self.rebuild(dims, hess, jac_eq, jac_ineq);
+        self.rebuild(dims, hess, jac_eq, jac_ineq, analyze);
     }
 
     /// Rebuild the frozen pattern as the union of the previous pattern (when
-    /// the dimensions still match) and the coordinates required by the given
-    /// matrices, then re-analyze under the fill-reducing ordering. Counts one
-    /// symbolic analysis.
-    fn rebuild(&mut self, dims: &KktDims, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) {
-        self.rebuild_with(dims, hess, jac_eq, jac_ineq, LdlSymbolic::analyze_amd);
-    }
-
-    /// [`Self::rebuild`] with the analysis as a parameter, so the tests can
-    /// freeze the same pattern under RCM — what every cache did before the
-    /// fill-reducing ordering — as the oracle that the solver's iterates do
-    /// not depend on the ordering.
-    fn rebuild_with(
+    /// the dimensions still match) and the coordinates the declared
+    /// structure requires, re-analyze it and locate the structure in it.
+    /// Counts one symbolic analysis.
+    fn rebuild(
         &mut self,
         dims: &KktDims,
         hess: &Coo,
@@ -288,8 +425,8 @@ impl KktCache {
         let ncond = dims.nx + dims.m_eq;
         let mut rows = Vec::new();
         let mut cols = Vec::new();
-        // Carry the previous pattern forward so alternating activity cannot
-        // thrash the analysis.
+        // Carry the previous pattern forward so alternating structures
+        // cannot thrash the analysis.
         if let Some(s) = &self.structure {
             if s.dims == *dims {
                 let (colptr, rowind) = s.ldl.pattern();
@@ -320,10 +457,10 @@ impl KktCache {
         }
         // J_Iᵀ C J_I couples every pair of variables that share an
         // inequality row.
-        let by_row = group_by_row(jac_ineq, dims.m_ineq);
-        for entries in &by_row {
-            for &(cp, _) in entries {
-                for &(cq, _) in entries {
+        let ineq = IneqRows::group(jac_ineq, dims.m_ineq);
+        for r in 0..dims.m_ineq {
+            for &cp in ineq.row(r) {
+                for &cq in ineq.row(r) {
                     rows.push(cp);
                     cols.push(cq);
                 }
@@ -335,6 +472,8 @@ impl KktCache {
             .map(|i| slot(&pattern.colptr, &pattern.rowind, i, i).expect("diagonal in pattern"))
             .collect();
         let ldl = analyze(&pattern).expect("condensed pattern analyzes");
+        let slots = SlotMap::locate(&ldl, dims, hess, jac_eq, jac_ineq)
+            .expect("the pattern covers the structure it was built from");
         let mut expected_signs = vec![1i8; dims.nx];
         expected_signs.extend(std::iter::repeat_n(-1i8, dims.m_eq));
         self.structure = Some(CondensedStructure {
@@ -346,139 +485,81 @@ impl KktCache {
                 expected_signs,
                 ..Default::default()
             },
+            slots,
         });
         // The retained values belong to the pattern just replaced.
         self.last_numeric = None;
         self.symbolic_analyses += 1;
     }
 
-    /// Factorize the condensed system for the given iteration data. The
-    /// triangular solve is deferred to [`CondensedFactor::solve`] so an
-    /// inertia rejection costs only the (numeric-only) refactorization,
-    /// which `stats` is billed for as one `ldl_refactor_level` launch over
-    /// `nx + m_eq` blocks, whether or not it breaks down.
+    /// Factorize the condensed system for the given iteration data: the
+    /// Hessian and Jacobian values aligned with the structure last passed to
+    /// [`Self::ensure_structure`], and the barrier diagonal `sigma` over
+    /// `[x; s]`. The triangular solve is deferred to
+    /// [`CondensedFactor::solve`] so an inertia rejection costs only the
+    /// (numeric-only) refactorization, which `stats` is billed for as one
+    /// `ldl_refactor_level` launch over `nx + m_eq` blocks, whether or not
+    /// it breaks down.
     #[allow(clippy::too_many_arguments)]
     pub fn factorize_condensed(
         &mut self,
         stats: &DeviceStats,
-        dims: &KktDims,
-        hess: &Coo,
+        hess: &[f64],
         sigma: &[f64],
-        jac_eq: &Coo,
-        jac_ineq: &Coo,
+        jac_eq: &[f64],
+        jac_ineq: &[f64],
         delta_w: f64,
         delta_c: f64,
         pivot_tol: f64,
         pivot_reg: f64,
     ) -> Result<CondensedFactor, SparseError> {
+        let s = self
+            .structure
+            .as_mut()
+            .expect("ensure_structure declares the derivative structure first");
+        let dims = s.dims;
         assert_eq!(sigma.len(), dims.nv(), "sigma must cover x and s blocks");
-        assert_eq!(dims.ns, dims.m_ineq, "one slack per inequality");
-        // Only the cheap dims check here: a full `covers` sweep per Newton
-        // attempt would duplicate the slot lookups `try_assemble` performs
-        // anyway, and its `None` → rebuild fallback already handles any
-        // coordinate outside the frozen pattern.
-        let needs_build = match &self.structure {
-            Some(s) => s.dims != *dims,
-            None => true,
-        };
-        if needs_build {
-            self.rebuild(dims, hess, jac_eq, jac_ineq);
-        }
-
         let delta_cc = delta_c.max(1e-12);
         let nx = dims.nx;
-        let m_ineq = dims.m_ineq;
 
         // Per-inequality diagonal elimination factors.
-        let ds: Vec<f64> = (0..m_ineq).map(|r| sigma[nx + r] + delta_w).collect();
+        let ds: Vec<f64> = (0..dims.m_ineq).map(|r| sigma[nx + r] + delta_w).collect();
         let e: Vec<f64> = ds.iter().map(|d| 1.0 + delta_cc * d).collect();
 
-        // Assemble values into the frozen pattern; if a coordinate falls
-        // outside it (a multiplier left zero and grew the model pattern),
-        // rebuild the union structure once and assemble again.
-        let by_row = group_by_row(jac_ineq, m_ineq);
-        let vals = match self.try_assemble(hess, sigma, jac_eq, &by_row, &ds, &e, delta_w, delta_cc)
-        {
-            Some(v) => v,
-            None => {
-                self.rebuild(dims, hess, jac_eq, jac_ineq);
-                self.try_assemble(hess, sigma, jac_eq, &by_row, &ds, &e, delta_w, delta_cc)
-                    .expect("pattern covers its own rebuild inputs")
-            }
-        };
-        let s = self.structure.as_mut().expect("structure ensured above");
+        s.assemble(
+            &mut self.values,
+            &mut self.ineq_values,
+            hess,
+            sigma,
+            jac_eq,
+            jac_ineq,
+            &ds,
+            &e,
+            delta_w,
+            delta_cc,
+        );
 
         // Numeric-only refactorization over the frozen pattern.
         s.opts.pivot_tol = pivot_tol;
         s.opts.pivot_reg = pivot_reg;
         let start = std::time::Instant::now();
-        let factor = s.ldl.refactor_supernodal(&vals, &s.opts);
+        let factor = s.ldl.refactor_supernodal(&self.values, &s.opts);
         stats.record_launch("ldl_refactor_level", s.ncond as u64, start.elapsed());
         let factor = factor?;
         self.numeric_refactorizations += 1;
-        self.last_numeric = Some(vals);
+        let factorized = std::mem::take(&mut self.values);
+        self.values = self.last_numeric.replace(factorized).unwrap_or_default();
         let inertia = factor.inertia();
         let num_regularized = factor.num_regularized;
         Ok(CondensedFactor {
             factor,
-            dims: *dims,
+            dims,
             ds,
             e,
             delta_cc,
             inertia,
             num_regularized,
         })
-    }
-
-    /// Scatter the iteration values into the frozen pattern. Returns `None`
-    /// when a coordinate is missing from the pattern.
-    #[allow(clippy::too_many_arguments)]
-    fn try_assemble(
-        &self,
-        hess: &Coo,
-        sigma: &[f64],
-        jac_eq: &Coo,
-        ji_by_row: &[Vec<(usize, f64)>],
-        ds: &[f64],
-        e: &[f64],
-        delta_w: f64,
-        delta_cc: f64,
-    ) -> Option<Vec<f64>> {
-        let s = self.structure.as_ref()?;
-        let nx = s.dims.nx;
-        let (colptr, rowind) = s.ldl.pattern();
-        let mut vals = vec![0.0; s.ldl.nnz()];
-        for t in 0..hess.nnz() {
-            let k = slot(colptr, rowind, hess.rows[t], hess.cols[t])?;
-            vals[k] += hess.vals[t];
-        }
-        for (i, &sig) in sigma.iter().enumerate().take(nx) {
-            vals[s.diag_slots[i]] += sig + delta_w;
-        }
-        for t in 0..jac_eq.nnz() {
-            let (r, c) = (nx + jac_eq.rows[t], jac_eq.cols[t]);
-            vals[slot(colptr, rowind, r, c)?] += jac_eq.vals[t];
-            vals[slot(colptr, rowind, c, r)?] += jac_eq.vals[t];
-        }
-        for i in 0..s.dims.m_eq {
-            vals[s.diag_slots[nx + i]] += -delta_cc;
-        }
-        // J_Iᵀ C J_I, one inequality row at a time; pairs are written
-        // symmetrically with the same product so the assembled matrix is
-        // exactly symmetric.
-        for (r, entries) in ji_by_row.iter().enumerate() {
-            let c_r = ds[r] / e[r];
-            for (p, &(cp, vp)) in entries.iter().enumerate() {
-                for &(cq, vq) in &entries[p..] {
-                    let v = (vp * c_r) * vq;
-                    vals[slot(colptr, rowind, cp, cq)?] += v;
-                    if cp != cq {
-                        vals[slot(colptr, rowind, cq, cp)?] += v;
-                    }
-                }
-            }
-        }
-        Some(vals)
     }
 
     /// Time the scalar vs supernodal numeric replay on the most recently
@@ -514,33 +595,80 @@ impl KktCache {
 }
 
 impl CondensedStructure {
-    /// True when every coordinate the given matrices touch is present in the
-    /// frozen pattern.
-    fn covers(&self, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) -> bool {
+    /// Write the condensed matrix's values into `out` (sized to the
+    /// pattern) through the recorded slots, adding the contributions in the
+    /// order the triplets were declared: the Hessian, the barrier diagonal,
+    /// both `J_E` blocks, the dual regularization, then `J_Iᵀ C J_I` one
+    /// inequality row at a time, each pair written symmetrically with the
+    /// same product so the matrix is exactly symmetric.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        &self,
+        out: &mut Vec<f64>,
+        ineq_values: &mut Vec<f64>,
+        hess: &[f64],
+        sigma: &[f64],
+        jac_eq: &[f64],
+        jac_ineq: &[f64],
+        ds: &[f64],
+        e: &[f64],
+        delta_w: f64,
+        delta_cc: f64,
+    ) {
+        let slots = &self.slots;
+        let ineq = &slots.ineq;
+        assert_eq!(
+            hess.len(),
+            slots.hess.len(),
+            "one value per Hessian triplet"
+        );
+        assert_eq!(
+            2 * jac_eq.len(),
+            slots.jac_eq.len(),
+            "one value per J_E triplet"
+        );
+        assert_eq!(
+            jac_ineq.len(),
+            ineq.entry.len(),
+            "one value per J_I triplet"
+        );
         let nx = self.dims.nx;
-        let (colptr, rowind) = self.ldl.pattern();
-        for t in 0..hess.nnz() {
-            if slot(colptr, rowind, hess.rows[t], hess.cols[t]).is_none() {
-                return false;
-            }
+        out.clear();
+        out.resize(self.ldl.nnz(), 0.0);
+        for (&k, &v) in slots.hess.iter().zip(hess) {
+            out[k] += v;
         }
-        for t in 0..jac_eq.nnz() {
-            let (r, c) = (nx + jac_eq.rows[t], jac_eq.cols[t]);
-            if slot(colptr, rowind, r, c).is_none() || slot(colptr, rowind, c, r).is_none() {
-                return false;
-            }
+        for (&k, &sig) in self.diag_slots.iter().zip(&sigma[..nx]) {
+            out[k] += sig + delta_w;
         }
-        let by_row = group_by_row(jac_ineq, self.dims.m_ineq);
-        for entries in &by_row {
-            for &(cp, _) in entries {
-                for &(cq, _) in entries {
-                    if slot(colptr, rowind, cp, cq).is_none() {
-                        return false;
-                    }
+        for (pair, &v) in slots.jac_eq.chunks_exact(2).zip(jac_eq) {
+            out[pair[0]] += v;
+            out[pair[1]] += v;
+        }
+        for &k in &self.diag_slots[nx..] {
+            out[k] += -delta_cc;
+        }
+        // Duplicates sum in declaration order.
+        ineq_values.clear();
+        ineq_values.resize(ineq.cols.len(), 0.0);
+        for (&entry, &v) in ineq.entry.iter().zip(jac_ineq) {
+            ineq_values[entry] += v;
+        }
+        let mut k = 0;
+        for r in 0..self.dims.m_ineq {
+            let c_r = ds[r] / e[r];
+            let row = &ineq_values[ineq.row_ptr[r]..ineq.row_ptr[r + 1]];
+            for (p, &vp) in row.iter().enumerate() {
+                out[slots.ineq_pairs[k]] += (vp * c_r) * vp;
+                k += 1;
+                for &vq in &row[p + 1..] {
+                    let v = (vp * c_r) * vq;
+                    out[slots.ineq_pairs[k]] += v;
+                    out[slots.ineq_pairs[k + 1]] += v;
+                    k += 2;
                 }
             }
         }
-        true
     }
 }
 
@@ -561,30 +689,6 @@ fn slot(colptr: &[usize], rowind: &[usize], row: usize, col: usize) -> Option<us
     let lo = colptr[col];
     let hi = colptr[col + 1];
     rowind[lo..hi].binary_search(&row).ok().map(|off| lo + off)
-}
-
-/// Group a COO matrix's entries by row, summing duplicate columns within a
-/// row and sorting by column (deterministic assembly order). Duplicates must
-/// be combined *before* the quadratic `J_Iᵀ C J_I` products — the full
-/// augmented system sums them linearly during CSC conversion, and `(v₁+v₂)²` is not
-/// `v₁² + v₁v₂ + v₂²`.
-fn group_by_row(a: &Coo, nrows: usize) -> Vec<Vec<(usize, f64)>> {
-    let mut by_row: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
-    for t in 0..a.nnz() {
-        by_row[a.rows[t]].push((a.cols[t], a.vals[t]));
-    }
-    for entries in &mut by_row {
-        entries.sort_by_key(|&(c, _)| c);
-        entries.dedup_by(|next, kept| {
-            if next.0 == kept.0 {
-                kept.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
-    }
-    by_row
 }
 
 #[cfg(test)]
@@ -622,8 +726,8 @@ mod tests {
         (hess, sigma, jac_eq, jac_ineq)
     }
 
-    /// Factorize with the solver's pivot thresholds and solve for the
-    /// full-layout Newton step.
+    /// Declare the structure, factorize with the solver's pivot thresholds
+    /// and solve for the full-layout Newton step.
     #[allow(clippy::too_many_arguments)]
     fn newton_step(
         cache: &mut KktCache,
@@ -636,14 +740,14 @@ mod tests {
         delta_c: f64,
         rhs: &[f64],
     ) -> (CondensedFactor, Vec<f64>) {
+        cache.ensure_structure(dims, hess, jac_eq, jac_ineq);
         let factor = cache
             .factorize_condensed(
                 &DeviceStats::default(),
-                dims,
-                hess,
+                &hess.vals,
                 sigma,
-                jac_eq,
-                jac_ineq,
+                &jac_eq.vals,
+                &jac_ineq.vals,
                 delta_w,
                 delta_c,
                 1e-13,
@@ -652,6 +756,159 @@ mod tests {
             .unwrap();
         let step = factor.solve(jac_ineq, rhs);
         (factor, step)
+    }
+
+    impl KktCache {
+        /// The assembly the slots replaced, kept as their oracle: every
+        /// triplet binary-searched into the frozen pattern, the inequality
+        /// Jacobian regrouped by row on every call. `None` when a coordinate
+        /// falls outside the pattern.
+        #[allow(clippy::too_many_arguments)]
+        fn scatter(
+            &self,
+            hess: &Coo,
+            sigma: &[f64],
+            jac_eq: &Coo,
+            jac_ineq: &Coo,
+            delta_w: f64,
+            delta_c: f64,
+        ) -> Option<Vec<f64>> {
+            let s = self.structure.as_ref()?;
+            let nx = s.dims.nx;
+            let delta_cc = delta_c.max(1e-12);
+            let (colptr, rowind) = s.ldl.pattern();
+            let mut vals = vec![0.0; s.ldl.nnz()];
+            for t in 0..hess.nnz() {
+                let k = slot(colptr, rowind, hess.rows[t], hess.cols[t])?;
+                vals[k] += hess.vals[t];
+            }
+            for (i, &sig) in sigma.iter().enumerate().take(nx) {
+                vals[s.diag_slots[i]] += sig + delta_w;
+            }
+            for t in 0..jac_eq.nnz() {
+                let (r, c) = (nx + jac_eq.rows[t], jac_eq.cols[t]);
+                vals[slot(colptr, rowind, r, c)?] += jac_eq.vals[t];
+                vals[slot(colptr, rowind, c, r)?] += jac_eq.vals[t];
+            }
+            for i in 0..s.dims.m_eq {
+                vals[s.diag_slots[nx + i]] += -delta_cc;
+            }
+            for (r, entries) in group_by_row(jac_ineq, s.dims.m_ineq).iter().enumerate() {
+                let d = sigma[nx + r] + delta_w;
+                let c_r = d / (1.0 + delta_cc * d);
+                for (p, &(cp, vp)) in entries.iter().enumerate() {
+                    for &(cq, vq) in &entries[p..] {
+                        let v = (vp * c_r) * vq;
+                        vals[slot(colptr, rowind, cp, cq)?] += v;
+                        if cp != cq {
+                            vals[slot(colptr, rowind, cq, cp)?] += v;
+                        }
+                    }
+                }
+            }
+            Some(vals)
+        }
+    }
+
+    /// Group a COO matrix's entries by row, summing duplicate columns
+    /// within a row and sorting by column.
+    fn group_by_row(a: &Coo, nrows: usize) -> Vec<Vec<(usize, f64)>> {
+        let mut by_row: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
+        for t in 0..a.nnz() {
+            by_row[a.rows[t]].push((a.cols[t], a.vals[t]));
+        }
+        for entries in &mut by_row {
+            entries.sort_by_key(|&(c, _)| c);
+            entries.dedup_by(|next, kept| {
+                if next.0 == kept.0 {
+                    kept.1 += next.1;
+                    true
+                } else {
+                    false
+                }
+            });
+        }
+        by_row
+    }
+
+    /// The triplets of `coo` whose value is not zero: what the model
+    /// callbacks handed the assembly while they still pruned.
+    fn pruned(coo: &Coo) -> Coo {
+        let mut out = Coo::new(coo.nrows, coo.ncols);
+        for t in (0..coo.nnz()).filter(|&t| coo.vals[t] != 0.0) {
+            out.push(coo.rows[t], coo.cols[t], coo.vals[t]);
+        }
+        out
+    }
+
+    /// The bits of the values the last successful factorization assembled.
+    fn gathered_bits(cache: &KktCache) -> Vec<u64> {
+        let vals = cache.last_numeric.as_ref().expect("a factorization ran");
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(vals: &[f64]) -> Vec<u64> {
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One real ACOPF Newton system: the model's matrices at an iterate of
+    /// a solve cut short after `max_iter` iterations.
+    struct AcopfIterate {
+        dims: KktDims,
+        hess: Coo,
+        sigma: Vec<f64>,
+        jac_eq: Coo,
+        jac_ineq: Coo,
+    }
+
+    /// The Hessian at the cut-short solve's multipliers, and the barrier
+    /// diagonal from its bound multipliers, with each slack re-derived as
+    /// `max(−c_I(x), 10⁻²)`.
+    fn acopf_iterate(net: &gridsim_grid::network::Network, max_iter: usize) -> AcopfIterate {
+        use crate::nlp::Nlp;
+        let nlp = crate::AcopfNlp::new(net);
+        let dims = KktDims {
+            nx: nlp.num_vars(),
+            ns: nlp.num_ineq(),
+            m_eq: nlp.num_eq(),
+            m_ineq: nlp.num_ineq(),
+        };
+        let report = crate::IpmSolver::new(crate::IpmOptions {
+            max_iter,
+            ..Default::default()
+        })
+        .solve(&nlp);
+        let x = &report.x;
+        let mut ci = vec![0.0; dims.m_ineq];
+        nlp.ineq_constraints(x, &mut ci);
+        let v: Vec<f64> = x
+            .iter()
+            .copied()
+            .chain(ci.iter().map(|c| (-c).max(1e-2)))
+            .collect();
+        let (mut lower, mut upper) = nlp.bounds();
+        lower.extend(std::iter::repeat_n(0.0, dims.m_ineq));
+        upper.extend(std::iter::repeat_n(f64::INFINITY, dims.m_ineq));
+        let sigma: Vec<f64> = (0..dims.nv())
+            .map(|i| {
+                let mut s = 0.0;
+                if lower[i].is_finite() {
+                    s += report.zl[i] / (v[i] - lower[i]);
+                }
+                if upper[i].is_finite() {
+                    s += report.zu[i] / (upper[i] - v[i]);
+                }
+                s
+            })
+            .collect();
+        assert!(sigma.iter().all(|s| s.is_finite() && *s >= 0.0));
+        AcopfIterate {
+            dims,
+            hess: nlp.lagrangian_hessian(x, 1.0, &report.lambda_eq, &report.lambda_ineq),
+            sigma,
+            jac_eq: nlp.eq_jacobian(x),
+            jac_ineq: nlp.ineq_jacobian(x),
+        }
     }
 
     #[test]
@@ -709,19 +966,19 @@ mod tests {
         let (hess, sigma, jac_eq, jac_ineq) = small_problem();
         let mut cache = KktCache::new();
         let rhs = vec![1.0; dims.dim()];
-        // Seed the structure from a pruned Hessian (as a cold start with zero
-        // multipliers would produce).
-        let mut pruned = Coo::new(3, 3);
-        pruned.push(0, 0, 4.0);
-        pruned.push(1, 1, 3.0);
-        pruned.push(2, 2, 5.0);
+        // Freeze the pattern of a structure with a diagonal Hessian.
+        let mut diagonal = Coo::new(3, 3);
+        diagonal.push(0, 0, 4.0);
+        diagonal.push(1, 1, 3.0);
+        diagonal.push(2, 2, 5.0);
         newton_step(
-            &mut cache, &dims, &pruned, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
+            &mut cache, &dims, &diagonal, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
         );
         assert_eq!(cache.symbolic_analyses(), 1);
-        // A Hessian coupling no inequality row shares — (0,2)/(2,0) — grows
-        // the pattern: one rebuild. (The (0,1) coupling of the standard
-        // Hessian is already covered by inequality row 0's product block.)
+        // A structure whose Hessian couples what no inequality row shares —
+        // (0,2)/(2,0) — grows the pattern: one rebuild. (The (0,1) coupling
+        // of the standard Hessian is already covered by inequality row 0's
+        // product block.)
         let mut hess = hess;
         hess.push(0, 2, 0.25);
         hess.push(2, 0, 0.25);
@@ -729,9 +986,10 @@ mod tests {
             &mut cache, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
         );
         assert_eq!(cache.symbolic_analyses(), 2);
-        // And the union pattern keeps covering the pruned shape afterwards.
+        // And the union pattern keeps covering the diagonal structure
+        // afterwards.
         newton_step(
-            &mut cache, &dims, &pruned, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
+            &mut cache, &dims, &diagonal, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
         );
         assert_eq!(cache.symbolic_analyses(), 2);
     }
@@ -773,6 +1031,12 @@ mod tests {
         for (a, b) in full.iter().zip(&step) {
             assert!((a - b).abs() < 1e-9, "full {a} vs condensed {b}");
         }
+        // The gather merges the duplicates the way the per-row regrouping
+        // did, in declaration order.
+        let scattered = cache
+            .scatter(&hess, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8)
+            .unwrap();
+        assert_eq!(gathered_bits(&cache), bits(&scattered));
     }
 
     /// The full augmented system stays the reference for the condensed step
@@ -784,57 +1048,21 @@ mod tests {
     /// multipliers are the ill-conditioned part of the system: at
     /// `δ_c = 1e-8` the full factorization's own residual is 1.7e-6–1.8e-5
     /// on these right-hand sides, the condensed step's 3e-8–1.4e-5.
-    ///
-    /// Each iterate comes from a solve cut short by `max_iter`: the Hessian
-    /// at its multipliers, and the barrier diagonal from its bound
-    /// multipliers, with each slack re-derived as `max(−c_I(x), 10⁻²)`.
     #[test]
     fn condensed_step_matches_full_kkt_at_acopf_iterates() {
-        use crate::nlp::Nlp;
         for (name, case) in [
             ("case9", gridsim_grid::cases::case9()),
             ("case14", gridsim_grid::cases::case14()),
         ] {
             let net = case.compile().unwrap();
-            let nlp = crate::AcopfNlp::new(&net);
-            let dims = KktDims {
-                nx: nlp.num_vars(),
-                ns: nlp.num_ineq(),
-                m_eq: nlp.num_eq(),
-                m_ineq: nlp.num_ineq(),
-            };
             for max_iter in [0, 8] {
-                let report = crate::IpmSolver::new(crate::IpmOptions {
-                    max_iter,
-                    ..Default::default()
-                })
-                .solve(&nlp);
-                let x = &report.x;
-                let mut ci = vec![0.0; dims.m_ineq];
-                nlp.ineq_constraints(x, &mut ci);
-                let v: Vec<f64> = x
-                    .iter()
-                    .copied()
-                    .chain(ci.iter().map(|c| (-c).max(1e-2)))
-                    .collect();
-                let (mut lower, mut upper) = nlp.bounds();
-                lower.extend(std::iter::repeat_n(0.0, dims.m_ineq));
-                upper.extend(std::iter::repeat_n(f64::INFINITY, dims.m_ineq));
-                let sigma: Vec<f64> = (0..dims.nv())
-                    .map(|i| {
-                        let mut s = 0.0;
-                        if lower[i].is_finite() {
-                            s += report.zl[i] / (v[i] - lower[i]);
-                        }
-                        if upper[i].is_finite() {
-                            s += report.zu[i] / (upper[i] - v[i]);
-                        }
-                        s
-                    })
-                    .collect();
-                assert!(sigma.iter().all(|s| s.is_finite() && *s >= 0.0), "{name}");
-                let hess = nlp.lagrangian_hessian(x, 1.0, &report.lambda_eq, &report.lambda_ineq);
-                let (jac_eq, jac_ineq) = (nlp.eq_jacobian(x), nlp.ineq_jacobian(x));
+                let AcopfIterate {
+                    dims,
+                    hess,
+                    sigma,
+                    jac_eq,
+                    jac_ineq,
+                } = acopf_iterate(&net, max_iter);
                 let rhs: Vec<f64> = (0..dims.dim()).map(|i| (i as f64 * 0.7).sin()).collect();
 
                 let (cond, step) = newton_step(
@@ -874,6 +1102,66 @@ mod tests {
         }
     }
 
+    /// The slot gather writes the bits the binary-search scatter it replaced
+    /// wrote, at real `case9`, `case14` and `Pegase1354/200` iterates and at
+    /// two regularizations. It also writes the bits the scatter wrote from
+    /// the zero-pruned triplets the model callbacks used to return: a
+    /// written zero adds nothing to a sum that never holds `−0.0`.
+    #[test]
+    fn gather_matches_the_binary_search_scatter_at_acopf_iterates() {
+        use gridsim_grid::synthetic::TableICase;
+        for (name, case) in [
+            ("case9", gridsim_grid::cases::case9()),
+            ("case14", gridsim_grid::cases::case14()),
+            ("pegase1354/200", TableICase::Pegase1354.scaled(200)),
+        ] {
+            let net = case.compile().unwrap();
+            for max_iter in [0, 8] {
+                let it = acopf_iterate(&net, max_iter);
+                let mut cache = KktCache::new();
+                cache.ensure_structure(&it.dims, &it.hess, &it.jac_eq, &it.jac_ineq);
+                for (delta_w, delta_c) in [(0.0, 1e-8), (1e-4, 1e-6)] {
+                    cache
+                        .factorize_condensed(
+                            &DeviceStats::default(),
+                            &it.hess.vals,
+                            &it.sigma,
+                            &it.jac_eq.vals,
+                            &it.jac_ineq.vals,
+                            delta_w,
+                            delta_c,
+                            1e-13,
+                            1e-9,
+                        )
+                        .unwrap();
+                    let gathered = gathered_bits(&cache);
+                    let scatter = |hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo| {
+                        let vals = cache
+                            .scatter(hess, &it.sigma, jac_eq, jac_ineq, delta_w, delta_c)
+                            .expect("the declared structure is frozen");
+                        bits(&vals)
+                    };
+                    let label = format!("{name} after {max_iter} iterations, δ_w {delta_w}");
+                    assert_eq!(
+                        gathered,
+                        scatter(&it.hess, &it.jac_eq, &it.jac_ineq),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        gathered,
+                        scatter(
+                            &pruned(&it.hess),
+                            &pruned(&it.jac_eq),
+                            &pruned(&it.jac_ineq)
+                        ),
+                        "{label}: pruned triplets"
+                    );
+                }
+                assert_eq!(cache.symbolic_analyses(), 1, "{name}");
+            }
+        }
+    }
+
     /// A zero pivot with regularization off breaks the factorization down
     /// mid-replay. The failure must leave no trace: counters and the retained
     /// values stay as they were, and the next good system factorizes to the
@@ -885,9 +1173,18 @@ mod tests {
         let (hess, sigma, jac_eq, jac_ineq) = small_problem();
         let stats = DeviceStats::default();
         let good = |cache: &mut KktCache| {
+            cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq);
             cache
                 .factorize_condensed(
-                    &stats, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 1e-6, 1e-8, 1e-13, 1e-9,
+                    &stats,
+                    &hess.vals,
+                    &sigma,
+                    &jac_eq.vals,
+                    &jac_ineq.vals,
+                    1e-6,
+                    1e-8,
+                    1e-13,
+                    1e-9,
                 )
                 .unwrap()
         };
@@ -897,18 +1194,13 @@ mod tests {
 
         // Same coordinates, all values zero: every variable-block pivot is
         // exactly zero and `pivot_reg = 0` may not bump it.
-        let zeroed = |coo: &Coo| {
-            let mut z = coo.clone();
-            z.vals.iter_mut().for_each(|v| *v = 0.0);
-            z
-        };
+        let zeros = |coo: &Coo| vec![0.0; coo.nnz()];
         let broke = cache.factorize_condensed(
             &stats,
-            &dims,
-            &zeroed(&hess),
+            &zeros(&hess),
             &vec![0.0; sigma.len()],
-            &zeroed(&jac_eq),
-            &zeroed(&jac_ineq),
+            &zeros(&jac_eq),
+            &zeros(&jac_ineq),
             0.0,
             1e-8,
             1e-13,
@@ -930,8 +1222,8 @@ mod tests {
         assert_eq!(stats.snapshot().total_launches(), 4);
     }
 
-    /// A cache holding `net`'s condensed ACOPF structure, probed with unit
-    /// multipliers like the solver does and frozen under `analyze`.
+    /// A cache holding `net`'s declared condensed ACOPF structure, frozen
+    /// under `analyze`.
     fn frozen(
         net: &gridsim_grid::network::Network,
         analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
@@ -944,13 +1236,12 @@ mod tests {
             m_eq: nlp.num_eq(),
             m_ineq: nlp.num_ineq(),
         };
-        let x = nlp.initial_point();
         let mut cache = KktCache::new();
-        cache.rebuild_with(
+        cache.ensure_structure_with(
             &dims,
-            &nlp.lagrangian_hessian(&x, 1.0, &vec![1.0; dims.m_eq], &vec![1.0; dims.m_ineq]),
-            &nlp.eq_jacobian(&x),
-            &nlp.ineq_jacobian(&x),
+            &nlp.hessian_structure(),
+            &nlp.eq_jacobian_structure(),
+            &nlp.ineq_jacobian_structure(),
             analyze,
         );
         cache
@@ -1010,11 +1301,11 @@ mod tests {
         let produced = cache
             .factorize_condensed(
                 &DeviceStats::default(),
-                &dims,
-                &nlp.lagrangian_hessian(&report.x, 1.0, &report.lambda_eq, &report.lambda_ineq),
+                &nlp.lagrangian_hessian(&report.x, 1.0, &report.lambda_eq, &report.lambda_ineq)
+                    .vals,
                 &sigma,
-                &nlp.eq_jacobian(&report.x),
-                &nlp.ineq_jacobian(&report.x),
+                &nlp.eq_jacobian(&report.x).vals,
+                &nlp.ineq_jacobian(&report.x).vals,
                 0.0,
                 1e-8,
                 1e-13,
@@ -1083,8 +1374,8 @@ mod tests {
             let net = TableICase::Pegase1354.scaled(scale).compile().unwrap();
             let nlp = crate::AcopfNlp::new(&net);
             let solver = crate::IpmSolver::default();
-            // The RCM cache arrives with its structure frozen; the solve's
-            // own probe finds it covered and never re-analyzes.
+            // The RCM cache arrives with its structure frozen; the solve
+            // finds its declared structure covered and never re-analyzes.
             let (mut amd_cache, mut rcm_cache) =
                 (KktCache::new(), frozen(&net, LdlSymbolic::analyze_rcm));
             let amd = solver.solve_with_cache(&nlp, &mut amd_cache);

@@ -11,8 +11,10 @@
 //! arXiv:2307.16830): the slack and inequality-dual blocks are eliminated in
 //! closed form, and the remaining quasi-definite system is factorized with
 //! the sparse LDLᵀ of [`gridsim_sparse`] under an approximate-minimum-degree
-//! ordering. Its sparsity pattern is analyzed once per NLP and numerically
-//! refactorized every iteration, so fill is what every step pays for.
+//! ordering. Its sparsity pattern follows from the model's declared
+//! derivative structure, is analyzed once per NLP and numerically
+//! refactorized every iteration, so fill is what every step pays for; the
+//! model's values reach it through slots recorded once per solve.
 //! Inertia is corrected by primal/dual regularization, steps are safeguarded
 //! by the fraction-to-boundary rule and a filter line search, and the
 //! barrier parameter decreases monotonically (Fiacco–McCormick).
@@ -23,7 +25,8 @@
 //!
 //! Modules:
 //!
-//! * [`nlp`] — the problem interface ([`nlp::Nlp`]),
+//! * [`nlp`] — the problem interface ([`nlp::Nlp`]: derivative coordinates
+//!   declared once per solve, values written in place every iteration),
 //! * [`acopf_nlp`] — the full polar ACOPF formulation (1) as an NLP,
 //! * [`kkt`] — the slacked problem's dimensions and the full augmented KKT
 //!   system, the reference the condensed step is tested against,

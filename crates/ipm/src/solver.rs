@@ -27,6 +27,7 @@ use crate::kkt_condensed::{KktCache, KktStrategy};
 use crate::nlp::{hessian_has_both_triangles, Nlp};
 use crate::report::{IpmStatus, IterationRecord, SolveReport};
 use gridsim_batch::Device;
+use gridsim_sparse::Coo;
 use std::time::Instant;
 
 // Wächter–Biegler filter line-search constants (their Table 1 defaults).
@@ -289,10 +290,12 @@ fn bound_dual_steps(
 /// `½‖c_E‖² + ½‖c_I + s‖²` over the box, run until the ℓ1 violation drops
 /// below `target` (or the budget/stationarity ends it). Returns whether the
 /// target was reached; `v` holds the final (strictly interior) point either
-/// way.
+/// way. The Jacobians are evaluated into the solve's declared structures.
 #[allow(clippy::too_many_arguments)]
 fn restore_feasibility<N: Nlp>(
     nlp: &N,
+    jac_eq: &mut Coo,
+    jac_ineq: &mut Coo,
     v: &mut [f64],
     lower: &[f64],
     upper: &[f64],
@@ -345,8 +348,8 @@ fn restore_feasibility<N: Nlp>(
         }
         // Gradient of the squared violation over v = [x; s].
         let mut grad = vec![0.0; nv];
-        let jac_eq = nlp.eq_jacobian(&v[..nx]);
-        let jac_ineq = nlp.ineq_jacobian(&v[..nx]);
+        nlp.eq_jacobian_values(&v[..nx], &mut jac_eq.vals);
+        nlp.ineq_jacobian_values(&v[..nx], &mut jac_ineq.vals);
         for k in 0..jac_eq.nnz() {
             grad[jac_eq.cols[k]] += jac_eq.vals[k] * ce[jac_eq.rows[k]];
         }
@@ -572,21 +575,18 @@ impl IpmSolver {
         let theta_max = 1e4 * theta0.max(1.0);
         let mut filter = Filter::new(theta_max);
 
-        // Probe the model's Hessian pattern once with unit multipliers (the
-        // callbacks prune value-zero triplets, and cold starts carry λ = 0).
-        // It checks the `Nlp` contract: a Hessian given as one triangle
-        // would lose whichever entries the ordering moves across the
-        // diagonal, so such a solve ends here, before iteration 0. The
-        // cache freezes its structure from the probe, so it covers every
-        // coordinate the callbacks can emit; growth later in the solve still
-        // rebuilds the union as a fallback.
-        let x0 = &v[..nx];
-        let probe_hess = nlp.lagrangian_hessian(x0, s_f, &vec![1.0; m_eq], &vec![1.0; m_ineq]);
-        let hessian_ok = hessian_has_both_triangles(&probe_hess);
+        // The model declares its derivative coordinates once; every
+        // evaluation below writes values into these triplets, and the cache
+        // locates them in its frozen pattern here, once per solve. The
+        // declared Hessian is checked against the `Nlp` contract: one given
+        // as one triangle would lose whichever entries the ordering moves
+        // across the diagonal, so such a solve ends here, before iteration 0.
+        let mut hess = nlp.hessian_structure();
+        let mut jac_eq = nlp.eq_jacobian_structure();
+        let mut jac_ineq = nlp.ineq_jacobian_structure();
+        let hessian_ok = hessian_has_both_triangles(&hess);
         if hessian_ok {
-            let probe_jac_eq = nlp.eq_jacobian(x0);
-            let probe_jac_ineq = nlp.ineq_jacobian(x0);
-            cache.ensure_structure(&dims, &probe_hess, &probe_jac_eq, &probe_jac_ineq);
+            cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq);
         }
 
         // Workspace.
@@ -619,8 +619,8 @@ impl IpmSolver {
             }
             nlp.eq_constraints(x, &mut ce);
             nlp.ineq_constraints(x, &mut ci);
-            let jac_eq = nlp.eq_jacobian(x);
-            let jac_ineq = nlp.ineq_jacobian(x);
+            nlp.eq_jacobian_values(x, &mut jac_eq.vals);
+            nlp.ineq_jacobian_values(x, &mut jac_ineq.vals);
 
             // --- residuals ---
             // Dual residual over v = [x; s].
@@ -712,7 +712,7 @@ impl IpmSolver {
             }
 
             // --- Newton system ---
-            let hess = nlp.lagrangian_hessian(x, s_f, &lambda[..m_eq], &lambda[m_eq..]);
+            nlp.hessian_values(x, s_f, &lambda[..m_eq], &lambda[m_eq..], &mut hess.vals);
             let mut sigma = vec![0.0; nv];
             for i in 0..nv {
                 if lower[i].is_finite() {
@@ -752,11 +752,10 @@ impl IpmSolver {
                 factorizations += 1;
                 match cache.factorize_condensed(
                     self.device.stats(),
-                    &dims,
-                    &hess,
+                    &hess.vals,
                     &sigma,
-                    &jac_eq,
-                    &jac_ineq,
+                    &jac_eq.vals,
+                    &jac_ineq.vals,
                     delta_w,
                     delta_c,
                     1e-13,
@@ -1004,6 +1003,8 @@ impl IpmSolver {
                         let target = (1e-2 * entry.theta).max(0.1 * theta_min);
                         if !restore_feasibility(
                             nlp,
+                            &mut jac_eq,
+                            &mut jac_ineq,
                             &mut v,
                             &lower,
                             &upper,
@@ -1141,8 +1142,8 @@ fn inf_norm(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nlp::pattern;
     use crate::nlp::test_problems::{EqualityQp, Hs071};
-    use gridsim_sparse::Coo;
 
     #[test]
     fn equality_qp_reaches_known_solution() {
@@ -1209,16 +1210,19 @@ mod tests {
         }
         fn eq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
         fn ineq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
-        fn eq_jacobian(&self, _x: &[f64]) -> Coo {
+        fn eq_jacobian_structure(&self) -> Coo {
             Coo::new(0, 1)
         }
-        fn ineq_jacobian(&self, _x: &[f64]) -> Coo {
+        fn eq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+        fn ineq_jacobian_structure(&self) -> Coo {
             Coo::new(0, 1)
         }
-        fn lagrangian_hessian(&self, _x: &[f64], s: f64, _le: &[f64], _li: &[f64]) -> Coo {
-            let mut h = Coo::new(1, 1);
-            h.push(0, 0, 2.0 * s);
-            h
+        fn ineq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+        fn hessian_structure(&self) -> Coo {
+            pattern(1, 1, &[(0, 0)])
+        }
+        fn hessian_values(&self, _x: &[f64], s: f64, _le: &[f64], _li: &[f64], vals: &mut [f64]) {
+            vals[0] = 2.0 * s;
         }
     }
 
@@ -1348,20 +1352,21 @@ mod tests {
         fn ineq_constraints(&self, x: &[f64], c: &mut [f64]) {
             c[0] = 1.0 - x[0] - x[1];
         }
-        fn eq_jacobian(&self, _x: &[f64]) -> Coo {
+        fn eq_jacobian_structure(&self) -> Coo {
             Coo::new(0, 2)
         }
-        fn ineq_jacobian(&self, _x: &[f64]) -> Coo {
-            let mut j = Coo::new(1, 2);
-            j.push(0, 0, -1.0);
-            j.push(0, 1, -1.0);
-            j
+        fn eq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+        fn ineq_jacobian_structure(&self) -> Coo {
+            pattern(1, 2, &[(0, 0), (0, 1)])
         }
-        fn lagrangian_hessian(&self, _x: &[f64], s: f64, _le: &[f64], _li: &[f64]) -> Coo {
-            let mut h = Coo::new(2, 2);
-            h.push(0, 0, 2.0 * s);
-            h.push(1, 1, 2.0 * s);
-            h
+        fn ineq_jacobian_values(&self, _x: &[f64], vals: &mut [f64]) {
+            vals.fill(-1.0);
+        }
+        fn hessian_structure(&self) -> Coo {
+            pattern(2, 2, &[(0, 0), (1, 1)])
+        }
+        fn hessian_values(&self, _x: &[f64], s: f64, _le: &[f64], _li: &[f64], vals: &mut [f64]) {
+            vals.fill(2.0 * s);
         }
     }
 
@@ -1409,7 +1414,8 @@ mod tests {
         assert!(!report.log.is_empty());
         assert_eq!(report.log[0].iter, 0);
         assert!(report.factorizations >= report.iterations);
-        // The probe's analysis serves every factorization of the solve.
+        // The declared structure's analysis serves every factorization of
+        // the solve.
         assert_eq!(report.symbolic_analyses, 1);
     }
 
@@ -1493,20 +1499,28 @@ mod tests {
                 c[0] = x[0] + x[1] - 1.0;
             }
             fn ineq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
-            fn eq_jacobian(&self, _x: &[f64]) -> Coo {
-                let mut j = Coo::new(1, 2);
-                j.push(0, 0, 1.0);
-                j.push(0, 1, 1.0);
-                j
+            fn eq_jacobian_structure(&self) -> Coo {
+                pattern(1, 2, &[(0, 0), (0, 1)])
             }
-            fn ineq_jacobian(&self, _x: &[f64]) -> Coo {
+            fn eq_jacobian_values(&self, _x: &[f64], vals: &mut [f64]) {
+                vals.fill(1.0);
+            }
+            fn ineq_jacobian_structure(&self) -> Coo {
                 Coo::new(0, 2)
             }
-            fn lagrangian_hessian(&self, _x: &[f64], s: f64, _le: &[f64], _li: &[f64]) -> Coo {
-                let mut h = Coo::new(2, 2);
-                h.push(0, 0, 2e4 * s);
-                h.push(1, 1, 2e4 * s);
-                h
+            fn ineq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+            fn hessian_structure(&self) -> Coo {
+                pattern(2, 2, &[(0, 0), (1, 1)])
+            }
+            fn hessian_values(
+                &self,
+                _x: &[f64],
+                s: f64,
+                _le: &[f64],
+                _li: &[f64],
+                vals: &mut [f64],
+            ) {
+                vals.fill(2e4 * s);
             }
         }
         let report = IpmSolver::default().solve(&ScaledQp);
@@ -1552,17 +1566,26 @@ mod tests {
             }
             fn eq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
             fn ineq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
-            fn eq_jacobian(&self, _x: &[f64]) -> Coo {
+            fn eq_jacobian_structure(&self) -> Coo {
                 Coo::new(0, 2)
             }
-            fn ineq_jacobian(&self, _x: &[f64]) -> Coo {
+            fn eq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+            fn ineq_jacobian_structure(&self) -> Coo {
                 Coo::new(0, 2)
             }
-            fn lagrangian_hessian(&self, _x: &[f64], s: f64, _le: &[f64], _li: &[f64]) -> Coo {
-                let mut h = Coo::new(2, 2);
-                h.push(0, 0, 2.0 * s);
-                h.push(1, 1, 2.0 * s);
-                h
+            fn ineq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+            fn hessian_structure(&self) -> Coo {
+                pattern(2, 2, &[(0, 0), (1, 1)])
+            }
+            fn hessian_values(
+                &self,
+                _x: &[f64],
+                s: f64,
+                _le: &[f64],
+                _li: &[f64],
+                vals: &mut [f64],
+            ) {
+                vals.fill(2.0 * s);
             }
         }
         let report = IpmSolver::default().solve(&Unconstrained);
@@ -1604,17 +1627,26 @@ mod tests {
             }
             fn eq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
             fn ineq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
-            fn eq_jacobian(&self, _x: &[f64]) -> Coo {
+            fn eq_jacobian_structure(&self) -> Coo {
                 Coo::new(0, 2)
             }
-            fn ineq_jacobian(&self, _x: &[f64]) -> Coo {
+            fn eq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+            fn ineq_jacobian_structure(&self) -> Coo {
                 Coo::new(0, 2)
             }
-            fn lagrangian_hessian(&self, _x: &[f64], s: f64, _le: &[f64], _li: &[f64]) -> Coo {
-                let mut h = Coo::new(2, 2);
-                h.push(0, 0, 2.0 * s);
-                h.push(1, 1, 2.0 * s);
-                h
+            fn ineq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+            fn hessian_structure(&self) -> Coo {
+                pattern(2, 2, &[(0, 0), (1, 1)])
+            }
+            fn hessian_values(
+                &self,
+                _x: &[f64],
+                s: f64,
+                _le: &[f64],
+                _li: &[f64],
+                vals: &mut [f64],
+            ) {
+                vals.fill(2.0 * s);
             }
         }
         let report = IpmSolver::default().solve(&NanGradient);

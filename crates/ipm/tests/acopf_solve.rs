@@ -161,9 +161,19 @@ fn tighter_line_limits_increase_cost() {
     );
 }
 
-/// An `AcopfNlp` whose Hessian callback keeps only `row <= col`: what the
-/// `Nlp` documentation used to allow.
+/// An `AcopfNlp` whose Hessian keeps only `row <= col`: what the `Nlp`
+/// documentation used to allow.
 struct UpperTriangleHessian<'a>(AcopfNlp<'a>);
+
+impl UpperTriangleHessian<'_> {
+    /// Which of the full structure's triplets the upper triangle keeps.
+    fn kept(&self) -> Vec<bool> {
+        let full = self.0.hessian_structure();
+        (0..full.nnz())
+            .map(|t| full.rows[t] <= full.cols[t])
+            .collect()
+    }
+}
 
 impl Nlp for UpperTriangleHessian<'_> {
     fn num_vars(&self) -> usize {
@@ -193,19 +203,32 @@ impl Nlp for UpperTriangleHessian<'_> {
     fn ineq_constraints(&self, x: &[f64], c: &mut [f64]) {
         self.0.ineq_constraints(x, c)
     }
-    fn eq_jacobian(&self, x: &[f64]) -> Coo {
-        self.0.eq_jacobian(x)
+    fn eq_jacobian_structure(&self) -> Coo {
+        self.0.eq_jacobian_structure()
     }
-    fn ineq_jacobian(&self, x: &[f64]) -> Coo {
-        self.0.ineq_jacobian(x)
+    fn eq_jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
+        self.0.eq_jacobian_values(x, vals)
     }
-    fn lagrangian_hessian(&self, x: &[f64], obj: f64, l_eq: &[f64], l_ineq: &[f64]) -> Coo {
-        let full = self.0.lagrangian_hessian(x, obj, l_eq, l_ineq);
+    fn ineq_jacobian_structure(&self) -> Coo {
+        self.0.ineq_jacobian_structure()
+    }
+    fn ineq_jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
+        self.0.ineq_jacobian_values(x, vals)
+    }
+    fn hessian_structure(&self) -> Coo {
+        let full = self.0.hessian_structure();
         let mut upper = Coo::new(full.nrows, full.ncols);
-        for t in (0..full.nnz()).filter(|&t| full.rows[t] <= full.cols[t]) {
-            upper.push(full.rows[t], full.cols[t], full.vals[t]);
+        for (t, _) in self.kept().iter().enumerate().filter(|(_, &keep)| keep) {
+            upper.push(full.rows[t], full.cols[t], 0.0);
         }
         upper
+    }
+    fn hessian_values(&self, x: &[f64], obj: f64, l_eq: &[f64], l_ineq: &[f64], vals: &mut [f64]) {
+        let full = self.0.lagrangian_hessian(x, obj, l_eq, l_ineq);
+        let upper = full.vals.iter().zip(self.kept()).filter(|(_, keep)| *keep);
+        for (out, (&v, _)) in vals.iter_mut().zip(upper) {
+            *out = v;
+        }
     }
 }
 

@@ -6,11 +6,10 @@
 //! Both solver families track the horizon: the paper's ADMM (whose warm
 //! starts are the headline result) and the condensed-KKT interior-point
 //! reference with a **horizon-wide `KktCache`** — every period re-solves
-//! the same network structure, so the whole reference trajectory costs
-//! O(1) symbolic analyses (the unit-multiplier probe, plus at most a rare
-//! growth rebuild when an iterate reveals a pattern coordinate the probe
-//! pruned) and each Newton step is a numeric-only refactorization. A fresh
-//! analysis per factorization would cost 109 for this horizon.
+//! the same network structure, so the whole reference trajectory costs one
+//! symbolic analysis (of the model's declared derivative structure) and
+//! each Newton step is a numeric-only refactorization. A fresh analysis per
+//! factorization would cost 109 for this horizon.
 //!
 //! ```text
 //! cargo run --release --example warm_start_tracking
