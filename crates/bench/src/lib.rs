@@ -27,7 +27,7 @@
 //! | scenario throughput | `sweep` → `batch.launches`, `batch.blocks`, `admm.fleet_ticks`, `admm.mask_efficiency`, `engine.occupancy` | `tests/scenario_batch.rs` (bitwise + ≥4× launch amortisation guard), `tests/scenario_scheduler.rs::sharded_work_is_billed_per_device` |
 //! | daemon throughput | `sweep` → `serve.submit_ms`, `serve.chunk_compute_ms`, `serve.overhead_s`, `serve.manifest_save_ms`/`load_ms`; second generation → `ipm_fleet`'s `store.hit_rate`, `ipm.warm_iteration_ratio` | `crates/serve/tests/{daemon,kill_resume}.rs` |
 //! | warm solution store | `ipm_fleet` → `store.hits`, `store.hit_rate`, `store.nearest_us`, `ipm.warm_iteration_ratio` | `tests/solution_store.rs` (debug determinism + release 120-scenario guard) |
-//! | condensed KKT | `ipm_fleet` probes → `sparse.refactor_ms`, `sparse.refactor_scalar_ms`, `sparse.supernodes`, `sparse.condensed_dim`, `ipm.factorizations`, `ipm.symbolic_analyses` | `tests/ipm_condensed.rs`, `tests/property_tests.rs` (fresh ≡ scalar ≡ supernodal) |
+//! | condensed KKT | `ipm_fleet` probes → `sparse.refactor_ms`, `sparse.refactor_scalar_ms`, `sparse.supernodes`, `sparse.condensed_dim`, `ipm.factorizations`, `ipm.symbolic_analyses` | `tests/ipm_condensed.rs`, `tests/property_tests.rs` (fresh ≡ scalar ≡ dense tail) |
 //! | launch backends | any traced run → `batch.vectorized_vs_sequential`, `batch.parallel_vs_sequential`, `batch.kernel.*_s` | `gridsim_batch::conformance`, `tests/backend_conformance.rs`, CI's launch-backend matrix |
 //!
 //! The paper's full case sizes (up to 70,000 buses) are expensive for the

@@ -47,21 +47,25 @@
 //! declared triplet lands in it. Every Newton step then writes the model's
 //! values through those recorded slots into a reused buffer — no search, no
 //! per-row grouping, no allocation that grows with the model — and runs a
-//! numeric-only [`gridsim_sparse::LdlSymbolic::refactor_supernodal`] on the
-//! host, as the paper's interior-point baseline does. Each refactorization
-//! is billed to the solver's [`gridsim_batch::DeviceStats`] stream as one
-//! launch of the kernel `ldl_refactor_level` (blocks = rows, elapsed = the
-//! replay alone), so a traced run still splits an IPM iteration into its
+//! numeric-only [`gridsim_sparse::LdlSymbolic::refactor_dense_tail`] on the
+//! host, as the paper's interior-point baseline does: the AMD-ordered
+//! condensed system ends in a dense block (the last 90 of 877 columns on
+//! the `ipm_fleet` stand-in) that carries most of the arithmetic, and that
+//! block is factored right-looking while the sparse rows keep the
+//! up-looking replay. Each refactorization is billed to the solver's
+//! [`gridsim_batch::DeviceStats`] stream as one launch of the kernel
+//! `ldl_refactor_level` (blocks = rows, elapsed = the refactorization
+//! alone), so a traced run still splits an IPM iteration into its
 //! factorization and the model evaluation, assembly and triangular solves
 //! around it. [`KktCache::symbolic_stats`] reports what was frozen.
 //!
 //! Warm-started re-solves of the same network (rolling-horizon tracking)
 //! reuse the same cache across periods, so a whole trajectory costs one
-//! symbolic analysis: each solve's declared structure is checked against
-//! the frozen pattern and only located in it. A structure the pattern does
-//! not cover — a fleet lane moving to a scenario with other derivative
-//! coordinates — rebuilds the union of both patterns once and counts
-//! another analysis.
+//! symbolic analysis: each solve's declared structure is checked in place
+//! against the recorded slots, and located in the frozen pattern again only
+//! when its coordinates differ. A structure the pattern does not cover — a
+//! fleet lane moving to a scenario with other derivative coordinates —
+//! rebuilds the union of both patterns once and counts another analysis.
 
 use crate::kkt::KktDims;
 use gridsim_batch::DeviceStats;
@@ -172,7 +176,7 @@ struct CondensedStructure {
 /// combined *before* the quadratic products — the full augmented system
 /// sums them linearly during CSC conversion, and `(v₁+v₂)²` is not
 /// `v₁² + v₁v₂ + v₂²`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct IneqRows {
     /// Per triplet, its entry.
     entry: Vec<usize>,
@@ -217,7 +221,7 @@ impl IneqRows {
 /// Where each declared triplet of one NLP's derivatives lands in the frozen
 /// pattern, so that assembling the condensed matrix is one pass over the
 /// values in declaration order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SlotMap {
     /// One slot per Hessian triplet.
     hess: Vec<usize>,
@@ -271,6 +275,43 @@ impl SlotMap {
             ineq_pairs,
         })
     }
+
+    /// Whether this map was recorded for exactly the declared coordinates:
+    /// every Hessian and `J_E` slot holds its triplet's row and column, and
+    /// every `J_I` triplet's entry its row and column. O(nnz), allocation
+    /// free, and checking the recorded entries suffices: they were grouped
+    /// strictly ascending with every entry used, so [`Self::locate`] on the
+    /// same coordinates would rebuild this very map.
+    fn describes(
+        &self,
+        ldl: &LdlSymbolic,
+        dims: &KktDims,
+        hess: &Coo,
+        jac_eq: &Coo,
+        jac_ineq: &Coo,
+    ) -> bool {
+        let (colptr, rowind) = ldl.pattern();
+        let holds = |k: usize, row: usize, col: usize| {
+            col + 1 < colptr.len()
+                && (colptr[col]..colptr[col + 1]).contains(&k)
+                && rowind[k] == row
+        };
+        let ineq = &self.ineq;
+        self.hess.len() == hess.nnz()
+            && self.jac_eq.len() == 2 * jac_eq.nnz()
+            && ineq.entry.len() == jac_ineq.nnz()
+            && (0..hess.nnz()).all(|t| holds(self.hess[t], hess.rows[t], hess.cols[t]))
+            && (0..jac_eq.nnz()).all(|t| {
+                let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
+                holds(self.jac_eq[2 * t], r, c) && holds(self.jac_eq[2 * t + 1], c, r)
+            })
+            && (0..jac_ineq.nnz()).all(|t| {
+                let (e, r) = (ineq.entry[t], jac_ineq.rows[t]);
+                r < dims.m_ineq
+                    && (ineq.row_ptr[r]..ineq.row_ptr[r + 1]).contains(&e)
+                    && ineq.cols[e] == jac_ineq.cols[t]
+            })
+    }
 }
 
 /// Reusable condensed-KKT state: survives across Newton iterations of one
@@ -288,10 +329,10 @@ pub struct KktCache {
     ineq_values: Vec<f64>,
     /// The value slice of the most recent successful numeric
     /// refactorization (its options are the structure's), retained so
-    /// [`Self::refactor_microbench`] can time the scalar-vs-supernodal
-    /// replay on a genuine production matrix. It trades places with
-    /// `values` after every successful refactorization, so retention costs
-    /// neither a copy nor an allocation.
+    /// [`Self::refactor_microbench`] can time the scalar replay against the
+    /// production refactorization on a genuine production matrix. It trades
+    /// places with `values` after every successful refactorization, so
+    /// retention costs neither a copy nor an allocation.
     last_numeric: Option<Vec<f64>>,
 }
 
@@ -308,36 +349,36 @@ pub struct SymbolicStats {
     /// Elimination-tree height: the longest chain of rows a
     /// refactorization must replay one after another.
     pub levels: usize,
-    /// Supernodes the frozen `L` partitions into.
+    /// Supernodes the frozen `L` partitions into (a figure only).
     pub supernodes: usize,
-    /// Width of the widest supernode.
-    pub max_supernode_width: usize,
+    /// Columns in the dense tail of `L` (every row below the diagonal
+    /// present), which each refactorization factors right-looking.
+    pub dense_tail: usize,
 }
 
-/// Scalar-vs-supernodal replay timing on the last condensed system a
-/// [`KktCache`] factorized — the measured delta `perf`'s
-/// `sparse.refactor_ms` / `sparse.refactor_scalar_ms` probes record for the
-/// supernodal refactorization.
+/// Scalar-replay vs production refactorization timing on the last condensed
+/// system a [`KktCache`] factorized — the measured delta `perf`'s
+/// `sparse.refactor_ms` / `sparse.refactor_scalar_ms` probes record.
 #[derive(Debug, Clone)]
 pub struct RefactorMicrobench {
     /// Dimension of the condensed system.
     pub dim: usize,
     /// Supernodes the frozen `L` partitions into (equals `dim` when no
-    /// columns group).
+    /// columns group); a figure of the pattern, kept for `perf`.
     pub supernodes: usize,
-    /// Width of the widest supernode.
-    pub max_supernode_width: usize,
-    /// Total wall-clock of the timed scalar replays.
+    /// Total wall-clock of the timed scalar (up-looking) replays.
     pub scalar_time_s: f64,
-    /// Total wall-clock of the timed supernodal replays (same repeat count).
+    /// Total wall-clock of the timed production refactorizations,
+    /// [`LdlSymbolic::refactor_dense_tail`] (same repeat count). The name
+    /// predates that path; `perf` reads it as `sparse.refactor_ms`.
     pub supernodal_time_s: f64,
-    /// Whether the two replays produced bit-identical factors (they must).
+    /// Whether the two produced bit-identical factors (they must).
     pub bitwise_identical: bool,
 }
 
 impl RefactorMicrobench {
-    /// Scalar time over supernodal time (> 1 means the supernodal replay is
-    /// faster).
+    /// Scalar time over production time (> 1 means the production
+    /// refactorization is faster).
     pub fn speedup(&self) -> f64 {
         self.scalar_time_s / self.supernodal_time_s
     }
@@ -371,7 +412,7 @@ impl KktCache {
             lnz: s.ldl.lnz(),
             levels: s.ldl.num_levels(),
             supernodes: s.ldl.num_supernodes(),
-            max_supernode_width: s.ldl.max_supernode_width(),
+            dense_tail: s.ncond - s.ldl.tail_start(),
         })
     }
 
@@ -380,10 +421,12 @@ impl KktCache {
     /// [`Nlp::hessian_structure`](crate::Nlp::hessian_structure) and the
     /// Jacobian counterparts; values are ignored — and record where each
     /// triplet lands in the frozen pattern. Call once per solve, before the
-    /// first [`Self::factorize_condensed`]. The pattern is reused when it
-    /// covers the structure; otherwise it is rebuilt as the union of the old
-    /// pattern (same dimensions only) and the structure's, at the cost of one
-    /// symbolic analysis.
+    /// first [`Self::factorize_condensed`]. The recorded slots are kept when
+    /// they already describe the structure (the next solve of a lane), and
+    /// the structure is located again when the pattern covers it; otherwise
+    /// the pattern is rebuilt as the union of the old pattern (same
+    /// dimensions only) and the structure's, at the cost of one symbolic
+    /// analysis.
     pub fn ensure_structure(&mut self, dims: &KktDims, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) {
         self.ensure_structure_with(dims, hess, jac_eq, jac_ineq, LdlSymbolic::analyze_amd);
     }
@@ -402,6 +445,9 @@ impl KktCache {
     ) {
         assert_eq!(dims.ns, dims.m_ineq, "one slack per inequality");
         if let Some(s) = self.structure.as_mut().filter(|s| s.dims == *dims) {
+            if s.slots.describes(&s.ldl, dims, hess, jac_eq, jac_ineq) {
+                return;
+            }
             if let Some(slots) = SlotMap::locate(&s.ldl, dims, hess, jac_eq, jac_ineq) {
                 s.slots = slots;
                 return;
@@ -543,7 +589,7 @@ impl KktCache {
         s.opts.pivot_tol = pivot_tol;
         s.opts.pivot_reg = pivot_reg;
         let start = std::time::Instant::now();
-        let factor = s.ldl.refactor_supernodal(&self.values, &s.opts);
+        let factor = s.ldl.refactor_dense_tail(&self.values, &s.opts);
         stats.record_launch("ldl_refactor_level", s.ncond as u64, start.elapsed());
         let factor = factor?;
         self.numeric_refactorizations += 1;
@@ -562,17 +608,17 @@ impl KktCache {
         })
     }
 
-    /// Time the scalar vs supernodal numeric replay on the most recently
-    /// factorized condensed system, `repeats` refactorizations each, and
-    /// verify the two produce bit-identical factors. Returns `None` before
-    /// the first factorization.
+    /// Time the scalar replay vs the production refactorization on the most
+    /// recently factorized condensed system, `repeats` refactorizations
+    /// each, and verify the two produce bit-identical factors. Returns
+    /// `None` before the first factorization.
     pub fn refactor_microbench(&self, repeats: usize) -> Option<RefactorMicrobench> {
         let s = self.structure.as_ref()?;
         let vals = self.last_numeric.as_ref()?;
         let opts = &s.opts;
         let scalar = s.ldl.refactor(vals, opts).ok()?;
-        let supernodal = s.ldl.refactor_supernodal(vals, opts).ok()?;
-        let bitwise_identical = factor_bits(&scalar) == factor_bits(&supernodal);
+        let production = s.ldl.refactor_dense_tail(vals, opts).ok()?;
+        let bitwise_identical = factor_bits(&scalar) == factor_bits(&production);
         let start = std::time::Instant::now();
         for _ in 0..repeats {
             std::hint::black_box(s.ldl.refactor(vals, opts).ok()?);
@@ -580,13 +626,12 @@ impl KktCache {
         let scalar_time_s = start.elapsed().as_secs_f64();
         let start = std::time::Instant::now();
         for _ in 0..repeats {
-            std::hint::black_box(s.ldl.refactor_supernodal(vals, opts).ok()?);
+            std::hint::black_box(s.ldl.refactor_dense_tail(vals, opts).ok()?);
         }
         let supernodal_time_s = start.elapsed().as_secs_f64();
         Some(RefactorMicrobench {
             dim: s.ncond,
             supernodes: s.ldl.num_supernodes(),
-            max_supernode_width: s.ldl.max_supernode_width(),
             scalar_time_s,
             supernodal_time_s,
             bitwise_identical,
@@ -960,6 +1005,53 @@ mod tests {
         assert_eq!(cache.numeric_refactorizations(), 5);
     }
 
+    /// A lane's next solve declares the structure the cache already holds:
+    /// the recorded slots pass the in-place check and are kept — the very
+    /// map locating the structure again would build. The same triplets
+    /// declared in another order fail it and are located again, with no new
+    /// analysis.
+    #[test]
+    fn a_redeclared_structure_keeps_its_slots() {
+        use crate::nlp::Nlp;
+        let net = gridsim_grid::cases::case14().compile().unwrap();
+        let nlp = crate::AcopfNlp::new(&net);
+        let dims = KktDims {
+            nx: nlp.num_vars(),
+            ns: nlp.num_ineq(),
+            m_eq: nlp.num_eq(),
+            m_ineq: nlp.num_ineq(),
+        };
+        let hess = nlp.hessian_structure();
+        let jac_eq = nlp.eq_jacobian_structure();
+        let jac_ineq = nlp.ineq_jacobian_structure();
+        let mut cache = KktCache::new();
+        cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq);
+        let s = cache.structure.as_ref().unwrap();
+        assert!(s.slots.describes(&s.ldl, &dims, &hess, &jac_eq, &jac_ineq));
+        let located = SlotMap::locate(&s.ldl, &dims, &hess, &jac_eq, &jac_ineq);
+        assert_eq!(located.as_ref(), Some(&s.slots));
+
+        let reversed = |coo: &Coo| {
+            let mut out = Coo::new(coo.nrows, coo.ncols);
+            for t in (0..coo.nnz()).rev() {
+                out.push(coo.rows[t], coo.cols[t], coo.vals[t]);
+            }
+            out
+        };
+        let (rh, re, ri) = (reversed(&hess), reversed(&jac_eq), reversed(&jac_ineq));
+        for (h, e, i) in [
+            (&rh, &jac_eq, &jac_ineq),
+            (&hess, &re, &jac_ineq),
+            (&hess, &jac_eq, &ri),
+        ] {
+            assert!(!s.slots.describes(&s.ldl, &dims, h, e, i));
+        }
+        cache.ensure_structure(&dims, &rh, &re, &ri);
+        let s = cache.structure.as_ref().unwrap();
+        assert!(s.slots.describes(&s.ldl, &dims, &rh, &re, &ri));
+        assert_eq!(cache.symbolic_analyses(), 1);
+    }
+
     #[test]
     fn pattern_growth_rebuilds_union_structure_once() {
         let dims = small_dims();
@@ -1042,14 +1134,19 @@ mod tests {
     /// The full augmented system stays the reference for the condensed step
     /// at ACOPF scale. At real iterates of the `case9` and `case14` solves
     /// (the pushed-in initial point and a mid-solve point), the condensed
-    /// Newton step equals `assemble_kkt` + `LdlFactor::factorize_rcm`: the
-    /// primal block `[Δx; Δs]` to 1e-8 of its scale (measured ≤ 2.5e-9),
-    /// the multiplier block `[Δλ_E; Δλ_I]` to 1e-6 (measured ≤ 4.9e-7). The
-    /// multipliers are the ill-conditioned part of the system: at
-    /// `δ_c = 1e-8` the full factorization's own residual is 1.7e-6–1.8e-5
-    /// on these right-hand sides, the condensed step's 3e-8–1.4e-5.
+    /// Newton step equals `assemble_kkt` + `LdlFactor::factorize_rcm` to
+    /// within what the two factorizations' own residuals on the full system
+    /// allow. Both steps solve `K v = b` only up to their residuals
+    /// `r = K v − b`, so they differ by `K⁻¹(r_full − r_cond)`; each block
+    /// (`[Δx; Δs]`, then `[Δλ_E; Δλ_I]`) must agree relative to its scale
+    /// within `(‖r_full‖ + ‖r_cond‖) / ‖b‖`, and the condensed step must
+    /// solve the full system within 100× the full factorization's residual.
+    /// Measured: residuals 5e-7–5e-6 (full) and 2e-6–2e-5 (condensed),
+    /// relative block errors ≤ 9e-9 (primal) and ≤ 1.6e-6 (multipliers, the
+    /// ill-conditioned part at `δ_c = 1e-8`).
     #[test]
     fn condensed_step_matches_full_kkt_at_acopf_iterates() {
+        let inf_norm = |v: &[f64]| v.iter().map(|x| x.abs()).fold(0.0, f64::max);
         for (name, case) in [
             ("case9", gridsim_grid::cases::case9()),
             ("case14", gridsim_grid::cases::case14()),
@@ -1087,15 +1184,22 @@ mod tests {
                 let reference = LdlFactor::factorize_rcm(&kkt, &opts).unwrap();
                 assert_eq!(reference.num_regularized, 0, "{name}");
                 let full = reference.solve(&rhs);
+                let label = format!("{name} after {max_iter} iterations");
+                let residual_full = kkt.residual_inf_norm(&full, &rhs);
+                let residual_cond = kkt.residual_inf_norm(&step, &rhs);
+                assert!(
+                    residual_cond <= 100.0 * residual_full,
+                    "{label}: residual {residual_cond:e} vs the full factorization's \
+                     {residual_full:e}"
+                );
+                let tol = (residual_full + residual_cond) / inf_norm(&rhs);
                 let nv = dims.nv();
-                for (block, range, tol) in [("primal", 0..nv, 1e-8), ("dual", nv..dims.dim(), 1e-6)]
-                {
-                    let scale = range.clone().map(|i| full[i].abs()).fold(0.0, f64::max);
+                for (block, range) in [("primal", 0..nv), ("dual", nv..dims.dim())] {
+                    let scale = inf_norm(&full[range.clone()]);
                     let error = range.map(|i| (full[i] - step[i]).abs()).fold(0.0, f64::max);
                     assert!(
                         error <= tol * scale,
-                        "{name} after {max_iter} iterations: {block} error {error:e} at scale \
-                         {scale:e}"
+                        "{label}: {block} error {error:e} at scale {scale:e}, tolerance {tol:e}"
                     );
                 }
             }
@@ -1269,72 +1373,93 @@ mod tests {
         }
     }
 
-    /// The bitwise contract on the real thing: the condensed system of a
-    /// `case14` solve at its optimum, under the production (AMD) analysis —
-    /// fresh factorization ≡ scalar replay ≡ supernodal replay ≡ the factor
-    /// `factorize_condensed` itself returned.
+    /// The bitwise contract on the real thing: the condensed system of each
+    /// reference case's solve at its optimum, under the production (AMD)
+    /// analysis — fresh factorization ≡ scalar replay ≡ dense-tail
+    /// refactorization ≡ the factor `factorize_condensed` itself returned.
+    /// The Pegase1354 stand-ins (439 to 3 509 dimensions) run in release
+    /// only.
     #[test]
-    fn case14_condensed_factor_is_bitwise_fresh_scalar_and_supernodal() {
+    fn condensed_factor_is_bitwise_fresh_scalar_and_dense_tail() {
         use crate::nlp::Nlp;
-        let net = gridsim_grid::cases::case14().compile().unwrap();
-        let nlp = crate::AcopfNlp::new(&net);
-        let mut cache = KktCache::new();
-        let report = crate::IpmSolver::default().solve_with_cache(&nlp, &mut cache);
-        assert!(report.is_optimal(), "{:?}", report.status);
-        let analyses = cache.symbolic_analyses();
+        use gridsim_grid::synthetic::TableICase;
+        let mut cases = vec![
+            ("case9", gridsim_grid::cases::case9()),
+            ("case14", gridsim_grid::cases::case14()),
+            ("case30_like", gridsim_grid::cases::case30_like()),
+        ];
+        if !cfg!(debug_assertions) || std::env::var("GRIDADMM_FULL_TESTS").is_ok() {
+            for (name, scale) in [
+                ("pegase1354/100", 100),
+                ("pegase1354/200", 200),
+                ("pegase1354/400", 400),
+                ("pegase1354/800", 800),
+            ] {
+                cases.push((name, TableICase::Pegase1354.scaled(scale)));
+            }
+        }
+        for (name, case) in cases {
+            let net = case.compile().unwrap();
+            let nlp = crate::AcopfNlp::new(&net);
+            let mut cache = KktCache::new();
+            let report = crate::IpmSolver::default().solve_with_cache(&nlp, &mut cache);
+            assert!(report.is_optimal(), "{name}: {:?}", report.status);
+            let analyses = cache.symbolic_analyses();
 
-        // One more Newton system at the optimum, through the production
-        // entry: the model's matrices at `x*` under the reported
-        // multipliers, the bound multipliers as the barrier diagonal.
-        let dims = KktDims {
-            nx: nlp.num_vars(),
-            ns: nlp.num_ineq(),
-            m_eq: nlp.num_eq(),
-            m_ineq: nlp.num_ineq(),
-        };
-        let sigma: Vec<f64> = report
-            .zl
-            .iter()
-            .zip(&report.zu)
-            .map(|(l, u)| l + u)
-            .collect();
-        let produced = cache
-            .factorize_condensed(
-                &DeviceStats::default(),
-                &nlp.lagrangian_hessian(&report.x, 1.0, &report.lambda_eq, &report.lambda_ineq)
-                    .vals,
-                &sigma,
-                &nlp.eq_jacobian(&report.x).vals,
-                &nlp.ineq_jacobian(&report.x).vals,
-                0.0,
-                1e-8,
-                1e-13,
-                1e-9,
-            )
-            .unwrap();
-        assert_eq!(cache.symbolic_analyses(), analyses, "the solve's structure");
-        assert_eq!(produced.inertia, (dims.nx, dims.m_eq, 0));
+            // One more Newton system at the optimum, through the production
+            // entry: the model's matrices at `x*` under the reported
+            // multipliers, the bound multipliers as the barrier diagonal.
+            let dims = KktDims {
+                nx: nlp.num_vars(),
+                ns: nlp.num_ineq(),
+                m_eq: nlp.num_eq(),
+                m_ineq: nlp.num_ineq(),
+            };
+            let sigma: Vec<f64> = report
+                .zl
+                .iter()
+                .zip(&report.zu)
+                .map(|(l, u)| l + u)
+                .collect();
+            let produced = cache
+                .factorize_condensed(
+                    &DeviceStats::default(),
+                    &nlp.lagrangian_hessian(&report.x, 1.0, &report.lambda_eq, &report.lambda_ineq)
+                        .vals,
+                    &sigma,
+                    &nlp.eq_jacobian(&report.x).vals,
+                    &nlp.ineq_jacobian(&report.x).vals,
+                    0.0,
+                    1e-8,
+                    1e-13,
+                    1e-9,
+                )
+                .unwrap();
+            assert_eq!(
+                cache.symbolic_analyses(),
+                analyses,
+                "{name}: the solve's structure"
+            );
+            assert_eq!(produced.inertia, (dims.nx, dims.m_eq, 0), "{name}");
 
-        let s = cache.structure.as_ref().unwrap();
-        let (colptr, rowind) = s.ldl.pattern();
-        let matrix = Csc {
-            nrows: s.ncond,
-            ncols: s.ncond,
-            colptr: colptr.to_vec(),
-            rowind: rowind.to_vec(),
-            values: cache.last_numeric.clone().unwrap(),
-        };
-        let fresh = LdlFactor::factorize_with(&matrix, s.ldl.ordering().clone(), &s.opts).unwrap();
-        let want = factor_bits(&fresh);
-        assert_eq!(factor_bits(&produced.factor), want);
-        assert_eq!(
-            factor_bits(&s.ldl.refactor(&matrix.values, &s.opts).unwrap()),
-            want
-        );
-        assert_eq!(
-            factor_bits(&s.ldl.refactor_supernodal(&matrix.values, &s.opts).unwrap()),
-            want
-        );
+            let s = cache.structure.as_ref().unwrap();
+            let (colptr, rowind) = s.ldl.pattern();
+            let matrix = Csc {
+                nrows: s.ncond,
+                ncols: s.ncond,
+                colptr: colptr.to_vec(),
+                rowind: rowind.to_vec(),
+                values: cache.last_numeric.clone().unwrap(),
+            };
+            let fresh =
+                LdlFactor::factorize_with(&matrix, s.ldl.ordering().clone(), &s.opts).unwrap();
+            let want = factor_bits(&fresh);
+            assert_eq!(factor_bits(&produced.factor), want, "{name}");
+            let scalar = s.ldl.refactor(&matrix.values, &s.opts).unwrap();
+            assert_eq!(factor_bits(&scalar), want, "{name}");
+            let dense_tail = s.ldl.refactor_dense_tail(&matrix.values, &s.opts).unwrap();
+            assert_eq!(factor_bits(&dense_tail), want, "{name}");
+        }
     }
 
     /// What a traced run reads: every numeric refactorization of a

@@ -1655,4 +1655,72 @@ mod tests {
         assert_eq!(report.iterations, 0);
         assert_eq!(report.factorizations, 0);
     }
+
+    /// A NaN Hessian entry behind finite residuals reaches the
+    /// factorization, whose NaN pivot is a `Breakdown` (it used to come back
+    /// as a factor with a "regularized" NaN pivot). Every δ_w the inertia
+    /// loop tries (0, then 1e-4 through 1e12: 18 factorizations) breaks down
+    /// the same way; past 1e12 it gives up and the solve ends as a numerical
+    /// error, never with a NaN step.
+    #[test]
+    fn nan_hessian_is_a_numerical_error() {
+        struct NanHessian;
+        impl Nlp for NanHessian {
+            fn num_vars(&self) -> usize {
+                2
+            }
+            fn num_eq(&self) -> usize {
+                0
+            }
+            fn num_ineq(&self) -> usize {
+                0
+            }
+            fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
+                (vec![f64::NEG_INFINITY; 2], vec![f64::INFINITY; 2])
+            }
+            fn initial_point(&self) -> Vec<f64> {
+                vec![0.0, 0.0]
+            }
+            fn objective(&self, x: &[f64]) -> f64 {
+                (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2)
+            }
+            fn objective_grad(&self, x: &[f64], g: &mut [f64]) {
+                g[0] = 2.0 * (x[0] - 3.0);
+                g[1] = 2.0 * (x[1] + 1.0);
+            }
+            fn eq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
+            fn ineq_constraints(&self, _x: &[f64], _c: &mut [f64]) {}
+            fn eq_jacobian_structure(&self) -> Coo {
+                Coo::new(0, 2)
+            }
+            fn eq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+            fn ineq_jacobian_structure(&self) -> Coo {
+                Coo::new(0, 2)
+            }
+            fn ineq_jacobian_values(&self, _x: &[f64], _vals: &mut [f64]) {}
+            fn hessian_structure(&self) -> Coo {
+                pattern(2, 2, &[(0, 0), (1, 1)])
+            }
+            fn hessian_values(
+                &self,
+                _x: &[f64],
+                s: f64,
+                _le: &[f64],
+                _li: &[f64],
+                vals: &mut [f64],
+            ) {
+                vals[0] = 2.0 * s;
+                vals[1] = f64::NAN;
+            }
+        }
+        let report = IpmSolver::default().solve(&NanHessian);
+        assert_eq!(report.status, IpmStatus::NumericalError);
+        assert!(
+            report.kkt_error.is_finite(),
+            "kkt_error {}",
+            report.kkt_error
+        );
+        assert_eq!(report.iterations, 0);
+        assert_eq!(report.factorizations, 18);
+    }
 }

@@ -3,10 +3,12 @@
 //! they allocate nothing. `KktCache::factorize_condensed` gathers the values
 //! through slots recorded once per solve into a reused buffer, so it
 //! allocates the same constant on the 43-dimensional condensed `case9`
-//! system as on the 877-dimensional `Pegase1354/200` one: the two elimination factors
-//! `D_s` and `1 + δ_c′ D_s`, and the replay's four (`L` values, `D` values,
-//! `y`, one staging row). Regrouping the inequality Jacobian on every step
-//! used to cost one vector per inequality row — 588 on the latter alone.
+//! system as on the 877-dimensional `Pegase1354/200` one: the two
+//! elimination factors `D_s` and `1 + δ_c′ D_s`, and the refactorization's
+//! four (`L` values, `D` values, `y`, the dense tail block). Regrouping the
+//! inequality Jacobian on every step used to cost one vector per inequality
+//! row — 588 on the latter alone. Re-declaring the structure a cache
+//! already holds, as a lane's next solve does, allocates nothing either.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
@@ -91,6 +93,8 @@ fn per_step(name: &str, case: Case) -> u64 {
     );
     let mut cache = KktCache::new();
     cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq);
+    let ((), n) = counted(|| cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+    assert_eq!(n, 0, "{name}: a re-declared structure is located again");
 
     let mut grad = vec![0.0; dims.nx];
     let (mut ce, mut ci) = (vec![0.0; dims.m_eq], vec![0.0; dims.m_ineq]);
@@ -148,6 +152,9 @@ fn steady_state_newton_step_allocates_the_same_at_any_size() {
 
     let small = per_step("case9", cases::case9());
     let large = per_step("pegase1354/200", TableICase::Pegase1354.scaled(200));
-    assert_eq!(small, 6, "D_s, 1 + δ_c′ D_s, and the replay's four");
+    assert_eq!(
+        small, 6,
+        "D_s, 1 + δ_c′ D_s, and the refactorization's four"
+    );
     assert_eq!(large, small, "877 dimensions allocate what 43 do");
 }

@@ -180,7 +180,11 @@ impl LdlFactor {
                     pattern[top] = pattern[len];
                 }
             }
-            // Compute the numerical values of row j of L and pivot d[j].
+            // Compute the numerical values of row j of L and pivot d[j], in
+            // ascending column order: the canonical order every replay of
+            // `crate::refactor` reproduces (etree parents carry larger
+            // indices, so it is a topological order of the reach).
+            pattern[top..n].sort_unstable();
             let mut dj = y[j];
             y[j] = 0.0;
             for &i in &pattern[top..n] {
@@ -197,18 +201,9 @@ impl LdlFactor {
                 lvalues[p_end] = lji;
                 lnz_used[i] += 1;
             }
-            // Regularize the pivot.
             let expected = signs.get(j).copied().unwrap_or(0);
-            let dj_reg = regularize_pivot(dj, expected, opts);
-            if dj_reg != dj {
-                num_regularized += 1;
-            }
-            if dj_reg == 0.0 {
-                return Err(SparseError::Breakdown {
-                    column: j,
-                    pivot: dj,
-                });
-            }
+            let dj_reg = settle_pivot(j, dj, expected, opts)?;
+            num_regularized += usize::from(dj_reg != dj);
             d[j] = dj_reg;
         }
 
@@ -299,7 +294,26 @@ impl LdlFactor {
     }
 }
 
-pub(crate) fn regularize_pivot(dj: f64, expected_sign: i8, opts: &LdlOptions) -> f64 {
+/// The pivot column `column` keeps for its raw pivot `dj`: regularized as
+/// [`LdlOptions`] describes, or [`SparseError::Breakdown`] when `dj` is not
+/// finite (a NaN would otherwise pass every threshold test and be counted as
+/// a regularization) or when regularization leaves it zero. Every
+/// factorization path settles its pivots here, so they fail at the same
+/// column.
+pub(crate) fn settle_pivot(
+    column: usize,
+    dj: f64,
+    expected_sign: i8,
+    opts: &LdlOptions,
+) -> Result<f64, SparseError> {
+    let dj_reg = regularize_pivot(dj, expected_sign, opts);
+    if !dj.is_finite() || dj_reg == 0.0 {
+        return Err(SparseError::Breakdown { column, pivot: dj });
+    }
+    Ok(dj_reg)
+}
+
+fn regularize_pivot(dj: f64, expected_sign: i8, opts: &LdlOptions) -> f64 {
     match expected_sign {
         1 => {
             if dj < opts.pivot_tol {
@@ -410,6 +424,33 @@ mod tests {
         let a = Csc::from_triplets(2, 2, &[0, 0, 1, 1], &[0, 1, 0, 1], &[1.0, 1.0, 1.0, 1.0]);
         let f = LdlFactor::factorize(&a, &LdlOptions::default()).unwrap();
         assert_eq!(f.num_regularized, 1);
+    }
+
+    /// A non-finite pivot is a breakdown at its column. A NaN fails every
+    /// threshold comparison, so it used to come back `Ok` with `d[1] = NaN`,
+    /// one "regularized" pivot and inertia `(2, 0, 1)`.
+    #[test]
+    fn non_finite_pivot_is_a_breakdown() {
+        let opts = LdlOptions {
+            expected_signs: vec![1, 1, 1],
+            ..Default::default()
+        };
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let a = Csc::from_triplets(
+                3,
+                3,
+                &[0, 1, 0, 1, 2],
+                &[0, 0, 1, 1, 2],
+                &[4.0, 1.0, 1.0, bad, 3.0],
+            );
+            match LdlFactor::factorize(&a, &opts) {
+                Err(SparseError::Breakdown { column, pivot }) => {
+                    assert_eq!(column, 1, "{bad}");
+                    assert!(!pivot.is_finite(), "{bad}");
+                }
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
     }
 
     #[test]

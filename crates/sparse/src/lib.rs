@@ -17,7 +17,8 @@
 //! * an up-looking sparse LDLᵀ factorization with dynamic regularization and
 //!   inertia reporting for quasi-definite KKT systems ([`ldl`]),
 //! * a symbolic-reuse layer ([`refactor`]): analyze a pattern once, then run
-//!   numeric-only supernodal refactorizations on the host that are bitwise
+//!   numeric-only refactorizations on the host — up-looking over the sparse
+//!   rows, right-looking over the dense trailing block — that are bitwise
 //!   identical to fresh factorizations (the Świrydowicz-et-al. fixed-pattern
 //!   speedup the interior-point baseline exploits),
 //! * and small dense kernels ([`dense`]) shared with the batch TRON solver.
@@ -45,8 +46,8 @@ pub use symbolic::Symbolic;
 pub enum SparseError {
     /// A matrix dimension or index was inconsistent.
     Shape(String),
-    /// The factorization broke down (zero or wrongly-signed pivot that could
-    /// not be regularized away).
+    /// The factorization broke down: a pivot that was not finite, or that
+    /// regularization left zero. `pivot` is the raw value.
     Breakdown { column: usize, pivot: f64 },
 }
 

@@ -5,43 +5,66 @@
 //! regularization). Świrydowicz et al. (arXiv:2306.14337) show that the
 //! speedup of linear solvers in this setting comes from freezing the
 //! symbolic analysis (elimination tree, fill pattern, pivot order) and
-//! running *numeric-only refactorizations* against it. This module
-//! implements that split for the up-looking LDLᵀ of [`crate::ldl`], on the
-//! host — where the paper keeps its interior-point baseline:
+//! running *numeric-only refactorizations* against it, with dense kernels
+//! wherever the fixed pattern is dense. This module implements that split
+//! for the LDLᵀ of [`crate::ldl`], on the host — where the paper keeps its
+//! interior-point baseline:
 //!
 //! * [`LdlSymbolic::analyze`] runs once per problem: it fixes the ordering
 //!   ([`LdlSymbolic::analyze_amd`] for the fill-reducing one, the analysis
 //!   to freeze when it is replayed many times; [`LdlSymbolic::analyze_rcm`]
 //!   for the bandwidth one), the permuted upper-triangular pattern, the
-//!   elimination tree and its height, the full row pattern of `L`, and the
-//!   replay order of every row's sparse dot products together with the slot
-//!   of `L` each replay step writes (`rp_slot` — a constant of the pattern,
-//!   so no replay searches a column for it);
-//! * the analysis additionally groups columns of the frozen `L` into
-//!   **supernodes** (maximal runs of consecutive columns whose patterns
-//!   below the diagonal block are identical — the structure dense BLAS3
-//!   factorization kernels exploit, cf. Świrydowicz et al. §III) and
-//!   rewrites every row's replay list into *segments*, each with its count
-//!   of shared rows ahead of the target row (`seg_t`). Detection only looks
-//!   at *consecutive* columns: it is the elimination-tree postorder of
-//!   [`Ordering::amd`] that makes the columns of a tree chain consecutive;
-//! * [`LdlSymbolic::refactor_supernodal`] — the production replay, the one
-//!   the IPM's condensed-KKT cache runs every Newton step and
-//!   [`LdlSymbolic::refactor_matrix`] goes through — walks rows in ascending
-//!   order over the frozen pattern: no graph walks, four allocations per
-//!   call whatever the dimension (the factor's two value vectors, the `y`
-//!   accumulator and one staging row), none per row. A segment covering a
-//!   `w`-column supernode is replayed as a small dense triangular solve on
-//!   the diagonal block followed by a rank-`w` update of the shared
-//!   subdiagonal pattern: one pattern lookup and one `y` load/store per
-//!   target row instead of `w`, with the per-row accumulation kept in the
-//!   exact column order of a fresh [`LdlFactor::factorize_with`] of the same
-//!   matrix, so the result is **bitwise identical** to it (a tested
-//!   invariant);
-//! * [`LdlSymbolic::refactor`] is the same replay one column at a time: the
-//!   oracle the supernodal grouping is pinned to bit for bit, and the second
+//!   elimination tree and its height, the full row pattern of `L`, every
+//!   row's reach in ascending column order with the slot of `L` each step
+//!   writes (`rp_slot` — a constant of the pattern, so no replay searches a
+//!   column for it), and the **dense tail**: the first column `tail` of the
+//!   maximal trailing run of columns whose `L` column holds every row below
+//!   it, and for each column before it the slot where its tail rows start;
+//! * [`LdlSymbolic::refactor_dense_tail`] — the production refactorization,
+//!   the one the IPM's condensed-KKT cache runs every Newton step and
+//!   [`LdlSymbolic::refactor_matrix`] goes through — makes three passes:
+//!   1. rows `< tail`: the up-looking row replay, one sparse triangular
+//!      solve against the rows before it per row;
+//!   2. rows `≥ tail`, columns `< tail`: the same arithmetic restricted to
+//!      the sparse columns. Each tail row's solve over the rows `< tail`
+//!      still runs row by row; the sparse columns' updates to the tail
+//!      columns then land, one column at a time, in a dense row-major
+//!      `nt × nt` block (`nt = n − tail`);
+//!   3. the block, factored right-looking in panels of four columns;
+//!      the trailing update keeps each entry in a register across a panel.
+//!
+//!   It makes four allocations per call whatever the dimension (the
+//!   factor's two value vectors, the `y` accumulator and the block), none
+//!   per row;
+//! * [`LdlSymbolic::refactor`] is the up-looking replay over every row: the
+//!   oracle the production path is pinned to bit for bit, and the second
 //!   subject of `perf`'s `sparse.refactor_scalar_ms` probe (through
 //!   `KktCache::refactor_microbench` in `gridsim-ipm`).
+//!
+//! **Why the order is canonical.** Every entry of `L` and `D` is a running
+//! difference: its matrix value minus one product per earlier column of its
+//! row's reach, and floating-point subtraction is not associative, so the
+//! bits depend on the order of those products. The analysis and
+//! [`LdlFactor::factorize_with`] both visit each reach in ascending column
+//! order — a valid topological order, since elimination-tree parents carry
+//! larger indices — so every entry receives its products in ascending
+//! column order. That is exactly the order a right-looking update applies
+//! them in (column `k`'s update reaches the whole trailing block before
+//! column `k + 1`'s), as pass 2 does for the sparse columns and pass 3 for
+//! the tail columns, one after the other. The operands agree too — each
+//! product is `L[r,k] · w[j,k]` with `w` the unscaled entry, each pivot is
+//! settled at its own column — so all three paths are **bitwise identical**
+//! (a tested invariant), and a non-finite or unregularizable pivot is the
+//! same [`SparseError::Breakdown`] on each.
+//!
+//! **Why the tail pays.** A fill-reducing ordering pushes the dense part of
+//! the factor to the end: on the 877-dim condensed KKT system of the
+//! `ipm_fleet` benchmark the last 90 columns of `L` are full and the last
+//! 110 rows carry 91 % of the multiply–subtracts. The up-looking replay
+//! walks that block as a chain of dependent sparse triangular solves, each
+//! step waiting on a store the previous one made to `y`. Passes 2 and 3
+//! apply a column's updates to many independent block entries instead, and
+//! the right-looking kernel streams contiguous columns.
 //!
 //! Rows on one elimination-tree level own disjoint subtrees, so a level
 //! could be fanned out over workers. The replay stays one host loop because
@@ -51,17 +74,20 @@
 //! the schedule's length, [`LdlSymbolic::num_levels`], as a figure only.
 
 use crate::csc::Csc;
-use crate::ldl::{LdlFactor, LdlOptions};
+use crate::ldl::{settle_pivot, LdlFactor, LdlOptions};
 use crate::ordering::Ordering;
 use crate::symbolic::Symbolic;
 use crate::SparseError;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Upper bound on supernode width. Wider runs of identical-pattern columns
-/// are split into consecutive supernodes of this width, which keeps the
-/// per-row replay's column-value buffer on the stack (no per-row allocation,
-/// mirroring the scalar path) while still capturing essentially all of the
-/// grouping win — rank-32 updates already amortize the pattern lookups.
+/// Columns per panel of the dense tail's right-looking factorization: the
+/// trailing update streams this many `L` columns at once and keeps each
+/// block entry in a register across them.
+const PANEL: usize = 4;
+
+/// Width cap of the supernodes [`LdlSymbolic::num_supernodes`] counts: part
+/// of that figure's definition, kept so it stays comparable across runs.
 const SUPERNODE_MAX_WIDTH: usize = 32;
 
 /// Frozen symbolic analysis of a symmetric matrix, reusable across any
@@ -86,9 +112,9 @@ pub struct LdlSymbolic {
     lcolptr: Arc<Vec<usize>>,
     /// Frozen row indices of `L`, ascending within each column.
     lrowind: Arc<Vec<usize>>,
-    /// Replay order of each row's reach set (`rp_idx[rp_ptr[j]..rp_ptr[j+1]]`
-    /// is the exact column order the up-looking factorization visits when
-    /// computing row `j`).
+    /// Reach of each row in ascending column order
+    /// (`rp_idx[rp_ptr[j]..rp_ptr[j+1]]`): the columns whose `L` entries row
+    /// `j` holds, in the order every factorization path visits them.
     rp_ptr: Vec<usize>,
     rp_idx: Vec<usize>,
     /// `rp_slot[k]` is the slot of `L` replay step `k` writes: the entry of
@@ -98,27 +124,16 @@ pub struct LdlSymbolic {
     /// Height of the elimination tree: the longest chain of rows that must
     /// be replayed one after another.
     num_levels: usize,
-    /// Supernode partition of the frozen `L`: `sn_end_of_col[c]` is the
-    /// exclusive end column of the supernode containing column `c` (maximal
-    /// run of consecutive columns whose patterns below the shared diagonal
-    /// block are identical, width-capped at [`SUPERNODE_MAX_WIDTH`]).
-    sn_end_of_col: Vec<usize>,
+    /// First column of the dense tail: every column `c ≥ tail` of `L` holds
+    /// all rows `c + 1..n`, and column `tail − 1` (if any) does not.
+    tail: usize,
+    /// For each column `i < tail`, the first slot of its `L` column holding a
+    /// row `≥ tail`.
+    tail_slot: Vec<usize>,
     num_supernodes: usize,
-    max_supernode_width: usize,
-    /// Segmented replay lists: `seg_ptr[j]..seg_ptr[j+1]` indexes the
-    /// segments of row `j`'s reach set, each a run of `seg_len[s]`
-    /// consecutive columns starting at `seg_col[s]` that live in one
-    /// supernode and appear consecutively in the scalar replay order
-    /// (`rp_idx`). Concatenating the segments reproduces `rp_idx` exactly.
-    seg_ptr: Vec<usize>,
-    seg_col: Vec<usize>,
-    seg_len: Vec<usize>,
-    /// `seg_t[s]`: how many of the supernode's shared below-block rows
-    /// precede the segment's target row (the rank-`w` update's row count).
-    seg_t: Vec<usize>,
 }
 
-/// The numeric half of a factor while a replay fills it.
+/// The numeric half of a factor while a refactorization fills it.
 struct Numeric {
     lvalues: Vec<f64>,
     d: Vec<f64>,
@@ -169,8 +184,8 @@ impl LdlSymbolic {
 
         let sym = Symbolic::analyze(&permuted);
 
-        // Replay orders: replicate the up-looking pattern computation once,
-        // recording the reach-set order of every row.
+        // Reach of every row: the up-looking pattern computation once, each
+        // row's reach then put in ascending column order.
         let none = usize::MAX;
         let mut flag = vec![none; n];
         let mut pattern = vec![0usize; n];
@@ -197,13 +212,14 @@ impl LdlSymbolic {
                     pattern[top] = pattern[len];
                 }
             }
+            pattern[top..n].sort_unstable();
             rp_idx.extend_from_slice(&pattern[top..n]);
             rp_ptr[j + 1] = rp_idx.len();
         }
 
-        // Frozen row indices of L: appending row j to every reached column in
-        // replay order reproduces the fresh factorization's slot layout
-        // (ascending rows within each column).
+        // Frozen row indices of L: appending row j to every reached column
+        // reproduces the fresh factorization's slot layout (ascending rows
+        // within each column).
         let total = sym.total_lnz();
         // `Symbolic::analyze` always returns `lcolptr` of length n + 1 with
         // the total as its last entry.
@@ -231,66 +247,35 @@ impl LdlSymbolic {
         }
         let num_levels = level.iter().copied().max().map_or(0, |d| d + 1);
 
-        // Supernode partition: columns c and c+1 merge when column c's
-        // pattern is exactly {c+1} ∪ pattern(c+1) — first subdiagonal entry
-        // is the next column and the remaining rows coincide. Within such a
-        // run every column shares one below-block row set, so a numeric
-        // replay can update those rows once per run instead of once per
-        // column.
-        let mut sn_end_of_col = vec![0usize; n];
-        let mut num_supernodes = 0usize;
-        let mut max_supernode_width = 0usize;
-        let mut c = 0usize;
-        while c < n {
-            let mut end = c + 1;
-            while end < n && end - c < SUPERNODE_MAX_WIDTH {
-                let prev = end - 1;
-                let mergeable = lcolptr[prev + 1] - lcolptr[prev]
-                    == lcolptr[end + 1] - lcolptr[end] + 1
-                    && lrowind[lcolptr[prev]] == end
-                    && lrowind[lcolptr[prev] + 1..lcolptr[prev + 1]]
-                        == lrowind[lcolptr[end]..lcolptr[end + 1]];
-                if !mergeable {
-                    break;
-                }
-                end += 1;
-            }
-            for e in &mut sn_end_of_col[c..end] {
-                *e = end;
-            }
-            num_supernodes += 1;
-            max_supernode_width = max_supernode_width.max(end - c);
-            c = end;
+        // The dense tail, and where each sparse column's tail rows start.
+        let mut tail = n;
+        while tail > 0 && lcolptr[tail] - lcolptr[tail - 1] == n - tail {
+            tail -= 1;
         }
+        let tail_slot = (0..tail)
+            .map(|i| {
+                let rows = &lrowind[lcolptr[i]..lcolptr[i + 1]];
+                lcolptr[i] + rows.partition_point(|&r| r < tail)
+            })
+            .collect();
 
-        // Segmented replay lists: greedily group runs of consecutive columns
-        // of one supernode that the scalar replay visits back to back. The
-        // grouping is opportunistic — a supernode entered mid-chain by the
-        // elimination-tree walk simply yields narrower segments (width 1 in
-        // the worst case, which degenerates to the scalar replay).
-        let mut seg_ptr = vec![0usize; n + 1];
-        let mut seg_col = Vec::new();
-        let mut seg_len = Vec::new();
-        let mut seg_t = Vec::new();
-        for j in 0..n {
-            let reach = &rp_idx[rp_ptr[j]..rp_ptr[j + 1]];
-            let mut k = 0usize;
-            while k < reach.len() {
-                let start = reach[k];
-                let s_end = sn_end_of_col[start];
-                let mut w = 1usize;
-                while k + w < reach.len() && reach[k + w] == start + w && start + w < s_end {
-                    w += 1;
-                }
-                seg_col.push(start);
-                seg_len.push(w);
-                // Column `start` holds, before row j: the rows of its own
-                // supernode below it (those < j), then the shared rows < j.
-                let lead = s_end.min(j) - start - 1;
-                seg_t.push(rp_slot[rp_ptr[j] + k] - lcolptr[start] - lead);
-                k += w;
+        // Supernode count: column c joins the run of column c − 1 when the
+        // latter's pattern is exactly {c} ∪ pattern(c), up to the width cap.
+        let nested = |prev: usize, c: usize| {
+            let (p, q) = (lcolptr[prev]..lcolptr[prev + 1], lcolptr[c]..lcolptr[c + 1]);
+            p.len() == q.len() + 1
+                && lrowind[p.start] == c
+                && lrowind[p.start + 1..p.end] == lrowind[q]
+        };
+        let mut num_supernodes = 0usize;
+        let mut width = 0usize;
+        for c in 0..n {
+            if width > 0 && width < SUPERNODE_MAX_WIDTH && nested(c - 1, c) {
+                width += 1;
+            } else {
+                num_supernodes += 1;
+                width = 1;
             }
-            seg_ptr[j + 1] = seg_col.len();
         }
 
         Ok(LdlSymbolic {
@@ -308,13 +293,9 @@ impl LdlSymbolic {
             rp_idx,
             rp_slot,
             num_levels,
-            sn_end_of_col,
+            tail,
+            tail_slot,
             num_supernodes,
-            max_supernode_width,
-            seg_ptr,
-            seg_col,
-            seg_len,
-            seg_t,
         })
     }
 
@@ -338,7 +319,7 @@ impl LdlSymbolic {
     }
 
     /// Number of entries the analyzed pattern stores (the length `values`
-    /// slices passed to [`Self::refactor_supernodal`] must have).
+    /// slices passed to [`Self::refactor_dense_tail`] must have).
     pub fn nnz(&self) -> usize {
         self.a_rowind.len()
     }
@@ -354,17 +335,22 @@ impl LdlSymbolic {
         self.num_levels
     }
 
-    /// Number of supernodes the frozen `L` pattern partitions into. Equal to
-    /// [`Self::dim`] when no adjacent columns share a pattern; smaller values
-    /// mean the supernodal replay gets to batch its updates.
-    pub fn num_supernodes(&self) -> usize {
-        self.num_supernodes
+    /// First column of the dense tail, which
+    /// [`Self::refactor_dense_tail`] factors right-looking: columns
+    /// `tail_start()..dim()` of `L` hold every row below their diagonal. At
+    /// most `dim() − 1` for a nonempty matrix, since the last column
+    /// qualifies trivially; 0 when all of `L` is dense.
+    pub fn tail_start(&self) -> usize {
+        self.tail
     }
 
-    /// Width of the widest supernode (1 for a pattern with no groupable
-    /// columns; capped at `SUPERNODE_MAX_WIDTH` = 32).
-    pub fn max_supernode_width(&self) -> usize {
-        self.max_supernode_width
+    /// Number of supernodes (maximal runs of consecutive columns whose
+    /// patterns below the run are identical, at most 32 columns wide) the
+    /// frozen `L` partitions into: a figure of the pattern that no
+    /// refactorization uses. Equal to [`Self::dim`] when no adjacent columns
+    /// share a pattern.
+    pub fn num_supernodes(&self) -> usize {
+        self.num_supernodes
     }
 
     /// The analyzed CSC pattern as `(colptr, rowind)` — the entry order the
@@ -387,8 +373,8 @@ impl LdlSymbolic {
     }
 
     /// Validate the value slice and the expected-sign vector against the
-    /// analyzed dimension (the checks every refactorization entry shares).
-    fn check_inputs(&self, values: &[f64], opts: &LdlOptions) -> Result<(), SparseError> {
+    /// analyzed dimension, and allocate the numeric factor.
+    fn start(&self, values: &[f64], opts: &LdlOptions) -> Result<Numeric, SparseError> {
         self.check_values_len(values)?;
         if !opts.expected_signs.is_empty() && opts.expected_signs.len() != self.n {
             return Err(SparseError::Shape(format!(
@@ -397,183 +383,15 @@ impl LdlSymbolic {
                 self.n
             )));
         }
-        Ok(())
-    }
-
-    /// Commit row `j` of a replay: its staged `L` values go to their
-    /// precomputed slots and its raw pivot `dj` is regularized exactly as the
-    /// fresh factorization does (`expected_signs` is in original order, so it
-    /// is read through the permutation). Fails on a pivot that stays zero.
-    fn commit_row(
-        &self,
-        j: usize,
-        dj: f64,
-        staged: &[f64],
-        opts: &LdlOptions,
-        factor: &mut Numeric,
-    ) -> Result<(), SparseError> {
-        let steps = self.rp_ptr[j]..self.rp_ptr[j + 1];
-        for (&slot, &v) in self.rp_slot[steps].iter().zip(staged) {
-            factor.lvalues[slot] = v;
-        }
-        let expected = match opts.expected_signs.is_empty() {
-            true => 0,
-            false => opts.expected_signs[self.ordering.perm[j]],
-        };
-        let dj_reg = crate::ldl::regularize_pivot(dj, expected, opts);
-        if dj_reg == 0.0 {
-            return Err(SparseError::Breakdown {
-                column: j,
-                pivot: dj,
-            });
-        }
-        factor.num_regularized += usize::from(dj_reg != dj);
-        factor.d[j] = dj_reg;
-        Ok(())
-    }
-
-    /// Replay the numeric factorization of row `j` against the frozen
-    /// pattern. Reads `lvalues`/`d` only at positions owned by strictly
-    /// earlier rows; writes this row's `L` values into `out` in replay order
-    /// (`out[k]` is the entry of column `rp_idx[rp_ptr[j] + k]`) and returns
-    /// the raw (pre-regularization) pivot. `y` must come in all-zero and is
-    /// left all-zero. The arithmetic sequence is identical to
-    /// [`LdlFactor::factorize_with`]'s inner loop.
-    fn replay_row(
-        &self,
-        j: usize,
-        values: &[f64],
-        lvalues: &[f64],
-        d: &[f64],
-        y: &mut [f64],
-        out: &mut [f64],
-    ) -> f64 {
-        for p in self.au_colptr[j]..self.au_colptr[j + 1] {
-            y[self.au_rowind[p]] += values[self.aval_map[p]];
-        }
-        let mut dj = y[j];
-        y[j] = 0.0;
-        let steps = self.rp_ptr[j]..self.rp_ptr[j + 1];
-        for (k, lji_out) in steps.zip(out) {
-            let i = self.rp_idx[k];
-            let yi = y[i];
-            y[i] = 0.0;
-            // Entries of column i below row j: the fresh factorization has
-            // appended exactly the rows < j at this point, a prefix of the
-            // frozen (ascending) row list that ends at this step's slot.
-            for p in self.lcolptr[i]..self.rp_slot[k] {
-                y[self.lrowind[p]] -= lvalues[p] * yi;
-            }
-            let lji = yi / d[i];
-            dj -= lji * yi;
-            *lji_out = lji;
-        }
-        dj
-    }
-
-    /// Supernodal replay of row `j`: same arithmetic as [`Self::replay_row`],
-    /// but the reach set is walked segment-by-segment and each segment's
-    /// updates to the supernode's shared below-block rows run as one dense
-    /// rank-`w` update. Bitwise identical to the scalar replay because every
-    /// memory location still receives its updates in ascending column order
-    /// (phase 1 preserves the scalar order for intra-supernode rows and the
-    /// pivot; phase 2 preserves it per shared row, fusing only the
-    /// intermediate load/stores of `y[r]`, which IEEE-754 addition does not
-    /// observe), and the shared rows (≥ supernode end) are disjoint from the
-    /// intra-supernode rows phase 1 reads.
-    fn replay_row_supernodal(
-        &self,
-        j: usize,
-        values: &[f64],
-        lvalues: &[f64],
-        d: &[f64],
-        y: &mut [f64],
-        out: &mut [f64],
-    ) -> f64 {
-        for p in self.au_colptr[j]..self.au_colptr[j + 1] {
-            y[self.au_rowind[p]] += values[self.aval_map[p]];
-        }
-        let mut dj = y[j];
-        y[j] = 0.0;
-        let lcolptr: &[usize] = &self.lcolptr;
-        let lrowind: &[usize] = &self.lrowind;
-        let mut yc = [0.0f64; SUPERNODE_MAX_WIDTH];
-        let mut out = out.iter_mut();
-        for s in self.seg_ptr[j]..self.seg_ptr[j + 1] {
-            let c = self.seg_col[s];
-            let w = self.seg_len[s];
-            let s_end = self.sn_end_of_col[c];
-            // Shared below-block rows of this supernode that precede row j:
-            // the row set is identical for every column of the supernode, so
-            // one count serves all `w` columns.
-            let t = self.seg_t[s];
-            // Phase 1: per-column intra-supernode updates, pivot contribution
-            // and the L value — in scalar column order, so a later segment
-            // column's `y` sees the earlier columns' updates exactly as the
-            // scalar replay computes them.
-            for ((q, yq), lji_out) in yc[..w].iter_mut().enumerate().zip(&mut out) {
-                let i = c + q;
-                let yi = y[i];
-                y[i] = 0.0;
-                *yq = yi;
-                let p_start = lcolptr[i];
-                let lead = s_end.min(j) - i - 1;
-                for p in p_start..p_start + lead {
-                    y[lrowind[p]] -= lvalues[p] * yi;
-                }
-                let lji = yi / d[i];
-                dj -= lji * yi;
-                *lji_out = lji;
-            }
-            // Phase 2: dense rank-`w` update of the shared rows. One pattern
-            // lookup and one `y[r]` load/store per target row for the whole
-            // segment; the inner subtraction order is column-ascending,
-            // matching the scalar replay bit for bit.
-            if t > 0 {
-                let com0 = lcolptr[c] + (s_end - 1 - c);
-                for idx in 0..t {
-                    let r = lrowind[com0 + idx];
-                    let mut v = y[r];
-                    for (q, &yq) in yc[..w].iter().enumerate() {
-                        let i = c + q;
-                        v -= lvalues[lcolptr[i] + (s_end - 1 - i) + idx] * yq;
-                    }
-                    y[r] = v;
-                }
-            }
-        }
-        dj
-    }
-
-    /// The host refactorization both public entries share: rows in
-    /// ascending order, each replayed into `staged` and committed before the
-    /// next row reads it.
-    fn refactor_host(
-        &self,
-        values: &[f64],
-        opts: &LdlOptions,
-        supernodal: bool,
-    ) -> Result<LdlFactor, SparseError> {
-        self.check_inputs(values, opts)?;
-        let mut factor = Numeric {
+        Ok(Numeric {
             lvalues: vec![0.0; self.lrowind.len()],
             d: vec![0.0; self.n],
             num_regularized: 0,
-        };
-        let mut y = vec![0.0f64; self.n];
-        // Row j reaches at most the j columns before it.
-        let mut staged = vec![0.0f64; self.n];
-        for j in 0..self.n {
-            let out = &mut staged[..self.rp_ptr[j + 1] - self.rp_ptr[j]];
-            let (lvalues, d) = (&factor.lvalues, &factor.d);
-            let dj = if supernodal {
-                self.replay_row_supernodal(j, values, lvalues, d, &mut y, out)
-            } else {
-                self.replay_row(j, values, lvalues, d, &mut y, out)
-            };
-            self.commit_row(j, dj, out, opts, &mut factor)?;
-        }
-        Ok(LdlFactor::from_parts(
+        })
+    }
+
+    fn finish(&self, factor: Numeric) -> LdlFactor {
+        LdlFactor::from_parts(
             self.n,
             Arc::clone(&self.lcolptr),
             Arc::clone(&self.lrowind),
@@ -581,40 +399,247 @@ impl LdlSymbolic {
             factor.d,
             Arc::clone(&self.ordering),
             factor.num_regularized,
-        ))
+        )
+    }
+
+    /// Settle the raw pivot `dj` of column `j` exactly as the fresh
+    /// factorization does (`expected_signs` is in original order, so it is
+    /// read through the permutation) and store it. Returns the settled
+    /// pivot.
+    fn settle(
+        &self,
+        j: usize,
+        dj: f64,
+        opts: &LdlOptions,
+        factor: &mut Numeric,
+    ) -> Result<f64, SparseError> {
+        let expected = match opts.expected_signs.is_empty() {
+            true => 0,
+            false => opts.expected_signs[self.ordering.perm[j]],
+        };
+        let dj_reg = settle_pivot(j, dj, expected, opts)?;
+        factor.num_regularized += usize::from(dj_reg != dj);
+        factor.d[j] = dj_reg;
+        Ok(dj_reg)
+    }
+
+    /// Replay rows `rows` up-looking, each settled before the next reads it.
+    fn replay_rows(
+        &self,
+        rows: Range<usize>,
+        values: &[f64],
+        opts: &LdlOptions,
+        factor: &mut Numeric,
+        y: &mut [f64],
+    ) -> Result<(), SparseError> {
+        for j in rows {
+            let dj = self.replay_row(j, values, &mut factor.lvalues, &factor.d, y);
+            self.settle(j, dj, opts, factor)?;
+        }
+        Ok(())
+    }
+
+    /// Replay the numeric factorization of row `j` against the frozen
+    /// pattern: writes the row's `L` values to their slots and returns the
+    /// raw (pre-regularization) pivot. Reads `lvalues`/`d` only at positions
+    /// owned by strictly earlier rows. `y` must come in all-zero and is left
+    /// all-zero. The arithmetic sequence is identical to
+    /// [`LdlFactor::factorize_with`]'s inner loop.
+    fn replay_row(
+        &self,
+        j: usize,
+        values: &[f64],
+        lvalues: &mut [f64],
+        d: &[f64],
+        y: &mut [f64],
+    ) -> f64 {
+        for p in self.au_colptr[j]..self.au_colptr[j + 1] {
+            y[self.au_rowind[p]] += values[self.aval_map[p]];
+        }
+        let mut dj = y[j];
+        y[j] = 0.0;
+        for k in self.rp_ptr[j]..self.rp_ptr[j + 1] {
+            let i = self.rp_idx[k];
+            let yi = y[i];
+            y[i] = 0.0;
+            // Entries of column i below row j: the fresh factorization has
+            // appended exactly the rows < j at this point, a prefix of the
+            // frozen (ascending) row list that ends at this step's slot.
+            let slot = self.rp_slot[k];
+            for p in self.lcolptr[i]..slot {
+                y[self.lrowind[p]] -= lvalues[p] * yi;
+            }
+            let lji = yi / d[i];
+            dj -= lji * yi;
+            lvalues[slot] = lji;
+        }
+        dj
+    }
+
+    /// Pass 2, first half, for tail row `j`: [`Self::replay_row`]'s
+    /// arithmetic on the rows `< tail` over the row's reach restricted to
+    /// the columns `< tail` (which come first in it). The row's matrix
+    /// entries in the tail columns, diagonal included, go to `row` (its
+    /// block row, columns `tail..=j`); each unscaled `w = y[i]` is parked in
+    /// the slot of `L[j, i]` for [`Self::update_tail_block`].
+    fn replay_tail_row(
+        &self,
+        j: usize,
+        values: &[f64],
+        lvalues: &mut [f64],
+        y: &mut [f64],
+        row: &mut [f64],
+    ) {
+        let tail = self.tail;
+        for p in self.au_colptr[j]..self.au_colptr[j + 1] {
+            let (r, v) = (self.au_rowind[p], values[self.aval_map[p]]);
+            match r.checked_sub(tail) {
+                Some(t) => row[t] += v,
+                None => y[r] += v,
+            }
+        }
+        // The reach ends with the tail columns tail..j; skip them.
+        for k in self.rp_ptr[j]..self.rp_ptr[j + 1] - (j - tail) {
+            let i = self.rp_idx[k];
+            let yi = y[i];
+            y[i] = 0.0;
+            for p in self.lcolptr[i]..self.tail_slot[i] {
+                y[self.lrowind[p]] -= lvalues[p] * yi;
+            }
+            lvalues[self.rp_slot[k]] = yi;
+        }
+    }
+
+    /// Pass 2, second half: the sparse columns' updates to the tail block,
+    /// one column at a time in ascending order — so every block entry still
+    /// receives its products in ascending column order — each scaling its
+    /// parked `w` values into `L` as it goes. A column's tail rows are
+    /// updated independently of one another, so this half carries no chain
+    /// of dependent stores.
+    fn update_tail_block(&self, block: &mut [f64], lvalues: &mut [f64], d: &[f64]) {
+        let tail = self.tail;
+        let nt = self.n - tail;
+        for (i, &mid) in self.tail_slot.iter().enumerate() {
+            let rows = &self.lrowind[mid..self.lcolptr[i + 1]];
+            for (a, &j) in rows.iter().enumerate() {
+                let t = j - tail;
+                let row = &mut block[t * nt..t * nt + t + 1];
+                let w = lvalues[mid + a];
+                for (&r, &l) in rows[..a].iter().zip(&lvalues[mid..mid + a]) {
+                    row[r - tail] -= l * w;
+                }
+                let l = w / d[i];
+                row[t] -= l * w;
+                lvalues[mid + a] = l;
+            }
+        }
+    }
+
+    /// Pass 3: factor the dense tail block right-looking. `block` is
+    /// row-major `nt × nt`; row `t` holds, in its columns `0..=t`, what
+    /// passes 1–2 left of tail row `tail + t` (its unscaled entries and, on
+    /// the diagonal, its partial pivot). Column `tail + k` of `L` is full,
+    /// so its entry of row `tail + r` sits at `lcolptr[tail + k] + r − k − 1`
+    /// and the column is contiguous.
+    fn factor_tail_block(
+        &self,
+        block: &mut [f64],
+        opts: &LdlOptions,
+        factor: &mut Numeric,
+    ) -> Result<(), SparseError> {
+        let tail = self.tail;
+        let nt = self.n - tail;
+        let lcol = |k: usize| self.lcolptr[tail + k];
+        for k0 in (0..nt).step_by(PANEL) {
+            let k1 = (k0 + PANEL).min(nt);
+            // The panel, one column at a time: settle its pivot, scale its L
+            // column, then update the panel's later columns.
+            for k in k0..k1 {
+                let dk = self.settle(tail + k, block[k * nt + k], opts, factor)?;
+                let lk = &mut factor.lvalues[lcol(k)..lcol(k + 1)];
+                for (l, t) in lk.iter_mut().zip(k + 1..nt) {
+                    *l = block[t * nt + k] / dk;
+                }
+                for t in k + 1..nt {
+                    let row = &mut block[t * nt..t * nt + t + 1];
+                    let w = row[k];
+                    for r in k + 1..k1.min(t + 1) {
+                        row[r] -= lk[r - k - 1] * w;
+                    }
+                }
+            }
+            // The trailing update of rows and columns ≥ k1 by the whole
+            // panel. Only the last panel can be narrower than PANEL, and it
+            // leaves nothing trailing.
+            for t in k1..nt {
+                let row = &mut block[t * nt..t * nt + t + 1];
+                let w: [f64; PANEL] = std::array::from_fn(|q| row[k0 + q]);
+                let len = t + 1 - k1;
+                let l: [&[f64]; PANEL] = std::array::from_fn(|q| {
+                    let start = lcol(k0 + q) + k1 - (k0 + q) - 1;
+                    &factor.lvalues[start..start + len]
+                });
+                let entries = row[k1..].iter_mut().zip(l[0]).zip(l[1]).zip(l[2]).zip(l[3]);
+                for ((((v, l0), l1), l2), l3) in entries {
+                    let mut x = *v;
+                    x -= l0 * w[0];
+                    x -= l1 * w[1];
+                    x -= l2 * w[2];
+                    x -= l3 * w[3];
+                    *v = x;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Numeric-only refactorization from a value slice aligned with the
     /// analyzed pattern (entry `k` of `values` is the value of the analyzed
-    /// matrix's `k`-th stored entry), one column at a time. Bitwise identical
-    /// to a fresh [`LdlFactor::factorize_with`] with the same ordering and
-    /// options: the oracle [`Self::refactor_supernodal`] is pinned to, and
-    /// the baseline `perf` times it against (`sparse.refactor_scalar_ms`).
+    /// matrix's `k`-th stored entry), every row replayed up-looking. Bitwise
+    /// identical to a fresh [`LdlFactor::factorize_with`] with the same
+    /// ordering and options: the oracle [`Self::refactor_dense_tail`] is
+    /// pinned to, and the baseline `perf` times it against
+    /// (`sparse.refactor_scalar_ms`).
     pub fn refactor(&self, values: &[f64], opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
-        self.refactor_host(values, opts, false)
+        let mut factor = self.start(values, opts)?;
+        let mut y = vec![0.0f64; self.n];
+        self.replay_rows(0..self.n, values, opts, &mut factor, &mut y)?;
+        Ok(self.finish(factor))
     }
 
     /// The production refactorization: the same frozen pattern and `values`
-    /// layout as [`Self::refactor`], replayed segment-wise with dense
-    /// rank-`w` updates per supernode (`replay_row_supernodal`). Bitwise
-    /// identical to [`Self::refactor`] and to a fresh
-    /// [`LdlFactor::factorize_with`]; faster where supernodes are wide
-    /// (1.1–1.2× on a 5 937-dim condensed KKT system, level at 877-dim).
-    /// Allocates the factor's two value vectors, the `y` accumulator and one
-    /// staging row — a constant four allocations, none per row.
-    pub fn refactor_supernodal(
+    /// layout as [`Self::refactor`], in the three passes of the module
+    /// documentation — rows before the dense tail up-looking, the tail rows'
+    /// sparse columns into a dense block, the block right-looking.
+    /// Bitwise identical to [`Self::refactor`] and to a fresh
+    /// [`LdlFactor::factorize_with`], and fails with the same
+    /// [`SparseError::Breakdown`]. Allocates the factor's two value vectors,
+    /// the `y` accumulator and the `nt × nt` block — a constant four
+    /// allocations, none per row.
+    pub fn refactor_dense_tail(
         &self,
         values: &[f64],
         opts: &LdlOptions,
     ) -> Result<LdlFactor, SparseError> {
-        self.refactor_host(values, opts, true)
+        let mut factor = self.start(values, opts)?;
+        let (tail, nt) = (self.tail, self.n - self.tail);
+        let mut y = vec![0.0f64; self.n];
+        self.replay_rows(0..tail, values, opts, &mut factor, &mut y)?;
+        let mut block = vec![0.0f64; nt * nt];
+        for t in 0..nt {
+            let row = &mut block[t * nt..t * nt + t + 1];
+            self.replay_tail_row(tail + t, values, &mut factor.lvalues, &mut y, row);
+        }
+        self.update_tail_block(&mut block, &mut factor.lvalues, &factor.d);
+        self.factor_tail_block(&mut block, opts, &mut factor)?;
+        Ok(self.finish(factor))
     }
 
-    /// [`Self::refactor_supernodal`] from a whole matrix, validating that its
-    /// pattern matches the analyzed one exactly.
+    /// [`Self::refactor_dense_tail`] from a whole matrix, validating that
+    /// its pattern matches the analyzed one exactly.
     pub fn refactor_matrix(&self, a: &Csc, opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
         self.check_same_pattern(a)?;
-        self.refactor_supernodal(&a.values, opts)
+        self.refactor_dense_tail(&a.values, opts)
     }
 
     fn check_values_len(&self, values: &[f64]) -> Result<(), SparseError> {
@@ -683,6 +708,42 @@ mod tests {
         }
     }
 
+    /// A dense, diagonally dominant `n × n` matrix.
+    fn dense(n: usize) -> Csc {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let v = if i == j {
+                    n as f64 + 1.0
+                } else {
+                    1.0 / (1.0 + (i as f64 - j as f64).abs())
+                };
+                coo.push(i, j, v);
+            }
+        }
+        coo.to_csc()
+    }
+
+    /// 5-point stencil on a `rows × cols` grid.
+    fn grid_laplacian(rows: usize, cols: usize) -> Csc {
+        let mut coo = Coo::new(rows * cols, rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let i = r * cols + c;
+                coo.push(i, i, 4.5);
+                if c + 1 < cols {
+                    coo.push(i, i + 1, -1.0);
+                    coo.push(i + 1, i, -1.0);
+                }
+                if r + 1 < rows {
+                    coo.push(i, i + cols, -1.0);
+                    coo.push(i + cols, i, -1.0);
+                }
+            }
+        }
+        coo.to_csc()
+    }
+
     #[test]
     fn refactor_matches_fresh_factorization_bitwise() {
         let a = kkt_example(1.0);
@@ -736,77 +797,118 @@ mod tests {
     }
 
     #[test]
-    fn supernodal_refactor_matches_scalar_bitwise() {
+    fn dense_tail_refactor_matches_scalar_bitwise() {
         for scale in [1.0, 3.5, -0.2] {
             let a = kkt_example(scale);
             let opts = kkt_opts();
             let sym = LdlSymbolic::analyze_rcm(&a).unwrap();
             let scalar = sym.refactor(&a.values, &opts).unwrap();
-            let sn = sym.refactor_matrix(&a, &opts).unwrap();
-            assert_eq!(factor_bits(&scalar), factor_bits(&sn));
+            let tail = sym.refactor_matrix(&a, &opts).unwrap();
+            assert_eq!(factor_bits(&scalar), factor_bits(&tail));
         }
     }
 
     #[test]
-    fn dense_pattern_collapses_into_one_supernode() {
-        // A dense SPD matrix under the identity ordering: every column's
-        // below-diagonal pattern nests into the next, so the whole matrix is
-        // one supernode (up to the width cap) and the segmented replay runs
-        // dense rank-w updates. Must still be bitwise identical to both the
-        // scalar replay and a fresh factorization.
-        let n = 12;
-        let mut coo = Coo::new(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let v = if i == j {
-                    n as f64 + 1.0
-                } else {
-                    1.0 / (1.0 + (i as f64 - j as f64).abs())
-                };
-                coo.push(i, j, v);
-            }
-        }
-        let a = coo.to_csc();
+    fn dense_pattern_is_one_tail_and_one_supernode() {
+        // A dense matrix under the identity ordering: every column of L is
+        // full, so the whole factorization is the right-looking kernel (three
+        // full panels and a remainder of one column). Must still be bitwise
+        // identical to both the scalar replay and a fresh factorization.
+        let n = 13;
+        let a = dense(n);
         let identity = Ordering::from_perm((0..n).collect());
         let sym = LdlSymbolic::analyze(&a, identity.clone()).unwrap();
+        assert_eq!(sym.tail_start(), 0);
         assert_eq!(sym.num_supernodes(), 1, "dense L should be one supernode");
-        assert_eq!(sym.max_supernode_width(), n);
         assert_eq!(sym.num_levels(), n, "a dense etree is one chain");
         let opts = LdlOptions::default();
         let fresh = LdlFactor::factorize_with(&a, identity, &opts).unwrap();
         let scalar = sym.refactor(&a.values, &opts).unwrap();
-        let sn = sym.refactor_supernodal(&a.values, &opts).unwrap();
+        let tail = sym.refactor_dense_tail(&a.values, &opts).unwrap();
         assert_eq!(factor_bits(&fresh), factor_bits(&scalar));
-        assert_eq!(factor_bits(&fresh), factor_bits(&sn));
+        assert_eq!(factor_bits(&fresh), factor_bits(&tail));
     }
 
+    /// The invariants the three passes rest on: every reach is strictly
+    /// ascending, a tail row's reach ends with every tail column before it,
+    /// the tail is maximal, and `tail_slot` splits each sparse column at its
+    /// first tail row.
     #[test]
-    fn segment_lists_concatenate_to_the_scalar_replay_order() {
-        let a = kkt_example(1.0);
-        let sym = LdlSymbolic::analyze_rcm(&a).unwrap();
-        for j in 0..sym.dim() {
-            let mut flat = Vec::new();
-            for s in sym.seg_ptr[j]..sym.seg_ptr[j + 1] {
-                let c = sym.seg_col[s];
-                let w = sym.seg_len[s];
-                assert!(c + w <= sym.sn_end_of_col[c], "segment crosses supernode");
-                flat.extend(c..c + w);
+    fn reach_is_ascending_and_the_tail_is_maximal() {
+        let laplacian = grid_laplacian(6, 7);
+        for sym in [
+            LdlSymbolic::analyze_rcm(&kkt_example(1.0)).unwrap(),
+            LdlSymbolic::analyze_amd(&laplacian).unwrap(),
+            LdlSymbolic::analyze_rcm(&laplacian).unwrap(),
+            LdlSymbolic::analyze(&dense(6), Ordering::identity(6)).unwrap(),
+        ] {
+            let (n, tail) = (sym.dim(), sym.tail_start());
+            assert!(tail < n);
+            for j in 0..n {
+                let reach = &sym.rp_idx[sym.rp_ptr[j]..sym.rp_ptr[j + 1]];
+                assert!(reach.windows(2).all(|w| w[0] < w[1]), "row {j}: {reach:?}");
+                if j >= tail {
+                    assert!(reach.ends_with(&(tail..j).collect::<Vec<_>>()), "row {j}");
+                }
             }
-            assert_eq!(flat, sym.rp_idx[sym.rp_ptr[j]..sym.rp_ptr[j + 1]]);
-        }
-        // The partition covers every column exactly once, widths within cap.
-        let mut c = 0;
-        let mut count = 0;
-        while c < sym.dim() {
-            let end = sym.sn_end_of_col[c];
-            assert!(end > c && end - c <= SUPERNODE_MAX_WIDTH);
-            for col in c..end {
-                assert_eq!(sym.sn_end_of_col[col], end);
+            let full = |c: usize| sym.lcolptr[c + 1] - sym.lcolptr[c] == n - 1 - c;
+            assert!((tail..n).all(full));
+            assert!(tail == 0 || !full(tail - 1));
+            for i in 0..tail {
+                let col = sym.lcolptr[i]..sym.lcolptr[i + 1];
+                let mid = sym.tail_slot[i];
+                assert!(col.contains(&mid) || mid == col.end);
+                assert!(sym.lrowind[col.start..mid].iter().all(|&r| r < tail));
+                assert!(sym.lrowind[mid..col.end].iter().all(|&r| r >= tail));
             }
-            count += 1;
-            c = end;
         }
-        assert_eq!(count, sym.num_supernodes());
+        // An AMD-ordered grid leaves a separator for the kernel.
+        let sym = LdlSymbolic::analyze_amd(&laplacian).unwrap();
+        assert!(
+            sym.dim() - sym.tail_start() > PANEL,
+            "tail {}",
+            sym.tail_start()
+        );
+    }
+
+    /// A non-finite pivot is a breakdown at its column on the fresh path,
+    /// the scalar replay and the production path alike, whether the column
+    /// falls before the dense tail or inside it. It used to come back `Ok`
+    /// with a NaN in `D`.
+    #[test]
+    fn non_finite_pivot_breaks_down_at_the_same_column_on_every_path() {
+        let a = Csc::from_triplets(
+            3,
+            3,
+            &[0, 1, 0, 1, 2],
+            &[0, 0, 1, 1, 2],
+            &[4.0, 1.0, 1.0, f64::NAN, 3.0],
+        );
+        let opts = LdlOptions {
+            expected_signs: vec![1, 1, 1],
+            ..Default::default()
+        };
+        let mut in_tail = [false; 2];
+        for perm in [vec![0, 1, 2], vec![0, 2, 1], vec![1, 0, 2]] {
+            let ordering = Ordering::from_perm(perm);
+            let column = ordering.inv[1];
+            let sym = LdlSymbolic::analyze(&a, ordering.clone()).unwrap();
+            in_tail[usize::from(column >= sym.tail_start())] = true;
+            for result in [
+                LdlFactor::factorize_with(&a, ordering.clone(), &opts),
+                sym.refactor(&a.values, &opts),
+                sym.refactor_dense_tail(&a.values, &opts),
+            ] {
+                match result {
+                    Err(SparseError::Breakdown { column: c, pivot }) => {
+                        assert_eq!(c, column);
+                        assert!(pivot.is_nan());
+                    }
+                    other => panic!("expected a breakdown at {column}, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(in_tail, [true, true], "both sides of the tail covered");
     }
 
     #[test]

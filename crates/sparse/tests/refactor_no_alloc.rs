@@ -1,7 +1,7 @@
-//! A steady-state `refactor_supernodal` makes a constant number of
-//! allocations — the factor's two value vectors, the `y` accumulator and one
-//! staging row — whatever the dimension: nothing is allocated per row, per
-//! supernode or per elimination-tree level.
+//! A steady-state `refactor_dense_tail` makes a constant number of
+//! allocations — the factor's two value vectors, the `y` accumulator and the
+//! dense tail block — whatever the dimension: nothing is allocated per row,
+//! per panel or per elimination-tree level.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
@@ -61,7 +61,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// 5-point stencil on a `rows × cols` grid, diagonally dominant: a deep
-/// elimination tree, wide supernodes, real fill.
+/// elimination tree, real fill, and a dense separator at the end.
 fn grid_laplacian(rows: usize, cols: usize) -> gridsim_sparse::Csc {
     let n = rows * cols;
     let mut coo = Coo::new(n, n);
@@ -95,14 +95,14 @@ fn steady_state_refactor_allocates_the_same_at_any_dimension() {
         let sym = LdlSymbolic::analyze_amd(&a).unwrap();
         let lower_nnz = (a.nnz() - a.ncols) / 2;
         assert!(sym.num_levels() > 4 && sym.lnz() > lower_nnz, "real fill");
-        assert!(sym.num_supernodes() < sym.dim(), "segments do group");
+        assert!(sym.dim() - sym.tail_start() > 4, "a dense tail to factor");
         let opts = LdlOptions {
             expected_signs: vec![1; a.ncols],
             ..Default::default()
         };
-        let (first, n_first) = counted(|| sym.refactor_supernodal(&a.values, &opts).unwrap());
+        let (first, n_first) = counted(|| sym.refactor_dense_tail(&a.values, &opts).unwrap());
         for round in 0..3 {
-            let (again, n) = counted(|| sym.refactor_supernodal(&a.values, &opts).unwrap());
+            let (again, n) = counted(|| sym.refactor_dense_tail(&a.values, &opts).unwrap());
             assert_eq!(n, n_first, "round {round}: nothing is built lazily");
             assert_eq!(again.l_values(), first.l_values());
             assert_eq!(again.d_values(), first.d_values());
@@ -110,6 +110,6 @@ fn steady_state_refactor_allocates_the_same_at_any_dimension() {
         n_first
     };
     let (small, large) = (per_call(5, 10), per_call(20, 25));
-    assert_eq!(small, 4, "L values, D values, y, one staging row");
+    assert_eq!(small, 4, "L values, D values, y, the tail block");
     assert_eq!(large, small, "dim 500 allocates what dim 50 does");
 }

@@ -2,9 +2,9 @@
 //! interior-point baseline: objectives pinned on real ACOPF cases,
 //! symbolic-reuse accounting (one analysis per NLP, one per tracking
 //! horizon, one per cache over perturbed scenarios), the
-//! scalar-vs-supernodal refactorization micro-benchmark
-//! `perf` trusts for `sparse.refactor_scalar_ms`, and the release-gated
-//! reference-case rows.
+//! scalar-replay vs dense-tail refactorization micro-benchmark
+//! `perf` trusts for `sparse.refactor_ms` / `sparse.refactor_scalar_ms`,
+//! and the release-gated reference-case rows.
 //!
 //! The pins are the objectives the full augmented-KKT solve reached on the
 //! same cases; the condensed solve matched them to 11 significant figures.
@@ -51,18 +51,18 @@ fn condensed_agrees_with_full_on_case9() {
     let micro = cache
         .refactor_microbench(2)
         .expect("condensed solve factorized at least once");
-    assert!(micro.bitwise_identical, "supernodal replay diverged");
+    assert!(
+        micro.bitwise_identical,
+        "dense-tail refactorization diverged"
+    );
     assert!(micro.dim < nlp.num_vars() + 2 * nlp.num_ineq() + nlp.num_eq());
     assert!((1..=micro.dim).contains(&micro.supernodes));
-    assert!(micro.max_supernode_width >= 1);
     // The cache describes the system it froze, and the micro-benchmark ran
     // on that system.
     let stats = cache.symbolic_stats().expect("a condensed solve analyzed");
     assert_eq!(stats.dim, nlp.num_vars() + nlp.num_eq());
-    assert_eq!(
-        (stats.dim, stats.supernodes, stats.max_supernode_width),
-        (micro.dim, micro.supernodes, micro.max_supernode_width)
-    );
+    assert_eq!((stats.dim, stats.supernodes), (micro.dim, micro.supernodes));
+    assert!((1..=stats.dim).contains(&stats.dense_tail));
     assert!(
         stats.lnz >= (stats.nnz - stats.dim) / 2,
         "L holds at least A's lower triangle"
@@ -202,8 +202,9 @@ fn scaled_registry_cases_converge_under_condensed() {
 /// Release guard for the reference-case rows (`perf`'s `ipm_fleet` probes
 /// record the same counters as `ipm.*` / `sparse.*` metrics): every case
 /// reaches its pinned objective on one symbolic analysis, and the
-/// supernodal replay of its final system is bit-identical to the scalar
-/// one. Expensive in debug, so gated like the other full-tolerance sweeps.
+/// dense-tail refactorization of its final system is bit-identical to the
+/// scalar replay. Expensive in debug, so gated like the other
+/// full-tolerance sweeps.
 #[test]
 fn kkt_comparison_rows_hold_on_reference_cases() {
     if cfg!(debug_assertions) && std::env::var("GRIDADMM_FULL_TESTS").is_err() {
@@ -225,25 +226,54 @@ fn kkt_comparison_rows_hold_on_reference_cases() {
         let full_dim = nlp.num_vars() + 2 * nlp.num_ineq() + nlp.num_eq();
         eprintln!(
             "{name}: condensed {}x{} (full {full_dim}x{full_dim}) {:.3}s / {} fact, {} symbolic; \
-             {} supernodes (max width {}), supernodal replay {:.2}x vs scalar",
+             {} supernodes, dense tail {}, refactorization {:.2}x vs scalar",
             micro.dim,
             micro.dim,
             condensed.solve_time.as_secs_f64(),
             condensed.factorizations,
             condensed.symbolic_analyses,
             micro.supernodes,
-            micro.max_supernode_width,
+            cache.symbolic_stats().unwrap().dense_tail,
             micro.speedup(),
         );
-        // The supernodal replay's speedup is only meaningful at bit-identical
-        // factors; the micro-benchmark verifies that on the production matrix.
+        // The speedup is only meaningful at bit-identical factors; the
+        // micro-benchmark verifies that on the production matrix.
         assert!(
             micro.bitwise_identical,
-            "{name}: supernodal replay diverged from scalar"
+            "{name}: dense-tail refactorization diverged from the scalar replay"
         );
         assert_pinned(name, &condensed, pin);
         assert!(micro.dim < full_dim, "{name}: no condensation");
         assert_eq!(condensed.symbolic_analyses, 1, "{name}");
         assert!(condensed.factorizations > condensed.symbolic_analyses);
+    }
+}
+
+/// The dense-tail refactorization is bit-identical to the scalar replay on
+/// the condensed systems of the Pegase1354 stand-ins at every scale the
+/// benchmark and the scaling notes quote — 439 to 3 509 dimensions, the
+/// dense tail growing with them. Release-gated: the /800 solve is seconds
+/// in debug.
+#[test]
+fn dense_tail_refactorization_is_bitwise_on_pegase_stand_ins() {
+    if cfg!(debug_assertions) && std::env::var("GRIDADMM_FULL_TESTS").is_err() {
+        eprintln!("skipping full-tolerance regression case (set GRIDADMM_FULL_TESTS=1)");
+        return;
+    }
+    for scale in [100, 200, 400, 800] {
+        let net = TableICase::Pegase1354.scaled(scale).compile().unwrap();
+        let mut cache = KktCache::new();
+        let report = IpmSolver::default().solve_with_cache(&AcopfNlp::new(&net), &mut cache);
+        assert!(report.is_optimal(), "/{scale}: {:?}", report.status);
+        let micro = cache.refactor_microbench(3).unwrap();
+        let stats = cache.symbolic_stats().unwrap();
+        eprintln!(
+            "pegase1354/{scale}: dim {}, dense tail {}, refactorization {:.2}x vs scalar",
+            stats.dim,
+            stats.dense_tail,
+            micro.speedup()
+        );
+        assert!(micro.bitwise_identical, "/{scale}");
+        assert!(stats.dense_tail > 4, "/{scale}: {stats:?}");
     }
 }

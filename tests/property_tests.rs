@@ -96,44 +96,84 @@ proptest! {
 
     /// Numeric-only refactorization over a frozen symbolic analysis is
     /// bitwise identical to a fresh factorization, on random quasi-definite
-    /// KKT matrices [H Jᵀ; J −δI] — including matrices whose indefinite `H`
-    /// forces regularized pivots — under both orderings (RCM and AMD), for
-    /// both the scalar replay and the supernodal segmented replay (the
-    /// production path, also behind `refactor_matrix`), and again after a
-    /// refactorization over the same analysis broke down.
+    /// KKT matrices [H Jᵀ; J −δI] closed by a dense block of width 1–40
+    /// coupled to H — every panel remainder of the right-looking kernel —
+    /// whose indefinite `H` diagonal forces regularized pivots before the
+    /// dense tail and whose negative last diagonal (every other case) forces
+    /// one inside it. Under the identity ordering (the block is in the tail),
+    /// RCM and AMD, the scalar replay, the production refactorization and
+    /// `refactor_matrix` agree with the fresh factorization bit for bit, or
+    /// all break down at the same column: when cascading regularizations
+    /// overflow, when a NaN is planted on the diagonal, and on all-zero
+    /// values with regularization off — after which the analysis still
+    /// refactorizes to the same bits. Regularized pivots are bumped to 1e-8
+    /// on every third seed and to 0.1 elsewhere, so that fewer cascades
+    /// overflow: of the identity-ordered rounds without a planted NaN, about
+    /// two thirds factorize (over half of those with a pivot regularized
+    /// before the tail, about two thirds with one inside it) and the rest
+    /// break down.
     #[test]
     fn ldl_refactorization_is_bitwise_identical_to_fresh(seed in 0u64..300) {
+        use gridsim_sparse::SparseError;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
+        type Outcome = Result<(Vec<u64>, Vec<u64>, usize), usize>;
+        let outcome = |r: &Result<LdlFactor, SparseError>| -> Outcome {
+            match r {
+                Ok(f) => Ok((
+                    f.l_values().iter().map(|v| v.to_bits()).collect(),
+                    f.d_values().iter().map(|v| v.to_bits()).collect(),
+                    f.num_regularized,
+                )),
+                Err(SparseError::Breakdown { column, .. }) => Err(*column),
+                Err(e) => panic!("{e}"),
+            }
+        };
         let mut rng = SmallRng::seed_from_u64(seed);
         let nx = 2 + (seed as usize) % 7;
         let m = (seed as usize) % 4;
-        let n = nx + m;
-        // Random quasi-definite KKT pattern; H diagonals may be negative so
-        // the expected-sign regularization genuinely fires on some cases.
+        let w = 1 + (seed as usize * 7) % 40;
+        let n = nx + m + w;
+        let dense = nx + m..n;
+        let negative_last = seed % 2 == 0;
+        // H diagonals may be negative so the expected-sign regularization
+        // genuinely fires; the dense block is diagonally dominant but for a
+        // negative last diagonal on even seeds.
         let build = |rng: &mut SmallRng, scale: f64| -> gridsim_sparse::Csc {
             let mut coo = Coo::new(n, n);
+            let couple = |coo: &mut Coo, i: usize, j: usize, v: f64| {
+                coo.push(i, j, v);
+                coo.push(j, i, v);
+            };
             for i in 0..nx {
                 coo.push(i, i, scale * rng.gen_range(-1.0..4.0));
             }
             for i in 0..nx {
                 for j in (i + 1)..nx {
                     if rng.gen_range(0.0..1.0) < 0.4 {
-                        let v = scale * rng.gen_range(-1.5..1.5);
-                        coo.push(i, j, v);
-                        coo.push(j, i, v);
+                        couple(&mut coo, i, j, scale * rng.gen_range(-1.5..1.5));
                     }
                 }
             }
             for r in 0..m {
                 for c in 0..nx {
                     if rng.gen_range(0.0..1.0) < 0.6 {
-                        let v = scale * rng.gen_range(-2.0..2.0);
-                        coo.push(nx + r, c, v);
-                        coo.push(c, nx + r, v);
+                        couple(&mut coo, nx + r, c, scale * rng.gen_range(-2.0..2.0));
                     }
                 }
                 coo.push(nx + r, nx + r, -1e-8);
+            }
+            for i in dense.clone() {
+                for c in 0..nx {
+                    if rng.gen_range(0.0..1.0) < 0.5 {
+                        couple(&mut coo, i, c, scale * rng.gen_range(-1.0..1.0));
+                    }
+                }
+                for j in i + 1..n {
+                    couple(&mut coo, i, j, scale * rng.gen_range(-1.0..1.0));
+                }
+                let sign = if negative_last && i == n - 1 { -1.0 } else { 1.0 };
+                coo.push(i, i, sign * scale * (2.0 * w as f64 + 4.0));
             }
             coo.to_csc()
         };
@@ -143,52 +183,54 @@ proptest! {
         // identical.
         let a = build(&mut SmallRng::seed_from_u64(seed), 1.0);
         let a2 = build(&mut SmallRng::seed_from_u64(seed), rng.gen_range(0.3..3.0));
+        // A NaN on one diagonal: a breakdown no later than its column.
+        let planted = rng.gen_range(0..n);
+        let mut poisoned = a2.clone();
+        let diagonal = (poisoned.colptr[planted]..poisoned.colptr[planted + 1])
+            .find(|&p| poisoned.rowind[p] == planted)
+            .unwrap();
+        poisoned.values[diagonal] = f64::NAN;
         let mut signs = vec![1i8; nx];
         signs.extend(std::iter::repeat_n(-1i8, m));
-        let opts = LdlOptions { expected_signs: signs, ..Default::default() };
+        signs.extend(std::iter::repeat_n(1i8, w));
+        let pivot_reg = if seed % 3 == 0 { 1e-8 } else { 0.1 };
+        let opts = LdlOptions { expected_signs: signs, pivot_reg, ..Default::default() };
         // AMD sees the pattern of A + Aᵀ, not the triangle it was given.
         let amd = Ordering::amd(&a);
         prop_assert_eq!(&Ordering::amd(&a.upper_triangle()), &amd);
-        for ordering in [Ordering::rcm(&a), amd] {
+        for ordering in [Ordering::identity(n), Ordering::rcm(&a), amd] {
             let sym = LdlSymbolic::analyze(&a, ordering.clone()).unwrap();
-            // The third round comes after both replays saw a breakdown
-            // (all-zero values, regularization off).
-            for values in [&a, &a2, &a] {
-                let fresh = LdlFactor::factorize_with(values, ordering.clone(), &opts).unwrap();
-                let scalar = sym.refactor(&values.values, &opts).unwrap();
-                let supernodal = sym.refactor_supernodal(&values.values, &opts).unwrap();
-                let matrix = sym.refactor_matrix(values, &opts).unwrap();
-                for other in [&scalar, &supernodal, &matrix] {
-                    prop_assert_eq!(fresh.num_regularized, other.num_regularized);
-                    for (x, y) in fresh.l_values().iter().zip(other.l_values()) {
-                        prop_assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                    for (x, y) in fresh.d_values().iter().zip(other.d_values()) {
-                        prop_assert_eq!(x.to_bits(), y.to_bits());
-                    }
+            if ordering == Ordering::identity(n) {
+                prop_assert!(sym.tail_start() <= nx + m, "tail {}", sym.tail_start());
+            }
+            // The last round comes after every path saw a breakdown.
+            for values in [&a, &a2, &poisoned, &a] {
+                let fresh = LdlFactor::factorize_with(values, ordering.clone(), &opts);
+                let matrix = sym.refactor_matrix(values, &opts);
+                let want = outcome(&fresh);
+                prop_assert_eq!(&outcome(&sym.refactor(&values.values, &opts)), &want);
+                prop_assert_eq!(&outcome(&sym.refactor_dense_tail(&values.values, &opts)), &want);
+                prop_assert_eq!(&outcome(&matrix), &want);
+                if std::ptr::eq(values, &poisoned) {
+                    let column = want.err();
+                    prop_assert!(
+                        column.is_some_and(|c| c <= ordering.inv[planted]),
+                        "NaN at {} gave {:?}", ordering.inv[planted], column
+                    );
                 }
                 // Solves agree bitwise too (same factor, same triangular sweeps).
-                let b: Vec<f64> = (0..n).map(|i| ((i * 11 + seed as usize) % 17) as f64 - 8.0).collect();
-                let xf = fresh.solve(&b);
-                let xr = matrix.solve(&b);
-                for (x, y) in xf.iter().zip(&xr) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-                if std::ptr::eq(values, &a2) {
-                    let zeros = vec![0.0; a.nnz()];
-                    let no_reg = LdlOptions { pivot_reg: 0.0, ..opts.clone() };
-                    for broke in [
-                        sym.refactor(&zeros, &no_reg),
-                        sym.refactor_supernodal(&zeros, &no_reg),
-                    ] {
-                        let is_breakdown = matches!(
-                            broke,
-                            Err(gridsim_sparse::SparseError::Breakdown { .. })
-                        );
-                        prop_assert!(is_breakdown);
+                if let (Ok(f), Ok(r)) = (&fresh, &matrix) {
+                    let b: Vec<f64> =
+                        (0..n).map(|i| ((i * 11 + seed as usize) % 17) as f64 - 8.0).collect();
+                    for (x, y) in f.solve(&b).iter().zip(&r.solve(&b)) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits());
                     }
                 }
             }
+            let zeros = vec![0.0; a.nnz()];
+            let no_reg = LdlOptions { pivot_reg: 0.0, ..opts.clone() };
+            prop_assert_eq!(outcome(&sym.refactor(&zeros, &no_reg)), Err(0));
+            prop_assert_eq!(outcome(&sym.refactor_dense_tail(&zeros, &no_reg)), Err(0));
         }
     }
 
