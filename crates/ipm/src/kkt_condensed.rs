@@ -68,6 +68,7 @@
 //! rebuilds the union of both patterns once and counts another analysis.
 
 use crate::kkt::KktDims;
+use crate::nlp::hessian_has_both_triangles;
 use gridsim_batch::DeviceStats;
 use gridsim_sparse::{Coo, Csc, LdlFactor, LdlOptions, LdlSymbolic, SparseError};
 
@@ -427,8 +428,21 @@ impl KktCache {
     /// the pattern is rebuilt as the union of the old pattern (same
     /// dimensions only) and the structure's, at the cost of one symbolic
     /// analysis.
-    pub fn ensure_structure(&mut self, dims: &KktDims, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) {
-        self.ensure_structure_with(dims, hess, jac_eq, jac_ineq, LdlSymbolic::analyze_amd);
+    ///
+    /// Returns `false`, recording nothing, when the Hessian breaks the
+    /// [`Nlp`](crate::Nlp) contract by carrying an off-diagonal coordinate
+    /// without its transpose. The check runs wherever a structure is
+    /// located or rebuilt, so every recorded structure has passed it, and a
+    /// re-declared one the slots already describe skips it.
+    #[must_use]
+    pub fn ensure_structure(
+        &mut self,
+        dims: &KktDims,
+        hess: &Coo,
+        jac_eq: &Coo,
+        jac_ineq: &Coo,
+    ) -> bool {
+        self.ensure_structure_with(dims, hess, jac_eq, jac_ineq, LdlSymbolic::analyze_amd)
     }
 
     /// [`Self::ensure_structure`] with the analysis as a parameter, so the
@@ -442,18 +456,25 @@ impl KktCache {
         jac_eq: &Coo,
         jac_ineq: &Coo,
         analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
-    ) {
+    ) -> bool {
         assert_eq!(dims.ns, dims.m_ineq, "one slack per inequality");
-        if let Some(s) = self.structure.as_mut().filter(|s| s.dims == *dims) {
+        let recorded = self.structure.as_mut().filter(|s| s.dims == *dims);
+        if let Some(s) = &recorded {
             if s.slots.describes(&s.ldl, dims, hess, jac_eq, jac_ineq) {
-                return;
+                return true;
             }
+        }
+        if !hessian_has_both_triangles(hess) {
+            return false;
+        }
+        if let Some(s) = recorded {
             if let Some(slots) = SlotMap::locate(&s.ldl, dims, hess, jac_eq, jac_ineq) {
                 s.slots = slots;
-                return;
+                return true;
             }
         }
         self.rebuild(dims, hess, jac_eq, jac_ineq, analyze);
+        true
     }
 
     /// Rebuild the frozen pattern as the union of the previous pattern (when
@@ -785,7 +806,7 @@ mod tests {
         delta_c: f64,
         rhs: &[f64],
     ) -> (CondensedFactor, Vec<f64>) {
-        cache.ensure_structure(dims, hess, jac_eq, jac_ineq);
+        assert!(cache.ensure_structure(dims, hess, jac_eq, jac_ineq));
         let factor = cache
             .factorize_condensed(
                 &DeviceStats::default(),
@@ -1025,7 +1046,7 @@ mod tests {
         let jac_eq = nlp.eq_jacobian_structure();
         let jac_ineq = nlp.ineq_jacobian_structure();
         let mut cache = KktCache::new();
-        cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq);
+        assert!(cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
         let s = cache.structure.as_ref().unwrap();
         assert!(s.slots.describes(&s.ldl, &dims, &hess, &jac_eq, &jac_ineq));
         let located = SlotMap::locate(&s.ldl, &dims, &hess, &jac_eq, &jac_ineq);
@@ -1046,7 +1067,18 @@ mod tests {
         ] {
             assert!(!s.slots.describes(&s.ldl, &dims, h, e, i));
         }
-        cache.ensure_structure(&dims, &rh, &re, &ri);
+        assert!(cache.ensure_structure(&dims, &rh, &re, &ri));
+        let s = cache.structure.as_ref().unwrap();
+        assert!(s.slots.describes(&s.ldl, &dims, &rh, &re, &ri));
+        assert_eq!(cache.symbolic_analyses(), 1);
+
+        // The upper triangle of the same Hessian breaks the `Nlp` contract:
+        // refused, and the recorded slots stay those of the last structure.
+        let mut upper = Coo::new(hess.nrows, hess.ncols);
+        for t in (0..hess.nnz()).filter(|&t| hess.rows[t] <= hess.cols[t]) {
+            upper.push(hess.rows[t], hess.cols[t], 0.0);
+        }
+        assert!(!cache.ensure_structure(&dims, &upper, &re, &ri));
         let s = cache.structure.as_ref().unwrap();
         assert!(s.slots.describes(&s.ldl, &dims, &rh, &re, &ri));
         assert_eq!(cache.symbolic_analyses(), 1);
@@ -1223,7 +1255,7 @@ mod tests {
             for max_iter in [0, 8] {
                 let it = acopf_iterate(&net, max_iter);
                 let mut cache = KktCache::new();
-                cache.ensure_structure(&it.dims, &it.hess, &it.jac_eq, &it.jac_ineq);
+                assert!(cache.ensure_structure(&it.dims, &it.hess, &it.jac_eq, &it.jac_ineq));
                 for (delta_w, delta_c) in [(0.0, 1e-8), (1e-4, 1e-6)] {
                     cache
                         .factorize_condensed(
@@ -1277,7 +1309,7 @@ mod tests {
         let (hess, sigma, jac_eq, jac_ineq) = small_problem();
         let stats = DeviceStats::default();
         let good = |cache: &mut KktCache| {
-            cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq);
+            assert!(cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
             cache
                 .factorize_condensed(
                     &stats,
@@ -1341,13 +1373,13 @@ mod tests {
             m_ineq: nlp.num_ineq(),
         };
         let mut cache = KktCache::new();
-        cache.ensure_structure_with(
+        assert!(cache.ensure_structure_with(
             &dims,
             &nlp.hessian_structure(),
             &nlp.eq_jacobian_structure(),
             &nlp.ineq_jacobian_structure(),
             analyze,
-        );
+        ));
         cache
     }
 

@@ -31,10 +31,12 @@ use gridsim_sparse::Coo;
 ///   `(i, j)` comes with its transpose `(j, i)`. The KKT assemblies place the
 ///   triplets as given and the factorization's ordering then decides which
 ///   triangle it reads, so a one-triangle Hessian would silently lose the
-///   entries the permutation moved across the diagonal. The solver checks
-///   this on the declared structure, once per solve, and ends with
-///   [`IpmStatus::NumericalError`](crate::IpmStatus::NumericalError) before
-///   iteration 0 when it does not hold.
+///   entries the permutation moved across the diagonal.
+///   [`KktCache::ensure_structure`](crate::KktCache::ensure_structure)
+///   checks this on every declared structure it records (once per
+///   structure, not per solve), and a solve whose Hessian fails it ends
+///   with [`IpmStatus::NumericalError`](crate::IpmStatus::NumericalError)
+///   before iteration 0.
 ///
 /// [`Self::eq_jacobian`], [`Self::ineq_jacobian`] and
 /// [`Self::lagrangian_hessian`] are provided: the structure with its values

@@ -61,7 +61,8 @@ pub struct SolveReport {
     pub zu: Vec<f64>,
     /// Termination status.
     pub status: IpmStatus,
-    /// Number of iterations performed.
+    /// Number of steps taken: `max_iter` when the budget ran out, `k` when
+    /// iteration `k` converged or failed before stepping.
     pub iterations: usize,
     /// Final scaled KKT error.
     pub kkt_error: f64,

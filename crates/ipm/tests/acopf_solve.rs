@@ -6,7 +6,7 @@
 
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_grid::{cases, ScenarioSet};
-use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, Nlp};
+use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, KktCache, Nlp};
 use gridsim_sparse::Coo;
 
 fn solve_case(case: gridsim_grid::Case) -> (gridsim_grid::Network, gridsim_ipm::SolveReport) {
@@ -114,6 +114,41 @@ fn case9_warm_start_converges_quickly_after_small_load_change() {
     // require it does not blow up).
     assert!(warm.iterations <= cold_report.iterations * 2 + 10);
     drop(net);
+}
+
+/// A donor-seeded start keeps the donor's point, which 20 % more load
+/// leaves too far from `case9`'s new optimum: that attempt fails after a few
+/// steps. The solve then re-runs from the same seed with the full bound push
+/// and ends optimal at the cold optimum. The report bills both attempts: its
+/// log runs on through both, and each attempt logs one record more than the
+/// steps it took.
+#[test]
+fn far_donor_seed_falls_back_to_the_full_push() {
+    let base = cases::case9();
+    let (_, donor) = solve_case(base.clone());
+    let net = base.scale_load(1.2).compile().unwrap();
+    let nlp = AcopfNlp::new(&net);
+    let report = IpmSolver::new(IpmOptions {
+        initial_point: Some(donor.x.clone()),
+        initial_multipliers: Some(
+            donor
+                .lambda_eq
+                .iter()
+                .chain(&donor.lambda_ineq)
+                .copied()
+                .collect(),
+        ),
+        initial_bound_multipliers: Some((donor.zl.clone(), donor.zu.clone())),
+        ..Default::default()
+    })
+    .solve(&nlp);
+    assert!(report.is_optimal(), "status {:?}", report.status);
+    assert_eq!(report.log.len(), report.iterations + 2, "two attempts");
+    let iters: Vec<usize> = report.log.iter().map(|r| r.iter).collect();
+    assert_eq!(iters, (0..report.log.len()).collect::<Vec<_>>());
+    let cold = IpmSolver::default().solve(&nlp);
+    let gap = (report.objective - cold.objective).abs() / cold.objective;
+    assert!(gap < 1e-8, "gap {gap:e}");
 }
 
 #[test]
@@ -253,6 +288,49 @@ fn one_triangle_hessian_is_rejected_before_the_first_iteration() {
     assert_eq!(report.iterations, 0);
     assert_eq!(report.factorizations, 0);
     assert!(report.log.is_empty());
+}
+
+/// The cache checks a Hessian when it records a structure, not on every
+/// solve. A one-triangle Hessian declared to a cache that already holds the
+/// honest structure of the same dimensions is therefore still refused
+/// before iteration 0, and the cache keeps serving the honest model without
+/// a new analysis.
+#[test]
+fn one_triangle_hessian_is_rejected_by_a_warm_cache() {
+    let net = cases::case9().compile().unwrap();
+    let solver = IpmSolver::default();
+    let mut cache = KktCache::new();
+    assert!(solver
+        .solve_with_cache(&AcopfNlp::new(&net), &mut cache)
+        .is_optimal());
+    let report = solver.solve_with_cache(&UpperTriangleHessian(AcopfNlp::new(&net)), &mut cache);
+    assert_eq!(report.status, IpmStatus::NumericalError);
+    assert_eq!(report.iterations, 0);
+    assert_eq!(report.factorizations, 0);
+    assert!(report.log.is_empty());
+    let honest = solver.solve_with_cache(&AcopfNlp::new(&net), &mut cache);
+    assert!(honest.is_optimal());
+    assert_eq!(honest.symbolic_analyses, 0);
+    assert_eq!(cache.symbolic_analyses(), 1);
+}
+
+/// A solve that runs out of budget reports the steps it took: one per
+/// logged iteration, and `max_iter` in all. It used to report one fewer
+/// (`max_iter: 3` on case9 read 2 iterations over 3 factorizations).
+#[test]
+fn iteration_budget_exhaustion_counts_every_step() {
+    let net = cases::case9().compile().unwrap();
+    for max_iter in [1, 3] {
+        let report = IpmSolver::new(IpmOptions {
+            max_iter,
+            ..Default::default()
+        })
+        .solve(&AcopfNlp::new(&net));
+        assert_eq!(report.status, IpmStatus::MaxIterations);
+        assert_eq!(report.iterations, max_iter);
+        assert_eq!(report.log.len(), max_iter);
+        assert_eq!(report.factorizations, max_iter);
+    }
 }
 
 /// A NaN load set after `compile()` used to panic inside the solve (a

@@ -8,7 +8,8 @@
 //! four (`L` values, `D` values, `y`, the dense tail block). Regrouping the
 //! inequality Jacobian on every step used to cost one vector per inequality
 //! row — 588 on the latter alone. Re-declaring the structure a cache
-//! already holds, as a lane's next solve does, allocates nothing either.
+//! already holds, as a lane's next solve does, allocates nothing either: the
+//! Hessian's two-triangle check ran when the structure was recorded.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
@@ -92,9 +93,13 @@ fn per_step(name: &str, case: Case) -> u64 {
         nlp.ineq_jacobian_structure(),
     );
     let mut cache = KktCache::new();
-    cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq);
-    let ((), n) = counted(|| cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
-    assert_eq!(n, 0, "{name}: a re-declared structure is located again");
+    assert!(cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+    let (held, n) = counted(|| cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+    assert!(held, "{name}");
+    assert_eq!(
+        n, 0,
+        "{name}: a re-declared structure is located or checked again"
+    );
 
     let mut grad = vec![0.0; dims.nx];
     let (mut ce, mut ci) = (vec![0.0; dims.m_eq], vec![0.0; dims.m_ineq]);

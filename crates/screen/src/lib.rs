@@ -462,26 +462,39 @@ mod tests {
         }
     }
 
+    /// The interior-point tier seeds each graduate with its screening point
+    /// alone. A primal-only seed carries no active set, so it keeps the full
+    /// bound push of a cold start: the iteration counts are pinned.
     #[test]
     fn ipm_tier_solves_graduated_scenarios() {
-        let (case_id, nets) = small_sweep();
-        let report = ContingencyFunnel::new(test_config(FullTier::Ipm)).run(&case_id, &nets);
-        match &report.full {
-            FullResults::Ipm(r) => {
-                assert_eq!(r.results.len(), report.graduated.len());
-                assert_eq!(r.store.hits, report.graduated.len());
-                for res in &r.results {
-                    assert!(
-                        res.report.is_optimal(),
-                        "{}: {:?}",
-                        res.name,
-                        res.report.status
-                    );
-                }
-            }
-            FullResults::None => assert!(report.graduated.is_empty()),
-            FullResults::Admm(_) => unreachable!(),
+        // Line ratings at 70 % and a low benign threshold: two of the ten
+        // screens graduate, and both are feasible.
+        let mut base = cases::case14();
+        for br in &mut base.branches {
+            br.rate_a *= 0.7;
         }
+        let spec = ContingencySpec::load_grid(2, 0.9, 1.1).outages(3, 1, 0);
+        let nets = spec.expand(&base).networks().unwrap();
+        let config = FunnelConfig {
+            benign_threshold: 1e-4,
+            ..test_config(FullTier::Ipm)
+        };
+        let report = ContingencyFunnel::new(config).run("case14", &nets);
+        let FullResults::Ipm(r) = &report.full else {
+            panic!("the stressed sweep graduates to the IPM tier");
+        };
+        assert_eq!(r.results.len(), report.graduated.len());
+        assert_eq!(r.store.hits, report.graduated.len());
+        for res in &r.results {
+            assert!(
+                res.report.is_optimal(),
+                "{}: {:?}",
+                res.name,
+                res.report.status
+            );
+        }
+        let iterations: Vec<usize> = r.results.iter().map(|res| res.report.iterations).collect();
+        assert_eq!(iterations, [10, 10]);
     }
 
     #[test]

@@ -199,6 +199,135 @@ proptest! {
     }
 }
 
+/// A start seeded with a converged donor's bound multipliers keeps the
+/// donor's point instead of being pushed back into the interior. At 2 % load
+/// noise every admission that rides the lane chain or a store hit converges
+/// in at most three Newton steps (the 1e-2 push cost five or six), to the
+/// optimum a separate cold solve of the same scenario finds.
+#[test]
+fn donor_seeded_admissions_converge_in_three_steps() {
+    for (name, case) in [
+        ("case9", gridsim_grid::cases::case9()),
+        ("case14", gridsim_grid::cases::case14()),
+    ] {
+        let generation = |seed| {
+            ScenarioSet::perturbed_loads(case.clone(), 4, 0.02, seed)
+                .networks()
+                .unwrap()
+        };
+        let (gen_a, gen_b) = (generation(7), generation(1007));
+        let solver = IpmFleetSolver::with_engine(
+            IpmOptions::default(),
+            Engine::with_pool(DevicePool::parallel(1)).with_lanes(1),
+        );
+        let mut store = SolutionStore::new();
+        let a = solver.run(FleetRequest::over(&gen_a).case(name).store(&mut store));
+        let b = solver.run(FleetRequest::over(&gen_b).case(name).store(&mut store));
+        assert!(b.store.hits > 0, "{name}: no store hits");
+        // Only generation A's first admission starts cold.
+        let seeded = gen_a.iter().zip(&a.results).skip(1);
+        for (net, r) in seeded.chain(gen_b.iter().zip(&b.results)) {
+            let report = &r.report;
+            assert!(report.is_optimal(), "{}: {:?}", r.name, report.status);
+            assert!(
+                report.iterations <= 3,
+                "{}: {} iterations",
+                r.name,
+                report.iterations
+            );
+            let cold = IpmSolver::default().solve(&AcopfNlp::new(net));
+            let gap = gridsim_acopf::violations::relative_gap(report.objective, cold.objective);
+            assert!(gap <= 1e-8, "{}: warm vs cold gap {gap:e}", r.name);
+        }
+    }
+}
+
+/// Release-gated robustness of the donor-seeded start on the `ipm_fleet`
+/// stand-in, Pegase1354/200: at 30 % load noise every seeded solve still
+/// ends optimal within eight Newton steps, at a cold solve's optimum. And a
+/// ramp-limited period whose new dispatch box excludes the donor's dispatch
+/// (the donor's point is clamped onto the box's edge) ends optimal too.
+#[cfg(not(debug_assertions))]
+#[test]
+fn donor_seeded_pegase_solves_survive_load_noise_and_ramp_limits() {
+    use gridsim_acopf::start::ramp_limited_bounds;
+    use gridsim_acopf::violations::relative_gap;
+    let case = TableICase::Pegase1354.scaled(200);
+    let generation = |seed| {
+        ScenarioSet::perturbed_loads(case.clone(), 4, 0.3, seed)
+            .networks()
+            .unwrap()
+    };
+    let (gen_a, gen_b) = (generation(7), generation(1007));
+    let solver = IpmFleetSolver::with_engine(
+        IpmOptions::default(),
+        Engine::with_pool(DevicePool::parallel(1)).with_lanes(1),
+    );
+    let mut store = SolutionStore::new();
+    let a = solver.run(FleetRequest::over(&gen_a).case("pegase").store(&mut store));
+    let b = solver.run(FleetRequest::over(&gen_b).case("pegase").store(&mut store));
+    // At this noise the store's distance cap turns lookups into misses, so
+    // each generation's first admission may start cold; the rest ride the
+    // lane chain.
+    let seeded = gen_a.iter().zip(&a.results).skip(1);
+    for (net, r) in seeded.chain(gen_b.iter().zip(&b.results).skip(1)) {
+        let report = &r.report;
+        assert!(report.is_optimal(), "{}: {:?}", r.name, report.status);
+        assert!(
+            report.iterations <= 8,
+            "{}: {} iterations",
+            r.name,
+            report.iterations
+        );
+        let cold = IpmSolver::default().solve(&AcopfNlp::new(net));
+        assert!(cold.is_optimal(), "{}: cold {:?}", r.name, cold.status);
+        let gap = relative_gap(report.objective, cold.objective);
+        assert!(gap <= 1e-9, "{}: warm vs cold gap {gap:e}", r.name);
+    }
+
+    // The next period: 3 % more load, and every third unit with room in its
+    // ramp window must ramp up by at least half of it. (Forcing all 22 such
+    // units up leaves no feasible dispatch.)
+    let base = case.compile().unwrap();
+    let donor = IpmSolver::default().solve(&AcopfNlp::new(&base));
+    assert!(donor.is_optimal());
+    let donor_pg = AcopfNlp::new(&base).to_solution(&donor.x).pg;
+    let net = case.scale_load(1.03).compile().unwrap();
+    let (mut lo, hi) = ramp_limited_bounds(&net, &donor_pg, 0.05);
+    let mut excluded = 0;
+    for (g, &pg) in donor_pg.iter().enumerate().step_by(3) {
+        if hi[g] - pg > 1e-3 {
+            lo[g] = pg + 0.5 * (hi[g] - pg);
+            excluded += 1;
+        }
+    }
+    assert_eq!(excluded, 8);
+    let nlp = AcopfNlp::new(&net).with_pg_bounds(lo, hi);
+    let warm = IpmSolver::new(IpmOptions {
+        initial_point: Some(donor.x.clone()),
+        initial_multipliers: Some(
+            donor
+                .lambda_eq
+                .iter()
+                .chain(&donor.lambda_ineq)
+                .copied()
+                .collect(),
+        ),
+        initial_bound_multipliers: Some((donor.zl.clone(), donor.zu.clone())),
+        ..Default::default()
+    })
+    .solve(&nlp);
+    assert!(warm.is_optimal(), "ramp-limited: {:?}", warm.status);
+    let cold = IpmSolver::default().solve(&nlp);
+    assert!(cold.is_optimal(), "ramp-limited cold: {:?}", cold.status);
+    let gap = relative_gap(warm.objective, cold.objective);
+    assert!(gap <= 1e-8, "ramp-limited warm vs cold gap {gap:e}");
+    eprintln!(
+        "ramp-limited period: {excluded} units forced up, warm {} vs cold {} iterations",
+        warm.iterations, cold.iterations
+    );
+}
+
 /// Release-gated acceptance check on a registry-scale case: an
 /// interior-point fleet over K scenarios of a ~300-bus Table-I stand-in
 /// pays `symbolic_analyses == lanes`, not one per scenario. (Interior-point
