@@ -23,7 +23,7 @@
 //!
 //! | measurement | `perf` workload → metrics | correctness side pinned by |
 //! |---|---|---|
-//! | fleet throughput | `ipm_fleet` → `ipm.symbolic_analyses`, `engine.lanes`, `ipm.iterations`, `ipm.ms_per_iteration`; `sweep` → `admm.fleet_ticks`, `engine.occupancy` | `tests/ipm_fleet.rs::symbolic_analyses_equal_planned_lanes_across_configs`, `ipm::fleet::tests::fleet_solves_a_load_ramp_and_pays_one_analysis_per_lane` |
+//! | fleet throughput | `ipm_fleet` → `ipm.symbolic_analyses`, `engine.lanes`, `ipm.iterations`, `ipm.ms_per_iteration`; `sweep` → `admm.fleet_ticks`, `engine.occupancy` | `tests/ipm_fleet.rs::symbolic_analyses_are_one_per_structure_across_configs`, `ipm::fleet::tests::fleet_solves_a_load_ramp_and_pays_one_analysis` |
 //! | scenario throughput | `sweep` → `batch.launches`, `batch.blocks`, `admm.fleet_ticks`, `admm.mask_efficiency`, `engine.occupancy` | `tests/scenario_batch.rs` (bitwise + ≥4× launch amortisation guard), `tests/scenario_scheduler.rs::sharded_work_is_billed_per_device` |
 //! | daemon throughput | `sweep` → `serve.submit_ms`, `serve.chunk_compute_ms`, `serve.overhead_s`, `serve.manifest_save_ms`/`load_ms`; second generation → `ipm_fleet`'s `store.hit_rate`, `ipm.warm_iteration_ratio` | `crates/serve/tests/{daemon,kill_resume}.rs` |
 //! | warm solution store | `ipm_fleet` → `store.hits`, `store.hit_rate`, `store.nearest_us`, `ipm.warm_iteration_ratio` | `tests/solution_store.rs` (debug determinism + release 120-scenario guard) |

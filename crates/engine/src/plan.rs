@@ -52,9 +52,10 @@ pub fn admission_plan(shard: &[usize], lane_cap: Option<usize>) -> AdmissionPlan
 }
 
 /// Total number of lanes the engine opens for a run: the sum of per-shard
-/// lane counts. This is the quantity per-lane resources (e.g. one symbolic
-/// analysis per lane in an interior-point fleet) scale with — the lane
-/// count, not the scenario count.
+/// lane counts. This is the quantity per-lane resources (e.g. one
+/// warm-start chain and one numeric workspace per lane in an
+/// interior-point fleet) scale with — the lane count, not the scenario
+/// count.
 pub fn total_lanes(num_scenarios: usize, num_devices: usize, lane_cap: Option<usize>) -> usize {
     shard_plan(num_scenarios, num_devices)
         .iter()

@@ -8,20 +8,25 @@
 //! with [`IpmSolver::solve_with_cache`], and the engine streams pending
 //! scenarios through the configured lanes.
 //!
-//! Two per-lane resources make a lane more than a loop index:
+//! What is shared and what is per lane:
 //!
-//! * **one [`KktCache`] per lane** — every scenario of a set shares the
-//!   base network's topology, so the condensed-KKT pattern of each lane's
-//!   admission stream is identical and the lane's whole stream costs **one
-//!   symbolic analysis**. Fleet-wide, symbolic analyses scale with the
-//!   *lane count*, not the scenario count —
-//!   [`FleetReport::symbolic_analyses`] vs [`FleetReport::lanes`] is the
-//!   tested invariant (a scenario whose constraint *structure* differs,
-//!   e.g. an outage lifting a line limit, costs its lane one extra
-//!   analysis; load ramps and perturbations cost none),
-//! * **warm-start carry** — each admission starts from the lane's previous
-//!   primal/dual point, so a lane behaves like a tracking chain even
-//!   though the fleet as a whole runs wide.
+//! * **one frozen condensed system per structure, shared** — the symbolic
+//!   analysis of the condensed KKT is a pure function of a scenario's
+//!   declared derivative structure, so the solver keeps a registry of
+//!   frozen systems that every lane, device, run and clone of it resolves
+//!   through: each distinct structure is analyzed exactly once. Every
+//!   scenario of a set shares the base network's topology, so a load ramp
+//!   or perturbation costs **one symbolic analysis** in its first run and
+//!   none after; a scenario whose constraint structure differs (e.g. an
+//!   outage lifting a line limit) adds one for its structure. Each
+//!   analysis is billed to the lowest-index scenario of the run that
+//!   declared the structure, so per-scenario counts do not depend on the
+//!   device count, the lane cap or thread timing,
+//! * **one numeric workspace and one warm-start carry per lane** — a
+//!   lane's [`KktCache`] holds the value buffers its Newton steps assemble
+//!   into, and each admission starts from the lane's previous primal/dual
+//!   point, so a lane behaves like a tracking chain even though the fleet
+//!   as a whole runs wide.
 //!
 //! Because warm starts chain *within* a lane, per-scenario iterates depend
 //! on the device/lane configuration (unlike the ADMM fleet, whose lanes
@@ -31,7 +36,7 @@
 //! agree to solver tolerance. Both are asserted in `tests/ipm_fleet.rs`.
 
 use crate::acopf_nlp::AcopfNlp;
-use crate::kkt_condensed::{KktCache, SymbolicStats};
+use crate::kkt_condensed::{FrozenRegistry, FrozenSystem, KktCache, SymbolicStats};
 use crate::report::SolveReport;
 use crate::solver::{IpmOptions, IpmSolver};
 use gridsim_acopf::solution::OpfSolution;
@@ -41,9 +46,8 @@ use gridsim_engine::{Engine, FleetRequest, LaneSolver, StoreAccess};
 use gridsim_grid::fingerprint::ScenarioFingerprint;
 use gridsim_grid::network::Network;
 use gridsim_store::{StoreRunStats, StoreView};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The interior-point payload a [`gridsim_store::SolutionStore`] keeps per solved
@@ -112,23 +116,23 @@ pub struct FleetReport {
     /// solves every active lane's current scenario to completion).
     pub ticks: usize,
     /// Total lanes the engine opened across devices — the number of
-    /// independent warm-start chains and [`KktCache`]s.
+    /// independent warm-start chains and numeric workspaces.
     pub lanes: usize,
     /// Solution-store traffic for this run: admissions seeded from a stored
     /// neighbor (hits), admissions that consulted the store without being
     /// seeded from it (misses), and converged solves committed back
     /// (inserts). All zero for a store-less request.
     pub store: StoreRunStats,
-    /// The frozen condensed system of every lane at the end of the run
-    /// ([`KktCache::symbolic_stats`]), lanes ordered by the scenario that
-    /// opened them.
-    pub lane_symbolic: Vec<SymbolicStats>,
+    /// The symbolic figures of every distinct frozen condensed system the
+    /// run's scenarios declared, in the input order of the first scenario
+    /// to declare each.
+    pub frozen: Vec<SymbolicStats>,
 }
 
 impl FleetReport {
-    /// Symbolic analyses across the fleet (each solve bills the analyses it
-    /// triggered, so the sum is the fleet total). With structurally
-    /// identical scenarios this equals [`FleetReport::lanes`].
+    /// Symbolic analyses this run performed: one per distinct structure no
+    /// earlier run of the solver had declared, so a run of structurally
+    /// identical scenarios pays one, and a re-run pays none.
     pub fn symbolic_analyses(&self) -> usize {
         self.results
             .iter()
@@ -188,7 +192,7 @@ impl FleetReport {
 
 /// The interior-point fleet driver: solve many scenarios of one network
 /// family through the execution engine, one warm-start chain and one
-/// [`KktCache`] per lane.
+/// numeric workspace per lane, one frozen condensed system per structure.
 #[derive(Debug, Clone)]
 pub struct IpmFleetSolver {
     /// Options applied to every scenario solve. Per-lane warm starts
@@ -197,28 +201,32 @@ pub struct IpmFleetSolver {
     pub options: IpmOptions,
     /// The execution engine (device pool + lane policy).
     pub engine: Engine,
+    /// The frozen systems of every structure a run of this solver (or of a
+    /// clone) has declared.
+    registry: Arc<FrozenRegistry>,
 }
 
 impl IpmFleetSolver {
     /// A fleet solver on the environment-selected engine (`GRIDSIM_DEVICES`
     /// logical devices, no lane cap).
     pub fn new(options: IpmOptions) -> Self {
-        IpmFleetSolver {
-            options,
-            engine: Engine::from_env(),
-        }
+        IpmFleetSolver::with_engine(options, Engine::from_env())
     }
 
     /// A fleet solver on a specific engine.
     pub fn with_engine(options: IpmOptions, engine: Engine) -> Self {
-        IpmFleetSolver { options, engine }
+        IpmFleetSolver {
+            options,
+            engine,
+            registry: Arc::default(),
+        }
     }
 
     /// Solve one [`FleetRequest`]; results come back in input order.
     /// Networks should share one topology (a
     /// [`gridsim_grid::scenario::ScenarioSet`] guarantees it) —
-    /// structurally divergent scenarios still solve correctly but cost
-    /// their lane extra symbolic analyses.
+    /// structurally divergent scenarios still solve correctly but cost one
+    /// more symbolic analysis per structure.
     ///
     /// With a [`StoreAccess::Live`] binding, every admission consults the
     /// store and seeds the lane from the nearest stored neighbor when that
@@ -286,9 +294,10 @@ impl IpmFleetSolver {
                 hits: AtomicUsize::new(0),
                 misses: AtomicUsize::new(0),
             }),
-            lane_symbolic: Mutex::default(),
+            registry: &self.registry,
         };
         let run = self.engine.run(&fleet, nets.len());
+        let (results, frozen) = bill_analyses(run.outputs);
         let store = fleet
             .store
             .as_ref()
@@ -298,19 +307,39 @@ impl IpmFleetSolver {
                 inserts: 0,
             });
         FleetReport {
-            results: run.outputs,
+            results,
             solve_time: run.solve_time,
             ticks: run.ticks,
             lanes: self.engine.total_lanes(nets.len()),
             store,
-            lane_symbolic: fleet
-                .lane_symbolic
-                .into_inner()
-                .expect("no lane panicked while recording its stats")
-                .into_values()
-                .collect(),
+            frozen,
         }
     }
+}
+
+/// Bill every analysis the run performed to the lowest-index scenario that
+/// declared its structure (which lane got there first is thread timing), and
+/// list the run's distinct frozen systems in first-appearance input order.
+fn bill_analyses(
+    outputs: Vec<(FleetScenarioResult, Option<Arc<FrozenSystem>>)>,
+) -> (Vec<FleetScenarioResult>, Vec<SymbolicStats>) {
+    let mut results: Vec<FleetScenarioResult> = Vec::with_capacity(outputs.len());
+    // Each distinct system with the first scenario that declared it.
+    let mut systems: Vec<(Arc<FrozenSystem>, usize)> = Vec::new();
+    for (i, (mut result, system)) in outputs.into_iter().enumerate() {
+        if let Some(system) = system {
+            match systems.iter().find(|(s, _)| Arc::ptr_eq(s, &system)) {
+                Some(&(_, first)) => {
+                    let analyses = std::mem::take(&mut result.report.symbolic_analyses);
+                    results[first].report.symbolic_analyses += analyses;
+                }
+                None => systems.push((system, i)),
+            }
+        }
+        results.push(result);
+    }
+    let frozen = systems.iter().map(|(s, _)| s.stats()).collect();
+    (results, frozen)
 }
 
 /// The store side of one fleet run: the frozen lookup snapshot, the
@@ -330,17 +359,12 @@ struct IpmFleet<'a> {
     options: &'a IpmOptions,
     nets: &'a [Network],
     store: Option<StoreBinding<'a>>,
-    /// Each lane's latest [`KktCache::symbolic_stats`], keyed by the
-    /// scenario that opened the lane (shards finish in any order; the key
-    /// makes the report's list independent of it).
-    lane_symbolic: Mutex<BTreeMap<usize, SymbolicStats>>,
+    registry: &'a Arc<FrozenRegistry>,
 }
 
-/// One lane: its symbolic-analysis cache, its warm-start carry, and the
-/// scenario currently admitted or just finished.
+/// One lane: its numeric workspace, its warm-start carry, and the scenario
+/// currently admitted or just finished.
 struct IpmLane {
-    /// The scenario the lane opened with: its identity within the run.
-    opened_by: usize,
     cache: KktCache,
     warm_x: Option<Vec<f64>>,
     warm_lambda: Option<Vec<f64>>,
@@ -350,14 +374,14 @@ struct IpmLane {
     /// load distance to the incoming scenario) to replace the carry.
     chain_scenario: Option<usize>,
     admitted: Option<usize>,
-    finished: Option<SolveReport>,
+    /// The finished solve's report and the frozen system it declared.
+    finished: Option<(SolveReport, Option<Arc<FrozenSystem>>)>,
 }
 
 impl IpmLane {
-    fn open(scenario: usize) -> IpmLane {
+    fn open(scenario: usize, registry: &Arc<FrozenRegistry>) -> IpmLane {
         IpmLane {
-            opened_by: scenario,
-            cache: KktCache::new(),
+            cache: KktCache::sharing(Arc::clone(registry)),
             warm_x: None,
             warm_lambda: None,
             warm_z: None,
@@ -376,12 +400,15 @@ struct IpmShard {
 
 impl LaneSolver for IpmFleet<'_> {
     type Shard = IpmShard;
-    type Output = FleetScenarioResult;
+    type Output = (FleetScenarioResult, Option<Arc<FrozenSystem>>);
 
     fn open_shard(&self, device: &Device, initial: &[usize]) -> IpmShard {
         IpmShard {
             device: device.clone(),
-            lanes: initial.iter().map(|&idx| IpmLane::open(idx)).collect(),
+            lanes: initial
+                .iter()
+                .map(|&idx| IpmLane::open(idx, self.registry))
+                .collect(),
         }
     }
 
@@ -409,12 +436,6 @@ impl LaneSolver for IpmFleet<'_> {
                 device: shard.device.clone(),
             };
             let report = solver.solve_with_cache(&nlp, &mut lane.cache);
-            if let Some(stats) = lane.cache.symbolic_stats() {
-                self.lane_symbolic
-                    .lock()
-                    .expect("no lane panicked while recording its stats")
-                    .insert(lane.opened_by, stats);
-            }
             lane.warm_x = Some(report.x.clone());
             lane.warm_lambda = Some(
                 report
@@ -426,26 +447,27 @@ impl LaneSolver for IpmFleet<'_> {
             );
             lane.warm_z = Some((report.zl.clone(), report.zu.clone()));
             lane.chain_scenario = Some(idx);
-            lane.finished = Some(report);
+            lane.finished = Some((report, lane.cache.frozen().cloned()));
             finished[s] = true;
         }
         finished
     }
 
-    fn extract(&self, shard: &mut IpmShard, slot: usize, scenario: usize) -> FleetScenarioResult {
-        let report = shard.lanes[slot]
+    fn extract(&self, shard: &mut IpmShard, slot: usize, scenario: usize) -> Self::Output {
+        let (report, system) = shard.lanes[slot]
             .finished
             .take()
             .expect("extract follows a finishing step");
         let net = &self.nets[scenario];
         let solution = AcopfNlp::new(net).to_solution(&report.x);
         let quality = SolutionQuality::evaluate(net, &solution);
-        FleetScenarioResult {
+        let result = FleetScenarioResult {
             name: net.name.clone(),
             solution,
             quality,
             report,
-        }
+        };
+        (result, system)
     }
 
     fn admit(&self, shard: &mut IpmShard, slot: usize, scenario: usize) {
@@ -493,7 +515,7 @@ mod tests {
     use gridsim_store::SolutionStore;
 
     #[test]
-    fn fleet_solves_a_load_ramp_and_pays_one_analysis_per_lane() {
+    fn fleet_solves_a_load_ramp_and_pays_one_analysis() {
         let nets = ScenarioSet::load_ramp(cases::case9(), 4, 0.98, 1.02)
             .networks()
             .unwrap();
@@ -503,12 +525,13 @@ mod tests {
         assert_eq!(fleet.results.len(), 4);
         assert!(fleet.all_optimal(), "a scenario failed to converge");
         assert_eq!(fleet.lanes, 2);
-        // 2 lanes for 4 scenarios: two symbolic analyses, not four — and
-        // both lanes froze the same condensed system.
-        assert_eq!(fleet.symbolic_analyses(), fleet.lanes);
-        assert_eq!(fleet.lane_symbolic.len(), fleet.lanes);
-        assert_eq!(fleet.lane_symbolic[0], fleet.lane_symbolic[1]);
-        assert!(fleet.lane_symbolic[0].lnz > 0 && fleet.lane_symbolic[0].levels > 1);
+        // 2 lanes on 2 devices for 4 scenarios of one structure: one
+        // symbolic analysis, billed to the first scenario, and one frozen
+        // system.
+        assert_eq!(fleet.symbolic_analyses(), 1);
+        assert_eq!(fleet.results[0].report.symbolic_analyses, 1);
+        assert_eq!(fleet.frozen.len(), 1);
+        assert!(fleet.frozen[0].lnz > 0 && fleet.frozen[0].levels > 1);
         assert!(fleet.factorizations() > fleet.symbolic_analyses());
         // Input-order results: the ramp's objectives rise with load.
         let objs: Vec<f64> = fleet.results.iter().map(|r| r.report.objective).collect();
@@ -550,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn default_options_fleet_pays_one_analysis_per_lane() {
+    fn default_options_fleet_pays_one_analysis_across_lanes() {
         let nets = ScenarioSet::load_ramp(cases::case9(), 2, 0.99, 1.01)
             .networks()
             .unwrap();
@@ -560,12 +583,41 @@ mod tests {
         )
         .run(FleetRequest::over(&nets));
         assert!(fleet.all_optimal());
-        // No lane cap: both scenarios open a lane, and each lane freezes
-        // its condensed system once.
+        // No lane cap: both scenarios open a lane, and the second lane
+        // adopts the system the first one froze.
         assert_eq!(fleet.lanes, 2);
-        assert_eq!(fleet.symbolic_analyses(), fleet.lanes);
-        assert_eq!(fleet.lane_symbolic.len(), fleet.lanes);
+        assert_eq!(fleet.symbolic_analyses(), 1);
+        assert_eq!(fleet.frozen.len(), 1);
         assert!(fleet.factorizations() > fleet.symbolic_analyses());
+    }
+
+    /// Lifting a line limit drops two inequality rows: another structure.
+    /// Alternating it with the base, a lane never re-analyzes, each
+    /// structure is billed once to its first scenario in every
+    /// configuration, and the report lists both systems in that order.
+    #[test]
+    fn alternating_structures_are_analyzed_once_each() {
+        let mut lifted = cases::case9();
+        lifted.branches[0].rate_a = 0.0;
+        let (base, lifted) = (cases::case9().compile().unwrap(), lifted.compile().unwrap());
+        let nets = [base.clone(), lifted.clone(), base, lifted];
+        for (devices, lanes) in [(1, Some(1)), (2, Some(1)), (1, None), (2, None)] {
+            let mut engine = Engine::with_pool(DevicePool::parallel(devices));
+            if let Some(l) = lanes {
+                engine = engine.with_lanes(l);
+            }
+            let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine)
+                .run(FleetRequest::over(&nets));
+            let config = format!("devices={devices} lanes={lanes:?}");
+            assert!(fleet.all_optimal(), "{config}");
+            let billed: Vec<usize> = fleet
+                .results
+                .iter()
+                .map(|r| r.report.symbolic_analyses)
+                .collect();
+            assert_eq!(billed, [1, 1, 0, 0], "{config}");
+            assert_eq!(fleet.frozen.len(), 2, "{config}");
+        }
     }
 
     #[test]

@@ -59,18 +59,23 @@
 //! factorization and the model evaluation, assembly and triangular solves
 //! around it. [`KktCache::symbolic_stats`] reports what was frozen.
 //!
-//! Warm-started re-solves of the same network (rolling-horizon tracking)
-//! reuse the same cache across periods, so a whole trajectory costs one
-//! symbolic analysis: each solve's declared structure is checked in place
-//! against the recorded slots, and located in the frozen pattern again only
-//! when its coordinates differ. A structure the pattern does not cover — a
-//! fleet lane moving to a scenario with other derivative coordinates —
-//! rebuilds the union of both patterns once and counts another analysis.
+//! The frozen system is a pure function of one declared structure, built
+//! once and never mutated: a [`KktCache`] holds it by `Arc` next to its own
+//! numeric workspace (the value buffers), and resolves a structure its
+//! frozen system does not describe through a registry of frozen systems
+//! keyed by the declared coordinates. Warm-started re-solves of the same
+//! network (rolling-horizon tracking) therefore cost one symbolic analysis
+//! per trajectory, a cache that alternates structures analyses each of
+//! them once, and the caches of an [`crate::IpmFleetSolver`]'s lanes share
+//! the solver's registry, so a whole fleet pays one analysis per distinct
+//! structure — and a solve's bits never depend on what its cache solved
+//! before.
 
 use crate::kkt::KktDims;
 use crate::nlp::hessian_has_both_triangles;
 use gridsim_batch::DeviceStats;
 use gridsim_sparse::{Coo, Csc, LdlFactor, LdlOptions, LdlSymbolic, SparseError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The linear-algebra path of each Newton step. It has one value: the enum
 /// and [`crate::IpmOptions::kkt_strategy`] remain only because the `perf`
@@ -151,10 +156,12 @@ impl CondensedFactor {
     }
 }
 
-/// Frozen condensed structure: pattern, slot maps, and the reusable symbolic
-/// factorization.
-#[derive(Debug, Clone)]
-struct CondensedStructure {
+/// The frozen condensed system of one declared derivative structure:
+/// pattern, slot maps, and the reusable symbolic factorization. Built by
+/// [`FrozenSystem::analyze`] from the structure alone and immutable after,
+/// so every cache that declares the structure shares one by `Arc`.
+#[derive(Debug)]
+pub(crate) struct FrozenSystem {
     dims: KktDims,
     ncond: usize,
     /// Slot of every diagonal entry `(i, i)`.
@@ -163,11 +170,11 @@ struct CondensedStructure {
     /// the single copy of the full-symmetric CSC structure slot lookups run
     /// against.
     ldl: LdlSymbolic,
-    /// Factorization options, built once per structure: the expected pivot
-    /// signs (`+1` on the variable block, `−1` on the equality-dual block)
-    /// never change, and the pivot thresholds are overwritten per call.
+    /// Factorization options carrying the expected pivot signs (`+1` on the
+    /// variable block, `−1` on the equality-dual block); a cache copies them
+    /// when it adopts the system and overwrites the thresholds per call.
     opts: LdlOptions,
-    /// Where the current NLP's declared triplets land in the pattern.
+    /// Where the structure's declared triplets land in the pattern.
     slots: SlotMap,
 }
 
@@ -315,21 +322,177 @@ impl SlotMap {
     }
 }
 
-/// Reusable condensed-KKT state: survives across Newton iterations of one
-/// solve and across warm-started re-solves of structurally identical NLPs
-/// (rolling-horizon tracking), so the symbolic analysis is paid once.
+impl FrozenSystem {
+    /// Freeze the pattern a declared structure implies (the Hessian, both
+    /// `J_E` blocks, every variable pair sharing an inequality row, the
+    /// diagonal), analyze it and locate the structure in it. `None` when the
+    /// Hessian breaks the [`Nlp`](crate::Nlp) contract by carrying an
+    /// off-diagonal coordinate without its transpose.
+    fn analyze(
+        dims: &KktDims,
+        hess: &Coo,
+        jac_eq: &Coo,
+        jac_ineq: &Coo,
+        analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
+    ) -> Option<FrozenSystem> {
+        if !hessian_has_both_triangles(hess) {
+            return None;
+        }
+        let ncond = dims.nx + dims.m_eq;
+        let mut rows = Vec::new();
+        let mut cols = Vec::new();
+        // Every diagonal entry exists (barrier + regularization on the
+        // variable block, −δ_c′ on the equality-dual block).
+        for i in 0..ncond {
+            rows.push(i);
+            cols.push(i);
+        }
+        for t in 0..hess.nnz() {
+            rows.push(hess.rows[t]);
+            cols.push(hess.cols[t]);
+        }
+        for t in 0..jac_eq.nnz() {
+            let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
+            rows.push(r);
+            cols.push(c);
+            rows.push(c);
+            cols.push(r);
+        }
+        // J_Iᵀ C J_I couples every pair of variables that share an
+        // inequality row.
+        let ineq = IneqRows::group(jac_ineq, dims.m_ineq);
+        for r in 0..dims.m_ineq {
+            for &cp in ineq.row(r) {
+                for &cq in ineq.row(r) {
+                    rows.push(cp);
+                    cols.push(cq);
+                }
+            }
+        }
+        let vals = vec![0.0; rows.len()];
+        let pattern = Csc::from_triplets(ncond, ncond, &rows, &cols, &vals);
+        let diag_slots: Vec<usize> = (0..ncond)
+            .map(|i| slot(&pattern.colptr, &pattern.rowind, i, i).expect("diagonal in pattern"))
+            .collect();
+        let ldl = analyze(&pattern).expect("condensed pattern analyzes");
+        let slots = SlotMap::locate(&ldl, dims, hess, jac_eq, jac_ineq)
+            .expect("the pattern covers the structure it was built from");
+        let mut expected_signs = vec![1i8; dims.nx];
+        expected_signs.extend(std::iter::repeat_n(-1i8, dims.m_eq));
+        Some(FrozenSystem {
+            dims: *dims,
+            ncond,
+            diag_slots,
+            ldl,
+            opts: LdlOptions {
+                expected_signs,
+                ..Default::default()
+            },
+            slots,
+        })
+    }
+
+    /// Whether this system was frozen for exactly the declared structure.
+    fn describes(&self, dims: &KktDims, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) -> bool {
+        self.dims == *dims
+            && self
+                .slots
+                .describes(&self.ldl, dims, hess, jac_eq, jac_ineq)
+    }
+
+    /// The system's symbolic figures.
+    pub(crate) fn stats(&self) -> SymbolicStats {
+        SymbolicStats {
+            dim: self.ncond,
+            nnz: self.ldl.nnz(),
+            lnz: self.ldl.lnz(),
+            levels: self.ldl.num_levels(),
+            supernodes: self.ldl.num_supernodes(),
+            dense_tail: self.ncond - self.ldl.tail_start(),
+        }
+    }
+}
+
+/// The frozen systems every cache sharing the registry has resolved, one
+/// per distinct declared structure, keyed by [`structure_hash`] and
+/// confirmed coordinate by coordinate. It only ever appends immutable
+/// `Arc`s, so a lane that panicked while holding the lock left nothing
+/// half-written and the lock's poison is ignored.
+#[derive(Debug, Default)]
+pub(crate) struct FrozenRegistry {
+    systems: Mutex<Vec<(u64, Arc<FrozenSystem>)>>,
+}
+
+impl FrozenRegistry {
+    /// The frozen system of the declared structure, analyzed under the lock
+    /// on first request so that each structure is analyzed exactly once,
+    /// with whether this call analyzed it. `None` when
+    /// [`FrozenSystem::analyze`] refuses the Hessian.
+    fn resolve(
+        &self,
+        dims: &KktDims,
+        hess: &Coo,
+        jac_eq: &Coo,
+        jac_ineq: &Coo,
+        analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
+    ) -> Option<(Arc<FrozenSystem>, bool)> {
+        let key = structure_hash(dims, hess, jac_eq, jac_ineq);
+        let mut systems = self.systems.lock().unwrap_or_else(PoisonError::into_inner);
+        let known = systems
+            .iter()
+            .find(|(k, s)| *k == key && s.describes(dims, hess, jac_eq, jac_ineq));
+        if let Some((_, system)) = known {
+            return Some((Arc::clone(system), false));
+        }
+        let system = Arc::new(FrozenSystem::analyze(
+            dims, hess, jac_eq, jac_ineq, analyze,
+        )?);
+        systems.push((key, Arc::clone(&system)));
+        Some((system, true))
+    }
+}
+
+/// FNV-1a over whole words of the dimensions and the declared coordinates
+/// (each block prefixed by its triplet count).
+fn structure_hash(dims: &KktDims, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let coordinates = [hess, jac_eq, jac_ineq].into_iter().flat_map(|coo| {
+        std::iter::once(coo.nnz())
+            .chain(coo.rows.iter().copied())
+            .chain(coo.cols.iter().copied())
+    });
+    [dims.nx, dims.m_eq, dims.m_ineq]
+        .into_iter()
+        .chain(coordinates)
+        .fold(FNV_OFFSET, |h, w| (h ^ w as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// Reusable condensed-KKT state: the shared frozen system of the structure
+/// last declared, and the numeric workspace every Newton step assembles and
+/// factorizes in. It survives across Newton iterations of one solve and
+/// across warm-started re-solves (rolling-horizon tracking), so the
+/// symbolic analysis is paid once per structure.
 #[derive(Debug, Clone, Default)]
 pub struct KktCache {
-    structure: Option<CondensedStructure>,
+    /// The frozen system of the last structure [`Self::ensure_structure`]
+    /// accepted; `None` before the first one and after a refusal.
+    frozen: Option<Arc<FrozenSystem>>,
+    /// Where a structure the frozen system does not describe is resolved:
+    /// the cache's own registry, or the one its fleet solver shares.
+    registry: Arc<FrozenRegistry>,
     symbolic_analyses: usize,
     numeric_refactorizations: usize,
+    /// The frozen system's options with the thresholds of the latest
+    /// factorization.
+    opts: LdlOptions,
     /// The buffer the next Newton step assembles its values into.
     values: Vec<f64>,
     /// The inequality Jacobian's merged entry values of the step being
     /// assembled.
     ineq_values: Vec<f64>,
     /// The value slice of the most recent successful numeric
-    /// refactorization (its options are the structure's), retained so
+    /// refactorization (its options are `opts`), retained so
     /// [`Self::refactor_microbench`] can time the scalar replay against the
     /// production refactorization on a genuine production matrix. It trades
     /// places with `values` after every successful refactorization, so
@@ -386,15 +549,25 @@ impl RefactorMicrobench {
 }
 
 impl KktCache {
-    /// An empty cache (no analysis performed yet).
+    /// An empty cache with a registry of its own (no analysis performed
+    /// yet).
     pub fn new() -> KktCache {
         KktCache::default()
     }
 
-    /// Symbolic analyses performed through this cache so far. One per NLP —
-    /// or per *family* of NLPs sharing a structure, when the cache is reused
-    /// across tracking periods — plus one per declared structure the frozen
-    /// pattern did not cover.
+    /// An empty cache that resolves structures through `registry`, shared
+    /// with every other cache built on it.
+    pub(crate) fn sharing(registry: Arc<FrozenRegistry>) -> KktCache {
+        KktCache {
+            registry,
+            ..KktCache::default()
+        }
+    }
+
+    /// Symbolic analyses performed through this cache so far: one per
+    /// distinct structure it was the first to declare to its registry, so a
+    /// cache reused across tracking periods pays one for the whole
+    /// trajectory.
     pub fn symbolic_analyses(&self) -> usize {
         self.symbolic_analyses
     }
@@ -404,36 +577,32 @@ impl KktCache {
         self.numeric_refactorizations
     }
 
-    /// Symbolic figures of the currently frozen condensed system; `None`
-    /// before the first analysis.
+    /// Symbolic figures of the frozen condensed system of the structure
+    /// last declared; `None` before the first one.
     pub fn symbolic_stats(&self) -> Option<SymbolicStats> {
-        self.structure.as_ref().map(|s| SymbolicStats {
-            dim: s.ncond,
-            nnz: s.ldl.nnz(),
-            lnz: s.ldl.lnz(),
-            levels: s.ldl.num_levels(),
-            supernodes: s.ldl.num_supernodes(),
-            dense_tail: s.ncond - s.ldl.tail_start(),
-        })
+        self.frozen.as_ref().map(|s| s.stats())
+    }
+
+    /// The frozen system of the last accepted structure.
+    pub(crate) fn frozen(&self) -> Option<&Arc<FrozenSystem>> {
+        self.frozen.as_ref()
     }
 
     /// Take an NLP's declared derivative structure — the triplet coordinates
     /// of its Hessian and both Jacobians, from
     /// [`Nlp::hessian_structure`](crate::Nlp::hessian_structure) and the
-    /// Jacobian counterparts; values are ignored — and record where each
-    /// triplet lands in the frozen pattern. Call once per solve, before the
-    /// first [`Self::factorize_condensed`]. The recorded slots are kept when
-    /// they already describe the structure (the next solve of a lane), and
-    /// the structure is located again when the pattern covers it; otherwise
-    /// the pattern is rebuilt as the union of the old pattern (same
-    /// dimensions only) and the structure's, at the cost of one symbolic
-    /// analysis.
+    /// Jacobian counterparts; values are ignored — and adopt the frozen
+    /// system that records where each triplet lands in the pattern. Call
+    /// once per solve, before the first [`Self::factorize_condensed`]. The
+    /// held system is kept when it already describes the structure (the next
+    /// solve of a lane); otherwise the registry supplies the one frozen for
+    /// these coordinates, analyzing it — one symbolic analysis — only if no
+    /// cache sharing the registry has declared them before.
     ///
-    /// Returns `false`, recording nothing, when the Hessian breaks the
-    /// [`Nlp`](crate::Nlp) contract by carrying an off-diagonal coordinate
-    /// without its transpose. The check runs wherever a structure is
-    /// located or rebuilt, so every recorded structure has passed it, and a
-    /// re-declared one the slots already describe skips it.
+    /// Returns `false`, leaving the cache without a system, when the Hessian
+    /// breaks the [`Nlp`](crate::Nlp) contract by carrying an off-diagonal
+    /// coordinate without its transpose. Every registered structure has
+    /// passed that check, so a re-declared one skips it.
     #[must_use]
     pub fn ensure_structure(
         &mut self,
@@ -458,105 +627,22 @@ impl KktCache {
         analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
     ) -> bool {
         assert_eq!(dims.ns, dims.m_ineq, "one slack per inequality");
-        let recorded = self.structure.as_mut().filter(|s| s.dims == *dims);
-        if let Some(s) = &recorded {
-            if s.slots.describes(&s.ldl, dims, hess, jac_eq, jac_ineq) {
+        if let Some(s) = &self.frozen {
+            if s.describes(dims, hess, jac_eq, jac_ineq) {
                 return true;
             }
         }
-        if !hessian_has_both_triangles(hess) {
+        let Some((system, analyzed)) = self.registry.resolve(dims, hess, jac_eq, jac_ineq, analyze)
+        else {
+            self.frozen = None;
             return false;
-        }
-        if let Some(s) = recorded {
-            if let Some(slots) = SlotMap::locate(&s.ldl, dims, hess, jac_eq, jac_ineq) {
-                s.slots = slots;
-                return true;
-            }
-        }
-        self.rebuild(dims, hess, jac_eq, jac_ineq, analyze);
-        true
-    }
-
-    /// Rebuild the frozen pattern as the union of the previous pattern (when
-    /// the dimensions still match) and the coordinates the declared
-    /// structure requires, re-analyze it and locate the structure in it.
-    /// Counts one symbolic analysis.
-    fn rebuild(
-        &mut self,
-        dims: &KktDims,
-        hess: &Coo,
-        jac_eq: &Coo,
-        jac_ineq: &Coo,
-        analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
-    ) {
-        let ncond = dims.nx + dims.m_eq;
-        let mut rows = Vec::new();
-        let mut cols = Vec::new();
-        // Carry the previous pattern forward so alternating structures
-        // cannot thrash the analysis.
-        if let Some(s) = &self.structure {
-            if s.dims == *dims {
-                let (colptr, rowind) = s.ldl.pattern();
-                for j in 0..s.ncond {
-                    for &r in &rowind[colptr[j]..colptr[j + 1]] {
-                        rows.push(r);
-                        cols.push(j);
-                    }
-                }
-            }
-        }
-        // Every diagonal entry exists (barrier + regularization on the
-        // variable block, −δ_c′ on the equality-dual block).
-        for i in 0..ncond {
-            rows.push(i);
-            cols.push(i);
-        }
-        for t in 0..hess.nnz() {
-            rows.push(hess.rows[t]);
-            cols.push(hess.cols[t]);
-        }
-        for t in 0..jac_eq.nnz() {
-            let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
-            rows.push(r);
-            cols.push(c);
-            rows.push(c);
-            cols.push(r);
-        }
-        // J_Iᵀ C J_I couples every pair of variables that share an
-        // inequality row.
-        let ineq = IneqRows::group(jac_ineq, dims.m_ineq);
-        for r in 0..dims.m_ineq {
-            for &cp in ineq.row(r) {
-                for &cq in ineq.row(r) {
-                    rows.push(cp);
-                    cols.push(cq);
-                }
-            }
-        }
-        let vals = vec![0.0; rows.len()];
-        let pattern = Csc::from_triplets(ncond, ncond, &rows, &cols, &vals);
-        let diag_slots: Vec<usize> = (0..ncond)
-            .map(|i| slot(&pattern.colptr, &pattern.rowind, i, i).expect("diagonal in pattern"))
-            .collect();
-        let ldl = analyze(&pattern).expect("condensed pattern analyzes");
-        let slots = SlotMap::locate(&ldl, dims, hess, jac_eq, jac_ineq)
-            .expect("the pattern covers the structure it was built from");
-        let mut expected_signs = vec![1i8; dims.nx];
-        expected_signs.extend(std::iter::repeat_n(-1i8, dims.m_eq));
-        self.structure = Some(CondensedStructure {
-            dims: *dims,
-            ncond,
-            diag_slots,
-            ldl,
-            opts: LdlOptions {
-                expected_signs,
-                ..Default::default()
-            },
-            slots,
-        });
-        // The retained values belong to the pattern just replaced.
+        };
+        self.symbolic_analyses += usize::from(analyzed);
+        self.opts = system.opts.clone();
+        self.frozen = Some(system);
+        // The retained values belong to the system just replaced.
         self.last_numeric = None;
-        self.symbolic_analyses += 1;
+        true
     }
 
     /// Factorize the condensed system for the given iteration data: the
@@ -581,8 +667,8 @@ impl KktCache {
         pivot_reg: f64,
     ) -> Result<CondensedFactor, SparseError> {
         let s = self
-            .structure
-            .as_mut()
+            .frozen
+            .as_deref()
             .expect("ensure_structure declares the derivative structure first");
         let dims = s.dims;
         assert_eq!(sigma.len(), dims.nv(), "sigma must cover x and s blocks");
@@ -607,10 +693,10 @@ impl KktCache {
         );
 
         // Numeric-only refactorization over the frozen pattern.
-        s.opts.pivot_tol = pivot_tol;
-        s.opts.pivot_reg = pivot_reg;
+        self.opts.pivot_tol = pivot_tol;
+        self.opts.pivot_reg = pivot_reg;
         let start = std::time::Instant::now();
-        let factor = s.ldl.refactor_dense_tail(&self.values, &s.opts);
+        let factor = s.ldl.refactor_dense_tail(&self.values, &self.opts);
         stats.record_launch("ldl_refactor_level", s.ncond as u64, start.elapsed());
         let factor = factor?;
         self.numeric_refactorizations += 1;
@@ -634,9 +720,9 @@ impl KktCache {
     /// each, and verify the two produce bit-identical factors. Returns
     /// `None` before the first factorization.
     pub fn refactor_microbench(&self, repeats: usize) -> Option<RefactorMicrobench> {
-        let s = self.structure.as_ref()?;
+        let s = self.frozen.as_ref()?;
         let vals = self.last_numeric.as_ref()?;
-        let opts = &s.opts;
+        let opts = &self.opts;
         let scalar = s.ldl.refactor(vals, opts).ok()?;
         let production = s.ldl.refactor_dense_tail(vals, opts).ok()?;
         let bitwise_identical = factor_bits(&scalar) == factor_bits(&production);
@@ -660,7 +746,7 @@ impl KktCache {
     }
 }
 
-impl CondensedStructure {
+impl FrozenSystem {
     /// Write the condensed matrix's values into `out` (sized to the
     /// pattern) through the recorded slots, adding the contributions in the
     /// order the triplets were declared: the Hessian, the barrier diagonal,
@@ -839,7 +925,7 @@ mod tests {
             delta_w: f64,
             delta_c: f64,
         ) -> Option<Vec<f64>> {
-            let s = self.structure.as_ref()?;
+            let s = self.frozen.as_deref()?;
             let nx = s.dims.nx;
             let delta_cc = delta_c.max(1e-12);
             let (colptr, rowind) = s.ldl.pattern();
@@ -1027,12 +1113,12 @@ mod tests {
     }
 
     /// A lane's next solve declares the structure the cache already holds:
-    /// the recorded slots pass the in-place check and are kept — the very
-    /// map locating the structure again would build. The same triplets
-    /// declared in another order fail it and are located again, with no new
-    /// analysis.
+    /// the frozen system passes the in-place check and is kept — its slots
+    /// the very map locating the structure again would build. The same
+    /// triplets declared in another order are another structure: analyzed on
+    /// first declaration, found in the registry ever after.
     #[test]
-    fn a_redeclared_structure_keeps_its_slots() {
+    fn a_redeclared_structure_keeps_its_frozen_system() {
         use crate::nlp::Nlp;
         let net = gridsim_grid::cases::case14().compile().unwrap();
         let nlp = crate::AcopfNlp::new(&net);
@@ -1047,10 +1133,11 @@ mod tests {
         let jac_ineq = nlp.ineq_jacobian_structure();
         let mut cache = KktCache::new();
         assert!(cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
-        let s = cache.structure.as_ref().unwrap();
-        assert!(s.slots.describes(&s.ldl, &dims, &hess, &jac_eq, &jac_ineq));
-        let located = SlotMap::locate(&s.ldl, &dims, &hess, &jac_eq, &jac_ineq);
-        assert_eq!(located.as_ref(), Some(&s.slots));
+        let first = Arc::clone(cache.frozen().unwrap());
+        let located = SlotMap::locate(&first.ldl, &dims, &hess, &jac_eq, &jac_ineq);
+        assert_eq!(located.as_ref(), Some(&first.slots));
+        assert!(cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+        assert!(Arc::ptr_eq(cache.frozen().unwrap(), &first));
 
         let reversed = |coo: &Coo| {
             let mut out = Coo::new(coo.nrows, coo.ncols);
@@ -1065,57 +1152,112 @@ mod tests {
             (&hess, &re, &jac_ineq),
             (&hess, &jac_eq, &ri),
         ] {
-            assert!(!s.slots.describes(&s.ldl, &dims, h, e, i));
+            assert!(!first.describes(&dims, h, e, i));
         }
         assert!(cache.ensure_structure(&dims, &rh, &re, &ri));
-        let s = cache.structure.as_ref().unwrap();
-        assert!(s.slots.describes(&s.ldl, &dims, &rh, &re, &ri));
-        assert_eq!(cache.symbolic_analyses(), 1);
+        let second = Arc::clone(cache.frozen().unwrap());
+        assert!(second.describes(&dims, &rh, &re, &ri));
+        assert_eq!(cache.symbolic_analyses(), 2);
+        for (h, e, i, system) in [
+            (&hess, &jac_eq, &jac_ineq, &first),
+            (&rh, &re, &ri, &second),
+        ] {
+            assert!(cache.ensure_structure(&dims, h, e, i));
+            assert!(Arc::ptr_eq(cache.frozen().unwrap(), system));
+        }
+        assert_eq!(cache.symbolic_analyses(), 2);
 
         // The upper triangle of the same Hessian breaks the `Nlp` contract:
-        // refused, and the recorded slots stay those of the last structure.
+        // refused, leaving the cache without a system, and the structure
+        // declared next is found in the registry.
         let mut upper = Coo::new(hess.nrows, hess.ncols);
         for t in (0..hess.nnz()).filter(|&t| hess.rows[t] <= hess.cols[t]) {
             upper.push(hess.rows[t], hess.cols[t], 0.0);
         }
         assert!(!cache.ensure_structure(&dims, &upper, &re, &ri));
-        let s = cache.structure.as_ref().unwrap();
-        assert!(s.slots.describes(&s.ldl, &dims, &rh, &re, &ri));
-        assert_eq!(cache.symbolic_analyses(), 1);
+        assert!(cache.frozen().is_none());
+        assert!(cache.ensure_structure(&dims, &rh, &re, &ri));
+        assert!(Arc::ptr_eq(cache.frozen().unwrap(), &second));
+        assert_eq!(cache.symbolic_analyses(), 2);
     }
 
+    /// A cache's answer does not depend on what it solved before: structure
+    /// A, then B (A's Hessian plus a (0,2)/(2,0) coupling no inequality row
+    /// shares), then A again, all from the same values. Each structure is
+    /// analyzed once, and both A solves factorize and step to the same bits
+    /// — which a union of both patterns, reordering A, would not.
     #[test]
-    fn pattern_growth_rebuilds_union_structure_once() {
+    fn a_structure_solves_to_the_same_bits_whatever_came_before() {
         let dims = small_dims();
         let (hess, sigma, jac_eq, jac_ineq) = small_problem();
+        let mut coupled = hess.clone();
+        coupled.push(0, 2, 0.25);
+        coupled.push(2, 0, 0.25);
+        let rhs: Vec<f64> = (0..dims.dim()).map(|i| (i as f64 * 0.7).sin()).collect();
         let mut cache = KktCache::new();
-        let rhs = vec![1.0; dims.dim()];
-        // Freeze the pattern of a structure with a diagonal Hessian.
-        let mut diagonal = Coo::new(3, 3);
-        diagonal.push(0, 0, 4.0);
-        diagonal.push(1, 1, 3.0);
-        diagonal.push(2, 2, 5.0);
-        newton_step(
-            &mut cache, &dims, &diagonal, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
-        );
-        assert_eq!(cache.symbolic_analyses(), 1);
-        // A structure whose Hessian couples what no inequality row shares —
-        // (0,2)/(2,0) — grows the pattern: one rebuild. (The (0,1) coupling
-        // of the standard Hessian is already covered by inequality row 0's
-        // product block.)
-        let mut hess = hess;
-        hess.push(0, 2, 0.25);
-        hess.push(2, 0, 0.25);
-        newton_step(
-            &mut cache, &dims, &hess, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
-        );
+        let mut solve = |hess: &Coo| {
+            let (factor, step) = newton_step(
+                &mut cache, &dims, hess, &sigma, &jac_eq, &jac_ineq, 1e-6, 1e-8, &rhs,
+            );
+            (factor_bits(&factor.factor), bits(&step))
+        };
+        let first = solve(&hess);
+        solve(&coupled);
+        assert_eq!(solve(&hess), first);
         assert_eq!(cache.symbolic_analyses(), 2);
-        // And the union pattern keeps covering the diagonal structure
-        // afterwards.
-        newton_step(
-            &mut cache, &dims, &diagonal, &sigma, &jac_eq, &jac_ineq, 0.0, 1e-8, &rhs,
-        );
-        assert_eq!(cache.symbolic_analyses(), 2);
+    }
+
+    /// Caches sharing a registry share its frozen systems: the second to
+    /// declare a structure adopts the first one's system without an
+    /// analysis, and a one-triangle Hessian of the same dimensions is still
+    /// refused while the registry holds a valid structure.
+    #[test]
+    fn caches_sharing_a_registry_analyze_each_structure_once() {
+        let dims = small_dims();
+        let (hess, _, jac_eq, jac_ineq) = small_problem();
+        let registry = Arc::new(FrozenRegistry::default());
+        let mut a = KktCache::sharing(Arc::clone(&registry));
+        let mut b = KktCache::sharing(Arc::clone(&registry));
+        assert!(a.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+        assert!(b.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+        assert!(Arc::ptr_eq(a.frozen().unwrap(), b.frozen().unwrap()));
+        assert_eq!((a.symbolic_analyses(), b.symbolic_analyses()), (1, 0));
+
+        let mut upper = Coo::new(hess.nrows, hess.ncols);
+        for t in (0..hess.nnz()).filter(|&t| hess.rows[t] <= hess.cols[t]) {
+            upper.push(hess.rows[t], hess.cols[t], hess.vals[t]);
+        }
+        let mut c = KktCache::sharing(registry);
+        assert!(!c.ensure_structure(&dims, &upper, &jac_eq, &jac_ineq));
+        assert!(c.frozen().is_none());
+        assert_eq!(c.symbolic_analyses(), 0);
+    }
+
+    /// A lane that panics while holding the registry's lock poisons it; the
+    /// registry only appends immutable systems, so later lanes ignore the
+    /// poison and still resolve the same frozen system.
+    #[test]
+    fn a_panicking_lane_cannot_poison_the_registry() {
+        let dims = small_dims();
+        let (hess, _, jac_eq, jac_ineq) = small_problem();
+        let registry = Arc::new(FrozenRegistry::default());
+        let mut cache = KktCache::sharing(Arc::clone(&registry));
+        assert!(cache.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+        let poisoner = Arc::clone(&registry);
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.systems.lock().unwrap();
+            panic!("a lane panics while holding the registry");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(registry.systems.is_poisoned());
+        let mut later = KktCache::sharing(registry);
+        assert!(later.ensure_structure(&dims, &hess, &jac_eq, &jac_ineq));
+        assert!(Arc::ptr_eq(
+            later.frozen().unwrap(),
+            cache.frozen().unwrap()
+        ));
+        assert_eq!(later.symbolic_analyses(), 0);
     }
 
     #[test]
@@ -1474,7 +1616,8 @@ mod tests {
             );
             assert_eq!(produced.inertia, (dims.nx, dims.m_eq, 0), "{name}");
 
-            let s = cache.structure.as_ref().unwrap();
+            let s = cache.frozen.as_deref().unwrap();
+            let opts = &cache.opts;
             let (colptr, rowind) = s.ldl.pattern();
             let matrix = Csc {
                 nrows: s.ncond,
@@ -1483,13 +1626,12 @@ mod tests {
                 rowind: rowind.to_vec(),
                 values: cache.last_numeric.clone().unwrap(),
             };
-            let fresh =
-                LdlFactor::factorize_with(&matrix, s.ldl.ordering().clone(), &s.opts).unwrap();
+            let fresh = LdlFactor::factorize_with(&matrix, s.ldl.ordering().clone(), opts).unwrap();
             let want = factor_bits(&fresh);
             assert_eq!(factor_bits(&produced.factor), want, "{name}");
-            let scalar = s.ldl.refactor(&matrix.values, &s.opts).unwrap();
+            let scalar = s.ldl.refactor(&matrix.values, opts).unwrap();
             assert_eq!(factor_bits(&scalar), want, "{name}");
-            let dense_tail = s.ldl.refactor_dense_tail(&matrix.values, &s.opts).unwrap();
+            let dense_tail = s.ldl.refactor_dense_tail(&matrix.values, opts).unwrap();
             assert_eq!(factor_bits(&dense_tail), want, "{name}");
         }
     }

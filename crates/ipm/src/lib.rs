@@ -33,7 +33,8 @@
 //! * [`kkt_condensed`] — the condensed-space step with symbolic reuse,
 //! * [`solver`] — the interior-point iteration,
 //! * [`fleet`] — the scenario fleet driver on the execution engine (one
-//!   warm-start chain and one [`KktCache`] per lane),
+//!   warm-start chain and one [`KktCache`] per lane, one frozen condensed
+//!   system per structure shared by all of them),
 //! * [`report`] — iteration log and result types.
 
 pub mod acopf_nlp;

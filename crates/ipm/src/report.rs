@@ -75,9 +75,11 @@ pub struct SolveReport {
     /// ACOPF.
     pub factorizations: usize,
     /// Symbolic analyses performed during this solve: the frozen condensed
-    /// pattern is analyzed once per NLP (plus rare structural-growth
-    /// rebuilds), and none at all when a reused [`crate::KktCache`] already
-    /// holds it; every factorization after that is numeric-only.
+    /// pattern is analyzed once per distinct declared structure, and none at
+    /// all when a reused [`crate::KktCache`] (or, in a fleet, any lane of
+    /// the solver) already froze it; every factorization after that is
+    /// numeric-only. A fleet bills each analysis to the lowest-index
+    /// scenario of the run that declared the structure.
     pub symbolic_analyses: usize,
     /// Trial steps rejected by the (φ, θ) filter line search (each rejection
     /// halves the step length or triggers a second-order correction).

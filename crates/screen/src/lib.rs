@@ -495,6 +495,35 @@ mod tests {
         }
         let iterations: Vec<usize> = r.results.iter().map(|res| res.report.iterations).collect();
         assert_eq!(iterations, [10, 10]);
+        // One analysis per distinct declared structure among the graduates,
+        // billed to the first graduate of each.
+        use gridsim_ipm::Nlp;
+        let mut structures = Vec::new();
+        let mut first_of_structure = Vec::new();
+        for &i in &report.graduated {
+            let nlp = AcopfNlp::new(&nets[i]);
+            let coordinates: Vec<Vec<usize>> = [
+                nlp.hessian_structure(),
+                nlp.eq_jacobian_structure(),
+                nlp.ineq_jacobian_structure(),
+            ]
+            .into_iter()
+            .flat_map(|coo| [coo.rows, coo.cols])
+            .collect();
+            let first = !structures.contains(&coordinates);
+            if first {
+                structures.push(coordinates);
+            }
+            first_of_structure.push(first);
+        }
+        let billed: Vec<bool> = r
+            .results
+            .iter()
+            .map(|res| res.report.symbolic_analyses == 1)
+            .collect();
+        assert_eq!(billed, first_of_structure);
+        assert_eq!(r.symbolic_analyses(), structures.len());
+        assert_eq!(r.frozen.len(), structures.len());
     }
 
     #[test]

@@ -95,9 +95,10 @@ fn drains_jobs_and_reports_status() {
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
 }
 
-/// An IPM chunk reuses its lane's symbolic analysis like every other fleet
-/// caller: a scenario's Newton steps replay one frozen analysis instead of
-/// analysing afresh per factorization.
+/// An IPM chunk shares one symbolic analysis like every other fleet
+/// caller: its scenarios run on a lane each, and every lane's Newton steps
+/// replay the one frozen system of the chunk's single structure, billed to
+/// its first scenario.
 #[test]
 fn ipm_chunk_reuses_its_symbolic_analysis() {
     let spec = JobSpec::new(
@@ -110,6 +111,7 @@ fn ipm_chunk_reuses_its_symbolic_analysis() {
     let stores = FrozenStores::freeze(&SolutionStore::new(), &SolutionStore::new());
     let outcome = run_chunk(&spec, &nets, &[0, 1, 2], &stores);
     assert_eq!(outcome.scenarios.len(), 3);
+    let mut billed = Vec::new();
     for s in &outcome.scenarios {
         assert!(s.converged, "scenario {}", s.index);
         let r = gridsim_ipm::FleetScenarioResult::from_value(&s.result).unwrap();
@@ -120,7 +122,9 @@ fn ipm_chunk_reuses_its_symbolic_analysis() {
             r.report.symbolic_analyses,
             r.report.factorizations
         );
+        billed.push(r.report.symbolic_analyses);
     }
+    assert_eq!(billed, [1, 0, 0], "one analysis for the chunk");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration suite for the interior-point scenario fleet on the
-//! execution engine: per-lane symbolic-analysis economics, warm-start
-//! chaining, the sequential-loop identity, and the env-driven device count
-//! the CI matrix sweeps (`GRIDSIM_DEVICES=1|2|4`).
+//! execution engine: one symbolic analysis per structure shared by every
+//! lane and run, warm-start chaining, the sequential-loop identity, and the
+//! env-driven device count the CI matrix sweeps (`GRIDSIM_DEVICES=1|2|4`).
 //!
 //! The fleet's anchor invariants, both proptest-guarded below:
 //!
@@ -11,11 +11,13 @@
 //!   multipliers — the engine adds exactly nothing to the arithmetic,
 //! * across **any device/lane configuration** the per-scenario reports
 //!   stay *report-identical to solver tolerance*: every scenario optimal,
-//!   same objective to tolerance, while symbolic analyses equal the lane
-//!   count of the configuration (not the scenario count).
+//!   same objective to tolerance, while symbolic analyses equal the number
+//!   of distinct structures (one for a load ramp), billed to the same
+//!   scenarios in every configuration.
 
 use gridadmm::prelude::*;
 use gridsim_engine::{plan, FleetRequest};
+use gridsim_ipm::{IpmStatus, SolveReport};
 use proptest::prelude::*;
 
 /// The fleet built from the environment honors the device count and the
@@ -45,7 +47,7 @@ fn env_engine_fleet_honors_gridsim_devices() {
     assert_eq!(fleet.results.len(), 4);
     assert!(fleet.all_optimal());
     assert_eq!(fleet.lanes, solver.engine.total_lanes(4));
-    assert_eq!(fleet.symbolic_analyses(), fleet.lanes);
+    assert_eq!(fleet.symbolic_analyses(), 1);
 }
 
 /// A 1-scenario fleet reproduces a plain `IpmSolver::solve` bitwise — the
@@ -70,32 +72,63 @@ fn k1_fleet_equals_single_solve() {
     }
 }
 
-/// Symbolic analyses scale with the configuration's lane count — asserted
-/// against the engine's own admission-plan arithmetic, not a re-derived
-/// round-robin.
+/// The bits of everything a solve reports except its analysis count.
+fn report_bits(r: &SolveReport) -> (IpmStatus, usize, usize, Vec<u64>) {
+    let bits = [r.objective]
+        .iter()
+        .chain(&r.x)
+        .chain(&r.lambda_eq)
+        .chain(&r.lambda_ineq)
+        .chain(&r.zl)
+        .chain(&r.zu)
+        .map(|v| v.to_bits())
+        .collect();
+    (r.status, r.iterations, r.factorizations, bits)
+}
+
+/// One symbolic analysis per structure, whatever the configuration: every
+/// lane on every device shares the solver's frozen system, the analysis is
+/// billed to the same scenario in every configuration, and a second run on
+/// the same solver pays none while reproducing the first run bitwise.
 #[test]
-fn symbolic_analyses_equal_planned_lanes_across_configs() {
+fn symbolic_analyses_are_one_per_structure_across_configs() {
     let nets = ScenarioSet::load_ramp(gridsim_grid::cases::case9(), 5, 0.98, 1.02)
         .networks()
         .unwrap();
+    let mut billing: Option<Vec<usize>> = None;
     for devices in [1, 2, 3] {
         for lanes in [Some(1), Some(2), None] {
+            let config = format!("devices={devices} lanes={lanes:?}");
             let mut engine = Engine::with_pool(DevicePool::parallel(devices));
             if let Some(l) = lanes {
                 engine = engine.with_lanes(l);
             }
-            let planned = plan::total_lanes(nets.len(), devices, lanes);
-            let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine)
-                .run(FleetRequest::over(&nets));
-            assert!(fleet.all_optimal(), "devices={devices} lanes={lanes:?}");
-            assert_eq!(fleet.lanes, planned);
+            let solver = IpmFleetSolver::with_engine(IpmOptions::default(), engine);
+            let fleet = solver.run(FleetRequest::over(&nets));
+            assert!(fleet.all_optimal(), "{config}");
+            assert_eq!(fleet.lanes, plan::total_lanes(nets.len(), devices, lanes));
+            assert_eq!(fleet.symbolic_analyses(), 1, "{config}");
+            assert_eq!(fleet.frozen.len(), 1, "{config}");
+            let billed: Vec<usize> = fleet
+                .results
+                .iter()
+                .map(|r| r.report.symbolic_analyses)
+                .collect();
             assert_eq!(
-                fleet.symbolic_analyses(),
-                planned,
-                "devices={devices} lanes={lanes:?}: analyses must track lanes, not scenarios"
+                billing.get_or_insert_with(|| billed.clone()),
+                &billed,
+                "{config}"
             );
+
+            let again = solver.run(FleetRequest::over(&nets));
+            assert_eq!(again.symbolic_analyses(), 0, "{config}: the rerun");
+            assert_eq!(again.frozen, fleet.frozen, "{config}");
+            for (a, b) in again.results.iter().zip(&fleet.results) {
+                assert_eq!(report_bits(&a.report), report_bits(&b.report), "{config}");
+            }
         }
     }
+    assert_eq!(billing.unwrap(), [1, 0, 0, 0, 0]);
 }
 
 proptest! {
@@ -165,8 +198,8 @@ proptest! {
     /// Across device counts and lane caps the fleet stays report-identical
     /// to solver tolerance: which lane a scenario streams through decides
     /// its warm start (so iterates differ bitwise), but every scenario
-    /// converges to the same optimum and the analysis count tracks the
-    /// configuration's lanes.
+    /// converges to the same optimum, and the one analysis is billed to the
+    /// first scenario.
     #[test]
     fn fleet_reports_are_invariant_across_device_and_lane_choices(
         seed in 0u64..1000,
@@ -187,9 +220,10 @@ proptest! {
         let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine).run(FleetRequest::over(&nets));
         prop_assert!(fleet.all_optimal(), "devices={} lanes={}", devices, lanes);
         prop_assert_eq!(fleet.lanes, plan::total_lanes(k, devices, Some(lanes)));
-        prop_assert_eq!(fleet.symbolic_analyses(), fleet.lanes);
+        prop_assert_eq!(fleet.symbolic_analyses(), 1);
         for (a, b) in fleet.results.iter().zip(&reference.results) {
             prop_assert_eq!(&a.name, &b.name);
+            prop_assert_eq!(a.report.symbolic_analyses, b.report.symbolic_analyses);
             prop_assert_eq!(a.report.status, b.report.status);
             let gap = (a.report.objective - b.report.objective).abs()
                 / b.report.objective.abs().max(1.0);
@@ -329,12 +363,12 @@ fn donor_seeded_pegase_solves_survive_load_noise_and_ramp_limits() {
 }
 
 /// Release-gated acceptance check on a registry-scale case: an
-/// interior-point fleet over K scenarios of a ~300-bus Table-I stand-in
-/// pays `symbolic_analyses == lanes`, not one per scenario. (Interior-point
-/// solves at this size are too slow for the debug suite.)
+/// interior-point fleet over K scenarios of a ~300-bus Table-I stand-in on
+/// two lanes pays one symbolic analysis, not one per lane or scenario.
+/// (Interior-point solves at this size are too slow for the debug suite.)
 #[cfg(not(debug_assertions))]
 #[test]
-fn registry_small_fleet_pays_one_analysis_per_lane() {
+fn registry_small_fleet_pays_one_analysis() {
     use gridsim_bench::{BenchCase, Scale};
     let bc = BenchCase::all(Scale::Small)
         .into_iter()
@@ -349,8 +383,8 @@ fn registry_small_fleet_pays_one_analysis_per_lane() {
     assert_eq!(fleet.lanes, 2);
     assert_eq!(
         fleet.symbolic_analyses(),
-        fleet.lanes,
-        "fleet must pay per lane, not per scenario"
+        1,
+        "fleet must pay per structure, not per lane or scenario"
     );
     assert!(fleet.factorizations() > fleet.symbolic_analyses());
     eprintln!(
