@@ -169,6 +169,9 @@ impl ServeDaemon {
         assert!(slots >= 1, "the daemon needs at least one worker slot");
         let dir = dir.into();
         std::fs::create_dir_all(dir.join("jobs"))?;
+        // The store files are binary snapshots (`gridsim_store::persist`);
+        // they keep their `.json` names because the benchmark's `sweep`
+        // workload reads `store-admm.json` by name.
         let mut admm_store = SolutionStore::load_or_default(&dir.join("store-admm.json"))?;
         let mut ipm_store = SolutionStore::load_or_default(&dir.join("store-ipm.json"))?;
 

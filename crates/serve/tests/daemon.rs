@@ -178,10 +178,15 @@ fn interrupted_run_resumes_bitwise_identical_without_resolving() {
         results_without_times(&reference)
     );
     assert_eq!(resumed.records, reference.records);
-    // Deterministic store serialization: the flushed store files match too.
-    assert_eq!(
-        std::fs::read_to_string(dir.join("store-admm.json")).unwrap(),
-        std::fs::read_to_string(ref_dir.join("store-admm.json")).unwrap()
+    // Deterministic store serialization: the flushed store files are binary
+    // snapshots and match byte for byte.
+    let resumed_store = std::fs::read(dir.join("store-admm.json")).unwrap();
+    let reference_store = std::fs::read(ref_dir.join("store-admm.json")).unwrap();
+    assert!(resumed_store.starts_with(&gridsim_store::persist::MAGIC));
+    assert!(reference_store.starts_with(&gridsim_store::persist::MAGIC));
+    assert!(
+        resumed_store == reference_store,
+        "resumed and uninterrupted store files differ"
     );
 }
 

@@ -121,10 +121,15 @@ fn sigkill_mid_batch_resumes_without_resolving_finished_scenarios() {
             "scenario {i} differs from the uninterrupted run"
         );
     }
-    // The committed store snapshots agree bitwise too (solver state only —
-    // no wall-clock fields are persisted in warm-start payloads).
-    assert_eq!(
-        std::fs::read_to_string(kill_dir.join("store-ipm.json")).unwrap(),
-        std::fs::read_to_string(ref_dir.join("store-ipm.json")).unwrap()
+    // The committed store snapshots are binary and agree byte for byte too
+    // (solver state only — no wall-clock fields are persisted in warm-start
+    // payloads).
+    let killed_store = std::fs::read(kill_dir.join("store-ipm.json")).unwrap();
+    let reference_store = std::fs::read(ref_dir.join("store-ipm.json")).unwrap();
+    assert!(killed_store.starts_with(&gridsim_store::persist::MAGIC));
+    assert!(reference_store.starts_with(&gridsim_store::persist::MAGIC));
+    assert!(
+        killed_store == reference_store,
+        "killed-and-resumed and uninterrupted store files differ"
     );
 }

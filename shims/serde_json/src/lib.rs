@@ -2,6 +2,7 @@
 //! serde shim's [`Value`] tree.
 
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt::Write;
 
 /// Serialization / deserialization failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +124,8 @@ fn write_delimited<I, F>(
 }
 
 fn write_number(n: f64, out: &mut String) {
+    // `write!` renders straight into `out`; writing to a `String` cannot
+    // fail, so the `fmt::Result`s are discarded.
     if !n.is_finite() {
         // JSON has no Inf/NaN; null is serde_json's lossy default too.
         out.push_str("null");
@@ -132,10 +135,10 @@ fn write_number(n: f64, out: &mut String) {
         if n == 0.0 && n.is_sign_negative() {
             out.push_str("-0");
         } else {
-            out.push_str(&format!("{}", n as i64));
+            let _ = write!(out, "{}", n as i64);
         }
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -372,6 +375,50 @@ mod tests {
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(v, back);
         assert!(pretty.contains("\n  \"name\": \"case9\""));
+    }
+
+    #[test]
+    fn numbers_render_as_format_did() {
+        // The allocating renderer `write_number` replaced, kept as the
+        // byte-for-byte reference.
+        fn reference(n: f64) -> String {
+            if !n.is_finite() {
+                "null".to_string()
+            } else if n == n.trunc() && n.abs() < 1e15 {
+                if n == 0.0 && n.is_sign_negative() {
+                    "-0".to_string()
+                } else {
+                    format!("{}", n as i64)
+                }
+            } else {
+                format!("{n}")
+            }
+        }
+        let awkward = [
+            -0.0,
+            0.0,
+            1e15 - 1.0,
+            1e15,
+            1e15 + 1.0,
+            -1e15 - 1.0,
+            9_007_199_254_740_994.0, // 2^53 + 2
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            0.1 + 0.2,
+            1e-300,
+            -7.0,
+            0.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for n in awkward {
+            let mut out = String::from("[");
+            write_number(n, &mut out);
+            assert_eq!(out[1..], reference(n), "{n:e}");
+        }
     }
 
     #[test]
