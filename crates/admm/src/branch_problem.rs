@@ -20,7 +20,7 @@
 //! and `derivatives` each build one [`FlowPoint`] and evaluate everything
 //! from it, in fixed-size arrays.
 
-use crate::kernels::{self, AlmSettings};
+use crate::kernels;
 use crate::params::AdmmParams;
 use crate::scenario::scheduler::init_segment;
 use crate::scenario::ScenarioProblem;
@@ -105,19 +105,10 @@ impl BranchProblem {
         let problem = ScenarioProblem::build(std::slice::from_ref(net), params, None);
         let data = &problem.data[0];
         let seg = init_segment(net, data, &problem, Some(warm));
-        let alm = AlmSettings::from_params(params);
         (data.branches.iter().zip(&seg.branches))
             .map(|(d, state)| {
-                let block = kernels::branch_subproblem(
-                    d,
-                    0,
-                    &seg.v,
-                    &seg.z,
-                    &seg.y,
-                    &problem.rho,
-                    &alm,
-                    state,
-                );
+                let block =
+                    kernels::branch_subproblem(d, 0, &seg.v, &seg.z, &seg.y, &problem.rho, state);
                 (block, state.x)
             })
             .collect()

@@ -20,6 +20,28 @@ use gridsim_grid::network::Network;
 use gridsim_sparse::dense::solve2;
 use gridsim_tron::TronSolver;
 
+/// Initial outer-level penalty β on `z = 0` of a cold start; a warm start
+/// resumes its donor's β.
+pub(crate) const BETA_INIT: f64 = 1e3;
+/// Required decrease factor of `‖z‖∞` between outer iterations; short of
+/// it, β is multiplied by [`AdmmParams::beta_factor`].
+pub(crate) const Z_DECREASE_FACTOR: f64 = 0.25;
+/// Bound of the projection of the outer multiplier λ.
+const LAMBDA_BOUND: f64 = 1e12;
+/// Line-limit tightening margin of the branch subproblems: Section IV-A
+/// solves against 99 % of each line's capacity.
+pub(crate) const LINE_LIMIT_MARGIN: f64 = 0.99;
+/// Augmented-Lagrangian rounds on the line-limit slack equalities inside
+/// one branch update.
+const MAX_ALM_ITER: usize = 4;
+/// Slack-equality violation that ends the branch ALM loop early.
+const ALM_TOL: f64 = 1e-6;
+/// Initial penalty of the branch ALM terms.
+const ALM_RHO_INIT: f64 = 10.0;
+/// Cap of the branch ALM penalty, which grows tenfold whenever a round cuts
+/// the violation by less than 4×.
+const ALM_RHO_MAX: f64 = 1e7;
+
 // ---------------------------------------------------------------------------
 // read-only per-component data
 // ---------------------------------------------------------------------------
@@ -113,7 +135,7 @@ impl ProblemData {
                 let t = net.br_to[l];
                 BranchData {
                     flows: BranchFlow::all_from_admittance(&net.br_y[l]),
-                    limit_sq: net.rate_limit_sq(l, params.line_limit_margin),
+                    limit_sq: net.rate_limit_sq(l, LINE_LIMIT_MARGIN),
                     k_base: layout.branch_base(l),
                     vmin_i: net.vmin[f],
                     vmax_i: net.vmax[f],
@@ -282,26 +304,6 @@ pub(crate) fn warm_states(
 // per-element kernel bodies
 // ---------------------------------------------------------------------------
 
-/// The branch subproblem's inner augmented-Lagrangian settings.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AlmSettings {
-    pub(crate) max_alm_iter: usize,
-    pub(crate) alm_tol: f64,
-    pub(crate) alm_rho_init: f64,
-    pub(crate) alm_rho_max: f64,
-}
-
-impl AlmSettings {
-    pub(crate) fn from_params(p: &AdmmParams) -> AlmSettings {
-        AlmSettings {
-            max_alm_iter: p.max_alm_iter,
-            alm_tol: p.alm_tol,
-            alm_rho_init: p.alm_rho_init,
-            alm_rho_max: p.alm_rho_max,
-        }
-    }
-}
-
 /// Generator update: closed form (6) for the box-constrained quadratic.
 /// `base` is the owning slot's offset into the constraint-major buffers
 /// (`slot · m`).
@@ -336,7 +338,6 @@ pub(crate) fn branch_subproblem(
     z: &[f64],
     y: &[f64],
     rho: &[f64],
-    alm: &AlmSettings,
     state: &BranchState,
 ) -> BranchProblem {
     let mut problem = BranchProblem::new(d.flows, d.vmin_i, d.vmax_i, d.vmin_j, d.vmax_j);
@@ -354,7 +355,7 @@ pub(crate) fn branch_subproblem(
     problem.alm_rho = if state.alm_rho > 0.0 {
         state.alm_rho
     } else {
-        alm.alm_rho_init
+        ALM_RHO_INIT
     };
     problem
 }
@@ -371,18 +372,13 @@ pub(crate) fn branch_element(
     y: &[f64],
     rho: &[f64],
     tron: &TronSolver,
-    alm: &AlmSettings,
     state: &mut BranchState,
 ) {
-    let mut problem = branch_subproblem(d, base, v, z, y, rho, alm, state);
+    let mut problem = branch_subproblem(d, base, v, z, y, rho, state);
     // Inner augmented-Lagrangian loop on the line-limit slack equalities; a
     // single TRON solve when there is no limit.
     let mut prev_viol = f64::INFINITY;
-    let rounds = if problem.has_limit() {
-        alm.max_alm_iter
-    } else {
-        1
-    };
+    let rounds = if problem.has_limit() { MAX_ALM_ITER } else { 1 };
     for _ in 0..rounds {
         tron.solve_in_place(&problem, &mut state.x);
         // One flow evaluation per round feeds both the slack residuals and
@@ -393,13 +389,13 @@ pub(crate) fn branch_element(
         }
         let res = problem.slack_residuals(&state.flows, &state.x);
         let viol = res[0].abs().max(res[1].abs());
-        if viol < alm.alm_tol {
+        if viol < ALM_TOL {
             break;
         }
         problem.alm_lambda[0] += problem.alm_rho * res[0];
         problem.alm_lambda[1] += problem.alm_rho * res[1];
         if viol > 0.25 * prev_viol {
-            problem.alm_rho = (problem.alm_rho * 10.0).min(alm.alm_rho_max);
+            problem.alm_rho = (problem.alm_rho * 10.0).min(ALM_RHO_MAX);
         }
         prev_viol = viol;
     }
@@ -546,8 +542,8 @@ pub(crate) fn y_element(k: usize, u: &[f64], v: &[f64], z: &[f64], rho: &[f64], 
 
 /// Outer multiplier update with projection onto `[-bound, bound]`.
 #[inline]
-pub(crate) fn lambda_element(zk: f64, beta: f64, bound: f64, lk: &mut f64) {
-    *lk = (*lk + beta * zk).clamp(-bound, bound);
+pub(crate) fn lambda_element(zk: f64, beta: f64, lk: &mut f64) {
+    *lk = (*lk + beta * zk).clamp(-LAMBDA_BOUND, LAMBDA_BOUND);
 }
 
 /// Seed a bus's copies from the freshly scattered `u` so a cold start begins

@@ -10,7 +10,7 @@
 //! the extraction, which are the definition of the arithmetic rather than of
 //! the loop.
 
-use crate::kernels::{self, AlmSettings};
+use crate::kernels::{self, BETA_INIT, Z_DECREASE_FACTOR};
 use crate::params::AdmmParams;
 use crate::scenario::scheduler::init_segment;
 use crate::scenario::ScenarioProblem;
@@ -60,9 +60,8 @@ pub(crate) fn solve(
     let (mut gens, mut branches, mut buses) = (seg.gens, seg.branches, seg.buses);
     let (mut u, mut v, mut z, mut y, mut lam) = (seg.u, seg.v, seg.z, seg.y, seg.lam);
     let tron = TronSolver::new(params.tron.clone());
-    let alm = AlmSettings::from_params(params);
 
-    let mut beta = warm.map_or(params.beta_init, |w| w.beta);
+    let mut beta = warm.map_or(BETA_INIT, |w| w.beta);
     let (mut inner_iterations, mut outer_iterations) = (0, 0);
     let (mut z_inf_prev, mut z_inf, mut primal_residual) =
         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -77,7 +76,7 @@ pub(crate) fn solve(
                 kernels::generator_element(d, 0, &v, &z, &y, rho, g);
             }
             for (d, b) in data.branches.iter().zip(&mut branches) {
-                kernels::branch_element(d, 0, &v, &z, &y, rho, &tron, &alm, b);
+                kernels::branch_element(d, 0, &v, &z, &y, rho, &tron, b);
             }
             for (k, uk) in u.iter_mut().enumerate() {
                 *uk = kernels::u_element(k, ngen, &gens, &branches);
@@ -110,9 +109,9 @@ pub(crate) fn solve(
             break;
         }
         for (lk, &zk) in lam.iter_mut().zip(&z) {
-            kernels::lambda_element(zk, beta, params.lambda_bound, lk);
+            kernels::lambda_element(zk, beta, lk);
         }
-        if z_inf > params.z_decrease_factor * z_inf_prev {
+        if z_inf > Z_DECREASE_FACTOR * z_inf_prev {
             beta *= params.beta_factor;
         }
         z_inf_prev = z_inf;

@@ -13,15 +13,9 @@ pub struct AdmmParams {
     /// Penalty on voltage-type consensus constraints (squared magnitude and
     /// angle).
     pub rho_va: f64,
-    /// Initial outer-level penalty β on `z = 0`.
-    pub beta_init: f64,
-    /// Multiplicative increase of β when `‖z‖∞` does not decrease enough.
+    /// Multiplicative increase of the outer-level penalty β when `‖z‖∞`
+    /// does not decrease enough between outer iterations.
     pub beta_factor: f64,
-    /// Required decrease factor of `‖z‖∞` between outer iterations before β
-    /// is increased.
-    pub z_decrease_factor: f64,
-    /// Bounds for the projection of the outer multiplier λ.
-    pub lambda_bound: f64,
     /// Outer convergence tolerance on `‖z‖∞`.
     pub eps_outer: f64,
     /// Inner convergence tolerance on the primal and dual residuals.
@@ -30,17 +24,6 @@ pub struct AdmmParams {
     pub max_outer: usize,
     /// Maximum number of inner iterations per outer iteration (paper: 1000).
     pub max_inner: usize,
-    /// Line-limit tightening margin used when building branch subproblems
-    /// (Section IV-A uses 99 % of capacity).
-    pub line_limit_margin: f64,
-    /// Maximum augmented-Lagrangian iterations inside one branch subproblem.
-    pub max_alm_iter: usize,
-    /// Tolerance on the line-limit slack equality inside a branch subproblem.
-    pub alm_tol: f64,
-    /// Initial penalty of the branch augmented-Lagrangian terms.
-    pub alm_rho_init: f64,
-    /// Maximum penalty of the branch augmented-Lagrangian terms.
-    pub alm_rho_max: f64,
     /// Internal scaling of the generation-cost objective relative to the
     /// ADMM penalty terms. Scaling the whole objective by a positive constant
     /// does not change the minimizer, but it controls how strongly the cost
@@ -58,19 +41,11 @@ impl Default for AdmmParams {
         AdmmParams {
             rho_pq: 10.0,
             rho_va: 1000.0,
-            beta_init: 1e3,
             beta_factor: 6.0,
-            z_decrease_factor: 0.25,
-            lambda_bound: 1e12,
             eps_outer: 1e-5,
             eps_inner: 2e-6,
             max_outer: 20,
             max_inner: 1000,
-            line_limit_margin: 0.99,
-            max_alm_iter: 4,
-            alm_tol: 1e-6,
-            alm_rho_init: 10.0,
-            alm_rho_max: 1e7,
             obj_scale: None,
             tron: TronOptions {
                 max_iter: 60,
@@ -184,7 +159,7 @@ mod tests {
         assert_eq!(p.rho_va, 1000.0);
         assert_eq!(p.max_outer, 20);
         assert_eq!(p.max_inner, 1000);
-        assert!((p.line_limit_margin - 0.99).abs() < 1e-12);
+        assert_eq!(crate::kernels::LINE_LIMIT_MARGIN, 0.99);
     }
 
     #[test]

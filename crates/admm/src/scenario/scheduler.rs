@@ -24,12 +24,12 @@
 
 use super::problem::{ScenarioData, ScenarioProblem};
 use super::{ScenarioBatchResult, ScenarioResult};
-use crate::kernels::{self, AlmSettings, BranchState, BusState, GenState};
+use crate::kernels::{self, BranchState, BusState, GenState, BETA_INIT, Z_DECREASE_FACTOR};
 use crate::params::AdmmParams;
 use crate::solver::{AdmmStatus, WarmState};
 use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_batch::{Device, DeviceBuffer, DeviceConfig, DevicePool};
+use gridsim_batch::{Device, DeviceBuffer, DevicePool};
 use gridsim_engine::{Engine, FleetRequest, LaneSolver, StoreAccess};
 use gridsim_grid::fingerprint::ScenarioFingerprint;
 use gridsim_grid::network::Network;
@@ -52,9 +52,9 @@ struct ScenCtl {
 }
 
 impl ScenCtl {
-    fn fresh(params: &AdmmParams) -> ScenCtl {
+    fn fresh() -> ScenCtl {
         ScenCtl {
-            beta: params.beta_init,
+            beta: BETA_INIT,
             outer_done: 0,
             inner_in_outer: 0,
             total_inner: 0,
@@ -153,11 +153,6 @@ impl ScenarioScheduler {
         self
     }
 
-    /// The configured lane cap, if any.
-    pub fn lanes_per_device(&self) -> Option<usize> {
-        self.lanes_per_device
-    }
-
     /// Solve one [`FleetRequest`]. Networks must share the first one's
     /// dimensions and topology (panics otherwise); results are in input
     /// order and bitwise independent of the device/lane configuration.
@@ -175,24 +170,15 @@ impl ScenarioScheduler {
     /// every lookup misses and the run is bitwise identical to a store-less
     /// request. A [`StoreAccess::Snapshot`] binding does the lookup side
     /// only: nothing is committed, the caller owns the write side.
-    ///
-    /// A [`FleetRequest::mode`] override rebuilds this scheduler's devices
-    /// on the requested backend (same device count and lane cap) for this
-    /// run.
     pub fn run(&self, request: FleetRequest<'_, WarmState>) -> ScenarioBatchResult {
         let nets = request.nets;
-        let pool = match request.mode {
-            Some(mode) => DevicePool::new(self.pool.len(), DeviceConfig::with_mode(mode)),
-            None => self.pool.clone(),
-        };
         let case_id = request.store_case_id();
         match request.store {
-            StoreAccess::None => self.execute(&pool, nets, None, None, None),
+            StoreAccess::None => self.execute(nets, None, None, None),
             StoreAccess::Snapshot(view) => {
                 let fps: Vec<ScenarioFingerprint> =
                     nets.iter().map(ScenarioFingerprint::of_network).collect();
                 self.execute(
-                    &pool,
                     nets,
                     None,
                     None,
@@ -204,8 +190,7 @@ impl ScenarioScheduler {
                 let fps: Vec<ScenarioFingerprint> =
                     nets.iter().map(ScenarioFingerprint::of_network).collect();
                 let view = store.view();
-                let mut result =
-                    self.execute(&pool, nets, None, None, Some((case_id, &view, &fps)));
+                let mut result = self.execute(nets, None, None, Some((case_id, &view, &fps)));
                 // Commit converged scenarios back in input order:
                 // deterministic store contents regardless of
                 // device/lane/thread scheduling.
@@ -229,7 +214,7 @@ impl ScenarioScheduler {
         warm: &WarmState,
         pg_bounds: Option<&[(Vec<f64>, Vec<f64>)]>,
     ) -> ScenarioBatchResult {
-        self.execute(&self.pool, nets, Some(warm), pg_bounds, None)
+        self.execute(nets, Some(warm), pg_bounds, None)
     }
 
     /// Solve the scenarios in order, seeding scenario `k` from scenario
@@ -264,13 +249,12 @@ impl ScenarioScheduler {
         }
     }
 
-    /// Drive the engine over `nets` on `pool`, with lookups against the
-    /// frozen view when present. Commits nothing. Every ADMM solve in the
-    /// crate — the fleet and the K=1 [`crate::solver::AdmmSolver`] — comes
-    /// through here.
+    /// Drive the engine over `nets` on this scheduler's pool, with lookups
+    /// against the frozen view when present. Commits nothing. Every ADMM
+    /// solve in the crate — the fleet and the K=1
+    /// [`crate::solver::AdmmSolver`] — comes through here.
     pub(crate) fn execute(
         &self,
-        pool: &DevicePool,
         nets: &[Network],
         warm: Option<&WarmState>,
         pg_bounds: Option<&[(Vec<f64>, Vec<f64>)]>,
@@ -290,7 +274,6 @@ impl ScenarioScheduler {
             nets,
             warm,
             tron: TronSolver::new(self.params.tron.clone()),
-            alm: AlmSettings::from_params(&self.params),
             store: lookup.map(|(case_id, view, fps)| AdmmStoreBinding {
                 case_id,
                 view,
@@ -299,7 +282,7 @@ impl ScenarioScheduler {
                 misses: AtomicUsize::new(0),
             }),
         };
-        let mut engine = Engine::with_pool(pool.clone());
+        let mut engine = Engine::with_pool(self.pool.clone());
         if let Some(l) = self.lanes_per_device {
             engine = engine.with_lanes(l);
         }
@@ -338,7 +321,6 @@ struct AdmmFleet<'a> {
     nets: &'a [Network],
     warm: Option<&'a WarmState>,
     tron: TronSolver,
-    alm: AlmSettings,
     store: Option<AdmmStoreBinding<'a>>,
 }
 
@@ -356,7 +338,7 @@ impl AdmmFleet<'_> {
     /// Fresh per-slot control state. When the whole run is seeded from a
     /// shared warm state, new slots resume its β schedule.
     fn fresh_ctl(&self) -> ScenCtl {
-        let mut ctl = ScenCtl::fresh(self.params);
+        let mut ctl = ScenCtl::fresh();
         if let Some(w) = self.warm {
             ctl.beta = w.beta;
         }
@@ -430,7 +412,6 @@ impl LaneSolver for AdmmFleet<'_> {
             &shard.slot_data,
             &shard.segs,
             &self.tron,
-            &self.alm,
             active,
             &shard.ctl,
         );
@@ -488,18 +469,17 @@ impl LaneSolver for AdmmFleet<'_> {
         }
         if lambda_mask.iter().any(|&b| b) {
             let betas: Vec<f64> = ctl.iter().map(|c| c.beta).collect();
-            let bound = params.lambda_bound;
             let z = shard.st.z.as_slice();
             let cons = segs.cons.as_slice();
             device.launch_map_segments("lambda_update", &mut shard.st.lam, m, &lambda_mask, {
-                move |k, lk| kernels::lambda_element(z[k], betas[cons[k] as usize], bound, lk)
+                move |k, lk| kernels::lambda_element(z[k], betas[cons[k] as usize], lk)
             });
             for s in 0..ll {
                 if !lambda_mask[s] {
                     continue;
                 }
                 let c = &mut ctl[s];
-                if c.z_inf > params.z_decrease_factor * c.z_inf_prev {
+                if c.z_inf > Z_DECREASE_FACTOR * c.z_inf_prev {
                     c.beta *= params.beta_factor;
                 }
                 c.z_inf_prev = c.z_inf;
@@ -699,7 +679,6 @@ fn tick(
     slot_data: &[ScenarioData],
     segs: &SegMaps,
     tron: &TronSolver,
-    alm: &AlmSettings,
     active: &[bool],
     ctl: &[ScenCtl],
 ) {
@@ -737,7 +716,6 @@ fn tick(
                     y,
                     rho,
                     tron,
-                    alm,
                     state,
                 )
             }

@@ -43,7 +43,7 @@ pub struct WarmState {
     pub(crate) lam: Vec<f64>,
     pub(crate) z: Vec<f64>,
     /// Outer penalty at extraction time. A warm restart resumes the β
-    /// schedule here instead of re-running it from `beta_init` — restarting
+    /// schedule here instead of re-running it from the cold start's β — restarting
     /// the schedule from scratch at a converged point re-perturbs the
     /// multipliers and can walk a marginal case away from its fixed point
     /// (the ADMM analog of restarting the interior-point μ cascade).
@@ -138,7 +138,6 @@ impl AdmmSolver {
         );
         let pg_bounds = pg_bounds.map(|b| [b]);
         let run = scheduler.execute(
-            &scheduler.pool,
             std::slice::from_ref(net),
             warm,
             pg_bounds.as_ref().map(|b| &b[..]),

@@ -1,4 +1,4 @@
-//! The batch device: configuration, backend resolution, and construction.
+//! The batch device: backend resolution and construction.
 //!
 //! A [`Device`] pairs a statistics stream with a concrete
 //! [`LaunchBackend`] implementor, resolved from the
@@ -14,77 +14,48 @@ use crate::backend::{AnyBackend, ExecutionMode, LaunchBackend};
 use crate::stats::DeviceStats;
 use std::sync::Arc;
 
-/// Device configuration.
-#[derive(Debug, Clone)]
-pub struct DeviceConfig {
-    /// Execution mode; `Auto` (the default) resolves at device
-    /// construction via [`ExecutionMode::resolve`].
-    pub backend: ExecutionMode,
-    /// Nominal threads per block (informational; mirrors the CUDA launch
-    /// geometry the paper uses — 32 threads per branch block).
-    pub threads_per_block: usize,
-}
-
-impl DeviceConfig {
-    /// Configuration pinned to a concrete mode.
-    pub fn with_mode(mode: ExecutionMode) -> Self {
-        DeviceConfig {
-            backend: mode,
-            ..Default::default()
-        }
-    }
-}
-
-impl Default for DeviceConfig {
-    fn default() -> Self {
-        DeviceConfig {
-            backend: ExecutionMode::Auto,
-            threads_per_block: 32,
-        }
-    }
-}
-
 /// A simulated batch device. Cheap to clone; all clones share the same
 /// statistics collector and resolved backend.
 #[derive(Debug, Clone)]
 pub struct Device {
-    pub(crate) config: DeviceConfig,
+    /// The configured mode; `Auto` resolves at construction via
+    /// [`ExecutionMode::resolve`].
+    pub(crate) mode: ExecutionMode,
     pub(crate) exec: AnyBackend,
     pub(crate) stats: Arc<DeviceStats>,
 }
 
 impl Device {
-    /// Create a device with the given configuration, resolving `Auto` to a
-    /// concrete backend now (so every launch on this device — and every
-    /// clone — uses the same backend even if the environment changes
-    /// later).
-    pub fn new(config: DeviceConfig) -> Self {
+    /// Create a device in the given mode, resolving `Auto` to a concrete
+    /// backend now (so every launch on this device — and every clone — uses
+    /// the same backend even if the environment changes later).
+    pub fn new(mode: ExecutionMode) -> Self {
         Device {
-            exec: AnyBackend::from_mode(config.backend),
-            config,
+            exec: AnyBackend::from_mode(mode),
+            mode,
             stats: Arc::new(DeviceStats::default()),
         }
     }
 
-    /// A device with the default (auto-resolved) configuration.
+    /// A device in the auto-resolved mode.
     pub fn auto() -> Self {
-        Self::new(DeviceConfig::default())
+        Self::new(ExecutionMode::Auto)
     }
 
     /// A device pinned to the parallel (thread-pool) backend.
     pub fn parallel() -> Self {
-        Self::new(DeviceConfig::with_mode(ExecutionMode::Parallel))
+        Self::new(ExecutionMode::Parallel)
     }
 
     /// A device pinned to the sequential (deterministic, single-threaded)
     /// backend.
     pub fn sequential() -> Self {
-        Self::new(DeviceConfig::with_mode(ExecutionMode::Sequential))
+        Self::new(ExecutionMode::Sequential)
     }
 
     /// A device pinned to the vectorized (chunked, branch-free) backend.
     pub fn vectorized() -> Self {
-        Self::new(DeviceConfig::with_mode(ExecutionMode::Vectorized))
+        Self::new(ExecutionMode::Vectorized)
     }
 
     /// The device's statistics collector.
@@ -103,12 +74,7 @@ impl Device {
     /// The *configured* execution mode, which may be
     /// [`ExecutionMode::Auto`]; see [`Self::backend`] for the resolution.
     pub fn mode(&self) -> ExecutionMode {
-        self.config.backend
-    }
-
-    /// Configured threads per block.
-    pub fn threads_per_block(&self) -> usize {
-        self.config.threads_per_block
+        self.mode
     }
 }
 
@@ -130,7 +96,6 @@ mod tests {
         // for whatever environment this test runs under.
         assert_eq!(d.backend(), ExecutionMode::Auto.resolve());
         assert_ne!(d.backend(), ExecutionMode::Auto);
-        assert_eq!(d.threads_per_block(), 32);
     }
 
     #[test]

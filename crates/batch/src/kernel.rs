@@ -174,7 +174,6 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceConfig;
     use std::sync::Arc;
 
     fn devices() -> Vec<Device> {
@@ -292,7 +291,7 @@ mod tests {
 
     #[test]
     fn no_transfers_recorded_during_kernels() {
-        let dev = Device::new(DeviceConfig::default());
+        let dev = Device::auto();
         let stats = Arc::clone(dev.stats());
         let mut buf = DeviceBuffer::from_host(stats.clone(), &vec![1.0f64; 128]);
         let before = stats.snapshot();

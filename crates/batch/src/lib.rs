@@ -49,6 +49,6 @@ pub use backend::{
     VectorizedBackend, BACKEND_ENV,
 };
 pub use buffer::DeviceBuffer;
-pub use device::{Device, DeviceConfig};
+pub use device::Device;
 pub use pool::{DevicePool, DEVICE_COUNT_ENV};
 pub use stats::{DeviceStats, KernelStats, StatsSnapshot};

@@ -4,7 +4,7 @@
 //! natural next rung on the throughput ladder is several devices, each with
 //! its own kernel-stat stream (the CUDA analogue: one device + stream per
 //! shard, `cudaSetDevice` before each launch). [`DevicePool`] models exactly
-//! that: `N` logical [`Device`]s sharing a configuration but **not** sharing
+//! that: `N` logical [`Device`]s sharing an execution mode but **not** sharing
 //! statistics, so per-device utilization stays observable and a scheduler
 //! can bill each shard's kernel work to the device that ran it.
 //!
@@ -15,7 +15,7 @@
 //! CI sweeps so multi-device paths cannot silently rot.
 
 use crate::backend::ExecutionMode;
-use crate::device::{Device, DeviceConfig};
+use crate::device::Device;
 use crate::stats::StatsSnapshot;
 
 /// Environment variable selecting the logical device count for
@@ -29,12 +29,12 @@ pub struct DevicePool {
 }
 
 impl DevicePool {
-    /// Create a pool of `n` logical devices sharing `config`. Each device
-    /// gets its own statistics collector.
-    pub fn new(n: usize, config: DeviceConfig) -> Self {
+    /// Create a pool of `n` logical devices in `mode`. Each device gets its
+    /// own statistics collector.
+    pub fn new(n: usize, mode: ExecutionMode) -> Self {
         assert!(n >= 1, "a device pool needs at least one device");
         DevicePool {
-            devices: (0..n).map(|_| Device::new(config.clone())).collect(),
+            devices: (0..n).map(|_| Device::new(mode)).collect(),
         }
     }
 
@@ -42,24 +42,24 @@ impl DevicePool {
     /// [`ExecutionMode::resolve`] for the `GRIDSIM_BACKEND` → worker-count
     /// precedence.
     pub fn auto(n: usize) -> Self {
-        Self::new(n, DeviceConfig::default())
+        Self::new(n, ExecutionMode::Auto)
     }
 
     /// A pool of `n` devices pinned to the parallel (thread-pool) backend.
     pub fn parallel(n: usize) -> Self {
-        Self::new(n, DeviceConfig::with_mode(ExecutionMode::Parallel))
+        Self::new(n, ExecutionMode::Parallel)
     }
 
     /// A pool of `n` devices pinned to the sequential (deterministic,
     /// single-threaded) backend.
     pub fn sequential(n: usize) -> Self {
-        Self::new(n, DeviceConfig::with_mode(ExecutionMode::Sequential))
+        Self::new(n, ExecutionMode::Sequential)
     }
 
     /// A pool of `n` devices pinned to the vectorized (chunked,
     /// branch-free) backend.
     pub fn vectorized(n: usize) -> Self {
-        Self::new(n, DeviceConfig::with_mode(ExecutionMode::Vectorized))
+        Self::new(n, ExecutionMode::Vectorized)
     }
 
     /// Wrap one existing device as a single-device pool (shares its

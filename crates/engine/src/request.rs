@@ -4,9 +4,9 @@
 //! `solve(nets)`, `solve_with_store(case_id, nets, store)`, and so on —
 //! duplicated across solver families. [`FleetRequest`] collapses that
 //! accretion into one parameter object: the scenarios to solve, an optional
-//! case id (the solution-store group key), an optional store binding, and an
-//! optional execution-mode override. Each solver family exposes a single
-//! `run(request)` that consumes it.
+//! case id (the solution-store group key) and an optional store binding.
+//! Each solver family exposes a single `run(request)` that consumes it; the
+//! backend a run launches on is the fleet's engine's.
 //!
 //! ## Store bindings
 //!
@@ -27,7 +27,6 @@
 //! A request that binds a store must also carry a case id — the store is
 //! keyed by it.
 
-use gridsim_batch::ExecutionMode;
 use gridsim_grid::Network;
 use gridsim_store::{SolutionStore, StoreView};
 
@@ -52,7 +51,7 @@ impl<P> StoreAccess<'_, P> {
     }
 }
 
-/// One fleet invocation, as data: scenarios, store binding, execution mode.
+/// One fleet invocation, as data: scenarios and store binding.
 ///
 /// Build with [`FleetRequest::over`] and the chainable setters:
 ///
@@ -60,8 +59,7 @@ impl<P> StoreAccess<'_, P> {
 /// let report = fleet.run(
 ///     FleetRequest::over(&nets)
 ///         .case("case9")
-///         .store(&mut store)
-///         .mode(ExecutionMode::Vectorized),
+///         .store(&mut store),
 /// );
 /// ```
 #[derive(Debug)]
@@ -74,22 +72,15 @@ pub struct FleetRequest<'a, P> {
     pub case_id: Option<&'a str>,
     /// Warm-start store binding.
     pub store: StoreAccess<'a, P>,
-    /// Execution-mode override for this run: the fleet's devices are
-    /// rebuilt on this backend (same device count and lane policy). `None`
-    /// keeps the fleet's configured pool. The IPM family launches nothing
-    /// and ignores it.
-    pub mode: Option<ExecutionMode>,
 }
 
 impl<'a, P> FleetRequest<'a, P> {
-    /// A request over `nets` with no case id, no store, and the fleet's
-    /// configured execution mode.
+    /// A request over `nets` with no case id and no store.
     pub fn over(nets: &'a [Network]) -> FleetRequest<'a, P> {
         FleetRequest {
             nets,
             case_id: None,
             store: StoreAccess::None,
-            mode: None,
         }
     }
 
@@ -108,12 +99,6 @@ impl<'a, P> FleetRequest<'a, P> {
     /// Bind a frozen snapshot: lookups only, no commits.
     pub fn snapshot(mut self, view: &'a StoreView<P>) -> FleetRequest<'a, P> {
         self.store = StoreAccess::Snapshot(view);
-        self
-    }
-
-    /// Override the execution mode for this run.
-    pub fn mode(mut self, mode: ExecutionMode) -> FleetRequest<'a, P> {
-        self.mode = Some(mode);
         self
     }
 
@@ -146,7 +131,6 @@ mod tests {
         assert_eq!(req.nets.len(), 1);
         assert!(req.case_id.is_none());
         assert!(!req.store.is_bound());
-        assert!(req.mode.is_none());
         assert_eq!(req.store_case_id(), None);
     }
 
@@ -154,13 +138,9 @@ mod tests {
     fn setters_chain() {
         let nets = vec![case9().compile().unwrap()];
         let mut store: SolutionStore<u32> = SolutionStore::new();
-        let req = FleetRequest::over(&nets)
-            .case("case9")
-            .store(&mut store)
-            .mode(ExecutionMode::Sequential);
+        let req = FleetRequest::over(&nets).case("case9").store(&mut store);
         assert_eq!(req.store_case_id(), Some("case9"));
         assert!(matches!(req.store, StoreAccess::Live(_)));
-        assert_eq!(req.mode, Some(ExecutionMode::Sequential));
     }
 
     #[test]

@@ -58,7 +58,7 @@ use std::time::Duration;
 /// [`IpmOptions::initial_bound_multipliers`] accept. Carrying the bound
 /// multipliers is what makes the reuse pay: they hold the donor's active
 /// set and terminal barrier level, so a seeded solve resumes the μ
-/// trajectory instead of descending from `mu_init` again.
+/// trajectory instead of descending from the cold μ₀ = 0.1 again.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IpmWarmStart {
     /// Converged primal variables.
@@ -196,8 +196,9 @@ impl FleetReport {
 #[derive(Debug, Clone)]
 pub struct IpmFleetSolver {
     /// Options applied to every scenario solve. Per-lane warm starts
-    /// override `initial_point`/`initial_multipliers` from the second
-    /// admission of each lane onward.
+    /// override `initial_point`, `initial_multipliers` and
+    /// `initial_bound_multipliers` from the second admission of each lane
+    /// onward.
     pub options: IpmOptions,
     /// The execution engine (device pool + lane policy).
     pub engine: Engine,
@@ -241,9 +242,9 @@ impl IpmFleetSolver {
     /// bitwise. A [`StoreAccess::Snapshot`] binding does the lookup side
     /// only: nothing is committed, the caller owns the write side.
     ///
-    /// A [`FleetRequest::mode`] override is ignored: an IPM lane runs on
-    /// the host and only bills its factorizations to its device's statistics
-    /// stream, so the launch backend changes neither a result nor its cost.
+    /// An IPM lane runs on the host and only bills its factorizations to its
+    /// device's statistics stream, so the engine's launch backend changes
+    /// neither a result nor its cost.
     pub fn run(&self, request: FleetRequest<'_, IpmWarmStart>) -> FleetReport {
         let nets = request.nets;
         assert!(!nets.is_empty(), "need at least one scenario");

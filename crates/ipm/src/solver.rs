@@ -46,9 +46,22 @@ const KAPPA_SIGMA: f64 = 1e10;
 const MAX_HALVINGS: usize = 60;
 /// Positivity floor for warm-started bound multipliers.
 const Z_WARM_MIN: f64 = 1e-10;
+/// Initial barrier parameter of a start without bound multipliers (Ipopt's
+/// `mu_init`).
+const MU_INIT: f64 = 0.1;
+/// Fraction-to-boundary floor, `τ = max(TAU_MIN, 1 − μ)` (Ipopt's
+/// `tau_min`).
+const TAU_MIN: f64 = 0.99;
+/// Relative push of the initial point, and floor of the initial slacks,
+/// away from their bounds, for a cold start and for a primal-only seed
+/// ([`IpmOptions::initial_point`], with or without
+/// [`IpmOptions::initial_multipliers`]) — Ipopt's `bound_push`. Such a
+/// start carries no active set: its bound multipliers are initialized as
+/// `z = μ / slack`, which needs the margin.
+const BOUND_PUSH: f64 = 1e-2;
 /// Relative push off the bounds of a start seeded with bound multipliers —
 /// a converged donor's point, whose active coordinates sit within solver
-/// tolerance of their bounds. [`IpmOptions::bound_push`] would move them a
+/// tolerance of their bounds. [`BOUND_PUSH`] would move them a
 /// 1e-2 fraction away and reopen the barrier problem the donor closed; this
 /// only makes them strictly interior. On the Pegase1354/200 stand-in
 /// 1e-12 gives the same iterates; from 1e-8 up, coordinates bind and the
@@ -58,6 +71,21 @@ const WARM_BOUND_PUSH: f64 = 1e-9;
 /// Each bound of a fixed variable moves outward by this times `max(1, |l|)`
 /// (Ipopt's `bound_relax_factor`).
 const FIXED_VARIABLE_RELAX: f64 = 1e-8;
+/// Inertia-correction refactorizations per Newton step before the step is
+/// taken with the inertia it has.
+const MAX_REFACTORIZATIONS: usize = 40;
+/// Second-order correction steps after a rejected full step (Ipopt's
+/// `max_soc`).
+const MAX_SOC: usize = 4;
+/// Non-monotone full steps the watchdog takes on trust after the filter
+/// line search fails, before restoring the saved iterate and entering
+/// feasibility restoration (Ipopt's `watchdog_trial_iter_max`).
+const WATCHDOG_BUDGET: usize = 3;
+/// Iteration budget of the projected-gradient feasibility restoration.
+const MAX_RESTORATION_ITERS: usize = 100;
+/// Dual regularization of the constraint block of the KKT system before
+/// any singular pivot raises it to `1e-8 μ^¼` (Ipopt's `δ_c` base).
+const DELTA_C: f64 = 1e-8;
 
 /// Options for the interior-point solver.
 #[derive(Debug, Clone)]
@@ -66,32 +94,6 @@ pub struct IpmOptions {
     pub tol: f64,
     /// Maximum number of iterations.
     pub max_iter: usize,
-    /// Initial barrier parameter.
-    pub mu_init: f64,
-    /// Fraction-to-boundary floor (`τ = max(tau_min, 1 − μ)`).
-    pub tau_min: f64,
-    /// Relative push of the initial point, and floor of the initial slacks,
-    /// away from their bounds — for a cold start and for a primal-only seed
-    /// ([`initial_point`](IpmOptions::initial_point), with or without
-    /// [`initial_multipliers`](IpmOptions::initial_multipliers)). Such a
-    /// start carries no active set: its bound multipliers are initialized
-    /// as `z = μ / slack`, which needs the margin. A start seeded with
-    /// [`initial_bound_multipliers`](IpmOptions::initial_bound_multipliers)
-    /// is a converged donor's and is pushed by only `1e-9` instead, so it
-    /// keeps the point the donor converged to.
-    pub bound_push: f64,
-    /// Maximum number of inertia-correction refactorizations per step.
-    pub max_refactorizations: usize,
-    /// Maximum second-order correction steps after a rejected full step.
-    pub max_soc: usize,
-    /// Non-monotone full steps the watchdog may take on trust after the
-    /// filter line search fails, before restoring the saved iterate and
-    /// entering feasibility restoration. `0` disables the watchdog.
-    pub watchdog_budget: usize,
-    /// Iteration budget of the feasibility-restoration phase.
-    pub max_restoration_iters: usize,
-    /// Dual regularization added to the constraint block of the KKT system.
-    pub delta_c: f64,
     /// Optional primal warm start overriding [`Nlp::initial_point`].
     pub initial_point: Option<Vec<f64>>,
     /// Optional warm start for the constraint multipliers `[λ_E; λ_I]`.
@@ -100,17 +102,16 @@ pub struct IpmOptions {
     /// slacked vector `v = [x; s]` (dimension `nx + m_ineq` each, as
     /// returned in [`SolveReport::zl`](crate::SolveReport::zl)/
     /// [`zu`](crate::SolveReport::zu)). Without it the solver
-    /// re-initializes `z = μ_init / slack` — which erases the active-set
+    /// re-initializes `z = μ / slack` — which erases the active-set
     /// information a near-optimal [`initial_point`](IpmOptions::initial_point)
     /// carries and forces the full cold μ descent. With it the start is
     /// treated as a converged donor's: the point and the slacks are pushed
-    /// only `1e-9` (relative) inside their bounds rather than by
-    /// [`bound_push`](IpmOptions::bound_push), the multipliers are carried
-    /// (clamped positive), and the initial barrier parameter starts from
-    /// their average complementarity instead of
-    /// [`mu_init`](IpmOptions::mu_init). A start near an optimum thus
-    /// resumes the barrier trajectory where the donor solve left off: a
-    /// `Pegase1354/200` re-solve at 2 % load noise takes 2 Newton steps
+    /// only `1e-9` (relative) inside their bounds rather than by the cold
+    /// start's `1e-2`, the multipliers are carried (clamped positive), and
+    /// the initial barrier parameter starts from their average
+    /// complementarity instead of the cold `0.1`. A start near an optimum
+    /// thus resumes the barrier trajectory where the donor solve left off:
+    /// a `Pegase1354/200` re-solve at 2 % load noise takes 2 Newton steps
     /// where a cold solve takes 22. Vectors of another length are ignored.
     pub initial_bound_multipliers: Option<(Vec<f64>, Vec<f64>)>,
     /// The KKT path of each Newton step. [`KktStrategy::Condensed`] is the
@@ -124,14 +125,6 @@ impl Default for IpmOptions {
         IpmOptions {
             tol: 1e-6,
             max_iter: 300,
-            mu_init: 0.1,
-            tau_min: 0.99,
-            bound_push: 1e-2,
-            max_refactorizations: 40,
-            max_soc: 4,
-            watchdog_budget: 3,
-            max_restoration_iters: 100,
-            delta_c: 1e-8,
             initial_point: None,
             initial_multipliers: None,
             initial_bound_multipliers: None,
@@ -324,7 +317,6 @@ fn restore_feasibility<N: Nlp>(
     nx: usize,
     m_eq: usize,
     m_ineq: usize,
-    max_iters: usize,
     target: f64,
 ) -> bool {
     let nv = v.len();
@@ -364,7 +356,7 @@ fn restore_feasibility<N: Nlp>(
         (sq, l1)
     };
     let (mut r, mut theta) = residual(&v[..nx], &v[nx..], &mut ce, &mut ci);
-    for _ in 0..max_iters {
+    for _ in 0..MAX_RESTORATION_ITERS {
         if theta <= target {
             return true;
         }
@@ -482,24 +474,23 @@ impl IpmSolver {
     /// donor that can fail where the full push succeeds (after a 10 %
     /// uniform load step on `case9`, a watchdog step three iterations in
     /// rounds onto a bound 1e-9 away), so a donor-seeded solve that does not
-    /// end optimal is re-run from the same seed with
-    /// [`IpmOptions::bound_push`]; the report bills both attempts.
+    /// end optimal is re-run from the same seed with the cold start's
+    /// `1e-2` push; the report bills both attempts.
     pub fn solve_with_cache<N: Nlp>(&self, nlp: &N, cache: &mut KktCache) -> SolveReport {
         let nv = nlp.num_vars() + nlp.num_ineq();
-        let bound_push = self.options.bound_push;
         let Some(warm_z) = self
             .options
             .initial_bound_multipliers
             .as_ref()
             .filter(|(wl, wu)| wl.len() == nv && wu.len() == nv)
         else {
-            return self.attempt(nlp, cache, bound_push, None);
+            return self.attempt(nlp, cache, BOUND_PUSH, None);
         };
         let warm = self.attempt(nlp, cache, WARM_BOUND_PUSH, Some(warm_z));
         if warm.is_optimal() {
             return warm;
         }
-        let mut report = self.attempt(nlp, cache, bound_push, Some(warm_z));
+        let mut report = self.attempt(nlp, cache, BOUND_PUSH, Some(warm_z));
         report.iterations += warm.iterations;
         report.factorizations += warm.factorizations;
         report.symbolic_analyses += warm.symbolic_analyses;
@@ -595,7 +586,7 @@ impl IpmSolver {
                 }
             }
         }
-        let mut mu = opts.mu_init;
+        let mut mu = MU_INIT;
         let mut zl = vec![0.0; nv];
         let mut zu = vec![0.0; nv];
         if let Some((wl, wu)) = warm_z {
@@ -618,7 +609,7 @@ impl IpmSolver {
                 }
             }
             if comp_n > 0 {
-                mu = (comp_sum / comp_n as f64).clamp(opts.tol / 10.0, opts.mu_init);
+                mu = (comp_sum / comp_n as f64).clamp(opts.tol / 10.0, MU_INIT);
             }
         } else {
             for i in 0..nv {
@@ -810,7 +801,7 @@ impl IpmSolver {
             // κ_c rule) so near-rank-deficient constraint blocks stop
             // amplifying the multiplier step.
             let mut delta_w = 0.0f64;
-            let mut delta_c = opts.delta_c;
+            let mut delta_c = DELTA_C;
             let mut attempt = 0usize;
             let factorized = loop {
                 factorizations += 1;
@@ -827,7 +818,7 @@ impl IpmSolver {
                 ) {
                     Ok(cond) => {
                         let inertia_ok = cond.inertia == (nx, m_eq, 0) && cond.num_regularized == 0;
-                        if inertia_ok || attempt >= opts.max_refactorizations {
+                        if inertia_ok || attempt >= MAX_REFACTORIZATIONS {
                             break Some(cond);
                         }
                         if cond.inertia.2 > 0 || cond.num_regularized > 0 {
@@ -835,7 +826,7 @@ impl IpmSolver {
                         }
                     }
                     Err(_) => {
-                        if attempt >= opts.max_refactorizations {
+                        if attempt >= MAX_REFACTORIZATIONS {
                             break None;
                         }
                         delta_c = delta_c.max(1e-8 * mu.powf(0.25));
@@ -869,7 +860,7 @@ impl IpmSolver {
             let dlambda = &step[nv..];
 
             // --- fraction to boundary ---
-            let tau = opts.tau_min.max(1.0 - mu);
+            let tau = TAU_MIN.max(1.0 - mu);
             let alpha_pri_max = max_primal_step(&v, dv, &lower, &upper, tau);
 
             // Directional derivative of φ along dv.
@@ -955,7 +946,7 @@ impl IpmSolver {
                         c_soc[j] = alpha * r_c[j] + tp.c[j];
                     }
                     let mut theta_soc_prev = tp.theta;
-                    for _ in 0..opts.max_soc {
+                    for _ in 0..MAX_SOC {
                         soc_steps += 1;
                         let mut rhs_soc = rhs.clone();
                         for j in 0..mc {
@@ -1012,13 +1003,13 @@ impl IpmSolver {
                 None => {
                     // --- watchdog: a bounded run of full steps on trust ---
                     let force = match &mut watchdog {
-                        None if opts.watchdog_budget > 0 => {
+                        None => {
                             watchdog = Some(SavedIterate {
                                 v: v.clone(),
                                 lambda: lambda.clone(),
                                 zl: zl.clone(),
                                 zu: zu.clone(),
-                                left: opts.watchdog_budget,
+                                left: WATCHDOG_BUDGET,
                             });
                             true
                         }
@@ -1075,7 +1066,6 @@ impl IpmSolver {
                             nx,
                             m_eq,
                             m_ineq,
-                            opts.max_restoration_iters,
                             target,
                         ) {
                             status = IpmStatus::RestorationFailure;

@@ -210,7 +210,7 @@ impl ServeDaemon {
         for job in &mut jobs {
             if job.manifest.is_complete() && !job.manifest.store_committed {
                 let inserts =
-                    runner::commit_job(&job.manifest, &job.nets, &mut admm_store, &mut ipm_store);
+                    runner::commit_job(&job.manifest, &job.nets, &mut admm_store, &mut ipm_store)?;
                 job.stats.inserts += inserts;
                 job.manifest.store_committed = true;
                 job.manifest.save(&job.path)?;
@@ -489,7 +489,7 @@ impl ServeDaemon {
                 &job.nets,
                 &mut state.admm_store,
                 &mut state.ipm_store,
-            );
+            )?;
             job.stats.inserts += inserts;
             job.manifest.store_committed = true;
             job.manifest.save(&job.path)?;

@@ -220,6 +220,13 @@ impl Deserialize for JobManifest {
         if m.records.len() != m.spec.scenario_count() || m.results.len() != m.records.len() {
             return Err(DeError::custom("manifest record/result arity mismatch"));
         }
+        if let Some(i) = (m.records.iter().zip(&m.results))
+            .position(|(r, res)| r.state == ScenarioState::Done && res.is_none())
+        {
+            return Err(DeError::custom(format!(
+                "manifest scenario {i} is done but has no recorded result"
+            )));
+        }
         Ok(m)
     }
 }

@@ -19,6 +19,7 @@ use gridsim_ipm::{IpmFleetSolver, IpmOptions, IpmWarmStart};
 use gridsim_screen::{Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig};
 use gridsim_store::{ScenarioFingerprint, SolutionStore, StoreRunStats, StoreView};
 use serde::{Deserialize, Serialize, Value};
+use std::io;
 
 /// Env var: per-scenario artificial delay in milliseconds, applied before
 /// each chunk run. Exists so kill/resume tests (and demos) can widen the
@@ -212,13 +213,23 @@ pub fn run_chunk(
 /// running it after a restart inserts bitwise the same entries (inserting
 /// an existing entry replaces it in place, keeping every tie-break).
 /// Returns the number of entries committed.
+///
+/// # Errors
+/// `InvalidData` when a done scenario has no recorded result or its result
+/// does not decode as the job's solver family's.
 pub fn commit_job(
     manifest: &JobManifest,
     nets: &[Network],
     admm_store: &mut SolutionStore<WarmState>,
     ipm_store: &mut SolutionStore<IpmWarmStart>,
-) -> usize {
+) -> io::Result<usize> {
     let case_id = manifest.spec.case.id();
+    let invalid = |i: usize, what: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("job {:?} scenario {i}: {what}", manifest.spec.name),
+        )
+    };
     let mut committed = 0;
     for (i, record) in manifest.records.iter().enumerate() {
         if record.state != ScenarioState::Done {
@@ -226,21 +237,20 @@ pub fn commit_job(
         }
         let value = manifest.results[i]
             .as_ref()
-            .expect("a Done scenario always has a recorded result");
+            .ok_or_else(|| invalid(i, "done without a recorded result".into()))?;
         let fp = ScenarioFingerprint::of_network(&nets[i]);
         match manifest.spec.solver {
             SolverFamily::Admm => {
-                let r = ScenarioResult::from_value(value)
-                    .expect("manifest holds a serialized ScenarioResult");
+                let r = ScenarioResult::from_value(value).map_err(|e| invalid(i, e.to_string()))?;
                 admm_store.insert(case_id, &fp, r.warm_state);
             }
             SolverFamily::Ipm => {
                 let r = gridsim_ipm::FleetScenarioResult::from_value(value)
-                    .expect("manifest holds a serialized FleetScenarioResult");
+                    .map_err(|e| invalid(i, e.to_string()))?;
                 ipm_store.insert(case_id, &fp, IpmWarmStart::from_report(&r.report));
             }
         }
         committed += 1;
     }
-    committed
+    Ok(committed)
 }

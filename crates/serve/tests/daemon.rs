@@ -396,3 +396,60 @@ fn store_snapshots_freeze_at_submit_and_reuse_across_restarts() {
     assert!(s.complete && s.counts.failed == 0);
     assert_eq!(s.store.hits, 2, "reloaded store gave no warm starts: {s:?}");
 }
+
+/// A completed job whose store commit is still owed, written straight to
+/// the daemon's `jobs/` directory with `result` recorded for every
+/// scenario in place of what a solve would have recorded.
+fn owed_commit_dir(tag: &str, solver: SolverFamily, result: &Value) -> PathBuf {
+    let dir = fresh_dir(tag);
+    std::fs::create_dir_all(dir.join("jobs")).unwrap();
+    let spec = JobSpec::new(
+        "corrupt",
+        CaseName::Case9,
+        ScenarioSpec::load_ramp(2, 0.99, 1.0),
+        solver,
+    );
+    let mut m = JobManifest::new(spec, 0);
+    for i in 0..2 {
+        m.record_done(i, result.clone());
+    }
+    assert!(m.is_complete() && !m.store_committed);
+    m.save(&dir.join("jobs/corrupt.json")).unwrap();
+    dir
+}
+
+#[test]
+fn corrupt_completed_manifest_is_invalid_data_not_a_panic() {
+    let cases = [
+        // Done records whose result is `null`: refused when the manifest
+        // loads.
+        (
+            "corrupt-null",
+            SolverFamily::Admm,
+            Value::Null,
+            "has no recorded result",
+        ),
+        // Results that are not the family's serialized result type:
+        // refused when the owed commit decodes them.
+        (
+            "corrupt-admm",
+            SolverFamily::Admm,
+            Value::Num(1.0),
+            "job \"corrupt\" scenario 0",
+        ),
+        (
+            "corrupt-ipm",
+            SolverFamily::Ipm,
+            Value::Str("x".into()),
+            "job \"corrupt\" scenario 0",
+        ),
+    ];
+    for (tag, solver, bad, message) in cases {
+        let dir = owed_commit_dir(tag, solver, &bad);
+        let err = ServeDaemon::open(&dir, 1)
+            .err()
+            .unwrap_or_else(|| panic!("{tag}: the daemon opened on a corrupt manifest"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
+        assert!(err.to_string().contains(message), "{tag}: {err}");
+    }
+}

@@ -32,10 +32,6 @@ pub struct TronOptions {
     pub gtol: f64,
     /// Initial trust-region radius (`None` uses the initial gradient norm).
     pub initial_delta: Option<f64>,
-    /// Maximum number of CG iterations per subspace solve.
-    pub max_cg_iter: usize,
-    /// Step acceptance threshold on the reduction ratio.
-    pub eta: f64,
 }
 
 impl Default for TronOptions {
@@ -44,8 +40,6 @@ impl Default for TronOptions {
             max_iter: 200,
             gtol: 1e-8,
             initial_delta: None,
-            max_cg_iter: 50,
-            eta: 1e-4,
         }
     }
 }
@@ -64,6 +58,15 @@ impl Default for TronOptions {
 /// is part of the test, so a step accepted under it raises `f` by at most
 /// `FTOL * max(1, |f|)`.
 const FTOL: f64 = 1e-10;
+
+/// Steihaug–Toint CG iterations per subspace solve. A problem has at most
+/// [`MAX_DIM`] variables, so CG in exact arithmetic ends within that many;
+/// the cap only bounds a solve that rounding keeps going.
+const MAX_CG_ITER: usize = 50;
+
+/// Step acceptance threshold on the reduction ratio `ared / pred`
+/// (Lin & Moré's η₀ = 1e-4).
+const ETA: f64 = 1e-4;
 
 /// Termination status of a TRON solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,7 +215,7 @@ impl TronSolver {
                 .max(0.0)
                 .sqrt();
             if remaining > 1e-14 && free.iter().any(|&fr| fr) {
-                let cg = steihaug_cg(&h, rhs, free, remaining, 1e-8, self.opts.max_cg_iter);
+                let cg = steihaug_cg(&h, rhs, free, remaining, 1e-8, MAX_CG_ITER);
                 // Projected line search on the refinement direction: scale the
                 // CG step back until x + step stays feasible and the model
                 // does not increase relative to the Cauchy point.
@@ -258,7 +261,7 @@ impl TronSolver {
                 ared.signum()
             };
 
-            if rho > self.opts.eta {
+            if rho > ETA {
                 x.copy_from_slice(x_trial);
                 f = f_trial;
                 problem.derivatives(x, g, &mut h);
