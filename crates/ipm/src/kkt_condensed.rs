@@ -38,21 +38,27 @@
 //! one sparsity pattern for the whole solve: only values change with the
 //! barrier, the multipliers and the inertia regularization δ_w.
 //! [`KktCache::ensure_structure`] takes the declared structure once per
-//! solve, freezes the pattern it implies (the Hessian, both `J_E` blocks,
-//! every variable pair sharing an inequality row, the diagonal), orders it
-//! with approximate minimum degree
-//! ([`gridsim_sparse::LdlSymbolic::analyze_amd`]: the system is
+//! solve and freezes the pattern it implies (the diagonal, the Hessian, both
+//! `J_E` blocks, every variable pair sharing an inequality row) in one pass:
+//! the triplets go through one counting-sort compression
+//! ([`gridsim_sparse::CscPattern::from_coordinates`]), which records the
+//! slot every declared triplet lands in as it places it — slots are
+//! recorded while the pattern is built, never located by search — and the
+//! compressed pattern, already symmetric, sorted and duplicate-free, is the
+//! graph the approximate minimum degree ordering reads
+//! ([`gridsim_sparse::Ordering::amd_symmetric`]: the system is
 //! quasi-definite, so any symmetric permutation factorizes without pivoting
-//! and the ordering is free to minimise fill), and records where every
-//! declared triplet lands in it. Every Newton step then writes the model's
-//! values through those recorded slots into a reused buffer — no search, no
-//! per-row grouping, no allocation that grows with the model — and runs a
-//! numeric-only [`gridsim_sparse::LdlSymbolic::refactor_dense_tail`] on the
-//! host, as the paper's interior-point baseline does: the AMD-ordered
-//! condensed system ends in a dense block (the last 90 of 877 columns on
-//! the `ipm_fleet` stand-in) that carries most of the arithmetic, and that
-//! block is factored right-looking while the sparse rows keep the
-//! up-looking replay. Each refactorization is billed to the solver's
+//! and the ordering is free to minimise fill) before
+//! [`gridsim_sparse::LdlSymbolic::analyze_pattern`] freezes the symbolic
+//! factorization by counting sorts of its own. Every Newton step then writes
+//! the model's values through those recorded slots into a reused buffer —
+//! no search, no per-row grouping, no allocation that grows with the model —
+//! and runs a numeric-only
+//! [`gridsim_sparse::LdlSymbolic::refactor_dense_tail`] on the host, as the
+//! paper's interior-point baseline does: the AMD-ordered condensed system
+//! ends in a dense block (the last 90 of 877 columns on the `ipm_fleet`
+//! stand-in) that carries most of the arithmetic, and that block is factored
+//! right-looking while the sparse rows keep the up-looking replay. Each refactorization is billed to the solver's
 //! [`gridsim_batch::DeviceStats`] stream as one launch of the kernel
 //! `ldl_refactor_level` (blocks = rows, elapsed = the refactorization
 //! alone), so a traced run still splits an IPM iteration into its
@@ -72,9 +78,8 @@
 //! before.
 
 use crate::kkt::KktDims;
-use crate::nlp::hessian_has_both_triangles;
 use gridsim_batch::DeviceStats;
-use gridsim_sparse::{Coo, Csc, LdlFactor, LdlOptions, LdlSymbolic, SparseError};
+use gridsim_sparse::{Coo, CscPattern, LdlFactor, LdlOptions, LdlSymbolic, Ordering, SparseError};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The linear-algebra path of each Newton step. It has one value: the enum
@@ -167,8 +172,7 @@ pub(crate) struct FrozenSystem {
     /// Slot of every diagonal entry `(i, i)`.
     diag_slots: Vec<usize>,
     /// Symbolic analysis of the frozen pattern; [`LdlSymbolic::pattern`] is
-    /// the single copy of the full-symmetric CSC structure slot lookups run
-    /// against.
+    /// the single copy of the full-symmetric CSC structure the slots index.
     ldl: LdlSymbolic,
     /// Factorization options carrying the expected pivot signs (`+1` on the
     /// variable block, `−1` on the equality-dual block); a cache copies them
@@ -195,29 +199,19 @@ struct IneqRows {
 }
 
 impl IneqRows {
-    fn group(jac_ineq: &Coo, m_ineq: usize) -> IneqRows {
-        let nnz = jac_ineq.nnz();
-        let mut order: Vec<usize> = (0..nnz).collect();
-        order.sort_by_key(|&t| (jac_ineq.rows[t], jac_ineq.cols[t]));
-        let mut grouped = IneqRows {
-            entry: vec![0; nnz],
-            row_ptr: vec![0; m_ineq + 1],
-            cols: Vec::with_capacity(nnz),
+    /// One counting-sort compression of the triplets with the inequality
+    /// row as the major index: the entries of each row come out ascending
+    /// and merged, and each triplet's slot is its entry.
+    fn group(jac_ineq: &Coo, dims: &KktDims) -> IneqRows {
+        let transposed = |f: &mut dyn FnMut(usize, usize)| {
+            (jac_ineq.cols.iter().zip(&jac_ineq.rows)).for_each(|(&c, &r)| f(c, r))
         };
-        let mut last = None;
-        for t in order {
-            let coordinate = (jac_ineq.rows[t], jac_ineq.cols[t]);
-            if last != Some(coordinate) {
-                grouped.cols.push(coordinate.1);
-                grouped.row_ptr[coordinate.0 + 1] += 1;
-                last = Some(coordinate);
-            }
-            grouped.entry[t] = grouped.cols.len() - 1;
+        let (by_row, entry) = CscPattern::from_coordinates(dims.nx, dims.m_ineq, transposed);
+        IneqRows {
+            entry,
+            row_ptr: by_row.colptr,
+            cols: by_row.rowind,
         }
-        for r in 0..m_ineq {
-            grouped.row_ptr[r + 1] += grouped.row_ptr[r];
-        }
-        grouped
     }
 
     /// The columns of row `r`'s entries, ascending.
@@ -228,68 +222,43 @@ impl IneqRows {
 
 /// Where each declared triplet of one NLP's derivatives lands in the frozen
 /// pattern, so that assembling the condensed matrix is one pass over the
-/// values in declaration order.
+/// values in declaration order. One vector holds the slots of the three
+/// blocks one after another, as the analysis recorded them.
 #[derive(Debug, Clone, PartialEq)]
 struct SlotMap {
-    /// One slot per Hessian triplet.
-    hess: Vec<usize>,
-    /// Two slots per equality-Jacobian triplet `(r, c)`: `(nx + r, c)`, then
-    /// `(c, nx + r)`.
-    jac_eq: Vec<usize>,
+    slots: Vec<usize>,
+    /// Where the `J_E` slots start in `slots`.
+    jac_eq: usize,
+    /// Where the `J_I` pair slots start in `slots`.
+    ineq_pairs: usize,
     ineq: IneqRows,
-    /// The slots `J_Iᵀ C J_I` adds into, in assembly order: per row, per
-    /// entry `p`, the diagonal `(p, p)`, then `(p, q)` and `(q, p)` for every
-    /// later entry `q` of the row.
-    ineq_pairs: Vec<usize>,
 }
 
 impl SlotMap {
-    /// Locate every declared triplet in the pattern; `None` when one falls
-    /// outside it.
-    fn locate(
-        ldl: &LdlSymbolic,
-        dims: &KktDims,
-        hess: &Coo,
-        jac_eq: &Coo,
-        jac_ineq: &Coo,
-    ) -> Option<SlotMap> {
-        let (colptr, rowind) = ldl.pattern();
-        let at = |row: usize, col: usize| slot(colptr, rowind, row, col);
-        let hess_slots = (0..hess.nnz())
-            .map(|t| at(hess.rows[t], hess.cols[t]))
-            .collect::<Option<Vec<usize>>>()?;
-        let mut jac_eq_slots = Vec::with_capacity(2 * jac_eq.nnz());
-        for t in 0..jac_eq.nnz() {
-            let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
-            jac_eq_slots.push(at(r, c)?);
-            jac_eq_slots.push(at(c, r)?);
-        }
-        let ineq = IneqRows::group(jac_ineq, dims.m_ineq);
-        let mut ineq_pairs = Vec::new();
-        for r in 0..dims.m_ineq {
-            let cols = ineq.row(r);
-            for (p, &cp) in cols.iter().enumerate() {
-                ineq_pairs.push(at(cp, cp)?);
-                for &cq in &cols[p + 1..] {
-                    ineq_pairs.push(at(cp, cq)?);
-                    ineq_pairs.push(at(cq, cp)?);
-                }
-            }
-        }
-        Some(SlotMap {
-            hess: hess_slots,
-            jac_eq: jac_eq_slots,
-            ineq,
-            ineq_pairs,
-        })
+    /// One slot per Hessian triplet.
+    fn hess(&self) -> &[usize] {
+        &self.slots[..self.jac_eq]
+    }
+
+    /// Two slots per equality-Jacobian triplet `(r, c)`: `(nx + r, c)`, then
+    /// `(c, nx + r)`.
+    fn jac_eq(&self) -> &[usize] {
+        &self.slots[self.jac_eq..self.ineq_pairs]
+    }
+
+    /// The slots `J_Iᵀ C J_I` adds into, in assembly order: per row, per
+    /// entry `p`, the diagonal `(p, p)`, then `(p, q)` and `(q, p)` for every
+    /// later entry `q` of the row.
+    fn ineq_pairs(&self) -> &[usize] {
+        &self.slots[self.ineq_pairs..]
     }
 
     /// Whether this map was recorded for exactly the declared coordinates:
     /// every Hessian and `J_E` slot holds its triplet's row and column, and
     /// every `J_I` triplet's entry its row and column. O(nnz), allocation
     /// free, and checking the recorded entries suffices: they were grouped
-    /// strictly ascending with every entry used, so [`Self::locate`] on the
-    /// same coordinates would rebuild this very map.
+    /// strictly ascending with every entry used, so freezing the same
+    /// coordinates again would record this very map.
     fn describes(
         &self,
         ldl: &LdlSymbolic,
@@ -304,14 +273,14 @@ impl SlotMap {
                 && (colptr[col]..colptr[col + 1]).contains(&k)
                 && rowind[k] == row
         };
-        let ineq = &self.ineq;
-        self.hess.len() == hess.nnz()
-            && self.jac_eq.len() == 2 * jac_eq.nnz()
+        let (ineq, hess_slots, jac_eq_slots) = (&self.ineq, self.hess(), self.jac_eq());
+        hess_slots.len() == hess.nnz()
+            && jac_eq_slots.len() == 2 * jac_eq.nnz()
             && ineq.entry.len() == jac_ineq.nnz()
-            && (0..hess.nnz()).all(|t| holds(self.hess[t], hess.rows[t], hess.cols[t]))
+            && (0..hess.nnz()).all(|t| holds(hess_slots[t], hess.rows[t], hess.cols[t]))
             && (0..jac_eq.nnz()).all(|t| {
                 let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
-                holds(self.jac_eq[2 * t], r, c) && holds(self.jac_eq[2 * t + 1], c, r)
+                holds(jac_eq_slots[2 * t], r, c) && holds(jac_eq_slots[2 * t + 1], c, r)
             })
             && (0..jac_ineq.nnz()).all(|t| {
                 let (e, r) = (ineq.entry[t], jac_ineq.rows[t]);
@@ -323,65 +292,81 @@ impl SlotMap {
 }
 
 impl FrozenSystem {
-    /// Freeze the pattern a declared structure implies (the Hessian, both
-    /// `J_E` blocks, every variable pair sharing an inequality row, the
-    /// diagonal), analyze it and locate the structure in it. `None` when the
-    /// Hessian breaks the [`Nlp`](crate::Nlp) contract by carrying an
-    /// off-diagonal coordinate without its transpose.
-    fn analyze(
-        dims: &KktDims,
-        hess: &Coo,
-        jac_eq: &Coo,
-        jac_ineq: &Coo,
-        analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
-    ) -> Option<FrozenSystem> {
-        if !hessian_has_both_triangles(hess) {
+    /// Freeze the pattern a declared structure implies (the diagonal, the
+    /// Hessian, both `J_E` blocks, every variable pair sharing an inequality
+    /// row), analyze it and keep where each declared triplet lands. One
+    /// pass: the triplets are listed block by block and compressed by
+    /// counting sort, which records each slot as it places the triplet, and
+    /// the compressed pattern — symmetric, sorted and duplicate-free — is the
+    /// graph the ordering reads. Nothing is sorted
+    /// by comparison or searched. `None` when a declared coordinate lies
+    /// outside its block, or when the Hessian breaks the [`Nlp`](crate::Nlp)
+    /// contract by carrying an off-diagonal coordinate without its
+    /// transpose.
+    fn analyze(dims: &KktDims, hess: &Coo, jac_eq: &Coo, jac_ineq: &Coo) -> Option<FrozenSystem> {
+        let nx = dims.nx;
+        let in_block = |coo: &Coo, nrows: usize| {
+            coo.rows.len() == coo.nnz()
+                && coo.cols.len() == coo.nnz()
+                && coo.rows.iter().all(|&r| r < nrows)
+                && coo.cols.iter().all(|&c| c < nx)
+        };
+        if !(in_block(hess, nx) && in_block(jac_eq, dims.m_eq) && in_block(jac_ineq, dims.m_ineq)) {
             return None;
         }
-        let ncond = dims.nx + dims.m_eq;
-        let mut rows = Vec::new();
-        let mut cols = Vec::new();
-        // Every diagonal entry exists (barrier + regularization on the
-        // variable block, −δ_c′ on the equality-dual block).
-        for i in 0..ncond {
-            rows.push(i);
-            cols.push(i);
-        }
-        for t in 0..hess.nnz() {
-            rows.push(hess.rows[t]);
-            cols.push(hess.cols[t]);
-        }
-        for t in 0..jac_eq.nnz() {
-            let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
-            rows.push(r);
-            cols.push(c);
-            rows.push(c);
-            cols.push(r);
-        }
-        // J_Iᵀ C J_I couples every pair of variables that share an
-        // inequality row.
-        let ineq = IneqRows::group(jac_ineq, dims.m_ineq);
-        for r in 0..dims.m_ineq {
-            for &cp in ineq.row(r) {
-                for &cq in ineq.row(r) {
-                    rows.push(cp);
-                    cols.push(cq);
+        let ncond = nx + dims.m_eq;
+        let ineq = IneqRows::group(jac_ineq, dims);
+        // The triplets block by block: the Hessian, both `J_E` blocks,
+        // `J_Iᵀ C J_I` (which couples every pair of variables sharing an
+        // inequality row) in assembly order, then every diagonal entry
+        // (barrier + regularization on the variable block, −δ_c′ on the
+        // equality-dual block).
+        let triplets = |f: &mut dyn FnMut(usize, usize)| {
+            hess.rows
+                .iter()
+                .zip(&hess.cols)
+                .for_each(|(&r, &c)| f(r, c));
+            for (&r, &c) in jac_eq.rows.iter().zip(&jac_eq.cols) {
+                f(nx + r, c);
+                f(c, nx + r);
+            }
+            for r in 0..dims.m_ineq {
+                let entries = ineq.row(r);
+                for (p, &cp) in entries.iter().enumerate() {
+                    f(cp, cp);
+                    for &cq in &entries[p + 1..] {
+                        f(cp, cq);
+                        f(cq, cp);
+                    }
                 }
             }
+            for i in 0..ncond {
+                f(i, i);
+            }
+        };
+        let (pattern, mut slots) = CscPattern::from_coordinates(ncond, ncond, triplets);
+        if !hessian_has_both_triangles(&pattern, &slots[..hess.nnz()]) {
+            return None;
         }
-        let vals = vec![0.0; rows.len()];
-        let pattern = Csc::from_triplets(ncond, ncond, &rows, &cols, &vals);
-        let diag_slots: Vec<usize> = (0..ncond)
-            .map(|i| slot(&pattern.colptr, &pattern.rowind, i, i).expect("diagonal in pattern"))
-            .collect();
-        let ldl = analyze(&pattern).expect("condensed pattern analyzes");
-        let slots = SlotMap::locate(&ldl, dims, hess, jac_eq, jac_ineq)
-            .expect("the pattern covers the structure it was built from");
+        let ordering = Ordering::amd_symmetric(&pattern);
+        let ldl = LdlSymbolic::analyze_pattern(pattern, ordering).expect("the pattern is square");
+        let diag_slots = slots.split_off(slots.len() - ncond);
+        let slots = SlotMap {
+            slots,
+            jac_eq: hess.nnz(),
+            ineq_pairs: hess.nnz() + 2 * jac_eq.nnz(),
+            ineq,
+        };
+        Some(FrozenSystem::new(dims, diag_slots, ldl, slots))
+    }
+
+    /// A frozen system from its parts, with the pivot signs of `dims`.
+    fn new(dims: &KktDims, diag_slots: Vec<usize>, ldl: LdlSymbolic, slots: SlotMap) -> Self {
         let mut expected_signs = vec![1i8; dims.nx];
         expected_signs.extend(std::iter::repeat_n(-1i8, dims.m_eq));
-        Some(FrozenSystem {
+        FrozenSystem {
             dims: *dims,
-            ncond,
+            ncond: dims.nx + dims.m_eq,
             diag_slots,
             ldl,
             opts: LdlOptions {
@@ -389,7 +374,7 @@ impl FrozenSystem {
                 ..Default::default()
             },
             slots,
-        })
+        }
     }
 
     /// Whether this system was frozen for exactly the declared structure.
@@ -426,15 +411,15 @@ pub(crate) struct FrozenRegistry {
 impl FrozenRegistry {
     /// The frozen system of the declared structure, analyzed under the lock
     /// on first request so that each structure is analyzed exactly once,
-    /// with whether this call analyzed it. `None` when
-    /// [`FrozenSystem::analyze`] refuses the Hessian.
+    /// with whether this call analyzed it. `None` when `analyze` refuses
+    /// the structure.
     fn resolve(
         &self,
         dims: &KktDims,
         hess: &Coo,
         jac_eq: &Coo,
         jac_ineq: &Coo,
-        analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
+        analyze: impl FnOnce(&KktDims, &Coo, &Coo, &Coo) -> Option<FrozenSystem>,
     ) -> Option<(Arc<FrozenSystem>, bool)> {
         let key = structure_hash(dims, hess, jac_eq, jac_ineq);
         let mut systems = self.systems.lock().unwrap_or_else(PoisonError::into_inner);
@@ -444,12 +429,22 @@ impl FrozenRegistry {
         if let Some((_, system)) = known {
             return Some((Arc::clone(system), false));
         }
-        let system = Arc::new(FrozenSystem::analyze(
-            dims, hess, jac_eq, jac_ineq, analyze,
-        )?);
+        let system = Arc::new(analyze(dims, hess, jac_eq, jac_ineq)?);
         systems.push((key, Arc::clone(&system)));
         Some((system, true))
     }
+}
+
+/// Whether the Hessian carries both triangles — the pattern half of the
+/// [`Nlp`](crate::Nlp) Hessian contract — given the frozen pattern and the
+/// slots its triplets landed in: the pattern is symmetric (every other block
+/// is by construction) and the Hessian's slots hold the transpose of each.
+fn hessian_has_both_triangles(pattern: &CscPattern, hess_slots: &[usize]) -> bool {
+    let mut in_hessian = vec![false; pattern.nnz()];
+    for &k in hess_slots {
+        in_hessian[k] = true;
+    }
+    pattern.is_symmetric_where(|k, transposed| in_hessian[k] == in_hessian[transposed])
 }
 
 /// FNV-1a over whole words of the dimensions and the declared coordinates
@@ -597,12 +592,17 @@ impl KktCache {
     /// held system is kept when it already describes the structure (the next
     /// solve of a lane); otherwise the registry supplies the one frozen for
     /// these coordinates, analyzing it — one symbolic analysis — only if no
-    /// cache sharing the registry has declared them before.
+    /// cache sharing the registry has declared them before. The analysis
+    /// records each triplet's slot while it builds the pattern, by counting
+    /// sort; nothing is searched.
     ///
-    /// Returns `false`, leaving the cache without a system, when the Hessian
-    /// breaks the [`Nlp`](crate::Nlp) contract by carrying an off-diagonal
-    /// coordinate without its transpose. Every registered structure has
-    /// passed that check, so a re-declared one skips it.
+    /// Returns `false`, leaving the cache without a system, when a declared
+    /// coordinate lies outside its block (a Hessian or Jacobian column at or
+    /// past `nx`, a `J_E` row at or past `m_eq`, a `J_I` row at or past
+    /// `m_ineq`), or when the Hessian breaks the [`Nlp`](crate::Nlp) contract
+    /// by carrying an off-diagonal coordinate without its transpose. Every
+    /// registered structure has passed both checks, so a re-declared one
+    /// skips them.
     #[must_use]
     pub fn ensure_structure(
         &mut self,
@@ -611,20 +611,21 @@ impl KktCache {
         jac_eq: &Coo,
         jac_ineq: &Coo,
     ) -> bool {
-        self.ensure_structure_with(dims, hess, jac_eq, jac_ineq, LdlSymbolic::analyze_amd)
+        self.ensure_structure_with(dims, hess, jac_eq, jac_ineq, FrozenSystem::analyze)
     }
 
     /// [`Self::ensure_structure`] with the analysis as a parameter, so the
-    /// tests can freeze the same pattern under RCM — what every cache did
-    /// before the fill-reducing ordering — as the oracle that the solver's
-    /// iterates do not depend on the ordering.
+    /// tests can freeze the same structure through the search-based
+    /// pipeline the one-pass analysis replaced, under RCM — what every cache
+    /// did before the fill-reducing ordering — as well as AMD: the oracles
+    /// of the analysis and of the solver's independence of the ordering.
     fn ensure_structure_with(
         &mut self,
         dims: &KktDims,
         hess: &Coo,
         jac_eq: &Coo,
         jac_ineq: &Coo,
-        analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
+        analyze: impl FnOnce(&KktDims, &Coo, &Coo, &Coo) -> Option<FrozenSystem>,
     ) -> bool {
         assert_eq!(dims.ns, dims.m_ineq, "one slack per inequality");
         if let Some(s) = &self.frozen {
@@ -769,14 +770,16 @@ impl FrozenSystem {
     ) {
         let slots = &self.slots;
         let ineq = &slots.ineq;
+        let (hess_slots, jac_eq_slots, ineq_pairs) =
+            (slots.hess(), slots.jac_eq(), slots.ineq_pairs());
         assert_eq!(
             hess.len(),
-            slots.hess.len(),
+            hess_slots.len(),
             "one value per Hessian triplet"
         );
         assert_eq!(
             2 * jac_eq.len(),
-            slots.jac_eq.len(),
+            jac_eq_slots.len(),
             "one value per J_E triplet"
         );
         assert_eq!(
@@ -787,13 +790,13 @@ impl FrozenSystem {
         let nx = self.dims.nx;
         out.clear();
         out.resize(self.ldl.nnz(), 0.0);
-        for (&k, &v) in slots.hess.iter().zip(hess) {
+        for (&k, &v) in hess_slots.iter().zip(hess) {
             out[k] += v;
         }
         for (&k, &sig) in self.diag_slots.iter().zip(&sigma[..nx]) {
             out[k] += sig + delta_w;
         }
-        for (pair, &v) in slots.jac_eq.chunks_exact(2).zip(jac_eq) {
+        for (pair, &v) in jac_eq_slots.chunks_exact(2).zip(jac_eq) {
             out[pair[0]] += v;
             out[pair[1]] += v;
         }
@@ -811,12 +814,12 @@ impl FrozenSystem {
             let c_r = ds[r] / e[r];
             let row = &ineq_values[ineq.row_ptr[r]..ineq.row_ptr[r + 1]];
             for (p, &vp) in row.iter().enumerate() {
-                out[slots.ineq_pairs[k]] += (vp * c_r) * vp;
+                out[ineq_pairs[k]] += (vp * c_r) * vp;
                 k += 1;
                 for &vq in &row[p + 1..] {
                     let v = (vp * c_r) * vq;
-                    out[slots.ineq_pairs[k]] += v;
-                    out[slots.ineq_pairs[k + 1]] += v;
+                    out[ineq_pairs[k]] += v;
+                    out[ineq_pairs[k + 1]] += v;
                     k += 2;
                 }
             }
@@ -833,21 +836,165 @@ fn factor_bits(f: &LdlFactor) -> Vec<u64> {
         .collect()
 }
 
-/// Position of entry `(row, col)` in a CSC pattern, if present.
-fn slot(colptr: &[usize], rowind: &[usize], row: usize, col: usize) -> Option<usize> {
-    if col + 1 >= colptr.len() {
-        return None;
-    }
-    let lo = colptr[col];
-    let hi = colptr[col + 1];
-    rowind[lo..hi].binary_search(&row).ok().map(|off| lo + off)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kkt::assemble_kkt;
     use gridsim_batch::Device;
+    use gridsim_sparse::Csc;
+
+    /// The parent's pipeline, kept as the oracle of the one-pass
+    /// [`FrozenSystem::analyze`]: the triplets through `Csc::from_triplets`,
+    /// the diagonal binary-searched, `analyze` run on the value-carrying
+    /// matrix, and every declared triplet located by binary search.
+    impl FrozenSystem {
+        fn analyze_by_search(
+            dims: &KktDims,
+            hess: &Coo,
+            jac_eq: &Coo,
+            jac_ineq: &Coo,
+            analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
+        ) -> Option<FrozenSystem> {
+            if !both_triangles_by_search(hess) {
+                return None;
+            }
+            let ncond = dims.nx + dims.m_eq;
+            let mut rows = Vec::new();
+            let mut cols = Vec::new();
+            // Every diagonal entry exists (barrier + regularization on the
+            // variable block, −δ_c′ on the equality-dual block).
+            for i in 0..ncond {
+                rows.push(i);
+                cols.push(i);
+            }
+            for t in 0..hess.nnz() {
+                rows.push(hess.rows[t]);
+                cols.push(hess.cols[t]);
+            }
+            for t in 0..jac_eq.nnz() {
+                let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
+                rows.push(r);
+                cols.push(c);
+                rows.push(c);
+                cols.push(r);
+            }
+            // J_Iᵀ C J_I couples every pair of variables that share an
+            // inequality row.
+            let ineq = IneqRows::group_by_sort(jac_ineq, dims.m_ineq);
+            for r in 0..dims.m_ineq {
+                for &cp in ineq.row(r) {
+                    for &cq in ineq.row(r) {
+                        rows.push(cp);
+                        cols.push(cq);
+                    }
+                }
+            }
+            let vals = vec![0.0; rows.len()];
+            let pattern = Csc::from_triplets(ncond, ncond, &rows, &cols, &vals);
+            let diag_slots: Vec<usize> = (0..ncond)
+                .map(|i| slot(&pattern.colptr, &pattern.rowind, i, i).expect("diagonal in pattern"))
+                .collect();
+            let ldl = analyze(&pattern).expect("condensed pattern analyzes");
+            let slots = SlotMap::locate(&ldl, dims, hess, jac_eq, jac_ineq)
+                .expect("the pattern covers the structure it was built from");
+            Some(FrozenSystem::new(dims, diag_slots, ldl, slots))
+        }
+    }
+
+    /// The Hessian check the transposed slots replaced: the off-diagonal
+    /// coordinates sorted, each transpose binary-searched.
+    fn both_triangles_by_search(hess: &Coo) -> bool {
+        let mut off_diagonal: Vec<(usize, usize)> = (0..hess.nnz())
+            .map(|t| (hess.rows[t], hess.cols[t]))
+            .filter(|(r, c)| r != c)
+            .collect();
+        off_diagonal.sort_unstable();
+        off_diagonal.dedup();
+        off_diagonal
+            .iter()
+            .all(|&(r, c)| off_diagonal.binary_search(&(c, r)).is_ok())
+    }
+
+    impl IneqRows {
+        /// The grouping the counting sort replaced: the triplets sorted by
+        /// `(row, column)`.
+        fn group_by_sort(jac_ineq: &Coo, m_ineq: usize) -> IneqRows {
+            let nnz = jac_ineq.nnz();
+            let mut order: Vec<usize> = (0..nnz).collect();
+            order.sort_by_key(|&t| (jac_ineq.rows[t], jac_ineq.cols[t]));
+            let mut grouped = IneqRows {
+                entry: vec![0; nnz],
+                row_ptr: vec![0; m_ineq + 1],
+                cols: Vec::with_capacity(nnz),
+            };
+            let mut last = None;
+            for t in order {
+                let coordinate = (jac_ineq.rows[t], jac_ineq.cols[t]);
+                if last != Some(coordinate) {
+                    grouped.cols.push(coordinate.1);
+                    grouped.row_ptr[coordinate.0 + 1] += 1;
+                    last = Some(coordinate);
+                }
+                grouped.entry[t] = grouped.cols.len() - 1;
+            }
+            for r in 0..m_ineq {
+                grouped.row_ptr[r + 1] += grouped.row_ptr[r];
+            }
+            grouped
+        }
+    }
+
+    impl SlotMap {
+        /// Locate every declared triplet in the pattern by binary search;
+        /// `None` when one falls outside it.
+        fn locate(
+            ldl: &LdlSymbolic,
+            dims: &KktDims,
+            hess: &Coo,
+            jac_eq: &Coo,
+            jac_ineq: &Coo,
+        ) -> Option<SlotMap> {
+            let (colptr, rowind) = ldl.pattern();
+            let at = |row: usize, col: usize| slot(colptr, rowind, row, col);
+            let hess_slots = (0..hess.nnz())
+                .map(|t| at(hess.rows[t], hess.cols[t]))
+                .collect::<Option<Vec<usize>>>()?;
+            let mut jac_eq_slots = Vec::with_capacity(2 * jac_eq.nnz());
+            for t in 0..jac_eq.nnz() {
+                let (r, c) = (dims.nx + jac_eq.rows[t], jac_eq.cols[t]);
+                jac_eq_slots.push(at(r, c)?);
+                jac_eq_slots.push(at(c, r)?);
+            }
+            let ineq = IneqRows::group_by_sort(jac_ineq, dims.m_ineq);
+            let mut ineq_pairs = Vec::new();
+            for r in 0..dims.m_ineq {
+                let cols = ineq.row(r);
+                for (p, &cp) in cols.iter().enumerate() {
+                    ineq_pairs.push(at(cp, cp)?);
+                    for &cq in &cols[p + 1..] {
+                        ineq_pairs.push(at(cp, cq)?);
+                        ineq_pairs.push(at(cq, cp)?);
+                    }
+                }
+            }
+            Some(SlotMap {
+                jac_eq: hess_slots.len(),
+                ineq_pairs: hess_slots.len() + jac_eq_slots.len(),
+                slots: [hess_slots, jac_eq_slots, ineq_pairs].concat(),
+                ineq,
+            })
+        }
+    }
+
+    /// Position of entry `(row, col)` in a CSC pattern, if present.
+    fn slot(colptr: &[usize], rowind: &[usize], row: usize, col: usize) -> Option<usize> {
+        if col + 1 >= colptr.len() {
+            return None;
+        }
+        let lo = colptr[col];
+        let hi = colptr[col + 1];
+        rowind[lo..hi].binary_search(&row).ok().map(|off| lo + off)
+    }
 
     /// A small slacked problem: nx = 3, one equality, two inequalities.
     fn small_dims() -> KktDims {
@@ -1501,7 +1648,7 @@ mod tests {
     }
 
     /// A cache holding `net`'s declared condensed ACOPF structure, frozen
-    /// under `analyze`.
+    /// by the search-based pipeline under `analyze`.
     fn frozen(
         net: &gridsim_grid::network::Network,
         analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
@@ -1520,9 +1667,106 @@ mod tests {
             &nlp.hessian_structure(),
             &nlp.eq_jacobian_structure(),
             &nlp.ineq_jacobian_structure(),
-            analyze,
+            |dims, hess, jac_eq, jac_ineq| {
+                FrozenSystem::analyze_by_search(dims, hess, jac_eq, jac_ineq, analyze)
+            },
         ));
         cache
+    }
+
+    /// The one-pass analysis freezes exactly what the search-based pipeline
+    /// froze: the same AMD permutation, permuted upper pattern and
+    /// `aval_map`, `L` pattern, reaches with their slots and dense tail (the
+    /// whole `LdlSymbolic`), the same diagonal slots and every `SlotMap`
+    /// vector — on the reference cases, on a small structure with duplicate
+    /// Hessian and inequality-Jacobian triplets, and (release only) on the
+    /// Pegase1354 stand-ins.
+    #[test]
+    fn one_pass_analysis_freezes_what_the_search_based_pipeline_froze() {
+        use crate::nlp::Nlp;
+        use gridsim_grid::synthetic::TableICase;
+        let mut cases = vec![
+            ("case9", gridsim_grid::cases::case9()),
+            ("case14", gridsim_grid::cases::case14()),
+            ("case30_like", gridsim_grid::cases::case30_like()),
+        ];
+        if !cfg!(debug_assertions) || std::env::var("GRIDADMM_FULL_TESTS").is_ok() {
+            cases.push(("pegase1354/100", TableICase::Pegase1354.scaled(100)));
+            cases.push(("pegase1354/200", TableICase::Pegase1354.scaled(200)));
+        }
+        let mut structures: Vec<(&str, KktDims, Coo, Coo, Coo)> = cases
+            .into_iter()
+            .map(|(name, case)| {
+                let net = case.compile().unwrap();
+                let nlp = crate::AcopfNlp::new(&net);
+                let dims = KktDims {
+                    nx: nlp.num_vars(),
+                    ns: nlp.num_ineq(),
+                    m_eq: nlp.num_eq(),
+                    m_ineq: nlp.num_ineq(),
+                };
+                let (hess, jac_eq, jac_ineq) = (
+                    nlp.hessian_structure(),
+                    nlp.eq_jacobian_structure(),
+                    nlp.ineq_jacobian_structure(),
+                );
+                (name, dims, hess, jac_eq, jac_ineq)
+            })
+            .collect();
+        let (mut hess, _, jac_eq, mut jac_ineq) = small_problem();
+        hess.push(1, 0, 0.5);
+        hess.push(2, 2, 1.0);
+        jac_ineq.push(1, 1, 0.5);
+        jac_ineq.push(0, 0, 1.0);
+        structures.push(("small, duplicates", small_dims(), hess, jac_eq, jac_ineq));
+        for (name, dims, hess, jac_eq, jac_ineq) in &structures {
+            let fresh = FrozenSystem::analyze(dims, hess, jac_eq, jac_ineq).unwrap();
+            let oracle = FrozenSystem::analyze_by_search(
+                dims,
+                hess,
+                jac_eq,
+                jac_ineq,
+                LdlSymbolic::analyze_amd,
+            )
+            .unwrap();
+            assert_eq!(fresh.ldl.ordering(), oracle.ldl.ordering(), "{name}");
+            assert!(fresh.ldl == oracle.ldl, "{name}: the symbolic analysis");
+            assert_eq!(fresh.diag_slots, oracle.diag_slots, "{name}");
+            assert_eq!(fresh.slots, oracle.slots, "{name}");
+            assert_eq!((fresh.dims, fresh.ncond), (oracle.dims, oracle.ncond));
+            assert_eq!(fresh.opts.expected_signs, oracle.opts.expected_signs);
+        }
+    }
+
+    /// The Hessian check reads the frozen pattern, yet only the Hessian's
+    /// own slots count: a Hessian missing `(1, 0)` is refused although the
+    /// first inequality row puts `(1, 0)` into the pattern anyway. Over every
+    /// set of off-diagonal coordinates of the small problem (each declared
+    /// once, or twice), the analysis accepts exactly the Hessians the sorted
+    /// pair search accepts.
+    #[test]
+    fn hessian_check_agrees_with_the_pair_search() {
+        let dims = small_dims();
+        let (_, _, jac_eq, jac_ineq) = small_problem();
+        let pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)];
+        for subset in 0..1usize << pairs.len() {
+            for copies in 1..=2 {
+                let mut hess = Coo::new(3, 3);
+                for i in 0..3 {
+                    hess.push(i, i, 1.0);
+                }
+                for (bit, &(r, c)) in pairs.iter().enumerate() {
+                    for _ in 0..copies * (subset >> bit & 1) {
+                        hess.push(r, c, 1.0);
+                    }
+                }
+                let accepted = FrozenSystem::analyze(&dims, &hess, &jac_eq, &jac_ineq).is_some();
+                assert_eq!(accepted, both_triangles_by_search(&hess), "{subset:06b}");
+            }
+        }
+        let mut covered = Coo::new(3, 3);
+        covered.push(0, 1, 1.0);
+        assert!(FrozenSystem::analyze(&dims, &covered, &jac_eq, &jac_ineq).is_none());
     }
 
     #[test]

@@ -27,6 +27,10 @@ use gridsim_sparse::Coo;
 ///   A coordinate that is zero at one iterate and nonzero at the next is
 ///   therefore never a surprise to the frozen pattern.
 /// * **Duplicates are summed**, as in any triplet matrix.
+/// * **Coordinates lie in their block**: Hessian and Jacobian columns below
+///   [`Self::num_vars`], `J_E` rows below [`Self::num_eq`], `J_I` rows
+///   below [`Self::num_ineq`]. A structure with one outside is refused like
+///   a one-triangle Hessian, below.
 /// * **The Hessian carries both triangles**: every off-diagonal coordinate
 ///   `(i, j)` comes with its transpose `(j, i)`. The KKT assemblies place the
 ///   triplets as given and the factorization's ordering then decides which
@@ -130,21 +134,6 @@ pub trait Nlp {
         self.hessian_values(x, obj_factor, lambda_eq, lambda_ineq, &mut hess.vals);
         hess
     }
-}
-
-/// True when every off-diagonal coordinate of `hess` has its transpose
-/// among the triplets — the pattern half of the [`Nlp`] Hessian contract,
-/// checked on the declared structure.
-pub(crate) fn hessian_has_both_triangles(hess: &Coo) -> bool {
-    let mut off_diagonal: Vec<(usize, usize)> = (0..hess.nnz())
-        .map(|t| (hess.rows[t], hess.cols[t]))
-        .filter(|(r, c)| r != c)
-        .collect();
-    off_diagonal.sort_unstable();
-    off_diagonal.dedup();
-    off_diagonal
-        .iter()
-        .all(|&(r, c)| off_diagonal.binary_search(&(c, r)).is_ok())
 }
 
 /// A triplet matrix with the given coordinates and zero values — how the

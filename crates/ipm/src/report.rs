@@ -10,9 +10,10 @@ pub enum IpmStatus {
     /// Iteration limit reached; the returned point is the best iterate.
     MaxIterations,
     /// The linear algebra failed irrecoverably (singular KKT even after the
-    /// maximum regularization), or — with `iterations == 0` — the model's
-    /// Hessian came as one triangle instead of both (see
-    /// [`Nlp`](crate::Nlp)), which no Newton system can be trusted on.
+    /// maximum regularization), or — with `iterations == 0` — the model
+    /// declared a coordinate outside its block or a Hessian with one
+    /// triangle instead of both (see [`Nlp`](crate::Nlp)), which no Newton
+    /// system can be built or trusted on.
     NumericalError,
     /// The feasibility-restoration phase could not produce a filter-acceptable
     /// point: the iterate is stuck at a (possibly locally infeasible)

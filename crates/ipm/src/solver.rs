@@ -634,10 +634,11 @@ impl IpmSolver {
 
         // The model declares its derivative coordinates once; every
         // evaluation below writes values into these triplets, and the cache
-        // locates them in its frozen pattern here, once per solve. A cache
-        // refuses a Hessian declared as one triangle (it would lose whichever
-        // entries the ordering moves across the diagonal), so such a solve
-        // ends here, before iteration 0.
+        // adopts the frozen pattern that records their slots here, once per
+        // solve. A cache refuses a coordinate outside its block and a
+        // Hessian declared as one triangle (it would lose whichever entries
+        // the ordering moves across the diagonal), so such a solve ends here,
+        // before iteration 0.
         let mut hess = nlp.hessian_structure();
         let mut jac_eq = nlp.eq_jacobian_structure();
         let mut jac_ineq = nlp.ineq_jacobian_structure();

@@ -314,6 +314,121 @@ fn one_triangle_hessian_is_rejected_by_a_warm_cache() {
     assert_eq!(cache.symbolic_analyses(), 1);
 }
 
+/// Which declared block [`OutOfRange`] corrupts.
+#[derive(Debug, Clone, Copy)]
+enum Corrupted {
+    EqRow,
+    EqColumn,
+    IneqRow,
+    HessianColumn,
+}
+
+/// An `AcopfNlp` that declares one coordinate outside its block: a `J_E`
+/// row at `num_eq()`, a `J_E` column or a Hessian column past the whole
+/// condensed system (`num_vars() + num_eq()`), or a `J_I` row at
+/// `num_ineq()`. The Hessian keeps both triangles: every `(r, c)` of one
+/// off-diagonal pair moves to `(r, past)`, every `(c, r)` to `(past, r)`.
+/// The structures are edited through the `Coo` fields, since `Coo::push`
+/// refuses such a coordinate in debug builds.
+struct OutOfRange<'a>(AcopfNlp<'a>, Corrupted);
+
+impl Nlp for OutOfRange<'_> {
+    fn num_vars(&self) -> usize {
+        self.0.num_vars()
+    }
+    fn num_eq(&self) -> usize {
+        self.0.num_eq()
+    }
+    fn num_ineq(&self) -> usize {
+        self.0.num_ineq()
+    }
+    fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
+        self.0.bounds()
+    }
+    fn initial_point(&self) -> Vec<f64> {
+        self.0.initial_point()
+    }
+    fn objective(&self, x: &[f64]) -> f64 {
+        self.0.objective(x)
+    }
+    fn objective_grad(&self, x: &[f64], grad: &mut [f64]) {
+        self.0.objective_grad(x, grad)
+    }
+    fn eq_constraints(&self, x: &[f64], c: &mut [f64]) {
+        self.0.eq_constraints(x, c)
+    }
+    fn ineq_constraints(&self, x: &[f64], c: &mut [f64]) {
+        self.0.ineq_constraints(x, c)
+    }
+    fn eq_jacobian_structure(&self) -> Coo {
+        let mut jac = self.0.eq_jacobian_structure();
+        match self.1 {
+            Corrupted::EqRow => jac.rows[0] = self.num_eq(),
+            Corrupted::EqColumn => jac.cols[0] = self.num_vars() + self.num_eq(),
+            _ => {}
+        }
+        jac
+    }
+    fn eq_jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
+        self.0.eq_jacobian_values(x, vals)
+    }
+    fn ineq_jacobian_structure(&self) -> Coo {
+        let mut jac = self.0.ineq_jacobian_structure();
+        if let Corrupted::IneqRow = self.1 {
+            jac.rows[0] = self.num_ineq();
+        }
+        jac
+    }
+    fn ineq_jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
+        self.0.ineq_jacobian_values(x, vals)
+    }
+    fn hessian_structure(&self) -> Coo {
+        let mut hess = self.0.hessian_structure();
+        if let Corrupted::HessianColumn = self.1 {
+            let past = self.num_vars() + self.num_eq();
+            let t = (0..hess.nnz())
+                .find(|&t| hess.rows[t] != hess.cols[t])
+                .unwrap();
+            let (r, c) = (hess.rows[t], hess.cols[t]);
+            for u in 0..hess.nnz() {
+                if (hess.rows[u], hess.cols[u]) == (r, c) {
+                    hess.cols[u] = past;
+                } else if (hess.rows[u], hess.cols[u]) == (c, r) {
+                    hess.rows[u] = past;
+                }
+            }
+        }
+        hess
+    }
+    fn hessian_values(&self, x: &[f64], obj: f64, l_eq: &[f64], l_ineq: &[f64], vals: &mut [f64]) {
+        self.0.hessian_values(x, obj, l_eq, l_ineq, vals)
+    }
+}
+
+/// A declared coordinate outside its block used to panic the solve — in
+/// the CSC conversion of the condensed pattern, or while grouping the
+/// inequality Jacobian by row — taking a fleet lane or a daemon chunk down
+/// with it. It is refused like a one-triangle Hessian now: a numerical
+/// error before iteration 0, with no analysis and no factorization.
+#[test]
+fn out_of_range_coordinates_are_rejected_before_the_first_iteration() {
+    let net = cases::case9().compile().unwrap();
+    let solver = IpmSolver::default();
+    for corrupted in [
+        Corrupted::EqRow,
+        Corrupted::EqColumn,
+        Corrupted::IneqRow,
+        Corrupted::HessianColumn,
+    ] {
+        let report = solver.solve(&OutOfRange(AcopfNlp::new(&net), corrupted));
+        assert_eq!(report.status, IpmStatus::NumericalError, "{corrupted:?}");
+        assert_eq!(report.iterations, 0, "{corrupted:?}");
+        assert_eq!(report.factorizations, 0, "{corrupted:?}");
+        assert_eq!(report.symbolic_analyses, 0, "{corrupted:?}");
+        assert!(report.log.is_empty(), "{corrupted:?}");
+    }
+}
+
 /// A solve that runs out of budget reports the steps it took: one per
 /// logged iteration, and `max_iter` in all. It used to report one fewer
 /// (`max_iter: 3` on case9 read 2 iterations over 3 factorizations).

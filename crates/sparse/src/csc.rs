@@ -114,6 +114,16 @@ impl Csc {
         self.values.len()
     }
 
+    /// The matrix's sparsity pattern (a copy of its structure, no values).
+    pub fn pattern(&self) -> CscPattern {
+        CscPattern {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            colptr: self.colptr.clone(),
+            rowind: self.rowind.clone(),
+        }
+    }
+
     /// Get an entry (O(log nnz_col) binary search). Zero when not stored.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         let lo = self.colptr[col];
@@ -232,6 +242,137 @@ impl Csc {
     }
 }
 
+/// A sparsity pattern in CSC layout, [`Csc`] without the values: row
+/// indices ascending and unique within each column.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CscPattern {
+    /// Number of rows.
+    pub nrows: usize,
+    /// Number of columns.
+    pub ncols: usize,
+    /// Column pointers, length `ncols + 1`.
+    pub colptr: Vec<usize>,
+    /// Row indices, length `nnz`.
+    pub rowind: Vec<usize>,
+}
+
+impl CscPattern {
+    /// The pattern of a coordinate list, with the slot (position in
+    /// `rowind`) every coordinate lands in; duplicates share one.
+    /// `coordinates` hands each `(row, column)` of the list, in order, to
+    /// the sink it is given, and is called twice; nothing is sorted by
+    /// comparison or searched:
+    ///
+    /// 1. count the coordinates of every row;
+    /// 2. deal each coordinate's column into its row's bucket, noting where
+    ///    it went;
+    /// 3. merge each row's duplicates with a per-column mark, numbering the
+    ///    distinct entries in row order;
+    /// 4. deal the entries out to their columns, rows visited in ascending
+    ///    order — rows ascending within every column — and record each
+    ///    entry's slot;
+    /// 5. hand every coordinate the slot of the entry its bucket place
+    ///    merged into.
+    ///
+    /// O(len + nrows + ncols). Panics on a coordinate outside
+    /// `nrows × ncols`.
+    pub fn from_coordinates(
+        nrows: usize,
+        ncols: usize,
+        coordinates: impl Fn(&mut dyn FnMut(usize, usize)),
+    ) -> (CscPattern, Vec<usize>) {
+        let mut row_start = vec![0usize; nrows + 1];
+        coordinates(&mut |r, _| row_start[r + 1] += 1);
+        for r in 0..nrows {
+            row_start[r + 1] += row_start[r];
+        }
+        let mut bucket = vec![0usize; row_start[nrows]];
+        let mut next = row_start[..nrows].to_vec();
+        // `slots[t]` is where coordinate t went, until step 5.
+        let mut slots = Vec::with_capacity(bucket.len());
+        coordinates(&mut |r, c| {
+            bucket[next[r]] = c;
+            slots.push(next[r]);
+            next[r] += 1;
+        });
+        // `bucket[b]` becomes its coordinate's entry; `entries[e]` is entry
+        // e's column, then its slot.
+        let mut entries = Vec::with_capacity(bucket.len());
+        let mut row_entries = vec![0usize; nrows + 1];
+        let mut colptr = vec![0usize; ncols + 1];
+        let mut marked = vec![usize::MAX; ncols];
+        let mut entry_of = vec![0usize; ncols];
+        for r in 0..nrows {
+            for place in &mut bucket[row_start[r]..row_start[r + 1]] {
+                let c = *place;
+                if marked[c] != r {
+                    marked[c] = r;
+                    entry_of[c] = entries.len();
+                    entries.push(c);
+                    colptr[c + 1] += 1;
+                }
+                *place = entry_of[c];
+            }
+            row_entries[r + 1] = entries.len();
+        }
+        for c in 0..ncols {
+            colptr[c + 1] += colptr[c];
+        }
+        let mut rowind = vec![0usize; entries.len()];
+        let mut col_next = colptr[..ncols].to_vec();
+        for r in 0..nrows {
+            for entry in &mut entries[row_entries[r]..row_entries[r + 1]] {
+                let c = *entry;
+                rowind[col_next[c]] = r;
+                *entry = col_next[c];
+                col_next[c] += 1;
+            }
+        }
+        for slot in &mut slots {
+            *slot = entries[bucket[*slot]];
+        }
+        let pattern = CscPattern {
+            nrows,
+            ncols,
+            colptr,
+            rowind,
+        };
+        (pattern, slots)
+    }
+
+    /// Number of stored entries.
+    pub fn nnz(&self) -> usize {
+        self.rowind.len()
+    }
+
+    /// The row indices of column `j`, ascending.
+    pub fn column(&self, j: usize) -> &[usize] {
+        &self.rowind[self.colptr[j]..self.colptr[j + 1]]
+    }
+
+    /// Whether the pattern is symmetric and `pair(k, t)` holds for every
+    /// entry's slot `k` and the slot `t` of its transpose. One pass, stopping
+    /// at the first failure: columns are visited in ascending order, so the
+    /// transposes each column must hold are met in ascending row order and
+    /// are matched against it front to back.
+    pub fn is_symmetric_where(&self, mut pair: impl FnMut(usize, usize) -> bool) -> bool {
+        if self.nrows != self.ncols {
+            return false;
+        }
+        let mut next = self.colptr[..self.ncols].to_vec();
+        for j in 0..self.ncols {
+            for (k, &i) in (self.colptr[j]..).zip(self.column(j)) {
+                let t = next[i];
+                if t == self.colptr[i + 1] || self.rowind[t] != j || !pair(k, t) {
+                    return false;
+                }
+                next[i] += 1;
+            }
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +458,47 @@ mod tests {
                 assert!((db[i][j] - da[perm[i]][perm[j]]).abs() < 1e-14);
             }
         }
+    }
+
+    #[test]
+    fn coordinate_pattern_matches_the_triplet_matrix_and_records_slots() {
+        let (rows, cols) = ([2, 0, 1, 2, 0, 3, 2], [1, 1, 0, 1, 1, 2, 0]);
+        let (pattern, slots) = CscPattern::from_coordinates(4, 3, |f| {
+            rows.into_iter().zip(cols).for_each(|(r, c)| f(r, c))
+        });
+        let matrix = Csc::from_triplets(4, 3, &rows, &cols, &[1.0; 7]);
+        assert_eq!(pattern, matrix.pattern());
+        assert_eq!(pattern.column(1), &[0, 2]);
+        for t in 0..rows.len() {
+            let k = slots[t];
+            assert_eq!(pattern.rowind[k], rows[t]);
+            assert!((pattern.colptr[cols[t]]..pattern.colptr[cols[t] + 1]).contains(&k));
+        }
+        assert!(!pattern.is_symmetric_where(|_, _| true));
+        let square = CscPattern::from_coordinates(3, 3, |f| {
+            [(0, 1), (1, 0), (2, 2), (2, 1), (1, 2)]
+                .into_iter()
+                .for_each(|(r, c)| f(r, c))
+        });
+        let square = square.0;
+        let mut transposes = Vec::new();
+        assert!(square.is_symmetric_where(|k, t| {
+            transposes.push(t);
+            k != 4 || t == 4
+        }));
+        assert_eq!(transposes, [1, 0, 3, 2, 4]);
+        assert!(!square.is_symmetric_where(|k, _| k != 3));
+        let one_sided = CscPattern::from_coordinates(3, 3, |f| {
+            [(0, 1), (1, 0), (2, 1)]
+                .into_iter()
+                .for_each(|(r, c)| f(r, c))
+        });
+        let one_sided = one_sided.0;
+        assert!(!one_sided.is_symmetric_where(|_, _| true));
+        let (empty, none) = CscPattern::from_coordinates(0, 0, |_| {});
+        assert!(empty.is_symmetric_where(|_, _| false));
+        assert_eq!((empty.nnz(), none.len()), (0, 0));
+        assert_eq!(empty.colptr, [0]);
     }
 
     #[test]

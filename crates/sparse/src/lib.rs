@@ -9,7 +9,8 @@
 //! baseline faithfully we implement the same cost anatomy here:
 //!
 //! * triplet ([`coo::Coo`]) and compressed-sparse-column ([`csc::Csc`])
-//!   matrix formats,
+//!   matrix formats, and bare patterns ([`csc::CscPattern`]) compressed from
+//!   coordinate lists by counting sort, with the slot of every coordinate,
 //! * symmetric orderings ([`ordering`]: approximate minimum degree with an
 //!   elimination-tree postorder to reduce fill, reverse Cuthill–McKee to
 //!   reduce bandwidth),
@@ -35,7 +36,7 @@ pub mod refactor;
 pub mod symbolic;
 
 pub use coo::Coo;
-pub use csc::Csc;
+pub use csc::{Csc, CscPattern};
 pub use ldl::{LdlFactor, LdlOptions};
 pub use ordering::Ordering;
 pub use refactor::LdlSymbolic;

@@ -19,7 +19,11 @@
 //!   writes (`rp_slot` — a constant of the pattern, so no replay searches a
 //!   column for it), and the **dense tail**: the first column `tail` of the
 //!   maximal trailing run of columns whose `L` column holds every row below
-//!   it, and for each column before it the slot where its tail rows start;
+//!   it, and for each column before it the slot where its tail rows start.
+//!   Each is built once, by counting sorts and elimination-tree walks, in
+//!   the order the refactorizations read it: nothing is sorted by
+//!   comparison or searched ([`LdlSymbolic::analyze_pattern`] takes a bare
+//!   pattern, as the condensed-KKT cache builds it);
 //! * [`LdlSymbolic::refactor_dense_tail`] — the production refactorization,
 //!   the one the IPM's condensed-KKT cache runs every Newton step and
 //!   [`LdlSymbolic::refactor_matrix`] goes through — makes three passes:
@@ -73,10 +77,9 @@
 //! ~14 entries, less work than a worker-pool wake-up); the analysis keeps
 //! the schedule's length, [`LdlSymbolic::num_levels`], as a figure only.
 
-use crate::csc::Csc;
+use crate::csc::{Csc, CscPattern};
 use crate::ldl::{settle_pivot, LdlFactor, LdlOptions};
 use crate::ordering::Ordering;
-use crate::symbolic::Symbolic;
 use crate::SparseError;
 use std::ops::Range;
 use std::sync::Arc;
@@ -92,7 +95,7 @@ const SUPERNODE_MAX_WIDTH: usize = 32;
 
 /// Frozen symbolic analysis of a symmetric matrix, reusable across any
 /// number of numeric refactorizations with the same sparsity pattern.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LdlSymbolic {
     n: usize,
     /// Pattern of the analyzed matrix (CSC, both triangles as supplied).
@@ -144,6 +147,25 @@ impl LdlSymbolic {
     /// Analyze the pattern of `a` under the supplied fill-reducing ordering.
     /// Values of `a` are ignored; only the structure is frozen.
     pub fn analyze(a: &Csc, ordering: Ordering) -> Result<LdlSymbolic, SparseError> {
+        Self::analyze_pattern(a.pattern(), ordering)
+    }
+
+    /// [`Self::analyze`] of a bare pattern, which the analysis keeps (it is
+    /// [`Self::pattern`]). Every piece of structure is built once, in the
+    /// order the refactorizations read it, by counting sorts and
+    /// elimination-tree walks — nothing is sorted by comparison or searched:
+    ///
+    /// * the permuted upper triangle `(inv[r], inv[c])` of every stored
+    ///   `(r, c)` with `inv[r] ≤ inv[c]`, by a counting sort on the row and
+    ///   then on the column, each entry's source slot recorded as it is
+    ///   placed (`aval_map`) — the same entries, in the same order, as the
+    ///   fresh factorization's permute-then-triangle;
+    /// * one up-looking walk per row that yields the elimination tree, the
+    ///   column counts of `L` and every row's reach (in walk order);
+    /// * `L`'s row indices, by appending each row to the columns it reaches,
+    ///   rows ascending; and the reaches in ascending column order with the
+    ///   slot of `L` each step writes, by reading `L` back column by column.
+    pub fn analyze_pattern(a: CscPattern, ordering: Ordering) -> Result<LdlSymbolic, SparseError> {
         if a.nrows != a.ncols {
             return Err(SparseError::Shape(format!(
                 "matrix is {}x{}, expected square",
@@ -157,82 +179,119 @@ impl LdlSymbolic {
                 ordering.len()
             )));
         }
-        // The same permute + upper-triangle construction the fresh
-        // factorization performs, so entry order (and therefore replayed
-        // arithmetic order) matches it exactly.
-        let permuted = a.symmetric_permute(&ordering.perm).upper_triangle();
-
-        // Map every permuted-upper entry back to its source value in `a`.
-        let mut aval_map = Vec::with_capacity(permuted.nnz());
-        for j in 0..n {
-            for p in permuted.colptr[j]..permuted.colptr[j + 1] {
-                let orig_row = ordering.perm[permuted.rowind[p]];
-                let orig_col = ordering.perm[j];
-                let lo = a.colptr[orig_col];
-                let hi = a.colptr[orig_col + 1];
-                match a.rowind[lo..hi].binary_search(&orig_row) {
-                    Ok(off) => aval_map.push(lo + off),
-                    Err(_) => {
-                        return Err(SparseError::Shape(format!(
-                            "pattern is not symmetric: entry ({orig_row}, {orig_col}) \
-                             has no transpose partner"
-                        )))
-                    }
-                }
+        // The permuted upper triangle by two counting passes over the stored
+        // entries: each (inv[r], inv[c]) on or above the diagonal goes to
+        // its row's bucket with its source slot, then the rows, visited in
+        // ascending order, deal their entries out to their columns. Whether
+        // an entry is kept is as good as random, so neither pass branches
+        // on it: a dropped entry is written to a spare slot past the end.
+        let inv = &ordering.inv;
+        let mut row_next = vec![0usize; n + 1];
+        let mut au_colptr = vec![0usize; n + 1];
+        for c in 0..n {
+            let j = inv[c];
+            for &r in a.column(c) {
+                let i = inv[r];
+                row_next[i + 1] += usize::from(i <= j);
+                au_colptr[j + 1] += usize::from(i <= j);
             }
         }
+        for k in 0..n {
+            row_next[k + 1] += row_next[k];
+            au_colptr[k + 1] += au_colptr[k];
+        }
+        let upper_nnz = au_colptr[n];
+        let mut by_row = vec![(0usize, 0usize); upper_nnz + 1];
+        for c in 0..n {
+            let j = inv[c];
+            for s in a.colptr[c]..a.colptr[c + 1] {
+                let i = inv[a.rowind[s]];
+                let kept = i <= j;
+                by_row[if kept { row_next[i] } else { upper_nnz }] = (j, s);
+                row_next[i] += usize::from(kept);
+            }
+        }
+        // `row_next[i]` now ends row i, and row i − 1 ends where it starts.
+        let mut au_rowind = vec![0usize; upper_nnz];
+        let mut aval_map = vec![0usize; upper_nnz];
+        let mut next = au_colptr[..n].to_vec();
+        let mut start = 0;
+        for i in 0..n {
+            for &(j, s) in &by_row[start..row_next[i]] {
+                au_rowind[next[j]] = i;
+                aval_map[next[j]] = s;
+                next[j] += 1;
+            }
+            start = row_next[i];
+        }
 
-        let sym = Symbolic::analyze(&permuted);
-
-        // Reach of every row: the up-looking pattern computation once, each
-        // row's reach then put in ascending column order.
+        // The elimination tree and every row's reach: from each entry above
+        // the diagonal of row j, climb the tree until a node already reached
+        // for j; each node climbed is an entry of row j of L.
         let none = usize::MAX;
+        let mut parent = vec![none; n];
         let mut flag = vec![none; n];
-        let mut pattern = vec![0usize; n];
+        let mut counts = vec![0usize; n];
         let mut rp_ptr = vec![0usize; n + 1];
-        let mut rp_idx = Vec::with_capacity(sym.total_lnz());
+        let mut reach = Vec::with_capacity(2 * a.nnz());
         for j in 0..n {
-            let mut top = n;
             flag[j] = j;
-            for p in permuted.colptr[j]..permuted.colptr[j + 1] {
-                let mut i = permuted.rowind[p];
+            for &row in &au_rowind[au_colptr[j]..au_colptr[j + 1]] {
+                let mut i = row;
                 if i >= j {
                     continue;
                 }
-                let mut len = 0usize;
                 while flag[i] != j {
-                    pattern[len] = i;
-                    len += 1;
+                    if parent[i] == none {
+                        parent[i] = j;
+                    }
+                    counts[i] += 1;
                     flag[i] = j;
-                    i = sym.parent[i];
-                }
-                while len > 0 {
-                    top -= 1;
-                    len -= 1;
-                    pattern[top] = pattern[len];
+                    reach.push(i);
+                    i = parent[i];
                 }
             }
-            pattern[top..n].sort_unstable();
-            rp_idx.extend_from_slice(&pattern[top..n]);
-            rp_ptr[j + 1] = rp_idx.len();
+            rp_ptr[j + 1] = reach.len();
+        }
+        let mut lcolptr = vec![0usize; n + 1];
+        for i in 0..n {
+            lcolptr[i + 1] = lcolptr[i] + counts[i];
+        }
+
+        // The dense tail, from the column counts alone.
+        let mut tail = n;
+        while tail > 0 && lcolptr[tail] - lcolptr[tail - 1] == n - tail {
+            tail -= 1;
         }
 
         // Frozen row indices of L: appending row j to every reached column
         // reproduces the fresh factorization's slot layout (ascending rows
-        // within each column).
-        let total = sym.total_lnz();
-        // `Symbolic::analyze` always returns `lcolptr` of length n + 1 with
-        // the total as its last entry.
-        let lcolptr = sym.lcolptr.clone();
+        // within each column). Where the rows < tail end is each sparse
+        // column's tail slot.
+        let total = reach.len();
         let mut lrowind = vec![0usize; total];
-        let mut lnz_used = vec![0usize; n];
-        let mut rp_slot = Vec::with_capacity(total);
+        next.copy_from_slice(&lcolptr[..n]);
+        let mut tail_slot = Vec::new();
         for j in 0..n {
-            for &i in &rp_idx[rp_ptr[j]..rp_ptr[j + 1]] {
-                let slot = lcolptr[i] + lnz_used[i];
-                lrowind[slot] = j;
-                rp_slot.push(slot);
-                lnz_used[i] += 1;
+            if j == tail {
+                tail_slot = next[..tail].to_vec();
+            }
+            for &i in &reach[rp_ptr[j]..rp_ptr[j + 1]] {
+                lrowind[next[i]] = j;
+                next[i] += 1;
+            }
+        }
+
+        // Every row's reach in ascending column order, with the slot each
+        // step writes: L read back column by column.
+        let mut rp_idx = vec![0usize; total];
+        let mut rp_slot = vec![0usize; total];
+        next.copy_from_slice(&rp_ptr[..n]);
+        for i in 0..n {
+            for (slot, &j) in (lcolptr[i]..).zip(&lrowind[lcolptr[i]..lcolptr[i + 1]]) {
+                rp_idx[next[j]] = i;
+                rp_slot[next[j]] = slot;
+                next[j] += 1;
             }
         }
 
@@ -240,24 +299,12 @@ impl LdlSymbolic {
         // so one ascending pass settles every height.
         let mut level = vec![0usize; n];
         for i in 0..n {
-            let p = sym.parent[i];
+            let p = parent[i];
             if p != none {
                 level[p] = level[p].max(level[i] + 1);
             }
         }
         let num_levels = level.iter().copied().max().map_or(0, |d| d + 1);
-
-        // The dense tail, and where each sparse column's tail rows start.
-        let mut tail = n;
-        while tail > 0 && lcolptr[tail] - lcolptr[tail - 1] == n - tail {
-            tail -= 1;
-        }
-        let tail_slot = (0..tail)
-            .map(|i| {
-                let rows = &lrowind[lcolptr[i]..lcolptr[i + 1]];
-                lcolptr[i] + rows.partition_point(|&r| r < tail)
-            })
-            .collect();
 
         // Supernode count: column c joins the run of column c − 1 when the
         // latter's pattern is exactly {c} ∪ pattern(c), up to the width cap.
@@ -280,13 +327,13 @@ impl LdlSymbolic {
 
         Ok(LdlSymbolic {
             n,
-            a_colptr: a.colptr.clone(),
-            a_rowind: a.rowind.clone(),
+            a_colptr: a.colptr,
+            a_rowind: a.rowind,
             ordering: Arc::new(ordering),
-            au_colptr: permuted.colptr,
-            au_rowind: permuted.rowind,
+            au_colptr,
+            au_rowind,
             aval_map,
-            parent: sym.parent,
+            parent,
             lcolptr: Arc::new(lcolptr),
             lrowind: Arc::new(lrowind),
             rp_ptr,
@@ -675,6 +722,195 @@ impl LdlSymbolic {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::ordering::tests::{random_pattern, symmetrized};
+    use proptest::prelude::*;
+
+    /// The parent's analysis, kept as the oracle [`LdlSymbolic::analyze`]
+    /// is pinned to: the fresh factorization's value-carrying permute and
+    /// triangle, a binary search per `aval_map` entry, and every row's
+    /// reach sorted.
+    fn parent_analyze(a: &Csc, ordering: Ordering) -> Result<LdlSymbolic, SparseError> {
+        if a.nrows != a.ncols {
+            return Err(SparseError::Shape(format!(
+                "matrix is {}x{}, expected square",
+                a.nrows, a.ncols
+            )));
+        }
+        let n = a.ncols;
+        if ordering.len() != n {
+            return Err(SparseError::Shape(format!(
+                "ordering has length {}, expected {n}",
+                ordering.len()
+            )));
+        }
+        // The same permute + upper-triangle construction the fresh
+        // factorization performs, so entry order (and therefore replayed
+        // arithmetic order) matches it exactly.
+        let permuted = a.symmetric_permute(&ordering.perm).upper_triangle();
+
+        // Map every permuted-upper entry back to its source value in `a`.
+        let mut aval_map = Vec::with_capacity(permuted.nnz());
+        for j in 0..n {
+            for p in permuted.colptr[j]..permuted.colptr[j + 1] {
+                let orig_row = ordering.perm[permuted.rowind[p]];
+                let orig_col = ordering.perm[j];
+                let lo = a.colptr[orig_col];
+                let hi = a.colptr[orig_col + 1];
+                match a.rowind[lo..hi].binary_search(&orig_row) {
+                    Ok(off) => aval_map.push(lo + off),
+                    Err(_) => {
+                        return Err(SparseError::Shape(format!(
+                            "pattern is not symmetric: entry ({orig_row}, {orig_col}) \
+                             has no transpose partner"
+                        )))
+                    }
+                }
+            }
+        }
+
+        let sym = crate::symbolic::Symbolic::analyze(&permuted);
+
+        // Reach of every row: the up-looking pattern computation once, each
+        // row's reach then put in ascending column order.
+        let none = usize::MAX;
+        let mut flag = vec![none; n];
+        let mut pattern = vec![0usize; n];
+        let mut rp_ptr = vec![0usize; n + 1];
+        let mut rp_idx = Vec::with_capacity(sym.total_lnz());
+        for j in 0..n {
+            let mut top = n;
+            flag[j] = j;
+            for p in permuted.colptr[j]..permuted.colptr[j + 1] {
+                let mut i = permuted.rowind[p];
+                if i >= j {
+                    continue;
+                }
+                let mut len = 0usize;
+                while flag[i] != j {
+                    pattern[len] = i;
+                    len += 1;
+                    flag[i] = j;
+                    i = sym.parent[i];
+                }
+                while len > 0 {
+                    top -= 1;
+                    len -= 1;
+                    pattern[top] = pattern[len];
+                }
+            }
+            pattern[top..n].sort_unstable();
+            rp_idx.extend_from_slice(&pattern[top..n]);
+            rp_ptr[j + 1] = rp_idx.len();
+        }
+
+        // Frozen row indices of L: appending row j to every reached column
+        // reproduces the fresh factorization's slot layout (ascending rows
+        // within each column).
+        let total = sym.total_lnz();
+        // `Symbolic::analyze` always returns `lcolptr` of length n + 1 with
+        // the total as its last entry.
+        let lcolptr = sym.lcolptr.clone();
+        let mut lrowind = vec![0usize; total];
+        let mut lnz_used = vec![0usize; n];
+        let mut rp_slot = Vec::with_capacity(total);
+        for j in 0..n {
+            for &i in &rp_idx[rp_ptr[j]..rp_ptr[j + 1]] {
+                let slot = lcolptr[i] + lnz_used[i];
+                lrowind[slot] = j;
+                rp_slot.push(slot);
+                lnz_used[i] += 1;
+            }
+        }
+
+        // Elimination-tree levels: children carry strictly smaller indices,
+        // so one ascending pass settles every height.
+        let mut level = vec![0usize; n];
+        for i in 0..n {
+            let p = sym.parent[i];
+            if p != none {
+                level[p] = level[p].max(level[i] + 1);
+            }
+        }
+        let num_levels = level.iter().copied().max().map_or(0, |d| d + 1);
+
+        // The dense tail, and where each sparse column's tail rows start.
+        let mut tail = n;
+        while tail > 0 && lcolptr[tail] - lcolptr[tail - 1] == n - tail {
+            tail -= 1;
+        }
+        let tail_slot = (0..tail)
+            .map(|i| {
+                let rows = &lrowind[lcolptr[i]..lcolptr[i + 1]];
+                lcolptr[i] + rows.partition_point(|&r| r < tail)
+            })
+            .collect();
+
+        // Supernode count: column c joins the run of column c − 1 when the
+        // latter's pattern is exactly {c} ∪ pattern(c), up to the width cap.
+        let nested = |prev: usize, c: usize| {
+            let (p, q) = (lcolptr[prev]..lcolptr[prev + 1], lcolptr[c]..lcolptr[c + 1]);
+            p.len() == q.len() + 1
+                && lrowind[p.start] == c
+                && lrowind[p.start + 1..p.end] == lrowind[q]
+        };
+        let mut num_supernodes = 0usize;
+        let mut width = 0usize;
+        for c in 0..n {
+            if width > 0 && width < SUPERNODE_MAX_WIDTH && nested(c - 1, c) {
+                width += 1;
+            } else {
+                num_supernodes += 1;
+                width = 1;
+            }
+        }
+
+        Ok(LdlSymbolic {
+            n,
+            a_colptr: a.colptr.clone(),
+            a_rowind: a.rowind.clone(),
+            ordering: Arc::new(ordering),
+            au_colptr: permuted.colptr,
+            au_rowind: permuted.rowind,
+            aval_map,
+            parent: sym.parent,
+            lcolptr: Arc::new(lcolptr),
+            lrowind: Arc::new(lrowind),
+            rp_ptr,
+            rp_idx,
+            rp_slot,
+            num_levels,
+            tail,
+            tail_slot,
+            num_supernodes,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The one-pass analysis freezes exactly the parent's structure —
+        /// permuted pattern, `aval_map`, tree, `L` pattern, reaches and
+        /// their slots, tail — under AMD, RCM, the identity and a reversal,
+        /// on symmetric patterns and on one-triangle ones.
+        #[test]
+        fn analysis_matches_the_parent_on_random_patterns(
+            seed in 0u64..u64::MAX,
+            n in 0usize..60,
+        ) {
+            let one_triangle = random_pattern(seed, n);
+            for a in [symmetrized(&one_triangle), one_triangle] {
+                for ordering in [
+                    Ordering::amd(&a),
+                    Ordering::rcm(&a),
+                    Ordering::identity(n),
+                    Ordering::from_perm((0..n).rev().collect()),
+                ] {
+                    let want = parent_analyze(&a, ordering.clone()).unwrap();
+                    prop_assert!(LdlSymbolic::analyze(&a, ordering).unwrap() == want, "{want:?}");
+                }
+            }
+        }
+    }
 
     fn factor_bits(f: &LdlFactor) -> (Vec<u64>, Vec<u64>, usize) {
         (

@@ -196,8 +196,8 @@ fn pegase1354_scaled100_violation_does_not_regress() {
 /// warm-started admission satisfies the same 4e-4 bound as the cold pin.
 /// Measured: cold 3.9357e-4; warm 3.9374e-4 after exactly **one** inner
 /// iteration — the restart resumes the stored β schedule (WarmState
-/// carries β since this PR; restarting β from `beta_init` at the fixed
-/// point walked this marginal case out to 1.32e-3 over a full budget), so
+/// carries β; restarting β from `BETA_INIT` at the fixed point walked
+/// this marginal case out to 1.32e-3 over a full budget), so
 /// one z-update at the fixed point re-certifies convergence. The pin is
 /// not ratcheted: warm admission preserves, not tightens, cold quality.
 #[cfg(not(debug_assertions))]
