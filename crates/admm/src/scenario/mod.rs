@@ -44,7 +44,9 @@
 //! [`ScenarioScheduler::solve_chained`] instead threads the warm state from
 //! scenario `k−1` into scenario `k` (ramp-limited), trading batch width for
 //! warm-start depth — the right mode for ordered scenario sweeps such as
-//! monotone load ramps.
+//! monotone load ramps. A store bound to a [`ScenarioScheduler::run`]
+//! request seeds admissions per scenario instead, under the engine's store
+//! protocol ([`gridsim_engine::LaneSolver`]).
 
 pub mod problem;
 pub mod scheduler;
@@ -101,10 +103,9 @@ pub struct ScenarioBatchResult {
     /// scenarios as consecutive K=1 fleets instead, so there `ticks` is the
     /// sum over the chain (every tick still launches one kernel round).
     pub ticks: usize,
-    /// Solution-store traffic for this run: admissions seeded from a stored
-    /// neighbor (hits), admissions that consulted the store and found no
-    /// eligible neighbor (misses), and converged scenarios committed back
-    /// (inserts). All zero for the store-less solve paths.
+    /// Solution-store traffic for this run, as the engine counts it
+    /// ([`gridsim_engine::EngineRun::store`]). All zero for the store-less
+    /// solve paths.
     pub store: StoreRunStats,
 }
 
@@ -208,9 +209,15 @@ mod tests {
         // A spread of loads so convergence times differ across scenarios.
         let nets = nets_for(&base, &[1.0, 1.05, 0.95]);
         let batcher = single_device(AdmmParams::test_profile());
-        let before = batcher.pool.device(0).stats().snapshot();
+        let before = batcher.engine.pool().device(0).stats().snapshot();
         let result = batcher.run(FleetRequest::over(&nets));
-        let delta = batcher.pool.device(0).stats().snapshot().since(&before);
+        let delta = batcher
+            .engine
+            .pool()
+            .device(0)
+            .stats()
+            .snapshot()
+            .since(&before);
         // Masked launches record only the active elements: the branch-TRON
         // block count equals the sum of per-scenario inner iterations times
         // branches, strictly less than ticks × K × nbranch.
@@ -238,9 +245,15 @@ mod tests {
             ..AdmmParams::default()
         };
         let batcher = single_device(params);
-        let before = batcher.pool.device(0).stats().snapshot();
+        let before = batcher.engine.pool().device(0).stats().snapshot();
         let result = batcher.run(FleetRequest::over(&nets));
-        let delta = batcher.pool.device(0).stats().snapshot().since(&before);
+        let delta = batcher
+            .engine
+            .pool()
+            .device(0)
+            .stats()
+            .snapshot()
+            .since(&before);
         // Uploads happen once at setup (9 slot-major buffers) and reads once
         // per finished scenario (6 result-bearing buffers) — never per
         // iteration, even over dozens of ticks.

@@ -14,7 +14,10 @@
 //!   elements) plus the per-lane inner/outer control that decides which
 //!   lanes finished,
 //! * **admit / extract** — ranged uploads into a freed slot's buffer
-//!   segments, ranged reads out of a finished slot's.
+//!   segments, seeded from the admission's store hit when there is one,
+//!   ranged reads out of a finished slot's,
+//! * **commit** — a converged scenario's [`WarmState`] is what a live store
+//!   keeps; the engine owns the rest of the store protocol.
 //!
 //! Because every scenario's iterates depend only on its own buffer segment
 //! and control state, the per-scenario results are **bitwise identical**
@@ -30,12 +33,10 @@ use crate::solver::{AdmmStatus, WarmState};
 use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_batch::{Device, DeviceBuffer, DevicePool};
-use gridsim_engine::{Engine, FleetRequest, LaneSolver, StoreAccess};
-use gridsim_grid::fingerprint::ScenarioFingerprint;
+use gridsim_engine::{Admission, Engine, FleetRequest, Hit, LaneSolver};
 use gridsim_grid::network::Network;
-use gridsim_store::{StoreRunStats, StoreView};
+use gridsim_store::StoreRunStats;
 use gridsim_tron::TronSolver;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Per-slot control state of the outer/inner loop (one live scenario).
@@ -122,14 +123,13 @@ impl SegMaps {
 pub struct ScenarioScheduler {
     /// Algorithm parameters (shared by every scenario).
     pub params: AdmmParams,
-    /// The device pool scenarios are sharded across.
-    pub pool: DevicePool,
-    lanes_per_device: Option<usize>,
+    /// The execution engine (device pool + lane policy).
+    pub engine: Engine,
 }
 
 impl ScenarioScheduler {
-    /// A scheduler on the environment-selected pool (`GRIDSIM_DEVICES`
-    /// logical parallel devices, default 1).
+    /// A scheduler on the environment-selected engine (`GRIDSIM_DEVICES`
+    /// logical devices, default 1, no lane cap).
     pub fn new(params: AdmmParams) -> Self {
         Self::with_pool(params, DevicePool::from_env())
     }
@@ -138,18 +138,14 @@ impl ScenarioScheduler {
     pub fn with_pool(params: AdmmParams, pool: DevicePool) -> Self {
         ScenarioScheduler {
             params,
-            pool,
-            lanes_per_device: None,
+            engine: Engine::with_pool(pool),
         }
     }
 
-    /// Cap the number of concurrent scenario slots per device. With fewer
-    /// lanes than scenarios per shard, the scheduler streams: finished
-    /// slots are refilled from the pending queue. Without a cap (the
-    /// default) each device admits its whole shard at once.
+    /// Cap the number of concurrent scenario slots per device
+    /// ([`Engine::with_lanes`]).
     pub fn with_lanes(mut self, lanes_per_device: usize) -> Self {
-        assert!(lanes_per_device >= 1, "need at least one lane");
-        self.lanes_per_device = Some(lanes_per_device);
+        self.engine = self.engine.with_lanes(lanes_per_device);
         self
     }
 
@@ -157,52 +153,15 @@ impl ScenarioScheduler {
     /// dimensions and topology (panics otherwise); results are in input
     /// order and bitwise independent of the device/lane configuration.
     ///
-    /// With a [`StoreAccess::Live`] binding, every admission (initial and
-    /// streamed) consults the store and, on a hit, re-seeds its slot from
-    /// the nearest stored [`WarmState`] instead of the cold start; every
-    /// converged scenario is committed back under the request's case id
-    /// after the run. Determinism: lookups go against a [`StoreView`]
-    /// snapshot frozen before the run (this run's own results are invisible
-    /// to its own lookups) and inserts commit in input order afterwards, so
-    /// — like every other path through this scheduler — both the results
-    /// and the post-run store contents are bitwise independent of the
-    /// device count, lane cap, and launch backend. With an empty store
-    /// every lookup misses and the run is bitwise identical to a store-less
-    /// request. A [`StoreAccess::Snapshot`] binding does the lookup side
-    /// only: nothing is committed, the caller owns the write side.
+    /// A bound store follows the engine's protocol (see
+    /// [`LaneSolver`]): an admission whose lookup hits starts from the
+    /// stored [`WarmState`] instead of the cold start, and a live store
+    /// receives every converged scenario's warm state after the run. Both
+    /// the results and the post-run store contents are bitwise independent
+    /// of the device count, lane cap and launch backend, and with an empty
+    /// store the run is bitwise identical to a store-less request.
     pub fn run(&self, request: FleetRequest<'_, WarmState>) -> ScenarioBatchResult {
-        let nets = request.nets;
-        let case_id = request.store_case_id();
-        match request.store {
-            StoreAccess::None => self.execute(nets, None, None, None),
-            StoreAccess::Snapshot(view) => {
-                let fps: Vec<ScenarioFingerprint> =
-                    nets.iter().map(ScenarioFingerprint::of_network).collect();
-                self.execute(
-                    nets,
-                    None,
-                    None,
-                    Some((case_id.expect("store_case_id checked"), view, &fps)),
-                )
-            }
-            StoreAccess::Live(store) => {
-                let case_id = case_id.expect("store_case_id checked");
-                let fps: Vec<ScenarioFingerprint> =
-                    nets.iter().map(ScenarioFingerprint::of_network).collect();
-                let view = store.view();
-                let mut result = self.execute(nets, None, None, Some((case_id, &view, &fps)));
-                // Commit converged scenarios back in input order:
-                // deterministic store contents regardless of
-                // device/lane/thread scheduling.
-                for (fp, r) in fps.iter().zip(&result.results) {
-                    if r.status == AdmmStatus::Converged {
-                        store.insert(case_id, fp, r.warm_state.clone());
-                        result.store.inserts += 1;
-                    }
-                }
-                result
-            }
-        }
+        self.execute(request, None, None)
     }
 
     /// Solve all scenarios warm-started from one shared [`WarmState`],
@@ -214,7 +173,7 @@ impl ScenarioScheduler {
         warm: &WarmState,
         pg_bounds: Option<&[(Vec<f64>, Vec<f64>)]>,
     ) -> ScenarioBatchResult {
-        self.execute(nets, Some(warm), pg_bounds, None)
+        self.execute(FleetRequest::over(nets), Some(warm), pg_bounds)
     }
 
     /// Solve the scenarios in order, seeding scenario `k` from scenario
@@ -249,16 +208,14 @@ impl ScenarioScheduler {
         }
     }
 
-    /// Drive the engine over `nets` on this scheduler's pool, with lookups
-    /// against the frozen view when present. Commits nothing. Every ADMM
-    /// solve in the crate — the fleet and the K=1
+    /// Drive the engine over the request on this scheduler's engine.
+    /// Every ADMM solve in the crate — the fleet and the K=1
     /// [`crate::solver::AdmmSolver`] — comes through here.
     pub(crate) fn execute(
         &self,
-        nets: &[Network],
+        request: FleetRequest<'_, WarmState>,
         warm: Option<&WarmState>,
         pg_bounds: Option<&[(Vec<f64>, Vec<f64>)]>,
-        lookup: Option<(&str, &StoreView<WarmState>, &[ScenarioFingerprint])>,
     ) -> ScenarioBatchResult {
         let start_time = Instant::now();
         // The step loop performs one inner iteration per round before it
@@ -267,6 +224,7 @@ impl ScenarioScheduler {
             self.params.max_inner >= 1 && self.params.max_outer >= 1,
             "AdmmParams needs max_inner >= 1 and max_outer >= 1"
         );
+        let nets = request.nets;
         let problem = ScenarioProblem::build(nets, &self.params, pg_bounds);
         let fleet = AdmmFleet {
             params: &self.params,
@@ -274,43 +232,15 @@ impl ScenarioScheduler {
             nets,
             warm,
             tron: TronSolver::new(self.params.tron.clone()),
-            store: lookup.map(|(case_id, view, fps)| AdmmStoreBinding {
-                case_id,
-                view,
-                fps,
-                hits: AtomicUsize::new(0),
-                misses: AtomicUsize::new(0),
-            }),
         };
-        let mut engine = Engine::with_pool(self.pool.clone());
-        if let Some(l) = self.lanes_per_device {
-            engine = engine.with_lanes(l);
-        }
-        let run = engine.run(&fleet, nets.len());
-        let mut stats = StoreRunStats::default();
-        if let Some(binding) = &fleet.store {
-            stats.hits = binding.hits.load(Ordering::Relaxed);
-            stats.misses = binding.misses.load(Ordering::Relaxed);
-        }
+        let run = self.engine.run(&fleet, request);
         ScenarioBatchResult {
             results: run.outputs,
             solve_time: start_time.elapsed(),
             ticks: run.ticks,
-            store: stats,
+            store: run.store,
         }
     }
-}
-
-/// The store side of one fleet run: the frozen lookup snapshot, the
-/// scenarios' fingerprints, and the run's traffic counters (atomics: shards
-/// on different devices admit concurrently, and sums are order-independent
-/// so the totals stay deterministic).
-struct AdmmStoreBinding<'a> {
-    case_id: &'a str,
-    view: &'a StoreView<WarmState>,
-    fps: &'a [ScenarioFingerprint],
-    hits: AtomicUsize,
-    misses: AtomicUsize,
 }
 
 /// The ADMM scenario fleet: one borrowed problem/parameter view driving
@@ -321,7 +251,6 @@ struct AdmmFleet<'a> {
     nets: &'a [Network],
     warm: Option<&'a WarmState>,
     tron: TronSolver,
-    store: Option<AdmmStoreBinding<'a>>,
 }
 
 /// One device's shard: slot-major buffers plus per-lane control state.
@@ -335,22 +264,32 @@ struct AdmmShard {
 }
 
 impl AdmmFleet<'_> {
-    /// Fresh per-slot control state. When the whole run is seeded from a
-    /// shared warm state, new slots resume its β schedule.
-    fn fresh_ctl(&self) -> ScenCtl {
+    /// The admitted scenario's host-side segment and fresh control state,
+    /// seeded from its store hit, else the run's shared warm state, else
+    /// cold. The seed changes the starting point, not the iteration budget:
+    /// only β resumes the seed's schedule, along with its multipliers.
+    fn admission_state(&self, admission: &Admission<'_, WarmState>) -> (SegmentHost, ScenCtl) {
+        let idx = admission.scenario;
+        let seed = admission.hit.as_ref().map(Hit::payload).or(self.warm);
+        let seg = init_segment(&self.nets[idx], &self.problem.data[idx], self.problem, seed);
         let mut ctl = ScenCtl::fresh();
-        if let Some(w) = self.warm {
+        if let Some(w) = seed {
             ctl.beta = w.beta;
         }
-        ctl
+        (seg, ctl)
     }
 }
 
 impl LaneSolver for AdmmFleet<'_> {
     type Shard = AdmmShard;
     type Output = ScenarioResult;
+    type Payload = WarmState;
 
-    fn open_shard(&self, device: &Device, initial: &[usize]) -> AdmmShard {
+    fn open_shard(
+        &self,
+        device: &Device,
+        initial: &[Admission<'_, WarmState>],
+    ) -> (AdmmShard, Vec<bool>) {
         let problem = self.problem;
         let (ngen, nbranch, nbus, m) = (problem.ngen, problem.nbranch, problem.nbus, problem.m);
         let ll = initial.len();
@@ -367,8 +306,10 @@ impl LaneSolver for AdmmFleet<'_> {
         let mut y_host = Vec::with_capacity(ll * m);
         let mut lam_host = Vec::with_capacity(ll * m);
         let mut rho_host = Vec::with_capacity(ll * m);
-        for &idx in initial {
-            let seg = init_segment(&self.nets[idx], &problem.data[idx], problem, self.warm);
+        let mut ctl = Vec::with_capacity(ll);
+        for admission in initial {
+            let (seg, c) = self.admission_state(admission);
+            ctl.push(c);
             gen_host.extend(seg.gens);
             branch_host.extend(seg.branches);
             bus_host.extend(seg.buses);
@@ -391,14 +332,18 @@ impl LaneSolver for AdmmFleet<'_> {
             lam: DeviceBuffer::from_host(stats.clone(), &lam_host),
             rho: DeviceBuffer::from_host(stats, &rho_host),
         };
-        AdmmShard {
+        let shard = AdmmShard {
             device: device.clone(),
             st,
-            ctl: (0..ll).map(|_| self.fresh_ctl()).collect(),
-            slot_data: initial.iter().map(|&i| problem.data[i].clone()).collect(),
+            ctl,
+            slot_data: initial
+                .iter()
+                .map(|a| problem.data[a.scenario].clone())
+                .collect(),
             segs: SegMaps::build(ll, problem),
             ll,
-        }
+        };
+        (shard, initial.iter().map(|a| a.hit.is_some()).collect())
     }
 
     fn step(&self, shard: &mut AdmmShard, active: &[bool]) -> Vec<bool> {
@@ -501,46 +446,21 @@ impl LaneSolver for AdmmFleet<'_> {
         )
     }
 
-    fn admit(&self, shard: &mut AdmmShard, slot: usize, scenario: usize) {
-        let seg = init_segment(
-            &self.nets[scenario],
-            &self.problem.data[scenario],
-            self.problem,
-            self.warm,
-        );
+    fn admit(
+        &self,
+        shard: &mut AdmmShard,
+        slot: usize,
+        admission: &Admission<'_, WarmState>,
+    ) -> bool {
+        let (seg, ctl) = self.admission_state(admission);
         admit_into_slot(&mut shard.st, slot, &seg, self.problem);
-        shard.slot_data[slot] = self.problem.data[scenario].clone();
-        shard.ctl[slot] = self.fresh_ctl();
+        shard.slot_data[slot] = self.problem.data[admission.scenario].clone();
+        shard.ctl[slot] = ctl;
+        admission.hit.is_some()
     }
 
-    fn on_admit(&self, shard: &mut AdmmShard, slot: usize, scenario: usize) {
-        let Some(binding) = &self.store else {
-            return;
-        };
-        match binding
-            .view
-            .nearest(binding.case_id, &binding.fps[scenario])
-        {
-            Some(hit) => {
-                // Rebuild the slot's segment from the stored warm state and
-                // replace the cold/shared-warm seed with a ranged re-upload.
-                // Control state stays fresh (the hit changes the starting
-                // point, not the iteration budget) except for β, which
-                // resumes the stored schedule along with the multipliers.
-                let seg = init_segment(
-                    &self.nets[scenario],
-                    &self.problem.data[scenario],
-                    self.problem,
-                    Some(&hit.entry.payload),
-                );
-                admit_into_slot(&mut shard.st, slot, &seg, self.problem);
-                shard.ctl[slot].beta = hit.entry.payload.beta;
-                binding.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                binding.misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    fn commit(&self, result: &ScenarioResult) -> Option<WarmState> {
+        (result.status == AdmmStatus::Converged).then(|| result.warm_state.clone())
     }
 }
 

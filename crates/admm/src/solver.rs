@@ -15,6 +15,7 @@ use crate::scenario::ScenarioScheduler;
 use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_batch::{Device, DevicePool};
+use gridsim_engine::FleetRequest;
 use gridsim_grid::network::Network;
 use std::time::Duration;
 
@@ -138,10 +139,9 @@ impl AdmmSolver {
         );
         let pg_bounds = pg_bounds.map(|b| [b]);
         let run = scheduler.execute(
-            std::slice::from_ref(net),
+            FleetRequest::over(std::slice::from_ref(net)),
             warm,
             pg_bounds.as_ref().map(|b| &b[..]),
-            None,
         );
         let solve_time = run.solve_time;
         let r = run

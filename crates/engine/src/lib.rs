@@ -7,8 +7,9 @@
 //! lane caps, streaming admission) and is hoisted here so every solver
 //! family rides the same machinery: a solver plugs in by implementing
 //! [`LaneSolver`] — open a per-device shard, advance its active lanes,
-//! extract a finished lane, admit the next pending scenario — and the
-//! [`Engine`] supplies
+//! extract a finished lane, admit the next pending scenario, name the
+//! payload a finished scenario leaves in a store — and the [`Engine`]
+//! supplies
 //!
 //! * **sharding** — scenarios are dealt round-robin across the logical
 //!   devices of a [`DevicePool`] ([`plan::shard_plan`]); shards execute
@@ -19,9 +20,14 @@
 //!   the shard's next pending scenario is admitted into the freed lane
 //!   ([`plan::admission_plan`]), so a busy device never idles lanes on
 //!   finished work,
+//! * **the warm-start store protocol** — a [`FleetRequest`]'s store
+//!   binding is resolved here: every admission carries the nearest stored
+//!   neighbor of its scenario, looked up against a view frozen before the
+//!   run, and after a [`StoreAccess::Live`] run the finished scenarios'
+//!   payloads are committed in input order (see [`LaneSolver`]),
 //! * **aggregation** — outputs come back in input order regardless of the
-//!   device/lane configuration, with the run's tick count (longest device)
-//!   and per-device statistics deltas alongside.
+//!   device/lane configuration, with the run's tick count (longest device),
+//!   per-device statistics deltas and store traffic alongside.
 //!
 //! The engine imposes no synchronization between lanes beyond the shard's
 //! step call, so a `LaneSolver` whose lanes are arithmetically independent
@@ -38,6 +44,8 @@ pub mod request;
 pub use request::{FleetRequest, StoreAccess};
 
 use gridsim_batch::{Device, DevicePool, StatsSnapshot};
+use gridsim_grid::fingerprint::ScenarioFingerprint;
+use gridsim_store::{StoreHit, StoreRunStats, StoreView};
 use plan::{admission_plan, shard_plan, total_lanes};
 use std::time::{Duration, Instant};
 
@@ -45,8 +53,8 @@ use std::time::{Duration, Instant};
 ///
 /// The engine drives implementations through a fixed protocol, per shard:
 ///
-/// 1. [`open_shard`](LaneSolver::open_shard) once, with the scenarios that
-///    occupy the initial lanes (slot `s` opens holding `initial[s]`),
+/// 1. [`open_shard`](LaneSolver::open_shard) once, with the admissions
+///    that occupy the initial lanes (slot `s` opens holding `initial[s]`),
 /// 2. [`step`](LaneSolver::step) repeatedly — one engine *tick* — until
 ///    every lane is drained. A step advances every active lane and reports
 ///    which lanes finished their current scenario: a batched stepper (the
@@ -55,23 +63,43 @@ use std::time::{Duration, Instant};
 ///    active lane's scenario in a single call,
 /// 3. [`extract`](LaneSolver::extract) for each finished lane, then either
 ///    [`admit`](LaneSolver::admit) of the next pending scenario into the
-///    freed slot or deactivation when the shard's queue is empty.
+///    freed slot or deactivation when the shard's queue is empty,
+/// 4. after a [`StoreAccess::Live`] run, [`commit`](LaneSolver::commit)
+///    of every output, in input order.
 ///
-/// Warm-start carry is the implementation's business: a lane is the natural
-/// home for state that should flow from one admitted scenario to the next
-/// (previous primal/dual point, a cached symbolic analysis), because a
-/// lane's admissions form a sequential chain even when the fleet as a whole
-/// runs wide.
+/// The store protocol is the engine's; a solver only says how a lane is
+/// seeded from a payload and which payload a finished output leaves. With a
+/// store bound, each scenario is fingerprinted once and every
+/// [`Admission`] (initial or streamed, each exactly once) carries the
+/// nearest entry ([`Hit`]) of a view frozen before the run, so the run's
+/// own results are invisible to its lookups. `open_shard` and `admit`
+/// report whether they seeded the lane from the hit; a lookup that seeded
+/// nothing counts as a miss. Commits land in the live store in input order,
+/// so its contents do not depend on the device count, the lane cap or
+/// thread timing; a [`StoreAccess::Snapshot`] run commits nothing.
+///
+/// Warm-start carry between admissions is the implementation's business: a
+/// lane is the natural home for state that should flow from one admitted
+/// scenario to the next (previous primal/dual point, a cached symbolic
+/// analysis), because a lane's admissions form a sequential chain even
+/// when the fleet as a whole runs wide.
 pub trait LaneSolver: Sync {
     /// Per-device state: the shard's lanes plus whatever device buffers and
     /// caches the solver keeps per slot.
     type Shard;
     /// Per-scenario result.
     type Output: Send;
+    /// What a solution store keeps per solved scenario for this family.
+    type Payload: Send + Sync;
 
-    /// Open one device's shard with `initial[s]` occupying slot `s`. The
-    /// lane count of this shard is `initial.len()`.
-    fn open_shard(&self, device: &Device, initial: &[usize]) -> Self::Shard;
+    /// Open one device's shard with `initial[s]` admitted into slot `s`
+    /// (the lane count of this shard is `initial.len()`); return it with,
+    /// per slot, whether the lane was seeded from its admission's hit.
+    fn open_shard(
+        &self,
+        device: &Device,
+        initial: &[Admission<'_, Self::Payload>],
+    ) -> (Self::Shard, Vec<bool>);
 
     /// Advance every active lane; return per-slot "finished this scenario"
     /// flags (entries for inactive slots are ignored).
@@ -80,18 +108,71 @@ pub trait LaneSolver: Sync {
     /// Extract slot `slot`'s finished result for scenario `scenario`.
     fn extract(&self, shard: &mut Self::Shard, slot: usize, scenario: usize) -> Self::Output;
 
-    /// Admit `scenario` into the freed slot `slot`.
-    fn admit(&self, shard: &mut Self::Shard, slot: usize, scenario: usize);
+    /// Admit into the freed slot `slot`; return whether the lane was
+    /// seeded from the admission's hit.
+    fn admit(
+        &self,
+        shard: &mut Self::Shard,
+        slot: usize,
+        admission: &Admission<'_, Self::Payload>,
+    ) -> bool;
 
-    /// Called once for every admission — each initial occupant right after
-    /// [`open_shard`](LaneSolver::open_shard) (in slot order) and each
-    /// streamed refill right after its [`admit`](LaneSolver::admit) — so a
-    /// solver has one uniform point to re-seed a freshly admitted lane
-    /// (e.g. from a warm-start solution store) regardless of whether the
-    /// scenario arrived with the opening batch or through streaming.
-    /// Default: no-op.
-    fn on_admit(&self, shard: &mut Self::Shard, slot: usize, scenario: usize) {
-        let _ = (shard, slot, scenario);
+    /// The payload a finished output leaves in a live store, or `None`
+    /// when it leaves nothing (e.g. the solve did not converge).
+    fn commit(&self, output: &Self::Output) -> Option<Self::Payload>;
+}
+
+/// One scenario entering a lane.
+#[derive(Debug)]
+pub struct Admission<'r, P> {
+    /// Input index of the admitted scenario.
+    pub scenario: usize,
+    /// The nearest stored neighbor of the scenario; `None` without a store
+    /// or when the store holds no eligible neighbor.
+    pub hit: Option<Hit<'r, P>>,
+}
+
+/// A store entry offered to an admission.
+#[derive(Debug)]
+pub struct Hit<'r, P> {
+    found: StoreHit<P>,
+    fps: &'r [ScenarioFingerprint],
+    scenario: usize,
+}
+
+impl<P> Hit<'_, P> {
+    /// The stored payload to seed from.
+    pub fn payload(&self) -> &P {
+        &self.found.entry.payload
+    }
+
+    /// True when the hit is strictly closer (in RMS load distance) to the
+    /// admitted scenario than the run's scenario `other` is. A scenario of
+    /// another structure, or none at all, is never closer.
+    pub fn closer_than(&self, other: Option<usize>) -> bool {
+        let fp = &self.fps[self.scenario];
+        let other = other.map(|o| &self.fps[o]);
+        let other = other.filter(|ofp| ofp.structure == fp.structure);
+        self.found.distance < other.map_or(f64::INFINITY, |ofp| ofp.distance(fp))
+    }
+}
+
+/// The lookup side of a bound store: the frozen view, the group key, and
+/// every scenario's fingerprint.
+struct Lookup<'r, P> {
+    case_id: &'r str,
+    view: &'r StoreView<P>,
+    fps: Vec<ScenarioFingerprint>,
+}
+
+impl<P> Lookup<'_, P> {
+    fn hit(&self, scenario: usize) -> Option<Hit<'_, P>> {
+        let found = self.view.nearest(self.case_id, &self.fps[scenario])?;
+        Some(Hit {
+            found,
+            fps: &self.fps,
+            scenario,
+        })
     }
 }
 
@@ -109,6 +190,10 @@ pub struct EngineRun<T> {
     /// Per-device statistics deltas for this run, in device order (devices
     /// beyond the clamped shard count report empty deltas).
     pub device_stats: Vec<StatsSnapshot>,
+    /// Store traffic: seeded admissions, admissions that consulted the
+    /// store without seeding from it, and commits. All zero without a
+    /// store.
+    pub store: StoreRunStats,
 }
 
 /// The solver-agnostic scenario execution engine: a [`DevicePool`] plus a
@@ -157,61 +242,104 @@ impl Engine {
         total_lanes(num_scenarios, self.pool.len(), self.lanes_per_device)
     }
 
-    /// Run `num_scenarios` scenarios through `solver`: shard round-robin
-    /// across the pool, stream admissions within each shard, return outputs
-    /// in input order.
-    pub fn run<S: LaneSolver>(&self, solver: &S, num_scenarios: usize) -> EngineRun<S::Output> {
+    /// Run the request's scenarios through `solver`: shard round-robin
+    /// across the pool, stream admissions within each shard, and keep the
+    /// store protocol of [`LaneSolver`]. Outputs come back in input order.
+    ///
+    /// # Panics
+    /// When the request holds no scenario, or binds a store without a case
+    /// id.
+    pub fn run<S: LaneSolver>(
+        &self,
+        solver: &S,
+        request: FleetRequest<'_, S::Payload>,
+    ) -> EngineRun<S::Output> {
         let start_time = Instant::now();
         let before = self.pool.snapshots();
+        let case_id = request.store_case_id();
+        // Freeze-at-start: a live store is looked up through a view taken
+        // before the first admission.
+        let frozen;
+        let (view, live) = match request.store {
+            StoreAccess::None => (None, None),
+            StoreAccess::Snapshot(view) => (Some(view), None),
+            StoreAccess::Live(store) => {
+                frozen = store.view();
+                (Some(&frozen), Some(store))
+            }
+        };
+        let lookup = view.map(|view| Lookup {
+            case_id: case_id.expect("store_case_id checked"),
+            view,
+            fps: request
+                .nets
+                .iter()
+                .map(ScenarioFingerprint::of_network)
+                .collect(),
+        });
+        let lookup = lookup.as_ref();
+        let num_scenarios = request.nets.len();
         let shards = shard_plan(num_scenarios, self.pool.len());
-        let mut slots: Vec<Option<S::Output>> = (0..num_scenarios).map(|_| None).collect();
-        let mut ticks = 0usize;
-        if shards.len() == 1 {
-            let (results, t) = run_shard(
+        let lanes = self.lanes_per_device;
+        let shard_runs = if shards.len() == 1 {
+            vec![run_shard(
                 solver,
                 self.pool.device(0),
                 &shards[0],
-                self.lanes_per_device,
-            );
-            ticks = t;
-            for (idx, r) in results {
-                slots[idx] = Some(r);
-            }
+                lanes,
+                lookup,
+            )]
         } else {
             // One host thread per device shard; each shard's kernel work is
             // billed to its own device stream.
-            let shard_outputs = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .iter()
                     .enumerate()
                     .map(|(d, shard)| {
                         let device = self.pool.device(d);
-                        let lanes = self.lanes_per_device;
-                        scope.spawn(move || run_shard(solver, device, shard, lanes))
+                        scope.spawn(move || run_shard(solver, device, shard, lanes, lookup))
                     })
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("device shard thread panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (results, t) in shard_outputs {
-                // Shards run concurrently: the run's tick count is the
-                // longest device's, the wall-clock analogue.
-                ticks = ticks.max(t);
-                for (idx, r) in results {
-                    slots[idx] = Some(r);
+                    .collect()
+            })
+        };
+        let mut slots: Vec<Option<S::Output>> = (0..num_scenarios).map(|_| None).collect();
+        let mut ticks = 0usize;
+        let mut store = StoreRunStats::default();
+        for (results, t, traffic) in shard_runs {
+            // Shards run concurrently: the run's tick count is the longest
+            // device's, the wall-clock analogue.
+            ticks = ticks.max(t);
+            store.merge(&traffic);
+            for (idx, r) in results {
+                slots[idx] = Some(r);
+            }
+        }
+        let outputs: Vec<S::Output> = slots
+            .into_iter()
+            .map(|r| r.expect("every scenario produces an output"))
+            .collect();
+        let solve_time = start_time.elapsed();
+        if let (Some(target), Some(lookup)) = (live, lookup) {
+            // Commit in input order: deterministic store contents whichever
+            // device solved what when.
+            for (fp, output) in lookup.fps.iter().zip(&outputs) {
+                if let Some(payload) = solver.commit(output) {
+                    target.insert(lookup.case_id, fp, payload);
+                    store.inserts += 1;
                 }
             }
         }
         EngineRun {
-            outputs: slots
-                .into_iter()
-                .map(|r| r.expect("every scenario produces an output"))
-                .collect(),
+            outputs,
             ticks,
-            solve_time: start_time.elapsed(),
+            solve_time,
             device_stats: self.pool.snapshots_since(&before),
+            store,
         }
     }
 }
@@ -223,18 +351,32 @@ impl Default for Engine {
 }
 
 /// Run one device's shard with streaming admission; returns the finished
-/// scenarios tagged with their input indices, plus the shard's tick count.
+/// scenarios tagged with their input indices, the shard's tick count and
+/// its store traffic.
 fn run_shard<S: LaneSolver>(
     solver: &S,
     device: &Device,
     shard: &[usize],
     lane_cap: Option<usize>,
-) -> (Vec<(usize, S::Output)>, usize) {
+    lookup: Option<&Lookup<'_, S::Payload>>,
+) -> (Vec<(usize, S::Output)>, usize, StoreRunStats) {
+    let admission = |scenario| Admission {
+        scenario,
+        hit: lookup.and_then(|l| l.hit(scenario)),
+    };
+    let mut store = StoreRunStats::default();
+    let mut tally = |a: &Admission<'_, S::Payload>, seeded: bool| match lookup {
+        Some(_) if a.hit.is_some() && seeded => store.hits += 1,
+        Some(_) => store.misses += 1,
+        None => {}
+    };
     let plan = admission_plan(shard, lane_cap);
     let ll = plan.lanes;
-    let mut state = solver.open_shard(device, &plan.initial);
-    for (s, &scenario) in plan.initial.iter().enumerate() {
-        solver.on_admit(&mut state, s, scenario);
+    let initial: Vec<_> = plan.initial.iter().map(|&s| admission(s)).collect();
+    let (mut state, seeded) = solver.open_shard(device, &initial);
+    debug_assert_eq!(seeded.len(), ll, "one seeded flag per lane");
+    for (a, &s) in initial.iter().zip(&seeded) {
+        tally(a, s);
     }
     let mut occupant = plan.initial;
     let mut queue = plan.refills.into_iter();
@@ -254,58 +396,87 @@ fn run_shard<S: LaneSolver>(
             out.push((occupant[s], solver.extract(&mut state, s, occupant[s])));
             match queue.next() {
                 Some(next) => {
-                    solver.admit(&mut state, s, next);
-                    solver.on_admit(&mut state, s, next);
+                    let a = admission(next);
+                    let seeded = solver.admit(&mut state, s, &a);
+                    tally(&a, seeded);
                     occupant[s] = next;
                 }
                 None => active[s] = false,
             }
         }
     }
-    (out, ticks)
+    (out, ticks, store)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridsim_grid::Network;
+    use gridsim_store::SolutionStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    /// A toy stepper: scenario `i` needs `work[i]` steps. Tracks admission
-    /// sequences so the streaming protocol itself is testable without any
-    /// real solver.
+    /// A toy stepper: scenario `i` needs `work[i]` steps, and a store
+    /// payload is a `u32`. Logs every admission (slot, scenario, seeded
+    /// payload) so the streaming and store protocols are testable without
+    /// any real solver.
     struct Countdown {
         work: Vec<usize>,
+        /// Hits carrying this payload are declined.
+        decline: Option<u32>,
         opened_shards: AtomicUsize,
-        hook_calls: std::sync::Mutex<Vec<(usize, usize)>>,
+        admissions: Mutex<Vec<(usize, usize, Option<u32>)>>,
     }
 
     struct CountdownShard {
         remaining: Vec<usize>,
         current: Vec<usize>,
-        admissions: Vec<usize>,
     }
 
     impl Countdown {
         fn new(work: Vec<usize>) -> Countdown {
             Countdown {
                 work,
+                decline: None,
                 opened_shards: AtomicUsize::new(0),
-                hook_calls: std::sync::Mutex::new(Vec::new()),
+                admissions: Mutex::new(Vec::new()),
             }
+        }
+
+        /// Log one admission; return whether it seeded from its hit.
+        fn seed(&self, slot: usize, admission: &Admission<'_, u32>) -> bool {
+            let seed = admission
+                .hit
+                .as_ref()
+                .map(|h| *h.payload())
+                .filter(|&p| Some(p) != self.decline);
+            let entry = (slot, admission.scenario, seed);
+            self.admissions.lock().unwrap().push(entry);
+            seed.is_some()
         }
     }
 
     impl LaneSolver for Countdown {
         type Shard = CountdownShard;
         type Output = (usize, usize);
+        type Payload = u32;
 
-        fn open_shard(&self, _device: &Device, initial: &[usize]) -> CountdownShard {
+        fn open_shard(
+            &self,
+            _device: &Device,
+            initial: &[Admission<'_, u32>],
+        ) -> (CountdownShard, Vec<bool>) {
             self.opened_shards.fetch_add(1, Ordering::Relaxed);
-            CountdownShard {
-                remaining: initial.iter().map(|&i| self.work[i]).collect(),
-                current: initial.to_vec(),
-                admissions: initial.to_vec(),
-            }
+            let seeded = initial
+                .iter()
+                .enumerate()
+                .map(|(s, a)| self.seed(s, a))
+                .collect();
+            let shard = CountdownShard {
+                remaining: initial.iter().map(|a| self.work[a.scenario]).collect(),
+                current: initial.iter().map(|a| a.scenario).collect(),
+            };
+            (shard, seeded)
         }
 
         fn step(&self, shard: &mut CountdownShard, active: &[bool]) -> Vec<bool> {
@@ -334,31 +505,56 @@ mod tests {
             (scenario, self.work[scenario])
         }
 
-        fn admit(&self, shard: &mut CountdownShard, slot: usize, scenario: usize) {
-            shard.remaining[slot] = self.work[scenario];
-            shard.current[slot] = scenario;
-            shard.admissions.push(scenario);
+        fn admit(
+            &self,
+            shard: &mut CountdownShard,
+            slot: usize,
+            admission: &Admission<'_, u32>,
+        ) -> bool {
+            shard.remaining[slot] = self.work[admission.scenario];
+            shard.current[slot] = admission.scenario;
+            self.seed(slot, admission)
         }
 
-        fn on_admit(&self, shard: &mut CountdownShard, slot: usize, scenario: usize) {
-            assert_eq!(shard.current[slot], scenario, "hook fires on the occupant");
-            self.hook_calls.lock().unwrap().push((slot, scenario));
+        /// Odd-work scenarios leave nothing behind; the rest commit
+        /// `100 + scenario`.
+        fn commit(&self, &(scenario, work): &(usize, usize)) -> Option<u32> {
+            (work % 2 == 0).then_some(100 + scenario as u32)
+        }
+    }
+
+    /// `n` case9 scenarios at loads 1.000, 1.001, … — all inside each
+    /// other's store radius.
+    fn nets(n: usize) -> Vec<Network> {
+        (0..n)
+            .map(|i| {
+                gridsim_grid::case9()
+                    .scale_load(1.0 + 0.001 * i as f64)
+                    .compile()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn engine(devices: usize, lanes: Option<usize>) -> Engine {
+        let engine = Engine::with_pool(DevicePool::parallel(devices));
+        match lanes {
+            Some(l) => engine.with_lanes(l),
+            None => engine,
         }
     }
 
     #[test]
     fn outputs_come_back_in_input_order_for_any_configuration() {
         let work = vec![3, 1, 4, 1, 5, 2];
+        let nets = nets(work.len());
         for devices in 1..=4 {
             for lanes in [Some(1), Some(2), None] {
                 let solver = Countdown::new(work.clone());
-                let mut engine = Engine::with_pool(DevicePool::parallel(devices));
-                if let Some(l) = lanes {
-                    engine = engine.with_lanes(l);
-                }
-                let run = engine.run(&solver, work.len());
+                let run = engine(devices, lanes).run(&solver, FleetRequest::over(&nets));
                 let expected: Vec<(usize, usize)> = work.iter().copied().enumerate().collect();
                 assert_eq!(run.outputs, expected, "devices={devices} lanes={lanes:?}");
+                assert_eq!(run.store, StoreRunStats::default(), "no store, no traffic");
             }
         }
     }
@@ -366,7 +562,7 @@ mod tests {
     #[test]
     fn single_device_ticks_equal_max_work_without_cap() {
         let solver = Countdown::new(vec![3, 1, 4]);
-        let run = Engine::with_pool(DevicePool::parallel(1)).run(&solver, 3);
+        let run = engine(1, None).run(&solver, FleetRequest::over(&nets(3)));
         assert_eq!(run.ticks, 4);
     }
 
@@ -374,9 +570,7 @@ mod tests {
     fn streaming_one_lane_serializes_the_shard() {
         let work = vec![3, 1, 4];
         let solver = Countdown::new(work.clone());
-        let run = Engine::with_pool(DevicePool::parallel(1))
-            .with_lanes(1)
-            .run(&solver, 3);
+        let run = engine(1, Some(1)).run(&solver, FleetRequest::over(&nets(3)));
         // One lane: ticks are the sum of all work, and outputs stay ordered.
         assert_eq!(run.ticks, work.iter().sum::<usize>());
         assert_eq!(run.outputs.len(), 3);
@@ -385,31 +579,146 @@ mod tests {
     #[test]
     fn shards_open_once_per_clamped_device() {
         let solver = Countdown::new(vec![1, 1]);
-        let run = Engine::with_pool(DevicePool::parallel(5)).run(&solver, 2);
+        let run = engine(5, None).run(&solver, FleetRequest::over(&nets(2)));
         assert_eq!(solver.opened_shards.load(Ordering::Relaxed), 2);
         assert_eq!(run.outputs.len(), 2);
         assert_eq!(run.device_stats.len(), 5, "one delta per pool device");
     }
 
     #[test]
-    fn on_admit_fires_once_per_admission_initial_and_streamed() {
+    fn admission_hook_fires_once_per_admission_in_plan_order() {
         // One device, two lanes over five scenarios: slots open with {0, 1}
         // and stream {2, 3, 4} in as lanes drain.
         let work = vec![2, 1, 1, 1, 1];
         let solver = Countdown::new(work.clone());
-        let run = Engine::with_pool(DevicePool::parallel(1))
-            .with_lanes(2)
-            .run(&solver, work.len());
+        let run = engine(1, Some(2)).run(&solver, FleetRequest::over(&nets(work.len())));
         assert_eq!(run.outputs.len(), work.len());
-        let calls = solver.hook_calls.lock().unwrap();
-        // Exactly one hook call per admitted scenario, starting with the
-        // initial occupants in slot order.
-        assert_eq!(calls.len(), work.len());
-        assert_eq!(calls[0], (0, 0));
-        assert_eq!(calls[1], (1, 1));
-        let mut seen: Vec<usize> = calls.iter().map(|&(_, sc)| sc).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        let plan = plan::admission_plan(&plan::shard_plan(work.len(), 1)[0], Some(2));
+        let calls = solver.admissions.lock().unwrap();
+        // The initial occupants in slot order, then the refills in refill
+        // order: each scenario exactly once.
+        let order: Vec<usize> = calls.iter().map(|&(_, scenario, _)| scenario).collect();
+        assert_eq!(order, [plan.initial.clone(), plan.refills].concat());
+        let initial_slots: Vec<usize> = calls[..plan.lanes].iter().map(|c| c.0).collect();
+        assert_eq!(initial_slots, [0, 1]);
+    }
+
+    /// A live run on an empty store looks every admission up against the
+    /// view frozen before it, so its own commits never seed it — even on one
+    /// lane, where each scenario finishes before the next, nearby one is
+    /// admitted. The commits land after the run in input order, skipping
+    /// outputs that leave no payload.
+    #[test]
+    fn live_runs_freeze_lookups_and_commit_in_input_order() {
+        // Descending work: on several lanes the later scenarios finish
+        // first.
+        let work = vec![6, 5, 4, 3, 2, 1];
+        let nets = nets(work.len());
+        let solver = Countdown::new(work.clone());
+        let mut store = SolutionStore::new();
+        let run = engine(2, Some(2)).run(
+            &solver,
+            FleetRequest::over(&nets).case("case9").store(&mut store),
+        );
+        let committed = [0, 2, 4];
+        assert_eq!(
+            run.store,
+            StoreRunStats {
+                hits: 0,
+                misses: work.len(),
+                inserts: committed.len(),
+            }
+        );
+        assert!(solver
+            .admissions
+            .lock()
+            .unwrap()
+            .iter()
+            .all(|a| a.2.is_none()));
+        for (index, &scenario) in committed.iter().enumerate() {
+            let fp = ScenarioFingerprint::of_network(&nets[scenario]);
+            let hit = store.nearest("case9", &fp).expect("committed");
+            assert_eq!(hit.index, index, "input-order insertion");
+            assert_eq!(hit.distance, 0.0);
+            assert_eq!(hit.entry.payload, 100 + scenario as u32);
+        }
+        assert_eq!(store.len(), committed.len());
+    }
+
+    /// The hook decides: a declined hit is a miss, an accepted one a hit,
+    /// and a snapshot binding commits nothing.
+    #[test]
+    fn declined_hits_are_misses_and_snapshots_commit_nothing() {
+        let nets = nets(4);
+        let mut store = SolutionStore::new();
+        for (i, net) in nets.iter().enumerate() {
+            store.insert("case9", &ScenarioFingerprint::of_network(net), i as u32);
+        }
+        let view = store.view();
+        let mut solver = Countdown::new(vec![1, 2, 3, 4]);
+        solver.decline = Some(2);
+        let run = engine(1, Some(1)).run(
+            &solver,
+            FleetRequest::over(&nets).case("case9").snapshot(&view),
+        );
+        assert_eq!(
+            run.store,
+            StoreRunStats {
+                hits: 3,
+                misses: 1,
+                inserts: 0,
+            }
+        );
+        // Every scenario found itself (distance 0) and seeded from it,
+        // except the declined one.
+        let seeds: Vec<Option<u32>> = solver
+            .admissions
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|a| a.2)
+            .collect();
+        assert_eq!(seeds, [Some(0), Some(1), None, Some(3)]);
+        assert_eq!(store.len(), 4);
+    }
+
+    /// Stats, seeds and the post-run store are the same in every device and
+    /// lane configuration.
+    #[test]
+    fn store_protocol_is_identical_across_configurations() {
+        let work = vec![3, 1, 4, 1, 5, 2, 6];
+        let nets = nets(work.len());
+        let mut reference = None;
+        for (devices, lanes) in [(1, None), (1, Some(1)), (2, Some(1)), (3, Some(2))] {
+            // Half the scenarios stored before the run.
+            let mut store = SolutionStore::new();
+            for (i, net) in nets.iter().enumerate().step_by(2) {
+                store.insert("case9", &ScenarioFingerprint::of_network(net), 7 * i as u32);
+            }
+            let mut solver = Countdown::new(work.clone());
+            solver.decline = Some(14);
+            let run = engine(devices, lanes).run(
+                &solver,
+                FleetRequest::over(&nets).case("case9").store(&mut store),
+            );
+            let mut seeds = solver.admissions.into_inner().unwrap();
+            seeds.sort_by_key(|&(_, scenario, _)| scenario);
+            let seeds: Vec<Option<u32>> = seeds.into_iter().map(|a| a.2).collect();
+            // Stored scenarios find themselves, and the one stored with the
+            // declined payload seeds nothing.
+            let own = [seeds[0], seeds[2], seeds[4], seeds[6]];
+            assert_eq!(own, [Some(0), None, Some(28), Some(42)]);
+            let contents: Vec<(usize, u32)> = nets
+                .iter()
+                .filter_map(|n| store.nearest("case9", &ScenarioFingerprint::of_network(n)))
+                .map(|h| (h.index, h.entry.payload))
+                .collect();
+            let observed = (run.store, seeds, contents, store.len());
+            match &reference {
+                None => reference = Some(observed),
+                Some(r) => assert_eq!(&observed, r, "devices={devices} lanes={lanes:?}"),
+            }
+        }
     }
 
     #[test]

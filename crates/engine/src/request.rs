@@ -1,22 +1,19 @@
 //! The unified fleet-request parameter object.
 //!
-//! Every fleet entry point used to grow a new method per knob combination —
-//! `solve(nets)`, `solve_with_store(case_id, nets, store)`, and so on —
-//! duplicated across solver families. [`FleetRequest`] collapses that
-//! accretion into one parameter object: the scenarios to solve, an optional
-//! case id (the solution-store group key) and an optional store binding.
-//! Each solver family exposes a single `run(request)` that consumes it; the
-//! backend a run launches on is the fleet's engine's.
+//! [`FleetRequest`] is one fleet invocation as data: the scenarios to solve,
+//! an optional case id (the solution-store group key) and an optional store
+//! binding. Each solver family exposes a single `run(request)` that hands
+//! it to its engine; the backend a run launches on is the engine's.
 //!
 //! ## Store bindings
 //!
 //! [`StoreAccess`] distinguishes the two lifetimes a store can have relative
-//! to a run:
+//! to a run. The [`Engine`](crate::Engine) keeps the protocol for both (see
+//! [`LaneSolver`](crate::LaneSolver)):
 //!
-//! * [`Live`](StoreAccess::Live) — the classic `solve_with_store` contract:
-//!   the solver snapshots the store before the run (freeze-at-start),
-//!   looks admissions up against the snapshot, and commits converged
-//!   results back after the run in input order.
+//! * [`Live`](StoreAccess::Live) — the engine freezes a view of the store
+//!   before the run, looks every admission up against it, and commits the
+//!   finished scenarios' payloads back after the run in input order.
 //! * [`Snapshot`](StoreAccess::Snapshot) — lookups only, against a caller-
 //!   owned frozen [`StoreView`]. Nothing is committed; the caller owns the
 //!   write side. This is what a durable job layer needs: lookups stay
@@ -36,17 +33,17 @@ pub enum StoreAccess<'a, P> {
     /// No store: every admission starts cold (or from its lane's chain).
     #[default]
     None,
-    /// Freeze-at-start lookups plus post-run commits, both handled by the
-    /// solver (the `solve_with_store` contract).
+    /// Freeze-at-start lookups plus post-run commits in input order, both
+    /// kept by the engine.
     Live(&'a mut SolutionStore<P>),
-    /// Lookups against a caller-owned frozen snapshot; the solver commits
+    /// Lookups against a caller-owned frozen snapshot; the run commits
     /// nothing.
     Snapshot(&'a StoreView<P>),
 }
 
 impl<P> StoreAccess<'_, P> {
     /// True unless this is [`StoreAccess::None`].
-    pub fn is_bound(&self) -> bool {
+    pub(crate) fn is_bound(&self) -> bool {
         !matches!(self, StoreAccess::None)
     }
 }
@@ -102,12 +99,11 @@ impl<'a, P> FleetRequest<'a, P> {
         self
     }
 
-    /// The case id, enforcing the store-implies-case invariant. Solver
-    /// `run()` implementations call this instead of unwrapping by hand.
+    /// The case id, enforcing the store-implies-case invariant.
     ///
     /// # Panics
     /// When a store is bound without a case id.
-    pub fn store_case_id(&self) -> Option<&'a str> {
+    pub(crate) fn store_case_id(&self) -> Option<&'a str> {
         if self.store.is_bound() {
             Some(
                 self.case_id

@@ -42,11 +42,9 @@ use crate::solver::{IpmOptions, IpmSolver};
 use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_batch::Device;
-use gridsim_engine::{Engine, FleetRequest, LaneSolver, StoreAccess};
-use gridsim_grid::fingerprint::ScenarioFingerprint;
+use gridsim_engine::{Admission, Engine, FleetRequest, LaneSolver};
 use gridsim_grid::network::Network;
-use gridsim_store::{StoreRunStats, StoreView};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use gridsim_store::StoreRunStats;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,9 +71,9 @@ pub struct IpmWarmStart {
 
 impl IpmWarmStart {
     /// The warm-start payload of a converged report — what
-    /// [`IpmFleetSolver::run`] commits to a bound store, exposed so a
-    /// caller owning the write side (a [`StoreAccess::Snapshot`] consumer,
-    /// e.g. a durable job layer) can commit identical payloads itself.
+    /// [`IpmFleetSolver::run`] commits to a live store, exposed so a
+    /// caller owning the write side (a snapshot-bound durable job layer)
+    /// can commit identical payloads itself.
     pub fn from_report(report: &SolveReport) -> IpmWarmStart {
         IpmWarmStart {
             x: report.x.clone(),
@@ -118,10 +116,9 @@ pub struct FleetReport {
     /// Total lanes the engine opened across devices — the number of
     /// independent warm-start chains and numeric workspaces.
     pub lanes: usize,
-    /// Solution-store traffic for this run: admissions seeded from a stored
-    /// neighbor (hits), admissions that consulted the store without being
-    /// seeded from it (misses), and converged solves committed back
-    /// (inserts). All zero for a store-less request.
+    /// Solution-store traffic for this run, as the engine counts it
+    /// ([`gridsim_engine::EngineRun::store`]). All zero for a store-less
+    /// request.
     pub store: StoreRunStats,
     /// The symbolic figures of every distinct frozen condensed system the
     /// run's scenarios declared, in the input order of the first scenario
@@ -229,90 +226,32 @@ impl IpmFleetSolver {
     /// structurally divergent scenarios still solve correctly but cost one
     /// more symbolic analysis per structure.
     ///
-    /// With a [`StoreAccess::Live`] binding, every admission consults the
-    /// store and seeds the lane from the nearest stored neighbor when that
-    /// neighbor is closer (in RMS load distance) than the lane's own
-    /// chained point, and every converged solve is committed back under the
-    /// request's case id after the run. Determinism: lookups go against a
-    /// [`StoreView`] snapshot frozen before the run (this run's own results
-    /// are invisible to its lookups), and inserts commit in input order
-    /// afterwards — so the post-run store contents are independent of
-    /// device count, lane caps, and thread timing, and re-running with
-    /// identical store contents and engine configuration reproduces results
-    /// bitwise. A [`StoreAccess::Snapshot`] binding does the lookup side
-    /// only: nothing is committed, the caller owns the write side.
+    /// A bound store follows the engine's protocol (see [`LaneSolver`]),
+    /// with one rule of this fleet's own: an admission seeds its lane from
+    /// the store's hit only when the hit is strictly closer (in RMS load
+    /// distance) than the lane's own chained point, and a declined hit
+    /// counts as a miss. A live store receives every optimal solve's
+    /// [`IpmWarmStart`] after the run. Re-running with identical store
+    /// contents and engine configuration reproduces results bitwise.
     ///
     /// An IPM lane runs on the host and only bills its factorizations to its
     /// device's statistics stream, so the engine's launch backend changes
     /// neither a result nor its cost.
     pub fn run(&self, request: FleetRequest<'_, IpmWarmStart>) -> FleetReport {
         let nets = request.nets;
-        assert!(!nets.is_empty(), "need at least one scenario");
-        let case_id = request.store_case_id();
-        match request.store {
-            StoreAccess::None => self.execute(nets, None),
-            StoreAccess::Snapshot(view) => {
-                let fps: Vec<ScenarioFingerprint> =
-                    nets.iter().map(ScenarioFingerprint::of_network).collect();
-                self.execute(
-                    nets,
-                    Some((case_id.expect("store_case_id checked"), view, &fps)),
-                )
-            }
-            StoreAccess::Live(store) => {
-                let case_id = case_id.expect("store_case_id checked");
-                let fps: Vec<ScenarioFingerprint> =
-                    nets.iter().map(ScenarioFingerprint::of_network).collect();
-                let view = store.view();
-                let mut report = self.execute(nets, Some((case_id, &view, &fps)));
-                // Commit converged solves back in input order: deterministic
-                // store contents regardless of which device solved what when.
-                for (fp, r) in fps.iter().zip(&report.results) {
-                    if r.report.is_optimal() {
-                        store.insert(case_id, fp, IpmWarmStart::from_report(&r.report));
-                        report.store.inserts += 1;
-                    }
-                }
-                report
-            }
-        }
-    }
-
-    /// Drive the engine over `nets`, with lookups against `binding`'s
-    /// frozen view when present. Commits nothing.
-    fn execute(
-        &self,
-        nets: &[Network],
-        binding: Option<(&str, &StoreView<IpmWarmStart>, &[ScenarioFingerprint])>,
-    ) -> FleetReport {
         let fleet = IpmFleet {
             options: &self.options,
             nets,
-            store: binding.map(|(case_id, view, fps)| StoreBinding {
-                case_id,
-                view,
-                fps,
-                hits: AtomicUsize::new(0),
-                misses: AtomicUsize::new(0),
-            }),
             registry: &self.registry,
         };
-        let run = self.engine.run(&fleet, nets.len());
+        let run = self.engine.run(&fleet, request);
         let (results, frozen) = bill_analyses(run.outputs);
-        let store = fleet
-            .store
-            .as_ref()
-            .map_or_else(StoreRunStats::default, |b| StoreRunStats {
-                hits: b.hits.load(Ordering::Relaxed),
-                misses: b.misses.load(Ordering::Relaxed),
-                inserts: 0,
-            });
         FleetReport {
             results,
             solve_time: run.solve_time,
             ticks: run.ticks,
             lanes: self.engine.total_lanes(nets.len()),
-            store,
+            store: run.store,
             frozen,
         }
     }
@@ -343,23 +282,10 @@ fn bill_analyses(
     (results, frozen)
 }
 
-/// The store side of one fleet run: the frozen lookup snapshot, the
-/// scenarios' fingerprints, and the run's traffic counters (atomics: lanes
-/// on different devices admit concurrently, and sums are order-independent
-/// so the totals stay deterministic).
-struct StoreBinding<'a> {
-    case_id: &'a str,
-    view: &'a StoreView<IpmWarmStart>,
-    fps: &'a [ScenarioFingerprint],
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
 /// The borrowed per-run view the engine drives.
 struct IpmFleet<'a> {
     options: &'a IpmOptions,
     nets: &'a [Network],
-    store: Option<StoreBinding<'a>>,
     registry: &'a Arc<FrozenRegistry>,
 }
 
@@ -380,15 +306,32 @@ struct IpmLane {
 }
 
 impl IpmLane {
-    fn open(scenario: usize, registry: &Arc<FrozenRegistry>) -> IpmLane {
+    fn new(registry: &Arc<FrozenRegistry>) -> IpmLane {
         IpmLane {
             cache: KktCache::sharing(Arc::clone(registry)),
             warm_x: None,
             warm_lambda: None,
             warm_z: None,
             chain_scenario: None,
-            admitted: Some(scenario),
+            admitted: None,
             finished: None,
+        }
+    }
+
+    /// Admit a scenario; return whether its store hit replaced the carry.
+    fn admit(&mut self, admission: &Admission<'_, IpmWarmStart>) -> bool {
+        self.admitted = Some(admission.scenario);
+        // Strictly closer than the chain: seed the lane from the store.
+        // Ties keep the chain (it is already resident in the lane).
+        match &admission.hit {
+            Some(hit) if hit.closer_than(self.chain_scenario) => {
+                let seed = hit.payload();
+                self.warm_x = Some(seed.x.clone());
+                self.warm_lambda = Some(seed.lambda.clone());
+                self.warm_z = Some((seed.zl.clone(), seed.zu.clone()));
+                true
+            }
+            _ => false,
         }
     }
 }
@@ -402,15 +345,25 @@ struct IpmShard {
 impl LaneSolver for IpmFleet<'_> {
     type Shard = IpmShard;
     type Output = (FleetScenarioResult, Option<Arc<FrozenSystem>>);
+    type Payload = IpmWarmStart;
 
-    fn open_shard(&self, device: &Device, initial: &[usize]) -> IpmShard {
-        IpmShard {
-            device: device.clone(),
-            lanes: initial
-                .iter()
-                .map(|&idx| IpmLane::open(idx, self.registry))
-                .collect(),
+    fn open_shard(
+        &self,
+        device: &Device,
+        initial: &[Admission<'_, IpmWarmStart>],
+    ) -> (IpmShard, Vec<bool>) {
+        let mut lanes = Vec::with_capacity(initial.len());
+        let mut seeded = Vec::with_capacity(initial.len());
+        for admission in initial {
+            let mut lane = IpmLane::new(self.registry);
+            seeded.push(lane.admit(admission));
+            lanes.push(lane);
         }
+        let shard = IpmShard {
+            device: device.clone(),
+            lanes,
+        };
+        (shard, seeded)
     }
 
     fn step(&self, shard: &mut IpmShard, active: &[bool]) -> Vec<bool> {
@@ -471,39 +424,20 @@ impl LaneSolver for IpmFleet<'_> {
         (result, system)
     }
 
-    fn admit(&self, shard: &mut IpmShard, slot: usize, scenario: usize) {
-        shard.lanes[slot].admitted = Some(scenario);
+    fn admit(
+        &self,
+        shard: &mut IpmShard,
+        slot: usize,
+        admission: &Admission<'_, IpmWarmStart>,
+    ) -> bool {
+        shard.lanes[slot].admit(admission)
     }
 
-    fn on_admit(&self, shard: &mut IpmShard, slot: usize, scenario: usize) {
-        let Some(binding) = &self.store else {
-            return;
-        };
-        let fp = &binding.fps[scenario];
-        let lane = &mut shard.lanes[slot];
-        // The lane chain's distance to the incoming scenario; an absent or
-        // structurally incompatible chain never beats a store hit.
-        let chain_distance = lane.chain_scenario.map_or(f64::INFINITY, |prev| {
-            let pfp = &binding.fps[prev];
-            if pfp.structure == fp.structure {
-                pfp.distance(fp)
-            } else {
-                f64::INFINITY
-            }
-        });
-        match binding.view.nearest(binding.case_id, fp) {
-            // Strictly closer than the chain: seed the lane from the store.
-            // Ties keep the chain (it is already resident in the lane).
-            Some(hit) if hit.distance < chain_distance => {
-                lane.warm_x = Some(hit.entry.payload.x.clone());
-                lane.warm_lambda = Some(hit.entry.payload.lambda.clone());
-                lane.warm_z = Some((hit.entry.payload.zl.clone(), hit.entry.payload.zu.clone()));
-                binding.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                binding.misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    fn commit(&self, (result, _): &Self::Output) -> Option<IpmWarmStart> {
+        let report = &result.report;
+        report
+            .is_optimal()
+            .then(|| IpmWarmStart::from_report(report))
     }
 }
 

@@ -70,7 +70,13 @@ fn main() {
     println!(
         "\nsequential solves: {seq_ms:.2} ms total; batched results bitwise identical: {identical}"
     );
-    let batch_launches = batcher.pool.device(0).stats().snapshot().total_launches();
+    let batch_launches = batcher
+        .engine
+        .pool()
+        .device(0)
+        .stats()
+        .snapshot()
+        .total_launches();
     let seq_launches = solver.device.stats().snapshot().total_launches();
     println!(
         "kernel launches: {batch_launches} batched vs {seq_launches} sequential ({:.1}x amortization)",
@@ -107,7 +113,7 @@ fn main() {
         "\nscheduler on 2 devices x 2 lanes: {} ticks (longest device), bitwise identical: {same}",
         sched.ticks
     );
-    for (d, snap) in scheduler.pool.snapshots().iter().enumerate() {
+    for (d, snap) in scheduler.engine.pool().snapshots().iter().enumerate() {
         println!(
             "  device {d}: {} launches, {} blocks, {:.2} ms busy",
             snap.total_launches(),

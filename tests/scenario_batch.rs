@@ -89,9 +89,15 @@ fn batch_statuses_and_masking_are_reported_per_scenario() {
     let base = cases::case9();
     let nets = mixed_set(&base, 3).networks().unwrap();
     let batcher = one_device(AdmmParams::test_profile(), Device::default());
-    let before = batcher.pool.device(0).stats().snapshot();
+    let before = batcher.engine.pool().device(0).stats().snapshot();
     let batch = batcher.run(FleetRequest::over(&nets));
-    let delta = batcher.pool.device(0).stats().snapshot().since(&before);
+    let delta = batcher
+        .engine
+        .pool()
+        .device(0)
+        .stats()
+        .snapshot()
+        .since(&before);
     // Ticks equal the slowest scenario; per-scenario counts differ, and the
     // masked launches only bill active scenarios for kernel work.
     assert_eq!(
@@ -286,7 +292,13 @@ fn k8_batch_beats_sequential_solves_wall_clock() {
     // a fresh device, so its statistics snapshot is that side's launch count.
     let batcher = one_device(params.clone(), Device::default());
     let batch = batcher.run(FleetRequest::over(&nets));
-    let batch_launches = batcher.pool.device(0).stats().snapshot().total_launches();
+    let batch_launches = batcher
+        .engine
+        .pool()
+        .device(0)
+        .stats()
+        .snapshot()
+        .total_launches();
 
     let solver = AdmmSolver::new(params);
     let mut sequential_time = std::time::Duration::ZERO;

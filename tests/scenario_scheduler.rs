@@ -63,7 +63,7 @@ fn env_pool_matches_single_device_batch_bitwise() {
     let params = short_params();
     let scheduler = ScenarioScheduler::new(params.clone());
     assert_eq!(
-        scheduler.pool.len(),
+        scheduler.engine.pool().len(),
         expected,
         "pool must honor GRIDSIM_DEVICES"
     );
@@ -83,11 +83,11 @@ fn env_pool_backend_matches_resolution_bitwise() {
     let params = short_params();
     let scheduler = ScenarioScheduler::new(params.clone());
     assert_eq!(
-        scheduler.pool.backend(),
+        scheduler.engine.pool().backend(),
         ExecutionMode::Auto.resolve(),
         "pool must honor GRIDSIM_BACKEND"
     );
-    assert_ne!(scheduler.pool.backend(), ExecutionMode::Auto);
+    assert_ne!(scheduler.engine.pool().backend(), ExecutionMode::Auto);
     let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
     let sched = scheduler.run(FleetRequest::over(&nets));
     let batch = one_device(params, Device::sequential()).run(FleetRequest::over(&nets));
@@ -125,9 +125,9 @@ fn streaming_admission_bills_the_same_kernel_work() {
 
     let scheduler =
         ScenarioScheduler::with_pool(params.clone(), DevicePool::parallel(1)).with_lanes(2);
-    let before = scheduler.pool.combined_snapshot();
+    let before = scheduler.engine.pool().combined_snapshot();
     let sched = scheduler.run(FleetRequest::over(&nets));
-    let delta = scheduler.pool.combined_snapshot().since(&before);
+    let delta = scheduler.engine.pool().combined_snapshot().since(&before);
 
     let expected: u64 = sched
         .results
@@ -151,9 +151,9 @@ fn streamed_refills_transfer_per_admission_not_per_tick() {
     let params = short_params();
     let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
     let scheduler = ScenarioScheduler::with_pool(params, DevicePool::parallel(1)).with_lanes(1);
-    let before = scheduler.pool.combined_snapshot();
+    let before = scheduler.engine.pool().combined_snapshot();
     let sched = scheduler.run(FleetRequest::over(&nets));
-    let delta = scheduler.pool.combined_snapshot().since(&before);
+    let delta = scheduler.engine.pool().combined_snapshot().since(&before);
     assert!(sched.ticks > 40, "want a run with many ticks");
     // 9 bulk uploads at setup + 8 ranged uploads per refilled scenario —
     // the refill count comes from the engine's own admission plan rather
@@ -166,6 +166,39 @@ fn streamed_refills_transfer_per_admission_not_per_tick() {
     assert_eq!(delta.device_to_host_transfers, 6 * nets.len() as u64);
 }
 
+/// A store hit seeds the admitted slot in the same uploads a cold
+/// admission makes — the bulk uploads at setup and 8 ranged uploads per
+/// refill — never a second upload on top of them.
+#[test]
+fn store_hits_upload_each_admission_once() {
+    let params = short_params();
+    let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
+    let scheduler = ScenarioScheduler::with_pool(params, DevicePool::parallel(1)).with_lanes(1);
+    let before = scheduler.engine.pool().combined_snapshot();
+    let plain = scheduler.run(FleetRequest::over(&nets));
+    let cold = scheduler.engine.pool().combined_snapshot().since(&before);
+
+    // Each scenario's own warm state: every admission hits.
+    let mut store: SolutionStore<WarmState> = SolutionStore::new();
+    for (net, r) in nets.iter().zip(&plain.results) {
+        store.insert(
+            "case9",
+            &ScenarioFingerprint::of_network(net),
+            r.warm_state.clone(),
+        );
+    }
+    let view = store.view();
+    let before = scheduler.engine.pool().combined_snapshot();
+    let seeded = scheduler.run(FleetRequest::over(&nets).case("case9").snapshot(&view));
+    let delta = scheduler.engine.pool().combined_snapshot().since(&before);
+    assert_eq!(seeded.store.hits, nets.len());
+
+    let shard = &plan::shard_plan(nets.len(), 1)[0];
+    let refills = plan::admission_plan(shard, Some(1)).refills.len() as u64;
+    assert_eq!(delta.host_to_device_transfers, 9 + 8 * refills);
+    assert_eq!(delta.host_to_device_bytes, cold.host_to_device_bytes);
+}
+
 /// Multi-device shards bill their kernel work to their own device streams,
 /// and the per-device block counts sum to the single-device total.
 #[test]
@@ -175,7 +208,7 @@ fn sharded_work_is_billed_per_device() {
     let nbranch = nets[0].nbranch as u64;
     let scheduler = ScenarioScheduler::with_pool(params, DevicePool::parallel(2));
     let sched = scheduler.run(FleetRequest::over(&nets));
-    let snaps = scheduler.pool.snapshots();
+    let snaps = scheduler.engine.pool().snapshots();
     assert_eq!(snaps.len(), 2);
     for (d, snap) in snaps.iter().enumerate() {
         assert!(
@@ -197,7 +230,7 @@ fn sharded_work_is_billed_per_device() {
             "device {d} billed the wrong shard"
         );
     }
-    let combined = scheduler.pool.combined_snapshot();
+    let combined = scheduler.engine.pool().combined_snapshot();
     let total: u64 = sched
         .results
         .iter()
@@ -262,7 +295,7 @@ fn all_backends_agree_through_the_scheduler() {
     let run = |pool: DevicePool| {
         let scheduler = ScenarioScheduler::with_pool(params.clone(), pool).with_lanes(1);
         let result = scheduler.run(FleetRequest::over(&nets));
-        (result, scheduler.pool.combined_snapshot().kernels)
+        (result, scheduler.engine.pool().combined_snapshot().kernels)
     };
     let (seq, seq_kernels) = run(DevicePool::sequential(2));
     assert!(!seq_kernels.is_empty());

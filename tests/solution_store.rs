@@ -106,7 +106,7 @@ proptest! {
     }
 }
 
-/// With an empty store, `solve_with_store` is bitwise identical to `solve`
+/// With an empty store, a live-store run is bitwise identical to a plain run
 /// for both fleets (every lookup misses, nothing is seeded), and the run
 /// fills the store with exactly the converged scenarios.
 #[test]
