@@ -7,7 +7,7 @@ use gridsim_acopf::violations::{relative_gap, SolutionQuality};
 use gridsim_admm::{AdmmParams, AdmmSolver};
 use gridsim_grid::load_profile::LoadProfile;
 use gridsim_grid::network::Case;
-use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, KktCache};
+use gridsim_ipm::{AcopfNlp, IpmSolver, IpmWarmStart, KktCache};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -41,12 +41,7 @@ pub fn run_cold_start(name: &str, case: &Case, params: &AdmmParams) -> ColdStart
     let admm = AdmmSolver::new(params.clone()).solve(&net);
 
     let nlp = AcopfNlp::new(&net);
-    let ipm = IpmSolver::new(IpmOptions {
-        tol: 1e-6,
-        max_iter: 300,
-        ..Default::default()
-    })
-    .solve(&nlp);
+    let ipm = IpmSolver::default().solve(&nlp);
 
     ColdStartRow {
         name: name.to_string(),
@@ -105,6 +100,7 @@ pub fn run_tracking_comparison(
     ramp_fraction: f64,
 ) -> Vec<TrackingRow> {
     let admm_solver = AdmmSolver::new(params.clone());
+    let ipm_solver = IpmSolver::default();
     let mut rows = Vec::with_capacity(profile.len());
     let mut admm_prev = None;
     let mut ipm_prev: Option<(Vec<f64>, Vec<f64>)> = None;
@@ -136,13 +132,12 @@ pub fn run_tracking_comparison(
             }
             None => AcopfNlp::new(&net_t),
         };
-        let ipm_result = IpmSolver::new(IpmOptions {
-            tol: 1e-6,
-            max_iter: 300,
-            initial_point: ipm_prev.as_ref().map(|(x, _)| x.clone()),
-            ..Default::default()
-        })
-        .solve_with_cache(&nlp, &mut kkt_cache);
+        let ipm_result = match &ipm_prev {
+            Some((x, _)) => {
+                ipm_solver.solve_warm(&nlp, &mut kkt_cache, &IpmWarmStart::primal(x.clone()))
+            }
+            None => ipm_solver.solve_with_cache(&nlp, &mut kkt_cache),
+        };
         ipm_cum += ipm_result.solve_time;
 
         let ipm_sol = nlp.to_solution(&ipm_result.x);

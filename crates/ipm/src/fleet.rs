@@ -24,9 +24,10 @@
 //!   device count, the lane cap or thread timing,
 //! * **one numeric workspace and one warm-start carry per lane** — a
 //!   lane's [`KktCache`] holds the value buffers its Newton steps assemble
-//!   into, and each admission starts from the lane's previous primal/dual
-//!   point, so a lane behaves like a tracking chain even though the fleet
-//!   as a whole runs wide.
+//!   into, and each admission after the lane's first starts from the
+//!   [`IpmWarmStart`] of the lane's previous solve (or of a closer store
+//!   hit) through [`IpmSolver::solve_warm`], so a lane behaves like a
+//!   tracking chain even though the fleet as a whole runs wide.
 //!
 //! Because warm starts chain *within* a lane, per-scenario iterates depend
 //! on the device/lane configuration (unlike the ADMM fleet, whose lanes
@@ -38,7 +39,7 @@
 use crate::acopf_nlp::AcopfNlp;
 use crate::kkt_condensed::{FrozenRegistry, FrozenSystem, KktCache, SymbolicStats};
 use crate::report::SolveReport;
-use crate::solver::{IpmOptions, IpmSolver};
+use crate::solver::{IpmOptions, IpmSolver, IpmWarmStart};
 use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_batch::Device;
@@ -47,47 +48,6 @@ use gridsim_grid::network::Network;
 use gridsim_store::StoreRunStats;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The interior-point payload a [`gridsim_store::SolutionStore`] keeps per solved
-/// scenario: the converged primal point, the stacked
-/// equality-then-inequality multipliers, and the bound multipliers —
-/// exactly what [`IpmOptions::initial_point`] /
-/// [`IpmOptions::initial_multipliers`] /
-/// [`IpmOptions::initial_bound_multipliers`] accept. Carrying the bound
-/// multipliers is what makes the reuse pay: they hold the donor's active
-/// set and terminal barrier level, so a seeded solve resumes the μ
-/// trajectory instead of descending from the cold μ₀ = 0.1 again.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct IpmWarmStart {
-    /// Converged primal variables.
-    pub x: Vec<f64>,
-    /// Stacked multipliers: `lambda_eq` followed by `lambda_ineq`.
-    pub lambda: Vec<f64>,
-    /// Lower-bound multipliers over `v = [x; s]`.
-    pub zl: Vec<f64>,
-    /// Upper-bound multipliers over `v = [x; s]`.
-    pub zu: Vec<f64>,
-}
-
-impl IpmWarmStart {
-    /// The warm-start payload of a converged report — what
-    /// [`IpmFleetSolver::run`] commits to a live store, exposed so a
-    /// caller owning the write side (a snapshot-bound durable job layer)
-    /// can commit identical payloads itself.
-    pub fn from_report(report: &SolveReport) -> IpmWarmStart {
-        IpmWarmStart {
-            x: report.x.clone(),
-            lambda: report
-                .lambda_eq
-                .iter()
-                .chain(report.lambda_ineq.iter())
-                .copied()
-                .collect(),
-            zl: report.zl.clone(),
-            zu: report.zu.clone(),
-        }
-    }
-}
 
 /// One scenario's result inside a fleet solve.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -192,10 +152,9 @@ impl FleetReport {
 /// numeric workspace per lane, one frozen condensed system per structure.
 #[derive(Debug, Clone)]
 pub struct IpmFleetSolver {
-    /// Options applied to every scenario solve. Per-lane warm starts
-    /// override `initial_point`, `initial_multipliers` and
-    /// `initial_bound_multipliers` from the second admission of each lane
-    /// onward.
+    /// Options applied to every scenario solve. A lane's first admission
+    /// without a store hit solves cold; every other starts from the lane's
+    /// carried [`IpmWarmStart`].
     pub options: IpmOptions,
     /// The execution engine (device pool + lane policy).
     pub engine: Engine,
@@ -293,12 +252,11 @@ struct IpmFleet<'a> {
 /// currently admitted or just finished.
 struct IpmLane {
     cache: KktCache,
-    warm_x: Option<Vec<f64>>,
-    warm_lambda: Option<Vec<f64>>,
-    warm_z: Option<(Vec<f64>, Vec<f64>)>,
-    /// The scenario whose converged point `warm_x`/`warm_lambda` currently
-    /// hold — the lane's chain anchor, which a store hit must beat (in RMS
-    /// load distance to the incoming scenario) to replace the carry.
+    /// The start of the lane's next solve; `None` solves cold.
+    carry: Option<IpmWarmStart>,
+    /// The scenario whose converged point `carry` holds — the lane's chain
+    /// anchor, which a store hit must beat (in RMS load distance to the
+    /// incoming scenario) to replace the carry.
     chain_scenario: Option<usize>,
     admitted: Option<usize>,
     /// The finished solve's report and the frozen system it declared.
@@ -309,9 +267,7 @@ impl IpmLane {
     fn new(registry: &Arc<FrozenRegistry>) -> IpmLane {
         IpmLane {
             cache: KktCache::sharing(Arc::clone(registry)),
-            warm_x: None,
-            warm_lambda: None,
-            warm_z: None,
+            carry: None,
             chain_scenario: None,
             admitted: None,
             finished: None,
@@ -325,10 +281,7 @@ impl IpmLane {
         // Ties keep the chain (it is already resident in the lane).
         match &admission.hit {
             Some(hit) if hit.closer_than(self.chain_scenario) => {
-                let seed = hit.payload();
-                self.warm_x = Some(seed.x.clone());
-                self.warm_lambda = Some(seed.lambda.clone());
-                self.warm_z = Some((seed.zl.clone(), seed.zu.clone()));
+                self.carry = Some(hit.payload().clone());
                 true
             }
             _ => false,
@@ -338,7 +291,8 @@ impl IpmLane {
 
 /// One device's shard of lanes.
 struct IpmShard {
-    device: Device,
+    /// The fleet's options, billing to the shard's device.
+    solver: IpmSolver,
     lanes: Vec<IpmLane>,
 }
 
@@ -360,7 +314,7 @@ impl LaneSolver for IpmFleet<'_> {
             lanes.push(lane);
         }
         let shard = IpmShard {
-            device: device.clone(),
+            solver: IpmSolver::new(self.options.clone()).with_device(device.clone()),
             lanes,
         };
         (shard, seeded)
@@ -377,29 +331,11 @@ impl LaneSolver for IpmFleet<'_> {
                 .take()
                 .expect("active lane holds an admitted scenario");
             let nlp = AcopfNlp::new(&self.nets[idx]);
-            let mut options = self.options.clone();
-            // The lane's previous point beats any caller-supplied warm
-            // start; on the lane's first admission the caller's (or the
-            // NLP's own) initial point applies.
-            options.initial_point = lane.warm_x.take().or(options.initial_point);
-            options.initial_multipliers = lane.warm_lambda.take().or(options.initial_multipliers);
-            options.initial_bound_multipliers =
-                lane.warm_z.take().or(options.initial_bound_multipliers);
-            let solver = IpmSolver {
-                options,
-                device: shard.device.clone(),
+            let report = match &lane.carry {
+                Some(start) => shard.solver.solve_warm(&nlp, &mut lane.cache, start),
+                None => shard.solver.solve_with_cache(&nlp, &mut lane.cache),
             };
-            let report = solver.solve_with_cache(&nlp, &mut lane.cache);
-            lane.warm_x = Some(report.x.clone());
-            lane.warm_lambda = Some(
-                report
-                    .lambda_eq
-                    .iter()
-                    .chain(report.lambda_ineq.iter())
-                    .copied()
-                    .collect(),
-            );
-            lane.warm_z = Some((report.zl.clone(), report.zu.clone()));
+            lane.carry = Some(IpmWarmStart::from_report(&report));
             lane.chain_scenario = Some(idx);
             lane.finished = Some((report, lane.cache.frozen().cloned()));
             finished[s] = true;

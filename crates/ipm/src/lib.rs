@@ -46,8 +46,8 @@ pub mod report;
 pub mod solver;
 
 pub use acopf_nlp::AcopfNlp;
-pub use fleet::{FleetReport, FleetScenarioResult, IpmFleetSolver, IpmWarmStart};
+pub use fleet::{FleetReport, FleetScenarioResult, IpmFleetSolver};
 pub use kkt_condensed::{KktCache, KktStrategy, RefactorMicrobench, SymbolicStats};
 pub use nlp::Nlp;
 pub use report::{IpmStatus, IterationRecord, SolveReport};
-pub use solver::{IpmOptions, IpmSolver};
+pub use solver::{IpmOptions, IpmSolver, IpmWarmStart};

@@ -53,8 +53,7 @@ pub struct SolveReport {
     pub lambda_ineq: Vec<f64>,
     /// Lower-bound multipliers over the slacked vector `v = [x; s]`
     /// (dimension `nx + m_ineq`; zero where the bound is infinite). Feed
-    /// them back through
-    /// [`IpmOptions::initial_bound_multipliers`](crate::IpmOptions::initial_bound_multipliers)
+    /// them back through [`IpmWarmStart::from_report`](crate::IpmWarmStart::from_report)
     /// to warm-start a related solve without losing the active set.
     pub zl: Vec<f64>,
     /// Upper-bound multipliers over `v = [x; s]`, like

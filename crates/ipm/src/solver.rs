@@ -53,11 +53,10 @@ const MU_INIT: f64 = 0.1;
 /// `tau_min`).
 const TAU_MIN: f64 = 0.99;
 /// Relative push of the initial point, and floor of the initial slacks,
-/// away from their bounds, for a cold start and for a primal-only seed
-/// ([`IpmOptions::initial_point`], with or without
-/// [`IpmOptions::initial_multipliers`]) — Ipopt's `bound_push`. Such a
-/// start carries no active set: its bound multipliers are initialized as
-/// `z = μ / slack`, which needs the margin.
+/// away from their bounds, for a cold start and for a start without bound
+/// multipliers ([`IpmWarmStart::primal`], with or without `lambda`) —
+/// Ipopt's `bound_push`. Such a start carries no active set: its bound
+/// multipliers are initialized as `z = μ / slack`, which needs the margin.
 const BOUND_PUSH: f64 = 1e-2;
 /// Relative push off the bounds of a start seeded with bound multipliers —
 /// a converged donor's point, whose active coordinates sit within solver
@@ -94,26 +93,6 @@ pub struct IpmOptions {
     pub tol: f64,
     /// Maximum number of iterations.
     pub max_iter: usize,
-    /// Optional primal warm start overriding [`Nlp::initial_point`].
-    pub initial_point: Option<Vec<f64>>,
-    /// Optional warm start for the constraint multipliers `[λ_E; λ_I]`.
-    pub initial_multipliers: Option<Vec<f64>>,
-    /// Optional warm start for the bound multipliers `(z_L, z_U)` over the
-    /// slacked vector `v = [x; s]` (dimension `nx + m_ineq` each, as
-    /// returned in [`SolveReport::zl`](crate::SolveReport::zl)/
-    /// [`zu`](crate::SolveReport::zu)). Without it the solver
-    /// re-initializes `z = μ / slack` — which erases the active-set
-    /// information a near-optimal [`initial_point`](IpmOptions::initial_point)
-    /// carries and forces the full cold μ descent. With it the start is
-    /// treated as a converged donor's: the point and the slacks are pushed
-    /// only `1e-9` (relative) inside their bounds rather than by the cold
-    /// start's `1e-2`, the multipliers are carried (clamped positive), and
-    /// the initial barrier parameter starts from their average
-    /// complementarity instead of the cold `0.1`. A start near an optimum
-    /// thus resumes the barrier trajectory where the donor solve left off:
-    /// a `Pegase1354/200` re-solve at 2 % load noise takes 2 Newton steps
-    /// where a cold solve takes 22. Vectors of another length are ignored.
-    pub initial_bound_multipliers: Option<(Vec<f64>, Vec<f64>)>,
     /// The KKT path of each Newton step. [`KktStrategy::Condensed`] is the
     /// only one; the field remains only because the `perf` benchmark names
     /// it, and goes when that harness next changes.
@@ -125,11 +104,70 @@ impl Default for IpmOptions {
         IpmOptions {
             tol: 1e-6,
             max_iter: 300,
-            initial_point: None,
-            initial_multipliers: None,
-            initial_bound_multipliers: None,
             kkt_strategy: KktStrategy::default(),
         }
+    }
+}
+
+/// The start of a seeded solve ([`IpmSolver::solve_warm`]), and the payload
+/// a [`gridsim_store::SolutionStore`] keeps per solved scenario. A part of
+/// another length than the problem's is ignored; an `x` of the wrong length
+/// voids the whole start, and the solve starts cold.
+///
+/// Carrying the bound multipliers is what makes a re-solve pay: they hold
+/// the donor's active set and terminal barrier level. A start without them
+/// is pushed `1e-2` back into the interior like a cold one and re-initializes
+/// `z = μ / slack`, which forgets that active set. A start with them is a
+/// converged donor's: its point is pushed only `1e-9` (relative) inside the
+/// bounds, its multipliers are carried (clamped positive), and μ starts at
+/// their average complementarity instead of the cold `0.1`. A
+/// `Pegase1354/200` re-solve at 2 % load noise takes 2 Newton steps where a
+/// cold solve takes 22.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct IpmWarmStart {
+    /// Primal variables, [`Nlp::num_vars`] of them.
+    pub x: Vec<f64>,
+    /// Stacked multipliers: `lambda_eq` followed by `lambda_ineq`.
+    pub lambda: Vec<f64>,
+    /// Lower-bound multipliers over `v = [x; s]` (`num_vars + num_ineq`).
+    pub zl: Vec<f64>,
+    /// Upper-bound multipliers over `v = [x; s]`, like `zl`.
+    pub zu: Vec<f64>,
+}
+
+impl IpmWarmStart {
+    /// A start at the primal point `x`, without multipliers.
+    pub fn primal(x: Vec<f64>) -> IpmWarmStart {
+        IpmWarmStart {
+            x,
+            lambda: Vec::new(),
+            zl: Vec::new(),
+            zu: Vec::new(),
+        }
+    }
+
+    /// The start a report's solution gives a related solve — what
+    /// [`IpmFleetSolver::run`](crate::IpmFleetSolver::run) chains through a
+    /// lane and commits to a live store, exposed so a caller owning the
+    /// write side (a snapshot-bound durable job layer) can commit identical
+    /// payloads itself.
+    pub fn from_report(report: &SolveReport) -> IpmWarmStart {
+        IpmWarmStart {
+            x: report.x.clone(),
+            lambda: report
+                .lambda_eq
+                .iter()
+                .chain(report.lambda_ineq.iter())
+                .copied()
+                .collect(),
+            zl: report.zl.clone(),
+            zu: report.zu.clone(),
+        }
+    }
+
+    /// The bound multipliers, when both have the length `nv` of `v = [x; s]`.
+    fn bound_multipliers(&self, nv: usize) -> Option<(&[f64], &[f64])> {
+        (self.zl.len() == nv && self.zu.len() == nv).then_some((&self.zl, &self.zu))
     }
 }
 
@@ -456,41 +494,64 @@ impl IpmSolver {
         self
     }
 
-    /// Solve the NLP with a fresh KKT cache.
+    /// Solve the NLP cold, from [`Nlp::initial_point`], with a fresh KKT
+    /// cache.
     pub fn solve<N: Nlp>(&self, nlp: &N) -> SolveReport {
         let mut cache = KktCache::new();
         self.solve_with_cache(nlp, &mut cache)
     }
 
-    /// Solve the NLP, reusing (and updating) a caller-owned [`KktCache`].
+    /// Solve the NLP cold, reusing (and updating) a caller-owned
+    /// [`KktCache`].
     ///
     /// Consecutive solves of structurally identical NLPs — the
     /// rolling-horizon tracking workload, where each period re-solves the
     /// same network at drifted loads — share one symbolic analysis across
     /// the whole trajectory.
-    ///
-    /// A start seeded with bound multipliers of the right length is a
-    /// converged donor's and keeps its point (a `1e-9` push). Far from the
-    /// donor that can fail where the full push succeeds (after a 10 %
-    /// uniform load step on `case9`, a watchdog step three iterations in
-    /// rounds onto a bound 1e-9 away), so a donor-seeded solve that does not
-    /// end optimal is re-run from the same seed with the cold start's
-    /// `1e-2` push; the report bills both attempts.
     pub fn solve_with_cache<N: Nlp>(&self, nlp: &N, cache: &mut KktCache) -> SolveReport {
+        self.attempt(nlp, cache, BOUND_PUSH, None)
+    }
+
+    /// Solve the NLP from `start` (read by [`IpmWarmStart`]'s length
+    /// rules), reusing (and updating) a caller-owned [`KktCache`].
+    ///
+    /// A start with bound multipliers is a converged donor's and keeps its
+    /// point. Far from the donor that can fail where the full push succeeds
+    /// (after a 10 % uniform load step on `case9`, a watchdog step three
+    /// iterations in rounds onto a bound 1e-9 away), so a donor-seeded solve
+    /// that does not end optimal is re-run from the same start with the cold
+    /// `1e-2` push; the report bills both attempts.
+    ///
+    /// ```
+    /// use gridsim_grid::cases;
+    /// use gridsim_ipm::{AcopfNlp, IpmSolver, IpmWarmStart, KktCache};
+    ///
+    /// let (solver, mut cache) = (IpmSolver::default(), KktCache::new());
+    /// let base = cases::case9().compile().unwrap();
+    /// let cold = solver.solve_with_cache(&AcopfNlp::new(&base), &mut cache);
+    /// let start = IpmWarmStart::from_report(&cold);
+    /// let bumped = cases::case9().scale_load(1.01).compile().unwrap();
+    /// let warm = solver.solve_warm(&AcopfNlp::new(&bumped), &mut cache, &start);
+    /// assert!(warm.is_optimal() && warm.iterations < cold.iterations);
+    /// ```
+    pub fn solve_warm<N: Nlp>(
+        &self,
+        nlp: &N,
+        cache: &mut KktCache,
+        start: &IpmWarmStart,
+    ) -> SolveReport {
+        if start.x.len() != nlp.num_vars() {
+            return self.solve_with_cache(nlp, cache);
+        }
         let nv = nlp.num_vars() + nlp.num_ineq();
-        let Some(warm_z) = self
-            .options
-            .initial_bound_multipliers
-            .as_ref()
-            .filter(|(wl, wu)| wl.len() == nv && wu.len() == nv)
-        else {
-            return self.attempt(nlp, cache, BOUND_PUSH, None);
-        };
-        let warm = self.attempt(nlp, cache, WARM_BOUND_PUSH, Some(warm_z));
+        if start.bound_multipliers(nv).is_none() {
+            return self.attempt(nlp, cache, BOUND_PUSH, Some(start));
+        }
+        let warm = self.attempt(nlp, cache, WARM_BOUND_PUSH, Some(start));
         if warm.is_optimal() {
             return warm;
         }
-        let mut report = self.attempt(nlp, cache, BOUND_PUSH, Some(warm_z));
+        let mut report = self.attempt(nlp, cache, BOUND_PUSH, Some(start));
         report.iterations += warm.iterations;
         report.factorizations += warm.factorizations;
         report.symbolic_analyses += warm.symbolic_analyses;
@@ -507,14 +568,14 @@ impl IpmSolver {
         report
     }
 
-    /// One solve from the options' start, pushed `push` (relative) inside
-    /// the bounds, carrying the bound multipliers `warm_z` when given.
+    /// One solve from `start` (cold without one), pushed `push` (relative)
+    /// inside the bounds. The caller has checked the length of `start.x`.
     fn attempt<N: Nlp>(
         &self,
         nlp: &N,
         cache: &mut KktCache,
         push: f64,
-        warm_z: Option<&(Vec<f64>, Vec<f64>)>,
+        start: Option<&IpmWarmStart>,
     ) -> SolveReport {
         let start_time = Instant::now();
         let opts = &self.options;
@@ -551,11 +612,8 @@ impl IpmSolver {
         }
 
         // --- initial point ---
-        let x_start = opts
-            .initial_point
-            .clone()
-            .unwrap_or_else(|| nlp.initial_point());
-        assert_eq!(x_start.len(), nx, "initial point has wrong dimension");
+        let x_start = start.map_or_else(|| nlp.initial_point(), |s| s.x.clone());
+        assert_eq!(x_start.len(), nx, "Nlp::initial_point has wrong dimension");
         let mut v = vec![0.0; nv];
         v[..nx].copy_from_slice(&x_start);
         // Slacks from the inequality values.
@@ -579,17 +637,15 @@ impl IpmSolver {
         };
 
         let mut lambda = vec![0.0; mc];
-        if let Some(l0) = &opts.initial_multipliers {
-            if l0.len() == mc {
-                for (l, &l0) in lambda.iter_mut().zip(l0) {
-                    *l = s_f * l0;
-                }
+        if let Some(l0) = start.map(|s| &s.lambda).filter(|l0| l0.len() == mc) {
+            for (l, &l0) in lambda.iter_mut().zip(l0) {
+                *l = s_f * l0;
             }
         }
         let mut mu = MU_INIT;
         let mut zl = vec![0.0; nv];
         let mut zu = vec![0.0; nv];
-        if let Some((wl, wu)) = warm_z {
+        if let Some((wl, wu)) = start.and_then(|s| s.bound_multipliers(nv)) {
             // Carry the donor's bound multipliers (internally scaled like λ,
             // clamped positive) and resume the barrier trajectory at their
             // average complementarity: a near-optimal start keeps its
@@ -1439,38 +1495,67 @@ mod tests {
 
     #[test]
     fn warm_start_reduces_iterations() {
-        let cold = IpmSolver::new(IpmOptions {
+        let solver = IpmSolver::new(IpmOptions {
             tol: 1e-7,
             ..Default::default()
-        })
-        .solve(&Hs071);
+        });
+        let warm_solve =
+            |start: &IpmWarmStart| solver.solve_warm(&Hs071, &mut KktCache::new(), start);
+        let cold = solver.solve(&Hs071);
         assert!(cold.is_optimal());
-        let warm_options = IpmOptions {
-            tol: 1e-7,
-            initial_point: Some(cold.x.clone()),
-            initial_multipliers: Some(
-                cold.lambda_eq
-                    .iter()
-                    .chain(cold.lambda_ineq.iter())
-                    .copied()
-                    .collect(),
-            ),
-            ..Default::default()
+        let donor = IpmWarmStart::from_report(&cold);
+        let without_z = IpmWarmStart {
+            zl: Vec::new(),
+            zu: Vec::new(),
+            ..donor.clone()
         };
-        let warm = IpmSolver::new(warm_options.clone()).solve(&Hs071);
+        let warm = warm_solve(&without_z);
         assert!(warm.is_optimal());
-        // A primal-only seed carries no bound multipliers, so it is pushed
-        // back into the interior like a cold start and its `z = μ/slack`
-        // initialization forgets the active set: it barely helps. Both
-        // counts are pinned; seeding the donor's `z` as well keeps its point.
+        // A start without bound multipliers is pushed back into the
+        // interior like a cold start and its `z = μ/slack` initialization
+        // forgets the active set: it barely helps. Both counts are pinned;
+        // seeding the donor's `z` as well keeps its point.
         assert_eq!((cold.iterations, warm.iterations), (8, 6));
-        let seeded = IpmSolver::new(IpmOptions {
-            initial_bound_multipliers: Some((cold.zl.clone(), cold.zu.clone())),
-            ..warm_options
-        })
-        .solve(&Hs071);
+        let seeded = warm_solve(&donor);
         assert!(seeded.is_optimal());
         assert!(seeded.iterations <= 2, "{} iterations", seeded.iterations);
+
+        // The length rules: a part of the wrong length is ignored, so each of
+        // these starts solves as the primal-only one, bit for bit.
+        let primal = warm_solve(&IpmWarmStart::primal(cold.x.clone()));
+        let bits = |r: &SolveReport| {
+            let mut bits = vec![r.objective.to_bits(), r.iterations as u64];
+            for v in [&r.x, &r.lambda_eq, &r.lambda_ineq, &r.zl, &r.zu] {
+                bits.extend(v.iter().map(|x| x.to_bits()));
+            }
+            bits
+        };
+        let short = |v: &[f64]| v[1..].to_vec();
+        for start in [
+            IpmWarmStart {
+                x: cold.x.clone(),
+                lambda: vec![],
+                zl: vec![],
+                zu: vec![],
+            },
+            IpmWarmStart {
+                lambda: short(&donor.lambda),
+                ..IpmWarmStart::primal(cold.x.clone())
+            },
+            IpmWarmStart {
+                zl: donor.zl.clone(),
+                zu: short(&donor.zu),
+                ..IpmWarmStart::primal(cold.x.clone())
+            },
+            IpmWarmStart {
+                lambda: short(&donor.lambda),
+                zl: short(&donor.zl),
+                zu: short(&donor.zu),
+                x: cold.x.clone(),
+            },
+        ] {
+            assert_eq!(bits(&warm_solve(&start)), bits(&primal));
+        }
     }
 
     #[test]
@@ -1509,19 +1594,12 @@ mod tests {
         let cold = solver.solve_with_cache(&Hs071, &mut cache);
         assert!(cold.is_optimal());
         let after_cold = cache.symbolic_analyses();
-        let warm_solver = IpmSolver::new(IpmOptions {
-            tol: 1e-7,
-            initial_point: Some(cold.x.clone()),
-            initial_multipliers: Some(
-                cold.lambda_eq
-                    .iter()
-                    .chain(cold.lambda_ineq.iter())
-                    .copied()
-                    .collect(),
-            ),
-            ..Default::default()
-        });
-        let warm = warm_solver.solve_with_cache(&Hs071, &mut cache);
+        let start = IpmWarmStart {
+            zl: Vec::new(),
+            zu: Vec::new(),
+            ..IpmWarmStart::from_report(&cold)
+        };
+        let warm = solver.solve_warm(&Hs071, &mut cache, &start);
         assert!(warm.is_optimal());
         // The warm re-solve rode the frozen pattern: no new analysis.
         assert_eq!(cache.symbolic_analyses(), after_cold);

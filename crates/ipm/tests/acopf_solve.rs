@@ -6,7 +6,7 @@
 
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_grid::{cases, ScenarioSet};
-use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, KktCache, Nlp};
+use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, IpmWarmStart, KktCache, Nlp};
 use gridsim_sparse::Coo;
 
 fn solve_case(case: gridsim_grid::Case) -> (gridsim_grid::Network, gridsim_ipm::SolveReport) {
@@ -99,12 +99,11 @@ fn case9_warm_start_converges_quickly_after_small_load_change() {
     let bumped = base.scale_load(1.02);
     let net2 = bumped.compile().unwrap();
     let nlp2 = AcopfNlp::new(&net2);
-    let warm = IpmSolver::new(IpmOptions {
-        tol: 1e-6,
-        initial_point: Some(cold_report.x.clone()),
-        ..Default::default()
-    })
-    .solve(&nlp2);
+    let warm = IpmSolver::default().solve_warm(
+        &nlp2,
+        &mut KktCache::new(),
+        &IpmWarmStart::primal(cold_report.x.clone()),
+    );
     assert!(warm.is_optimal());
     let sol = nlp2.to_solution(&warm.x);
     let quality = SolutionQuality::evaluate(&net2, &sol);
@@ -128,20 +127,11 @@ fn far_donor_seed_falls_back_to_the_full_push() {
     let (_, donor) = solve_case(base.clone());
     let net = base.scale_load(1.2).compile().unwrap();
     let nlp = AcopfNlp::new(&net);
-    let report = IpmSolver::new(IpmOptions {
-        initial_point: Some(donor.x.clone()),
-        initial_multipliers: Some(
-            donor
-                .lambda_eq
-                .iter()
-                .chain(&donor.lambda_ineq)
-                .copied()
-                .collect(),
-        ),
-        initial_bound_multipliers: Some((donor.zl.clone(), donor.zu.clone())),
-        ..Default::default()
-    })
-    .solve(&nlp);
+    let report = IpmSolver::default().solve_warm(
+        &nlp,
+        &mut KktCache::new(),
+        &IpmWarmStart::from_report(&donor),
+    );
     assert!(report.is_optimal(), "status {:?}", report.status);
     assert_eq!(report.log.len(), report.iterations + 2, "two attempts");
     let iters: Vec<usize> = report.log.iter().map(|r| r.iter).collect();

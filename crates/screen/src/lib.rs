@@ -327,24 +327,13 @@ impl ContingencyFunnel {
                 FullResults::Admm(batch)
             }
             FullTier::Ipm => {
-                // Primal-only seeds: the IPM solver ignores multiplier
-                // seeds whose lengths don't match, so empty multiplier
-                // vectors fall back to its own initialization while the
-                // primal point carries the screen's operating point over.
+                // Primal-only seeds: the screen's operating point carries
+                // over, and the solver initializes the multipliers itself.
                 let mut store: SolutionStore<IpmWarmStart> = SolutionStore::new();
                 for &i in &graduated {
                     let fp = ScenarioFingerprint::of_network(&nets[i]);
                     let x = AcopfNlp::new(&nets[i]).from_solution(&screening.results[i].solution);
-                    store.insert(
-                        case_id,
-                        &fp,
-                        IpmWarmStart {
-                            x,
-                            lambda: Vec::new(),
-                            zl: Vec::new(),
-                            zu: Vec::new(),
-                        },
-                    );
+                    store.insert(case_id, &fp, IpmWarmStart::primal(x));
                 }
                 let view = store.view();
                 let solver = IpmFleetSolver::with_engine(

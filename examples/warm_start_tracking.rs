@@ -67,6 +67,7 @@ fn main() {
     // --- the interior-point reference on the same horizon ---
     // One cache for all periods: the condensed pattern is identical across
     // the horizon, so the symbolic analysis is paid exactly once.
+    let ipm = IpmSolver::default();
     let mut cache = KktCache::new();
     let mut prev: Option<(Vec<f64>, Vec<f64>)> = None; // (x, pg)
     println!("\nIPM reference (condensed KKT, horizon-wide cache):");
@@ -80,11 +81,10 @@ fn main() {
             }
             None => AcopfNlp::new(&net_t),
         };
-        let report = IpmSolver::new(IpmOptions {
-            initial_point: prev.as_ref().map(|(x, _)| x.clone()),
-            ..Default::default()
-        })
-        .solve_with_cache(&nlp, &mut cache);
+        let report = match &prev {
+            Some((x, _)) => ipm.solve_warm(&nlp, &mut cache, &IpmWarmStart::primal(x.clone())),
+            None => ipm.solve_with_cache(&nlp, &mut cache),
+        };
         println!(
             "{:>6}  {:>8.1}  {:>10}  {:>14}  {:>13}",
             t,

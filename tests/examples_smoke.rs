@@ -84,6 +84,7 @@ fn warm_start_tracking_core_path() {
     // The interior-point side of the example: every period re-solves the
     // same structure through one cache, so the whole horizon costs exactly
     // one symbolic analysis while factorizations keep accruing per period.
+    let ipm = IpmSolver::default();
     let mut cache = KktCache::new();
     let mut prev: Option<(Vec<f64>, Vec<f64>)> = None;
     let mut factorizations = 0usize;
@@ -100,11 +101,10 @@ fn warm_start_tracking_core_path() {
             }
             None => AcopfNlp::new(&net_t),
         };
-        let report = IpmSolver::new(IpmOptions {
-            initial_point: prev.as_ref().map(|(x, _)| x.clone()),
-            ..Default::default()
-        })
-        .solve_with_cache(&nlp, &mut cache);
+        let report = match &prev {
+            Some((x, _)) => ipm.solve_warm(&nlp, &mut cache, &IpmWarmStart::primal(x.clone())),
+            None => ipm.solve_with_cache(&nlp, &mut cache),
+        };
         assert!(report.is_optimal(), "reference period failed to converge");
         factorizations += report.factorizations;
         let pg = nlp.to_solution(&report.x).pg;

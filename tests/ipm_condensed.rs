@@ -120,6 +120,7 @@ fn tracking_horizon_reuses_one_symbolic_analysis() {
         multipliers: vec![1.0, 1.01, 1.02, 1.015],
         period_minutes: 1.0,
     };
+    let ipm = IpmSolver::default();
     let mut cache = KktCache::new();
     let mut prev: Option<(Vec<f64>, Vec<f64>)> = None;
     let mut total_factorizations = 0usize;
@@ -133,11 +134,10 @@ fn tracking_horizon_reuses_one_symbolic_analysis() {
             }
             None => AcopfNlp::new(&net_t),
         };
-        let report = IpmSolver::new(IpmOptions {
-            initial_point: prev.as_ref().map(|(x, _)| x.clone()),
-            ..Default::default()
-        })
-        .solve_with_cache(&nlp, &mut cache);
+        let report = match &prev {
+            Some((x, _)) => ipm.solve_warm(&nlp, &mut cache, &IpmWarmStart::primal(x.clone())),
+            None => ipm.solve_with_cache(&nlp, &mut cache),
+        };
         assert!(report.is_optimal(), "period status {:?}", report.status);
         total_factorizations += report.factorizations;
         let sol = nlp.to_solution(&report.x);

@@ -151,19 +151,15 @@ proptest! {
         prop_assert_eq!(fleet.results.len(), k);
         prop_assert_eq!(fleet.lanes, 1);
 
+        let solver = IpmSolver::default();
         let mut cache = KktCache::new();
-        let mut warm_x: Option<Vec<f64>> = None;
-        let mut warm_lambda: Option<Vec<f64>> = None;
-        let mut warm_z: Option<(Vec<f64>, Vec<f64>)> = None;
+        let mut carry: Option<IpmWarmStart> = None;
         for (i, net) in nets.iter().enumerate() {
             let nlp = AcopfNlp::new(net);
-            let options = IpmOptions {
-                initial_point: warm_x.take(),
-                initial_multipliers: warm_lambda.take(),
-                initial_bound_multipliers: warm_z.take(),
-                ..Default::default()
+            let reference = match &carry {
+                Some(start) => solver.solve_warm(&nlp, &mut cache, start),
+                None => solver.solve_with_cache(&nlp, &mut cache),
             };
-            let reference = IpmSolver::new(options).solve_with_cache(&nlp, &mut cache);
 
             let r = &fleet.results[i].report;
             prop_assert_eq!(r.status, reference.status, "scenario {}", i);
@@ -179,16 +175,7 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
 
-            warm_x = Some(reference.x.clone());
-            warm_lambda = Some(
-                reference
-                    .lambda_eq
-                    .iter()
-                    .chain(reference.lambda_ineq.iter())
-                    .copied()
-                    .collect(),
-            );
-            warm_z = Some((reference.zl.clone(), reference.zu.clone()));
+            carry = Some(IpmWarmStart::from_report(&reference));
         }
         // One lane, one chain, one analysis.
         prop_assert_eq!(cache.symbolic_analyses(), 1);
@@ -337,20 +324,11 @@ fn donor_seeded_pegase_solves_survive_load_noise_and_ramp_limits() {
     }
     assert_eq!(excluded, 8);
     let nlp = AcopfNlp::new(&net).with_pg_bounds(lo, hi);
-    let warm = IpmSolver::new(IpmOptions {
-        initial_point: Some(donor.x.clone()),
-        initial_multipliers: Some(
-            donor
-                .lambda_eq
-                .iter()
-                .chain(&donor.lambda_ineq)
-                .copied()
-                .collect(),
-        ),
-        initial_bound_multipliers: Some((donor.zl.clone(), donor.zu.clone())),
-        ..Default::default()
-    })
-    .solve(&nlp);
+    let warm = IpmSolver::default().solve_warm(
+        &nlp,
+        &mut KktCache::new(),
+        &IpmWarmStart::from_report(&donor),
+    );
     assert!(warm.is_optimal(), "ramp-limited: {:?}", warm.status);
     let cold = IpmSolver::default().solve(&nlp);
     assert!(cold.is_optimal(), "ramp-limited cold: {:?}", cold.status);

@@ -157,6 +157,43 @@ fn empty_store_runs_match_plain_runs_bitwise() {
     assert_eq!(store.len(), 4);
 }
 
+/// A checksum-valid store file may hold an interior-point payload whose `x`
+/// does not fit the case (here: truncated by one entry). The solver ignores
+/// such a start as a whole, so the fleet run finishes and the scenario
+/// solves exactly as it does without a store.
+#[test]
+fn ipm_payload_with_the_wrong_length_solves_cold() {
+    let net = cases::case9().compile().unwrap();
+    let nets = std::slice::from_ref(&net);
+    let solver = IpmFleetSolver::with_engine(
+        IpmOptions::default(),
+        Engine::with_pool(DevicePool::single(Device::sequential())),
+    );
+    let plain = solver.run(FleetRequest::over(nets));
+    assert!(plain.all_optimal());
+
+    let mut start = IpmWarmStart::from_report(&plain.results[0].report);
+    start.x.pop();
+    let mut store: SolutionStore<IpmWarmStart> = SolutionStore::new();
+    store.insert("case9", &ScenarioFingerprint::of_network(&net), start);
+    let path = std::env::temp_dir().join("gridadmm-truncated-ipm-payload.bin");
+    store.save(&path).unwrap();
+    let loaded: SolutionStore<IpmWarmStart> = SolutionStore::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    let view = loaded.view();
+    let seeded = solver.run(FleetRequest::over(nets).case("case9").snapshot(&view));
+    assert_eq!(seeded.store.hits, 1);
+    let (a, b) = (&seeded.results[0].report, &plain.results[0].report);
+    assert!(a.is_optimal(), "status {:?}", a.status);
+    assert_eq!(a.iterations, b.iterations);
+    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    for (v, w) in [(&a.x, &b.x), (&a.lambda_eq, &b.lambda_eq), (&a.zl, &b.zl)] {
+        assert_eq!(v.len(), w.len());
+        assert!(v.iter().zip(w).all(|(p, q)| p.to_bits() == q.to_bits()));
+    }
+}
+
 /// Store-seeded ADMM scheduler runs are bitwise identical across device
 /// counts and lane caps given identical starting store contents, and the
 /// post-run store contents (entry count, per-query nearest neighbor, and
