@@ -194,11 +194,12 @@ impl BoundProblem for BranchProblem {
         obj
     }
 
-    /// The accumulation order into every entry of `g` and `h` — consensus
-    /// terms flow by flow, then voltage terms, then ALM terms side by side,
-    /// full 4×4 / 6×6 sweeps with no mirrored triangle — is part of the
-    /// result: the solver stack is pinned bitwise, and `(w·g_r)·g_c` differs
-    /// from `(w·g_c)·g_r` in the last bit.
+    /// The Hessian is exactly symmetric: each entry is computed once, for
+    /// `r ≤ c`, and mirrored at the end. The accumulation order into every
+    /// entry of `g` and of that triangle — consensus terms flow by flow, then
+    /// voltage terms, then ALM terms side by side — is part of the result:
+    /// the solver stack is pinned bitwise, and `(w·g_r)·g_c` differs from
+    /// `(w·g_c)·g_r` in the last bit.
     fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
         g.fill(0.0);
         h.set_zero();
@@ -218,7 +219,7 @@ impl BoundProblem for BranchProblem {
                 g[d] += w2 * grads[k][d];
             }
             for r in 0..4 {
-                for c in 0..4 {
+                for c in r..4 {
                     h[(r, c)] += w1 * grads[k][r] * grads[k][c] + w2 * hesses[k][r][c];
                 }
             }
@@ -238,26 +239,31 @@ impl BoundProblem for BranchProblem {
         // ALM terms on the line limits.
         if self.has_limit() {
             let res = self.slack_residuals(&flows, x);
-            for side in 0..2 {
-                let w = self.alm_lambda[side] + self.alm_rho * res[side];
+            for (side, &residual) in res.iter().enumerate() {
+                let w = self.alm_lambda[side] + self.alm_rho * residual;
                 let (pk, qk) = (2 * side, 2 * side + 1);
-                // Gradient of the residual r = p² + q² + s over all 6 vars.
+                // Gradient of the residual r = p² + q² + s over the four
+                // voltage variables and this side's slack; the other side's
+                // slack is a structural zero.
+                let slack = 4 + side;
                 let mut gr = [0.0f64; 6];
                 for d in 0..4 {
                     gr[d] = 2.0 * flows[pk] * grads[pk][d] + 2.0 * flows[qk] * grads[qk][d];
                     g[d] += w * gr[d];
                 }
-                gr[4 + side] = 1.0;
-                g[4 + side] += w;
+                gr[slack] = 1.0;
+                g[slack] += w;
                 // rho * gr gr^T
-                for r in 0..6 {
-                    for c in 0..6 {
+                for r in 0..4 {
+                    for c in r..4 {
                         h[(r, c)] += self.alm_rho * gr[r] * gr[c];
                     }
+                    h[(r, slack)] += self.alm_rho * gr[r] * gr[slack];
                 }
+                h[(slack, slack)] += self.alm_rho * gr[slack] * gr[slack];
                 // w * hess(r): 2 grad p grad p^T + 2 p hess p + same for q.
                 for r in 0..4 {
-                    for c in 0..4 {
+                    for c in r..4 {
                         h[(r, c)] += w
                             * (2.0 * grads[pk][r] * grads[pk][c]
                                 + 2.0 * flows[pk] * hesses[pk][r][c]
@@ -265,6 +271,11 @@ impl BoundProblem for BranchProblem {
                                 + 2.0 * flows[qk] * hesses[qk][r][c]);
                     }
                 }
+            }
+        }
+        for r in 1..6 {
+            for c in 0..r {
+                h[(r, c)] = h[(c, r)];
             }
         }
     }
@@ -279,8 +290,12 @@ mod tests {
     /// The evaluation as it was before `objective` and `derivatives` shared
     /// one [`FlowPoint`]: three independent passes, each re-deriving the
     /// flows, flow gradients and slack residuals it needs through the
-    /// four-argument `BranchFlow` methods (one `sin_cos` per call). Kept
-    /// verbatim as the oracle the fused evaluation must match bit for bit.
+    /// four-argument `BranchFlow` methods (one `sin_cos` per call). Kept as
+    /// the oracle the fused evaluation must match bit for bit: `objective`
+    /// and `gradient` verbatim, `hessian` with each entry summed once for
+    /// `r ≤ c` (the other side's slack, a structural zero of the residual
+    /// gradient, left out of the ALM rank-one term) and mirrored, the
+    /// per-entry expressions `derivatives` evaluates.
     mod three_pass {
         use super::*;
 
@@ -379,7 +394,7 @@ mod tests {
                 let w1 = p.flow_terms[k].rho;
                 let w2 = p.flow_terms[k].deriv(flows[k]);
                 for r in 0..4 {
-                    for c in 0..4 {
+                    for c in r..4 {
                         h[(r, c)] += w1 * grads[k][r] * grads[k][c] + w2 * hesses[k][r][c];
                     }
                 }
@@ -390,21 +405,22 @@ mod tests {
             h[(3, 3)] += p.volt_terms[3].rho;
             if p.has_limit() {
                 let res = slack_residuals(p, x);
-                for side in 0..2 {
-                    let w = p.alm_lambda[side] + p.alm_rho * res[side];
+                for (side, &residual) in res.iter().enumerate() {
+                    let w = p.alm_lambda[side] + p.alm_rho * residual;
                     let (pk, qk) = (2 * side, 2 * side + 1);
+                    let slack = 4 + side;
                     let mut gr = [0.0f64; 6];
                     for d in 0..4 {
                         gr[d] = 2.0 * flows[pk] * grads[pk][d] + 2.0 * flows[qk] * grads[qk][d];
                     }
-                    gr[4 + side] = 1.0;
-                    for r in 0..6 {
-                        for c in 0..6 {
+                    gr[slack] = 1.0;
+                    for r in (0..4).chain([slack]) {
+                        for c in (r..4).chain([slack]) {
                             h[(r, c)] += p.alm_rho * gr[r] * gr[c];
                         }
                     }
                     for r in 0..4 {
-                        for c in 0..4 {
+                        for c in r..4 {
                             h[(r, c)] += w
                                 * (2.0 * grads[pk][r] * grads[pk][c]
                                     + 2.0 * flows[pk] * hesses[pk][r][c]
@@ -412,6 +428,11 @@ mod tests {
                                     + 2.0 * flows[qk] * hesses[qk][r][c]);
                         }
                     }
+                }
+            }
+            for r in 0..6 {
+                for c in r + 1..6 {
+                    h[(c, r)] = h[(r, c)];
                 }
             }
         }
@@ -588,12 +609,18 @@ mod tests {
 
     #[test]
     fn hessian_is_symmetric() {
-        let p = sample_problem(true);
-        let mut h = SmallMatrix::zeros(6);
-        p.derivatives(&sample_x(), &mut [0.0; 6], &mut h);
-        for r in 0..6 {
-            for c in 0..6 {
-                assert!((h[(r, c)] - h[(c, r)]).abs() < 1e-12);
+        for with_limit in [false, true] {
+            let p = sample_problem(with_limit);
+            let mut h = SmallMatrix::zeros(6);
+            p.derivatives(&sample_x(), &mut [0.0; 6], &mut h);
+            for r in 0..6 {
+                for c in 0..6 {
+                    assert_eq!(
+                        h[(r, c)].to_bits(),
+                        h[(c, r)].to_bits(),
+                        "limit={with_limit} H({r},{c})"
+                    );
+                }
             }
         }
     }

@@ -3,10 +3,9 @@
 //! These cover the tiny systems that appear inside the component subproblems:
 //! the 2×2 Schur complements of the bus updates and the ≤ 8×8 dense Hessians
 //! of the branch subproblems. [`SmallMatrix`] stores its entries inline and
-//! the vector helpers work on caller-provided slices, so everything here
-//! except [`SmallMatrix::cholesky_solve`] (which returns a `Vec`) runs
-//! without touching the heap, the way a GPU thread block works out of
-//! registers and shared memory.
+//! everything else works on caller-provided slices, so nothing here touches
+//! the heap, the way a GPU thread block works out of registers and shared
+//! memory.
 
 /// Solve a 2x2 linear system `A x = b`. Returns `None` when `A` is singular.
 #[inline]
@@ -77,53 +76,61 @@ impl SmallMatrix {
         }
     }
 
-    /// Cholesky factorization in place (lower triangle). Returns `false` when
-    /// the matrix is not positive definite.
-    pub fn cholesky_in_place(&mut self) -> bool {
+    /// LDLᵀ factorization in place, square-root free, reading only the
+    /// lower triangle: on return the strict lower triangle holds the unit
+    /// lower factor `L`, the diagonal holds `D`, and the strict upper
+    /// triangle holds `(L D)ᵀ`, the unscaled entries every later column
+    /// reads — so no pivot's division lies on the next pivot's path.
+    /// Returns `false` when a pivot is not positive — the matrix is not
+    /// positive definite, or an entry is NaN — leaving the matrix partly
+    /// overwritten.
+    pub fn ldlt_in_place(&mut self) -> bool {
         let n = self.n;
         for j in 0..n {
+            // Entry (k, j) above the diagonal is L_jk D_k, written by column k.
             let mut d = self[(j, j)];
             for k in 0..j {
-                d -= self[(j, k)] * self[(j, k)];
+                d -= self[(j, k)] * self[(k, j)];
             }
-            if d <= 0.0 {
+            if d.is_nan() || d <= 0.0 {
                 return false;
             }
-            let d = d.sqrt();
             self[(j, j)] = d;
             for i in j + 1..n {
                 let mut v = self[(i, j)];
                 for k in 0..j {
-                    v -= self[(i, k)] * self[(j, k)];
+                    v -= self[(i, k)] * self[(k, j)];
                 }
+                self[(j, i)] = v;
                 self[(i, j)] = v / d;
             }
         }
         true
     }
 
-    /// Solve `L L^T x = b` given a Cholesky factor stored in the lower
-    /// triangle (as produced by [`Self::cholesky_in_place`]).
-    pub fn cholesky_solve(&self, b: &[f64]) -> Vec<f64> {
+    /// Solve `L D Lᵀ x = b` in place given a factor produced by
+    /// [`Self::ldlt_in_place`]: `x` holds `b` on entry and the solution on
+    /// return.
+    pub fn ldlt_solve(&self, x: &mut [f64]) {
         let n = self.n;
-        let mut x = b.to_vec();
+        debug_assert_eq!(x.len(), n);
         // Forward solve L y = b.
         for i in 0..n {
             let mut v = x[i];
             for k in 0..i {
                 v -= self[(i, k)] * x[k];
             }
-            x[i] = v / self[(i, i)];
+            x[i] = v;
         }
-        // Back solve L^T x = y.
+        // Diagonal solve, then back solve Lᵀ x = D⁻¹ y, subtracting the
+        // entry solved last at the end of each row's chain.
         for i in (0..n).rev() {
-            let mut v = x[i];
-            for k in i + 1..n {
+            let mut v = x[i] / self[(i, i)];
+            for k in (i + 1..n).rev() {
                 v -= self[(k, i)] * x[k];
             }
-            x[i] = v / self[(i, i)];
+            x[i] = v;
         }
-        x
     }
 }
 
@@ -200,9 +207,10 @@ mod tests {
             }
         }
         let orig = m.clone();
-        assert!(m.cholesky_in_place());
+        assert!(m.ldlt_in_place());
         let b = vec![1.0, 2.0, 3.0];
-        let x = m.cholesky_solve(&b);
+        let mut x = b.clone();
+        m.ldlt_solve(&mut x);
         let mut r = vec![0.0; 3];
         orig.mul_vec(&x, &mut r);
         for i in 0..3 {
@@ -214,7 +222,11 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let mut m = SmallMatrix::identity(2);
         m[(1, 1)] = -1.0;
-        assert!(!m.cholesky_in_place());
+        assert!(!m.ldlt_in_place());
+        // A NaN pivot is no positive pivot: `NaN <= 0.0` is false too.
+        let mut m = SmallMatrix::identity(3);
+        m[(1, 1)] = f64::NAN;
+        assert!(!m.ldlt_in_place());
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn cauchy_point<P: BoundProblem>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::problem::QuadraticBox;
     use proptest::prelude::*;
@@ -193,7 +193,7 @@ mod tests {
     }
 
     /// `g`, `H` of `qp` at `x`.
-    fn derivatives_at(qp: &QuadraticBox, x: &[f64]) -> (Vec<f64>, SmallMatrix) {
+    pub(crate) fn derivatives_at(qp: &QuadraticBox, x: &[f64]) -> (Vec<f64>, SmallMatrix) {
         let n = x.len();
         let (mut g, mut h) = (vec![0.0; n], SmallMatrix::zeros(n));
         qp.derivatives(x, &mut g, &mut h);
@@ -257,7 +257,7 @@ mod tests {
     /// tight or a wide box, and a point inside it. `shape` (0..12) picks the
     /// shift, the scaling's decade and the box; `s` holds 36 entries in
     /// `[-1, 1)`, `unit_x` 6.
-    fn dense_box_qp(
+    pub(crate) fn dense_box_qp(
         shape: usize,
         scale: &[f64],
         s: &[f64],

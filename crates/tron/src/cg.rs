@@ -9,8 +9,20 @@
 //!
 //! Nonconvexity is handled as in Steihaug (1983): when a conjugate direction
 //! of negative curvature is detected, the step follows it to the trust-region
-//! boundary. A Jacobi (diagonal absolute value) preconditioner is used, which
-//! is what the ExaTron kernel uses for the tiny branch Hessians.
+//! boundary.
+//!
+//! TRON reaches this solver only for the free blocks its direct step leaves
+//! to it (`tron.rs`): a block whose LDLᵀ factor meets a non-positive pivot —
+//! indefinite, singular or NaN — or whose Newton step does not lie strictly
+//! inside the trust region. Those are the cases that need Steihaug's
+//! truncation and negative-curvature exit. Lin & Moré precondition with an
+//! incomplete Cholesky factor of the free block; on a dense block of at most
+//! [`MAX_DIM`] variables that factor would be the complete one, which is the
+//! direct step. The preconditioner here is Jacobi, `1 / |H_ii|` on each free
+//! variable (1 where the diagonal is below 1e-12): one division per
+//! variable, no factorization that could fail on an indefinite block, and it
+//! evens out the ADMM penalties of 1e2–1e5 that scale the rows of a branch
+//! Hessian differently.
 
 use crate::problem::MAX_DIM;
 use gridsim_sparse::dense::{axpy, dot, norm2 as norm, SmallMatrix};

@@ -13,16 +13,21 @@
 //!   (objective, fused gradient + Hessian, bounds; at most
 //!   [`problem::MAX_DIM`] variables),
 //! * [`cauchy`] — projected-gradient Cauchy point computation,
-//! * [`cg`] — Steihaug–Toint preconditioned conjugate gradients on the free
-//!   subspace with negative-curvature handling,
-//! * [`tron`] — the trust-region driver,
+//! * [`cg`] — Steihaug–Toint Jacobi-preconditioned conjugate gradients on
+//!   the free subspace with negative-curvature handling, for the free blocks
+//!   the direct step does not take,
+//! * [`tron`] — the trust-region driver, whose subspace step is one dense
+//!   LDLᵀ solve of the free block
+//!   ([`gridsim_sparse::dense::SmallMatrix::ldlt_in_place`]) when that block
+//!   is positive definite and its Newton step lies inside the trust region,
+//!   and [`cg`] otherwise,
 //! * [`batch`] — a batch front-end that solves one problem per simulated
 //!   thread block on a [`gridsim_batch::Device`].
 //!
 //! Like the thread block it stands in for, one solve
 //! ([`TronSolver::solve_in_place`]) is stack-resident: every iterate,
-//! gradient, Hessian, Cauchy trial and CG vector is a fixed-size array, and
-//! nothing between entry and return touches the heap.
+//! gradient, Hessian, Cauchy trial, free-block factor and CG vector is a
+//! fixed-size array, and nothing between entry and return touches the heap.
 
 pub mod batch;
 pub mod cauchy;

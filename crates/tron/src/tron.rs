@@ -8,9 +8,13 @@
 //!    down from the model's own step length `gᵀg / gᵀHg` capped at the
 //!    trust-region boundary (on the branch blocks the first trial is
 //!    accepted);
-//! 3. refine within the subspace of free variables using Steihaug–Toint
-//!    conjugate gradients (with negative-curvature handling), projecting the
-//!    trial point back onto the bounds;
+//! 3. refine within the subspace of free variables at the Cauchy point: when
+//!    their block of the Hessian is positive definite (an LDLᵀ factor with
+//!    positive pivots exists) and its Newton step lies strictly inside the
+//!    remaining trust region, that step, from one dense factor-and-solve;
+//!    otherwise Steihaug–Toint conjugate gradients (with negative-curvature
+//!    handling). A projected line search then pulls the trial point back
+//!    onto the bounds;
 //! 4. accept or reject the step based on the ratio of actual to predicted
 //!    reduction (`pred` is the model value the search computed for the step
 //!    taken), and update the trust-region radius — except when both
@@ -21,7 +25,7 @@
 use crate::cauchy::{cauchy_point, model_value};
 use crate::cg::steihaug_cg;
 use crate::problem::{BoundProblem, MAX_DIM};
-use gridsim_sparse::dense::SmallMatrix;
+use gridsim_sparse::dense::{norm2, SmallMatrix};
 
 /// Options for the TRON solver.
 #[derive(Debug, Clone)]
@@ -113,11 +117,11 @@ pub struct TronResult {
 }
 
 /// The TRON solver: options only. A solve keeps its whole working set —
-/// gradient, Hessian, Cauchy and CG vectors, every trial step — in
-/// fixed-size arrays on the stack (problems have at most [`MAX_DIM`]
-/// variables), the way an ExaTron thread block works out of registers and
-/// shared memory, so the tens of thousands of block solves per ADMM
-/// iteration never touch the heap.
+/// gradient, Hessian, free-block factor, Cauchy and CG vectors, every trial
+/// step — in fixed-size arrays on the stack (problems have at most
+/// [`MAX_DIM`] variables), the way an ExaTron thread block works out of
+/// registers and shared memory, so the tens of thousands of block solves
+/// per ADMM iteration never touch the heap.
 #[derive(Debug, Clone)]
 pub struct TronSolver {
     opts: TronOptions,
@@ -215,14 +219,14 @@ impl TronSolver {
                 .max(0.0)
                 .sqrt();
             if remaining > 1e-14 && free.iter().any(|&fr| fr) {
-                let cg = steihaug_cg(&h, rhs, free, remaining, 1e-8, MAX_CG_ITER);
+                let refinement = subspace_step(&h, rhs, free, remaining);
                 // Projected line search on the refinement direction: scale the
-                // CG step back until x + step stays feasible and the model
-                // does not increase relative to the Cauchy point.
+                // subspace step back until x + step stays feasible and the
+                // model does not increase relative to the Cauchy point.
                 let mut alpha = 1.0f64;
                 for _ in 0..20 {
                     let mut trial = step;
-                    for (ti, si) in trial[..n].iter_mut().zip(&cg.step[..n]) {
+                    for (ti, si) in trial[..n].iter_mut().zip(&refinement[..n]) {
                         *ti += alpha * si;
                     }
                     // Project the trial step onto the box.
@@ -289,11 +293,65 @@ impl TronSolver {
     }
 }
 
+/// The step on the free variables from the model gradient `-rhs` at the
+/// Cauchy point, inside a trust region of radius `delta`: the Newton step
+/// of the free block when [`newton_step`] finds one inside the region,
+/// [`steihaug_cg`] otherwise — which keeps indefinite blocks and steps that
+/// reach the boundary on the path Steihaug's method handles. Zero on fixed
+/// variables.
+#[inline]
+fn subspace_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64; MAX_DIM] {
+    newton_step(h, rhs, free, delta)
+        .unwrap_or_else(|| steihaug_cg(h, rhs, free, delta, 1e-8, MAX_CG_ITER).step)
+}
+
+/// `d = H_FF⁻¹ rhs_F` on the free variables `F`, zero elsewhere, when the
+/// free block's LDLᵀ factor exists and `‖d‖ < delta` — the strict test
+/// [`steihaug_cg`]'s boundary exit uses; `None` otherwise. A branch block
+/// has at most six free variables, so factoring the block outright costs
+/// less than the several latency-bound CG iterations that would converge
+/// to the same step. Reads the lower triangle of `h`.
+#[inline]
+fn newton_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> Option<[f64; MAX_DIM]> {
+    let mut index = [0; MAX_DIM];
+    let mut nf = 0;
+    for (i, &fr) in free.iter().enumerate() {
+        if fr {
+            index[nf] = i;
+            nf += 1;
+        }
+    }
+    let index = &index[..nf];
+    let mut block = SmallMatrix::zeros(nf);
+    let mut d = [0.0; MAX_DIM];
+    for (a, &i) in index.iter().enumerate() {
+        for (b, &j) in index[..=a].iter().enumerate() {
+            block[(a, b)] = h[(i, j)];
+        }
+        d[a] = rhs[i];
+    }
+    if !block.ldlt_in_place() {
+        return None;
+    }
+    block.ldlt_solve(&mut d[..nf]);
+    // False for a NaN norm too.
+    if norm2(&d[..nf]) < delta {
+        let mut step = [0.0; MAX_DIM];
+        for (a, &i) in index.iter().enumerate() {
+            step[i] = d[a];
+        }
+        Some(step)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cauchy::tests::{dense_box_qp, derivatives_at};
     use crate::problem::QuadraticBox;
-    use gridsim_sparse::dense::SmallMatrix;
+    use proptest::prelude::*;
 
     fn solve_quadratic(qp: &QuadraticBox, x0: &[f64]) -> TronResult {
         TronSolver::new(TronOptions {
@@ -347,9 +405,10 @@ mod tests {
             u: vec![10.0; 3],
         };
         let res = solve_quadratic(&qp, &[0.0; 3]);
-        let mut chol = q.clone();
-        assert!(chol.cholesky_in_place());
-        let exact = chol.cholesky_solve(&c);
+        let mut ldlt = q.clone();
+        assert!(ldlt.ldlt_in_place());
+        let mut exact = c.clone();
+        ldlt.ldlt_solve(&mut exact);
         for (a, b) in res.x.iter().zip(&exact) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
@@ -567,6 +626,123 @@ mod tests {
         let res = solver.solve_in_place(&NanGradient, &mut [0.0, 0.0]);
         assert_ne!(res.status, TronStatus::Converged, "{res:?}");
         assert!(res.pg_norm.is_nan(), "{res:?}");
+
+        // A finite gradient with a NaN off-diagonal Hessian entry: no free
+        // block factors and no model step decreases, so the solve stays put.
+        struct NanHessian;
+        impl BoundProblem for NanHessian {
+            fn dim(&self) -> usize {
+                2
+            }
+            fn lower(&self, _i: usize) -> f64 {
+                -1.0
+            }
+            fn upper(&self, _i: usize) -> f64 {
+                1.0
+            }
+            fn objective(&self, x: &[f64]) -> f64 {
+                x[0] + x[1]
+            }
+            fn derivatives(&self, _x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
+                g.copy_from_slice(&[1.0, 1.0]);
+                h[(0, 0)] = 1.0;
+                h[(1, 1)] = 1.0;
+                h[(0, 1)] = f64::NAN;
+                h[(1, 0)] = f64::NAN;
+            }
+        }
+        let start = [0.25, -0.5];
+        let mut x = start;
+        let res = solver.solve_in_place(&NanHessian, &mut x);
+        assert_eq!(res.status, TronStatus::MaxIter, "{res:?}");
+        assert_eq!(x, start);
+    }
+
+    /// Whether the block of `h` on the `free` variables is positive
+    /// definite, by a textbook Cholesky factorization that shares no code
+    /// with the LDLᵀ under test.
+    fn free_block_is_positive_definite(h: &SmallMatrix, free: &[bool]) -> bool {
+        let index: Vec<usize> = (0..free.len()).filter(|&i| free[i]).collect();
+        let mut l = vec![vec![0.0; index.len()]; index.len()];
+        for a in 0..index.len() {
+            for b in 0..=a {
+                let dot: f64 = (0..b).map(|k| l[a][k] * l[b][k]).sum();
+                let v = h[(index[a], index[b])] - dot;
+                if a == b {
+                    if v.is_nan() || v <= 0.0 {
+                        return false;
+                    }
+                    l[a][a] = v.sqrt();
+                } else {
+                    l[a][b] = v / l[b][b];
+                }
+            }
+        }
+        true
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On the dense 6-variable box QPs of the Cauchy contract test, with
+        /// random free masks and radii (a third of them exactly the norm of
+        /// the free block's Newton step, where the strict test must send the
+        /// step to CG): when the free block is positive definite and its
+        /// Newton step lies strictly inside the region, the subspace step
+        /// solves `H_FF d = rhs_F` and agrees with a tightly converged CG;
+        /// otherwise it is bitwise the CG step TRON took before the factor.
+        #[test]
+        fn subspace_step_is_the_free_newton_step_or_steihaug_cg(
+            shape in 0..12usize,
+            scale in prop::collection::vec(0.1f64..1.0, 6),
+            s in prop::collection::vec(-1.0f64..1.0, 36),
+            c in prop::collection::vec(-3.0f64..3.0, 6),
+            unit_x in prop::collection::vec(-1.0f64..1.0, 6),
+            mask in 1..64usize,
+            on_newton_norm in 0..3usize,
+            log_delta in -3.0f64..3.0,
+        ) {
+            let (qp, x) = dense_box_qp(shape, &scale, &s, c, &unit_x);
+            let (g, h) = derivatives_at(&qp, &x);
+            let rhs: Vec<f64> = g.iter().map(|v| -v).collect();
+            let free: Vec<bool> = (0..6).map(|i| mask >> i & 1 == 1).collect();
+            let newton_norm =
+                newton_step(&h, &rhs, &free, f64::INFINITY).map(|d| norm2(&d[..6]));
+            let delta = match newton_norm {
+                Some(norm) if on_newton_norm == 0 => norm,
+                _ => 10f64.powf(log_delta),
+            };
+            let step = subspace_step(&h, &rhs, &free, delta);
+            let inside = newton_norm.is_some_and(|norm| norm < delta);
+            if free_block_is_positive_definite(&h, &free) && inside {
+                let mut hd = [0.0; 6];
+                h.mul_vec(&step[..6], &mut hd);
+                let (mut residual, mut rhs_norm, mut h_norm) = (0.0f64, 0.0f64, 0.0f64);
+                for i in (0..6).filter(|&i| free[i]) {
+                    residual = residual.max((hd[i] - rhs[i]).abs());
+                    rhs_norm = rhs_norm.max(rhs[i].abs());
+                    let row = (0..6).filter(|&j| free[j]).map(|j| h[(i, j)].abs());
+                    h_norm = h_norm.max(row.sum());
+                }
+                let step_norm = norm2(&step[..6]);
+                prop_assert!(
+                    residual <= 1e-10 * (rhs_norm + h_norm * step_norm),
+                    "‖H_FF d − rhs‖∞ = {residual:e}"
+                );
+                // An unbounded region: Jacobi-preconditioned iterates grow in
+                // the preconditioner's norm, not the Euclidean one, so a radius
+                // the Newton step fits in may still stop CG early.
+                let cg = steihaug_cg(&h, &rhs, &free, f64::INFINITY, 1e-12, MAX_CG_ITER);
+                let gap: Vec<f64> = (0..6).map(|i| step[i] - cg.step[i]).collect();
+                prop_assert!(norm2(&gap) <= 1e-8 * step_norm, "‖d − d_cg‖ = {:e}", norm2(&gap));
+                for i in (0..6).filter(|&i| !free[i]) {
+                    prop_assert_eq!(step[i], 0.0);
+                }
+            } else {
+                let cg = steihaug_cg(&h, &rhs, &free, delta, 1e-8, MAX_CG_ITER);
+                prop_assert_eq!(step.map(f64::to_bits), cg.step.map(f64::to_bits));
+            }
+        }
     }
 
     #[test]
