@@ -31,8 +31,15 @@ impl SolutionQuality {
     pub fn evaluate(net: &Network, sol: &OpfSolution) -> SolutionQuality {
         let flows = sol.branch_flows(net);
         let (dp, dq) = sol.power_mismatch_with_flows(net, &flows);
-        let max_p_mismatch = dp.iter().map(|v| v.abs()).fold(0.0, f64::max);
-        let max_q_mismatch = dq.iter().map(|v| v.abs()).fold(0.0, f64::max);
+        let max_p_mismatch = dp.iter().map(|v| v.abs()).fold(0.0, max_or_nan);
+        let max_q_mismatch = dq.iter().map(|v| v.abs()).fold(0.0, max_or_nan);
+        // The worst of `worst` and the amount by which each of `excesses`
+        // is positive.
+        let worst_excess = |worst, excesses: &[f64]| {
+            excesses
+                .iter()
+                .fold(worst, |w, &e| max_or_nan(w, max_or_nan(e, 0.0)))
+        };
 
         let mut max_line_violation: f64 = 0.0;
         for l in 0..net.nbranch {
@@ -41,25 +48,31 @@ impl SolutionQuality {
             }
             let sij = (flows.pij[l] * flows.pij[l] + flows.qij[l] * flows.qij[l]).sqrt();
             let sji = (flows.pji[l] * flows.pji[l] + flows.qji[l] * flows.qji[l]).sqrt();
-            max_line_violation = max_line_violation
-                .max((sij - net.rate_a[l]).max(0.0))
-                .max((sji - net.rate_a[l]).max(0.0));
+            max_line_violation = worst_excess(
+                max_line_violation,
+                &[sij - net.rate_a[l], sji - net.rate_a[l]],
+            );
         }
 
         let mut max_voltage_violation: f64 = 0.0;
         for b in 0..net.nbus {
-            max_voltage_violation = max_voltage_violation
-                .max((net.vmin[b] - sol.vm[b]).max(0.0))
-                .max((sol.vm[b] - net.vmax[b]).max(0.0));
+            max_voltage_violation = worst_excess(
+                max_voltage_violation,
+                &[net.vmin[b] - sol.vm[b], sol.vm[b] - net.vmax[b]],
+            );
         }
 
         let mut max_gen_bound_violation: f64 = 0.0;
         for g in 0..net.ngen {
-            max_gen_bound_violation = max_gen_bound_violation
-                .max((net.pmin[g] - sol.pg[g]).max(0.0))
-                .max((sol.pg[g] - net.pmax[g]).max(0.0))
-                .max((net.qmin[g] - sol.qg[g]).max(0.0))
-                .max((sol.qg[g] - net.qmax[g]).max(0.0));
+            max_gen_bound_violation = worst_excess(
+                max_gen_bound_violation,
+                &[
+                    net.pmin[g] - sol.pg[g],
+                    sol.pg[g] - net.pmax[g],
+                    net.qmin[g] - sol.qg[g],
+                    sol.qg[g] - net.qmax[g],
+                ],
+            );
         }
 
         SolutionQuality {
@@ -73,13 +86,29 @@ impl SolutionQuality {
     }
 
     /// The paper's `‖c(x)‖∞`: the worst violation across all constraint
-    /// families.
+    /// families; NaN when any family's is.
     pub fn max_violation(&self) -> f64 {
-        self.max_p_mismatch
-            .max(self.max_q_mismatch)
-            .max(self.max_line_violation)
-            .max(self.max_voltage_violation)
-            .max(self.max_gen_bound_violation)
+        [
+            self.max_q_mismatch,
+            self.max_line_violation,
+            self.max_voltage_violation,
+            self.max_gen_bound_violation,
+        ]
+        .into_iter()
+        .fold(self.max_p_mismatch, max_or_nan)
+    }
+}
+
+/// `a.max(b)`, except that a NaN operand makes the result NaN. `f64::max`
+/// drops a NaN, so a reduction built on it reads a NaN operating point as
+/// perfectly feasible; every violation reduction uses this instead. Finite
+/// operands give `a.max(b)`'s exact bits.
+#[inline]
+pub fn max_or_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
     }
 }
 
@@ -130,6 +159,43 @@ mod tests {
         sol.pg[0] = 1.0;
         let q = SolutionQuality::evaluate(&net, &sol);
         assert!(q.max_line_violation > 0.0);
+    }
+
+    #[test]
+    fn a_nan_operating_point_is_not_feasible() {
+        let net = cases::case9().compile().unwrap();
+        let mut sol = OpfSolution::flat(&net);
+        for v in [&mut sol.vm, &mut sol.va, &mut sol.pg, &mut sol.qg] {
+            v.fill(f64::NAN);
+        }
+        let q = SolutionQuality::evaluate(&net, &sol);
+        assert!(q.max_p_mismatch.is_nan(), "{q:?}");
+        assert!(q.max_line_violation.is_nan(), "{q:?}");
+        assert!(q.max_voltage_violation.is_nan(), "{q:?}");
+        assert!(q.max_gen_bound_violation.is_nan(), "{q:?}");
+        assert!(q.max_violation().is_nan(), "{q:?}");
+
+        // One NaN bus voltage among finite values is enough.
+        let mut sol = OpfSolution::flat(&net);
+        sol.vm[4] = f64::NAN;
+        let q = SolutionQuality::evaluate(&net, &sol);
+        assert!(q.max_voltage_violation.is_nan(), "{q:?}");
+        assert!(q.max_violation().is_nan(), "{q:?}");
+    }
+
+    #[test]
+    fn max_or_nan_is_f64_max_on_numbers_and_nan_otherwise() {
+        for (a, b) in [
+            (1.0, 2.0),
+            (2.0, 1.0),
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (-3.0, -1.0),
+        ] {
+            assert_eq!(max_or_nan(a, b).to_bits(), a.max(b).to_bits());
+        }
+        assert!(max_or_nan(f64::NAN, 1.0).is_nan());
+        assert!(max_or_nan(1.0, f64::NAN).is_nan());
     }
 
     #[test]

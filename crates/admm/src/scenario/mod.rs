@@ -56,7 +56,7 @@ pub use scheduler::ScenarioScheduler;
 
 use crate::solver::{AdmmStatus, WarmState};
 use gridsim_acopf::solution::OpfSolution;
-use gridsim_acopf::violations::SolutionQuality;
+use gridsim_acopf::violations::{max_or_nan, SolutionQuality};
 use gridsim_store::StoreRunStats;
 use std::time::Duration;
 
@@ -116,12 +116,12 @@ impl ScenarioBatchResult {
         self.results.iter().map(|r| r.inner_iterations).sum()
     }
 
-    /// Worst max-violation across scenarios.
+    /// Worst max-violation across scenarios; NaN when any scenario's is.
     pub fn worst_violation(&self) -> f64 {
         self.results
             .iter()
             .map(|r| r.quality.max_violation())
-            .fold(0.0, f64::max)
+            .fold(0.0, max_or_nan)
     }
 
     /// True when every scenario converged.

@@ -10,7 +10,9 @@
 //! ends `SmallStep`. And the ADMM penalties in a block's Hessian (1e2–1e5)
 //! put the model's minimiser along `-g` four to five decades inside the
 //! initial trust region; a Cauchy search that starts on the boundary halves
-//! its way down to it 20-odd times.
+//! its way down to it 20-odd times. Nor does a warm block need TRON's
+//! globalisation: every iteration takes the direct step, the free block's
+//! Newton step from the iterate itself.
 
 use gridsim_admm::{AdmmParams, AdmmSolver, BranchProblem};
 use gridsim_batch::Device;
@@ -21,9 +23,15 @@ use gridsim_tron::{BoundProblem, TronSolver, TronStatus};
 const INNER: [usize; 3] = [30, 300, 1000];
 
 /// The nine `case9` branch blocks, with their starts, that the launch after
-/// `inner` inner iterations of a one-outer-iteration solve would solve.
-fn warm_blocks(inner: usize) -> Vec<(BranchProblem, [f64; 6])> {
-    let net = gridsim_grid::case9().compile().expect("case9 compiles");
+/// `inner` inner iterations of a one-outer-iteration solve would solve;
+/// without branch 0's line limit (and so without its slacks and ALM terms)
+/// when `limit0` is false.
+fn warm_blocks_with(inner: usize, limit0: bool) -> Vec<(BranchProblem, [f64; 6])> {
+    let mut case = gridsim_grid::case9();
+    if !limit0 {
+        case.branches[0].rate_a = 0.0;
+    }
+    let net = case.compile().expect("case9 compiles");
     let params = AdmmParams {
         max_outer: 1,
         max_inner: inner,
@@ -35,6 +43,10 @@ fn warm_blocks(inner: usize) -> Vec<(BranchProblem, [f64; 6])> {
     let blocks = BranchProblem::blocks_from_warm_state(&net, &params, &warm);
     assert_eq!(blocks.len(), 9);
     blocks
+}
+
+fn warm_blocks(inner: usize) -> Vec<(BranchProblem, [f64; 6])> {
+    warm_blocks_with(inner, true)
 }
 
 #[test]
@@ -78,6 +90,28 @@ fn warm_case9_blocks_accept_their_first_cauchy_trial() {
             let delta = g.iter().map(|v| v * v).sum::<f64>().sqrt().max(1.0);
             let cp = cauchy_point(problem, &x, &g, &h, delta);
             assert_eq!(cp.trials, 1, "inner {inner} block {l}: {cp:?}");
+        }
+    }
+}
+
+#[test]
+fn warm_case9_blocks_take_the_direct_step_every_iteration() {
+    let solver = TronSolver::new(AdmmParams::default().tron);
+    for inner in INNER {
+        for limit0 in [true, false] {
+            let blocks = warm_blocks_with(inner, limit0);
+            assert_eq!(blocks[0].0.has_limit(), limit0);
+            let mut iterations = 0;
+            for (l, (problem, x0)) in blocks.iter().enumerate() {
+                let mut x = *x0;
+                let summary = solver.solve_in_place(problem, &mut x);
+                assert_eq!(
+                    summary.direct, summary.iterations,
+                    "inner {inner} limit0 {limit0} block {l}: {summary:?}"
+                );
+                iterations += summary.iterations;
+            }
+            assert!(iterations > 0, "inner {inner} limit0 {limit0}");
         }
     }
 }

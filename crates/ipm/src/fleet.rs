@@ -41,7 +41,7 @@ use crate::kkt_condensed::{FrozenRegistry, FrozenSystem, KktCache, SymbolicStats
 use crate::report::SolveReport;
 use crate::solver::{IpmOptions, IpmSolver, IpmWarmStart};
 use gridsim_acopf::solution::OpfSolution;
-use gridsim_acopf::violations::SolutionQuality;
+use gridsim_acopf::violations::{max_or_nan, SolutionQuality};
 use gridsim_batch::Device;
 use gridsim_engine::{Admission, Engine, FleetRequest, LaneSolver};
 use gridsim_grid::network::Network;
@@ -138,12 +138,12 @@ impl FleetReport {
         self.results.iter().all(|r| r.report.is_optimal())
     }
 
-    /// Worst max-violation across scenarios.
+    /// Worst max-violation across scenarios; NaN when any scenario's is.
     pub fn worst_violation(&self) -> f64 {
         self.results
             .iter()
             .map(|r| r.quality.max_violation())
-            .fold(0.0, f64::max)
+            .fold(0.0, max_or_nan)
     }
 }
 

@@ -40,7 +40,7 @@
 //! screening tolerances those measure how incomplete the solve is, not how
 //! stressed the system is, and would drown the constraint signal.
 
-use gridsim_acopf::violations::SolutionQuality;
+use gridsim_acopf::violations::{max_or_nan, SolutionQuality};
 use gridsim_admm::scenario::{ScenarioBatchResult, ScenarioScheduler};
 use gridsim_admm::{AdmmParams, WarmState};
 use gridsim_batch::DevicePool;
@@ -152,11 +152,13 @@ impl FunnelConfig {
 /// The constraint-stress margin of an operating point: the worst line,
 /// voltage, or generator-bound violation. Power-balance mismatches are
 /// deliberately excluded — at screening tolerances they measure solver
-/// incompleteness, not system stress.
+/// incompleteness, not system stress. NaN when any of the three is, so a
+/// NaN screening point lands in [`Band::Uncertain`] and graduates.
 pub fn constraint_margin(q: &SolutionQuality) -> f64 {
-    q.max_line_violation
-        .max(q.max_voltage_violation)
-        .max(q.max_gen_bound_violation)
+    max_or_nan(
+        max_or_nan(q.max_line_violation, q.max_voltage_violation),
+        q.max_gen_bound_violation,
+    )
 }
 
 /// One scenario's screening verdict.
@@ -414,6 +416,20 @@ mod tests {
             objective: 0.0,
         };
         assert_eq!(constraint_margin(&q), 0.01);
+    }
+
+    #[test]
+    fn a_nan_screening_point_is_uncertain_and_graduates() {
+        let net = gridsim_grid::case9().compile().unwrap();
+        let mut sol = gridsim_acopf::OpfSolution::flat(&net);
+        for v in [&mut sol.vm, &mut sol.va, &mut sol.pg, &mut sol.qg] {
+            v.fill(f64::NAN);
+        }
+        let q = SolutionQuality::evaluate(&net, &sol);
+        assert!(q.max_violation().is_nan(), "{q:?}");
+        let margin = constraint_margin(&q);
+        assert!(margin.is_nan(), "{q:?}");
+        assert_eq!(FunnelConfig::default().band_of(margin), Band::Uncertain);
     }
 
     #[test]

@@ -26,7 +26,11 @@ pub struct BatchOutcome {
     pub total_iterations: usize,
     /// Total rejected trust-region steps across the batch.
     pub total_rejected: usize,
-    /// Maximum projected-gradient norm across the batch.
+    /// Total iterations across the batch that took the direct step
+    /// ([`TronSummary::direct`]).
+    pub total_direct: usize,
+    /// Maximum projected-gradient norm across the batch; NaN when any
+    /// problem's is.
     pub worst_pg_norm: f64,
 }
 
@@ -38,6 +42,7 @@ impl BatchOutcome {
             small_step: 0,
             total_iterations: 0,
             total_rejected: 0,
+            total_direct: 0,
             worst_pg_norm: 0.0,
         };
         for r in summaries {
@@ -48,7 +53,11 @@ impl BatchOutcome {
             }
             out.total_iterations += r.iterations;
             out.total_rejected += r.rejected;
-            out.worst_pg_norm = out.worst_pg_norm.max(r.pg_norm);
+            out.total_direct += r.direct;
+            // `f64::max` would drop a NaN and report the finite maximum.
+            if r.pg_norm > out.worst_pg_norm || r.pg_norm.is_nan() {
+                out.worst_pg_norm = r.pg_norm;
+            }
         }
         out
     }
@@ -201,6 +210,39 @@ mod tests {
             cold_outcome.total_iterations
         );
         assert_eq!(warm_outcome.converged, 50);
+    }
+
+    #[test]
+    fn a_nan_gradient_anywhere_in_the_batch_makes_the_worst_norm_nan() {
+        let device = Device::sequential();
+        let solver = TronSolver::new(TronOptions {
+            max_iter: 5,
+            ..Default::default()
+        });
+        let (mut problems, starts) = make_batch(5);
+        problems[2].c[0] = f64::NAN;
+        let (_, outcome) = solve_batch_from_host(&device, &solver, &problems, &starts);
+        assert_eq!(outcome.converged, 4, "{outcome:?}");
+        assert!(outcome.worst_pg_norm.is_nan(), "{outcome:?}");
+    }
+
+    #[test]
+    fn the_batch_counts_its_direct_steps() {
+        let device = Device::sequential();
+        let (problems, starts) = make_batch(20);
+        let (_, outcome) =
+            solve_batch_from_host(&device, &TronSolver::default(), &problems, &starts);
+        let mut summed = 0;
+        for (qp, x0) in problems.iter().zip(&starts) {
+            summed += TronSolver::default()
+                .solve_in_place(qp, &mut x0.clone())
+                .direct;
+        }
+        assert_eq!(outcome.total_direct, summed);
+        assert!(
+            0 < summed && summed <= outcome.total_iterations,
+            "{outcome:?}"
+        );
     }
 
     #[test]

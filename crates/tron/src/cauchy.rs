@@ -3,7 +3,11 @@
 //! The Cauchy point is the first local minimizer of the quadratic model along
 //! the projected steepest-descent path `P[x - t g]`, limited to the trust
 //! region. TRON uses it both to guarantee global convergence and to predict
-//! the active set for the subsequent conjugate-gradient subspace phase.
+//! the active set for the subsequent subspace phase. It is the fallback of
+//! an iteration: the solver first tries the direct step (the free block's
+//! Newton step from the iterate, which decreases the model at least as much
+//! as the Cauchy point when it is admissible) and computes the Cauchy point
+//! only when that step is refused.
 //!
 //! The search starts at the model's own step length: the exact minimiser of
 //! `q` along `-g`, `t₀ = gᵀg / gᵀHg`, capped at the trust-region boundary

@@ -12,15 +12,20 @@
 //! * [`problem::BoundProblem`] — the dense, small problem interface
 //!   (objective, fused gradient + Hessian, bounds; at most
 //!   [`problem::MAX_DIM`] variables),
-//! * [`cauchy`] — projected-gradient Cauchy point computation,
+//! * [`cauchy`] — projected-gradient Cauchy point computation, for the
+//!   iterations that refuse the direct step,
 //! * [`cg`] — Steihaug–Toint Jacobi-preconditioned conjugate gradients on
 //!   the free subspace with negative-curvature handling, for the free blocks
-//!   the direct step does not take,
-//! * [`tron`] — the trust-region driver, whose subspace step is one dense
-//!   LDLᵀ solve of the free block
-//!   ([`gridsim_sparse::dense::SmallMatrix::ldlt_in_place`]) when that block
-//!   is positive definite and its Newton step lies inside the trust region,
-//!   and [`cg`] otherwise,
+//!   the LDLᵀ Newton step does not take,
+//! * [`tron`] — the trust-region solver. Each iteration first tries the
+//!   *direct step*: one dense LDLᵀ solve
+//!   ([`gridsim_sparse::dense::SmallMatrix::ldlt_in_place`]) of the block
+//!   of variables strictly inside their bounds, from the iterate itself,
+//!   taken when every variable on a bound has a zero projected-gradient
+//!   component, the block is positive definite and the step stays strictly
+//!   inside the box and the trust region. Otherwise the iteration runs the
+//!   Cauchy point, the subspace step (the same LDLᵀ solve at the Cauchy
+//!   point, or [`cg`]) and a projected line search,
 //! * [`batch`] — a batch front-end that solves one problem per simulated
 //!   thread block on a [`gridsim_batch::Device`].
 //!

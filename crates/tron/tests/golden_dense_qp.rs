@@ -1,15 +1,18 @@
 //! Golden results of the TRON driver on a seeded batch of dense 6-variable
 //! box QPs.
 //!
-//! The expected rows are those of the commit that takes the subspace step
-//! from an LDLᵀ factor of the free block when that block is positive
-//! definite and its Newton step lies inside the trust region (CG remains
-//! the path for every other block), a declared change to TRON's arithmetic:
-//! against the rows of the commit before it, which started the Cauchy
-//! search at the model's own step length `gᵀg / gᵀHg`, all 24 statuses,
-//! iteration counts and on-bound entries are unchanged, and interior entries
-//! of 6 rows moved by at most 4.2e-14 relative (CHANGES.md has the per-row
-//! diff). They must never be regenerated from the code under test by a
+//! The expected rows are those of the commit that tries a direct step
+//! before the Cauchy point: when every variable on a bound has a zero
+//! projected-gradient component, the free block is positive definite and
+//! its Newton step from the iterate lies strictly inside the box and the
+//! trust region, the iteration takes that step (model value `½ gᵀd`) and
+//! skips the Cauchy search, the re-solve from the Cauchy point and the
+//! projected line search — a declared change to TRON's arithmetic. Against
+//! the rows of the commit before it, which took the subspace step from an
+//! LDLᵀ factor of the free block at the Cauchy point, all 24 statuses,
+//! iteration counts and on-bound entries are unchanged, and interior
+//! entries of 3 rows moved by at most 6.3e-14 relative (CHANGES.md has the
+//! per-row diff). They must never be regenerated from the code under test by a
 //! change that does not declare, in the same way, that it changes TRON's
 //! arithmetic: they pin every other rewrite to the same bits. The problems
 //! need only `+ − × ÷ √`, so the constants do not depend on the host's
@@ -85,7 +88,7 @@ const EXPECTED: [&str; PROBLEMS] = [
     "1 Converged 4006bc2d1a703b2a bfd6c7d925dcfab8 3fe267081e55bd28 bfe26d785da238dc bfd4ee333a16a067 bfd93dd67bd5bcb0",
     "9 Converged c014000000000000 4014000000000000 c014000000000000 4014000000000000 c014000000000000 c014000000000000",
     "3 Converged c014000000000000 c014000000000000 c014000000000000 4014000000000000 4014000000000000 4014000000000000",
-    "4 Converged 3f66ff85e5fa6180 bf669259bbb13314 bfb166eed26637ca bf9a89c3978b8584 3f76d0fdfd6c0918 bf637e7f0b9ca068",
+    "4 Converged 3f66ff85e5fa6190 bf669259bbb13318 bfb166eed26637cb bf9a89c3978b8584 3f76d0fdfd6c0920 bf637e7f0b9ca068",
     "2 MaxIter 4014000000000000 4014000000000000 c014000000000000 c014000000000000 c014000000000000 c014000000000000",
     "9 Converged c014000000000000 c014000000000000 c014000000000000 c014000000000000 c014000000000000 c014000000000000",
     "1 Converged bfaec61b2dd35280 3fdf91467cd63260 bfda3e9c0f2e7400 bfcbed8c30911eb0 3fe3253499428ca8 bfee72ff805a36be",
@@ -97,13 +100,13 @@ const EXPECTED: [&str; PROBLEMS] = [
     "1 Converged 3fec27b694fea844 c00b13b9c414f89c 3fe68d8f8d6fad48 3feb2dfdfb59f390 bff1b629b853e58e 3ff414c7e2cc69f8",
     "8 Converged 4014000000000000 4014000000000000 c014000000000000 c014000000000000 c014000000000000 4014000000000000",
     "2 Converged c014000000000000 c014000000000000 c014000000000000 4014000000000000 c014000000000000 c014000000000000",
-    "4 Converged 3f9a6740d6c96100 3f6c02e6551c7fc0 3f878a611f430a1c bf5ae5ea3ceb5040 3f8243daa26a674a bf750f7cee6c1198",
+    "4 Converged 3f9a6740d6c960fc 3f6c02e6551c7fc8 3f878a611f430a1b bf5ae5ea3ceb5040 3f8243daa26a674a bf750f7cee6c1198",
     "2 Converged c014000000000000 4014000000000000 4014000000000000 4014000000000000 c014000000000000 4014000000000000",
     "12 Converged 4014000000000000 c014000000000000 4014000000000000 bff9eb3675015590 4014000000000000 c014000000000000",
     "1 Converged 3fd74a046b9ca070 bfcb5d5c31be8460 3fc0fbfc509c66a0 3fe56ccafce30a10 bfd130fbd2716e60 3fe4f2e45ffc6358",
     "2 MaxIter bfc738475536f41a 3fc999999999999a 3fc3c1726d254780 bfb21104a5ab40ae bfb7486720369c7f bf8650ab78eb23f0",
     "2 Converged 4014000000000000 4014000000000000 4014000000000000 4014000000000000 c014000000000000 4014000000000000",
-    "8 Converged bf73b633f4122200 3f7b95c292ab5400 bf70ee2d8c49ad00 bfaddd8013960200 3fa64b78fcad8040 3f75bf87bda49c00",
+    "8 Converged bf73b633f4122200 3f7b95c292ab5400 bf70ee2d8c49ad00 bfaddd8013960300 3fa64b78fcad8060 3f75bf87bda49d80",
     "2 Converged c014000000000000 4014000000000000 c014000000000000 4014000000000000 c014000000000000 4014000000000000",
     "6 Converged 3fc999999999999a 3fc999999999999a bfc999999999999a bfc999999999999a 3fc999999999999a 3fc999999999999a",
 ];
