@@ -19,8 +19,9 @@
 //!   the LDLᵀ Newton step does not take,
 //! * [`tron`] — the trust-region solver. Each iteration first tries the
 //!   *direct step*: one dense LDLᵀ solve
-//!   ([`gridsim_sparse::dense::SmallMatrix::ldlt_in_place`]) of the block
-//!   of variables strictly inside their bounds, from the iterate itself,
+//!   ([`gridsim_sparse::dense::SmallMatrix::ldlt_solve_masked`]) of the
+//!   block of variables strictly inside their bounds, factored in place
+//!   with the others held as identity rows, from the iterate itself,
 //!   taken when every variable on a bound has a zero projected-gradient
 //!   component, the block is positive definite and the step stays strictly
 //!   inside the box and the trust region. Otherwise the iteration runs the

@@ -10,8 +10,10 @@
 //!    factor with positive pivots exists) and its Newton step from the
 //!    iterate lies strictly inside the box and the trust region, take that
 //!    step, with model value `½ gᵀd` (see `direct_step` for why it keeps
-//!    the convergence theory). On the branch blocks ≥ 99.8 % of iterations
-//!    end here;
+//!    the convergence theory). The factor runs in place over the whole
+//!    Hessian, the variables on a bound entering as identity rows, so it
+//!    has the problem's fixed shape. On the branch blocks ≥ 99.8 % of
+//!    iterations end here;
 //! 3. otherwise, compute the Cauchy point along the projected-gradient path,
 //!    searching down from the model's own step length `gᵀg / gᵀHg` capped at
 //!    the trust-region boundary, and refine within the subspace of free
@@ -382,7 +384,8 @@ fn cauchy_then_subspace<P: BoundProblem>(
 
 /// The step on the free variables from the model gradient `-rhs` at the
 /// Cauchy point, inside a trust region of radius `delta`: the Newton step
-/// of the free block when [`newton_step`] finds one inside the region,
+/// of the free block — the direct step's factor, over the variables free
+/// at the Cauchy point — when [`newton_step`] finds one inside the region,
 /// [`steihaug_cg`] otherwise — which keeps indefinite blocks and steps that
 /// reach the boundary on the path Steihaug's method handles. Zero on fixed
 /// variables.
@@ -397,40 +400,16 @@ fn subspace_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f6
 /// [`steihaug_cg`]'s boundary exit uses; `None` otherwise. A branch block
 /// has at most six free variables, so factoring the block outright costs
 /// less than the several latency-bound CG iterations that would converge
-/// to the same step. Reads the lower triangle of `h`.
-#[inline]
+/// to the same step. The factor is [`SmallMatrix::ldlt_solve_masked`],
+/// which keeps the held variables in place as identity rows, so where
+/// `problem.dim()` is a constant it runs at that fixed shape; always
+/// inlined, so that the constant reaches it. Reads the lower triangle of
+/// the free block of `h`.
+#[inline(always)]
 fn newton_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> Option<[f64; MAX_DIM]> {
-    let mut index = [0; MAX_DIM];
-    let mut nf = 0;
-    for (i, &fr) in free.iter().enumerate() {
-        if fr {
-            index[nf] = i;
-            nf += 1;
-        }
-    }
-    let index = &index[..nf];
-    let mut block = SmallMatrix::zeros(nf);
-    let mut d = [0.0; MAX_DIM];
-    for (a, &i) in index.iter().enumerate() {
-        for (b, &j) in index[..=a].iter().enumerate() {
-            block[(a, b)] = h[(i, j)];
-        }
-        d[a] = rhs[i];
-    }
-    if !block.ldlt_in_place() {
-        return None;
-    }
-    block.ldlt_solve(&mut d[..nf]);
+    let d = h.ldlt_solve_masked(free, rhs)?;
     // False for a NaN norm too.
-    if norm2(&d[..nf]) < delta {
-        let mut step = [0.0; MAX_DIM];
-        for (a, &i) in index.iter().enumerate() {
-            step[i] = d[a];
-        }
-        Some(step)
-    } else {
-        None
-    }
+    (norm2(&d[..free.len()]) < delta).then_some(d)
 }
 
 #[cfg(test)]
@@ -484,18 +463,35 @@ mod tests {
                 q[(i, j)] = data[i][j];
             }
         }
-        let c = vec![1.0, 2.0, 3.0];
+        let c = [1.0, 2.0, 3.0];
         let qp = QuadraticBox {
-            q: q.clone(),
-            c: c.clone(),
+            q,
+            c: c.to_vec(),
             l: vec![-10.0; 3],
             u: vec![10.0; 3],
         };
         let res = solve_quadratic(&qp, &[0.0; 3]);
-        let mut ldlt = q.clone();
-        assert!(ldlt.ldlt_in_place());
-        let mut exact = c.clone();
-        ldlt.ldlt_solve(&mut exact);
+        // Q x = c by Gaussian elimination with partial pivoting, which
+        // shares no code with the LDLᵀ factor TRON steps with.
+        let (mut a, mut exact) = (data, c);
+        for k in 0..3 {
+            let p = (k..3)
+                .max_by(|&i, &j| a[i][k].abs().total_cmp(&a[j][k].abs()))
+                .unwrap();
+            a.swap(k, p);
+            exact.swap(k, p);
+            let pivot_row = a[k];
+            for i in k + 1..3 {
+                let m = a[i][k] / a[k][k];
+                for (aij, akj) in a[i][k..].iter_mut().zip(&pivot_row[k..]) {
+                    *aij -= m * akj;
+                }
+                exact[i] -= m * exact[k];
+            }
+        }
+        for k in (0..3).rev() {
+            exact[k] = (exact[k] - (k + 1..3).map(|j| a[k][j] * exact[j]).sum::<f64>()) / a[k][k];
+        }
         for (a, b) in res.x.iter().zip(&exact) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
