@@ -138,9 +138,8 @@ impl ScenarioFingerprint {
 
     /// Dimension-normalized L2 distance between two load vectors: the RMS
     /// per-coordinate load difference in p.u.,
-    /// `sqrt(Σ (aᵢ − bᵢ)² / n)`. This is a metric (a scaled L2 norm), so
-    /// triangle-inequality pruning in vantage indexes is sound, and it keeps
-    /// load *magnitude* — two uniform ramps at 0.9× and 1.1× are far apart,
+    /// `sqrt(Σ (aᵢ − bᵢ)² / n)`. This is a metric (a scaled L2 norm) that
+    /// keeps load *magnitude* — two uniform ramps at 0.9× and 1.1× are far apart,
     /// as warm-start quality demands, where a unit-normalized distance would
     /// collapse them.
     ///
@@ -155,14 +154,14 @@ impl ScenarioFingerprint {
     }
 
     /// RMS magnitude of the load vector — its distance to the zero vector,
-    /// used as the vantage coordinate by the store's bucket index.
+    /// which scales the store's eligibility radius.
     pub fn rms_norm(&self) -> f64 {
         rms_distance(&self.loads, &vec![0.0; self.loads.len()])
     }
 }
 
 /// `sqrt(Σ (aᵢ − bᵢ)² / n)` — the dimension-normalized L2 metric shared by
-/// [`ScenarioFingerprint::distance`] and the store's index internals.
+/// [`ScenarioFingerprint::distance`] and the store's nearest-neighbor scan.
 pub fn rms_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "load vectors of different dimension");
     if a.is_empty() {

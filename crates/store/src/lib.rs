@@ -18,27 +18,18 @@
 //! — see [`ScenarioFingerprint`]: the structure signature hashes everything
 //! that is not load, so an N−1 outage (which changes a branch admittance)
 //! lands in its own group and a lookup never seeds a solve from a
-//! topologically incompatible solution. Within a group, lookup is
-//! nearest-neighbor under the dimension-normalized L2 (RMS) load distance,
-//! subject to a relative eligibility radius
-//! (`max_relative_distance × query RMS norm`): a neighbor too far away is
-//! worse than a cold start, so it is reported as a miss.
-//!
-//! Lookup is sublinear via a **vantage index**: the vantage point is the
-//! zero vector, so each entry's coordinate is simply its RMS load norm, and
-//! entries hash into coarse norm buckets. A query walks buckets outward
-//! from its own norm and prunes a bucket only when its triangle-inequality
-//! lower bound *strictly* exceeds the best distance found — strict, so an
-//! equal-distance entry in a farther bucket is still scanned and the
-//! deterministic tie-break below still sees it.
+//! topologically incompatible solution. Within a group, lookup is a linear
+//! scan for the nearest neighbor under the dimension-normalized L2 (RMS)
+//! load distance, subject to a relative eligibility radius (0.1 × the
+//! query's RMS norm): a neighbor too far away is worse than a cold start,
+//! so it is reported as a miss. Groups hold a handful of entries on every
+//! fleet workload, so an index would prune nothing.
 //!
 //! ## Determinism rules
 //!
-//! * The nearest neighbor is chosen by `(distance, insertion index)`
-//!   lexicographic order — independent of bucket-scan order, so identical
-//!   store contents give bit-identical lookups. [`StoreView::nearest`]
-//!   equals the brute-force linear scan ([`StoreView::nearest_linear`]),
-//!   which the property suite pins.
+//! * The nearest neighbor is the `(distance, insertion index)`
+//!   lexicographic minimum over eligible entries, so identical store
+//!   contents give bit-identical lookups.
 //! * Fleet runs look up against a [`StoreView`] — an immutable snapshot
 //!   taken before the run — and commit their own results back *after* the
 //!   run, in input order. Mid-run inserts are therefore invisible to
@@ -47,48 +38,15 @@
 
 pub mod persist;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 pub use gridsim_grid::fingerprint::{rms_distance, ScenarioFingerprint};
 
-/// Relative slack when pruning a bucket: a bucket survives unless its
-/// distance lower bound exceeds the current best by more than this relative
-/// margin, guarding the exact-equals-brute-force contract against f64
-/// rounding in the triangle-inequality bound.
-const PRUNE_SLACK: f64 = 1e-9;
-
-/// Tuning knobs for a [`SolutionStore`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoreConfig {
-    /// Eligibility radius as a fraction of the query's RMS load norm: a
-    /// neighbor at RMS distance beyond `max_relative_distance × ‖query‖`
-    /// is a miss (too far to be a useful warm start).
-    pub max_relative_distance: f64,
-    /// Width of the vantage-index norm buckets, in RMS-norm units (p.u.
-    /// load). Coarser buckets scan more entries per ring; finer buckets
-    /// walk more rings.
-    pub bucket_width: f64,
-    /// Capacity cap on the total entry count across all groups; `0` means
-    /// unbounded. When an insert would exceed the cap, the entry with the
-    /// oldest insertion stamp (LRU by insertion; replacing an entry in
-    /// place keeps its original stamp) is evicted — a deterministic order,
-    /// so two stores fed the same insert sequence always hold the same
-    /// surviving keys. Matters for long-lived daemons, whose stores now
-    /// persist across process lifetimes and would otherwise grow without
-    /// bound.
-    pub max_entries: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> StoreConfig {
-        StoreConfig {
-            max_relative_distance: 0.1,
-            bucket_width: 0.05,
-            max_entries: 0,
-        }
-    }
-}
+/// Eligibility radius as a fraction of the query's RMS load norm: a
+/// neighbor at RMS distance beyond `MAX_RELATIVE_DISTANCE × ‖query‖` is a
+/// miss (too far to be a useful warm start).
+const MAX_RELATIVE_DISTANCE: f64 = 0.1;
 
 /// One stored solution: the load coordinates it was solved at plus an
 /// opaque solver-specific payload (`IpmWarmStart` for interior-point
@@ -97,8 +55,6 @@ impl Default for StoreConfig {
 pub struct StoredEntry<P> {
     /// Load coordinates of the solved scenario (`[pd; qd]`, p.u.).
     pub loads: Vec<f64>,
-    /// RMS norm of `loads` — the entry's vantage coordinate.
-    pub norm: f64,
     /// The solver state to warm-start from.
     pub payload: P,
 }
@@ -177,59 +133,25 @@ struct GroupKey {
     dim: usize,
 }
 
-/// One warm-start-compatible equivalence class: its entries in insertion
-/// order plus the norm-bucket vantage index over them.
-#[derive(Debug)]
-struct Group<P> {
-    entries: Vec<Arc<StoredEntry<P>>>,
-    /// Store-wide insertion stamps, parallel to `entries` — the eviction
-    /// order key (smallest stamp = oldest insertion = first evicted).
-    stamps: Vec<u64>,
-    /// bucket id (`floor(norm / bucket_width)`) → entry indices, ascending.
-    buckets: BTreeMap<i64, Vec<usize>>,
-}
-
-impl<P> Group<P> {
-    fn new() -> Group<P> {
-        Group {
-            entries: Vec::new(),
-            stamps: Vec::new(),
-            buckets: BTreeMap::new(),
-        }
-    }
-
-    /// Rebuild the norm buckets from scratch (after an eviction compacted
-    /// the entry indices).
-    fn rebuild_buckets(&mut self, width: f64) {
-        self.buckets.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            self.buckets
-                .entry(bucket_of(e.norm, width))
-                .or_default()
-                .push(i);
+impl GroupKey {
+    fn of(case_id: &str, fp: &ScenarioFingerprint) -> GroupKey {
+        GroupKey {
+            case_id: case_id.to_string(),
+            structure: fp.structure,
+            dim: fp.loads.len(),
         }
     }
 }
 
-impl<P> Clone for Group<P> {
-    fn clone(&self) -> Group<P> {
-        Group {
-            entries: self.entries.iter().map(Arc::clone).collect(),
-            stamps: self.stamps.clone(),
-            buckets: self.buckets.clone(),
-        }
-    }
-}
+/// Each warm-start-compatible equivalence class's entries, in insertion
+/// order.
+type Groups<P> = HashMap<GroupKey, Vec<Arc<StoredEntry<P>>>>;
 
 /// The mutable similarity-keyed solution store. See the
 /// [module docs](self) for keying, lookup, and determinism rules.
 #[derive(Debug)]
 pub struct SolutionStore<P> {
-    config: StoreConfig,
-    groups: HashMap<GroupKey, Group<P>>,
-    /// The next insertion stamp; monotone over the store's lifetime (and
-    /// persisted, so eviction order survives a save/load round trip).
-    next_stamp: u64,
+    groups: Groups<P>,
 }
 
 impl<P> Default for SolutionStore<P> {
@@ -239,36 +161,16 @@ impl<P> Default for SolutionStore<P> {
 }
 
 impl<P> SolutionStore<P> {
-    /// An empty store with [`StoreConfig::default`].
+    /// An empty store.
     pub fn new() -> SolutionStore<P> {
-        SolutionStore::with_config(StoreConfig::default())
-    }
-
-    /// An empty store with explicit tuning.
-    pub fn with_config(config: StoreConfig) -> SolutionStore<P> {
-        assert!(
-            config.max_relative_distance >= 0.0,
-            "max_relative_distance must be non-negative"
-        );
-        assert!(
-            config.bucket_width > 0.0 && config.bucket_width.is_finite(),
-            "bucket_width must be positive and finite"
-        );
         SolutionStore {
-            config,
             groups: HashMap::new(),
-            next_stamp: 0,
         }
-    }
-
-    /// The store's tuning.
-    pub fn config(&self) -> StoreConfig {
-        self.config
     }
 
     /// Total stored entries across all groups.
     pub fn len(&self) -> usize {
-        self.groups.values().map(|g| g.entries.len()).sum()
+        self.groups.values().map(Vec::len).sum()
     }
 
     /// True when nothing is stored.
@@ -282,92 +184,31 @@ impl<P> SolutionStore<P> {
     }
 
     /// Store a solved scenario's payload under its fingerprint. An existing
-    /// entry with bitwise-identical loads (necessarily in the same norm
-    /// bucket) is replaced in place, keeping its insertion index *and its
-    /// insertion stamp* so all tie-breaks and the eviction order are
-    /// unchanged; otherwise the entry is appended. When the store's
-    /// [`StoreConfig::max_entries`] cap is exceeded, the oldest-stamped
-    /// entry store-wide is evicted.
+    /// entry with bitwise-identical loads is replaced in place, keeping its
+    /// insertion index so every tie-break is unchanged; otherwise the entry
+    /// is appended.
     pub fn insert(&mut self, case_id: &str, fp: &ScenarioFingerprint, payload: P) -> InsertOutcome {
-        let key = GroupKey {
-            case_id: case_id.to_string(),
-            structure: fp.structure,
-            dim: fp.loads.len(),
-        };
-        let norm = fp.rms_norm();
-        let bucket = bucket_of(norm, self.config.bucket_width);
-        let group = self.groups.entry(key).or_insert_with(Group::new);
-        if let Some(ids) = group.buckets.get(&bucket) {
-            for &i in ids {
-                if bitwise_eq(&group.entries[i].loads, &fp.loads) {
-                    group.entries[i] = Arc::new(StoredEntry {
-                        loads: fp.loads.clone(),
-                        norm,
-                        payload,
-                    });
-                    return InsertOutcome::Replaced(i);
-                }
-            }
-        }
-        let index = group.entries.len();
-        group.entries.push(Arc::new(StoredEntry {
+        let group = self.groups.entry(GroupKey::of(case_id, fp)).or_default();
+        let entry = Arc::new(StoredEntry {
             loads: fp.loads.clone(),
-            norm,
             payload,
-        }));
-        group.stamps.push(self.next_stamp);
-        self.next_stamp += 1;
-        group.buckets.entry(bucket).or_default().push(index);
-        if self.config.max_entries > 0 {
-            while self.len() > self.config.max_entries {
-                self.evict_oldest();
+        });
+        match group.iter().position(|e| bitwise_eq(&e.loads, &fp.loads)) {
+            Some(i) => {
+                group[i] = entry;
+                InsertOutcome::Replaced(i)
             }
-        }
-        InsertOutcome::Inserted(index)
-    }
-
-    /// Evict the entry with the smallest insertion stamp store-wide.
-    /// Stamps are unique, so the victim — and therefore the surviving key
-    /// set — is deterministic regardless of hash-map iteration order. The
-    /// victim's group is compacted (later entries shift down one insertion
-    /// index, preserving their relative tie-break order) and dropped when
-    /// it empties.
-    fn evict_oldest(&mut self) {
-        let victim = self
-            .groups
-            .iter()
-            .filter_map(|(key, g)| {
-                g.stamps
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &s)| s)
-                    .map(|(i, &s)| (s, key.clone(), i))
-            })
-            .min_by_key(|&(s, _, _)| s);
-        let Some((_, key, index)) = victim else {
-            return;
-        };
-        let group = self.groups.get_mut(&key).expect("victim group exists");
-        group.entries.remove(index);
-        group.stamps.remove(index);
-        if group.entries.is_empty() {
-            self.groups.remove(&key);
-        } else {
-            group.rebuild_buckets(self.config.bucket_width);
+            None => {
+                group.push(entry);
+                InsertOutcome::Inserted(group.len() - 1)
+            }
         }
     }
 
     /// Nearest eligible stored neighbor of `fp` (see [`StoreView::nearest`]
     /// for the contract; this searches the live store directly).
     pub fn nearest(&self, case_id: &str, fp: &ScenarioFingerprint) -> Option<StoreHit<P>> {
-        let key = GroupKey {
-            case_id: case_id.to_string(),
-            structure: fp.structure,
-            dim: fp.loads.len(),
-        };
-        self.groups
-            .get(&key)
-            .and_then(|g| nearest_in_group(g, fp, self.config))
+        nearest(&self.groups, case_id, fp)
     }
 
     /// An immutable snapshot for lookups during a fleet run. Entries are
@@ -375,7 +216,6 @@ impl<P> SolutionStore<P> {
     /// store after the snapshot do not affect it.
     pub fn view(&self) -> StoreView<P> {
         StoreView {
-            config: self.config,
             groups: self.groups.clone(),
         }
     }
@@ -385,14 +225,12 @@ impl<P> SolutionStore<P> {
 /// freeze-at-start determinism rule (see the [module docs](self)).
 #[derive(Debug)]
 pub struct StoreView<P> {
-    config: StoreConfig,
-    groups: HashMap<GroupKey, Group<P>>,
+    groups: Groups<P>,
 }
 
 impl<P> Clone for StoreView<P> {
     fn clone(&self) -> StoreView<P> {
         StoreView {
-            config: self.config,
             groups: self.groups.clone(),
         }
     }
@@ -401,7 +239,7 @@ impl<P> Clone for StoreView<P> {
 impl<P> StoreView<P> {
     /// Total entries in the snapshot.
     pub fn len(&self) -> usize {
-        self.groups.values().map(|g| g.entries.len()).sum()
+        self.groups.values().map(Vec::len).sum()
     }
 
     /// True when the snapshot holds nothing (every lookup misses).
@@ -412,171 +250,38 @@ impl<P> StoreView<P> {
     /// Nearest stored neighbor of `fp` within the eligibility radius, or
     /// `None` (a miss) when the group is absent or every entry is too far.
     /// Deterministic: the result is the `(distance, insertion index)`
-    /// lexicographic minimum over eligible entries, identical to
-    /// [`nearest_linear`](StoreView::nearest_linear).
+    /// lexicographic minimum over eligible entries.
     pub fn nearest(&self, case_id: &str, fp: &ScenarioFingerprint) -> Option<StoreHit<P>> {
-        let key = GroupKey {
-            case_id: case_id.to_string(),
-            structure: fp.structure,
-            dim: fp.loads.len(),
-        };
-        self.groups
-            .get(&key)
-            .and_then(|g| nearest_in_group(g, fp, self.config))
-    }
-
-    /// Brute-force reference lookup: a linear scan over the whole group
-    /// with the same `(distance, index)` ordering. Exists so tests can pin
-    /// `nearest ≡ nearest_linear`; the indexed path is the one to use.
-    pub fn nearest_linear(&self, case_id: &str, fp: &ScenarioFingerprint) -> Option<StoreHit<P>> {
-        let key = GroupKey {
-            case_id: case_id.to_string(),
-            structure: fp.structure,
-            dim: fp.loads.len(),
-        };
-        let group = self.groups.get(&key)?;
-        let threshold = self.config.max_relative_distance * fp.rms_norm();
-        let mut best: Option<StoreHit<P>> = None;
-        for (i, entry) in group.entries.iter().enumerate() {
-            let d = rms_distance(&entry.loads, &fp.loads);
-            if d > threshold {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some(b) => d < b.distance || (d == b.distance && i < b.index),
-            };
-            if better {
-                best = Some(StoreHit {
-                    entry: Arc::clone(entry),
-                    distance: d,
-                    index: i,
-                });
-            }
-        }
-        best
+        nearest(&self.groups, case_id, fp)
     }
 }
 
-/// The entry's norm bucket. Norms are non-negative, so ids are ≥ 0; i64
-/// keeps the arithmetic honest for huge norms.
-fn bucket_of(norm: f64, width: f64) -> i64 {
-    (norm / width).floor() as i64
+/// The one lookup: scan `fp`'s group and keep the `(distance, index)`
+/// minimum among entries no farther than the eligibility radius.
+fn nearest<P>(groups: &Groups<P>, case_id: &str, fp: &ScenarioFingerprint) -> Option<StoreHit<P>> {
+    let group = groups.get(&GroupKey::of(case_id, fp))?;
+    let threshold = MAX_RELATIVE_DISTANCE * fp.rms_norm();
+    let mut best: Option<StoreHit<P>> = None;
+    for (i, entry) in group.iter().enumerate() {
+        let d = rms_distance(&entry.loads, &fp.loads);
+        if d > threshold {
+            continue;
+        }
+        // The scan runs in insertion order, so a strict `<` keeps the lower
+        // index on a distance tie.
+        if best.as_ref().is_none_or(|b| d < b.distance) {
+            best = Some(StoreHit {
+                entry: Arc::clone(entry),
+                distance: d,
+                index: i,
+            });
+        }
+    }
+    best
 }
 
 fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Indexed nearest-neighbor search within one group: walk norm buckets
-/// outward from the query's norm (two cursors over the `BTreeMap`, nearer
-/// bound first), scan each surviving bucket exactly, and prune a bucket
-/// only when its triangle-inequality lower bound strictly exceeds both the
-/// eligibility threshold and the current best distance (with
-/// [`PRUNE_SLACK`] guarding f64 rounding). The winner is the
-/// `(distance, index)` lexicographic minimum, so the result is independent
-/// of scan order and equal to the linear reference scan.
-fn nearest_in_group<P>(
-    group: &Group<P>,
-    fp: &ScenarioFingerprint,
-    config: StoreConfig,
-) -> Option<StoreHit<P>> {
-    let q = fp.rms_norm();
-    let threshold = config.max_relative_distance * q;
-    let width = config.bucket_width;
-    let qb = bucket_of(q, width);
-
-    let mut best: Option<StoreHit<P>> = None;
-
-    // Distance lower bound of every entry in bucket `b`: entries there have
-    // norms in [b·w, (b+1)·w), and |norm − q| ≤ rms_distance by the
-    // triangle inequality around the zero vantage point.
-    let bound = |b: i64| -> f64 {
-        let lo = b as f64 * width;
-        let hi = (b + 1) as f64 * width;
-        if q < lo {
-            lo - q
-        } else if q > hi {
-            q - hi
-        } else {
-            0.0
-        }
-    };
-    // Strict pruning with relative slack: keep scanning on equality so an
-    // equal-distance, lower-index entry in a farther bucket still wins.
-    let prunable = |b: f64, best: &Option<StoreHit<P>>| -> bool {
-        let cap = match best {
-            Some(hit) => threshold.min(hit.distance),
-            None => threshold,
-        };
-        b * (1.0 - PRUNE_SLACK) > cap
-    };
-
-    let scan_bucket = |ids: &[usize], best: &mut Option<StoreHit<P>>| {
-        for &i in ids {
-            let entry = &group.entries[i];
-            let d = rms_distance(&entry.loads, &fp.loads);
-            if d > threshold {
-                continue;
-            }
-            let better = match &*best {
-                None => true,
-                Some(b) => d < b.distance || (d == b.distance && i < b.index),
-            };
-            if better {
-                *best = Some(StoreHit {
-                    entry: Arc::clone(entry),
-                    distance: d,
-                    index: i,
-                });
-            }
-        }
-    };
-
-    // Two cursors over the occupied buckets: `down` walks ids ≤ qb in
-    // descending order, `up` walks ids > qb ascending. Each step advances
-    // whichever cursor has the smaller lower bound, so buckets are visited
-    // in non-decreasing bound order and the first prunable bound on a side
-    // retires that side for good.
-    let mut down = group.buckets.range(..=qb).rev().peekable();
-    let mut up = group.buckets.range(qb + 1..).peekable();
-    loop {
-        let d_bound = down.peek().map(|(&b, _)| bound(b));
-        let u_bound = up.peek().map(|(&b, _)| bound(b));
-        match (d_bound, u_bound) {
-            (None, None) => break,
-            (Some(db), None) => {
-                if prunable(db, &best) {
-                    break;
-                }
-                scan_bucket(down.next().unwrap().1, &mut best);
-            }
-            (None, Some(ub)) => {
-                if prunable(ub, &best) {
-                    break;
-                }
-                scan_bucket(up.next().unwrap().1, &mut best);
-            }
-            (Some(db), Some(ub)) => {
-                if db <= ub {
-                    if prunable(db, &best) {
-                        // Bounds on each side are monotone in ring radius,
-                        // and ub ≥ db, so nothing left survives.
-                        break;
-                    }
-                    scan_bucket(down.next().unwrap().1, &mut best);
-                } else {
-                    if prunable(ub, &best) {
-                        // ub < db would contradict the branch; both sides
-                        // are prunable.
-                        break;
-                    }
-                    scan_bucket(up.next().unwrap().1, &mut best);
-                }
-            }
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -633,8 +338,8 @@ mod tests {
     fn far_entries_are_misses() {
         let mut store = SolutionStore::new();
         store.insert("c", &fp(&[2.0, 2.0]), 1u32);
-        // Query at norm 1.0 with default radius 0.1: an entry at RMS
-        // distance 1.0 is far outside the eligibility threshold.
+        // Query at norm 1.0, so radius 0.1: an entry at RMS distance 1.0
+        // is far outside the eligibility threshold.
         assert!(store.nearest("c", &fp(&[1.0, 1.0])).is_none());
     }
 
@@ -678,129 +383,6 @@ mod tests {
         assert_eq!(store.nearest("c", &q).unwrap().entry.payload, 2);
         assert_eq!(view.nearest("c", &q).unwrap().entry.payload, 1);
         assert_eq!(view.len(), 1);
-    }
-
-    #[test]
-    fn indexed_lookup_equals_linear_scan_on_a_norm_spread() {
-        // Entries spread across many norm buckets, including exact ties.
-        let mut store = SolutionStore::new();
-        let mut i = 0u32;
-        for a in [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4] {
-            for b in [0.0, 0.03, -0.03, 0.06] {
-                store.insert("c", &fp(&[a + b, a - b]), i);
-                i += 1;
-            }
-        }
-        let view = store.view();
-        for a in [0.19, 0.41, 0.63, 0.77, 1.01, 1.26, 1.39, 2.0] {
-            for b in [0.0, 0.01, -0.02] {
-                let q = fp(&[a + b, a - b]);
-                let fast = view.nearest("c", &q);
-                let slow = view.nearest_linear("c", &q);
-                match (fast, slow) {
-                    (None, None) => {}
-                    (Some(f), Some(s)) => {
-                        assert_eq!(f.index, s.index, "query ({a}, {b})");
-                        assert_eq!(f.distance.to_bits(), s.distance.to_bits());
-                    }
-                    (f, s) => panic!(
-                        "index/linear disagree at ({a}, {b}): {:?} vs {:?}",
-                        f.map(|h| h.index),
-                        s.map(|h| h.index)
-                    ),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eviction_pins_which_keys_survive() {
-        let mut store = SolutionStore::with_config(StoreConfig {
-            max_entries: 3,
-            ..Default::default()
-        });
-        // Five inserts across two structure groups; cap 3 evicts the two
-        // oldest stamps (the first two inserts), wherever they live.
-        let one = ScenarioFingerprint {
-            loads: vec![1.0, 1.0],
-            structure: 1,
-        };
-        let two = ScenarioFingerprint {
-            loads: vec![1.5, 1.5],
-            structure: 2,
-        };
-        store.insert("c", &one, 0u32); // stamp 0 — evicted
-        store.insert("c", &two, 1u32); // stamp 1 — evicted
-        let survivors = [fp(&[2.0, 2.0]), fp(&[3.0, 3.0]), fp(&[4.0, 4.0])];
-        for (i, f) in survivors.iter().enumerate() {
-            store.insert("c", f, 2 + i as u32);
-        }
-        assert_eq!(store.len(), 3);
-        // The two oldest entries (in groups 1 and 2) are gone — group 2
-        // emptied and was dropped entirely.
-        assert!(store.nearest("c", &one).is_none());
-        assert!(store.nearest("c", &two).is_none());
-        assert_eq!(store.group_count(), 1);
-        for (i, f) in survivors.iter().enumerate() {
-            let hit = store.nearest("c", f).expect("survivor stays findable");
-            assert_eq!(hit.distance, 0.0);
-            assert_eq!(hit.entry.payload, 2 + i as u32);
-        }
-    }
-
-    #[test]
-    fn replacement_keeps_the_original_stamp() {
-        let mut store = SolutionStore::with_config(StoreConfig {
-            max_entries: 2,
-            ..Default::default()
-        });
-        let a = fp(&[1.0, 1.0]);
-        let b = fp(&[2.0, 2.0]);
-        store.insert("c", &a, 1u32); // stamp 0
-        store.insert("c", &b, 2u32); // stamp 1
-                                     // Replacing `a` keeps stamp 0: it is still the oldest, so the next
-                                     // insert evicts `a`, not `b`.
-        assert_eq!(store.insert("c", &a, 3u32), InsertOutcome::Replaced(0));
-        store.insert("c", &fp(&[3.0, 3.0]), 4u32); // stamp 2, evicts `a`
-        assert_eq!(store.len(), 2);
-        assert!(store.nearest("c", &a).is_none());
-        assert_eq!(store.nearest("c", &b).unwrap().entry.payload, 2);
-    }
-
-    #[test]
-    fn eviction_preserves_index_lookup_equivalence() {
-        // After evictions compact a group, the vantage index must still
-        // agree with the linear reference scan.
-        let mut store = SolutionStore::with_config(StoreConfig {
-            max_entries: 6,
-            ..Default::default()
-        });
-        for i in 0..12 {
-            let v = 0.5 + 0.11 * i as f64;
-            store.insert("c", &fp(&[v, v + 0.01]), i as u32);
-        }
-        assert_eq!(store.len(), 6);
-        let view = store.view();
-        for i in 0..14 {
-            let v = 0.45 + 0.1 * i as f64;
-            let q = fp(&[v, v]);
-            let fast = view
-                .nearest("c", &q)
-                .map(|h| (h.index, h.distance.to_bits()));
-            let slow = view
-                .nearest_linear("c", &q)
-                .map(|h| (h.index, h.distance.to_bits()));
-            assert_eq!(fast, slow, "query {v}");
-        }
-    }
-
-    #[test]
-    fn unbounded_store_never_evicts() {
-        let mut store = SolutionStore::new();
-        for i in 0..100 {
-            store.insert("c", &fp(&[i as f64, 1.0]), i as u32);
-        }
-        assert_eq!(store.len(), 100);
     }
 
     #[test]

@@ -53,19 +53,19 @@
 //! every read, refuses a count that the remaining body could not hold
 //! before allocating for it, and caps nesting at [`MAX_DEPTH`]. Every
 //! malformed file is an [`io::ErrorKind::InvalidData`] error, never a
-//! panic.
+//! panic — and so is an entry whose load vector does not have its group's
+//! dimension, which a lookup in that group could not measure.
 //!
 //! ## Determinism and bitwise fidelity
 //!
 //! Lookups are keyed by `(distance, insertion index)`, so persistence must
 //! preserve *insertion order* exactly: groups are written sorted by
-//! `(case id, structure, dim)` and entries in insertion order, and the norm
-//! buckets — pure derived data — are rebuilt on load from each entry's
-//! stored norm. Numbers travel as their raw bits, and the shim lowers the
-//! non-finite floats to the marker strings `"inf"`, `"-inf"` and `"nan"`,
-//! so a reloaded store answers every `nearest` query with the same entry
-//! at the same bit-identical distance and payload as the original, and the
-//! same store always saves to the same bytes.
+//! `(case id, structure, dim)` and entries in insertion order, and nothing
+//! is derived on load. Numbers travel as their raw bits, and the shim
+//! lowers the non-finite floats to the marker strings `"inf"`, `"-inf"`
+//! and `"nan"`, so a reloaded store answers every `nearest` query with the
+//! same entry at the same bit-identical distance and payload as the
+//! original, and the same store always saves to the same bytes.
 //!
 //! ## Versioning
 //!
@@ -73,10 +73,10 @@
 //! `version` field; loading any other version fails with a descriptive
 //! error rather than misinterpreting the bytes. Bump the version whenever
 //! the encoding or the shape of the tree changes. There is no reader for
-//! older versions: a version-2 (JSON) store file is refused, and deleting
-//! it costs only the warm starts it held.
+//! older versions: a version-2 (JSON) or version-3 store file is refused,
+//! and deleting it costs only the warm starts it held.
 
-use crate::{bucket_of, Group, GroupKey, SolutionStore, StoreConfig, StoredEntry};
+use crate::{GroupKey, SolutionStore, StoredEntry};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::io;
@@ -84,10 +84,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// On-disk format version; see the [module docs](self) for the contract.
-/// Version 2 added the eviction state: `max_entries` in the config, one
-/// insertion stamp per entry, and the store-level `next_stamp` counter.
-/// Version 3 replaced the JSON text with the binary snapshot.
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 3 replaced the JSON text with the binary snapshot. Version 4
+/// dropped the store's tuning, its insertion stamps and each entry's norm:
+/// the tree is the version and the groups' entries, loads and payloads.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The first eight bytes of every snapshot. The leading non-ASCII byte
 /// keeps any text file — a version-2 JSON store included — from matching.
@@ -117,16 +117,11 @@ impl<P: Serialize> Serialize for SolutionStore<P> {
         let groups = keys
             .into_iter()
             .map(|key| {
-                let group = &self.groups[key];
-                let entries = group
-                    .entries
+                let entries = self.groups[key]
                     .iter()
-                    .zip(&group.stamps)
-                    .map(|(e, &stamp)| {
+                    .map(|e| {
                         Value::Map(vec![
                             ("loads".to_string(), e.loads.to_value()),
-                            ("norm".to_string(), e.norm.to_value()),
-                            ("stamp".to_string(), Value::Num(stamp as f64)),
                             ("payload".to_string(), e.payload.to_value()),
                         ])
                     })
@@ -146,24 +141,6 @@ impl<P: Serialize> Serialize for SolutionStore<P> {
             .collect();
         Value::Map(vec![
             ("version".to_string(), Value::Num(FORMAT_VERSION as f64)),
-            (
-                "config".to_string(),
-                Value::Map(vec![
-                    (
-                        "max_relative_distance".to_string(),
-                        self.config.max_relative_distance.to_value(),
-                    ),
-                    (
-                        "bucket_width".to_string(),
-                        self.config.bucket_width.to_value(),
-                    ),
-                    (
-                        "max_entries".to_string(),
-                        Value::Num(self.config.max_entries as f64),
-                    ),
-                ]),
-            ),
-            ("next_stamp".to_string(), Value::Num(self.next_stamp as f64)),
             ("groups".to_string(), Value::Seq(groups)),
         ])
     }
@@ -177,25 +154,6 @@ impl<P: Deserialize> Deserialize for SolutionStore<P> {
                 "solution store format version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
-        let config_v = v
-            .get("config")
-            .ok_or_else(|| DeError::custom("missing field `config`"))?;
-        let config = StoreConfig {
-            max_relative_distance: serde::field(config_v, "max_relative_distance")?,
-            bucket_width: serde::field(config_v, "bucket_width")?,
-            max_entries: serde::field(config_v, "max_entries")?,
-        };
-        // The invariants `SolutionStore::with_config` asserts: a decoded
-        // file must not smuggle in a configuration the store cannot index.
-        if !(config.max_relative_distance >= 0.0
-            && config.bucket_width > 0.0
-            && config.bucket_width.is_finite())
-        {
-            return Err(DeError::custom(format!(
-                "invalid store configuration {config:?}"
-            )));
-        }
-        let next_stamp: u64 = serde::field(v, "next_stamp")?;
         let groups_v = match v.get("groups") {
             Some(Value::Seq(items)) => items,
             _ => return Err(DeError::custom("expected sequence for `groups`")),
@@ -212,28 +170,21 @@ impl<P: Deserialize> Deserialize for SolutionStore<P> {
                 Some(Value::Seq(items)) => items,
                 _ => return Err(DeError::custom("expected sequence for `entries`")),
             };
-            let mut group = Group::new();
+            let mut group = Vec::with_capacity(entries_v.len());
             for ev in entries_v {
                 let loads: Vec<f64> = serde::field(ev, "loads")?;
-                let norm: f64 = serde::field(ev, "norm")?;
-                let stamp: u64 = serde::field(ev, "stamp")?;
+                if loads.len() != dim {
+                    return Err(DeError::custom(format!(
+                        "an entry of case `{case_id}` holds {} loads in a group of dimension {dim}",
+                        loads.len()
+                    )));
+                }
                 let payload_v = ev
                     .get("payload")
                     .ok_or_else(|| DeError::custom("missing field `payload`"))?;
                 let payload = P::from_value(payload_v)
                     .map_err(|e| DeError::custom(format!("field `payload`: {e}")))?;
-                let index = group.entries.len();
-                group.entries.push(Arc::new(StoredEntry {
-                    loads,
-                    norm,
-                    payload,
-                }));
-                group.stamps.push(stamp);
-                group
-                    .buckets
-                    .entry(bucket_of(norm, config.bucket_width))
-                    .or_default()
-                    .push(index);
+                group.push(Arc::new(StoredEntry { loads, payload }));
             }
             groups.insert(
                 GroupKey {
@@ -244,11 +195,7 @@ impl<P: Deserialize> Deserialize for SolutionStore<P> {
                 group,
             );
         }
-        Ok(SolutionStore {
-            config,
-            groups,
-            next_stamp,
-        })
+        Ok(SolutionStore { groups })
     }
 }
 
@@ -283,7 +230,7 @@ impl<P: Deserialize> SolutionStore<P> {
 
 impl<P: Deserialize + Serialize> SolutionStore<P> {
     /// [`load`](SolutionStore::load) if `path` exists, otherwise an empty
-    /// store with default tuning — the daemon-startup idiom.
+    /// store — the daemon-startup idiom.
     pub fn load_or_default(path: &Path) -> io::Result<SolutionStore<P>> {
         if path.exists() {
             SolutionStore::load(path)
@@ -552,13 +499,9 @@ mod tests {
     }
 
     fn sample_store() -> SolutionStore<f64> {
-        let mut store = SolutionStore::with_config(StoreConfig {
-            max_relative_distance: 0.2,
-            bucket_width: 0.03,
-            max_entries: 0,
-        });
-        // Several groups, several buckets, a replaced entry, and awkward
-        // float values (negative zero, subnormal-ish magnitudes).
+        let mut store = SolutionStore::new();
+        // Several groups, a replaced entry, and awkward float values
+        // (negative zero, subnormal-ish magnitudes).
         store.insert("case9", &fp(&[1.0, 2.0, -0.0], 7), 10.5);
         store.insert("case9", &fp(&[1.01, 2.0, 0.0], 7), 11.5);
         store.insert("case9", &fp(&[1.0, 2.0, -0.0], 7), 12.5); // replace index 0
@@ -600,22 +543,17 @@ mod tests {
         }
     }
 
-    /// A random store with replaced and (under a cap) evicted entries, and
-    /// every fingerprint it was fed, in insertion order.
+    /// A random store with replaced entries, and every fingerprint it was
+    /// fed, in insertion order.
     fn random_store(
         seed: u64,
         inserts: usize,
-        cap: usize,
     ) -> (
         SolutionStore<Vec<f64>>,
         Vec<(&'static str, ScenarioFingerprint)>,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut store = SolutionStore::with_config(StoreConfig {
-            max_relative_distance: [0.0, 0.1, 1.0, f64::INFINITY][rng.gen_range(0..4usize)],
-            bucket_width: [1e-3, 0.03, 0.5][rng.gen_range(0..3usize)],
-            max_entries: cap,
-        });
+        let mut store = SolutionStore::new();
         let structures = [7, 0, u64::MAX, rng.gen::<u64>()];
         let mut fed: Vec<(&'static str, ScenarioFingerprint)> = Vec::new();
         for _ in 0..inserts {
@@ -649,26 +587,26 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A reloaded random store answers every lookup — at each key it
-        /// was fed, evicted and replaced ones included, and next to it —
+        /// was fed, replaced ones included, next to it and far from it —
         /// with the same entry, distance bits and payload bits, and saves
         /// back to the same bytes.
         #[test]
         fn round_trip_preserves_every_lookup_bitwise(
             seed in 0u64..u64::MAX,
             inserts in 1usize..60,
-            cap in 0usize..24,
         ) {
-            let (store, fed) = random_store(seed, inserts, cap);
+            let (store, fed) = random_store(seed, inserts);
             let bytes = snapshot(&store);
             let loaded = SolutionStore::<Vec<f64>>::from_snapshot(&bytes).unwrap();
             prop_assert_eq!(loaded.len(), store.len());
             prop_assert_eq!(loaded.group_count(), store.group_count());
-            prop_assert_eq!(loaded.config(), store.config());
             prop_assert!(snapshot(&loaded) == bytes, "a reloaded store saves different bytes");
             for (case, key) in &fed {
                 let mut near = key.clone();
                 near.loads[0] += 1e-3;
-                for q in [key, &near] {
+                let mut far = key.clone();
+                far.loads[0] += 10.0;
+                for q in [key, &near, &far] {
                     match (store.nearest(case, q), loaded.nearest(case, q)) {
                         (None, None) => {}
                         (Some(x), Some(y)) => {
@@ -726,59 +664,25 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let bytes = snapshot(&sample_store());
-        // The header's version field.
-        for version in [0, 2, 4, u32::MAX] {
+        // The header's version field; 3 is the previous binary format. The
+        // error names both versions.
+        for version in [0, 2, 3, 5, u32::MAX] {
             let mut patched = bytes.clone();
             patched[8..12].copy_from_slice(&version.to_le_bytes());
-            assert_invalid(load_bytes(&patched), &format!("format version {version}"));
+            assert_invalid(
+                load_bytes(&patched),
+                &format!("format version {version} (this build reads 4)"),
+            );
         }
         // The tree's own `version` field, inside an otherwise valid file.
         let mut tree = sample_store().to_value();
         if let Value::Map(fields) = &mut tree {
-            fields[0] = ("version".to_string(), Value::Num(2.0));
+            fields[0] = ("version".to_string(), Value::Num(3.0));
         }
         assert_invalid(
             load_bytes(&encode_snapshot(&tree).unwrap()),
-            "format version 2",
+            "format version 3 (this build reads 4)",
         );
-    }
-
-    #[test]
-    fn eviction_order_survives_a_round_trip() {
-        let mut store = SolutionStore::with_config(StoreConfig {
-            max_entries: 3,
-            ..Default::default()
-        });
-        store.insert("c", &fp(&[1.0, 1.0], 7), 1.0);
-        store.insert("c", &fp(&[2.0, 2.0], 7), 2.0);
-        store.insert("c", &fp(&[3.0, 3.0], 7), 3.0);
-
-        let dir = std::env::temp_dir().join("gridsim-store-persist-evict");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.bin");
-        store.save(&path).unwrap();
-        let mut loaded: SolutionStore<f64> = SolutionStore::load(&path).unwrap();
-
-        // The reloaded store continues the same eviction order: the next
-        // insert evicts the oldest persisted entry, exactly as it would
-        // have in the original process.
-        loaded.insert("c", &fp(&[4.0, 4.0], 7), 4.0);
-        store.insert("c", &fp(&[4.0, 4.0], 7), 4.0);
-        assert_eq!(loaded.len(), 3);
-        for (s, l) in [
-            (
-                store.nearest("c", &fp(&[1.0, 1.0], 7)),
-                loaded.nearest("c", &fp(&[1.0, 1.0], 7)),
-            ),
-            (
-                store.nearest("c", &fp(&[2.0, 2.0], 7)),
-                loaded.nearest("c", &fp(&[2.0, 2.0], 7)),
-            ),
-        ] {
-            assert_eq!(s.is_some(), l.is_some());
-        }
-        assert!(loaded.nearest("c", &fp(&[1.0, 1.0], 7)).is_none());
-        assert!(loaded.nearest("c", &fp(&[4.0, 4.0], 7)).is_some());
     }
 
     #[test]
@@ -833,7 +737,7 @@ mod tests {
         let message = err.to_string();
         assert!(message.contains("version-2 JSON"), "{message}");
         assert!(
-            message.contains("binary snapshots (format version 3)"),
+            message.contains("binary snapshots (format version 4)"),
             "{message}"
         );
     }
@@ -883,16 +787,32 @@ mod tests {
         for (body, needle) in cases {
             assert_invalid(load_bytes(&frame(body)), needle);
         }
-        let mut tree = sample_store().to_value();
-        if let Some(Value::Map(config)) = match &mut tree {
-            Value::Map(fields) => fields.get_mut(1).map(|(_, v)| v),
-            _ => None,
-        } {
-            config[1].1 = Value::Num(0.0);
+    }
+
+    /// The items of the sequence `name` in a map of the tree.
+    fn seq_mut<'a>(v: &'a mut Value, name: &str) -> &'a mut Vec<Value> {
+        let Value::Map(fields) = v else {
+            panic!("expected a map, found {v:?}");
+        };
+        match fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, Value::Seq(items))) => items,
+            other => panic!("expected a sequence `{name}`, found {other:?}"),
         }
-        assert_invalid(
-            load_bytes(&encode_snapshot(&tree).unwrap()),
-            "invalid store configuration",
-        );
+    }
+
+    #[test]
+    fn an_entry_off_its_group_dimension_is_refused() {
+        // The first group is `case14`'s, dimension 3. A well-formed,
+        // checksummed file whose entry holds 2 or 4 loads must not load: a
+        // lookup in that group could not measure the entry.
+        for len in [2, 4] {
+            let mut tree = sample_store().to_value();
+            let entry = &mut seq_mut(&mut seq_mut(&mut tree, "groups")[0], "entries")[0];
+            seq_mut(entry, "loads").resize(len, Value::Num(1.0));
+            assert_invalid(
+                load_bytes(&encode_snapshot(&tree).unwrap()),
+                "in a group of dimension 3",
+            );
+        }
     }
 }

@@ -57,5 +57,5 @@ pub mod prelude {
     pub use gridsim_screen::{
         Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig, FunnelReport,
     };
-    pub use gridsim_store::{SolutionStore, StoreConfig, StoreRunStats, StoreView};
+    pub use gridsim_store::{SolutionStore, StoreRunStats, StoreView};
 }

@@ -9,6 +9,7 @@ use gridadmm::prelude::*;
 use gridsim_admm::AdmmStatus;
 use gridsim_engine::FleetRequest;
 use gridsim_grid::cases;
+use gridsim_store::{rms_distance, InsertOutcome};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,10 +50,14 @@ proptest! {
         prop_assert!(fa.distance(&fo) > 0.0);
     }
 
-    /// The indexed nearest-neighbor lookup equals the brute-force linear
-    /// scan — same entry, same insertion index, same distance bits — for
-    /// random store contents, queries, and index tunings, including exact
-    /// duplicate entries (tie-break by insertion index).
+    /// `nearest` — on the live store and on a view — is the `(distance,
+    /// insertion index)` minimum over every stored entry within `0.1 ×` the
+    /// query's RMS norm, computed here by brute force over an independent
+    /// model of the store: same entry, same index, same distance bits.
+    /// Exact duplicate loads exercise replace-in-place, mirrored entries
+    /// around a grid point exact distance ties, and the queries land near
+    /// stored entries (inside the radius), on either side of its boundary,
+    /// at random (mostly outside) and far from everything (a miss).
     #[test]
     fn indexed_nearest_equals_linear_scan(
         entries in prop::collection::vec(
@@ -63,44 +68,93 @@ proptest! {
             prop::collection::vec(-5.0f64..5.0, 4),
             1..8,
         ),
+        near_at in prop::collection::vec(0usize..40, 1..8),
+        near_shift in -0.02f64..0.02,
         dup_every in 1usize..5,
-        bucket_width in 0.01f64..1.0,
-        max_rel in 0.05f64..0.6,
+        tie_center in prop::collection::vec(4i32..=10, 4),
+        tie_axes in prop::collection::vec(0usize..4, 0..4),
     ) {
-        let mut store: SolutionStore<usize> = SolutionStore::with_config(StoreConfig {
-            max_relative_distance: max_rel,
-            bucket_width,
-            max_entries: 0,
-        });
-        for (i, loads) in entries.iter().enumerate() {
-            // Re-insert every dup_every-th entry's loads under a new payload
-            // so exact-distance ties and replace-in-place paths are hit.
-            let loads = if i % dup_every == 0 && i > 0 {
-                entries[i - 1].clone()
-            } else {
-                loads.clone()
-            };
-            let fp = ScenarioFingerprint { loads, structure: 42 };
-            store.insert("prop", &fp, i);
-        }
-        let view = store.view();
-        for q in &queries {
-            let fp = ScenarioFingerprint { loads: q.clone(), structure: 42 };
-            let fast = view.nearest("prop", &fp);
-            let slow = view.nearest_linear("prop", &fp);
-            match (fast, slow) {
-                (None, None) => {}
-                (Some(f), Some(s)) => {
-                    prop_assert_eq!(f.index, s.index);
-                    prop_assert_eq!(f.distance.to_bits(), s.distance.to_bits());
-                    prop_assert_eq!(&f.entry.payload, &s.entry.payload);
+        // Every dup_every-th entry repeats its predecessor's loads.
+        let mut inserts: Vec<Vec<f64>> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, loads)| {
+                if i % dup_every == 0 && i > 0 {
+                    entries[i - 1].clone()
+                } else {
+                    loads.clone()
                 }
-                (f, s) => prop_assert!(
-                    false,
-                    "indexed {:?} vs linear {:?} disagree on hit/miss",
-                    f.map(|h| h.index),
-                    s.map(|h| h.index)
-                ),
+            })
+            .collect();
+        // Entries at center ± 0.25 along each tie axis: multiples of 0.25,
+        // so their distances to the center are exactly equal.
+        let center: Vec<f64> = tie_center.iter().map(|&c| f64::from(c) / 2.0).collect();
+        for &k in &tie_axes {
+            for step in [0.25, -0.25] {
+                let mut loads = center.clone();
+                loads[k] += step;
+                inserts.push(loads);
+            }
+        }
+        // All-zero loads: distance 0 against a radius of 0, a hit, since
+        // only a distance beyond the radius misses.
+        inserts.push(vec![0.0; 4]);
+
+        let fp = |loads: &[f64]| ScenarioFingerprint { loads: loads.to_vec(), structure: 42 };
+        let same_bits =
+            |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        let mut store: SolutionStore<usize> = SolutionStore::new();
+        let mut model: Vec<(Vec<f64>, usize)> = Vec::new();
+        for (payload, loads) in inserts.iter().enumerate() {
+            let outcome = store.insert("prop", &fp(loads), payload);
+            match model.iter().position(|(l, _)| same_bits(l, loads)) {
+                Some(i) => {
+                    model[i].1 = payload;
+                    prop_assert_eq!(outcome, InsertOutcome::Replaced(i));
+                }
+                None => {
+                    model.push((loads.clone(), payload));
+                    prop_assert_eq!(outcome, InsertOutcome::Inserted(model.len() - 1));
+                }
+            }
+        }
+
+        // Next to a stored entry e, and at e·(1 + s): that point lies
+        // s‖e‖ from e, inside the radius 0.1(1 + s)‖e‖ exactly when
+        // s ≤ 1/9, so s = 0.11 and s = 0.1125 straddle the boundary.
+        let mut probes = queries.clone();
+        if !inserts.is_empty() {
+            for &j in &near_at {
+                let e = &inserts[j % inserts.len()];
+                probes.push(e.iter().map(|x| x + near_shift).collect());
+                probes.push(e.iter().map(|x| x * 1.11).collect());
+                probes.push(e.iter().map(|x| x * 1.1125).collect());
+            }
+        }
+        probes.push(center.clone());
+        probes.push(vec![0.0; 4]);
+        probes.push(vec![100.0; 4]);
+        let brute_force = |q: &[f64]| {
+            let radius = 0.1 * fp(q).rms_norm();
+            model
+                .iter()
+                .enumerate()
+                .map(|(i, (loads, payload))| (rms_distance(loads, q), i, *payload))
+                .filter(|&(d, _, _)| d <= radius)
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(d, i, payload)| (d.to_bits(), i, payload))
+        };
+        prop_assert!(
+            tie_axes.is_empty() || brute_force(&center).is_some(),
+            "the tie center must hit"
+        );
+        prop_assert!(brute_force(&[100.0; 4]).is_none(), "a far query must miss");
+        let view = store.view();
+        for q in &probes {
+            let expected = brute_force(q);
+            for hit in [store.nearest("prop", &fp(q)), view.nearest("prop", &fp(q))] {
+                let got = hit.map(|h| (h.distance.to_bits(), h.index, h.entry.payload));
+                prop_assert_eq!(got, expected);
             }
         }
     }
