@@ -20,5 +20,5 @@ pub mod violations;
 
 pub use flows::{BranchFlow, FlowGrad, FlowHess, FlowKind};
 pub use solution::OpfSolution;
-pub use start::{cold_start, ramp_limited_bounds, WarmStart};
+pub use start::{cold_start, ramp_limited_bounds};
 pub use violations::{relative_gap, SolutionQuality};

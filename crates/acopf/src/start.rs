@@ -46,29 +46,6 @@ pub fn ramp_limited_bounds(
     (lo, hi)
 }
 
-/// Warm-start state carried between time periods of the tracking experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStart {
-    /// The previous period's operating point (primal warm start).
-    pub solution: OpfSolution,
-    /// ADMM consensus multipliers `y` from the previous period (empty when
-    /// warm-starting a centralized solver).
-    pub multipliers: Vec<f64>,
-    /// Outer-level multipliers `λ` from the previous period.
-    pub outer_multipliers: Vec<f64>,
-}
-
-impl WarmStart {
-    /// A warm start holding only a primal point.
-    pub fn primal_only(solution: OpfSolution) -> WarmStart {
-        WarmStart {
-            solution,
-            multipliers: Vec::new(),
-            outer_multipliers: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,13 +89,5 @@ mod tests {
         for (hig, pmaxg) in hi.iter().zip(&net.pmax) {
             assert!(hig <= &(pmaxg + 1e-12));
         }
-    }
-
-    #[test]
-    fn warm_start_primal_only_has_no_multipliers() {
-        let net = cases::case9().compile().unwrap();
-        let w = WarmStart::primal_only(cold_start(&net));
-        assert!(w.multipliers.is_empty());
-        assert!(w.outer_multipliers.is_empty());
     }
 }

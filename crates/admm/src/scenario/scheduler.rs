@@ -8,13 +8,15 @@
 //! [`LaneSolver`] implementation —
 //!
 //! * **shard state** — slot-major device buffers covering the shard's
-//!   lanes, built with one bulk upload per buffer,
+//!   lanes, allocated on the device with no transfer but the one upload of
+//!   the layout's ρ vector for every lane,
 //! * **step** — one batched inner iteration over every active lane (the
 //!   eight kernel launches of Algorithm 1's lines 3–6 spanning `L × n`
 //!   elements) plus the per-lane inner/outer control that decides which
 //!   lanes finished,
-//! * **admit / extract** — ranged uploads into a freed slot's buffer
-//!   segments, seeded from the admission's store hit when there is one,
+//! * **admit / extract** — ranged uploads into an empty or freed slot's
+//!   buffer segments (every scenario, initial occupant or refill, enters
+//!   this way), seeded from the admission's store hit when there is one,
 //!   ranged reads out of a finished slot's,
 //! * **commit** — a converged scenario's [`WarmState`] is what a live store
 //!   keeps; the engine owns the rest of the store protocol.
@@ -263,87 +265,36 @@ struct AdmmShard {
     ll: usize,
 }
 
-impl AdmmFleet<'_> {
-    /// The admitted scenario's host-side segment and fresh control state,
-    /// seeded from its store hit, else the run's shared warm state, else
-    /// cold. The seed changes the starting point, not the iteration budget:
-    /// only β resumes the seed's schedule, along with its multipliers.
-    fn admission_state(&self, admission: &Admission<'_, WarmState>) -> (SegmentHost, ScenCtl) {
-        let idx = admission.scenario;
-        let seed = admission.hit.as_ref().map(Hit::payload).or(self.warm);
-        let seg = init_segment(&self.nets[idx], &self.problem.data[idx], self.problem, seed);
-        let mut ctl = ScenCtl::fresh();
-        if let Some(w) = seed {
-            ctl.beta = w.beta;
-        }
-        (seg, ctl)
-    }
-}
-
 impl LaneSolver for AdmmFleet<'_> {
     type Shard = AdmmShard;
     type Output = ScenarioResult;
     type Payload = WarmState;
 
-    fn open_shard(
-        &self,
-        device: &Device,
-        initial: &[Admission<'_, WarmState>],
-    ) -> (AdmmShard, Vec<bool>) {
+    fn open_shard(&self, device: &Device, ll: usize) -> AdmmShard {
         let problem = self.problem;
         let (ngen, nbranch, nbus, m) = (problem.ngen, problem.nbranch, problem.nbus, problem.m);
-        let ll = initial.len();
-        let stats = device.stats().clone();
-
-        // Fill the initial lanes host-side, then create the slot-major
-        // buffers with one bulk upload each.
-        let mut gen_host: Vec<GenState> = Vec::with_capacity(ll * ngen);
-        let mut branch_host: Vec<BranchState> = Vec::with_capacity(ll * nbranch);
-        let mut bus_host: Vec<BusState> = Vec::with_capacity(ll * nbus);
-        let mut u_host = Vec::with_capacity(ll * m);
-        let mut v_host = Vec::with_capacity(ll * m);
-        let mut z_host = Vec::with_capacity(ll * m);
-        let mut y_host = Vec::with_capacity(ll * m);
-        let mut lam_host = Vec::with_capacity(ll * m);
-        let mut rho_host = Vec::with_capacity(ll * m);
-        let mut ctl = Vec::with_capacity(ll);
-        for admission in initial {
-            let (seg, c) = self.admission_state(admission);
-            ctl.push(c);
-            gen_host.extend(seg.gens);
-            branch_host.extend(seg.branches);
-            bus_host.extend(seg.buses);
-            u_host.extend(seg.u);
-            v_host.extend(seg.v);
-            z_host.extend(seg.z);
-            y_host.extend(seg.y);
-            lam_host.extend(seg.lam);
-            rho_host.extend_from_slice(&problem.rho);
-        }
+        let stats = device.stats();
         let st = SlotState {
-            gens: DeviceBuffer::from_host(stats.clone(), &gen_host),
-            branches: DeviceBuffer::from_host(stats.clone(), &branch_host),
-            buses: DeviceBuffer::from_host(stats.clone(), &bus_host),
-            u: DeviceBuffer::from_host(stats.clone(), &u_host),
-            v: DeviceBuffer::from_host(stats.clone(), &v_host),
-            z: DeviceBuffer::from_host(stats.clone(), &z_host),
+            gens: DeviceBuffer::zeroed(stats.clone(), ll * ngen),
+            branches: DeviceBuffer::zeroed(stats.clone(), ll * nbranch),
+            buses: DeviceBuffer::zeroed(stats.clone(), ll * nbus),
+            u: DeviceBuffer::zeroed(stats.clone(), ll * m),
+            v: DeviceBuffer::zeroed(stats.clone(), ll * m),
+            z: DeviceBuffer::zeroed(stats.clone(), ll * m),
             z_prev: DeviceBuffer::zeroed(stats.clone(), ll * m),
-            y: DeviceBuffer::from_host(stats.clone(), &y_host),
-            lam: DeviceBuffer::from_host(stats.clone(), &lam_host),
-            rho: DeviceBuffer::from_host(stats, &rho_host),
+            y: DeviceBuffer::zeroed(stats.clone(), ll * m),
+            lam: DeviceBuffer::zeroed(stats.clone(), ll * m),
+            rho: DeviceBuffer::from_host(stats.clone(), &problem.rho.repeat(ll)),
         };
-        let shard = AdmmShard {
+        AdmmShard {
             device: device.clone(),
             st,
-            ctl,
-            slot_data: initial
-                .iter()
-                .map(|a| problem.data[a.scenario].clone())
-                .collect(),
+            // Placeholders until each slot's first admission.
+            ctl: vec![ScenCtl::fresh(); ll],
+            slot_data: vec![problem.data[0].clone(); ll],
             segs: SegMaps::build(ll, problem),
             ll,
-        };
-        (shard, initial.iter().map(|a| a.hit.is_some()).collect())
+        }
     }
 
     fn step(&self, shard: &mut AdmmShard, active: &[bool]) -> Vec<bool> {
@@ -446,16 +397,38 @@ impl LaneSolver for AdmmFleet<'_> {
         )
     }
 
+    /// Seed the scenario from its store hit, else the run's shared warm
+    /// state, else cold, and upload its segment with one ranged upload per
+    /// live buffer. (`rho` is layout-derived, identical for every scenario
+    /// and uploaded with the shard; `z_prev` is overwritten from `z` on the
+    /// slot's first tick before any read.) The seed changes the starting
+    /// point, not the iteration budget: only β resumes the seed's schedule,
+    /// along with its multipliers.
     fn admit(
         &self,
         shard: &mut AdmmShard,
         slot: usize,
         admission: &Admission<'_, WarmState>,
     ) -> bool {
-        let (seg, ctl) = self.admission_state(admission);
-        admit_into_slot(&mut shard.st, slot, &seg, self.problem);
-        shard.slot_data[slot] = self.problem.data[admission.scenario].clone();
-        shard.ctl[slot] = ctl;
+        let problem = self.problem;
+        let (ngen, nbranch, nbus, m) = (problem.ngen, problem.nbranch, problem.nbus, problem.m);
+        let idx = admission.scenario;
+        let seed = admission.hit.as_ref().map(Hit::payload).or(self.warm);
+        let seg = init_segment(&self.nets[idx], &problem.data[idx], problem, seed);
+        let st = &mut shard.st;
+        st.gens.upload_range(slot * ngen, &seg.gens);
+        st.branches.upload_range(slot * nbranch, &seg.branches);
+        st.buses.upload_range(slot * nbus, &seg.buses);
+        st.u.upload_range(slot * m, &seg.u);
+        st.v.upload_range(slot * m, &seg.v);
+        st.z.upload_range(slot * m, &seg.z);
+        st.y.upload_range(slot * m, &seg.y);
+        st.lam.upload_range(slot * m, &seg.lam);
+        shard.slot_data[slot] = problem.data[idx].clone();
+        shard.ctl[slot] = ScenCtl {
+            beta: seed.map_or(BETA_INIT, |w| w.beta),
+            ..ScenCtl::fresh()
+        };
         admission.hit.is_some()
     }
 
@@ -538,22 +511,6 @@ pub(crate) fn init_segment(
         y,
         lam,
     }
-}
-
-/// Admit a scenario into slot `s` of an existing shard state: one ranged
-/// host-to-device upload per live buffer. (`rho` is layout-derived and
-/// identical for every scenario; `z_prev` is overwritten from `z` on the
-/// slot's first tick before any read.)
-fn admit_into_slot(st: &mut SlotState, s: usize, seg: &SegmentHost, problem: &ScenarioProblem) {
-    let (ngen, nbranch, nbus, m) = (problem.ngen, problem.nbranch, problem.nbus, problem.m);
-    st.gens.upload_range(s * ngen, &seg.gens);
-    st.branches.upload_range(s * nbranch, &seg.branches);
-    st.buses.upload_range(s * nbus, &seg.buses);
-    st.u.upload_range(s * m, &seg.u);
-    st.v.upload_range(s * m, &seg.v);
-    st.z.upload_range(s * m, &seg.z);
-    st.y.upload_range(s * m, &seg.y);
-    st.lam.upload_range(s * m, &seg.lam);
 }
 
 /// Extract slot `s`'s finished scenario: one ranged device-to-host read per

@@ -235,10 +235,10 @@ mod tests {
     #[test]
     fn no_transfers_during_iterations() {
         let net = cases::two_bus().compile().unwrap();
-        // Transfers happen only at setup (one upload per slot-major buffer)
-        // and extraction (one read per result-bearing buffer), never per
-        // iteration: doubling the iteration budget runs more kernel rounds
-        // and moves exactly the same number of buffers.
+        // Transfers happen only at setup (the ρ upload and the admission's
+        // 8 ranged uploads) and extraction (one read per result-bearing
+        // buffer), never per iteration: doubling the iteration budget runs
+        // more kernel rounds and moves exactly the same number of buffers.
         let run = |max_inner: usize| {
             let params = AdmmParams {
                 max_outer: 2,

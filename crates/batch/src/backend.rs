@@ -10,10 +10,11 @@
 //!
 //! # The dispatch trait
 //!
-//! [`LaunchBackend`] carries the three launch/reduce geometries the solvers
-//! use (whole-buffer map, segmented map, segmented max-reduction) plus
-//! stats billing. [`Device`](crate::Device)
-//! holds an [`AnyBackend`] — a closed enum over the implementors — so the
+//! [`LaunchBackend`] carries the two operations every launch reduces to: a
+//! masked map over equally sized segments and a per-segment max-reduction.
+//! A whole-buffer launch is one all-active segment, so a backend writes each
+//! iteration scheme once. [`Device`](crate::Device) holds an [`AnyBackend`]
+//! — a closed enum over the implementors — so the
 //! kernel layer in `kernel.rs` contains **no** backend matching at all:
 //! every launch and reduction goes through trait dispatch. The trait's
 //! methods are generic over the element type and kernel closure, which is
@@ -25,8 +26,8 @@
 //! Every backend MUST produce bitwise-identical buffers and reduction
 //! values to [`SequentialBackend`] for the same launch sequence:
 //!
-//! * map and segmented launches touch disjoint elements, so any schedule
-//!   that applies the closure exactly once per (active) element conforms;
+//! * segmented launches touch disjoint elements, so any schedule that
+//!   applies the closure exactly once per active element conforms;
 //! * reductions may *evaluate* per-element scores in any order but MUST
 //!   *combine* them in index order, because floating-point `max` is
 //!   scheduling-sensitive through NaN and signed-zero handling;
@@ -41,8 +42,9 @@
 //!
 //! A new backend is a plug-in, not a rewrite:
 //!
-//! 1. define a unit struct and implement [`LaunchBackend`] for it (the
-//!    reduction must fold in index order — see the contract above);
+//! 1. define a unit struct and implement [`LaunchBackend`]'s two
+//!    operations for it (the reduction must fold in index order — see the
+//!    contract above);
 //! 2. add an [`AnyBackend`] variant delegating to it, a constructor on
 //!    [`Device`](crate::Device), and an [`ExecutionMode`] variant;
 //! 3. run it through [`crate::conformance::assert_backend_conformance`]
@@ -51,9 +53,7 @@
 //! Everything outside this module and `device.rs` is untouched: the
 //! kernel layer, the pools, and every solver dispatch through the trait.
 
-use crate::stats::DeviceStats;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Environment variable overriding [`ExecutionMode::Auto`] resolution
 /// (`sequential`, `parallel`, or `vectorized`; invalid values fall through
@@ -153,25 +153,19 @@ impl std::fmt::Display for ExecutionMode {
 ///
 /// Methods operate on raw slices; the [`Device`](crate::Device) wrappers
 /// own buffer bookkeeping (length assertions, live-element accounting,
-/// empty-reduction conventions) so backends stay pure iteration schemes.
+/// billing) so backends stay pure iteration schemes.
 pub trait LaunchBackend {
     /// The concrete mode this backend implements (never
     /// [`ExecutionMode::Auto`]); names the backend in stats and benches.
     fn mode(&self) -> ExecutionMode;
 
-    /// Apply `f` exactly once to every element. `min_len` is the parallel
+    /// Apply `f` exactly once to every element of the segments whose mask
+    /// entry is `true`; elements of inactive segments must not be touched.
+    /// `buf` holds `active.len()` segments of `seg_len` elements; `f`
+    /// receives the *global* element index. `min_len` is the parallel
     /// scheduling granularity (`usize::MAX` keeps the default cheap-kernel
-    /// threshold, `1` fans out block-per-subproblem work); backends
-    /// without a scheduler ignore it.
-    fn launch<T, F>(&self, buf: &mut [T], min_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync;
-
-    /// Apply `f` to every element of the segments whose mask entry is
-    /// `true`; elements of inactive segments must not be touched. `buf`
-    /// holds `active.len()` segments of `seg_len` elements; `f` receives
-    /// the *global* element index.
+    /// threshold, `1` fans out block-per-subproblem work); backends without
+    /// a scheduler ignore it.
     fn launch_segments<T, F>(
         &self,
         buf: &mut [T],
@@ -198,14 +192,6 @@ pub trait LaunchBackend {
     where
         T: Sync,
         F: Fn(usize, &T) -> f64 + Sync;
-
-    /// Bill a completed launch to the device's statistics stream. Part of
-    /// the trait so a future backend with its own timing source (device
-    /// events rather than host clocks) can override how elapsed time is
-    /// measured; the default uses the host monotonic clock.
-    fn bill(&self, stats: &DeviceStats, name: &str, elements: u64, start: Instant) {
-        stats.record_launch(name, elements, start.elapsed());
-    }
 }
 
 /// Fold one segment with the max-reduction conventions shared by the
@@ -240,16 +226,6 @@ pub struct SequentialBackend;
 impl LaunchBackend for SequentialBackend {
     fn mode(&self) -> ExecutionMode {
         ExecutionMode::Sequential
-    }
-
-    fn launch<T, F>(&self, buf: &mut [T], _min_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        for (i, x) in buf.iter_mut().enumerate() {
-            f(i, x);
-        }
     }
 
     fn launch_segments<T, F>(
@@ -302,20 +278,6 @@ impl LaunchBackend for ParallelBackend {
         ExecutionMode::Parallel
     }
 
-    fn launch<T, F>(&self, buf: &mut [T], min_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let it = buf.par_iter_mut();
-        let it = if min_len == usize::MAX {
-            it
-        } else {
-            it.with_min_len(min_len)
-        };
-        it.enumerate().for_each(|(i, x)| f(i, x));
-    }
-
     fn launch_segments<T, F>(
         &self,
         buf: &mut [T],
@@ -335,11 +297,11 @@ impl LaunchBackend for ParallelBackend {
             it.with_min_len(min_len)
         };
         if live_segments == active.len() {
-            // Fast path for the common all-active case: no per-element
-            // mask check. (Skipping whole inactive chunks in parallel
-            // would need chunked parallel iteration the rayon shim does
-            // not provide; the masked path below pays one cheap check per
-            // element instead.)
+            // Fast path for the common all-active case (every whole-buffer
+            // launch among them): no per-element mask check. (Skipping
+            // whole inactive chunks in parallel would need chunked parallel
+            // iteration the rayon shim does not provide; the masked path
+            // below pays one cheap check per element instead.)
             it.enumerate().for_each(|(i, x)| f(i, x));
         } else {
             it.enumerate().for_each(|(i, x)| {
@@ -458,14 +420,6 @@ impl LaunchBackend for VectorizedBackend {
         ExecutionMode::Vectorized
     }
 
-    fn launch<T, F>(&self, buf: &mut [T], _min_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        map_chunked(buf, 0, &f);
-    }
-
     fn launch_segments<T, F>(
         &self,
         buf: &mut [T],
@@ -557,14 +511,6 @@ macro_rules! dispatch {
 impl LaunchBackend for AnyBackend {
     fn mode(&self) -> ExecutionMode {
         dispatch!(self, b => b.mode())
-    }
-
-    fn launch<T, F>(&self, buf: &mut [T], min_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        dispatch!(self, b => b.launch(buf, min_len, f))
     }
 
     fn launch_segments<T, F>(

@@ -32,14 +32,6 @@ impl<T: Clone> DeviceBuffer<T> {
         self.data.clone()
     }
 
-    /// Copy new host data into the existing buffer (counts one transfer).
-    /// Lengths must match.
-    pub fn upload(&mut self, host: &[T]) {
-        assert_eq!(host.len(), self.data.len(), "upload length mismatch");
-        self.stats.record_h2d(std::mem::size_of_val(host));
-        self.data.clone_from_slice(host);
-    }
-
     /// Copy host data into the sub-range starting at `offset` (counts one
     /// transfer of the range's bytes). The streaming scheduler uses this to
     /// re-seed one scenario slot without re-uploading the whole batch.
@@ -155,22 +147,5 @@ mod tests {
         let after = stats.snapshot();
         assert_eq!(after.since(&before).total_transfers(), 0);
         assert!(buf.as_slice().iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn upload_requires_matching_length_and_counts() {
-        let stats = Arc::new(DeviceStats::default());
-        let mut buf = DeviceBuffer::from_host(stats.clone(), &[0.0f64; 4]);
-        buf.upload(&[9.0; 4]);
-        assert_eq!(stats.snapshot().host_to_device_transfers, 2);
-        assert_eq!(buf.as_slice()[2], 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn upload_length_mismatch_panics() {
-        let stats = Arc::new(DeviceStats::default());
-        let mut buf = DeviceBuffer::from_host(stats, &[0.0f64; 4]);
-        buf.upload(&[1.0; 5]);
     }
 }

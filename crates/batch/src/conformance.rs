@@ -4,9 +4,10 @@
 //! across the kernel, solver, and scheduler test suites, each pinning one
 //! backend pair to one geometry. This module hoists them into one harness
 //! parameterized over [`LaunchBackend`] implementors, so a new backend is
-//! held to the *entire* contract — every launch geometry and the segmented
-//! reduction, masked and unmasked, on chunk-boundary-hostile sizes — before
-//! it may be selected by [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
+//! held to the *entire* contract — both launch granularities and the
+//! segmented reduction, masked and unmasked, on chunk-boundary-hostile
+//! sizes — before it may be selected by
+//! [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
 //!
 //! Two entry points:
 //!
@@ -28,9 +29,10 @@ use crate::buffer::DeviceBuffer;
 use crate::device::Device;
 use std::sync::Arc;
 
-/// Buffer lengths the harness sweeps: empty, single, chunk-straddling
-/// (the vectorized backend chunks by 64), and large enough that the
-/// parallel backend genuinely fans out.
+/// Whole-buffer lengths the device sweep launches as one segment (none
+/// when empty): empty, single, chunk-straddling (the vectorized backend
+/// chunks by 64), and large enough that the parallel backend genuinely
+/// fans out.
 const LENGTHS: &[usize] = &[0, 1, 7, 63, 64, 65, 129, 1000, 4096];
 
 /// Segment geometries `(seg_len, mask)` the masked paths sweep; segment
@@ -116,24 +118,6 @@ fn score(i: usize, x: &f64) -> f64 {
 pub fn assert_backend_conformance<B: LaunchBackend>(backend: &B) {
     let reference = SequentialBackend;
     let label = backend.mode().label();
-
-    for &n in LENGTHS {
-        // Whole-buffer map (default granularity) and blocked (min_len 1).
-        for (min_len, kernel) in [
-            (usize::MAX, map_kernel as fn(usize, &mut f64)),
-            (1, block_kernel as fn(usize, &mut f64)),
-        ] {
-            let mut got = data(n, 1);
-            let mut want = got.clone();
-            backend.launch(&mut got, min_len, kernel);
-            reference.launch(&mut want, min_len, kernel);
-            assert_bits_eq(
-                &got,
-                &want,
-                &format!("{label}: launch n={n} min_len={min_len}"),
-            );
-        }
-    }
 
     for (seg_len, active) in segment_cases() {
         let n = seg_len * active.len();
@@ -332,9 +316,6 @@ mod tests {
         impl LaunchBackend for LocalIndexReduce {
             fn mode(&self) -> ExecutionMode {
                 ExecutionMode::Sequential
-            }
-            fn launch<T: Send, F: Fn(usize, &mut T) + Sync>(&self, buf: &mut [T], m: usize, f: F) {
-                SequentialBackend.launch(buf, m, f)
             }
             fn launch_segments<T: Send, F: Fn(usize, &mut T) + Sync>(
                 &self,

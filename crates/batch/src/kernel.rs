@@ -1,25 +1,25 @@
 //! Kernel launch APIs.
 //!
-//! A *kernel* is a named unit of device work. Two launch geometries cover
-//! everything the solvers need:
+//! A *kernel* is a named unit of device work. Every launch is a masked
+//! launch over equally sized segments (one segment per scenario), at one of
+//! two scheduling granularities:
 //!
-//! * [`Device::launch_map`] — one thread per element; used for the
+//! * [`Device::launch_map_segments`] — one thread per element; used for the
 //!   closed-form generator / bus / z / multiplier updates, which the paper
 //!   implements by launching as many threads as there are elements.
-//! * [`Device::launch_blocks`] — one thread block per element of a state
-//!   array; used for the batch TRON branch solves, where each block owns one
-//!   branch subproblem.
+//! * [`Device::launch_blocks_segments`] — one thread block per element of a
+//!   state array; used for the batch TRON branch solves, where each block
+//!   owns one branch subproblem.
 //!
-//! Both have a segmented, masked form ([`Device::launch_map_segments`],
-//! [`Device::launch_blocks_segments`]) spanning many scenarios in one launch;
-//! the ADMM fleet launches only those. The per-segment reduction
+//! [`Device::launch_map`] and [`Device::launch_blocks`] launch a whole
+//! buffer as one active segment. The per-segment reduction
 //! ([`Device::reduce_max_segments`]) covers the residual-norm computations
 //! that decide convergence without copying data back to the host.
 //!
 //! Every method here is backend-agnostic: the iteration scheme lives behind
-//! the [`LaunchBackend`] trait the device resolved at
-//! construction, and this layer only owns the buffer bookkeeping — length
-//! assertions and live-element accounting for masked launches.
+//! the [`LaunchBackend`] trait the device resolved at construction, and this
+//! layer owns the buffer bookkeeping — length assertions, live-element
+//! accounting and billing each launch to [`crate::DeviceStats`].
 
 use crate::backend::LaunchBackend;
 use crate::buffer::DeviceBuffer;
@@ -35,21 +35,8 @@ impl Device {
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        self.launch_impl(name, buf, usize::MAX, f);
-    }
-
-    /// Shared body of the whole-buffer launches; `min_len` is the parallel
-    /// scheduling granularity (`usize::MAX` keeps the default cheap-kernel
-    /// threshold, `1` fans out block-per-subproblem work).
-    fn launch_impl<T, F>(&self, name: &str, buf: &mut DeviceBuffer<T>, min_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let start = Instant::now();
-        let n = buf.len() as u64;
-        self.exec.launch(buf.as_mut_slice(), min_len, f);
-        self.exec.bill(&self.stats, name, n, start);
+        let (seg_len, active) = whole(buf);
+        self.launch_segments_impl(name, buf, seg_len, active, usize::MAX, f);
     }
 
     /// Launch a kernel with one thread block per element of `states`, under
@@ -64,7 +51,8 @@ impl Device {
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        self.launch_impl(name, states, 1, f);
+        let (seg_len, active) = whole(states);
+        self.launch_segments_impl(name, states, seg_len, active, 1, f);
     }
 
     /// Launch a kernel over a scenario-major buffer holding `active.len()`
@@ -114,7 +102,7 @@ impl Device {
         let live = live_segments as u64 * seg_len as u64;
         self.exec
             .launch_segments(buf.as_mut_slice(), seg_len, active, min_len, f);
-        self.exec.bill(&self.stats, name, live, start);
+        self.stats.record_launch(name, live, start.elapsed());
     }
 
     /// One thread *block* per element of the active segments; the segmented
@@ -166,8 +154,17 @@ impl Device {
             .exec
             .reduce_max_segments(buf.as_slice(), seg_len, active, f);
         let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
-        self.exec.bill(&self.stats, name, live, start);
+        self.stats.record_launch(name, live, start.elapsed());
         result
+    }
+}
+
+/// A whole buffer as segments: one active segment, or none when empty.
+fn whole<T>(buf: &DeviceBuffer<T>) -> (usize, &'static [bool]) {
+    if buf.is_empty() {
+        (1, &[])
+    } else {
+        (buf.len(), &[true])
     }
 }
 

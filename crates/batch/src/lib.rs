@@ -22,13 +22,15 @@
 //!   are explicit and *counted*, so the paper's "no transfers during the
 //!   solve" claim becomes a checkable property (see the `transfer_audit`
 //!   experiment binary),
-//! * kernel-launch APIs (`launch_map`, `launch_blocks`, their
-//!   segmented/masked variants, and the per-segment max-reduction) that
-//!   record per-kernel launch counts, block counts and elapsed time in
-//!   [`DeviceStats`],
+//! * kernel-launch APIs (masked launches over scenario segments, per
+//!   element or per block, the whole-buffer `launch_map` / `launch_blocks`
+//!   as one segment, and the per-segment max-reduction) that record
+//!   per-kernel launch counts, block counts and elapsed time in
+//!   [`DeviceStats`]; a backend implements only the segmented launch and
+//!   the segmented reduction,
 //! * [`conformance`] — the executable determinism contract: every backend
-//!   must be bitwise identical to [`SequentialBackend`] on every launch
-//!   geometry before [`ExecutionMode::Auto`] may select it.
+//!   must be bitwise identical to [`SequentialBackend`] on both operations,
+//!   masked and unmasked, before [`ExecutionMode::Auto`] may select it.
 //!
 //! The algorithmic structure — what is a kernel, what runs per thread, what
 //! runs per block, what never leaves the device — is therefore identical to

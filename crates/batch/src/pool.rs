@@ -140,13 +140,6 @@ impl DevicePool {
         }
         total
     }
-
-    /// Reset every device's statistics.
-    pub fn reset_stats(&self) {
-        for d in &self.devices {
-            d.stats().reset();
-        }
-    }
 }
 
 impl Default for DevicePool {

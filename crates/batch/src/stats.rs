@@ -83,15 +83,6 @@ impl DeviceStats {
             kernels: self.kernels.lock().clone(),
         }
     }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        self.host_to_device_transfers.store(0, Ordering::Relaxed);
-        self.device_to_host_transfers.store(0, Ordering::Relaxed);
-        self.host_to_device_bytes.store(0, Ordering::Relaxed);
-        self.device_to_host_bytes.store(0, Ordering::Relaxed);
-        self.kernels.lock().clear();
-    }
 }
 
 impl StatsSnapshot {
@@ -188,17 +179,6 @@ mod tests {
         assert_eq!(snap.kernels["generator_update"].blocks, 200);
         assert_eq!(snap.kernels["branch_tron"].launches, 1);
         assert_eq!(snap.total_launches(), 3);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let s = DeviceStats::default();
-        s.record_h2d(10);
-        s.record_launch("k", 1, Duration::ZERO);
-        s.reset();
-        let snap = s.snapshot();
-        assert_eq!(snap.total_transfers(), 0);
-        assert_eq!(snap.total_launches(), 0);
     }
 
     #[test]

@@ -6,18 +6,20 @@
 //! The engine grew inside the ADMM scenario scheduler (device sharding,
 //! lane caps, streaming admission) and is hoisted here so every solver
 //! family rides the same machinery: a solver plugs in by implementing
-//! [`LaneSolver`] — open a per-device shard, advance its active lanes,
-//! extract a finished lane, admit the next pending scenario, name the
-//! payload a finished scenario leaves in a store — and the [`Engine`]
-//! supplies
+//! [`LaneSolver`] — open a per-device shard of empty lanes, admit a
+//! scenario into a lane, advance the active lanes, extract a finished lane,
+//! name the payload a finished scenario leaves in a store — and the
+//! [`Engine`] supplies
 //!
 //! * **sharding** — scenarios are dealt round-robin across the logical
 //!   devices of a [`DevicePool`] ([`plan::shard_plan`]); shards execute
 //!   concurrently, one host thread per device, each billing its kernel work
 //!   to its own device's statistics stream,
 //! * **streaming admission** — each device runs a fixed number of *lanes*
-//!   (slots). When a lane's scenario finishes, its result is extracted and
-//!   the shard's next pending scenario is admitted into the freed lane
+//!   (slots). Every scenario enters a lane through the same admission: the
+//!   initial occupants fill the empty lanes in slot order, and when a
+//!   lane's scenario finishes, its result is extracted and the shard's next
+//!   pending scenario is admitted into the freed lane
 //!   ([`plan::admission_plan`]), so a busy device never idles lanes on
 //!   finished work,
 //! * **the warm-start store protocol** — a [`FleetRequest`]'s store
@@ -53,8 +55,9 @@ use std::time::{Duration, Instant};
 ///
 /// The engine drives implementations through a fixed protocol, per shard:
 ///
-/// 1. [`open_shard`](LaneSolver::open_shard) once, with the admissions
-///    that occupy the initial lanes (slot `s` opens holding `initial[s]`),
+/// 1. [`open_shard`](LaneSolver::open_shard) once, with the shard's lane
+///    count, then [`admit`](LaneSolver::admit) of each initial occupant
+///    into its empty slot, in slot order,
 /// 2. [`step`](LaneSolver::step) repeatedly — one engine *tick* — until
 ///    every lane is drained. A step advances every active lane and reports
 ///    which lanes finished their current scenario: a batched stepper (the
@@ -72,11 +75,11 @@ use std::time::{Duration, Instant};
 /// store bound, each scenario is fingerprinted once and every
 /// [`Admission`] (initial or streamed, each exactly once) carries the
 /// nearest entry ([`Hit`]) of a view frozen before the run, so the run's
-/// own results are invisible to its lookups. `open_shard` and `admit`
-/// report whether they seeded the lane from the hit; a lookup that seeded
-/// nothing counts as a miss. Commits land in the live store in input order,
-/// so its contents do not depend on the device count, the lane cap or
-/// thread timing; a [`StoreAccess::Snapshot`] run commits nothing.
+/// own results are invisible to its lookups. `admit` reports whether it
+/// seeded the lane from the hit; a lookup that seeded nothing counts as a
+/// miss. Commits land in the live store in input order, so its contents do
+/// not depend on the device count, the lane cap or thread timing; a
+/// [`StoreAccess::Snapshot`] run commits nothing.
 ///
 /// Warm-start carry between admissions is the implementation's business: a
 /// lane is the natural home for state that should flow from one admitted
@@ -92,14 +95,9 @@ pub trait LaneSolver: Sync {
     /// What a solution store keeps per solved scenario for this family.
     type Payload: Send + Sync;
 
-    /// Open one device's shard with `initial[s]` admitted into slot `s`
-    /// (the lane count of this shard is `initial.len()`); return it with,
-    /// per slot, whether the lane was seeded from its admission's hit.
-    fn open_shard(
-        &self,
-        device: &Device,
-        initial: &[Admission<'_, Self::Payload>],
-    ) -> (Self::Shard, Vec<bool>);
+    /// Open one device's shard with `lanes` empty slots; each is filled by
+    /// [`admit`](LaneSolver::admit) before the first step.
+    fn open_shard(&self, device: &Device, lanes: usize) -> Self::Shard;
 
     /// Advance every active lane; return per-slot "finished this scenario"
     /// flags (entries for inactive slots are ignored).
@@ -108,8 +106,8 @@ pub trait LaneSolver: Sync {
     /// Extract slot `slot`'s finished result for scenario `scenario`.
     fn extract(&self, shard: &mut Self::Shard, slot: usize, scenario: usize) -> Self::Output;
 
-    /// Admit into the freed slot `slot`; return whether the lane was
-    /// seeded from the admission's hit.
+    /// Admit into the empty or freed slot `slot`; return whether the lane
+    /// was seeded from the admission's hit.
     fn admit(
         &self,
         shard: &mut Self::Shard,
@@ -360,23 +358,25 @@ fn run_shard<S: LaneSolver>(
     lane_cap: Option<usize>,
     lookup: Option<&Lookup<'_, S::Payload>>,
 ) -> (Vec<(usize, S::Output)>, usize, StoreRunStats) {
-    let admission = |scenario| Admission {
-        scenario,
-        hit: lookup.and_then(|l| l.hit(scenario)),
-    };
     let mut store = StoreRunStats::default();
-    let mut tally = |a: &Admission<'_, S::Payload>, seeded: bool| match lookup {
-        Some(_) if a.hit.is_some() && seeded => store.hits += 1,
-        Some(_) => store.misses += 1,
-        None => {}
+    // Every scenario, initial occupant or refill, enters its lane here.
+    let mut admit = |state: &mut S::Shard, slot: usize, scenario: usize| {
+        let a = Admission {
+            scenario,
+            hit: lookup.and_then(|l| l.hit(scenario)),
+        };
+        let seeded = solver.admit(state, slot, &a);
+        match lookup {
+            Some(_) if a.hit.is_some() && seeded => store.hits += 1,
+            Some(_) => store.misses += 1,
+            None => {}
+        }
     };
     let plan = admission_plan(shard, lane_cap);
     let ll = plan.lanes;
-    let initial: Vec<_> = plan.initial.iter().map(|&s| admission(s)).collect();
-    let (mut state, seeded) = solver.open_shard(device, &initial);
-    debug_assert_eq!(seeded.len(), ll, "one seeded flag per lane");
-    for (a, &s) in initial.iter().zip(&seeded) {
-        tally(a, s);
+    let mut state = solver.open_shard(device, ll);
+    for (slot, &scenario) in plan.initial.iter().enumerate() {
+        admit(&mut state, slot, scenario);
     }
     let mut occupant = plan.initial;
     let mut queue = plan.refills.into_iter();
@@ -396,9 +396,7 @@ fn run_shard<S: LaneSolver>(
             out.push((occupant[s], solver.extract(&mut state, s, occupant[s])));
             match queue.next() {
                 Some(next) => {
-                    let a = admission(next);
-                    let seeded = solver.admit(&mut state, s, &a);
-                    tally(&a, seeded);
+                    admit(&mut state, s, next);
                     occupant[s] = next;
                 }
                 None => active[s] = false,
@@ -461,22 +459,12 @@ mod tests {
         type Output = (usize, usize);
         type Payload = u32;
 
-        fn open_shard(
-            &self,
-            _device: &Device,
-            initial: &[Admission<'_, u32>],
-        ) -> (CountdownShard, Vec<bool>) {
+        fn open_shard(&self, _device: &Device, lanes: usize) -> CountdownShard {
             self.opened_shards.fetch_add(1, Ordering::Relaxed);
-            let seeded = initial
-                .iter()
-                .enumerate()
-                .map(|(s, a)| self.seed(s, a))
-                .collect();
-            let shard = CountdownShard {
-                remaining: initial.iter().map(|a| self.work[a.scenario]).collect(),
-                current: initial.iter().map(|a| a.scenario).collect(),
-            };
-            (shard, seeded)
+            CountdownShard {
+                remaining: vec![0; lanes],
+                current: vec![usize::MAX; lanes],
+            }
         }
 
         fn step(&self, shard: &mut CountdownShard, active: &[bool]) -> Vec<bool> {

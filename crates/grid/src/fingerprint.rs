@@ -154,9 +154,14 @@ impl ScenarioFingerprint {
     }
 
     /// RMS magnitude of the load vector — its distance to the zero vector,
-    /// which scales the store's eligibility radius.
+    /// which scales the store's eligibility radius. Bitwise
+    /// [`rms_distance`] to zeros (`x − 0.0` is `x`), without building them.
     pub fn rms_norm(&self) -> f64 {
-        rms_distance(&self.loads, &vec![0.0; self.loads.len()])
+        if self.loads.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = self.loads.iter().map(|&x| x * x).sum();
+        (sum / self.loads.len() as f64).sqrt()
     }
 }
 
@@ -218,6 +223,33 @@ mod tests {
         sigs.sort_unstable();
         sigs.dedup();
         assert_eq!(sigs.len(), 1 + set.len());
+    }
+
+    #[test]
+    fn rms_norm_is_bitwise_the_distance_to_zeros() {
+        let tiny = f64::from_bits(1);
+        let table: &[&[f64]] = &[
+            &[],
+            &[0.0],
+            &[-0.0],
+            &[-0.0, -0.0],
+            &[tiny],
+            &[-tiny, f64::MIN_POSITIVE / 2.0, 3.0],
+            &[f64::INFINITY],
+            &[f64::NEG_INFINITY, 1.0],
+            &[f64::NAN],
+            &[1.0, f64::NAN, -2.5],
+            &[f64::INFINITY, f64::NEG_INFINITY],
+            &[0.1, 0.2, 0.3, 1e300, -1e-300],
+        ];
+        for &loads in table {
+            let fp = ScenarioFingerprint {
+                loads: loads.to_vec(),
+                structure: 0,
+            };
+            let want = rms_distance(loads, &vec![0.0; loads.len()]);
+            assert_eq!(fp.rms_norm().to_bits(), want.to_bits(), "{loads:?}");
+        }
     }
 
     #[test]

@@ -378,11 +378,6 @@ impl Network {
     pub fn total_pd(&self) -> f64 {
         self.pd.iter().sum()
     }
-
-    /// Degree (number of incident branches) of each bus.
-    pub fn bus_degrees(&self) -> Vec<usize> {
-        self.branches_at_bus.iter().map(|v| v.len()).collect()
-    }
 }
 
 #[cfg(test)]

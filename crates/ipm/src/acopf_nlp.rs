@@ -39,8 +39,6 @@ pub struct AcopfNlp<'a> {
     /// Optional override of the generator real-power bounds (used by the
     /// warm-start tracking experiment to impose ramp limits).
     pg_bounds: Option<(Vec<f64>, Vec<f64>)>,
-    /// Optional override of the starting point.
-    start: Option<OpfSolution>,
 }
 
 impl<'a> AcopfNlp<'a> {
@@ -58,7 +56,6 @@ impl<'a> AcopfNlp<'a> {
             limited,
             limit_index,
             pg_bounds: None,
-            start: None,
         }
     }
 
@@ -67,12 +64,6 @@ impl<'a> AcopfNlp<'a> {
         assert_eq!(pmin.len(), self.net.ngen);
         assert_eq!(pmax.len(), self.net.ngen);
         self.pg_bounds = Some((pmin, pmax));
-        self
-    }
-
-    /// Override the starting point (warm start).
-    pub fn with_start(mut self, start: OpfSolution) -> Self {
-        self.start = Some(start);
         self
     }
 
@@ -220,8 +211,7 @@ impl Nlp for AcopfNlp<'_> {
     }
 
     fn initial_point(&self) -> Vec<f64> {
-        let start = self.start.clone().unwrap_or_else(|| cold_start(self.net));
-        self.from_solution(&start)
+        self.from_solution(&cold_start(self.net))
     }
 
     fn objective(&self, x: &[f64]) -> f64 {

@@ -263,32 +263,6 @@ struct IpmLane {
     finished: Option<(SolveReport, Option<Arc<FrozenSystem>>)>,
 }
 
-impl IpmLane {
-    fn new(registry: &Arc<FrozenRegistry>) -> IpmLane {
-        IpmLane {
-            cache: KktCache::sharing(Arc::clone(registry)),
-            carry: None,
-            chain_scenario: None,
-            admitted: None,
-            finished: None,
-        }
-    }
-
-    /// Admit a scenario; return whether its store hit replaced the carry.
-    fn admit(&mut self, admission: &Admission<'_, IpmWarmStart>) -> bool {
-        self.admitted = Some(admission.scenario);
-        // Strictly closer than the chain: seed the lane from the store.
-        // Ties keep the chain (it is already resident in the lane).
-        match &admission.hit {
-            Some(hit) if hit.closer_than(self.chain_scenario) => {
-                self.carry = Some(hit.payload().clone());
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
 /// One device's shard of lanes.
 struct IpmShard {
     /// The fleet's options, billing to the shard's device.
@@ -301,23 +275,19 @@ impl LaneSolver for IpmFleet<'_> {
     type Output = (FleetScenarioResult, Option<Arc<FrozenSystem>>);
     type Payload = IpmWarmStart;
 
-    fn open_shard(
-        &self,
-        device: &Device,
-        initial: &[Admission<'_, IpmWarmStart>],
-    ) -> (IpmShard, Vec<bool>) {
-        let mut lanes = Vec::with_capacity(initial.len());
-        let mut seeded = Vec::with_capacity(initial.len());
-        for admission in initial {
-            let mut lane = IpmLane::new(self.registry);
-            seeded.push(lane.admit(admission));
-            lanes.push(lane);
-        }
-        let shard = IpmShard {
+    fn open_shard(&self, device: &Device, lanes: usize) -> IpmShard {
+        IpmShard {
             solver: IpmSolver::new(self.options.clone()).with_device(device.clone()),
-            lanes,
-        };
-        (shard, seeded)
+            lanes: (0..lanes)
+                .map(|_| IpmLane {
+                    cache: KktCache::sharing(Arc::clone(self.registry)),
+                    carry: None,
+                    chain_scenario: None,
+                    admitted: None,
+                    finished: None,
+                })
+                .collect(),
+        }
     }
 
     fn step(&self, shard: &mut IpmShard, active: &[bool]) -> Vec<bool> {
@@ -366,7 +336,17 @@ impl LaneSolver for IpmFleet<'_> {
         slot: usize,
         admission: &Admission<'_, IpmWarmStart>,
     ) -> bool {
-        shard.lanes[slot].admit(admission)
+        let lane = &mut shard.lanes[slot];
+        lane.admitted = Some(admission.scenario);
+        // Strictly closer than the chain: seed the lane from the store.
+        // Ties keep the chain (it is already resident in the lane).
+        match &admission.hit {
+            Some(hit) if hit.closer_than(lane.chain_scenario) => {
+                lane.carry = Some(hit.payload().clone());
+                true
+            }
+            _ => false,
+        }
     }
 
     fn commit(&self, (result, _): &Self::Output) -> Option<IpmWarmStart> {

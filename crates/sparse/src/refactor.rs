@@ -413,12 +413,6 @@ impl LdlSymbolic {
         self.ordering.as_ref()
     }
 
-    /// Elimination-tree parent pointers (`usize::MAX` for roots), in the
-    /// permuted index space.
-    pub fn etree_parent(&self) -> &[usize] {
-        &self.parent
-    }
-
     /// Validate the value slice and the expected-sign vector against the
     /// analyzed dimension, and allocate the numeric factor.
     fn start(&self, values: &[f64], opts: &LdlOptions) -> Result<Numeric, SparseError> {

@@ -144,31 +144,46 @@ fn streaming_admission_bills_the_same_kernel_work() {
     assert_bitwise(&sched, &batch);
 }
 
-/// Refilling a slot uploads only that scenario's segments: transfers scale
-/// with admissions, never with tick count.
+/// Every admission, initial occupant or refill, uploads only its own
+/// scenario's segments: transfers scale with admissions, never with the
+/// tick count or the lane cap.
 #[test]
 fn streamed_refills_transfer_per_admission_not_per_tick() {
     let params = short_params();
     let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
-    let scheduler = ScenarioScheduler::with_pool(params, DevicePool::parallel(1)).with_lanes(1);
-    let before = scheduler.engine.pool().combined_snapshot();
-    let sched = scheduler.run(FleetRequest::over(&nets));
-    let delta = scheduler.engine.pool().combined_snapshot().since(&before);
-    assert!(sched.ticks > 40, "want a run with many ticks");
-    // 9 bulk uploads at setup + 8 ranged uploads per refilled scenario —
-    // the refill count comes from the engine's own admission plan rather
-    // than re-deriving the streaming arithmetic here.
-    let shard = &plan::shard_plan(nets.len(), 1)[0];
-    let refills = plan::admission_plan(shard, Some(1)).refills.len() as u64;
-    assert_eq!(refills, nets.len() as u64 - 1);
-    assert_eq!(delta.host_to_device_transfers, 9 + 8 * refills);
-    // 6 ranged reads per finished scenario.
-    assert_eq!(delta.device_to_host_transfers, 6 * nets.len() as u64);
+    let k = nets.len() as u64;
+    // (lanes opened, h2d bytes) per configuration.
+    let mut uploads: Vec<(u64, u64)> = Vec::new();
+    for lanes in [Some(1), Some(2), None] {
+        let scheduler = ScenarioScheduler::with_pool(params.clone(), DevicePool::parallel(1));
+        let scheduler = match lanes {
+            Some(l) => scheduler.with_lanes(l),
+            None => scheduler,
+        };
+        let before = scheduler.engine.pool().combined_snapshot();
+        let sched = scheduler.run(FleetRequest::over(&nets));
+        let delta = scheduler.engine.pool().combined_snapshot().since(&before);
+        assert!(sched.ticks > 40, "want a run with many ticks");
+        // One upload of every lane's ρ + 8 ranged uploads per admission.
+        assert_eq!(delta.host_to_device_transfers, 1 + 8 * k, "lanes={lanes:?}");
+        // 6 ranged reads per finished scenario.
+        assert_eq!(delta.device_to_host_transfers, 6 * k, "lanes={lanes:?}");
+        let opened = scheduler.engine.total_lanes(nets.len()) as u64;
+        uploads.push((opened, delta.host_to_device_bytes));
+    }
+    // The admissions upload the same bytes in every configuration; only the
+    // ρ upload grows, by the same amount per opened lane.
+    let (l0, b0) = uploads[0];
+    let per_lane = (uploads[1].1 - b0) / (uploads[1].0 - l0);
+    assert!(per_lane > 0);
+    for &(lanes, bytes) in &uploads {
+        assert_eq!(bytes, b0 + (lanes - l0) * per_lane, "{lanes} lanes");
+    }
 }
 
 /// A store hit seeds the admitted slot in the same uploads a cold
-/// admission makes — the bulk uploads at setup and 8 ranged uploads per
-/// refill — never a second upload on top of them.
+/// admission makes — 8 ranged uploads per admission, beside the run's one
+/// upload of ρ — never a second upload on top of them.
 #[test]
 fn store_hits_upload_each_admission_once() {
     let params = short_params();
@@ -192,10 +207,7 @@ fn store_hits_upload_each_admission_once() {
     let seeded = scheduler.run(FleetRequest::over(&nets).case("case9").snapshot(&view));
     let delta = scheduler.engine.pool().combined_snapshot().since(&before);
     assert_eq!(seeded.store.hits, nets.len());
-
-    let shard = &plan::shard_plan(nets.len(), 1)[0];
-    let refills = plan::admission_plan(shard, Some(1)).refills.len() as u64;
-    assert_eq!(delta.host_to_device_transfers, 9 + 8 * refills);
+    assert_eq!(delta.host_to_device_transfers, 1 + 8 * nets.len() as u64);
     assert_eq!(delta.host_to_device_bytes, cold.host_to_device_bytes);
 }
 
