@@ -196,15 +196,6 @@ pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().map(|x| x.abs()).fold(0.0, f64::max)
 }
 
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,9 +431,6 @@ mod tests {
         assert!((norm2(&a) - 5.0).abs() < 1e-12);
         assert!((norm_inf(&a) - 4.0).abs() < 1e-12);
         assert!((dot(&a, &a) - 25.0).abs() < 1e-12);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &a, &mut y);
-        assert_eq!(y, vec![7.0, -7.0]);
     }
 
     #[test]

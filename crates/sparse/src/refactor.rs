@@ -109,8 +109,6 @@ pub struct LdlSymbolic {
     /// For each permuted-upper entry, the index of the corresponding value in
     /// the *original* matrix's value array.
     aval_map: Vec<usize>,
-    /// Elimination tree parents over the permuted pattern.
-    parent: Vec<usize>,
     /// Column pointers of `L` (length `n + 1`).
     lcolptr: Arc<Vec<usize>>,
     /// Frozen row indices of `L`, ascending within each column.
@@ -333,7 +331,6 @@ impl LdlSymbolic {
             au_colptr,
             au_rowind,
             aval_map,
-            parent,
             lcolptr: Arc::new(lcolptr),
             lrowind: Arc::new(lrowind),
             rp_ptr,
@@ -866,7 +863,6 @@ mod tests {
             au_colptr: permuted.colptr,
             au_rowind: permuted.rowind,
             aval_map,
-            parent: sym.parent,
             lcolptr: Arc::new(lcolptr),
             lrowind: Arc::new(lrowind),
             rp_ptr,

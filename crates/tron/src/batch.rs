@@ -14,7 +14,7 @@ use crate::tron::{TronSolver, TronStatus, TronSummary};
 use gridsim_batch::{Device, DeviceBuffer};
 
 /// Aggregate outcome of a batch solve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchOutcome {
     /// Number of problems solved to first-order optimality.
     pub converged: usize,
@@ -36,15 +36,7 @@ pub struct BatchOutcome {
 
 impl BatchOutcome {
     fn from_summaries(summaries: impl Iterator<Item = TronSummary>) -> BatchOutcome {
-        let mut out = BatchOutcome {
-            converged: 0,
-            max_iter: 0,
-            small_step: 0,
-            total_iterations: 0,
-            total_rejected: 0,
-            total_direct: 0,
-            worst_pg_norm: 0.0,
-        };
+        let mut out = BatchOutcome::default();
         for r in summaries {
             match r.status {
                 TronStatus::Converged => out.converged += 1,

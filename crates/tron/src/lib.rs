@@ -14,9 +14,6 @@
 //!   [`problem::MAX_DIM`] variables),
 //! * [`cauchy`] — projected-gradient Cauchy point computation, for the
 //!   iterations that refuse the direct step,
-//! * [`cg`] — Steihaug–Toint Jacobi-preconditioned conjugate gradients on
-//!   the free subspace with negative-curvature handling, for the free blocks
-//!   the LDLᵀ Newton step does not take,
 //! * [`tron`] — the trust-region solver. Each iteration first tries the
 //!   *direct step*: one dense LDLᵀ solve
 //!   ([`gridsim_sparse::dense::SmallMatrix::ldlt_solve_masked`]) of the
@@ -25,19 +22,22 @@
 //!   taken when every variable on a bound has a zero projected-gradient
 //!   component, the block is positive definite and the step stays strictly
 //!   inside the box and the trust region. Otherwise the iteration runs the
-//!   Cauchy point, the subspace step (the same LDLᵀ solve at the Cauchy
-//!   point, or [`cg`]) and a projected line search,
+//!   Cauchy point, the same LDLᵀ solve at the Cauchy point and a projected
+//!   line search; when that solve is refused (an indefinite block, or a
+//!   step that reaches the trust-region boundary), trust-region steps on
+//!   the faces of the box ([`tron::Face`], [`tron::subspace_step`]:
+//!   Moré–Sorensen's iteration on the shifted block `H_FF + λI`, factored
+//!   the same way), each with its own projected search,
 //! * [`batch`] — a batch front-end that solves one problem per simulated
 //!   thread block on a [`gridsim_batch::Device`].
 //!
 //! Like the thread block it stands in for, one solve
 //! ([`TronSolver::solve_in_place`]) is stack-resident: every iterate,
-//! gradient, Hessian, Cauchy trial, free-block factor and CG vector is a
-//! fixed-size array, and nothing between entry and return touches the heap.
+//! gradient, Hessian, Cauchy trial and free-block factor is a fixed-size
+//! array, and nothing between entry and return touches the heap.
 
 pub mod batch;
 pub mod cauchy;
-pub mod cg;
 pub mod problem;
 pub mod tron;
 

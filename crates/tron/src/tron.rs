@@ -14,14 +14,11 @@
 //!    Hessian, the variables on a bound entering as identity rows, so it
 //!    has the problem's fixed shape. On the branch blocks ≥ 99.8 % of
 //!    iterations end here;
-//! 3. otherwise, compute the Cauchy point along the projected-gradient path,
-//!    searching down from the model's own step length `gᵀg / gᵀHg` capped at
-//!    the trust-region boundary, and refine within the subspace of free
-//!    variables at the Cauchy point: the LDLᵀ Newton step of their block
-//!    when it is positive definite and the step lies strictly inside the
-//!    remaining trust region, Steihaug–Toint conjugate gradients (with
-//!    negative-curvature handling) for every other block. A projected line
-//!    search then pulls the trial point back onto the bounds;
+//! 3. otherwise, compute the Cauchy point along the projected-gradient path
+//!    (from the model's own step length `gᵀg / gᵀHg`, capped at the
+//!    boundary) and refine it by subspace steps on the free variables —
+//!    LDLᵀ Newton steps, or Moré & Sorensen's trust-region steps of the
+//!    faces of the box — each followed by a projected search;
 //! 4. accept or reject the step based on the ratio of actual to predicted
 //!    reduction (`pred` is the model value the search computed for the step
 //!    taken), and update the trust-region radius — except when both
@@ -30,9 +27,8 @@
 //!    word.
 
 use crate::cauchy::{cauchy_point, model_value};
-use crate::cg::steihaug_cg;
 use crate::problem::{BoundProblem, MAX_DIM};
-use gridsim_sparse::dense::{norm2, SmallMatrix};
+use gridsim_sparse::dense::{dot, norm2, SmallMatrix};
 
 /// Options for the TRON solver.
 #[derive(Debug, Clone)]
@@ -55,25 +51,27 @@ impl Default for TronOptions {
     }
 }
 
-/// Resolution of the objective, relative to `max(1, |f|)`. When the actual
-/// and the predicted reduction of a step are both at most
-/// `FTOL * max(1, |f|)`, their ratio carries no information and the step is
-/// accepted as a good one.
-///
-/// The constant has two sides. It must sit above the rounding band of the
-/// objectives solved here: the branch objective is a cancellation-dominated
-/// sum (`|f|` ~1e-4 from terms of size 1–1e3) whose sampled `|ared|` noise
-/// reaches ≈ 1e-14 on `case9` and ≈ 1e-12 on the Pegase stand-ins; at `1e-12`
-/// some solves cycle to `max_iter`, and ADMM results are bit-identical for
-/// any value from `1e-11` to `1e-4`. And it is a hard bound on harm: `|ared|`
-/// is part of the test, so a step accepted under it raises `f` by at most
+/// Resolution of the objective, relative to `max(1, |f|)`: when the actual
+/// and the predicted reduction of a step are both within it, their ratio
+/// carries no information and the step is accepted. It must sit above the
+/// rounding of the objectives solved here (the branch objective, `|f|` ~1e-4
+/// from terms of 1–1e3, has sampled `|ared|` noise up to ≈ 1e-14 on `case9`
+/// and ≈ 1e-12 on the Pegase stand-ins; at `1e-12` some solves cycle to
+/// `max_iter`, and ADMM results are bit-identical from `1e-11` to `1e-4`).
+/// It also bounds the harm: a step accepted under it raises `f` by at most
 /// `FTOL * max(1, |f|)`.
 const FTOL: f64 = 1e-10;
 
-/// Steihaug–Toint CG iterations per subspace solve. A problem has at most
-/// [`MAX_DIM`] variables, so CG in exact arithmetic ends within that many;
-/// the cap only bounds a solve that rounding keeps going.
-const MAX_CG_ITER: usize = 50;
+/// Shifts `λ` the trust-region step tries before it gives up with a zero
+/// step. A finite block needs a handful; the cap ends the search on a block
+/// no shift factors (a NaN or an infinite entry).
+const MAX_SHIFTS: usize = 50;
+
+/// Relative accuracy `σ` of the trust-region step: a step whose norm is
+/// within `σΔ` of the radius lies on the boundary, and a hard-case step is
+/// taken once its near-null component costs at most `σ` of the model's
+/// curvature along the step (Moré & Sorensen's termination test).
+const SHIFT_TOL: f64 = 1e-10;
 
 /// Step acceptance threshold on the reduction ratio `ared / pred`
 /// (Lin & Moré's η₀ = 1e-4).
@@ -104,9 +102,8 @@ pub struct TronSummary {
     pub iterations: usize,
     /// How many of those iterations rejected their step.
     pub rejected: usize,
-    /// How many of those iterations took the direct step (the Newton step
-    /// of the free block from the iterate itself) instead of the Cauchy
-    /// point and the subspace refinement.
+    /// How many of those iterations took the direct step instead of the
+    /// Cauchy point and the subspace steps.
     pub direct: usize,
     /// Termination status.
     pub status: TronStatus,
@@ -127,15 +124,11 @@ pub struct TronResult {
     pub status: TronStatus,
 }
 
-/// The TRON solver: options only. An iteration takes the direct step (the
-/// free block's Newton step from the iterate) when it is admissible and
-/// TRON's Cauchy point, subspace step and projected line search otherwise;
-/// [`TronSummary::direct`] counts the former. A solve keeps its whole
-/// working set — gradient, Hessian, free-block factor, Cauchy and CG
-/// vectors, every trial step — in fixed-size arrays on the stack (problems
-/// have at most [`MAX_DIM`] variables), the way an ExaTron thread block
-/// works out of registers and shared memory, so the tens of thousands of
-/// block solves per ADMM iteration never touch the heap.
+/// The TRON solver: options only. A solve keeps its whole working set —
+/// gradient, Hessian, free-block factor, every trial step — in fixed-size
+/// arrays on the stack (problems have at most [`MAX_DIM`] variables), the
+/// way an ExaTron thread block works out of registers and shared memory,
+/// so the block solves of an ADMM iteration never touch the heap.
 #[derive(Debug, Clone)]
 pub struct TronSolver {
     opts: TronOptions,
@@ -151,11 +144,6 @@ impl TronSolver {
     /// Create a solver with the given options.
     pub fn new(opts: TronOptions) -> Self {
         TronSolver { opts }
-    }
-
-    /// Solver options.
-    pub fn options(&self) -> &TronOptions {
-        &self.opts
     }
 
     /// Minimize `problem` starting from `x0` (projected onto the bounds).
@@ -324,11 +312,14 @@ fn direct_step<P: BoundProblem>(
     Some((d, 0.5 * gd))
 }
 
-/// TRON's globalised step for the iterations [`direct_step`] refuses: the
-/// Cauchy point, the subspace step over the variables free there, and a
-/// projected line search that keeps the step in the box without raising
-/// the model above the Cauchy point's value. Returns the step and its
-/// model value.
+/// TRON's globalised step for the iterations [`direct_step`] refuses, with
+/// its model value: the Cauchy point `s_c`, then the free block's Newton
+/// step from it when [`newton_step`] finds it strictly inside the radius
+/// `√(Δ² − ‖s_c‖²)` left, and a projected search along it; [`face_steps`]
+/// when that step is refused. (Lin & Moré go on after a search the box
+/// stops; after the Newton step that would change the `sweep` benchmark's
+/// ADMM results.) A Cauchy step that fills the region, or leaves no
+/// variable free, stands.
 #[inline]
 fn cauchy_then_subspace<P: BoundProblem>(
     problem: &P,
@@ -339,12 +330,11 @@ fn cauchy_then_subspace<P: BoundProblem>(
 ) -> ([f64; MAX_DIM], f64) {
     let n = problem.dim();
     let mut scratch = [0.0; MAX_DIM];
-    let scratch = &mut scratch[..n];
     let cp = cauchy_point(problem, x, g, h, delta);
     let (mut step, mut q_step) = (cp.step, cp.model_value);
 
     // model gradient at the Cauchy point: g + H s
-    h.mul_vec(&step[..n], scratch);
+    h.mul_vec(&step[..n], &mut scratch[..n]);
     let (mut rhs, mut free) = ([0.0; MAX_DIM], [false; MAX_DIM]);
     let (rhs, free) = (&mut rhs[..n], &mut free[..n]);
     for i in 0..n {
@@ -352,59 +342,256 @@ fn cauchy_then_subspace<P: BoundProblem>(
         free[i] = xi > problem.lower(i) + 1e-12 && xi < problem.upper(i) - 1e-12;
         rhs[i] = -(g[i] + scratch[i]);
     }
-    let remaining = (delta * delta - step[..n].iter().map(|s| s * s).sum::<f64>())
-        .max(0.0)
-        .sqrt();
+    let cauchy_norm2 = dot(&step[..n], &step[..n]);
+    let remaining = (delta * delta - cauchy_norm2).max(0.0).sqrt();
     if remaining > 1e-14 && free.iter().any(|&fr| fr) {
-        let refinement = subspace_step(h, rhs, free, remaining);
-        // Projected line search on the refinement direction: scale the
-        // subspace step back until x + step stays feasible and the model
-        // does not increase relative to the Cauchy point.
-        let mut alpha = 1.0f64;
-        for _ in 0..20 {
-            let mut trial = step;
-            for (ti, si) in trial[..n].iter_mut().zip(&refinement[..n]) {
-                *ti += alpha * si;
-            }
-            // Project the trial step onto the box.
-            for (i, ti) in trial[..n].iter_mut().enumerate() {
-                let xi = (x[i] + *ti).clamp(problem.lower(i), problem.upper(i));
-                *ti = xi - x[i];
-            }
-            let q = model_value(g, h, &trial[..n], scratch);
-            if q <= cp.model_value + 1e-16 {
-                (step, q_step) = (trial, q);
-                break;
-            }
-            alpha *= 0.5;
+        if let Some(w) = newton_step(h, rhs, free, remaining) {
+            projected_search(problem, x, g, h, &w, &mut step, &mut q_step);
+        } else {
+            face_steps(problem, x, g, h, delta, &mut step, &mut q_step);
         }
     }
     (step, q_step)
 }
 
-/// The step on the free variables from the model gradient `-rhs` at the
-/// Cauchy point, inside a trust region of radius `delta`: the Newton step
-/// of the free block — the direct step's factor, over the variables free
-/// at the Cauchy point — when [`newton_step`] finds one inside the region,
-/// [`steihaug_cg`] otherwise — which keeps indefinite blocks and steps that
-/// reach the boundary on the path Steihaug's method handles. Zero on fixed
-/// variables.
+/// Lin & Moré's minor iterations after a refused Newton step: the
+/// trust-region step of [`Face::at`] the current step and a projected
+/// search toward it, while each search stops another variable on its bound
+/// (at most `dim` times). Cold and out of line: no benchmark workload
+/// reaches it, and inlined it would only grow the branch solve's code.
+#[cold]
+#[inline(never)]
+fn face_steps<P: BoundProblem>(
+    problem: &P,
+    x: &[f64],
+    g: &[f64],
+    h: &SmallMatrix,
+    delta: f64,
+    step: &mut [f64; MAX_DIM],
+    q_step: &mut f64,
+) {
+    let n = problem.dim();
+    for _ in 0..n {
+        let face = Face::at(problem, x, g, h, &step[..n], delta);
+        let free = &face.free[..n];
+        if !(face.radius > 1e-14 && free.contains(&true)) {
+            return;
+        }
+        let v = subspace_step(h, &face.rhs[..n], free, face.radius);
+        let w = std::array::from_fn(|i| if face.free[i] { v[i] - step[i] } else { 0.0 });
+        if !projected_search(problem, x, g, h, &w, step, q_step) {
+            return;
+        }
+    }
+}
+
+/// The projected search along `w`: the first of `α = 1, ½, …` (20 of them)
+/// whose step `P[x + step + αw] − x` has a model value no higher than
+/// `q_step` replaces `step` and `q_step`. Returns whether the box stopped a
+/// moving variable of the step taken (false when none is taken).
 #[inline]
-fn subspace_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64; MAX_DIM] {
-    newton_step(h, rhs, free, delta)
-        .unwrap_or_else(|| steihaug_cg(h, rhs, free, delta, 1e-8, MAX_CG_ITER).step)
+fn projected_search<P: BoundProblem>(
+    problem: &P,
+    x: &[f64],
+    g: &[f64],
+    h: &SmallMatrix,
+    w: &[f64; MAX_DIM],
+    step: &mut [f64; MAX_DIM],
+    q_step: &mut f64,
+) -> bool {
+    let n = problem.dim();
+    let mut scratch = [0.0; MAX_DIM];
+    let mut alpha = 1.0f64;
+    for _ in 0..20 {
+        let (mut trial, mut stopped) = (*step, false);
+        for i in 0..n {
+            let ti = trial[i] + alpha * w[i];
+            let xi = (x[i] + ti).clamp(problem.lower(i), problem.upper(i));
+            stopped |= w[i] != 0.0 && xi != x[i] + ti;
+            trial[i] = xi - x[i];
+        }
+        let q = model_value(g, h, &trial[..n], &mut scratch[..n]);
+        if q <= *q_step + 1e-16 {
+            (*step, *q_step) = (trial, q);
+            return stopped;
+        }
+        alpha *= 0.5;
+    }
+    false
+}
+
+/// The trust-region subproblem on the face of the box `x + step` lies on:
+/// variables strictly inside their bounds (by 1e-12) are free, the others
+/// held at their step entries `s_H`. A step `s_H + v` has model value
+/// `q(s_H) − rhsᵀv + ½ vᵀH_FF v` and norm `√(‖s_H‖² + ‖v‖²)`, so
+/// [`subspace_step`]`(h, rhs, free, radius)` is the face's step `v`.
+#[derive(Debug, Clone, Copy)]
+pub struct Face {
+    /// The free variables (the first `dim` entries).
+    pub free: [bool; MAX_DIM],
+    /// `−(g + H s_H)`.
+    pub rhs: [f64; MAX_DIM],
+    /// `√(Δ² − ‖s_H‖²)`.
+    pub radius: f64,
+}
+
+impl Face {
+    /// The face of `x + step` for gradient `g`, Hessian `h` and radius `delta`.
+    pub fn at<P: BoundProblem>(
+        problem: &P,
+        x: &[f64],
+        g: &[f64],
+        h: &SmallMatrix,
+        step: &[f64],
+        delta: f64,
+    ) -> Face {
+        let n = problem.dim();
+        let (mut free, mut held, mut rhs) = ([false; MAX_DIM], [0.0; MAX_DIM], [0.0; MAX_DIM]);
+        for i in 0..n {
+            let xi = x[i] + step[i];
+            free[i] = xi > problem.lower(i) + 1e-12 && xi < problem.upper(i) - 1e-12;
+            held[i] = if free[i] { 0.0 } else { step[i] };
+        }
+        h.mul_vec(&held[..n], &mut rhs[..n]);
+        rhs.iter_mut().zip(g).for_each(|(r, gi)| *r = -(gi + *r));
+        let held_norm2 = dot(&held[..n], &held[..n]);
+        let radius = (delta * delta - held_norm2).max(0.0).sqrt();
+        Face { free, rhs, radius }
+    }
+}
+
+/// The trust-region step on the free variables `F` for the model gradient
+/// `−rhs` in a region of finite radius `delta` (Moré & Sorensen 1983): `d`
+/// minimises `−rhs_Fᵀd + ½ dᵀH_FF d` over `‖d‖ ≤ Δ`, so `(H_FF + λI) d_F =
+/// rhs_F` for a `λ ≥ 0` with `H_FF + λI ⪰ 0` and `λ (‖d‖ − Δ) = 0`; zero on
+/// held variables. `λ = 0` is `newton_step`'s step, bit for bit, when it
+/// is taken; every other block goes to `shifted_step`.
+#[inline]
+pub fn subspace_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64; MAX_DIM] {
+    newton_step(h, rhs, free, delta).unwrap_or_else(|| shifted_step(h, rhs, free, delta))
+}
+
+/// Moré–Sorensen's iteration for the blocks [`newton_step`] refuses:
+/// safeguarded Newton steps on `1/Δ − 1/‖d(λ)‖`, every solve an
+/// [`SmallMatrix::ldlt_solve_masked`] of a copy of `h` with `λ` added to the
+/// free diagonal (held variables stay identity rows).
+///
+/// `λ` stays between bounds on the solution's shift: below, `0`, `−min H_ii`,
+/// `‖rhs_F‖/Δ` less the top of `H_FF`'s Gershgorin discs, shifts refused or
+/// with too long a step, and the Rayleigh bound `λ − zᵀ(H_FF + λI)z`;
+/// above, `‖rhs_F‖/Δ` less the bottom of the discs (doubled when a refused
+/// shift reaches it) and shifts with too short a step. A Newton step out of
+/// bounds becomes `lo + 1e-3(hi − lo)`, or their geometric mean after a
+/// refused shift.
+///
+/// The hard case (`rhs_F` ⟂ the eigenvectors of `H_FF`'s lowest eigenvalue
+/// `λ₁`, shift `−λ₁`): three inverse-iteration solves give a near-null unit
+/// direction `z`, and the step is `d + τz` on the boundary (`τ` the smaller
+/// root) once `τ² zᵀ(H_FF + λI)z ≤ σ (rhs_Fᵀd + (λ + ‖H_FF‖)Δ²)`, `σ` =
+/// [`SHIFT_TOL`]. The Gershgorin `‖H_FF‖` is the rounding floor of the
+/// computed curvature, which a `−λ₁` far below `‖H_FF‖` would never pass.
+///
+/// A NaN or infinite block or `rhs_F` fails every exit: after [`MAX_SHIFTS`]
+/// the step is zero, and the NaN model values make the projected search take
+/// nothing. Cold and out of line, like [`face_steps`].
+#[cold]
+#[inline(never)]
+fn shifted_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64; MAX_DIM] {
+    let n = free.len();
+    let mut b = [0.0; MAX_DIM];
+    let (mut bottom, mut top, mut diagonal) = (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY);
+    for i in (0..n).filter(|&i| free[i]) {
+        let radius: f64 = (0..n)
+            .filter(|&j| free[j] && j != i)
+            .map(|j| h[(i, j)].abs())
+            .sum();
+        bottom = bottom.min(h[(i, i)] - radius);
+        top = top.max(h[(i, i)] + radius);
+        diagonal = diagonal.min(h[(i, i)]);
+        b[i] = rhs[i];
+    }
+    let b = &b[..n];
+    let ratio = norm2(b) / delta;
+    let mut lo = 0f64.max(-diagonal).max(ratio - top);
+    let mut hi = 0f64.max(ratio - bottom);
+    let mut lambda = lo;
+    for _ in 0..MAX_SHIFTS {
+        let mut shifted = h.clone();
+        for i in (0..n).filter(|&i| free[i]) {
+            shifted[(i, i)] += lambda;
+        }
+        // A refusal depends on the matrix alone, so once `b` is solved every
+        // other right-hand side is too.
+        let solve = |v: &[f64]| shifted.ldlt_solve_masked(free, v);
+        let Some(mut d) = solve(b) else {
+            lo = lambda;
+            if hi <= lo {
+                hi = 2.0 * lo;
+            }
+            lambda = (lo * hi).sqrt().max(1e-3 * hi);
+            continue;
+        };
+        let d_norm = norm2(&d[..n]);
+        if (d_norm - delta).abs() <= SHIFT_TOL * delta {
+            return d;
+        }
+        if d_norm > delta {
+            lo = lambda;
+        } else {
+            hi = lambda;
+            let mut z = [0.0; MAX_DIM];
+            for i in (0..n).filter(|&i| free[i]) {
+                z[i] = (i + 1) as f64;
+            }
+            for _ in 0..3 {
+                let norm = norm2(&z[..n]);
+                z = solve(&z.map(|v| v / norm)[..n]).unwrap_or([f64::NAN; MAX_DIM]);
+            }
+            let norm = norm2(&z[..n]);
+            z = z.map(|v| v / norm);
+            let mut hz = [0.0; MAX_DIM];
+            shifted.mul_vec(&z[..n], &mut hz[..n]);
+            let curvature: f64 = (0..n).filter(|&i| free[i]).map(|i| z[i] * hz[i]).sum();
+            lo = lo.max(lambda - curvature);
+            if dot(&d[..n], &z[..n]) < 0.0 {
+                z = z.map(|v| -v);
+            }
+            let tau = boundary_step(&d[..n], &z[..n], delta);
+            let scale = dot(b, &d[..n]) + (lambda + top.max(-bottom)) * delta * delta;
+            if tau * tau * curvature <= SHIFT_TOL * scale {
+                for (di, zi) in d.iter_mut().zip(z) {
+                    *di += tau * zi;
+                }
+                return d;
+            }
+        }
+        let q = solve(&d[..n]).unwrap_or([f64::NAN; MAX_DIM]);
+        let newton = lambda + d_norm * d_norm / dot(&d[..n], &q[..n]) * (d_norm - delta) / delta;
+        lambda = if lo < newton && newton < hi {
+            newton
+        } else {
+            lo + 1e-3 * (hi - lo)
+        };
+    }
+    [0.0; MAX_DIM]
+}
+
+/// The root `τ ≥ 0` of `‖d + τp‖ = Δ` for `‖d‖ ≤ Δ` and `dᵀp ≥ 0`, the
+/// root of smaller magnitude, written so that it does not cancel.
+#[inline]
+fn boundary_step(d: &[f64], p: &[f64], delta: f64) -> f64 {
+    let (dp, pp) = (dot(d, p), dot(p, p));
+    let room = (delta * delta - dot(d, d)).max(0.0);
+    room / (dp + (dp * dp + pp * room).sqrt())
 }
 
 /// `d = H_FF⁻¹ rhs_F` on the free variables `F`, zero elsewhere, when the
-/// free block's LDLᵀ factor exists and `‖d‖ < delta` — the strict test
-/// [`steihaug_cg`]'s boundary exit uses; `None` otherwise. A branch block
-/// has at most six free variables, so factoring the block outright costs
-/// less than the several latency-bound CG iterations that would converge
-/// to the same step. The factor is [`SmallMatrix::ldlt_solve_masked`],
-/// which keeps the held variables in place as identity rows, so where
-/// `problem.dim()` is a constant it runs at that fixed shape; always
-/// inlined, so that the constant reaches it. Reads the lower triangle of
-/// the free block of `h`.
+/// free block's LDLᵀ factor exists and `‖d‖ < delta` (strictly, so that a
+/// step on the boundary is [`shifted_step`]'s); `None` otherwise. The
+/// factor is [`SmallMatrix::ldlt_solve_masked`], which keeps the held
+/// variables in place as identity rows, so where `problem.dim()` is a
+/// constant it runs at that fixed shape; always inlined, so that the
+/// constant reaches it. Reads the lower triangle of the free block of `h`.
 #[inline(always)]
 fn newton_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> Option<[f64; MAX_DIM]> {
     let d = h.ldlt_solve_masked(free, rhs)?;
@@ -652,7 +839,7 @@ mod tests {
         );
         let mut x = [1.0 + 1e-9];
         let solver = TronSolver::default();
-        assert!(100.0 * (x[0] - 1.0) > solver.options().gtol);
+        assert!(100.0 * (x[0] - 1.0) > TronOptions::default().gtol);
         let res = solver.solve_in_place(&p, &mut x);
         assert_eq!(res.status, TronStatus::Converged, "{res:?}");
         assert!(res.iterations <= 3 && res.rejected == 0, "{res:?}");
@@ -741,89 +928,306 @@ mod tests {
         assert_eq!(x, start);
     }
 
-    /// Whether the block of `h` on the `free` variables is positive
-    /// definite, by a textbook Cholesky factorization that shares no code
-    /// with the LDLᵀ under test.
-    fn free_block_is_positive_definite(h: &SmallMatrix, free: &[bool]) -> bool {
-        let index: Vec<usize> = (0..free.len()).filter(|&i| free[i]).collect();
-        let mut l = vec![vec![0.0; index.len()]; index.len()];
-        for a in 0..index.len() {
-            for b in 0..=a {
-                let dot: f64 = (0..b).map(|k| l[a][k] * l[b][k]).sum();
-                let v = h[(index[a], index[b])] - dot;
-                if a == b {
-                    if v.is_nan() || v <= 0.0 {
-                        return false;
+    /// The free block of `h`, gathered and diagonalised by cyclic Jacobi
+    /// rotations: a dense symmetric eigen-solve that shares no code with the
+    /// LDLᵀ factor under test. `vectors[k]` is the unit eigenvector of
+    /// `values[k]` scattered to all of `h`'s coordinates (zero on held
+    /// ones); `values` ascend.
+    struct FreeEigen {
+        values: Vec<f64>,
+        vectors: Vec<Vec<f64>>,
+    }
+
+    impl FreeEigen {
+        fn of(h: &SmallMatrix, free: &[bool]) -> Self {
+            let index: Vec<usize> = (0..free.len()).filter(|&i| free[i]).collect();
+            let m = index.len();
+            let mut a: Vec<Vec<f64>> = index
+                .iter()
+                .map(|&i| index.iter().map(|&j| h[(i, j)]).collect())
+                .collect();
+            let mut v: Vec<Vec<f64>> = (0..m)
+                .map(|i| (0..m).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
+                .collect();
+            for _sweep in 0..100 {
+                let off: f64 = (0..m)
+                    .flat_map(|p| (0..m).filter(move |&q| q != p).map(move |q| (p, q)))
+                    .map(|(p, q)| a[p][q] * a[p][q])
+                    .sum();
+                let diag: f64 = (0..m).map(|p| a[p][p] * a[p][p]).sum();
+                if off <= 1e-32 * diag {
+                    break;
+                }
+                for p in 0..m {
+                    for q in p + 1..m {
+                        if a[p][q] == 0.0 {
+                            continue;
+                        }
+                        // The rotation that zeroes a[p][q] (the smaller angle).
+                        let theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q]);
+                        let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                        let c = 1.0 / (t * t + 1.0).sqrt();
+                        let s = t * c;
+                        for row in a.iter_mut().chain(v.iter_mut()) {
+                            let (kp, kq) = (row[p], row[q]);
+                            row[p] = c * kp - s * kq;
+                            row[q] = s * kp + c * kq;
+                        }
+                        let (rp, rq) = (a[p].clone(), a[q].clone());
+                        for k in 0..m {
+                            a[p][k] = c * rp[k] - s * rq[k];
+                            a[q][k] = s * rp[k] + c * rq[k];
+                        }
                     }
-                    l[a][a] = v.sqrt();
-                } else {
-                    l[a][b] = v / l[b][b];
                 }
             }
+            let mut order: Vec<usize> = (0..m).collect();
+            order.sort_by(|&i, &j| a[i][i].total_cmp(&a[j][j]));
+            let values = order.iter().map(|&k| a[k][k]).collect();
+            let vectors = order
+                .iter()
+                .map(|&k| {
+                    let mut full = vec![0.0; free.len()];
+                    for (r, &i) in index.iter().enumerate() {
+                        full[i] = v[r][k];
+                    }
+                    full
+                })
+                .collect();
+            FreeEigen { values, vectors }
         }
-        true
+
+        /// `Σ vₖ (vₖᵀb) / (λₖ + shift)` over the eigenpairs from `first`
+        /// on: `(H_FF + shift·I)⁻¹ b_F` for `first = 0`, and the
+        /// pseudo-inverse step of the hard case for `first = 1`.
+        fn solve(&self, b: &[f64], shift: f64, first: usize) -> Vec<f64> {
+            let mut d = vec![0.0; b.len()];
+            for (value, vector) in self.values.iter().zip(&self.vectors).skip(first) {
+                let weight = dot(vector, b) / (value + shift);
+                for (di, vi) in d.iter_mut().zip(vector) {
+                    *di += weight * vi;
+                }
+            }
+            d
+        }
+    }
+
+    #[test]
+    fn the_eigen_oracle_diagonalises_the_free_block() {
+        let mut h = SmallMatrix::zeros(4);
+        let data = [
+            [4.0, 1.0, 0.0, -2.0],
+            [1.0, -3.0, 0.5, 0.0],
+            [0.0, 0.5, 2.0, 1.0],
+            [-2.0, 0.0, 1.0, 0.0],
+        ];
+        for i in 0..4 {
+            for j in 0..4 {
+                h[(i, j)] = data[i][j];
+            }
+        }
+        let free = [true, true, false, true];
+        let eigen = FreeEigen::of(&h, &free);
+        assert!(eigen.values.windows(2).all(|w| w[0] <= w[1]));
+        for (value, v) in eigen.values.iter().zip(&eigen.vectors) {
+            assert_eq!(v[2], 0.0);
+            assert!((norm2(v) - 1.0).abs() < 1e-14);
+            let mut hv = [0.0; 4];
+            h.mul_vec(v, &mut hv);
+            for i in [0, 1, 3] {
+                assert!(
+                    (hv[i] - value * v[i]).abs() < 1e-13,
+                    "{hv:?} vs {value} {v:?}"
+                );
+            }
+        }
+    }
+
+    /// Why `d` fails to solve `min −rhs_Fᵀd + ½ dᵀH_FF d, ‖d‖ ≤ Δ,
+    /// d_held = 0` (finite data), if it does. When the block's Newton step
+    /// lies strictly inside the region, `d` must be it, bit for bit.
+    /// Otherwise `d` must lie on the boundary and meet Moré & Sorensen's
+    /// optimality conditions for the shift `λ = (rhs_Fᵀd − dᵀH_FF d)/‖d‖²`
+    /// it implies, judged against the eigen oracle.
+    fn subproblem_violation(
+        h: &SmallMatrix,
+        rhs: &[f64],
+        free: &[bool],
+        delta: f64,
+        d: [f64; MAX_DIM],
+    ) -> Option<String> {
+        let n = free.len();
+        let d = &d[..n];
+        if (0..n).any(|i| !free[i] && d[i] != 0.0) {
+            return Some(format!("a held variable moves: {d:?}"));
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        if let Some(newton) = newton_step(h, rhs, free, delta) {
+            return (bits(&newton[..n]) != bits(d))
+                .then(|| format!("d = {d:?} is not the Newton step {newton:?}, strictly inside"));
+        }
+        let eigen = FreeEigen::of(h, free);
+        let scale = eigen.values.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        let d_norm = norm2(d);
+        if !(d_norm <= delta * (1.0 + 1e-9) && d_norm >= delta * (1.0 - 1e-9)) {
+            return Some(format!("‖d‖ = {d_norm} off the boundary Δ = {delta}"));
+        }
+        let (mut rhs_d, mut curvature, mut rhs_norm) = (0.0, 0.0, 0.0f64);
+        let mut hd = [0.0; MAX_DIM];
+        for i in (0..n).filter(|&i| free[i]) {
+            hd[i] = (0..n).filter(|&j| free[j]).map(|j| h[(i, j)] * d[j]).sum();
+            rhs_d += rhs[i] * d[i];
+            curvature += d[i] * hd[i];
+            rhs_norm = rhs_norm.max(rhs[i].abs());
+        }
+        let lambda = (rhs_d - curvature) / (d_norm * d_norm);
+        // The rounding of λ's own formula.
+        let slack = 1e-9 * (scale + rhs_norm / d_norm);
+        if lambda.is_nan() || lambda < -slack {
+            return Some(format!("λ = {lambda}"));
+        }
+        if lambda < -eigen.values[0] - slack {
+            return Some(format!("λ = {lambda} < −λ_min = {}", -eigen.values[0]));
+        }
+        let residual = (0..n)
+            .filter(|&i| free[i])
+            .map(|i| (hd[i] + lambda * d[i] - rhs[i]).abs())
+            .fold(0.0f64, f64::max);
+        if residual > 1e-6 * (rhs_norm + (scale + lambda) * d_norm) {
+            return Some(format!(
+                "‖(H_FF + λI)d − rhs_F‖∞ = {residual:e}, λ = {lambda}"
+            ));
+        }
+        None
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// On the dense 6-variable box QPs of the Cauchy contract test, with
-        /// random free masks and radii (a third of them exactly the norm of
-        /// the free block's Newton step, where the strict test must send the
-        /// step to CG): when the free block is positive definite and its
-        /// Newton step lies strictly inside the region, the subspace step
-        /// solves `H_FF d = rhs_F` and agrees with a tightly converged CG;
-        /// otherwise it is bitwise the CG step TRON took before the factor.
+        /// random free masks and log-uniform radii, the subspace step solves
+        /// the trust-region subproblem on the free block. A seventh of the
+        /// cases are the hard case (`rhs_F` orthogonal to the lowest
+        /// eigenvector, the radius past the pseudo-inverse step), a seventh
+        /// the same with the block's spectrum spread wide (its lowest
+        /// eigenvalue `−1e-10` of the largest, the others from `1e-1` to 1 of
+        /// it, so the near-null direction's curvature is down at the
+        /// factor's rounding), a seventh set the radius to the Newton step's
+        /// norm (where the strict `‖d‖ < Δ` sends the step to the shifted
+        /// iteration at `λ = 0`), and a seventh put a NaN or `±∞` into the
+        /// free block or `rhs_F`, where the step is zero.
         #[test]
-        fn subspace_step_is_the_free_newton_step_or_steihaug_cg(
+        fn the_subspace_step_solves_the_trust_region_subproblem(
             shape in 0..12usize,
             scale in prop::collection::vec(0.1f64..1.0, 6),
             s in prop::collection::vec(-1.0f64..1.0, 36),
             c in prop::collection::vec(-3.0f64..3.0, 6),
             unit_x in prop::collection::vec(-1.0f64..1.0, 6),
             mask in 1..64usize,
-            on_newton_norm in 0..3usize,
+            kind in 0..7usize,
+            log_delta in -3.0f64..3.0,
+            poison in 0..3usize,
+            spot in prop::collection::vec(0..6usize, 3),
+        ) {
+            let (qp, x) = dense_box_qp(shape, &scale, &s, c, &unit_x);
+            let (g, mut h) = derivatives_at(&qp, &x);
+            let mut rhs: Vec<f64> = g.iter().map(|v| -v).collect();
+            let free: Vec<bool> = (0..6).map(|i| mask >> i & 1 == 1).collect();
+            let mut delta = 10f64.powf(log_delta);
+            if kind == 6 {
+                // H_FF = Σ μₖ vₖvₖᵀ on the oracle's eigenvectors, μ₀ = −1e-7,
+                // the others 1e2–1e3 (from `scale`); held entries unchanged.
+                let eigen = FreeEigen::of(&h, &free);
+                for i in (0..6).filter(|&i| free[i]) {
+                    for j in (0..6).filter(|&j| free[j]) {
+                        h[(i, j)] = eigen.vectors.iter().enumerate().map(|(k, v)| {
+                            let mu = if k == 0 { -1e-7 } else { 1e3 * scale[k] };
+                            mu * v[i] * v[j]
+                        }).sum();
+                    }
+                }
+            }
+            match kind {
+                3 | 6 => {
+                    let eigen = FreeEigen::of(&h, &free);
+                    let along = dot(&eigen.vectors[0], &rhs);
+                    for (r, v) in rhs.iter_mut().zip(&eigen.vectors[0]) {
+                        *r -= along * v;
+                    }
+                    let pseudo = eigen.solve(&rhs, -eigen.values[0], 1);
+                    delta = (norm2(&pseudo) + 1e-3) * (1.0 + delta);
+                }
+                4 => {
+                    if let Some(d) = newton_step(&h, &rhs, &free, f64::INFINITY) {
+                        delta = norm2(&d[..6]);
+                    }
+                }
+                5 => {
+                    let index: Vec<usize> = (0..6).filter(|&i| free[i]).collect();
+                    let (i, j) = (index[spot[0] % index.len()], index[spot[1] % index.len()]);
+                    let value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison];
+                    if spot[2] == 0 {
+                        rhs[i] = value;
+                    } else {
+                        h[(i, j)] = value;
+                        h[(j, i)] = value;
+                    }
+                }
+                _ => {}
+            }
+            let d = subspace_step(&h, &rhs, &free, delta);
+            let finite = (0..6).filter(|&i| free[i]).all(|i| {
+                rhs[i].is_finite() && (0..6).filter(|&j| free[j]).all(|j| h[(i, j)].is_finite())
+            });
+            if finite {
+                let violation = subproblem_violation(&h, &rhs, &free, delta, d);
+                prop_assert!(violation.is_none(), "{violation:?}: Δ = {delta}, {d:?}");
+            } else {
+                prop_assert_eq!(d, [0.0; MAX_DIM]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// On the dense 6-variable box QPs, with log-uniform radii, the
+        /// globalised step lies in the box, reports its own model value and
+        /// decreases the model at least as much as the Cauchy point. When
+        /// the free block's Newton step from the Cauchy point is refused, so
+        /// that the face steps take over, it also lies inside the region.
+        #[test]
+        fn the_globalised_step_keeps_its_contract(
+            shape in 0..12usize,
+            scale in prop::collection::vec(0.1f64..1.0, 6),
+            s in prop::collection::vec(-1.0f64..1.0, 36),
+            c in prop::collection::vec(-3.0f64..3.0, 6),
+            unit_x in prop::collection::vec(-1.0f64..1.0, 6),
             log_delta in -3.0f64..3.0,
         ) {
             let (qp, x) = dense_box_qp(shape, &scale, &s, c, &unit_x);
             let (g, h) = derivatives_at(&qp, &x);
-            let rhs: Vec<f64> = g.iter().map(|v| -v).collect();
-            let free: Vec<bool> = (0..6).map(|i| mask >> i & 1 == 1).collect();
-            let newton_norm =
-                newton_step(&h, &rhs, &free, f64::INFINITY).map(|d| norm2(&d[..6]));
-            let delta = match newton_norm {
-                Some(norm) if on_newton_norm == 0 => norm,
-                _ => 10f64.powf(log_delta),
-            };
-            let step = subspace_step(&h, &rhs, &free, delta);
-            let inside = newton_norm.is_some_and(|norm| norm < delta);
-            if free_block_is_positive_definite(&h, &free) && inside {
-                let mut hd = [0.0; 6];
-                h.mul_vec(&step[..6], &mut hd);
-                let (mut residual, mut rhs_norm, mut h_norm) = (0.0f64, 0.0f64, 0.0f64);
-                for i in (0..6).filter(|&i| free[i]) {
-                    residual = residual.max((hd[i] - rhs[i]).abs());
-                    rhs_norm = rhs_norm.max(rhs[i].abs());
-                    let row = (0..6).filter(|&j| free[j]).map(|j| h[(i, j)].abs());
-                    h_norm = h_norm.max(row.sum());
-                }
-                let step_norm = norm2(&step[..6]);
-                prop_assert!(
-                    residual <= 1e-10 * (rhs_norm + h_norm * step_norm),
-                    "‖H_FF d − rhs‖∞ = {residual:e}"
-                );
-                // An unbounded region: Jacobi-preconditioned iterates grow in
-                // the preconditioner's norm, not the Euclidean one, so a radius
-                // the Newton step fits in may still stop CG early.
-                let cg = steihaug_cg(&h, &rhs, &free, f64::INFINITY, 1e-12, MAX_CG_ITER);
-                let gap: Vec<f64> = (0..6).map(|i| step[i] - cg.step[i]).collect();
-                prop_assert!(norm2(&gap) <= 1e-8 * step_norm, "‖d − d_cg‖ = {:e}", norm2(&gap));
-                for i in (0..6).filter(|&i| !free[i]) {
-                    prop_assert_eq!(step[i], 0.0);
-                }
-            } else {
-                let cg = steihaug_cg(&h, &rhs, &free, delta, 1e-8, MAX_CG_ITER);
-                prop_assert_eq!(step.map(f64::to_bits), cg.step.map(f64::to_bits));
+            let delta = 10f64.powf(log_delta);
+            let (step, q) = cauchy_then_subspace(&qp, &x, &g, &h, delta);
+            let step = &step[..6];
+            for i in 0..6 {
+                let (xi, slack) = (x[i] + step[i], 1e-12 * qp.u[i]);
+                prop_assert!(qp.l[i] - slack <= xi && xi <= qp.u[i] + slack, "x + s leaves the box at {i}");
+            }
+            let exact = model_value(&g, &h, step, &mut [0.0; 6]);
+            prop_assert_eq!(q.to_bits(), exact.to_bits());
+            let cp = cauchy_point(&qp, &x, &g, &h, delta);
+            prop_assert!(q <= cp.model_value + 1e-16, "q = {q}, q(cauchy) = {}", cp.model_value);
+            let (free, cauchy) = (&Face::at(&qp, &x, &g, &h, &cp.step, delta).free[..6], &cp.step[..6]);
+            let mut rhs = [0.0; 6];
+            h.mul_vec(cauchy, &mut rhs);
+            for (r, gi) in rhs.iter_mut().zip(&g) {
+                *r = -(gi + *r);
+            }
+            let remaining = (delta * delta - dot(cauchy, cauchy)).max(0.0).sqrt();
+            if newton_step(&h, &rhs, free, remaining).is_none() {
+                let norm = norm2(step);
+                prop_assert!(norm <= delta * (1.0 + 1e-9), "‖s‖ = {norm} > Δ = {delta}");
             }
         }
     }
@@ -889,14 +1293,10 @@ mod tests {
             let (g, h) = derivatives_at(&qp, &x);
             let delta = 10f64.powf(log_delta);
             let held_ok = (0..6).all(|i| free[i] || (x[i] - g[i]).clamp(qp.l[i], qp.u[i]) == x[i]);
-            let cg = steihaug_cg(
-                &h,
-                &g.iter().map(|v| -v).collect::<Vec<f64>>(),
-                &free,
-                f64::INFINITY,
-                1e-12,
-                MAX_CG_ITER,
-            );
+            let eigen = FreeEigen::of(&h, &free);
+            let positive_definite = eigen.values.first().is_none_or(|&low| low > 0.0);
+            let minus_g: Vec<f64> = g.iter().map(|v| -v).collect();
+            let newton = eigen.solve(&minus_g, 0.0, 0);
             match direct_step(&qp, &x, &g, &h, delta) {
                 Some((d, q)) => {
                     prop_assert!(held_ok);
@@ -937,11 +1337,11 @@ mod tests {
                     // A refusal: a held variable the gradient moves, no
                     // positive-definite free block, a Newton step on or
                     // outside the region, or one that leaves the box (the
-                    // last two judged with a tightly converged CG step).
-                    let d = &cg.step[..6];
+                    // last two judged with the eigen oracle's Newton step).
+                    let d = &newton[..];
                     let near = 1e-6 * (1.0 + norm2(d));
                     let reason = !held_ok
-                        || !free_block_is_positive_definite(&h, &free)
+                        || !positive_definite
                         || norm2(d) >= delta - near
                         || (0..6).any(|i| {
                             free[i] && !(qp.l[i] + near < x[i] + d[i] && x[i] + d[i] < qp.u[i] - near)
