@@ -102,15 +102,16 @@ impl ProblemData {
         params: &AdmmParams,
         pg_bounds: Option<&(Vec<f64>, Vec<f64>)>,
     ) -> ProblemData {
-        // Internal objective scaling (see `AdmmParams::obj_scale`): keep the
+        // Internal objective scaling: scaling the whole objective by a
+        // positive constant does not move the minimizer, but it sets how
+        // strongly the cost competes with the consensus penalties (the paper
+        // scales the 70k case's objective by 2 for the same reason). Keep the
         // largest marginal cost comparable to rho_pq so the generator
         // consensus converges at the same rate as the rest of the algorithm.
-        let obj_scale = params.obj_scale.unwrap_or_else(|| {
-            let grad_max = (0..net.ngen)
-                .map(|g| 2.0 * net.cost_c2[g] * net.pmax[g] + net.cost_c1[g].abs())
-                .fold(1.0f64, f64::max);
-            (10.0 * params.rho_pq / grad_max).min(1.0)
-        });
+        let grad_max = (0..net.ngen)
+            .map(|g| 2.0 * net.cost_c2[g] * net.pmax[g] + net.cost_c1[g].abs())
+            .fold(1.0f64, f64::max);
+        let obj_scale = (10.0 * params.rho_pq / grad_max).min(1.0);
         let gens = (0..net.ngen)
             .map(|g| {
                 let (pmin, pmax) = match pg_bounds {

@@ -24,14 +24,6 @@ pub struct AdmmParams {
     pub max_outer: usize,
     /// Maximum number of inner iterations per outer iteration (paper: 1000).
     pub max_inner: usize,
-    /// Internal scaling of the generation-cost objective relative to the
-    /// ADMM penalty terms. Scaling the whole objective by a positive constant
-    /// does not change the minimizer, but it controls how strongly the cost
-    /// competes with the consensus penalties during the iterations (the paper
-    /// scales the 70k case's objective by 2 for the same reason). `None`
-    /// selects an automatic scale so the largest marginal cost is comparable
-    /// to `rho_pq`.
-    pub obj_scale: Option<f64>,
     /// TRON options used by the batch branch solver.
     pub tron: TronOptions,
 }
@@ -46,7 +38,6 @@ impl Default for AdmmParams {
             eps_inner: 2e-6,
             max_outer: 20,
             max_inner: 1000,
-            obj_scale: None,
             tron: TronOptions {
                 max_iter: 60,
                 gtol: 1e-7,

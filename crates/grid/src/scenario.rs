@@ -189,7 +189,8 @@ impl ScenarioSet {
     }
 
     /// `k` scenarios with independent per-bus load multipliers drawn
-    /// uniformly from `[1 − sigma, 1 + sigma]`. Deterministic in `seed`.
+    /// uniformly from `[1 − sigma, 1 + sigma]`. Deterministic in `seed`;
+    /// `sigma = 0` gives `k` nominal-load scenarios without a draw.
     pub fn perturbed_loads(base: Case, k: usize, sigma: f64, seed: u64) -> ScenarioSet {
         assert!(k > 0, "need at least one scenario");
         assert!((0.0..1.0).contains(&sigma), "sigma must be in [0, 1)");
@@ -199,7 +200,10 @@ impl ScenarioSet {
             .map(|i| Scenario {
                 name: format!("{}_perturbed{}", base.name, i),
                 bus_load_scale: (0..nbus)
-                    .map(|_| 1.0 + rng.gen_range(-sigma..sigma))
+                    .map(|_| match sigma > 0.0 {
+                        true => 1.0 + rng.gen_range(-sigma..sigma),
+                        false => 1.0,
+                    })
                     .collect(),
                 branch_outages: Vec::new(),
                 gen_outage: None,
@@ -476,6 +480,18 @@ mod tests {
                 assert!((0.97..=1.03).contains(&f));
             }
         }
+    }
+
+    /// `sigma = 0` is in the documented range: nominal loads, no draw. It
+    /// used to panic in the sampler on the empty range `-0.0..0.0`.
+    #[test]
+    fn unperturbed_loads_are_nominal() {
+        let set = ScenarioSet::perturbed_loads(cases::case9(), 3, 0.0, 7);
+        assert_eq!(set.len(), 3);
+        for s in &set.scenarios {
+            assert!(s.bus_load_scale.iter().all(|&f| f == 1.0));
+        }
+        assert!(set.networks().is_ok());
     }
 
     #[test]

@@ -368,6 +368,8 @@ impl JobSpec {
                 self.name
             ));
         }
+        let ScenarioSpec { lo, hi, sigma, .. } = self.scenarios;
+        let positive = |f: f64| f.is_finite() && f > 0.0;
         match self.scenarios.kind {
             ScenarioKind::Contingency => {
                 if self.scenarios.levels == 0 {
@@ -378,11 +380,18 @@ impl JobSpec {
                     .validate()
                     .map_err(|e| format!("contingency recipe: {e}"))?;
             }
-            _ => {
-                if self.scenarios.count == 0 {
-                    return Err("scenario count must be at least 1".to_string());
-                }
+            _ if self.scenarios.count == 0 => {
+                return Err("scenario count must be at least 1".to_string());
             }
+            ScenarioKind::LoadRamp if !(positive(lo) && positive(hi)) => {
+                return Err(format!(
+                    "load ramp [{lo}, {hi}] must be positive and finite"
+                ));
+            }
+            ScenarioKind::PerturbedLoads if !(0.0..1.0).contains(&sigma) => {
+                return Err(format!("sigma {sigma} outside [0, 1)"));
+            }
+            _ => {}
         }
         if self.chunk_size == 0 {
             return Err("chunk_size must be at least 1".to_string());
@@ -522,5 +531,41 @@ mod tests {
         let mut bad = good;
         bad.chunk_size = 0;
         assert!(bad.validate().is_err());
+    }
+
+    /// A recipe's load parameters are checked on submit: building the set
+    /// from any of these used to panic (σ outside `[0, 1)`) or yield NaN or
+    /// non-positive loads (a bad ramp end) instead.
+    #[test]
+    fn validate_rejects_bad_recipe_parameters() {
+        let job = |scenarios| JobSpec::new("j", CaseName::Case9, scenarios, SolverFamily::Admm);
+        for sigma in [0.0, 0.02, 0.99] {
+            assert!(
+                job(ScenarioSpec::perturbed(2, sigma, 1)).validate().is_ok(),
+                "{sigma}"
+            );
+        }
+        for sigma in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let spec = job(ScenarioSpec::perturbed(2, sigma, 1));
+            assert!(spec.validate().unwrap_err().contains("sigma"), "{sigma}");
+        }
+        assert!(job(ScenarioSpec::load_ramp(2, 0.9, 1.1)).validate().is_ok());
+        for (lo, hi) in [
+            (f64::NAN, -1.0),
+            (f64::NAN, 1.0),
+            (0.9, f64::INFINITY),
+            (0.0, 1.0),
+            (0.9, -1.0),
+        ] {
+            let spec = job(ScenarioSpec::load_ramp(2, lo, hi));
+            assert!(
+                spec.validate().unwrap_err().contains("load ramp"),
+                "[{lo}, {hi}]"
+            );
+        }
+        // Parameters a recipe does not read are not checked.
+        let mut outages = job(ScenarioSpec::outages(2));
+        (outages.scenarios.lo, outages.scenarios.sigma) = (f64::NAN, 1.5);
+        assert!(outages.validate().is_ok());
     }
 }

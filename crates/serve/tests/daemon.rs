@@ -453,3 +453,40 @@ fn corrupt_completed_manifest_is_invalid_data_not_a_panic() {
         assert!(err.to_string().contains(message), "{tag}: {err}");
     }
 }
+
+/// A spec whose recipe would panic while building its scenarios is refused
+/// by `submit` as `InvalidInput`, and nothing is enqueued.
+#[test]
+fn bad_recipe_parameters_are_invalid_input_not_a_panic() {
+    let dir = fresh_dir("bad-recipe");
+    let daemon = ServeDaemon::open(&dir, 1).unwrap();
+    for (name, scenarios) in [
+        ("sigma", ScenarioSpec::perturbed(2, 1.5, 1)),
+        ("ramp", ScenarioSpec::load_ramp(2, f64::NAN, -1.0)),
+    ] {
+        let err = daemon
+            .submit(JobSpec::new(
+                name,
+                CaseName::Case9,
+                scenarios,
+                SolverFamily::Admm,
+            ))
+            .err()
+            .unwrap_or_else(|| panic!("{name}: the spec was accepted"));
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{name}: {err}"
+        );
+    }
+    assert!(!dir.join("jobs/sigma.json").exists());
+    let ok = ScenarioSpec::perturbed(2, 0.0, 1);
+    daemon
+        .submit(JobSpec::new(
+            "unperturbed",
+            CaseName::Case9,
+            ok,
+            SolverFamily::Admm,
+        ))
+        .unwrap();
+}

@@ -149,37 +149,8 @@ impl Csc {
         y
     }
 
-    /// `y = A^T x`.
-    pub fn mul_transpose_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nrows);
-        let mut y = vec![0.0; self.ncols];
-        for (j, yj) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for p in self.colptr[j]..self.colptr[j + 1] {
-                acc += self.values[p] * x[self.rowind[p]];
-            }
-            *yj = acc;
-        }
-        y
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Csc {
-        let mut rows = Vec::with_capacity(self.nnz());
-        let mut cols = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        for j in 0..self.ncols {
-            for p in self.colptr[j]..self.colptr[j + 1] {
-                rows.push(j);
-                cols.push(self.rowind[p]);
-                vals.push(self.values[p]);
-            }
-        }
-        Csc::from_triplets(self.ncols, self.nrows, &rows, &cols, &vals)
-    }
-
     /// Extract the upper-triangular part (including the diagonal) of a square
-    /// matrix — the storage format expected by the LDLᵀ factorization.
+    /// matrix.
     pub fn upper_triangle(&self) -> Csc {
         assert_eq!(self.nrows, self.ncols, "upper_triangle requires square");
         let mut rows = Vec::new();
@@ -192,29 +163,6 @@ impl Csc {
                     cols.push(j);
                     vals.push(self.values[p]);
                 }
-            }
-        }
-        Csc::from_triplets(self.nrows, self.ncols, &rows, &cols, &vals)
-    }
-
-    /// Symmetric permutation `B = P A P^T` of a square matrix, where
-    /// `perm[k]` gives the original index placed at position `k`.
-    /// Only defined for square matrices.
-    pub fn symmetric_permute(&self, perm: &[usize]) -> Csc {
-        assert_eq!(self.nrows, self.ncols);
-        assert_eq!(perm.len(), self.ncols);
-        let mut inv = vec![0usize; perm.len()];
-        for (new, &old) in perm.iter().enumerate() {
-            inv[old] = new;
-        }
-        let mut rows = Vec::with_capacity(self.nnz());
-        let mut cols = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        for j in 0..self.ncols {
-            for p in self.colptr[j]..self.colptr[j + 1] {
-                rows.push(inv[self.rowind[p]]);
-                cols.push(inv[j]);
-                vals.push(self.values[p]);
             }
         }
         Csc::from_triplets(self.nrows, self.ncols, &rows, &cols, &vals)
@@ -418,24 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_of_symmetric_is_identical() {
-        let a = example();
-        let at = a.transpose();
-        assert_eq!(a.to_dense(), at.to_dense());
-    }
-
-    #[test]
-    fn transpose_matvec_consistent() {
-        let a = Csc::from_triplets(2, 3, &[0, 1, 1], &[0, 1, 2], &[2.0, 3.0, -1.0]);
-        let x = vec![1.0, 2.0];
-        let y1 = a.mul_transpose_vec(&x);
-        let y2 = a.transpose().mul_vec(&x);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-14);
-        }
-    }
-
-    #[test]
     fn upper_triangle_drops_strict_lower() {
         let a = example();
         let u = a.upper_triangle();
@@ -443,21 +373,6 @@ mod tests {
         assert_eq!(u.get(0, 1), 1.0);
         assert_eq!(u.get(2, 2), 5.0);
         assert_eq!(u.nnz(), 5);
-    }
-
-    #[test]
-    fn symmetric_permutation_preserves_values() {
-        let a = example();
-        let perm = vec![2, 0, 1];
-        let b = a.symmetric_permute(&perm);
-        // b[i][j] == a[perm[i]][perm[j]]
-        let da = a.to_dense();
-        let db = b.to_dense();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((db[i][j] - da[perm[i]][perm[j]]).abs() < 1e-14);
-            }
-        }
     }
 
     #[test]

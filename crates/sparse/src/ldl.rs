@@ -1,7 +1,11 @@
-//! Sparse LDLᵀ factorization for symmetric quasi-definite systems.
+//! The sparse LDLᵀ factor of a symmetric quasi-definite system, its
+//! options and its pivot rule.
 //!
-//! Implements the up-looking factorization of Davis's LDL package with two
-//! additions needed by the interior-point baseline:
+//! [`LdlFactor`] holds `P A Pᵀ = L D Lᵀ` and solves with it; the ordering is
+//! stored with the factor and applied transparently. Factors are computed
+//! by [`crate::refactor`]: a fresh [`LdlFactor::factorize_with`] is the
+//! frozen analysis followed by the production refactorization. This module
+//! keeps the two rules every factorization shares:
 //!
 //! * **dynamic regularization** — when a pivot falls below a threshold (or has
 //!   the wrong sign, if the caller declares expected pivot signs for a
@@ -10,13 +14,10 @@
 //! * **inertia reporting** — the number of positive and negative pivots, used
 //!   by the interior-point method to decide whether additional primal/dual
 //!   regularization is required.
-//!
-//! A fill-reducing ordering can be supplied; the factor stores it and the
-//! solve applies it transparently.
 
 use crate::csc::Csc;
 use crate::ordering::Ordering;
-use crate::symbolic::Symbolic;
+use crate::refactor::LdlSymbolic;
 use crate::SparseError;
 use std::sync::Arc;
 
@@ -69,7 +70,7 @@ pub struct LdlFactor {
 
 impl LdlFactor {
     /// Assemble a factor from precomputed parts (used by the symbolic-reuse
-    /// refactorization in [`crate::refactor`]).
+    /// refactorization in [`crate::refactor`] and by the test oracle).
     pub(crate) fn from_parts(
         n: usize,
         lcolptr: Arc<Vec<usize>>,
@@ -102,126 +103,16 @@ impl LdlFactor {
     }
 
     /// Factorize a symmetric matrix given by (at least) its upper triangle,
-    /// using the supplied fill-reducing ordering.
+    /// using the supplied fill-reducing ordering: the frozen analysis
+    /// [`LdlSymbolic::analyze`] followed by the production refactorization
+    /// [`LdlSymbolic::refactor_dense_tail`], so a fresh factor has the bits
+    /// of every later refactorization of the same pattern.
     pub fn factorize_with(
         a: &Csc,
         ordering: Ordering,
         opts: &LdlOptions,
     ) -> Result<LdlFactor, SparseError> {
-        if a.nrows != a.ncols {
-            return Err(SparseError::Shape(format!(
-                "matrix is {}x{}, expected square",
-                a.nrows, a.ncols
-            )));
-        }
-        let n = a.ncols;
-        if ordering.len() != n {
-            return Err(SparseError::Shape(format!(
-                "ordering has length {}, expected {n}",
-                ordering.len()
-            )));
-        }
-        if !opts.expected_signs.is_empty() && opts.expected_signs.len() != n {
-            return Err(SparseError::Shape(format!(
-                "expected_signs has length {}, expected {n}",
-                opts.expected_signs.len()
-            )));
-        }
-        // Permute then keep only the upper triangle.
-        let permuted = a.symmetric_permute(&ordering.perm).upper_triangle();
-        // Permute the expected signs alongside the matrix.
-        let signs: Vec<i8> = if opts.expected_signs.is_empty() {
-            Vec::new()
-        } else {
-            ordering
-                .perm
-                .iter()
-                .map(|&old| opts.expected_signs[old])
-                .collect()
-        };
-
-        let sym = Symbolic::analyze(&permuted);
-        let mut lcolptr = sym.lcolptr.clone();
-        let total = sym.total_lnz();
-        let mut lrowind = vec![0usize; total];
-        let mut lvalues = vec![0.0f64; total];
-        let mut d = vec![0.0f64; n];
-        let mut num_regularized = 0usize;
-
-        // Working arrays for the up-looking numeric factorization.
-        let none = usize::MAX;
-        let mut y = vec![0.0f64; n];
-        let mut pattern = vec![0usize; n];
-        let mut flag = vec![none; n];
-        let mut lnz_used = vec![0usize; n];
-
-        for j in 0..n {
-            // Scatter column j of the (permuted, upper) matrix into y and
-            // compute the nonzero pattern of row j of L by walking the etree.
-            let mut top = n;
-            flag[j] = j;
-            y[j] = 0.0;
-            for p in permuted.colptr[j]..permuted.colptr[j + 1] {
-                let mut i = permuted.rowind[p];
-                if i > j {
-                    continue;
-                }
-                y[i] += permuted.values[p];
-                let mut len = 0usize;
-                while flag[i] != j {
-                    pattern[len] = i;
-                    len += 1;
-                    flag[i] = j;
-                    i = sym.parent[i];
-                }
-                while len > 0 {
-                    top -= 1;
-                    len -= 1;
-                    pattern[top] = pattern[len];
-                }
-            }
-            // Compute the numerical values of row j of L and pivot d[j], in
-            // ascending column order: the canonical order every replay of
-            // `crate::refactor` reproduces (etree parents carry larger
-            // indices, so it is a topological order of the reach).
-            pattern[top..n].sort_unstable();
-            let mut dj = y[j];
-            y[j] = 0.0;
-            for &i in &pattern[top..n] {
-                let yi = y[i];
-                y[i] = 0.0;
-                let p_start = lcolptr[i];
-                let p_end = p_start + lnz_used[i];
-                for p in p_start..p_end {
-                    y[lrowind[p]] -= lvalues[p] * yi;
-                }
-                let lji = yi / d[i];
-                dj -= lji * yi;
-                lrowind[p_end] = j;
-                lvalues[p_end] = lji;
-                lnz_used[i] += 1;
-            }
-            let expected = signs.get(j).copied().unwrap_or(0);
-            let dj_reg = settle_pivot(j, dj, expected, opts)?;
-            num_regularized += usize::from(dj_reg != dj);
-            d[j] = dj_reg;
-        }
-
-        // `lcolptr` already holds the start offsets of each column; append the
-        // final end offset so that downstream loops can use colptr[j+1].
-        lcolptr.push(total);
-        // (lcolptr had length n+1 from Symbolic already; ensure length n+1.)
-        lcolptr.truncate(n + 1);
-
-        Ok(LdlFactor {
-            n,
-            lcolptr: Arc::new(lcolptr),
-            lrowind: Arc::new(lrowind),
-            lvalues,
-            d,
-            ordering: Arc::new(ordering),
-            num_regularized,
-        })
+        LdlSymbolic::analyze(a, ordering)?.refactor_dense_tail(&a.values, opts)
     }
 
     /// Factorize with the identity ordering.

@@ -14,14 +14,14 @@
 //! * symmetric orderings ([`ordering`]: approximate minimum degree with an
 //!   elimination-tree postorder to reduce fill, reverse Cuthill–McKee to
 //!   reduce bandwidth),
-//! * symbolic analysis (elimination tree and column counts, [`symbolic`]),
-//! * an up-looking sparse LDLᵀ factorization with dynamic regularization and
-//!   inertia reporting for quasi-definite KKT systems ([`ldl`]),
+//! * a sparse LDLᵀ factor with dynamic regularization and inertia reporting
+//!   for quasi-definite KKT systems ([`ldl`]),
 //! * a symbolic-reuse layer ([`refactor`]): analyze a pattern once, then run
 //!   numeric-only refactorizations on the host — up-looking over the sparse
-//!   rows, right-looking over the dense trailing block — that are bitwise
-//!   identical to fresh factorizations (the Świrydowicz-et-al. fixed-pattern
-//!   speedup the interior-point baseline exploits),
+//!   rows, right-looking over the dense trailing block — pinned bitwise to
+//!   an up-looking replay of every row (the Świrydowicz-et-al. fixed-pattern
+//!   speedup the interior-point baseline exploits). A fresh factorization is
+//!   the same analysis followed by the same refactorization,
 //! * and small dense kernels ([`dense`]) shared with the batch TRON solver.
 //!
 //! The crate is a leaf: it depends on nothing, not even the batch device
@@ -33,14 +33,12 @@ pub mod dense;
 pub mod ldl;
 pub mod ordering;
 pub mod refactor;
-pub mod symbolic;
 
 pub use coo::Coo;
 pub use csc::{Csc, CscPattern};
 pub use ldl::{LdlFactor, LdlOptions};
 pub use ordering::Ordering;
 pub use refactor::LdlSymbolic;
-pub use symbolic::Symbolic;
 
 /// Error type for sparse linear algebra.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,3 +62,6 @@ impl std::fmt::Display for SparseError {
 }
 
 impl std::error::Error for SparseError {}
+
+#[cfg(test)]
+mod oracle;

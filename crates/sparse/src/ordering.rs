@@ -772,7 +772,7 @@ pub(crate) mod tests {
         let a = scrambled_path(97);
         let before = bandwidth(&a);
         let o = Ordering::rcm(&a);
-        let after = bandwidth(&a.symmetric_permute(&o.perm));
+        let after = bandwidth(&crate::oracle::symmetric_permute(&a, &o.perm));
         assert!(
             after < before / 4,
             "bandwidth should drop substantially: before {before}, after {after}"
@@ -802,8 +802,8 @@ pub(crate) mod tests {
 
     /// Strictly-lower nonzeros of `L` when `a` is eliminated in `o`'s order.
     fn fill(a: &Csc, o: &Ordering) -> usize {
-        let permuted = a.symmetric_permute(&o.perm).upper_triangle();
-        crate::symbolic::Symbolic::analyze(&permuted).total_lnz()
+        let permuted = crate::oracle::symmetric_permute(a, &o.perm).upper_triangle();
+        crate::oracle::Symbolic::analyze(&permuted).total_lnz()
     }
 
     #[test]
@@ -901,8 +901,8 @@ pub(crate) mod tests {
 
         // A postordered elimination tree: parents follow their children and
         // every subtree is one contiguous index range ending at its root.
-        let permuted = a.symmetric_permute(&amd.perm).upper_triangle();
-        let parent = crate::symbolic::Symbolic::analyze(&permuted).parent;
+        let permuted = crate::oracle::symmetric_permute(&a, &amd.perm).upper_triangle();
+        let parent = crate::oracle::Symbolic::analyze(&permuted).parent;
         let mut first: Vec<usize> = (0..n).collect();
         let mut size = vec![1usize; n];
         for i in 0..n {

@@ -39,27 +39,31 @@
 //!
 //!   It makes four allocations per call whatever the dimension (the
 //!   factor's two value vectors, the `y` accumulator and the block), none
-//!   per row;
+//!   per row. A fresh [`LdlFactor::factorize_with`] is
+//!   [`LdlSymbolic::analyze`] followed by this refactorization: the crate
+//!   has one numeric factorization;
 //! * [`LdlSymbolic::refactor`] is the up-looking replay over every row: the
-//!   oracle the production path is pinned to bit for bit, and the second
+//!   reference the production path is pinned to bit for bit, and the second
 //!   subject of `perf`'s `sparse.refactor_scalar_ms` probe (through
-//!   `KktCache::refactor_microbench` in `gridsim-ipm`).
+//!   `KktCache::refactor_microbench` in `gridsim-ipm`). The unit tests also
+//!   pin both to a fresh up-looking factorization with its own symbolic
+//!   analysis, kept as a test-only oracle.
 //!
 //! **Why the order is canonical.** Every entry of `L` and `D` is a running
 //! difference: its matrix value minus one product per earlier column of its
 //! row's reach, and floating-point subtraction is not associative, so the
-//! bits depend on the order of those products. The analysis and
-//! [`LdlFactor::factorize_with`] both visit each reach in ascending column
-//! order — a valid topological order, since elimination-tree parents carry
-//! larger indices — so every entry receives its products in ascending
-//! column order. That is exactly the order a right-looking update applies
-//! them in (column `k`'s update reaches the whole trailing block before
-//! column `k + 1`'s), as pass 2 does for the sparse columns and pass 3 for
-//! the tail columns, one after the other. The operands agree too — each
-//! product is `L[r,k] · w[j,k]` with `w` the unscaled entry, each pivot is
-//! settled at its own column — so all three paths are **bitwise identical**
-//! (a tested invariant), and a non-finite or unregularizable pivot is the
-//! same [`SparseError::Breakdown`] on each.
+//! bits depend on the order of those products. The analysis visits each
+//! reach in ascending column order — a valid topological order, since
+//! elimination-tree parents carry larger indices — so every entry receives
+//! its products in ascending column order. That is exactly the order a
+//! right-looking update applies them in (column `k`'s update reaches the
+//! whole trailing block before column `k + 1`'s), as pass 2 does for the
+//! sparse columns and pass 3 for the tail columns, one after the other. The
+//! operands agree too — each product is `L[r,k] · w[j,k]` with `w` the
+//! unscaled entry, each pivot is settled at its own column — so the replay
+//! and the production path are **bitwise identical** (a tested invariant),
+//! and a non-finite or unregularizable pivot is the same
+//! [`SparseError::Breakdown`] on each.
 //!
 //! **Why the tail pays.** A fill-reducing ordering pushes the dense part of
 //! the factor to the end: on the 877-dim condensed KKT system of the
@@ -156,8 +160,8 @@ impl LdlSymbolic {
     /// * the permuted upper triangle `(inv[r], inv[c])` of every stored
     ///   `(r, c)` with `inv[r] ≤ inv[c]`, by a counting sort on the row and
     ///   then on the column, each entry's source slot recorded as it is
-    ///   placed (`aval_map`) — the same entries, in the same order, as the
-    ///   fresh factorization's permute-then-triangle;
+    ///   placed (`aval_map`) — the same entries, in the same order, as a
+    ///   value-carrying permute-then-triangle;
     /// * one up-looking walk per row that yields the elimination tree, the
     ///   column counts of `L` and every row's reach (in walk order);
     /// * `L`'s row indices, by appending each row to the columns it reaches,
@@ -263,9 +267,9 @@ impl LdlSymbolic {
         }
 
         // Frozen row indices of L: appending row j to every reached column
-        // reproduces the fresh factorization's slot layout (ascending rows
-        // within each column). Where the rows < tail end is each sparse
-        // column's tail slot.
+        // gives the up-looking slot layout (ascending rows within each
+        // column). Where the rows < tail end is each sparse column's tail
+        // slot.
         let total = reach.len();
         let mut lrowind = vec![0usize; total];
         next.copy_from_slice(&lcolptr[..n]);
@@ -440,10 +444,9 @@ impl LdlSymbolic {
         )
     }
 
-    /// Settle the raw pivot `dj` of column `j` exactly as the fresh
-    /// factorization does (`expected_signs` is in original order, so it is
-    /// read through the permutation) and store it. Returns the settled
-    /// pivot.
+    /// Settle the raw pivot `dj` of column `j` by [`LdlOptions`]' rule
+    /// (`expected_signs` is in original order, so it is read through the
+    /// permutation) and store it. Returns the settled pivot.
     fn settle(
         &self,
         j: usize,
@@ -481,8 +484,8 @@ impl LdlSymbolic {
     /// pattern: writes the row's `L` values to their slots and returns the
     /// raw (pre-regularization) pivot. Reads `lvalues`/`d` only at positions
     /// owned by strictly earlier rows. `y` must come in all-zero and is left
-    /// all-zero. The arithmetic sequence is identical to
-    /// [`LdlFactor::factorize_with`]'s inner loop.
+    /// all-zero. The arithmetic sequence is that of an up-looking
+    /// factorization's inner loop.
     fn replay_row(
         &self,
         j: usize,
@@ -500,8 +503,8 @@ impl LdlSymbolic {
             let i = self.rp_idx[k];
             let yi = y[i];
             y[i] = 0.0;
-            // Entries of column i below row j: the fresh factorization has
-            // appended exactly the rows < j at this point, a prefix of the
+            // Entries of column i below row j: an up-looking factorization
+            // has appended exactly the rows < j at this point, a prefix of the
             // frozen (ascending) row list that ends at this step's slot.
             let slot = self.rp_slot[k];
             for p in self.lcolptr[i]..slot {
@@ -633,11 +636,9 @@ impl LdlSymbolic {
 
     /// Numeric-only refactorization from a value slice aligned with the
     /// analyzed pattern (entry `k` of `values` is the value of the analyzed
-    /// matrix's `k`-th stored entry), every row replayed up-looking. Bitwise
-    /// identical to a fresh [`LdlFactor::factorize_with`] with the same
-    /// ordering and options: the oracle [`Self::refactor_dense_tail`] is
-    /// pinned to, and the baseline `perf` times it against
-    /// (`sparse.refactor_scalar_ms`).
+    /// matrix's `k`-th stored entry), every row replayed up-looking: the
+    /// reference [`Self::refactor_dense_tail`] is pinned to bit for bit, and
+    /// the baseline `perf` times it against (`sparse.refactor_scalar_ms`).
     pub fn refactor(&self, values: &[f64], opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
         let mut factor = self.start(values, opts)?;
         let mut y = vec![0.0f64; self.n];
@@ -649,9 +650,9 @@ impl LdlSymbolic {
     /// layout as [`Self::refactor`], in the three passes of the module
     /// documentation — rows before the dense tail up-looking, the tail rows'
     /// sparse columns into a dense block, the block right-looking.
-    /// Bitwise identical to [`Self::refactor`] and to a fresh
-    /// [`LdlFactor::factorize_with`], and fails with the same
-    /// [`SparseError::Breakdown`]. Allocates the factor's two value vectors,
+    /// Bitwise identical to [`Self::refactor`], and fails with the same
+    /// [`SparseError::Breakdown`]; [`LdlFactor::factorize_with`] runs it
+    /// after a fresh analysis. Allocates the factor's two value vectors,
     /// the `y` accumulator and the `nt × nt` block — a constant four
     /// allocations, none per row.
     pub fn refactor_dense_tail(
@@ -713,13 +714,14 @@ impl LdlSymbolic {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::oracle::{self, symmetric_permute, Symbolic};
     use crate::ordering::tests::{random_pattern, symmetrized};
     use proptest::prelude::*;
 
     /// The parent's analysis, kept as the oracle [`LdlSymbolic::analyze`]
-    /// is pinned to: the fresh factorization's value-carrying permute and
-    /// triangle, a binary search per `aval_map` entry, and every row's
-    /// reach sorted.
+    /// is pinned to: the oracle factorization's value-carrying permute and
+    /// triangle and symbolic analysis, a binary search per `aval_map` entry,
+    /// and every row's reach sorted.
     fn parent_analyze(a: &Csc, ordering: Ordering) -> Result<LdlSymbolic, SparseError> {
         if a.nrows != a.ncols {
             return Err(SparseError::Shape(format!(
@@ -734,10 +736,10 @@ mod tests {
                 ordering.len()
             )));
         }
-        // The same permute + upper-triangle construction the fresh
+        // The same permute + upper-triangle construction the oracle
         // factorization performs, so entry order (and therefore replayed
         // arithmetic order) matches it exactly.
-        let permuted = a.symmetric_permute(&ordering.perm).upper_triangle();
+        let permuted = symmetric_permute(a, &ordering.perm).upper_triangle();
 
         // Map every permuted-upper entry back to its source value in `a`.
         let mut aval_map = Vec::with_capacity(permuted.nnz());
@@ -759,7 +761,7 @@ mod tests {
             }
         }
 
-        let sym = crate::symbolic::Symbolic::analyze(&permuted);
+        let sym = Symbolic::analyze(&permuted);
 
         // Reach of every row: the up-looking pattern computation once, each
         // row's reach then put in ascending column order.
@@ -795,7 +797,7 @@ mod tests {
         }
 
         // Frozen row indices of L: appending row j to every reached column
-        // reproduces the fresh factorization's slot layout (ascending rows
+        // reproduces the oracle factorization's slot layout (ascending rows
         // within each column).
         let total = sym.total_lnz();
         // `Symbolic::analyze` always returns `lcolptr` of length n + 1 with
@@ -934,7 +936,9 @@ mod tests {
         }
     }
 
-    /// A dense, diagonally dominant `n × n` matrix.
+    /// A dense, diagonally dominant `n × n` matrix. The off-diagonal values
+    /// are irregular and of both signs, so that reordering an entry's
+    /// updates shows in its bits.
     fn dense(n: usize) -> Csc {
         let mut coo = Coo::new(n, n);
         for i in 0..n {
@@ -942,7 +946,7 @@ mod tests {
                 let v = if i == j {
                     n as f64 + 1.0
                 } else {
-                    1.0 / (1.0 + (i as f64 - j as f64).abs())
+                    ((i * j + i + j) % 7) as f64 / 3.0 - 1.1
                 };
                 coo.push(i, j, v);
             }
@@ -976,12 +980,12 @@ mod tests {
         let opts = kkt_opts();
         let ordering = Ordering::rcm(&a);
         let sym = LdlSymbolic::analyze(&a, ordering.clone()).unwrap();
-        let fresh = LdlFactor::factorize_with(&a, ordering, &opts).unwrap();
+        let fresh = oracle::factorize(&a, ordering, &opts).unwrap();
         let re = sym.refactor_matrix(&a, &opts).unwrap();
         assert_eq!(factor_bits(&fresh), factor_bits(&re));
         // New values, same pattern: still bitwise identical to a fresh run.
         let b = kkt_example(3.5);
-        let fresh_b = LdlFactor::factorize_with(&b, sym.ordering().clone(), &opts).unwrap();
+        let fresh_b = oracle::factorize(&b, sym.ordering().clone(), &opts).unwrap();
         let re_b = sym.refactor_matrix(&b, &opts).unwrap();
         assert_eq!(factor_bits(&fresh_b), factor_bits(&re_b));
         let rhs = vec![1.0, -2.0, 0.5, 0.1, -0.3];
@@ -1000,7 +1004,7 @@ mod tests {
 
     #[test]
     fn regularized_pivots_are_replayed_identically() {
-        // Wrong-signed (2,2) pivot given the expected signs: the fresh path
+        // Wrong-signed (2,2) pivot given the expected signs: the oracle
         // regularizes it, and the replay must do exactly the same.
         let mut coo = Coo::new(3, 3);
         coo.push(0, 0, 1.0);
@@ -1014,7 +1018,7 @@ mod tests {
             ..Default::default()
         };
         let sym = LdlSymbolic::analyze_rcm(&a).unwrap();
-        let fresh = LdlFactor::factorize_with(&a, sym.ordering().clone(), &opts).unwrap();
+        let fresh = oracle::factorize(&a, sym.ordering().clone(), &opts).unwrap();
         let re = sym.refactor_matrix(&a, &opts).unwrap();
         let scalar = sym.refactor(&a.values, &opts).unwrap();
         assert!(fresh.num_regularized > 0);
@@ -1039,7 +1043,7 @@ mod tests {
         // A dense matrix under the identity ordering: every column of L is
         // full, so the whole factorization is the right-looking kernel (three
         // full panels and a remainder of one column). Must still be bitwise
-        // identical to both the scalar replay and a fresh factorization.
+        // identical to both the scalar replay and the oracle factorization.
         let n = 13;
         let a = dense(n);
         let identity = Ordering::from_perm((0..n).collect());
@@ -1048,7 +1052,7 @@ mod tests {
         assert_eq!(sym.num_supernodes(), 1, "dense L should be one supernode");
         assert_eq!(sym.num_levels(), n, "a dense etree is one chain");
         let opts = LdlOptions::default();
-        let fresh = LdlFactor::factorize_with(&a, identity, &opts).unwrap();
+        let fresh = oracle::factorize(&a, identity, &opts).unwrap();
         let scalar = sym.refactor(&a.values, &opts).unwrap();
         let tail = sym.refactor_dense_tail(&a.values, &opts).unwrap();
         assert_eq!(factor_bits(&fresh), factor_bits(&scalar));
@@ -1097,8 +1101,8 @@ mod tests {
         );
     }
 
-    /// A non-finite pivot is a breakdown at its column on the fresh path,
-    /// the scalar replay and the production path alike, whether the column
+    /// A non-finite pivot is a breakdown at its column on the oracle
+    /// factorization, the scalar replay and the production path alike, whether the column
     /// falls before the dense tail or inside it. It used to come back `Ok`
     /// with a NaN in `D`.
     #[test]
@@ -1121,7 +1125,7 @@ mod tests {
             let sym = LdlSymbolic::analyze(&a, ordering.clone()).unwrap();
             in_tail[usize::from(column >= sym.tail_start())] = true;
             for result in [
-                LdlFactor::factorize_with(&a, ordering.clone(), &opts),
+                oracle::factorize(&a, ordering.clone(), &opts),
                 sym.refactor(&a.values, &opts),
                 sym.refactor_dense_tail(&a.values, &opts),
             ] {
@@ -1159,7 +1163,7 @@ mod tests {
     #[test]
     fn unpaired_entry_is_dropped_exactly_like_the_fresh_path() {
         // An (0,1) entry with no (1,0) partner flips into the lower triangle
-        // under the reversing permutation and is dropped — by the fresh
+        // under the reversing permutation and is dropped — by the oracle
         // factorization and by the frozen analysis alike, so the replay must
         // still agree bitwise.
         let mut coo = Coo::new(2, 2);
@@ -1169,7 +1173,7 @@ mod tests {
         let a = coo.to_csc();
         let rev = Ordering::from_perm(vec![1, 0]);
         let sym = LdlSymbolic::analyze(&a, rev.clone()).unwrap();
-        let fresh = LdlFactor::factorize_with(&a, rev, &LdlOptions::default()).unwrap();
+        let fresh = oracle::factorize(&a, rev, &LdlOptions::default()).unwrap();
         let re = sym.refactor_matrix(&a, &LdlOptions::default()).unwrap();
         assert_eq!(factor_bits(&fresh), factor_bits(&re));
     }

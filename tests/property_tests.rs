@@ -106,7 +106,10 @@ proptest! {
     /// all break down at the same column: when cascading regularizations
     /// overflow, when a NaN is planted on the diagonal, and on all-zero
     /// values with regularization off — after which the analysis still
-    /// refactorizes to the same bits. Regularized pivots are bumped to 1e-8
+    /// refactorizes to the same bits. A fresh factorization is a fresh
+    /// analysis followed by the production refactorization, so the
+    /// independent leg is the scalar up-looking replay; the crate's unit
+    /// tests pin both to a separate up-looking oracle. Regularized pivots are bumped to 1e-8
     /// on every third seed and to 0.1 elsewhere, so that fewer cascades
     /// overflow: of the identity-ordered rounds without a planted NaN, about
     /// two thirds factorize (over half of those with a pivot regularized
