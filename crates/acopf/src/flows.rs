@@ -23,7 +23,7 @@
 //! [`BranchFlow::value`], [`BranchFlow::gradient`] and
 //! [`BranchFlow::hessian`] are those same formulas at a freshly built point.
 
-use gridsim_grid::branch::BranchAdmittance;
+use gridsim_grid::BranchAdmittance;
 use serde::{Deserialize, Serialize};
 
 /// Which of the four branch flows.
@@ -242,7 +242,7 @@ pub fn branch_flows(y: &BranchAdmittance, vi: f64, vj: f64, ti: f64, tj: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::branch::Branch;
+    use gridsim_grid::Branch;
 
     fn admittance() -> BranchAdmittance {
         Branch::line(1, 2, 0.02, 0.12, 0.05, 100.0).admittance()

@@ -1,7 +1,7 @@
 //! A full ACOPF operating point and derived quantities.
 
 use crate::flows::branch_flows;
-use gridsim_grid::network::{BranchEnd, Network};
+use gridsim_grid::{BranchEnd, Network};
 use serde::{Deserialize, Serialize};
 
 /// An operating point of the network: voltage magnitudes and angles per bus,
@@ -80,7 +80,7 @@ impl OpfSolution {
     }
 
     /// Same as [`Self::power_mismatch`] but reusing precomputed flows.
-    pub fn power_mismatch_with_flows(
+    pub(crate) fn power_mismatch_with_flows(
         &self,
         net: &Network,
         flows: &BranchFlows,
@@ -112,22 +112,15 @@ impl OpfSolution {
         }
         (dp, dq)
     }
-
-    /// Total real-power losses on all branches (p.u.).
-    pub fn total_losses(&self, net: &Network) -> f64 {
-        let flows = self.branch_flows(net);
-        (0..net.nbranch).map(|l| flows.pij[l] + flows.pji[l]).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
 
     #[test]
     fn flat_solution_dimensions() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let s = OpfSolution::flat(&net);
         assert_eq!(s.vm.len(), 9);
         assert_eq!(s.pg.len(), 3);
@@ -138,7 +131,7 @@ mod tests {
     fn flat_voltages_give_zero_flow_on_unshunted_lines() {
         // At flat voltage (all 1.0 p.u., zero angles) only the charging
         // susceptance produces (reactive) flow.
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let s = OpfSolution::flat(&net);
         let flows = s.branch_flows(&net);
         for l in 0..net.nbranch {
@@ -148,7 +141,7 @@ mod tests {
 
     #[test]
     fn mismatch_at_flat_point_equals_negative_load_plus_charging() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let s = OpfSolution::flat(&net);
         let (dp, _dq) = s.power_mismatch(&net);
         for (dpb, pdb) in dp.iter().zip(&net.pd) {
@@ -161,7 +154,7 @@ mod tests {
 
     #[test]
     fn mismatch_respects_generation_injection() {
-        let net = cases::two_bus().compile().unwrap();
+        let net = gridsim_grid::two_bus().compile().unwrap();
         let mut s = OpfSolution::flat(&net);
         s.pg[0] = 0.8;
         let (dp, _) = s.power_mismatch(&net);
@@ -169,17 +162,5 @@ mod tests {
         assert!((dp[0] - 0.8).abs() < 1e-9);
         // Bus 1 has the 0.8 p.u. load.
         assert!((dp[1] + 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn losses_are_nonnegative_for_realistic_voltages() {
-        let net = cases::case14().compile().unwrap();
-        let mut s = OpfSolution::flat(&net);
-        // Introduce a modest angle gradient to create flows.
-        for b in 0..net.nbus {
-            s.va[b] = -0.01 * b as f64;
-            s.vm[b] = 1.0 + 0.002 * (b % 5) as f64;
-        }
-        assert!(s.total_losses(&net) >= 0.0);
     }
 }

@@ -8,7 +8,7 @@
 //! period.
 
 use crate::solution::OpfSolution;
-use gridsim_grid::network::Network;
+use gridsim_grid::Network;
 
 /// The paper's cold start: midpoints of bounds for dispatch and voltage
 /// magnitude, zero angles.
@@ -49,11 +49,10 @@ pub fn ramp_limited_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
 
     #[test]
     fn cold_start_is_midpoint_of_bounds() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let s = cold_start(&net);
         for b in 0..net.nbus {
             assert!((s.vm[b] - 1.0).abs() < 1e-12); // (0.9 + 1.1)/2
@@ -67,7 +66,7 @@ mod tests {
 
     #[test]
     fn ramp_bounds_shrink_around_previous_dispatch() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let prev = vec![1.0, 1.5, 0.8];
         let (lo, hi) = ramp_limited_bounds(&net, &prev, 0.02);
         for g in 0..net.ngen {
@@ -82,7 +81,7 @@ mod tests {
 
     #[test]
     fn ramp_bounds_respect_static_limits_at_extremes() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         // Previous dispatch at pmax: the upper ramp bound must not exceed it.
         let prev: Vec<f64> = net.pmax.clone();
         let (_, hi) = ramp_limited_bounds(&net, &prev, 0.02);

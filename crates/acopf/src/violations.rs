@@ -4,7 +4,7 @@
 //! `|f − f*| / f*`) and tracks over time in Figures 2 and 3.
 
 use crate::solution::OpfSolution;
-use gridsim_grid::network::Network;
+use gridsim_grid::Network;
 use serde::{Deserialize, Serialize};
 
 /// A breakdown of the worst violation of each constraint family, all in per
@@ -125,11 +125,10 @@ pub fn relative_gap(f: f64, f_star: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
 
     #[test]
     fn flat_point_violation_is_the_largest_load() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let sol = OpfSolution::flat(&net);
         let q = SolutionQuality::evaluate(&net, &sol);
         // At a flat point with zero generation, the worst real mismatch is
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn bound_violations_detected() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let mut sol = OpfSolution::flat(&net);
         sol.vm[3] = 1.3; // above vmax = 1.1
         sol.pg[0] = 50.0; // far above pmax = 2.5 p.u.
@@ -153,7 +152,7 @@ mod tests {
 
     #[test]
     fn line_violation_detected_for_extreme_angle() {
-        let net = cases::two_bus().compile().unwrap();
+        let net = gridsim_grid::two_bus().compile().unwrap();
         let mut sol = OpfSolution::flat(&net);
         sol.va[0] = 0.6; // large angle difference drives a large flow
         sol.pg[0] = 1.0;
@@ -163,7 +162,7 @@ mod tests {
 
     #[test]
     fn a_nan_operating_point_is_not_feasible() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let mut sol = OpfSolution::flat(&net);
         for v in [&mut sol.vm, &mut sol.va, &mut sol.pg, &mut sol.qg] {
             v.fill(f64::NAN);
@@ -207,7 +206,7 @@ mod tests {
 
     #[test]
     fn quality_objective_matches_solution_objective() {
-        let net = cases::case14().compile().unwrap();
+        let net = gridsim_grid::case14().compile().unwrap();
         let mut sol = OpfSolution::flat(&net);
         for g in 0..net.ngen {
             sol.pg[g] = 0.5;

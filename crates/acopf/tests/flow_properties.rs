@@ -1,12 +1,10 @@
 //! Property-based tests of the ACOPF model layer: flow Hessians, solution
 //! metrics, and start-point invariants on randomized networks.
 
-use gridsim_acopf::flows::{BranchFlow, FlowKind};
-use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::start::{cold_start, ramp_limited_bounds};
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_grid::branch::Branch;
-use gridsim_grid::synthetic::SyntheticSpec;
+use gridsim_acopf::{BranchFlow, FlowKind, OpfSolution};
+use gridsim_grid::{Branch, SyntheticSpec};
 use proptest::prelude::*;
 
 proptest! {
@@ -86,7 +84,7 @@ proptest! {
     /// increase the maximum violation.
     #[test]
     fn violation_monotone_in_imbalance(extra in 0.0f64..2.0) {
-        let net = gridsim_grid::cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let mut sol = OpfSolution::flat(&net);
         for g in 0..net.ngen {
             sol.pg[g] = net.pmin[g];
@@ -105,7 +103,7 @@ fn quality_of_a_balanced_two_bus_dispatch_is_small() {
     // Hand-build an (approximately) balanced operating point on the two-bus
     // case by searching the angle that transfers the load, then confirm the
     // violation metric sees it as nearly feasible.
-    let net = gridsim_grid::cases::two_bus().compile().unwrap();
+    let net = gridsim_grid::two_bus().compile().unwrap();
     let mut best = (f64::INFINITY, 0.0f64);
     let mut angle = -0.0005f64;
     while angle > -0.3 {

@@ -25,9 +25,9 @@ use crate::params::AdmmParams;
 use crate::scenario::scheduler::init_segment;
 use crate::scenario::ScenarioProblem;
 use crate::solver::WarmState;
-use gridsim_acopf::flows::{BranchFlow, FlowPoint};
-use gridsim_grid::network::Network;
-use gridsim_sparse::dense::SmallMatrix;
+use gridsim_acopf::{BranchFlow, FlowPoint};
+use gridsim_grid::Network;
+use gridsim_sparse::SmallMatrix;
 use gridsim_tron::BoundProblem;
 
 /// Per-constraint ADMM data seen by the branch problem: the combined target
@@ -123,7 +123,7 @@ impl BranchProblem {
 
     /// The four flow values at the given voltages.
     #[inline]
-    pub fn flow_values(&self, x: &[f64]) -> [f64; 4] {
+    pub(crate) fn flow_values(&self, x: &[f64]) -> [f64; 4] {
         let point = FlowPoint::new(x[0], x[1], x[2], x[3]);
         each_flow(&self.flows, |f| f.value_at(&point))
     }
@@ -131,7 +131,7 @@ impl BranchProblem {
     /// Line-limit slack residuals `p² + q² + s` for the from and to sides,
     /// given the flows `f = self.flow_values(x)`.
     #[inline]
-    pub fn slack_residuals(&self, f: &[f64; 4], x: &[f64]) -> [f64; 2] {
+    pub(crate) fn slack_residuals(&self, f: &[f64; 4], x: &[f64]) -> [f64; 2] {
         if !self.has_limit() {
             return [0.0; 2];
         }
@@ -294,7 +294,7 @@ fn each_flow<T>(flows: &[BranchFlow; 4], op: impl Fn(&BranchFlow) -> T) -> [T; 4
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::branch::Branch;
+    use gridsim_grid::Branch;
     use proptest::prelude::*;
 
     /// The evaluation as it was before `objective` and `derivatives` shared

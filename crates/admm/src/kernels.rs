@@ -14,10 +14,9 @@ use crate::branch_problem::{BranchProblem, ConsensusTerm};
 use crate::layout::{BusSlot, ConstraintKind, Layout};
 use crate::params::AdmmParams;
 use crate::solver::WarmState;
-use gridsim_acopf::flows::{branch_flows, BranchFlow, FlowPoint};
-use gridsim_acopf::solution::OpfSolution;
-use gridsim_grid::network::Network;
-use gridsim_sparse::dense::solve2;
+use gridsim_acopf::{branch_flows, BranchFlow, FlowPoint, OpfSolution};
+use gridsim_grid::Network;
+use gridsim_sparse::solve2;
 use gridsim_tron::TronSolver;
 
 /// Initial outer-level penalty β on `z = 0` of a cold start; a warm start

@@ -13,11 +13,11 @@
 //! `[p_ij, q_ij, p_ji, q_ji, w_i, θ_i, w_j, θ_j]`.
 
 use crate::params::AdmmParams;
-use gridsim_grid::network::Network;
+use gridsim_grid::Network;
 
 /// What a consensus constraint couples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstraintKind {
+pub(crate) enum ConstraintKind {
     /// Generator real power vs its bus copy.
     GenP,
     /// Generator reactive power vs its bus copy.
@@ -40,25 +40,9 @@ pub enum ConstraintKind {
     ThetaJ,
 }
 
-impl ConstraintKind {
-    /// True when the constraint couples powers (penalty ρ_pq), false when it
-    /// couples voltage quantities (penalty ρ_va).
-    pub fn is_power(&self) -> bool {
-        matches!(
-            self,
-            ConstraintKind::GenP
-                | ConstraintKind::GenQ
-                | ConstraintKind::FlowPij
-                | ConstraintKind::FlowQij
-                | ConstraintKind::FlowPji
-                | ConstraintKind::FlowQji
-        )
-    }
-}
-
 /// Where the bus side of a constraint comes from inside the bus state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusSlot {
+pub(crate) enum BusSlot {
     /// One of the bus's duplicated copies (index into its copy array).
     Copy(usize),
     /// The bus variable `w` (squared voltage magnitude).
@@ -69,7 +53,7 @@ pub enum BusSlot {
 
 /// Per-constraint metadata.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstraintInfo {
+pub(crate) struct ConstraintInfo {
     /// What this constraint couples.
     pub kind: ConstraintKind,
     /// The bus that owns the x̄ side.
@@ -82,7 +66,7 @@ pub struct ConstraintInfo {
 
 /// Everything the bus-update kernel needs to know about one bus.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct BusPlan {
+pub(crate) struct BusPlan {
     /// Constraint indices of the real-power copies (generators first, then
     /// branch ends, in copy order).
     pub p_copies: Vec<usize>,
@@ -98,7 +82,7 @@ pub struct BusPlan {
 
 /// The complete constraint layout of a network.
 #[derive(Debug, Clone)]
-pub struct Layout {
+pub(crate) struct Layout {
     /// Per-constraint metadata, length [`Layout::num_constraints`].
     pub constraints: Vec<ConstraintInfo>,
     /// Per-bus assembly plan.
@@ -112,29 +96,29 @@ pub struct Layout {
 impl Layout {
     /// Index of generator `g`'s real-power constraint.
     #[inline]
-    pub fn gen_p(&self, g: usize) -> usize {
+    pub(crate) fn gen_p(&self, g: usize) -> usize {
         2 * g
     }
 
     /// Index of generator `g`'s reactive-power constraint.
     #[inline]
-    pub fn gen_q(&self, g: usize) -> usize {
+    pub(crate) fn gen_q(&self, g: usize) -> usize {
         2 * g + 1
     }
 
     /// Base index of branch `l`'s eight constraints.
     #[inline]
-    pub fn branch_base(&self, l: usize) -> usize {
+    pub(crate) fn branch_base(&self, l: usize) -> usize {
         2 * self.ngen + 8 * l
     }
 
     /// Total number of consensus constraints.
-    pub fn num_constraints(&self) -> usize {
+    pub(crate) fn num_constraints(&self) -> usize {
         2 * self.ngen + 8 * self.nbranch
     }
 
     /// Build the layout for a network with the given penalties.
-    pub fn build(net: &Network, params: &AdmmParams) -> Layout {
+    pub(crate) fn build(net: &Network, params: &AdmmParams) -> Layout {
         let ngen = net.ngen;
         let nbranch = net.nbranch;
         let m = 2 * ngen + 8 * nbranch;
@@ -236,7 +220,7 @@ impl Layout {
     }
 
     /// The per-constraint penalty vector ρ.
-    pub fn rho_vector(&self) -> Vec<f64> {
+    pub(crate) fn rho_vector(&self) -> Vec<f64> {
         self.constraints.iter().map(|c| c.rho).collect()
     }
 }
@@ -244,11 +228,10 @@ impl Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
-    use gridsim_grid::network::BranchEnd;
+    use gridsim_grid::BranchEnd;
 
     fn layout9() -> (gridsim_grid::Network, Layout) {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let layout = Layout::build(&net, &AdmmParams::default());
         (net, layout)
     }
@@ -300,8 +283,6 @@ mod tests {
         assert_eq!(layout.constraints[base + 6].bus, net.br_to[l]);
         // Voltage constraints use the voltage penalty.
         assert_eq!(layout.constraints[base + 4].rho, 1000.0);
-        assert!(layout.constraints[base].kind.is_power());
-        assert!(!layout.constraints[base + 5].kind.is_power());
     }
 
     #[test]

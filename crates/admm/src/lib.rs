@@ -23,26 +23,27 @@
 //! No host–device transfers occur during the solve; the transfer counters of
 //! [`gridsim_batch`] verify this.
 //!
-//! The two-level loop is implemented once, in the [`scenario`] module, as a
-//! multi-device fleet: [`scenario::ScenarioProblem`] holds the
-//! `Arc`-deduplicated read-only problem data of a scenario set, and
-//! [`scenario::ScenarioScheduler`] shards the scenarios across a
+//! The two-level loop is implemented once, in the `scenario` module, as a
+//! multi-device fleet: [`ScenarioProblem`] holds the `Arc`-deduplicated
+//! read-only problem data of a scenario set, and [`ScenarioScheduler`]
+//! shards the scenarios across a
 //! [`gridsim_batch::DevicePool`] with streaming admission (converged
 //! scenarios hand their buffer slot to the next pending one). The other
 //! entry points are thin front ends over it: [`AdmmSolver`] is one network
 //! on one device (the paper's per-case solver), and [`track_horizon`]
 //! chains [`AdmmSolver`] warm starts across periods.
 
-pub mod branch_problem;
-pub(crate) mod kernels;
-pub mod layout;
-pub mod params;
-pub mod scenario;
-pub mod solver;
-pub mod tracking;
+#![warn(unreachable_pub)]
 
-pub use branch_problem::BranchProblem;
-pub use layout::{ConstraintKind, Layout};
+mod branch_problem;
+mod kernels;
+mod layout;
+mod params;
+mod scenario;
+mod solver;
+mod tracking;
+
+pub use branch_problem::{BranchProblem, ConsensusTerm};
 pub use params::AdmmParams;
 pub use scenario::{ScenarioBatchResult, ScenarioProblem, ScenarioResult, ScenarioScheduler};
 pub use solver::{AdmmResult, AdmmSolver, AdmmStatus, WarmState};

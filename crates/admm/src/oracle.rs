@@ -15,8 +15,8 @@ use crate::params::AdmmParams;
 use crate::scenario::scheduler::init_segment;
 use crate::scenario::ScenarioProblem;
 use crate::solver::{AdmmStatus, WarmState};
-use gridsim_acopf::solution::OpfSolution;
-use gridsim_grid::network::Network;
+use gridsim_acopf::OpfSolution;
+use gridsim_grid::Network;
 use gridsim_tron::TronSolver;
 
 /// Everything a solve reports except derived quality metrics and timing.

@@ -1,6 +1,6 @@
 //! ADMM algorithm parameters.
 
-use gridsim_grid::synthetic::TableICase;
+use gridsim_grid::TableICase;
 use gridsim_tron::TronOptions;
 
 /// Parameters of the two-level ADMM algorithm. The penalty values `rho_pq`

@@ -48,15 +48,15 @@
 //! request seeds admissions per scenario instead, under the engine's store
 //! protocol ([`gridsim_engine::LaneSolver`]).
 
-pub mod problem;
-pub mod scheduler;
+pub(crate) mod problem;
+pub(crate) mod scheduler;
 
 pub use problem::ScenarioProblem;
 pub use scheduler::ScenarioScheduler;
 
 use crate::solver::{AdmmStatus, WarmState};
-use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::{max_or_nan, SolutionQuality};
+use gridsim_acopf::OpfSolution;
 use gridsim_store::StoreRunStats;
 use std::time::Duration;
 
@@ -140,8 +140,7 @@ mod tests {
     use gridsim_acopf::start::ramp_limited_bounds;
     use gridsim_batch::{Device, DevicePool};
     use gridsim_engine::FleetRequest;
-    use gridsim_grid::cases;
-    use gridsim_grid::network::Network;
+    use gridsim_grid::Network;
 
     /// All scenarios on one auto-resolved device, whatever `GRIDSIM_DEVICES`
     /// says: the tests read that device's stats and assert `ticks`.
@@ -158,7 +157,7 @@ mod tests {
 
     #[test]
     fn k1_batch_reproduces_oracle_bitwise() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         // Bitwise identity holds at every iterate, so a bounded budget keeps
         // this unit test cheap.
         let params = AdmmParams {
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_scenario_sequential_solves() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let nets = nets_for(&base, &[0.98, 1.0, 1.03]);
         let params = AdmmParams::test_profile();
         let batch = single_device(params.clone()).run(FleetRequest::over(&nets));
@@ -205,7 +204,7 @@ mod tests {
 
     #[test]
     fn converged_scenarios_stop_consuming_kernel_work() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         // A spread of loads so convergence times differ across scenarios.
         let nets = nets_for(&base, &[1.0, 1.05, 0.95]);
         let batcher = single_device(AdmmParams::test_profile());
@@ -238,7 +237,7 @@ mod tests {
 
     #[test]
     fn transfers_scale_with_scenarios_not_iterations() {
-        let nets = nets_for(&cases::case9(), &[1.0, 1.02]);
+        let nets = nets_for(&gridsim_grid::case9(), &[1.0, 1.02]);
         let params = AdmmParams {
             max_outer: 2,
             max_inner: 30,
@@ -273,7 +272,7 @@ mod tests {
 
     #[test]
     fn shared_warm_start_cuts_iterations() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let nominal = base.compile().unwrap();
         let cold = AdmmSolver::new(AdmmParams::test_profile()).solve(&nominal);
         let nets = nets_for(&base, &[1.005, 1.01, 1.015]);
@@ -294,7 +293,7 @@ mod tests {
 
     #[test]
     fn chained_solve_respects_ramp_limits() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let nominal = base.compile().unwrap();
         let cold = AdmmSolver::new(AdmmParams::test_profile()).solve(&nominal);
         let nets = nets_for(&base, &[1.005, 1.01]);
@@ -316,8 +315,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "topology differs")]
     fn mismatched_topology_panics() {
-        let a = cases::case9().compile().unwrap();
-        let mut case_b = cases::case9();
+        let a = gridsim_grid::case9().compile().unwrap();
+        let mut case_b = gridsim_grid::case9();
         case_b.branches.swap(0, 3);
         let b = case_b.compile().unwrap();
         let _ = single_device(AdmmParams::default()).run(FleetRequest::over(&[a, b]));

@@ -16,7 +16,7 @@
 use crate::kernels::{self, BranchData, BusData, GenData, ProblemData};
 use crate::layout::{BusSlot, Layout};
 use crate::params::AdmmParams;
-use gridsim_grid::network::Network;
+use gridsim_grid::Network;
 use std::sync::Arc;
 
 /// Read-only per-scenario kernel data; cheap to clone (three `Arc`s).
@@ -151,12 +151,11 @@ pub(crate) fn check_compatible(nets: &[Network]) -> (usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
-    use gridsim_grid::scenario::ScenarioSet;
+    use gridsim_grid::ScenarioSet;
 
     #[test]
     fn load_ramp_shares_generator_and_branch_data() {
-        let set = ScenarioSet::load_ramp(cases::case9(), 4, 0.95, 1.05);
+        let set = ScenarioSet::load_ramp(gridsim_grid::case9(), 4, 0.95, 1.05);
         let nets = set.networks().unwrap();
         let p = ScenarioProblem::build(&nets, &AdmmParams::default(), None);
         // Loads differ per scenario; generator and branch data do not.
@@ -168,7 +167,7 @@ mod tests {
 
     #[test]
     fn outages_share_bus_and_generator_data() {
-        let set = ScenarioSet::branch_outages(cases::case9(), 3);
+        let set = ScenarioSet::branch_outages(gridsim_grid::case9(), 3);
         let nets = set.networks().unwrap();
         assert_eq!(nets.len(), 3);
         let p = ScenarioProblem::build(&nets, &AdmmParams::default(), None);
@@ -182,7 +181,7 @@ mod tests {
 
     #[test]
     fn per_scenario_pg_bounds_split_generator_data() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let nets = vec![net.clone(), net];
         let lo: Vec<f64> = nets[0].pmin.clone();
         let hi: Vec<f64> = nets[0].pmax.iter().map(|&p| p * 0.9).collect();
@@ -198,8 +197,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "topology differs")]
     fn mismatched_topology_panics() {
-        let a = cases::case9().compile().unwrap();
-        let mut case_b = cases::case9();
+        let a = gridsim_grid::case9().compile().unwrap();
+        let mut case_b = gridsim_grid::case9();
         case_b.branches.swap(0, 3);
         let b = case_b.compile().unwrap();
         let _ = ScenarioProblem::build(&[a, b], &AdmmParams::default(), None);

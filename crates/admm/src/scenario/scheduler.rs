@@ -36,7 +36,7 @@ use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::SolutionQuality;
 use gridsim_batch::{Device, DeviceBuffer, DevicePool};
 use gridsim_engine::{Admission, Engine, FleetRequest, Hit, LaneSolver};
-use gridsim_grid::network::Network;
+use gridsim_grid::Network;
 use gridsim_store::StoreRunStats;
 use gridsim_tron::TronSolver;
 use std::time::Instant;

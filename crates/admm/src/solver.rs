@@ -12,11 +12,11 @@
 
 use crate::params::AdmmParams;
 use crate::scenario::ScenarioScheduler;
-use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::SolutionQuality;
+use gridsim_acopf::OpfSolution;
 use gridsim_batch::{Device, DevicePool};
 use gridsim_engine::FleetRequest;
-use gridsim_grid::network::Network;
+use gridsim_grid::Network;
 use std::time::Duration;
 
 /// Termination status of an ADMM solve.
@@ -175,7 +175,6 @@ impl WarmState {
 mod tests {
     use super::*;
     use crate::oracle::{self, OracleResult};
-    use gridsim_grid::cases;
 
     fn solve_case(case: gridsim_grid::Case, params: AdmmParams) -> (Network, AdmmResult) {
         let net = case.compile().unwrap();
@@ -186,7 +185,7 @@ mod tests {
 
     #[test]
     fn two_bus_admm_matches_physics() {
-        let (net, result) = solve_case(cases::two_bus(), AdmmParams::default());
+        let (net, result) = solve_case(gridsim_grid::two_bus(), AdmmParams::default());
         assert!(
             result.quality.max_violation() < 2e-2,
             "violation {:?}",
@@ -199,7 +198,7 @@ mod tests {
 
     #[test]
     fn case9_admm_converges_to_feasible_point() {
-        let (_net, result) = solve_case(cases::case9(), AdmmParams::default());
+        let (_net, result) = solve_case(gridsim_grid::case9(), AdmmParams::default());
         assert!(
             result.quality.max_violation() < 2e-2,
             "violation {:?}",
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn all_backends_agree_on_a_full_solve() {
-        let net = cases::two_bus().compile().unwrap();
+        let net = gridsim_grid::two_bus().compile().unwrap();
         let params = AdmmParams {
             max_outer: 3,
             max_inner: 50,
@@ -234,7 +233,7 @@ mod tests {
 
     #[test]
     fn no_transfers_during_iterations() {
-        let net = cases::two_bus().compile().unwrap();
+        let net = gridsim_grid::two_bus().compile().unwrap();
         // Transfers happen only at setup (the ρ upload and the admission's
         // 8 ranged uploads) and extraction (one read per result-bearing
         // buffer), never per iteration: doubling the iteration budget runs
@@ -262,7 +261,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "AdmmParams needs max_inner >= 1 and max_outer >= 1")]
     fn zero_iteration_budget_panics() {
-        let net = cases::two_bus().compile().unwrap();
+        let net = gridsim_grid::two_bus().compile().unwrap();
         let params = AdmmParams {
             max_outer: 0,
             ..AdmmParams::default()
@@ -325,10 +324,10 @@ mod tests {
 
     #[test]
     fn cold_start_matches_oracle_on_embedded_cases() {
-        let two_bus = cases::two_bus().compile().unwrap();
+        let two_bus = gridsim_grid::two_bus().compile().unwrap();
         let converged = assert_matches_oracle(&two_bus, &AdmmParams::test_profile(), None, None);
         assert_eq!(converged.status, AdmmStatus::Converged);
-        for case in [cases::case5(), cases::case9()] {
+        for case in [gridsim_grid::case5(), gridsim_grid::case9()] {
             let net = case.compile().unwrap();
             assert_matches_oracle(&net, &short_budget(), None, None);
         }
@@ -336,7 +335,7 @@ mod tests {
 
     #[test]
     fn inner_cap_hit_matches_oracle() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let params = AdmmParams {
             max_outer: 4,
             max_inner: 5,
@@ -350,7 +349,7 @@ mod tests {
 
     #[test]
     fn max_outer_exit_matches_oracle() {
-        let net = cases::two_bus().compile().unwrap();
+        let net = gridsim_grid::two_bus().compile().unwrap();
         let params = AdmmParams {
             max_outer: 2,
             ..AdmmParams::test_profile()
@@ -364,7 +363,7 @@ mod tests {
 
     #[test]
     fn warm_restart_matches_oracle_with_and_without_ramp_bounds() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let nominal = base.compile().unwrap();
         let params = short_budget();
         let cold = oracle::solve(&nominal, &params, None, None);
@@ -390,7 +389,7 @@ mod tests {
 
     #[test]
     fn warm_start_converges_faster_after_small_load_change() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let net = base.compile().unwrap();
         let solver = AdmmSolver::new(AdmmParams::default());
         let cold = solver.solve(&net);
@@ -417,7 +416,7 @@ mod tests {
 
     #[test]
     fn ramp_limits_are_respected_in_warm_solve() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let net = base.compile().unwrap();
         let solver = AdmmSolver::new(AdmmParams::default());
         let cold = solver.solve(&net);

@@ -9,8 +9,7 @@
 use crate::params::AdmmParams;
 use crate::solver::{AdmmResult, AdmmSolver};
 use gridsim_acopf::start::ramp_limited_bounds;
-use gridsim_grid::load_profile::LoadProfile;
-use gridsim_grid::network::Case;
+use gridsim_grid::{Case, LoadProfile};
 use std::time::Duration;
 
 /// Configuration of the tracking experiment.
@@ -99,11 +98,10 @@ pub fn track_horizon(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
 
     #[test]
     fn tracking_case9_three_periods_stays_feasible() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let profile = LoadProfile {
             multipliers: vec![1.0, 1.01, 1.02],
             period_minutes: 1.0,
@@ -131,7 +129,7 @@ mod tests {
 
     #[test]
     fn ramp_limits_bound_dispatch_changes_between_periods() {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let profile = LoadProfile {
             multipliers: vec![1.0, 1.03],
             period_minutes: 1.0,
@@ -153,7 +151,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one period")]
     fn empty_profile_panics() {
-        let base = cases::two_bus();
+        let base = gridsim_grid::two_bus();
         let profile = LoadProfile {
             multipliers: vec![],
             period_minutes: 1.0,

@@ -4,12 +4,11 @@
 
 use gridsim_acopf::violations::{relative_gap, SolutionQuality};
 use gridsim_admm::{AdmmParams, AdmmSolver};
-use gridsim_grid::cases;
 use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver};
 
 #[test]
 fn table2_metrics_on_case9() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
 
     let admm = AdmmSolver::new(AdmmParams::default()).solve(&net);
     let nlp = AcopfNlp::new(&net);
@@ -38,7 +37,7 @@ fn penalty_scaling_changes_convergence_but_not_the_answer() {
     // the paper calls penalty selection an open tuning problem), but both
     // settings must land on the same economic dispatch to within the
     // consensus tolerance.
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let nlp = AcopfNlp::new(&net);
     let f_star = IpmSolver::new(IpmOptions::default()).solve(&nlp).objective;
 

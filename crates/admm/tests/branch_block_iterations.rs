@@ -16,9 +16,8 @@
 
 use gridsim_admm::{AdmmParams, AdmmSolver, BranchProblem};
 use gridsim_batch::Device;
-use gridsim_sparse::dense::SmallMatrix;
-use gridsim_tron::cauchy::cauchy_point;
-use gridsim_tron::{BoundProblem, TronSolver, TronStatus};
+use gridsim_sparse::SmallMatrix;
+use gridsim_tron::{cauchy_point, BoundProblem, TronSolver, TronStatus};
 
 const INNER: [usize; 3] = [30, 300, 1000];
 

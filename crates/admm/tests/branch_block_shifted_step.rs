@@ -16,10 +16,10 @@
 use gridsim_admm::{AdmmParams, AdmmSolver, BranchProblem};
 use gridsim_batch::Device;
 use gridsim_grid::TableICase;
-use gridsim_sparse::dense::{norm2, SmallMatrix};
-use gridsim_tron::cauchy::cauchy_point;
-use gridsim_tron::tron::{subspace_step, Face};
-use gridsim_tron::{BoundProblem, TronOptions, TronSolver, TronStatus};
+use gridsim_sparse::{norm2, SmallMatrix};
+use gridsim_tron::{
+    cauchy_point, subspace_step, BoundProblem, Face, TronOptions, TronSolver, TronStatus,
+};
 
 /// Whether the block of `h` on the `free` variables is positive definite,
 /// by a textbook Cholesky factorization.

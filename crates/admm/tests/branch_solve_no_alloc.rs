@@ -5,9 +5,9 @@
 //! own; the counter is per thread, so whatever the test harness allocates on
 //! its other threads while the solve runs is not charged to it.
 
-use gridsim_acopf::flows::BranchFlow;
-use gridsim_admm::branch_problem::{BranchProblem, ConsensusTerm};
-use gridsim_grid::branch::Branch;
+use gridsim_acopf::BranchFlow;
+use gridsim_admm::{BranchProblem, ConsensusTerm};
+use gridsim_grid::Branch;
 use gridsim_tron::{TronOptions, TronSolver, TronStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

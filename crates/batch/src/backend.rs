@@ -47,8 +47,8 @@
 //!    contract above);
 //! 2. add an [`AnyBackend`] variant delegating to it, a constructor on
 //!    [`Device`](crate::Device), and an [`ExecutionMode`] variant;
-//! 3. run it through [`crate::conformance::assert_backend_conformance`]
-//!    in a test; only then may [`ExecutionMode::resolve_with`] return it.
+//! 3. run it through `assert_backend_conformance` in `conformance.rs`'s
+//!    tests; only then may [`ExecutionMode::resolve_with`] return it.
 //!
 //! Everything outside this module and `device.rs` is untouched: the
 //! kernel layer, the pools, and every solver dispatch through the trait.
@@ -104,8 +104,9 @@ impl ExecutionMode {
         }
     }
 
-    /// Resolve `Auto` against the real environment: [`BACKEND_ENV`] and
-    /// the parallel runtime's worker count. Concrete modes return
+    /// Resolve `Auto` against the real environment: a valid non-`auto`
+    /// [`BACKEND_ENV`] wins; otherwise ≥ 2 workers in the parallel runtime
+    /// select `Parallel`, and fewer `Vectorized`. Concrete modes return
     /// themselves; the result is never `Auto`.
     pub fn resolve(self) -> ExecutionMode {
         self.resolve_with(
@@ -118,7 +119,7 @@ impl ExecutionMode {
     /// without touching process environment. Precedence for `Auto`: a
     /// valid non-`auto` env override wins; otherwise ≥ 2 workers selects
     /// `Parallel`; otherwise `Vectorized`.
-    pub fn resolve_with(self, env: Option<&str>, workers: usize) -> ExecutionMode {
+    pub(crate) fn resolve_with(self, env: Option<&str>, workers: usize) -> ExecutionMode {
         match self {
             ExecutionMode::Auto => match env.and_then(ExecutionMode::parse) {
                 Some(mode) if mode != ExecutionMode::Auto => mode,
@@ -154,7 +155,7 @@ impl std::fmt::Display for ExecutionMode {
 /// Methods operate on raw slices; the [`Device`](crate::Device) wrappers
 /// own buffer bookkeeping (length assertions, live-element accounting,
 /// billing) so backends stay pure iteration schemes.
-pub trait LaunchBackend {
+pub(crate) trait LaunchBackend {
     /// The concrete mode this backend implements (never
     /// [`ExecutionMode::Auto`]); names the backend in stats and benches.
     fn mode(&self) -> ExecutionMode;
@@ -221,7 +222,7 @@ where
 /// implementation of the determinism contract, and the backend of choice
 /// for debugging and deterministic micro-benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SequentialBackend;
+pub(crate) struct SequentialBackend;
 
 impl LaunchBackend for SequentialBackend {
     fn mode(&self) -> ExecutionMode {
@@ -271,7 +272,7 @@ impl LaunchBackend for SequentialBackend {
 /// and reductions evaluate scores in parallel but combine them in index
 /// order, so results are bitwise identical to [`SequentialBackend`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelBackend;
+pub(crate) struct ParallelBackend;
 
 impl LaunchBackend for ParallelBackend {
     fn mode(&self) -> ExecutionMode {
@@ -339,7 +340,7 @@ impl LaunchBackend for ParallelBackend {
 /// element updates are written as clamp/select arithmetic for exactly
 /// this reason); 64 f64 lanes spans 8–32 SIMD registers depending on
 /// vector width, wide enough to amortize the loop-carried bookkeeping.
-pub const VECTOR_CHUNK: usize = 64;
+pub(crate) const VECTOR_CHUNK: usize = 64;
 
 /// Chunked, branch-free element loops shaped for compiler
 /// auto-vectorization over the structure-of-arrays buffers.
@@ -367,7 +368,7 @@ pub const VECTOR_CHUNK: usize = 64;
 /// the full bitwise contract on every geometry, with no report-identical
 /// carve-out needed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VectorizedBackend;
+pub(crate) struct VectorizedBackend;
 
 /// Apply `f` over `buf` in fixed-size chunks; `base` is the global index
 /// of `buf[0]`.
@@ -477,7 +478,7 @@ impl LaunchBackend for VectorizedBackend {
 /// trait's generic methods are not object-safe; adding a backend means
 /// adding a variant here — see the module docs.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnyBackend {
+pub(crate) enum AnyBackend {
     /// Dispatch to [`SequentialBackend`].
     Sequential(SequentialBackend),
     /// Dispatch to [`ParallelBackend`].
@@ -488,7 +489,7 @@ pub enum AnyBackend {
 
 impl AnyBackend {
     /// Resolve a (possibly `Auto`) mode into a concrete dispatcher.
-    pub fn from_mode(mode: ExecutionMode) -> AnyBackend {
+    pub(crate) fn from_mode(mode: ExecutionMode) -> AnyBackend {
         match mode.resolve() {
             ExecutionMode::Sequential => AnyBackend::Sequential(SequentialBackend),
             ExecutionMode::Parallel => AnyBackend::Parallel(ParallelBackend),

@@ -94,11 +94,6 @@ impl<T> DeviceBuffer<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
-
-    /// The stats collector this buffer reports transfers to.
-    pub fn stats(&self) -> &Arc<DeviceStats> {
-        &self.stats
-    }
 }
 
 #[cfg(test)]

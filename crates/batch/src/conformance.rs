@@ -3,7 +3,7 @@
 //! Historically the bitwise Parallel≡Sequential checks were scattered
 //! across the kernel, solver, and scheduler test suites, each pinning one
 //! backend pair to one geometry. This module hoists them into one harness
-//! parameterized over [`LaunchBackend`] implementors, so a new backend is
+//! parameterized over `LaunchBackend` implementors, so a new backend is
 //! held to the *entire* contract — both launch granularities and the
 //! segmented reduction, masked and unmasked, on chunk-boundary-hostile
 //! sizes — before it may be selected by
@@ -11,9 +11,10 @@
 //!
 //! Two entry points:
 //!
-//! * [`assert_backend_conformance`] drives a bare [`LaunchBackend`] over
-//!   raw slices against [`SequentialBackend`] — use this for a backend
-//!   under development (step 3 of the guide in [`crate::backend`]);
+//! * `assert_backend_conformance` (in this module's tests) drives a bare
+//!   `LaunchBackend` over raw slices against `SequentialBackend` — use
+//!   this for a backend under development (step 3 of the guide in the
+//!   `backend` module);
 //! * [`assert_device_conformance`] drives a [`Device`] through the public
 //!   launch API against `Device::sequential()`, additionally checking the
 //!   billing stream (launch counts, live-element block accounting, no
@@ -24,7 +25,6 @@
 //! the vectorized backend's chunk boundary and to exercise empty buffers,
 //! single elements, and ragged remainders.
 
-use crate::backend::{LaunchBackend, SequentialBackend};
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
 use std::sync::Arc;
@@ -110,77 +110,6 @@ fn score(i: usize, x: &f64) -> f64 {
     } else {
         x * 1.000_001 + i as f64 * 1e-12
     }
-}
-
-/// Assert that `backend` is bitwise identical to [`SequentialBackend`] on
-/// every launch geometry and reduction of the [`LaunchBackend`] contract.
-/// Panics with the offending geometry and element on divergence.
-pub fn assert_backend_conformance<B: LaunchBackend>(backend: &B) {
-    let reference = SequentialBackend;
-    let label = backend.mode().label();
-
-    for (seg_len, active) in segment_cases() {
-        let n = seg_len * active.len();
-        // Masked map and masked blocked launches: bitwise identity AND
-        // inactive segments untouched (frozen-state contract).
-        for (min_len, kernel) in [
-            (usize::MAX, map_kernel as fn(usize, &mut f64)),
-            (1, block_kernel as fn(usize, &mut f64)),
-        ] {
-            let original = data(n, 5);
-            let mut got = original.clone();
-            let mut want = original.clone();
-            backend.launch_segments(&mut got, seg_len, &active, min_len, kernel);
-            reference.launch_segments(&mut want, seg_len, &active, min_len, kernel);
-            assert_bits_eq(
-                &got,
-                &want,
-                &format!("{label}: launch_segments seg_len={seg_len} min_len={min_len}"),
-            );
-            for (i, (g, o)) in got.iter().zip(&original).enumerate() {
-                if !active[i / seg_len] {
-                    assert_eq!(
-                        g.to_bits(),
-                        o.to_bits(),
-                        "{label}: inactive element {i} was touched (seg_len={seg_len})"
-                    );
-                }
-            }
-        }
-
-        // Masked per-segment reduction: NaN for inactive segments, bitwise
-        // identity for active ones.
-        let buf = data(n, 6);
-        let got = backend.reduce_max_segments(&buf, seg_len, &active, score);
-        let want = reference.reduce_max_segments(&buf, seg_len, &active, score);
-        assert_eq!(got.len(), active.len());
-        for (s, (g, w)) in got.iter().zip(&want).enumerate() {
-            if active[s] {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "{label}: reduce_max_segments seg {s} (seg_len={seg_len})"
-                );
-            } else {
-                assert!(
-                    g.is_nan() && w.is_nan(),
-                    "{label}: inactive seg {s} must reduce to NaN"
-                );
-            }
-        }
-    }
-
-    // Determinism with itself: a second identical run reproduces the
-    // first bit for bit (no hidden scheduling dependence).
-    let buf = data(10_000, 7);
-    let active = [true; 4];
-    let first = backend.reduce_max_segments(&buf, 2500, &active, score);
-    let second = backend.reduce_max_segments(&buf, 2500, &active, score);
-    assert_bits_eq(
-        &first,
-        &second,
-        &format!("{label}: reduce_max_segments is not self-deterministic"),
-    );
 }
 
 /// Assert that `device` conforms through the public [`Device`] launch API:
@@ -275,7 +204,78 @@ pub fn assert_device_conformance(device: &Device) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ParallelBackend, SequentialBackend, VectorizedBackend};
+    use crate::backend::{LaunchBackend, ParallelBackend, SequentialBackend, VectorizedBackend};
+
+    /// Assert that `backend` is bitwise identical to [`SequentialBackend`] on
+    /// every launch geometry and reduction of the [`LaunchBackend`] contract.
+    /// Panics with the offending geometry and element on divergence.
+    fn assert_backend_conformance<B: LaunchBackend>(backend: &B) {
+        let reference = SequentialBackend;
+        let label = backend.mode().label();
+
+        for (seg_len, active) in segment_cases() {
+            let n = seg_len * active.len();
+            // Masked map and masked blocked launches: bitwise identity AND
+            // inactive segments untouched (frozen-state contract).
+            for (min_len, kernel) in [
+                (usize::MAX, map_kernel as fn(usize, &mut f64)),
+                (1, block_kernel as fn(usize, &mut f64)),
+            ] {
+                let original = data(n, 5);
+                let mut got = original.clone();
+                let mut want = original.clone();
+                backend.launch_segments(&mut got, seg_len, &active, min_len, kernel);
+                reference.launch_segments(&mut want, seg_len, &active, min_len, kernel);
+                assert_bits_eq(
+                    &got,
+                    &want,
+                    &format!("{label}: launch_segments seg_len={seg_len} min_len={min_len}"),
+                );
+                for (i, (g, o)) in got.iter().zip(&original).enumerate() {
+                    if !active[i / seg_len] {
+                        assert_eq!(
+                            g.to_bits(),
+                            o.to_bits(),
+                            "{label}: inactive element {i} was touched (seg_len={seg_len})"
+                        );
+                    }
+                }
+            }
+
+            // Masked per-segment reduction: NaN for inactive segments, bitwise
+            // identity for active ones.
+            let buf = data(n, 6);
+            let got = backend.reduce_max_segments(&buf, seg_len, &active, score);
+            let want = reference.reduce_max_segments(&buf, seg_len, &active, score);
+            assert_eq!(got.len(), active.len());
+            for (s, (g, w)) in got.iter().zip(&want).enumerate() {
+                if active[s] {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{label}: reduce_max_segments seg {s} (seg_len={seg_len})"
+                    );
+                } else {
+                    assert!(
+                        g.is_nan() && w.is_nan(),
+                        "{label}: inactive seg {s} must reduce to NaN"
+                    );
+                }
+            }
+        }
+
+        // Determinism with itself: a second identical run reproduces the
+        // first bit for bit (no hidden scheduling dependence).
+        let buf = data(10_000, 7);
+        let active = [true; 4];
+        let first = backend.reduce_max_segments(&buf, 2500, &active, score);
+        let second = backend.reduce_max_segments(&buf, 2500, &active, score);
+        assert_bits_eq(
+            &first,
+            &second,
+            &format!("{label}: reduce_max_segments is not self-deterministic"),
+        );
+    }
 
     /// The reference trivially conforms to itself — guards the harness
     /// against asserting something no backend can satisfy.

@@ -18,9 +18,6 @@ use std::sync::Arc;
 /// statistics collector and resolved backend.
 #[derive(Debug, Clone)]
 pub struct Device {
-    /// The configured mode; `Auto` resolves at construction via
-    /// [`ExecutionMode::resolve`].
-    pub(crate) mode: ExecutionMode,
     pub(crate) exec: AnyBackend,
     pub(crate) stats: Arc<DeviceStats>,
 }
@@ -29,10 +26,9 @@ impl Device {
     /// Create a device in the given mode, resolving `Auto` to a concrete
     /// backend now (so every launch on this device — and every clone — uses
     /// the same backend even if the environment changes later).
-    pub fn new(mode: ExecutionMode) -> Self {
+    pub(crate) fn new(mode: ExecutionMode) -> Self {
         Device {
             exec: AnyBackend::from_mode(mode),
-            mode,
             stats: Arc::new(DeviceStats::default()),
         }
     }
@@ -70,12 +66,6 @@ impl Device {
     pub fn backend(&self) -> ExecutionMode {
         self.exec.mode()
     }
-
-    /// The *configured* execution mode, which may be
-    /// [`ExecutionMode::Auto`]; see [`Self::backend`] for the resolution.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
 }
 
 impl Default for Device {
@@ -91,7 +81,6 @@ mod tests {
     #[test]
     fn default_device_resolves_auto() {
         let d = Device::default();
-        assert_eq!(d.mode(), ExecutionMode::Auto);
         // The resolved backend is concrete and matches the documented rule
         // for whatever environment this test runs under.
         assert_eq!(d.backend(), ExecutionMode::Auto.resolve());

@@ -129,7 +129,7 @@ impl Device {
     /// recorded: the result is a handful of scalars produced on the device,
     /// mirroring a `cub::DeviceSegmentedReduce` call. Backends may evaluate
     /// scores in any order but fold each segment in index order (the
-    /// determinism contract in [`crate::backend`]), so the result is bitwise
+    /// determinism contract in `backend.rs`), so the result is bitwise
     /// identical across every conforming backend.
     pub fn reduce_max_segments<T, F>(
         &self,

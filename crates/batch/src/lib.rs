@@ -10,14 +10,14 @@
 //! faithful stand-in for the *execution model*:
 //!
 //! * [`Device`] — a batch device that executes kernels through a
-//!   [`LaunchBackend`], the dispatch trait over iteration schemes. Three
-//!   backends ship: [`ParallelBackend`] (Rayon thread pool as the stand-in
-//!   for the GPU's block scheduler), [`SequentialBackend`] (the
-//!   deterministic single-threaded reference), and [`VectorizedBackend`]
-//!   (chunked, branch-free loops shaped for compiler auto-vectorization).
+//!   `LaunchBackend`, the crate's dispatch trait over iteration schemes.
+//!   Three backends ship: parallel (Rayon thread pool as the stand-in for
+//!   the GPU's block scheduler), sequential (the deterministic
+//!   single-threaded reference), and vectorized (chunked, branch-free
+//!   loops shaped for compiler auto-vectorization).
 //!   [`ExecutionMode`] selects among them; `Auto` (the default) resolves
 //!   via the `GRIDSIM_BACKEND` env override, then worker count — see
-//!   [`ExecutionMode::resolve_with`] for the pinned precedence.
+//!   [`ExecutionMode::resolve`] for the pinned precedence.
 //! * [`DeviceBuffer`] — device-resident arrays whose host↔device movements
 //!   are explicit and *counted*, so the paper's "no transfers during the
 //!   solve" claim becomes a checkable property (see the `transfer_audit`
@@ -28,29 +28,30 @@
 //!   per-kernel launch counts, block counts and elapsed time in
 //!   [`DeviceStats`]; a backend implements only the segmented launch and
 //!   the segmented reduction,
-//! * [`conformance`] — the executable determinism contract: every backend
-//!   must be bitwise identical to [`SequentialBackend`] on both operations,
-//!   masked and unmasked, before [`ExecutionMode::Auto`] may select it.
+//! * [`assert_device_conformance`] — the executable determinism contract:
+//!   every backend must be bitwise identical to the sequential one on both
+//!   operations, masked and unmasked, before [`ExecutionMode::Auto`] may
+//!   select it.
 //!
 //! The algorithmic structure — what is a kernel, what runs per thread, what
 //! runs per block, what never leaves the device — is therefore identical to
 //! the paper's implementation; only the physical execution substrate differs,
 //! and the substrate is swappable behind the trait (a GPU-shaped backend is
-//! a plug-in, not a rewrite — see the guide in [`backend`]).
+//! a plug-in, not a rewrite — see the guide in `backend.rs`).
 
-pub mod backend;
-pub mod buffer;
-pub mod conformance;
-pub mod device;
-pub mod kernel;
-pub mod pool;
-pub mod stats;
+#![warn(unreachable_pub)]
 
-pub use backend::{
-    AnyBackend, ExecutionMode, LaunchBackend, ParallelBackend, SequentialBackend,
-    VectorizedBackend, BACKEND_ENV,
-};
+mod backend;
+mod buffer;
+mod conformance;
+mod device;
+mod kernel;
+mod pool;
+mod stats;
+
+pub use backend::{ExecutionMode, BACKEND_ENV};
 pub use buffer::DeviceBuffer;
+pub use conformance::assert_device_conformance;
 pub use device::Device;
 pub use pool::{DevicePool, DEVICE_COUNT_ENV};
 pub use stats::{DeviceStats, KernelStats, StatsSnapshot};

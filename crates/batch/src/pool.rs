@@ -31,7 +31,7 @@ pub struct DevicePool {
 impl DevicePool {
     /// Create a pool of `n` logical devices in `mode`. Each device gets its
     /// own statistics collector.
-    pub fn new(n: usize, mode: ExecutionMode) -> Self {
+    pub(crate) fn new(n: usize, mode: ExecutionMode) -> Self {
         assert!(n >= 1, "a device pool needs at least one device");
         DevicePool {
             devices: (0..n).map(|_| Device::new(mode)).collect(),
@@ -80,7 +80,7 @@ impl DevicePool {
 
     /// The device count `GRIDSIM_DEVICES` requests (default 1; zero and
     /// unparseable values fall back to 1).
-    pub fn env_device_count() -> usize {
+    pub(crate) fn env_device_count() -> usize {
         std::env::var(DEVICE_COUNT_ENV)
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -102,11 +102,6 @@ impl DevicePool {
     /// The `i`-th logical device.
     pub fn device(&self, i: usize) -> &Device {
         &self.devices[i]
-    }
-
-    /// All logical devices, in index order.
-    pub fn devices(&self) -> &[Device] {
-        &self.devices
     }
 
     /// The pool's resolved execution mode (shared by every device).

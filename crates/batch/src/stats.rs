@@ -52,7 +52,7 @@ impl DeviceStats {
     }
 
     /// Record a device-to-host transfer of `bytes`.
-    pub fn record_d2h(&self, bytes: usize) {
+    pub(crate) fn record_d2h(&self, bytes: usize) {
         self.device_to_host_transfers
             .fetch_add(1, Ordering::Relaxed);
         self.device_to_host_bytes

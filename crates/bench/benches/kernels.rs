@@ -11,10 +11,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridsim_admm::{AdmmParams, AdmmSolver};
 use gridsim_batch::Device;
-use gridsim_grid::cases;
 
 fn bench_device_backends(c: &mut Criterion) {
-    let case = cases::case30_like();
+    let case = gridsim_grid::case30_like();
     let net = case.compile().expect("case compiles");
     // Bound the work per benchmark iteration.
     let params = AdmmParams {

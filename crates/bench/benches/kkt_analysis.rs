@@ -12,7 +12,7 @@
 //! Run with `cargo bench -p gridsim-bench --bench kkt_analysis`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gridsim_grid::synthetic::TableICase;
+use gridsim_grid::TableICase;
 use gridsim_ipm::kkt::KktDims;
 use gridsim_ipm::{AcopfNlp, KktCache, Nlp};
 use gridsim_sparse::{Csc, Ordering};
@@ -54,7 +54,7 @@ fn bench_kkt_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("kkt_analysis");
     group.sample_size(50);
     for (name, case) in [
-        ("case14", gridsim_grid::cases::case14()),
+        ("case14", gridsim_grid::case14()),
         ("pegase1354_200", TableICase::Pegase1354.scaled(200)),
     ] {
         let net = case.compile().expect("the case compiles");

@@ -24,13 +24,11 @@
 //!     [--sigma S] [--seed N] [--benign B] [--violating V] [--devices N]
 //! ```
 
-use gridsim_admm::scenario::ScenarioScheduler;
-use gridsim_admm::{AdmmParams, AdmmStatus};
+use gridsim_admm::{AdmmParams, AdmmStatus, ScenarioScheduler};
 use gridsim_batch::DevicePool;
 use gridsim_bench::{arg_parsed, arg_value, TextTable};
 use gridsim_engine::{Engine, FleetRequest};
-use gridsim_grid::network::{Case, Network};
-use gridsim_grid::ContingencySpec;
+use gridsim_grid::{Case, ContingencySpec, Network};
 use gridsim_ipm::{IpmFleetSolver, IpmOptions};
 use gridsim_screen::{
     constraint_margin, Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig,
@@ -38,13 +36,12 @@ use gridsim_screen::{
 use std::time::{Duration, Instant};
 
 fn registry_case(name: &str) -> Option<(String, Case)> {
-    use gridsim_grid::cases;
     let case = match name {
-        "two_bus" => cases::two_bus(),
-        "case5" => cases::case5(),
-        "case9" => cases::case9(),
-        "case14" => cases::case14(),
-        "case30_synthetic" | "case30_like" => cases::case30_like(),
+        "two_bus" => gridsim_grid::two_bus(),
+        "case5" => gridsim_grid::case5(),
+        "case9" => gridsim_grid::case9(),
+        "case14" => gridsim_grid::case14(),
+        "case30_synthetic" | "case30_like" => gridsim_grid::case30_like(),
         _ => return None,
     };
     Some((name.to_string(), case))

@@ -8,8 +8,7 @@
 //! cargo run -p gridsim-bench --release --bin penalty_sweep [--scale small|medium|paper]
 //! ```
 
-use gridsim_bench::experiments::run_cold_start;
-use gridsim_bench::{BenchCase, Scale, TextTable};
+use gridsim_bench::{run_cold_start, BenchCase, Scale, TextTable};
 
 fn main() {
     let scale = Scale::from_args();

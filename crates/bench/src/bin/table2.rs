@@ -17,8 +17,7 @@
 //! faster than the ADMM and has the better answer. The table reports what
 //! the solvers do; it does not yet reproduce the paper's claim.
 
-use gridsim_bench::experiments::{run_cold_start, to_json};
-use gridsim_bench::{BenchCase, Scale, TextTable};
+use gridsim_bench::{run_cold_start, to_json, BenchCase, Scale, TextTable};
 
 fn main() {
     let scale = Scale::from_args();

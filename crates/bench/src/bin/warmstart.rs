@@ -16,9 +16,10 @@
 //! small scale, all six otherwise is expensive because the baseline is solved
 //! 30 times per case).
 
-use gridsim_bench::experiments::{run_tracking_comparison, to_json, TrackingRow};
-use gridsim_bench::{arg_parsed, BenchCase, Scale, TextTable};
-use gridsim_grid::load_profile::LoadProfile;
+use gridsim_bench::{
+    arg_parsed, run_tracking_comparison, to_json, BenchCase, Scale, TextTable, TrackingRow,
+};
+use gridsim_grid::LoadProfile;
 
 fn main() {
     let scale = Scale::from_args();

@@ -5,8 +5,7 @@
 use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::{relative_gap, SolutionQuality};
 use gridsim_admm::{AdmmParams, AdmmSolver};
-use gridsim_grid::load_profile::LoadProfile;
-use gridsim_grid::network::Case;
+use gridsim_grid::{Case, LoadProfile};
 use gridsim_ipm::{AcopfNlp, IpmSolver, IpmWarmStart, KktCache};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -171,11 +170,10 @@ pub fn to_json<T: Serialize>(value: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
 
     #[test]
     fn cold_start_row_on_case9_reproduces_paper_quality() {
-        let row = run_cold_start("case9", &cases::case9(), &AdmmParams::default());
+        let row = run_cold_start("case9", &gridsim_grid::case9(), &AdmmParams::default());
         assert!(row.ipm_optimal);
         assert!(row.max_violation < 1e-2, "violation {}", row.max_violation);
         assert!(row.relative_gap < 0.01, "gap {}", row.relative_gap);
@@ -188,7 +186,12 @@ mod tests {
             multipliers: vec![1.0, 1.005, 1.01],
             period_minutes: 1.0,
         };
-        let rows = run_tracking_comparison(&cases::case9(), &profile, &AdmmParams::default(), 0.02);
+        let rows = run_tracking_comparison(
+            &gridsim_grid::case9(),
+            &profile,
+            &AdmmParams::default(),
+            0.02,
+        );
         assert_eq!(rows.len(), 3);
         // Warm-started periods are faster than the cold start for ADMM.
         assert!(rows[1].admm_time_s <= rows[0].admm_time_s);

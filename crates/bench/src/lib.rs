@@ -35,10 +35,14 @@
 //! `--scale small|medium|paper` (default `small`) selecting proportionally
 //! scaled synthetic cases with the same structure.
 
-pub mod experiments;
-pub mod registry;
-pub mod table;
+#![warn(unreachable_pub)]
 
-pub use experiments::{run_cold_start, run_tracking_comparison, ColdStartRow, TrackingRow};
-pub use registry::{arg_parsed, arg_parsed_from, arg_value, BenchCase, Scale};
+mod experiments;
+mod registry;
+mod table;
+
+pub use experiments::{
+    run_cold_start, run_tracking_comparison, to_json, ColdStartRow, TrackingRow,
+};
+pub use registry::{arg_parsed, arg_value, BenchCase, Scale};
 pub use table::TextTable;

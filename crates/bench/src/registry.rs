@@ -1,8 +1,7 @@
 //! The case registry: which networks each experiment runs on.
 
 use gridsim_admm::AdmmParams;
-use gridsim_grid::network::Case;
-use gridsim_grid::synthetic::TableICase;
+use gridsim_grid::{Case, TableICase};
 use std::str::FromStr;
 
 /// Experiment scale.
@@ -21,7 +20,7 @@ pub enum Scale {
 
 impl Scale {
     /// Parse from a command-line string.
-    pub fn parse(s: &str) -> Option<Scale> {
+    pub(crate) fn parse(s: &str) -> Option<Scale> {
         match s.to_ascii_lowercase().as_str() {
             "small" => Some(Scale::Small),
             "medium" => Some(Scale::Medium),
@@ -44,7 +43,7 @@ impl Scale {
 
     /// [`Scale::from_args`] over an explicit argument list: the first
     /// `--scale <v>` or `--scale=<v>` decides.
-    pub fn from_arg_list(args: &[String]) -> Result<Scale, String> {
+    pub(crate) fn from_arg_list(args: &[String]) -> Result<Scale, String> {
         const ACCEPTED: &str = "expected small, medium, paper or full";
         match find_flag(args, "--scale") {
             None => Ok(Scale::Small),
@@ -88,7 +87,10 @@ pub fn arg_parsed<T: FromStr>(name: &str) -> Option<T> {
 }
 
 /// [`arg_parsed`] over an explicit argument list.
-pub fn arg_parsed_from<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+pub(crate) fn arg_parsed_from<T: FromStr>(
+    args: &[String],
+    name: &str,
+) -> Result<Option<T>, String> {
     let expected = match std::any::type_name::<T>() {
         "usize" | "u64" => "an unsigned integer",
         "f64" => "a number",
@@ -181,12 +183,11 @@ impl BenchCase {
     /// verified by the test suite, and the set used for the recorded
     /// laptop-scale experiment runs.
     pub fn embedded() -> Vec<BenchCase> {
-        use gridsim_grid::cases;
         [
-            ("case5", cases::case5()),
-            ("case9", cases::case9()),
-            ("case14", cases::case14()),
-            ("case30_synthetic", cases::case30_like()),
+            ("case5", gridsim_grid::case5()),
+            ("case9", gridsim_grid::case9()),
+            ("case14", gridsim_grid::case14()),
+            ("case30_synthetic", gridsim_grid::case30_like()),
         ]
         .into_iter()
         .map(|(name, case)| BenchCase {

@@ -26,13 +26,8 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render the table to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -91,7 +86,6 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = TextTable::new(vec!["a", "b", "c"]);
         t.add_row(vec!["1"]);
-        assert_eq!(t.num_rows(), 1);
         assert!(t.render().lines().count() == 3);
     }
 }

@@ -12,15 +12,15 @@
 //! [`Engine`] supplies
 //!
 //! * **sharding** — scenarios are dealt round-robin across the logical
-//!   devices of a [`DevicePool`] ([`plan::shard_plan`]); shards execute
+//!   devices of a [`DevicePool`] ([`shard_plan`]); shards execute
 //!   concurrently, one host thread per device, each billing its kernel work
 //!   to its own device's statistics stream,
 //! * **streaming admission** — each device runs a fixed number of *lanes*
 //!   (slots). Every scenario enters a lane through the same admission: the
 //!   initial occupants fill the empty lanes in slot order, and when a
 //!   lane's scenario finishes, its result is extracted and the shard's next
-//!   pending scenario is admitted into the freed lane
-//!   ([`plan::admission_plan`]), so a busy device never idles lanes on
+//!   pending scenario is admitted into the freed lane (`admission_plan`),
+//!   so a busy device never idles lanes on
 //!   finished work,
 //! * **the warm-start store protocol** — a [`FleetRequest`]'s store
 //!   binding is resolved here: every admission carries the nearest stored
@@ -39,16 +39,20 @@
 //! configuration-independent, to solver tolerance for warm-start-chained
 //! solvers where the lane a scenario lands in decides its starting point.
 
-pub mod jobs;
-pub mod plan;
-pub mod request;
+#![warn(unreachable_pub)]
 
+mod jobs;
+mod plan;
+mod request;
+
+pub use jobs::{lane_allocation, JobSlot};
+pub use plan::{shard_plan, total_lanes};
 pub use request::{FleetRequest, StoreAccess};
 
 use gridsim_batch::{Device, DevicePool, StatsSnapshot};
-use gridsim_grid::fingerprint::ScenarioFingerprint;
+use gridsim_grid::ScenarioFingerprint;
 use gridsim_store::{StoreHit, StoreRunStats, StoreView};
-use plan::{admission_plan, shard_plan, total_lanes};
+use plan::admission_plan;
 use std::time::{Duration, Instant};
 
 /// One solver family's view of fleet execution.

@@ -22,7 +22,7 @@ pub fn shard_plan(num_scenarios: usize, num_devices: usize) -> Vec<Vec<usize>> {
 
 /// Admission plan of one shard under an optional lane cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionPlan {
+pub(crate) struct AdmissionPlan {
     /// Concurrent slots the shard runs (`min(lane_cap, shard length)`,
     /// the whole shard without a cap).
     pub lanes: usize,
@@ -38,7 +38,7 @@ pub struct AdmissionPlan {
 
 /// Plan one shard's admissions: the first `lanes` scenarios fill the slots,
 /// the rest queue as refills.
-pub fn admission_plan(shard: &[usize], lane_cap: Option<usize>) -> AdmissionPlan {
+pub(crate) fn admission_plan(shard: &[usize], lane_cap: Option<usize>) -> AdmissionPlan {
     assert!(!shard.is_empty(), "a shard needs at least one scenario");
     if let Some(cap) = lane_cap {
         assert!(cap >= 1, "need at least one lane");

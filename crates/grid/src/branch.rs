@@ -74,7 +74,7 @@ impl Branch {
     }
 
     /// Effective tap ratio (1.0 when the MATPOWER field is zero).
-    pub fn tap_ratio(&self) -> f64 {
+    pub(crate) fn tap_ratio(&self) -> f64 {
         if self.tap == 0.0 {
             1.0
         } else {
@@ -83,7 +83,7 @@ impl Branch {
     }
 
     /// Series admittance `y = 1 / (r + jx)` returned as `(g, b)`.
-    pub fn series_admittance(&self) -> (f64, f64) {
+    pub(crate) fn series_admittance(&self) -> (f64, f64) {
         let d = self.r * self.r + self.x * self.x;
         assert!(
             d > 0.0,

@@ -17,7 +17,7 @@ pub enum BusType {
 
 impl BusType {
     /// Decode the MATPOWER integer bus-type code.
-    pub fn from_code(code: i64) -> Self {
+    pub(crate) fn from_code(code: i64) -> Self {
         match code {
             2 => BusType::Pv,
             3 => BusType::Ref,
@@ -27,7 +27,7 @@ impl BusType {
     }
 
     /// Encode to the MATPOWER integer bus-type code.
-    pub fn to_code(self) -> i64 {
+    pub(crate) fn to_code(self) -> i64 {
         match self {
             BusType::Pq => 1,
             BusType::Pv => 2,
@@ -70,34 +70,9 @@ pub struct Bus {
 }
 
 impl Bus {
-    /// A convenience constructor for a PQ bus with the given load and default
-    /// voltage limits of [0.9, 1.1] p.u.
-    pub fn load_bus(id: usize, pd: f64, qd: f64) -> Self {
-        Bus {
-            id,
-            bus_type: BusType::Pq,
-            pd,
-            qd,
-            gs: 0.0,
-            bs: 0.0,
-            area: 1,
-            vm: 1.0,
-            va: 0.0,
-            base_kv: 345.0,
-            zone: 1,
-            vmax: 1.1,
-            vmin: 0.9,
-        }
-    }
-
     /// True when this bus participates in the network.
-    pub fn in_service(&self) -> bool {
+    pub(crate) fn in_service(&self) -> bool {
         self.bus_type != BusType::Isolated
-    }
-
-    /// True if this bus has nonzero demand.
-    pub fn has_load(&self) -> bool {
-        self.pd != 0.0 || self.qd != 0.0
     }
 }
 
@@ -119,19 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn load_bus_defaults() {
-        let b = Bus::load_bus(12, 90.0, 30.0);
-        assert_eq!(b.id, 12);
-        assert!(b.has_load());
-        assert!(b.in_service());
-        assert_eq!(b.vmax, 1.1);
-        assert_eq!(b.vmin, 0.9);
-    }
-
-    #[test]
     fn isolated_bus_out_of_service() {
-        let mut b = Bus::load_bus(1, 0.0, 0.0);
-        assert!(!b.has_load());
+        let mut b = crate::case9().buses[0].clone();
+        assert!(b.in_service());
         b.bus_type = BusType::Isolated;
         assert!(!b.in_service());
     }

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 const LEVEL_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 const DRAW_STRIDE: u64 = 0xD1B5_4A32_D192_ED03;
 
-/// Template for an N−k contingency sweep; see the [module docs](self).
+/// Template for an N−k contingency sweep; see the module docs of `contingency.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContingencySpec {
     /// Uniform load multipliers forming the level grid; each must be
@@ -98,12 +98,6 @@ impl ContingencySpec {
         self.n1_branches = n1;
         self.n2_pairs = n2;
         self.gen_outages = gens;
-        self
-    }
-
-    /// Drop the no-outage column (outage scenarios only).
-    pub fn without_base(mut self) -> ContingencySpec {
-        self.include_base = false;
         self
     }
 
@@ -255,13 +249,6 @@ pub struct ContingencyManifest {
     pub tags: Vec<String>,
 }
 
-// Re-exported here so callers sizing a spec can reason about eligibility
-// without importing the scenario module too.
-pub use crate::scenario::{
-    eligible_branch_outages as n1_eligible, eligible_branch_pairs as n2_eligible,
-    eligible_generator_outages as gen_outage_eligible,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,7 +356,8 @@ mod tests {
         s.sigma = 0.0;
         assert!(s.validate().is_err(), "draws without noise");
 
-        let s = ContingencySpec::load_grid(2, 0.9, 1.1).without_base();
+        let mut s = ContingencySpec::load_grid(2, 0.9, 1.1);
+        s.include_base = false;
         assert!(s.validate().is_err(), "no base and no outages");
 
         assert!(spec().validate().is_ok());

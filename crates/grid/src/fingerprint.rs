@@ -72,7 +72,7 @@ impl Fnv {
 
 /// The similarity key of one scenario: its load coordinates plus the
 /// structure signature partitioning the store into warm-start-compatible
-/// equivalence classes. See the [module docs](self) for the rationale.
+/// equivalence classes. See the module docs of `fingerprint.rs` for the rationale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioFingerprint {
     /// Load coordinates: `[pd[0..nbus], qd[0..nbus]]` in p.u. Distances

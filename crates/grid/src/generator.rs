@@ -18,20 +18,6 @@ pub struct GenCost {
 }
 
 impl GenCost {
-    /// A purely linear cost.
-    pub fn linear(c1: f64) -> Self {
-        GenCost {
-            c2: 0.0,
-            c1,
-            c0: 0.0,
-        }
-    }
-
-    /// Evaluate the cost at a real-power output in MW.
-    pub fn eval(&self, p_mw: f64) -> f64 {
-        (self.c2 * p_mw + self.c1) * p_mw + self.c0
-    }
-
     /// Derivative of the cost with respect to MW output.
     pub fn deriv(&self, p_mw: f64) -> f64 {
         2.0 * self.c2 * p_mw + self.c1
@@ -75,49 +61,15 @@ pub struct Generator {
     pub cost: GenCost,
 }
 
-impl Generator {
-    /// Convenience constructor with symmetric reactive limits and a default
-    /// cost curve.
-    pub fn new(bus: usize, pmin: f64, pmax: f64, cost: GenCost) -> Self {
-        Generator {
-            bus,
-            pg: 0.5 * (pmin + pmax),
-            qg: 0.0,
-            qmax: 0.75 * pmax,
-            qmin: -0.75 * pmax,
-            vg: 1.0,
-            mbase: 100.0,
-            status: true,
-            pmax,
-            pmin,
-            cost,
-        }
-    }
-
-    /// Real-power capacity (MW) contributed when in service.
-    pub fn capacity(&self) -> f64 {
-        if self.status {
-            self.pmax
-        } else {
-            0.0
-        }
-    }
-}
+impl Generator {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn cost_eval_matches_polynomial() {
-        let c = GenCost {
-            c2: 0.1,
-            c1: 5.0,
-            c0: 150.0,
-        };
-        let p = 37.5;
-        let expected = 0.1 * p * p + 5.0 * p + 150.0;
-        assert!((c.eval(p) - expected).abs() < 1e-12);
+    /// The cost polynomial `c2·p² + c1·p + c0` at `p_mw`.
+    fn eval(c: &GenCost, p_mw: f64) -> f64 {
+        (c.c2 * p_mw + c.c1) * p_mw + c.c0
     }
 
     #[test]
@@ -129,29 +81,7 @@ mod tests {
         };
         let p = 120.0;
         let h = 1e-6;
-        let fd = (c.eval(p + h) - c.eval(p - h)) / (2.0 * h);
+        let fd = (eval(&c, p + h) - eval(&c, p - h)) / (2.0 * h);
         assert!((c.deriv(p) - fd).abs() < 1e-5);
-    }
-
-    #[test]
-    fn linear_cost_has_zero_quadratic_term() {
-        let c = GenCost::linear(25.0);
-        assert_eq!(c.c2, 0.0);
-        assert_eq!(c.eval(10.0), 250.0);
-    }
-
-    #[test]
-    fn generator_capacity_respects_status() {
-        let mut g = Generator::new(3, 10.0, 250.0, GenCost::default());
-        assert_eq!(g.capacity(), 250.0);
-        g.status = false;
-        assert_eq!(g.capacity(), 0.0);
-    }
-
-    #[test]
-    fn generator_new_midpoint_start() {
-        let g = Generator::new(1, 10.0, 110.0, GenCost::default());
-        assert!((g.pg - 60.0).abs() < 1e-12);
-        assert!(g.qmin < 0.0 && g.qmax > 0.0);
     }
 }

@@ -27,7 +27,7 @@ impl LoadProfile {
     /// Build a profile directly from hourly demand samples (e.g. a real
     /// ISO-NE trace), linearly interpolated to `period_minutes` resolution and
     /// normalized so the first sample maps to 1.0.
-    pub fn from_hourly(hourly_demand: &[f64], period_minutes: f64) -> Self {
+    pub(crate) fn from_hourly(hourly_demand: &[f64], period_minutes: f64) -> Self {
         assert!(hourly_demand.len() >= 2, "need at least two hourly samples");
         assert!(period_minutes > 0.0);
         let base = hourly_demand[0];
@@ -52,7 +52,7 @@ impl LoadProfile {
     /// Synthesize a 24-hour demand curve with morning/evening peaks plus small
     /// random perturbations, interpolated to one-minute periods.
     /// Deterministic in `seed`.
-    pub fn synthetic_day(seed: u64) -> Self {
+    pub(crate) fn synthetic_day(seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut hourly = Vec::with_capacity(25);
         for h in 0..=24 {
@@ -71,7 +71,7 @@ impl LoadProfile {
     /// `start`, re-normalized so the window's first period is 1.0 (the cold
     /// start solves the nominal case). The synthetic day is constructed so a
     /// 30-period window drifts by at most ~5 %, as in the paper.
-    pub fn window(&self, start: usize, periods: usize) -> LoadProfile {
+    pub(crate) fn window(&self, start: usize, periods: usize) -> LoadProfile {
         assert!(
             start + periods <= self.multipliers.len(),
             "window [{start}, {}) exceeds profile length {}",
@@ -127,14 +127,6 @@ impl LoadProfile {
         self.multipliers
             .iter()
             .map(|m| (m - base).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Largest period-to-period change (relevant for ramp-rate feasibility).
-    pub fn max_step(&self) -> f64 {
-        self.multipliers
-            .windows(2)
-            .map(|w| (w[1] - w[0]).abs())
             .fold(0.0, f64::max)
     }
 }
@@ -194,7 +186,12 @@ mod tests {
         );
         // Per-minute steps stay small, consistent with interpolation of an
         // hourly signal.
-        assert!(w.max_step() < 0.01, "step {}", w.max_step());
+        let max_step = w
+            .multipliers
+            .windows(2)
+            .map(|p| (p[1] - p[0]).abs())
+            .fold(0.0, f64::max);
+        assert!(max_step < 0.01, "step {max_step}");
     }
 
     #[test]

@@ -35,20 +35,6 @@ pub struct Case {
 }
 
 impl Case {
-    /// Total real load (MW) of in-service buses.
-    pub fn total_load_mw(&self) -> f64 {
-        self.buses
-            .iter()
-            .filter(|b| b.in_service())
-            .map(|b| b.pd)
-            .sum()
-    }
-
-    /// Total in-service generation capacity (MW).
-    pub fn total_capacity_mw(&self) -> f64 {
-        self.generators.iter().map(|g| g.capacity()).sum()
-    }
-
     /// Compile the case into a per-unit [`Network`].
     pub fn compile(&self) -> Result<Network, GridError> {
         Network::from_case(self)
@@ -149,7 +135,7 @@ pub struct Network {
 
 impl Network {
     /// Compile a raw [`Case`].
-    pub fn from_case(case: &Case) -> Result<Network, GridError> {
+    pub(crate) fn from_case(case: &Case) -> Result<Network, GridError> {
         if case.base_mva <= 0.0 {
             return Err(GridError::Invalid(format!(
                 "base MVA must be positive, got {}",
@@ -348,12 +334,6 @@ impl Network {
         }
     }
 
-    /// Number of components in the paper's decomposition
-    /// (generators + branches + buses).
-    pub fn ncomponents(&self) -> usize {
-        self.ngen + self.nbranch + self.nbus
-    }
-
     /// Evaluate the total generation cost ($/hr) at per-unit outputs `pg`.
     pub fn generation_cost(&self, pg: &[f64]) -> f64 {
         assert_eq!(pg.len(), self.ngen);
@@ -383,6 +363,28 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test-side totals of a case, the references the case, parser and
+    /// generator tests compare against.
+    impl Case {
+        /// Total real load (MW) of in-service buses.
+        pub(crate) fn total_load_mw(&self) -> f64 {
+            self.buses
+                .iter()
+                .filter(|b| b.in_service())
+                .map(|b| b.pd)
+                .sum()
+        }
+
+        /// Total in-service generation capacity (MW).
+        pub(crate) fn total_capacity_mw(&self) -> f64 {
+            self.generators
+                .iter()
+                .filter(|g| g.status)
+                .map(|g| g.pmax)
+                .sum()
+        }
+    }
     use crate::cases;
 
     #[test]
@@ -391,7 +393,6 @@ mod tests {
         assert_eq!(net.nbus, 9);
         assert_eq!(net.ngen, 3);
         assert_eq!(net.nbranch, 9);
-        assert_eq!(net.ncomponents(), 21);
         // Loads converted to p.u.
         let total = net.total_pd();
         assert!((total - 3.15).abs() < 1e-9, "total load {total}");

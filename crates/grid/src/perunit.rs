@@ -7,34 +7,21 @@
 
 /// Convert a power in MW (or MVAr) to per unit on `base_mva`.
 #[inline]
-pub fn to_pu(power_mw: f64, base_mva: f64) -> f64 {
+pub(crate) fn to_pu(power_mw: f64, base_mva: f64) -> f64 {
     power_mw / base_mva
-}
-
-/// Convert a per-unit power back to MW (or MVAr).
-#[inline]
-pub fn from_pu(power_pu: f64, base_mva: f64) -> f64 {
-    power_pu * base_mva
 }
 
 /// Convert MATPOWER polynomial cost coefficients (on MW) to coefficients on
 /// per-unit power so that `c2' * p_pu^2 + c1' * p_pu + c0` equals the original
 /// cost in $/hr.
 #[inline]
-pub fn cost_to_pu(c2: f64, c1: f64, c0: f64, base_mva: f64) -> (f64, f64, f64) {
+pub(crate) fn cost_to_pu(c2: f64, c1: f64, c0: f64, base_mva: f64) -> (f64, f64, f64) {
     (c2 * base_mva * base_mva, c1 * base_mva, c0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let base = 100.0;
-        let p = 163.0;
-        assert!((from_pu(to_pu(p, base), base) - p).abs() < 1e-12);
-    }
 
     #[test]
     fn cost_conversion_preserves_value() {

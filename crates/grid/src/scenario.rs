@@ -39,7 +39,7 @@ pub const OUTAGE_REACTANCE: f64 = 1e7;
 /// units excluding the outaged one) to total real load for a generator
 /// outage to be considered: an outage below this margin is an energy-
 /// deficient system, not a meaningful screening scenario.
-pub const GEN_OUTAGE_CAPACITY_MARGIN: f64 = 1.1;
+pub(crate) const GEN_OUTAGE_CAPACITY_MARGIN: f64 = 1.1;
 
 /// One scenario: per-bus load multipliers plus optional branch/generator
 /// outages.
@@ -60,7 +60,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A scenario scaling every bus load by the same factor.
-    pub fn uniform(name: impl Into<String>, nbus: usize, factor: f64) -> Scenario {
+    pub(crate) fn uniform(name: impl Into<String>, nbus: usize, factor: f64) -> Scenario {
         Scenario {
             name: name.into(),
             bus_load_scale: vec![factor; nbus],
@@ -70,7 +70,7 @@ impl Scenario {
     }
 
     /// A nominal-load scenario with branch `l` out of service.
-    pub fn branch_outage(name: impl Into<String>, nbus: usize, l: usize) -> Scenario {
+    pub(crate) fn branch_outage(name: impl Into<String>, nbus: usize, l: usize) -> Scenario {
         Scenario {
             name: name.into(),
             bus_load_scale: vec![1.0; nbus],
@@ -80,7 +80,7 @@ impl Scenario {
     }
 
     /// A nominal-load N−2 scenario with branches `a` and `b` out of service.
-    pub fn branch_pair_outage(
+    pub(crate) fn branch_pair_outage(
         name: impl Into<String>,
         nbus: usize,
         a: usize,
@@ -95,7 +95,7 @@ impl Scenario {
     }
 
     /// A nominal-load scenario with generator `g` out of service.
-    pub fn generator_outage(name: impl Into<String>, nbus: usize, g: usize) -> Scenario {
+    pub(crate) fn generator_outage(name: impl Into<String>, nbus: usize, g: usize) -> Scenario {
         Scenario {
             name: name.into(),
             bus_load_scale: vec![1.0; nbus],
@@ -106,7 +106,7 @@ impl Scenario {
 
     /// Apply the scenario to a base case, producing a derived case with
     /// identical dimensions and topology.
-    pub fn apply(&self, base: &Case) -> Case {
+    pub(crate) fn apply(&self, base: &Case) -> Case {
         assert_eq!(
             self.bus_load_scale.len(),
             base.buses.len(),
@@ -227,9 +227,9 @@ impl ScenarioSet {
     }
 
     /// Up to `k` branch-pair-outage (N−2) scenarios at nominal load, spread
-    /// evenly over the eligible pairs (see [`eligible_branch_pairs`]); the
+    /// evenly over the eligible pairs (see `eligible_branch_pairs`); the
     /// set may hold fewer than `k` scenarios.
-    pub fn branch_pair_outages(base: Case, k: usize) -> ScenarioSet {
+    pub(crate) fn branch_pair_outages(base: Case, k: usize) -> ScenarioSet {
         assert!(k > 0, "need at least one scenario");
         let nbus = base.buses.len();
         let scenarios = spread(&eligible_branch_pairs(&base), k)
@@ -242,7 +242,7 @@ impl ScenarioSet {
     }
 
     /// Up to `k` single-generator-outage scenarios at nominal load, spread
-    /// evenly over the eligible units (see [`eligible_generator_outages`]);
+    /// evenly over the eligible units (see `eligible_generator_outages`);
     /// the set may hold fewer than `k` scenarios.
     pub fn generator_outages(base: Case, k: usize) -> ScenarioSet {
         assert!(k > 0, "need at least one scenario");
@@ -303,7 +303,7 @@ pub fn eligible_branch_outages(case: &Case) -> Vec<usize> {
 /// non-bridges (otherwise the single outage already islands), and the pair
 /// is connectivity-checked on the graph minus both edges — two non-bridges
 /// can still island jointly (e.g. the two parallel paths of a ring).
-pub fn eligible_branch_pairs(case: &Case) -> Vec<(usize, usize)> {
+pub(crate) fn eligible_branch_pairs(case: &Case) -> Vec<(usize, usize)> {
     let bridge = bridges(case);
     let singles: Vec<usize> = (0..case.branches.len()).filter(|&l| !bridge[l]).collect();
     let mut pairs = Vec::new();
@@ -322,7 +322,7 @@ pub fn eligible_branch_pairs(case: &Case) -> Vec<(usize, usize)> {
 /// `Σ pmax ≥ `[`GEN_OUTAGE_CAPACITY_MARGIN`]` × Σ pd` over the remaining
 /// in-service units, in index order. A unit that is the only in-service
 /// generator is never eligible.
-pub fn eligible_generator_outages(case: &Case) -> Vec<usize> {
+pub(crate) fn eligible_generator_outages(case: &Case) -> Vec<usize> {
     let total_load: f64 = case.buses.iter().map(|b| b.pd.max(0.0)).sum();
     let in_service: Vec<usize> = (0..case.generators.len())
         .filter(|&g| case.generators[g].status)

@@ -128,7 +128,7 @@ impl TableICase {
     }
 
     /// A [`SyntheticSpec`] replicating this case's dimensions.
-    pub fn spec(&self) -> SyntheticSpec {
+    pub(crate) fn spec(&self) -> SyntheticSpec {
         let (ngen, nbranch, nbus) = self.dimensions();
         SyntheticSpec {
             name: self.name().to_string(),

@@ -1,11 +1,11 @@
 //! Crate-level integration tests of MATPOWER file I/O: write real case files
 //! to disk, read them back through the public path-based API, and compile.
 
-use gridsim_grid::{cases, matpower, SyntheticSpec};
+use gridsim_grid::{matpower, SyntheticSpec};
 
 #[test]
 fn write_and_read_case9_via_filesystem() {
-    let case = cases::case9();
+    let case = gridsim_grid::case9();
     let dir = std::env::temp_dir().join("gridadmm_test_cases");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("case9_roundtrip.m");

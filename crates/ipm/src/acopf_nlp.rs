@@ -20,10 +20,9 @@
 //! gradients and Hessians.
 
 use crate::nlp::Nlp;
-use gridsim_acopf::flows::{BranchFlow, FlowPoint};
-use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::start::cold_start;
-use gridsim_grid::network::Network;
+use gridsim_acopf::{BranchFlow, FlowPoint, OpfSolution};
+use gridsim_grid::Network;
 use gridsim_sparse::Coo;
 
 /// The ACOPF NLP over a compiled [`Network`].
@@ -67,13 +66,8 @@ impl<'a> AcopfNlp<'a> {
         self
     }
 
-    /// The network this NLP was built from.
-    pub fn network(&self) -> &Network {
-        self.net
-    }
-
     /// Number of line-limit constraints (two per rated branch).
-    pub fn num_line_limits(&self) -> usize {
+    pub(crate) fn num_line_limits(&self) -> usize {
         2 * self.limited.len()
     }
 
@@ -486,11 +480,10 @@ impl Nlp for AcopfNlp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim_grid::cases;
 
     fn sample_x(nlp: &AcopfNlp<'_>) -> Vec<f64> {
         // A perturbed interior point exercising all nonlinearities.
-        let n = nlp.network();
+        let n = nlp.net;
         let mut sol = cold_start(n);
         for b in 0..n.nbus {
             sol.va[b] = 0.02 * (b as f64 % 7.0) - 0.05;
@@ -506,7 +499,7 @@ mod tests {
 
     #[test]
     fn dimensions_are_consistent() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         assert_eq!(nlp.num_vars(), 2 * 9 + 2 * 3);
         assert_eq!(nlp.num_eq(), 19);
@@ -518,7 +511,7 @@ mod tests {
 
     #[test]
     fn solution_roundtrip() {
-        let net = cases::case14().compile().unwrap();
+        let net = gridsim_grid::case14().compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         let sol = cold_start(&net);
         let x = nlp.from_solution(&sol);
@@ -528,7 +521,7 @@ mod tests {
 
     #[test]
     fn eq_constraints_match_power_mismatch() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         let x = sample_x(&nlp);
         let sol = nlp.to_solution(&x);
@@ -544,7 +537,7 @@ mod tests {
 
     #[test]
     fn objective_gradient_matches_finite_difference() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         let x = sample_x(&nlp);
         let mut g = vec![0.0; nlp.num_vars()];
@@ -562,7 +555,7 @@ mod tests {
 
     #[test]
     fn eq_jacobian_matches_finite_difference() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         let x = sample_x(&nlp);
         let jac = nlp.eq_jacobian(&x).to_csc();
@@ -590,7 +583,7 @@ mod tests {
 
     #[test]
     fn ineq_jacobian_matches_finite_difference() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         let x = sample_x(&nlp);
         let jac = nlp.ineq_jacobian(&x).to_csc();
@@ -681,10 +674,10 @@ mod tests {
 
     #[test]
     fn lagrangian_hessian_matches_finite_difference() {
-        assert_hessian_matches_finite_difference(&cases::case9().compile().unwrap());
+        assert_hessian_matches_finite_difference(&gridsim_grid::case9().compile().unwrap());
         // Unrated branches in between: limit row `2k` belongs to the `k`-th
         // rated branch, not to branch `k`.
-        let mut case = cases::case9();
+        let mut case = gridsim_grid::case9();
         for l in [0, 3, 7] {
             case.branches[l].rate_a = 0.0;
         }
@@ -699,7 +692,7 @@ mod tests {
     /// Hessian is.
     #[test]
     fn values_write_every_declared_triplet() {
-        let net = cases::case14().compile().unwrap();
+        let net = gridsim_grid::case14().compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         let x = nlp.initial_point();
         let (lam_eq, lam_ineq) = (vec![0.0; nlp.num_eq()], vec![0.0; nlp.num_ineq()]);
@@ -722,7 +715,7 @@ mod tests {
 
     #[test]
     fn pg_bound_override_applies() {
-        let net = cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let pmin = vec![0.5; 3];
         let pmax = vec![1.5; 3];
         let nlp = AcopfNlp::new(&net).with_pg_bounds(pmin.clone(), pmax.clone());
@@ -735,7 +728,7 @@ mod tests {
 
     #[test]
     fn unlimited_branches_have_no_line_constraints() {
-        let mut case = cases::case9();
+        let mut case = gridsim_grid::case9();
         for b in &mut case.branches {
             b.rate_a = 0.0;
         }

@@ -40,11 +40,11 @@ use crate::acopf_nlp::AcopfNlp;
 use crate::kkt_condensed::{FrozenRegistry, FrozenSystem, KktCache, SymbolicStats};
 use crate::report::SolveReport;
 use crate::solver::{IpmOptions, IpmSolver, IpmWarmStart};
-use gridsim_acopf::solution::OpfSolution;
 use gridsim_acopf::violations::{max_or_nan, SolutionQuality};
+use gridsim_acopf::OpfSolution;
 use gridsim_batch::Device;
 use gridsim_engine::{Admission, Engine, FleetRequest, LaneSolver};
-use gridsim_grid::network::Network;
+use gridsim_grid::Network;
 use gridsim_store::StoreRunStats;
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,16 +118,6 @@ impl FleetReport {
             .sum()
     }
 
-    /// Total accepted second-order correction steps across the fleet.
-    pub fn soc_steps(&self) -> usize {
-        self.results.iter().map(|r| r.report.soc_steps).sum()
-    }
-
-    /// Total watchdog (non-monotone) acceptances across the fleet.
-    pub fn watchdog_steps(&self) -> usize {
-        self.results.iter().map(|r| r.report.watchdog_steps).sum()
-    }
-
     /// Total feasibility-restoration phases entered across the fleet.
     pub fn restorations(&self) -> usize {
         self.results.iter().map(|r| r.report.restorations).sum()
@@ -181,7 +171,7 @@ impl IpmFleetSolver {
 
     /// Solve one [`FleetRequest`]; results come back in input order.
     /// Networks should share one topology (a
-    /// [`gridsim_grid::scenario::ScenarioSet`] guarantees it) —
+    /// [`gridsim_grid::ScenarioSet`] guarantees it) —
     /// structurally divergent scenarios still solve correctly but cost one
     /// more symbolic analysis per structure.
     ///
@@ -361,13 +351,12 @@ impl LaneSolver for IpmFleet<'_> {
 mod tests {
     use super::*;
     use gridsim_batch::DevicePool;
-    use gridsim_grid::cases;
-    use gridsim_grid::scenario::ScenarioSet;
+    use gridsim_grid::ScenarioSet;
     use gridsim_store::SolutionStore;
 
     #[test]
     fn fleet_solves_a_load_ramp_and_pays_one_analysis() {
-        let nets = ScenarioSet::load_ramp(cases::case9(), 4, 0.98, 1.02)
+        let nets = ScenarioSet::load_ramp(gridsim_grid::case9(), 4, 0.98, 1.02)
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(2)).with_lanes(1);
@@ -404,7 +393,7 @@ mod tests {
 
     #[test]
     fn warm_start_carry_speeds_up_the_second_admission() {
-        let nets = ScenarioSet::load_ramp(cases::case9(), 2, 1.0, 1.005)
+        let nets = ScenarioSet::load_ramp(gridsim_grid::case9(), 2, 1.0, 1.005)
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
@@ -425,7 +414,7 @@ mod tests {
 
     #[test]
     fn default_options_fleet_pays_one_analysis_across_lanes() {
-        let nets = ScenarioSet::load_ramp(cases::case9(), 2, 0.99, 1.01)
+        let nets = ScenarioSet::load_ramp(gridsim_grid::case9(), 2, 0.99, 1.01)
             .networks()
             .unwrap();
         let fleet = IpmFleetSolver::with_engine(
@@ -448,9 +437,12 @@ mod tests {
     /// configuration, and the report lists both systems in that order.
     #[test]
     fn alternating_structures_are_analyzed_once_each() {
-        let mut lifted = cases::case9();
+        let mut lifted = gridsim_grid::case9();
         lifted.branches[0].rate_a = 0.0;
-        let (base, lifted) = (cases::case9().compile().unwrap(), lifted.compile().unwrap());
+        let (base, lifted) = (
+            gridsim_grid::case9().compile().unwrap(),
+            lifted.compile().unwrap(),
+        );
         let nets = [base.clone(), lifted.clone(), base, lifted];
         for (devices, lanes) in [(1, Some(1)), (2, Some(1)), (1, None), (2, None)] {
             let mut engine = Engine::with_pool(DevicePool::parallel(devices));
@@ -479,7 +471,7 @@ mod tests {
 
     #[test]
     fn empty_store_run_matches_plain_solve_bitwise_and_fills_the_store() {
-        let nets = ScenarioSet::load_ramp(cases::case9(), 3, 0.99, 1.01)
+        let nets = ScenarioSet::load_ramp(gridsim_grid::case9(), 3, 0.99, 1.01)
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
@@ -502,7 +494,7 @@ mod tests {
 
     #[test]
     fn warm_store_rerun_hits_and_converges_to_the_same_solution() {
-        let nets = ScenarioSet::load_ramp(cases::case9(), 3, 0.99, 1.01)
+        let nets = ScenarioSet::load_ramp(gridsim_grid::case9(), 3, 0.99, 1.01)
             .networks()
             .unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
@@ -534,7 +526,7 @@ mod tests {
     fn store_hit_beats_a_farther_lane_chain() {
         // One lane solving a near pair after a far scenario: the chain
         // anchor is far, the stored neighbor is exact.
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let far = base.scale_load(1.06).compile().unwrap();
         let near = base.scale_load(1.001).compile().unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);

@@ -11,7 +11,7 @@
 //! slacks, `W` is the Hessian of the Lagrangian (zero on the slack block),
 //! `Σ` is the diagonal barrier term, and `J = [J_E 0; J_I I]` is the
 //! Jacobian of the slacked constraints. The solver never factorizes this
-//! matrix: [`crate::kkt_condensed`] eliminates its slack and
+//! matrix: the condensed step ([`crate::KktCache`]) eliminates its slack and
 //! inequality-dual blocks first. It is the reference the condensed Newton
 //! step is tested against.
 
@@ -37,7 +37,7 @@ impl KktDims {
     }
 
     /// Total constraint dimension `m_eq + m_ineq`.
-    pub fn mc(&self) -> usize {
+    pub(crate) fn mc(&self) -> usize {
         self.m_eq + self.m_ineq
     }
 

@@ -116,7 +116,7 @@ impl CondensedFactor {
     /// is the full augmented right-hand side `[b_x; b_s; b_E; b_I]` and
     /// `jac_ineq` is the declared inequality-Jacobian structure holding the
     /// values the factorization was assembled from.
-    pub fn solve(&self, jac_ineq: &Coo, rhs: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve(&self, jac_ineq: &Coo, rhs: &[f64]) -> Vec<f64> {
         let dims = &self.dims;
         assert_eq!(rhs.len(), dims.dim(), "rhs must cover the full system");
         let nx = dims.nx;
@@ -650,7 +650,7 @@ impl KktCache {
     /// Hessian and Jacobian values aligned with the structure last passed to
     /// [`Self::ensure_structure`], and the barrier diagonal `sigma` over
     /// `[x; s]`. The triangular solve is deferred to
-    /// [`CondensedFactor::solve`] so an inertia rejection costs only the
+    /// `CondensedFactor::solve` so an inertia rejection costs only the
     /// (numeric-only) refactorization, which `stats` is billed for as one
     /// `ldl_refactor_level` launch over `nx + m_eq` blocks, whether or not
     /// it breaks down.
@@ -1163,7 +1163,7 @@ mod tests {
     /// The Hessian at the cut-short solve's multipliers, and the barrier
     /// diagonal from its bound multipliers, with each slack re-derived as
     /// `max(−c_I(x), 10⁻²)`.
-    fn acopf_iterate(net: &gridsim_grid::network::Network, max_iter: usize) -> AcopfIterate {
+    fn acopf_iterate(net: &gridsim_grid::Network, max_iter: usize) -> AcopfIterate {
         use crate::nlp::Nlp;
         let nlp = crate::AcopfNlp::new(net);
         let dims = KktDims {
@@ -1267,7 +1267,7 @@ mod tests {
     #[test]
     fn a_redeclared_structure_keeps_its_frozen_system() {
         use crate::nlp::Nlp;
-        let net = gridsim_grid::cases::case14().compile().unwrap();
+        let net = gridsim_grid::case14().compile().unwrap();
         let nlp = crate::AcopfNlp::new(&net);
         let dims = KktDims {
             nx: nlp.num_vars(),
@@ -1469,8 +1469,8 @@ mod tests {
     fn condensed_step_matches_full_kkt_at_acopf_iterates() {
         let inf_norm = |v: &[f64]| v.iter().map(|x| x.abs()).fold(0.0, f64::max);
         for (name, case) in [
-            ("case9", gridsim_grid::cases::case9()),
-            ("case14", gridsim_grid::cases::case14()),
+            ("case9", gridsim_grid::case9()),
+            ("case14", gridsim_grid::case14()),
         ] {
             let net = case.compile().unwrap();
             for max_iter in [0, 8] {
@@ -1534,10 +1534,10 @@ mod tests {
     /// written zero adds nothing to a sum that never holds `−0.0`.
     #[test]
     fn gather_matches_the_binary_search_scatter_at_acopf_iterates() {
-        use gridsim_grid::synthetic::TableICase;
+        use gridsim_grid::TableICase;
         for (name, case) in [
-            ("case9", gridsim_grid::cases::case9()),
-            ("case14", gridsim_grid::cases::case14()),
+            ("case9", gridsim_grid::case9()),
+            ("case14", gridsim_grid::case14()),
             ("pegase1354/200", TableICase::Pegase1354.scaled(200)),
         ] {
             let net = case.compile().unwrap();
@@ -1650,7 +1650,7 @@ mod tests {
     /// A cache holding `net`'s declared condensed ACOPF structure, frozen
     /// by the search-based pipeline under `analyze`.
     fn frozen(
-        net: &gridsim_grid::network::Network,
+        net: &gridsim_grid::Network,
         analyze: fn(&Csc) -> Result<LdlSymbolic, SparseError>,
     ) -> KktCache {
         use crate::nlp::Nlp;
@@ -1684,11 +1684,11 @@ mod tests {
     #[test]
     fn one_pass_analysis_freezes_what_the_search_based_pipeline_froze() {
         use crate::nlp::Nlp;
-        use gridsim_grid::synthetic::TableICase;
+        use gridsim_grid::TableICase;
         let mut cases = vec![
-            ("case9", gridsim_grid::cases::case9()),
-            ("case14", gridsim_grid::cases::case14()),
-            ("case30_like", gridsim_grid::cases::case30_like()),
+            ("case9", gridsim_grid::case9()),
+            ("case14", gridsim_grid::case14()),
+            ("case30_like", gridsim_grid::case30_like()),
         ];
         if !cfg!(debug_assertions) || std::env::var("GRIDADMM_FULL_TESTS").is_ok() {
             cases.push(("pegase1354/100", TableICase::Pegase1354.scaled(100)));
@@ -1771,10 +1771,10 @@ mod tests {
 
     #[test]
     fn amd_never_fills_more_than_rcm_on_condensed_acopf_patterns() {
-        use gridsim_grid::synthetic::TableICase;
+        use gridsim_grid::TableICase;
         for (name, case) in [
-            ("case9", gridsim_grid::cases::case9()),
-            ("case14", gridsim_grid::cases::case14()),
+            ("case9", gridsim_grid::case9()),
+            ("case14", gridsim_grid::case14()),
             ("pegase1354/200", TableICase::Pegase1354.scaled(200)),
             ("pegase1354/100", TableICase::Pegase1354.scaled(100)),
         ] {
@@ -1793,18 +1793,21 @@ mod tests {
 
     /// The bitwise contract on the real thing: the condensed system of each
     /// reference case's solve at its optimum, under the production (AMD)
-    /// analysis — fresh factorization ≡ scalar replay ≡ dense-tail
-    /// refactorization ≡ the factor `factorize_condensed` itself returned.
+    /// analysis. The reference is the up-looking replay (`refactor`), an
+    /// elimination loop of its own; the factor `factorize_condensed`
+    /// returned and the dense-tail refactorization both equal it, and a
+    /// fresh analysis of the frozen pattern (`factorize_with`, which runs
+    /// the dense-tail refactorization on its own analysis) reproduces it.
     /// The Pegase1354 stand-ins (439 to 3 509 dimensions) run in release
     /// only.
     #[test]
-    fn condensed_factor_is_bitwise_fresh_scalar_and_dense_tail() {
+    fn condensed_factor_is_bitwise_the_up_looking_replay() {
         use crate::nlp::Nlp;
-        use gridsim_grid::synthetic::TableICase;
+        use gridsim_grid::TableICase;
         let mut cases = vec![
-            ("case9", gridsim_grid::cases::case9()),
-            ("case14", gridsim_grid::cases::case14()),
-            ("case30_like", gridsim_grid::cases::case30_like()),
+            ("case9", gridsim_grid::case9()),
+            ("case14", gridsim_grid::case14()),
+            ("case30_like", gridsim_grid::case30_like()),
         ];
         if !cfg!(debug_assertions) || std::env::var("GRIDADMM_FULL_TESTS").is_ok() {
             for (name, scale) in [
@@ -1870,13 +1873,17 @@ mod tests {
                 rowind: rowind.to_vec(),
                 values: cache.last_numeric.clone().unwrap(),
             };
-            let fresh = LdlFactor::factorize_with(&matrix, s.ldl.ordering().clone(), opts).unwrap();
-            let want = factor_bits(&fresh);
+            let want = factor_bits(&s.ldl.refactor(&matrix.values, opts).unwrap());
             assert_eq!(factor_bits(&produced.factor), want, "{name}");
-            let scalar = s.ldl.refactor(&matrix.values, opts).unwrap();
-            assert_eq!(factor_bits(&scalar), want, "{name}");
             let dense_tail = s.ldl.refactor_dense_tail(&matrix.values, opts).unwrap();
             assert_eq!(factor_bits(&dense_tail), want, "{name}");
+            let reanalyzed =
+                LdlFactor::factorize_with(&matrix, s.ldl.ordering().clone(), opts).unwrap();
+            assert_eq!(
+                factor_bits(&reanalyzed),
+                want,
+                "{name}: a fresh analysis of the frozen pattern"
+            );
         }
     }
 
@@ -1885,7 +1892,7 @@ mod tests {
     /// dimension on the solver's stats stream, and nothing else is billed.
     #[test]
     fn condensed_solve_bills_one_launch_per_factorization() {
-        let net = gridsim_grid::cases::case9().compile().unwrap();
+        let net = gridsim_grid::case9().compile().unwrap();
         let solver = crate::IpmSolver::default().with_device(Device::sequential());
         let mut cache = KktCache::new();
         let report = solver.solve_with_cache(&crate::AcopfNlp::new(&net), &mut cache);
@@ -1912,7 +1919,7 @@ mod tests {
             return;
         }
         use gridsim_acopf::violations::SolutionQuality;
-        use gridsim_grid::synthetic::TableICase;
+        use gridsim_grid::TableICase;
         for (scale, lnz_ratio) in [(200, 0.5), (100, 0.6)] {
             let net = TableICase::Pegase1354.scaled(scale).compile().unwrap();
             let nlp = crate::AcopfNlp::new(&net);

@@ -23,31 +23,36 @@
 //! Newton iteration, growing super-linearly with network size — is the
 //! baseline behaviour the paper's Table II and Figure 1 contrast against.
 //!
-//! Modules:
+//! Parts:
 //!
-//! * [`nlp`] — the problem interface ([`nlp::Nlp`]: derivative coordinates
-//!   declared once per solve, values written in place every iteration),
-//! * [`acopf_nlp`] — the full polar ACOPF formulation (1) as an NLP,
+//! * [`Nlp`] — the problem interface (derivative coordinates declared once
+//!   per solve, values written in place every iteration),
+//! * [`AcopfNlp`] — the full polar ACOPF formulation (1) as an NLP,
 //! * [`kkt`] — the slacked problem's dimensions and the full augmented KKT
 //!   system, the reference the condensed step is tested against,
-//! * [`kkt_condensed`] — the condensed-space step with symbolic reuse,
-//! * [`solver`] — the interior-point iteration,
-//! * [`fleet`] — the scenario fleet driver on the execution engine (one
-//!   warm-start chain and one [`KktCache`] per lane, one frozen condensed
-//!   system per structure shared by all of them),
-//! * [`report`] — iteration log and result types.
+//! * [`KktCache`] — the condensed-space step with symbolic reuse,
+//! * [`IpmSolver`] — the interior-point iteration,
+//! * [`IpmFleetSolver`] — scenario fleets on the execution engine
+//!   (one warm-start chain and one [`KktCache`] per lane, one frozen
+//!   condensed system per structure shared by all of them),
+//! * [`SolveReport`] — iteration log and result.
 
-pub mod acopf_nlp;
-pub mod fleet;
+#![warn(unreachable_pub)]
+
+mod acopf_nlp;
+mod fleet;
+// `perf/` names this module path (its probes assemble the full KKT system).
 pub mod kkt;
-pub mod kkt_condensed;
-pub mod nlp;
-pub mod report;
-pub mod solver;
+mod kkt_condensed;
+mod nlp;
+mod report;
+mod solver;
 
 pub use acopf_nlp::AcopfNlp;
 pub use fleet::{FleetReport, FleetScenarioResult, IpmFleetSolver};
-pub use kkt_condensed::{KktCache, KktStrategy, RefactorMicrobench, SymbolicStats};
+pub use kkt_condensed::{
+    CondensedFactor, KktCache, KktStrategy, RefactorMicrobench, SymbolicStats,
+};
 pub use nlp::Nlp;
 pub use report::{IpmStatus, IterationRecord, SolveReport};
 pub use solver::{IpmOptions, IpmSolver, IpmWarmStart};

@@ -152,7 +152,7 @@ pub(crate) mod test_problems {
     use super::*;
 
     /// `min x² + y²  s.t.  x + y = 1`, solution (0.5, 0.5), objective 0.5.
-    pub struct EqualityQp;
+    pub(crate) struct EqualityQp;
 
     impl Nlp for EqualityQp {
         fn num_vars(&self) -> usize {
@@ -203,7 +203,7 @@ pub(crate) mod test_problems {
     /// `min x1 x4 (x1 + x2 + x3) + x3`
     /// `s.t. x1 x2 x3 x4 >= 25`, `x1²+x2²+x3²+x4² = 40`, `1 <= x <= 5`.
     /// Known solution (1.0, 4.743, 3.8211, 1.3794), objective 17.0140173.
-    pub struct Hs071;
+    pub(crate) struct Hs071;
 
     impl Hs071 {
         /// The off-diagonal coordinates of the inequality's Hessian.

@@ -523,14 +523,13 @@ impl IpmSolver {
     /// `1e-2` push; the report bills both attempts.
     ///
     /// ```
-    /// use gridsim_grid::cases;
     /// use gridsim_ipm::{AcopfNlp, IpmSolver, IpmWarmStart, KktCache};
     ///
     /// let (solver, mut cache) = (IpmSolver::default(), KktCache::new());
-    /// let base = cases::case9().compile().unwrap();
+    /// let base = gridsim_grid::case9().compile().unwrap();
     /// let cold = solver.solve_with_cache(&AcopfNlp::new(&base), &mut cache);
     /// let start = IpmWarmStart::from_report(&cold);
-    /// let bumped = cases::case9().scale_load(1.01).compile().unwrap();
+    /// let bumped = gridsim_grid::case9().scale_load(1.01).compile().unwrap();
     /// let warm = solver.solve_warm(&AcopfNlp::new(&bumped), &mut cache, &start);
     /// assert!(warm.is_optimal() && warm.iterations < cold.iterations);
     /// ```

@@ -5,7 +5,7 @@
 //! limits) and economically sensible.
 
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_grid::{cases, ScenarioSet};
+use gridsim_grid::ScenarioSet;
 use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, IpmWarmStart, KktCache, Nlp};
 use gridsim_sparse::Coo;
 
@@ -25,7 +25,7 @@ fn solve_case(case: gridsim_grid::Case) -> (gridsim_grid::Network, gridsim_ipm::
 
 #[test]
 fn two_bus_acopf_is_feasible_and_covers_load_plus_losses() {
-    let (net, report) = solve_case(cases::two_bus());
+    let (net, report) = solve_case(gridsim_grid::two_bus());
     assert!(report.is_optimal(), "status {:?}", report.status);
     let nlp = AcopfNlp::new(&net);
     let sol = nlp.to_solution(&report.x);
@@ -47,7 +47,7 @@ fn two_bus_acopf_is_feasible_and_covers_load_plus_losses() {
 
 #[test]
 fn case9_acopf_reaches_a_feasible_economic_dispatch() {
-    let (net, report) = solve_case(cases::case9());
+    let (net, report) = solve_case(gridsim_grid::case9());
     assert!(report.is_optimal(), "status {:?}", report.status);
     let nlp = AcopfNlp::new(&net);
     let sol = nlp.to_solution(&report.x);
@@ -73,7 +73,7 @@ fn case9_acopf_reaches_a_feasible_economic_dispatch() {
 
 #[test]
 fn case14_acopf_is_feasible() {
-    let (net, report) = solve_case(cases::case14());
+    let (net, report) = solve_case(gridsim_grid::case14());
     assert!(report.is_optimal(), "status {:?}", report.status);
     let nlp = AcopfNlp::new(&net);
     let sol = nlp.to_solution(&report.x);
@@ -91,7 +91,7 @@ fn case14_acopf_is_feasible() {
 
 #[test]
 fn case9_warm_start_converges_quickly_after_small_load_change() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let (net, cold_report) = solve_case(base.clone());
     assert!(cold_report.is_optimal());
 
@@ -123,7 +123,7 @@ fn case9_warm_start_converges_quickly_after_small_load_change() {
 /// steps it took.
 #[test]
 fn far_donor_seed_falls_back_to_the_full_push() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let (_, donor) = solve_case(base.clone());
     let net = base.scale_load(1.2).compile().unwrap();
     let nlp = AcopfNlp::new(&net);
@@ -145,7 +145,7 @@ fn far_donor_seed_falls_back_to_the_full_push() {
 fn generator_outage_with_collapsed_bounds_solves_to_optimality() {
     // An outaged unit's dispatch box is collapsed to [0, 0]: a fixed
     // variable, whose bounds have no interior for the barrier to start in.
-    let set = ScenarioSet::generator_outages(cases::case9(), 1);
+    let set = ScenarioSet::generator_outages(gridsim_grid::case9(), 1);
     let outaged = set.scenarios[0].gen_outage.expect("a generator outage");
     let (net, report) = solve_case(set.cases().remove(0));
     assert_eq!(net.pmin[outaged], net.pmax[outaged]);
@@ -164,7 +164,7 @@ fn generator_outage_with_collapsed_bounds_solves_to_optimality() {
 fn tighter_line_limits_increase_cost() {
     // Artificially tighten every line rating of case9; the optimal cost
     // cannot decrease when the feasible set shrinks.
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let (_, base_report) = solve_case(base.clone());
     assert!(base_report.is_optimal());
 
@@ -264,7 +264,7 @@ impl Nlp for UpperTriangleHessian<'_> {
 /// `case9`'s pinned objective (see `tests/ipm_condensed.rs`).
 #[test]
 fn one_triangle_hessian_is_rejected_before_the_first_iteration() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let solver = IpmSolver::default();
     let honest = solver.solve(&AcopfNlp::new(&net));
     assert!(honest.is_optimal() && honest.iterations > 0);
@@ -287,7 +287,7 @@ fn one_triangle_hessian_is_rejected_before_the_first_iteration() {
 /// a new analysis.
 #[test]
 fn one_triangle_hessian_is_rejected_by_a_warm_cache() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let solver = IpmSolver::default();
     let mut cache = KktCache::new();
     assert!(solver
@@ -402,7 +402,7 @@ impl Nlp for OutOfRange<'_> {
 /// error before iteration 0, with no analysis and no factorization.
 #[test]
 fn out_of_range_coordinates_are_rejected_before_the_first_iteration() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let solver = IpmSolver::default();
     for corrupted in [
         Corrupted::EqRow,
@@ -424,7 +424,7 @@ fn out_of_range_coordinates_are_rejected_before_the_first_iteration() {
 /// (`max_iter: 3` on case9 read 2 iterations over 3 factorizations).
 #[test]
 fn iteration_budget_exhaustion_counts_every_step() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     for max_iter in [1, 3] {
         let report = IpmSolver::new(IpmOptions {
             max_iter,
@@ -445,7 +445,7 @@ fn iteration_budget_exhaustion_counts_every_step() {
 /// factorization.
 #[test]
 fn nan_load_is_a_numerical_error_not_a_panic() {
-    let mut net = cases::case9().compile().unwrap();
+    let mut net = gridsim_grid::case9().compile().unwrap();
     net.pd[4] = f64::NAN;
     let report = IpmSolver::default().solve(&AcopfNlp::new(&net));
     assert_eq!(report.status, IpmStatus::NumericalError);

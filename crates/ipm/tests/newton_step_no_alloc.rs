@@ -16,8 +16,7 @@
 //! its other threads meanwhile is not charged to it.
 
 use gridsim_batch::DeviceStats;
-use gridsim_grid::synthetic::TableICase;
-use gridsim_grid::{cases, Case};
+use gridsim_grid::{Case, TableICase};
 use gridsim_ipm::kkt::KktDims;
 use gridsim_ipm::{AcopfNlp, IpmSolver, KktCache, Nlp};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -155,7 +154,7 @@ fn steady_state_newton_step_allocates_the_same_at_any_size() {
     let (_, n) = counted(|| std::hint::black_box(Box::new(1u64)));
     assert!(n >= 1, "counting allocator is not installed");
 
-    let small = per_step("case9", cases::case9());
+    let small = per_step("case9", gridsim_grid::case9());
     let large = per_step("pegase1354/200", TableICase::Pegase1354.scaled(200));
     assert_eq!(
         small, 6,

@@ -40,14 +40,15 @@
 //! screening tolerances those measure how incomplete the solve is, not how
 //! stressed the system is, and would drown the constraint signal.
 
+#![warn(unreachable_pub)]
+
 use gridsim_acopf::violations::{max_or_nan, SolutionQuality};
-use gridsim_admm::scenario::{ScenarioBatchResult, ScenarioScheduler};
-use gridsim_admm::{AdmmParams, WarmState};
+use gridsim_admm::{AdmmParams, ScenarioBatchResult, ScenarioScheduler, WarmState};
 use gridsim_batch::DevicePool;
 use gridsim_engine::{Engine, FleetRequest};
-use gridsim_grid::network::Network;
+use gridsim_grid::{Network, ScenarioFingerprint};
 use gridsim_ipm::{AcopfNlp, FleetReport, IpmFleetSolver, IpmOptions, IpmWarmStart};
-use gridsim_store::{ScenarioFingerprint, SolutionStore};
+use gridsim_store::SolutionStore;
 use std::time::Duration;
 
 /// Screening band of one contingency scenario.
@@ -138,7 +139,7 @@ impl FunnelConfig {
     }
 
     /// Band of a screening margin under this config's thresholds.
-    pub fn band_of(&self, margin: f64) -> Band {
+    pub(crate) fn band_of(&self, margin: f64) -> Band {
         if margin <= self.benign_threshold {
             Band::Benign
         } else if margin >= self.violating_threshold {
@@ -232,20 +233,6 @@ impl FunnelReport {
     /// graduated.
     pub fn full_index_of(&self, idx: usize) -> Option<usize> {
         self.graduated.binary_search(&idx).ok()
-    }
-
-    /// The final solution quality of input scenario `idx`: the full tier's
-    /// if it graduated, otherwise the screening tier's (the screen *is*
-    /// the final word on a benign scenario).
-    pub fn final_quality(&self, idx: usize) -> &SolutionQuality {
-        match self.full_index_of(idx) {
-            Some(g) => match &self.full {
-                FullResults::Admm(b) => &b.results[g].quality,
-                FullResults::Ipm(r) => &r.results[g].quality,
-                FullResults::None => unreachable!("graduated scenarios imply a full tier"),
-            },
-            None => &self.screening.results[idx].quality,
-        }
     }
 }
 
@@ -361,7 +348,6 @@ impl ContingencyFunnel {
 mod tests {
     use super::*;
     use gridsim_admm::AdmmStatus;
-    use gridsim_grid::cases;
     use gridsim_grid::ContingencySpec;
 
     fn test_config(tier: FullTier) -> FunnelConfig {
@@ -373,7 +359,7 @@ mod tests {
     }
 
     fn small_sweep() -> (String, Vec<Network>) {
-        let base = cases::case9();
+        let base = gridsim_grid::case9();
         let spec = ContingencySpec::load_grid(2, 0.95, 1.1)
             .perturbed(1, 0.03, 11)
             .outages(3, 0, 2);
@@ -460,11 +446,6 @@ mod tests {
             }
             FullResults::Ipm(_) => unreachable!(),
         }
-        // final_quality resolves to the right tier on both paths.
-        for i in 0..nets.len() {
-            let q = report.final_quality(i);
-            assert!(q.objective.is_finite());
-        }
     }
 
     /// The interior-point tier seeds each graduate with its screening point
@@ -474,7 +455,7 @@ mod tests {
     fn ipm_tier_solves_graduated_scenarios() {
         // Line ratings at 70 % and a low benign threshold: two of the ten
         // screens graduate, and both are feasible.
-        let mut base = cases::case14();
+        let mut base = gridsim_grid::case14();
         for br in &mut base.branches {
             br.rate_a *= 0.7;
         }

@@ -3,7 +3,7 @@
 //! [`ServeDaemon`] owns a state directory (`jobs/*.json` manifests plus the
 //! two per-family solution-store snapshots) and a fixed budget of worker
 //! *slots*. Scheduling hoists the engine's streaming-admission idea one
-//! level up: as any slot frees, [`gridsim_engine::jobs::lane_allocation`]
+//! level up: as any slot frees, [`gridsim_engine::lane_allocation`]
 //! hands it to the highest-priority job with pending chunks (FIFO on ties,
 //! per-job `max_lanes` caps as backpressure), so the fleet never idles
 //! while any tenant has work, and no tenant can monopolize it.
@@ -24,13 +24,13 @@ use crate::manifest::{JobCounts, JobManifest};
 use crate::runner::{self, ChunkOutcome, FrozenStores};
 use crate::spec::JobSpec;
 use gridsim_admm::WarmState;
-use gridsim_engine::jobs::{lane_allocation, JobSlot};
-use gridsim_grid::network::Network;
+use gridsim_engine::{lane_allocation, JobSlot};
+use gridsim_grid::Network;
 use gridsim_ipm::IpmWarmStart;
 use gridsim_store::{SolutionStore, StoreRunStats};
 use std::collections::BTreeSet;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -153,7 +153,7 @@ impl JobHandle {
     }
 }
 
-/// The daemon. See the [module docs](self).
+/// The daemon. See the module docs of `daemon.rs`.
 pub struct ServeDaemon {
     dir: PathBuf,
     slots: usize,
@@ -230,20 +230,22 @@ impl ServeDaemon {
         Ok(daemon)
     }
 
-    /// The daemon's state directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Submit a job: validate the spec, persist a fresh manifest, freeze
-    /// the store snapshot, enqueue. Fails on an invalid spec or a name
-    /// collision with any job (finished or not) in this directory.
+    /// the store snapshot, enqueue. Fails on an invalid spec, a recipe that
+    /// expands to no scenarios (`InvalidInput`), or a name collision with
+    /// any job (finished or not) in this directory.
     pub fn submit(&self, spec: JobSpec) -> io::Result<JobHandle> {
         spec.validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let nets = spec
             .networks()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
+        if nets.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("the recipe expands to no scenarios on {}", spec.case.id()),
+            ));
+        }
         let mut state = self.state.lock().unwrap();
         if state.jobs.iter().any(|j| j.manifest.spec.name == spec.name) {
             return Err(io::Error::new(
@@ -269,19 +271,6 @@ impl ServeDaemon {
             state: Arc::clone(&self.state),
             index: state.jobs.len() - 1,
         })
-    }
-
-    /// Handle onto an existing job by name.
-    pub fn handle(&self, name: &str) -> Option<JobHandle> {
-        let state = self.state.lock().unwrap();
-        state
-            .jobs
-            .iter()
-            .position(|j| j.manifest.spec.name == name)
-            .map(|index| JobHandle {
-                state: Arc::clone(&self.state),
-                index,
-            })
     }
 
     /// Status of every job, in submission order.

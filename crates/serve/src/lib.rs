@@ -9,14 +9,14 @@
 //!
 //! ## Shape
 //!
-//! * [`spec`] — [`JobSpec`]: a named scenario set (registry case + recipe)
+//! * [`JobSpec`]: a named scenario set (registry case + recipe)
 //!   plus solver family, priority, chunk size, lane cap, and retry policy.
-//! * [`manifest`] — [`JobManifest`]: the crash-consistent per-job ledger,
+//! * [`JobManifest`]: the crash-consistent per-job ledger,
 //!   atomically rewritten after every chunk.
-//! * [`runner`] — one chunk = one deterministic fleet run through the
+//! * [`run_chunk`] — one chunk = one deterministic fleet run through the
 //!   engine's unified [`FleetRequest`](gridsim_engine::FleetRequest) API,
 //!   store lookups frozen at job entry, commits deferred to completion.
-//! * [`daemon`] — [`ServeDaemon`]: worker slots, cross-job lane
+//! * [`ServeDaemon`]: worker slots, cross-job lane
 //!   allocation (priority, FIFO ties, per-job caps), retry backoff, and
 //!   [`JobHandle::status`] progress reporting.
 //!
@@ -31,14 +31,14 @@
 //! chunks re-run whole, and the fixed chunk partition plus frozen store
 //! snapshot make each chunk a pure function of durable state.
 
-pub mod daemon;
-pub mod manifest;
-pub mod runner;
-pub mod spec;
+#![warn(unreachable_pub)]
+
+mod daemon;
+mod manifest;
+mod runner;
+mod spec;
 
 pub use daemon::{JobHandle, JobStatus, ServeDaemon};
-pub use manifest::{JobCounts, JobManifest, ScenarioRecord, ScenarioState, MANIFEST_VERSION};
-pub use runner::{
-    commit_job, run_chunk, ChunkOutcome, FrozenStores, ScenarioOutcome, THROTTLE_ENV,
-};
+pub use manifest::{JobCounts, JobManifest, ScenarioRecord, ScenarioState};
+pub use runner::{run_chunk, ChunkOutcome, FrozenStores, ScenarioOutcome, THROTTLE_ENV};
 pub use spec::{CaseName, JobSpec, ScenarioKind, ScenarioSpec, SolverFamily};

@@ -16,7 +16,7 @@ use std::io;
 use std::path::Path;
 
 /// Manifest format version; bump on any change to the on-disk shape.
-pub const MANIFEST_VERSION: u64 = 1;
+pub(crate) const MANIFEST_VERSION: u64 = 1;
 
 /// Lifecycle of one scenario inside a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -49,7 +49,7 @@ pub struct JobCounts {
     pub failed: usize,
 }
 
-/// The durable per-job ledger. See the [module docs](self).
+/// The durable per-job ledger. See the module docs of `manifest.rs`.
 #[derive(Debug, Clone)]
 pub struct JobManifest {
     /// The submitted spec, verbatim.
@@ -89,16 +89,6 @@ impl JobManifest {
         }
     }
 
-    /// Scenario indices still pending, ascending.
-    pub fn pending(&self) -> Vec<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.state == ScenarioState::Pending)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Progress counts.
     pub fn counts(&self) -> JobCounts {
         let mut c = JobCounts::default();
@@ -128,7 +118,7 @@ impl JobManifest {
     /// Record a failed attempt; the scenario turns `Failed` once its
     /// attempts exceed the spec's `max_retries` budget (first attempt +
     /// `max_retries` re-solves).
-    pub fn record_failure(&mut self, index: usize) {
+    pub(crate) fn record_failure(&mut self, index: usize) {
         let max_attempts = 1 + self.spec.max_retries;
         let r = &mut self.records[index];
         r.attempts += 1;
@@ -142,26 +132,11 @@ impl JobManifest {
     /// partition, so the partition — and therefore which scenarios share a
     /// fleet run — is independent of completion state, which is what makes
     /// a resumed job reproduce an uninterrupted one bitwise.
-    pub fn chunks(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn chunks(&self) -> Vec<Vec<usize>> {
         (0..self.records.len())
             .collect::<Vec<_>>()
             .chunks(self.spec.chunk_size.max(1))
             .map(|c| c.to_vec())
-            .collect()
-    }
-
-    /// Chunks that still contain at least one pending scenario, restricted
-    /// to those pending indices (done/failed members are not re-run).
-    pub fn pending_chunks(&self) -> Vec<Vec<usize>> {
-        self.chunks()
-            .into_iter()
-            .map(|chunk| {
-                chunk
-                    .into_iter()
-                    .filter(|&i| self.records[i].state == ScenarioState::Pending)
-                    .collect::<Vec<_>>()
-            })
-            .filter(|c| !c.is_empty())
             .collect()
     }
 
@@ -259,7 +234,6 @@ mod tests {
         assert_eq!(m.records[1].state, ScenarioState::Failed);
         let c = m.counts();
         assert_eq!((c.pending, c.done, c.failed), (3, 1, 1));
-        assert_eq!(m.pending_chunks(), vec![vec![2, 3], vec![4]]);
         assert!(!m.is_complete());
     }
 

@@ -10,14 +10,13 @@
 
 use crate::manifest::{JobManifest, ScenarioState};
 use crate::spec::{JobSpec, SolverFamily};
-use gridsim_admm::scenario::{ScenarioResult, ScenarioScheduler};
-use gridsim_admm::{AdmmParams, AdmmStatus, WarmState};
+use gridsim_admm::{AdmmParams, AdmmStatus, ScenarioResult, ScenarioScheduler, WarmState};
 use gridsim_batch::{Device, DevicePool};
 use gridsim_engine::{Engine, FleetRequest};
-use gridsim_grid::network::Network;
+use gridsim_grid::{Network, ScenarioFingerprint};
 use gridsim_ipm::{IpmFleetSolver, IpmOptions, IpmWarmStart};
 use gridsim_screen::{Band, ContingencyFunnel, FullResults, FullTier, FunnelConfig};
-use gridsim_store::{ScenarioFingerprint, SolutionStore, StoreRunStats, StoreView};
+use gridsim_store::{SolutionStore, StoreRunStats, StoreView};
 use serde::{Deserialize, Serialize, Value};
 use std::io;
 
@@ -44,7 +43,7 @@ pub struct ChunkOutcome {
     /// Per-scenario outcomes, in chunk order.
     pub scenarios: Vec<ScenarioOutcome>,
     /// Store-lookup traffic of the run (hits/misses; inserts stay 0 —
-    /// commits are deferred to [`commit_job`]).
+    /// commits are deferred to `commit_job`).
     pub stats: StoreRunStats,
 }
 
@@ -82,7 +81,7 @@ fn throttle(scenarios: usize) {
 }
 
 /// Run one chunk: the scenarios at `indices` (ascending, within `nets`) on
-/// a fresh single-device engine. See the [module docs](self) for the
+/// a fresh single-device engine. See the module docs of `runner.rs` for the
 /// determinism contract.
 pub fn run_chunk(
     spec: &JobSpec,
@@ -217,7 +216,7 @@ pub fn run_chunk(
 /// # Errors
 /// `InvalidData` when a done scenario has no recorded result or its result
 /// does not decode as the job's solver family's.
-pub fn commit_job(
+pub(crate) fn commit_job(
     manifest: &JobManifest,
     nets: &[Network],
     admm_store: &mut SolutionStore<WarmState>,

@@ -8,10 +8,9 @@
 //! restarted daemon resume a half-finished job and still produce bitwise
 //! the results an uninterrupted run would have.
 
-use gridsim_grid::contingency::ContingencySpec;
-use gridsim_grid::network::{Case, Network};
-use gridsim_grid::scenario::ScenarioSet;
-use gridsim_grid::GridError;
+use gridsim_grid::{
+    eligible_branch_outages, Case, ContingencySpec, GridError, Network, ScenarioSet,
+};
 
 /// A registry case the daemon can serve. Unit-variant so the spec encodes
 /// the case by name, never by value — the registry is the source of truth.
@@ -66,7 +65,7 @@ pub enum ScenarioKind {
     /// levels over `[lo, hi]`) × seeded perturbation draws (`draws`,
     /// `sigma`, `seed`) × outage columns (`count` N−1 branches, `n2_pairs`
     /// branch pairs, `gen_outages` generator outages, plus the base
-    /// column). See [`gridsim_grid::contingency::ContingencySpec`].
+    /// column). See [`gridsim_grid::ContingencySpec`].
     Contingency,
 }
 
@@ -178,7 +177,7 @@ impl ScenarioSpec {
     }
 
     /// The equivalent [`ContingencySpec`] of a `Contingency` recipe.
-    pub fn contingency_spec(&self) -> ContingencySpec {
+    pub(crate) fn contingency_spec(&self) -> ContingencySpec {
         let mut spec = ContingencySpec::load_grid(self.levels.max(1), self.lo, self.hi).outages(
             self.count,
             self.n2_pairs,
@@ -190,12 +189,14 @@ impl ScenarioSpec {
         spec
     }
 
-    /// Number of scenarios the recipe expands to for `base`. Matches
-    /// [`build`](Self::build)'s set length without instantiating it.
-    pub fn total(&self, base: &Case) -> usize {
+    /// Number of scenarios [`build`](Self::build) returns for `base`,
+    /// without instantiating the set: `count` for a load recipe, at most the
+    /// number of eligible branches for `BranchOutages`.
+    pub(crate) fn total(&self, base: &Case) -> usize {
         match self.kind {
+            ScenarioKind::LoadRamp | ScenarioKind::PerturbedLoads => self.count,
+            ScenarioKind::BranchOutages => self.count.min(eligible_branch_outages(base).len()),
             ScenarioKind::Contingency => self.contingency_spec().count(base),
-            _ => self.count,
         }
     }
 
@@ -215,14 +216,14 @@ impl ScenarioSpec {
 /// Which fleet solver executes the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SolverFamily {
-    /// Batched two-level ADMM ([`gridsim_admm::scenario::ScenarioScheduler`]).
+    /// Batched two-level ADMM ([`gridsim_admm::ScenarioScheduler`]).
     Admm,
     /// Interior-point fleet ([`gridsim_ipm::IpmFleetSolver`]).
     Ipm,
 }
 
 /// One queued unit of work: scenario set + solver family + scheduling and
-/// durability knobs. See the [module docs](self) for the determinism role.
+/// durability knobs. See the module docs of `spec.rs` for the determinism role.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct JobSpec {
     /// Tenant-chosen job name; doubles as the manifest file stem, so it
@@ -291,8 +292,8 @@ impl JobSpec {
     }
 
     /// Enable the screening funnel with explicit band thresholds (builder
-    /// style; ADMM jobs only — rejected by [`validate`](JobSpec::validate)
-    /// otherwise).
+    /// style; ADMM jobs only — [`ServeDaemon::submit`](crate::ServeDaemon::submit)
+    /// refuses it otherwise).
     pub fn screened(mut self, benign_threshold: f64, violating_threshold: f64) -> JobSpec {
         self.screen = true;
         self.benign_threshold = benign_threshold;
@@ -354,7 +355,7 @@ impl JobSpec {
 
     /// Sanity-check the knobs; called on submit so a bad spec is rejected
     /// before it is enqueued.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("job name must be non-empty".to_string());
         }
@@ -452,13 +453,48 @@ mod tests {
         let b = spec.networks().unwrap();
         assert_eq!(a.len(), 5);
         for (x, y) in a.iter().zip(&b) {
-            let fx = gridsim_store::ScenarioFingerprint::of_network(x);
-            let fy = gridsim_store::ScenarioFingerprint::of_network(y);
+            let fx = gridsim_grid::ScenarioFingerprint::of_network(x);
+            let fy = gridsim_grid::ScenarioFingerprint::of_network(y);
             assert_eq!(fx.structure, fy.structure);
             assert_eq!(
                 fx.loads.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 fy.loads.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// The manifest's record count is the number of networks the job
+    /// builds, for every case and recipe kind, with counts below, at and
+    /// above the number of eligible outages. An outage count above it used
+    /// to give the manifest more records than there were networks, and a
+    /// chunk worker then indexed past the networks.
+    #[test]
+    fn scenario_count_is_the_number_of_networks() {
+        for case in [
+            CaseName::TwoBus,
+            CaseName::Case5,
+            CaseName::Case9,
+            CaseName::Case14,
+            CaseName::Case30Like,
+        ] {
+            let eligible = eligible_branch_outages(&case.base()).len();
+            let below = eligible.saturating_sub(1).max(1);
+            for count in [1, below, eligible.max(1), eligible + 1, 2 * eligible + 3] {
+                for scenarios in [
+                    ScenarioSpec::load_ramp(count, 0.9, 1.1),
+                    ScenarioSpec::perturbed(count, 0.02, 7),
+                    ScenarioSpec::outages(count),
+                    ScenarioSpec::contingency(2, 0.95, 1.05, 1, 0.02, 7, count, count, count),
+                ] {
+                    let kind = scenarios.kind;
+                    let job = JobSpec::new("n", case, scenarios, SolverFamily::Admm);
+                    assert_eq!(
+                        job.scenario_count(),
+                        job.networks().unwrap().len(),
+                        "{case:?} {kind:?} count {count}, {eligible} eligible"
+                    );
+                }
+            }
         }
     }
 

@@ -182,8 +182,8 @@ fn interrupted_run_resumes_bitwise_identical_without_resolving() {
     // snapshots and match byte for byte.
     let resumed_store = std::fs::read(dir.join("store-admm.json")).unwrap();
     let reference_store = std::fs::read(ref_dir.join("store-admm.json")).unwrap();
-    assert!(resumed_store.starts_with(&gridsim_store::persist::MAGIC));
-    assert!(reference_store.starts_with(&gridsim_store::persist::MAGIC));
+    assert!(resumed_store.starts_with(&gridsim_store::MAGIC));
+    assert!(reference_store.starts_with(&gridsim_store::MAGIC));
     assert!(
         resumed_store == reference_store,
         "resumed and uninterrupted store files differ"
@@ -489,4 +489,23 @@ fn bad_recipe_parameters_are_invalid_input_not_a_panic() {
             SolverFamily::Admm,
         ))
         .unwrap();
+}
+
+/// A recipe that expands to no scenarios is refused by `submit` as
+/// `InvalidInput`: no outage of the two-bus case's one branch keeps it
+/// connected, so `outages(1)` builds an empty set.
+#[test]
+fn empty_recipe_is_invalid_input() {
+    let dir = fresh_dir("empty-recipe");
+    let daemon = ServeDaemon::open(&dir, 1).unwrap();
+    let err = daemon
+        .submit(JobSpec::new(
+            "empty",
+            CaseName::TwoBus,
+            ScenarioSpec::outages(1),
+            SolverFamily::Admm,
+        ))
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(!dir.join("jobs/empty.json").exists());
 }

@@ -126,8 +126,8 @@ fn sigkill_mid_batch_resumes_without_resolving_finished_scenarios() {
     // payloads).
     let killed_store = std::fs::read(kill_dir.join("store-ipm.json")).unwrap();
     let reference_store = std::fs::read(ref_dir.join("store-ipm.json")).unwrap();
-    assert!(killed_store.starts_with(&gridsim_store::persist::MAGIC));
-    assert!(reference_store.starts_with(&gridsim_store::persist::MAGIC));
+    assert!(killed_store.starts_with(&gridsim_store::MAGIC));
+    assert!(reference_store.starts_with(&gridsim_store::MAGIC));
     assert!(
         killed_store == reference_store,
         "killed-and-resumed and uninterrupted store files differ"

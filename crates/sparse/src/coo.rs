@@ -57,13 +57,6 @@ impl Coo {
         self.vals.len()
     }
 
-    /// Remove all entries, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.cols.clear();
-        self.vals.clear();
-    }
-
     /// Convert to compressed sparse column format, summing duplicates and
     /// sorting row indices within each column.
     pub fn to_csc(&self) -> Csc {
@@ -86,16 +79,6 @@ mod tests {
         assert!((c.get(0, 0) - 3.5).abs() < 1e-15);
         assert!((c.get(2, 1) + 1.0).abs() < 1e-15);
         assert_eq!(c.get(1, 1), 0.0);
-    }
-
-    #[test]
-    fn clear_keeps_shape() {
-        let mut a = Coo::with_capacity(4, 5, 10);
-        a.push(1, 1, 1.0);
-        a.clear();
-        assert_eq!(a.nnz(), 0);
-        assert_eq!(a.nrows, 4);
-        assert_eq!(a.ncols, 5);
     }
 
     #[test]

@@ -17,28 +17,6 @@ pub struct Csc {
 }
 
 impl Csc {
-    /// An empty (all-zero) matrix.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        Csc {
-            nrows,
-            ncols,
-            colptr: vec![0; ncols + 1],
-            rowind: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        Csc {
-            nrows: n,
-            ncols: n,
-            colptr: (0..=n).collect(),
-            rowind: (0..n).collect(),
-            values: vec![1.0; n],
-        }
-    }
-
     /// Build from triplets, summing duplicates and sorting rows per column.
     pub fn from_triplets(
         nrows: usize,
@@ -115,7 +93,7 @@ impl Csc {
     }
 
     /// The matrix's sparsity pattern (a copy of its structure, no values).
-    pub fn pattern(&self) -> CscPattern {
+    pub(crate) fn pattern(&self) -> CscPattern {
         CscPattern {
             nrows: self.nrows,
             ncols: self.ncols,
@@ -135,7 +113,7 @@ impl Csc {
     }
 
     /// `y = A x`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.ncols);
         let mut y = vec![0.0; self.nrows];
         for (j, &xj) in x.iter().enumerate() {
@@ -294,7 +272,7 @@ impl CscPattern {
     }
 
     /// The row indices of column `j`, ascending.
-    pub fn column(&self, j: usize) -> &[usize] {
+    pub(crate) fn column(&self, j: usize) -> &[usize] {
         &self.rowind[self.colptr[j]..self.colptr[j + 1]]
     }
 
@@ -324,6 +302,31 @@ impl CscPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fixture constructors the sparse tests share.
+    impl Csc {
+        /// An empty (all-zero) matrix.
+        pub(crate) fn zeros(nrows: usize, ncols: usize) -> Self {
+            Csc {
+                nrows,
+                ncols,
+                colptr: vec![0; ncols + 1],
+                rowind: Vec::new(),
+                values: Vec::new(),
+            }
+        }
+
+        /// The identity matrix of size `n`.
+        pub(crate) fn identity(n: usize) -> Self {
+            Csc {
+                nrows: n,
+                ncols: n,
+                colptr: (0..=n).collect(),
+                rowind: (0..n).collect(),
+                values: vec![1.0; n],
+            }
+        }
+    }
 
     fn example() -> Csc {
         // [ 4 1 0 ]
@@ -421,12 +424,5 @@ mod tests {
         let i = Csc::identity(4);
         let x = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(i.mul_vec(&x), x);
-    }
-
-    #[test]
-    fn zeros_has_no_entries() {
-        let z = Csc::zeros(3, 2);
-        assert_eq!(z.nnz(), 0);
-        assert_eq!(z.mul_vec(&[1.0, 1.0]), vec![0.0; 3]);
     }
 }

@@ -56,15 +56,6 @@ impl SmallMatrix {
         self.data = [0.0; MAX_DIM * MAX_DIM];
     }
 
-    /// Identity matrix of dimension `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Matrix-vector product `y = A x`.
     #[inline]
     pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
@@ -190,16 +181,18 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Infinity norm.
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn identity(n: usize) -> SmallMatrix {
+        let mut m = SmallMatrix::zeros(n);
+        for i in 0..n {
+            m[(i, i)] = 1.0;
+        }
+        m
+    }
 
     #[test]
     fn solve2_exact() {
@@ -243,11 +236,11 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let mut m = SmallMatrix::identity(2);
+        let mut m = identity(2);
         m[(1, 1)] = -1.0;
         assert_eq!(m.ldlt_solve_masked(&[true; 2], &[1.0; 2]), None);
         // A NaN pivot is no positive pivot: `NaN <= 0.0` is false too.
-        let mut m = SmallMatrix::identity(3);
+        let mut m = identity(3);
         m[(1, 1)] = f64::NAN;
         assert_eq!(m.ldlt_solve_masked(&[true; 3], &[1.0; 3]), None);
         // Held, the same entries are never read.
@@ -429,7 +422,6 @@ mod tests {
     fn vector_helpers() {
         let a = vec![3.0, -4.0];
         assert!((norm2(&a) - 5.0).abs() < 1e-12);
-        assert!((norm_inf(&a) - 4.0).abs() < 1e-12);
         assert!((dot(&a, &a) - 25.0).abs() < 1e-12);
     }
 
@@ -441,7 +433,7 @@ mod tests {
 
     #[test]
     fn identity_mul_is_noop() {
-        let m = SmallMatrix::identity(4);
+        let m = identity(4);
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let mut y = vec![0.0; 4];
         m.mul_vec(&x, &mut y);

@@ -50,7 +50,7 @@ impl Default for LdlOptions {
 ///
 /// The structural parts (column pointers, row indices, ordering) are held
 /// behind [`Arc`] so that factors produced by the symbolic-reuse
-/// refactorization of [`crate::refactor`] share one frozen copy instead of
+/// refactorization of [`LdlSymbolic`](crate::LdlSymbolic) share one frozen copy instead of
 /// cloning `O(lnz)` index data on every numeric refactorization.
 #[derive(Debug, Clone)]
 pub struct LdlFactor {
@@ -115,12 +115,6 @@ impl LdlFactor {
         LdlSymbolic::analyze(a, ordering)?.refactor_dense_tail(&a.values, opts)
     }
 
-    /// Factorize with the identity ordering.
-    pub fn factorize(a: &Csc, opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
-        let n = a.ncols;
-        Self::factorize_with(a, Ordering::identity(n), opts)
-    }
-
     /// Factorize using a reverse Cuthill–McKee ordering computed from the
     /// matrix pattern.
     pub fn factorize_rcm(a: &Csc, opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
@@ -172,16 +166,6 @@ impl LdlFactor {
             }
         }
         (pos, neg, zero)
-    }
-
-    /// Number of nonzeros in the strictly-lower-triangular factor `L`.
-    pub fn lnz(&self) -> usize {
-        self.lvalues.len()
-    }
-
-    /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
-        self.n
     }
 }
 
@@ -239,6 +223,11 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
 
+    /// Factorize with the identity ordering.
+    fn factorize(a: &Csc, opts: &LdlOptions) -> Result<LdlFactor, SparseError> {
+        LdlFactor::factorize_with(a, Ordering::identity(a.ncols), opts)
+    }
+
     fn spd_example() -> Csc {
         // [ 4 1 0 ]
         // [ 1 3 2 ]
@@ -267,7 +256,7 @@ mod tests {
     #[test]
     fn solves_spd_system() {
         let a = spd_example();
-        let f = LdlFactor::factorize(&a, &LdlOptions::default()).unwrap();
+        let f = factorize(&a, &LdlOptions::default()).unwrap();
         let b = vec![1.0, 2.0, 3.0];
         let x = f.solve(&b);
         assert!(a.residual_inf_norm(&x, &b) < 1e-12);
@@ -299,7 +288,7 @@ mod tests {
             expected_signs: vec![1, 1, -1],
             ..Default::default()
         };
-        let f = LdlFactor::factorize(&a, &opts).unwrap();
+        let f = factorize(&a, &opts).unwrap();
         let (pos, neg, zero) = f.inertia();
         assert_eq!((pos, neg, zero), (2, 1, 0));
         // Solve and verify.
@@ -313,7 +302,7 @@ mod tests {
         // Second diagonal entry is exactly the Schur complement, producing a
         // zero pivot: [[1, 1], [1, 1]].
         let a = Csc::from_triplets(2, 2, &[0, 0, 1, 1], &[0, 1, 0, 1], &[1.0, 1.0, 1.0, 1.0]);
-        let f = LdlFactor::factorize(&a, &LdlOptions::default()).unwrap();
+        let f = factorize(&a, &LdlOptions::default()).unwrap();
         assert_eq!(f.num_regularized, 1);
     }
 
@@ -334,7 +323,7 @@ mod tests {
                 &[0, 0, 1, 1, 2],
                 &[4.0, 1.0, 1.0, bad, 3.0],
             );
-            match LdlFactor::factorize(&a, &opts) {
+            match factorize(&a, &opts) {
                 Err(SparseError::Breakdown { column, pivot }) => {
                     assert_eq!(column, 1, "{bad}");
                     assert!(!pivot.is_finite(), "{bad}");
@@ -352,7 +341,7 @@ mod tests {
             expected_signs: vec![1, 1],
             ..Default::default()
         };
-        let f = LdlFactor::factorize(&a, &opts).unwrap();
+        let f = factorize(&a, &opts).unwrap();
         assert_eq!(f.num_regularized, 1);
         assert_eq!(f.inertia().0, 2);
     }
@@ -385,7 +374,7 @@ mod tests {
         let a = coo.to_csc();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
         for f in [
-            LdlFactor::factorize(&a, &LdlOptions::default()).unwrap(),
+            factorize(&a, &LdlOptions::default()).unwrap(),
             LdlFactor::factorize_rcm(&a, &LdlOptions::default()).unwrap(),
         ] {
             let x = f.solve(&b);
@@ -398,7 +387,7 @@ mod tests {
     fn non_square_rejected() {
         let a = Csc::zeros(2, 3);
         assert!(matches!(
-            LdlFactor::factorize(&a, &LdlOptions::default()),
+            factorize(&a, &LdlOptions::default()),
             Err(SparseError::Shape(_))
         ));
     }
@@ -410,9 +399,6 @@ mod tests {
             expected_signs: vec![1, 1],
             ..Default::default()
         };
-        assert!(matches!(
-            LdlFactor::factorize(&a, &opts),
-            Err(SparseError::Shape(_))
-        ));
+        assert!(matches!(factorize(&a, &opts), Err(SparseError::Shape(_))));
     }
 }

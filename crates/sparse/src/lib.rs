@@ -8,34 +8,38 @@
 //! indefinite KKT systems — work that parallelizes poorly. To reproduce that
 //! baseline faithfully we implement the same cost anatomy here:
 //!
-//! * triplet ([`coo::Coo`]) and compressed-sparse-column ([`csc::Csc`])
-//!   matrix formats, and bare patterns ([`csc::CscPattern`]) compressed from
+//! * triplet ([`Coo`]) and compressed-sparse-column ([`Csc`]) matrix
+//!   formats, and bare patterns ([`CscPattern`]) compressed from
 //!   coordinate lists by counting sort, with the slot of every coordinate,
-//! * symmetric orderings ([`ordering`]: approximate minimum degree with an
+//! * symmetric orderings ([`Ordering`]: approximate minimum degree with an
 //!   elimination-tree postorder to reduce fill, reverse Cuthill–McKee to
 //!   reduce bandwidth),
 //! * a sparse LDLᵀ factor with dynamic regularization and inertia reporting
-//!   for quasi-definite KKT systems ([`ldl`]),
-//! * a symbolic-reuse layer ([`refactor`]): analyze a pattern once, then run
+//!   for quasi-definite KKT systems ([`LdlFactor`]),
+//! * a symbolic-reuse layer ([`LdlSymbolic`]): analyze a pattern once, then run
 //!   numeric-only refactorizations on the host — up-looking over the sparse
 //!   rows, right-looking over the dense trailing block — pinned bitwise to
 //!   an up-looking replay of every row (the Świrydowicz-et-al. fixed-pattern
 //!   speedup the interior-point baseline exploits). A fresh factorization is
 //!   the same analysis followed by the same refactorization,
-//! * and small dense kernels ([`dense`]) shared with the batch TRON solver.
+//! * and small dense kernels ([`SmallMatrix`], [`dot`], [`norm2`]) shared
+//!   with the batch TRON solver.
 //!
 //! The crate is a leaf: it depends on nothing, not even the batch device
 //! the ADMM kernels launch on — the interior-point baseline is host code.
 
-pub mod coo;
-pub mod csc;
-pub mod dense;
-pub mod ldl;
-pub mod ordering;
-pub mod refactor;
+#![warn(unreachable_pub)]
+
+mod coo;
+mod csc;
+mod dense;
+mod ldl;
+mod ordering;
+mod refactor;
 
 pub use coo::Coo;
 pub use csc::{Csc, CscPattern};
+pub use dense::{dot, norm2, solve2, SmallMatrix, MAX_DIM};
 pub use ldl::{LdlFactor, LdlOptions};
 pub use ordering::Ordering;
 pub use refactor::LdlSymbolic;

@@ -52,7 +52,7 @@ pub(crate) struct Symbolic {
 impl Symbolic {
     /// Analyze the upper-triangular pattern of `a` (entries with row > col
     /// are ignored, so a full symmetric matrix may also be passed).
-    pub fn analyze(a: &Csc) -> Symbolic {
+    pub(crate) fn analyze(a: &Csc) -> Symbolic {
         assert_eq!(a.nrows, a.ncols, "symbolic analysis requires square input");
         let n = a.ncols;
         let none = usize::MAX;
@@ -90,7 +90,7 @@ impl Symbolic {
     }
 
     /// Total number of strictly-lower-triangular nonzeros of `L`.
-    pub fn total_lnz(&self) -> usize {
+    pub(crate) fn total_lnz(&self) -> usize {
         *self.lcolptr.last().unwrap_or(&0)
     }
 }

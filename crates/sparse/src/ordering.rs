@@ -51,7 +51,7 @@ impl Ordering {
     }
 
     /// Build from a new-to-old permutation vector.
-    pub fn from_perm(perm: Vec<usize>) -> Self {
+    pub(crate) fn from_perm(perm: Vec<usize>) -> Self {
         let mut inv = vec![0usize; perm.len()];
         for (new, &old) in perm.iter().enumerate() {
             inv[old] = new;
@@ -130,25 +130,20 @@ impl Ordering {
     }
 
     /// Permute a vector into the new ordering: `out[new] = x[perm[new]]`.
-    pub fn apply(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.perm.len());
         self.perm.iter().map(|&old| x[old]).collect()
     }
 
     /// Undo the permutation: `out[old] = x[inv[old]]`.
-    pub fn apply_inverse(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply_inverse(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.inv.len());
         self.inv.iter().map(|&new| x[new]).collect()
     }
 
     /// Size of the ordering.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.perm.len()
-    }
-
-    /// True for the empty ordering.
-    pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
     }
 }
 
@@ -433,18 +428,6 @@ fn etree_postorder<'a>(neighbours: impl Fn(usize) -> &'a [usize], order: &[usize
     post
 }
 
-/// Half-bandwidth of a square matrix (testing helper for ordering quality).
-pub fn bandwidth(a: &Csc) -> usize {
-    let mut bw = 0usize;
-    for j in 0..a.ncols {
-        for p in a.colptr[j]..a.colptr[j + 1] {
-            let i = a.rowind[p];
-            bw = bw.max(i.abs_diff(j));
-        }
-    }
-    bw
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -454,6 +437,18 @@ pub(crate) mod tests {
     use rand::{Rng, SeedableRng};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+
+    /// Half-bandwidth of a square matrix.
+    fn bandwidth(a: &Csc) -> usize {
+        let mut bw = 0usize;
+        for j in 0..a.ncols {
+            for p in a.colptr[j]..a.colptr[j + 1] {
+                let i = a.rowind[p];
+                bw = bw.max(i.abs_diff(j));
+            }
+        }
+        bw
+    }
 
     /// The parent's ordering, kept as the oracle [`Ordering::amd`] is
     /// pinned to: adjacency as one sorted `Vec` per node, and the quotient

@@ -693,7 +693,7 @@ impl LdlSymbolic {
     }
 
     /// True when `a` has exactly the analyzed sparsity pattern.
-    pub fn same_pattern(&self, a: &Csc) -> bool {
+    pub(crate) fn same_pattern(&self, a: &Csc) -> bool {
         a.nrows == self.n
             && a.ncols == self.n
             && a.colptr == self.a_colptr

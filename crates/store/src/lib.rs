@@ -36,12 +36,16 @@
 //!   lookups, which makes both the fleet results and the post-run store
 //!   contents independent of device count, lane caps, and thread timing.
 
-pub mod persist;
+#![warn(unreachable_pub)]
+
+mod persist;
+
+pub use persist::MAGIC;
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use gridsim_grid::fingerprint::{rms_distance, ScenarioFingerprint};
+use gridsim_grid::{rms_distance, ScenarioFingerprint};
 
 /// Eligibility radius as a fraction of the query's RMS load norm: a
 /// neighbor at RMS distance beyond `MAX_RELATIVE_DISTANCE × ‖query‖` is a
@@ -237,16 +241,6 @@ impl<P> Clone for StoreView<P> {
 }
 
 impl<P> StoreView<P> {
-    /// Total entries in the snapshot.
-    pub fn len(&self) -> usize {
-        self.groups.values().map(Vec::len).sum()
-    }
-
-    /// True when the snapshot holds nothing (every lookup misses).
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// Nearest stored neighbor of `fp` within the eligibility radius, or
     /// `None` (a miss) when the group is absent or every entry is too far.
     /// Deterministic: the result is the `(distance, insertion index)`
@@ -382,7 +376,7 @@ mod tests {
         let q = fp(&[1.001, 1.0]);
         assert_eq!(store.nearest("c", &q).unwrap().entry.payload, 2);
         assert_eq!(view.nearest("c", &q).unwrap().entry.payload, 1);
-        assert_eq!(view.len(), 1);
+        assert_eq!(view.groups.values().map(Vec::len).sum::<usize>(), 1);
     }
 
     #[test]

@@ -83,11 +83,11 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-/// On-disk format version; see the [module docs](self) for the contract.
+/// On-disk format version; see the module docs of `persist.rs` for the contract.
 /// Version 3 replaced the JSON text with the binary snapshot. Version 4
 /// dropped the store's tuning, its insertion stamps and each entry's norm:
 /// the tree is the version and the groups' entries, loads and payloads.
-pub const FORMAT_VERSION: u32 = 4;
+pub(crate) const FORMAT_VERSION: u32 = 4;
 
 /// The first eight bytes of every snapshot. The leading non-ASCII byte
 /// keeps any text file — a version-2 JSON store included — from matching.
@@ -95,7 +95,7 @@ pub const MAGIC: [u8; 8] = *b"\x89GSTORE\n";
 
 /// Deepest nesting the decoder accepts (and the encoder writes). A store
 /// tree is about eight levels deep.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 const HEADER_LEN: usize = 28;
 
@@ -216,7 +216,7 @@ impl<P: Serialize> SolutionStore<P> {
 impl<P: Deserialize> SolutionStore<P> {
     /// Read a store previously written by [`SolutionStore::save`]. Fails
     /// with `InvalidData` on any malformed, corrupt or version-skewed file
-    /// (see the [module docs](self)).
+    /// (see the module docs of `persist.rs`).
     pub fn load(path: &Path) -> io::Result<SolutionStore<P>> {
         SolutionStore::from_snapshot(&std::fs::read(path)?)
     }
@@ -245,7 +245,7 @@ fn invalid(message: impl Into<String>) -> io::Error {
 }
 
 /// FNV-1a over the body's little-endian words, its tail bytes, then its
-/// length (see the [module docs](self)).
+/// length (see the module docs of `persist.rs`).
 fn checksum(body: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -70,7 +70,7 @@ pub struct BlockState {
 /// `problems` provides read-only problem data (captured by the kernel
 /// closure); `states` holds the per-problem starting points and receives the
 /// results. The kernel performs no host–device transfers.
-pub fn solve_batch<P>(
+pub(crate) fn solve_batch<P>(
     device: &Device,
     solver: &TronSolver,
     problems: &[P],

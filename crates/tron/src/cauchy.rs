@@ -19,8 +19,8 @@
 //! carry ADMM penalties of 1e2–1e5 — overshot by four to five decades and
 //! halved 21–30 times per TRON iteration.
 
-use crate::problem::{BoundProblem, MAX_DIM};
-use gridsim_sparse::dense::SmallMatrix;
+use crate::problem::BoundProblem;
+use gridsim_sparse::{SmallMatrix, MAX_DIM};
 
 /// Sufficient-decrease constant of the search: `q(s) <= MU0 * g's`.
 const MU0: f64 = 1e-2;
@@ -40,7 +40,7 @@ pub struct CauchyPoint {
 
 /// Quadratic model value `q(s) = g's + 0.5 s'Hs`.
 #[inline]
-pub fn model_value(g: &[f64], h: &SmallMatrix, s: &[f64], scratch: &mut [f64]) -> f64 {
+pub(crate) fn model_value(g: &[f64], h: &SmallMatrix, s: &[f64], scratch: &mut [f64]) -> f64 {
     h.mul_vec(s, scratch);
     let mut v = 0.0;
     for i in 0..s.len() {

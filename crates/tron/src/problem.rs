@@ -1,7 +1,6 @@
 //! Problem interface for small dense bound-constrained problems.
 
-use gridsim_sparse::dense::SmallMatrix;
-pub use gridsim_sparse::dense::MAX_DIM;
+use gridsim_sparse::{SmallMatrix, MAX_DIM};
 
 /// A small, dense, twice-differentiable problem with simple bounds:
 /// `min f(x)  s.t.  l <= x <= u`, with at most [`MAX_DIM`] variables.

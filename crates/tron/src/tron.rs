@@ -27,8 +27,8 @@
 //!    word.
 
 use crate::cauchy::{cauchy_point, model_value};
-use crate::problem::{BoundProblem, MAX_DIM};
-use gridsim_sparse::dense::{dot, norm2, SmallMatrix};
+use crate::problem::BoundProblem;
+use gridsim_sparse::{dot, norm2, SmallMatrix, MAX_DIM};
 
 /// Options for the TRON solver.
 #[derive(Debug, Clone)]

@@ -3,7 +3,7 @@
 //! equivalence.
 
 use gridsim_batch::Device;
-use gridsim_sparse::dense::SmallMatrix;
+use gridsim_sparse::SmallMatrix;
 use gridsim_tron::{
     solve_batch_from_host, BoundProblem, QuadraticBox, TronOptions, TronSolver, TronStatus,
 };

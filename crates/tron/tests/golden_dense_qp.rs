@@ -25,7 +25,7 @@
 //! they pin every other rewrite to the same bits. The problems need only
 //! `+ − × ÷ √`, so the constants do not depend on the host's libm.
 
-use gridsim_sparse::dense::SmallMatrix;
+use gridsim_sparse::SmallMatrix;
 use gridsim_tron::{QuadraticBox, TronOptions, TronSolver};
 
 /// SplitMix64; `unit` is exact (53 random bits over 2⁵³).

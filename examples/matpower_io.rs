@@ -8,7 +8,7 @@
 //! ```
 
 use gridsim_admm::{AdmmParams, AdmmSolver};
-use gridsim_grid::{cases, matpower};
+use gridsim_grid::matpower;
 use std::path::PathBuf;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         None => {
             // No file given: round-trip the embedded 14-bus case through the
             // MATPOWER format to demonstrate the writer and parser.
-            let original = cases::case14();
+            let original = gridsim_grid::case14();
             let text = matpower::write_case(&original);
             let tmp = std::env::temp_dir().join("gridadmm_case14.m");
             std::fs::write(&tmp, &text).expect("write temp case");

@@ -8,13 +8,12 @@
 
 use gridsim_acopf::violations::relative_gap;
 use gridsim_admm::{AdmmParams, AdmmSolver};
-use gridsim_grid::cases;
 use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver};
 
 fn main() {
     // 1. Load a case (embedded 9-bus system; MATPOWER files and synthetic
     //    Table-I-scale cases work the same way).
-    let case = cases::case9();
+    let case = gridsim_grid::case9();
     let net = case.compile().expect("case compiles");
     println!(
         "case {}: {} buses, {} branches, {} generators",

@@ -10,14 +10,13 @@
 use gridsim_admm::{AdmmParams, AdmmSolver, ScenarioScheduler};
 use gridsim_batch::{Device, DevicePool};
 use gridsim_engine::FleetRequest;
-use gridsim_grid::cases;
-use gridsim_grid::scenario::ScenarioSet;
+use gridsim_grid::ScenarioSet;
 
 fn main() {
     // 1. Build a scenario set over the embedded 9-bus case: a load ramp,
     //    random per-bus perturbations, and N−1 branch outages (bridges are
     //    skipped automatically — outaging one would island a generator).
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let mut set = ScenarioSet::load_ramp(base.clone(), 3, 0.95, 1.05);
     set.extend(ScenarioSet::perturbed_loads(base.clone(), 2, 0.03, 42));
     set.extend(ScenarioSet::branch_outages(base.clone(), 3));

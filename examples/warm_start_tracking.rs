@@ -19,12 +19,11 @@ use gridadmm::prelude::*;
 use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_admm::{track_horizon, TrackingConfig};
 use gridsim_engine::FleetRequest;
-use gridsim_grid::cases;
 
 fn main() {
     // The IEEE-14-style embedded case and a 10-period load window drifting
     // by up to 3 %.
-    let case = cases::case14();
+    let case = gridsim_grid::case14();
     let profile = LoadProfile::paper_window(7, 10, 0.03);
     println!(
         "tracking {} over {} one-minute periods (max drift {:.1}%)",

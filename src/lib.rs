@@ -39,7 +39,8 @@ pub use gridsim_tron as tron;
 
 /// Convenience prelude bringing the most common types into scope.
 pub mod prelude {
-    pub use gridsim_acopf::{OpfSolution, SolutionQuality};
+    pub use gridsim_acopf::violations::SolutionQuality;
+    pub use gridsim_acopf::OpfSolution;
     pub use gridsim_admm::{
         AdmmParams, AdmmResult, AdmmSolver, ScenarioBatchResult, ScenarioProblem, ScenarioResult,
         ScenarioScheduler, TrackingConfig, WarmState,

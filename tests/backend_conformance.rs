@@ -7,8 +7,7 @@
 //! `GRIDSIM_BACKEND` (or the core count) selects on this machine is the
 //! mode that gets certified in CI.
 
-use gridsim_batch::conformance::assert_device_conformance;
-use gridsim_batch::{Device, ExecutionMode};
+use gridsim_batch::{assert_device_conformance, Device, ExecutionMode};
 
 #[test]
 fn sequential_device_conforms() {

@@ -15,10 +15,7 @@
 
 use gridadmm::prelude::*;
 use gridsim_batch::DevicePool;
-use gridsim_grid::cases;
-use gridsim_grid::network::Case;
-use gridsim_grid::scenario::OUTAGE_REACTANCE;
-use gridsim_store::ScenarioFingerprint;
+use gridsim_grid::{Case, ScenarioFingerprint, OUTAGE_REACTANCE};
 use proptest::prelude::*;
 
 fn spec_for(
@@ -50,7 +47,7 @@ proptest! {
         n2 in 0usize..4,
         gens in 0usize..4,
     ) {
-        for base in [cases::case9(), cases::case14()] {
+        for base in [gridsim_grid::case9(), gridsim_grid::case14()] {
             let spec = spec_for(levels, draws, seed, n1, n2, gens);
             let a = spec.expand(&base);
             let b = spec.expand(&base);
@@ -79,7 +76,7 @@ proptest! {
         n2 in 0usize..5,
         gens in 0usize..4,
     ) {
-        for base in [cases::case9(), cases::case14(), cases::case30_like()] {
+        for base in [gridsim_grid::case9(), gridsim_grid::case14(), gridsim_grid::case30_like()] {
             let spec = spec_for(levels, 0, 0, n1, n2, gens);
             for case in spec.expand(&base).cases() {
                 prop_assert!(is_connected(&case), "islanded scenario in expansion");
@@ -115,8 +112,8 @@ fn is_connected(case: &Case) -> bool {
     (1..n).all(|i| find(&mut parent, i) == root)
 }
 
-fn small_sweep() -> (String, Vec<gridsim_grid::network::Network>) {
-    let base = cases::case9();
+fn small_sweep() -> (String, Vec<gridsim_grid::Network>) {
+    let base = gridsim_grid::case9();
     let spec = ContingencySpec::load_grid(2, 1.0, 1.3).outages(2, 0, 1);
     ("case9".to_string(), spec.expand(&base).networks().unwrap())
 }
@@ -177,15 +174,14 @@ fn graduation_under_env_matches_reference() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn screen_has_no_false_negatives_on_a_stressed_sweep() {
-    use gridsim_admm::scenario::ScenarioScheduler;
-    use gridsim_admm::AdmmParams;
+    use gridsim_admm::{AdmmParams, ScenarioScheduler};
     use gridsim_engine::FleetRequest;
     use gridsim_screen::constraint_margin;
 
     // 3 levels x 5 draws x 10 columns = 150 scenarios spanning a benign
     // floor (1.0) and a stressed ceiling (1.5) with every outage column
     // case9 admits.
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let spec = ContingencySpec::load_grid(3, 1.0, 1.5)
         .perturbed(4, 0.02, 7)
         .outages(6, 0, 3);

@@ -10,7 +10,7 @@ use gridadmm::prelude::*;
 use gridsim_acopf::violations::relative_gap;
 use gridsim_admm::{track_horizon, TrackingConfig};
 use gridsim_engine::FleetRequest;
-use gridsim_grid::{cases, matpower};
+use gridsim_grid::matpower;
 
 /// The everything-admitted fleet on one device.
 fn one_device(params: AdmmParams, device: Device) -> ScenarioScheduler {
@@ -20,7 +20,7 @@ fn one_device(params: AdmmParams, device: Device) -> ScenarioScheduler {
 /// `examples/quickstart.rs`: ADMM solve vs IPM baseline on the 9-bus case.
 #[test]
 fn quickstart_core_path() {
-    let net = cases::case9().compile().expect("case9 compiles");
+    let net = gridsim_grid::case9().compile().expect("case9 compiles");
     let admm = AdmmSolver::new(AdmmParams::test_profile());
     let result = admm.solve(&net);
     assert!(
@@ -43,7 +43,7 @@ fn quickstart_core_path() {
 /// text, read it back, compile, and solve.
 #[test]
 fn matpower_io_core_path() {
-    let original = cases::case14();
+    let original = gridsim_grid::case14();
     let text = matpower::write_case(&original);
     let path = std::env::temp_dir().join("gridadmm_smoke_case14.m");
     std::fs::write(&path, &text).expect("write temp case");
@@ -63,7 +63,7 @@ fn matpower_io_core_path() {
 /// reference sharing one horizon-wide `KktCache`.
 #[test]
 fn warm_start_tracking_core_path() {
-    let case = cases::case9();
+    let case = gridsim_grid::case9();
     let profile = LoadProfile::paper_window(7, 3, 0.03);
     let config = TrackingConfig {
         params: AdmmParams::test_profile(),
@@ -179,7 +179,7 @@ fn synthetic_scaling_core_path() {
 /// batched driver, bitwise identical to per-scenario solves.
 #[test]
 fn scenario_batch_core_path() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let mut set = ScenarioSet::load_ramp(base.clone(), 2, 0.98, 1.02);
     set.extend(ScenarioSet::branch_outages(base, 1));
     let nets = set.networks().expect("scenario cases compile");

@@ -15,10 +15,7 @@
 use gridadmm::prelude::*;
 use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::relative_gap;
-use gridsim_grid::cases;
-use gridsim_grid::load_profile::LoadProfile;
-use gridsim_grid::synthetic::TableICase;
-use gridsim_grid::ScenarioSet;
+use gridsim_grid::{LoadProfile, ScenarioSet, TableICase};
 use gridsim_ipm::{Nlp, SolveReport};
 
 const CASE9_OBJECTIVE: f64 = 5_297.406_739_9;
@@ -41,7 +38,7 @@ fn assert_pinned(name: &str, report: &SolveReport, pin: f64) {
 /// probes must run on that production matrix and agree bit for bit.
 #[test]
 fn condensed_agrees_with_full_on_case9() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let nlp = AcopfNlp::new(&net);
     let mut cache = KktCache::new();
     let condensed = IpmSolver::default().solve_with_cache(&nlp, &mut cache);
@@ -73,7 +70,7 @@ fn condensed_agrees_with_full_on_case9() {
 
 #[test]
 fn condensed_agrees_with_full_on_case14() {
-    let net = cases::case14().compile().unwrap();
+    let net = gridsim_grid::case14().compile().unwrap();
     let condensed = IpmSolver::default().solve(&AcopfNlp::new(&net));
     assert_pinned("case14", &condensed, CASE14_OBJECTIVE);
     assert_eq!(condensed.symbolic_analyses, 1);
@@ -89,9 +86,9 @@ fn condensed_agrees_with_full_on_case14() {
 #[test]
 fn every_cold_solve_pays_one_symbolic_analysis() {
     for (name, case) in [
-        ("case9", cases::case9()),
-        ("case14", cases::case14()),
-        ("case30_like", cases::case30_like()),
+        ("case9", gridsim_grid::case9()),
+        ("case14", gridsim_grid::case14()),
+        ("case30_like", gridsim_grid::case30_like()),
         ("pegase1354/100", TableICase::Pegase1354.scaled(100)),
         ("pegase1354/200", TableICase::Pegase1354.scaled(200)),
     ] {
@@ -115,7 +112,7 @@ fn every_cold_solve_pays_one_symbolic_analysis() {
 /// pattern, and the shared cache recognizes it.
 #[test]
 fn tracking_horizon_reuses_one_symbolic_analysis() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let profile = LoadProfile {
         multipliers: vec![1.0, 1.01, 1.02, 1.015],
         period_minutes: 1.0,
@@ -171,7 +168,7 @@ fn scaled_registry_cases_converge_under_condensed() {
         eprintln!("skipping full-tolerance regression case (set GRIDADMM_FULL_TESTS=1)");
         return;
     }
-    for tc in gridsim_grid::synthetic::TableICase::all() {
+    for tc in gridsim_grid::TableICase::all() {
         let net = tc.scaled(100).compile().unwrap();
         let nlp = AcopfNlp::new(&net);
         let opts = IpmOptions::default();
@@ -212,9 +209,13 @@ fn kkt_comparison_rows_hold_on_reference_cases() {
         return;
     }
     for (name, case, pin) in [
-        ("case9", cases::case9(), CASE9_OBJECTIVE),
-        ("case14", cases::case14(), CASE14_OBJECTIVE),
-        ("case30_like", cases::case30_like(), CASE30_LIKE_OBJECTIVE),
+        ("case9", gridsim_grid::case9(), CASE9_OBJECTIVE),
+        ("case14", gridsim_grid::case14(), CASE14_OBJECTIVE),
+        (
+            "case30_like",
+            gridsim_grid::case30_like(),
+            CASE30_LIKE_OBJECTIVE,
+        ),
     ] {
         let net = case.compile().unwrap();
         let nlp = AcopfNlp::new(&net);

@@ -16,7 +16,7 @@
 //!   scenarios in every configuration.
 
 use gridadmm::prelude::*;
-use gridsim_engine::{plan, FleetRequest};
+use gridsim_engine::{total_lanes, FleetRequest};
 use gridsim_ipm::{IpmStatus, SolveReport};
 use proptest::prelude::*;
 
@@ -40,7 +40,7 @@ fn env_engine_fleet_honors_gridsim_devices() {
         ExecutionMode::Auto.resolve(),
         "engine must honor GRIDSIM_BACKEND"
     );
-    let nets = ScenarioSet::load_ramp(gridsim_grid::cases::case9(), 4, 0.98, 1.02)
+    let nets = ScenarioSet::load_ramp(gridsim_grid::case9(), 4, 0.98, 1.02)
         .networks()
         .unwrap();
     let fleet = solver.run(FleetRequest::over(&nets));
@@ -54,7 +54,7 @@ fn env_engine_fleet_honors_gridsim_devices() {
 /// engine's K=1 anchor for the interior-point family.
 #[test]
 fn k1_fleet_equals_single_solve() {
-    let net = gridsim_grid::cases::case14().compile().unwrap();
+    let net = gridsim_grid::case14().compile().unwrap();
     let single = IpmSolver::default().solve(&AcopfNlp::new(&net));
     for devices in [1, 3] {
         let engine = Engine::with_pool(DevicePool::parallel(devices));
@@ -92,7 +92,7 @@ fn report_bits(r: &SolveReport) -> (IpmStatus, usize, usize, Vec<u64>) {
 /// the same solver pays none while reproducing the first run bitwise.
 #[test]
 fn symbolic_analyses_are_one_per_structure_across_configs() {
-    let nets = ScenarioSet::load_ramp(gridsim_grid::cases::case9(), 5, 0.98, 1.02)
+    let nets = ScenarioSet::load_ramp(gridsim_grid::case9(), 5, 0.98, 1.02)
         .networks()
         .unwrap();
     let mut billing: Option<Vec<usize>> = None;
@@ -106,7 +106,7 @@ fn symbolic_analyses_are_one_per_structure_across_configs() {
             let solver = IpmFleetSolver::with_engine(IpmOptions::default(), engine);
             let fleet = solver.run(FleetRequest::over(&nets));
             assert!(fleet.all_optimal(), "{config}");
-            assert_eq!(fleet.lanes, plan::total_lanes(nets.len(), devices, lanes));
+            assert_eq!(fleet.lanes, total_lanes(nets.len(), devices, lanes));
             assert_eq!(fleet.symbolic_analyses(), 1, "{config}");
             assert_eq!(fleet.frozen.len(), 1, "{config}");
             let billed: Vec<usize> = fleet
@@ -144,7 +144,7 @@ proptest! {
         k in 1usize..4,
         sigma in 0.005f64..0.03,
     ) {
-        let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, sigma, seed);
+        let set = ScenarioSet::perturbed_loads(gridsim_grid::case9(), k, sigma, seed);
         let nets = set.networks().unwrap();
         let engine = Engine::with_pool(DevicePool::parallel(1)).with_lanes(1);
         let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine).run(FleetRequest::over(&nets));
@@ -194,7 +194,7 @@ proptest! {
         devices in 1usize..4,
         lanes in 1usize..3,
     ) {
-        let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, 0.02, seed);
+        let set = ScenarioSet::perturbed_loads(gridsim_grid::case9(), k, 0.02, seed);
         let nets = set.networks().unwrap();
         let reference = IpmFleetSolver::with_engine(
             IpmOptions::default(),
@@ -206,7 +206,7 @@ proptest! {
         let engine = Engine::with_pool(DevicePool::parallel(devices)).with_lanes(lanes);
         let fleet = IpmFleetSolver::with_engine(IpmOptions::default(), engine).run(FleetRequest::over(&nets));
         prop_assert!(fleet.all_optimal(), "devices={} lanes={}", devices, lanes);
-        prop_assert_eq!(fleet.lanes, plan::total_lanes(k, devices, Some(lanes)));
+        prop_assert_eq!(fleet.lanes, total_lanes(k, devices, Some(lanes)));
         prop_assert_eq!(fleet.symbolic_analyses(), 1);
         for (a, b) in fleet.results.iter().zip(&reference.results) {
             prop_assert_eq!(&a.name, &b.name);
@@ -228,8 +228,8 @@ proptest! {
 #[test]
 fn donor_seeded_admissions_converge_in_three_steps() {
     for (name, case) in [
-        ("case9", gridsim_grid::cases::case9()),
-        ("case14", gridsim_grid::cases::case14()),
+        ("case9", gridsim_grid::case9()),
+        ("case14", gridsim_grid::case14()),
     ] {
         let generation = |seed| {
             ScenarioSet::perturbed_loads(case.clone(), 4, 0.02, seed)

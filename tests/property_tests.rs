@@ -5,13 +5,10 @@
 //! invariants.
 
 use gridadmm::prelude::*;
-use gridsim_acopf::flows::{BranchFlow, FlowKind};
+use gridsim_acopf::{BranchFlow, FlowKind};
 use gridsim_engine::FleetRequest;
-use gridsim_grid::branch::Branch;
-use gridsim_grid::matpower;
-use gridsim_grid::synthetic::SyntheticSpec;
-use gridsim_sparse::dense::SmallMatrix;
-use gridsim_sparse::{Coo, LdlFactor, LdlOptions, LdlSymbolic, Ordering};
+use gridsim_grid::{matpower, Branch, SyntheticSpec};
+use gridsim_sparse::{Coo, LdlFactor, LdlOptions, LdlSymbolic, Ordering, SmallMatrix};
 use gridsim_tron::{BoundProblem, QuadraticBox, TronOptions, TronSolver};
 use proptest::prelude::*;
 
@@ -58,7 +55,7 @@ proptest! {
         dt in -0.5f64..0.5,
     ) {
         let y = Branch::line(1, 2, r, x, 0.0, 0.0).admittance();
-        let flows = gridsim_acopf::flows::branch_flows(&y, vi, vj, dt, 0.0);
+        let flows = gridsim_acopf::branch_flows(&y, vi, vj, dt, 0.0);
         prop_assert!(flows[0] + flows[2] >= -1e-10, "losses {}", flows[0] + flows[2]);
     }
 
@@ -311,7 +308,7 @@ proptest! {
         c0 in 0.0f64..500.0,
         pg_mw in 0.0f64..300.0,
     ) {
-        let mut case = gridsim_grid::cases::two_bus();
+        let mut case = gridsim_grid::two_bus();
         case.generators[0].cost = gridsim_grid::GenCost { c2, c1, c0 };
         case.generators[0].pmax = 400.0;
         let net = case.compile().unwrap();
@@ -342,7 +339,7 @@ proptest! {
         sigma in 0.005f64..0.05,
     ) {
         use gridsim_batch::Device;
-        let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, sigma, seed);
+        let set = ScenarioSet::perturbed_loads(gridsim_grid::case9(), k, sigma, seed);
         let nets = set.networks().unwrap();
         let params = AdmmParams { max_outer: 2, max_inner: 25, ..AdmmParams::default() };
         let seq = one_device(params.clone(), Device::sequential()).run(FleetRequest::over(&nets));
@@ -376,7 +373,7 @@ proptest! {
         backend_sel in 0usize..3,
     ) {
         use gridsim_batch::DevicePool;
-        let set = ScenarioSet::perturbed_loads(gridsim_grid::cases::case9(), k, 0.03, seed);
+        let set = ScenarioSet::perturbed_loads(gridsim_grid::case9(), k, 0.03, seed);
         let nets = set.networks().unwrap();
         let params = AdmmParams { max_outer: 2, max_inner: 25, ..AdmmParams::default() };
         let reference = one_device(params.clone(), Device::default()).run(FleetRequest::over(&nets));
@@ -410,7 +407,7 @@ proptest! {
 fn admm_deterministic_across_runs() {
     // Not a proptest (one expensive solve), but a determinism invariant: two
     // identical runs produce bit-identical dispatch.
-    let net = gridsim_grid::cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let a = AdmmSolver::new(AdmmParams::default()).solve(&net);
     let b = AdmmSolver::new(AdmmParams::default()).solve(&net);
     assert_eq!(a.inner_iterations, b.inner_iterations);

@@ -6,7 +6,6 @@
 use gridadmm::prelude::*;
 use gridsim_batch::Device;
 use gridsim_engine::FleetRequest;
-use gridsim_grid::cases;
 
 /// The everything-admitted fleet on one device.
 fn one_device(params: AdmmParams, device: Device) -> ScenarioScheduler {
@@ -29,7 +28,7 @@ fn mixed_set(base: &Case, k: usize) -> ScenarioSet {
 
 #[test]
 fn batch_is_bitwise_identical_across_backends() {
-    let set = mixed_set(&cases::case9(), 5);
+    let set = mixed_set(&gridsim_grid::case9(), 5);
     let nets = set.networks().unwrap();
     // Bounded budget: bitwise identity holds at every iterate, converged or
     // not, so a short run keeps the debug suite fast.
@@ -58,7 +57,7 @@ fn batch_is_bitwise_identical_across_backends() {
 
 #[test]
 fn outaged_branch_carries_no_flow() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let set = ScenarioSet::branch_outages(base.clone(), 2);
     let nets = set.networks().unwrap();
     let batch =
@@ -86,7 +85,7 @@ fn outaged_branch_carries_no_flow() {
 
 #[test]
 fn batch_statuses_and_masking_are_reported_per_scenario() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let nets = mixed_set(&base, 3).networks().unwrap();
     let batcher = one_device(AdmmParams::test_profile(), Device::default());
     let before = batcher.engine.pool().device(0).stats().snapshot();
@@ -125,7 +124,7 @@ fn batch_statuses_and_masking_are_reported_per_scenario() {
 
 #[test]
 fn chained_warm_start_beats_cold_batch_on_a_load_ramp() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let nominal = base.compile().unwrap();
     let params = AdmmParams::test_profile();
     let cold_nominal = AdmmSolver::new(params.clone()).solve(&nominal);

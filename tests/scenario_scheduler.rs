@@ -9,8 +9,7 @@
 
 use gridadmm::prelude::*;
 use gridsim_batch::Device;
-use gridsim_engine::{plan, FleetRequest};
-use gridsim_grid::cases;
+use gridsim_engine::{shard_plan, FleetRequest};
 
 fn mixed_set(base: &Case, k: usize) -> ScenarioSet {
     let mut set = ScenarioSet::load_ramp(base.clone(), k.div_ceil(2), 0.97, 1.03);
@@ -67,7 +66,7 @@ fn env_pool_matches_single_device_batch_bitwise() {
         expected,
         "pool must honor GRIDSIM_DEVICES"
     );
-    let nets = mixed_set(&cases::case9(), 5).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 5).networks().unwrap();
     let sched = scheduler.run(FleetRequest::over(&nets));
     let batch = one_device(params, Device::default()).run(FleetRequest::over(&nets));
     assert_bitwise(&sched, &batch);
@@ -88,7 +87,7 @@ fn env_pool_backend_matches_resolution_bitwise() {
         "pool must honor GRIDSIM_BACKEND"
     );
     assert_ne!(scheduler.engine.pool().backend(), ExecutionMode::Auto);
-    let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 4).networks().unwrap();
     let sched = scheduler.run(FleetRequest::over(&nets));
     let batch = one_device(params, Device::sequential()).run(FleetRequest::over(&nets));
     assert_bitwise(&sched, &batch);
@@ -99,7 +98,7 @@ fn env_pool_backend_matches_resolution_bitwise() {
 #[test]
 fn all_shard_and_lane_configs_are_bitwise_identical() {
     let params = short_params();
-    let nets = mixed_set(&cases::case9(), 5).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 5).networks().unwrap();
     let reference = one_device(params.clone(), Device::default()).run(FleetRequest::over(&nets));
     for devices in 1..=4 {
         for lanes in [Some(1), Some(2), None] {
@@ -120,7 +119,7 @@ fn all_shard_and_lane_configs_are_bitwise_identical() {
 #[test]
 fn streaming_admission_bills_the_same_kernel_work() {
     let params = short_params();
-    let nets = mixed_set(&cases::case9(), 5).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 5).networks().unwrap();
     let nbranch = nets[0].nbranch as u64;
 
     let scheduler =
@@ -150,7 +149,7 @@ fn streaming_admission_bills_the_same_kernel_work() {
 #[test]
 fn streamed_refills_transfer_per_admission_not_per_tick() {
     let params = short_params();
-    let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 4).networks().unwrap();
     let k = nets.len() as u64;
     // (lanes opened, h2d bytes) per configuration.
     let mut uploads: Vec<(u64, u64)> = Vec::new();
@@ -187,7 +186,7 @@ fn streamed_refills_transfer_per_admission_not_per_tick() {
 #[test]
 fn store_hits_upload_each_admission_once() {
     let params = short_params();
-    let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 4).networks().unwrap();
     let scheduler = ScenarioScheduler::with_pool(params, DevicePool::parallel(1)).with_lanes(1);
     let before = scheduler.engine.pool().combined_snapshot();
     let plain = scheduler.run(FleetRequest::over(&nets));
@@ -216,7 +215,7 @@ fn store_hits_upload_each_admission_once() {
 #[test]
 fn sharded_work_is_billed_per_device() {
     let params = short_params();
-    let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 4).networks().unwrap();
     let nbranch = nets[0].nbranch as u64;
     let scheduler = ScenarioScheduler::with_pool(params, DevicePool::parallel(2));
     let sched = scheduler.run(FleetRequest::over(&nets));
@@ -231,7 +230,7 @@ fn sharded_work_is_billed_per_device() {
     // Each device bills exactly the scenarios the engine's shard plan
     // assigns it (round-robin), asserted against the plan itself instead of
     // re-implementing the round-robin arithmetic here.
-    let shards = plan::shard_plan(nets.len(), snaps.len());
+    let shards = shard_plan(nets.len(), snaps.len());
     for (d, snap) in snaps.iter().enumerate() {
         let expected: u64 = shards[d]
             .iter()
@@ -255,7 +254,7 @@ fn sharded_work_is_billed_per_device() {
 /// solver bitwise, the engine's anchor invariant.
 #[test]
 fn k1_through_scheduler_equals_single_solver() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let params = short_params();
     let single = AdmmSolver::new(params.clone()).solve(&net);
     for devices in [1, 3] {
@@ -276,7 +275,7 @@ fn k1_through_scheduler_equals_single_solver() {
 /// batch front end under sharding and streaming.
 #[test]
 fn warm_started_scheduling_matches_batch() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let nominal = base.compile().unwrap();
     let params = short_params();
     let cold = AdmmSolver::new(params.clone()).solve(&nominal);
@@ -303,7 +302,7 @@ fn warm_started_scheduling_matches_batch() {
 #[test]
 fn all_backends_agree_through_the_scheduler() {
     let params = short_params();
-    let nets = mixed_set(&cases::case9(), 4).networks().unwrap();
+    let nets = mixed_set(&gridsim_grid::case9(), 4).networks().unwrap();
     let run = |pool: DevicePool| {
         let scheduler = ScenarioScheduler::with_pool(params.clone(), pool).with_lanes(1);
         let result = scheduler.run(FleetRequest::over(&nets));
@@ -334,7 +333,7 @@ fn all_backends_agree_through_the_scheduler() {
 /// problem-data copy inside the engine.
 #[test]
 fn problem_data_is_deduplicated_across_scenarios() {
-    let base = cases::case9();
+    let base = gridsim_grid::case9();
     let params = AdmmParams::default();
     let ramp_nets = ScenarioSet::load_ramp(base.clone(), 6, 0.95, 1.05)
         .networks()

@@ -8,8 +8,8 @@
 use gridadmm::prelude::*;
 use gridsim_admm::AdmmStatus;
 use gridsim_engine::FleetRequest;
-use gridsim_grid::cases;
-use gridsim_store::{rms_distance, InsertOutcome};
+use gridsim_grid::rms_distance;
+use gridsim_store::InsertOutcome;
 use proptest::prelude::*;
 
 proptest! {
@@ -24,10 +24,10 @@ proptest! {
         k in 1usize..6,
         sigma in 0.001f64..0.1,
     ) {
-        let a = ScenarioSet::perturbed_loads(cases::case14(), k, sigma, seed)
+        let a = ScenarioSet::perturbed_loads(gridsim_grid::case14(), k, sigma, seed)
             .networks()
             .unwrap();
-        let b = ScenarioSet::perturbed_loads(cases::case14(), k, sigma, seed)
+        let b = ScenarioSet::perturbed_loads(gridsim_grid::case14(), k, sigma, seed)
             .networks()
             .unwrap();
         for (na, nb) in a.iter().zip(&b) {
@@ -41,7 +41,7 @@ proptest! {
             prop_assert_eq!(fa.distance(&fb).to_bits(), 0f64.to_bits());
         }
         // Same case, different loads: same structure class, nonzero distance.
-        let other = ScenarioSet::perturbed_loads(cases::case14(), 1, sigma, seed + 1)
+        let other = ScenarioSet::perturbed_loads(gridsim_grid::case14(), 1, sigma, seed + 1)
             .networks()
             .unwrap();
         let fa = ScenarioFingerprint::of_network(&a[0]);
@@ -165,7 +165,7 @@ proptest! {
 /// fills the store with exactly the converged scenarios.
 #[test]
 fn empty_store_runs_match_plain_runs_bitwise() {
-    let nets = ScenarioSet::perturbed_loads(cases::case9(), 4, 0.02, 3)
+    let nets = ScenarioSet::perturbed_loads(gridsim_grid::case9(), 4, 0.02, 3)
         .networks()
         .unwrap();
 
@@ -217,7 +217,7 @@ fn empty_store_runs_match_plain_runs_bitwise() {
 /// solves exactly as it does without a store.
 #[test]
 fn ipm_payload_with_the_wrong_length_solves_cold() {
-    let net = cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let nets = std::slice::from_ref(&net);
     let solver = IpmFleetSolver::with_engine(
         IpmOptions::default(),
@@ -255,10 +255,10 @@ fn ipm_payload_with_the_wrong_length_solves_cold() {
 /// holding end to end on the solver path.
 #[test]
 fn store_seeded_scheduler_is_bitwise_across_configurations() {
-    let prime_nets = ScenarioSet::perturbed_loads(cases::case9(), 3, 0.02, 21)
+    let prime_nets = ScenarioSet::perturbed_loads(gridsim_grid::case9(), 3, 0.02, 21)
         .networks()
         .unwrap();
-    let eval_nets = ScenarioSet::perturbed_loads(cases::case9(), 4, 0.02, 22)
+    let eval_nets = ScenarioSet::perturbed_loads(gridsim_grid::case9(), 4, 0.02, 22)
         .networks()
         .unwrap();
     let params = AdmmParams::test_profile();
@@ -333,10 +333,10 @@ fn store_seeded_scheduler_is_bitwise_across_configurations() {
 /// solution as cold solves of the same scenarios, within solver tolerance.
 #[test]
 fn warm_started_ipm_matches_cold_solutions() {
-    let prime_nets = ScenarioSet::perturbed_loads(cases::case14(), 6, 0.02, 31)
+    let prime_nets = ScenarioSet::perturbed_loads(gridsim_grid::case14(), 6, 0.02, 31)
         .networks()
         .unwrap();
-    let eval_nets = ScenarioSet::perturbed_loads(cases::case14(), 4, 0.02, 32)
+    let eval_nets = ScenarioSet::perturbed_loads(gridsim_grid::case14(), 4, 0.02, 32)
         .networks()
         .unwrap();
     let solver = IpmFleetSolver::with_engine(
@@ -381,7 +381,7 @@ fn warm_started_ipm_matches_cold_solutions() {
 #[test]
 fn warm_store_sweep_sheds_ipm_iterations() {
     let sweep = |seed| {
-        ScenarioSet::perturbed_loads(cases::case14(), 60, 0.02, seed)
+        ScenarioSet::perturbed_loads(gridsim_grid::case14(), 60, 0.02, seed)
             .networks()
             .unwrap()
     };

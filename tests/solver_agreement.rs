@@ -54,7 +54,7 @@ fn compare_on(case: gridsim_grid::Case, params: AdmmParams, gap_tol: f64, viol_t
 #[test]
 fn agreement_on_two_bus() {
     compare_on(
-        gridsim_grid::cases::two_bus(),
+        gridsim_grid::two_bus(),
         AdmmParams::test_profile(),
         0.01,
         1e-2,
@@ -73,13 +73,13 @@ fn agreement_on_case5() {
         max_inner: 1000,
         ..AdmmParams::test_profile()
     };
-    compare_on(gridsim_grid::cases::case5(), params, 0.05, 0.5);
+    compare_on(gridsim_grid::case5(), params, 0.05, 0.5);
 }
 
 #[test]
 fn agreement_on_case9() {
     compare_on(
-        gridsim_grid::cases::case9(),
+        gridsim_grid::case9(),
         AdmmParams::test_profile(),
         0.01,
         1e-2,
@@ -89,7 +89,7 @@ fn agreement_on_case9() {
 #[test]
 fn agreement_on_case14() {
     compare_on(
-        gridsim_grid::cases::case14(),
+        gridsim_grid::case14(),
         AdmmParams::test_profile(),
         0.01,
         1e-2,
@@ -105,30 +105,10 @@ fn full_profile_agreement_on_embedded_cases() {
         eprintln!("skipping full-tolerance agreement sweep (set GRIDADMM_FULL_TESTS=1)");
         return;
     }
-    compare_on(
-        gridsim_grid::cases::two_bus(),
-        AdmmParams::default(),
-        0.01,
-        1e-2,
-    );
-    compare_on(
-        gridsim_grid::cases::case5(),
-        AdmmParams::default(),
-        0.05,
-        0.5,
-    );
-    compare_on(
-        gridsim_grid::cases::case9(),
-        AdmmParams::default(),
-        0.005,
-        1e-2,
-    );
-    compare_on(
-        gridsim_grid::cases::case14(),
-        AdmmParams::default(),
-        0.01,
-        1e-2,
-    );
+    compare_on(gridsim_grid::two_bus(), AdmmParams::default(), 0.01, 1e-2);
+    compare_on(gridsim_grid::case5(), AdmmParams::default(), 0.05, 0.5);
+    compare_on(gridsim_grid::case9(), AdmmParams::default(), 0.005, 1e-2);
+    compare_on(gridsim_grid::case14(), AdmmParams::default(), 0.01, 1e-2);
 }
 
 #[test]
@@ -138,7 +118,7 @@ fn agreement_on_synthetic_case30() {
     // paper likewise tunes Table I penalties per case). Assert the ADMM
     // side's quality, that the centralized baseline converges, and that the
     // two objectives land in the same ballpark.
-    let net = gridsim_grid::cases::case30_like().compile().unwrap();
+    let net = gridsim_grid::case30_like().compile().unwrap();
     let admm = AdmmSolver::new(AdmmParams::test_profile()).solve(&net);
     assert!(
         admm.quality.max_violation() < 0.2,
@@ -233,7 +213,7 @@ fn admm_scales_to_a_larger_synthetic_case_than_the_test_baseline() {
 
 #[test]
 fn admm_solution_respects_all_bounds() {
-    let net = gridsim_grid::cases::case14().compile().unwrap();
+    let net = gridsim_grid::case14().compile().unwrap();
     let result = AdmmSolver::new(AdmmParams::test_profile()).solve(&net);
     let sol = &result.solution;
     for b in 0..net.nbus {
@@ -253,7 +233,7 @@ fn line_limits_respected_within_margin() {
     // The solver tightens limits to 99 % of capacity internally, so the
     // extracted flows must respect the true ratings up to the consensus
     // error.
-    let net = gridsim_grid::cases::case9().compile().unwrap();
+    let net = gridsim_grid::case9().compile().unwrap();
     let result = AdmmSolver::new(AdmmParams::test_profile()).solve(&net);
     let flows = result.solution.branch_flows(&net);
     for l in 0..net.nbranch {

@@ -6,7 +6,7 @@ use gridsim_admm::track_horizon;
 
 #[test]
 fn short_horizon_tracking_on_case14() {
-    let case = gridsim_grid::cases::case14();
+    let case = gridsim_grid::case14();
     let profile = LoadProfile::paper_window(0, 5, 0.02);
     let config = TrackingConfig {
         params: AdmmParams::test_profile(),
@@ -50,7 +50,7 @@ fn short_horizon_tracking_on_case14() {
 fn ramp_limits_hold_between_consecutive_periods() {
     // Track with an aggressive load swing and a tight ramp; consecutive
     // dispatches must never move a generator faster than the ramp allows.
-    let case = gridsim_grid::cases::case9();
+    let case = gridsim_grid::case9();
     let net = case.compile().unwrap();
     let profile = LoadProfile {
         multipliers: vec![1.0, 1.02, 1.04],
