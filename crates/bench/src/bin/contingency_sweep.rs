@@ -149,10 +149,9 @@ fn main() {
     let k = nets.len();
     eprintln!(
         "{case_id}: {k} scenarios = {} levels x {} draws x {columns} columns \
-         ({} base, {} N-1, {} N-2, {} gen)",
+         (base, {} N-1, {} N-2, {} gen)",
         manifest.levels,
         manifest.draws_per_level,
-        manifest.base_columns,
         manifest.n1_columns,
         manifest.n2_columns,
         manifest.gen_columns,

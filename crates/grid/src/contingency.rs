@@ -44,8 +44,6 @@ pub struct ContingencySpec {
     pub sigma: f64,
     /// Seed for the perturbation draws.
     pub seed: u64,
-    /// Include the no-outage column at every (level, draw) point.
-    pub include_base: bool,
     /// Cap on single-branch (N−1) outage columns; the expansion uses
     /// `min(cap, eligible)` branches, spread evenly over the eligible list.
     pub n1_branches: usize,
@@ -76,7 +74,6 @@ impl ContingencySpec {
             perturbations: 0,
             sigma: 0.0,
             seed: 0,
-            include_base: true,
             n1_branches: 0,
             n2_pairs: 0,
             gen_outages: 0,
@@ -123,25 +120,17 @@ impl ContingencySpec {
         if self.perturbations > 0 && self.sigma == 0.0 {
             return Err("perturbation draws need sigma > 0".into());
         }
-        if !self.include_base
-            && self.n1_branches == 0
-            && self.n2_pairs == 0
-            && self.gen_outages == 0
-        {
-            return Err("spec selects no scenarios: no base column and no outages".into());
-        }
         Ok(())
     }
 
-    /// The outage columns the expansion will emit for `base`, as
-    /// `(tag, scenario template)` pairs at nominal load. The spec's caps
-    /// are applied against the case's eligible lists with the same
-    /// even-spread rule the `ScenarioSet` constructors use.
+    /// The columns the expansion will emit for `base` — the no-outage
+    /// column first, then the outage columns — as `(tag, scenario
+    /// template)` pairs at nominal load. The spec's caps are applied
+    /// against the case's eligible lists with the same even-spread rule the
+    /// `ScenarioSet` constructors use.
     fn columns(&self, base: &Case) -> Vec<(String, Vec<usize>, Option<usize>)> {
-        let mut cols: Vec<(String, Vec<usize>, Option<usize>)> = Vec::new();
-        if self.include_base {
-            cols.push(("base".into(), Vec::new(), None));
-        }
+        let mut cols: Vec<(String, Vec<usize>, Option<usize>)> =
+            vec![("base".into(), Vec::new(), None)];
         if self.n1_branches > 0 {
             for s in ScenarioSet::branch_outages(base.clone(), self.n1_branches).scenarios {
                 let l = s.branch_outages[0];
@@ -218,7 +207,6 @@ impl ContingencySpec {
         ContingencyManifest {
             levels: self.load_levels.len(),
             draws_per_level: 1 + self.perturbations,
-            base_columns: columns.iter().filter(|c| c.0 == "base").count(),
             n1_columns: columns.iter().filter(|c| c.1.len() == 1).count(),
             n2_columns: columns.iter().filter(|c| c.1.len() == 2).count(),
             gen_columns: columns.iter().filter(|c| c.2.is_some()).count(),
@@ -235,8 +223,6 @@ pub struct ContingencyManifest {
     pub levels: usize,
     /// Draws per level (1 uniform + perturbations).
     pub draws_per_level: usize,
-    /// 1 when the no-outage column is included, else 0.
-    pub base_columns: usize,
     /// Number of N−1 outage columns.
     pub n1_columns: usize,
     /// Number of N−2 pair columns.
@@ -270,14 +256,11 @@ mod tests {
         assert_eq!(m.total, set.len());
         assert_eq!(m.levels, 3);
         assert_eq!(m.draws_per_level, 3);
-        assert_eq!(m.base_columns, 1);
         assert_eq!(m.n1_columns, 4);
         assert_eq!(m.n2_columns, 3);
         assert_eq!(
             m.total,
-            m.levels
-                * m.draws_per_level
-                * (m.base_columns + m.n1_columns + m.n2_columns + m.gen_columns)
+            m.levels * m.draws_per_level * (1 + m.n1_columns + m.n2_columns + m.gen_columns)
         );
     }
 
@@ -355,10 +338,6 @@ mod tests {
         let mut s = spec();
         s.sigma = 0.0;
         assert!(s.validate().is_err(), "draws without noise");
-
-        let mut s = ContingencySpec::load_grid(2, 0.9, 1.1);
-        s.include_base = false;
-        assert!(s.validate().is_err(), "no base and no outages");
 
         assert!(spec().validate().is_ok());
     }

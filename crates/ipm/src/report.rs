@@ -15,10 +15,12 @@ pub enum IpmStatus {
     /// triangle instead of both (see [`Nlp`](crate::Nlp)), which no Newton
     /// system can be built or trusted on.
     NumericalError,
-    /// The feasibility-restoration phase could not produce a filter-acceptable
-    /// point: the iterate is stuck at a (possibly locally infeasible)
-    /// stationary point of the constraint violation.
-    RestorationFailure,
+    /// The filter line search found no acceptable step, and the watchdog's
+    /// run of full steps on trust (its last fallback) ended without one:
+    /// the solve stops at the current iterate, which the report describes.
+    /// Whether the problem is infeasible near there or only hard for the
+    /// step computation is not decided.
+    Stalled,
 }
 
 /// One row of the iteration log (what Ipopt prints per iteration).
@@ -62,11 +64,14 @@ pub struct SolveReport {
     /// Termination status.
     pub status: IpmStatus,
     /// Number of steps taken: `max_iter` when the budget ran out, `k` when
-    /// iteration `k` converged or failed before stepping.
+    /// iteration `k` converged, stalled or failed before stepping.
     pub iterations: usize,
-    /// Final scaled KKT error.
+    /// Final scaled KKT error. Except at [`IpmStatus::MaxIterations`], whose
+    /// last step is taken after the last evaluation, it, the
+    /// `primal_infeasibility`, the `objective` and the last log record all
+    /// describe `x`.
     pub kkt_error: f64,
-    /// Final primal infeasibility.
+    /// Final primal infeasibility: the ∞-norm of `[c_E(x); c_I(x) + s]`.
     pub primal_infeasibility: f64,
     /// Wall-clock time of the solve.
     pub solve_time: Duration,
@@ -88,11 +93,9 @@ pub struct SolveReport {
     /// already-available factorization after a rejected full step).
     pub soc_steps: usize,
     /// Steps accepted on trust by the watchdog (non-monotone full steps taken
-    /// while a relaxed-acceptance run is active).
+    /// while a relaxed-acceptance run is active). A run that ends without an
+    /// acceptable step ends the solve as [`IpmStatus::Stalled`].
     pub watchdog_steps: usize,
-    /// Feasibility-restoration phases entered (last-resort minimization of
-    /// the constraint violation when no acceptable step length remains).
-    pub restorations: usize,
     /// Per-iteration log.
     pub log: Vec<IterationRecord>,
 }
@@ -127,7 +130,6 @@ mod tests {
             filter_rejections: 0,
             soc_steps: 0,
             watchdog_steps: 0,
-            restorations: 0,
             log: vec![],
         };
         assert!(report.is_optimal());

@@ -15,9 +15,9 @@
 //! second-order correction steps (extra triangular solves on the same
 //! factorization against the corrected constraint residual); if the line
 //! search still finds no acceptable step length, a watchdog takes a bounded
-//! run of full steps on trust, and when that trust runs out the iterate is
-//! restored and a feasibility-restoration phase (projected gradient on the
-//! squared constraint violation) re-centers the solve. The barrier parameter
+//! run of full steps on trust. The watchdog is the last fallback: when its
+//! trust runs out with no acceptable step, the solve ends at the current
+//! iterate as [`IpmStatus::Stalled`]. The barrier parameter
 //! decreases monotonically once the barrier subproblem is solved to a
 //! multiple of μ (Fiacco–McCormick), as in Ipopt's monotone mode, and the
 //! filter resets on every μ decrease.
@@ -27,7 +27,6 @@ use crate::kkt_condensed::{KktCache, KktStrategy};
 use crate::nlp::Nlp;
 use crate::report::{IpmStatus, IterationRecord, SolveReport};
 use gridsim_batch::Device;
-use gridsim_sparse::Coo;
 use std::time::Instant;
 
 // Wächter–Biegler filter line-search constants (their Table 1 defaults).
@@ -76,12 +75,11 @@ const MAX_REFACTORIZATIONS: usize = 40;
 /// Second-order correction steps after a rejected full step (Ipopt's
 /// `max_soc`).
 const MAX_SOC: usize = 4;
-/// Non-monotone full steps the watchdog takes on trust after the filter
-/// line search fails, before restoring the saved iterate and entering
-/// feasibility restoration (Ipopt's `watchdog_trial_iter_max`).
+/// Non-monotone full steps the watchdog takes on trust after the one that
+/// starts its run, while the filter line search keeps failing; when they
+/// are spent the solve ends as [`IpmStatus::Stalled`] (Ipopt's
+/// `watchdog_trial_iter_max`).
 const WATCHDOG_BUDGET: usize = 3;
-/// Iteration budget of the projected-gradient feasibility restoration.
-const MAX_RESTORATION_ITERS: usize = 100;
 /// Dual regularization of the constraint block of the KKT system before
 /// any singular pivot raises it to `1e-8 μ^¼` (Ipopt's `δ_c` base).
 const DELTA_C: f64 = 1e-8;
@@ -339,121 +337,6 @@ fn bound_dual_steps(
     (dzl, dzu)
 }
 
-/// Last-resort feasibility restoration: projected-gradient descent on
-/// `½‖c_E‖² + ½‖c_I + s‖²` over the box, run until the ℓ1 violation drops
-/// below `target` (or the budget/stationarity ends it). Returns whether the
-/// target was reached; `v` holds the final (strictly interior) point either
-/// way. The Jacobians are evaluated into the solve's declared structures.
-#[allow(clippy::too_many_arguments)]
-fn restore_feasibility<N: Nlp>(
-    nlp: &N,
-    jac_eq: &mut Coo,
-    jac_ineq: &mut Coo,
-    v: &mut [f64],
-    lower: &[f64],
-    upper: &[f64],
-    nx: usize,
-    m_eq: usize,
-    m_ineq: usize,
-    target: f64,
-) -> bool {
-    let nv = v.len();
-    let clamp_interior = |vi: f64, l: f64, u: f64| -> f64 {
-        let lo = if l.is_finite() {
-            l + 1e-9 * (1.0 + l.abs())
-        } else {
-            f64::NEG_INFINITY
-        };
-        let hi = if u.is_finite() {
-            u - 1e-9 * (1.0 + u.abs())
-        } else {
-            f64::INFINITY
-        };
-        if lo > hi {
-            0.5 * (l + u)
-        } else {
-            vi.clamp(lo, hi)
-        }
-    };
-    let mut ce = vec![0.0; m_eq];
-    let mut ci = vec![0.0; m_ineq];
-    let residual = |x: &[f64], s: &[f64], ce: &mut [f64], ci: &mut [f64]| -> (f64, f64) {
-        nlp.eq_constraints(x, ce);
-        nlp.ineq_constraints(x, ci);
-        let mut sq = 0.0;
-        let mut l1 = 0.0;
-        for c in ce.iter() {
-            sq += 0.5 * c * c;
-            l1 += c.abs();
-        }
-        for (k, c) in ci.iter().enumerate() {
-            let w = c + s[k];
-            sq += 0.5 * w * w;
-            l1 += w.abs();
-        }
-        (sq, l1)
-    };
-    let (mut r, mut theta) = residual(&v[..nx], &v[nx..], &mut ce, &mut ci);
-    for _ in 0..MAX_RESTORATION_ITERS {
-        if theta <= target {
-            return true;
-        }
-        // Gradient of the squared violation over v = [x; s].
-        let mut grad = vec![0.0; nv];
-        nlp.eq_jacobian_values(&v[..nx], &mut jac_eq.vals);
-        nlp.ineq_jacobian_values(&v[..nx], &mut jac_ineq.vals);
-        for k in 0..jac_eq.nnz() {
-            grad[jac_eq.cols[k]] += jac_eq.vals[k] * ce[jac_eq.rows[k]];
-        }
-        for k in 0..jac_ineq.nnz() {
-            let row = jac_ineq.rows[k];
-            grad[jac_ineq.cols[k]] += jac_ineq.vals[k] * (ci[row] + v[nx + row]);
-        }
-        for k in 0..m_ineq {
-            grad[nx + k] = ci[k] + v[nx + k];
-        }
-        let gnorm = grad.iter().map(|g| g.abs()).fold(0.0, f64::max);
-        if gnorm < 1e-14 || !gnorm.is_finite() {
-            // Stationary point of the violation (or numerical junk): the
-            // restoration cannot make further progress.
-            return theta <= target;
-        }
-        let mut t = 1.0 / gnorm.max(1.0);
-        let mut moved = false;
-        for _ in 0..40 {
-            let v_t: Vec<f64> = (0..nv)
-                .map(|i| clamp_interior(v[i] - t * grad[i], lower[i], upper[i]))
-                .collect();
-            let (r_t, theta_t) = residual(&v_t[..nx], &v_t[nx..], &mut ce, &mut ci);
-            if r_t < r {
-                v.copy_from_slice(&v_t);
-                r = r_t;
-                theta = theta_t;
-                moved = true;
-                break;
-            }
-            t *= 0.5;
-        }
-        if !moved {
-            // Re-evaluate the violation at the unmoved point (the trial
-            // loop overwrote the scratch buffers).
-            let (_, theta_now) = residual(&v[..nx], &v[nx..], &mut ce, &mut ci);
-            return theta_now <= target;
-        }
-    }
-    theta <= target
-}
-
-/// A saved iterate the watchdog can fall back to.
-struct SavedIterate {
-    v: Vec<f64>,
-    lambda: Vec<f64>,
-    zl: Vec<f64>,
-    zu: Vec<f64>,
-    /// Forced steps left before the trust expires.
-    left: usize,
-}
-
 /// The step the line search (or the watchdog) decided to take.
 struct AcceptedStep {
     v_new: Vec<f64>,
@@ -557,7 +440,6 @@ impl IpmSolver {
         report.filter_rejections += warm.filter_rejections;
         report.soc_steps += warm.soc_steps;
         report.watchdog_steps += warm.watchdog_steps;
-        report.restorations += warm.restorations;
         report.solve_time += warm.solve_time;
         let offset = warm.log.len();
         for record in &mut report.log {
@@ -711,11 +593,11 @@ impl IpmSolver {
         let mut iterations = 0usize;
         let mut kkt_error = f64::INFINITY;
         let mut primal_inf = f64::INFINITY;
-        let mut watchdog: Option<SavedIterate> = None;
+        // Trusted steps left in the watchdog's current run, if one is on.
+        let mut watchdog: Option<usize> = None;
         let mut filter_rejections = 0usize;
         let mut soc_steps = 0usize;
         let mut watchdog_steps = 0usize;
-        let mut restorations = 0usize;
 
         // `iterations` counts the steps taken, bumped wherever an iteration
         // moves the iterate.
@@ -934,7 +816,7 @@ impl IpmSolver {
             }
 
             // Minimum step length the filter search will try before handing
-            // over to the watchdog/restoration (Wächter–Biegler eq. 23).
+            // over to the watchdog (Wächter–Biegler eq. 23).
             let alpha_min = GAMMA_ALPHA
                 * if m_slope < 0.0 && theta_k <= theta_min {
                     GAMMA_THETA
@@ -1058,92 +940,34 @@ impl IpmSolver {
                 }
                 None => {
                     // --- watchdog: a bounded run of full steps on trust ---
-                    let force = match &mut watchdog {
+                    let trusted = match &mut watchdog {
                         None => {
-                            watchdog = Some(SavedIterate {
-                                v: v.clone(),
-                                lambda: lambda.clone(),
-                                zl: zl.clone(),
-                                zu: zu.clone(),
-                                left: WATCHDOG_BUDGET,
-                            });
+                            watchdog = Some(WATCHDOG_BUDGET);
                             true
                         }
-                        Some(w) if w.left > 0 => {
-                            w.left -= 1;
+                        Some(left) if *left > 0 => {
+                            *left -= 1;
                             true
                         }
-                        _ => false,
+                        Some(_) => false,
                     };
-                    if force {
-                        watchdog_steps += 1;
-                        let mut v_new = v.clone();
-                        for i in 0..nv {
-                            v_new[i] = v[i] + alpha_pri_max * dv[i];
-                        }
-                        AcceptedStep {
-                            v_new,
-                            dv: dv.to_vec(),
-                            dlambda: dlambda.to_vec(),
-                            alpha: alpha_pri_max,
-                            augment: false,
-                        }
-                    } else {
-                        // --- restore + feasibility restoration ---
-                        if let Some(w) = watchdog.take() {
-                            v = w.v;
-                            lambda = w.lambda;
-                            zl = w.zl;
-                            zu = w.zu;
-                        }
-                        let entry = eval_trial(nlp, &v, &lower, &upper, nx, m_eq, m_ineq, mu, s_f);
-                        let Some(entry) = entry else {
-                            status = IpmStatus::NumericalError;
-                            break 'outer;
-                        };
-                        if entry.theta <= theta_min {
-                            // Already (nearly) feasible: restoration has
-                            // nothing to restore — the step computation
-                            // itself is stuck.
-                            status = IpmStatus::NumericalError;
-                            break 'outer;
-                        }
-                        restorations += 1;
-                        // Block re-entry at this pair before leaving it.
-                        filter.add(entry.theta, entry.phi);
-                        let target = (1e-2 * entry.theta).max(0.1 * theta_min);
-                        if !restore_feasibility(
-                            nlp,
-                            &mut jac_eq,
-                            &mut jac_ineq,
-                            &mut v,
-                            &lower,
-                            &upper,
-                            nx,
-                            m_eq,
-                            m_ineq,
-                            target,
-                        ) {
-                            status = IpmStatus::RestorationFailure;
-                            break 'outer;
-                        }
-                        // Fresh multipliers at the restored point.
-                        lambda.iter_mut().for_each(|l| *l = 0.0);
-                        for i in 0..nv {
-                            zl[i] = if lower[i].is_finite() {
-                                mu / (v[i] - lower[i])
-                            } else {
-                                0.0
-                            };
-                            zu[i] = if upper[i].is_finite() {
-                                mu / (upper[i] - v[i])
-                            } else {
-                                0.0
-                            };
-                        }
-                        delta_w_last = 0.0;
-                        iterations = iter + 1;
-                        continue 'outer;
+                    if !trusted {
+                        // The trust ran out with no acceptable step: the
+                        // solve ends here, at the current iterate.
+                        status = IpmStatus::Stalled;
+                        break 'outer;
+                    }
+                    watchdog_steps += 1;
+                    let mut v_new = v.clone();
+                    for i in 0..nv {
+                        v_new[i] = v[i] + alpha_pri_max * dv[i];
+                    }
+                    AcceptedStep {
+                        v_new,
+                        dv: dv.to_vec(),
+                        dlambda: dlambda.to_vec(),
+                        alpha: alpha_pri_max,
+                        augment: false,
                     }
                 }
             };
@@ -1204,7 +1028,6 @@ impl IpmSolver {
             filter_rejections,
             soc_steps,
             watchdog_steps,
-            restorations,
             log,
         }
     }
@@ -1256,6 +1079,7 @@ mod tests {
     use super::*;
     use crate::nlp::pattern;
     use crate::nlp::test_problems::{EqualityQp, Hs071};
+    use gridsim_sparse::Coo;
 
     #[test]
     fn equality_qp_reaches_known_solution() {
@@ -1571,7 +1395,7 @@ mod tests {
     #[test]
     fn easy_problems_need_no_globalization_fallbacks() {
         // On well-scaled convex problems every full step is acceptable: the
-        // watchdog and restoration must stay cold, and the counters say so.
+        // watchdog must stay cold, and its counter says so.
         for report in [
             IpmSolver::default().solve(&EqualityQp),
             IpmSolver::default().solve(&InequalityQp),
@@ -1579,7 +1403,6 @@ mod tests {
         ] {
             assert!(report.is_optimal());
             assert_eq!(report.watchdog_steps, 0);
-            assert_eq!(report.restorations, 0);
         }
     }
 

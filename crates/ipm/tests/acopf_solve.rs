@@ -5,7 +5,7 @@
 //! limits) and economically sensible.
 
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_grid::ScenarioSet;
+use gridsim_grid::{ContingencySpec, ScenarioSet};
 use gridsim_ipm::{AcopfNlp, IpmOptions, IpmSolver, IpmStatus, IpmWarmStart, KktCache, Nlp};
 use gridsim_sparse::Coo;
 
@@ -456,4 +456,40 @@ fn nan_load_is_a_numerical_error_not_a_panic() {
     );
     assert_eq!(report.iterations, 0);
     assert_eq!(report.factorizations, 0);
+}
+
+/// case9 at 1.45× load with branch 5 out (the `sweep` workload's
+/// `case9_l1_p0_br5`) defeats the filter line search, and the watchdog's
+/// trusted steps do not rescue it. The solve stops where it stalls, and the
+/// report describes that one point: its objective is the last log record's,
+/// and its primal infeasibility bounds the equality residual at `x`. The
+/// feasibility-restoration phase this replaced moved `x` after the last
+/// evaluation (objective 11 551.25 against the log's 11 554.28).
+#[test]
+fn a_stalled_solve_reports_the_point_it_stopped_at() {
+    let set = ContingencySpec::load_grid(2, 0.95, 1.45)
+        .outages(6, 2, 2)
+        .expand(&gridsim_grid::case9());
+    let index = set
+        .scenarios
+        .iter()
+        .position(|s| s.name == "case9_l1_p0_br5")
+        .unwrap();
+    let net = set.networks().unwrap().swap_remove(index);
+    let nlp = AcopfNlp::new(&net);
+    let report = IpmSolver::default().solve(&nlp);
+    assert_eq!(report.status, IpmStatus::Stalled);
+    assert_eq!(report.iterations, 33);
+    assert_eq!(report.log.len(), 34);
+    let last = report.log.last().unwrap();
+    assert_eq!(report.objective.to_bits(), last.objective.to_bits());
+    assert_eq!(report.primal_infeasibility, last.primal_infeasibility);
+    let mut ce = vec![0.0; nlp.num_eq()];
+    nlp.eq_constraints(&report.x, &mut ce);
+    let ce_inf = ce.iter().fold(0.0f64, |m, c| m.max(c.abs()));
+    assert!(
+        ce_inf <= report.primal_infeasibility,
+        "‖c_E(x)‖∞ {ce_inf} above the reported {}",
+        report.primal_infeasibility
+    );
 }

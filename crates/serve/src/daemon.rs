@@ -30,6 +30,7 @@ use gridsim_ipm::IpmWarmStart;
 use gridsim_store::{SolutionStore, StoreRunStats};
 use std::collections::BTreeSet;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -37,6 +38,10 @@ use std::time::{Duration, Instant};
 
 /// A runnable chunk: `(chunk_id, scenario indices)`.
 type RunnableChunk = (usize, Vec<usize>);
+
+/// What runs one chunk: [`runner::run_chunk`], except in tests that make a
+/// chunk panic.
+type ChunkRunner = fn(&JobSpec, &[Network], &[usize], &FrozenStores) -> ChunkOutcome;
 
 /// One job's in-memory scheduling state; the manifest is the durable part.
 struct Job {
@@ -158,13 +163,15 @@ pub struct ServeDaemon {
     dir: PathBuf,
     slots: usize,
     state: Arc<Mutex<DaemonState>>,
+    run_chunk: ChunkRunner,
 }
 
 impl ServeDaemon {
     /// Open (or create) a state directory with `slots` worker slots:
     /// load both solution stores, re-queue every incomplete manifest under
     /// `jobs/`, and commit any job that completed but was killed before
-    /// its store commit landed.
+    /// its store commit landed. A manifest whose spec [`submit`](Self::submit)
+    /// would refuse is refused here too, as `InvalidData` naming its file.
     pub fn open(dir: impl Into<PathBuf>, slots: usize) -> io::Result<ServeDaemon> {
         assert!(slots >= 1, "the daemon needs at least one worker slot");
         let dir = dir.into();
@@ -183,6 +190,12 @@ impl ServeDaemon {
         paths.sort();
         for path in paths {
             let manifest = JobManifest::load(&path)?;
+            manifest.spec.validate().map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: {e}", path.display()),
+                )
+            })?;
             let nets = manifest
                 .spec
                 .networks()
@@ -225,6 +238,7 @@ impl ServeDaemon {
                 ipm_store,
                 next_submitted,
             })),
+            run_chunk: runner::run_chunk,
         };
         daemon.flush_stores()?;
         Ok(daemon)
@@ -381,9 +395,16 @@ impl ServeDaemon {
 
             for (ji, chunk_id, indices, spec, nets, stores) in launches {
                 let tx = tx.clone();
+                let run_chunk = self.run_chunk;
                 in_flight += 1;
                 scope.spawn(move || {
-                    let outcome = runner::run_chunk(&spec, &nets, &indices, &stores);
+                    // A panicking chunk reports as one failed attempt of each
+                    // of its scenarios, under the job's retry policy; had it
+                    // not reported, this loop would wait for it forever.
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                        run_chunk(&spec, &nets, &indices, &stores)
+                    }))
+                    .unwrap_or_else(|_| ChunkOutcome::failed(&indices));
                     // The receiver outlives every worker inside this scope.
                     let _ = tx.send((ji, chunk_id, outcome));
                 });
@@ -413,7 +434,7 @@ impl ServeDaemon {
                     }
                     (false, None) => {
                         // Nothing running, nothing schedulable, not done:
-                        // impossible unless a worker panicked. Surface it.
+                        // impossible, since every chunk reports. Surface it.
                         break io_result.and(Err(io::Error::other(
                             "daemon stalled with pending work and no running chunks",
                         )));
@@ -486,5 +507,63 @@ impl ServeDaemon {
             state.ipm_store.save(&self.dir.join("store-ipm.json"))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{CaseName, ScenarioSpec, SolverFamily};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    static PANICKED: AtomicBool = AtomicBool::new(false);
+
+    /// Panics on its first call, and runs the chunk after that.
+    fn panics_once(
+        spec: &JobSpec,
+        nets: &[Network],
+        indices: &[usize],
+        stores: &FrozenStores,
+    ) -> ChunkOutcome {
+        if !PANICKED.swap(true, Ordering::SeqCst) {
+            panic!("chunk worker panics on its first call");
+        }
+        runner::run_chunk(spec, nets, indices, stores)
+    }
+
+    /// A chunk worker that panics used to hang the daemon: the loop kept
+    /// its own sender and waited for a report that never came. The panic
+    /// is now one failed attempt of each scenario in the chunk, and the
+    /// retry completes the job.
+    #[test]
+    fn a_panicking_chunk_is_a_failed_attempt_and_the_retry_completes_the_job() {
+        let dir = std::env::temp_dir().join("gridsim-serve-unit-panicking-chunk");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut daemon = ServeDaemon::open(&dir, 1).unwrap();
+        daemon.run_chunk = panics_once;
+        let spec = JobSpec::new(
+            "panics-once",
+            CaseName::Case5,
+            ScenarioSpec::load_ramp(2, 0.98, 1.02),
+            SolverFamily::Ipm,
+        );
+        let job = daemon.submit(spec).unwrap();
+        // The daemon drains on its own thread, so a hang fails this test at
+        // the timeout instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        let drain = std::thread::spawn(move || tx.send(daemon.run_until_idle()));
+        let drained = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run_until_idle did not return within 30 s");
+        drained.unwrap();
+        drain.join().unwrap().unwrap();
+        assert!(PANICKED.load(Ordering::SeqCst));
+        let status = job.status();
+        assert!(status.complete && status.store_committed);
+        assert_eq!((status.counts.done, status.counts.failed), (2, 0));
+        let manifest = JobManifest::load(&dir.join("jobs").join("panics-once.json")).unwrap();
+        // One failed attempt, then the solve.
+        assert!(manifest.records.iter().all(|r| r.attempts == 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -47,6 +47,24 @@ pub struct ChunkOutcome {
     pub stats: StoreRunStats,
 }
 
+impl ChunkOutcome {
+    /// Every scenario at `indices` failed, with no result and no store
+    /// traffic: what a chunk whose run panicked reports.
+    pub(crate) fn failed(indices: &[usize]) -> ChunkOutcome {
+        ChunkOutcome {
+            scenarios: indices
+                .iter()
+                .map(|&index| ScenarioOutcome {
+                    index,
+                    converged: false,
+                    result: Value::Null,
+                })
+                .collect(),
+            stats: StoreRunStats::default(),
+        }
+    }
+}
+
 /// The job's store snapshot, frozen when the job first activates. Both
 /// family views are carried so the runner stays family-agnostic.
 #[derive(Debug, Clone)]

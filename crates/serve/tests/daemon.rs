@@ -509,3 +509,41 @@ fn empty_recipe_is_invalid_input() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     assert!(!dir.join("jobs/empty.json").exists());
 }
+
+/// `open` reads a manifest's spec back from disk, where nothing checked it:
+/// inverted screen thresholds used to panic the funnel inside a chunk
+/// worker, and σ = 1.5 panicked `open` itself while it built the scenarios.
+/// A spec `submit` would refuse is now refused when its manifest loads, as
+/// `InvalidData` naming the file. No chunk runs here.
+#[test]
+fn a_manifest_with_an_invalid_spec_is_refused_on_open() {
+    let specs = [
+        JobSpec::new(
+            "inverted-thresholds",
+            CaseName::Case9,
+            ScenarioSpec::outages(2),
+            SolverFamily::Admm,
+        )
+        .screened(0.5, 0.1),
+        JobSpec::new(
+            "wide-sigma",
+            CaseName::Case9,
+            ScenarioSpec::perturbed(2, 1.5, 1),
+            SolverFamily::Admm,
+        ),
+    ];
+    for spec in specs {
+        let name = spec.name.clone();
+        let dir = fresh_dir(&format!("invalid-{name}"));
+        std::fs::create_dir_all(dir.join("jobs")).unwrap();
+        let file = format!("{name}.json");
+        JobManifest::new(spec, 0)
+            .save(&dir.join("jobs").join(&file))
+            .unwrap();
+        let err = ServeDaemon::open(&dir, 1)
+            .err()
+            .unwrap_or_else(|| panic!("{name}: the daemon opened on an invalid spec"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+        assert!(err.to_string().contains(&file), "{name}: {err}");
+    }
+}
