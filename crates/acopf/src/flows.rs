@@ -22,8 +22,12 @@
 //! [`BranchFlow::hessian_at`] hold the formulas, and the four-argument
 //! [`BranchFlow::value`], [`BranchFlow::gradient`] and
 //! [`BranchFlow::hessian`] are those same formulas at a freshly built point.
+//! The formulas are generic over [`Real`]: the branch kernel evaluates
+//! a lock-step group of branches at once, one per lane of a
+//! [`Lanes`], each lane bitwise its own `f64` evaluation.
 
 use gridsim_grid::BranchAdmittance;
+use gridsim_sparse::{Lanes, Real};
 use serde::{Deserialize, Serialize};
 
 /// Which of the four branch flows.
@@ -46,38 +50,39 @@ impl FlowKind {
     }
 }
 
-/// The coefficients `(α_f, α_t, A, B)` of one branch flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BranchFlow {
+/// The coefficients `(α_f, α_t, A, B)` of one branch flow: `f64` for one
+/// branch, [`Lanes`](gridsim_sparse::Lanes) for a lock-step group of them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BranchFlow<T = f64> {
     /// Coefficient on `v_i²`.
-    pub alpha_from: f64,
+    pub alpha_from: T,
     /// Coefficient on `v_j²`.
-    pub alpha_to: f64,
+    pub alpha_to: T,
     /// Coefficient on `v_i v_j cos θ`.
-    pub a: f64,
+    pub a: T,
     /// Coefficient on `v_i v_j sin θ`.
-    pub b: f64,
+    pub b: T,
 }
 
 /// One evaluation point of a branch's flows: the end voltage magnitudes and
 /// the sine and cosine of the angle difference `θ = θ_i − θ_j`, computed
 /// once and shared by every value, gradient and Hessian taken at the point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowPoint {
+pub struct FlowPoint<T = f64> {
     /// From-side voltage magnitude.
-    pub vi: f64,
+    pub vi: T,
     /// To-side voltage magnitude.
-    pub vj: f64,
+    pub vj: T,
     /// `sin θ`.
-    pub sin: f64,
+    pub sin: T,
     /// `cos θ`.
-    pub cos: f64,
+    pub cos: T,
 }
 
-impl FlowPoint {
+impl<T: Real> FlowPoint<T> {
     /// The point at voltage magnitudes `vi, vj` and angles `ti, tj`.
     #[inline]
-    pub fn new(vi: f64, vj: f64, ti: f64, tj: f64) -> FlowPoint {
+    pub fn new(vi: T, vj: T, ti: T, tj: T) -> FlowPoint<T> {
         let theta = ti - tj;
         let (sin, cos) = theta.sin_cos();
         FlowPoint { vi, vj, sin, cos }
@@ -86,18 +91,18 @@ impl FlowPoint {
 
 /// Gradient of a branch flow with respect to `(v_i, v_j, θ_i, θ_j)`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FlowGrad {
-    pub dvi: f64,
-    pub dvj: f64,
-    pub dti: f64,
-    pub dtj: f64,
+pub struct FlowGrad<T = f64> {
+    pub dvi: T,
+    pub dvj: T,
+    pub dti: T,
+    pub dtj: T,
 }
 
-impl FlowGrad {
+impl<T: Copy> FlowGrad<T> {
     /// View the gradient as an array in the variable order
     /// `(v_i, v_j, θ_i, θ_j)`.
     #[inline]
-    pub fn to_array(&self) -> [f64; 4] {
+    pub fn to_array(&self) -> [T; 4] {
         [self.dvi, self.dvj, self.dti, self.dtj]
     }
 }
@@ -105,24 +110,24 @@ impl FlowGrad {
 /// Symmetric Hessian of a branch flow with respect to
 /// `(v_i, v_j, θ_i, θ_j)`, stored as the upper triangle.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FlowHess {
-    pub vivi: f64,
-    pub vivj: f64,
-    pub viti: f64,
-    pub vitj: f64,
-    pub vjvj: f64,
-    pub vjti: f64,
-    pub vjtj: f64,
-    pub titi: f64,
-    pub titj: f64,
-    pub tjtj: f64,
+pub struct FlowHess<T = f64> {
+    pub vivi: T,
+    pub vivj: T,
+    pub viti: T,
+    pub vitj: T,
+    pub vjvj: T,
+    pub vjti: T,
+    pub vjtj: T,
+    pub titi: T,
+    pub titj: T,
+    pub tjtj: T,
 }
 
-impl FlowHess {
+impl<T: Copy> FlowHess<T> {
     /// View the Hessian as a dense 4×4 row-major array in the variable order
     /// `(v_i, v_j, θ_i, θ_j)`.
     #[inline]
-    pub fn to_dense(&self) -> [[f64; 4]; 4] {
+    pub fn to_dense(&self) -> [[T; 4]; 4] {
         [
             [self.vivi, self.vivj, self.viti, self.vitj],
             [self.vivj, self.vjvj, self.vjti, self.vjtj],
@@ -173,47 +178,6 @@ impl BranchFlow {
         ]
     }
 
-    /// Flow value at `p`.
-    #[inline]
-    pub fn value_at(&self, p: &FlowPoint) -> f64 {
-        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
-        self.alpha_from * vi * vi + self.alpha_to * vj * vj + vi * vj * (self.a * c + self.b * s)
-    }
-
-    /// Gradient with respect to `(v_i, v_j, θ_i, θ_j)` at `p`.
-    #[inline]
-    pub fn gradient_at(&self, p: &FlowPoint) -> FlowGrad {
-        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
-        let phi = self.a * c + self.b * s;
-        let dphi = -self.a * s + self.b * c;
-        FlowGrad {
-            dvi: 2.0 * self.alpha_from * vi + vj * phi,
-            dvj: 2.0 * self.alpha_to * vj + vi * phi,
-            dti: vi * vj * dphi,
-            dtj: -vi * vj * dphi,
-        }
-    }
-
-    /// Hessian with respect to `(v_i, v_j, θ_i, θ_j)` at `p`.
-    #[inline]
-    pub fn hessian_at(&self, p: &FlowPoint) -> FlowHess {
-        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
-        let phi = self.a * c + self.b * s;
-        let dphi = -self.a * s + self.b * c;
-        FlowHess {
-            vivi: 2.0 * self.alpha_from,
-            vivj: phi,
-            viti: vj * dphi,
-            vitj: -vj * dphi,
-            vjvj: 2.0 * self.alpha_to,
-            vjti: vi * dphi,
-            vjtj: -vi * dphi,
-            titi: -vi * vj * phi,
-            titj: vi * vj * phi,
-            tjtj: -vi * vj * phi,
-        }
-    }
-
     /// Flow value at voltage magnitudes `vi, vj` and angles `ti, tj`.
     #[inline]
     pub fn value(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> f64 {
@@ -230,6 +194,64 @@ impl BranchFlow {
     #[inline]
     pub fn hessian(&self, vi: f64, vj: f64, ti: f64, tj: f64) -> FlowHess {
         self.hessian_at(&FlowPoint::new(vi, vj, ti, tj))
+    }
+}
+
+impl<T: Real> BranchFlow<T> {
+    /// Flow value at `p`.
+    #[inline]
+    pub fn value_at(&self, p: &FlowPoint<T>) -> T {
+        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
+        self.alpha_from * vi * vi + self.alpha_to * vj * vj + vi * vj * (self.a * c + self.b * s)
+    }
+
+    /// Gradient with respect to `(v_i, v_j, θ_i, θ_j)` at `p`.
+    #[inline]
+    pub fn gradient_at(&self, p: &FlowPoint<T>) -> FlowGrad<T> {
+        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
+        let two = T::splat(2.0);
+        let phi = self.a * c + self.b * s;
+        let dphi = -self.a * s + self.b * c;
+        FlowGrad {
+            dvi: two * self.alpha_from * vi + vj * phi,
+            dvj: two * self.alpha_to * vj + vi * phi,
+            dti: vi * vj * dphi,
+            dtj: -vi * vj * dphi,
+        }
+    }
+
+    /// Hessian with respect to `(v_i, v_j, θ_i, θ_j)` at `p`.
+    #[inline]
+    pub fn hessian_at(&self, p: &FlowPoint<T>) -> FlowHess<T> {
+        let (vi, vj, s, c) = (p.vi, p.vj, p.sin, p.cos);
+        let two = T::splat(2.0);
+        let phi = self.a * c + self.b * s;
+        let dphi = -self.a * s + self.b * c;
+        FlowHess {
+            vivi: two * self.alpha_from,
+            vivj: phi,
+            viti: vj * dphi,
+            vitj: -vj * dphi,
+            vjvj: two * self.alpha_to,
+            vjti: vi * dphi,
+            vjtj: -vi * dphi,
+            titi: -vi * vj * phi,
+            titj: vi * vj * phi,
+            tjtj: -vi * vj * phi,
+        }
+    }
+}
+
+impl BranchFlow<Lanes> {
+    /// The flows `lane(0), …, lane(LANES − 1)` as the lanes of one flow.
+    #[inline]
+    pub fn from_lanes(lane: impl Fn(usize) -> BranchFlow) -> BranchFlow<Lanes> {
+        BranchFlow {
+            alpha_from: Lanes::from_fn(|k| lane(k).alpha_from),
+            alpha_to: Lanes::from_fn(|k| lane(k).alpha_to),
+            a: Lanes::from_fn(|k| lane(k).a),
+            b: Lanes::from_fn(|k| lane(k).b),
+        }
     }
 }
 

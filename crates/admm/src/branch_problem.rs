@@ -27,53 +27,55 @@ use crate::scenario::ScenarioProblem;
 use crate::solver::WarmState;
 use gridsim_acopf::{BranchFlow, FlowPoint};
 use gridsim_grid::Network;
-use gridsim_sparse::SmallMatrix;
+use gridsim_sparse::{Lanes, Mask, Real, SmallMatrix};
 use gridsim_tron::BoundProblem;
 
 /// Per-constraint ADMM data seen by the branch problem: the combined target
 /// `t = v − z` of the consensus term, the multiplier `y`, and the penalty ρ.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ConsensusTerm {
+pub struct ConsensusTerm<T = f64> {
     /// Target value `v − z` (fixed during the branch solve).
-    pub target: f64,
+    pub target: T,
     /// ADMM multiplier `y`.
-    pub y: f64,
+    pub y: T,
     /// ADMM penalty ρ.
-    pub rho: f64,
+    pub rho: T,
 }
 
-impl ConsensusTerm {
+impl<T: Real> ConsensusTerm<T> {
     /// Value of the term at x-side value `u`.
-    #[inline]
-    fn value(&self, u: f64) -> f64 {
+    #[inline(always)]
+    fn value(&self, u: T) -> T {
         let r = u - self.target;
-        self.y * r + 0.5 * self.rho * r * r
+        self.y * r + T::splat(0.5) * self.rho * r * r
     }
 
     /// Derivative of the term with respect to `u`.
-    #[inline]
-    fn deriv(&self, u: f64) -> f64 {
+    #[inline(always)]
+    fn deriv(&self, u: T) -> T {
         self.y + self.rho * (u - self.target)
     }
 }
 
-/// The branch subproblem of one branch in one ADMM iteration.
-#[derive(Debug, Clone)]
-pub struct BranchProblem {
+/// The branch subproblem of one branch in one ADMM iteration: `f64` data
+/// for one branch, [`Lanes`] for a lock-step group of branches, one per
+/// lane ([`BranchProblem::pack`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BranchProblem<T = f64> {
     /// The four flow functions in the order `[p_ij, q_ij, p_ji, q_ji]`.
-    pub flows: [BranchFlow; 4],
+    pub flows: [BranchFlow<T>; 4],
     /// Consensus terms of the four flow constraints (same order).
-    pub flow_terms: [ConsensusTerm; 4],
+    pub flow_terms: [ConsensusTerm<T>; 4],
     /// Consensus terms of `[w_i, θ_i, w_j, θ_j]`.
-    pub volt_terms: [ConsensusTerm; 4],
+    pub volt_terms: [ConsensusTerm<T>; 4],
     /// Voltage magnitude bounds `[v_i^min, v_i^max, v_j^min, v_j^max]`.
-    pub v_bounds: [f64; 4],
+    pub v_bounds: [T; 4],
     /// Inner augmented-Lagrangian multipliers for the from/to line limits.
-    pub alm_lambda: [f64; 2],
+    pub alm_lambda: [T; 2],
     /// Inner augmented-Lagrangian penalty.
-    pub alm_rho: f64,
+    pub alm_rho: T,
     /// Squared (tightened) line limit; `f64::INFINITY` when unlimited.
-    pub limit_sq: f64,
+    pub limit_sq: T,
 }
 
 impl BranchProblem {
@@ -113,71 +115,103 @@ impl BranchProblem {
             })
             .collect()
     }
+}
 
-    /// True when this branch has a finite line limit (and therefore slack
-    /// variables and ALM terms).
+impl BranchProblem<Lanes> {
+    /// A lock-step group: lane `k` is `blocks[k]`, and the lanes past the
+    /// last block repeat it (padding, see
+    /// [`TronSolver::solve_lanes`](gridsim_tron::TronSolver::solve_lanes)).
+    /// Panics when `blocks` is empty.
     #[inline]
-    pub fn has_limit(&self) -> bool {
-        self.limit_sq.is_finite()
+    pub fn pack(blocks: &[BranchProblem]) -> Self {
+        let last = blocks.len() - 1;
+        let block = |k: usize| &blocks[k.min(last)];
+        let flow = |j: usize| BranchFlow::from_lanes(|k| block(k).flows[j]);
+        let flow_term = |j: usize| ConsensusTerm::from_lanes(|k| block(k).flow_terms[j]);
+        let volt_term = |j: usize| ConsensusTerm::from_lanes(|k| block(k).volt_terms[j]);
+        let bound = |j: usize| Lanes::from_fn(|k| block(k).v_bounds[j]);
+        let multiplier = |j: usize| Lanes::from_fn(|k| block(k).alm_lambda[j]);
+        BranchProblem {
+            flows: [flow(0), flow(1), flow(2), flow(3)],
+            flow_terms: [flow_term(0), flow_term(1), flow_term(2), flow_term(3)],
+            volt_terms: [volt_term(0), volt_term(1), volt_term(2), volt_term(3)],
+            v_bounds: [bound(0), bound(1), bound(2), bound(3)],
+            alm_lambda: [multiplier(0), multiplier(1)],
+            alm_rho: Lanes::from_fn(|k| block(k).alm_rho),
+            limit_sq: Lanes::from_fn(|k| block(k).limit_sq),
+        }
+    }
+}
+
+impl ConsensusTerm<Lanes> {
+    /// The terms `lane(0), …, lane(LANES − 1)` as the lanes of one term.
+    #[inline(always)]
+    fn from_lanes(lane: impl Fn(usize) -> ConsensusTerm) -> Self {
+        ConsensusTerm {
+            target: Lanes::from_fn(|k| lane(k).target),
+            y: Lanes::from_fn(|k| lane(k).y),
+            rho: Lanes::from_fn(|k| lane(k).rho),
+        }
+    }
+}
+
+impl<T: Real> BranchProblem<T> {
+    /// True (per lane) when this branch has a finite line limit (and
+    /// therefore slack variables and ALM terms).
+    #[inline(always)]
+    pub fn has_limit(&self) -> T::Mask {
+        // `|l| < ∞` is `l.is_finite()`: false for ±∞ and NaN.
+        self.limit_sq.abs().less(T::splat(f64::INFINITY))
     }
 
     /// The four flow values at the given voltages.
-    #[inline]
-    pub(crate) fn flow_values(&self, x: &[f64]) -> [f64; 4] {
+    #[inline(always)]
+    pub(crate) fn flow_values(&self, x: &[T]) -> [T; 4] {
         let point = FlowPoint::new(x[0], x[1], x[2], x[3]);
         each_flow(&self.flows, |f| f.value_at(&point))
     }
 
     /// Line-limit slack residuals `p² + q² + s` for the from and to sides,
-    /// given the flows `f = self.flow_values(x)`.
-    #[inline]
-    pub(crate) fn slack_residuals(&self, f: &[f64; 4], x: &[f64]) -> [f64; 2] {
-        if !self.has_limit() {
-            return [0.0; 2];
-        }
+    /// given the flows `f = self.flow_values(x)`; zero without a limit.
+    #[inline(always)]
+    pub(crate) fn slack_residuals(&self, f: &[T; 4], x: &[T]) -> [T; 2] {
+        let (limit, zero) = (self.has_limit(), T::splat(0.0));
         [
-            f[0] * f[0] + f[1] * f[1] + x[4],
-            f[2] * f[2] + f[3] * f[3] + x[5],
+            T::select(limit, f[0] * f[0] + f[1] * f[1] + x[4], zero),
+            T::select(limit, f[2] * f[2] + f[3] * f[3] + x[5], zero),
         ]
     }
-}
 
-impl BoundProblem for BranchProblem {
-    #[inline]
-    fn dim(&self) -> usize {
-        6
-    }
-
-    #[inline]
-    fn lower(&self, i: usize) -> f64 {
+    /// `lower` of [`BoundProblem`].
+    #[inline(always)]
+    fn lower_bound(&self, i: usize) -> T {
         match i {
             0 => self.v_bounds[0],
             1 => self.v_bounds[2],
-            2 | 3 => -2.0 * std::f64::consts::PI,
-            _ => {
-                if self.has_limit() {
-                    -self.limit_sq
-                } else {
-                    0.0
-                }
-            }
+            2 | 3 => T::splat(-2.0 * std::f64::consts::PI),
+            _ => T::select(self.has_limit(), -self.limit_sq, T::splat(0.0)),
         }
     }
 
-    #[inline]
-    fn upper(&self, i: usize) -> f64 {
+    /// `upper` of [`BoundProblem`].
+    #[inline(always)]
+    fn upper_bound(&self, i: usize) -> T {
         match i {
             0 => self.v_bounds[1],
             1 => self.v_bounds[3],
-            2 | 3 => 2.0 * std::f64::consts::PI,
-            _ => 0.0,
+            2 | 3 => T::splat(2.0 * std::f64::consts::PI),
+            _ => T::splat(0.0),
         }
     }
 
-    fn objective(&self, x: &[f64]) -> f64 {
+    /// `objective` of [`BoundProblem`]. The ALM terms of a limited branch
+    /// count in the lanes that have a limit, and are not added as a zero
+    /// elsewhere, which could turn a `-0.0` or carry a NaN.
+    #[inline(always)]
+    fn evaluate_objective(&self, x: &[T]) -> T {
         let (vi, vj, ti, tj) = (x[0], x[1], x[2], x[3]);
         let flows = self.flow_values(x);
-        let mut obj = 0.0;
+        let mut obj = T::splat(0.0);
         for (term, &flow) in self.flow_terms.iter().zip(&flows) {
             obj += term.value(flow);
         }
@@ -185,24 +219,35 @@ impl BoundProblem for BranchProblem {
         obj += self.volt_terms[1].value(ti);
         obj += self.volt_terms[2].value(vj * vj);
         obj += self.volt_terms[3].value(tj);
-        if self.has_limit() {
+        let limit = self.has_limit();
+        if limit.any() {
             let res = self.slack_residuals(&flows, x);
+            let mut alm = obj;
             for (&lambda, &r) in self.alm_lambda.iter().zip(&res) {
-                obj += lambda * r + 0.5 * self.alm_rho * r * r;
+                alm += lambda * r + T::splat(0.5) * self.alm_rho * r * r;
             }
+            obj = T::select(limit, alm, obj);
         }
         obj
     }
 
-    /// The Hessian is exactly symmetric: each entry is computed once, for
-    /// `r ≤ c`, and mirrored at the end. The accumulation order into every
-    /// entry of `g` and of that triangle — consensus terms flow by flow, then
-    /// voltage terms, then ALM terms side by side — is part of the result:
-    /// the solver stack is pinned bitwise, and `(w·g_r)·g_c` differs from
-    /// `(w·g_c)·g_r` in the last bit.
-    fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
-        g.fill(0.0);
-        h.set_zero();
+    /// `derivatives` of [`BoundProblem`]. The Hessian is exactly symmetric:
+    /// each entry is computed once, for `r ≤ c`, and mirrored at the end.
+    /// The accumulation order into every entry of `g` and of that triangle —
+    /// consensus terms flow by flow, then voltage terms, then ALM terms side
+    /// by side — is part of the result: the solver stack is pinned bitwise,
+    /// and `(w·g_r)·g_c` differs from `(w·g_c)·g_r` in the last bit.
+    #[inline(always)]
+    fn evaluate_derivatives(&self, x: &[T], g: &mut [T], h: &mut SmallMatrix<T>) {
+        let (zero, two) = (T::splat(0.0), T::splat(2.0));
+        g.fill(zero);
+        // The upper triangle is summed from zero below, and every entry
+        // under the diagonal is its mirror image, written at the end.
+        for r in 0..6 {
+            for c in r..6 {
+                h[(r, c)] = zero;
+            }
+        }
         let (vi, vj, ti, tj) = (x[0], x[1], x[2], x[3]);
         // Flow values, gradients and Hessians with respect to
         // (v_i, v_j, θ_i, θ_j), all from one sin_cos.
@@ -226,58 +271,140 @@ impl BoundProblem for BranchProblem {
         }
         // Voltage/angle consensus terms. Second derivative in v_i:
         // d²/dvi² [y(vi²−t) + rho/2 (vi²−t)²] = 2(y + rho(vi²−t)) + rho (2 vi)².
+        let four = T::splat(4.0);
         let dw_i = self.volt_terms[0].deriv(vi * vi);
         let dw_j = self.volt_terms[2].deriv(vj * vj);
-        g[0] += dw_i * 2.0 * vi;
+        g[0] += dw_i * two * vi;
         g[2] += self.volt_terms[1].deriv(ti);
-        g[1] += dw_j * 2.0 * vj;
+        g[1] += dw_j * two * vj;
         g[3] += self.volt_terms[3].deriv(tj);
-        h[(0, 0)] += 2.0 * dw_i + self.volt_terms[0].rho * 4.0 * vi * vi;
-        h[(1, 1)] += 2.0 * dw_j + self.volt_terms[2].rho * 4.0 * vj * vj;
+        h[(0, 0)] += two * dw_i + self.volt_terms[0].rho * four * vi * vi;
+        h[(1, 1)] += two * dw_j + self.volt_terms[2].rho * four * vj * vj;
         h[(2, 2)] += self.volt_terms[1].rho;
         h[(3, 3)] += self.volt_terms[3].rho;
-        // ALM terms on the line limits.
-        if self.has_limit() {
-            let res = self.slack_residuals(&flows, x);
-            for (side, &residual) in res.iter().enumerate() {
-                let w = self.alm_lambda[side] + self.alm_rho * residual;
-                let (pk, qk) = (2 * side, 2 * side + 1);
-                // Gradient of the residual r = p² + q² + s over the four
-                // voltage variables and this side's slack; the other side's
-                // slack is a structural zero.
-                let slack = 4 + side;
-                let mut gr = [0.0f64; 6];
-                for d in 0..4 {
-                    gr[d] = 2.0 * flows[pk] * grads[pk][d] + 2.0 * flows[qk] * grads[qk][d];
-                    g[d] += w * gr[d];
-                }
-                gr[slack] = 1.0;
-                g[slack] += w;
-                // rho * gr gr^T
-                for r in 0..4 {
-                    for c in r..4 {
-                        h[(r, c)] += self.alm_rho * gr[r] * gr[c];
-                    }
-                    h[(r, slack)] += self.alm_rho * gr[r] * gr[slack];
-                }
-                h[(slack, slack)] += self.alm_rho * gr[slack] * gr[slack];
-                // w * hess(r): 2 grad p grad p^T + 2 p hess p + same for q.
-                for r in 0..4 {
-                    for c in r..4 {
-                        h[(r, c)] += w
-                            * (2.0 * grads[pk][r] * grads[pk][c]
-                                + 2.0 * flows[pk] * hesses[pk][r][c]
-                                + 2.0 * grads[qk][r] * grads[qk][c]
-                                + 2.0 * flows[qk] * hesses[qk][r][c]);
-                    }
-                }
-            }
+        // ALM terms on the line limits, in the lanes with a limit: added
+        // plainly when every lane has one, else only where a lane has one,
+        // never as a zero elsewhere, which could turn a `-0.0` or carry a NaN.
+        let limit = self.has_limit();
+        let masked = |sum: &mut T, term: T| *sum = T::select(limit, *sum + term, *sum);
+        if limit.all() {
+            self.alm_derivatives(x, &flows, &grads, &hesses, g, h, |sum, term| *sum += term);
+        } else if limit.any() {
+            self.alm_derivatives(x, &flows, &grads, &hesses, g, h, masked);
         }
         for r in 1..6 {
             for c in 0..r {
                 h[(r, c)] = h[(c, r)];
             }
         }
+    }
+
+    /// The ALM terms' part of `derivatives`, each term accumulated into its
+    /// entry of `g` or of the upper triangle of `h` by `add`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn alm_derivatives(
+        &self,
+        x: &[T],
+        flows: &[T; 4],
+        grads: &[[T; 4]; 4],
+        hesses: &[[[T; 4]; 4]; 4],
+        g: &mut [T],
+        h: &mut SmallMatrix<T>,
+        add: impl Fn(&mut T, T),
+    ) {
+        let two = T::splat(2.0);
+        let res = self.slack_residuals(flows, x);
+        for (side, &residual) in res.iter().enumerate() {
+            let w = self.alm_lambda[side] + self.alm_rho * residual;
+            let (pk, qk) = (2 * side, 2 * side + 1);
+            // Gradient of the residual r = p² + q² + s over the four
+            // voltage variables and this side's slack; the other side's
+            // slack is a structural zero.
+            let slack = 4 + side;
+            let mut gr = [T::splat(0.0); 6];
+            for d in 0..4 {
+                gr[d] = two * flows[pk] * grads[pk][d] + two * flows[qk] * grads[qk][d];
+                add(&mut g[d], w * gr[d]);
+            }
+            gr[slack] = T::splat(1.0);
+            add(&mut g[slack], w);
+            // rho * gr gr^T
+            for r in 0..4 {
+                for c in r..4 {
+                    add(&mut h[(r, c)], self.alm_rho * gr[r] * gr[c]);
+                }
+                add(&mut h[(r, slack)], self.alm_rho * gr[r] * gr[slack]);
+            }
+            add(&mut h[(slack, slack)], self.alm_rho * gr[slack] * gr[slack]);
+            // w * hess(r): 2 grad p grad p^T + 2 p hess p + same for q.
+            for r in 0..4 {
+                for c in r..4 {
+                    add(
+                        &mut h[(r, c)],
+                        w * (two * grads[pk][r] * grads[pk][c]
+                            + two * flows[pk] * hesses[pk][r][c]
+                            + two * grads[qk][r] * grads[qk][c]
+                            + two * flows[qk] * hesses[qk][r][c]),
+                    );
+                }
+            }
+        }
+    }
+}
+
+impl BoundProblem for BranchProblem {
+    #[inline]
+    fn dim(&self) -> usize {
+        6
+    }
+
+    #[inline]
+    fn lower(&self, i: usize) -> f64 {
+        self.lower_bound(i)
+    }
+
+    #[inline]
+    fn upper(&self, i: usize) -> f64 {
+        self.upper_bound(i)
+    }
+
+    fn objective(&self, x: &[f64]) -> f64 {
+        self.evaluate_objective(x)
+    }
+
+    fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix) {
+        self.evaluate_derivatives(x, g, h)
+    }
+}
+
+/// The lock-step group's evaluation: the same code as the `f64` one, on
+/// [`LANES`](gridsim_sparse::LANES) branches at once, inlined into the
+/// lock-step solve.
+impl BoundProblem<Lanes> for BranchProblem<Lanes> {
+    #[inline(always)]
+    fn dim(&self) -> usize {
+        6
+    }
+
+    #[inline(always)]
+    fn lower(&self, i: usize) -> Lanes {
+        self.lower_bound(i)
+    }
+
+    #[inline(always)]
+    fn upper(&self, i: usize) -> Lanes {
+        self.upper_bound(i)
+    }
+
+    #[inline(always)]
+    fn objective(&self, x: &[Lanes]) -> Lanes {
+        self.evaluate_objective(x)
+    }
+
+    #[inline(always)]
+    fn derivatives(&self, x: &[Lanes], g: &mut [Lanes], h: &mut SmallMatrix<Lanes>) {
+        self.evaluate_derivatives(x, g, h)
     }
 }
 
@@ -287,7 +414,7 @@ impl BoundProblem for BranchProblem {
 /// `derivatives` ran the `track` benchmark ≈ 30 % slower on a 2-core x86-64
 /// host.
 #[inline(always)]
-fn each_flow<T>(flows: &[BranchFlow; 4], op: impl Fn(&BranchFlow) -> T) -> [T; 4] {
+fn each_flow<T, V>(flows: &[BranchFlow<V>; 4], op: impl Fn(&BranchFlow<V>) -> T) -> [T; 4] {
     [op(&flows[0]), op(&flows[1]), op(&flows[2]), op(&flows[3])]
 }
 
@@ -295,7 +422,10 @@ fn each_flow<T>(flows: &[BranchFlow; 4], op: impl Fn(&BranchFlow) -> T) -> [T; 4
 mod tests {
     use super::*;
     use gridsim_grid::Branch;
+    use gridsim_sparse::LANES;
+    use gridsim_tron::TronSolver;
     use proptest::prelude::*;
+    use proptest::TestCaseError;
 
     /// The evaluation as it was before `objective` and `derivatives` shared
     /// one [`FlowPoint`]: three independent passes, each re-deriving the
@@ -391,7 +521,7 @@ mod tests {
         }
 
         pub(super) fn hessian(p: &BranchProblem, x: &[f64], h: &mut SmallMatrix) {
-            h.set_zero();
+            *h = SmallMatrix::zeros(6);
             let (vi, vj, ti, tj) = (x[0], x[1], x[2], x[3]);
             let flows = flow_values(p, x);
             let grads = flow_gradients(p, x);
@@ -448,13 +578,97 @@ mod tests {
         }
     }
 
+    /// A block and a point from the generators of the proptests below:
+    /// random admittances (taps and phase shifts on odd `edge`s),
+    /// consensus and ALM data, with and without a line limit, at a point
+    /// whose angle difference lies within a few ulps of `+π` (`edge / 2 ==
+    /// 1`) or `−π` (2), or with both voltages and both slacks on a bound
+    /// (3).
+    #[allow(clippy::too_many_arguments)]
+    fn sample_block(
+        line: &[f64],
+        volts: &[f64],
+        angles: &[f64],
+        slacks: &[f64],
+        terms: &[f64],
+        rhos: &[f64],
+        alm: &[f64],
+        edge: usize,
+        with_limit: bool,
+    ) -> (BranchProblem, [f64; 6]) {
+        let mut branch = Branch::line(
+            1,
+            2,
+            0.1 * line[0],
+            0.01 + 0.4 * line[1],
+            0.2 * line[2],
+            130.0,
+        );
+        if edge % 2 == 1 {
+            branch.tap = 0.9 + 0.2 * line[3];
+            branch.shift = 30.0 * line[4] - 15.0;
+        }
+        let mut p = BranchProblem::new(
+            BranchFlow::all_from_admittance(&branch.admittance()),
+            0.9,
+            1.1,
+            0.9,
+            1.1,
+        );
+        for k in 0..4 {
+            p.flow_terms[k] = ConsensusTerm {
+                target: terms[k],
+                y: terms[4 + k],
+                rho: rhos[k],
+            };
+            p.volt_terms[k] = ConsensusTerm {
+                target: terms[8 + k],
+                y: terms[12 + k],
+                rho: rhos[4 + k],
+            };
+        }
+        if with_limit {
+            p.limit_sq = (0.99f64 * 1.3).powi(2);
+            p.alm_lambda = [alm[0], alm[1]];
+            p.alm_rho = rhos[8];
+        }
+        let mut x = [
+            volts[0], volts[1], angles[0], angles[1], slacks[0], slacks[1],
+        ];
+        match edge / 2 {
+            1 => (x[2], x[3]) = (std::f64::consts::PI + angles[0] * 1e-15, 0.0),
+            2 => (x[2], x[3]) = (angles[0], std::f64::consts::PI + angles[0]),
+            3 => {
+                x[0] = p.lower(0);
+                x[1] = p.upper(1);
+                x[4] = p.lower(4);
+                x[5] = p.upper(5);
+            }
+            _ => {}
+        }
+        (p, x)
+    }
+
+    /// `v`'s bits, with every NaN read as one NaN: a NaN's payload may
+    /// depend on the order the compiler gives a commutative operation's
+    /// operands, the value does not.
+    fn canonical(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The fused `objective` / `derivatives` equal the three-pass oracle
         /// bit for bit, over random admittances, operating points (angle
         /// differences up to and beyond ±π, voltages on their bounds),
-        /// consensus and ALM data, with and without a line limit.
+        /// consensus and ALM data, with and without a line limit. So does
+        /// the lock-step evaluation, in either lane, beside a block with the
+        /// other limit choice and a NaN target.
         #[test]
         fn fused_evaluation_is_bitwise_the_three_pass_oracle(
             line in prop::collection::vec(0.0f64..1.0, 5),
@@ -466,44 +680,10 @@ mod tests {
             alm in prop::collection::vec(-2.0f64..2.0, 2),
             edge in 0usize..8,
             with_limit in 0usize..2,
+            slot in 0..LANES,
         ) {
-            let mut branch =
-                Branch::line(1, 2, 0.1 * line[0], 0.01 + 0.4 * line[1], 0.2 * line[2], 130.0);
-            if edge % 2 == 1 {
-                branch.tap = 0.9 + 0.2 * line[3];
-                branch.shift = 30.0 * line[4] - 15.0;
-            }
-            let mut p = BranchProblem::new(
-                BranchFlow::all_from_admittance(&branch.admittance()),
-                0.9,
-                1.1,
-                0.9,
-                1.1,
-            );
-            for k in 0..4 {
-                p.flow_terms[k] = ConsensusTerm { target: terms[k], y: terms[4 + k], rho: rhos[k] };
-                p.volt_terms[k] =
-                    ConsensusTerm { target: terms[8 + k], y: terms[12 + k], rho: rhos[4 + k] };
-            }
-            if with_limit == 1 {
-                p.limit_sq = (0.99f64 * 1.3).powi(2);
-                p.alm_lambda = [alm[0], alm[1]];
-                p.alm_rho = rhos[8];
-            }
-            let mut x = [volts[0], volts[1], angles[0], angles[1], slacks[0], slacks[1]];
-            match edge / 2 {
-                // Angle difference within a few ulps of +π and of −π.
-                1 => (x[2], x[3]) = (std::f64::consts::PI + angles[0] * 1e-15, 0.0),
-                2 => (x[2], x[3]) = (angles[0], std::f64::consts::PI + angles[0]),
-                // Both voltages and both slacks on a bound.
-                3 => {
-                    x[0] = p.lower(0);
-                    x[1] = p.upper(1);
-                    x[4] = p.lower(4);
-                    x[5] = p.upper(5);
-                }
-                _ => {}
-            }
+            let (p, x) =
+                sample_block(&line, &volts, &angles, &slacks, &terms, &rhos, &alm, edge, with_limit == 1);
 
             prop_assert_eq!(p.objective(&x).to_bits(), three_pass::objective(&p, &x).to_bits());
             let (mut g, mut g_ref) = ([0.0; 6], [0.0; 6]);
@@ -517,6 +697,181 @@ mod tests {
                     prop_assert_eq!(h[(d, c)].to_bits(), h_ref[(d, c)].to_bits(), "h[({}, {})]", d, c);
                 }
             }
+
+            // The partner lanes: the same data with the other limit choice,
+            // a NaN consensus target, and a mirrored point.
+            let (mut other, _) =
+                sample_block(&line, &volts, &angles, &slacks, &terms, &rhos, &alm, edge, with_limit == 0);
+            other.flow_terms[1].target = f64::NAN;
+            let other_x = [x[1], x[0], x[3], x[2], x[5], x[4]];
+            let blocks: Vec<BranchProblem> = (0..LANES).map(|k| if k == slot { p } else { other }).collect();
+            let points: Vec<[f64; 6]> = (0..LANES).map(|k| if k == slot { x } else { other_x }).collect();
+            let lanes = BranchProblem::pack(&blocks);
+            let lane_x: Vec<Lanes> = (0..6).map(|i| Lanes::from_fn(|k| points[k][i])).collect();
+            let (mut lane_g, mut lane_h) = ([Lanes::splat(0.0); 6], SmallMatrix::zeros(6));
+            let lane_f = lanes.objective(&lane_x);
+            lanes.derivatives(&lane_x, &mut lane_g, &mut lane_h);
+            for k in 0..LANES {
+                let (block, point) = (&blocks[k], &points[k]);
+                prop_assert_eq!(canonical(lane_f.0[k]), canonical(three_pass::objective(block, point)), "lane {}", k);
+                three_pass::gradient(block, point, &mut g_ref);
+                three_pass::hessian(block, point, &mut h_ref);
+                for d in 0..6 {
+                    prop_assert_eq!(canonical(lane_g[d].0[k]), canonical(g_ref[d]), "lane {} g[{}]", k, d);
+                    for c in 0..6 {
+                        prop_assert_eq!(
+                            canonical(lane_h[(d, c)].0[k]),
+                            canonical(h_ref[(d, c)]),
+                            "lane {} h[({}, {})]", k, d, c
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each lane's summary and iterate, against the scalar solve of its
+    /// block: the bits of `x`, the objective and `pg_norm` (every NaN read
+    /// as one), the iteration, direct-step and rejection counts, and the
+    /// status. Returns how many lanes took a step other than the direct
+    /// one.
+    fn assert_lanes_match_scalar(
+        tron: &TronSolver,
+        blocks: &[BranchProblem],
+        starts: &[[f64; 6]],
+    ) -> Result<usize, TestCaseError> {
+        let last = blocks.len() - 1;
+        let mut x: Vec<Lanes> = (0..6)
+            .map(|i| Lanes::from_fn(|k| starts[k.min(last)][i]))
+            .collect();
+        let summaries = tron.solve_lanes(&BranchProblem::pack(blocks), blocks, &mut x);
+        let mut refused = 0;
+        for (k, (block, start)) in blocks.iter().zip(starts).enumerate() {
+            let mut want_x = *start;
+            let want = tron.solve_in_place(block, &mut want_x);
+            let got = summaries[k];
+            for i in 0..6 {
+                prop_assert_eq!(
+                    canonical(x[i].0[k]),
+                    canonical(want_x[i]),
+                    "lane {} x[{}]",
+                    k,
+                    i
+                );
+            }
+            prop_assert_eq!(
+                canonical(got.objective),
+                canonical(want.objective),
+                "lane {}",
+                k
+            );
+            prop_assert_eq!(
+                canonical(got.pg_norm),
+                canonical(want.pg_norm),
+                "lane {}",
+                k
+            );
+            prop_assert_eq!(
+                (got.iterations, got.direct, got.rejected, got.status),
+                (want.iterations, want.direct, want.rejected, want.status),
+                "lane {}",
+                k
+            );
+            refused += usize::from(want.direct < want.iterations);
+        }
+        Ok(refused)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each lane of a lock-step solve is bitwise the scalar solve of its
+        /// block, for every group length from 1 to `LANES`, on the blocks of
+        /// the evaluation proptest, some of them pushed off the direct step
+        /// (a Hessian made indefinite by large flow multipliers, or a start
+        /// on a voltage bound that the gradient points away from) and some
+        /// of them given a NaN target, which must not move the bits of the
+        /// lanes beside them.
+        #[test]
+        fn lock_step_lanes_are_bitwise_the_scalar_solves(
+            len in 1..=LANES,
+            line in prop::collection::vec(0.0f64..1.0, 5 * LANES),
+            volts in prop::collection::vec(0.9f64..1.1, 2 * LANES),
+            angles in prop::collection::vec(-0.6f64..0.6, 2 * LANES),
+            slacks in prop::collection::vec(-1.5f64..0.0, 2 * LANES),
+            terms in prop::collection::vec(-1.0f64..1.0, 16 * LANES),
+            rhos in prop::collection::vec(0.1f64..2000.0, 9 * LANES),
+            alm in prop::collection::vec(-2.0f64..2.0, 2 * LANES),
+            edge in prop::collection::vec(0usize..8, LANES),
+            with_limit in prop::collection::vec(0usize..2, LANES),
+            push in prop::collection::vec(0usize..8, LANES),
+        ) {
+            let (mut blocks, mut starts) = (Vec::new(), Vec::new());
+            for k in 0..len {
+                let at = |v: &[f64], size: usize| v[k * size..(k + 1) * size].to_vec();
+                let (mut p, mut x) = sample_block(
+                    &at(&line, 5), &at(&volts, 2), &at(&angles, 2), &at(&slacks, 2),
+                    &at(&terms, 16), &at(&rhos, 9), &at(&alm, 2), edge[k], with_limit[k] == 1,
+                );
+                match push[k] {
+                    // Flow multipliers of 1e4 against penalties of 0.001 to 20:
+                    // the flows' curvature, weighted by them, swamps the
+                    // penalties' and the free block is indefinite.
+                    5 => {
+                        for (j, term) in p.flow_terms.iter_mut().enumerate() {
+                            term.y = 1e4 * terms[k * 16 + 4 + j].signum();
+                            term.rho *= 0.01;
+                        }
+                    }
+                    // v_i on its lower bound 0.9 with a target of 1.1², and
+                    // the target's penalty dominating: the gradient points
+                    // into the box, so v_i is neither free nor held.
+                    6 => {
+                        x[0] = p.lower(0);
+                        p.volt_terms[0] = ConsensusTerm { target: 1.21, y: 0.0, rho: 1e3 };
+                    }
+                    7 => p.flow_terms[k % 4].target = f64::NAN,
+                    _ => {}
+                }
+                blocks.push(p);
+                starts.push(x);
+            }
+            let tron = TronSolver::new(AdmmParams::default().tron);
+            assert_lanes_match_scalar(&tron, &blocks, &starts)?;
+        }
+    }
+
+    /// The proptest's pushes do push: every kind of block the lock-step
+    /// solve must hand to the scalar path for an iteration gets there.
+    #[test]
+    fn the_pushed_blocks_leave_the_direct_step() {
+        let tron = TronSolver::new(AdmmParams::default().tron);
+        let mut indefinite = sample_problem(true);
+        for term in &mut indefinite.flow_terms {
+            (term.y, term.rho) = (1e4, 0.1);
+        }
+        let mut inward = sample_problem(true);
+        inward.volt_terms[0] = ConsensusTerm {
+            target: 1.21,
+            y: 0.0,
+            rho: 1e3,
+        };
+        let mut start = [0.0; 6];
+        start.copy_from_slice(&sample_x());
+        let mut inward_start = start;
+        inward_start[0] = inward.lower(0);
+        for (block, x) in [(&indefinite, start), (&inward, inward_start)] {
+            let summary = tron.solve_in_place(block, &mut x.clone());
+            assert!(summary.direct < summary.iterations, "{summary:?}");
+        }
+        let blocks = [indefinite, inward, sample_problem(false)];
+        let starts = [start, inward_start, start];
+        for pair in [[0, 2], [2, 1], [1, 0]] {
+            let group: Vec<BranchProblem> = pair.iter().map(|&b| blocks[b]).collect();
+            let points: Vec<[f64; 6]> = pair.iter().map(|&b| starts[b]).collect();
+            let refused = assert_lanes_match_scalar(&tron, &group[..LANES.min(2)], &points)
+                .expect("lanes match their scalar solves");
+            assert!(refused >= 1, "pair {pair:?}");
         }
     }
 

@@ -16,7 +16,7 @@ use crate::params::AdmmParams;
 use crate::solver::WarmState;
 use gridsim_acopf::{branch_flows, BranchFlow, FlowPoint, OpfSolution};
 use gridsim_grid::Network;
-use gridsim_sparse::solve2;
+use gridsim_sparse::{solve2, Lanes, Real, LANES};
 use gridsim_tron::TronSolver;
 
 /// Initial outer-level penalty β on `z = 0` of a cold start; a warm start
@@ -360,27 +360,59 @@ pub(crate) fn branch_subproblem(
     problem
 }
 
-/// Branch update: one TRON block solve, in place on `state.x`, wrapped in
-/// the inner augmented-Lagrangian loop on the line-limit slack equalities.
-/// Allocates nothing. `base` as in [`generator_element`].
+/// Branch update of a lock-step group: the branches `d` (1 to
+/// [`LANES`] consecutive ones of one segment) with their states. The first
+/// TRON solve of every branch runs in lock-step ([`TronSolver::solve_lanes`],
+/// in place on each `state.x`); each branch then finishes its own inner
+/// augmented-Lagrangian loop ([`alm_rounds`]). Bitwise the per-branch
+/// update of the `cfg(test)` oracle (one `solve_in_place`, then the same
+/// rounds) on each branch. Allocates nothing. `base` as in
+/// [`generator_element`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn branch_element(
-    d: &BranchData,
+pub(crate) fn branch_group(
+    d: &[BranchData],
     base: usize,
     v: &[f64],
     z: &[f64],
     y: &[f64],
     rho: &[f64],
     tron: &TronSolver,
-    state: &mut BranchState,
+    states: &mut [BranchState],
 ) {
-    let mut problem = branch_subproblem(d, base, v, z, y, rho, state);
-    // Inner augmented-Lagrangian loop on the line-limit slack equalities; a
-    // single TRON solve when there is no limit.
+    let n = states.len();
+    debug_assert!(d.len() == n && (1..=LANES).contains(&n));
+    let last = n - 1;
+    let mut problems = [branch_subproblem(&d[0], base, v, z, y, rho, &states[0]); LANES];
+    for k in 1..n {
+        problems[k] = branch_subproblem(&d[k], base, v, z, y, rho, &states[k]);
+    }
+    let problems = &mut problems[..n];
+    let mut x = [Lanes::splat(0.0); 6];
+    for (i, xi) in x.iter_mut().enumerate() {
+        *xi = Lanes::from_fn(|k| states[k.min(last)].x[i]);
+    }
+    tron.solve_lanes(&BranchProblem::pack(problems), problems, &mut x);
+    for (k, (problem, state)) in problems.iter_mut().zip(states).enumerate() {
+        for (i, xi) in x.iter().enumerate() {
+            state.x[i] = xi.0[k];
+        }
+        alm_rounds(problem, tron, state);
+    }
+}
+
+/// The inner augmented-Lagrangian loop on the line-limit slack equalities,
+/// after its first TRON solve has left its iterate in `state.x`: a single
+/// round when there is no limit, else a multiplier and penalty update and
+/// another solve while the violation stays above [`ALM_TOL`], for at most
+/// [`MAX_ALM_ITER`] solves. Leaves the flows, multipliers and penalty in
+/// `state`.
+pub(crate) fn alm_rounds(problem: &mut BranchProblem, tron: &TronSolver, state: &mut BranchState) {
     let mut prev_viol = f64::INFINITY;
     let rounds = if problem.has_limit() { MAX_ALM_ITER } else { 1 };
-    for _ in 0..rounds {
-        tron.solve_in_place(&problem, &mut state.x);
+    for round in 0..rounds {
+        if round > 0 {
+            tron.solve_in_place(problem, &mut state.x);
+        }
         // One flow evaluation per round feeds both the slack residuals and
         // the consensus scatter (`state.flows` always matches `state.x`).
         state.flows = problem.flow_values(&state.x);

@@ -16,8 +16,13 @@
 //!   closed form (7) — one thread each,
 //! * **branch subproblems** are 6-variable bound-constrained nonconvex
 //!   problems (4), solved in batch by [`gridsim_tron`] (the ExaTron
-//!   substitute) — one thread block each, with line limits handled by an
-//!   inner augmented-Lagrangian loop,
+//!   substitute), with line limits handled by an inner augmented-Lagrangian
+//!   loop. One thread block takes a group of up to
+//!   [`LANES`](gridsim_sparse::LANES) consecutive branches of a scenario and
+//!   runs their first TRON solve in lock-step, one branch per lane
+//!   ([`BranchProblem`] is generic over its value type, and
+//!   [`BranchProblem::pack`] builds a group); each branch then finishes its
+//!   own ALM rounds. Every result bit is the per-branch solve's,
 //! * **z / multiplier updates** are elementwise closed forms (8).
 //!
 //! No host–device transfers occur during the solve; the transfer counters of

@@ -10,7 +10,7 @@
 //! the extraction, which are the definition of the arithmetic rather than of
 //! the loop.
 
-use crate::kernels::{self, BETA_INIT, Z_DECREASE_FACTOR};
+use crate::kernels::{self, BranchData, BranchState, BETA_INIT, Z_DECREASE_FACTOR};
 use crate::params::AdmmParams;
 use crate::scenario::scheduler::init_segment;
 use crate::scenario::ScenarioProblem;
@@ -29,6 +29,23 @@ pub(crate) struct OracleResult {
     pub(crate) outer_iterations: usize,
     pub(crate) z_inf: f64,
     pub(crate) primal_residual: f64,
+}
+
+/// Branch update: one TRON block solve, in place on `state.x`, then the
+/// inner augmented-Lagrangian rounds — the per-element body the lock-step
+/// `kernels::branch_group` must match bit for bit.
+fn branch_element(
+    d: &BranchData,
+    v: &[f64],
+    z: &[f64],
+    y: &[f64],
+    rho: &[f64],
+    tron: &TronSolver,
+    state: &mut BranchState,
+) {
+    let mut problem = kernels::branch_subproblem(d, 0, v, z, y, rho, state);
+    tron.solve_in_place(&problem, &mut state.x);
+    kernels::alm_rounds(&mut problem, tron, state);
 }
 
 /// Index-ordered `max` fold with the device's empty → `0.0` convention.
@@ -76,7 +93,7 @@ pub(crate) fn solve(
                 kernels::generator_element(d, 0, &v, &z, &y, rho, g);
             }
             for (d, b) in data.branches.iter().zip(&mut branches) {
-                kernels::branch_element(d, 0, &v, &z, &y, rho, &tron, b);
+                branch_element(d, &v, &z, &y, rho, &tron, b);
             }
             for (k, uk) in u.iter_mut().enumerate() {
                 *uk = kernels::u_element(k, ngen, &gens, &branches);

@@ -37,6 +37,7 @@ use gridsim_acopf::violations::SolutionQuality;
 use gridsim_batch::{Device, DeviceBuffer, DevicePool};
 use gridsim_engine::{Admission, Engine, FleetRequest, Hit, LaneSolver};
 use gridsim_grid::Network;
+use gridsim_sparse::LANES;
 use gridsim_store::StoreRunStats;
 use gridsim_tron::TronSolver;
 use std::time::Instant;
@@ -582,18 +583,20 @@ fn tick(
             }
         });
         let branch_seg = segs.branch.as_slice();
-        device.launch_blocks_segments("branch_tron", &mut st.branches, nbranch, active, {
-            move |l, state| {
+        // Groups of up to LANES branches of one segment, solved in lock-step.
+        device.launch_blocks_segments("branch_tron", &mut st.branches, nbranch, active, LANES, {
+            move |l, states| {
                 let s = branch_seg[l] as usize;
-                kernels::branch_element(
-                    &slot_data[s].branches[l - s * nbranch],
+                let first = l - s * nbranch;
+                kernels::branch_group(
+                    &slot_data[s].branches[first..first + states.len()],
                     s * m,
                     v,
                     z,
                     y,
                     rho,
                     tron,
-                    state,
+                    states,
                 )
             }
         });

@@ -13,10 +13,15 @@
 //! its way down to it 20-odd times. Nor does a warm block need TRON's
 //! globalisation: every iteration takes the direct step, the free block's
 //! Newton step from the iterate itself.
+//!
+//! The lock-step branch kernel rests on that: on the `track` benchmark's
+//! network every warm block takes exactly two direct iterations, so the
+//! lanes of a group advance together from the first iteration to the last.
 
 use gridsim_admm::{AdmmParams, AdmmSolver, BranchProblem};
 use gridsim_batch::Device;
-use gridsim_sparse::SmallMatrix;
+use gridsim_grid::TableICase;
+use gridsim_sparse::{Lanes, SmallMatrix, LANES};
 use gridsim_tron::{cauchy_point, BoundProblem, TronSolver, TronStatus};
 
 const INNER: [usize; 3] = [30, 300, 1000];
@@ -111,6 +116,50 @@ fn warm_case9_blocks_take_the_direct_step_every_iteration() {
                 iterations += summary.iterations;
             }
             assert!(iterations > 0, "inner {inner} limit0 {limit0}");
+        }
+    }
+}
+
+/// The `track` benchmark's network, the 12-bus `Pegase1354` stand-in with
+/// its `AdmmParams::for_case` parameters: after 100, 300 and 1 000 inner
+/// iterations (one outer iteration) every branch block of the next launch
+/// takes exactly two TRON iterations, both direct steps, none rejected —
+/// alone and in the lock-step groups of the branch kernel. (After 30 inner
+/// iterations some still take three.)
+#[test]
+fn warm_track_blocks_take_exactly_two_direct_iterations() {
+    let net = TableICase::Pegase1354
+        .scaled(12)
+        .compile()
+        .expect("registry stand-in compiles");
+    for inner in [100, 300, 1000] {
+        let params = AdmmParams {
+            max_outer: 1,
+            max_inner: inner,
+            ..AdmmParams::for_case(TableICase::Pegase1354, 12)
+        };
+        let warm = AdmmSolver::with_device(params.clone(), Device::sequential())
+            .solve(&net)
+            .warm_state;
+        let blocks = BranchProblem::blocks_from_warm_state(&net, &params, &warm);
+        assert_eq!(blocks.len(), net.nbranch);
+        let solver = TronSolver::new(params.tron.clone());
+        for (l, (problem, x0)) in blocks.iter().enumerate() {
+            let summary = solver.solve_in_place(problem, &mut x0.clone());
+            let counts = (summary.iterations, summary.direct, summary.rejected);
+            assert_eq!(counts, (2, 2, 0), "inner {inner} block {l}: {summary:?}");
+        }
+        for (g, group) in blocks.chunks(LANES).enumerate() {
+            let problems: Vec<BranchProblem> = group.iter().map(|(p, _)| *p).collect();
+            let last = group.len() - 1;
+            let mut x: Vec<Lanes> = (0..6)
+                .map(|i| Lanes::from_fn(|k| group[k.min(last)].1[i]))
+                .collect();
+            let summaries = solver.solve_lanes(&BranchProblem::pack(&problems), &problems, &mut x);
+            for summary in &summaries[..group.len()] {
+                let counts = (summary.iterations, summary.direct, summary.rejected);
+                assert_eq!(counts, (2, 2, 0), "inner {inner} group {g}: {summary:?}");
+            }
         }
     }
 }

@@ -1,5 +1,7 @@
 //! One in-place TRON solve of a branch subproblem performs zero heap
-//! allocations.
+//! allocations, and so does a grouped `branch_tron`-shaped launch: the
+//! device's group launch over masked segments, each group's blocks packed
+//! into lanes and solved in lock-step.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
@@ -7,10 +9,13 @@
 
 use gridsim_acopf::BranchFlow;
 use gridsim_admm::{BranchProblem, ConsensusTerm};
+use gridsim_batch::{Device, DeviceBuffer};
 use gridsim_grid::Branch;
+use gridsim_sparse::{Lanes, LANES};
 use gridsim_tron::{TronOptions, TronSolver, TronStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     // `const` initialisation and no destructor: touching it from inside the
@@ -109,5 +114,55 @@ fn in_place_branch_solve_never_allocates() {
         );
         assert_ne!(warm.status, TronStatus::MaxIter, "{warm:?}");
         assert!(warm.objective <= cold.objective, "{cold:?} then {warm:?}");
+    }
+}
+
+#[test]
+fn grouped_lock_step_launch_never_allocates() {
+    // Three segments of nine blocks, the middle one inactive: groups of
+    // LANES blocks, a short group at each segment's end.
+    let (seg_len, active) = (9, [true, false, true]);
+    let problems: Vec<BranchProblem> = (0..seg_len * active.len())
+        .map(|i| {
+            let mut p = branch_problem(i % 3 != 0);
+            p.flow_terms[i % 4].target += 0.01 * i as f64;
+            p
+        })
+        .collect();
+    let solver = TronSolver::new(TronOptions::default());
+    let kernel = |first: usize, group: &mut [[f64; 6]]| {
+        let blocks = &problems[first..first + group.len()];
+        let mut x = [Lanes::from_fn(|_| 0.0); 6];
+        for (i, xi) in x.iter_mut().enumerate() {
+            *xi = Lanes::from_fn(|k| group[k.min(group.len() - 1)][i]);
+        }
+        solver.solve_lanes(&BranchProblem::pack(blocks), blocks, &mut x);
+        for (k, state) in group.iter_mut().enumerate() {
+            for (i, xi) in x.iter().enumerate() {
+                state[i] = xi.0[k];
+            }
+        }
+    };
+    for device in [Device::sequential(), Device::vectorized()] {
+        let starts = vec![[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]; problems.len()];
+        let mut states = DeviceBuffer::from_host(Arc::clone(device.stats()), &starts);
+        // The first launch of a kernel name allocates its stats entry.
+        device.launch_blocks_segments("branch_tron", &mut states, seg_len, &active, LANES, kernel);
+        let (_, n) = counted(|| {
+            device.launch_blocks_segments(
+                "branch_tron",
+                &mut states,
+                seg_len,
+                &active,
+                LANES,
+                kernel,
+            )
+        });
+        assert_eq!(n, 0, "grouped launch allocated on {}", device.backend());
+        let solved = states.as_slice();
+        for (i, x) in solved.iter().enumerate() {
+            let moved = *x != starts[i];
+            assert_eq!(moved, active[i / seg_len], "block {i}: {x:?}");
+        }
     }
 }

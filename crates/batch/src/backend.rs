@@ -10,12 +10,15 @@
 //!
 //! # The dispatch trait
 //!
-//! [`LaunchBackend`] carries the two operations every launch reduces to: a
-//! masked map over equally sized segments and a per-segment max-reduction.
-//! A whole-buffer launch is one all-active segment, so a backend writes each
-//! iteration scheme once. [`Device`](crate::Device) holds an [`AnyBackend`]
-//! — a closed enum over the implementors — so the
-//! kernel layer in `kernel.rs` contains **no** backend matching at all:
+//! [`LaunchBackend`] carries the three operations every launch reduces to:
+//! a masked map over equally sized segments (one thread per element), a
+//! masked launch over groups of a segment's consecutive elements (one
+//! thread block per group, the lock-step TRON branch solves), and a
+//! per-segment max-reduction. A whole-buffer launch is one all-active
+//! segment, so a backend writes each iteration scheme once.
+//! [`Device`](crate::Device) holds an [`AnyBackend`] — a closed enum over
+//! the implementors — so the kernel layer in `kernel.rs` contains **no**
+//! backend matching at all:
 //! every launch and reduction goes through trait dispatch. The trait's
 //! methods are generic over the element type and kernel closure, which is
 //! why dispatch is an enum rather than a `dyn` object (generic methods
@@ -27,7 +30,8 @@
 //! values to [`SequentialBackend`] for the same launch sequence:
 //!
 //! * segmented launches touch disjoint elements, so any schedule that
-//!   applies the closure exactly once per active element conforms;
+//!   applies the closure exactly once per active element (or group)
+//!   conforms;
 //! * reductions may *evaluate* per-element scores in any order but MUST
 //!   *combine* them in index order, because floating-point `max` is
 //!   scheduling-sensitive through NaN and signed-zero handling;
@@ -42,7 +46,7 @@
 //!
 //! A new backend is a plug-in, not a rewrite:
 //!
-//! 1. define a unit struct and implement [`LaunchBackend`]'s two
+//! 1. define a unit struct and implement [`LaunchBackend`]'s three
 //!    operations for it (the reduction must fold in index order — see the
 //!    contract above);
 //! 2. add an [`AnyBackend`] variant delegating to it, a constructor on
@@ -163,20 +167,30 @@ pub(crate) trait LaunchBackend {
     /// Apply `f` exactly once to every element of the segments whose mask
     /// entry is `true`; elements of inactive segments must not be touched.
     /// `buf` holds `active.len()` segments of `seg_len` elements; `f`
-    /// receives the *global* element index. `min_len` is the parallel
-    /// scheduling granularity (`usize::MAX` keeps the default cheap-kernel
-    /// threshold, `1` fans out block-per-subproblem work); backends without
-    /// a scheduler ignore it.
-    fn launch_segments<T, F>(
+    /// receives the *global* element index. One thread per element: a
+    /// scheduling backend keeps short launches on the calling thread.
+    fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync;
+
+    /// Apply `f` exactly once to every *group* of the active segments'
+    /// elements, and to nothing of an inactive segment: the groups are the
+    /// buffer's consecutive chunks of `group` elements, each cut where a
+    /// segment ends, so a group holds 1 to `group` consecutive elements of
+    /// one segment. `f` receives the global index of the group's first
+    /// element. One thread block per group: a scheduling backend fans out
+    /// even a handful of them.
+    fn launch_groups<T, F>(
         &self,
         buf: &mut [T],
         seg_len: usize,
         active: &[bool],
-        min_len: usize,
+        group: usize,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut T) + Sync;
+        F: Fn(usize, &mut [T]) + Sync;
 
     /// Per-segment max-reduction: one value per segment, `f64::NAN` for
     /// inactive segments (whose elements are not even visited), and the
@@ -218,6 +232,25 @@ where
     }
 }
 
+/// The groups of the chunk `chunk`, which starts at global index `start`:
+/// the chunk cut where a segment ends, each part handed to `f` when its
+/// segment is active.
+fn for_each_group<T, F>(start: usize, chunk: &mut [T], seg_len: usize, active: &[bool], f: &F)
+where
+    F: Fn(usize, &mut [T]),
+{
+    let (mut start, mut rest) = (start, chunk);
+    while !rest.is_empty() {
+        let s = start / seg_len;
+        let (part, tail) = rest.split_at_mut(((s + 1) * seg_len - start).min(rest.len()));
+        if active[s] {
+            f(start, part);
+        }
+        start += part.len();
+        rest = tail;
+    }
+}
+
 /// One element at a time on the calling thread: the reference
 /// implementation of the determinism contract, and the backend of choice
 /// for debugging and deterministic micro-benchmarks.
@@ -229,14 +262,8 @@ impl LaunchBackend for SequentialBackend {
         ExecutionMode::Sequential
     }
 
-    fn launch_segments<T, F>(
-        &self,
-        buf: &mut [T],
-        seg_len: usize,
-        active: &[bool],
-        _min_len: usize,
-        f: F,
-    ) where
+    fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
+    where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
@@ -247,6 +274,22 @@ impl LaunchBackend for SequentialBackend {
             for (j, x) in chunk.iter_mut().enumerate() {
                 f(s * seg_len + j, x);
             }
+        }
+    }
+
+    fn launch_groups<T, F>(
+        &self,
+        buf: &mut [T],
+        seg_len: usize,
+        active: &[bool],
+        group: usize,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        for (c, chunk) in buf.chunks_mut(group).enumerate() {
+            for_each_group(c * group, chunk, seg_len, active, &f);
         }
     }
 
@@ -279,24 +322,13 @@ impl LaunchBackend for ParallelBackend {
         ExecutionMode::Parallel
     }
 
-    fn launch_segments<T, F>(
-        &self,
-        buf: &mut [T],
-        seg_len: usize,
-        active: &[bool],
-        min_len: usize,
-        f: F,
-    ) where
+    fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
+    where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
         let live_segments = active.iter().filter(|&&a| a).count();
         let it = buf.par_iter_mut();
-        let it = if min_len == usize::MAX {
-            it
-        } else {
-            it.with_min_len(min_len)
-        };
         if live_segments == active.len() {
             // Fast path for the common all-active case (every whole-buffer
             // launch among them): no per-element mask check. (Skipping
@@ -311,6 +343,23 @@ impl LaunchBackend for ParallelBackend {
                 }
             });
         }
+    }
+
+    fn launch_groups<T, F>(
+        &self,
+        buf: &mut [T],
+        seg_len: usize,
+        active: &[bool],
+        group: usize,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        buf.par_chunks_mut(group)
+            .with_min_len(1)
+            .enumerate()
+            .for_each(|(c, chunk)| for_each_group(c * group, chunk, seg_len, active, &f));
     }
 
     fn reduce_max_segments<T, F>(
@@ -361,12 +410,9 @@ pub(crate) const VECTOR_CHUNK: usize = 64;
 ///   check on masked launches). Masking inside element bodies stays
 ///   arithmetic (clamps and selects), never control flow.
 ///
-/// Blocked launches (`min_len == 1`, the TRON branch solves) take the
-/// same chunked path; their per-element bodies are iterative solvers that
-/// do not auto-vectorize, but the schedule is element-ordered so they
-/// remain bitwise identical — the conformance suite holds this backend to
-/// the full bitwise contract on every geometry, with no report-identical
-/// carve-out needed.
+/// Group launches (the TRON branch solves) run the sequential backend's
+/// loop: their bodies are iterative solvers that vectorize across the
+/// lanes of a group, not across groups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct VectorizedBackend;
 
@@ -421,14 +467,8 @@ impl LaunchBackend for VectorizedBackend {
         ExecutionMode::Vectorized
     }
 
-    fn launch_segments<T, F>(
-        &self,
-        buf: &mut [T],
-        seg_len: usize,
-        active: &[bool],
-        _min_len: usize,
-        f: F,
-    ) where
+    fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
+    where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
@@ -441,6 +481,20 @@ impl LaunchBackend for VectorizedBackend {
             }
             map_chunked(chunk, s * seg_len, &f);
         }
+    }
+
+    fn launch_groups<T, F>(
+        &self,
+        buf: &mut [T],
+        seg_len: usize,
+        active: &[bool],
+        group: usize,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        SequentialBackend.launch_groups(buf, seg_len, active, group, f)
     }
 
     fn reduce_max_segments<T, F>(
@@ -514,18 +568,26 @@ impl LaunchBackend for AnyBackend {
         dispatch!(self, b => b.mode())
     }
 
-    fn launch_segments<T, F>(
+    fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        dispatch!(self, b => b.launch_segments(buf, seg_len, active, f))
+    }
+
+    fn launch_groups<T, F>(
         &self,
         buf: &mut [T],
         seg_len: usize,
         active: &[bool],
-        min_len: usize,
+        group: usize,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, &mut [T]) + Sync,
     {
-        dispatch!(self, b => b.launch_segments(buf, seg_len, active, min_len, f))
+        dispatch!(self, b => b.launch_groups(buf, seg_len, active, group, f))
     }
 
     fn reduce_max_segments<T, F>(

@@ -6,7 +6,8 @@
 //! parameterized over `LaunchBackend` implementors, so a new backend is
 //! held to the *entire* contract — both launch granularities and the
 //! segmented reduction, masked and unmasked, on chunk-boundary-hostile
-//! sizes — before it may be selected by
+//! sizes, and the group launch on segments of 1, `W − 1`, `W` and `W + 1`
+//! elements for group widths `W` of 1 to 3 — before it may be selected by
 //! [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
 //!
 //! Two entry points:
@@ -91,14 +92,77 @@ fn map_kernel(i: usize, x: &mut f64) {
     *x = (*x * 1.000_000_11 + i as f64 * 1e-9).sin() * 1.7 - 0.3;
 }
 
+/// Group widths the group launches sweep: one element per block, the
+/// branch kernel's two lanes, and a width that divides none of the even
+/// segment lengths.
+const GROUPS: &[usize] = &[1, 2, 3];
+
+/// Segment geometries `(seg_len, mask)` the group launches sweep, on top of
+/// [`segment_cases`]: no segment at all (an empty buffer), and segments of
+/// 1 to 4 elements — `W − 1`, `W` and `W + 1` for every width in
+/// [`GROUPS`] — with inactive segments between active ones.
+fn group_cases() -> Vec<(usize, Vec<bool>)> {
+    let mut cases = vec![(1, vec![])];
+    for seg_len in 1..=4 {
+        cases.push((seg_len, vec![true, false, true, true, false]));
+        cases.push((seg_len, vec![false, true]));
+    }
+    cases.extend(segment_cases());
+    cases
+}
+
 /// A "blocked" kernel: iterative per-element work standing in for the
-/// TRON subproblem solves (`min_len == 1` launches).
+/// TRON subproblem solves.
 fn block_kernel(i: usize, x: &mut f64) {
     let mut acc = *x;
     for k in 0..16 {
         acc = (acc + (i + k) as f64 * 1e-6).cos() * 0.9 + 0.1;
     }
     *x = acc;
+}
+
+/// [`block_kernel`] on each element of a group that starts at global index
+/// `start`.
+fn group_kernel(start: usize, group: &mut [f64]) {
+    for (j, x) in group.iter_mut().enumerate() {
+        block_kernel(start + j, x);
+    }
+}
+
+/// The kernel that fills a group launch's visit log — per element, how
+/// many groups held it and the global index its group gave it — asserting
+/// that every group holds 1 to `group` elements of one segment.
+fn visit_kernel(seg_len: usize, group: usize) -> impl Fn(usize, &mut [(usize, usize)]) + Sync {
+    move |start, elements| {
+        let n = elements.len();
+        assert!(
+            (1..=group).contains(&n),
+            "a group of {n} elements (width {group})"
+        );
+        assert_eq!(
+            start / seg_len,
+            (start + n - 1) / seg_len,
+            "group [{start}, {}) straddles a segment boundary (seg_len {seg_len})",
+            start + n
+        );
+        for (j, (count, index)) in elements.iter_mut().enumerate() {
+            *count += 1;
+            *index = start + j;
+        }
+    }
+}
+
+/// Assert that a group launch visited each element of each active segment
+/// exactly once, under its own global index, and no element of an inactive
+/// one.
+fn assert_visits(visits: &[(usize, usize)], seg_len: usize, active: &[bool], what: &str) {
+    for (i, &(count, index)) in visits.iter().enumerate() {
+        if active[i / seg_len] {
+            assert_eq!((count, index), (1, i), "{what}: element {i} visits");
+        } else {
+            assert_eq!(count, 0, "{what}: inactive element {i} was touched");
+        }
+    }
 }
 
 /// Max-reduction score whose stream contains NaN and signed-zero entries:
@@ -163,13 +227,21 @@ pub fn assert_device_conformance(device: &Device) {
 
         device.launch_map_segments("conf_seg", &mut got, seg_len, &active, map_kernel);
         reference.launch_map_segments("conf_seg", &mut want, seg_len, &active, map_kernel);
-        device.launch_blocks_segments("conf_seg_blocks", &mut got, seg_len, &active, block_kernel);
+        device.launch_blocks_segments(
+            "conf_seg_blocks",
+            &mut got,
+            seg_len,
+            &active,
+            2,
+            group_kernel,
+        );
         reference.launch_blocks_segments(
             "conf_seg_blocks",
             &mut want,
             seg_len,
             &active,
-            block_kernel,
+            2,
+            group_kernel,
         );
         assert_bits_eq(
             got.as_slice(),
@@ -199,6 +271,38 @@ pub fn assert_device_conformance(device: &Device) {
             assert_eq!(dg.kernels[name].blocks, dw.kernels[name].blocks);
         }
     }
+
+    // Group launches: every element of an active segment in exactly one
+    // group of 1 to `group` elements of its segment, nothing of an inactive
+    // segment, and one block billed per live element.
+    for (seg_len, active) in group_cases() {
+        for &group in GROUPS {
+            let what = format!("{label}: group launch seg_len={seg_len} group={group}");
+            let n = seg_len * active.len();
+            let mut visits = DeviceBuffer::from_host(Arc::clone(device.stats()), &vec![(0, 0); n]);
+            let before = device.stats().snapshot();
+            let kernel = visit_kernel(seg_len, group);
+            device.launch_blocks_segments(
+                "conf_groups",
+                &mut visits,
+                seg_len,
+                &active,
+                group,
+                kernel,
+            );
+            assert_visits(visits.as_slice(), seg_len, &active, &what);
+            let billed = device.stats().snapshot().since(&before);
+            let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
+            assert_eq!(
+                billed.kernels["conf_groups"].blocks, live,
+                "{what}: billing"
+            );
+            assert_eq!(
+                billed.kernels["conf_groups"].launches, 1,
+                "{what}: launches"
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -215,30 +319,24 @@ mod tests {
 
         for (seg_len, active) in segment_cases() {
             let n = seg_len * active.len();
-            // Masked map and masked blocked launches: bitwise identity AND
+            // Masked map and masked group launches: bitwise identity AND
             // inactive segments untouched (frozen-state contract).
-            for (min_len, kernel) in [
-                (usize::MAX, map_kernel as fn(usize, &mut f64)),
-                (1, block_kernel as fn(usize, &mut f64)),
-            ] {
-                let original = data(n, 5);
-                let mut got = original.clone();
-                let mut want = original.clone();
-                backend.launch_segments(&mut got, seg_len, &active, min_len, kernel);
-                reference.launch_segments(&mut want, seg_len, &active, min_len, kernel);
-                assert_bits_eq(
-                    &got,
-                    &want,
-                    &format!("{label}: launch_segments seg_len={seg_len} min_len={min_len}"),
-                );
-                for (i, (g, o)) in got.iter().zip(&original).enumerate() {
-                    if !active[i / seg_len] {
-                        assert_eq!(
-                            g.to_bits(),
-                            o.to_bits(),
-                            "{label}: inactive element {i} was touched (seg_len={seg_len})"
-                        );
-                    }
+            let original = data(n, 5);
+            let (mut got, mut want) = (original.clone(), original.clone());
+            backend.launch_segments(&mut got, seg_len, &active, map_kernel);
+            reference.launch_segments(&mut want, seg_len, &active, map_kernel);
+            for &group in GROUPS {
+                backend.launch_groups(&mut got, seg_len, &active, group, group_kernel);
+                reference.launch_groups(&mut want, seg_len, &active, group, group_kernel);
+            }
+            assert_bits_eq(&got, &want, &format!("{label}: launches seg_len={seg_len}"));
+            for (i, (g, o)) in got.iter().zip(&original).enumerate() {
+                if !active[i / seg_len] {
+                    assert_eq!(
+                        g.to_bits(),
+                        o.to_bits(),
+                        "{label}: inactive element {i} was touched (seg_len={seg_len})"
+                    );
                 }
             }
 
@@ -261,6 +359,21 @@ mod tests {
                         "{label}: inactive seg {s} must reduce to NaN"
                     );
                 }
+            }
+        }
+
+        for (seg_len, active) in group_cases() {
+            for &group in GROUPS {
+                let mut visits = vec![(0, 0); seg_len * active.len()];
+                backend.launch_groups(
+                    &mut visits,
+                    seg_len,
+                    &active,
+                    group,
+                    visit_kernel(seg_len, group),
+                );
+                let what = format!("{label}: launch_groups seg_len={seg_len} group={group}");
+                assert_visits(&visits, seg_len, &active, &what);
             }
         }
 
@@ -322,10 +435,19 @@ mod tests {
                 buf: &mut [T],
                 s: usize,
                 a: &[bool],
-                m: usize,
                 f: F,
             ) {
-                SequentialBackend.launch_segments(buf, s, a, m, f)
+                SequentialBackend.launch_segments(buf, s, a, f)
+            }
+            fn launch_groups<T: Send, F: Fn(usize, &mut [T]) + Sync>(
+                &self,
+                buf: &mut [T],
+                s: usize,
+                a: &[bool],
+                g: usize,
+                f: F,
+            ) {
+                SequentialBackend.launch_groups(buf, s, a, g, f)
             }
             fn reduce_max_segments<T: Sync, F: Fn(usize, &T) -> f64 + Sync>(
                 &self,

@@ -7,9 +7,10 @@
 //! * [`Device::launch_map_segments`] — one thread per element; used for the
 //!   closed-form generator / bus / z / multiplier updates, which the paper
 //!   implements by launching as many threads as there are elements.
-//! * [`Device::launch_blocks_segments`] — one thread block per element of a
-//!   state array; used for the batch TRON branch solves, where each block
-//!   owns one branch subproblem.
+//! * [`Device::launch_blocks_segments`] — one thread block per group of up
+//!   to `group` consecutive elements of a segment; used for the batch TRON
+//!   branch solves, where each block solves its group's branch subproblems
+//!   in lock-step, one per lane.
 //!
 //! [`Device::launch_map`] and [`Device::launch_blocks`] launch a whole
 //! buffer as one active segment. The per-segment reduction
@@ -36,7 +37,7 @@ impl Device {
         F: Fn(usize, &mut T) + Sync,
     {
         let (seg_len, active) = whole(buf);
-        self.launch_segments_impl(name, buf, seg_len, active, usize::MAX, f);
+        self.launch_map_segments(name, buf, seg_len, active, f);
     }
 
     /// Launch a kernel with one thread block per element of `states`, under
@@ -52,7 +53,9 @@ impl Device {
         F: Fn(usize, &mut T) + Sync,
     {
         let (seg_len, active) = whole(states);
-        self.launch_segments_impl(name, states, seg_len, active, 1, f);
+        self.launch_blocks_segments(name, states, seg_len, active, 1, |i, group| {
+            f(i, &mut group[0])
+        });
     }
 
     /// Launch a kernel over a scenario-major buffer holding `active.len()`
@@ -73,54 +76,47 @@ impl Device {
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        self.launch_segments_impl(name, buf, seg_len, active, usize::MAX, f);
-    }
-
-    /// Shared body of the segmented launches; `min_len` is the parallel
-    /// scheduling granularity (`usize::MAX` keeps the default cheap-kernel
-    /// threshold, `1` fans out block-per-subproblem work).
-    fn launch_segments_impl<T, F>(
-        &self,
-        name: &str,
-        buf: &mut DeviceBuffer<T>,
-        seg_len: usize,
-        active: &[bool],
-        min_len: usize,
-        f: F,
-    ) where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        assert!(seg_len > 0, "segments must be non-empty");
-        assert_eq!(
-            buf.len(),
-            seg_len * active.len(),
-            "buffer length must equal seg_len * segments"
-        );
-        let start = Instant::now();
-        let live_segments = active.iter().filter(|&&a| a).count();
-        let live = live_segments as u64 * seg_len as u64;
+        let start = check_segments(buf, seg_len, active);
         self.exec
-            .launch_segments(buf.as_mut_slice(), seg_len, active, min_len, f);
-        self.stats.record_launch(name, live, start.elapsed());
+            .launch_segments(buf.as_mut_slice(), seg_len, active, f);
+        self.bill(name, seg_len, active, start);
     }
 
-    /// One thread *block* per element of the active segments; the segmented
-    /// analogue of [`Self::launch_blocks`], used for the batched TRON branch
-    /// solves spanning all scenarios in one launch. Schedules at
-    /// single-element granularity like [`Self::launch_blocks`].
+    /// One thread *block* per group of up to `group` consecutive elements
+    /// of an active segment; the segmented analogue of
+    /// [`Self::launch_blocks`], used for the batched TRON branch solves
+    /// spanning all scenarios in one launch, each block solving its group's
+    /// subproblems in lock-step. The groups are the buffer's consecutive
+    /// chunks of `group` elements, each cut where a segment ends, so a group
+    /// never spans two segments and never reaches into an inactive one. The
+    /// closure receives the *global* index of the group's first element and
+    /// the group. Scheduling backends fan out at single-group granularity,
+    /// and the launch is billed one block per live element, whatever the
+    /// grouping.
     pub fn launch_blocks_segments<T, F>(
         &self,
         name: &str,
         states: &mut DeviceBuffer<T>,
         seg_len: usize,
         active: &[bool],
+        group: usize,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, &mut [T]) + Sync,
     {
-        self.launch_segments_impl(name, states, seg_len, active, 1, f);
+        assert!(group > 0, "groups must be non-empty");
+        let start = check_segments(states, seg_len, active);
+        self.exec
+            .launch_groups(states.as_mut_slice(), seg_len, active, group, f);
+        self.bill(name, seg_len, active, start);
+    }
+
+    /// Bill a launch over the live elements of `active` that began at
+    /// `start`.
+    fn bill(&self, name: &str, seg_len: usize, active: &[bool], start: Instant) {
+        let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
+        self.stats.record_launch(name, live, start.elapsed());
     }
 
     /// Per-segment max-reduction over a scenario-major buffer: returns one
@@ -143,20 +139,24 @@ impl Device {
         T: Sync,
         F: Fn(usize, &T) -> f64 + Sync,
     {
-        assert!(seg_len > 0, "segments must be non-empty");
-        assert_eq!(
-            buf.len(),
-            seg_len * active.len(),
-            "buffer length must equal seg_len * segments"
-        );
-        let start = Instant::now();
+        let start = check_segments(buf, seg_len, active);
         let result = self
             .exec
             .reduce_max_segments(buf.as_slice(), seg_len, active, f);
-        let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
-        self.stats.record_launch(name, live, start.elapsed());
+        self.bill(name, seg_len, active, start);
         result
     }
+}
+
+/// Check a segmented launch's geometry; the launch starts now.
+fn check_segments<T>(buf: &DeviceBuffer<T>, seg_len: usize, active: &[bool]) -> Instant {
+    assert!(seg_len > 0, "segments must be non-empty");
+    assert_eq!(
+        buf.len(),
+        seg_len * active.len(),
+        "buffer length must equal seg_len * segments"
+    );
+    Instant::now()
 }
 
 /// A whole buffer as segments: one active segment, or none when empty.

@@ -22,16 +22,19 @@
 //!   are explicit and *counted*, so the paper's "no transfers during the
 //!   solve" claim becomes a checkable property (see the `transfer_audit`
 //!   experiment binary),
-//! * kernel-launch APIs (masked launches over scenario segments, per
-//!   element or per block, the whole-buffer `launch_map` / `launch_blocks`
-//!   as one segment, and the per-segment max-reduction) that record
-//!   per-kernel launch counts, block counts and elapsed time in
-//!   [`DeviceStats`]; a backend implements only the segmented launch and
-//!   the segmented reduction,
+//! * kernel-launch APIs (masked launches over scenario segments, one thread
+//!   per element or one block per group of up to `group` consecutive
+//!   elements of a segment — the lock-step TRON branch solves — the
+//!   whole-buffer `launch_map` / `launch_blocks` as one segment, and the
+//!   per-segment max-reduction) that record per-kernel launch counts, block
+//!   counts (one per live element, however grouped) and elapsed time in
+//!   [`DeviceStats`]; a backend implements only the segmented launch, the
+//!   group launch and the segmented reduction,
 //! * [`assert_device_conformance`] — the executable determinism contract:
-//!   every backend must be bitwise identical to the sequential one on both
-//!   operations, masked and unmasked, before [`ExecutionMode::Auto`] may
-//!   select it.
+//!   every backend must be bitwise identical to the sequential one on all
+//!   three operations, masked and unmasked, and its group launch must visit
+//!   each live element once, in groups that never cross a segment, before
+//!   [`ExecutionMode::Auto`] may select it.
 //!
 //! The algorithmic structure — what is a kernel, what runs per thread, what
 //! runs per block, what never leaves the device — is therefore identical to

@@ -66,10 +66,11 @@ pub struct SolveReport {
     /// Number of steps taken: `max_iter` when the budget ran out, `k` when
     /// iteration `k` converged, stalled or failed before stepping.
     pub iterations: usize,
-    /// Final scaled KKT error. Except at [`IpmStatus::MaxIterations`], whose
-    /// last step is taken after the last evaluation, it, the
-    /// `primal_infeasibility`, the `objective` and the last log record all
-    /// describe `x`.
+    /// Final scaled KKT error. It, the `primal_infeasibility`, the
+    /// `objective` and the last log record all describe `x`: a solve that
+    /// runs out of steps evaluates its final iterate once more, so a solve
+    /// of `N` steps logs `N + 1` records, as it does when it converges or
+    /// stalls.
     pub kkt_error: f64,
     /// Final primal infeasibility: the ∞-norm of `[c_E(x); c_I(x) + s]`.
     pub primal_infeasibility: f64,

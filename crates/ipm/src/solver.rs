@@ -585,8 +585,11 @@ impl IpmSolver {
         let mut log = Vec::new();
         let mut factorizations = 0usize;
         let mut delta_w_last = 0.0f64;
-        let (mut status, max_iter) = if hessian_ok {
-            (IpmStatus::MaxIterations, opts.max_iter)
+        // A solve that runs out of steps evaluates its final iterate once
+        // more, so that its report and last log record describe `x` as every
+        // other ending's do.
+        let (mut status, evaluations) = if hessian_ok {
+            (IpmStatus::MaxIterations, opts.max_iter + 1)
         } else {
             (IpmStatus::NumericalError, 0)
         };
@@ -601,7 +604,7 @@ impl IpmSolver {
 
         // `iterations` counts the steps taken, bumped wherever an iteration
         // moves the iterate.
-        'outer: for iter in 0..max_iter {
+        'outer: for iter in 0..evaluations {
             let x = &v[..nx];
 
             // --- evaluations ---
@@ -666,6 +669,10 @@ impl IpmSolver {
                 alpha_primal: 0.0,
                 delta_w: delta_w_last,
             });
+            if iter == opts.max_iter {
+                // The final iterate's evaluation: no step left to take.
+                break 'outer;
+            }
 
             // A NaN or infinite residual (a NaN load, a callback that
             // overflowed) has no Newton step worth taking.

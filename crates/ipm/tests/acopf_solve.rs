@@ -419,9 +419,10 @@ fn out_of_range_coordinates_are_rejected_before_the_first_iteration() {
     }
 }
 
-/// A solve that runs out of budget reports the steps it took: one per
-/// logged iteration, and `max_iter` in all. It used to report one fewer
-/// (`max_iter: 3` on case9 read 2 iterations over 3 factorizations).
+/// A solve that runs out of budget reports the steps it took: `max_iter`
+/// in all, one per factorization, with one log record per step plus the
+/// final iterate's. It used to report one fewer (`max_iter: 3` on case9
+/// read 2 iterations over 3 factorizations).
 #[test]
 fn iteration_budget_exhaustion_counts_every_step() {
     let net = gridsim_grid::case9().compile().unwrap();
@@ -433,7 +434,7 @@ fn iteration_budget_exhaustion_counts_every_step() {
         .solve(&AcopfNlp::new(&net));
         assert_eq!(report.status, IpmStatus::MaxIterations);
         assert_eq!(report.iterations, max_iter);
-        assert_eq!(report.log.len(), max_iter);
+        assert_eq!(report.log.len(), max_iter + 1);
         assert_eq!(report.factorizations, max_iter);
     }
 }
@@ -490,6 +491,41 @@ fn a_stalled_solve_reports_the_point_it_stopped_at() {
     assert!(
         ce_inf <= report.primal_infeasibility,
         "‖c_E(x)‖∞ {ce_inf} above the reported {}",
+        report.primal_infeasibility
+    );
+}
+
+/// A solve cut short by its step budget reports the point it stops at: the
+/// final iterate is evaluated once more, so its objective is the last log
+/// record's, bit for bit, the log holds one record per step plus that one,
+/// and the reported infeasibility bounds the final equality residuals.
+#[test]
+fn a_budget_cut_solve_describes_its_final_iterate() {
+    let net = gridsim_grid::case9().compile().unwrap();
+    let nlp = AcopfNlp::new(&net);
+    let report = IpmSolver::new(IpmOptions {
+        max_iter: 3,
+        ..Default::default()
+    })
+    .solve(&nlp);
+    assert_eq!(report.status, IpmStatus::MaxIterations);
+    assert_eq!(report.iterations, 3);
+    assert_eq!(report.log.len(), report.iterations + 1, "{:?}", report.log);
+    let last = report.log.last().expect("a logged solve");
+    assert_eq!(
+        report.objective.to_bits(),
+        last.objective.to_bits(),
+        "report objective {} vs last record {}",
+        report.objective,
+        last.objective
+    );
+    assert_eq!(last.primal_infeasibility, report.primal_infeasibility);
+    let mut ce = vec![0.0; nlp.num_eq()];
+    nlp.eq_constraints(&report.x, &mut ce);
+    let residual = ce.iter().fold(0.0f64, |m, c| m.max(c.abs()));
+    assert!(
+        residual <= report.primal_infeasibility,
+        "‖c_E(x)‖∞ = {residual} > {}",
         report.primal_infeasibility
     );
 }

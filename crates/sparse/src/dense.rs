@@ -7,7 +7,11 @@
 //! the heap, the way a GPU thread block works out of registers and shared
 //! memory. The one factorization, [`SmallMatrix::ldlt_solve_masked`], keeps
 //! the variables it holds in place as identity rows instead of gathering the
-//! others, so it has the caller's shape and inlines into it.
+//! others, so it has the caller's shape and inlines into it. The matrix and
+//! its factorization are generic over [`Real`], so the same code solves one
+//! block in `f64` or a lock-step group's blocks lane by lane.
+
+use crate::lanes::{Lanes, Mask, Real};
 
 /// Solve a 2x2 linear system `A x = b`. Returns `None` when `A` is singular.
 #[inline]
@@ -29,14 +33,15 @@ pub const MAX_DIM: usize = 8;
 /// inline in a fixed-capacity row-major array with row stride [`MAX_DIM`]:
 /// creating, cloning and dropping one never allocates, and entry `(i, j)`
 /// sits at a fixed offset whatever `n` is. Entries outside the leading
-/// `n × n` block stay zero.
+/// `n × n` block stay zero. An entry is one [`Real`]: an `f64`, or one
+/// matrix per lane of a lock-step group ([`Lanes`](crate::Lanes)).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SmallMatrix {
+pub struct SmallMatrix<T = f64> {
     n: usize,
-    data: [f64; MAX_DIM * MAX_DIM],
+    data: [T; MAX_DIM * MAX_DIM],
 }
 
-impl SmallMatrix {
+impl<T: Real> SmallMatrix<T> {
     /// Zero matrix of dimension `n`. Panics when `n` exceeds [`MAX_DIM`].
     #[inline]
     pub fn zeros(n: usize) -> Self {
@@ -46,34 +51,17 @@ impl SmallMatrix {
         );
         SmallMatrix {
             n,
-            data: [0.0; MAX_DIM * MAX_DIM],
-        }
-    }
-
-    /// Reset every entry to zero.
-    #[inline]
-    pub fn set_zero(&mut self) {
-        self.data = [0.0; MAX_DIM * MAX_DIM];
-    }
-
-    /// Matrix-vector product `y = A x`.
-    #[inline]
-    pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.n);
-        debug_assert_eq!(y.len(), self.n);
-        // The trip counts come from the slices, not from `self.n`, so a
-        // caller whose vectors have a compile-time length gets both loops
-        // unrolled; `zip` stops each row after its `x.len()` real entries.
-        for (yi, row) in y.iter_mut().zip(self.data.chunks_exact(MAX_DIM)) {
-            *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
+            data: [T::splat(0.0); MAX_DIM * MAX_DIM],
         }
     }
 
     /// Solve `H_FF d_F = b_F` on the variables `free` marks by a
     /// square-root-free LDLᵀ factor; `d` is `+0.0` on the held variables.
-    /// `None` when a pivot is not positive and finite (not positive
-    /// definite, NaN, or an overflowed `+∞`).
+    /// The mask is false where a pivot is not positive and finite (not
+    /// positive definite, NaN, or an overflowed `+∞`); `d` is then garbage.
     /// Reads only the free block's lower triangle and `b`'s free entries.
+    /// On [`Lanes`](crate::Lanes) each lane is its own solve, bit for bit,
+    /// and a refusal in one lane leaves the others going.
     ///
     /// A pivot is `+∞` only where its diagonal entry is: each step
     /// subtracts `L_jk² D_k ≥ 0` (or NaN) from the diagonal. So a `+∞` on
@@ -90,41 +78,43 @@ impl SmallMatrix {
     /// no pivot's division lies on the next pivot's path. Every term a held
     /// variable adds is an exact `+0.0 · +0.0`, and `x − (+0.0)` is `x`: a
     /// block refuses exactly when the gathered free block would, and a
-    /// finite solution is bitwise that block's. Always inlined: as a hint,
-    /// the branch solve kept it out of line, its loops running to a runtime
-    /// `n`.
+    /// finite solution is bitwise that block's. The solve stops early only
+    /// once every lane has refused. Always inlined: as a hint, the branch
+    /// solve kept it out of line, its loops running to a runtime `n`.
     #[inline(always)]
-    pub fn ldlt_solve_masked(&self, free: &[bool], b: &[f64]) -> Option<[f64; MAX_DIM]> {
+    pub fn ldlt_solve_masked(&self, free: &[T::Mask], b: &[T]) -> ([T; MAX_DIM], T::Mask) {
         let n = free.len();
         debug_assert!(n == self.n && b.len() == n);
-        let mut a = SmallMatrix::zeros(n);
-        let mut x = [0.0; MAX_DIM];
+        let (zero, one) = (T::splat(0.0), T::splat(1.0));
+        let mut a = SmallMatrix::<T>::zeros(n);
+        let mut x = [zero; MAX_DIM];
+        let mut ok = T::Mask::splat(true);
         for i in 0..n {
             for j in 0..i {
-                if free[i] && free[j] {
-                    a[(i, j)] = self[(i, j)];
-                }
+                a[(i, j)] = T::select(free[i] & free[j], self[(i, j)], zero);
             }
-            a[(i, i)] = if free[i] { self[(i, i)] } else { 1.0 };
-            x[i] = if free[i] { b[i] } else { 0.0 };
+            a[(i, i)] = T::select(free[i], self[(i, i)], one);
+            x[i] = T::select(free[i], b[i], zero);
+            ok &= !a[(i, i)].equal(T::splat(f64::INFINITY));
         }
-        if (0..n).any(|i| a[(i, i)] == f64::INFINITY) {
-            return None;
+        if !ok.any() {
+            return (x, ok);
         }
         for j in 0..n {
             // Entry (k, j) above the diagonal is L_jk D_k, written by column k.
             let mut d = a[(j, j)];
             for k in 0..j {
-                d -= a[(j, k)] * a[(k, j)];
+                d = d - a[(j, k)] * a[(k, j)];
             }
-            if d.is_nan() || d <= 0.0 {
-                return None;
+            ok &= !(d.is_nan() | d.less_eq(zero));
+            if !ok.any() {
+                return (x, ok);
             }
             a[(j, j)] = d;
             for i in j + 1..n {
                 let mut v = a[(i, j)];
                 for k in 0..j {
-                    v -= a[(i, k)] * a[(k, j)];
+                    v = v - a[(i, k)] * a[(k, j)];
                 }
                 a[(j, i)] = v;
                 a[(i, j)] = v / d;
@@ -134,7 +124,7 @@ impl SmallMatrix {
         for i in 0..n {
             let mut v = x[i];
             for k in 0..i {
-                v -= a[(i, k)] * x[k];
+                v = v - a[(i, k)] * x[k];
             }
             x[i] = v;
         }
@@ -143,48 +133,86 @@ impl SmallMatrix {
         for i in (0..n).rev() {
             let mut v = x[i] / a[(i, i)];
             for k in (i + 1..n).rev() {
-                v -= a[(k, i)] * x[k];
+                v = v - a[(k, i)] * x[k];
             }
             x[i] = v;
         }
-        Some(x)
+        (x, ok)
     }
 }
 
-impl std::ops::Index<(usize, usize)> for SmallMatrix {
-    type Output = f64;
+impl SmallMatrix {
+    /// Matrix-vector product `y = A x`.
     #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
+    pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
+        debug_assert_eq!(x.len(), self.n);
+        debug_assert_eq!(y.len(), self.n);
+        // The trip counts come from the slices, not from `self.n`, so a
+        // caller whose vectors have a compile-time length gets both loops
+        // unrolled; `zip` stops each row after its `x.len()` real entries.
+        for (yi, row) in y.iter_mut().zip(self.data.chunks_exact(MAX_DIM)) {
+            *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
+        }
+    }
+}
+
+impl SmallMatrix<Lanes> {
+    /// Lane `k`'s matrix.
+    #[inline]
+    pub fn lane(&self, k: usize) -> SmallMatrix {
+        let mut lane = SmallMatrix::zeros(self.n);
+        for i in 0..self.n {
+            for j in 0..self.n {
+                lane[(i, j)] = self[(i, j)].0[k];
+            }
+        }
+        lane
+    }
+}
+
+impl<T> std::ops::Index<(usize, usize)> for SmallMatrix<T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, (i, j): (usize, usize)) -> &T {
         debug_assert!(i < self.n && j < self.n);
         &self.data[i * MAX_DIM + j]
     }
 }
 
-impl std::ops::IndexMut<(usize, usize)> for SmallMatrix {
+impl<T> std::ops::IndexMut<(usize, usize)> for SmallMatrix<T> {
     #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut T {
         debug_assert!(i < self.n && j < self.n);
         &mut self.data[i * MAX_DIM + j]
     }
 }
 
-/// Dot product.
+/// Dot product, summed in index order from `-0.0` (as `f64`'s `Sum` does).
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter()
+        .zip(b)
+        .fold(T::splat(-0.0), |sum, (&x, &y)| sum + x * y)
 }
 
 /// Euclidean norm.
 #[inline]
-pub fn norm2(a: &[f64]) -> f64 {
+pub fn norm2<T: Real>(a: &[T]) -> T {
     dot(a, a).sqrt()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::{LaneMask, LANES};
     use proptest::prelude::*;
+
+    /// The scalar solve as an `Option`: `None` when a pivot refuses.
+    fn scalar_solve(m: &SmallMatrix, free: &[bool], b: &[f64]) -> Option<[f64; MAX_DIM]> {
+        let (x, ok) = m.ldlt_solve_masked(free, b);
+        ok.then_some(x)
+    }
 
     fn identity(n: usize) -> SmallMatrix {
         let mut m = SmallMatrix::zeros(n);
@@ -218,18 +246,14 @@ mod tests {
             }
         }
         let b = [1.0, 2.0, 3.0];
-        let x = m
-            .ldlt_solve_masked(&[true; 3], &b)
-            .expect("positive definite");
+        let x = scalar_solve(&m, &[true; 3], &b).expect("positive definite");
         let mut r = [0.0; 3];
         m.mul_vec(&x[..3], &mut r);
         for i in 0..3 {
             assert!((r[i] - b[i]).abs() < 1e-12);
         }
         // Holding the middle variable solves the outer 2×2 block.
-        let x = m
-            .ldlt_solve_masked(&[true, false, true], &b)
-            .expect("positive definite");
+        let x = scalar_solve(&m, &[true, false, true], &b).expect("positive definite");
         assert_eq!(x[1].to_bits(), 0.0f64.to_bits());
         assert!((4.0 * x[0] - b[0]).abs() < 1e-12 && (5.0 * x[2] - b[2]).abs() < 1e-12);
     }
@@ -238,14 +262,14 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let mut m = identity(2);
         m[(1, 1)] = -1.0;
-        assert_eq!(m.ldlt_solve_masked(&[true; 2], &[1.0; 2]), None);
+        assert_eq!(scalar_solve(&m, &[true; 2], &[1.0; 2]), None);
         // A NaN pivot is no positive pivot: `NaN <= 0.0` is false too.
         let mut m = identity(3);
         m[(1, 1)] = f64::NAN;
-        assert_eq!(m.ldlt_solve_masked(&[true; 3], &[1.0; 3]), None);
+        assert_eq!(scalar_solve(&m, &[true; 3], &[1.0; 3]), None);
         // Held, the same entries are never read.
         assert_eq!(
-            m.ldlt_solve_masked(&[true, false, true], &[1.0; 3]),
+            scalar_solve(&m, &[true, false, true], &[1.0; 3]),
             Some([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         );
     }
@@ -335,7 +359,11 @@ mod tests {
         /// and with NaN garbage in the held rows and columns, the upper
         /// triangle and the held entries of `b`: the masked solve refuses
         /// exactly when the gathered solve does, and their solutions are
-        /// bitwise equal (or both have a non-finite entry).
+        /// bitwise equal (or both have a non-finite entry). The same case in
+        /// one lane of a lock-step solve, beside partner lanes holding the
+        /// same block, its held variables freed and its free ones held, its
+        /// negation or a NaN right-hand side, refuses and solves exactly as
+        /// it does alone, and so does each partner.
         #[test]
         fn masked_solve_is_bitwise_the_gathered_solve(
             n in 1..=MAX_DIM,
@@ -348,6 +376,8 @@ mod tests {
             at_i in 0..MAX_DIM,
             at_j in 0..MAX_DIM,
             garbage in 0..2usize,
+            partner in 0..4usize,
+            slot in 0..LANES,
         ) {
             let free: Vec<bool> = (0..n)
                 .map(|i| match mask_kind {
@@ -401,7 +431,7 @@ mod tests {
                     }
                 }
             }
-            let masked = h.ldlt_solve_masked(&free, &b);
+            let masked = scalar_solve(&h, &free, &b);
             let gathered = gathered_ldlt_solve(&h, &free, &b);
             prop_assert_eq!(outcome(masked), outcome(gathered));
             if poisoned && (5..=7).contains(&poison) {
@@ -414,6 +444,35 @@ mod tests {
                 for r in (0..n).filter(|&r| !free[r]) {
                     prop_assert!(!x[r].is_finite() || x[r].to_bits() == 0, "held x[{}] = {}", r, x[r]);
                 }
+            }
+
+            let (mut other_h, mut other_free, mut other_b) = (h.clone(), free.clone(), b.clone());
+            match partner {
+                1 => other_free.iter_mut().for_each(|f| *f = !*f),
+                2 => {
+                    for r in 0..n {
+                        for s in 0..n {
+                            other_h[(r, s)] = -h[(r, s)];
+                        }
+                    }
+                }
+                3 => other_b.iter_mut().for_each(|v| *v = f64::NAN),
+                _ => {}
+            }
+            let pick = |k: usize| if k == slot { (&h, &free, &b) } else { (&other_h, &other_free, &other_b) };
+            let mut lanes = SmallMatrix::<Lanes>::zeros(n);
+            for r in 0..n {
+                for s in 0..n {
+                    lanes[(r, s)] = Lanes::from_fn(|k| pick(k).0[(r, s)]);
+                }
+            }
+            let lane_free: Vec<LaneMask> = (0..n).map(|i| LaneMask::from_fn(|k| pick(k).1[i])).collect();
+            let lane_b: Vec<Lanes> = (0..n).map(|i| Lanes::from_fn(|k| pick(k).2[i])).collect();
+            let (x, ok) = lanes.ldlt_solve_masked(&lane_free, &lane_b);
+            for k in 0..LANES {
+                let (hk, fk, bk) = pick(k);
+                let lane = ok.lane(k).then(|| std::array::from_fn(|i| x[i].0[k]));
+                prop_assert_eq!(outcome(lane), outcome(scalar_solve(hk, fk, bk)), "lane {}", k);
             }
         }
     }
@@ -428,7 +487,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 8x8")]
     fn dimension_above_capacity_panics() {
-        let _ = SmallMatrix::zeros(MAX_DIM + 1);
+        let _ = SmallMatrix::<f64>::zeros(MAX_DIM + 1);
     }
 
     #[test]

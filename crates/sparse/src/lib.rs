@@ -23,7 +23,9 @@
 //!   speedup the interior-point baseline exploits). A fresh factorization is
 //!   the same analysis followed by the same refactorization,
 //! * and small dense kernels ([`SmallMatrix`], [`dot`], [`norm2`]) shared
-//!   with the batch TRON solver.
+//!   with the batch TRON solver, generic over [`Real`] so that the branch
+//!   kernel runs them on one `f64` or on [`Lanes`] — [`LANES`] subproblems
+//!   in lock-step, each lane bitwise its own scalar solve.
 //!
 //! The crate is a leaf: it depends on nothing, not even the batch device
 //! the ADMM kernels launch on — the interior-point baseline is host code.
@@ -33,6 +35,7 @@
 mod coo;
 mod csc;
 mod dense;
+mod lanes;
 mod ldl;
 mod ordering;
 mod refactor;
@@ -40,6 +43,7 @@ mod refactor;
 pub use coo::Coo;
 pub use csc::{Csc, CscPattern};
 pub use dense::{dot, norm2, solve2, SmallMatrix, MAX_DIM};
+pub use lanes::{LaneMask, Lanes, Mask, Real, LANES};
 pub use ldl::{LdlFactor, LdlOptions};
 pub use ordering::Ordering;
 pub use refactor::LdlSymbolic;

@@ -28,6 +28,16 @@
 //!   the faces of the box ([`Face`], [`subspace_step`]:
 //!   Moré–Sorensen's iteration on the shifted block `H_FF + λI`, factored
 //!   the same way), each with its own projected search,
+//! * [`TronSolver::solve_lanes`] — the same iteration on a lock-step group
+//!   of problems, one per lane of [`gridsim_sparse::Lanes`] (two `f64`s, a
+//!   128-bit vector register): [`BoundProblem`] is generic over its value
+//!   type, so a problem written once evaluates one instance in `f64` or a
+//!   group lane by lane, and the direct step, the acceptance test and the
+//!   radius update are the same generic code as the scalar solve's. A lane
+//!   whose direct step is refused takes that iteration's step from the
+//!   scalar Cauchy and subspace path and rejoins the group; each lane's
+//!   result is bitwise [`TronSolver::solve_in_place`]'s on its problem. The
+//!   scalar solve stays the general solver, the fallback and the oracle,
 //! * [`solve_batch_from_host`] — a batch front-end that solves one problem per simulated
 //!   thread block on a [`gridsim_batch::Device`].
 //!

@@ -1,6 +1,6 @@
 //! Problem interface for small dense bound-constrained problems.
 
-use gridsim_sparse::{SmallMatrix, MAX_DIM};
+use gridsim_sparse::{Real, SmallMatrix, MAX_DIM};
 
 /// A small, dense, twice-differentiable problem with simple bounds:
 /// `min f(x)  s.t.  l <= x <= u`, with at most [`MAX_DIM`] variables.
@@ -11,27 +11,35 @@ use gridsim_sparse::{SmallMatrix, MAX_DIM};
 /// allocate either: they read `x` and write into the caller's `g` and `h`.
 /// Mark `dim` `#[inline]` and return a constant from it where the dimension
 /// is fixed — the solver's loops then unroll for that dimension.
-pub trait BoundProblem {
+///
+/// `T` is the value type: `f64` for one problem, and
+/// [`Lanes`](gridsim_sparse::Lanes) for a lock-step group of problems
+/// ([`TronSolver::solve_lanes`](crate::TronSolver::solve_lanes)), one per
+/// lane, where each lane's value must be bitwise the `f64` problem's.
+pub trait BoundProblem<T: Real = f64> {
     /// Number of variables (at most [`MAX_DIM`]).
     fn dim(&self) -> usize;
 
     /// Lower bound of variable `i`.
-    fn lower(&self, i: usize) -> f64;
+    fn lower(&self, i: usize) -> T;
 
     /// Upper bound of variable `i`.
-    fn upper(&self, i: usize) -> f64;
+    fn upper(&self, i: usize) -> T;
 
     /// Objective value at `x`.
-    fn objective(&self, x: &[f64]) -> f64;
+    fn objective(&self, x: &[T]) -> T;
 
     /// Gradient and dense Hessian at `x`, written into `g` and `h` (both of
     /// dimension [`Self::dim`]). TRON only ever needs the two together at
     /// the same point, so one call lets an implementation share every
     /// intermediate between them.
-    fn derivatives(&self, x: &[f64], g: &mut [f64], h: &mut SmallMatrix);
+    fn derivatives(&self, x: &[T], g: &mut [T], h: &mut SmallMatrix<T>);
 
-    /// Project a point onto the bound box in place.
-    fn project(&self, x: &mut [f64]) {
+    /// Project a point onto the bound box in place. Always inlined, like
+    /// [`Self::projected_gradient_norm`]: as hints, both kept out-of-line
+    /// copies in the branch kernel.
+    #[inline(always)]
+    fn project(&self, x: &mut [T]) {
         for (i, xi) in x.iter_mut().enumerate() {
             *xi = xi.clamp(self.lower(i), self.upper(i));
         }
@@ -41,13 +49,12 @@ pub trait BoundProblem {
     /// `|| P[x - g] - x ||_inf`, the first-order optimality measure for bound
     /// constraints. A NaN entry makes the norm NaN (`f64::max` would drop it
     /// and let a NaN gradient read as converged).
-    fn projected_gradient_norm(&self, x: &[f64], g: &[f64]) -> f64 {
-        let mut norm: f64 = 0.0;
+    #[inline(always)]
+    fn projected_gradient_norm(&self, x: &[T], g: &[T]) -> T {
+        let mut norm = T::splat(0.0);
         for i in 0..self.dim() {
             let step = ((x[i] - g[i]).clamp(self.lower(i), self.upper(i)) - x[i]).abs();
-            if step > norm || step.is_nan() {
-                norm = step;
-            }
+            norm = T::select(step.greater(norm) | step.is_nan(), step, norm);
         }
         norm
     }

@@ -28,7 +28,7 @@
 
 use crate::cauchy::{cauchy_point, model_value};
 use crate::problem::BoundProblem;
-use gridsim_sparse::{dot, norm2, SmallMatrix, MAX_DIM};
+use gridsim_sparse::{dot, norm2, LaneMask, Lanes, Mask, Real, SmallMatrix, LANES, MAX_DIM};
 
 /// Options for the TRON solver.
 #[derive(Debug, Clone)]
@@ -182,8 +182,7 @@ impl TronSolver {
         let mut f = problem.objective(x);
         problem.derivatives(x, g, &mut h);
 
-        let gnorm0 = g.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let mut delta = self.opts.initial_delta.unwrap_or_else(|| gnorm0.max(1.0));
+        let mut delta = self.opts.initial_delta.unwrap_or_else(|| norm2(g).max(1.0));
         let mut pg_norm = problem.projected_gradient_norm(x, g);
         let (mut rejected, mut direct) = (0, 0);
         let summary = |f: f64, pg_norm: f64, iterations, rejected, direct, status| TronSummary {
@@ -205,52 +204,24 @@ impl TronSolver {
 
             // --- direct step, else Cauchy point and subspace refinement ---
             let (step, q_step) = match direct_step(problem, x, g, &h, delta) {
-                Some(taken) => {
+                (step, q_step, true) => {
                     direct += 1;
-                    taken
+                    (step, q_step)
                 }
-                None => cauchy_then_subspace(problem, x, g, &h, delta),
+                _ => cauchy_then_subspace(problem, x, g, &h, delta),
             };
 
-            // --- acceptance test ---
-            let step = &step[..n];
-            let pred = -q_step;
-            let mut x_trial = [0.0; MAX_DIM];
-            let x_trial = &mut x_trial[..n];
-            for i in 0..n {
-                x_trial[i] = x[i] + step[i];
-            }
-            problem.project(x_trial);
-            let f_trial = problem.objective(x_trial);
-            let ared = f - f_trial;
-            let step_norm = step.iter().map(|s| s * s).sum::<f64>().sqrt();
-            let noise = FTOL * f.abs().max(1.0);
-            let rho = if ared.abs() <= noise && pred <= noise {
-                // Below the objective's resolution: take the model's word.
-                1.0
-            } else if pred > 0.0 {
-                ared / pred
-            } else {
-                ared.signum()
-            };
-
-            if rho > ETA {
-                x.copy_from_slice(x_trial);
-                f = f_trial;
+            // --- acceptance test and radius update ---
+            let trial = judge(problem, x, f, &step[..n], q_step, delta);
+            if trial.rho > ETA {
+                x.copy_from_slice(&trial.x[..n]);
+                f = trial.f;
                 problem.derivatives(x, g, &mut h);
                 pg_norm = problem.projected_gradient_norm(x, g);
             } else {
                 rejected += 1;
             }
-
-            // Trust-region radius update. A failed step shrinks the region
-            // relative to itself (Lin & Moré), so that a rejected interior
-            // step is not recomputed unchanged.
-            if rho < 0.25 {
-                delta = 0.25 * step_norm.min(delta);
-            } else if rho > 0.75 && step_norm > 0.9 * delta {
-                delta = (2.0 * delta).min(1e6);
-            }
+            delta = trial.delta;
         }
 
         let status = if pg_norm <= self.opts.gtol {
@@ -260,10 +231,212 @@ impl TronSolver {
         };
         summary(f, pg_norm, self.opts.max_iter, rejected, direct, status)
     }
+
+    /// Minimize [`LANES`] problems in lock-step, leaving each lane's final
+    /// iterate in its lane of `x`: `problem` holds them one per lane, and
+    /// `lanes[k]` is lane `k`'s problem on its own. Performs no heap
+    /// allocation.
+    ///
+    /// Each lane runs [`Self::solve_in_place`]'s iteration on its own
+    /// data, and its summary and iterate are bitwise what that solve of
+    /// `lanes[k]` returns: the evaluations, the direct step, the acceptance
+    /// test and the radius update are the same generic code on
+    /// [`Lanes`], and a lane whose direct step is refused takes that
+    /// iteration's step from the scalar Cauchy and subspace path, on its own
+    /// state, before the lanes judge their steps together. A lane that
+    /// converges or collapses stops counting and stays where it is; the
+    /// solve ends once no lane is left.
+    ///
+    /// Lanes from `lanes.len()` on are padding: they start finished and
+    /// their work and summaries mean nothing. Put a copy of a live lane
+    /// there, so that they compute on ordinary numbers.
+    ///
+    /// Panics when `problem.dim()` exceeds [`MAX_DIM`] or differs from
+    /// `x.len()`, or when `lanes` is empty or longer than [`LANES`].
+    pub fn solve_lanes<P, Q>(
+        &self,
+        problem: &P,
+        lanes: &[Q],
+        x: &mut [Lanes],
+    ) -> [TronSummary; LANES]
+    where
+        P: BoundProblem<Lanes>,
+        Q: BoundProblem,
+    {
+        let n = problem.dim();
+        assert!(
+            n <= MAX_DIM,
+            "TRON solves problems of at most {MAX_DIM} variables, got dim() = {n}"
+        );
+        assert_eq!(x.len(), n);
+        assert!(
+            (1..=LANES).contains(&lanes.len()),
+            "a lock-step solve takes 1 to {LANES} lanes, got {}",
+            lanes.len()
+        );
+        problem.project(x);
+
+        let mut g = [Lanes::splat(0.0); MAX_DIM];
+        let g = &mut g[..n];
+        let mut h = SmallMatrix::zeros(n);
+        let mut f = problem.objective(x);
+        problem.derivatives(x, g, &mut h);
+
+        let mut delta = match self.opts.initial_delta {
+            Some(delta) => Lanes::splat(delta),
+            None => norm2(g).max(Lanes::splat(1.0)),
+        };
+        let mut pg_norm = problem.projected_gradient_norm(x, g);
+        let gtol = Lanes::splat(self.opts.gtol);
+        let (mut rejected, mut direct) = ([0; LANES], [0; LANES]);
+        // A lane's iteration count and status once it stops; its `x`, `f`
+        // and `pg_norm` stay as they are from then on.
+        let mut ended = [None; LANES];
+        let mut done = LaneMask::from_fn(|k| k >= lanes.len());
+
+        for iter in 0..self.opts.max_iter {
+            let converged = pg_norm.less_eq(gtol);
+            let collapsed = delta.less(Lanes::splat(1e-14));
+            for k in (0..LANES).filter(|&k| !done.lane(k)) {
+                if converged.lane(k) {
+                    ended[k] = Some((iter, TronStatus::Converged));
+                } else if collapsed.lane(k) {
+                    ended[k] = Some((iter, TronStatus::SmallStep));
+                }
+            }
+            done |= converged | collapsed;
+            if done.all() {
+                break;
+            }
+
+            // --- direct step, else this lane's Cauchy point and subspace
+            // refinement ---
+            let (mut step, mut q_step, taken) = direct_step(problem, x, g, &h, delta);
+            for k in (0..LANES).filter(|&k| !done.lane(k)) {
+                if taken.lane(k) {
+                    direct[k] += 1;
+                    continue;
+                }
+                let (mut xk, mut gk) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
+                for i in 0..n {
+                    (xk[i], gk[i]) = (x[i].0[k], g[i].0[k]);
+                }
+                let (sk, qk) =
+                    cauchy_then_subspace(&lanes[k], &xk[..n], &gk[..n], &h.lane(k), delta.0[k]);
+                for i in 0..n {
+                    step[i].0[k] = sk[i];
+                }
+                q_step.0[k] = qk;
+            }
+
+            // --- acceptance test and radius update ---
+            let trial = judge(problem, x, f, &step[..n], q_step, delta);
+            let accept = !done & trial.rho.greater(Lanes::splat(ETA));
+            for k in (0..LANES).filter(|&k| !done.lane(k) && !accept.lane(k)) {
+                rejected[k] += 1;
+            }
+            if accept.any() {
+                // A lane that keeps its point gets back the derivatives it
+                // has: the evaluation is a function of the point alone.
+                for (xi, trial_xi) in x.iter_mut().zip(trial.x) {
+                    *xi = Lanes::select(accept, trial_xi, *xi);
+                }
+                f = Lanes::select(accept, trial.f, f);
+                problem.derivatives(x, g, &mut h);
+                pg_norm = problem.projected_gradient_norm(x, g);
+            }
+            delta = trial.delta;
+        }
+
+        let mut summaries = [TronSummary {
+            objective: 0.0,
+            pg_norm: 0.0,
+            iterations: 0,
+            rejected: 0,
+            direct: 0,
+            status: TronStatus::MaxIter,
+        }; LANES];
+        for (k, summary) in summaries.iter_mut().enumerate() {
+            let (iterations, status) = ended[k].unwrap_or_else(|| {
+                let converged = pg_norm.0[k] <= self.opts.gtol;
+                let status = if converged {
+                    TronStatus::Converged
+                } else {
+                    TronStatus::MaxIter
+                };
+                (self.opts.max_iter, status)
+            });
+            *summary = TronSummary {
+                objective: f.0[k],
+                pg_norm: pg_norm.0[k],
+                iterations,
+                rejected: rejected[k],
+                direct: direct[k],
+                status,
+            };
+        }
+        summaries
+    }
 }
 
-/// The direct step at `x` and its model value, when it is taken; `None`
-/// sends the iteration down [`cauchy_then_subspace`].
+/// An iteration's trial point `P[x + s]` and its objective, the reduction
+/// ratio `ρ = ared / pred` that decides whether it is taken, and the radius
+/// the iteration leaves.
+struct Trial<T> {
+    x: [T; MAX_DIM],
+    f: T,
+    rho: T,
+    delta: T,
+}
+
+/// Judge the step `step` (model value `q_step`) from `x` (objective `f`)
+/// in a region of radius `delta`. When both the actual and the predicted
+/// reduction are below the resolution of the objective ([`FTOL`]), their
+/// ratio is rounding noise and `ρ` is 1: the model's word is taken. The
+/// radius shrinks after a poor step relative to the step itself (Lin &
+/// Moré), so that a rejected interior step is not recomputed unchanged, and
+/// doubles after a good step that reached the boundary.
+#[inline(always)]
+fn judge<T: Real, P: BoundProblem<T>>(
+    problem: &P,
+    x: &[T],
+    f: T,
+    step: &[T],
+    q_step: T,
+    delta: T,
+) -> Trial<T> {
+    let n = problem.dim();
+    let (zero, one) = (T::splat(0.0), T::splat(1.0));
+    let pred = -q_step;
+    let mut x_trial = [zero; MAX_DIM];
+    for i in 0..n {
+        x_trial[i] = x[i] + step[i];
+    }
+    problem.project(&mut x_trial[..n]);
+    let f_trial = problem.objective(&x_trial[..n]);
+    let ared = f - f_trial;
+    let step_norm = norm2(step);
+    let noise = T::splat(FTOL) * f.abs().max(one);
+    let ratio = T::select(pred.greater(zero), ared / pred, ared.signum());
+    let rho = T::select(ared.abs().less_eq(noise) & pred.less_eq(noise), one, ratio);
+    let quarter = T::splat(0.25);
+    let grown = T::select(
+        rho.greater(T::splat(0.75)) & step_norm.greater(T::splat(0.9) * delta),
+        (T::splat(2.0) * delta).min(T::splat(1e6)),
+        delta,
+    );
+    let delta = T::select(rho.less(quarter), quarter * step_norm.min(delta), grown);
+    Trial {
+        x: x_trial,
+        f: f_trial,
+        rho,
+        delta,
+    }
+}
+
+/// The direct step at `x`, its model value, and whether it is taken (per
+/// lane); a refused step is garbage, and sends the iteration down
+/// [`cauchy_then_subspace`].
 ///
 /// The free set `F` is the variables strictly inside their bounds (by the
 /// subspace step's 1e-12 margin); every other variable is *held* and must
@@ -283,33 +456,38 @@ impl TronSolver {
 /// of a step. In exact arithmetic the Cauchy point, the subspace step from
 /// it and an untruncated line search reach the same `d`.
 #[inline]
-fn direct_step<P: BoundProblem>(
+fn direct_step<T: Real, P: BoundProblem<T>>(
     problem: &P,
-    x: &[f64],
-    g: &[f64],
-    h: &SmallMatrix,
-    delta: f64,
-) -> Option<([f64; MAX_DIM], f64)> {
+    x: &[T],
+    g: &[T],
+    h: &SmallMatrix<T>,
+    delta: T,
+) -> ([T; MAX_DIM], T, T::Mask) {
     let n = problem.dim();
-    let (mut rhs, mut free) = ([0.0; MAX_DIM], [false; MAX_DIM]);
+    let (zero, margin) = (T::splat(0.0), T::splat(1e-12));
+    let (mut rhs, mut free) = ([zero; MAX_DIM], [T::Mask::splat(false); MAX_DIM]);
+    let mut taken = T::Mask::splat(true);
     for i in 0..n {
         let (l, u) = (problem.lower(i), problem.upper(i));
-        free[i] = x[i] > l + 1e-12 && x[i] < u - 1e-12;
-        if !free[i] && (x[i] - g[i]).clamp(l, u) != x[i] {
-            return None;
-        }
+        free[i] = x[i].greater(l + margin) & x[i].less(u - margin);
+        taken &= free[i] | (x[i] - g[i]).clamp(l, u).equal(x[i]);
         rhs[i] = -g[i];
     }
-    let d = newton_step(h, &rhs[..n], &free[..n], delta)?;
-    let mut gd = 0.0;
-    for i in (0..n).filter(|&i| free[i]) {
-        let xi = x[i] + d[i];
-        if !(xi > problem.lower(i) && xi < problem.upper(i)) {
-            return None;
-        }
-        gd += g[i] * d[i];
+    if !taken.any() {
+        return (rhs, zero, taken);
     }
-    Some((d, 0.5 * gd))
+    let (d, solved) = newton_step(h, &rhs[..n], &free[..n], delta);
+    taken &= solved;
+    if !taken.any() {
+        return (d, zero, taken);
+    }
+    let mut gd = zero;
+    for i in 0..n {
+        let xi = x[i] + d[i];
+        taken &= !free[i] | (xi.greater(problem.lower(i)) & xi.less(problem.upper(i)));
+        gd = T::select(free[i], gd + g[i] * d[i], gd);
+    }
+    (d, T::splat(0.5) * gd, taken)
 }
 
 /// TRON's globalised step for the iterations [`direct_step`] refuses, with
@@ -345,7 +523,7 @@ fn cauchy_then_subspace<P: BoundProblem>(
     let cauchy_norm2 = dot(&step[..n], &step[..n]);
     let remaining = (delta * delta - cauchy_norm2).max(0.0).sqrt();
     if remaining > 1e-14 && free.iter().any(|&fr| fr) {
-        if let Some(w) = newton_step(h, rhs, free, remaining) {
+        if let (w, true) = newton_step(h, rhs, free, remaining) {
             projected_search(problem, x, g, h, &w, &mut step, &mut q_step);
         } else {
             face_steps(problem, x, g, h, delta, &mut step, &mut q_step);
@@ -468,7 +646,10 @@ impl Face {
 /// is taken; every other block goes to `shifted_step`.
 #[inline]
 pub fn subspace_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64; MAX_DIM] {
-    newton_step(h, rhs, free, delta).unwrap_or_else(|| shifted_step(h, rhs, free, delta))
+    match newton_step(h, rhs, free, delta) {
+        (d, true) => d,
+        _ => shifted_step(h, rhs, free, delta),
+    }
 }
 
 /// Moré–Sorensen's iteration for the blocks [`newton_step`] refuses:
@@ -522,7 +703,10 @@ fn shifted_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64
         }
         // A refusal depends on the matrix alone, so once `b` is solved every
         // other right-hand side is too.
-        let solve = |v: &[f64]| shifted.ldlt_solve_masked(free, v);
+        let solve = |v: &[f64]| {
+            let (x, solved) = shifted.ldlt_solve_masked(free, v);
+            solved.then_some(x)
+        };
         let Some(mut d) = solve(b) else {
             lo = lambda;
             if hi <= lo {
@@ -585,18 +769,24 @@ fn boundary_step(d: &[f64], p: &[f64], delta: f64) -> f64 {
     room / (dp + (dp * dp + pp * room).sqrt())
 }
 
-/// `d = H_FF⁻¹ rhs_F` on the free variables `F`, zero elsewhere, when the
-/// free block's LDLᵀ factor exists and `‖d‖ < delta` (strictly, so that a
-/// step on the boundary is [`shifted_step`]'s); `None` otherwise. The
+/// `d = H_FF⁻¹ rhs_F` on the free variables `F`, zero elsewhere, and
+/// whether it is taken: when the free block's LDLᵀ factor exists and
+/// `‖d‖ < delta` (strictly, so that a step on the boundary is
+/// [`shifted_step`]'s). The
 /// factor is [`SmallMatrix::ldlt_solve_masked`], which keeps the held
 /// variables in place as identity rows, so where `problem.dim()` is a
 /// constant it runs at that fixed shape; always inlined, so that the
 /// constant reaches it. Reads the lower triangle of the free block of `h`.
 #[inline(always)]
-fn newton_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> Option<[f64; MAX_DIM]> {
-    let d = h.ldlt_solve_masked(free, rhs)?;
+fn newton_step<T: Real>(
+    h: &SmallMatrix<T>,
+    rhs: &[T],
+    free: &[T::Mask],
+    delta: T,
+) -> ([T; MAX_DIM], T::Mask) {
+    let (d, solved) = h.ldlt_solve_masked(free, rhs);
     // False for a NaN norm too.
-    (norm2(&d[..free.len()]) < delta).then_some(d)
+    (d, solved & norm2(&d[..free.len()]).less(delta))
 }
 
 #[cfg(test)]
@@ -605,6 +795,24 @@ mod tests {
     use crate::cauchy::tests::{dense_box_qp, derivatives_at};
     use crate::problem::QuadraticBox;
     use proptest::prelude::*;
+
+    /// [`direct_step`] on one problem, `None` when it is refused.
+    fn direct<P: BoundProblem>(
+        problem: &P,
+        x: &[f64],
+        g: &[f64],
+        h: &SmallMatrix,
+        delta: f64,
+    ) -> Option<([f64; MAX_DIM], f64)> {
+        let (d, q, taken) = direct_step(problem, x, g, h, delta);
+        taken.then_some((d, q))
+    }
+
+    /// [`newton_step`] on one block, `None` when it is refused.
+    fn newton(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> Option<[f64; MAX_DIM]> {
+        let (d, taken) = newton_step(h, rhs, free, delta);
+        taken.then_some(d)
+    }
 
     fn solve_quadratic(qp: &QuadraticBox, x0: &[f64]) -> TronResult {
         TronSolver::new(TronOptions {
@@ -1062,7 +1270,7 @@ mod tests {
             return Some(format!("a held variable moves: {d:?}"));
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        if let Some(newton) = newton_step(h, rhs, free, delta) {
+        if let Some(newton) = newton(h, rhs, free, delta) {
             return (bits(&newton[..n]) != bits(d))
                 .then(|| format!("d = {d:?} is not the Newton step {newton:?}, strictly inside"));
         }
@@ -1158,7 +1366,7 @@ mod tests {
                     delta = (norm2(&pseudo) + 1e-3) * (1.0 + delta);
                 }
                 4 => {
-                    if let Some(d) = newton_step(&h, &rhs, &free, f64::INFINITY) {
+                    if let Some(d) = newton(&h, &rhs, &free, f64::INFINITY) {
                         delta = norm2(&d[..6]);
                     }
                 }
@@ -1225,7 +1433,7 @@ mod tests {
                 *r = -(gi + *r);
             }
             let remaining = (delta * delta - dot(cauchy, cauchy)).max(0.0).sqrt();
-            if newton_step(&h, &rhs, free, remaining).is_none() {
+            if newton(&h, &rhs, free, remaining).is_none() {
                 let norm = norm2(step);
                 prop_assert!(norm <= delta * (1.0 + 1e-9), "‖s‖ = {norm} > Δ = {delta}");
             }
@@ -1297,7 +1505,7 @@ mod tests {
             let positive_definite = eigen.values.first().is_none_or(|&low| low > 0.0);
             let minus_g: Vec<f64> = g.iter().map(|v| -v).collect();
             let newton = eigen.solve(&minus_g, 0.0, 0);
-            match direct_step(&qp, &x, &g, &h, delta) {
+            match direct(&qp, &x, &g, &h, delta) {
                 Some((d, q)) => {
                     prop_assert!(held_ok);
                     for i in 0..6 {
@@ -1359,11 +1567,11 @@ mod tests {
         // not held, and not free either.
         let x = [-1.0, 0.0];
         let (g, h) = derivatives_at(&qp, &x);
-        assert_eq!(direct_step(&qp, &x, &g, &h, 10.0), None);
+        assert_eq!(direct(&qp, &x, &g, &h, 10.0), None);
         // Pressed against the bound instead (g₀ = 1), it is held at zero.
         let qp = QuadraticBox::diagonal(&[1.0, 1.0], &[-2.0, 0.5], &[-1.0; 2], &[1.0; 2]);
         let (g, h) = derivatives_at(&qp, &x);
-        let (d, q) = direct_step(&qp, &x, &g, &h, 10.0).expect("held and free");
+        let (d, q) = direct(&qp, &x, &g, &h, 10.0).expect("held and free");
         assert_eq!(&d[..2], &[0.0, 0.5]);
         assert_eq!(q, -0.125);
     }
@@ -1374,7 +1582,7 @@ mod tests {
         qp.q[(1, 1)] = -2.0;
         let x = [0.0, 0.0];
         let (g, h) = derivatives_at(&qp, &x);
-        assert_eq!(direct_step(&qp, &x, &g, &h, 10.0), None);
+        assert_eq!(direct(&qp, &x, &g, &h, 10.0), None);
     }
 
     #[test]
@@ -1384,12 +1592,12 @@ mod tests {
         let qp = QuadraticBox::diagonal(&[2.0], &[1.0], &[-1.0], &[1.0]);
         let (g, h) = derivatives_at(&qp, &[0.0]);
         assert_eq!(
-            direct_step(&qp, &[0.0], &g, &h, 1.0).map(|(d, _)| d[0]),
+            direct(&qp, &[0.0], &g, &h, 1.0).map(|(d, _)| d[0]),
             Some(0.5)
         );
-        assert_eq!(direct_step(&qp, &[0.0], &g, &h, 0.5), None);
+        assert_eq!(direct(&qp, &[0.0], &g, &h, 0.5), None);
         let tight = QuadraticBox::diagonal(&[2.0], &[1.0], &[-1.0], &[0.5]);
-        assert_eq!(direct_step(&tight, &[0.0], &g, &h, 1.0), None);
+        assert_eq!(direct(&tight, &[0.0], &g, &h, 1.0), None);
     }
 
     #[test]
@@ -1397,22 +1605,13 @@ mod tests {
         let qp = QuadraticBox::diagonal(&[1.0, 1.0], &[0.0, 0.0], &[-1.0; 2], &[1.0; 2]);
         let h = derivatives_at(&qp, &[0.0, 0.0]).1;
         // On a free variable, and on one at its bound.
-        assert_eq!(
-            direct_step(&qp, &[0.0, 0.0], &[f64::NAN, 0.1], &h, 10.0),
-            None
-        );
-        assert_eq!(
-            direct_step(&qp, &[-1.0, 0.0], &[f64::NAN, 0.1], &h, 10.0),
-            None
-        );
+        assert_eq!(direct(&qp, &[0.0, 0.0], &[f64::NAN, 0.1], &h, 10.0), None);
+        assert_eq!(direct(&qp, &[-1.0, 0.0], &[f64::NAN, 0.1], &h, 10.0), None);
         let mut nan_h = h.clone();
         nan_h[(1, 0)] = f64::NAN;
         nan_h[(0, 1)] = f64::NAN;
-        assert_eq!(
-            direct_step(&qp, &[0.0, 0.0], &[0.1, 0.1], &nan_h, 10.0),
-            None
-        );
-        assert!(direct_step(&qp, &[0.0, 0.0], &[0.1, 0.1], &h, 10.0).is_some());
+        assert_eq!(direct(&qp, &[0.0, 0.0], &[0.1, 0.1], &nan_h, 10.0), None);
+        assert!(direct(&qp, &[0.0, 0.0], &[0.1, 0.1], &h, 10.0).is_some());
     }
 
     #[test]

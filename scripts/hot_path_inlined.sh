@@ -1,7 +1,12 @@
 #!/bin/sh
 # Fails when the release `perf` binary keeps a symbol the ADMM hot path must
 # have inlined: TRON's `newton_step`, the masked free-block LDLᵀ
-# `ldlt_solve_masked`, or `core::ops::try_trait::Wrapped` (the closure
+# `ldlt_solve_masked` (its `f64` and its lock-step lane instance share the
+# name), `BoundProblem::project` and `BoundProblem::projected_gradient_norm`,
+# the lock-step branch evaluation (the `BoundProblem` methods of
+# `BranchProblem<gridsim_sparse::lanes::Lanes>`, its `objective` and
+# `derivatives` among them, and the generic `BranchProblem<T>` helpers they
+# call, whose instances share one name), or `core::ops::try_trait::Wrapped` (the closure
 # wrapper of `[T; N]::map`, once seen out of line in the branch kernel's
 # `derivatives`). Each of them out of line has cost the ADMM workloads
 # time with no source change near them. Build the binary first, e.g. with
@@ -23,7 +28,7 @@ if ! printf '%s\n' "$symbols" | grep -q 'gridsim_tron::tron::shifted_step'; then
     echo "hot_path_inlined: nm lists no gridsim_tron::tron::shifted_step in $bin" >&2
     exit 1
 fi
-found=$(printf '%s\n' "$symbols" | grep -E 'newton_step|ldlt_solve_masked|try_trait::Wrapped')
+found=$(printf '%s\n' "$symbols" | grep -E 'newton_step|ldlt_solve_masked|try_trait::Wrapped|BoundProblem::project|BoundProblem::projected_gradient_norm|BranchProblem<gridsim_sparse::lanes::Lanes> as|BranchProblem<T>>::')
 if [ -n "$found" ]; then
     echo "hot_path_inlined: out-of-line symbols in $bin:" >&2
     echo "$found" >&2

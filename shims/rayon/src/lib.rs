@@ -1,8 +1,8 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! Implements the data-parallel iterator subset used by the workspace
-//! (`par_iter`, `par_iter_mut`, `enumerate`, `zip`, `map`, `for_each`,
-//! `reduce`, `sum`, `with_min_len`) on top of a persistent work-stealing
+//! (`par_iter`, `par_iter_mut`, `par_chunks_mut`, `enumerate`, `zip`,
+//! `map`, `for_each`, `reduce`, `sum`, `with_min_len`) on top of a persistent work-stealing
 //! thread pool (see `pool`) instead of real rayon's.
 //!
 //! Two guarantees that real rayon does **not** make:
@@ -54,17 +54,22 @@ impl<T> SendPtr<T> {
 /// adapter types into scope.
 pub mod prelude {
     pub use crate::{
-        EnumeratedParIter, EnumeratedParIterMut, EnumeratedParZipMut, MappedParIter, ParIter,
-        ParIterMut, ParZipMut, ParallelSlice,
+        EnumeratedParChunksMut, EnumeratedParIter, EnumeratedParIterMut, EnumeratedParZipMut,
+        MappedParIter, ParChunksMut, ParIter, ParIterMut, ParZipMut, ParallelSlice,
     };
 }
 
-/// Extension trait adding `par_iter` / `par_iter_mut` to slices.
+/// Extension trait adding `par_iter` / `par_iter_mut` / `par_chunks_mut` to
+/// slices.
 pub trait ParallelSlice<T> {
     /// Shared parallel iterator over the elements.
     fn par_iter(&self) -> ParIter<'_, T>;
     /// Exclusive parallel iterator over the elements.
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
+    /// Exclusive parallel iterator over consecutive chunks of `chunk_size`
+    /// elements (the last one shorter when `chunk_size` does not divide the
+    /// length). Panics when `chunk_size` is 0.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
 }
 
 impl<T> ParallelSlice<T> for [T] {
@@ -77,6 +82,14 @@ impl<T> ParallelSlice<T> for [T] {
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
         ParIterMut {
             data: self,
+            min_len: PARALLEL_THRESHOLD,
+        }
+    }
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
+        assert!(chunk_size > 0, "chunk size must be non-zero");
+        ParChunksMut {
+            data: self,
+            chunk_size,
             min_len: PARALLEL_THRESHOLD,
         }
     }
@@ -340,9 +353,86 @@ impl<'a, 'b, A: Send, B: Send> EnumeratedParZipMut<'a, 'b, A, B> {
     }
 }
 
+/// Exclusive parallel iterator over consecutive chunks of a slice.
+pub struct ParChunksMut<'a, T> {
+    data: &'a mut [T],
+    chunk_size: usize,
+    min_len: usize,
+}
+
+impl<'a, T> ParChunksMut<'a, T> {
+    /// Lower bound on the *chunks* each parallel task receives (see
+    /// [`ParIter::with_min_len`]).
+    pub fn with_min_len(mut self, min_len: usize) -> Self {
+        self.min_len = min_len.max(1);
+        self
+    }
+
+    /// Pair each chunk with its index.
+    pub fn enumerate(self) -> EnumeratedParChunksMut<'a, T> {
+        EnumeratedParChunksMut {
+            data: self.data,
+            chunk_size: self.chunk_size,
+            min_len: self.min_len,
+        }
+    }
+}
+
+/// Index-annotated exclusive parallel iterator over chunks.
+pub struct EnumeratedParChunksMut<'a, T> {
+    data: &'a mut [T],
+    chunk_size: usize,
+    min_len: usize,
+}
+
+impl<'a, T: Send> EnumeratedParChunksMut<'a, T> {
+    /// Apply `f` to every `(chunk index, &mut chunk)` pair.
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn((usize, &mut [T])) + Sync,
+    {
+        let (len, size) = (self.data.len(), self.chunk_size);
+        let ptr = SendPtr(self.data.as_mut_ptr());
+        pool::global().run(len.div_ceil(size), self.min_len, &|start, end| {
+            let base = ptr.get();
+            for c in start..end {
+                let lo = c * size;
+                let hi = (lo + size).min(len);
+                // SAFETY: concurrent tasks cover disjoint chunk-index ranges,
+                // chunk `c` is the element range `[c·size, min((c+1)·size,
+                // len))` of the borrowed slice, and distinct chunks' ranges
+                // are disjoint, so each chunk's `&mut` is exclusive.
+                f((c, unsafe {
+                    std::slice::from_raw_parts_mut(base.add(lo), hi - lo)
+                }));
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    #[test]
+    fn par_chunks_mut_covers_every_element_once_in_order() {
+        for (n, size) in [(0usize, 3usize), (1, 2), (7, 2), (9, 3), (5000, 7)] {
+            let mut v = vec![0usize; n];
+            v.par_chunks_mut(size)
+                .with_min_len(1)
+                .enumerate()
+                .for_each(|(c, chunk)| {
+                    assert!(!chunk.is_empty() && chunk.len() <= size);
+                    for (j, x) in chunk.iter_mut().enumerate() {
+                        *x += c * size + j + 1;
+                    }
+                });
+            assert!(
+                v.iter().enumerate().all(|(i, &x)| x == i + 1),
+                "n={n} size={size}"
+            );
+        }
+    }
 
     #[test]
     fn par_for_each_mut_covers_all_indices() {
