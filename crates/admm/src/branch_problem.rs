@@ -109,8 +109,7 @@ impl BranchProblem {
         let seg = init_segment(net, data, &problem, Some(warm));
         (data.branches.iter().zip(&seg.branches))
             .map(|(d, state)| {
-                let block =
-                    kernels::branch_subproblem(d, 0, &seg.v, &seg.z, &seg.y, &problem.rho, state);
+                let block = kernels::branch_subproblem(d, 0, &seg.cons, &problem.rho, state);
                 (block, state.x)
             })
             .collect()

@@ -1,7 +1,11 @@
 //! Shared per-element kernel bodies and problem data of the ADMM updates.
 //!
 //! The scenario fleet ([`crate::scenario::ScenarioScheduler`]) launches
-//! these functions over slot-major buffers spanning `L × n` elements. Every
+//! these functions over slot-major buffers spanning `L × n` elements: the
+//! generator and branch updates each write their own entries of `u` as they
+//! compute them ([`gen_u`], [`branch_u`]), and one consensus pass
+//! ([`consensus_element`]) reads `v` from the buses and updates `z` and `y`
+//! in place while it scores the residuals. Every
 //! constraint index stored in [`ProblemData`] is *scenario-local*; the
 //! element functions take the owning slot's `base` offset (`slot · m`) at
 //! call time. Keeping the data scenario-local is what lets scenarios that
@@ -230,6 +234,16 @@ pub(crate) struct BusState {
     pub(crate) copies: Vec<f64>,
 }
 
+/// The bus side of one consensus constraint and its two updates, which one
+/// consensus pass writes together: `v` (the bus value), `z` (the artificial
+/// variable) and `y` (the inner multiplier).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct ConsensusState {
+    pub(crate) v: f64,
+    pub(crate) z: f64,
+    pub(crate) y: f64,
+}
+
 /// Cold-start generator state: midpoints of the box (Section IV-B).
 pub(crate) fn cold_gen_state(d: &GenData) -> GenState {
     GenState {
@@ -311,40 +325,43 @@ pub(crate) fn warm_states(
 pub(crate) fn generator_element(
     d: &GenData,
     base: usize,
-    v: &[f64],
-    z: &[f64],
-    y: &[f64],
+    cons: &[ConsensusState],
     rho: &[f64],
     state: &mut GenState,
 ) {
     let (kp, kq) = (base + d.k_p, base + d.k_q);
-    let tp = v[kp] - z[kp];
-    let pg = (rho[kp] * tp - y[kp] - d.c1) / (2.0 * d.c2 + rho[kp]);
+    let (cp, cq) = (&cons[kp], &cons[kq]);
+    let tp = cp.v - cp.z;
+    let pg = (rho[kp] * tp - cp.y - d.c1) / (2.0 * d.c2 + rho[kp]);
     state.pg = pg.clamp(d.pmin, d.pmax);
-    let tq = v[kq] - z[kq];
-    let qg = tq - y[kq] / rho[kq];
+    let tq = cq.v - cq.z;
+    let qg = tq - cq.y / rho[kq];
     state.qg = qg.clamp(d.qmin, d.qmax);
+}
+
+/// x-side values of a generator's two constraints, `[pg, qg]`: its window
+/// of `u`.
+#[inline]
+pub(crate) fn gen_u(g: &GenState) -> [f64; 2] {
+    [g.pg, g.qg]
 }
 
 /// The subproblem (4) of one branch at the current consensus data: targets
 /// `v − z`, multipliers and penalties of its eight constraints, and the ALM
 /// state carried in `state`. `base` as in [`generator_element`].
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn branch_subproblem(
     d: &BranchData,
     base: usize,
-    v: &[f64],
-    z: &[f64],
-    y: &[f64],
+    cons: &[ConsensusState],
     rho: &[f64],
     state: &BranchState,
 ) -> BranchProblem {
     let mut problem = BranchProblem::new(d.flows, d.vmin_i, d.vmax_i, d.vmin_j, d.vmax_j);
     problem.limit_sq = d.limit_sq;
     let term = |k: usize| ConsensusTerm {
-        target: v[k] - z[k],
-        y: y[k],
+        target: cons[k].v - cons[k].z,
+        y: cons[k].y,
         rho: rho[k],
     };
     for j in 0..4 {
@@ -361,30 +378,30 @@ pub(crate) fn branch_subproblem(
 }
 
 /// Branch update of a lock-step group: the branches `d` (1 to
-/// [`LANES`] consecutive ones of one segment) with their states. The first
-/// TRON solve of every branch runs in lock-step ([`TronSolver::solve_lanes`],
-/// in place on each `state.x`); each branch then finishes its own inner
-/// augmented-Lagrangian loop ([`alm_rounds`]). Bitwise the per-branch
-/// update of the `cfg(test)` oracle (one `solve_in_place`, then the same
-/// rounds) on each branch. Allocates nothing. `base` as in
-/// [`generator_element`].
+/// [`LANES`] consecutive ones of one segment) with their states and their
+/// window of `u` (eight values per branch). The first TRON solve of every
+/// branch runs in lock-step ([`TronSolver::solve_lanes`], in place on each
+/// `state.x`); each branch then finishes its own inner augmented-Lagrangian
+/// loop ([`alm_rounds`]) and writes its [`branch_u`] into its window.
+/// Bitwise the per-branch update of the `cfg(test)` oracle (one
+/// `solve_in_place`, then the same rounds) on each branch, and its `u`
+/// scatter. Allocates nothing. `base` as in [`generator_element`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn branch_group(
     d: &[BranchData],
     base: usize,
-    v: &[f64],
-    z: &[f64],
-    y: &[f64],
+    cons: &[ConsensusState],
     rho: &[f64],
     tron: &TronSolver,
     states: &mut [BranchState],
+    u: &mut [f64],
 ) {
     let n = states.len();
-    debug_assert!(d.len() == n && (1..=LANES).contains(&n));
+    debug_assert!(d.len() == n && (1..=LANES).contains(&n) && u.len() == 8 * n);
     let last = n - 1;
-    let mut problems = [branch_subproblem(&d[0], base, v, z, y, rho, &states[0]); LANES];
+    let mut problems = [branch_subproblem(&d[0], base, cons, rho, &states[0]); LANES];
     for k in 1..n {
-        problems[k] = branch_subproblem(&d[k], base, v, z, y, rho, &states[k]);
+        problems[k] = branch_subproblem(&d[k], base, cons, rho, &states[k]);
     }
     let problems = &mut problems[..n];
     let mut x = [Lanes::splat(0.0); 6];
@@ -392,11 +409,13 @@ pub(crate) fn branch_group(
         *xi = Lanes::from_fn(|k| states[k.min(last)].x[i]);
     }
     tron.solve_lanes(&BranchProblem::pack(problems), problems, &mut x);
-    for (k, (problem, state)) in problems.iter_mut().zip(states).enumerate() {
+    let lanes = problems.iter_mut().zip(states).zip(u.chunks_exact_mut(8));
+    for (k, ((problem, state), u)) in lanes.enumerate() {
         for (i, xi) in x.iter().enumerate() {
             state.x[i] = xi.0[k];
         }
         alm_rounds(problem, tron, state);
+        u.copy_from_slice(&branch_u(state));
     }
 }
 
@@ -435,34 +454,12 @@ pub(crate) fn alm_rounds(problem: &mut BranchProblem, tron: &TronSolver, state: 
     state.alm_rho = problem.alm_rho;
 }
 
-/// x-side value of constraint `k_local` (scenario-local index) given the
-/// scenario's generator and branch state slices.
+/// x-side values of a branch's eight constraints in the layout's order
+/// `[p_ij, q_ij, p_ji, q_ji, w_i, θ_i, w_j, θ_j]`: its window of `u`.
 #[inline]
-pub(crate) fn u_element(
-    k_local: usize,
-    ngen: usize,
-    gens: &[GenState],
-    branches: &[BranchState],
-) -> f64 {
-    if k_local < 2 * ngen {
-        let g = &gens[k_local / 2];
-        if k_local.is_multiple_of(2) {
-            g.pg
-        } else {
-            g.qg
-        }
-    } else {
-        let l = (k_local - 2 * ngen) / 8;
-        let offset = (k_local - 2 * ngen) % 8;
-        let b = &branches[l];
-        match offset {
-            0..=3 => b.flows[offset],
-            4 => b.x[0] * b.x[0],
-            5 => b.x[2],
-            6 => b.x[1] * b.x[1],
-            _ => b.x[3],
-        }
-    }
+pub(crate) fn branch_u(b: &BranchState) -> [f64; 8] {
+    let (f, x) = (&b.flows, &b.x);
+    [f[0], f[1], f[2], f[3], x[0] * x[0], x[2], x[1] * x[1], x[3]]
 }
 
 /// Bus update: the equality-constrained diagonal QP (7) over `w`, `θ` and
@@ -471,8 +468,7 @@ pub(crate) fn bus_element(
     d: &BusData,
     base: usize,
     u: &[f64],
-    z: &[f64],
-    y: &[f64],
+    cons: &[ConsensusState],
     rho: &[f64],
     state: &mut BusState,
 ) {
@@ -480,7 +476,7 @@ pub(crate) fn bus_element(
     // objective:  0.5 * q * x² − c * x.
     let coef = |k: usize| -> (f64, f64) {
         let k = base + k;
-        (rho[k], rho[k] * (u[k] + z[k]) + y[k])
+        (rho[k], rho[k] * (u[k] + cons[k].z) + cons[k].y)
     };
 
     // θ update: unconstrained, separable.
@@ -552,24 +548,38 @@ pub(crate) fn v_element(bus: &BusState, slot: BusSlot) -> f64 {
     }
 }
 
-/// z update: closed form (8).
+/// z update: closed form (8), from the constraint's `u`, `v`, `y`, `λ`
+/// and `ρ`.
 #[inline]
-pub(crate) fn z_element(
-    k: usize,
-    u: &[f64],
-    v: &[f64],
-    y: &[f64],
-    lam: &[f64],
-    rho: &[f64],
-    beta: f64,
-) -> f64 {
-    -(lam[k] + y[k] + rho[k] * (u[k] - v[k])) / (beta + rho[k])
+pub(crate) fn z_element(u: f64, v: f64, y: f64, lam: f64, rho: f64, beta: f64) -> f64 {
+    -(lam + y + rho * (u - v)) / (beta + rho)
 }
 
-/// Inner multiplier update.
+/// Inner multiplier update, from the constraint's `u`, `v`, new `z` and `ρ`.
 #[inline]
-pub(crate) fn y_element(k: usize, u: &[f64], v: &[f64], z: &[f64], rho: &[f64], yk: &mut f64) {
-    *yk += rho[k] * (u[k] - v[k] + z[k]);
+pub(crate) fn y_element(u: f64, v: f64, z: f64, rho: f64, y: &mut f64) {
+    *y += rho * (u - v + z);
+}
+
+/// One constraint's consensus pass: store `v`, the bus value just computed,
+/// update `z` ([`z_element`]) and then `y` ([`y_element`]) in place, and
+/// return the constraint's scores `[|u − v + z|, |ρ (z − z_old)|, |z|]` —
+/// its primal residual, its dual residual and its share of `‖z‖∞` — all
+/// at the new `z`.
+#[inline]
+pub(crate) fn consensus_element(
+    u: f64,
+    v: f64,
+    lam: f64,
+    rho: f64,
+    beta: f64,
+    c: &mut ConsensusState,
+) -> [f64; 3] {
+    let z_old = c.z;
+    c.v = v;
+    c.z = z_element(u, v, c.y, lam, rho, beta);
+    y_element(u, v, c.z, rho, &mut c.y);
+    [(u - v + c.z).abs(), (rho * (c.z - z_old)).abs(), c.z.abs()]
 }
 
 /// Outer multiplier update with projection onto `[-bound, bound]`.
@@ -578,7 +588,7 @@ pub(crate) fn lambda_element(zk: f64, beta: f64, lk: &mut f64) {
     *lk = (*lk + beta * zk).clamp(-LAMBDA_BOUND, LAMBDA_BOUND);
 }
 
-/// Seed a bus's copies from the freshly scattered `u` so a cold start begins
+/// Seed a bus's copies from the component values `u` so a cold start begins
 /// from consensus agreement.
 pub(crate) fn seed_bus_copies(d: &BusData, u: &[f64], state: &mut BusState) {
     for &(k, _, slot) in &d.p_terms {

@@ -25,6 +25,12 @@
 //!   own ALM rounds. Every result bit is the per-branch solve's,
 //! * **z / multiplier updates** are elementwise closed forms (8).
 //!
+//! An inner iteration is four launches: the generator and branch updates
+//! write their own entries of the consensus vector `u` as they compute
+//! them, the bus update follows, and one consensus pass per constraint
+//! reads the bus value `v`, updates `z` and `y` in place and folds the
+//! primal and dual residuals and `‖z‖∞` per scenario on the device.
+//!
 //! No host–device transfers occur during the solve; the transfer counters of
 //! [`gridsim_batch`] verify this.
 //!

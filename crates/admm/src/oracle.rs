@@ -5,12 +5,17 @@
 //! way the paper states it — one network, two nested `for` loops, no device,
 //! buffers, launches or statistics — so the unit tests can pin the fleet
 //! (and its K=1 front end [`crate::solver::AdmmSolver`]) bitwise against
-//! something that shares none of its control flow. It reuses the host-side
-//! segment initialization, the per-element kernel bodies (`base = 0`) and
-//! the extraction, which are the definition of the arithmetic rather than of
+//! something that shares none of its control flow. It keeps the separate
+//! passes the fleet fuses — the `u` scatter ([`u_element`]), the `v`
+//! scatter, the `z` and `y` updates and the residual folds each run over
+//! every constraint on their own — and reuses the host-side segment
+//! initialization, the per-element kernel bodies (`base = 0`) and the
+//! extraction, which are the definition of the arithmetic rather than of
 //! the loop.
 
-use crate::kernels::{self, BranchData, BranchState, BETA_INIT, Z_DECREASE_FACTOR};
+use crate::kernels::{
+    self, BranchData, BranchState, ConsensusState, GenState, BETA_INIT, Z_DECREASE_FACTOR,
+};
 use crate::params::AdmmParams;
 use crate::scenario::scheduler::init_segment;
 use crate::scenario::ScenarioProblem;
@@ -29,6 +34,9 @@ pub(crate) struct OracleResult {
     pub(crate) outer_iterations: usize,
     pub(crate) z_inf: f64,
     pub(crate) primal_residual: f64,
+    /// Inner iterations that met the primal tolerance but not the dual one:
+    /// where the dual residual alone kept the inner loop going.
+    pub(crate) dual_bound_iterations: usize,
 }
 
 /// Branch update: one TRON block solve, in place on `state.x`, then the
@@ -36,16 +44,39 @@ pub(crate) struct OracleResult {
 /// `kernels::branch_group` must match bit for bit.
 fn branch_element(
     d: &BranchData,
-    v: &[f64],
-    z: &[f64],
-    y: &[f64],
+    cons: &[ConsensusState],
     rho: &[f64],
     tron: &TronSolver,
     state: &mut BranchState,
 ) {
-    let mut problem = kernels::branch_subproblem(d, 0, v, z, y, rho, state);
+    let mut problem = kernels::branch_subproblem(d, 0, cons, rho, state);
     tron.solve_in_place(&problem, &mut state.x);
     kernels::alm_rounds(&mut problem, tron, state);
+}
+
+/// x-side value of constraint `k` given the generator and branch states,
+/// in the layout's order: `[pg, qg]` per generator, then
+/// `[p_ij, q_ij, p_ji, q_ji, w_i, θ_i, w_j, θ_j]` per branch.
+fn u_element(k: usize, ngen: usize, gens: &[GenState], branches: &[BranchState]) -> f64 {
+    if k < 2 * ngen {
+        let g = &gens[k / 2];
+        if k.is_multiple_of(2) {
+            g.pg
+        } else {
+            g.qg
+        }
+    } else {
+        let l = (k - 2 * ngen) / 8;
+        let offset = (k - 2 * ngen) % 8;
+        let b = &branches[l];
+        match offset {
+            0..=3 => b.flows[offset],
+            4 => b.x[0] * b.x[0],
+            5 => b.x[2],
+            6 => b.x[1] * b.x[1],
+            _ => b.x[3],
+        }
+    }
 }
 
 /// Index-ordered `max` fold with the device's empty → `0.0` convention.
@@ -75,11 +106,11 @@ pub(crate) fn solve(
     let (m, ngen, rho) = (problem.m, problem.ngen, problem.rho.as_slice());
     let seg = init_segment(net, data, &problem, warm);
     let (mut gens, mut branches, mut buses) = (seg.gens, seg.branches, seg.buses);
-    let (mut u, mut v, mut z, mut y, mut lam) = (seg.u, seg.v, seg.z, seg.y, seg.lam);
+    let (mut cons, mut lam, mut u) = (seg.cons, seg.lam, vec![0.0; m]);
     let tron = TronSolver::new(params.tron.clone());
 
     let mut beta = warm.map_or(BETA_INIT, |w| w.beta);
-    let (mut inner_iterations, mut outer_iterations) = (0, 0);
+    let (mut inner_iterations, mut outer_iterations, mut dual_bound_iterations) = (0, 0, 0);
     let (mut z_inf_prev, mut z_inf, mut primal_residual) =
         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let mut status = AdmmStatus::MaxOuterIterations;
@@ -90,43 +121,46 @@ pub(crate) fn solve(
             inner_iterations += 1;
             // x block: generators and branches (line 3 of Algorithm 1).
             for (d, g) in data.gens.iter().zip(&mut gens) {
-                kernels::generator_element(d, 0, &v, &z, &y, rho, g);
+                kernels::generator_element(d, 0, &cons, rho, g);
             }
             for (d, b) in data.branches.iter().zip(&mut branches) {
-                branch_element(d, &v, &z, &y, rho, &tron, b);
+                branch_element(d, &cons, rho, &tron, b);
             }
             for (k, uk) in u.iter_mut().enumerate() {
-                *uk = kernels::u_element(k, ngen, &gens, &branches);
+                *uk = u_element(k, ngen, &gens, &branches);
             }
             // x̄ block: buses (line 4).
             for (d, b) in data.buses.iter().zip(&mut buses) {
-                kernels::bus_element(d, 0, &u, &z, &y, rho, b);
+                kernels::bus_element(d, 0, &u, &cons, rho, b);
             }
-            for (vk, &(bus, slot)) in v.iter_mut().zip(problem.vplan.iter()) {
-                *vk = kernels::v_element(&buses[bus], slot);
+            for (c, &(bus, slot)) in cons.iter_mut().zip(problem.vplan.iter()) {
+                c.v = kernels::v_element(&buses[bus], slot);
             }
             // z and multiplier updates (lines 5–6).
-            let z_prev = z.clone();
-            for (k, zk) in z.iter_mut().enumerate() {
-                *zk = kernels::z_element(k, &u, &v, &y, &lam, rho, beta);
+            let z_prev: Vec<f64> = cons.iter().map(|c| c.z).collect();
+            for (k, c) in cons.iter_mut().enumerate() {
+                c.z = kernels::z_element(u[k], c.v, c.y, lam[k], rho[k], beta);
             }
-            for (k, yk) in y.iter_mut().enumerate() {
-                kernels::y_element(k, &u, &v, &z, rho, yk);
+            for (k, c) in cons.iter_mut().enumerate() {
+                kernels::y_element(u[k], c.v, c.z, rho[k], &mut c.y);
             }
-            primal_residual = max_fold((0..m).map(|k| (u[k] - v[k] + z[k]).abs()));
-            let dual_residual = max_fold((0..m).map(|k| (rho[k] * (z[k] - z_prev[k])).abs()));
+            primal_residual = max_fold((0..m).map(|k| (u[k] - cons[k].v + cons[k].z).abs()));
+            let dual_residual = max_fold((0..m).map(|k| (rho[k] * (cons[k].z - z_prev[k])).abs()));
             if primal_residual <= params.eps_inner && dual_residual <= params.eps_inner {
                 break;
             }
+            if primal_residual <= params.eps_inner {
+                dual_bound_iterations += 1;
+            }
         }
         // Outer-level update (line 8) and termination (line 9).
-        z_inf = max_fold(z.iter().map(|zk| zk.abs()));
+        z_inf = max_fold(cons.iter().map(|c| c.z.abs()));
         if z_inf <= params.eps_outer {
             status = AdmmStatus::Converged;
             break;
         }
-        for (lk, &zk) in lam.iter_mut().zip(&z) {
-            kernels::lambda_element(zk, beta, lk);
+        for (lk, c) in lam.iter_mut().zip(&cons) {
+            kernels::lambda_element(c.z, beta, lk);
         }
         if z_inf > Z_DECREASE_FACTOR * z_inf_prev {
             beta *= params.beta_factor;
@@ -134,6 +168,8 @@ pub(crate) fn solve(
         z_inf_prev = z_inf;
     }
 
+    let y: Vec<f64> = cons.iter().map(|c| c.y).collect();
+    let z: Vec<f64> = cons.iter().map(|c| c.z).collect();
     let (solution, warm_state) =
         kernels::extract_segment(&gens, &branches, &buses, &y, &lam, &z, beta);
     OracleResult {
@@ -144,5 +180,6 @@ pub(crate) fn solve(
         outer_iterations,
         z_inf,
         primal_residual,
+        dual_bound_iterations,
     }
 }

@@ -11,9 +11,11 @@
 //!   lanes, allocated on the device with no transfer but the one upload of
 //!   the layout's ρ vector for every lane,
 //! * **step** — one batched inner iteration over every active lane (the
-//!   eight kernel launches of Algorithm 1's lines 3–6 spanning `L × n`
-//!   elements) plus the per-lane inner/outer control that decides which
-//!   lanes finished,
+//!   four kernel launches of Algorithm 1's lines 3–6 spanning `L × n`
+//!   elements: the generator and branch updates, each writing its own
+//!   entries of `u`, the bus update, and one consensus pass that writes `v`,
+//!   `z` and `y` and returns both residuals and `‖z‖∞` per lane) plus the
+//!   per-lane inner/outer control that decides which lanes finished,
 //! * **admit / extract** — ranged uploads into an empty or freed slot's
 //!   buffer segments (every scenario, initial occupant or refill, enters
 //!   this way), seeded from the admission's store hit when there is one,
@@ -29,12 +31,14 @@
 
 use super::problem::{ScenarioData, ScenarioProblem};
 use super::{ScenarioBatchResult, ScenarioResult};
-use crate::kernels::{self, BranchState, BusState, GenState, BETA_INIT, Z_DECREASE_FACTOR};
+use crate::kernels::{
+    self, BranchState, BusState, ConsensusState, GenState, BETA_INIT, Z_DECREASE_FACTOR,
+};
 use crate::params::AdmmParams;
 use crate::solver::{AdmmStatus, WarmState};
 use gridsim_acopf::start::ramp_limited_bounds;
 use gridsim_acopf::violations::SolutionQuality;
-use gridsim_batch::{Device, DeviceBuffer, DevicePool};
+use gridsim_batch::{Device, DeviceBuffer, DevicePool, Windows};
 use gridsim_engine::{Admission, Engine, FleetRequest, Hit, LaneSolver};
 use gridsim_grid::Network;
 use gridsim_sparse::LANES;
@@ -70,16 +74,15 @@ impl ScenCtl {
     }
 }
 
-/// Slot-major device state of one shard.
+/// Slot-major device state of one shard. `u` is written only by the
+/// generator and branch launches, each component into its own entries, and
+/// `cons` only by the consensus pass.
 struct SlotState {
     gens: DeviceBuffer<GenState>,
     branches: DeviceBuffer<BranchState>,
     buses: DeviceBuffer<BusState>,
     u: DeviceBuffer<f64>,
-    v: DeviceBuffer<f64>,
-    z: DeviceBuffer<f64>,
-    z_prev: DeviceBuffer<f64>,
-    y: DeviceBuffer<f64>,
+    cons: DeviceBuffer<ConsensusState>,
     lam: DeviceBuffer<f64>,
     rho: DeviceBuffer<f64>,
 }
@@ -89,10 +92,7 @@ pub(crate) struct SegmentHost {
     pub(crate) gens: Vec<GenState>,
     pub(crate) branches: Vec<BranchState>,
     pub(crate) buses: Vec<BusState>,
-    pub(crate) u: Vec<f64>,
-    pub(crate) v: Vec<f64>,
-    pub(crate) z: Vec<f64>,
-    pub(crate) y: Vec<f64>,
+    pub(crate) cons: Vec<ConsensusState>,
     pub(crate) lam: Vec<f64>,
 }
 
@@ -280,10 +280,7 @@ impl LaneSolver for AdmmFleet<'_> {
             branches: DeviceBuffer::zeroed(stats.clone(), ll * nbranch),
             buses: DeviceBuffer::zeroed(stats.clone(), ll * nbus),
             u: DeviceBuffer::zeroed(stats.clone(), ll * m),
-            v: DeviceBuffer::zeroed(stats.clone(), ll * m),
-            z: DeviceBuffer::zeroed(stats.clone(), ll * m),
-            z_prev: DeviceBuffer::zeroed(stats.clone(), ll * m),
-            y: DeviceBuffer::zeroed(stats.clone(), ll * m),
+            cons: DeviceBuffer::zeroed(stats.clone(), ll * m),
             lam: DeviceBuffer::zeroed(stats.clone(), ll * m),
             rho: DeviceBuffer::from_host(stats.clone(), &problem.rho.repeat(ll)),
         };
@@ -302,7 +299,8 @@ impl LaneSolver for AdmmFleet<'_> {
         let params = self.params;
         let m = self.problem.m;
         let ll = shard.ll;
-        tick(
+        // Per slot: the primal and dual residuals and ‖z‖∞ after the tick.
+        let scores = tick(
             &shard.device,
             &mut shard.st,
             self.problem,
@@ -312,19 +310,7 @@ impl LaneSolver for AdmmFleet<'_> {
             active,
             &shard.ctl,
         );
-        let (device, st, ctl, segs) = (&shard.device, &shard.st, &mut shard.ctl, &shard.segs);
-
-        // Residuals, per slot.
-        let prim = device.reduce_max_segments("primal_residual", &st.z, m, active, {
-            let u = st.u.as_slice();
-            let v = st.v.as_slice();
-            move |k, zk| (u[k] - v[k] + zk).abs()
-        });
-        let dual = device.reduce_max_segments("dual_residual", &st.z, m, active, {
-            let zp = st.z_prev.as_slice();
-            let rho = st.rho.as_slice();
-            move |k, zk| (rho[k] * (zk - zp[k])).abs()
-        });
+        let (device, ctl, segs) = (&shard.device, &mut shard.ctl, &shard.segs);
 
         // Per-slot control: inner bookkeeping, outer boundaries.
         let mut boundary = vec![false; ll];
@@ -335,8 +321,9 @@ impl LaneSolver for AdmmFleet<'_> {
             let c = &mut ctl[s];
             c.total_inner += 1;
             c.inner_in_outer += 1;
-            c.primres = prim[s];
-            let inner_converged = prim[s] <= params.eps_inner && dual[s] <= params.eps_inner;
+            let [prim, dual, _] = scores[s];
+            c.primres = prim;
+            let inner_converged = prim <= params.eps_inner && dual <= params.eps_inner;
             if inner_converged || c.inner_in_outer >= params.max_inner {
                 boundary[s] = true;
             }
@@ -347,14 +334,13 @@ impl LaneSolver for AdmmFleet<'_> {
         }
 
         // Outer-level update and termination for slots at a boundary.
-        let z_inf = device.reduce_max_segments("z_norm", &st.z, m, &boundary, |_, zk| zk.abs());
         let mut lambda_mask = vec![false; ll];
         for s in 0..ll {
             if !boundary[s] {
                 continue;
             }
             let c = &mut ctl[s];
-            c.z_inf = z_inf[s];
+            c.z_inf = scores[s][2];
             c.inner_in_outer = 0;
             c.outer_done += 1;
             if c.z_inf <= params.eps_outer {
@@ -366,10 +352,10 @@ impl LaneSolver for AdmmFleet<'_> {
         }
         if lambda_mask.iter().any(|&b| b) {
             let betas: Vec<f64> = ctl.iter().map(|c| c.beta).collect();
-            let z = shard.st.z.as_slice();
-            let cons = segs.cons.as_slice();
+            let cons = shard.st.cons.as_slice();
+            let seg = segs.cons.as_slice();
             device.launch_map_segments("lambda_update", &mut shard.st.lam, m, &lambda_mask, {
-                move |k, lk| kernels::lambda_element(z[k], betas[cons[k] as usize], lk)
+                move |k, lk| kernels::lambda_element(cons[k].z, betas[seg[k] as usize], lk)
             });
             for s in 0..ll {
                 if !lambda_mask[s] {
@@ -401,10 +387,10 @@ impl LaneSolver for AdmmFleet<'_> {
     /// Seed the scenario from its store hit, else the run's shared warm
     /// state, else cold, and upload its segment with one ranged upload per
     /// live buffer. (`rho` is layout-derived, identical for every scenario
-    /// and uploaded with the shard; `z_prev` is overwritten from `z` on the
-    /// slot's first tick before any read.) The seed changes the starting
-    /// point, not the iteration budget: only β resumes the seed's schedule,
-    /// along with its multipliers.
+    /// and uploaded with the shard; `u` is written whole by the slot's
+    /// first generator and branch launches before anything reads it.) The
+    /// seed changes the starting point, not the iteration budget: only β
+    /// resumes the seed's schedule, along with its multipliers.
     fn admit(
         &self,
         shard: &mut AdmmShard,
@@ -420,10 +406,7 @@ impl LaneSolver for AdmmFleet<'_> {
         st.gens.upload_range(slot * ngen, &seg.gens);
         st.branches.upload_range(slot * nbranch, &seg.branches);
         st.buses.upload_range(slot * nbus, &seg.buses);
-        st.u.upload_range(slot * m, &seg.u);
-        st.v.upload_range(slot * m, &seg.v);
-        st.z.upload_range(slot * m, &seg.z);
-        st.y.upload_range(slot * m, &seg.y);
+        st.cons.upload_range(slot * m, &seg.cons);
         st.lam.upload_range(slot * m, &seg.lam);
         shard.slot_data[slot] = problem.data[idx].clone();
         shard.ctl[slot] = ScenCtl {
@@ -440,7 +423,7 @@ impl LaneSolver for AdmmFleet<'_> {
 
 /// Host-side initial state of one scenario: cold start (midpoints of
 /// bounds, zero angles, flows from the initial voltages — Section IV-B) or
-/// the given warm state, with `u`/`v` scattered from the component states.
+/// the given warm state, with `v` scattered from the bus states.
 pub(crate) fn init_segment(
     net: &Network,
     data: &ScenarioData,
@@ -486,36 +469,37 @@ pub(crate) fn init_segment(
             )
         }
     };
-    let mut u = vec![0.0f64; m];
-    for (k, uk) in u.iter_mut().enumerate() {
-        *uk = kernels::u_element(k, problem.ngen, &gens, &branches);
-    }
     if warm.is_none() {
         // Seed the bus copies from the consistent component values so a
         // cold start begins from consensus agreement.
+        let u: Vec<f64> = (gens.iter().flat_map(kernels::gen_u))
+            .chain(branches.iter().flat_map(kernels::branch_u))
+            .collect();
         for (b, bus) in buses.iter_mut().enumerate() {
             kernels::seed_bus_copies(&data.buses[b], &u, bus);
         }
     }
-    let mut v = vec![0.0f64; m];
-    for (k, vk) in v.iter_mut().enumerate() {
-        let (bus, slot) = problem.vplan[k];
-        *vk = kernels::v_element(&buses[bus], slot);
-    }
+    let cons = (0..m)
+        .map(|k| {
+            let (bus, slot) = problem.vplan[k];
+            ConsensusState {
+                v: kernels::v_element(&buses[bus], slot),
+                z: z[k],
+                y: y[k],
+            }
+        })
+        .collect();
     SegmentHost {
         gens,
         branches,
         buses,
-        u,
-        v,
-        z,
-        y,
+        cons,
         lam,
     }
 }
 
 /// Extract slot `s`'s finished scenario: one ranged device-to-host read per
-/// result-bearing buffer.
+/// result-bearing buffer, and per result-bearing field of `cons`.
 fn extract_slot(
     st: &SlotState,
     s: usize,
@@ -527,9 +511,9 @@ fn extract_slot(
     let gens = st.gens.to_host_range(s * ngen, ngen);
     let branches = st.branches.to_host_range(s * nbranch, nbranch);
     let buses = st.buses.to_host_range(s * nbus, nbus);
-    let y = st.y.to_host_range(s * m, m);
+    let y = st.cons.to_host_range_with(s * m, m, |c| c.y);
     let lam = st.lam.to_host_range(s * m, m);
-    let z = st.z.to_host_range(s * m, m);
+    let z = st.cons.to_host_range_with(s * m, m, |c| c.z);
     let (solution, warm_state) =
         kernels::extract_segment(&gens, &branches, &buses, &y, &lam, &z, ctl.beta);
     let quality = SolutionQuality::evaluate(net, &solution);
@@ -547,8 +531,13 @@ fn extract_slot(
     }
 }
 
-/// One batched inner iteration over every active slot: the eight kernel
+/// One batched inner iteration over every active slot: the four kernel
 /// launches of Algorithm 1's lines 3–6, each spanning `L × n` elements.
+/// The generator and branch launches write each component's entries of `u`
+/// as they compute them, and one consensus pass after the bus update
+/// writes `v`, `z` and `y`. Returns, per slot, the primal residual
+/// `‖u − v + z‖∞`, the dual residual `‖ρ (z − z_old)‖∞` and `‖z‖∞` (NaN
+/// for an inactive slot).
 #[allow(clippy::too_many_arguments)]
 fn tick(
     device: &Device,
@@ -559,67 +548,60 @@ fn tick(
     tron: &TronSolver,
     active: &[bool],
     ctl: &[ScenCtl],
-) {
+) -> Vec<[f64; 3]> {
     let (ngen, nbranch, nbus, m) = (problem.ngen, problem.nbranch, problem.nbus, problem.m);
-    // x block: generators and branches.
+    // x block: generators and branches, each writing its window of `u`.
     {
-        let v = st.v.as_slice();
-        let z = st.z.as_slice();
-        let y = st.y.as_slice();
+        let cons = st.cons.as_slice();
         let rho = st.rho.as_slice();
         let gen_seg = segs.gen.as_slice();
-        device.launch_map_segments("generator_update", &mut st.gens, ngen, active, {
-            move |g, state| {
+        let windows = Windows {
+            seg_len: m,
+            offset: 0,
+            width: 2,
+        };
+        device.launch_blocks_segments(
+            "generator_update",
+            &mut st.gens,
+            ngen,
+            active,
+            1,
+            &mut st.u,
+            windows,
+            move |g, state, u| {
                 let s = gen_seg[g] as usize;
-                kernels::generator_element(
-                    &slot_data[s].gens[g - s * ngen],
-                    s * m,
-                    v,
-                    z,
-                    y,
-                    rho,
-                    state,
-                )
-            }
-        });
+                let d = &slot_data[s].gens[g - s * ngen];
+                kernels::generator_element(d, s * m, cons, rho, &mut state[0]);
+                u.copy_from_slice(&kernels::gen_u(&state[0]));
+            },
+        );
         let branch_seg = segs.branch.as_slice();
+        let windows = Windows {
+            seg_len: m,
+            offset: 2 * ngen,
+            width: 8,
+        };
         // Groups of up to LANES branches of one segment, solved in lock-step.
-        device.launch_blocks_segments("branch_tron", &mut st.branches, nbranch, active, LANES, {
-            move |l, states| {
+        device.launch_blocks_segments(
+            "branch_tron",
+            &mut st.branches,
+            nbranch,
+            active,
+            LANES,
+            &mut st.u,
+            windows,
+            move |l, states, u| {
                 let s = branch_seg[l] as usize;
                 let first = l - s * nbranch;
-                kernels::branch_group(
-                    &slot_data[s].branches[first..first + states.len()],
-                    s * m,
-                    v,
-                    z,
-                    y,
-                    rho,
-                    tron,
-                    states,
-                )
-            }
-        });
-    }
-    {
-        let gens = st.gens.as_slice();
-        let branches = st.branches.as_slice();
-        let cons = segs.cons.as_slice();
-        device.launch_map_segments("u_scatter", &mut st.u, m, active, move |k, uk| {
-            let s = cons[k] as usize;
-            *uk = kernels::u_element(
-                k - s * m,
-                ngen,
-                &gens[s * ngen..(s + 1) * ngen],
-                &branches[s * nbranch..(s + 1) * nbranch],
-            );
-        });
+                let d = &slot_data[s].branches[first..first + states.len()];
+                kernels::branch_group(d, s * m, cons, rho, tron, states, u)
+            },
+        );
     }
     // x̄ block: buses.
     {
         let u = st.u.as_slice();
-        let z = st.z.as_slice();
-        let y = st.y.as_slice();
+        let cons = st.cons.as_slice();
         let rho = st.rho.as_slice();
         let bus_seg = segs.bus.as_slice();
         device.launch_map_segments("bus_update", &mut st.buses, nbus, active, {
@@ -629,54 +611,26 @@ fn tick(
                     &slot_data[s].buses[b - s * nbus],
                     s * m,
                     u,
-                    z,
-                    y,
+                    cons,
                     rho,
                     state,
                 )
             }
         });
     }
-    {
-        let buses = st.buses.as_slice();
-        let vplan = problem.vplan.as_slice();
-        let cons = segs.cons.as_slice();
-        device.launch_map_segments("v_scatter", &mut st.v, m, active, move |k, vk| {
-            let s = cons[k] as usize;
-            let (bus, slot) = vplan[k - s * m];
-            *vk = kernels::v_element(&buses[s * nbus + bus], slot);
-        });
-    }
-    // z and multiplier updates.
-    {
-        // Device-side copy of the active segments (not a billed launch).
-        let z = st.z.as_slice();
-        let zp = st.z_prev.as_mut_slice();
-        for (s, &a) in active.iter().enumerate() {
-            if a {
-                zp[s * m..(s + 1) * m].copy_from_slice(&z[s * m..(s + 1) * m]);
-            }
-        }
-    }
-    {
-        let betas: Vec<f64> = ctl.iter().map(|c| c.beta).collect();
-        let u = st.u.as_slice();
-        let v = st.v.as_slice();
-        let y = st.y.as_slice();
-        let lam = st.lam.as_slice();
-        let rho = st.rho.as_slice();
-        let cons = segs.cons.as_slice();
-        device.launch_map_segments("z_update", &mut st.z, m, active, move |k, zk| {
-            *zk = kernels::z_element(k, u, v, y, lam, rho, betas[cons[k] as usize]);
-        });
-    }
-    {
-        let u = st.u.as_slice();
-        let v = st.v.as_slice();
-        let z = st.z.as_slice();
-        let rho = st.rho.as_slice();
-        device.launch_map_segments("y_update", &mut st.y, m, active, move |k, yk| {
-            kernels::y_element(k, u, v, z, rho, yk);
-        });
-    }
+    // The consensus pass: v from the buses, then the z and multiplier
+    // updates, scoring both residuals and ‖z‖∞ on the way.
+    let betas: Vec<f64> = ctl.iter().map(|c| c.beta).collect();
+    let buses = st.buses.as_slice();
+    let vplan = problem.vplan.as_slice();
+    let u = st.u.as_slice();
+    let lam = st.lam.as_slice();
+    let rho = st.rho.as_slice();
+    let seg = segs.cons.as_slice();
+    device.launch_map_segments_max("z_update", &mut st.cons, m, active, move |k, c| {
+        let s = seg[k] as usize;
+        let (bus, slot) = vplan[k - s * m];
+        let v = kernels::v_element(&buses[s * nbus + bus], slot);
+        kernels::consensus_element(u[k], v, lam[k], rho[k], betas[s], c)
+    })
 }

@@ -3,8 +3,8 @@
 //!
 //! The two-level loop of the paper's Algorithm 1 lives in exactly one place:
 //! the engine-backed scenario fleet ([`crate::scenario::ScenarioScheduler`]),
-//! which runs every per-iteration step as a batch kernel over slot-major
-//! device buffers and computes the residual norms as device-side reductions,
+//! which runs every inner iteration as four batch kernels over slot-major
+//! device buffers, the last of which folds the residual norms on the device,
 //! so no host–device transfer happens inside the solve. [`AdmmSolver`] is
 //! that fleet at K=1 on one device: it builds nothing of its own and
 //! converts the single [`ScenarioResult`](crate::scenario::ScenarioResult)
@@ -231,13 +231,58 @@ mod tests {
         }
     }
 
+    /// An inner iteration is four launches: the generator and branch
+    /// updates (each writing its entries of `u`), the bus update and the
+    /// consensus pass (`z_update`, which writes `v`, `z` and `y` and scores
+    /// both residuals and `‖z‖∞`). None of the separate scatter, multiplier
+    /// and residual kernels it replaced is launched.
+    #[test]
+    fn warm_case9_solve_makes_four_launches_per_tick() {
+        let net = gridsim_grid::case9().compile().unwrap();
+        let params = AdmmParams::test_profile();
+        let solver = AdmmSolver::new(params);
+        let warm = solver.solve(&net).warm_state;
+        let before = solver.device.stats().snapshot();
+        let result = solver.solve_warm(&net, &warm, None);
+        let delta = solver.device.stats().snapshot().since(&before);
+        let ticks = result.inner_iterations as u64;
+        assert!(ticks > 1, "want a solve of several ticks");
+        let m = 2 * net.ngen + 8 * net.nbranch;
+        for (name, elements) in [
+            ("generator_update", net.ngen),
+            ("branch_tron", net.nbranch),
+            ("bus_update", net.nbus),
+            ("z_update", m),
+        ] {
+            let kernel = &delta.kernels[name];
+            assert_eq!(kernel.launches, ticks, "{name} launches");
+            assert_eq!(kernel.blocks, ticks * elements as u64, "{name} blocks");
+        }
+        for gone in [
+            "u_scatter",
+            "v_scatter",
+            "y_update",
+            "primal_residual",
+            "dual_residual",
+            "z_norm",
+        ] {
+            assert!(!delta.kernels.contains_key(gone), "{gone} was launched");
+        }
+        // The rest are the outer-multiplier updates of the outer iterations
+        // that did not converge.
+        let lambda = delta.kernels.get("lambda_update").map_or(0, |k| k.launches);
+        assert!(lambda < result.outer_iterations as u64);
+        assert_eq!(delta.total_launches(), 4 * ticks + lambda);
+    }
+
     #[test]
     fn no_transfers_during_iterations() {
         let net = gridsim_grid::two_bus().compile().unwrap();
         // Transfers happen only at setup (the ρ upload and the admission's
-        // 8 ranged uploads) and extraction (one read per result-bearing
-        // buffer), never per iteration: doubling the iteration budget runs
-        // more kernel rounds and moves exactly the same number of buffers.
+        // 5 ranged uploads) and extraction (one read per result-bearing
+        // buffer or field), never per iteration: doubling the iteration
+        // budget runs more kernel rounds and moves exactly the same number
+        // of buffers.
         let run = |max_inner: usize| {
             let params = AdmmParams {
                 max_outer: 2,
@@ -248,7 +293,7 @@ mod tests {
             let before = solver.device.stats().snapshot();
             let _ = solver.solve(&net);
             let delta = solver.device.stats().snapshot().since(&before);
-            assert_eq!(delta.host_to_device_transfers, 9, "h2d at {max_inner}");
+            assert_eq!(delta.host_to_device_transfers, 6, "h2d at {max_inner}");
             assert_eq!(delta.device_to_host_transfers, 6, "d2h at {max_inner}");
             delta.kernels["z_update"].launches
         };
@@ -385,6 +430,22 @@ mod tests {
         for (g, pg) in ramped.solution.pg.iter().enumerate() {
             assert!(*pg >= bounds.0[g] && *pg <= bounds.1[g]);
         }
+    }
+
+    /// Re-solving case9 from its own converged state: the first ticks meet
+    /// the primal tolerance while `z` still moves, so the dual residual —
+    /// `ρ (z − z_old)`, against the `z` of the tick before — alone decides
+    /// when the inner loop ends.
+    #[test]
+    fn warm_resolve_decided_by_the_dual_residual_matches_oracle() {
+        let net = gridsim_grid::case9().compile().unwrap();
+        let params = AdmmParams::test_profile();
+        let cold = oracle::solve(&net, &params, None, None);
+        let again = assert_matches_oracle(&net, &params, Some(&cold.warm_state), None);
+        assert!(
+            again.dual_bound_iterations > 0,
+            "the dual residual never decided"
+        );
     }
 
     #[test]

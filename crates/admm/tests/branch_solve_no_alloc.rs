@@ -1,7 +1,8 @@
 //! One in-place TRON solve of a branch subproblem performs zero heap
 //! allocations, and so does a grouped `branch_tron`-shaped launch: the
 //! device's group launch over masked segments, each group's blocks packed
-//! into lanes and solved in lock-step.
+//! into lanes and solved in lock-step, each writing its window of a second
+//! buffer.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
@@ -9,7 +10,7 @@
 
 use gridsim_acopf::BranchFlow;
 use gridsim_admm::{BranchProblem, ConsensusTerm};
-use gridsim_batch::{Device, DeviceBuffer};
+use gridsim_batch::{Device, DeviceBuffer, Windows};
 use gridsim_grid::Branch;
 use gridsim_sparse::{Lanes, LANES};
 use gridsim_tron::{TronOptions, TronSolver, TronStatus};
@@ -130,24 +131,41 @@ fn grouped_lock_step_launch_never_allocates() {
         })
         .collect();
     let solver = TronSolver::new(TronOptions::default());
-    let kernel = |first: usize, group: &mut [[f64; 6]]| {
+    // Each block writes its solution's first two entries into its window.
+    let windows = Windows {
+        seg_len: 3 + 2 * seg_len,
+        offset: 3,
+        width: 2,
+    };
+    let kernel = |first: usize, group: &mut [[f64; 6]], window: &mut [f64]| {
         let blocks = &problems[first..first + group.len()];
         let mut x = [Lanes::from_fn(|_| 0.0); 6];
         for (i, xi) in x.iter_mut().enumerate() {
             *xi = Lanes::from_fn(|k| group[k.min(group.len() - 1)][i]);
         }
         solver.solve_lanes(&BranchProblem::pack(blocks), blocks, &mut x);
-        for (k, state) in group.iter_mut().enumerate() {
+        for (k, (state, w)) in group.iter_mut().zip(window.chunks_exact_mut(2)).enumerate() {
             for (i, xi) in x.iter().enumerate() {
                 state[i] = xi.0[k];
             }
+            w.copy_from_slice(&state[..2]);
         }
     };
     for device in [Device::sequential(), Device::vectorized()] {
         let starts = vec![[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]; problems.len()];
         let mut states = DeviceBuffer::from_host(Arc::clone(device.stats()), &starts);
+        let mut out = DeviceBuffer::zeroed(Arc::clone(device.stats()), 3 * windows.seg_len);
         // The first launch of a kernel name allocates its stats entry.
-        device.launch_blocks_segments("branch_tron", &mut states, seg_len, &active, LANES, kernel);
+        device.launch_blocks_segments(
+            "branch_tron",
+            &mut states,
+            seg_len,
+            &active,
+            LANES,
+            &mut out,
+            windows,
+            kernel,
+        );
         let (_, n) = counted(|| {
             device.launch_blocks_segments(
                 "branch_tron",
@@ -155,6 +173,8 @@ fn grouped_lock_step_launch_never_allocates() {
                 seg_len,
                 &active,
                 LANES,
+                &mut out,
+                windows,
                 kernel,
             )
         });
@@ -163,6 +183,10 @@ fn grouped_lock_step_launch_never_allocates() {
         for (i, x) in solved.iter().enumerate() {
             let moved = *x != starts[i];
             assert_eq!(moved, active[i / seg_len], "block {i}: {x:?}");
+            let (s, j) = (i / seg_len, i % seg_len);
+            let at = s * windows.seg_len + 3 + 2 * j;
+            let want = if active[s] { &x[..2] } else { &[0.0, 0.0][..] };
+            assert_eq!(&out.as_slice()[at..at + 2], want, "block {i}'s window");
         }
     }
 }

@@ -12,31 +12,36 @@
 //!
 //! [`LaunchBackend`] carries the three operations every launch reduces to:
 //! a masked map over equally sized segments (one thread per element), a
-//! masked launch over groups of a segment's consecutive elements (one
-//! thread block per group, the lock-step TRON branch solves), and a
-//! per-segment max-reduction. A whole-buffer launch is one all-active
-//! segment, so a backend writes each iteration scheme once.
+//! masked launch over groups of a segment's consecutive elements, each
+//! handed its elements' windows of a second buffer (one thread block per
+//! group: the generator updates and the lock-step TRON branch solves, which
+//! write their consensus values where they compute them), and a masked map
+//! whose closure returns scores the backend folds into per-segment maxima
+//! (the consensus pass, which updates its elements and scores the residuals
+//! in one sweep). A whole-buffer launch is one all-active segment, so a
+//! backend writes each iteration scheme once.
 //! [`Device`](crate::Device) holds an [`AnyBackend`] — a closed enum over
 //! the implementors — so the kernel layer in `kernel.rs` contains **no**
 //! backend matching at all:
-//! every launch and reduction goes through trait dispatch. The trait's
+//! every launch goes through trait dispatch. The trait's
 //! methods are generic over the element type and kernel closure, which is
 //! why dispatch is an enum rather than a `dyn` object (generic methods
 //! are not object-safe).
 //!
 //! # The determinism contract
 //!
-//! Every backend MUST produce bitwise-identical buffers and reduction
-//! values to [`SequentialBackend`] for the same launch sequence:
+//! Every backend MUST produce bitwise-identical buffers and per-segment
+//! maxima to [`SequentialBackend`] for the same launch sequence:
 //!
-//! * segmented launches touch disjoint elements, so any schedule that
-//!   applies the closure exactly once per active element (or group)
-//!   conforms;
-//! * reductions may *evaluate* per-element scores in any order but MUST
-//!   *combine* them in index order, because floating-point `max` is
+//! * segmented launches touch disjoint elements and disjoint windows, so
+//!   any schedule that applies the closure exactly once per active element
+//!   (or group) conforms;
+//! * scoring launches may *evaluate* per-element scores in any order but
+//!   MUST *combine* them in index order, because floating-point `max` is
 //!   scheduling-sensitive through NaN and signed-zero handling;
-//! * inactive segments of a masked launch must not be touched at all
-//!   (convergence masking relies on converged scenarios' state freezing).
+//! * inactive segments of a masked launch must not be touched at all, in
+//!   either buffer (convergence masking relies on converged scenarios'
+//!   state freezing).
 //!
 //! The contract is executable: [`crate::conformance`] checks each clause
 //! against [`SequentialBackend`] on chunk-boundary-hostile sizes, and
@@ -47,8 +52,8 @@
 //! A new backend is a plug-in, not a rewrite:
 //!
 //! 1. define a unit struct and implement [`LaunchBackend`]'s three
-//!    operations for it (the reduction must fold in index order — see the
-//!    contract above);
+//!    operations for it (the scoring launch must fold in index order — see
+//!    the contract above);
 //! 2. add an [`AnyBackend`] variant delegating to it, a constructor on
 //!    [`Device`](crate::Device), and an [`ExecutionMode`] variant;
 //! 3. run it through `assert_backend_conformance` in `conformance.rs`'s
@@ -86,7 +91,7 @@ pub enum ExecutionMode {
     Sequential,
     /// Thread blocks on the Rayon work-stealing pool (GPU block-scheduler
     /// stand-in). Bitwise identical to `Sequential` because blocks never
-    /// share mutable state and reductions combine in index order.
+    /// share mutable state and scores fold in index order.
     Parallel,
     /// Chunked, branch-free element loops shaped for compiler
     /// auto-vectorization over the structure-of-arrays buffers.
@@ -152,9 +157,24 @@ impl std::fmt::Display for ExecutionMode {
     }
 }
 
-/// The kernel-execution dispatch trait: one launch/reduce surface, many
-/// iteration schemes. See the module docs for the determinism contract
-/// every implementor must satisfy and the guide for adding one.
+/// Where each element of a group launch finds its window of a second,
+/// segment-major buffer: that buffer holds one segment of `seg_len` values
+/// per segment of the launch, and element `j` of a launch segment owns the
+/// `width` values from `offset + j·width` of its segment on. A group's
+/// window is its elements' windows, which are consecutive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Windows {
+    /// Values per segment of the second buffer.
+    pub seg_len: usize,
+    /// Where in its segment the first element's window starts.
+    pub offset: usize,
+    /// Values per element; at least 1.
+    pub width: usize,
+}
+
+/// The kernel-execution dispatch trait: one launch surface, many iteration
+/// schemes. See the module docs for the determinism contract every
+/// implementor must satisfy and the guide for adding one.
 ///
 /// Methods operate on raw slices; the [`Device`](crate::Device) wrappers
 /// own buffer bookkeeping (length assertions, live-element accounting,
@@ -175,80 +195,103 @@ pub(crate) trait LaunchBackend {
         F: Fn(usize, &mut T) + Sync;
 
     /// Apply `f` exactly once to every *group* of the active segments'
-    /// elements, and to nothing of an inactive segment: the groups are the
-    /// buffer's consecutive chunks of `group` elements, each cut where a
-    /// segment ends, so a group holds 1 to `group` consecutive elements of
-    /// one segment. `f` receives the global index of the group's first
-    /// element. One thread block per group: a scheduling backend fans out
-    /// even a handful of them.
-    fn launch_groups<T, F>(
+    /// elements, with the group's window of `out`, and to nothing of an
+    /// inactive segment in either buffer: the groups are each segment's
+    /// consecutive chunks of `group` elements (the last one shorter), so a
+    /// group holds 1 to `group` consecutive elements of one segment, and its
+    /// window is where `windows` puts them. `f` receives the global index of
+    /// the group's first element. One thread block per group: a scheduling
+    /// backend fans out even a handful of them.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_groups<T, U, F>(
         &self,
         buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         group: usize,
+        out: &mut [U],
+        windows: Windows,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync;
+        U: Send,
+        F: Fn(usize, &mut [T], &mut [U]) + Sync;
 
-    /// Per-segment max-reduction: one value per segment, `f64::NAN` for
-    /// inactive segments (whose elements are not even visited), and the
-    /// empty-max convention `NEG_INFINITY → 0.0` applied per segment.
-    /// Each segment folds with `f64::max` in index order; scores may be
-    /// *evaluated* in any order.
-    fn reduce_max_segments<T, F>(
+    /// Apply `f` exactly once to every element of the active segments, as
+    /// [`Self::launch_segments`] does, and fold each of the `N` scores it
+    /// returns into one maximum per segment: `f64::max` from `−∞` in index
+    /// order (so a NaN score is passed over), with the empty-max convention
+    /// `−∞ → 0.0`. An inactive segment is not touched and reports `NaN`.
+    /// Scores may be *evaluated* in any order.
+    fn launch_segments_max<T, F, const N: usize>(
         &self,
-        buf: &[T],
+        buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         f: F,
-    ) -> Vec<f64>
+    ) -> Vec<[f64; N]>
     where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync;
+        T: Send,
+        F: Fn(usize, &mut T) -> [f64; N] + Sync;
 }
 
-/// Fold one segment with the max-reduction conventions shared by the
-/// sequential and parallel backends (the vectorized backend reproduces
-/// the same fold chunk-wise, bit for bit).
-fn fold_segment_max<T, F>(data: &[T], seg_len: usize, active: &[bool], s: usize, f: &F) -> f64
-where
-    F: Fn(usize, &T) -> f64,
-{
-    if !active[s] {
-        return f64::NAN;
+/// Fold one element's `scores` into the running maxima `acc`.
+#[inline]
+fn fold_max<const N: usize>(acc: &mut [f64; N], scores: [f64; N]) {
+    for (a, s) in acc.iter_mut().zip(scores) {
+        *a = a.max(s);
     }
-    let base = s * seg_len;
-    let m = data[base..base + seg_len]
-        .iter()
+}
+
+/// The empty-max convention: a fold that met no number reads `0.0`.
+fn settle<const N: usize>(acc: [f64; N]) -> [f64; N] {
+    acc.map(|m| if m == f64::NEG_INFINITY { 0.0 } else { m })
+}
+
+/// Run `f` over one segment, which starts at global index `base`, folding
+/// its scores in index order — the fold the sequential and parallel
+/// backends share (the vectorized backend reproduces it chunk-wise, bit for
+/// bit).
+fn segment_max<T, F, const N: usize>(segment: &mut [T], base: usize, f: &F) -> [f64; N]
+where
+    F: Fn(usize, &mut T) -> [f64; N],
+{
+    let mut acc = [f64::NEG_INFINITY; N];
+    for (j, x) in segment.iter_mut().enumerate() {
+        fold_max(&mut acc, f(base + j, x));
+    }
+    settle(acc)
+}
+
+/// The active segments' groups in index order, each with the global index
+/// of its first element and its window of `out`, cut with
+/// `chunks_exact_mut` so that a window is exactly its elements'.
+fn groups<'a, T, U>(
+    buf: &'a mut [T],
+    seg_len: usize,
+    active: &'a [bool],
+    group: usize,
+    out: &'a mut [U],
+    windows: Windows,
+) -> impl Iterator<Item = (usize, &'a mut [T], &'a mut [U])> {
+    let Windows {
+        seg_len: out_len,
+        offset,
+        width,
+    } = windows;
+    buf.chunks_exact_mut(seg_len)
+        .zip(out.chunks_exact_mut(out_len))
+        .zip(active)
         .enumerate()
-        .map(|(j, x)| f(base + j, x))
-        .fold(f64::NEG_INFINITY, f64::max);
-    if m == f64::NEG_INFINITY {
-        0.0
-    } else {
-        m
-    }
-}
-
-/// The groups of the chunk `chunk`, which starts at global index `start`:
-/// the chunk cut where a segment ends, each part handed to `f` when its
-/// segment is active.
-fn for_each_group<T, F>(start: usize, chunk: &mut [T], seg_len: usize, active: &[bool], f: &F)
-where
-    F: Fn(usize, &mut [T]),
-{
-    let (mut start, mut rest) = (start, chunk);
-    while !rest.is_empty() {
-        let s = start / seg_len;
-        let (part, tail) = rest.split_at_mut(((s + 1) * seg_len - start).min(rest.len()));
-        if active[s] {
-            f(start, part);
-        }
-        start += part.len();
-        rest = tail;
-    }
+        .filter(|(_, (_, &live))| live)
+        .flat_map(move |(s, ((segment, out_segment), _))| {
+            let window = &mut out_segment[offset..offset + seg_len * width];
+            segment
+                .chunks_mut(group)
+                .zip(window.chunks_mut(group * width))
+                .enumerate()
+                .map(move |(c, (elements, window))| (s * seg_len + c * group, elements, window))
+        })
 }
 
 /// One element at a time on the calling thread: the reference
@@ -277,43 +320,54 @@ impl LaunchBackend for SequentialBackend {
         }
     }
 
-    fn launch_groups<T, F>(
+    fn launch_groups<T, U, F>(
         &self,
         buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         group: usize,
+        out: &mut [U],
+        windows: Windows,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
+        U: Send,
+        F: Fn(usize, &mut [T], &mut [U]) + Sync,
     {
-        for (c, chunk) in buf.chunks_mut(group).enumerate() {
-            for_each_group(c * group, chunk, seg_len, active, &f);
+        for (start, elements, window) in groups(buf, seg_len, active, group, out, windows) {
+            f(start, elements, window);
         }
     }
 
-    fn reduce_max_segments<T, F>(
+    fn launch_segments_max<T, F, const N: usize>(
         &self,
-        buf: &[T],
+        buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         f: F,
-    ) -> Vec<f64>
+    ) -> Vec<[f64; N]>
     where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
+        T: Send,
+        F: Fn(usize, &mut T) -> [f64; N] + Sync,
     {
-        (0..active.len())
-            .map(|s| fold_segment_max(buf, seg_len, active, s, &f))
+        buf.chunks_mut(seg_len)
+            .zip(active)
+            .enumerate()
+            .map(|(s, (segment, &live))| {
+                if live {
+                    segment_max(segment, s * seg_len, &f)
+                } else {
+                    [f64::NAN; N]
+                }
+            })
             .collect()
     }
 }
 
 /// Thread blocks on the Rayon work-stealing pool — the GPU block-scheduler
 /// stand-in. Launches write disjoint elements into index-ordered storage
-/// and reductions evaluate scores in parallel but combine them in index
-/// order, so results are bitwise identical to [`SequentialBackend`].
+/// and scoring launches fold each segment in index order, so results are
+/// bitwise identical to [`SequentialBackend`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ParallelBackend;
 
@@ -345,41 +399,55 @@ impl LaunchBackend for ParallelBackend {
         }
     }
 
-    fn launch_groups<T, F>(
+    fn launch_groups<T, U, F>(
         &self,
         buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         group: usize,
+        out: &mut [U],
+        windows: Windows,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
+        U: Send,
+        F: Fn(usize, &mut [T], &mut [U]) + Sync,
     {
-        buf.par_chunks_mut(group)
+        // The groups with their windows, listed once on the calling thread
+        // so that the pool hands each task disjoint borrows.
+        let mut blocks: Vec<_> = groups(buf, seg_len, active, group, out, windows).collect();
+        blocks
+            .par_iter_mut()
             .with_min_len(1)
             .enumerate()
-            .for_each(|(c, chunk)| for_each_group(c * group, chunk, seg_len, active, &f));
+            .for_each(|(_, (start, elements, window))| f(*start, elements, window));
     }
 
-    fn reduce_max_segments<T, F>(
+    fn launch_segments_max<T, F, const N: usize>(
         &self,
-        buf: &[T],
+        buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         f: F,
-    ) -> Vec<f64>
+    ) -> Vec<[f64; N]>
     where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
+        T: Send,
+        F: Fn(usize, &mut T) -> [f64; N] + Sync,
     {
         // Segments are independent, so fanning the per-segment folds
         // across the pool preserves each segment's index-ordered fold.
-        active
-            .par_iter()
+        let mut maxima = vec![[f64::NAN; N]; active.len()];
+        let mut segments: Vec<_> = buf.chunks_mut(seg_len).zip(&mut maxima).collect();
+        segments
+            .par_iter_mut()
+            .with_min_len(1)
             .enumerate()
-            .map(|(s, _)| fold_segment_max(buf, seg_len, active, s, &f))
-            .collect::<Vec<f64>>()
+            .for_each(|(s, (segment, max))| {
+                if active[s] {
+                    **max = segment_max(segment, s * seg_len, &f);
+                }
+            });
+        maxima
     }
 }
 
@@ -399,7 +467,7 @@ pub(crate) const VECTOR_CHUNK: usize = 64;
 /// * maps run `chunks_exact_mut(VECTOR_CHUNK)` inner loops with a fixed
 ///   trip count (plus a scalar remainder), applying the closure in index
 ///   order — trivially bitwise identical;
-/// * reductions score one chunk at a time into a stack buffer (the
+/// * scoring launches score one chunk at a time into a stack buffer (the
 ///   vectorizable part) and then fold that buffer *in index order* into
 ///   the accumulator, so the sequence of `max` operations is exactly the
 ///   sequential backend's — bitwise identical by construction;
@@ -410,9 +478,9 @@ pub(crate) const VECTOR_CHUNK: usize = 64;
 ///   check on masked launches). Masking inside element bodies stays
 ///   arithmetic (clamps and selects), never control flow.
 ///
-/// Group launches (the TRON branch solves) run the sequential backend's
-/// loop: their bodies are iterative solvers that vectorize across the
-/// lanes of a group, not across groups.
+/// Group launches (the generator updates and the TRON branch solves) run
+/// the sequential backend's loop: their bodies are per-component solves
+/// that vectorize across the lanes of a group, not across groups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct VectorizedBackend;
 
@@ -435,31 +503,31 @@ where
     }
 }
 
-/// Chunk-scored, index-order-folded max-reduction core: scores land in a
-/// stack buffer (vectorizable), the fold consumes them in index order
-/// (bitwise identical to the sequential fold). `base` is the global index
-/// of `buf[0]`.
-fn max_chunked<T, F>(buf: &[T], base: usize, f: &F) -> f64
+/// Chunk-scored, index-order-folded scoring core: scores land in a stack
+/// buffer (vectorizable), the fold consumes them in index order (bitwise
+/// identical to the sequential fold). `base` is the global index of
+/// `buf[0]`.
+fn max_chunked<T, F, const N: usize>(buf: &mut [T], base: usize, f: &F) -> [f64; N]
 where
-    F: Fn(usize, &T) -> f64,
+    F: Fn(usize, &mut T) -> [f64; N],
 {
-    let mut acc = f64::NEG_INFINITY;
+    let mut acc = [f64::NEG_INFINITY; N];
     let mut offset = base;
-    let mut scores = [0.0f64; VECTOR_CHUNK];
-    let mut chunks = buf.chunks_exact(VECTOR_CHUNK);
+    let mut scores = [[0.0f64; N]; VECTOR_CHUNK];
+    let mut chunks = buf.chunks_exact_mut(VECTOR_CHUNK);
     for chunk in &mut chunks {
-        for (j, x) in chunk.iter().enumerate() {
+        for (j, x) in chunk.iter_mut().enumerate() {
             scores[j] = f(offset + j, x);
         }
         for &s in &scores {
-            acc = acc.max(s);
+            fold_max(&mut acc, s);
         }
         offset += VECTOR_CHUNK;
     }
-    for (j, x) in chunks.remainder().iter().enumerate() {
-        acc = acc.max(f(offset + j, x));
+    for (j, x) in chunks.into_remainder().iter_mut().enumerate() {
+        fold_max(&mut acc, f(offset + j, x));
     }
-    acc
+    settle(acc)
 }
 
 impl LaunchBackend for VectorizedBackend {
@@ -483,42 +551,42 @@ impl LaunchBackend for VectorizedBackend {
         }
     }
 
-    fn launch_groups<T, F>(
+    fn launch_groups<T, U, F>(
         &self,
         buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         group: usize,
+        out: &mut [U],
+        windows: Windows,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
+        U: Send,
+        F: Fn(usize, &mut [T], &mut [U]) + Sync,
     {
-        SequentialBackend.launch_groups(buf, seg_len, active, group, f)
+        SequentialBackend.launch_groups(buf, seg_len, active, group, out, windows, f)
     }
 
-    fn reduce_max_segments<T, F>(
+    fn launch_segments_max<T, F, const N: usize>(
         &self,
-        buf: &[T],
+        buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         f: F,
-    ) -> Vec<f64>
+    ) -> Vec<[f64; N]>
     where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
+        T: Send,
+        F: Fn(usize, &mut T) -> [f64; N] + Sync,
     {
-        (0..active.len())
-            .map(|s| {
-                if !active[s] {
-                    return f64::NAN;
-                }
-                let base = s * seg_len;
-                let m = max_chunked(&buf[base..base + seg_len], base, &f);
-                if m == f64::NEG_INFINITY {
-                    0.0
+        buf.chunks_mut(seg_len)
+            .zip(active)
+            .enumerate()
+            .map(|(s, (segment, &live))| {
+                if live {
+                    max_chunked(segment, s * seg_len, &f)
                 } else {
-                    m
+                    [f64::NAN; N]
                 }
             })
             .collect()
@@ -576,32 +644,35 @@ impl LaunchBackend for AnyBackend {
         dispatch!(self, b => b.launch_segments(buf, seg_len, active, f))
     }
 
-    fn launch_groups<T, F>(
+    fn launch_groups<T, U, F>(
         &self,
         buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         group: usize,
+        out: &mut [U],
+        windows: Windows,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
+        U: Send,
+        F: Fn(usize, &mut [T], &mut [U]) + Sync,
     {
-        dispatch!(self, b => b.launch_groups(buf, seg_len, active, group, f))
+        dispatch!(self, b => b.launch_groups(buf, seg_len, active, group, out, windows, f))
     }
 
-    fn reduce_max_segments<T, F>(
+    fn launch_segments_max<T, F, const N: usize>(
         &self,
-        buf: &[T],
+        buf: &mut [T],
         seg_len: usize,
         active: &[bool],
         f: F,
-    ) -> Vec<f64>
+    ) -> Vec<[f64; N]>
     where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
+        T: Send,
+        F: Fn(usize, &mut T) -> [f64; N] + Sync,
     {
-        dispatch!(self, b => b.reduce_max_segments(buf, seg_len, active, f))
+        dispatch!(self, b => b.launch_segments_max(buf, seg_len, active, f))
     }
 }
 

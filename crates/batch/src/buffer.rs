@@ -63,6 +63,30 @@ impl<T: Clone> DeviceBuffer<T> {
     }
 }
 
+impl<T> DeviceBuffer<T> {
+    /// Copy one field, `field`, of each element of the sub-range
+    /// `[offset, offset + len)` back to the host (counts one transfer of the
+    /// fields' bytes: a strided copy, like `cudaMemcpy2D` with the element
+    /// as its pitch). The scheduler reads a finished scenario's multipliers
+    /// out of its consensus states this way.
+    pub fn to_host_range_with<U>(
+        &self,
+        offset: usize,
+        len: usize,
+        field: impl Fn(&T) -> U,
+    ) -> Vec<U> {
+        assert!(
+            offset + len <= self.data.len(),
+            "to_host_range_with [{}, {}) out of bounds for buffer of length {}",
+            offset,
+            offset + len,
+            self.data.len()
+        );
+        self.stats.record_d2h(len * std::mem::size_of::<U>());
+        self.data[offset..offset + len].iter().map(field).collect()
+    }
+}
+
 impl<T: Default + Clone> DeviceBuffer<T> {
     /// Allocate a zero-initialized buffer directly on the device (no
     /// transfer: `cudaMalloc` + in-kernel initialization).
@@ -120,6 +144,16 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.device_to_host_transfers, 1);
         assert_eq!(snap.device_to_host_bytes, 40);
+    }
+
+    #[test]
+    fn field_reads_count_the_field_bytes() {
+        let stats = Arc::new(DeviceStats::default());
+        let buf = DeviceBuffer::from_host(stats.clone(), &[(1u8, 2.0f64), (3, 4.0), (5, 6.0)]);
+        assert_eq!(buf.to_host_range_with(1, 2, |e| e.1), vec![4.0, 6.0]);
+        let snap = stats.snapshot();
+        assert_eq!(snap.device_to_host_transfers, 1);
+        assert_eq!(snap.device_to_host_bytes, 16);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! across the kernel, solver, and scheduler test suites, each pinning one
 //! backend pair to one geometry. This module hoists them into one harness
 //! parameterized over `LaunchBackend` implementors, so a new backend is
-//! held to the *entire* contract — both launch granularities and the
-//! segmented reduction, masked and unmasked, on chunk-boundary-hostile
-//! sizes, and the group launch on segments of 1, `W − 1`, `W` and `W + 1`
-//! elements for group widths `W` of 1 to 3 — before it may be selected by
-//! [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
+//! held to the *entire* contract — all three launch shapes, masked and
+//! unmasked, on chunk-boundary-hostile sizes, and the group and scoring
+//! launches on empty buffers and on segments of 1 to 4 elements (`W − 1`,
+//! `W` and `W + 1` for group widths `W` of 1 to 3) and of
+//! `VECTOR_CHUNK − 1`, `VECTOR_CHUNK` and `VECTOR_CHUNK + 1` — before it
+//! may be selected by [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
 //!
 //! Two entry points:
 //!
@@ -17,15 +18,16 @@
 //!   this for a backend under development (step 3 of the guide in the
 //!   `backend` module);
 //! * [`assert_device_conformance`] drives a [`Device`] through the public
-//!   launch API against `Device::sequential()`, additionally checking the
-//!   billing stream (launch counts, live-element block accounting, no
-//!   phantom transfers).
+//!   launch API against `Device::sequential()` and against host-side
+//!   references, additionally checking the billing stream (launch counts,
+//!   live-element block accounting, no phantom transfers).
 //!
 //! The data is deterministic (a fixed multiplicative generator), so a
 //! conformance failure reproduces exactly; sizes are chosen to straddle
 //! the vectorized backend's chunk boundary and to exercise empty buffers,
 //! single elements, and ragged remainders.
 
+use crate::backend::Windows;
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
 use std::sync::Arc;
@@ -121,19 +123,59 @@ fn block_kernel(i: usize, x: &mut f64) {
     *x = acc;
 }
 
+/// The window geometries the group launches sweep for a launch segment of
+/// `seg_len` elements: one value per element filling its window segment,
+/// two per element behind a prefix and before a suffix, and eight per
+/// element behind a prefix (the branch kernel's shape).
+fn window_cases(seg_len: usize) -> [Windows; 3] {
+    [
+        Windows {
+            seg_len,
+            offset: 0,
+            width: 1,
+        },
+        Windows {
+            seg_len: 3 + 2 * seg_len + 1,
+            offset: 3,
+            width: 2,
+        },
+        Windows {
+            seg_len: 5 + 8 * seg_len,
+            offset: 5,
+            width: 8,
+        },
+    ]
+}
+
 /// [`block_kernel`] on each element of a group that starts at global index
-/// `start`.
-fn group_kernel(start: usize, group: &mut [f64]) {
-    for (j, x) in group.iter_mut().enumerate() {
+/// `start`, each element writing a value derived from its result into each
+/// value of its window.
+fn group_kernel(start: usize, group: &mut [f64], window: &mut [f64]) {
+    let width = window.len() / group.len();
+    for (j, (x, w)) in group
+        .iter_mut()
+        .zip(window.chunks_exact_mut(width))
+        .enumerate()
+    {
         block_kernel(start + j, x);
+        for (c, wc) in w.iter_mut().enumerate() {
+            *wc += *x * (c as f64 + 1.0);
+        }
     }
 }
 
 /// The kernel that fills a group launch's visit log — per element, how
-/// many groups held it and the global index its group gave it — asserting
-/// that every group holds 1 to `group` elements of one segment.
-fn visit_kernel(seg_len: usize, group: usize) -> impl Fn(usize, &mut [(usize, usize)]) + Sync {
-    move |start, elements| {
+/// many groups held it and the global index its group gave it; per window
+/// value, how many elements wrote it and which — asserting that every
+/// group holds 1 to `group` elements of one segment and a window of
+/// `width` values per element.
+#[allow(clippy::type_complexity)]
+fn visit_kernel(
+    seg_len: usize,
+    group: usize,
+    width: usize,
+) -> impl Fn(usize, &mut [(usize, usize)], &mut [(usize, usize)]) + Sync {
+    move |start, elements, window| {
         let n = elements.len();
         assert!(
             (1..=group).contains(&n),
@@ -145,17 +187,35 @@ fn visit_kernel(seg_len: usize, group: usize) -> impl Fn(usize, &mut [(usize, us
             "group [{start}, {}) straddles a segment boundary (seg_len {seg_len})",
             start + n
         );
-        for (j, (count, index)) in elements.iter_mut().enumerate() {
+        assert_eq!(window.len(), n * width, "group [{start}, +{n}) window");
+        for (j, ((count, index), w)) in elements
+            .iter_mut()
+            .zip(window.chunks_exact_mut(width))
+            .enumerate()
+        {
             *count += 1;
             *index = start + j;
+            for (writes, owner) in w {
+                *writes += 1;
+                *owner = start + j;
+            }
         }
     }
 }
 
 /// Assert that a group launch visited each element of each active segment
-/// exactly once, under its own global index, and no element of an inactive
-/// one.
-fn assert_visits(visits: &[(usize, usize)], seg_len: usize, active: &[bool], what: &str) {
+/// exactly once, under its own global index, and wrote each value of its
+/// window exactly once, as that element; and that it touched no element
+/// of an inactive segment, no value of an inactive segment's windows and no
+/// value outside the windows.
+fn assert_visits(
+    visits: &[(usize, usize)],
+    window_log: &[(usize, usize)],
+    seg_len: usize,
+    active: &[bool],
+    windows: Windows,
+    what: &str,
+) {
     for (i, &(count, index)) in visits.iter().enumerate() {
         if active[i / seg_len] {
             assert_eq!((count, index), (1, i), "{what}: element {i} visits");
@@ -163,12 +223,26 @@ fn assert_visits(visits: &[(usize, usize)], seg_len: usize, active: &[bool], wha
             assert_eq!(count, 0, "{what}: inactive element {i} was touched");
         }
     }
+    for (k, &(writes, owner)) in window_log.iter().enumerate() {
+        let (s, at) = (k / windows.seg_len, k % windows.seg_len);
+        let in_window = at >= windows.offset && at < windows.offset + seg_len * windows.width;
+        if active[s] && in_window {
+            let want = s * seg_len + (at - windows.offset) / windows.width;
+            assert_eq!(
+                (writes, owner),
+                (1, want),
+                "{what}: window value {k} writes"
+            );
+        } else {
+            assert_eq!(writes, 0, "{what}: window value {k} was touched");
+        }
+    }
 }
 
 /// Max-reduction score whose stream contains NaN and signed-zero entries:
 /// `f64::max` is scheduling-sensitive through exactly those, so any
 /// combine-order violation changes bits.
-fn score(i: usize, x: &f64) -> f64 {
+fn score(i: usize, x: f64) -> f64 {
     if i % 251 == 17 {
         f64::NAN
     } else {
@@ -176,10 +250,65 @@ fn score(i: usize, x: &f64) -> f64 {
     }
 }
 
+/// The scoring launch's kernel for segments of `seg_len`: it updates its
+/// element and returns two scores of the element's old value — [`score`]
+/// and its negation — except in every third segment, whose scores are all
+/// NaN, so that index order, passing over NaN and the empty-max convention
+/// each change bits when broken.
+fn scored_kernel(seg_len: usize) -> impl Fn(usize, &mut f64) -> [f64; 2] + Sync {
+    move |i, x| {
+        let old = *x;
+        map_kernel(i, x);
+        if (i / seg_len) % 3 == 2 {
+            [f64::NAN; 2]
+        } else {
+            [score(i, old), -score(i, old)]
+        }
+    }
+}
+
+/// What the scoring launch must return on `host`: per active segment, the
+/// index-order `f64::max` fold from `−∞` of each score, `0.0` where no
+/// score is a number; NaN per inactive segment.
+fn scored_reference(host: &[f64], seg_len: usize, active: &[bool]) -> Vec<[f64; 2]> {
+    let kernel = scored_kernel(seg_len);
+    (0..active.len())
+        .map(|s| {
+            if !active[s] {
+                return [f64::NAN; 2];
+            }
+            let mut maxima = [f64::NEG_INFINITY; 2];
+            for (i, x) in host.iter().enumerate().skip(s * seg_len).take(seg_len) {
+                let scores = kernel(i, &mut x.clone());
+                for (m, v) in maxima.iter_mut().zip(scores) {
+                    *m = m.max(v);
+                }
+            }
+            maxima.map(|m| if m == f64::NEG_INFINITY { 0.0 } else { m })
+        })
+        .collect()
+}
+
+/// Assert that per-segment maxima agree bit for bit (NaN with NaN).
+fn assert_maxima_eq(got: &[[f64; 2]], want: &[[f64; 2]], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: one result per segment");
+    for (s, (g, w)) in got.iter().zip(want).enumerate() {
+        for c in 0..2 {
+            assert!(
+                g[c].to_bits() == w[c].to_bits() || (g[c].is_nan() && w[c].is_nan()),
+                "{what}: segment {s} score {c}: {} vs {}",
+                g[c],
+                w[c]
+            );
+        }
+    }
+}
+
 /// Assert that `device` conforms through the public [`Device`] launch API:
-/// bitwise-identical results to `Device::sequential()` *and* an identical
-/// billing stream — same launch counts, same live-element block counts,
-/// and no transfers recorded during kernels.
+/// bitwise-identical results to `Device::sequential()` and to the host
+/// references, *and* an identical billing stream — same launch counts,
+/// same live-element block counts, and no transfers recorded during
+/// kernels.
 pub fn assert_device_conformance(device: &Device) {
     let reference = Device::sequential();
     let label = device.backend().label();
@@ -221,42 +350,40 @@ pub fn assert_device_conformance(device: &Device) {
 
     for (seg_len, active) in segment_cases() {
         let host = data(seg_len * active.len(), 12);
+        let windows = window_cases(seg_len)[1];
+        let out_host = data(windows.seg_len * active.len(), 13);
         let mut got = DeviceBuffer::from_host(Arc::clone(device.stats()), &host);
         let mut want = DeviceBuffer::from_host(Arc::clone(reference.stats()), &host);
+        let mut got_out = DeviceBuffer::from_host(Arc::clone(device.stats()), &out_host);
+        let mut want_out = DeviceBuffer::from_host(Arc::clone(reference.stats()), &out_host);
         let before = (device.stats().snapshot(), reference.stats().snapshot());
 
         device.launch_map_segments("conf_seg", &mut got, seg_len, &active, map_kernel);
         reference.launch_map_segments("conf_seg", &mut want, seg_len, &active, map_kernel);
-        device.launch_blocks_segments(
-            "conf_seg_blocks",
-            &mut got,
-            seg_len,
-            &active,
-            2,
-            group_kernel,
-        );
-        reference.launch_blocks_segments(
-            "conf_seg_blocks",
-            &mut want,
-            seg_len,
-            &active,
-            2,
-            group_kernel,
-        );
-        assert_bits_eq(
-            got.as_slice(),
-            want.as_slice(),
-            &format!("{label}: device segments seg_len={seg_len}"),
-        );
-
-        let gm = device.reduce_max_segments("conf_seg_max", &got, seg_len, &active, score);
-        let wm = reference.reduce_max_segments("conf_seg_max", &want, seg_len, &active, score);
-        for (s, (g, w)) in gm.iter().zip(&wm).enumerate() {
-            assert!(
-                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                "{label}: device seg reduce seg {s} (seg_len={seg_len})"
+        for (dev, buf, out) in [
+            (device, &mut got, &mut got_out),
+            (&reference, &mut want, &mut want_out),
+        ] {
+            dev.launch_blocks_segments(
+                "conf_seg_blocks",
+                buf,
+                seg_len,
+                &active,
+                2,
+                out,
+                windows,
+                group_kernel,
             );
         }
+        let kernel = scored_kernel(seg_len);
+        let gm =
+            device.launch_map_segments_max("conf_seg_max", &mut got, seg_len, &active, &kernel);
+        let wm =
+            reference.launch_map_segments_max("conf_seg_max", &mut want, seg_len, &active, &kernel);
+        let what = format!("{label}: device segments seg_len={seg_len}");
+        assert_bits_eq(got.as_slice(), want.as_slice(), &what);
+        assert_bits_eq(got_out.as_slice(), want_out.as_slice(), &what);
+        assert_maxima_eq(&gm, &wm, &what);
 
         // Masked launches bill only live elements, identically on every
         // backend.
@@ -270,38 +397,85 @@ pub fn assert_device_conformance(device: &Device) {
             );
             assert_eq!(dg.kernels[name].blocks, dw.kernels[name].blocks);
         }
+        assert_eq!(
+            dg.total_transfers(),
+            0,
+            "{label}: kernels must not transfer"
+        );
     }
 
     // Group launches: every element of an active segment in exactly one
-    // group of 1 to `group` elements of its segment, nothing of an inactive
-    // segment, and one block billed per live element.
+    // group of 1 to `group` elements of its segment, with exactly its own
+    // window, nothing of an inactive segment in either buffer, and one
+    // block billed per live element. Scoring launches: each active
+    // segment's maxima are the index-order fold, its elements updated
+    // once, and an inactive segment reads NaN and keeps its values.
     for (seg_len, active) in group_cases() {
+        let n = seg_len * active.len();
+        let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
         for &group in GROUPS {
-            let what = format!("{label}: group launch seg_len={seg_len} group={group}");
-            let n = seg_len * active.len();
-            let mut visits = DeviceBuffer::from_host(Arc::clone(device.stats()), &vec![(0, 0); n]);
-            let before = device.stats().snapshot();
-            let kernel = visit_kernel(seg_len, group);
-            device.launch_blocks_segments(
-                "conf_groups",
-                &mut visits,
-                seg_len,
-                &active,
-                group,
-                kernel,
-            );
-            assert_visits(visits.as_slice(), seg_len, &active, &what);
-            let billed = device.stats().snapshot().since(&before);
-            let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
-            assert_eq!(
-                billed.kernels["conf_groups"].blocks, live,
-                "{what}: billing"
-            );
-            assert_eq!(
-                billed.kernels["conf_groups"].launches, 1,
-                "{what}: launches"
-            );
+            for windows in window_cases(seg_len) {
+                let what =
+                    format!("{label}: group launch seg_len={seg_len} group={group} {windows:?}");
+                let mut visits =
+                    DeviceBuffer::from_host(Arc::clone(device.stats()), &vec![(0, 0); n]);
+                let mut window_log = DeviceBuffer::from_host(
+                    Arc::clone(device.stats()),
+                    &vec![(0, 0); windows.seg_len * active.len()],
+                );
+                let before = device.stats().snapshot();
+                device.launch_blocks_segments(
+                    "conf_groups",
+                    &mut visits,
+                    seg_len,
+                    &active,
+                    group,
+                    &mut window_log,
+                    windows,
+                    visit_kernel(seg_len, group, windows.width),
+                );
+                assert_visits(
+                    visits.as_slice(),
+                    window_log.as_slice(),
+                    seg_len,
+                    &active,
+                    windows,
+                    &what,
+                );
+                let billed = device.stats().snapshot().since(&before);
+                assert_eq!(
+                    billed.kernels["conf_groups"].blocks, live,
+                    "{what}: billing"
+                );
+                assert_eq!(
+                    billed.kernels["conf_groups"].launches, 1,
+                    "{what}: launches"
+                );
+            }
         }
+
+        let what = format!("{label}: scoring launch seg_len={seg_len} {active:?}");
+        let host = data(n, 14);
+        let mut buf = DeviceBuffer::from_host(Arc::clone(device.stats()), &host);
+        let before = device.stats().snapshot();
+        let maxima = device.launch_map_segments_max(
+            "conf_max",
+            &mut buf,
+            seg_len,
+            &active,
+            scored_kernel(seg_len),
+        );
+        assert_maxima_eq(&maxima, &scored_reference(&host, seg_len, &active), &what);
+        let mut updated = host.clone();
+        for (i, x) in updated.iter_mut().enumerate() {
+            if active[i / seg_len] {
+                map_kernel(i, x);
+            }
+        }
+        assert_bits_eq(buf.as_slice(), &updated, &what);
+        let billed = device.stats().snapshot().since(&before);
+        assert_eq!(billed.kernels["conf_max"].blocks, live, "{what}: billing");
+        assert_eq!(billed.kernels["conf_max"].launches, 1, "{what}: launches");
     }
 }
 
@@ -311,23 +485,64 @@ mod tests {
     use crate::backend::{LaunchBackend, ParallelBackend, SequentialBackend, VectorizedBackend};
 
     /// Assert that `backend` is bitwise identical to [`SequentialBackend`] on
-    /// every launch geometry and reduction of the [`LaunchBackend`] contract.
-    /// Panics with the offending geometry and element on divergence.
+    /// every launch geometry of the [`LaunchBackend`] contract. Panics with
+    /// the offending geometry and element on divergence.
     fn assert_backend_conformance<B: LaunchBackend>(backend: &B) {
         let reference = SequentialBackend;
         let label = backend.mode().label();
 
-        for (seg_len, active) in segment_cases() {
+        for (seg_len, active) in group_cases() {
             let n = seg_len * active.len();
             // Masked map and masked group launches: bitwise identity AND
-            // inactive segments untouched (frozen-state contract).
+            // inactive segments untouched in both buffers (frozen-state
+            // contract).
             let original = data(n, 5);
             let (mut got, mut want) = (original.clone(), original.clone());
             backend.launch_segments(&mut got, seg_len, &active, map_kernel);
             reference.launch_segments(&mut want, seg_len, &active, map_kernel);
             for &group in GROUPS {
-                backend.launch_groups(&mut got, seg_len, &active, group, group_kernel);
-                reference.launch_groups(&mut want, seg_len, &active, group, group_kernel);
+                for windows in window_cases(seg_len) {
+                    let out_original = data(windows.seg_len * active.len(), 8);
+                    let (mut got_out, mut want_out) = (out_original.clone(), out_original.clone());
+                    backend.launch_groups(
+                        &mut got,
+                        seg_len,
+                        &active,
+                        group,
+                        &mut got_out,
+                        windows,
+                        group_kernel,
+                    );
+                    reference.launch_groups(
+                        &mut want,
+                        seg_len,
+                        &active,
+                        group,
+                        &mut want_out,
+                        windows,
+                        group_kernel,
+                    );
+                    let what = format!("{label}: launch_groups seg_len={seg_len} {windows:?}");
+                    assert_bits_eq(&got_out, &want_out, &what);
+                    for (k, (g, o)) in got_out.iter().zip(&out_original).enumerate() {
+                        if !active[k / windows.seg_len] {
+                            assert_eq!(g.to_bits(), o.to_bits(), "{what}: inactive value {k}");
+                        }
+                    }
+
+                    let mut visits = vec![(0, 0); n];
+                    let mut window_log = vec![(0, 0); windows.seg_len * active.len()];
+                    backend.launch_groups(
+                        &mut visits,
+                        seg_len,
+                        &active,
+                        group,
+                        &mut window_log,
+                        windows,
+                        visit_kernel(seg_len, group, windows.width),
+                    );
+                    assert_visits(&visits, &window_log, seg_len, &active, windows, &what);
+                }
             }
             assert_bits_eq(&got, &want, &format!("{label}: launches seg_len={seg_len}"));
             for (i, (g, o)) in got.iter().zip(&original).enumerate() {
@@ -340,53 +555,32 @@ mod tests {
                 }
             }
 
-            // Masked per-segment reduction: NaN for inactive segments, bitwise
-            // identity for active ones.
-            let buf = data(n, 6);
-            let got = backend.reduce_max_segments(&buf, seg_len, &active, score);
-            let want = reference.reduce_max_segments(&buf, seg_len, &active, score);
-            assert_eq!(got.len(), active.len());
-            for (s, (g, w)) in got.iter().zip(&want).enumerate() {
-                if active[s] {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{label}: reduce_max_segments seg {s} (seg_len={seg_len})"
-                    );
-                } else {
-                    assert!(
-                        g.is_nan() && w.is_nan(),
-                        "{label}: inactive seg {s} must reduce to NaN"
-                    );
-                }
-            }
-        }
-
-        for (seg_len, active) in group_cases() {
-            for &group in GROUPS {
-                let mut visits = vec![(0, 0); seg_len * active.len()];
-                backend.launch_groups(
-                    &mut visits,
-                    seg_len,
-                    &active,
-                    group,
-                    visit_kernel(seg_len, group),
-                );
-                let what = format!("{label}: launch_groups seg_len={seg_len} group={group}");
-                assert_visits(&visits, seg_len, &active, &what);
-            }
+            // Masked scoring launch: NaN for inactive segments, the
+            // index-order fold for active ones, each element updated once.
+            let host = data(n, 6);
+            let (mut got, mut want) = (host.clone(), host.clone());
+            let got_max =
+                backend.launch_segments_max(&mut got, seg_len, &active, scored_kernel(seg_len));
+            let want_max =
+                reference.launch_segments_max(&mut want, seg_len, &active, scored_kernel(seg_len));
+            let what = format!("{label}: launch_segments_max seg_len={seg_len}");
+            assert_maxima_eq(&got_max, &want_max, &what);
+            assert_maxima_eq(&got_max, &scored_reference(&host, seg_len, &active), &what);
+            assert_bits_eq(&got, &want, &what);
         }
 
         // Determinism with itself: a second identical run reproduces the
         // first bit for bit (no hidden scheduling dependence).
-        let buf = data(10_000, 7);
+        let host = data(10_000, 7);
         let active = [true; 4];
-        let first = backend.reduce_max_segments(&buf, 2500, &active, score);
-        let second = backend.reduce_max_segments(&buf, 2500, &active, score);
-        assert_bits_eq(
+        let first =
+            backend.launch_segments_max(&mut host.clone(), 2500, &active, scored_kernel(2500));
+        let second =
+            backend.launch_segments_max(&mut host.clone(), 2500, &active, scored_kernel(2500));
+        assert_maxima_eq(
             &first,
             &second,
-            &format!("{label}: reduce_max_segments is not self-deterministic"),
+            &format!("{label}: launch_segments_max is not self-deterministic"),
         );
     }
 
@@ -417,18 +611,16 @@ mod tests {
         assert_device_conformance(&Device::auto());
     }
 
-    /// A deliberately broken backend (the segmented reduction scores with
+    /// A deliberately broken backend (the scoring launch scores with
     /// segment-local instead of global indices) must be rejected — the
     /// harness has teeth.
     #[test]
-    #[should_panic(expected = "reduce_max_segments")]
-    fn local_index_reduction_fails_conformance() {
-        use crate::backend::{ExecutionMode, LaunchBackend};
-
-        struct LocalIndexReduce;
-        impl LaunchBackend for LocalIndexReduce {
-            fn mode(&self) -> ExecutionMode {
-                ExecutionMode::Sequential
+    #[should_panic(expected = "launch_segments_max")]
+    fn local_index_scoring_fails_conformance() {
+        struct LocalIndexScores;
+        impl LaunchBackend for LocalIndexScores {
+            fn mode(&self) -> crate::ExecutionMode {
+                crate::ExecutionMode::Sequential
             }
             fn launch_segments<T: Send, F: Fn(usize, &mut T) + Sync>(
                 &self,
@@ -439,27 +631,85 @@ mod tests {
             ) {
                 SequentialBackend.launch_segments(buf, s, a, f)
             }
-            fn launch_groups<T: Send, F: Fn(usize, &mut [T]) + Sync>(
+            #[allow(clippy::too_many_arguments)]
+            fn launch_groups<T: Send, U: Send, F: Fn(usize, &mut [T], &mut [U]) + Sync>(
                 &self,
                 buf: &mut [T],
                 s: usize,
                 a: &[bool],
                 g: usize,
+                out: &mut [U],
+                w: Windows,
                 f: F,
             ) {
-                SequentialBackend.launch_groups(buf, s, a, g, f)
+                SequentialBackend.launch_groups(buf, s, a, g, out, w, f)
             }
-            fn reduce_max_segments<T: Sync, F: Fn(usize, &T) -> f64 + Sync>(
+            fn launch_segments_max<
+                T: Send,
+                F: Fn(usize, &mut T) -> [f64; N] + Sync,
+                const N: usize,
+            >(
                 &self,
-                buf: &[T],
+                buf: &mut [T],
                 s: usize,
                 a: &[bool],
                 f: F,
-            ) -> Vec<f64> {
+            ) -> Vec<[f64; N]> {
                 // Violates the contract: `f` must see the global index.
-                SequentialBackend.reduce_max_segments(buf, s, a, |i, x| f(i % s, x))
+                SequentialBackend.launch_segments_max(buf, s, a, |i, x| f(i % s, x))
             }
         }
-        assert_backend_conformance(&LocalIndexReduce);
+        assert_backend_conformance(&LocalIndexScores);
+    }
+
+    /// A deliberately broken group launch (every window cut from the start
+    /// of its segment, ignoring the offset) must be rejected too.
+    #[test]
+    #[should_panic(expected = "launch_groups")]
+    fn misplaced_windows_fail_conformance() {
+        struct MisplacedWindows;
+        impl LaunchBackend for MisplacedWindows {
+            fn mode(&self) -> crate::ExecutionMode {
+                crate::ExecutionMode::Sequential
+            }
+            fn launch_segments<T: Send, F: Fn(usize, &mut T) + Sync>(
+                &self,
+                buf: &mut [T],
+                s: usize,
+                a: &[bool],
+                f: F,
+            ) {
+                SequentialBackend.launch_segments(buf, s, a, f)
+            }
+            #[allow(clippy::too_many_arguments)]
+            fn launch_groups<T: Send, U: Send, F: Fn(usize, &mut [T], &mut [U]) + Sync>(
+                &self,
+                buf: &mut [T],
+                s: usize,
+                a: &[bool],
+                g: usize,
+                out: &mut [U],
+                w: Windows,
+                f: F,
+            ) {
+                // Violates the contract: the windows start at `offset`.
+                let w = Windows { offset: 0, ..w };
+                SequentialBackend.launch_groups(buf, s, a, g, out, w, f)
+            }
+            fn launch_segments_max<
+                T: Send,
+                F: Fn(usize, &mut T) -> [f64; N] + Sync,
+                const N: usize,
+            >(
+                &self,
+                buf: &mut [T],
+                s: usize,
+                a: &[bool],
+                f: F,
+            ) -> Vec<[f64; N]> {
+                SequentialBackend.launch_segments_max(buf, s, a, f)
+            }
+        }
+        assert_backend_conformance(&MisplacedWindows);
     }
 }

@@ -1,28 +1,34 @@
 //! Kernel launch APIs.
 //!
 //! A *kernel* is a named unit of device work. Every launch is a masked
-//! launch over equally sized segments (one segment per scenario), at one of
-//! two scheduling granularities:
+//! launch over equally sized segments (one segment per scenario), in one of
+//! three shapes:
 //!
 //! * [`Device::launch_map_segments`] — one thread per element; used for the
-//!   closed-form generator / bus / z / multiplier updates, which the paper
+//!   closed-form bus and outer-multiplier updates, which the paper
 //!   implements by launching as many threads as there are elements.
 //! * [`Device::launch_blocks_segments`] — one thread block per group of up
-//!   to `group` consecutive elements of a segment; used for the batch TRON
-//!   branch solves, where each block solves its group's branch subproblems
-//!   in lock-step, one per lane.
+//!   to `group` consecutive elements of a segment, handed the group's
+//!   windows of a second buffer ([`Windows`]); used for the generator
+//!   updates and the batch TRON branch solves (each block solving its
+//!   group's branch subproblems in lock-step, one per lane), which write
+//!   their consensus values `u` into their own windows in the launch that
+//!   computes them.
+//! * [`Device::launch_map_segments_max`] — one thread per element whose
+//!   closure also returns scores, folded into per-segment maxima without
+//!   copying data back to the host; used for the consensus pass, which
+//!   updates `v`, `z` and `y` and scores the residuals that decide
+//!   convergence in the same sweep (a fused map + `cub::DeviceSegmentedReduce`).
 //!
 //! [`Device::launch_map`] and [`Device::launch_blocks`] launch a whole
-//! buffer as one active segment. The per-segment reduction
-//! ([`Device::reduce_max_segments`]) covers the residual-norm computations
-//! that decide convergence without copying data back to the host.
+//! buffer as one active segment.
 //!
 //! Every method here is backend-agnostic: the iteration scheme lives behind
 //! the [`LaunchBackend`] trait the device resolved at construction, and this
 //! layer owns the buffer bookkeeping — length assertions, live-element
 //! accounting and billing each launch to [`crate::DeviceStats`].
 
-use crate::backend::LaunchBackend;
+use crate::backend::{LaunchBackend, Windows};
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
 use std::time::Instant;
@@ -53,9 +59,25 @@ impl Device {
         F: Fn(usize, &mut T) + Sync,
     {
         let (seg_len, active) = whole(states);
-        self.launch_blocks_segments(name, states, seg_len, active, 1, |i, group| {
-            f(i, &mut group[0])
-        });
+        // No second buffer: each block's window is one zero-sized value, so
+        // the window buffer allocates nothing.
+        let mut none = vec![(); states.len()];
+        let windows = Windows {
+            seg_len,
+            offset: 0,
+            width: 1,
+        };
+        let start = check_segments(states, seg_len, active);
+        self.exec.launch_groups(
+            states.as_mut_slice(),
+            seg_len,
+            active,
+            1,
+            &mut none,
+            windows,
+            |i, block, _| f(i, &mut block[0]),
+        );
+        self.bill(name, seg_len, active, start);
     }
 
     /// Launch a kernel over a scenario-major buffer holding `active.len()`
@@ -83,33 +105,93 @@ impl Device {
     }
 
     /// One thread *block* per group of up to `group` consecutive elements
-    /// of an active segment; the segmented analogue of
-    /// [`Self::launch_blocks`], used for the batched TRON branch solves
-    /// spanning all scenarios in one launch, each block solving its group's
-    /// subproblems in lock-step. The groups are the buffer's consecutive
-    /// chunks of `group` elements, each cut where a segment ends, so a group
-    /// never spans two segments and never reaches into an inactive one. The
-    /// closure receives the *global* index of the group's first element and
-    /// the group. Scheduling backends fan out at single-group granularity,
-    /// and the launch is billed one block per live element, whatever the
-    /// grouping.
-    pub fn launch_blocks_segments<T, F>(
+    /// of an active segment, handed the group's elements and their windows
+    /// of `out`; the segmented analogue of [`Self::launch_blocks`], used for
+    /// the batched component updates spanning all scenarios in one launch —
+    /// each branch block solving its group's subproblems in lock-step — that
+    /// write their share of a consensus buffer as they compute it. The
+    /// groups are each segment's consecutive chunks of `group` elements
+    /// (the last one shorter), so a group never spans two segments and
+    /// never reaches into an inactive one; `out` holds one segment of
+    /// `windows.seg_len` values per segment, and [`Windows`] places each
+    /// element's `windows.width` values in it, so no two groups share a
+    /// value. The closure receives the *global* index of the group's first
+    /// element, the group and its window. Scheduling backends fan out at
+    /// single-group granularity, and the launch is billed one block per
+    /// live element of `states`, whatever the grouping.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch_blocks_segments<T, U, F>(
         &self,
         name: &str,
         states: &mut DeviceBuffer<T>,
         seg_len: usize,
         active: &[bool],
         group: usize,
+        out: &mut DeviceBuffer<U>,
+        windows: Windows,
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
+        U: Send,
+        F: Fn(usize, &mut [T], &mut [U]) + Sync,
     {
         assert!(group > 0, "groups must be non-empty");
+        assert!(windows.width > 0, "windows must be non-empty");
+        assert_eq!(
+            out.len(),
+            windows.seg_len * active.len(),
+            "window buffer length must equal windows.seg_len * segments"
+        );
+        assert!(
+            windows.offset + seg_len * windows.width <= windows.seg_len,
+            "windows [{}, {}) overrun a window segment of {} values",
+            windows.offset,
+            windows.offset + seg_len * windows.width,
+            windows.seg_len
+        );
         let start = check_segments(states, seg_len, active);
-        self.exec
-            .launch_groups(states.as_mut_slice(), seg_len, active, group, f);
+        self.exec.launch_groups(
+            states.as_mut_slice(),
+            seg_len,
+            active,
+            group,
+            out.as_mut_slice(),
+            windows,
+            f,
+        );
         self.bill(name, seg_len, active, start);
+    }
+
+    /// One thread per element of the active segments, as
+    /// [`Self::launch_map_segments`], whose closure also returns `N` scores;
+    /// returns one `[f64; N]` per segment holding each score's maximum over
+    /// the segment, `f64::NAN` for segments whose mask entry is `false`
+    /// (their elements are not even visited). A maximum is the index-order
+    /// `f64::max` fold from `−∞` (a NaN score is passed over), and a segment
+    /// with no number reads `0.0`. No host transfer is recorded: the maxima
+    /// are a handful of scalars produced on the device, the way a fused map
+    /// and `cub::DeviceSegmentedReduce` would leave them. Backends may
+    /// evaluate scores in any order but fold each segment in index order
+    /// (the determinism contract in `backend.rs`), so the result is bitwise
+    /// identical across every conforming backend.
+    pub fn launch_map_segments_max<T, F, const N: usize>(
+        &self,
+        name: &str,
+        buf: &mut DeviceBuffer<T>,
+        seg_len: usize,
+        active: &[bool],
+        f: F,
+    ) -> Vec<[f64; N]>
+    where
+        T: Send,
+        F: Fn(usize, &mut T) -> [f64; N] + Sync,
+    {
+        let start = check_segments(buf, seg_len, active);
+        let maxima = self
+            .exec
+            .launch_segments_max(buf.as_mut_slice(), seg_len, active, f);
+        self.bill(name, seg_len, active, start);
+        maxima
     }
 
     /// Bill a launch over the live elements of `active` that began at
@@ -117,34 +199,6 @@ impl Device {
     fn bill(&self, name: &str, seg_len: usize, active: &[bool], start: Instant) {
         let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
         self.stats.record_launch(name, live, start.elapsed());
-    }
-
-    /// Per-segment max-reduction over a scenario-major buffer: returns one
-    /// value per segment, `f64::NAN` for segments whose mask entry is
-    /// `false` (their elements are not even visited). No host transfer is
-    /// recorded: the result is a handful of scalars produced on the device,
-    /// mirroring a `cub::DeviceSegmentedReduce` call. Backends may evaluate
-    /// scores in any order but fold each segment in index order (the
-    /// determinism contract in `backend.rs`), so the result is bitwise
-    /// identical across every conforming backend.
-    pub fn reduce_max_segments<T, F>(
-        &self,
-        name: &str,
-        buf: &DeviceBuffer<T>,
-        seg_len: usize,
-        active: &[bool],
-        f: F,
-    ) -> Vec<f64>
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        let start = check_segments(buf, seg_len, active);
-        let result = self
-            .exec
-            .reduce_max_segments(buf.as_slice(), seg_len, active, f);
-        self.bill(name, seg_len, active, start);
-        result
     }
 }
 
@@ -236,25 +290,42 @@ mod tests {
     }
 
     #[test]
-    fn segmented_reduce_matches_whole_segment_reduce() {
+    fn scored_launch_folds_each_segment_and_skips_inactive_ones() {
         let host: Vec<f64> = (0..3 * 1500)
             .map(|i| ((i * 31) % 97) as f64 - 48.0)
             .collect();
         for dev in devices() {
-            let buf = DeviceBuffer::from_host(Arc::clone(dev.stats()), &host);
-            let maxes =
-                dev.reduce_max_segments("seg_max", &buf, 1500, &[true, false, true], |_, x| {
-                    x.abs()
-                });
+            let mut buf = DeviceBuffer::from_host(Arc::clone(dev.stats()), &host);
+            let maxes = dev.launch_map_segments_max(
+                "seg_max",
+                &mut buf,
+                1500,
+                &[true, false, true],
+                |_, x| {
+                    *x = -*x;
+                    [x.abs(), *x]
+                },
+            );
             assert_eq!(maxes.len(), 3);
-            assert!(maxes[1].is_nan(), "inactive segment must be NaN");
+            assert!(
+                maxes[1].iter().all(|m| m.is_nan()),
+                "inactive segment must be NaN"
+            );
             for s in [0usize, 2] {
-                let expect = host[s * 1500..(s + 1) * 1500]
+                let seg = &host[s * 1500..(s + 1) * 1500];
+                let abs = seg
                     .iter()
                     .map(|x| x.abs())
                     .fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(maxes[s].to_bits(), expect.to_bits());
+                let neg = seg.iter().map(|x| -x).fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(maxes[s][0].to_bits(), abs.to_bits());
+                assert_eq!(maxes[s][1].to_bits(), neg.to_bits());
             }
+            for (i, (x, h)) in buf.as_slice().iter().zip(&host).enumerate() {
+                let want = if i / 1500 == 1 { *h } else { -h };
+                assert_eq!(x.to_bits(), want.to_bits(), "element {i}");
+            }
+            assert_eq!(dev.stats().snapshot().kernels["seg_max"].blocks, 2 * 1500);
         }
     }
 
@@ -265,15 +336,19 @@ mod tests {
         let seq = Device::sequential();
         let mut buf_seq = DeviceBuffer::from_host(Arc::clone(seq.stats()), &host);
         let kernel = |_: usize, x: &mut f64| *x = x.cos() * 1.7 - 0.3;
+        let scored = |_: usize, x: &mut f64| {
+            *x = x.sin();
+            [*x]
+        };
         seq.launch_map_segments("k", &mut buf_seq, 1024, &active, kernel);
-        let ms = seq.reduce_max_segments("m", &buf_seq, 1024, &active, |_, x| *x);
+        let ms = seq.launch_map_segments_max("m", &mut buf_seq, 1024, &active, scored);
         for dev in [Device::parallel(), Device::vectorized()] {
             let mut buf = DeviceBuffer::from_host(Arc::clone(dev.stats()), &host);
             dev.launch_map_segments("k", &mut buf, 1024, &active, kernel);
+            let m = dev.launch_map_segments_max("m", &mut buf, 1024, &active, scored);
             assert_eq!(buf.as_slice(), buf_seq.as_slice());
-            let m = dev.reduce_max_segments("m", &buf, 1024, &active, |_, x| *x);
             for (a, b) in m.iter().zip(&ms) {
-                assert_eq!(a.to_bits(), b.to_bits());
+                assert_eq!(a[0].to_bits(), b[0].to_bits());
             }
         }
     }
@@ -294,7 +369,7 @@ mod tests {
         let before = stats.snapshot();
         for _ in 0..10 {
             dev.launch_map("inc", &mut buf, |_, x| *x += 1.0);
-            let _ = dev.reduce_max_segments("norm", &buf, 128, &[true], |_, x| *x);
+            let _ = dev.launch_map_segments_max("norm", &mut buf, 128, &[true], |_, x| [*x]);
         }
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.total_transfers(), 0, "kernels must not transfer");

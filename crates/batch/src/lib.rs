@@ -22,19 +22,24 @@
 //!   are explicit and *counted*, so the paper's "no transfers during the
 //!   solve" claim becomes a checkable property (see the `transfer_audit`
 //!   experiment binary),
-//! * kernel-launch APIs (masked launches over scenario segments, one thread
-//!   per element or one block per group of up to `group` consecutive
-//!   elements of a segment — the lock-step TRON branch solves — the
-//!   whole-buffer `launch_map` / `launch_blocks` as one segment, and the
-//!   per-segment max-reduction) that record per-kernel launch counts, block
-//!   counts (one per live element, however grouped) and elapsed time in
-//!   [`DeviceStats`]; a backend implements only the segmented launch, the
-//!   group launch and the segmented reduction,
+//! * kernel-launch APIs in three shapes — masked launches over scenario
+//!   segments with one thread per element; one block per group of up to
+//!   `group` consecutive elements of a segment, each group handed its
+//!   elements' windows of a second buffer ([`Windows`]: the generator and
+//!   lock-step TRON branch updates write their consensus values where they
+//!   compute them); and one thread per element whose closure returns scores
+//!   the backend folds into per-segment maxima in index order (the fused
+//!   consensus pass and its residuals) — plus the whole-buffer
+//!   `launch_map` / `launch_blocks` as one segment. Every launch records its
+//!   kernel's launch count, block count (one per live element, however
+//!   grouped) and elapsed time in [`DeviceStats`]; a backend implements only
+//!   the three segmented shapes,
 //! * [`assert_device_conformance`] — the executable determinism contract:
 //!   every backend must be bitwise identical to the sequential one on all
-//!   three operations, masked and unmasked, and its group launch must visit
-//!   each live element once, in groups that never cross a segment, before
-//!   [`ExecutionMode::Auto`] may select it.
+//!   three shapes, masked and unmasked; its group launch must visit each
+//!   live element once, in groups that never cross a segment, with exactly
+//!   its own window; and its scoring launch must fold every segment in
+//!   index order — all before [`ExecutionMode::Auto`] may select it.
 //!
 //! The algorithmic structure — what is a kernel, what runs per thread, what
 //! runs per block, what never leaves the device — is therefore identical to
@@ -52,7 +57,7 @@ mod kernel;
 mod pool;
 mod stats;
 
-pub use backend::{ExecutionMode, BACKEND_ENV};
+pub use backend::{ExecutionMode, Windows, BACKEND_ENV};
 pub use buffer::DeviceBuffer;
 pub use conformance::assert_device_conformance;
 pub use device::Device;

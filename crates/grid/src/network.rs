@@ -170,6 +170,12 @@ impl Network {
                     b.id, b.vmin, b.vmax
                 )));
             }
+            if ![b.pd, b.qd, b.gs, b.bs].iter().all(|v| v.is_finite()) {
+                return Err(GridError::Invalid(format!(
+                    "bus {} has a non-finite load or shunt (pd {}, qd {}, gs {}, bs {})",
+                    b.id, b.pd, b.qd, b.gs, b.bs
+                )));
+            }
             if b.bus_type == BusType::Ref && ref_bus.is_none() {
                 ref_bus = Some(bus_id.len());
             }
@@ -243,6 +249,18 @@ impl Network {
                 return Err(GridError::Invalid(format!(
                     "branch connects bus {} to itself",
                     br.from
+                )));
+            }
+            if ![br.r, br.x, br.b, br.rate_a].iter().all(|v| v.is_finite()) {
+                return Err(GridError::Invalid(format!(
+                    "branch {}-{} has a non-finite r, x, b or rate_a ({}, {}, {}, {})",
+                    br.from, br.to, br.r, br.x, br.b, br.rate_a
+                )));
+            }
+            if br.r == 0.0 && br.x == 0.0 {
+                return Err(GridError::Invalid(format!(
+                    "branch {}-{} has zero impedance (r = x = 0)",
+                    br.from, br.to
                 )));
             }
             br_from.push(fi);
@@ -496,5 +514,61 @@ mod tests {
         let net = case.compile().unwrap();
         assert!(net.rate_a[0].is_infinite());
         assert!(net.rate_limit_sq(0, 0.99).is_infinite());
+    }
+
+    /// case9 through its MATPOWER text, edited by `edit` on the way.
+    fn case9_through_text(edit: impl FnOnce(&mut Case)) -> Result<Case, GridError> {
+        let mut case = crate::case9();
+        edit(&mut case);
+        crate::matpower::parse_case(&crate::matpower::write_case(&case), "case9")
+    }
+
+    #[test]
+    fn compile_refuses_a_non_finite_load_naming_its_bus() {
+        let case = case9_through_text(|c| {
+            let bus = c.buses.iter_mut().find(|b| b.id == 5).unwrap();
+            bus.pd = f64::NAN;
+        })
+        .expect("the text parses");
+        assert!(case.buses.iter().any(|b| b.pd.is_nan()));
+        match case.compile() {
+            Err(GridError::Invalid(msg)) => assert!(msg.starts_with("bus 5 "), "{msg}"),
+            other => panic!("a NaN load compiled: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn compile_refuses_a_zero_impedance_branch_naming_it() {
+        let case = case9_through_text(|c| {
+            let br = c
+                .branches
+                .iter_mut()
+                .find(|b| (b.from, b.to) == (5, 6))
+                .unwrap();
+            (br.r, br.x) = (0.0, 0.0);
+        })
+        .expect("the text parses");
+        match case.compile() {
+            Err(GridError::Invalid(msg)) => {
+                assert_eq!(msg, "branch 5-6 has zero impedance (r = x = 0)")
+            }
+            other => panic!("a zero-impedance branch compiled: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn compile_refuses_non_finite_branch_data() {
+        for field in 0..4 {
+            let mut case = crate::case9();
+            let br = &mut case.branches[2];
+            *[&mut br.r, &mut br.x, &mut br.b, &mut br.rate_a][field] = f64::INFINITY;
+            let (from, to) = (br.from, br.to);
+            match case.compile() {
+                Err(GridError::Invalid(msg)) => {
+                    assert!(msg.starts_with(&format!("branch {from}-{to} ")), "{msg}")
+                }
+                other => panic!("field {field} = inf compiled: {other:?}"),
+            }
+        }
     }
 }

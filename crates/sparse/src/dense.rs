@@ -70,8 +70,9 @@ impl<T: Real> SmallMatrix<T> {
     /// finiteness there slowed the ADMM benchmarks by ≈ 4 % on a 2-core
     /// x86-64 host.
     ///
-    /// It factors a stack copy of the whole `n × n` matrix (`n =
-    /// free.len()`), each held row and column an identity row with a zero
+    /// It factors a copy of the whole `n × n` matrix (`n = free.len()`),
+    /// in a zeroed stack scratch, each held row and column an identity row
+    /// with a zero
     /// right-hand side: no gather, no scatter, and loops of the caller's
     /// shape, which unroll where `n` is a constant there. Column `j` leaves
     /// `D_j` on the diagonal, `L` below and the unscaled `(L D)ᵀ` above, so
@@ -83,10 +84,25 @@ impl<T: Real> SmallMatrix<T> {
     /// solve kept it out of line, its loops running to a runtime `n`.
     #[inline(always)]
     pub fn ldlt_solve_masked(&self, free: &[T::Mask], b: &[T]) -> ([T; MAX_DIM], T::Mask) {
+        self.ldlt_solve_masked_with(free, b, &mut SmallMatrix::zeros(free.len()))
+    }
+
+    /// [`Self::ldlt_solve_masked`] factoring in the caller's scratch `a`
+    /// (dimension at least `n`): the factor writes each entry of `a`'s
+    /// leading `n × n` block before it reads it and stores nothing else, so
+    /// a solve that factors many times zeroes its scratch once and each
+    /// factor costs no more stores than its block. Same bits, whatever `a`
+    /// held.
+    #[inline(always)]
+    pub fn ldlt_solve_masked_with(
+        &self,
+        free: &[T::Mask],
+        b: &[T],
+        a: &mut SmallMatrix<T>,
+    ) -> ([T; MAX_DIM], T::Mask) {
         let n = free.len();
         debug_assert!(n == self.n && b.len() == n);
         let (zero, one) = (T::splat(0.0), T::splat(1.0));
-        let mut a = SmallMatrix::<T>::zeros(n);
         let mut x = [zero; MAX_DIM];
         let mut ok = T::Mask::splat(true);
         for i in 0..n {

@@ -178,7 +178,7 @@ impl TronSolver {
 
         let mut g = [0.0; MAX_DIM];
         let g = &mut g[..n];
-        let mut h = SmallMatrix::zeros(n);
+        let [mut h, mut work] = matrices(n);
         let mut f = problem.objective(x);
         problem.derivatives(x, g, &mut h);
 
@@ -203,12 +203,12 @@ impl TronSolver {
             }
 
             // --- direct step, else Cauchy point and subspace refinement ---
-            let (step, q_step) = match direct_step(problem, x, g, &h, delta) {
+            let (step, q_step) = match direct_step(problem, x, g, &h, delta, &mut work) {
                 (step, q_step, true) => {
                     direct += 1;
                     (step, q_step)
                 }
-                _ => cauchy_then_subspace(problem, x, g, &h, delta),
+                _ => cauchy_then_subspace(problem, x, g, &h, delta, &mut work),
             };
 
             // --- acceptance test and radius update ---
@@ -278,7 +278,7 @@ impl TronSolver {
 
         let mut g = [Lanes::splat(0.0); MAX_DIM];
         let g = &mut g[..n];
-        let mut h = SmallMatrix::zeros(n);
+        let [mut h, mut work] = matrices(n);
         let mut f = problem.objective(x);
         problem.derivatives(x, g, &mut h);
 
@@ -311,18 +311,13 @@ impl TronSolver {
 
             // --- direct step, else this lane's Cauchy point and subspace
             // refinement ---
-            let (mut step, mut q_step, taken) = direct_step(problem, x, g, &h, delta);
+            let (mut step, mut q_step, taken) = direct_step(problem, x, g, &h, delta, &mut work);
             for k in (0..LANES).filter(|&k| !done.lane(k)) {
                 if taken.lane(k) {
                     direct[k] += 1;
                     continue;
                 }
-                let (mut xk, mut gk) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
-                for i in 0..n {
-                    (xk[i], gk[i]) = (x[i].0[k], g[i].0[k]);
-                }
-                let (sk, qk) =
-                    cauchy_then_subspace(&lanes[k], &xk[..n], &gk[..n], &h.lane(k), delta.0[k]);
+                let (sk, qk) = refused_lane_step(&lanes[k], k, x, g, &h, delta.0[k]);
                 for i in 0..n {
                     step[i].0[k] = sk[i];
                 }
@@ -377,6 +372,39 @@ impl TronSolver {
         }
         summaries
     }
+}
+
+/// A solve's Hessian and the scratch each of its factors works in
+/// ([`SmallMatrix::ldlt_solve_masked_with`]), zeroed once per solve and out
+/// of line, so that the solves themselves zero no matrix
+/// (`scripts/hot_path_inlined.sh` fails when `solve_lanes` or the branch
+/// kernel calls `memset`).
+#[inline(never)]
+fn matrices<T: Real>(n: usize) -> [SmallMatrix<T>; 2] {
+    [SmallMatrix::zeros(n), SmallMatrix::zeros(n)]
+}
+
+/// The step of lane `k` of a lock-step solve whose direct step that lane
+/// refused: [`cauchy_then_subspace`] on the lane's own point, gradient and
+/// Hessian. Cold and out of line, like [`face_steps`]: on the benchmark
+/// workloads fewer than 0.2 % of the iterations come here.
+#[cold]
+#[inline(never)]
+fn refused_lane_step<P: BoundProblem>(
+    problem: &P,
+    k: usize,
+    x: &[Lanes],
+    g: &[Lanes],
+    h: &SmallMatrix<Lanes>,
+    delta: f64,
+) -> ([f64; MAX_DIM], f64) {
+    let n = problem.dim();
+    let (mut xk, mut gk) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
+    for i in 0..n {
+        (xk[i], gk[i]) = (x[i].0[k], g[i].0[k]);
+    }
+    let [_, mut work] = matrices(n);
+    cauchy_then_subspace(problem, &xk[..n], &gk[..n], &h.lane(k), delta, &mut work)
 }
 
 /// An iteration's trial point `P[x + s]` and its objective, the reduction
@@ -462,6 +490,7 @@ fn direct_step<T: Real, P: BoundProblem<T>>(
     g: &[T],
     h: &SmallMatrix<T>,
     delta: T,
+    work: &mut SmallMatrix<T>,
 ) -> ([T; MAX_DIM], T, T::Mask) {
     let n = problem.dim();
     let (zero, margin) = (T::splat(0.0), T::splat(1e-12));
@@ -476,7 +505,7 @@ fn direct_step<T: Real, P: BoundProblem<T>>(
     if !taken.any() {
         return (rhs, zero, taken);
     }
-    let (d, solved) = newton_step(h, &rhs[..n], &free[..n], delta);
+    let (d, solved) = newton_step(h, &rhs[..n], &free[..n], delta, work);
     taken &= solved;
     if !taken.any() {
         return (d, zero, taken);
@@ -505,6 +534,7 @@ fn cauchy_then_subspace<P: BoundProblem>(
     g: &[f64],
     h: &SmallMatrix,
     delta: f64,
+    work: &mut SmallMatrix,
 ) -> ([f64; MAX_DIM], f64) {
     let n = problem.dim();
     let mut scratch = [0.0; MAX_DIM];
@@ -523,7 +553,7 @@ fn cauchy_then_subspace<P: BoundProblem>(
     let cauchy_norm2 = dot(&step[..n], &step[..n]);
     let remaining = (delta * delta - cauchy_norm2).max(0.0).sqrt();
     if remaining > 1e-14 && free.iter().any(|&fr| fr) {
-        if let (w, true) = newton_step(h, rhs, free, remaining) {
+        if let (w, true) = newton_step(h, rhs, free, remaining, work) {
             projected_search(problem, x, g, h, &w, &mut step, &mut q_step);
         } else {
             face_steps(problem, x, g, h, delta, &mut step, &mut q_step);
@@ -646,7 +676,7 @@ impl Face {
 /// is taken; every other block goes to `shifted_step`.
 #[inline]
 pub fn subspace_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64; MAX_DIM] {
-    match newton_step(h, rhs, free, delta) {
+    match newton_step(h, rhs, free, delta, &mut SmallMatrix::zeros(free.len())) {
         (d, true) => d,
         _ => shifted_step(h, rhs, free, delta),
     }
@@ -654,8 +684,9 @@ pub fn subspace_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) ->
 
 /// Moré–Sorensen's iteration for the blocks [`newton_step`] refuses:
 /// safeguarded Newton steps on `1/Δ − 1/‖d(λ)‖`, every solve an
-/// [`SmallMatrix::ldlt_solve_masked`] of a copy of `h` with `λ` added to the
-/// free diagonal (held variables stay identity rows).
+/// [`SmallMatrix::ldlt_solve_masked_with`] of a copy of `h` with `λ` added
+/// to the free diagonal (held variables stay identity rows), all factoring
+/// in one scratch.
 ///
 /// `λ` stays between bounds on the solution's shift: below, `0`, `−min H_ii`,
 /// `‖rhs_F‖/Δ` less the top of `H_FF`'s Gershgorin discs, shifts refused or
@@ -696,6 +727,7 @@ fn shifted_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64
     let mut lo = 0f64.max(-diagonal).max(ratio - top);
     let mut hi = 0f64.max(ratio - bottom);
     let mut lambda = lo;
+    let mut work = SmallMatrix::zeros(n);
     for _ in 0..MAX_SHIFTS {
         let mut shifted = h.clone();
         for i in (0..n).filter(|&i| free[i]) {
@@ -703,8 +735,8 @@ fn shifted_step(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> [f64
         }
         // A refusal depends on the matrix alone, so once `b` is solved every
         // other right-hand side is too.
-        let solve = |v: &[f64]| {
-            let (x, solved) = shifted.ldlt_solve_masked(free, v);
+        let mut solve = |v: &[f64]| {
+            let (x, solved) = shifted.ldlt_solve_masked_with(free, v, &mut work);
             solved.then_some(x)
         };
         let Some(mut d) = solve(b) else {
@@ -776,15 +808,17 @@ fn boundary_step(d: &[f64], p: &[f64], delta: f64) -> f64 {
 /// factor is [`SmallMatrix::ldlt_solve_masked`], which keeps the held
 /// variables in place as identity rows, so where `problem.dim()` is a
 /// constant it runs at that fixed shape; always inlined, so that the
-/// constant reaches it. Reads the lower triangle of the free block of `h`.
+/// constant reaches it. Reads the lower triangle of the free block of `h`,
+/// and factors in the solve's scratch `work`.
 #[inline(always)]
 fn newton_step<T: Real>(
     h: &SmallMatrix<T>,
     rhs: &[T],
     free: &[T::Mask],
     delta: T,
+    work: &mut SmallMatrix<T>,
 ) -> ([T; MAX_DIM], T::Mask) {
-    let (d, solved) = h.ldlt_solve_masked(free, rhs);
+    let (d, solved) = h.ldlt_solve_masked_with(free, rhs, work);
     // False for a NaN norm too.
     (d, solved & norm2(&d[..free.len()]).less(delta))
 }
@@ -804,13 +838,13 @@ mod tests {
         h: &SmallMatrix,
         delta: f64,
     ) -> Option<([f64; MAX_DIM], f64)> {
-        let (d, q, taken) = direct_step(problem, x, g, h, delta);
+        let (d, q, taken) = direct_step(problem, x, g, h, delta, &mut h.clone());
         taken.then_some((d, q))
     }
 
     /// [`newton_step`] on one block, `None` when it is refused.
     fn newton(h: &SmallMatrix, rhs: &[f64], free: &[bool], delta: f64) -> Option<[f64; MAX_DIM]> {
-        let (d, taken) = newton_step(h, rhs, free, delta);
+        let (d, taken) = newton_step(h, rhs, free, delta, &mut h.clone());
         taken.then_some(d)
     }
 
@@ -1416,7 +1450,7 @@ mod tests {
             let (qp, x) = dense_box_qp(shape, &scale, &s, c, &unit_x);
             let (g, h) = derivatives_at(&qp, &x);
             let delta = 10f64.powf(log_delta);
-            let (step, q) = cauchy_then_subspace(&qp, &x, &g, &h, delta);
+            let (step, q) = cauchy_then_subspace(&qp, &x, &g, &h, delta, &mut SmallMatrix::zeros(6));
             let step = &step[..6];
             for i in 0..6 {
                 let (xi, slack) = (x[i] + step[i], 1e-12 * qp.u[i]);

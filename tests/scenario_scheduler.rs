@@ -163,8 +163,8 @@ fn streamed_refills_transfer_per_admission_not_per_tick() {
         let sched = scheduler.run(FleetRequest::over(&nets));
         let delta = scheduler.engine.pool().combined_snapshot().since(&before);
         assert!(sched.ticks > 40, "want a run with many ticks");
-        // One upload of every lane's ρ + 8 ranged uploads per admission.
-        assert_eq!(delta.host_to_device_transfers, 1 + 8 * k, "lanes={lanes:?}");
+        // One upload of every lane's ρ + 5 ranged uploads per admission.
+        assert_eq!(delta.host_to_device_transfers, 1 + 5 * k, "lanes={lanes:?}");
         // 6 ranged reads per finished scenario.
         assert_eq!(delta.device_to_host_transfers, 6 * k, "lanes={lanes:?}");
         let opened = scheduler.engine.total_lanes(nets.len()) as u64;
@@ -181,7 +181,7 @@ fn streamed_refills_transfer_per_admission_not_per_tick() {
 }
 
 /// A store hit seeds the admitted slot in the same uploads a cold
-/// admission makes — 8 ranged uploads per admission, beside the run's one
+/// admission makes — 5 ranged uploads per admission, beside the run's one
 /// upload of ρ — never a second upload on top of them.
 #[test]
 fn store_hits_upload_each_admission_once() {
@@ -206,7 +206,7 @@ fn store_hits_upload_each_admission_once() {
     let seeded = scheduler.run(FleetRequest::over(&nets).case("case9").snapshot(&view));
     let delta = scheduler.engine.pool().combined_snapshot().since(&before);
     assert_eq!(seeded.store.hits, nets.len());
-    assert_eq!(delta.host_to_device_transfers, 1 + 8 * nets.len() as u64);
+    assert_eq!(delta.host_to_device_transfers, 1 + 5 * nets.len() as u64);
     assert_eq!(delta.host_to_device_bytes, cold.host_to_device_bytes);
 }
 
