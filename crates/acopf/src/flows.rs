@@ -24,10 +24,10 @@
 //! [`BranchFlow::hessian`] are those same formulas at a freshly built point.
 //! The formulas are generic over [`Real`]: the branch kernel evaluates
 //! a lock-step group of branches at once, one per lane of a
-//! [`Lanes`], each lane bitwise its own `f64` evaluation.
+//! [`Lanes`](gridsim_sparse::Lanes), each lane bitwise its own `f64` evaluation.
 
 use gridsim_grid::BranchAdmittance;
-use gridsim_sparse::{Lanes, Real};
+use gridsim_sparse::Real;
 use serde::{Deserialize, Serialize};
 
 /// Which of the four branch flows.
@@ -242,15 +242,16 @@ impl<T: Real> BranchFlow<T> {
     }
 }
 
-impl BranchFlow<Lanes> {
-    /// The flows `lane(0), …, lane(LANES − 1)` as the lanes of one flow.
-    #[inline]
-    pub fn from_lanes(lane: impl Fn(usize) -> BranchFlow) -> BranchFlow<Lanes> {
+impl<T: Real> BranchFlow<T> {
+    /// The flows `lane(0), …` as the lanes of one flow (`lane(0)` itself
+    /// for `f64`).
+    #[inline(always)]
+    pub fn from_lanes(lane: impl Fn(usize) -> BranchFlow) -> BranchFlow<T> {
         BranchFlow {
-            alpha_from: Lanes::from_fn(|k| lane(k).alpha_from),
-            alpha_to: Lanes::from_fn(|k| lane(k).alpha_to),
-            a: Lanes::from_fn(|k| lane(k).a),
-            b: Lanes::from_fn(|k| lane(k).b),
+            alpha_from: T::from_lanes(|k| lane(k).alpha_from),
+            alpha_to: T::from_lanes(|k| lane(k).alpha_to),
+            a: T::from_lanes(|k| lane(k).a),
+            b: T::from_lanes(|k| lane(k).b),
         }
     }
 }

@@ -18,7 +18,10 @@
 //! Every term depends on the point only through the four flows and their
 //! derivatives, and those only through one `sin_cos(θ_i − θ_j)`: `objective`
 //! and `derivatives` each build one [`FlowPoint`] and evaluate everything
-//! from it, in fixed-size arrays.
+//! from it, in fixed-size arrays. `derivatives` also keeps the flows it
+//! computed ([`BranchProblem::last_flows`]): a TRON solve's last call of it
+//! is at the iterate the solve returns, so the branch kernel reads the flows
+//! of its consensus values there instead of evaluating them again.
 
 use crate::kernels;
 use crate::params::AdmmParams;
@@ -27,8 +30,9 @@ use crate::scenario::ScenarioProblem;
 use crate::solver::WarmState;
 use gridsim_acopf::{BranchFlow, FlowPoint};
 use gridsim_grid::Network;
-use gridsim_sparse::{Lanes, Mask, Real, SmallMatrix};
+use gridsim_sparse::{Lanes, Mask, Real, SmallMatrix, LANES};
 use gridsim_tron::BoundProblem;
+use std::cell::Cell;
 
 /// Per-constraint ADMM data seen by the branch problem: the combined target
 /// `t = v − z` of the consensus term, the multiplier `y`, and the penalty ρ.
@@ -60,8 +64,8 @@ impl<T: Real> ConsensusTerm<T> {
 /// The branch subproblem of one branch in one ADMM iteration: `f64` data
 /// for one branch, [`Lanes`] for a lock-step group of branches, one per
 /// lane ([`BranchProblem::pack`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BranchProblem<T = f64> {
+#[derive(Debug, Clone)]
+pub struct BranchProblem<T: Copy = f64> {
     /// The four flow functions in the order `[p_ij, q_ij, p_ji, q_ji]`.
     pub flows: [BranchFlow<T>; 4],
     /// Consensus terms of the four flow constraints (same order).
@@ -76,6 +80,9 @@ pub struct BranchProblem<T = f64> {
     pub alm_rho: T,
     /// Squared (tightened) line limit; `f64::INFINITY` when unlimited.
     pub limit_sq: T,
+    /// The flows at the point of the last `derivatives` call (zero before
+    /// the first).
+    pub(crate) last_flows: Cell<[T; 4]>,
 }
 
 impl BranchProblem {
@@ -91,6 +98,7 @@ impl BranchProblem {
             alm_lambda: [0.0; 2],
             alm_rho: 0.0,
             limit_sq: f64::INFINITY,
+            last_flows: Cell::new([0.0; 4]),
         }
     }
 
@@ -109,7 +117,13 @@ impl BranchProblem {
         let seg = init_segment(net, data, &problem, Some(warm));
         (data.branches.iter().zip(&seg.branches))
             .map(|(d, state)| {
-                let block = kernels::branch_subproblem(d, 0, &seg.cons, &problem.rho, state);
+                let block = kernels::branch_subproblem(
+                    std::slice::from_ref(d),
+                    0,
+                    &seg.cons,
+                    &problem.rho,
+                    std::slice::from_ref(state),
+                );
                 (block, state.x)
             })
             .collect()
@@ -117,39 +131,37 @@ impl BranchProblem {
 }
 
 impl BranchProblem<Lanes> {
-    /// A lock-step group: lane `k` is `blocks[k]`, and the lanes past the
-    /// last block repeat it (padding, see
-    /// [`TronSolver::solve_lanes`](gridsim_tron::TronSolver::solve_lanes)).
-    /// Panics when `blocks` is empty.
-    #[inline]
-    pub fn pack(blocks: &[BranchProblem]) -> Self {
-        let last = blocks.len() - 1;
-        let block = |k: usize| &blocks[k.min(last)];
-        let flow = |j: usize| BranchFlow::from_lanes(|k| block(k).flows[j]);
-        let flow_term = |j: usize| ConsensusTerm::from_lanes(|k| block(k).flow_terms[j]);
-        let volt_term = |j: usize| ConsensusTerm::from_lanes(|k| block(k).volt_terms[j]);
-        let bound = |j: usize| Lanes::from_fn(|k| block(k).v_bounds[j]);
-        let multiplier = |j: usize| Lanes::from_fn(|k| block(k).alm_lambda[j]);
+    /// A lock-step group: lane `k` is `blocks[k]`. The branch kernel gathers
+    /// its groups straight from the branch data instead; this builds one
+    /// from blocks made on their own, for tests and benches.
+    pub fn pack(blocks: &[BranchProblem; LANES]) -> Self {
+        let flow = |j: usize| BranchFlow::from_lanes(|k| blocks[k].flows[j]);
+        let flow_term = |j: usize| ConsensusTerm::from_lanes(|k| blocks[k].flow_terms[j]);
+        let volt_term = |j: usize| ConsensusTerm::from_lanes(|k| blocks[k].volt_terms[j]);
+        let bound = |j: usize| Lanes::from_fn(|k| blocks[k].v_bounds[j]);
+        let multiplier = |j: usize| Lanes::from_fn(|k| blocks[k].alm_lambda[j]);
         BranchProblem {
             flows: [flow(0), flow(1), flow(2), flow(3)],
             flow_terms: [flow_term(0), flow_term(1), flow_term(2), flow_term(3)],
             volt_terms: [volt_term(0), volt_term(1), volt_term(2), volt_term(3)],
             v_bounds: [bound(0), bound(1), bound(2), bound(3)],
             alm_lambda: [multiplier(0), multiplier(1)],
-            alm_rho: Lanes::from_fn(|k| block(k).alm_rho),
-            limit_sq: Lanes::from_fn(|k| block(k).limit_sq),
+            alm_rho: Lanes::from_fn(|k| blocks[k].alm_rho),
+            limit_sq: Lanes::from_fn(|k| blocks[k].limit_sq),
+            last_flows: Cell::new([Lanes::splat(0.0); 4]),
         }
     }
 }
 
-impl ConsensusTerm<Lanes> {
-    /// The terms `lane(0), …, lane(LANES − 1)` as the lanes of one term.
+impl<T: Real> ConsensusTerm<T> {
+    /// The terms `lane(0), …` as the lanes of one term (`lane(0)` itself
+    /// for `f64`).
     #[inline(always)]
-    fn from_lanes(lane: impl Fn(usize) -> ConsensusTerm) -> Self {
+    pub(crate) fn from_lanes(lane: impl Fn(usize) -> ConsensusTerm) -> Self {
         ConsensusTerm {
-            target: Lanes::from_fn(|k| lane(k).target),
-            y: Lanes::from_fn(|k| lane(k).y),
-            rho: Lanes::from_fn(|k| lane(k).rho),
+            target: T::from_lanes(|k| lane(k).target),
+            y: T::from_lanes(|k| lane(k).y),
+            rho: T::from_lanes(|k| lane(k).rho),
         }
     }
 }
@@ -170,14 +182,23 @@ impl<T: Real> BranchProblem<T> {
         each_flow(&self.flows, |f| f.value_at(&point))
     }
 
+    /// The flows at the point of the last `derivatives` call: after a TRON
+    /// solve, bitwise `self.flow_values(x)` at the iterate `x` it returned,
+    /// in every lane.
+    #[inline(always)]
+    pub(crate) fn last_flows(&self) -> [T; 4] {
+        self.last_flows.get()
+    }
+
     /// Line-limit slack residuals `p² + q² + s` for the from and to sides,
     /// given the flows `f = self.flow_values(x)`; zero without a limit.
     #[inline(always)]
     pub(crate) fn slack_residuals(&self, f: &[T; 4], x: &[T]) -> [T; 2] {
         let (limit, zero) = (self.has_limit(), T::splat(0.0));
+        let res = limit_residuals(f, x);
         [
-            T::select(limit, f[0] * f[0] + f[1] * f[1] + x[4], zero),
-            T::select(limit, f[2] * f[2] + f[3] * f[3] + x[5], zero),
+            T::select(limit, res[0], zero),
+            T::select(limit, res[1], zero),
         ]
     }
 
@@ -252,6 +273,7 @@ impl<T: Real> BranchProblem<T> {
         // (v_i, v_j, θ_i, θ_j), all from one sin_cos.
         let point = FlowPoint::new(vi, vj, ti, tj);
         let flows = each_flow(&self.flows, |f| f.value_at(&point));
+        self.last_flows.set(flows);
         let grads = each_flow(&self.flows, |f| f.gradient_at(&point).to_array());
         let hesses = each_flow(&self.flows, |f| f.hessian_at(&point).to_dense());
         // Consensus terms on the flows: gradient (y + rho (u - t)) * grad,
@@ -407,6 +429,16 @@ impl BoundProblem<Lanes> for BranchProblem<Lanes> {
     }
 }
 
+/// The line-limit slack residuals `p² + q² + s` of the from and to sides
+/// at flows `f` and point `x`, whether or not the branch has a limit.
+#[inline(always)]
+pub(crate) fn limit_residuals<T: Real>(f: &[T; 4], x: &[T]) -> [T; 2] {
+    [
+        f[0] * f[0] + f[1] * f[1] + x[4],
+        f[2] * f[2] + f[3] * f[3] + x[5],
+    ]
+}
+
 /// `op` on each of the four flows, spelled out. `[T; 4]::map` calls the
 /// closure through a generic wrapper that the compiler may leave out of
 /// line: a release build whose codegen units put that wrapper apart from
@@ -421,8 +453,7 @@ fn each_flow<T, V>(flows: &[BranchFlow<V>; 4], op: impl Fn(&BranchFlow<V>) -> T)
 mod tests {
     use super::*;
     use gridsim_grid::Branch;
-    use gridsim_sparse::LANES;
-    use gridsim_tron::TronSolver;
+    use gridsim_tron::{TronOptions, TronSolver};
     use proptest::prelude::*;
     use proptest::TestCaseError;
 
@@ -703,7 +734,8 @@ mod tests {
                 sample_block(&line, &volts, &angles, &slacks, &terms, &rhos, &alm, edge, with_limit == 0);
             other.flow_terms[1].target = f64::NAN;
             let other_x = [x[1], x[0], x[3], x[2], x[5], x[4]];
-            let blocks: Vec<BranchProblem> = (0..LANES).map(|k| if k == slot { p } else { other }).collect();
+            let blocks: [BranchProblem; LANES] =
+                std::array::from_fn(|k| if k == slot { p.clone() } else { other.clone() });
             let points: Vec<[f64; 6]> = (0..LANES).map(|k| if k == slot { x } else { other_x }).collect();
             let lanes = BranchProblem::pack(&blocks);
             let lane_x: Vec<Lanes> = (0..6).map(|i| Lanes::from_fn(|k| points[k][i])).collect();
@@ -732,18 +764,19 @@ mod tests {
     /// Each lane's summary and iterate, against the scalar solve of its
     /// block: the bits of `x`, the objective and `pg_norm` (every NaN read
     /// as one), the iteration, direct-step and rejection counts, and the
-    /// status. Returns how many lanes took a step other than the direct
-    /// one.
+    /// status; and on both paths, the flows the solve hands back
+    /// ([`BranchProblem::last_flows`]) against `flow_values` at the iterate
+    /// it returned. Returns how many lanes took a step other than the
+    /// direct one.
     fn assert_lanes_match_scalar(
         tron: &TronSolver,
-        blocks: &[BranchProblem],
-        starts: &[[f64; 6]],
+        blocks: &[BranchProblem; LANES],
+        starts: &[[f64; 6]; LANES],
     ) -> Result<usize, TestCaseError> {
-        let last = blocks.len() - 1;
-        let mut x: Vec<Lanes> = (0..6)
-            .map(|i| Lanes::from_fn(|k| starts[k.min(last)][i]))
-            .collect();
-        let summaries = tron.solve_lanes(&BranchProblem::pack(blocks), blocks, &mut x);
+        let mut x: Vec<Lanes> = (0..6).map(|i| Lanes::from_fn(|k| starts[k][i])).collect();
+        let lanes = BranchProblem::pack(blocks);
+        let summaries = tron.solve_lanes(&lanes, |k| blocks[k].clone(), &mut x);
+        let lane_flows = lanes.last_flows();
         let mut refused = 0;
         for (k, (block, start)) in blocks.iter().zip(starts).enumerate() {
             let mut want_x = *start;
@@ -756,6 +789,23 @@ mod tests {
                     "lane {} x[{}]",
                     k,
                     i
+                );
+            }
+            let flows = block.flow_values(&want_x);
+            for j in 0..4 {
+                prop_assert_eq!(
+                    canonical(block.last_flows()[j]),
+                    canonical(flows[j]),
+                    "scalar flow {} of lane {}",
+                    j,
+                    k
+                );
+                prop_assert_eq!(
+                    canonical(lane_flows[j].0[k]),
+                    canonical(flows[j]),
+                    "lane {} flow {}",
+                    k,
+                    j
                 );
             }
             prop_assert_eq!(
@@ -781,19 +831,76 @@ mod tests {
         Ok(refused)
     }
 
+    /// A lock-step group of blocks and starts from the generators of the
+    /// proptests below: the blocks of the evaluation proptest, some of
+    /// them pushed off the direct step (a Hessian made indefinite by large
+    /// flow multipliers, or a start on a voltage bound that the gradient
+    /// points away from) and some of them given a NaN target.
+    #[allow(clippy::too_many_arguments)]
+    fn sample_group(
+        line: &[f64],
+        volts: &[f64],
+        angles: &[f64],
+        slacks: &[f64],
+        terms: &[f64],
+        rhos: &[f64],
+        alm: &[f64],
+        edge: &[usize],
+        with_limit: &[usize],
+        push: &[usize],
+    ) -> ([BranchProblem; LANES], [[f64; 6]; LANES]) {
+        let mut starts = [[0.0; 6]; LANES];
+        let blocks = std::array::from_fn(|k| {
+            let at = |v: &[f64], size: usize| v[k * size..(k + 1) * size].to_vec();
+            let (mut p, mut x) = sample_block(
+                &at(line, 5),
+                &at(volts, 2),
+                &at(angles, 2),
+                &at(slacks, 2),
+                &at(terms, 16),
+                &at(rhos, 9),
+                &at(alm, 2),
+                edge[k],
+                with_limit[k] == 1,
+            );
+            match push[k] {
+                // Flow multipliers of 1e4 against penalties of 0.001 to 20:
+                // the flows' curvature, weighted by them, swamps the
+                // penalties' and the free block is indefinite.
+                5 => {
+                    for (j, term) in p.flow_terms.iter_mut().enumerate() {
+                        term.y = 1e4 * terms[k * 16 + 4 + j].signum();
+                        term.rho *= 0.01;
+                    }
+                }
+                // v_i on its lower bound 0.9 with a target of 1.1², and
+                // the target's penalty dominating: the gradient points
+                // into the box, so v_i is neither free nor held.
+                6 => {
+                    x[0] = p.lower(0);
+                    p.volt_terms[0] = ConsensusTerm {
+                        target: 1.21,
+                        y: 0.0,
+                        rho: 1e3,
+                    };
+                }
+                7 => p.flow_terms[k % 4].target = f64::NAN,
+                _ => {}
+            }
+            starts[k] = x;
+            p
+        });
+        (blocks, starts)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Each lane of a lock-step solve is bitwise the scalar solve of its
-        /// block, for every group length from 1 to `LANES`, on the blocks of
-        /// the evaluation proptest, some of them pushed off the direct step
-        /// (a Hessian made indefinite by large flow multipliers, or a start
-        /// on a voltage bound that the gradient points away from) and some
-        /// of them given a NaN target, which must not move the bits of the
-        /// lanes beside them.
+        /// block, on the groups of `sample_group`; a lane with a NaN target
+        /// must not move the bits of the lanes beside it.
         #[test]
         fn lock_step_lanes_are_bitwise_the_scalar_solves(
-            len in 1..=LANES,
             line in prop::collection::vec(0.0f64..1.0, 5 * LANES),
             volts in prop::collection::vec(0.9f64..1.1, 2 * LANES),
             angles in prop::collection::vec(-0.6f64..0.6, 2 * LANES),
@@ -805,37 +912,35 @@ mod tests {
             with_limit in prop::collection::vec(0usize..2, LANES),
             push in prop::collection::vec(0usize..8, LANES),
         ) {
-            let (mut blocks, mut starts) = (Vec::new(), Vec::new());
-            for k in 0..len {
-                let at = |v: &[f64], size: usize| v[k * size..(k + 1) * size].to_vec();
-                let (mut p, mut x) = sample_block(
-                    &at(&line, 5), &at(&volts, 2), &at(&angles, 2), &at(&slacks, 2),
-                    &at(&terms, 16), &at(&rhos, 9), &at(&alm, 2), edge[k], with_limit[k] == 1,
-                );
-                match push[k] {
-                    // Flow multipliers of 1e4 against penalties of 0.001 to 20:
-                    // the flows' curvature, weighted by them, swamps the
-                    // penalties' and the free block is indefinite.
-                    5 => {
-                        for (j, term) in p.flow_terms.iter_mut().enumerate() {
-                            term.y = 1e4 * terms[k * 16 + 4 + j].signum();
-                            term.rho *= 0.01;
-                        }
-                    }
-                    // v_i on its lower bound 0.9 with a target of 1.1², and
-                    // the target's penalty dominating: the gradient points
-                    // into the box, so v_i is neither free nor held.
-                    6 => {
-                        x[0] = p.lower(0);
-                        p.volt_terms[0] = ConsensusTerm { target: 1.21, y: 0.0, rho: 1e3 };
-                    }
-                    7 => p.flow_terms[k % 4].target = f64::NAN,
-                    _ => {}
-                }
-                blocks.push(p);
-                starts.push(x);
-            }
+            let (blocks, starts) = sample_group(
+                &line, &volts, &angles, &slacks, &terms, &rhos, &alm, &edge, &with_limit, &push,
+            );
             let tron = TronSolver::new(AdmmParams::default().tron);
+            assert_lanes_match_scalar(&tron, &blocks, &starts)?;
+        }
+
+        /// The flows a solve hands back are `flow_values` at the iterate it
+        /// returns, bitwise, in each lane of a lock-step solve and on the
+        /// scalar path — also when the iteration cap ends a solve right
+        /// after a rejected step, whose trial point's flows differ.
+        #[test]
+        fn solves_hand_back_the_flows_at_their_iterate(
+            line in prop::collection::vec(0.0f64..1.0, 5 * LANES),
+            volts in prop::collection::vec(0.9f64..1.1, 2 * LANES),
+            angles in prop::collection::vec(-0.6f64..0.6, 2 * LANES),
+            slacks in prop::collection::vec(-1.5f64..0.0, 2 * LANES),
+            terms in prop::collection::vec(-1.0f64..1.0, 16 * LANES),
+            rhos in prop::collection::vec(0.1f64..2000.0, 9 * LANES),
+            alm in prop::collection::vec(-2.0f64..2.0, 2 * LANES),
+            edge in prop::collection::vec(0usize..8, LANES),
+            with_limit in prop::collection::vec(0usize..2, LANES),
+            push in prop::collection::vec(0usize..8, LANES),
+            max_iter in 0usize..6,
+        ) {
+            let (blocks, starts) = sample_group(
+                &line, &volts, &angles, &slacks, &terms, &rhos, &alm, &edge, &with_limit, &push,
+            );
+            let tron = TronSolver::new(TronOptions { max_iter, ..AdmmParams::default().tron });
             assert_lanes_match_scalar(&tron, &blocks, &starts)?;
         }
     }
@@ -866,9 +971,9 @@ mod tests {
         let blocks = [indefinite, inward, sample_problem(false)];
         let starts = [start, inward_start, start];
         for pair in [[0, 2], [2, 1], [1, 0]] {
-            let group: Vec<BranchProblem> = pair.iter().map(|&b| blocks[b]).collect();
-            let points: Vec<[f64; 6]> = pair.iter().map(|&b| starts[b]).collect();
-            let refused = assert_lanes_match_scalar(&tron, &group[..LANES.min(2)], &points)
+            let group = std::array::from_fn(|k| blocks[pair[k % 2]].clone());
+            let points = std::array::from_fn(|k| starts[pair[k % 2]]);
+            let refused = assert_lanes_match_scalar(&tron, &group, &points)
                 .expect("lanes match their scalar solves");
             assert!(refused >= 1, "pair {pair:?}");
         }

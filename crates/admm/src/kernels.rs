@@ -5,7 +5,10 @@
 //! generator and branch updates each write their own entries of `u` as they
 //! compute them ([`gen_u`], [`branch_u`]), and one consensus pass
 //! ([`consensus_element`]) reads `v` from the buses and updates `z` and `y`
-//! in place while it scores the residuals. Every
+//! in place while it scores the residuals. The branch update
+//! ([`branch_group`]) gathers each full lock-step group's problem straight
+//! from the data, solves a segment's odd branch alone, and takes each
+//! branch's flows from its solve's last derivative evaluation. Every
 //! constraint index stored in [`ProblemData`] is *scenario-local*; the
 //! element functions take the owning slot's `base` offset (`slot · m`) at
 //! call time. Keeping the data scenario-local is what lets scenarios that
@@ -14,7 +17,7 @@
 //! `#[cfg(test)]` oracle (one network, `base = 0`, plain `Vec`s) pin the
 //! fleet bitwise.
 
-use crate::branch_problem::{BranchProblem, ConsensusTerm};
+use crate::branch_problem::{limit_residuals, BranchProblem, ConsensusTerm};
 use crate::layout::{BusSlot, ConstraintKind, Layout};
 use crate::params::AdmmParams;
 use crate::solver::WarmState;
@@ -22,6 +25,7 @@ use gridsim_acopf::{branch_flows, BranchFlow, FlowPoint, OpfSolution};
 use gridsim_grid::Network;
 use gridsim_sparse::{solve2, Lanes, Real, LANES};
 use gridsim_tron::TronSolver;
+use std::cell::Cell;
 
 /// Initial outer-level penalty β on `z = 0` of a cold start; a warm start
 /// resumes its donor's β.
@@ -36,14 +40,14 @@ const LAMBDA_BOUND: f64 = 1e12;
 pub(crate) const LINE_LIMIT_MARGIN: f64 = 0.99;
 /// Augmented-Lagrangian rounds on the line-limit slack equalities inside
 /// one branch update.
-const MAX_ALM_ITER: usize = 4;
+pub(crate) const MAX_ALM_ITER: usize = 4;
 /// Slack-equality violation that ends the branch ALM loop early.
-const ALM_TOL: f64 = 1e-6;
+pub(crate) const ALM_TOL: f64 = 1e-6;
 /// Initial penalty of the branch ALM terms.
 const ALM_RHO_INIT: f64 = 10.0;
 /// Cap of the branch ALM penalty, which grows tenfold whenever a round cuts
 /// the violation by less than 4×.
-const ALM_RHO_MAX: f64 = 1e7;
+pub(crate) const ALM_RHO_MAX: f64 = 1e7;
 
 // ---------------------------------------------------------------------------
 // read-only per-component data
@@ -346,46 +350,76 @@ pub(crate) fn gen_u(g: &GenState) -> [f64; 2] {
     [g.pg, g.qg]
 }
 
-/// The subproblem (4) of one branch at the current consensus data: targets
-/// `v − z`, multipliers and penalties of its eight constraints, and the ALM
-/// state carried in `state`. `base` as in [`generator_element`].
-#[inline]
-pub(crate) fn branch_subproblem(
-    d: &BranchData,
+/// The subproblem (4) of branches `d` with states `states` at the current
+/// consensus data, one branch per lane of `T` (one branch for `f64`,
+/// [`LANES`] for a lock-step group): targets `v − z`, multipliers and
+/// penalties of their eight constraints, and the ALM state carried in each
+/// state. Always inlined, so that the branch kernel gathers a group's lanes
+/// straight from the data, with no problem built per branch. `base` as in
+/// [`generator_element`].
+#[inline(always)]
+pub(crate) fn branch_subproblem<T: Real>(
+    d: &[BranchData],
     base: usize,
     cons: &[ConsensusState],
     rho: &[f64],
-    state: &BranchState,
-) -> BranchProblem {
-    let mut problem = BranchProblem::new(d.flows, d.vmin_i, d.vmax_i, d.vmin_j, d.vmax_j);
-    problem.limit_sq = d.limit_sq;
-    let term = |k: usize| ConsensusTerm {
-        target: cons[k].v - cons[k].z,
-        y: cons[k].y,
-        rho: rho[k],
+    states: &[BranchState],
+) -> BranchProblem<T> {
+    debug_assert_eq!(d.len(), states.len());
+    let term = |j: usize| {
+        ConsensusTerm::from_lanes(|k| {
+            let i = base + d[k].k_base + j;
+            ConsensusTerm {
+                target: cons[i].v - cons[i].z,
+                y: cons[i].y,
+                rho: rho[i],
+            }
+        })
     };
-    for j in 0..4 {
-        problem.flow_terms[j] = term(base + d.k_base + j);
-        problem.volt_terms[j] = term(base + d.k_base + 4 + j);
+    let flow = |j: usize| BranchFlow::from_lanes(|k| d[k].flows[j]);
+    let multiplier = |j: usize| T::from_lanes(|k| states[k].alm_lambda[j]);
+    BranchProblem {
+        flows: [flow(0), flow(1), flow(2), flow(3)],
+        flow_terms: [term(0), term(1), term(2), term(3)],
+        volt_terms: [term(4), term(5), term(6), term(7)],
+        v_bounds: [
+            T::from_lanes(|k| d[k].vmin_i),
+            T::from_lanes(|k| d[k].vmax_i),
+            T::from_lanes(|k| d[k].vmin_j),
+            T::from_lanes(|k| d[k].vmax_j),
+        ],
+        alm_lambda: [multiplier(0), multiplier(1)],
+        alm_rho: T::from_lanes(|k| alm_penalty(states[k].alm_rho)),
+        limit_sq: T::from_lanes(|k| d[k].limit_sq),
+        last_flows: Cell::new([T::splat(0.0); 4]),
     }
-    problem.alm_lambda = state.alm_lambda;
-    problem.alm_rho = if state.alm_rho > 0.0 {
-        state.alm_rho
-    } else {
-        ALM_RHO_INIT
-    };
-    problem
 }
 
-/// Branch update of a lock-step group: the branches `d` (1 to
-/// [`LANES`] consecutive ones of one segment) with their states and their
-/// window of `u` (eight values per branch). The first TRON solve of every
-/// branch runs in lock-step ([`TronSolver::solve_lanes`], in place on each
-/// `state.x`); each branch then finishes its own inner augmented-Lagrangian
-/// loop ([`alm_rounds`]) and writes its [`branch_u`] into its window.
-/// Bitwise the per-branch update of the `cfg(test)` oracle (one
-/// `solve_in_place`, then the same rounds) on each branch, and its `u`
-/// scatter. Allocates nothing. `base` as in [`generator_element`].
+/// The ALM penalty a branch solves with: its carried penalty once it has
+/// one, [`ALM_RHO_INIT`] before.
+#[inline(always)]
+fn alm_penalty(carried: f64) -> f64 {
+    if carried > 0.0 {
+        carried
+    } else {
+        ALM_RHO_INIT
+    }
+}
+
+/// Branch update of a lock-step group: the branches `d` (1 to [`LANES`]
+/// consecutive ones of one segment) with their states and their window of
+/// `u` (eight values per branch). A full group's first TRON solves run in
+/// lock-step on one problem gathered from the data
+/// ([`TronSolver::solve_lanes`], in place on each `state.x`); a shorter
+/// group — with two lanes, the odd branch at a segment's end — solves each
+/// branch alone with [`TronSolver::solve_in_place`]. Either way the solve
+/// hands back the flows at its final iterate
+/// ([`BranchProblem::last_flows`]); each branch then finishes its own inner
+/// augmented-Lagrangian loop ([`alm_rounds`]) and writes its [`branch_u`]
+/// into its window. Bitwise the per-branch update of the `cfg(test)`
+/// oracle (one `solve_in_place`, a flow evaluation, then the same rounds)
+/// on each branch, and its `u` scatter. Allocates nothing. `base` as in
+/// [`generator_element`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn branch_group(
     d: &[BranchData],
@@ -396,49 +430,92 @@ pub(crate) fn branch_group(
     states: &mut [BranchState],
     u: &mut [f64],
 ) {
-    let n = states.len();
-    debug_assert!(d.len() == n && (1..=LANES).contains(&n) && u.len() == 8 * n);
-    let last = n - 1;
-    let mut problems = [branch_subproblem(&d[0], base, cons, rho, &states[0]); LANES];
-    for k in 1..n {
-        problems[k] = branch_subproblem(&d[k], base, cons, rho, &states[k]);
-    }
-    let problems = &mut problems[..n];
-    let mut x = [Lanes::splat(0.0); 6];
-    for (i, xi) in x.iter_mut().enumerate() {
-        *xi = Lanes::from_fn(|k| states[k.min(last)].x[i]);
-    }
-    tron.solve_lanes(&BranchProblem::pack(problems), problems, &mut x);
-    let lanes = problems.iter_mut().zip(states).zip(u.chunks_exact_mut(8));
-    for (k, ((problem, state), u)) in lanes.enumerate() {
-        for (i, xi) in x.iter().enumerate() {
-            state.x[i] = xi.0[k];
+    debug_assert!(d.len() == states.len() && states.len() <= LANES && u.len() == 8 * d.len());
+    if states.len() == LANES {
+        let problem: BranchProblem<Lanes> = branch_subproblem(d, base, cons, rho, states);
+        let mut x = [Lanes::splat(0.0); 6];
+        for (i, xi) in x.iter_mut().enumerate() {
+            *xi = Lanes::from_fn(|k| states[k].x[i]);
         }
-        alm_rounds(problem, tron, state);
+        let lane = |k: usize| -> BranchProblem {
+            branch_subproblem(&d[k..=k], base, cons, rho, &states[k..=k])
+        };
+        tron.solve_lanes(&problem, lane, &mut x);
+        let flows = problem.last_flows();
+        for (k, state) in states.iter_mut().enumerate() {
+            state.x = std::array::from_fn(|i| x[i].0[k]);
+            state.flows = std::array::from_fn(|j| flows[j].0[k]);
+        }
+    } else {
+        for (k, state) in states.iter_mut().enumerate() {
+            let problem: BranchProblem =
+                branch_subproblem(&d[k..=k], base, cons, rho, std::slice::from_ref(state));
+            tron.solve_in_place(&problem, &mut state.x);
+            state.flows = problem.last_flows();
+        }
+    }
+    let branches = d.iter().zip(states).zip(u.chunks_exact_mut(8));
+    for ((d, state), u) in branches {
+        alm_rounds(d, base, cons, rho, tron, state);
         u.copy_from_slice(&branch_u(state));
     }
 }
 
 /// The inner augmented-Lagrangian loop on the line-limit slack equalities,
-/// after its first TRON solve has left its iterate in `state.x`: a single
-/// round when there is no limit, else a multiplier and penalty update and
-/// another solve while the violation stays above [`ALM_TOL`], for at most
-/// [`MAX_ALM_ITER`] solves. Leaves the flows, multipliers and penalty in
-/// `state`.
-pub(crate) fn alm_rounds(problem: &mut BranchProblem, tron: &TronSolver, state: &mut BranchState) {
+/// after its first TRON solve has left its iterate in `state.x` and the
+/// flows there in `state.flows`: a single round when there is no limit,
+/// else a multiplier and penalty update and another solve while the
+/// violation stays above [`ALM_TOL`], for at most [`MAX_ALM_ITER`] solves.
+/// Leaves the flows, multipliers and penalty in `state`. The first round's
+/// test is all the benchmark workloads run: a later round
+/// ([`later_alm_rounds`]) builds the branch's problem again.
+#[inline(always)]
+fn alm_rounds(
+    d: &BranchData,
+    base: usize,
+    cons: &[ConsensusState],
+    rho: &[f64],
+    tron: &TronSolver,
+    state: &mut BranchState,
+) {
+    state.alm_rho = alm_penalty(state.alm_rho);
+    if !d.limit_sq.is_finite() {
+        return;
+    }
+    let res = limit_residuals(&state.flows, &state.x);
+    if res[0].abs().max(res[1].abs()) < ALM_TOL {
+        return;
+    }
+    later_alm_rounds(d, base, cons, rho, tron, state);
+}
+
+/// [`alm_rounds`] from its first round's update on, for a limited branch
+/// whose first solve left a violation of at least [`ALM_TOL`]. Each solve
+/// hands back the flows at its iterate, like the first.
+#[cold]
+#[inline(never)]
+fn later_alm_rounds(
+    d: &BranchData,
+    base: usize,
+    cons: &[ConsensusState],
+    rho: &[f64],
+    tron: &TronSolver,
+    state: &mut BranchState,
+) {
+    let mut problem: BranchProblem = branch_subproblem(
+        std::slice::from_ref(d),
+        base,
+        cons,
+        rho,
+        std::slice::from_ref(state),
+    );
     let mut prev_viol = f64::INFINITY;
-    let rounds = if problem.has_limit() { MAX_ALM_ITER } else { 1 };
-    for round in 0..rounds {
+    for round in 0..MAX_ALM_ITER {
         if round > 0 {
-            tron.solve_in_place(problem, &mut state.x);
+            tron.solve_in_place(&problem, &mut state.x);
+            state.flows = problem.last_flows();
         }
-        // One flow evaluation per round feeds both the slack residuals and
-        // the consensus scatter (`state.flows` always matches `state.x`).
-        state.flows = problem.flow_values(&state.x);
-        if !problem.has_limit() {
-            break;
-        }
-        let res = problem.slack_residuals(&state.flows, &state.x);
+        let res = limit_residuals(&state.flows, &state.x);
         let viol = res[0].abs().max(res[1].abs());
         if viol < ALM_TOL {
             break;

@@ -17,12 +17,15 @@
 //! * **branch subproblems** are 6-variable bound-constrained nonconvex
 //!   problems (4), solved in batch by [`gridsim_tron`] (the ExaTron
 //!   substitute), with line limits handled by an inner augmented-Lagrangian
-//!   loop. One thread block takes a group of up to
+//!   loop. One thread block takes a group of
 //!   [`LANES`](gridsim_sparse::LANES) consecutive branches of a scenario and
 //!   runs their first TRON solve in lock-step, one branch per lane
-//!   ([`BranchProblem`] is generic over its value type, and
-//!   [`BranchProblem::pack`] builds a group); each branch then finishes its
-//!   own ALM rounds. Every result bit is the per-branch solve's,
+//!   ([`BranchProblem`] is generic over its value type, and the kernel
+//!   gathers a group's lanes straight from the branch data); the odd
+//!   branch at a segment's end solves alone, on the scalar path. Each solve
+//!   hands back the flows at its final iterate, which its last derivative
+//!   evaluation computed there, and each branch then finishes its own ALM
+//!   rounds. Every result bit is the per-branch solve's,
 //! * **z / multiplier updates** are elementwise closed forms (8).
 //!
 //! An inner iteration is four launches: the generator and branch updates

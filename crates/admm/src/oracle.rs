@@ -13,8 +13,10 @@
 //! extraction, which are the definition of the arithmetic rather than of
 //! the loop.
 
+use crate::branch_problem::BranchProblem;
 use crate::kernels::{
-    self, BranchData, BranchState, ConsensusState, GenState, BETA_INIT, Z_DECREASE_FACTOR,
+    self, BranchData, BranchState, ConsensusState, GenState, ALM_RHO_MAX, ALM_TOL, BETA_INIT,
+    MAX_ALM_ITER, Z_DECREASE_FACTOR,
 };
 use crate::params::AdmmParams;
 use crate::scenario::scheduler::init_segment;
@@ -40,8 +42,10 @@ pub(crate) struct OracleResult {
 }
 
 /// Branch update: one TRON block solve, in place on `state.x`, then the
-/// inner augmented-Lagrangian rounds — the per-element body the lock-step
-/// `kernels::branch_group` must match bit for bit.
+/// inner augmented-Lagrangian rounds, each evaluating the flows at its
+/// iterate on its own — the per-element body the lock-step
+/// `kernels::branch_group`, which reads the flows each solve hands back,
+/// must match bit for bit.
 fn branch_element(
     d: &BranchData,
     cons: &[ConsensusState],
@@ -49,9 +53,35 @@ fn branch_element(
     tron: &TronSolver,
     state: &mut BranchState,
 ) {
-    let mut problem = kernels::branch_subproblem(d, 0, cons, rho, state);
-    tron.solve_in_place(&problem, &mut state.x);
-    kernels::alm_rounds(&mut problem, tron, state);
+    let mut problem: BranchProblem = kernels::branch_subproblem(
+        std::slice::from_ref(d),
+        0,
+        cons,
+        rho,
+        std::slice::from_ref(state),
+    );
+    let mut prev_viol = f64::INFINITY;
+    let rounds = if problem.has_limit() { MAX_ALM_ITER } else { 1 };
+    for _ in 0..rounds {
+        tron.solve_in_place(&problem, &mut state.x);
+        state.flows = problem.flow_values(&state.x);
+        if !problem.has_limit() {
+            break;
+        }
+        let res = problem.slack_residuals(&state.flows, &state.x);
+        let viol = res[0].abs().max(res[1].abs());
+        if viol < ALM_TOL {
+            break;
+        }
+        problem.alm_lambda[0] += problem.alm_rho * res[0];
+        problem.alm_lambda[1] += problem.alm_rho * res[1];
+        if viol > 0.25 * prev_viol {
+            problem.alm_rho = (problem.alm_rho * 10.0).min(ALM_RHO_MAX);
+        }
+        prev_viol = viol;
+    }
+    state.alm_lambda = problem.alm_lambda;
+    state.alm_rho = problem.alm_rho;
 }
 
 /// x-side value of constraint `k` given the generator and branch states,

@@ -178,6 +178,36 @@ mod tests {
         assert_eq!(batch.ticks, want.inner_iterations);
     }
 
+    /// The branch kernel's groups of one branch and of `LANES` mix inside
+    /// one launch: networks with an odd branch count (case9: 9, two_bus:
+    /// 1), three scenarios converging at different ticks, so that later
+    /// launches mask the finished segments out. Every scenario is the
+    /// oracle's solve of its network, bit for bit.
+    #[test]
+    fn fleet_matches_oracle_on_odd_branch_counts_with_masked_segments() {
+        let params = AdmmParams::test_profile();
+        for case in [gridsim_grid::case9(), gridsim_grid::two_bus()] {
+            let nets = nets_for(&case, &[1.0, 1.05, 0.95]);
+            assert_eq!(nets[0].nbranch % 2, 1, "{}", nets[0].name);
+            let batch = single_device(params.clone()).run(FleetRequest::over(&nets));
+            for (r, net) in batch.results.iter().zip(&nets) {
+                let want = crate::oracle::solve(net, &params, None, None);
+                assert_eq!(r.inner_iterations, want.inner_iterations, "{}", net.name);
+                assert_eq!(r.outer_iterations, want.outer_iterations, "{}", net.name);
+                assert_eq!(r.status, want.status, "{}", net.name);
+                assert_eq!(r.solution, want.solution, "{}", net.name);
+                assert_eq!(r.z_inf.to_bits(), want.z_inf.to_bits(), "{}", net.name);
+                assert_eq!(r.warm_state, want.warm_state, "{}", net.name);
+            }
+            let iterations = || batch.results.iter().map(|r| r.inner_iterations);
+            assert!(
+                iterations().min() < iterations().max(),
+                "{}: no segment was masked",
+                nets[0].name
+            );
+        }
+    }
+
     #[test]
     fn batch_matches_per_scenario_sequential_solves() {
         let base = gridsim_grid::case9();

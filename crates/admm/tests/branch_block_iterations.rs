@@ -149,14 +149,12 @@ fn warm_track_blocks_take_exactly_two_direct_iterations() {
             let counts = (summary.iterations, summary.direct, summary.rejected);
             assert_eq!(counts, (2, 2, 0), "inner {inner} block {l}: {summary:?}");
         }
-        for (g, group) in blocks.chunks(LANES).enumerate() {
-            let problems: Vec<BranchProblem> = group.iter().map(|(p, _)| *p).collect();
-            let last = group.len() - 1;
-            let mut x: Vec<Lanes> = (0..6)
-                .map(|i| Lanes::from_fn(|k| group[k.min(last)].1[i]))
-                .collect();
-            let summaries = solver.solve_lanes(&BranchProblem::pack(&problems), &problems, &mut x);
-            for summary in &summaries[..group.len()] {
+        for (g, group) in blocks.chunks_exact(LANES).enumerate() {
+            let problems: [BranchProblem; LANES] = std::array::from_fn(|k| group[k].0.clone());
+            let mut x: Vec<Lanes> = (0..6).map(|i| Lanes::from_fn(|k| group[k].1[i])).collect();
+            let lane = |k: usize| problems[k].clone();
+            let summaries = solver.solve_lanes(&BranchProblem::pack(&problems), lane, &mut x);
+            for summary in &summaries {
                 let counts = (summary.iterations, summary.direct, summary.rejected);
                 assert_eq!(counts, (2, 2, 0), "inner {inner} group {g}: {summary:?}");
             }

@@ -1,8 +1,8 @@
 //! One in-place TRON solve of a branch subproblem performs zero heap
 //! allocations, and so does a grouped `branch_tron`-shaped launch: the
-//! device's group launch over masked segments, each group's blocks packed
-//! into lanes and solved in lock-step, each writing its window of a second
-//! buffer.
+//! device's group launch over masked segments, each full group's blocks
+//! packed into lanes and solved in lock-step, a segment's odd block solved
+//! alone, each writing its window of a second buffer.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
@@ -121,15 +121,13 @@ fn in_place_branch_solve_never_allocates() {
 #[test]
 fn grouped_lock_step_launch_never_allocates() {
     // Three segments of nine blocks, the middle one inactive: groups of
-    // LANES blocks, a short group at each segment's end.
+    // LANES blocks, the odd block at each segment's end alone.
     let (seg_len, active) = (9, [true, false, true]);
-    let problems: Vec<BranchProblem> = (0..seg_len * active.len())
-        .map(|i| {
-            let mut p = branch_problem(i % 3 != 0);
-            p.flow_terms[i % 4].target += 0.01 * i as f64;
-            p
-        })
-        .collect();
+    let problem = |i: usize| {
+        let mut p = branch_problem(!i.is_multiple_of(3));
+        p.flow_terms[i % 4].target += 0.01 * i as f64;
+        p
+    };
     let solver = TronSolver::new(TronOptions::default());
     // Each block writes its solution's first two entries into its window.
     let windows = Windows {
@@ -138,21 +136,28 @@ fn grouped_lock_step_launch_never_allocates() {
         width: 2,
     };
     let kernel = |first: usize, group: &mut [[f64; 6]], window: &mut [f64]| {
-        let blocks = &problems[first..first + group.len()];
-        let mut x = [Lanes::from_fn(|_| 0.0); 6];
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = Lanes::from_fn(|k| group[k.min(group.len() - 1)][i]);
-        }
-        solver.solve_lanes(&BranchProblem::pack(blocks), blocks, &mut x);
-        for (k, (state, w)) in group.iter_mut().zip(window.chunks_exact_mut(2)).enumerate() {
-            for (i, xi) in x.iter().enumerate() {
-                state[i] = xi.0[k];
+        if group.len() == LANES {
+            let blocks = std::array::from_fn(|k| problem(first + k));
+            let mut x: [Lanes; 6] = std::array::from_fn(|i| Lanes::from_fn(|k| group[k][i]));
+            solver.solve_lanes(
+                &BranchProblem::pack(&blocks),
+                |k| problem(first + k),
+                &mut x,
+            );
+            for (k, state) in group.iter_mut().enumerate() {
+                *state = std::array::from_fn(|i| x[i].0[k]);
             }
+        } else {
+            for (k, state) in group.iter_mut().enumerate() {
+                solver.solve_in_place(&problem(first + k), state);
+            }
+        }
+        for (state, w) in group.iter().zip(window.chunks_exact_mut(2)) {
             w.copy_from_slice(&state[..2]);
         }
     };
     for device in [Device::sequential(), Device::vectorized()] {
-        let starts = vec![[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]; problems.len()];
+        let starts = vec![[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]; seg_len * active.len()];
         let mut states = DeviceBuffer::from_host(Arc::clone(device.stats()), &starts);
         let mut out = DeviceBuffer::zeroed(Arc::clone(device.stats()), 3 * windows.seg_len);
         // The first launch of a kernel name allocates its stats entry.

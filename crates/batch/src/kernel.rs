@@ -26,7 +26,10 @@
 //! Every method here is backend-agnostic: the iteration scheme lives behind
 //! the [`LaunchBackend`] trait the device resolved at construction, and this
 //! layer owns the buffer bookkeeping — length assertions, live-element
-//! accounting and billing each launch to [`crate::DeviceStats`].
+//! accounting and billing each launch to [`crate::DeviceStats`]. A kernel's
+//! name is a `&'static str` (a literal at every launch site): the stats
+//! find its entry by the name's address, so billing a launch costs two
+//! clock reads and a short scan under a lock.
 
 use crate::backend::{LaunchBackend, Windows};
 use crate::buffer::DeviceBuffer;
@@ -37,7 +40,7 @@ impl Device {
     /// Launch a kernel with one thread per element of `buf`. The closure
     /// receives the element index and a mutable reference to the element;
     /// read-only data can be captured by the closure.
-    pub fn launch_map<T, F>(&self, name: &str, buf: &mut DeviceBuffer<T>, f: F)
+    pub fn launch_map<T, F>(&self, name: &'static str, buf: &mut DeviceBuffer<T>, f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
@@ -53,7 +56,7 @@ impl Device {
     /// single-element granularity: even a handful of blocks spreads across
     /// the worker pool instead of falling below the cheap-kernel sequential
     /// threshold.
-    pub fn launch_blocks<T, F>(&self, name: &str, states: &mut DeviceBuffer<T>, f: F)
+    pub fn launch_blocks<T, F>(&self, name: &'static str, states: &mut DeviceBuffer<T>, f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
@@ -89,7 +92,7 @@ impl Device {
     /// the *global* element index.
     pub fn launch_map_segments<T, F>(
         &self,
-        name: &str,
+        name: &'static str,
         buf: &mut DeviceBuffer<T>,
         seg_len: usize,
         active: &[bool],
@@ -122,7 +125,7 @@ impl Device {
     #[allow(clippy::too_many_arguments)]
     pub fn launch_blocks_segments<T, U, F>(
         &self,
-        name: &str,
+        name: &'static str,
         states: &mut DeviceBuffer<T>,
         seg_len: usize,
         active: &[bool],
@@ -176,7 +179,7 @@ impl Device {
     /// identical across every conforming backend.
     pub fn launch_map_segments_max<T, F, const N: usize>(
         &self,
-        name: &str,
+        name: &'static str,
         buf: &mut DeviceBuffer<T>,
         seg_len: usize,
         active: &[bool],
@@ -196,7 +199,7 @@ impl Device {
 
     /// Bill a launch over the live elements of `active` that began at
     /// `start`.
-    fn bill(&self, name: &str, seg_len: usize, active: &[bool], start: Instant) {
+    fn bill(&self, name: &'static str, seg_len: usize, active: &[bool], start: Instant) {
         let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
         self.stats.record_launch(name, live, start.elapsed());
     }

@@ -32,8 +32,11 @@
 //!   consensus pass and its residuals) — plus the whole-buffer
 //!   `launch_map` / `launch_blocks` as one segment. Every launch records its
 //!   kernel's launch count, block count (one per live element, however
-//!   grouped) and elapsed time in [`DeviceStats`]; a backend implements only
-//!   the three segmented shapes,
+//!   grouped) and elapsed time in [`DeviceStats`], which finds the kernel's
+//!   slot by the address of its `&'static str` name — no hashing, no text
+//!   compare and no allocation once the kernel has been seen — and hands
+//!   out snapshots keyed by name; a backend implements only the three
+//!   segmented shapes,
 //! * [`assert_device_conformance`] — the executable determinism contract:
 //!   every backend must be bitwise identical to the sequential one on all
 //!   three shapes, masked and unmasked; its group launch must visit each

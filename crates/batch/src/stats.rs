@@ -24,7 +24,12 @@ pub struct DeviceStats {
     device_to_host_transfers: AtomicU64,
     host_to_device_bytes: AtomicU64,
     device_to_host_bytes: AtomicU64,
-    kernels: Mutex<HashMap<String, KernelStats>>,
+    /// One entry per kernel name *address*, in first-launch order: a device
+    /// launches a handful of kernels, each under a literal, so a launch
+    /// finds its entry by comparing a few pointers — no hashing, no text
+    /// compare, no allocation once the name has been seen. Entries whose
+    /// names have the same text are summed in [`Self::snapshot`].
+    kernels: Mutex<Vec<(&'static str, KernelStats)>>,
 }
 
 /// An immutable snapshot of [`DeviceStats`].
@@ -59,15 +64,21 @@ impl DeviceStats {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Record a kernel launch over `blocks` thread blocks taking `elapsed`.
-    pub fn record_launch(&self, name: &str, blocks: u64, elapsed: Duration) {
-        let mut map = self.kernels.lock();
-        // Look up by `&str` first: the key `String` is allocated only the
-        // first time a kernel name is seen, not once per launch.
-        let entry = match map.get_mut(name) {
-            Some(entry) => entry,
-            None => map.entry(name.to_string()).or_default(),
+    /// Record a launch of kernel `name` over `blocks` thread blocks taking
+    /// `elapsed`. Kernels are told apart by the text of their names.
+    pub fn record_launch(&self, name: &'static str, blocks: u64, elapsed: Duration) {
+        let mut kernels = self.kernels.lock();
+        let slot = match kernels
+            .iter()
+            .position(|(seen, _)| std::ptr::eq(*seen, name))
+        {
+            Some(slot) => slot,
+            None => {
+                kernels.push((name, KernelStats::default()));
+                kernels.len() - 1
+            }
         };
+        let entry = &mut kernels[slot].1;
         entry.launches += 1;
         entry.blocks += blocks;
         entry.elapsed += elapsed;
@@ -80,7 +91,14 @@ impl DeviceStats {
             device_to_host_transfers: self.device_to_host_transfers.load(Ordering::Relaxed),
             host_to_device_bytes: self.host_to_device_bytes.load(Ordering::Relaxed),
             device_to_host_bytes: self.device_to_host_bytes.load(Ordering::Relaxed),
-            kernels: self.kernels.lock().clone(),
+            kernels: self
+                .kernels
+                .lock()
+                .iter()
+                .fold(HashMap::new(), |mut map, (name, k)| {
+                    add(map.entry(name.to_string()).or_default(), k);
+                    map
+                }),
         }
     }
 }
@@ -111,10 +129,7 @@ impl StatsSnapshot {
         self.host_to_device_bytes += other.host_to_device_bytes;
         self.device_to_host_bytes += other.device_to_host_bytes;
         for (name, k) in &other.kernels {
-            let entry = self.kernels.entry(name.clone()).or_default();
-            entry.launches += k.launches;
-            entry.blocks += k.blocks;
-            entry.elapsed += k.elapsed;
+            add(self.kernels.entry(name.clone()).or_default(), k);
         }
     }
 
@@ -148,6 +163,13 @@ impl StatsSnapshot {
             kernels,
         }
     }
+}
+
+/// Add `k`'s counts and time into `sum`.
+fn add(sum: &mut KernelStats, k: &KernelStats) {
+    sum.launches += k.launches;
+    sum.blocks += k.blocks;
+    sum.elapsed += k.elapsed;
 }
 
 #[cfg(test)]
@@ -196,5 +218,84 @@ mod tests {
         assert_eq!(delta.device_to_host_transfers, 1);
         assert_eq!(delta.kernels["k"].launches, 1);
         assert_eq!(delta.kernels["j"].launches, 1);
+        assert_eq!(delta.kernels["k"].blocks, 5);
+        assert_eq!(delta.kernels["k"].elapsed, Duration::from_micros(10));
+        assert_eq!(delta.kernels["j"].elapsed, Duration::ZERO);
+        assert_eq!(delta.kernels.len(), 2);
+    }
+
+    #[test]
+    fn names_with_the_same_text_share_one_entry() {
+        let s = DeviceStats::default();
+        let literal: &'static str = "branch_tron";
+        let leaked: &'static str = Box::leak(String::from("branch_tron").into_boxed_str());
+        assert!(!std::ptr::eq(literal, leaked), "want two addresses");
+        s.record_launch(literal, 4, Duration::from_micros(3));
+        s.record_launch(leaked, 5, Duration::from_micros(4));
+        s.record_launch(leaked, 6, Duration::from_micros(5));
+        s.record_launch(literal, 7, Duration::from_micros(6));
+        s.record_launch("bus_update", 1, Duration::ZERO);
+        let snap = s.snapshot();
+        assert_eq!(snap.kernels.len(), 2);
+        let tron = &snap.kernels["branch_tron"];
+        assert_eq!((tron.launches, tron.blocks), (4, 22));
+        assert_eq!(tron.elapsed, Duration::from_micros(18));
+        assert_eq!(snap.total_launches(), 5);
+    }
+
+    #[test]
+    fn merge_sums_counters_and_kernels_by_name() {
+        let (a, b) = (DeviceStats::default(), DeviceStats::default());
+        a.record_h2d(8);
+        a.record_launch("k", 3, Duration::from_micros(2));
+        b.record_d2h(16);
+        b.record_launch("k", 4, Duration::from_micros(5));
+        b.record_launch("j", 1, Duration::from_micros(1));
+        let mut total = a.snapshot();
+        total.merge(&b.snapshot());
+        assert_eq!(total.host_to_device_bytes, 8);
+        assert_eq!(total.device_to_host_bytes, 16);
+        assert_eq!(total.total_transfers(), 2);
+        assert_eq!(
+            total.kernels["k"],
+            KernelStats {
+                launches: 2,
+                blocks: 7,
+                elapsed: Duration::from_micros(7)
+            }
+        );
+        assert_eq!(total.kernels["j"].launches, 1);
+        assert_eq!(total.kernel_elapsed(), Duration::from_micros(8));
+        assert_eq!(total.total_blocks(), 8);
+    }
+
+    #[test]
+    fn launches_recorded_from_several_threads_all_count() {
+        let s = DeviceStats::default();
+        let names = ["generator_update", "branch_tron", "bus_update", "z_update"];
+        std::thread::scope(|scope| {
+            for (t, name) in names.into_iter().enumerate() {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..1000u64 {
+                        s.record_launch(name, t as u64 + 1, Duration::from_nanos(1));
+                        s.record_launch("shared", i % 3, Duration::ZERO);
+                    }
+                });
+            }
+        });
+        let snap = s.snapshot();
+        for (t, name) in names.into_iter().enumerate() {
+            let k = &snap.kernels[name];
+            assert_eq!(
+                (k.launches, k.blocks),
+                (1000, 1000 * (t as u64 + 1)),
+                "{name}"
+            );
+            assert_eq!(k.elapsed, Duration::from_nanos(1000));
+        }
+        let shared = &snap.kernels["shared"];
+        assert_eq!((shared.launches, shared.blocks), (4000, 4 * 999));
+        assert_eq!(snap.total_launches(), 8000);
     }
 }

@@ -53,6 +53,8 @@ pub trait Real:
     type Mask: Mask;
     /// The same value in every lane.
     fn splat(value: f64) -> Self;
+    /// The value whose lane `k` is `lane(k)`: `lane(0)` for `f64`.
+    fn from_lanes(lane: impl Fn(usize) -> f64) -> Self;
     /// `self < other`.
     fn less(self, other: Self) -> Self::Mask;
     /// `self <= other`.
@@ -101,6 +103,10 @@ impl Real for f64 {
     #[inline(always)]
     fn splat(value: f64) -> f64 {
         value
+    }
+    #[inline(always)]
+    fn from_lanes(lane: impl Fn(usize) -> f64) -> f64 {
+        lane(0)
     }
     #[inline(always)]
     fn less(self, other: f64) -> bool {
@@ -325,6 +331,10 @@ impl Real for Lanes {
     #[inline(always)]
     fn splat(value: f64) -> Lanes {
         Lanes([value; LANES])
+    }
+    #[inline(always)]
+    fn from_lanes(lane: impl Fn(usize) -> f64) -> Lanes {
+        Lanes::from_fn(lane)
     }
     #[inline(always)]
     fn less(self, other: Lanes) -> LaneMask {

@@ -35,9 +35,13 @@
 //!   group lane by lane, and the direct step, the acceptance test and the
 //!   radius update are the same generic code as the scalar solve's. A lane
 //!   whose direct step is refused takes that iteration's step from the
-//!   scalar Cauchy and subspace path and rejoins the group; each lane's
-//!   result is bitwise [`TronSolver::solve_in_place`]'s on its problem. The
-//!   scalar solve stays the general solver, the fallback and the oracle,
+//!   scalar Cauchy and subspace path (on that lane's problem, built only
+//!   then) and rejoins the group; each lane's result is bitwise
+//!   [`TronSolver::solve_in_place`]'s on its problem. Every lane is live: a
+//!   group too short to fill them solves with the scalar solve, which stays
+//!   the general solver, the fallback and the oracle. Both solves end
+//!   with their last derivative evaluation at the point they return, so a
+//!   problem may keep what that evaluation computed,
 //! * [`solve_batch_from_host`] — a batch front-end that solves one problem per simulated
 //!   thread block on a [`gridsim_batch::Device`].
 //!

@@ -164,6 +164,11 @@ impl TronSolver {
     /// Minimize `problem` starting from `x` (projected onto the bounds),
     /// leaving the final iterate in `x`. Performs no heap allocation.
     ///
+    /// The solve's last call of `problem.derivatives` is at the point it
+    /// returns (every accepted step is evaluated there, a rejected one
+    /// only through `objective`), so a problem may keep what that call
+    /// computes on the way: the branch subproblem keeps its flows.
+    ///
     /// Panics when `problem.dim()` exceeds [`MAX_DIM`] or differs from
     /// `x.len()`.
     #[inline]
@@ -234,29 +239,30 @@ impl TronSolver {
 
     /// Minimize [`LANES`] problems in lock-step, leaving each lane's final
     /// iterate in its lane of `x`: `problem` holds them one per lane, and
-    /// `lanes[k]` is lane `k`'s problem on its own. Performs no heap
+    /// `lane(k)` builds lane `k`'s problem on its own. Performs no heap
     /// allocation.
     ///
     /// Each lane runs [`Self::solve_in_place`]'s iteration on its own
     /// data, and its summary and iterate are bitwise what that solve of
-    /// `lanes[k]` returns: the evaluations, the direct step, the acceptance
+    /// `lane(k)` returns: the evaluations, the direct step, the acceptance
     /// test and the radius update are the same generic code on
     /// [`Lanes`], and a lane whose direct step is refused takes that
     /// iteration's step from the scalar Cauchy and subspace path, on its own
-    /// state, before the lanes judge their steps together. A lane that
-    /// converges or collapses stops counting and stays where it is; the
-    /// solve ends once no lane is left.
+    /// state and its own problem (the only place `lane` is called), before
+    /// the lanes judge their steps together. A lane that converges or
+    /// collapses stops counting and stays where it is; the solve ends once
+    /// no lane is left. Every lane is a live problem: a group of fewer
+    /// problems solves them with [`Self::solve_in_place`].
     ///
-    /// Lanes from `lanes.len()` on are padding: they start finished and
-    /// their work and summaries mean nothing. Put a copy of a live lane
-    /// there, so that they compute on ordinary numbers.
+    /// Like [`Self::solve_in_place`], the solve's last call of
+    /// `problem.derivatives` is at the point it returns, in every lane.
     ///
     /// Panics when `problem.dim()` exceeds [`MAX_DIM`] or differs from
-    /// `x.len()`, or when `lanes` is empty or longer than [`LANES`].
+    /// `x.len()`.
     pub fn solve_lanes<P, Q>(
         &self,
         problem: &P,
-        lanes: &[Q],
+        lane: impl Fn(usize) -> Q,
         x: &mut [Lanes],
     ) -> [TronSummary; LANES]
     where
@@ -269,11 +275,6 @@ impl TronSolver {
             "TRON solves problems of at most {MAX_DIM} variables, got dim() = {n}"
         );
         assert_eq!(x.len(), n);
-        assert!(
-            (1..=LANES).contains(&lanes.len()),
-            "a lock-step solve takes 1 to {LANES} lanes, got {}",
-            lanes.len()
-        );
         problem.project(x);
 
         let mut g = [Lanes::splat(0.0); MAX_DIM];
@@ -292,7 +293,7 @@ impl TronSolver {
         // A lane's iteration count and status once it stops; its `x`, `f`
         // and `pg_norm` stay as they are from then on.
         let mut ended = [None; LANES];
-        let mut done = LaneMask::from_fn(|k| k >= lanes.len());
+        let mut done = LaneMask::splat(false);
 
         for iter in 0..self.opts.max_iter {
             let converged = pg_norm.less_eq(gtol);
@@ -317,7 +318,7 @@ impl TronSolver {
                     direct[k] += 1;
                     continue;
                 }
-                let (sk, qk) = refused_lane_step(&lanes[k], k, x, g, &h, delta.0[k]);
+                let (sk, qk) = refused_lane_step(&lane, k, x, g, &h, delta.0[k]);
                 for i in 0..n {
                     step[i].0[k] = sk[i];
                 }
@@ -385,26 +386,27 @@ fn matrices<T: Real>(n: usize) -> [SmallMatrix<T>; 2] {
 }
 
 /// The step of lane `k` of a lock-step solve whose direct step that lane
-/// refused: [`cauchy_then_subspace`] on the lane's own point, gradient and
-/// Hessian. Cold and out of line, like [`face_steps`]: on the benchmark
-/// workloads fewer than 0.2 % of the iterations come here.
+/// refused: [`cauchy_then_subspace`] on the lane's own problem `lane(k)`,
+/// point, gradient and Hessian. Cold and out of line, like [`face_steps`]:
+/// on the benchmark workloads fewer than 0.2 % of the iterations come here.
 #[cold]
 #[inline(never)]
 fn refused_lane_step<P: BoundProblem>(
-    problem: &P,
+    lane: &impl Fn(usize) -> P,
     k: usize,
     x: &[Lanes],
     g: &[Lanes],
     h: &SmallMatrix<Lanes>,
     delta: f64,
 ) -> ([f64; MAX_DIM], f64) {
+    let problem = lane(k);
     let n = problem.dim();
     let (mut xk, mut gk) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
     for i in 0..n {
         (xk[i], gk[i]) = (x[i].0[k], g[i].0[k]);
     }
     let [_, mut work] = matrices(n);
-    cauchy_then_subspace(problem, &xk[..n], &gk[..n], &h.lane(k), delta, &mut work)
+    cauchy_then_subspace(&problem, &xk[..n], &gk[..n], &h.lane(k), delta, &mut work)
 }
 
 /// An iteration's trial point `P[x + s]` and its objective, the reduction

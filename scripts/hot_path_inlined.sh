@@ -18,6 +18,20 @@
 # direct step) shows up as a `memset` call there. The positive control is
 # `matrices` itself, which must call `memset`.
 #
+# It fails when `kernels::branch_group` calls `branch_subproblem` or
+# `memcpy`: the kernel gathers each group's lock-step problem straight from
+# the branch data, and a per-branch problem built out of line and copied
+# into the group (384 bytes, twice per group) shows up as either. Its
+# positive control is that `branch_group` is found and calls
+# `TronSolver::solve_lanes`, and that the derived `Clone` of `WarmState` —
+# a struct of `Vec<f64>`s — calls `memcpy`.
+#
+# And it fails when the launch bookkeeping, `DeviceStats::record_launch`,
+# hashes (`hash_one`, a SipHash `Hasher`, or a `hashbrown` table): the
+# stats find a kernel by the address of its name. The positive control is
+# `StatsSnapshot::since`, which looks kernels up in a `HashMap` and must
+# call `hash_one`.
+#
 # Build the binary first, e.g. with
 # `cargo run --release --offline --manifest-path perf/Cargo.toml -- --smoke`.
 cd "$(dirname "$0")/.." || exit 1
@@ -44,27 +58,41 @@ if [ -n "$found" ]; then
     exit 1
 fi
 # The instructions of every function whose demangled name contains `$1`
-# that reference `memset`: a direct `call`, or the load of its address that
-# a `call *%reg` goes through.
-memset_calls() {
-    printf '%s\n' "$disassembly" | awk -v pat="$1" '
-        /^[0-9a-f]+ <.*>:$/ { inside = index($0, pat) > 0 }
-        inside && /memset/'
+# that match the extended regular expression `$2`: a direct `call` names
+# its target, and the load of an address that a `call *%reg` goes through
+# is annotated with the symbol it loads.
+refs() {
+    printf '%s\n' "$disassembly" | awk -v pat="$1" -v re="$2" '
+        /^[0-9a-f]+ <.*>:$/ { inside = index($0, pat) > 0; next }
+        inside && $0 ~ re'
+}
+# Fails unless some function whose name contains `$1` references `$2`.
+must_ref() {
+    if [ -z "$(refs "$1" "$2")" ]; then
+        echo "hot_path_inlined: objdump shows no $2 in $1 in $bin" >&2
+        exit 1
+    fi
+}
+# Fails when a function whose name contains `$1` references `$2`.
+must_not_ref() {
+    found=$(refs "$1" "$2")
+    if [ -n "$found" ]; then
+        echo "hot_path_inlined: $1 references $2 in $bin:" >&2
+        echo "$found" >&2
+        exit 1
+    fi
 }
 if ! disassembly=$(objdump -d --no-show-raw-insn -C "$bin"); then
     echo "hot_path_inlined: objdump failed on $bin" >&2
     exit 1
 fi
-if [ -z "$(memset_calls 'gridsim_tron::tron::matrices')" ]; then
-    echo "hot_path_inlined: objdump shows no memset in gridsim_tron::tron::matrices in $bin" >&2
-    exit 1
-fi
-for f in 'gridsim_tron::tron::TronSolver::solve_lanes' 'gridsim_admm::kernels::branch_group'; do
-    found=$(memset_calls "$f")
-    if [ -n "$found" ]; then
-        echo "hot_path_inlined: $f calls memset in $bin:" >&2
-        echo "$found" >&2
-        exit 1
-    fi
-done
+must_ref 'gridsim_tron::tron::matrices' memset
+must_not_ref 'gridsim_tron::tron::TronSolver::solve_lanes' memset
+must_not_ref 'gridsim_admm::kernels::branch_group' memset
+must_ref 'gridsim_admm::kernels::branch_group' 'TronSolver::solve_lanes'
+must_ref '<gridsim_admm::solver::WarmState as core::clone::Clone>::clone' memcpy
+must_not_ref 'gridsim_admm::kernels::branch_group' 'branch_subproblem|memcpy'
+must_ref 'gridsim_batch::stats::StatsSnapshot::since' hash_one
+must_ref 'gridsim_batch::stats::DeviceStats::record_launch' 'call'
+must_not_ref 'gridsim_batch::stats::DeviceStats::record_launch' 'hash_one|[Ss]ip[a-zA-Z0-9]*Hasher|sip::Hasher|hashbrown'
 echo "hot_path_inlined: ok"
