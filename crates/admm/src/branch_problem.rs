@@ -63,7 +63,7 @@ impl<T: Real> ConsensusTerm<T> {
 
 /// The branch subproblem of one branch in one ADMM iteration: `f64` data
 /// for one branch, [`Lanes`] for a lock-step group of branches, one per
-/// lane ([`BranchProblem::pack`]).
+/// lane.
 #[derive(Debug, Clone)]
 pub struct BranchProblem<T: Copy = f64> {
     /// The four flow functions in the order `[p_ij, q_ij, p_ji, q_ji]`.
@@ -112,45 +112,46 @@ impl BranchProblem {
         params: &AdmmParams,
         warm: &WarmState,
     ) -> Vec<(BranchProblem, [f64; 6])> {
-        let problem = ScenarioProblem::build(std::slice::from_ref(net), params, None);
-        let data = &problem.data[0];
-        let seg = init_segment(net, data, &problem, Some(warm));
-        (data.branches.iter().zip(&seg.branches))
-            .map(|(d, state)| {
-                let block = kernels::branch_subproblem(
-                    std::slice::from_ref(d),
-                    0,
-                    &seg.cons,
-                    &problem.rho,
-                    std::slice::from_ref(state),
-                );
-                (block, state.x)
-            })
-            .collect()
+        warm_blocks(net, params, warm, 1)
     }
 }
 
 impl BranchProblem<Lanes> {
-    /// A lock-step group: lane `k` is `blocks[k]`. The branch kernel gathers
-    /// its groups straight from the branch data instead; this builds one
-    /// from blocks made on their own, for tests and benches.
-    pub fn pack(blocks: &[BranchProblem; LANES]) -> Self {
-        let flow = |j: usize| BranchFlow::from_lanes(|k| blocks[k].flows[j]);
-        let flow_term = |j: usize| ConsensusTerm::from_lanes(|k| blocks[k].flow_terms[j]);
-        let volt_term = |j: usize| ConsensusTerm::from_lanes(|k| blocks[k].volt_terms[j]);
-        let bound = |j: usize| Lanes::from_fn(|k| blocks[k].v_bounds[j]);
-        let multiplier = |j: usize| Lanes::from_fn(|k| blocks[k].alm_lambda[j]);
-        BranchProblem {
-            flows: [flow(0), flow(1), flow(2), flow(3)],
-            flow_terms: [flow_term(0), flow_term(1), flow_term(2), flow_term(3)],
-            volt_terms: [volt_term(0), volt_term(1), volt_term(2), volt_term(3)],
-            v_bounds: [bound(0), bound(1), bound(2), bound(3)],
-            alm_lambda: [multiplier(0), multiplier(1)],
-            alm_rho: Lanes::from_fn(|k| blocks[k].alm_rho),
-            limit_sq: Lanes::from_fn(|k| blocks[k].limit_sq),
-            last_flows: Cell::new([Lanes::splat(0.0); 4]),
-        }
+    /// The lock-step groups of the same launch: group `g` is branches
+    /// `LANES·g, …` gathered the way the branch kernel gathers a full
+    /// group, with its starting point. A last branch left over, which the
+    /// kernel solves alone, is in no group.
+    pub fn groups_from_warm_state(
+        net: &Network,
+        params: &AdmmParams,
+        warm: &WarmState,
+    ) -> Vec<(BranchProblem<Lanes>, [Lanes; 6])> {
+        warm_blocks(net, params, warm, LANES)
     }
+}
+
+/// The problems of consecutive runs of `width` branches (the lanes of `T`)
+/// built by [`kernels::branch_subproblem`] from the segment a warm start
+/// from `warm` admits, with their starting points.
+fn warm_blocks<T: Real>(
+    net: &Network,
+    params: &AdmmParams,
+    warm: &WarmState,
+    width: usize,
+) -> Vec<(BranchProblem<T>, [T; 6])> {
+    let problem = ScenarioProblem::build(std::slice::from_ref(net), params, None);
+    let data = &problem.data[0];
+    let seg = init_segment(net, data, &problem, Some(warm));
+    let runs = data
+        .branches
+        .chunks_exact(width)
+        .zip(seg.branches.chunks_exact(width));
+    runs.map(|(d, states)| {
+        let block = kernels::branch_subproblem(d, 0, &seg.cons, &problem.rho, states);
+        let x0 = std::array::from_fn(|i| T::from_lanes(|k| states[k].x[i]));
+        (block, x0)
+    })
+    .collect()
 }
 
 impl<T: Real> ConsensusTerm<T> {
@@ -457,6 +458,26 @@ mod tests {
     use proptest::prelude::*;
     use proptest::TestCaseError;
 
+    /// A lock-step group whose lane `k` is `blocks[k]`, from blocks made on
+    /// their own.
+    fn pack(blocks: &[BranchProblem; LANES]) -> BranchProblem<Lanes> {
+        let flow = |j: usize| BranchFlow::from_lanes(|k| blocks[k].flows[j]);
+        let flow_term = |j: usize| ConsensusTerm::from_lanes(|k| blocks[k].flow_terms[j]);
+        let volt_term = |j: usize| ConsensusTerm::from_lanes(|k| blocks[k].volt_terms[j]);
+        let bound = |j: usize| Lanes::from_fn(|k| blocks[k].v_bounds[j]);
+        let multiplier = |j: usize| Lanes::from_fn(|k| blocks[k].alm_lambda[j]);
+        BranchProblem {
+            flows: [flow(0), flow(1), flow(2), flow(3)],
+            flow_terms: [flow_term(0), flow_term(1), flow_term(2), flow_term(3)],
+            volt_terms: [volt_term(0), volt_term(1), volt_term(2), volt_term(3)],
+            v_bounds: [bound(0), bound(1), bound(2), bound(3)],
+            alm_lambda: [multiplier(0), multiplier(1)],
+            alm_rho: Lanes::from_fn(|k| blocks[k].alm_rho),
+            limit_sq: Lanes::from_fn(|k| blocks[k].limit_sq),
+            last_flows: Cell::new([Lanes::splat(0.0); 4]),
+        }
+    }
+
     /// The evaluation as it was before `objective` and `derivatives` shared
     /// one [`FlowPoint`]: three independent passes, each re-deriving the
     /// flows, flow gradients and slack residuals it needs through the
@@ -737,7 +758,7 @@ mod tests {
             let blocks: [BranchProblem; LANES] =
                 std::array::from_fn(|k| if k == slot { p.clone() } else { other.clone() });
             let points: Vec<[f64; 6]> = (0..LANES).map(|k| if k == slot { x } else { other_x }).collect();
-            let lanes = BranchProblem::pack(&blocks);
+            let lanes = pack(&blocks);
             let lane_x: Vec<Lanes> = (0..6).map(|i| Lanes::from_fn(|k| points[k][i])).collect();
             let (mut lane_g, mut lane_h) = ([Lanes::splat(0.0); 6], SmallMatrix::zeros(6));
             let lane_f = lanes.objective(&lane_x);
@@ -774,7 +795,7 @@ mod tests {
         starts: &[[f64; 6]; LANES],
     ) -> Result<usize, TestCaseError> {
         let mut x: Vec<Lanes> = (0..6).map(|i| Lanes::from_fn(|k| starts[k][i])).collect();
-        let lanes = BranchProblem::pack(blocks);
+        let lanes = pack(blocks);
         let summaries = tron.solve_lanes(&lanes, |k| blocks[k].clone(), &mut x);
         let lane_flows = lanes.last_flows();
         let mut refused = 0;
@@ -1116,6 +1137,16 @@ mod tests {
             let terms = || block.flow_terms.iter().chain(&block.volt_terms);
             assert!(terms().all(|t| t.rho > 0.0), "branch {l}");
             assert!(terms().any(|t| t.y != 0.0), "branch {l}");
+        }
+        // The kernel's lock-step gather is the per-branch one, lane by lane.
+        let groups = BranchProblem::groups_from_warm_state(&net, &params, &warm);
+        assert_eq!(groups.len(), net.nbranch / LANES);
+        for (g, (group, x0)) in groups.iter().enumerate() {
+            let blocks = &blocks[LANES * g..LANES * (g + 1)];
+            let packed = pack(&std::array::from_fn(|k| blocks[k].0.clone()));
+            assert_eq!(format!("{group:?}"), format!("{packed:?}"), "group {g}");
+            let lanes: [[f64; 6]; LANES] = std::array::from_fn(|k| x0.map(|xi| xi.0[k]));
+            assert_eq!(lanes, std::array::from_fn(|k| blocks[k].1), "group {g}");
         }
     }
 

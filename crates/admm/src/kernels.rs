@@ -44,7 +44,7 @@ pub(crate) const MAX_ALM_ITER: usize = 4;
 /// Slack-equality violation that ends the branch ALM loop early.
 pub(crate) const ALM_TOL: f64 = 1e-6;
 /// Initial penalty of the branch ALM terms.
-const ALM_RHO_INIT: f64 = 10.0;
+pub(crate) const ALM_RHO_INIT: f64 = 10.0;
 /// Cap of the branch ALM penalty, which grows tenfold whenever a round cuts
 /// the violation by less than 4×.
 pub(crate) const ALM_RHO_MAX: f64 = 1e7;
@@ -466,9 +466,10 @@ pub(crate) fn branch_group(
 /// flows there in `state.flows`: a single round when there is no limit,
 /// else a multiplier and penalty update and another solve while the
 /// violation stays above [`ALM_TOL`], for at most [`MAX_ALM_ITER`] solves.
-/// Leaves the flows, multipliers and penalty in `state`. The first round's
-/// test is all the benchmark workloads run: a later round
-/// ([`later_alm_rounds`]) builds the branch's problem again.
+/// Leaves the flows, multipliers and penalty in `state`. Most updates end
+/// at the first round's test — every one on the `cold` and `track`
+/// benchmark workloads; on `sweep`'s contingencies 9 % of them go on to
+/// [`later_alm_rounds`], which builds the branch's problem again.
 #[inline(always)]
 fn alm_rounds(
     d: &BranchData,
@@ -491,8 +492,11 @@ fn alm_rounds(
 
 /// [`alm_rounds`] from its first round's update on, for a limited branch
 /// whose first solve left a violation of at least [`ALM_TOL`]. Each solve
-/// hands back the flows at its iterate, like the first.
-#[cold]
+/// hands back the flows at its iterate, like the first. Out of line, so
+/// that the first round's test, inlined into the branch kernel for every
+/// branch, stays small: the call and the rebuilt problem come once per
+/// update that gets here, beside the 2.5 TRON solves such an update runs
+/// on `sweep`.
 #[inline(never)]
 fn later_alm_rounds(
     d: &BranchData,

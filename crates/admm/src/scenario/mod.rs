@@ -135,6 +135,7 @@ impl ScenarioBatchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::ALM_RHO_INIT;
     use crate::params::AdmmParams;
     use crate::solver::AdmmSolver;
     use gridsim_acopf::start::ramp_limited_bounds;
@@ -205,6 +206,39 @@ mod tests {
                 "{}: no segment was masked",
                 nets[0].name
             );
+        }
+    }
+
+    /// Line limits that bind: case9 with two ratings cut, one on a branch
+    /// of a full lock-step group and one on the odd branch, so that branch
+    /// updates run augmented-Lagrangian rounds after their first — each
+    /// rebuilding its problem from the branch state and reading the flows
+    /// its solve hands back — and their penalties grow. Every scenario is
+    /// the oracle's solve, bit for bit.
+    #[test]
+    fn fleet_matches_oracle_where_line_limits_bind() {
+        let mut case = gridsim_grid::case9();
+        case.branches[2].rate_a = 20.0;
+        case.branches[8].rate_a = 15.0;
+        let params = AdmmParams::test_profile();
+        let nets = nets_for(&case, &[1.0, 1.05, 0.95]);
+        let batch = single_device(params.clone()).run(FleetRequest::over(&nets));
+        for (r, net) in batch.results.iter().zip(&nets) {
+            let want = crate::oracle::solve(net, &params, None, None);
+            assert_eq!(r.inner_iterations, want.inner_iterations);
+            assert_eq!(r.outer_iterations, want.outer_iterations);
+            assert_eq!(r.status, want.status);
+            assert_eq!(r.solution, want.solution);
+            assert_eq!(r.z_inf.to_bits(), want.z_inf.to_bits());
+            assert_eq!(r.warm_state, want.warm_state);
+            // A multiplier moves only between rounds, so a nonzero one
+            // means a later round ran; a penalty above its start means a
+            // round cut the violation by less than 4×.
+            let warm = &r.warm_state;
+            for l in [2, 8] {
+                assert_ne!(warm.branch_alm_lambda[l], [0.0; 2], "branch {l}");
+                assert!(warm.branch_alm_rho[l] > ALM_RHO_INIT, "branch {l}");
+            }
         }
     }
 

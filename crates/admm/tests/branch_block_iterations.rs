@@ -21,7 +21,7 @@
 use gridsim_admm::{AdmmParams, AdmmSolver, BranchProblem};
 use gridsim_batch::Device;
 use gridsim_grid::TableICase;
-use gridsim_sparse::{Lanes, SmallMatrix, LANES};
+use gridsim_sparse::{SmallMatrix, LANES};
 use gridsim_tron::{cauchy_point, BoundProblem, TronSolver, TronStatus};
 
 const INNER: [usize; 3] = [30, 300, 1000];
@@ -149,11 +149,10 @@ fn warm_track_blocks_take_exactly_two_direct_iterations() {
             let counts = (summary.iterations, summary.direct, summary.rejected);
             assert_eq!(counts, (2, 2, 0), "inner {inner} block {l}: {summary:?}");
         }
-        for (g, group) in blocks.chunks_exact(LANES).enumerate() {
-            let problems: [BranchProblem; LANES] = std::array::from_fn(|k| group[k].0.clone());
-            let mut x: Vec<Lanes> = (0..6).map(|i| Lanes::from_fn(|k| group[k].1[i])).collect();
-            let lane = |k: usize| problems[k].clone();
-            let summaries = solver.solve_lanes(&BranchProblem::pack(&problems), lane, &mut x);
+        let groups = BranchProblem::groups_from_warm_state(&net, &params, &warm);
+        for (g, (problem, x0)) in groups.iter().enumerate() {
+            let lane = |k: usize| blocks[LANES * g + k].0.clone();
+            let summaries = solver.solve_lanes(problem, lane, &mut x0.clone());
             for summary in &summaries {
                 let counts = (summary.iterations, summary.direct, summary.rejected);
                 assert_eq!(counts, (2, 2, 0), "inner {inner} group {g}: {summary:?}");

@@ -1,22 +1,23 @@
 //! One in-place TRON solve of a branch subproblem performs zero heap
 //! allocations, and so does a grouped `branch_tron`-shaped launch: the
-//! device's group launch over masked segments, each full group's blocks
-//! packed into lanes and solved in lock-step, a segment's odd block solved
-//! alone, each writing its window of a second buffer.
+//! device's group launch over masked segments, each full group of real
+//! branch blocks gathered into lanes the way the branch kernel gathers them
+//! and solved in lock-step, a segment's odd block solved alone, each writing
+//! its window of a second buffer.
 //!
 //! A `#[global_allocator]` is per binary, so this test lives alone in its
 //! own; the counter is per thread, so whatever the test harness allocates on
 //! its other threads while the solve runs is not charged to it.
 
 use gridsim_acopf::BranchFlow;
-use gridsim_admm::{BranchProblem, ConsensusTerm};
+use gridsim_admm::{AdmmParams, AdmmSolver, BranchProblem, ConsensusTerm};
 use gridsim_batch::{Device, DeviceBuffer, Windows};
 use gridsim_grid::Branch;
 use gridsim_sparse::{Lanes, LANES};
 use gridsim_tron::{TronOptions, TronSolver, TronStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 thread_local! {
     // `const` initialisation and no destructor: touching it from inside the
@@ -120,15 +121,30 @@ fn in_place_branch_solve_never_allocates() {
 
 #[test]
 fn grouped_lock_step_launch_never_allocates() {
-    // Three segments of nine blocks, the middle one inactive: groups of
-    // LANES blocks, the odd block at each segment's end alone.
-    let (seg_len, active) = (9, [true, false, true]);
-    let problem = |i: usize| {
-        let mut p = branch_problem(!i.is_multiple_of(3));
-        p.flow_terms[i % 4].target += 0.01 * i as f64;
-        p
+    // case9's nine branch blocks five inner iterations into a solve, in
+    // three segments, the middle one inactive: groups of LANES blocks as
+    // the branch kernel gathers them, the odd block at each segment's end
+    // alone.
+    let net = gridsim_grid::case9().compile().unwrap();
+    let params = AdmmParams {
+        max_outer: 1,
+        max_inner: 5,
+        ..AdmmParams::test_profile()
     };
-    let solver = TronSolver::new(TronOptions::default());
+    let warm = AdmmSolver::with_device(params.clone(), Device::sequential())
+        .solve(&net)
+        .warm_state;
+    let blocks = BranchProblem::blocks_from_warm_state(&net, &params, &warm);
+    let starts: Vec<[f64; 6]> = blocks.iter().map(|b| b.1).collect();
+    // A `BranchProblem` is not `Sync` (it keeps the flows of its last
+    // evaluation in a `Cell`), so the kernel reaches the problems through a
+    // lock.
+    let problems = Mutex::new((
+        blocks,
+        BranchProblem::groups_from_warm_state(&net, &params, &warm),
+    ));
+    let (seg_len, active) = (net.nbranch, [true, false, true]);
+    let solver = TronSolver::new(params.tron.clone());
     // Each block writes its solution's first two entries into its window.
     let windows = Windows {
         seg_len: 3 + 2 * seg_len,
@@ -136,20 +152,17 @@ fn grouped_lock_step_launch_never_allocates() {
         width: 2,
     };
     let kernel = |first: usize, group: &mut [[f64; 6]], window: &mut [f64]| {
+        let j = first % seg_len;
+        let (blocks, groups) = &*problems.lock().unwrap();
         if group.len() == LANES {
-            let blocks = std::array::from_fn(|k| problem(first + k));
             let mut x: [Lanes; 6] = std::array::from_fn(|i| Lanes::from_fn(|k| group[k][i]));
-            solver.solve_lanes(
-                &BranchProblem::pack(&blocks),
-                |k| problem(first + k),
-                &mut x,
-            );
+            solver.solve_lanes(&groups[j / LANES].0, |k| blocks[j + k].0.clone(), &mut x);
             for (k, state) in group.iter_mut().enumerate() {
                 *state = std::array::from_fn(|i| x[i].0[k]);
             }
         } else {
             for (k, state) in group.iter_mut().enumerate() {
-                solver.solve_in_place(&problem(first + k), state);
+                solver.solve_in_place(&blocks[j + k].0, state);
             }
         }
         for (state, w) in group.iter().zip(window.chunks_exact_mut(2)) {
@@ -157,7 +170,7 @@ fn grouped_lock_step_launch_never_allocates() {
         }
     };
     for device in [Device::sequential(), Device::vectorized()] {
-        let starts = vec![[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]; seg_len * active.len()];
+        let starts = starts.repeat(active.len());
         let mut states = DeviceBuffer::from_host(Arc::clone(device.stats()), &starts);
         let mut out = DeviceBuffer::zeroed(Arc::clone(device.stats()), 3 * windows.seg_len);
         // The first launch of a kernel name allocates its stats entry.
