@@ -147,7 +147,7 @@ fn warm_blocks<T: Real>(
         .chunks_exact(width)
         .zip(seg.branches.chunks_exact(width));
     runs.map(|(d, states)| {
-        let block = kernels::branch_subproblem(d, 0, &seg.cons, &problem.rho, states);
+        let block = kernels::branch_subproblem(d, &seg.cons, &problem.rho, states);
         let x0 = std::array::from_fn(|i| T::from_lanes(|k| states[k].x[i]));
         (block, x0)
     })

@@ -9,13 +9,15 @@
 //! ([`branch_group`]) gathers each full lock-step group's problem straight
 //! from the data, solves a segment's odd branch alone, and takes each
 //! branch's flows from its solve's last derivative evaluation. Every
-//! constraint index stored in [`ProblemData`] is *scenario-local*; the
-//! element functions take the owning slot's `base` offset (`slot · m`) at
-//! call time. Keeping the data scenario-local is what lets scenarios that
-//! share loads/outages share one `Arc`'d copy of it regardless of which slot
-//! they run in, and keeping the arithmetic in one place is what lets the
-//! `#[cfg(test)]` oracle (one network, `base = 0`, plain `Vec`s) pin the
-//! fleet bitwise.
+//! constraint index stored in [`ProblemData`] is *scenario-local*, and the
+//! element functions index slot-local slices: each launch hands its kernel
+//! the element's slot, the kernel passes the slot's segments of the
+//! constraint buffers, and the per-constraint penalties ρ are the one
+//! length-`m` vector of the problem, shared by every slot. Keeping the data
+//! scenario-local is what lets scenarios that share loads/outages share one
+//! `Arc`'d copy of it regardless of which slot they run in, and keeping the
+//! arithmetic in one place is what lets the `#[cfg(test)]` oracle (one
+//! network, plain `Vec`s) pin the fleet bitwise.
 
 use crate::branch_problem::{limit_residuals, BranchProblem, ConsensusTerm};
 use crate::layout::{BusSlot, ConstraintKind, Layout};
@@ -101,8 +103,7 @@ pub(crate) struct ProblemData {
 
 impl ProblemData {
     /// Build the read-only problem data. Every stored constraint index is
-    /// scenario-local; kernel element functions shift by the owning slot's
-    /// base offset at call time.
+    /// scenario-local.
     pub(crate) fn build(
         net: &Network,
         layout: &Layout,
@@ -323,17 +324,16 @@ pub(crate) fn warm_states(
 // ---------------------------------------------------------------------------
 
 /// Generator update: closed form (6) for the box-constrained quadratic.
-/// `base` is the owning slot's offset into the constraint-major buffers
-/// (`slot · m`).
+/// `cons` is the generator's slot's segment of the consensus state and
+/// `rho` the per-constraint penalties, both indexed by constraint.
 #[inline]
 pub(crate) fn generator_element(
     d: &GenData,
-    base: usize,
     cons: &[ConsensusState],
     rho: &[f64],
     state: &mut GenState,
 ) {
-    let (kp, kq) = (base + d.k_p, base + d.k_q);
+    let (kp, kq) = (d.k_p, d.k_q);
     let (cp, cq) = (&cons[kp], &cons[kq]);
     let tp = cp.v - cp.z;
     let pg = (rho[kp] * tp - cp.y - d.c1) / (2.0 * d.c2 + rho[kp]);
@@ -355,12 +355,11 @@ pub(crate) fn gen_u(g: &GenState) -> [f64; 2] {
 /// [`LANES`] for a lock-step group): targets `v − z`, multipliers and
 /// penalties of their eight constraints, and the ALM state carried in each
 /// state. Always inlined, so that the branch kernel gathers a group's lanes
-/// straight from the data, with no problem built per branch. `base` as in
-/// [`generator_element`].
+/// straight from the data, with no problem built per branch. `cons` and
+/// `rho` as in [`generator_element`].
 #[inline(always)]
 pub(crate) fn branch_subproblem<T: Real>(
     d: &[BranchData],
-    base: usize,
     cons: &[ConsensusState],
     rho: &[f64],
     states: &[BranchState],
@@ -368,7 +367,7 @@ pub(crate) fn branch_subproblem<T: Real>(
     debug_assert_eq!(d.len(), states.len());
     let term = |j: usize| {
         ConsensusTerm::from_lanes(|k| {
-            let i = base + d[k].k_base + j;
+            let i = d[k].k_base + j;
             ConsensusTerm {
                 target: cons[i].v - cons[i].z,
                 y: cons[i].y,
@@ -418,12 +417,10 @@ fn alm_penalty(carried: f64) -> f64 {
 /// augmented-Lagrangian loop ([`alm_rounds`]) and writes its [`branch_u`]
 /// into its window. Bitwise the per-branch update of the `cfg(test)`
 /// oracle (one `solve_in_place`, a flow evaluation, then the same rounds)
-/// on each branch, and its `u` scatter. Allocates nothing. `base` as in
-/// [`generator_element`].
-#[allow(clippy::too_many_arguments)]
+/// on each branch, and its `u` scatter. Allocates nothing. `cons` and `rho`
+/// as in [`generator_element`].
 pub(crate) fn branch_group(
     d: &[BranchData],
-    base: usize,
     cons: &[ConsensusState],
     rho: &[f64],
     tron: &TronSolver,
@@ -432,14 +429,13 @@ pub(crate) fn branch_group(
 ) {
     debug_assert!(d.len() == states.len() && states.len() <= LANES && u.len() == 8 * d.len());
     if states.len() == LANES {
-        let problem: BranchProblem<Lanes> = branch_subproblem(d, base, cons, rho, states);
+        let problem: BranchProblem<Lanes> = branch_subproblem(d, cons, rho, states);
         let mut x = [Lanes::splat(0.0); 6];
         for (i, xi) in x.iter_mut().enumerate() {
             *xi = Lanes::from_fn(|k| states[k].x[i]);
         }
-        let lane = |k: usize| -> BranchProblem {
-            branch_subproblem(&d[k..=k], base, cons, rho, &states[k..=k])
-        };
+        let lane =
+            |k: usize| -> BranchProblem { branch_subproblem(&d[k..=k], cons, rho, &states[k..=k]) };
         tron.solve_lanes(&problem, lane, &mut x);
         let flows = problem.last_flows();
         for (k, state) in states.iter_mut().enumerate() {
@@ -449,14 +445,14 @@ pub(crate) fn branch_group(
     } else {
         for (k, state) in states.iter_mut().enumerate() {
             let problem: BranchProblem =
-                branch_subproblem(&d[k..=k], base, cons, rho, std::slice::from_ref(state));
+                branch_subproblem(&d[k..=k], cons, rho, std::slice::from_ref(state));
             tron.solve_in_place(&problem, &mut state.x);
             state.flows = problem.last_flows();
         }
     }
     let branches = d.iter().zip(states).zip(u.chunks_exact_mut(8));
     for ((d, state), u) in branches {
-        alm_rounds(d, base, cons, rho, tron, state);
+        alm_rounds(d, cons, rho, tron, state);
         u.copy_from_slice(&branch_u(state));
     }
 }
@@ -473,7 +469,6 @@ pub(crate) fn branch_group(
 #[inline(always)]
 fn alm_rounds(
     d: &BranchData,
-    base: usize,
     cons: &[ConsensusState],
     rho: &[f64],
     tron: &TronSolver,
@@ -487,7 +482,7 @@ fn alm_rounds(
     if res[0].abs().max(res[1].abs()) < ALM_TOL {
         return;
     }
-    later_alm_rounds(d, base, cons, rho, tron, state);
+    later_alm_rounds(d, cons, rho, tron, state);
 }
 
 /// [`alm_rounds`] from its first round's update on, for a limited branch
@@ -500,7 +495,6 @@ fn alm_rounds(
 #[inline(never)]
 fn later_alm_rounds(
     d: &BranchData,
-    base: usize,
     cons: &[ConsensusState],
     rho: &[f64],
     tron: &TronSolver,
@@ -508,7 +502,6 @@ fn later_alm_rounds(
 ) {
     let mut problem: BranchProblem = branch_subproblem(
         std::slice::from_ref(d),
-        base,
         cons,
         rho,
         std::slice::from_ref(state),
@@ -544,10 +537,10 @@ pub(crate) fn branch_u(b: &BranchState) -> [f64; 8] {
 }
 
 /// Bus update: the equality-constrained diagonal QP (7) over `w`, `θ` and
-/// the power copies. `base` as in [`generator_element`].
+/// the power copies. `u` and `cons` are the bus's slot's segments and `rho`
+/// the per-constraint penalties, as in [`generator_element`].
 pub(crate) fn bus_element(
     d: &BusData,
-    base: usize,
     u: &[f64],
     cons: &[ConsensusState],
     rho: &[f64],
@@ -555,10 +548,7 @@ pub(crate) fn bus_element(
 ) {
     // Linear/quadratic coefficients of each variable in the separable
     // objective:  0.5 * q * x² − c * x.
-    let coef = |k: usize| -> (f64, f64) {
-        let k = base + k;
-        (rho[k], rho[k] * (u[k] + cons[k].z) + cons[k].y)
-    };
+    let coef = |k: usize| -> (f64, f64) { (rho[k], rho[k] * (u[k] + cons[k].z) + cons[k].y) };
 
     // θ update: unconstrained, separable.
     let mut num = 0.0;

@@ -9,7 +9,7 @@
 //! passes the fleet fuses — the `u` scatter ([`u_element`]), the `v`
 //! scatter, the `z` and `y` updates and the residual folds each run over
 //! every constraint on their own — and reuses the host-side segment
-//! initialization, the per-element kernel bodies (`base = 0`) and the
+//! initialization, the per-element kernel bodies and the
 //! extraction, which are the definition of the arithmetic rather than of
 //! the loop.
 
@@ -55,7 +55,6 @@ fn branch_element(
 ) {
     let mut problem: BranchProblem = kernels::branch_subproblem(
         std::slice::from_ref(d),
-        0,
         cons,
         rho,
         std::slice::from_ref(state),
@@ -151,7 +150,7 @@ pub(crate) fn solve(
             inner_iterations += 1;
             // x block: generators and branches (line 3 of Algorithm 1).
             for (d, g) in data.gens.iter().zip(&mut gens) {
-                kernels::generator_element(d, 0, &cons, rho, g);
+                kernels::generator_element(d, &cons, rho, g);
             }
             for (d, b) in data.branches.iter().zip(&mut branches) {
                 branch_element(d, &cons, rho, &tron, b);
@@ -161,7 +160,7 @@ pub(crate) fn solve(
             }
             // x̄ block: buses (line 4).
             for (d, b) in data.buses.iter().zip(&mut buses) {
-                kernels::bus_element(d, 0, &u, &cons, rho, b);
+                kernels::bus_element(d, &u, &cons, rho, b);
             }
             for (c, &(bus, slot)) in cons.iter_mut().zip(problem.vplan.iter()) {
                 c.v = kernels::v_element(&buses[bus], slot);

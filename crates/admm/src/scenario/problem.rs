@@ -4,14 +4,14 @@
 //! read-only data the kernels consume is identical across scenarios: the
 //! consensus [`Layout`], the `v`-scatter plan, and the per-constraint `ρ`
 //! vector depend only on the topology and are built **once** per scenario
-//! set; the per-component data vectors (generators, branches, buses) are
+//! set, and every slot's kernels read that one copy; the per-component data vectors (generators, branches, buses) are
 //! built per scenario but *interned* — a scenario whose generator data
 //! equals an earlier scenario's shares that scenario's `Arc` instead of
 //! carrying a copy. Load-ramp scenarios share one generator and one branch
 //! vector; N−1 outage scenarios additionally share one bus vector. The
 //! kernels can consume shared data from any slot because every stored index
-//! is scenario-local (the element functions add the slot's base offset at
-//! call time, see `crate::kernels`).
+//! is scenario-local (the element functions index the slot's segments of the
+//! constraint buffers, see `crate::kernels`).
 
 use crate::kernels::{self, BranchData, BusData, GenData, ProblemData};
 use crate::layout::{BusSlot, Layout};
@@ -34,7 +34,8 @@ pub struct ScenarioProblem {
     pub(crate) layout: Arc<Layout>,
     /// Scenario-local `v`-scatter plan (one copy serves every slot).
     pub(crate) vplan: Arc<Vec<(usize, BusSlot)>>,
-    /// Per-constraint penalties of one scenario segment.
+    /// Per-constraint penalties of one scenario segment, read by every
+    /// slot's kernels.
     pub(crate) rho: Arc<Vec<f64>>,
     pub(crate) data: Vec<ScenarioData>,
     pub(crate) nbus: usize,

@@ -8,14 +8,17 @@
 //! [`LaneSolver`] implementation —
 //!
 //! * **shard state** — slot-major device buffers covering the shard's
-//!   lanes, allocated on the device with no transfer but the one upload of
-//!   the layout's ρ vector for every lane,
+//!   lanes, allocated on the device with no transfer; the read-only problem
+//!   data, the layout's ρ vector among it, is shared by every lane,
 //! * **step** — one batched inner iteration over every active lane (the
 //!   four kernel launches of Algorithm 1's lines 3–6 spanning `L × n`
 //!   elements: the generator and branch updates, each writing its own
 //!   entries of `u`, the bus update, and one consensus pass that writes `v`,
 //!   `z` and `y` and returns both residuals and `‖z‖∞` per lane) plus the
-//!   per-lane inner/outer control that decides which lanes finished,
+//!   per-lane inner/outer control that decides which lanes finished; each
+//!   launch hands its kernel the element's lane (its slot) and its index in
+//!   the slot, so a kernel reads its slot's data, control state and
+//!   segments directly,
 //! * **admit / extract** — ranged uploads into an empty or freed slot's
 //!   buffer segments (every scenario, initial occupant or refill, enters
 //!   this way), seeded from the admission's store hit when there is one,
@@ -84,7 +87,6 @@ struct SlotState {
     u: DeviceBuffer<f64>,
     cons: DeviceBuffer<ConsensusState>,
     lam: DeviceBuffer<f64>,
-    rho: DeviceBuffer<f64>,
 }
 
 /// Host-side initial state of one scenario segment.
@@ -94,31 +96,6 @@ pub(crate) struct SegmentHost {
     pub(crate) buses: Vec<BusState>,
     pub(crate) cons: Vec<ConsensusState>,
     pub(crate) lam: Vec<f64>,
-}
-
-/// Precomputed element-index → owning-slot lookup tables, one per buffer
-/// geometry. The tick closures run over global slot-major indices; a `u32`
-/// load here replaces a per-element integer division (which adds up across
-/// the ~10⁹ cheap kernel elements of a large solve), and the looked-up
-/// value is the same integer the division would produce, so results are
-/// unchanged bitwise.
-struct SegMaps {
-    gen: Vec<u32>,
-    branch: Vec<u32>,
-    bus: Vec<u32>,
-    cons: Vec<u32>,
-}
-
-impl SegMaps {
-    fn build(ll: usize, problem: &ScenarioProblem) -> SegMaps {
-        let seg_of = |n: usize| (0..ll * n).map(|i| (i / n) as u32).collect();
-        SegMaps {
-            gen: seg_of(problem.ngen),
-            branch: seg_of(problem.nbranch),
-            bus: seg_of(problem.nbus),
-            cons: seg_of(problem.m),
-        }
-    }
 }
 
 /// The multi-device scenario execution front end for the ADMM fleet.
@@ -262,8 +239,8 @@ struct AdmmShard {
     st: SlotState,
     ctl: Vec<ScenCtl>,
     slot_data: Vec<ScenarioData>,
-    segs: SegMaps,
-    ll: usize,
+    /// The lanes whose outer multipliers λ the tick updates.
+    lambda_mask: Vec<bool>,
 }
 
 impl LaneSolver for AdmmFleet<'_> {
@@ -282,7 +259,6 @@ impl LaneSolver for AdmmFleet<'_> {
             u: DeviceBuffer::zeroed(stats.clone(), ll * m),
             cons: DeviceBuffer::zeroed(stats.clone(), ll * m),
             lam: DeviceBuffer::zeroed(stats.clone(), ll * m),
-            rho: DeviceBuffer::from_host(stats.clone(), &problem.rho.repeat(ll)),
         };
         AdmmShard {
             device: device.clone(),
@@ -290,57 +266,48 @@ impl LaneSolver for AdmmFleet<'_> {
             // Placeholders until each slot's first admission.
             ctl: vec![ScenCtl::fresh(); ll],
             slot_data: vec![problem.data[0].clone(); ll],
-            segs: SegMaps::build(ll, problem),
-            ll,
+            lambda_mask: vec![false; ll],
         }
     }
 
     fn step(&self, shard: &mut AdmmShard, active: &[bool]) -> Vec<bool> {
         let params = self.params;
         let m = self.problem.m;
-        let ll = shard.ll;
         // Per slot: the primal and dual residuals and ‖z‖∞ after the tick.
         let scores = tick(
             &shard.device,
             &mut shard.st,
             self.problem,
             &shard.slot_data,
-            &shard.segs,
             &self.tron,
             active,
             &shard.ctl,
         );
-        let (device, ctl, segs) = (&shard.device, &mut shard.ctl, &shard.segs);
+        let AdmmShard {
+            device,
+            st,
+            ctl,
+            lambda_mask,
+            ..
+        } = shard;
 
-        // Per-slot control: inner bookkeeping, outer boundaries.
-        let mut boundary = vec![false; ll];
-        for s in 0..ll {
+        // Per-slot control: inner bookkeeping, and at an outer boundary the
+        // outer-level update and termination.
+        let mut finished = vec![false; ctl.len()];
+        for (s, c) in ctl.iter_mut().enumerate() {
+            lambda_mask[s] = false;
             if !active[s] {
                 continue;
             }
-            let c = &mut ctl[s];
             c.total_inner += 1;
             c.inner_in_outer += 1;
-            let [prim, dual, _] = scores[s];
+            let [prim, dual, z_inf] = scores[s];
             c.primres = prim;
             let inner_converged = prim <= params.eps_inner && dual <= params.eps_inner;
-            if inner_converged || c.inner_in_outer >= params.max_inner {
-                boundary[s] = true;
-            }
-        }
-        let mut finished = vec![false; ll];
-        if !boundary.iter().any(|&b| b) {
-            return finished;
-        }
-
-        // Outer-level update and termination for slots at a boundary.
-        let mut lambda_mask = vec![false; ll];
-        for s in 0..ll {
-            if !boundary[s] {
+            if !inner_converged && c.inner_in_outer < params.max_inner {
                 continue;
             }
-            let c = &mut ctl[s];
-            c.z_inf = scores[s][2];
+            c.z_inf = z_inf;
             c.inner_in_outer = 0;
             c.outer_done += 1;
             if c.z_inf <= params.eps_outer {
@@ -351,17 +318,15 @@ impl LaneSolver for AdmmFleet<'_> {
             }
         }
         if lambda_mask.iter().any(|&b| b) {
-            let betas: Vec<f64> = ctl.iter().map(|c| c.beta).collect();
-            let cons = shard.st.cons.as_slice();
-            let seg = segs.cons.as_slice();
-            device.launch_map_segments("lambda_update", &mut shard.st.lam, m, &lambda_mask, {
-                move |k, lk| kernels::lambda_element(cons[k].z, betas[seg[k] as usize], lk)
+            let cons = st.cons.as_slice();
+            let slots = ctl.as_slice();
+            device.launch_map_segments("lambda_update", &mut st.lam, m, lambda_mask, {
+                move |s, k, lk| kernels::lambda_element(cons[s * m + k].z, slots[s].beta, lk)
             });
-            for s in 0..ll {
+            for (s, c) in ctl.iter_mut().enumerate() {
                 if !lambda_mask[s] {
                     continue;
                 }
-                let c = &mut ctl[s];
                 if c.z_inf > Z_DECREASE_FACTOR * c.z_inf_prev {
                     c.beta *= params.beta_factor;
                 }
@@ -386,11 +351,10 @@ impl LaneSolver for AdmmFleet<'_> {
 
     /// Seed the scenario from its store hit, else the run's shared warm
     /// state, else cold, and upload its segment with one ranged upload per
-    /// live buffer. (`rho` is layout-derived, identical for every scenario
-    /// and uploaded with the shard; `u` is written whole by the slot's
-    /// first generator and branch launches before anything reads it.) The
-    /// seed changes the starting point, not the iteration budget: only β
-    /// resumes the seed's schedule, along with its multipliers.
+    /// live buffer. (`u` is written whole by the slot's first generator and
+    /// branch launches before anything reads it.) The seed changes the
+    /// starting point, not the iteration budget: only β resumes the seed's
+    /// schedule, along with its multipliers.
     fn admit(
         &self,
         shard: &mut AdmmShard,
@@ -535,26 +499,25 @@ fn extract_slot(
 /// launches of Algorithm 1's lines 3–6, each spanning `L × n` elements.
 /// The generator and branch launches write each component's entries of `u`
 /// as they compute them, and one consensus pass after the bus update
-/// writes `v`, `z` and `y`. Returns, per slot, the primal residual
+/// writes `v`, `z` and `y`. Each kernel reads its slot's data and segments
+/// by the slot its launch hands it, the penalties ρ from the problem and β
+/// from its slot's control state. Returns, per slot, the primal residual
 /// `‖u − v + z‖∞`, the dual residual `‖ρ (z − z_old)‖∞` and `‖z‖∞` (NaN
 /// for an inactive slot).
-#[allow(clippy::too_many_arguments)]
 fn tick(
     device: &Device,
     st: &mut SlotState,
     problem: &ScenarioProblem,
     slot_data: &[ScenarioData],
-    segs: &SegMaps,
     tron: &TronSolver,
     active: &[bool],
     ctl: &[ScenCtl],
 ) -> Vec<[f64; 3]> {
     let (ngen, nbranch, nbus, m) = (problem.ngen, problem.nbranch, problem.nbus, problem.m);
+    let rho = problem.rho.as_slice();
     // x block: generators and branches, each writing its window of `u`.
     {
         let cons = st.cons.as_slice();
-        let rho = st.rho.as_slice();
-        let gen_seg = segs.gen.as_slice();
         let windows = Windows {
             seg_len: m,
             offset: 0,
@@ -568,14 +531,12 @@ fn tick(
             1,
             &mut st.u,
             windows,
-            move |g, state, u| {
-                let s = gen_seg[g] as usize;
-                let d = &slot_data[s].gens[g - s * ngen];
-                kernels::generator_element(d, s * m, cons, rho, &mut state[0]);
+            move |s, g, state, u| {
+                let cons = &cons[s * m..(s + 1) * m];
+                kernels::generator_element(&slot_data[s].gens[g], cons, rho, &mut state[0]);
                 u.copy_from_slice(&kernels::gen_u(&state[0]));
             },
         );
-        let branch_seg = segs.branch.as_slice();
         let windows = Windows {
             seg_len: m,
             offset: 2 * ngen,
@@ -590,11 +551,10 @@ fn tick(
             LANES,
             &mut st.u,
             windows,
-            move |l, states, u| {
-                let s = branch_seg[l] as usize;
-                let first = l - s * nbranch;
+            move |s, first, states, u| {
                 let d = &slot_data[s].branches[first..first + states.len()];
-                kernels::branch_group(d, s * m, cons, rho, tron, states, u)
+                let cons = &cons[s * m..(s + 1) * m];
+                kernels::branch_group(d, cons, rho, tron, states, u)
             },
         );
     }
@@ -602,35 +562,24 @@ fn tick(
     {
         let u = st.u.as_slice();
         let cons = st.cons.as_slice();
-        let rho = st.rho.as_slice();
-        let bus_seg = segs.bus.as_slice();
         device.launch_map_segments("bus_update", &mut st.buses, nbus, active, {
-            move |b, state| {
-                let s = bus_seg[b] as usize;
-                kernels::bus_element(
-                    &slot_data[s].buses[b - s * nbus],
-                    s * m,
-                    u,
-                    cons,
-                    rho,
-                    state,
-                )
+            move |s, b, state| {
+                let slot = s * m..(s + 1) * m;
+                let (u, cons) = (&u[slot.clone()], &cons[slot]);
+                kernels::bus_element(&slot_data[s].buses[b], u, cons, rho, state)
             }
         });
     }
     // The consensus pass: v from the buses, then the z and multiplier
     // updates, scoring both residuals and ‖z‖∞ on the way.
-    let betas: Vec<f64> = ctl.iter().map(|c| c.beta).collect();
     let buses = st.buses.as_slice();
     let vplan = problem.vplan.as_slice();
     let u = st.u.as_slice();
     let lam = st.lam.as_slice();
-    let rho = st.rho.as_slice();
-    let seg = segs.cons.as_slice();
-    device.launch_map_segments_max("z_update", &mut st.cons, m, active, move |k, c| {
-        let s = seg[k] as usize;
-        let (bus, slot) = vplan[k - s * m];
+    device.launch_map_segments_max("z_update", &mut st.cons, m, active, move |s, k, c| {
+        let (bus, slot) = vplan[k];
         let v = kernels::v_element(&buses[s * nbus + bus], slot);
-        kernels::consensus_element(u[k], v, lam[k], rho[k], betas[s], c)
+        let i = s * m + k;
+        kernels::consensus_element(u[i], v, lam[i], rho[k], ctl[s].beta, c)
     })
 }

@@ -278,8 +278,8 @@ mod tests {
     #[test]
     fn no_transfers_during_iterations() {
         let net = gridsim_grid::two_bus().compile().unwrap();
-        // Transfers happen only at setup (the ρ upload and the admission's
-        // 5 ranged uploads) and extraction (one read per result-bearing
+        // Transfers happen only at setup (the admission's 5 ranged uploads)
+        // and extraction (one read per result-bearing
         // buffer or field), never per iteration: doubling the iteration
         // budget runs more kernel rounds and moves exactly the same number
         // of buffers.
@@ -293,7 +293,7 @@ mod tests {
             let before = solver.device.stats().snapshot();
             let _ = solver.solve(&net);
             let delta = solver.device.stats().snapshot().since(&before);
-            assert_eq!(delta.host_to_device_transfers, 6, "h2d at {max_inner}");
+            assert_eq!(delta.host_to_device_transfers, 5, "h2d at {max_inner}");
             assert_eq!(delta.device_to_host_transfers, 6, "d2h at {max_inner}");
             delta.kernels["z_update"].launches
         };

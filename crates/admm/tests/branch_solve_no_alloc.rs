@@ -151,8 +151,7 @@ fn grouped_lock_step_launch_never_allocates() {
         offset: 3,
         width: 2,
     };
-    let kernel = |first: usize, group: &mut [[f64; 6]], window: &mut [f64]| {
-        let j = first % seg_len;
+    let kernel = |_: usize, j: usize, group: &mut [[f64; 6]], window: &mut [f64]| {
         let (blocks, groups) = &*problems.lock().unwrap();
         if group.len() == LANES {
             let mut x: [Lanes; 6] = std::array::from_fn(|i| Lanes::from_fn(|k| group[k][i]));

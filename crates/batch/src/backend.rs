@@ -4,7 +4,9 @@
 //! The paper's thesis is that ACOPF kernels expressed as data-parallel
 //! element operations port across execution substrates. This module is
 //! where that portability lives: a kernel body is written once (a closure
-//! over an element index), and the backend chooses the iteration scheme —
+//! over an element's slot and its index in the slot — the thread's row and
+//! column of the paper's scenarios × components grid), and the backend
+//! chooses the iteration scheme —
 //! a work-stealing thread pool, a plain sequential loop, or a chunked
 //! loop shaped for compiler auto-vectorization.
 //!
@@ -187,21 +189,22 @@ pub(crate) trait LaunchBackend {
     /// Apply `f` exactly once to every element of the segments whose mask
     /// entry is `true`; elements of inactive segments must not be touched.
     /// `buf` holds `active.len()` segments of `seg_len` elements; `f`
-    /// receives the *global* element index. One thread per element: a
-    /// scheduling backend keeps short launches on the calling thread.
+    /// receives the element's segment (its slot) and its index within the
+    /// segment. One thread per element: a scheduling backend keeps short
+    /// launches on the calling thread.
     fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
     where
         T: Send,
-        F: Fn(usize, &mut T) + Sync;
+        F: Fn(usize, usize, &mut T) + Sync;
 
     /// Apply `f` exactly once to every *group* of the active segments'
     /// elements, with the group's window of `out`, and to nothing of an
     /// inactive segment in either buffer: the groups are each segment's
     /// consecutive chunks of `group` elements (the last one shorter), so a
     /// group holds 1 to `group` consecutive elements of one segment, and its
-    /// window is where `windows` puts them. `f` receives the global index of
-    /// the group's first element. One thread block per group: a scheduling
-    /// backend fans out even a handful of them.
+    /// window is where `windows` puts them. `f` receives the group's segment
+    /// and the index of its first element within the segment. One thread
+    /// block per group: a scheduling backend fans out even a handful of them.
     #[allow(clippy::too_many_arguments)]
     fn launch_groups<T, U, F>(
         &self,
@@ -215,7 +218,7 @@ pub(crate) trait LaunchBackend {
     ) where
         T: Send,
         U: Send,
-        F: Fn(usize, &mut [T], &mut [U]) + Sync;
+        F: Fn(usize, usize, &mut [T], &mut [U]) + Sync;
 
     /// Apply `f` exactly once to every element of the active segments, as
     /// [`Self::launch_segments`] does, and fold each of the `N` scores it
@@ -232,7 +235,7 @@ pub(crate) trait LaunchBackend {
     ) -> Vec<[f64; N]>
     where
         T: Send,
-        F: Fn(usize, &mut T) -> [f64; N] + Sync;
+        F: Fn(usize, usize, &mut T) -> [f64; N] + Sync;
 }
 
 /// Fold one element's `scores` into the running maxima `acc`.
@@ -248,24 +251,23 @@ fn settle<const N: usize>(acc: [f64; N]) -> [f64; N] {
     acc.map(|m| if m == f64::NEG_INFINITY { 0.0 } else { m })
 }
 
-/// Run `f` over one segment, which starts at global index `base`, folding
-/// its scores in index order — the fold the sequential and parallel
-/// backends share (the vectorized backend reproduces it chunk-wise, bit for
-/// bit).
-fn segment_max<T, F, const N: usize>(segment: &mut [T], base: usize, f: &F) -> [f64; N]
+/// Run `f` over segment `s`, folding its scores in index order — the fold
+/// the sequential and parallel backends share (the vectorized backend
+/// reproduces it chunk-wise, bit for bit).
+fn segment_max<T, F, const N: usize>(segment: &mut [T], s: usize, f: &F) -> [f64; N]
 where
-    F: Fn(usize, &mut T) -> [f64; N],
+    F: Fn(usize, usize, &mut T) -> [f64; N],
 {
     let mut acc = [f64::NEG_INFINITY; N];
     for (j, x) in segment.iter_mut().enumerate() {
-        fold_max(&mut acc, f(base + j, x));
+        fold_max(&mut acc, f(s, j, x));
     }
     settle(acc)
 }
 
-/// The active segments' groups in index order, each with the global index
-/// of its first element and its window of `out`, cut with
-/// `chunks_exact_mut` so that a window is exactly its elements'.
+/// The active segments' groups in index order, each with its segment, the
+/// index of its first element in the segment and its window of `out`, cut
+/// with `chunks_exact_mut` so that a window is exactly its elements'.
 fn groups<'a, T, U>(
     buf: &'a mut [T],
     seg_len: usize,
@@ -273,7 +275,7 @@ fn groups<'a, T, U>(
     group: usize,
     out: &'a mut [U],
     windows: Windows,
-) -> impl Iterator<Item = (usize, &'a mut [T], &'a mut [U])> {
+) -> impl Iterator<Item = (usize, usize, &'a mut [T], &'a mut [U])> {
     let Windows {
         seg_len: out_len,
         offset,
@@ -290,7 +292,7 @@ fn groups<'a, T, U>(
                 .chunks_mut(group)
                 .zip(window.chunks_mut(group * width))
                 .enumerate()
-                .map(move |(c, (elements, window))| (s * seg_len + c * group, elements, window))
+                .map(move |(c, (elements, window))| (s, c * group, elements, window))
         })
 }
 
@@ -308,14 +310,14 @@ impl LaunchBackend for SequentialBackend {
     fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
     where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, usize, &mut T) + Sync,
     {
         for (s, chunk) in buf.chunks_mut(seg_len).enumerate() {
             if !active[s] {
                 continue;
             }
             for (j, x) in chunk.iter_mut().enumerate() {
-                f(s * seg_len + j, x);
+                f(s, j, x);
             }
         }
     }
@@ -332,10 +334,10 @@ impl LaunchBackend for SequentialBackend {
     ) where
         T: Send,
         U: Send,
-        F: Fn(usize, &mut [T], &mut [U]) + Sync,
+        F: Fn(usize, usize, &mut [T], &mut [U]) + Sync,
     {
-        for (start, elements, window) in groups(buf, seg_len, active, group, out, windows) {
-            f(start, elements, window);
+        for (s, first, elements, window) in groups(buf, seg_len, active, group, out, windows) {
+            f(s, first, elements, window);
         }
     }
 
@@ -348,14 +350,14 @@ impl LaunchBackend for SequentialBackend {
     ) -> Vec<[f64; N]>
     where
         T: Send,
-        F: Fn(usize, &mut T) -> [f64; N] + Sync,
+        F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
     {
         buf.chunks_mut(seg_len)
             .zip(active)
             .enumerate()
             .map(|(s, (segment, &live))| {
                 if live {
-                    segment_max(segment, s * seg_len, &f)
+                    segment_max(segment, s, &f)
                 } else {
                     [f64::NAN; N]
                 }
@@ -371,6 +373,40 @@ impl LaunchBackend for SequentialBackend {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ParallelBackend;
 
+/// Elements per pool chunk of the parallel backend's element launches.
+pub(crate) const PARALLEL_CHUNK: usize = 64;
+
+/// Chunks per pool task at the least: 16 chunks of [`PARALLEL_CHUNK`] are
+/// the 1 024 elements below which the pool runs a launch inline.
+pub(crate) const PARALLEL_MIN_CHUNKS: usize = 16;
+
+/// Apply `f` to the elements of one pool chunk of a segmented launch whose
+/// first element is element `start` of the buffer: one division seeds the
+/// chunk's slot and index, and the chunk is walked in runs, one per segment
+/// it overlaps, so that an inactive segment's run is skipped whole and the
+/// element loop carries no mask check.
+pub(crate) fn segment_runs<T, F>(
+    chunk: &mut [T],
+    start: usize,
+    seg_len: usize,
+    active: &[bool],
+    f: &F,
+) where
+    F: Fn(usize, usize, &mut T),
+{
+    let (mut s, mut j) = (start / seg_len, start % seg_len);
+    let mut rest = chunk;
+    while !rest.is_empty() {
+        let (run, tail) = rest.split_at_mut(rest.len().min(seg_len - j));
+        if active[s] {
+            for (k, x) in run.iter_mut().enumerate() {
+                f(s, j + k, x);
+            }
+        }
+        (rest, s, j) = (tail, s + 1, 0);
+    }
+}
+
 impl LaunchBackend for ParallelBackend {
     fn mode(&self) -> ExecutionMode {
         ExecutionMode::Parallel
@@ -379,24 +415,12 @@ impl LaunchBackend for ParallelBackend {
     fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
     where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, usize, &mut T) + Sync,
     {
-        let live_segments = active.iter().filter(|&&a| a).count();
-        let it = buf.par_iter_mut();
-        if live_segments == active.len() {
-            // Fast path for the common all-active case (every whole-buffer
-            // launch among them): no per-element mask check. (Skipping
-            // whole inactive chunks in parallel would need chunked parallel
-            // iteration the rayon shim does not provide; the masked path
-            // below pays one cheap check per element instead.)
-            it.enumerate().for_each(|(i, x)| f(i, x));
-        } else {
-            it.enumerate().for_each(|(i, x)| {
-                if active[i / seg_len] {
-                    f(i, x)
-                }
-            });
-        }
+        buf.par_chunks_mut(PARALLEL_CHUNK)
+            .with_min_len(PARALLEL_MIN_CHUNKS)
+            .enumerate()
+            .for_each(|(c, chunk)| segment_runs(chunk, c * PARALLEL_CHUNK, seg_len, active, &f));
     }
 
     fn launch_groups<T, U, F>(
@@ -411,7 +435,7 @@ impl LaunchBackend for ParallelBackend {
     ) where
         T: Send,
         U: Send,
-        F: Fn(usize, &mut [T], &mut [U]) + Sync,
+        F: Fn(usize, usize, &mut [T], &mut [U]) + Sync,
     {
         // The groups with their windows, listed once on the calling thread
         // so that the pool hands each task disjoint borrows.
@@ -420,7 +444,7 @@ impl LaunchBackend for ParallelBackend {
             .par_iter_mut()
             .with_min_len(1)
             .enumerate()
-            .for_each(|(_, (start, elements, window))| f(*start, elements, window));
+            .for_each(|(_, (s, first, elements, window))| f(*s, *first, elements, window));
     }
 
     fn launch_segments_max<T, F, const N: usize>(
@@ -432,7 +456,7 @@ impl LaunchBackend for ParallelBackend {
     ) -> Vec<[f64; N]>
     where
         T: Send,
-        F: Fn(usize, &mut T) -> [f64; N] + Sync,
+        F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
     {
         // Segments are independent, so fanning the per-segment folds
         // across the pool preserves each segment's index-ordered fold.
@@ -444,7 +468,7 @@ impl LaunchBackend for ParallelBackend {
             .enumerate()
             .for_each(|(s, (segment, max))| {
                 if active[s] {
-                    **max = segment_max(segment, s * seg_len, &f);
+                    **max = segment_max(segment, s, &f);
                 }
             });
         maxima
@@ -473,10 +497,10 @@ pub(crate) const VECTOR_CHUNK: usize = 64;
 ///   sequential backend's — bitwise identical by construction;
 /// * segmented launches hoist the convergence mask out of the element
 ///   loop entirely: inactive segments are skipped at segment granularity
-///   and the per-element loop body carries **no** mask branch (compare
-///   the parallel backend, which pays a per-element `active[i / seg_len]`
-///   check on masked launches). Masking inside element bodies stays
-///   arithmetic (clamps and selects), never control flow.
+///   and the per-element loop body carries **no** mask branch (the
+///   parallel backend does the same per pool chunk). Masking inside
+///   element bodies stays arithmetic (clamps and selects), never control
+///   flow.
 ///
 /// Group launches (the generator updates and the TRON branch solves) run
 /// the sequential backend's loop: their bodies are per-component solves
@@ -484,40 +508,38 @@ pub(crate) const VECTOR_CHUNK: usize = 64;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct VectorizedBackend;
 
-/// Apply `f` over `buf` in fixed-size chunks; `base` is the global index
-/// of `buf[0]`.
-fn map_chunked<T, F>(buf: &mut [T], base: usize, f: &F)
+/// Apply `f` over segment `s`, `buf`, in fixed-size chunks.
+fn map_chunked<T, F>(buf: &mut [T], s: usize, f: &F)
 where
-    F: Fn(usize, &mut T),
+    F: Fn(usize, usize, &mut T),
 {
-    let mut offset = base;
+    let mut offset = 0;
     let mut chunks = buf.chunks_exact_mut(VECTOR_CHUNK);
     for chunk in &mut chunks {
         for (j, x) in chunk.iter_mut().enumerate() {
-            f(offset + j, x);
+            f(s, offset + j, x);
         }
         offset += VECTOR_CHUNK;
     }
     for (j, x) in chunks.into_remainder().iter_mut().enumerate() {
-        f(offset + j, x);
+        f(s, offset + j, x);
     }
 }
 
-/// Chunk-scored, index-order-folded scoring core: scores land in a stack
-/// buffer (vectorizable), the fold consumes them in index order (bitwise
-/// identical to the sequential fold). `base` is the global index of
-/// `buf[0]`.
-fn max_chunked<T, F, const N: usize>(buf: &mut [T], base: usize, f: &F) -> [f64; N]
+/// Chunk-scored, index-order-folded scoring core over segment `s`, `buf`:
+/// scores land in a stack buffer (vectorizable), the fold consumes them in
+/// index order (bitwise identical to the sequential fold).
+fn max_chunked<T, F, const N: usize>(buf: &mut [T], s: usize, f: &F) -> [f64; N]
 where
-    F: Fn(usize, &mut T) -> [f64; N],
+    F: Fn(usize, usize, &mut T) -> [f64; N],
 {
     let mut acc = [f64::NEG_INFINITY; N];
-    let mut offset = base;
+    let mut offset = 0;
     let mut scores = [[0.0f64; N]; VECTOR_CHUNK];
     let mut chunks = buf.chunks_exact_mut(VECTOR_CHUNK);
     for chunk in &mut chunks {
         for (j, x) in chunk.iter_mut().enumerate() {
-            scores[j] = f(offset + j, x);
+            scores[j] = f(s, offset + j, x);
         }
         for &s in &scores {
             fold_max(&mut acc, s);
@@ -525,7 +547,7 @@ where
         offset += VECTOR_CHUNK;
     }
     for (j, x) in chunks.into_remainder().iter_mut().enumerate() {
-        fold_max(&mut acc, f(offset + j, x));
+        fold_max(&mut acc, f(s, offset + j, x));
     }
     settle(acc)
 }
@@ -538,7 +560,7 @@ impl LaunchBackend for VectorizedBackend {
     fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
     where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, usize, &mut T) + Sync,
     {
         // The convergence mask is hoisted to segment granularity: the
         // element loop below is branch-free, and inactive segments cost
@@ -547,7 +569,7 @@ impl LaunchBackend for VectorizedBackend {
             if !active[s] {
                 continue;
             }
-            map_chunked(chunk, s * seg_len, &f);
+            map_chunked(chunk, s, &f);
         }
     }
 
@@ -563,7 +585,7 @@ impl LaunchBackend for VectorizedBackend {
     ) where
         T: Send,
         U: Send,
-        F: Fn(usize, &mut [T], &mut [U]) + Sync,
+        F: Fn(usize, usize, &mut [T], &mut [U]) + Sync,
     {
         SequentialBackend.launch_groups(buf, seg_len, active, group, out, windows, f)
     }
@@ -577,14 +599,14 @@ impl LaunchBackend for VectorizedBackend {
     ) -> Vec<[f64; N]>
     where
         T: Send,
-        F: Fn(usize, &mut T) -> [f64; N] + Sync,
+        F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
     {
         buf.chunks_mut(seg_len)
             .zip(active)
             .enumerate()
             .map(|(s, (segment, &live))| {
                 if live {
-                    max_chunked(segment, s * seg_len, &f)
+                    max_chunked(segment, s, &f)
                 } else {
                     [f64::NAN; N]
                 }
@@ -639,7 +661,7 @@ impl LaunchBackend for AnyBackend {
     fn launch_segments<T, F>(&self, buf: &mut [T], seg_len: usize, active: &[bool], f: F)
     where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, usize, &mut T) + Sync,
     {
         dispatch!(self, b => b.launch_segments(buf, seg_len, active, f))
     }
@@ -656,7 +678,7 @@ impl LaunchBackend for AnyBackend {
     ) where
         T: Send,
         U: Send,
-        F: Fn(usize, &mut [T], &mut [U]) + Sync,
+        F: Fn(usize, usize, &mut [T], &mut [U]) + Sync,
     {
         dispatch!(self, b => b.launch_groups(buf, seg_len, active, group, out, windows, f))
     }
@@ -670,7 +692,7 @@ impl LaunchBackend for AnyBackend {
     ) -> Vec<[f64; N]>
     where
         T: Send,
-        F: Fn(usize, &mut T) -> [f64; N] + Sync,
+        F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
     {
         dispatch!(self, b => b.launch_segments_max(buf, seg_len, active, f))
     }

@@ -10,6 +10,11 @@
 //! `W` and `W + 1` for group widths `W` of 1 to 3) and of
 //! `VECTOR_CHUNK − 1`, `VECTOR_CHUNK` and `VECTOR_CHUNK + 1` — before it
 //! may be selected by [`ExecutionMode::Auto`](crate::ExecutionMode::Auto).
+//! One clause pins the closure arguments of all three segmented shapes:
+//! every element, and every group's first element, is handed its own
+//! segment (slot) and index within the segment, on segments shorter than,
+//! as long as and longer than the parallel backend's pool chunk, with
+//! segments switched off in the middle of the buffer.
 //!
 //! Two entry points:
 //!
@@ -20,14 +25,15 @@
 //! * [`assert_device_conformance`] drives a [`Device`] through the public
 //!   launch API against `Device::sequential()` and against host-side
 //!   references, additionally checking the billing stream (launch counts,
-//!   live-element block accounting, no phantom transfers).
+//!   live-element block accounting, no phantom transfers), and holds the
+//!   device's backend to the slot/index clause.
 //!
 //! The data is deterministic (a fixed multiplicative generator), so a
 //! conformance failure reproduces exactly; sizes are chosen to straddle
 //! the vectorized backend's chunk boundary and to exercise empty buffers,
 //! single elements, and ragged remainders.
 
-use crate::backend::Windows;
+use crate::backend::{LaunchBackend, Windows};
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
 use std::sync::Arc;
@@ -88,10 +94,10 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
 }
 
 /// A map kernel with inlineable straight-line arithmetic (the shape the
-/// vectorized backend targets) that still depends on the global index, so
-/// index plumbing errors change bits.
-fn map_kernel(i: usize, x: &mut f64) {
-    *x = (*x * 1.000_000_11 + i as f64 * 1e-9).sin() * 1.7 - 0.3;
+/// vectorized backend targets) that still depends on the element's slot
+/// `s` and index `j`, so index plumbing errors change bits.
+fn map_kernel(s: usize, j: usize, x: &mut f64) {
+    *x = (*x * 1.000_000_11 + j as f64 * 1e-9 + s as f64 * 1e-4).sin() * 1.7 - 0.3;
 }
 
 /// Group widths the group launches sweep: one element per block, the
@@ -115,10 +121,10 @@ fn group_cases() -> Vec<(usize, Vec<bool>)> {
 
 /// A "blocked" kernel: iterative per-element work standing in for the
 /// TRON subproblem solves.
-fn block_kernel(i: usize, x: &mut f64) {
+fn block_kernel(s: usize, j: usize, x: &mut f64) {
     let mut acc = *x;
     for k in 0..16 {
-        acc = (acc + (i + k) as f64 * 1e-6).cos() * 0.9 + 0.1;
+        acc = (acc + (j + k) as f64 * 1e-6 + s as f64 * 1e-3).cos() * 0.9 + 0.1;
     }
     *x = acc;
 }
@@ -147,90 +153,101 @@ fn window_cases(seg_len: usize) -> [Windows; 3] {
     ]
 }
 
-/// [`block_kernel`] on each element of a group that starts at global index
-/// `start`, each element writing a value derived from its result into each
-/// value of its window.
-fn group_kernel(start: usize, group: &mut [f64], window: &mut [f64]) {
+/// [`block_kernel`] on each element of a group of slot `s` that starts at
+/// index `first`, each element writing a value derived from its result into
+/// each value of its window.
+fn group_kernel(s: usize, first: usize, group: &mut [f64], window: &mut [f64]) {
     let width = window.len() / group.len();
     for (j, (x, w)) in group
         .iter_mut()
         .zip(window.chunks_exact_mut(width))
         .enumerate()
     {
-        block_kernel(start + j, x);
+        block_kernel(s, first + j, x);
         for (c, wc) in w.iter_mut().enumerate() {
             *wc += *x * (c as f64 + 1.0);
         }
     }
 }
 
+/// One entry of a visit log: how many times a launch handed over the
+/// element (or wrote the window value), and the last slot and index it was
+/// handed with.
+type Visit = (usize, usize, usize);
+
+/// Log one visit of `(s, j)` into `v`.
+fn visit(v: &mut Visit, s: usize, j: usize) {
+    *v = (v.0 + 1, s, j);
+}
+
 /// The kernel that fills a group launch's visit log — per element, how
-/// many groups held it and the global index its group gave it; per window
+/// many groups held it and the slot and index its group gave it; per window
 /// value, how many elements wrote it and which — asserting that every
 /// group holds 1 to `group` elements of one segment and a window of
 /// `width` values per element.
-#[allow(clippy::type_complexity)]
 fn visit_kernel(
     seg_len: usize,
     group: usize,
     width: usize,
-) -> impl Fn(usize, &mut [(usize, usize)], &mut [(usize, usize)]) + Sync {
-    move |start, elements, window| {
+) -> impl Fn(usize, usize, &mut [Visit], &mut [Visit]) + Sync {
+    move |s, first, elements, window| {
         let n = elements.len();
         assert!(
             (1..=group).contains(&n),
             "a group of {n} elements (width {group})"
         );
-        assert_eq!(
-            start / seg_len,
-            (start + n - 1) / seg_len,
-            "group [{start}, {}) straddles a segment boundary (seg_len {seg_len})",
-            start + n
+        assert!(
+            first + n <= seg_len,
+            "group [{first}, {}) of slot {s} overruns its segment (seg_len {seg_len})",
+            first + n
         );
-        assert_eq!(window.len(), n * width, "group [{start}, +{n}) window");
-        for (j, ((count, index), w)) in elements
+        assert_eq!(window.len(), n * width, "group [{first}, +{n}) window");
+        for (j, (e, w)) in elements
             .iter_mut()
             .zip(window.chunks_exact_mut(width))
             .enumerate()
         {
-            *count += 1;
-            *index = start + j;
-            for (writes, owner) in w {
-                *writes += 1;
-                *owner = start + j;
-            }
+            visit(e, s, first + j);
+            w.iter_mut().for_each(|v| visit(v, s, first + j));
         }
     }
 }
 
-/// Assert that a group launch visited each element of each active segment
-/// exactly once, under its own global index, and wrote each value of its
-/// window exactly once, as that element; and that it touched no element
-/// of an inactive segment, no value of an inactive segment's windows and no
-/// value outside the windows.
-fn assert_visits(
-    visits: &[(usize, usize)],
-    window_log: &[(usize, usize)],
+/// Assert that a launch visited each element of each active segment exactly
+/// once, under its own slot and index, and no element of an inactive
+/// segment.
+fn assert_visits(visits: &[Visit], seg_len: usize, active: &[bool], what: &str) {
+    for (i, &(count, s, j)) in visits.iter().enumerate() {
+        if active[i / seg_len] {
+            assert_eq!(
+                (count, s, j),
+                (1, i / seg_len, i % seg_len),
+                "{what}: element {i} visits"
+            );
+        } else {
+            assert_eq!(count, 0, "{what}: inactive element {i} was touched");
+        }
+    }
+}
+
+/// Assert that a group launch wrote each value of an active segment's
+/// windows exactly once, as the element that owns it, and no value of an
+/// inactive segment's windows or outside the windows.
+fn assert_window_visits(
+    window_log: &[Visit],
     seg_len: usize,
     active: &[bool],
     windows: Windows,
     what: &str,
 ) {
-    for (i, &(count, index)) in visits.iter().enumerate() {
-        if active[i / seg_len] {
-            assert_eq!((count, index), (1, i), "{what}: element {i} visits");
-        } else {
-            assert_eq!(count, 0, "{what}: inactive element {i} was touched");
-        }
-    }
-    for (k, &(writes, owner)) in window_log.iter().enumerate() {
-        let (s, at) = (k / windows.seg_len, k % windows.seg_len);
+    for (k, &(writes, s, j)) in window_log.iter().enumerate() {
+        let (slot, at) = (k / windows.seg_len, k % windows.seg_len);
         let in_window = at >= windows.offset && at < windows.offset + seg_len * windows.width;
-        if active[s] && in_window {
-            let want = s * seg_len + (at - windows.offset) / windows.width;
+        if active[slot] && in_window {
+            let want = (at - windows.offset) / windows.width;
             assert_eq!(
-                (writes, owner),
-                (1, want),
+                (writes, s, j),
+                (1, slot, want),
                 "{what}: window value {k} writes"
             );
         } else {
@@ -239,31 +256,91 @@ fn assert_visits(
     }
 }
 
-/// Max-reduction score whose stream contains NaN and signed-zero entries:
-/// `f64::max` is scheduling-sensitive through exactly those, so any
-/// combine-order violation changes bits.
-fn score(i: usize, x: f64) -> f64 {
-    if i % 251 == 17 {
-        f64::NAN
-    } else {
-        x * 1.000_001 + i as f64 * 1e-12
+/// Segment geometries `(seg_len, mask)` the slot/index clause sweeps, on
+/// top of [`group_cases`]: segments of 1, `PARALLEL_CHUNK − 1`,
+/// `PARALLEL_CHUNK`, `PARALLEL_CHUNK + 1` and 257 elements, some 3 000 of
+/// them in all (so that the parallel backend fans out over many pool
+/// chunks), all active and with segments switched off in the middle of the
+/// buffer.
+fn slot_cases() -> Vec<(usize, Vec<bool>)> {
+    let mut cases = group_cases();
+    for seg_len in [1usize, 63, 64, 65, 257] {
+        let segments = (3000 / seg_len).max(4);
+        let middle = segments / 3..2 * segments / 3;
+        cases.push((seg_len, vec![true; segments]));
+        let mask = (0..segments).map(|s| !middle.contains(&s) || s % 3 == 0);
+        cases.push((seg_len, mask.collect()));
+    }
+    cases
+}
+
+/// The slot/index clause: on every geometry of [`slot_cases`], all three
+/// segmented shapes hand each element of an active segment — the group
+/// launch each group's first element, for every group width and window
+/// geometry — its own slot and index, visit it exactly once and touch
+/// nothing of an inactive segment; a group's window is exactly its
+/// elements'.
+pub(crate) fn assert_slot_indices<B: LaunchBackend>(backend: &B) {
+    let label = backend.mode().label();
+    for (seg_len, active) in slot_cases() {
+        let n = seg_len * active.len();
+        let what = |shape: &str| format!("{label}: {shape} slot/index seg_len={seg_len}");
+
+        let mut visits = vec![(0, 0, 0); n];
+        backend.launch_segments(&mut visits, seg_len, &active, |s, j, v| visit(v, s, j));
+        assert_visits(&visits, seg_len, &active, &what("launch_segments"));
+
+        let mut visits = vec![(0, 0, 0); n];
+        backend.launch_segments_max(&mut visits, seg_len, &active, |s, j, v| {
+            visit(v, s, j);
+            [0.0]
+        });
+        assert_visits(&visits, seg_len, &active, &what("launch_segments_max"));
+
+        for &group in GROUPS {
+            for windows in window_cases(seg_len) {
+                let mut visits = vec![(0, 0, 0); n];
+                let mut window_log = vec![(0, 0, 0); windows.seg_len * active.len()];
+                backend.launch_groups(
+                    &mut visits,
+                    seg_len,
+                    &active,
+                    group,
+                    &mut window_log,
+                    windows,
+                    visit_kernel(seg_len, group, windows.width),
+                );
+                let what = format!("{} group={group} {windows:?}", what("launch_groups"));
+                assert_visits(&visits, seg_len, &active, &what);
+                assert_window_visits(&window_log, seg_len, &active, windows, &what);
+            }
+        }
     }
 }
 
-/// The scoring launch's kernel for segments of `seg_len`: it updates its
-/// element and returns two scores of the element's old value — [`score`]
-/// and its negation — except in every third segment, whose scores are all
-/// NaN, so that index order, passing over NaN and the empty-max convention
-/// each change bits when broken.
-fn scored_kernel(seg_len: usize) -> impl Fn(usize, &mut f64) -> [f64; 2] + Sync {
-    move |i, x| {
-        let old = *x;
-        map_kernel(i, x);
-        if (i / seg_len) % 3 == 2 {
-            [f64::NAN; 2]
-        } else {
-            [score(i, old), -score(i, old)]
-        }
+/// Max-reduction score whose stream contains NaN and signed-zero entries:
+/// `f64::max` is scheduling-sensitive through exactly those, so any
+/// combine-order violation changes bits.
+fn score(s: usize, j: usize, x: f64) -> f64 {
+    if (s * 7 + j) % 251 == 17 {
+        f64::NAN
+    } else {
+        x * 1.000_001 + j as f64 * 1e-12 + s as f64 * 1e-9
+    }
+}
+
+/// The scoring launch's kernel: it updates its element and returns two
+/// scores of the element's old value — [`score`] and its negation — except
+/// in every third segment, whose scores are all NaN, so that index order,
+/// passing over NaN and the empty-max convention each change bits when
+/// broken.
+fn scored_kernel(s: usize, j: usize, x: &mut f64) -> [f64; 2] {
+    let old = *x;
+    map_kernel(s, j, x);
+    if s % 3 == 2 {
+        [f64::NAN; 2]
+    } else {
+        [score(s, j, old), -score(s, j, old)]
     }
 }
 
@@ -271,15 +348,14 @@ fn scored_kernel(seg_len: usize) -> impl Fn(usize, &mut f64) -> [f64; 2] + Sync 
 /// index-order `f64::max` fold from `−∞` of each score, `0.0` where no
 /// score is a number; NaN per inactive segment.
 fn scored_reference(host: &[f64], seg_len: usize, active: &[bool]) -> Vec<[f64; 2]> {
-    let kernel = scored_kernel(seg_len);
     (0..active.len())
         .map(|s| {
             if !active[s] {
                 return [f64::NAN; 2];
             }
             let mut maxima = [f64::NEG_INFINITY; 2];
-            for (i, x) in host.iter().enumerate().skip(s * seg_len).take(seg_len) {
-                let scores = kernel(i, &mut x.clone());
+            for (j, x) in host[s * seg_len..(s + 1) * seg_len].iter().enumerate() {
+                let scores = scored_kernel(s, j, &mut x.clone());
                 for (m, v) in maxima.iter_mut().zip(scores) {
                     *m = m.max(v);
                 }
@@ -312,6 +388,7 @@ fn assert_maxima_eq(got: &[[f64; 2]], want: &[[f64; 2]], what: &str) {
 pub fn assert_device_conformance(device: &Device) {
     let reference = Device::sequential();
     let label = device.backend().label();
+    assert_slot_indices(&device.exec);
 
     for &n in LENGTHS {
         let host = data(n, 11);
@@ -319,10 +396,12 @@ pub fn assert_device_conformance(device: &Device) {
         let mut want = DeviceBuffer::from_host(Arc::clone(reference.stats()), &host);
         let before = (device.stats().snapshot(), reference.stats().snapshot());
 
-        device.launch_map("conf_map", &mut got, map_kernel);
-        reference.launch_map("conf_map", &mut want, map_kernel);
-        device.launch_blocks("conf_blocks", &mut got, block_kernel);
-        reference.launch_blocks("conf_blocks", &mut want, block_kernel);
+        let map = |i, x: &mut f64| map_kernel(0, i, x);
+        let block = |i, x: &mut f64| block_kernel(0, i, x);
+        device.launch_map("conf_map", &mut got, map);
+        reference.launch_map("conf_map", &mut want, map);
+        device.launch_blocks("conf_blocks", &mut got, block);
+        reference.launch_blocks("conf_blocks", &mut want, block);
         assert_bits_eq(
             got.as_slice(),
             want.as_slice(),
@@ -375,11 +454,10 @@ pub fn assert_device_conformance(device: &Device) {
                 group_kernel,
             );
         }
-        let kernel = scored_kernel(seg_len);
-        let gm =
-            device.launch_map_segments_max("conf_seg_max", &mut got, seg_len, &active, &kernel);
+        let kernel = scored_kernel;
+        let gm = device.launch_map_segments_max("conf_seg_max", &mut got, seg_len, &active, kernel);
         let wm =
-            reference.launch_map_segments_max("conf_seg_max", &mut want, seg_len, &active, &kernel);
+            reference.launch_map_segments_max("conf_seg_max", &mut want, seg_len, &active, kernel);
         let what = format!("{label}: device segments seg_len={seg_len}");
         assert_bits_eq(got.as_slice(), want.as_slice(), &what);
         assert_bits_eq(got_out.as_slice(), want_out.as_slice(), &what);
@@ -404,72 +482,23 @@ pub fn assert_device_conformance(device: &Device) {
         );
     }
 
-    // Group launches: every element of an active segment in exactly one
-    // group of 1 to `group` elements of its segment, with exactly its own
-    // window, nothing of an inactive segment in either buffer, and one
-    // block billed per live element. Scoring launches: each active
-    // segment's maxima are the index-order fold, its elements updated
-    // once, and an inactive segment reads NaN and keeps its values.
+    // Scoring launches: each active segment's maxima are the index-order
+    // fold, its elements updated once, and an inactive segment reads NaN
+    // and keeps its values.
     for (seg_len, active) in group_cases() {
         let n = seg_len * active.len();
         let live = active.iter().filter(|&&a| a).count() as u64 * seg_len as u64;
-        for &group in GROUPS {
-            for windows in window_cases(seg_len) {
-                let what =
-                    format!("{label}: group launch seg_len={seg_len} group={group} {windows:?}");
-                let mut visits =
-                    DeviceBuffer::from_host(Arc::clone(device.stats()), &vec![(0, 0); n]);
-                let mut window_log = DeviceBuffer::from_host(
-                    Arc::clone(device.stats()),
-                    &vec![(0, 0); windows.seg_len * active.len()],
-                );
-                let before = device.stats().snapshot();
-                device.launch_blocks_segments(
-                    "conf_groups",
-                    &mut visits,
-                    seg_len,
-                    &active,
-                    group,
-                    &mut window_log,
-                    windows,
-                    visit_kernel(seg_len, group, windows.width),
-                );
-                assert_visits(
-                    visits.as_slice(),
-                    window_log.as_slice(),
-                    seg_len,
-                    &active,
-                    windows,
-                    &what,
-                );
-                let billed = device.stats().snapshot().since(&before);
-                assert_eq!(
-                    billed.kernels["conf_groups"].blocks, live,
-                    "{what}: billing"
-                );
-                assert_eq!(
-                    billed.kernels["conf_groups"].launches, 1,
-                    "{what}: launches"
-                );
-            }
-        }
-
         let what = format!("{label}: scoring launch seg_len={seg_len} {active:?}");
         let host = data(n, 14);
         let mut buf = DeviceBuffer::from_host(Arc::clone(device.stats()), &host);
         let before = device.stats().snapshot();
-        let maxima = device.launch_map_segments_max(
-            "conf_max",
-            &mut buf,
-            seg_len,
-            &active,
-            scored_kernel(seg_len),
-        );
+        let maxima =
+            device.launch_map_segments_max("conf_max", &mut buf, seg_len, &active, scored_kernel);
         assert_maxima_eq(&maxima, &scored_reference(&host, seg_len, &active), &what);
         let mut updated = host.clone();
         for (i, x) in updated.iter_mut().enumerate() {
             if active[i / seg_len] {
-                map_kernel(i, x);
+                map_kernel(i / seg_len, i % seg_len, x);
             }
         }
         assert_bits_eq(buf.as_slice(), &updated, &what);
@@ -482,14 +511,20 @@ pub fn assert_device_conformance(device: &Device) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LaunchBackend, ParallelBackend, SequentialBackend, VectorizedBackend};
+    use crate::backend::{
+        segment_runs, ParallelBackend, SequentialBackend, VectorizedBackend, PARALLEL_CHUNK,
+        PARALLEL_MIN_CHUNKS,
+    };
+    use rayon::prelude::*;
 
-    /// Assert that `backend` is bitwise identical to [`SequentialBackend`] on
-    /// every launch geometry of the [`LaunchBackend`] contract. Panics with
-    /// the offending geometry and element on divergence.
+    /// Assert that `backend` hands every element its own slot and index and
+    /// is bitwise identical to [`SequentialBackend`] on every launch
+    /// geometry of the [`LaunchBackend`] contract. Panics with the offending
+    /// geometry and element on divergence.
     fn assert_backend_conformance<B: LaunchBackend>(backend: &B) {
         let reference = SequentialBackend;
         let label = backend.mode().label();
+        assert_slot_indices(backend);
 
         for (seg_len, active) in group_cases() {
             let n = seg_len * active.len();
@@ -529,19 +564,6 @@ mod tests {
                             assert_eq!(g.to_bits(), o.to_bits(), "{what}: inactive value {k}");
                         }
                     }
-
-                    let mut visits = vec![(0, 0); n];
-                    let mut window_log = vec![(0, 0); windows.seg_len * active.len()];
-                    backend.launch_groups(
-                        &mut visits,
-                        seg_len,
-                        &active,
-                        group,
-                        &mut window_log,
-                        windows,
-                        visit_kernel(seg_len, group, windows.width),
-                    );
-                    assert_visits(&visits, &window_log, seg_len, &active, windows, &what);
                 }
             }
             assert_bits_eq(&got, &want, &format!("{label}: launches seg_len={seg_len}"));
@@ -559,10 +581,9 @@ mod tests {
             // index-order fold for active ones, each element updated once.
             let host = data(n, 6);
             let (mut got, mut want) = (host.clone(), host.clone());
-            let got_max =
-                backend.launch_segments_max(&mut got, seg_len, &active, scored_kernel(seg_len));
+            let got_max = backend.launch_segments_max(&mut got, seg_len, &active, scored_kernel);
             let want_max =
-                reference.launch_segments_max(&mut want, seg_len, &active, scored_kernel(seg_len));
+                reference.launch_segments_max(&mut want, seg_len, &active, scored_kernel);
             let what = format!("{label}: launch_segments_max seg_len={seg_len}");
             assert_maxima_eq(&got_max, &want_max, &what);
             assert_maxima_eq(&got_max, &scored_reference(&host, seg_len, &active), &what);
@@ -573,10 +594,8 @@ mod tests {
         // first bit for bit (no hidden scheduling dependence).
         let host = data(10_000, 7);
         let active = [true; 4];
-        let first =
-            backend.launch_segments_max(&mut host.clone(), 2500, &active, scored_kernel(2500));
-        let second =
-            backend.launch_segments_max(&mut host.clone(), 2500, &active, scored_kernel(2500));
+        let first = backend.launch_segments_max(&mut host.clone(), 2500, &active, scored_kernel);
+        let second = backend.launch_segments_max(&mut host.clone(), 2500, &active, scored_kernel);
         assert_maxima_eq(
             &first,
             &second,
@@ -611,18 +630,18 @@ mod tests {
         assert_device_conformance(&Device::auto());
     }
 
-    /// A deliberately broken backend (the scoring launch scores with
-    /// segment-local instead of global indices) must be rejected — the
-    /// harness has teeth.
+    /// A deliberately broken backend (the scoring launch hands each element
+    /// its global index instead of its index in the slot) must be rejected —
+    /// the harness has teeth.
     #[test]
     #[should_panic(expected = "launch_segments_max")]
-    fn local_index_scoring_fails_conformance() {
-        struct LocalIndexScores;
-        impl LaunchBackend for LocalIndexScores {
+    fn global_index_scoring_fails_conformance() {
+        struct GlobalIndexScores;
+        impl LaunchBackend for GlobalIndexScores {
             fn mode(&self) -> crate::ExecutionMode {
                 crate::ExecutionMode::Sequential
             }
-            fn launch_segments<T: Send, F: Fn(usize, &mut T) + Sync>(
+            fn launch_segments<T: Send, F: Fn(usize, usize, &mut T) + Sync>(
                 &self,
                 buf: &mut [T],
                 s: usize,
@@ -632,7 +651,7 @@ mod tests {
                 SequentialBackend.launch_segments(buf, s, a, f)
             }
             #[allow(clippy::too_many_arguments)]
-            fn launch_groups<T: Send, U: Send, F: Fn(usize, &mut [T], &mut [U]) + Sync>(
+            fn launch_groups<T: Send, U: Send, F: Fn(usize, usize, &mut [T], &mut [U]) + Sync>(
                 &self,
                 buf: &mut [T],
                 s: usize,
@@ -646,7 +665,7 @@ mod tests {
             }
             fn launch_segments_max<
                 T: Send,
-                F: Fn(usize, &mut T) -> [f64; N] + Sync,
+                F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
                 const N: usize,
             >(
                 &self,
@@ -655,11 +674,67 @@ mod tests {
                 a: &[bool],
                 f: F,
             ) -> Vec<[f64; N]> {
-                // Violates the contract: `f` must see the global index.
-                SequentialBackend.launch_segments_max(buf, s, a, |i, x| f(i % s, x))
+                // Violates the contract: `f` must see the index in the slot.
+                SequentialBackend
+                    .launch_segments_max(buf, s, a, |slot, j, x| f(slot, slot * s + j, x))
             }
         }
-        assert_backend_conformance(&LocalIndexScores);
+        assert_backend_conformance(&GlobalIndexScores);
+    }
+
+    /// A deliberately broken parallel launch (each pool chunk seeds its slot
+    /// and index from the chunk's number instead of its first element's)
+    /// must be rejected by the slot/index clause.
+    #[test]
+    #[should_panic(expected = "launch_segments slot/index")]
+    fn misseeded_chunks_fail_conformance() {
+        struct MisseededChunks;
+        impl LaunchBackend for MisseededChunks {
+            fn mode(&self) -> crate::ExecutionMode {
+                crate::ExecutionMode::Parallel
+            }
+            fn launch_segments<T: Send, F: Fn(usize, usize, &mut T) + Sync>(
+                &self,
+                buf: &mut [T],
+                s: usize,
+                a: &[bool],
+                f: F,
+            ) {
+                // Violates the contract: chunk `c` starts at element
+                // `c · PARALLEL_CHUNK`.
+                buf.par_chunks_mut(PARALLEL_CHUNK)
+                    .with_min_len(PARALLEL_MIN_CHUNKS)
+                    .enumerate()
+                    .for_each(|(c, chunk)| segment_runs(chunk, c, s, a, &f));
+            }
+            #[allow(clippy::too_many_arguments)]
+            fn launch_groups<T: Send, U: Send, F: Fn(usize, usize, &mut [T], &mut [U]) + Sync>(
+                &self,
+                buf: &mut [T],
+                s: usize,
+                a: &[bool],
+                g: usize,
+                out: &mut [U],
+                w: Windows,
+                f: F,
+            ) {
+                ParallelBackend.launch_groups(buf, s, a, g, out, w, f)
+            }
+            fn launch_segments_max<
+                T: Send,
+                F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
+                const N: usize,
+            >(
+                &self,
+                buf: &mut [T],
+                s: usize,
+                a: &[bool],
+                f: F,
+            ) -> Vec<[f64; N]> {
+                ParallelBackend.launch_segments_max(buf, s, a, f)
+            }
+        }
+        assert_backend_conformance(&MisseededChunks);
     }
 
     /// A deliberately broken group launch (every window cut from the start
@@ -672,7 +747,7 @@ mod tests {
             fn mode(&self) -> crate::ExecutionMode {
                 crate::ExecutionMode::Sequential
             }
-            fn launch_segments<T: Send, F: Fn(usize, &mut T) + Sync>(
+            fn launch_segments<T: Send, F: Fn(usize, usize, &mut T) + Sync>(
                 &self,
                 buf: &mut [T],
                 s: usize,
@@ -682,7 +757,7 @@ mod tests {
                 SequentialBackend.launch_segments(buf, s, a, f)
             }
             #[allow(clippy::too_many_arguments)]
-            fn launch_groups<T: Send, U: Send, F: Fn(usize, &mut [T], &mut [U]) + Sync>(
+            fn launch_groups<T: Send, U: Send, F: Fn(usize, usize, &mut [T], &mut [U]) + Sync>(
                 &self,
                 buf: &mut [T],
                 s: usize,
@@ -698,7 +773,7 @@ mod tests {
             }
             fn launch_segments_max<
                 T: Send,
-                F: Fn(usize, &mut T) -> [f64; N] + Sync,
+                F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
                 const N: usize,
             >(
                 &self,

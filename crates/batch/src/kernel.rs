@@ -20,8 +20,12 @@
 //!   updates `v`, `z` and `y` and scores the residuals that decide
 //!   convergence in the same sweep (a fused map + `cub::DeviceSegmentedReduce`).
 //!
-//! [`Device::launch_map`] and [`Device::launch_blocks`] launch a whole
-//! buffer as one active segment.
+//! Each segmented launch hands its closure the element's segment (the
+//! scenario slot) and its index within the segment — a group launch, the
+//! group's first element's — so a kernel finds its slot's data without a
+//! lookup of its own. [`Device::launch_map`] and [`Device::launch_blocks`]
+//! launch a whole buffer as one active segment and hand their closure the
+//! element's index in it.
 //!
 //! Every method here is backend-agnostic: the iteration scheme lives behind
 //! the [`LaunchBackend`] trait the device resolved at construction, and this
@@ -46,7 +50,7 @@ impl Device {
         F: Fn(usize, &mut T) + Sync,
     {
         let (seg_len, active) = whole(buf);
-        self.launch_map_segments(name, buf, seg_len, active, f);
+        self.launch_map_segments(name, buf, seg_len, active, |_, i, x| f(i, x));
     }
 
     /// Launch a kernel with one thread block per element of `states`, under
@@ -78,7 +82,7 @@ impl Device {
             1,
             &mut none,
             windows,
-            |i, block, _| f(i, &mut block[0]),
+            |_, i, block, _| f(i, &mut block[0]),
         );
         self.bill(name, seg_len, active, start);
     }
@@ -89,7 +93,7 @@ impl Device {
     /// analogue of [`Self::launch_map`]: one launch spans `K × n` elements,
     /// and converged scenarios stop consuming kernel work (the recorded block
     /// count only counts elements of active segments). The closure receives
-    /// the *global* element index.
+    /// the element's segment, its index within the segment and the element.
     pub fn launch_map_segments<T, F>(
         &self,
         name: &'static str,
@@ -99,7 +103,7 @@ impl Device {
         f: F,
     ) where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, usize, &mut T) + Sync,
     {
         let start = check_segments(buf, seg_len, active);
         self.exec
@@ -118,8 +122,9 @@ impl Device {
     /// never reaches into an inactive one; `out` holds one segment of
     /// `windows.seg_len` values per segment, and [`Windows`] places each
     /// element's `windows.width` values in it, so no two groups share a
-    /// value. The closure receives the *global* index of the group's first
-    /// element, the group and its window. Scheduling backends fan out at
+    /// value. The closure receives the group's segment, the index of its
+    /// first element within the segment, the group and its window.
+    /// Scheduling backends fan out at
     /// single-group granularity, and the launch is billed one block per
     /// live element of `states`, whatever the grouping.
     #[allow(clippy::too_many_arguments)]
@@ -136,7 +141,7 @@ impl Device {
     ) where
         T: Send,
         U: Send,
-        F: Fn(usize, &mut [T], &mut [U]) + Sync,
+        F: Fn(usize, usize, &mut [T], &mut [U]) + Sync,
     {
         assert!(group > 0, "groups must be non-empty");
         assert!(windows.width > 0, "windows must be non-empty");
@@ -187,7 +192,7 @@ impl Device {
     ) -> Vec<[f64; N]>
     where
         T: Send,
-        F: Fn(usize, &mut T) -> [f64; N] + Sync,
+        F: Fn(usize, usize, &mut T) -> [f64; N] + Sync,
     {
         let start = check_segments(buf, seg_len, active);
         let maxima = self
@@ -276,8 +281,8 @@ mod tests {
         for dev in devices() {
             let mut buf = DeviceBuffer::from_host(Arc::clone(dev.stats()), &vec![0.0f64; 4 * 2000]);
             let active = [true, false, true, false];
-            dev.launch_map_segments("seg_inc", &mut buf, 2000, &active, |i, x| {
-                *x = i as f64 + 1.0;
+            dev.launch_map_segments("seg_inc", &mut buf, 2000, &active, |s, j, x| {
+                *x = (s * 2000 + j) as f64 + 1.0;
             });
             for (i, &x) in buf.as_slice().iter().enumerate() {
                 if active[i / 2000] {
@@ -304,7 +309,7 @@ mod tests {
                 &mut buf,
                 1500,
                 &[true, false, true],
-                |_, x| {
+                |_, _, x| {
                     *x = -*x;
                     [x.abs(), *x]
                 },
@@ -338,8 +343,8 @@ mod tests {
         let active = [true, true, false, true];
         let seq = Device::sequential();
         let mut buf_seq = DeviceBuffer::from_host(Arc::clone(seq.stats()), &host);
-        let kernel = |_: usize, x: &mut f64| *x = x.cos() * 1.7 - 0.3;
-        let scored = |_: usize, x: &mut f64| {
+        let kernel = |_: usize, _: usize, x: &mut f64| *x = x.cos() * 1.7 - 0.3;
+        let scored = |_: usize, _: usize, x: &mut f64| {
             *x = x.sin();
             [*x]
         };
@@ -361,7 +366,7 @@ mod tests {
     fn segmented_launch_length_mismatch_panics() {
         let dev = Device::sequential();
         let mut buf = DeviceBuffer::from_host(Arc::clone(dev.stats()), &[1.0f64; 10]);
-        dev.launch_map_segments("bad", &mut buf, 4, &[true, true], |_, _| {});
+        dev.launch_map_segments("bad", &mut buf, 4, &[true, true], |_, _, _| {});
     }
 
     #[test]
@@ -372,7 +377,7 @@ mod tests {
         let before = stats.snapshot();
         for _ in 0..10 {
             dev.launch_map("inc", &mut buf, |_, x| *x += 1.0);
-            let _ = dev.launch_map_segments_max("norm", &mut buf, 128, &[true], |_, x| [*x]);
+            let _ = dev.launch_map_segments_max("norm", &mut buf, 128, &[true], |_, _, x| [*x]);
         }
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.total_transfers(), 0, "kernels must not transfer");

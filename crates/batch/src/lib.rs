@@ -30,16 +30,20 @@
 //!   compute them); and one thread per element whose closure returns scores
 //!   the backend folds into per-segment maxima in index order (the fused
 //!   consensus pass and its residuals) — plus the whole-buffer
-//!   `launch_map` / `launch_blocks` as one segment. Every launch records its
-//!   kernel's launch count, block count (one per live element, however
-//!   grouped) and elapsed time in [`DeviceStats`], which finds the kernel's
-//!   slot by the address of its `&'static str` name — no hashing, no text
+//!   `launch_map` / `launch_blocks` as one segment. A segmented launch
+//!   hands its closure the element's segment (the scenario slot) and its
+//!   index in the segment, a group launch its first element's. Every
+//!   launch records its kernel's launch count, block count (one per live
+//!   element, however grouped) and elapsed time in [`DeviceStats`], which
+//!   finds the kernel's entry by the address of its `&'static str` name —
+//!   no hashing, no text
 //!   compare and no allocation once the kernel has been seen — and hands
 //!   out snapshots keyed by name; a backend implements only the three
 //!   segmented shapes,
 //! * [`assert_device_conformance`] — the executable determinism contract:
 //!   every backend must be bitwise identical to the sequential one on all
-//!   three shapes, masked and unmasked; its group launch must visit each
+//!   three shapes, masked and unmasked; every shape must hand each live
+//!   element its own slot and index; its group launch must visit each
 //!   live element once, in groups that never cross a segment, with exactly
 //!   its own window; and its scoring launch must fold every segment in
 //!   index order — all before [`ExecutionMode::Auto`] may select it.

@@ -166,7 +166,6 @@ fn main() {
         tier,
         benign_threshold: benign,
         violating_threshold: violating,
-        ..Default::default()
     };
     let funnel = ContingencyFunnel::with_pool(config, pool);
     let t0 = Instant::now();

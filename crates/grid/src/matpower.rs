@@ -217,7 +217,7 @@ fn parse_gencost(row: &[f64]) -> Result<GenCost, GridError> {
         1 => {
             // Piecewise linear: (p_1, c_1, ..., p_n, c_n). Least-squares fit
             // of a quadratic through the breakpoints.
-            if coeffs.len() < 2 * n || n < 2 {
+            if n < 2 || n > coeffs.len() / 2 {
                 return Err(GridError::Invalid(
                     "piecewise cost needs >= 2 points".into(),
                 ));
@@ -471,6 +471,24 @@ mpc.branch = [ 1 2 0.01 0.1 0.0 100 100 100 0 0 1; ];
         let cost = parse_gencost(&row).unwrap();
         assert!((cost.c2 - 0.1).abs() < 1e-6, "c2 {}", cost.c2);
         assert!((cost.c1 - 2.0).abs() < 1e-4, "c1 {}", cost.c1);
+    }
+
+    /// A piecewise-linear row whose point count saturates the cast to
+    /// `usize` is refused, not multiplied into an overflow.
+    #[test]
+    fn huge_piecewise_point_count_is_invalid() {
+        let text = write_case(&cases::case9());
+        let start = text.find("mpc.gencost = [\n").unwrap() + "mpc.gencost = [\n".len();
+        let end = start + text[start..].find('\n').unwrap();
+        let text = format!(
+            "{}\t1\t0\t0\t1e20\t0\t0\t10\t20;{}",
+            &text[..start],
+            &text[end..]
+        );
+        match parse_case(&text, "case9") {
+            Err(GridError::Invalid(msg)) => assert!(msg.contains("piecewise"), "{msg}"),
+            other => panic!("expected an invalid gencost row, got {other:?}"),
+        }
     }
 
     #[test]

@@ -72,17 +72,14 @@ pub enum FullTier {
     Ipm,
 }
 
-/// Configuration of a [`ContingencyFunnel`].
+/// Configuration of a [`ContingencyFunnel`]. The screening pass runs
+/// [`AdmmParams::screening_profile`], and the interior-point tier the
+/// default [`IpmOptions`].
 #[derive(Debug, Clone)]
 pub struct FunnelConfig {
-    /// Parameters of the cheap screening pass.
-    pub screening: AdmmParams,
     /// Parameters of the full ADMM tier (used when `tier` is
     /// [`FullTier::Admm`]).
     pub full: AdmmParams,
-    /// Options of the interior-point tier (used when `tier` is
-    /// [`FullTier::Ipm`]).
-    pub ipm: IpmOptions,
     /// Solver family of the full tier.
     pub tier: FullTier,
     /// Margin at or below which a scenario is [`Band::Benign`].
@@ -94,9 +91,7 @@ pub struct FunnelConfig {
 impl Default for FunnelConfig {
     fn default() -> Self {
         FunnelConfig {
-            screening: AdmmParams::screening_profile(),
             full: AdmmParams::default(),
-            ipm: IpmOptions::default(),
             tier: FullTier::Admm,
             benign_threshold: DEFAULT_BENIGN_THRESHOLD,
             violating_threshold: DEFAULT_VIOLATING_THRESHOLD,
@@ -267,7 +262,7 @@ impl ContingencyFunnel {
     /// (any stable identifier of the base case).
     pub fn run(&self, case_id: &str, nets: &[Network]) -> FunnelReport {
         let screening =
-            ScenarioScheduler::with_pool(self.config.screening.clone(), self.pool.clone())
+            ScenarioScheduler::with_pool(AdmmParams::screening_profile(), self.pool.clone())
                 .run(FleetRequest::over(nets));
 
         let screened: Vec<ScreenedScenario> = screening
@@ -326,7 +321,7 @@ impl ContingencyFunnel {
                 }
                 let view = store.view();
                 let solver = IpmFleetSolver::with_engine(
-                    self.config.ipm.clone(),
+                    IpmOptions::default(),
                     Engine::with_pool(self.pool.clone()),
                 );
                 let report =

@@ -122,7 +122,6 @@ pub fn run_chunk(
                     tier: FullTier::Admm,
                     benign_threshold: spec.benign_threshold,
                     violating_threshold: spec.violating_threshold,
-                    ..Default::default()
                 },
                 DevicePool::single(Device::default()),
             );

@@ -1,7 +1,8 @@
 //! Stress tests of the thread pool behind the parallel iterators, through
 //! the public API only: nested parallel-for calls, concurrent submitters
-//! with panicking jobs, and many rounds of random lengths and `min_len`s.
-//! Every run must apply its closure to each index exactly once, and a
+//! with panicking jobs, and many rounds of random lengths, chunk sizes and
+//! `min_len`s. Every run must apply its closure to each index exactly once,
+//! a chunked run must hand each chunk its own index and elements, and a
 //! reduction must be bitwise equal to the sequential index-ordered one.
 //!
 //! The pool is sized once per process from `GRIDSIM_POOL_THREADS`; run this
@@ -229,6 +230,53 @@ fn random_rounds_match_the_sequential_fold() {
         for i in 0..len {
             assert_eq!(a[i].to_bits(), (2.0 * xs[i]).to_bits(), "{what}: a[{i}]");
             assert_eq!(b[i], i as u32 + 1, "{what}: b[{i}]");
+        }
+    }
+}
+
+/// `par_chunks_mut` over random lengths, chunk sizes and `min_len`s: every
+/// element lies in exactly one chunk, chunk `c` is the elements from
+/// `c · size` on (so the chunk indices run in order along the slice), and
+/// only the last chunk is shorter than `size`.
+#[test]
+fn random_chunked_rounds_visit_each_element_once_in_chunk_order() {
+    let mut rng = Rng(0xC40C5);
+    for round in 0..400u64 {
+        let len = match rng.below(3) {
+            0 => rng.below(8),
+            1 => rng.below(300),
+            _ => rng.below(20_000),
+        };
+        let size = match rng.below(3) {
+            0 => 1 + rng.below(4),
+            1 => 1 + rng.below(100),
+            _ => 1 + rng.below(3_000),
+        };
+        let min_len = match rng.below(3) {
+            0 => None,
+            1 => Some(1 + rng.below(4)),
+            _ => Some(1 + rng.below(64)),
+        };
+        let what = format!("round {round} len {len} size {size} min_len {min_len:?}");
+        // Per element: (visits, chunk index, position in the chunk).
+        let mut v = vec![(0usize, 0usize, 0usize); len];
+        let mut par = v.par_chunks_mut(size);
+        if let Some(n) = min_len {
+            par = par.with_min_len(n);
+        }
+        par.enumerate().for_each(|(c, chunk)| {
+            let last = c == len.div_ceil(size) - 1;
+            assert!(
+                chunk.len() == size || (last && chunk.len() < size),
+                "chunk {c} of {} elements",
+                chunk.len()
+            );
+            for (j, x) in chunk.iter_mut().enumerate() {
+                *x = (x.0 + 1, c, j);
+            }
+        });
+        for (i, &x) in v.iter().enumerate() {
+            assert_eq!(x, (1, i / size, i % size), "{what}: element {i}");
         }
     }
 }

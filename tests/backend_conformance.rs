@@ -49,8 +49,8 @@ fn devices() -> [Device; 4] {
 }
 
 /// The group launch with windows, through the public API: every element of
-/// an active segment is visited once, in a group of its own segment, and
-/// given exactly its own window of the second buffer (behind a prefix and
+/// an active segment is visited once, in a group of its own segment handed
+/// its slot and first index, and given exactly its own window of the second buffer (behind a prefix and
 /// before a suffix); inactive segments and the values outside the windows
 /// stay untouched in both buffers. Segments of 1, 2, 63 and 65 elements
 /// (the vectorized backend works in chunks of 64) and an empty launch.
@@ -82,12 +82,10 @@ fn windowed_group_launch_hands_each_element_its_own_window() {
                     group,
                     &mut out,
                     windows,
-                    |start, group_elements, window| {
+                    |s, first, group_elements, window| {
                         assert!(group_elements.len() <= group, "{what}: group size");
-                        assert_eq!(
-                            start / seg_len,
-                            (start + group_elements.len() - 1) / seg_len
-                        );
+                        assert!(first + group_elements.len() <= seg_len, "{what}: segment");
+                        let start = s * seg_len + first;
                         for (j, (e, w)) in group_elements
                             .iter_mut()
                             .zip(window.chunks_exact_mut(width))
@@ -146,12 +144,18 @@ fn scored_launch_folds_each_segment_in_index_order() {
                     }
                 };
                 let mut buf = DeviceBuffer::from_host(Arc::clone(device.stats()), &host);
-                let maxima =
-                    device.launch_map_segments_max("scores", &mut buf, seg_len, &active, |i, x| {
+                let maxima = device.launch_map_segments_max(
+                    "scores",
+                    &mut buf,
+                    seg_len,
+                    &active,
+                    |s, j, x| {
+                        let i = s * seg_len + j;
                         let old = *x;
                         *x = old * 2.0 + 1.0;
                         [score(i, old), -score(i, old)]
-                    });
+                    },
+                );
                 assert_eq!(maxima.len(), active.len(), "{what}");
                 for (s, max) in maxima.iter().enumerate() {
                     let segment = s * seg_len..(s + 1) * seg_len;
